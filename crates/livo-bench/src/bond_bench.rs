@@ -2,7 +2,7 @@
 //! topology scenario.
 //!
 //! Each sweep point replays one [`BondScenario`] twice over: once bonded
-//! (all links under one `BondedSession`) and once per link alone (a
+//! (all links as legs of one `RtcSession`) and once per link alone (a
 //! 1-link bond, so the impairment timeline — fades, kills, bursts —
 //! replays identically). The point reports delivered goodput, display
 //! stall rate at 30 fps, failovers, and duplicated key packets, and
@@ -17,7 +17,7 @@
 //!   frames flowing to the end of the call.
 
 use bytes::Bytes;
-use livo_bond::{BondConfig, BondScenario, BondedSession};
+use livo_bond::{BondConfig, BondScenario};
 use livo_eval::experiments::EvalProfile;
 use livo_telemetry::json::ObjectWriter;
 use livo_transport::StreamId;
@@ -88,7 +88,7 @@ fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -
         cfg.initial_estimate_bps = rate;
     }
     let jitter_target = cfg.jitter_target;
-    let mut s = BondedSession::new(cfg);
+    let mut s = cfg.build();
     let end = (duration_s * 1e6) as u64;
     let mut t = 0u64;
     let mut frame_id = 0u64;

@@ -16,13 +16,13 @@ use livo_core::conference::{ConferenceConfig, ConferenceRunner};
 use livo_eval::experiments::EvalProfile;
 use livo_telemetry::json::ObjectWriter;
 
-/// Constant-bandwidth bands of the sweep, Mbps, best first; the last is
-/// "the lowest trace band" the gate compares at.
+/// Constant-bandwidth bands of the sweep, Mbps, best first.
 pub const BANDS: [f64; 3] = [12.0, 6.0, 3.0];
 
-/// Gate floor: progressive PSSIM-in-frustum per bit over baseline at the
-/// lowest band.
-pub const PER_BIT_FLOOR: f64 = 1.2;
+/// Gate floor: progressive PSSIM-in-frustum per bit over baseline, at
+/// *every* band — progressive delivery may not lose to all-or-nothing
+/// anywhere in the sweep.
+pub const PER_BIT_FLOOR: f64 = 1.0;
 
 /// Gate slack on the center-of-gaze monotonicity: walking the bands from
 /// fat to collapsed, the progressive scheme's center PSSIM may not drop
@@ -118,14 +118,18 @@ fn pairs(points: &[FovPoint]) -> Vec<(&FovPoint, &FovPoint)> {
     out
 }
 
-/// Both gate claims: per-bit floor at the lowest band, and the
-/// progressive center-of-gaze score holding up as bandwidth collapses.
+/// The gate claims: per-bit floor at every band, the progressive
+/// center-of-gaze score holding up as bandwidth collapses, and
+/// refinement actually arriving.
 pub fn gate_ok(points: &[FovPoint]) -> bool {
     let pairs = pairs(points);
-    let Some((base, prog)) = pairs.last() else {
+    if pairs.len() != BANDS.len() {
         return false;
-    };
-    if prog.per_mbit < PER_BIT_FLOOR * base.per_mbit {
+    }
+    if pairs
+        .iter()
+        .any(|(base, prog)| prog.per_mbit < PER_BIT_FLOOR * base.per_mbit)
+    {
         return false;
     }
     // Monotonicity with slack: the center score at each narrower band
@@ -181,7 +185,7 @@ pub fn text(points: &[FovPoint]) -> String {
         ));
     }
     s.push_str(&format!(
-        "\n\ngate: >= {PER_BIT_FLOOR:.1}x per-bit at the lowest band, center PSSIM within \
+        "\n\ngate: >= {PER_BIT_FLOOR:.1}x per-bit at every band, center PSSIM within \
          {CENTER_SLACK:.2} of its best as bandwidth collapses.\n"
     ));
     s

@@ -460,7 +460,7 @@ fn main() {
                 log_event!(
                     Level::Error,
                     "repro",
-                    "fov gate failed: progressive per-bit below the floor at the lowest \
+                    "fov gate failed: progressive per-bit below the baseline at some \
                      band, center-of-gaze quality sagged as bandwidth collapsed, or no \
                      refinement was ever applied"
                 );

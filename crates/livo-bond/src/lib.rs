@@ -12,20 +12,19 @@
 //!   propagation delay, i.i.d. and/or Gilbert–Elliott burst loss, and a
 //!   timeline of mid-run events (down/up/kill, RTT jumps) — "car leaves
 //!   WiFi onto LTE" is the one-liner [`BondScenario::wifi_to_lte`].
-//! - [`scheduler`]: stateless per-packet link selection by minimum
-//!   expected delivery time (per-link GCC estimate + RTT + backlog),
-//!   with key-packet duplication and loss-aware retransmit placement.
-//! - [`session`]: [`BondedSession`], an `RtcSession`-shaped object with
-//!   one `GccEstimator` per leg and a *shared* reassembly/jitter/NACK
-//!   receiver, so failover is invisible to everything downstream.
+//! - [`session`]: [`BondConfig`], which maps a scenario onto the legs of
+//!   a [`livo_transport::RtcSession`]. The session itself — one
+//!   `GccEstimator` per leg, the stateless per-packet scheduler, a
+//!   *shared* reassembly/jitter/NACK receiver, failover invisible to
+//!   everything downstream — is the same type a single-link call uses;
+//!   a single-link call is its one-leg case.
 //!
 //! Everything stays in virtual microseconds and seeded RNG — bonded runs
 //! are bit-reproducible, which the failover tests pin.
 
 pub mod scenario;
-pub mod scheduler;
 pub mod session;
 
-pub use scenario::{BondScenario, LinkAction, LinkEvent, LinkScenario};
-pub use scheduler::{LinkSnapshot, SchedulerConfig};
-pub use session::{BondConfig, BondedSession, LinkReport};
+pub use livo_transport::{LinkAction, LinkEvent};
+pub use scenario::{BondScenario, LinkScenario};
+pub use session::{BondConfig, BondedSession};

@@ -16,29 +16,8 @@
 
 use livo_capture::nettrace::TRACE_SAMPLE_HZ;
 use livo_capture::BandwidthTrace;
-use livo_transport::link::{GilbertElliott, LinkConfig};
+use livo_transport::link::{GilbertElliott, LinkAction, LinkConfig, LinkEvent};
 use livo_transport::{secs, Micros};
-
-/// Something that happens to one link at a point in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkAction {
-    /// Administratively down: in-flight packets are stranded, sends drop.
-    /// The link can come back with [`LinkAction::Up`].
-    Down,
-    /// Bring a downed link back up (no-op on a killed link).
-    Up,
-    /// Permanently dead — never comes back (pulled cable, out of range).
-    Kill,
-    /// RTT jump: change the one-way propagation delay.
-    SetPropagation(Micros),
-}
-
-/// A scheduled [`LinkAction`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkEvent {
-    pub at: Micros,
-    pub action: LinkAction,
-}
 
 /// One access link: a bandwidth trace plus impairments plus a timeline.
 #[derive(Debug, Clone)]

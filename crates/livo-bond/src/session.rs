@@ -1,36 +1,14 @@
-//! The bonded multi-link session.
+//! Bonded calls over the shared session type.
 //!
-//! [`BondedSession`] presents the exact surface of
-//! `livo_transport::RtcSession` — `send_frame` / `tick` / `recv_frames` /
-//! `estimate_bps` / `take_pli` — but spreads the packet stream across
-//! several [`LinkEmulator`]-backed paths. Each leg runs its *own*
-//! [`GccEstimator`] fed by that leg's arrival timestamps, so the
-//! scheduler sees honest per-path rate estimates; the receiver side
-//! (reassembly, jitter buffer, NACK/PLI) is *shared*, so frames arriving
-//! interleaved across paths reassemble exactly as out-of-order packets on
-//! one path would — NACK/PLI semantics are unchanged.
-//!
-//! Failover falls out of the scheduler: a dead leg stops being pickable
-//! the instant its event fires, in-flight packets it strands are
-//! recovered by the ordinary NACK path over the surviving legs, and the
-//! session object never restarts.
+//! The N-leg session itself is [`livo_transport::RtcSession`]; this module
+//! only maps a [`BondScenario`] onto its legs.
 
-use crate::scenario::{BondScenario, LinkAction, LinkEvent};
-use crate::scheduler::{self, LinkSnapshot, SchedulerConfig};
-use bytes::Bytes;
-use livo_telemetry::trace::{kind, EventTrace, NO_FRAME};
-use livo_telemetry::{stage, Counter, FrameTimeline, Gauge, Histogram, MetricsRegistry};
-use livo_transport::gcc::GccEstimator;
-use livo_transport::jitter::JitterBuffer;
-use livo_transport::link::{Delivery, LinkEmulator, LinkStats};
-use livo_transport::nack::{NackGenerator, RetransmitBuffer};
-use livo_transport::packet::{AssembledFrame, Packet, Packetizer, Reassembler, StreamId};
-use livo_transport::{Micros, SessionConfig, SessionStats};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use crate::scenario::BondScenario;
+use livo_transport::{LegConfig, Micros, RtcSession, SessionConfig};
+use std::ops::{Deref, DerefMut};
 
-/// Bonded-session parameters: the topology plus the RtcSession-shared
-/// knobs (jitter target, feedback cadence, pacing headroom).
+/// A bonded call: the topology plus the settings it shares with a
+/// one-leg [`SessionConfig`].
 #[derive(Debug, Clone)]
 pub struct BondConfig {
     pub scenario: BondScenario,
@@ -38,1120 +16,64 @@ pub struct BondConfig {
     pub jitter_target: Micros,
     /// Initial *aggregate* estimate, split evenly across legs.
     pub initial_estimate_bps: f64,
-    /// Spacing of receiver→sender feedback (per leg).
-    pub feedback_interval: Micros,
-    /// Pacing headroom over the aggregate estimate.
-    pub pacing_factor: f64,
-    pub scheduler: SchedulerConfig,
 }
 
 impl BondConfig {
     pub fn new(scenario: BondScenario) -> Self {
-        let s = SessionConfig::default();
-        BondConfig::from_session(scenario, &s)
+        BondConfig::from_session(scenario, &SessionConfig::default())
     }
 
-    /// Copy the shared knobs from a single-link [`SessionConfig`] (its
+    /// Copy the shared settings from a one-leg [`SessionConfig`] (its
     /// `link` field is ignored — the scenario describes the links).
     pub fn from_session(scenario: BondScenario, s: &SessionConfig) -> Self {
         BondConfig {
             scenario,
             jitter_target: s.jitter_target,
             initial_estimate_bps: s.initial_estimate_bps,
-            feedback_interval: s.feedback_interval,
-            pacing_factor: s.pacing_factor,
-            scheduler: SchedulerConfig::default(),
         }
     }
-}
 
-/// Point-in-time view of one leg, for benches and diagnostics.
-#[derive(Debug, Clone)]
-pub struct LinkReport {
-    pub name: String,
-    pub up: bool,
-    pub alive: bool,
-    pub estimate_bps: f64,
-    pub owd_ms: f64,
-    pub recent_loss: f64,
-    pub tx_packets: u64,
-    pub dup_packets: u64,
-    pub stats: LinkStats,
-}
-
-/// Per-leg metric handles (resolved once at attach).
-struct LegTelemetry {
-    estimate_bps: Arc<Gauge>,
-    owd_ms: Arc<Gauge>,
-    loss_fraction: Arc<Gauge>,
-    up: Arc<Gauge>,
-    tx_packets: Arc<Counter>,
-    dup_packets: Arc<Counter>,
-}
-
-/// Aggregate metric handles — same names `RtcSession` registers, so a
-/// bonded conference feeds the same dashboards, plus `bond.*`.
-struct BondTelemetry {
-    gcc_estimate_bps: Arc<Gauge>,
-    gcc_queuing_delay_ms: Arc<Gauge>,
-    gcc_trend_ms: Arc<Gauge>,
-    gcc_threshold_ms: Arc<Gauge>,
-    gcc_loss_fraction: Arc<Gauge>,
-    sender_estimate_bps: Arc<Gauge>,
-    jitter_occupancy: Arc<Gauge>,
-    owd_ms: Arc<Gauge>,
-    nacks_sent: Arc<Counter>,
-    retransmits: Arc<Counter>,
-    plis: Arc<Counter>,
-    late_drops: Arc<Gauge>,
-    bits_sent_color: Arc<Counter>,
-    bits_sent_depth: Arc<Counter>,
-    bits_delivered: Arc<Counter>,
-    frames_delivered: Arc<Counter>,
-    latency_ms: Arc<Histogram>,
-    estimate_sum_bps: Arc<Gauge>,
-    estimate_samples: Arc<Counter>,
-    bond_estimate_bps: Arc<Gauge>,
-    bond_links_up: Arc<Gauge>,
-    bond_failovers: Arc<Counter>,
-    timeline: Option<Arc<FrameTimeline>>,
-}
-
-struct BondTrace {
-    trace: Arc<EventTrace>,
-    send_party: u16,
-    recv_party: u16,
-}
-
-/// One bonded path: emulated link + its own congestion estimator.
-struct Leg {
-    name: String,
-    em: LinkEmulator,
-    estimator: GccEstimator,
-    /// Feedback-delayed estimate the sender schedules with.
-    sender_estimate_bps: f64,
-    pending_feedback: VecDeque<(Micros, f64)>,
-    smoothed_owd: f64,
-    /// (sent, dropped) counter base of the current feedback window.
-    loss_window_base: (u64, u64),
-    /// Loss over the last feedback window alone.
-    recent_loss: f64,
-    /// Decaying loss memory (peak-hold with 0.9/window decay): burst loss
-    /// stays visible for ~1–2 s, which is the signal key-packet
-    /// duplication and retransmit placement key off — a Gilbert–Elliott
-    /// link is untrustworthy *between* bursts too.
-    loss_ewma: f64,
-    /// Administratively up (events can toggle).
-    up: bool,
-    /// False once killed — never comes back.
-    alive: bool,
-    events: VecDeque<LinkEvent>,
-    tx_packets: u64,
-    dup_packets: u64,
-    /// Highest sequence this leg has *delivered*, per stream. Legs are
-    /// FIFO, so a missing sequence below every up leg's frontier cannot
-    /// still be in flight — it is provably lost (see [`nack_gaps`]).
-    max_seq: BTreeMap<StreamId, u64>,
-    telemetry: Option<LegTelemetry>,
-}
-
-impl Leg {
-    fn snapshot(&self, now: Micros) -> LinkSnapshot {
-        LinkSnapshot {
-            estimate_bps: self.sender_estimate_bps,
-            owd_us: if self.smoothed_owd > 0.0 {
-                self.smoothed_owd
-            } else {
-                self.em.propagation() as f64
-            },
-            backlog_us: self.em.backlog(now),
-            recent_loss: self.loss_ewma,
-            up: self.up && self.alive,
-        }
+    /// The session over this topology. Panics on an invalid scenario
+    /// ([`BondScenario::validate`] before constructing).
+    pub fn build(self) -> RtcSession {
+        self.scenario
+            .validate()
+            .expect("invalid bond scenario (validate before constructing)");
+        let legs = self
+            .scenario
+            .links
+            .into_iter()
+            .map(|l| LegConfig {
+                name: l.name,
+                trace: l.trace,
+                link: l.link,
+                events: l.events,
+            })
+            .collect();
+        RtcSession::with_legs(legs, self.jitter_target, self.initial_estimate_bps)
     }
 }
 
-/// Timeline lane / trace component for a media stream (mirrors the
-/// private helpers in `livo_transport::session`).
-fn lane_of(stream: StreamId) -> &'static str {
-    match stream {
-        StreamId::Color => "color",
-        StreamId::Depth => "depth",
-        StreamId::Refine => "refine",
-        StreamId::Control => "control",
-    }
-}
-
-fn component_of(stream: StreamId) -> &'static str {
-    match stream {
-        StreamId::Color => "transport.color",
-        StreamId::Depth => "transport.depth",
-        StreamId::Refine => "transport.refine",
-        StreamId::Control => "transport.control",
-    }
-}
-
-/// Fold a link display name into a metric-safe segment (`[a-z0-9_]`,
-/// starting with a letter) — same convention the SFU router uses for
-/// subscriber names.
-fn metric_safe(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        let lc = c.to_ascii_lowercase();
-        out.push(
-            if lc.is_ascii_lowercase() || lc.is_ascii_digit() || lc == '_' {
-                lc
-            } else {
-                '_'
-            },
-        );
-    }
-    if !out.starts_with(|c: char| c.is_ascii_lowercase()) {
-        out.insert(0, 'l');
-    }
-    out
-}
-
-/// One notch of adaptive playout slack per late-dropped frame.
-const PLAYOUT_SLACK_STEP: Micros = 5_000;
-
-/// Ceiling on adaptive playout slack: recovery latency beyond this is a
-/// frame worth giving up on rather than a delay worth carrying forever.
-const MAX_PLAYOUT_SLACK: Micros = 60_000;
-
-/// A multi-path session: several emulated links bonded under one
-/// sender/receiver pair.
-pub struct BondedSession {
-    cfg: BondConfig,
-    legs: Vec<Leg>,
-    // --- sender side ---
-    packetizers: BTreeMap<StreamId, Packetizer>,
-    retransmit: BTreeMap<StreamId, RetransmitBuffer>,
-    pacer: VecDeque<Packet>,
-    pacer_budget_bits: f64,
-    last_pace: Micros,
-    pending_retx: VecDeque<(Micros, Packet)>,
-    pending_pli: VecDeque<Micros>,
-    last_key_grant: Option<Micros>,
-    // --- shared receiver side ---
-    reassemblers: BTreeMap<StreamId, Reassembler>,
-    jitters: BTreeMap<StreamId, JitterBuffer>,
-    nack: BTreeMap<StreamId, NackGenerator>,
-    /// First time each currently-missing seq was seen missing — gaps
-    /// younger than the cross-leg reorder grace are packets still in
-    /// flight on a slower leg, not losses.
-    missing_since: BTreeMap<(StreamId, u64), Micros>,
-    ready: Vec<AssembledFrame>,
-    last_feedback: Micros,
-    stats: SessionStats,
-    failovers: u64,
-    telemetry: Option<BondTelemetry>,
-    trace: Option<BondTrace>,
-    link_seen: BTreeSet<(StreamId, u64)>,
-    poll_scratch: Vec<Delivery>,
-    /// Adaptive playout slack (NetEQ-style): each time a recovered frame
-    /// arrives after its playout deadline and is late-dropped, the
-    /// deadline for subsequent frames moves out a notch, so the playout
-    /// delay converges onto the observed NACK-recovery latency instead
-    /// of discarding every recovered frame by a few milliseconds.
-    /// Ratchets up only — bounded by [`MAX_PLAYOUT_SLACK`] — so playout
-    /// never oscillates mid-call.
-    playout_slack: Micros,
-}
+/// [`BondConfig::build`] under the name external harnesses construct it
+/// by; everything else is the shared [`RtcSession`].
+pub struct BondedSession(RtcSession);
 
 impl BondedSession {
     pub fn new(cfg: BondConfig) -> Self {
-        cfg.scenario
-            .validate()
-            .expect("invalid bond scenario (validate before constructing)");
-        let n = cfg.scenario.links.len();
-        let per_leg_estimate = cfg.initial_estimate_bps / n as f64;
-        let legs = cfg
-            .scenario
-            .links
-            .iter()
-            .map(|l| Leg {
-                name: l.name.clone(),
-                em: LinkEmulator::new(l.trace.clone(), l.link.clone()),
-                estimator: GccEstimator::new(per_leg_estimate),
-                sender_estimate_bps: per_leg_estimate,
-                pending_feedback: VecDeque::new(),
-                smoothed_owd: 0.0,
-                loss_window_base: (0, 0),
-                recent_loss: 0.0,
-                loss_ewma: 0.0,
-                up: true,
-                alive: true,
-                events: l.events.iter().copied().collect(),
-                tx_packets: 0,
-                dup_packets: 0,
-                max_seq: BTreeMap::new(),
-                telemetry: None,
-            })
-            .collect();
-        BondedSession {
-            cfg,
-            legs,
-            packetizers: BTreeMap::new(),
-            retransmit: BTreeMap::new(),
-            pacer: VecDeque::new(),
-            pacer_budget_bits: 0.0,
-            last_pace: 0,
-            pending_retx: VecDeque::new(),
-            pending_pli: VecDeque::new(),
-            last_key_grant: None,
-            reassemblers: BTreeMap::new(),
-            jitters: BTreeMap::new(),
-            nack: BTreeMap::new(),
-            missing_since: BTreeMap::new(),
-            ready: Vec::new(),
-            last_feedback: 0,
-            stats: SessionStats::default(),
-            failovers: 0,
-            telemetry: None,
-            trace: None,
-            link_seen: BTreeSet::new(),
-            poll_scratch: Vec::new(),
-            playout_slack: 0,
-        }
+        BondedSession(cfg.build())
     }
+}
 
-    /// Publish metrics under `{prefix}.*`: the same aggregate names
-    /// `RtcSession` registers (so existing dashboards keep working), the
-    /// per-leg `{prefix}.link.<name>.*` family, and `{prefix}.bond.*`.
-    pub fn attach_telemetry(
-        &mut self,
-        registry: &Arc<MetricsRegistry>,
-        prefix: &str,
-        timeline: Option<Arc<FrameTimeline>>,
-    ) {
-        for leg in &mut self.legs {
-            let lp = format!("{prefix}.link.{}", metric_safe(&leg.name));
-            leg.telemetry = Some(LegTelemetry {
-                estimate_bps: registry.gauge(&format!("{lp}.estimate_bps")),
-                owd_ms: registry.gauge(&format!("{lp}.owd_ms")),
-                loss_fraction: registry.gauge(&format!("{lp}.loss_fraction")),
-                up: registry.gauge(&format!("{lp}.up")),
-                tx_packets: registry.counter(&format!("{lp}.tx_packets")),
-                dup_packets: registry.counter(&format!("{lp}.dup_packets")),
-            });
-            if let Some(t) = &leg.telemetry {
-                t.up.set(if leg.up { 1.0 } else { 0.0 });
-            }
-        }
-        self.telemetry = Some(BondTelemetry {
-            gcc_estimate_bps: registry.gauge(&format!("{prefix}.gcc.estimate_bps")),
-            gcc_queuing_delay_ms: registry.gauge(&format!("{prefix}.gcc.queuing_delay_ms")),
-            gcc_trend_ms: registry.gauge(&format!("{prefix}.gcc.trend_ms")),
-            gcc_threshold_ms: registry.gauge(&format!("{prefix}.gcc.threshold_ms")),
-            gcc_loss_fraction: registry.gauge(&format!("{prefix}.gcc.loss_fraction")),
-            sender_estimate_bps: registry.gauge(&format!("{prefix}.sender_estimate_bps")),
-            jitter_occupancy: registry.gauge(&format!("{prefix}.jitter_occupancy")),
-            owd_ms: registry.gauge(&format!("{prefix}.owd_ms")),
-            nacks_sent: registry.counter(&format!("{prefix}.nacks_sent")),
-            retransmits: registry.counter(&format!("{prefix}.retransmits")),
-            plis: registry.counter(&format!("{prefix}.plis")),
-            late_drops: registry.gauge(&format!("{prefix}.late_drops")),
-            bits_sent_color: registry.counter(&format!("{prefix}.bits_sent.color")),
-            bits_sent_depth: registry.counter(&format!("{prefix}.bits_sent.depth")),
-            bits_delivered: registry.counter(&format!("{prefix}.bits_delivered")),
-            frames_delivered: registry.counter(&format!("{prefix}.frames_delivered")),
-            latency_ms: registry.histogram(&format!("{prefix}.latency_ms")),
-            estimate_sum_bps: registry.gauge(&format!("{prefix}.gcc.estimate_sum_bps")),
-            estimate_samples: registry.counter(&format!("{prefix}.gcc.estimate_samples")),
-            bond_estimate_bps: registry.gauge(&format!("{prefix}.bond.estimate_bps")),
-            bond_links_up: registry.gauge(&format!("{prefix}.bond.links_up")),
-            bond_failovers: registry.counter(&format!("{prefix}.bond.failovers")),
-            timeline,
-        });
-        if let Some(t) = &self.telemetry {
-            t.bond_links_up.set(self.links_up() as f64);
-        }
+impl Deref for BondedSession {
+    type Target = RtcSession;
+    fn deref(&self) -> &RtcSession {
+        &self.0
     }
+}
 
-    /// Record causal events: per-frame packetize/send/recv like
-    /// `RtcSession`, plus `link_up`/`link_down`/`failover` on the
-    /// `transport.bond` component (arg = leg index, or stranded packet
-    /// count for failover).
-    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, send_party: u16, recv_party: u16) {
-        self.trace = Some(BondTrace {
-            trace,
-            send_party,
-            recv_party,
-        });
-    }
-
-    /// Aggregate sender-side estimate: the sum over schedulable legs,
-    /// each discounted by its decaying loss memory. A leg that has been
-    /// dropping 30% of its packets in bursts does not offer its full
-    /// GCC rate as *goodput* — pricing the loss into the aggregate keeps
-    /// the offered load off the bursty leg's ceiling (fewer packets on a
-    /// Gilbert–Elliott link is fewer burst hits), where per-leg GCC alone
-    /// under-reacts: a short burst barely dents a 50 ms loss window, so
-    /// the raw estimate parks at capacity and every burst lands on
-    /// full-rate traffic.
-    pub fn estimate_bps(&self) -> f64 {
-        self.legs
-            .iter()
-            .filter(|l| l.up && l.alive)
-            .map(|l| l.sender_estimate_bps * (1.0 - l.loss_ewma.min(0.5)))
-            .sum()
-    }
-
-    /// Smoothed one-way delay of the *fastest* schedulable leg, µs — the
-    /// Δt a frustum predictor should assume for the next frame.
-    pub fn one_way_delay_us(&self) -> f64 {
-        self.legs
-            .iter()
-            .filter(|l| l.up && l.alive)
-            .map(|l| {
-                if l.smoothed_owd > 0.0 {
-                    l.smoothed_owd
-                } else {
-                    l.em.propagation() as f64
-                }
-            })
-            .fold(f64::INFINITY, f64::min)
-            .min(1e9)
-    }
-
-    /// Number of legs currently schedulable.
-    pub fn links_up(&self) -> usize {
-        self.legs.iter().filter(|l| l.up && l.alive).count()
-    }
-
-    /// Times a carrying leg died/downed while another leg survived.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Ground-truth aggregate capacity of the schedulable legs.
-    pub fn capacity_bps(&self, now: Micros) -> f64 {
-        self.legs
-            .iter()
-            .filter(|l| l.up && l.alive)
-            .map(|l| l.em.capacity_bps(now))
-            .sum()
-    }
-
-    /// Per-leg diagnostics for benches.
-    pub fn link_reports(&self) -> Vec<LinkReport> {
-        self.legs
-            .iter()
-            .map(|l| LinkReport {
-                name: l.name.clone(),
-                up: l.up,
-                alive: l.alive,
-                estimate_bps: l.sender_estimate_bps,
-                owd_ms: l.smoothed_owd / 1000.0,
-                recent_loss: l.recent_loss,
-                tx_packets: l.tx_packets,
-                dup_packets: l.dup_packets,
-                stats: l.em.stats(),
-            })
-            .collect()
-    }
-
-    /// Queue a frame for transmission (identical surface to
-    /// `RtcSession::send_frame`).
-    pub fn send_frame(
-        &mut self,
-        now: Micros,
-        stream: StreamId,
-        frame_id: u64,
-        data: Bytes,
-        keyframe: bool,
-    ) {
-        let pz = self
-            .packetizers
-            .entry(stream)
-            .or_insert_with(|| Packetizer::new(stream));
-        let pkts = pz.packetize(frame_id, data, now, keyframe);
-        let rb = self
-            .retransmit
-            .entry(stream)
-            .or_insert_with(|| RetransmitBuffer::new(4096));
-        self.stats.frames_sent += 1;
-        let mut frame_bits = 0u64;
-        let mut n_pkts = 0i64;
-        for p in pkts {
-            frame_bits += p.wire_bits();
-            n_pkts += 1;
-            rb.store(&p);
-            self.pacer.push_back(p);
-        }
-        self.stats.bits_sent += frame_bits;
-        if let Some(t) = &self.telemetry {
-            match stream {
-                StreamId::Color => t.bits_sent_color.add(frame_bits),
-                StreamId::Depth => t.bits_sent_depth.add(frame_bits),
-                StreamId::Refine | StreamId::Control => {}
-            }
-            if let Some(tl) = &t.timeline {
-                tl.mark_lane(frame_id, stage::PACKETIZE, lane_of(stream), now);
-            }
-        }
-        if let Some(tr) = &self.trace {
-            let comp = component_of(stream);
-            tr.trace
-                .record(now, frame_id, tr.send_party, comp, kind::PACKETIZE, n_pkts);
-            tr.trace.record(
-                now,
-                frame_id,
-                tr.send_party,
-                comp,
-                kind::SEND,
-                frame_bits as i64,
-            );
-        }
-    }
-
-    /// Advance the bond to `now`. Call at ≥ millisecond granularity.
-    pub fn tick(&mut self, now: Micros) {
-        self.apply_events(now);
-        self.pace(now);
-        self.deliver(now);
-        self.nack_gaps(now);
-        self.feedback(now);
-    }
-
-    /// Fire every scenario event due by `now`.
-    fn apply_events(&mut self, now: Micros) {
-        for i in 0..self.legs.len() {
-            while let Some(ev) = self.legs[i].events.front().copied() {
-                if ev.at > now {
-                    break;
-                }
-                self.legs[i].events.pop_front();
-                match ev.action {
-                    LinkAction::Down => self.take_leg_down(i, now, false),
-                    LinkAction::Kill => self.take_leg_down(i, now, true),
-                    LinkAction::Up => {
-                        let leg = &mut self.legs[i];
-                        if leg.alive && !leg.up {
-                            leg.up = true;
-                            leg.em.set_down(false);
-                            if let Some(t) = &leg.telemetry {
-                                t.up.set(1.0);
-                            }
-                            if let Some(tr) = &self.trace {
-                                tr.trace.record(
-                                    now,
-                                    NO_FRAME,
-                                    tr.send_party,
-                                    "transport.bond",
-                                    kind::LINK_UP,
-                                    i as i64,
-                                );
-                            }
-                        }
-                    }
-                    LinkAction::SetPropagation(p) => {
-                        self.legs[i].em.set_propagation(p);
-                    }
-                }
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.bond_links_up.set(self.links_up() as f64);
-        }
-    }
-
-    fn take_leg_down(&mut self, i: usize, now: Micros, kill: bool) {
-        let was_up = self.legs[i].up && self.legs[i].alive;
-        if kill {
-            self.legs[i].alive = false;
-        }
-        if !was_up {
-            self.legs[i].up = false;
-            return;
-        }
-        self.legs[i].up = false;
-        let stranded = self.legs[i].em.set_down(true);
-        if let Some(t) = &self.legs[i].telemetry {
-            t.up.set(0.0);
-        }
-        let survivors = self.links_up();
-        if let Some(tr) = &self.trace {
-            tr.trace.record(
-                now,
-                NO_FRAME,
-                tr.send_party,
-                "transport.bond",
-                kind::LINK_DOWN,
-                i as i64,
-            );
-            if survivors > 0 {
-                tr.trace.record(
-                    now,
-                    NO_FRAME,
-                    tr.send_party,
-                    "transport.bond",
-                    kind::FAILOVER,
-                    stranded as i64,
-                );
-            }
-        }
-        if survivors > 0 {
-            self.failovers += 1;
-            if let Some(t) = &self.telemetry {
-                t.bond_failovers.inc();
-            }
-        }
-        livo_telemetry::log::warn_limited(
-            "bond.link_down",
-            1_000,
-            "bond",
-            if kill { "link killed" } else { "link down" },
-            &[
-                ("link", self.legs[i].name.clone().into()),
-                ("stranded_packets", (stranded as u64).into()),
-                ("links_up", (survivors as u64).into()),
-                ("now_us", now.into()),
-            ],
-        );
-    }
-
-    /// Pacer + per-packet scheduler: release packets at `pacing_factor ×
-    /// aggregate estimate`, each onto the leg with the minimum scheduling
-    /// cost; keyframe packets are duplicated onto the second-best leg
-    /// while the bond is seeing loss, and (when `protect_loss` is
-    /// lowered from its off-by-default 1.0) every packet is duplicated
-    /// while its primary leg's loss memory is hot.
-    fn pace(&mut self, now: Micros) {
-        let dt = now.saturating_sub(self.last_pace);
-        self.last_pace = now;
-        let rate = self.estimate_bps() * self.cfg.pacing_factor;
-        self.pacer_budget_bits += rate * dt as f64 / 1e6;
-        // Same 5 ms burst bound as RtcSession's pacer.
-        self.pacer_budget_bits = self.pacer_budget_bits.min((rate * 0.005).max(20_000.0));
-
-        // Retransmissions jump the queue, on the most reliable leg — a
-        // retransmit that dies again costs a PLI — and are mirrored onto
-        // the fastest *other* leg: retransmits are a sliver of the
-        // traffic but each one is a display deadline, so recovery
-        // latency should be the min over two paths, not the reliable
-        // leg's RTT alone.
-        while let Some((due, _)) = self.pending_retx.front() {
-            if *due > now {
-                break;
-            }
-            let (_, mut p) = self.pending_retx.pop_front().unwrap();
-            // Re-stamp the true departure time: a retransmit carrying its
-            // original `send_ts` would feed the per-leg delay estimator
-            // an apparent OWD of the whole NACK round-trip, and a few
-            // hundred of those per call drags the GCC estimate and the
-            // smoothed OWD (hence the reorder grace) into fantasy land.
-            p.send_ts = now;
-            p.retransmit = true;
-            let snaps: Vec<LinkSnapshot> = self.legs.iter().map(|l| l.snapshot(now)).collect();
-            let Some(i) = scheduler::pick_reliable(&snaps, p.wire_bits()) else {
-                break; // every leg down — drop the retx, NACK will refire
-            };
-            if let Some(second) = scheduler::pick_duplicate(&snaps, p.wire_bits(), i) {
-                self.legs[second].dup_packets += 1;
-                if let Some(t) = &self.legs[second].telemetry {
-                    t.dup_packets.inc();
-                }
-                self.legs[second].em.send(p.clone(), now);
-            }
-            self.stats.retransmits += 1;
-            if let Some(t) = &self.telemetry {
-                t.retransmits.inc();
-            }
-            if let Some(tr) = &self.trace {
-                tr.trace.record(
-                    now,
-                    p.frame_id,
-                    tr.send_party,
-                    component_of(p.stream),
-                    kind::RETX,
-                    p.wire_bits() as i64,
-                );
-            }
-            self.legs[i].tx_packets += 1;
-            if let Some(t) = &self.legs[i].telemetry {
-                t.tx_packets.inc();
-            }
-            self.legs[i].em.send(p, now);
-        }
-
-        let agg_loss = self.aggregate_recent_loss();
-        while let Some(p) = self.pacer.front() {
-            let bits = p.wire_bits() as f64;
-            if self.pacer_budget_bits < bits {
-                break;
-            }
-            let snaps: Vec<LinkSnapshot> = self.legs.iter().map(|l| l.snapshot(now)).collect();
-            let Some(primary) = scheduler::pick_primary(&snaps, p.wire_bits()) else {
-                break; // total blackout: hold packets, NACK recovers later
-            };
-            self.pacer_budget_bits -= bits;
-            let mut p = self.pacer.pop_front().unwrap();
-            p.send_ts = now;
-            // Two duplication tiers: keyframes are insured whenever the
-            // bond sees any loss (losing one costs a PLI round-trip),
-            // and — only when `protect_loss` is opted into — every
-            // packet whose primary leg's loss memory is hot is copied
-            // too. See the `protect_loss` docs for why the blanket tier
-            // defaults to off.
-            let protect = snaps[primary].recent_loss > self.cfg.scheduler.protect_loss;
-            let duplicate = self.cfg.scheduler.duplicate_keyframes
-                && (protect
-                    || (p.keyframe
-                        && (snaps[primary].is_degraded(&self.cfg.scheduler) || agg_loss > 0.01)));
-            if duplicate {
-                if let Some(second) = scheduler::pick_duplicate(&snaps, p.wire_bits(), primary) {
-                    // Don't insure onto a leg that is itself drowning —
-                    // a copy behind a 100 ms queue arrives later than
-                    // the NACK path it is meant to beat. Keyframes are
-                    // worth it regardless.
-                    if p.keyframe || snaps[second].backlog_us < self.cfg.scheduler.degraded_backlog
-                    {
-                        self.legs[second].dup_packets += 1;
-                        if let Some(t) = &self.legs[second].telemetry {
-                            t.dup_packets.inc();
-                        }
-                        self.legs[second].em.send(p.clone(), now);
-                    }
-                }
-            }
-            self.legs[primary].tx_packets += 1;
-            if let Some(t) = &self.legs[primary].telemetry {
-                t.tx_packets.inc();
-            }
-            self.legs[primary].em.send(p, now);
-        }
-    }
-
-    /// How long a sequence gap may be plain cross-leg reordering: the
-    /// spread between the slowest and fastest up leg's smoothed one-way
-    /// delay, plus slack for queueing wobble. Zero with one leg up — a
-    /// single FIFO path cannot reorder, and single-link NACK latency
-    /// must not regress.
-    fn reorder_grace(&self) -> Micros {
-        let owds: Vec<f64> = self
-            .legs
-            .iter()
-            .filter(|l| l.up && l.alive)
-            .map(|l| {
-                if l.smoothed_owd > 0.0 {
-                    l.smoothed_owd
-                } else {
-                    l.em.propagation() as f64
-                }
-            })
-            .collect();
-        if owds.len() <= 1 {
-            return 0;
-        }
-        let max = owds.iter().cloned().fold(0.0, f64::max);
-        let min = owds.iter().cloned().fold(f64::INFINITY, f64::min);
-        (max - min) as Micros + 10_000
-    }
-
-    /// Loss across all legs over the last feedback window, weighted by
-    /// how much each leg carried.
-    fn aggregate_recent_loss(&self) -> f64 {
-        let mut loss = 0.0;
-        let mut weight = 0.0;
-        for l in &self.legs {
-            if l.up && l.alive {
-                let w = l.sender_estimate_bps.max(1.0);
-                loss += l.loss_ewma * w;
-                weight += w;
-            }
-        }
-        if weight > 0.0 {
-            loss / weight
-        } else {
-            0.0
-        }
-    }
-
-    /// Drain every leg into the *shared* reassembly/jitter path. The
-    /// reassembler dedups by sequence number, so key packets duplicated
-    /// across legs collapse back into one copy here.
-    fn deliver(&mut self, now: Micros) {
-        // Delay-aligned playout: every frame's deadline is anchored to
-        // *capture* time plus the slowest up leg's propagation (plus the
-        // jitter target the buffer adds), so display cadence is uniform
-        // no matter which leg a frame rode — and a frame that completes
-        // later than its deadline (NACK recovery) pops the moment it
-        // arrives instead of serving a second full jitter target and
-        // freezing everything queued behind it in playout order. The
-        // buffer pops at `completed_at + target`, so rewriting
-        // `completed_at` to `max(send + slowest_prop, arrival − target)`
-        // realises exactly that deadline.
-        let playout_floor = self
-            .legs
-            .iter()
-            .filter(|l| l.up && l.alive)
-            .map(|l| l.em.propagation())
-            .max()
-            .unwrap_or(20_000);
-        let mut arrivals = std::mem::take(&mut self.poll_scratch);
-        for li in 0..self.legs.len() {
-            arrivals.clear();
-            self.legs[li].em.poll_into(now, &mut arrivals);
-            for d in arrivals.drain(..) {
-                let leg = &mut self.legs[li];
-                let owd = d.arrival.saturating_sub(d.packet.send_ts) as f64;
-                leg.smoothed_owd = if leg.smoothed_owd == 0.0 {
-                    owd
-                } else {
-                    0.9 * leg.smoothed_owd + 0.1 * owd
-                };
-                // Per-link ACK timestamps feed this leg's own estimator.
-                leg.estimator
-                    .on_packet(d.packet.send_ts, d.arrival, d.packet.wire_bits());
-                let stream = d.packet.stream;
-                let frame_id = d.packet.frame_id;
-                let fr = leg.max_seq.entry(stream).or_insert(d.packet.seq);
-                *fr = (*fr).max(d.packet.seq);
-                if let Some(t) = &self.telemetry {
-                    if let Some(tl) = &t.timeline {
-                        if self.link_seen.len() > 8192 {
-                            self.link_seen.clear();
-                        }
-                        if self.link_seen.insert((stream, frame_id)) {
-                            tl.mark_lane(frame_id, stage::LINK, lane_of(stream), d.arrival);
-                        }
-                    }
-                }
-                let re = self.reassemblers.entry(stream).or_default();
-                if let Some(mut frame) = re.push(d.packet, d.arrival) {
-                    frame.completed_at = frame
-                        .completed_at
-                        .saturating_sub(self.cfg.jitter_target)
-                        .max(frame.send_ts + playout_floor + self.playout_slack);
-                    self.link_seen.remove(&(stream, frame_id));
-                    if let Some(t) = &self.telemetry {
-                        if let Some(tl) = &t.timeline {
-                            tl.mark_lane(frame_id, stage::REASSEMBLY, lane_of(stream), d.arrival);
-                        }
-                    }
-                    if let Some(tr) = &self.trace {
-                        tr.trace.record(
-                            d.arrival,
-                            frame_id,
-                            tr.recv_party,
-                            component_of(stream),
-                            kind::RECV,
-                            frame.data.len() as i64 * 8,
-                        );
-                    }
-                    let jb = self
-                        .jitters
-                        .entry(stream)
-                        .or_insert_with(|| JitterBuffer::new(self.cfg.jitter_target));
-                    jb.push(frame);
-                }
-            }
-        }
-        self.poll_scratch = arrivals;
-        // Pull playable frames.
-        for (stream, jb) in self.jitters.iter_mut() {
-            for f in jb.pop_ready(now) {
-                self.stats.frames_delivered += 1;
-                self.stats.bits_delivered += f.data.len() as u64 * 8;
-                let latency_us = now.saturating_sub(f.send_ts);
-                self.stats.latency_sum_us += latency_us as u128;
-                self.stats.latency_count += 1;
-                if let Some(t) = &self.telemetry {
-                    t.frames_delivered.inc();
-                    t.bits_delivered.add(f.data.len() as u64 * 8);
-                    t.latency_ms.record(latency_us as f64 / 1000.0);
-                    if let Some(tl) = &t.timeline {
-                        tl.mark_lane_dur(
-                            f.frame_id,
-                            stage::JITTER,
-                            lane_of(*stream),
-                            now,
-                            latency_us as f64 / 1000.0,
-                        );
-                    }
-                }
-                self.ready.push(f);
-            }
-        }
-        let late_drops: u64 = self.jitters.values().map(|j| j.late_drops).sum();
-        if late_drops > self.stats.late_drops {
-            // A recovered frame missed its deadline: move playout out a
-            // notch so the next recovery fits inside the buffer.
-            self.playout_slack = (self.playout_slack + PLAYOUT_SLACK_STEP).min(MAX_PLAYOUT_SLACK);
-        }
-        self.stats.late_drops = late_drops;
-        if let Some(t) = &self.telemetry {
-            t.jitter_occupancy
-                .set(self.jitters.values().map(|j| j.depth()).sum::<usize>() as f64);
-            t.late_drops.set(self.stats.late_drops as f64);
-            t.owd_ms.set(self.one_way_delay_us() / 1000.0);
-        }
-    }
-
-    /// Feedback/NACK travel back to the sender over the fastest
-    /// surviving path.
-    fn fb_delay(&self) -> Micros {
-        self.legs
-            .iter()
-            .filter(|l| l.up && l.alive)
-            .map(|l| l.em.propagation())
-            .min()
-            .unwrap_or(20_000)
-    }
-
-    /// Event-driven NACK, every tick. On one FIFO link a sequence gap is
-    /// a loss; across legs with different propagation a packet in flight
-    /// on the slower leg *looks* like a gap next to its faster siblings.
-    /// Gaps must therefore age past the current cross-leg OWD spread
-    /// before they are NACK-eligible, or a lossless bond retransmits its
-    /// own reordering — but once a gap has aged, waiting for the next
-    /// feedback round would add up to a full interval to every burst-loss
-    /// recovery, so eligibility is checked per tick. The generator's
-    /// per-seq retry spacing keeps this storm-free.
-    fn nack_gaps(&mut self, now: Micros) {
-        let grace = self.reorder_grace();
-        // Provable-loss frontier, per stream: the smallest "highest
-        // delivered sequence" across the up legs. Packets are paced in
-        // sequence order and every leg is FIFO, so once *every* up leg
-        // has delivered something newer, a missing sequence below the
-        // frontier cannot still be in flight anywhere — it is a real
-        // loss and skips the cross-leg reorder grace. During a burst
-        // this fires as soon as both legs deliver past the hole,
-        // typically well inside the grace window.
-        let mut frontier: BTreeMap<StreamId, u64> = BTreeMap::new();
-        let mut first_leg = true;
-        for l in self.legs.iter().filter(|l| l.up && l.alive) {
-            if first_leg {
-                frontier = l.max_seq.clone();
-                first_leg = false;
-            } else {
-                frontier.retain(|s, f| match l.max_seq.get(s) {
-                    Some(&m) => {
-                        *f = (*f).min(m);
-                        true
-                    }
-                    None => false,
-                });
-            }
-        }
-        if first_leg {
-            frontier.clear(); // no up legs: nothing is provable
-        }
-        let mut still_missing: BTreeSet<(StreamId, u64)> = BTreeSet::new();
-        let mut aged_by_stream: Vec<(StreamId, Vec<u64>)> = Vec::new();
-        for (stream, re) in &self.reassemblers {
-            let missing = re.missing_seqs(64);
-            if missing.is_empty() {
-                continue;
-            }
-            let provable = frontier.get(stream).copied();
-            let mut aged = Vec::new();
-            for &seq in &missing {
-                still_missing.insert((*stream, seq));
-                let first = *self.missing_since.entry((*stream, seq)).or_insert(now);
-                if provable.is_some_and(|f| seq < f) || now.saturating_sub(first) >= grace {
-                    aged.push(seq);
-                }
-            }
-            if !aged.is_empty() {
-                aged_by_stream.push((*stream, aged));
-            }
-        }
-        self.missing_since.retain(|k, _| still_missing.contains(k));
-        if aged_by_stream.is_empty() {
-            return;
-        }
-        let fb_delay = self.fb_delay();
-        for (stream, aged) in aged_by_stream {
-            let ng = self
-                .nack
-                .entry(stream)
-                .or_insert_with(NackGenerator::with_defaults);
-            let to_request = ng.nacks(&aged, now);
-            if to_request.is_empty() {
-                continue;
-            }
-            self.stats.nacks_sent += to_request.len() as u64;
-            if let Some(t) = &self.telemetry {
-                t.nacks_sent.add(to_request.len() as u64);
-            }
-            if let Some(tr) = &self.trace {
-                tr.trace.record(
-                    now,
-                    NO_FRAME,
-                    tr.recv_party,
-                    component_of(stream),
-                    kind::NACK,
-                    to_request.len() as i64,
-                );
-            }
-            if let Some(rb) = self.retransmit.get(&stream) {
-                for p in rb.lookup(&to_request) {
-                    self.pending_retx.push_back((now + fb_delay, p));
-                }
-            }
-        }
-    }
-
-    /// Receiver→sender feedback, per leg, plus the shared PLI check.
-    fn feedback(&mut self, now: Micros) {
-        if now.saturating_sub(self.last_feedback) >= self.cfg.feedback_interval {
-            self.last_feedback = now;
-            for leg in &mut self.legs {
-                let stats = leg.em.stats();
-                let (base_sent, base_drop) = leg.loss_window_base;
-                let d_sent = stats.sent_packets.saturating_sub(base_sent);
-                let d_drop = stats.dropped_total().saturating_sub(base_drop);
-                leg.loss_window_base = (stats.sent_packets, stats.dropped_total());
-                let loss = if d_sent == 0 {
-                    0.0
-                } else {
-                    d_drop as f64 / d_sent as f64
-                };
-                leg.recent_loss = loss;
-                leg.loss_ewma = loss.max(leg.loss_ewma * 0.9);
-                leg.estimator.on_loss_report(loss);
-                leg.pending_feedback
-                    .push_back((now + leg.em.propagation(), leg.estimator.estimate_bps()));
-                if let Some(t) = &leg.telemetry {
-                    t.estimate_bps.set(leg.sender_estimate_bps);
-                    t.owd_ms.set(leg.smoothed_owd / 1000.0);
-                    t.loss_fraction.set(loss);
-                }
-            }
-            if let Some(t) = &self.telemetry {
-                // Aggregate GCC view: estimate is the sum; the delay
-                // internals come from the leg with the worst queuing
-                // delay (the one closest to overuse).
-                let agg: f64 = self
-                    .legs
-                    .iter()
-                    .filter(|l| l.up && l.alive)
-                    .map(|l| l.estimator.estimate_bps())
-                    .sum();
-                let worst = self
-                    .legs
-                    .iter()
-                    .filter(|l| l.up && l.alive)
-                    .map(|l| l.estimator.state())
-                    .max_by(|a, b| a.queuing_delay_ms.total_cmp(&b.queuing_delay_ms));
-                t.gcc_estimate_bps.set(agg);
-                t.bond_estimate_bps.set(agg);
-                if let Some(st) = worst {
-                    t.gcc_queuing_delay_ms.set(st.queuing_delay_ms);
-                    t.gcc_trend_ms.set(st.trend_ms);
-                    t.gcc_threshold_ms.set(st.threshold_ms);
-                }
-                t.gcc_loss_fraction.set(self.aggregate_recent_loss());
-                t.estimate_sum_bps.set(t.estimate_sum_bps.get() + agg);
-                t.estimate_samples.inc();
-            }
-            if let Some(tr) = &self.trace {
-                tr.trace.record(
-                    now,
-                    NO_FRAME,
-                    tr.recv_party,
-                    "transport.gcc",
-                    kind::GCC,
-                    self.estimate_bps() as i64,
-                );
-            }
-
-            let fb_delay = self.fb_delay();
-
-            // PLI for frames stuck too long.
-            for (stream, re) in &self.reassemblers {
-                let stuck = re.stuck_frames();
-                let ng = self
-                    .nack
-                    .entry(*stream)
-                    .or_insert_with(NackGenerator::with_defaults);
-                if ng.check_pli(&stuck, now) {
-                    self.stats.plis += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.plis.inc();
-                    }
-                    if let Some(tr) = &self.trace {
-                        tr.trace.record(
-                            now,
-                            NO_FRAME,
-                            tr.recv_party,
-                            component_of(*stream),
-                            kind::PLI,
-                            stuck.len() as i64,
-                        );
-                    }
-                    livo_telemetry::log::warn_limited(
-                        "bond.pli",
-                        1_000,
-                        "bond",
-                        "PLI requested: frames stuck in reassembly",
-                        &[
-                            ("stream", lane_of(*stream).into()),
-                            ("stuck", (stuck.len() as u64).into()),
-                            ("now_us", now.into()),
-                        ],
-                    );
-                    self.pending_pli.push_back(now + fb_delay);
-                }
-            }
-        }
-        // Apply per-leg feedback that has reached the sender.
-        for leg in &mut self.legs {
-            while let Some(&(due, est)) = leg.pending_feedback.front() {
-                if due > now {
-                    break;
-                }
-                leg.pending_feedback.pop_front();
-                leg.sender_estimate_bps = est;
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.sender_estimate_bps.set(self.estimate_bps());
-        }
-    }
-
-    /// True once per PLI that has reached the sender, with the same
-    /// one-keyframe-per-RTT storm guard as the single-link session.
-    pub fn take_pli(&mut self, now: Micros) -> bool {
-        let rtt: Micros = (2.0 * self.one_way_delay_us()) as Micros;
-        while let Some(&due) = self.pending_pli.front() {
-            if due > now {
-                break;
-            }
-            self.pending_pli.pop_front();
-            let suppressed = self
-                .last_key_grant
-                .is_some_and(|granted| now.saturating_sub(granted) < rtt);
-            if suppressed {
-                continue;
-            }
-            self.last_key_grant = Some(now);
-            return true;
-        }
-        false
-    }
-
-    /// Frames ready for decode, in playout order per stream.
-    pub fn recv_frames(&mut self) -> Vec<AssembledFrame> {
-        std::mem::take(&mut self.ready)
-    }
-
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
-    }
-
-    /// Aggregate link-level drop fraction across all legs.
-    pub fn link_loss_fraction(&self) -> f64 {
-        let sent: u64 = self.legs.iter().map(|l| l.em.stats().sent_packets).sum();
-        let dropped: u64 = self.legs.iter().map(|l| l.em.stats().dropped_total()).sum();
-        if sent == 0 {
-            0.0
-        } else {
-            dropped as f64 / sent as f64
-        }
+impl DerefMut for BondedSession {
+    fn deref_mut(&mut self) -> &mut RtcSession {
+        &mut self.0
     }
 }
 
@@ -1159,6 +81,9 @@ impl BondedSession {
 mod tests {
     use super::*;
     use crate::scenario::LinkScenario;
+    use bytes::Bytes;
+    use livo_capture::BandwidthTrace;
+    use livo_transport::{LinkConfig, SessionStats, StreamId};
 
     /// Drive a bond at 30 fps with estimate-adaptive frame sizes; returns
     /// the delivered frame ids in playout order.
@@ -1272,10 +197,54 @@ mod tests {
         assert!(post > 30, "only {post} frames after blackout recovery");
     }
 
+    /// 30 fps of fixed 8 kB colour frames for 10 s plus a drain; returns
+    /// every `(frame_id, playout µs)` and the final stats.
+    fn playout_log(s: &mut RtcSession) -> (Vec<(u64, Micros)>, SessionStats) {
+        let mut log = Vec::new();
+        for t in (0..11_500_000).step_by(1_000) {
+            if t < 10_000_000 && t % 33_333 < 1_000 {
+                let id = t / 33_333;
+                s.send_frame(
+                    t,
+                    StreamId::Color,
+                    id,
+                    Bytes::from(vec![0u8; 8_000]),
+                    id == 0,
+                );
+            }
+            s.tick(t);
+            s.take_pli(t);
+            log.extend(s.recv_frames().into_iter().map(|f| (f.frame_id, t)));
+        }
+        (log, s.stats().clone())
+    }
+
     #[test]
-    fn metric_names_sanitised() {
-        assert_eq!(metric_safe("WiFi-5G"), "wifi_5g");
-        assert_eq!(metric_safe("5g"), "l5g");
-        assert_eq!(metric_safe("lte"), "lte");
+    fn one_link_bond_is_the_single_link_session() {
+        // Pins the config mapping of the two constructors: same link, same
+        // trace, same settings → the same session, packet for packet.
+        let link = LinkConfig {
+            random_loss: 0.02,
+            seed: 7,
+            ..Default::default()
+        };
+        let cfg = SessionConfig {
+            link: link.clone(),
+            jitter_target: 80_000,
+            initial_estimate_bps: 12e6,
+        };
+        let trace = BandwidthTrace::constant(20.0, 12.0);
+        let mut leg = LinkScenario::new("only", 1.0, 1.0).trace(trace.clone());
+        leg.link = link;
+        let bond = BondConfig::from_session(BondScenario::new("solo").link(leg), &cfg);
+        let single = playout_log(&mut RtcSession::new(trace, cfg));
+        let bonded = playout_log(&mut BondedSession::new(bond));
+        assert!(
+            single.0.len() > 250,
+            "only {} frames played",
+            single.0.len()
+        );
+        assert!(single.1.retransmits > 0, "2% loss must exercise recovery");
+        assert_eq!(single, bonded);
     }
 }

@@ -20,7 +20,7 @@ use crate::sched::{SchedulerConfig, TileScheduler};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::tile::{compose_color, compose_depth, read_seq, write_seq, TileLayout};
 use bytes::Bytes;
-use livo_bond::{BondConfig, BondScenario, BondedSession};
+use livo_bond::{BondConfig, BondScenario};
 use livo_capture::{
     datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, RgbdFrame, UserTrace,
     VideoId,
@@ -34,8 +34,7 @@ use livo_telemetry::{
     log_event, stage, AnomalyConfig, FlightBundle, FlightRecorder, FrameTimeline,
     FrameTimelineRecord, Level, MetricsRegistry, RegistrySnapshot, TelemetrySpan,
 };
-use livo_transport::packet::AssembledFrame;
-use livo_transport::{Micros, RtcSession, SessionConfig, SessionStats, StreamId};
+use livo_transport::{Micros, RtcSession, SessionConfig, StreamId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,12 +64,10 @@ pub struct ConferenceConfig {
     /// Pin the split to a constant (Figs. 18–19's static splits).
     pub static_split: Option<f64>,
     pub session: SessionConfig,
-    /// Bonded multi-link transport: when set, the call runs over a
-    /// [`BondedSession`] built from this topology scenario instead of a
-    /// single-link [`RtcSession`] (whose `session.link` is then ignored —
-    /// the scenario describes the links). The shared session knobs
-    /// (jitter target, feedback cadence, pacing) still come from
-    /// `session`.
+    /// Bonded multi-link transport: when set, the call's [`RtcSession`]
+    /// runs over the legs of this topology scenario instead of the single
+    /// link in `session.link` (which is then ignored). Jitter target and
+    /// initial estimate still come from `session`.
     pub bond: Option<BondScenario>,
     /// Receiver render voxel size in metres.
     pub voxel_m: f32,
@@ -503,84 +500,6 @@ impl RunSummary {
     }
 }
 
-/// The transport a call runs over: one emulated link, or several bonded.
-/// Both variants expose the identical session surface, so the runner's
-/// frame loop is transport-agnostic.
-enum CallSession {
-    Single(Box<RtcSession>),
-    Bonded(Box<BondedSession>),
-}
-
-impl CallSession {
-    fn attach_telemetry(
-        &mut self,
-        registry: &Arc<MetricsRegistry>,
-        prefix: &str,
-        timeline: Option<Arc<FrameTimeline>>,
-    ) {
-        match self {
-            CallSession::Single(s) => s.attach_telemetry(registry, prefix, timeline),
-            CallSession::Bonded(s) => s.attach_telemetry(registry, prefix, timeline),
-        }
-    }
-
-    fn attach_trace(&mut self, trace: Arc<EventTrace>, send_party: u16, recv_party: u16) {
-        match self {
-            CallSession::Single(s) => s.attach_trace(trace, send_party, recv_party),
-            CallSession::Bonded(s) => s.attach_trace(trace, send_party, recv_party),
-        }
-    }
-
-    fn estimate_bps(&self) -> f64 {
-        match self {
-            CallSession::Single(s) => s.estimate_bps(),
-            CallSession::Bonded(s) => s.estimate_bps(),
-        }
-    }
-
-    fn one_way_delay_us(&self) -> f64 {
-        match self {
-            CallSession::Single(s) => s.one_way_delay_us(),
-            CallSession::Bonded(s) => s.one_way_delay_us(),
-        }
-    }
-
-    fn send_frame(&mut self, now: Micros, stream: StreamId, id: u64, data: Bytes, key: bool) {
-        match self {
-            CallSession::Single(s) => s.send_frame(now, stream, id, data, key),
-            CallSession::Bonded(s) => s.send_frame(now, stream, id, data, key),
-        }
-    }
-
-    fn tick(&mut self, now: Micros) {
-        match self {
-            CallSession::Single(s) => s.tick(now),
-            CallSession::Bonded(s) => s.tick(now),
-        }
-    }
-
-    fn take_pli(&mut self, now: Micros) -> bool {
-        match self {
-            CallSession::Single(s) => s.take_pli(now),
-            CallSession::Bonded(s) => s.take_pli(now),
-        }
-    }
-
-    fn recv_frames(&mut self) -> Vec<AssembledFrame> {
-        match self {
-            CallSession::Single(s) => s.recv_frames(),
-            CallSession::Bonded(s) => s.recv_frames(),
-        }
-    }
-
-    fn stats(&self) -> &SessionStats {
-        match self {
-            CallSession::Single(s) => s.stats(),
-            CallSession::Bonded(s) => s.stats(),
-        }
-    }
-}
-
 /// The runner.
 pub struct ConferenceRunner {
     cfg: ConferenceConfig,
@@ -693,13 +612,8 @@ impl ConferenceRunner {
         depth_dec.set_worker_pool(pool.clone());
 
         let mut session = match &cfg.bond {
-            Some(sc) => CallSession::Bonded(Box::new(BondedSession::new(
-                BondConfig::from_session(sc.clone(), &cfg.session),
-            ))),
-            None => CallSession::Single(Box::new(RtcSession::new(
-                net_trace.clone(),
-                cfg.session.clone(),
-            ))),
+            Some(sc) => BondConfig::from_session(sc.clone(), &cfg.session).build(),
+            None => RtcSession::new(net_trace.clone(), cfg.session.clone()),
         };
         let mut splitter = BandwidthSplitter::new(cfg.splitter);
         let mut predictor = FrustumPredictor::new(FrustumParams::default(), cfg.guard_m);

@@ -625,38 +625,6 @@ impl Router {
         }
     }
 
-    /// Build a router for the given capture rig.
-    #[deprecated(note = "use Router::builder(cameras) and handle the Result")]
-    pub fn new(cfg: RouterConfig, cameras: Vec<RgbdCamera>) -> Self {
-        RouterBuilder {
-            cfg,
-            cameras,
-            trace: None,
-            pool: None,
-        }
-        .build()
-        .expect("valid router config")
-    }
-
-    /// Attach a causal event trace after construction.
-    #[deprecated(note = "use RouterBuilder::trace")]
-    pub fn attach_trace(&mut self, trace: Arc<EventTrace>) {
-        self.install_trace(trace);
-    }
-
-    /// Replace the worker pool after construction.
-    #[deprecated(note = "use RouterBuilder::worker_pool")]
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = pool;
-    }
-
-    fn install_trace(&mut self, trace: Arc<EventTrace>) {
-        for (&id, sub) in self.subscribers.iter_mut() {
-            sub.attach_trace(trace.clone(), subscriber_party(id));
-        }
-        self.trace = Some(trace);
-    }
-
     /// The router's metrics registry (`sfu.*` and per-subscriber
     /// `sfu.sub.<name>.*` families).
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
@@ -1696,20 +1664,5 @@ mod tests {
             router.subscriber(fast).unwrap().stats().low_variant_frames,
             0
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_route() {
-        // One release of compatibility: Router::new + attach_trace +
-        // set_worker_pool keep working for out-of-tree callers.
-        let mut router = Router::new(RouterConfig::default(), tiny_rig());
-        router.attach_trace(Arc::new(EventTrace::new(1 << 10)));
-        router.set_worker_pool(livo_runtime::global().clone());
-        let id = add(&mut router, "legacy");
-        router.observe_pose(id, &looking(0.0)).unwrap();
-        let views = views_at(&router.cameras.clone(), 0.0, 0);
-        let out = router.route_frame(0, &views);
-        assert_eq!(out.encode_passes, 1);
     }
 }

@@ -14,8 +14,11 @@
 //! - [`jitter`]: a fixed-target jitter buffer (the paper uses 100 ms).
 //! - [`nack`]: receiver-side gap detection with retransmission requests
 //!   and Picture-Loss-Indication escalation.
-//! - [`session`]: wires the above into a sender→receiver pipe with paced
-//!   sending and delayed feedback, the object the LiVo pipeline talks to.
+//! - [`scheduler`]: stateless per-packet choice among a session's legs
+//!   (per-leg GCC estimate + RTT + backlog + loss memory).
+//! - [`session`]: wires the above into a sender→receiver pipe over one or
+//!   more bonded legs with paced sending and delayed feedback, the object
+//!   the LiVo pipeline talks to.
 //!
 //! All timestamps are virtual microseconds ([`Micros`]); nothing here reads
 //! a real clock, so every experiment is reproducible.
@@ -25,13 +28,16 @@ pub mod jitter;
 pub mod link;
 pub mod nack;
 pub mod packet;
+pub mod scheduler;
 pub mod session;
 
 pub use gcc::{GccEstimator, GccState};
 pub use jitter::JitterBuffer;
-pub use link::{Delivery, GilbertElliott, LinkConfig, LinkEmulator, LinkStats};
+pub use link::{
+    Delivery, GilbertElliott, LinkAction, LinkConfig, LinkEmulator, LinkEvent, LinkStats,
+};
 pub use packet::{AssembledFrame, Packet, Packetizer, Reassembler, StreamId};
-pub use session::{RtcSession, SessionConfig, SessionStats};
+pub use session::{LegConfig, LinkReport, RtcSession, SessionConfig, SessionStats};
 
 /// Virtual time in microseconds since session start.
 pub type Micros = u64;

@@ -77,6 +77,27 @@ impl Default for LinkConfig {
     }
 }
 
+/// Something that happens to one link at a point in virtual time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LinkAction {
+    /// Administratively down: in-flight packets are stranded, sends drop.
+    /// The link can come back with [`LinkAction::Up`].
+    Down,
+    /// Bring a downed link back up (no-op on a killed link).
+    Up,
+    /// Permanently dead — never comes back (pulled cable, out of range).
+    Kill,
+    /// RTT jump: change the one-way propagation delay.
+    SetPropagation(Micros),
+}
+
+/// A scheduled [`LinkAction`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkEvent {
+    pub at: Micros,
+    pub action: LinkAction,
+}
+
 /// Cumulative counter snapshot of one link, cheap to copy out per tick.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {

@@ -237,13 +237,21 @@ impl Reassembler {
             None => self.seen.iter().next().copied().unwrap_or(0),
         };
         let mut out = Vec::new();
-        for s in floor..high {
-            if !self.seen.contains(&s) {
-                out.push(s);
+        if floor > high {
+            return out;
+        }
+        // Walk the seen set in order and emit the holes between
+        // neighbours (`high` itself is seen, so the walk ends there).
+        let mut next = floor;
+        for &s in self.seen.range(floor..=high) {
+            while next < s {
+                out.push(next);
                 if out.len() >= max {
-                    break;
+                    return out;
                 }
+                next += 1;
             }
+            next = s + 1;
         }
         out
     }

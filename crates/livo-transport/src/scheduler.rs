@@ -1,4 +1,4 @@
-//! Per-packet link selection for the bonded session.
+//! Per-packet link selection across a session's legs.
 //!
 //! The scheduler is deliberately stateless: each decision is a pure
 //! function of per-link snapshots (GCC estimate, RTT, bottleneck backlog,
@@ -9,42 +9,7 @@
 //! is water-filling in the limit: a link absorbs traffic until its queue
 //! makes the next packet cheaper elsewhere.
 
-use livo_transport::Micros;
-
-/// Scheduler policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// Duplicate keyframe packets onto the second-best link while any
-    /// loss is being observed (cheap insurance: keyframes are rare and
-    /// losing one costs a PLI round-trip).
-    pub duplicate_keyframes: bool,
-    /// While the chosen primary's recent loss exceeds this, *every*
-    /// packet scheduled onto it is also copied to the second-best link
-    /// (subject to that link having queue headroom). `1.0` disables the
-    /// tier, and that is the default: on burst-loss links the loss
-    /// memory outlives the burst by an order of magnitude, so blanket
-    /// duplication mostly copies packets that were never at risk while
-    /// saturating the clean leg's queue — the measured outcome was a
-    /// standing queue pinned at the headroom guard and retransmits
-    /// arriving too late to matter. Lower it only for topologies where
-    /// loss genuinely persists across many feedback windows.
-    pub protect_loss: f64,
-    /// A link is "degraded" when its recent loss fraction exceeds this.
-    pub degraded_loss: f64,
-    /// …or when its bottleneck backlog exceeds this many microseconds.
-    pub degraded_backlog: Micros,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            duplicate_keyframes: true,
-            protect_loss: 1.0,
-            degraded_loss: 0.08,
-            degraded_backlog: 100_000,
-        }
-    }
-}
+use crate::Micros;
 
 /// What the scheduler knows about one link at decision time.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +34,8 @@ impl LinkSnapshot {
     }
 
     /// Degraded: losing packets or building a standing queue.
-    pub fn is_degraded(&self, cfg: &SchedulerConfig) -> bool {
-        self.recent_loss > cfg.degraded_loss || self.backlog_us > cfg.degraded_backlog
+    pub fn is_degraded(&self) -> bool {
+        self.recent_loss > DEGRADED_LOSS || self.backlog_us > DEGRADED_BACKLOG
     }
 
     /// Scheduling cost (µs) for load-balancing. Queueing backlog and
@@ -97,6 +62,17 @@ impl LinkSnapshot {
 
 /// Weight of one-way propagation in the scheduling cost.
 const RTT_BIAS: f64 = 0.1;
+
+/// Duplicate keyframe packets onto the second-best link while any loss
+/// is being observed (cheap insurance: keyframes are rare and losing one
+/// costs a PLI round-trip).
+pub const DUPLICATE_KEYFRAMES: bool = true;
+
+/// A link is "degraded" when its recent loss fraction exceeds this…
+const DEGRADED_LOSS: f64 = 0.08;
+
+/// …or when its bottleneck backlog exceeds this many microseconds.
+const DEGRADED_BACKLOG: Micros = 100_000;
 
 /// Approximate cost of losing a packet: half a feedback interval to
 /// detect the gap plus an RTT for the retransmit to land.
@@ -226,9 +202,8 @@ mod tests {
 
     #[test]
     fn degradation_thresholds() {
-        let cfg = SchedulerConfig::default();
-        assert!(snap(1e6, 0.0, 0, 0.1, true).is_degraded(&cfg));
-        assert!(snap(1e6, 0.0, 150_000, 0.0, true).is_degraded(&cfg));
-        assert!(!snap(1e6, 0.0, 50_000, 0.01, true).is_degraded(&cfg));
+        assert!(snap(1e6, 0.0, 0, 0.1, true).is_degraded());
+        assert!(snap(1e6, 0.0, 150_000, 0.0, true).is_degraded());
+        assert!(!snap(1e6, 0.0, 50_000, 0.01, true).is_degraded());
     }
 }

@@ -1,21 +1,34 @@
 //! The sender→receiver real-time session.
 //!
-//! [`RtcSession`] wires packetisation, pacing, the trace-driven link, the
-//! GCC estimator, reassembly, NACK/PLI and the jitter buffer into the
-//! object LiVo's pipeline drives: the sender calls
-//! [`RtcSession::send_frame`] once per encoded frame per stream and
-//! [`RtcSession::estimate_bps`] to size the next frame; the receiver pulls
-//! ready frames with [`RtcSession::recv_frames`].
+//! [`RtcSession`] wires packetisation, pacing, trace-driven links, GCC
+//! estimation, reassembly, NACK/PLI and the jitter buffer into the object
+//! LiVo's pipeline drives: the sender calls [`RtcSession::send_frame`]
+//! once per encoded frame per stream and [`RtcSession::estimate_bps`] to
+//! size the next frame; the receiver pulls ready frames with
+//! [`RtcSession::recv_frames`].
 //!
-//! The congestion estimate lives at the receiver (GCC's delay-based part
-//! runs on arrival timestamps) and reaches the sender through a delayed
-//! feedback path, like REMB/transport-wide-cc feedback.
+//! A session carries its packets over one or more *legs* — emulated links
+//! bonded under one sender/receiver pair. [`RtcSession::new`] builds the
+//! common one-leg call; [`RtcSession::with_legs`] bonds several (WiFi +
+//! LTE, …). Each leg runs its *own* [`GccEstimator`] fed by that leg's
+//! arrival timestamps and reaches the sender through that leg's delayed
+//! feedback path (like REMB/transport-wide-cc), so the per-packet
+//! [`scheduler`](crate::scheduler) sees honest per-path rates; the
+//! receiver side (reassembly, jitter buffer, NACK/PLI) is *shared*, so
+//! frames arriving interleaved across legs reassemble exactly as
+//! out-of-order packets on one path would.
+//!
+//! Failover falls out of the scheduler: a dead leg stops being pickable
+//! the instant its event fires, in-flight packets it strands are
+//! recovered by the ordinary NACK path over the surviving legs, and the
+//! session object never restarts.
 
 use crate::gcc::GccEstimator;
 use crate::jitter::JitterBuffer;
-use crate::link::{Delivery, LinkConfig, LinkEmulator};
+use crate::link::{Delivery, LinkAction, LinkConfig, LinkEmulator, LinkEvent, LinkStats};
 use crate::nack::{NackGenerator, RetransmitBuffer};
 use crate::packet::{AssembledFrame, Packet, Packetizer, Reassembler, StreamId};
+use crate::scheduler::{self, LinkSnapshot};
 use crate::Micros;
 use bytes::Bytes;
 use livo_capture::BandwidthTrace;
@@ -24,7 +37,7 @@ use livo_telemetry::{stage, Counter, FrameTimeline, Gauge, Histogram, MetricsReg
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Session parameters.
+/// Parameters of a one-leg session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     pub link: LinkConfig,
@@ -32,10 +45,6 @@ pub struct SessionConfig {
     pub jitter_target: Micros,
     /// Initial sender estimate.
     pub initial_estimate_bps: f64,
-    /// Spacing of receiver→sender feedback (RTCP-ish).
-    pub feedback_interval: Micros,
-    /// Pacing headroom over the estimate.
-    pub pacing_factor: f64,
 }
 
 impl Default for SessionConfig {
@@ -44,14 +53,38 @@ impl Default for SessionConfig {
             link: LinkConfig::default(),
             jitter_target: 100_000,
             initial_estimate_bps: 20e6,
-            feedback_interval: 50_000,
-            pacing_factor: 1.25,
         }
     }
 }
 
+/// One leg of a session: a named emulated link and the impairment
+/// events that fire on it mid-call.
+#[derive(Debug, Clone)]
+pub struct LegConfig {
+    /// Display name — keys the `{prefix}.link.<name>.*` metrics after
+    /// sanitisation.
+    pub name: String,
+    pub trace: BandwidthTrace,
+    pub link: LinkConfig,
+    /// Sorted by time.
+    pub events: Vec<LinkEvent>,
+}
+
+/// Spacing of receiver→sender feedback (RTCP-ish), per leg.
+const FEEDBACK_INTERVAL: Micros = 50_000;
+
+/// Pacing headroom over the aggregate estimate.
+const PACING_FACTOR: f64 = 1.25;
+
+/// One notch of adaptive playout slack per late-dropped frame.
+const PLAYOUT_SLACK_STEP: Micros = 5_000;
+
+/// Ceiling on adaptive playout slack: recovery latency beyond this is a
+/// frame worth giving up on rather than a delay worth carrying forever.
+const MAX_PLAYOUT_SLACK: Micros = 60_000;
+
 /// Aggregate session statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
     pub frames_sent: u64,
     pub frames_delivered: u64,
@@ -90,6 +123,25 @@ impl SessionStats {
     }
 }
 
+/// Point-in-time view of one leg, for benches and diagnostics.
+#[derive(Debug, Clone)]
+pub struct LinkReport {
+    pub name: String,
+    pub tx_packets: u64,
+    pub dup_packets: u64,
+    pub stats: LinkStats,
+}
+
+/// Per-leg metric handles (resolved once at attach).
+struct LegTelemetry {
+    estimate_bps: Arc<Gauge>,
+    owd_ms: Arc<Gauge>,
+    loss_fraction: Arc<Gauge>,
+    up: Arc<Gauge>,
+    tx_packets: Arc<Counter>,
+    dup_packets: Arc<Counter>,
+}
+
 /// Held metric handles for the session, resolved once at attach time so
 /// the per-packet and per-tick paths touch only atomics.
 struct SessionTelemetry {
@@ -112,12 +164,81 @@ struct SessionTelemetry {
     bits_delivered: Arc<Counter>,
     frames_delivered: Arc<Counter>,
     latency_ms: Arc<Histogram>,
-    /// Sum of the delivered-bitrate numerator's GCC estimates sampled at
-    /// each feedback interval, with the sample count — the denominator of
-    /// the QoE delivered-vs-estimate ratio.
+    /// Sum of the aggregate GCC estimates sampled at each feedback
+    /// interval, with the sample count — the denominator of the QoE
+    /// delivered-vs-estimate ratio.
     estimate_sum_bps: Arc<Gauge>,
     estimate_samples: Arc<Counter>,
+    bond_estimate_bps: Arc<Gauge>,
+    bond_links_up: Arc<Gauge>,
+    bond_failovers: Arc<Counter>,
     timeline: Option<Arc<FrameTimeline>>,
+}
+
+/// Causal-trace sink plus the party ids of the session's two endpoints.
+struct SessionTrace {
+    trace: Arc<EventTrace>,
+    send_party: u16,
+    recv_party: u16,
+}
+
+/// One path: emulated link + its own congestion estimator.
+struct Leg {
+    name: String,
+    em: LinkEmulator,
+    estimator: GccEstimator,
+    /// Feedback-delayed estimate the sender schedules with.
+    sender_estimate_bps: f64,
+    pending_feedback: VecDeque<(Micros, f64)>,
+    /// Smoothed one-way delay (µs), the Δt input to frustum prediction.
+    smoothed_owd: f64,
+    /// (sent, dropped) counter base of the current feedback window.
+    loss_window_base: (u64, u64),
+    /// Decaying loss memory (peak-hold with 0.9/window decay): burst loss
+    /// stays visible for ~1–2 s, which is the signal key-packet
+    /// duplication and retransmit placement key off — a Gilbert–Elliott
+    /// link is untrustworthy *between* bursts too.
+    loss_ewma: f64,
+    /// Administratively up (events can toggle).
+    up: bool,
+    /// False once killed — never comes back.
+    alive: bool,
+    events: VecDeque<LinkEvent>,
+    tx_packets: u64,
+    dup_packets: u64,
+    /// Highest sequence this leg has *delivered*, per stream. Legs are
+    /// FIFO, so a missing sequence below every up leg's frontier cannot
+    /// still be in flight — it is provably lost (see
+    /// [`RtcSession::loss_frontier`]).
+    max_seq: BTreeMap<StreamId, u64>,
+    telemetry: Option<LegTelemetry>,
+}
+
+impl Leg {
+    /// Schedulable: administratively up and not killed.
+    fn is_up(&self) -> bool {
+        self.up && self.alive
+    }
+
+    /// Smoothed one-way delay, or the propagation delay before the first
+    /// arrival.
+    fn owd_us(&self) -> f64 {
+        if self.smoothed_owd > 0.0 {
+            self.smoothed_owd
+        } else {
+            self.em.propagation() as f64
+        }
+    }
+
+    fn snapshot(&self, now: Micros) -> LinkSnapshot {
+        LinkSnapshot {
+            estimate_bps: self.sender_estimate_bps,
+            owd_us: self.owd_us(),
+            backlog_us: self.em.backlog(now),
+            recent_loss: self.loss_ewma,
+            up: self.is_up(),
+        }
+    }
 }
 
 /// Timeline lane for a media stream.
@@ -140,25 +261,37 @@ fn component_of(stream: StreamId) -> &'static str {
     }
 }
 
-/// Causal-trace sink plus the party ids of the session's two endpoints.
-struct SessionTrace {
-    trace: Arc<EventTrace>,
-    send_party: u16,
-    recv_party: u16,
+/// Fold a link display name into a metric-safe segment (`[a-z0-9_]`,
+/// starting with a letter) — same convention the SFU router uses for
+/// subscriber names.
+fn metric_safe(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        let lc = c.to_ascii_lowercase();
+        out.push(
+            if lc.is_ascii_lowercase() || lc.is_ascii_digit() || lc == '_' {
+                lc
+            } else {
+                '_'
+            },
+        );
+    }
+    if !out.starts_with(|c: char| c.is_ascii_lowercase()) {
+        out.insert(0, 'l');
+    }
+    out
 }
 
-/// One direction of a conference call.
+/// One direction of a conference call, over one or more legs.
 pub struct RtcSession {
-    cfg: SessionConfig,
-    link: LinkEmulator,
+    jitter_target: Micros,
+    legs: Vec<Leg>,
     // --- sender side ---
     packetizers: BTreeMap<StreamId, Packetizer>,
     retransmit: BTreeMap<StreamId, RetransmitBuffer>,
     pacer: VecDeque<Packet>,
     pacer_budget_bits: f64,
     last_pace: Micros,
-    sender_estimate_bps: f64,
-    pending_feedback: VecDeque<(Micros, f64, f64)>,
     pending_retx: VecDeque<(Micros, Packet)>,
     pending_pli: VecDeque<Micros>,
     /// When the application was last granted a keyframe via [`take_pli`]
@@ -167,18 +300,23 @@ pub struct RtcSession {
     /// reaches the sender within one RTT of an already-granted keyframe is
     /// answered by the intra frame *already in flight* — granting another
     /// would burst a second full intra into an already-collapsing link.
+    ///
+    /// [`take_pli`]: RtcSession::take_pli
     last_key_grant: Option<Micros>,
-    // --- receiver side ---
-    estimator: GccEstimator,
+    /// Reused per-packet scheduler input (one snapshot per leg).
+    snaps: Vec<LinkSnapshot>,
+    // --- shared receiver side ---
     reassemblers: BTreeMap<StreamId, Reassembler>,
     jitters: BTreeMap<StreamId, JitterBuffer>,
     nack: BTreeMap<StreamId, NackGenerator>,
+    /// First time each currently-missing seq was seen missing — gaps
+    /// younger than the cross-leg reorder grace are packets still in
+    /// flight on a slower leg, not losses.
+    missing_since: BTreeMap<(StreamId, u64), Micros>,
     ready: Vec<AssembledFrame>,
     last_feedback: Micros,
-    loss_window_base: (u64, u64),
-    /// Smoothed one-way delay (µs), the Δt input to frustum prediction.
-    smoothed_owd: f64,
     stats: SessionStats,
+    failovers: u64,
     telemetry: Option<SessionTelemetry>,
     trace: Option<SessionTrace>,
     /// (stream, frame_id) pairs whose first packet has arrived — used to
@@ -189,38 +327,82 @@ pub struct RtcSession {
     /// Reused arrival buffer for [`LinkEmulator::poll_into`] — keeps the
     /// per-tick receive path allocation-free.
     poll_scratch: Vec<Delivery>,
+    /// Adaptive playout slack (NetEQ-style): each time a recovered frame
+    /// arrives after its playout deadline and is late-dropped, the
+    /// deadline for subsequent frames moves out a notch, so the playout
+    /// delay converges onto the observed NACK-recovery latency instead
+    /// of discarding every recovered frame by a few milliseconds.
+    /// Ratchets up only — bounded by [`MAX_PLAYOUT_SLACK`] — so playout
+    /// never oscillates mid-call.
+    playout_slack: Micros,
 }
 
 impl RtcSession {
+    /// A session over one emulated link with no scheduled impairments.
     pub fn new(trace: BandwidthTrace, cfg: SessionConfig) -> Self {
-        let estimator = GccEstimator::new(cfg.initial_estimate_bps);
-        let link = LinkEmulator::new(trace, cfg.link.clone());
+        let leg = LegConfig {
+            name: "main".to_string(),
+            trace,
+            link: cfg.link,
+            events: Vec::new(),
+        };
+        RtcSession::with_legs(vec![leg], cfg.jitter_target, cfg.initial_estimate_bps)
+    }
+
+    /// A session bonded over `legs` (at least one, names unique);
+    /// `initial_estimate_bps` is the *aggregate*, split evenly across legs.
+    pub fn with_legs(
+        legs: Vec<LegConfig>,
+        jitter_target: Micros,
+        initial_estimate_bps: f64,
+    ) -> Self {
+        assert!(!legs.is_empty(), "a session needs at least one leg");
+        let per_leg_estimate = initial_estimate_bps / legs.len() as f64;
+        let legs: Vec<Leg> = legs
+            .into_iter()
+            .map(|l| Leg {
+                name: l.name,
+                em: LinkEmulator::new(l.trace, l.link),
+                estimator: GccEstimator::new(per_leg_estimate),
+                sender_estimate_bps: per_leg_estimate,
+                pending_feedback: VecDeque::new(),
+                smoothed_owd: 0.0,
+                loss_window_base: (0, 0),
+                loss_ewma: 0.0,
+                up: true,
+                alive: true,
+                events: l.events.into(),
+                tx_packets: 0,
+                dup_packets: 0,
+                max_seq: BTreeMap::new(),
+                telemetry: None,
+            })
+            .collect();
         RtcSession {
-            sender_estimate_bps: cfg.initial_estimate_bps,
-            cfg,
-            link,
+            jitter_target,
+            snaps: Vec::with_capacity(legs.len()),
+            legs,
             packetizers: BTreeMap::new(),
             retransmit: BTreeMap::new(),
             pacer: VecDeque::new(),
             pacer_budget_bits: 0.0,
             last_pace: 0,
-            pending_feedback: VecDeque::new(),
             pending_retx: VecDeque::new(),
             pending_pli: VecDeque::new(),
             last_key_grant: None,
-            estimator,
             reassemblers: BTreeMap::new(),
             jitters: BTreeMap::new(),
             nack: BTreeMap::new(),
+            missing_since: BTreeMap::new(),
             ready: Vec::new(),
             last_feedback: 0,
-            loss_window_base: (0, 0),
-            smoothed_owd: 0.0,
             stats: SessionStats::default(),
+            failovers: 0,
             telemetry: None,
             trace: None,
             link_seen: BTreeSet::new(),
             poll_scratch: Vec::new(),
+            playout_slack: 0,
         }
     }
 
@@ -229,18 +411,33 @@ impl RtcSession {
     /// (packetize → link → reassembly → jitter) keyed by frame id with
     /// the stream name ("color"/"depth") as the lane.
     ///
-    /// Gauges: GCC internals ([`GccEstimator::state`]), the sender-side
-    /// (feedback-delayed) estimate, jitter-buffer occupancy, smoothed
-    /// one-way delay and cumulative late drops. Counters: NACKs,
+    /// Gauges: aggregate GCC internals ([`GccEstimator::state`]), the
+    /// sender-side (feedback-delayed) estimate, jitter-buffer occupancy,
+    /// smoothed one-way delay and cumulative late drops. Counters: NACKs,
     /// retransmits, PLIs, per-stream sent bits, delivered bits/frames.
     /// Histogram: per-frame transport latency (send → playout-ready).
+    /// Plus the per-leg `{prefix}.link.<name>.*` family and
+    /// `{prefix}.bond.*`.
     pub fn attach_telemetry(
         &mut self,
         registry: &Arc<MetricsRegistry>,
         prefix: &str,
         timeline: Option<Arc<FrameTimeline>>,
     ) {
-        self.telemetry = Some(SessionTelemetry {
+        for leg in &mut self.legs {
+            let lp = format!("{prefix}.link.{}", metric_safe(&leg.name));
+            let t = LegTelemetry {
+                estimate_bps: registry.gauge(&format!("{lp}.estimate_bps")),
+                owd_ms: registry.gauge(&format!("{lp}.owd_ms")),
+                loss_fraction: registry.gauge(&format!("{lp}.loss_fraction")),
+                up: registry.gauge(&format!("{lp}.up")),
+                tx_packets: registry.counter(&format!("{lp}.tx_packets")),
+                dup_packets: registry.counter(&format!("{lp}.dup_packets")),
+            };
+            t.up.set(if leg.up { 1.0 } else { 0.0 });
+            leg.telemetry = Some(t);
+        }
+        let t = SessionTelemetry {
             gcc_estimate_bps: registry.gauge(&format!("{prefix}.gcc.estimate_bps")),
             gcc_queuing_delay_ms: registry.gauge(&format!("{prefix}.gcc.queuing_delay_ms")),
             gcc_trend_ms: registry.gauge(&format!("{prefix}.gcc.trend_ms")),
@@ -262,14 +459,21 @@ impl RtcSession {
             latency_ms: registry.histogram(&format!("{prefix}.latency_ms")),
             estimate_sum_bps: registry.gauge(&format!("{prefix}.gcc.estimate_sum_bps")),
             estimate_samples: registry.counter(&format!("{prefix}.gcc.estimate_samples")),
+            bond_estimate_bps: registry.gauge(&format!("{prefix}.bond.estimate_bps")),
+            bond_links_up: registry.gauge(&format!("{prefix}.bond.links_up")),
+            bond_failovers: registry.counter(&format!("{prefix}.bond.failovers")),
             timeline,
-        });
+        };
+        t.bond_links_up.set(self.links_up() as f64);
+        self.telemetry = Some(t);
     }
 
     /// Record cross-layer causal events into `trace`: per-frame
     /// `packetize`/`send` on the sender endpoint (`send_party`) and
     /// `recv`, plus the control-plane `nack`/`retx`/`pli`/`gcc_estimate`
-    /// events, on the receiver endpoint (`recv_party`).
+    /// events, on the receiver endpoint (`recv_party`); and
+    /// `link_up`/`link_down`/`failover` on the `transport.bond` component
+    /// (arg = leg index, or stranded packet count for failover).
     pub fn attach_trace(&mut self, trace: Arc<EventTrace>, send_party: u16, recv_party: u16) {
         self.trace = Some(SessionTrace {
             trace,
@@ -278,18 +482,72 @@ impl RtcSession {
         });
     }
 
-    /// Current sender-side bandwidth estimate (feedback-delayed).
+    /// Current sender-side bandwidth estimate (feedback-delayed): the sum
+    /// over schedulable legs, each discounted by its decaying loss
+    /// memory. A leg that has been dropping 30% of its packets in bursts
+    /// does not offer its full GCC rate as *goodput* — pricing the loss
+    /// into the aggregate keeps the offered load off the bursty leg's
+    /// ceiling (fewer packets on a Gilbert–Elliott link is fewer burst
+    /// hits), where per-leg GCC alone under-reacts: a short burst barely
+    /// dents a 50 ms loss window, so the raw estimate parks at capacity
+    /// and every burst lands on full-rate traffic.
     pub fn estimate_bps(&self) -> f64 {
-        self.sender_estimate_bps
+        self.legs
+            .iter()
+            .filter(|l| l.is_up())
+            .map(|l| l.sender_estimate_bps * (1.0 - l.loss_ewma.min(0.5)))
+            .sum()
     }
 
-    /// Smoothed one-way delay in µs (transport only; LiVo adds processing
-    /// delays on top when predicting frustums).
+    /// Smoothed one-way delay of the *fastest* schedulable leg, µs — the
+    /// Δt a frustum predictor should assume for the next frame (transport
+    /// only; LiVo adds processing delays on top).
     pub fn one_way_delay_us(&self) -> f64 {
-        if self.smoothed_owd > 0.0 {
-            self.smoothed_owd
-        } else {
-            self.cfg.link.propagation as f64
+        self.legs
+            .iter()
+            .filter(|l| l.is_up())
+            .map(Leg::owd_us)
+            .fold(f64::INFINITY, f64::min)
+            .min(1e9)
+    }
+
+    /// Number of legs currently schedulable.
+    pub fn links_up(&self) -> usize {
+        self.legs.iter().filter(|l| l.is_up()).count()
+    }
+
+    /// Times a carrying leg died/downed while another leg survived.
+    pub fn failovers(&self) -> u64 {
+        self.failovers
+    }
+
+    /// Instantaneous ground-truth capacity of the schedulable legs' traces
+    /// (for utilisation reporting — Table 1).
+    pub fn capacity_bps(&self, now: Micros) -> f64 {
+        self.legs
+            .iter()
+            .filter(|l| l.is_up())
+            .map(|l| l.em.capacity_bps(now))
+            .sum()
+    }
+
+    /// Per-leg diagnostics for benches.
+    pub fn link_reports(&self) -> Vec<LinkReport> {
+        self.legs
+            .iter()
+            .map(|l| LinkReport {
+                name: l.name.clone(),
+                tx_packets: l.tx_packets,
+                dup_packets: l.dup_packets,
+                stats: l.em.stats(),
+            })
+            .collect()
+    }
+
+    fn drop_refinement(&mut self, packets: u64) {
+        self.stats.refine_drops += packets;
+        if let Some(t) = &self.telemetry {
+            t.refine_drops.add(packets);
         }
     }
 
@@ -311,10 +569,7 @@ impl RtcSession {
                 .retain(|p| p.stream != StreamId::Refine || p.frame_id >= frame_id);
             let purged = (before - self.pacer.len()) as u64;
             if purged > 0 {
-                self.stats.refine_drops += purged;
-                if let Some(t) = &self.telemetry {
-                    t.refine_drops.add(purged);
-                }
+                self.drop_refinement(purged);
             }
         }
         let pz = self
@@ -367,16 +622,132 @@ impl RtcSession {
 
     /// Advance the session to `now`. Call at ≥ millisecond granularity.
     pub fn tick(&mut self, now: Micros) {
+        self.apply_events(now);
         self.pace(now);
-        self.deliver(now);
+        let arrived = self.deliver(now);
+        // A gap opens only when a packet arrives past it: with nothing
+        // new and no gap outstanding there is nothing to age or request.
+        if arrived || !self.missing_since.is_empty() {
+            self.nack_gaps(now);
+        }
         self.feedback(now);
     }
 
-    /// Pacer: release queued packets at `pacing_factor × estimate`.
+    /// Fire every leg event due by `now`.
+    fn apply_events(&mut self, now: Micros) {
+        let mut fired = false;
+        for i in 0..self.legs.len() {
+            while let Some(ev) = self.legs[i].events.front().copied() {
+                if ev.at > now {
+                    break;
+                }
+                self.legs[i].events.pop_front();
+                fired = true;
+                match ev.action {
+                    LinkAction::Down => self.take_leg_down(i, now, false),
+                    LinkAction::Kill => self.take_leg_down(i, now, true),
+                    LinkAction::Up => {
+                        let leg = &mut self.legs[i];
+                        if leg.alive && !leg.up {
+                            leg.up = true;
+                            leg.em.set_down(false);
+                            if let Some(t) = &leg.telemetry {
+                                t.up.set(1.0);
+                            }
+                            self.trace_leg_event(now, kind::LINK_UP, i as i64);
+                        }
+                    }
+                    LinkAction::SetPropagation(p) => {
+                        self.legs[i].em.set_propagation(p);
+                    }
+                }
+            }
+        }
+        if fired {
+            if let Some(t) = &self.telemetry {
+                t.bond_links_up.set(self.links_up() as f64);
+            }
+        }
+    }
+
+    /// Record a leg up/down/failover event on the `transport.bond` track.
+    fn trace_leg_event(&self, now: Micros, kind: &'static str, arg: i64) {
+        if let Some(tr) = &self.trace {
+            tr.trace
+                .record(now, NO_FRAME, tr.send_party, "transport.bond", kind, arg);
+        }
+    }
+
+    fn take_leg_down(&mut self, i: usize, now: Micros, kill: bool) {
+        let was_up = self.legs[i].is_up();
+        if kill {
+            self.legs[i].alive = false;
+        }
+        self.legs[i].up = false;
+        if !was_up {
+            return;
+        }
+        let stranded = self.legs[i].em.set_down(true);
+        if let Some(t) = &self.legs[i].telemetry {
+            t.up.set(0.0);
+        }
+        let survivors = self.links_up();
+        self.trace_leg_event(now, kind::LINK_DOWN, i as i64);
+        if survivors > 0 {
+            self.trace_leg_event(now, kind::FAILOVER, stranded as i64);
+            self.failovers += 1;
+            if let Some(t) = &self.telemetry {
+                t.bond_failovers.inc();
+            }
+        }
+        livo_telemetry::log::warn_limited(
+            "transport.link_down",
+            1_000,
+            "transport",
+            if kill { "link killed" } else { "link down" },
+            &[
+                ("link", self.legs[i].name.clone().into()),
+                ("stranded_packets", (stranded as u64).into()),
+                ("links_up", (survivors as u64).into()),
+                ("now_us", now.into()),
+            ],
+        );
+    }
+
+    /// Refill the scheduler's per-leg view (a leg's backlog moves with
+    /// every packet it is handed).
+    fn refresh_snapshots(&mut self, now: Micros) {
+        self.snaps.clear();
+        self.snaps.extend(self.legs.iter().map(|l| l.snapshot(now)));
+    }
+
+    /// Hand one packet to leg `i`, as the scheduled copy or as the
+    /// insurance duplicate.
+    fn transmit(&mut self, i: usize, p: Packet, now: Micros, duplicate: bool) {
+        let leg = &mut self.legs[i];
+        if duplicate {
+            leg.dup_packets += 1;
+        } else {
+            leg.tx_packets += 1;
+        }
+        if let Some(t) = &leg.telemetry {
+            if duplicate {
+                t.dup_packets.inc();
+            } else {
+                t.tx_packets.inc();
+            }
+        }
+        leg.em.send(p, now);
+    }
+
+    /// Pacer + per-packet scheduler: release packets at [`PACING_FACTOR`]
+    /// × the aggregate estimate, each onto the leg with the minimum
+    /// scheduling cost; keyframe packets are duplicated onto the
+    /// second-best leg while the session is seeing loss.
     fn pace(&mut self, now: Micros) {
         let dt = now.saturating_sub(self.last_pace);
         self.last_pace = now;
-        let rate = self.sender_estimate_bps * self.cfg.pacing_factor;
+        let rate = self.estimate_bps() * PACING_FACTOR;
         self.pacer_budget_bits += rate * dt as f64 / 1e6;
         // Cap unused budget at ~5 ms of sending: bursts larger than that
         // create standing queues at the bottleneck that read as overuse
@@ -384,73 +755,164 @@ impl RtcSession {
         // MTUs keeps low-rate sessions able to emit full packets at all.
         self.pacer_budget_bits = self.pacer_budget_bits.min((rate * 0.005).max(20_000.0));
 
-        // Retransmissions scheduled by NACK feedback jump the pacer queue.
-        while let Some((due, _)) = self.pending_retx.front() {
-            if *due <= now {
-                let (_, p) = self.pending_retx.pop_front().unwrap();
-                self.stats.retransmits += 1;
-                if let Some(t) = &self.telemetry {
-                    t.retransmits.inc();
-                }
-                if let Some(tr) = &self.trace {
-                    tr.trace.record(
-                        now,
-                        p.frame_id,
-                        tr.send_party,
-                        component_of(p.stream),
-                        kind::RETX,
-                        p.wire_bits() as i64,
-                    );
-                }
-                self.link.send(p, now);
-            } else {
-                break;
+        // Retransmissions jump the queue, on the most reliable leg — a
+        // retransmit that dies again costs a PLI — and are mirrored onto
+        // the fastest *other* leg: retransmits are a sliver of the
+        // traffic but each one is a display deadline, so recovery
+        // latency should be the min over two paths, not the reliable
+        // leg's RTT alone.
+        while self
+            .pending_retx
+            .front()
+            .is_some_and(|(due, _)| *due <= now)
+        {
+            let (_, mut p) = self.pending_retx.pop_front().unwrap();
+            // Re-stamp the true departure time: a retransmit carrying its
+            // original `send_ts` would feed the per-leg delay estimator
+            // an apparent OWD of the whole NACK round-trip, and a few
+            // hundred of those per call drags the GCC estimate and the
+            // smoothed OWD (hence the reorder grace) into fantasy land.
+            p.send_ts = now;
+            p.retransmit = true;
+            let bits = p.wire_bits();
+            self.refresh_snapshots(now);
+            let Some(i) = scheduler::pick_reliable(&self.snaps, bits) else {
+                break; // every leg down — drop the retx, NACK will refire
+            };
+            if let Some(second) = scheduler::pick_duplicate(&self.snaps, bits, i) {
+                self.transmit(second, p.clone(), now, true);
             }
+            self.stats.retransmits += 1;
+            if let Some(t) = &self.telemetry {
+                t.retransmits.inc();
+            }
+            if let Some(tr) = &self.trace {
+                tr.trace.record(
+                    now,
+                    p.frame_id,
+                    tr.send_party,
+                    component_of(p.stream),
+                    kind::RETX,
+                    bits as i64,
+                );
+            }
+            self.transmit(i, p, now, false);
         }
-        while let Some(p) = self.pacer.front() {
-            let bits = p.wire_bits() as f64;
-            if self.pacer_budget_bits < bits {
+
+        while let Some(head) = self.pacer.front() {
+            let bits = head.wire_bits();
+            if self.pacer_budget_bits < bits as f64 {
                 // Backpressure: a refinement packet at the head must not
                 // starve base-layer packets queued behind it — drop the
                 // refinement instead of waiting for budget. Base packets
                 // are never dropped here.
-                if p.stream == StreamId::Refine
+                if head.stream == StreamId::Refine
                     && self.pacer.iter().any(|q| q.stream != StreamId::Refine)
                 {
                     self.pacer.pop_front();
-                    self.stats.refine_drops += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.refine_drops.inc();
-                    }
+                    self.drop_refinement(1);
                     continue;
                 }
                 break;
             }
-            self.pacer_budget_bits -= bits;
+            self.refresh_snapshots(now);
+            let Some(primary) = scheduler::pick_primary(&self.snaps, bits) else {
+                break; // total blackout: hold packets, NACK recovers later
+            };
+            self.pacer_budget_bits -= bits as f64;
             let mut p = self.pacer.pop_front().unwrap();
             p.send_ts = now; // true departure time, for the delay estimator
-            self.link.send(p, now);
+                             // Keyframes are insured whenever the session sees any loss:
+                             // losing one costs a PLI round-trip.
+            if scheduler::DUPLICATE_KEYFRAMES
+                && p.keyframe
+                && (self.snaps[primary].is_degraded() || self.aggregate_recent_loss() > 0.01)
+            {
+                if let Some(second) = scheduler::pick_duplicate(&self.snaps, bits, primary) {
+                    self.transmit(second, p.clone(), now, true);
+                }
+            }
+            self.transmit(primary, p, now, false);
         }
     }
 
-    /// Receiver side: drain the link into reassembly and jitter buffers.
-    fn deliver(&mut self, now: Micros) {
+    /// How long a sequence gap may be plain cross-leg reordering: the
+    /// spread between the slowest and fastest up leg's smoothed one-way
+    /// delay, plus slack for queueing wobble. Zero with fewer than two
+    /// legs up — a single FIFO path cannot reorder.
+    fn reorder_grace(&self) -> Micros {
+        let (mut up, mut min, mut max) = (0, f64::INFINITY, 0.0f64);
+        for l in self.legs.iter().filter(|l| l.is_up()) {
+            up += 1;
+            min = min.min(l.owd_us());
+            max = max.max(l.owd_us());
+        }
+        if up < 2 {
+            return 0;
+        }
+        (max - min) as Micros + 10_000
+    }
+
+    /// Loss across all legs over the last feedback window, weighted by
+    /// how much each leg carried.
+    fn aggregate_recent_loss(&self) -> f64 {
+        let mut loss = 0.0;
+        let mut weight = 0.0;
+        for l in self.legs.iter().filter(|l| l.is_up()) {
+            let w = l.sender_estimate_bps.max(1.0);
+            loss += l.loss_ewma * w;
+            weight += w;
+        }
+        if weight > 0.0 {
+            loss / weight
+        } else {
+            0.0
+        }
+    }
+
+    /// Receiver side: drain every leg into the *shared* reassembly/jitter
+    /// path. The reassembler dedups by sequence number, so key packets
+    /// duplicated across legs collapse back into one copy here.
+    /// Returns whether any packet arrived.
+    fn deliver(&mut self, now: Micros) -> bool {
+        // Delay-aligned playout: every frame's deadline is anchored to
+        // *capture* time plus the slowest up leg's propagation (plus the
+        // jitter target the buffer adds), so display cadence is uniform
+        // no matter which leg a frame rode — and a frame that completes
+        // later than its deadline (NACK recovery) pops the moment it
+        // arrives instead of serving a second full jitter target and
+        // freezing everything queued behind it in playout order. The
+        // buffer pops at `completed_at + target`, so rewriting
+        // `completed_at` to `max(send + slowest_prop, arrival − target)`
+        // realises exactly that deadline.
+        let playout_floor = self
+            .legs
+            .iter()
+            .filter(|l| l.is_up())
+            .map(|l| l.em.propagation())
+            .max()
+            .unwrap_or(20_000);
+        let timeline = self.telemetry.as_ref().and_then(|t| t.timeline.as_ref());
         let mut arrivals = std::mem::take(&mut self.poll_scratch);
-        arrivals.clear();
-        self.link.poll_into(now, &mut arrivals);
-        for d in arrivals.drain(..) {
-            let owd = d.arrival.saturating_sub(d.packet.send_ts) as f64;
-            self.smoothed_owd = if self.smoothed_owd == 0.0 {
-                owd
-            } else {
-                0.9 * self.smoothed_owd + 0.1 * owd
-            };
-            self.estimator
-                .on_packet(d.packet.send_ts, d.arrival, d.packet.wire_bits());
-            let stream = d.packet.stream;
-            let frame_id = d.packet.frame_id;
-            if let Some(t) = &self.telemetry {
-                if let Some(tl) = &t.timeline {
+        let mut arrived = false;
+        for leg in &mut self.legs {
+            arrivals.clear();
+            arrived |= leg.em.poll_into(now, &mut arrivals) > 0;
+            for d in arrivals.drain(..) {
+                let owd = d.arrival.saturating_sub(d.packet.send_ts) as f64;
+                leg.smoothed_owd = if leg.smoothed_owd == 0.0 {
+                    owd
+                } else {
+                    0.9 * leg.smoothed_owd + 0.1 * owd
+                };
+                // Per-link ACK timestamps feed this leg's own estimator.
+                leg.estimator
+                    .on_packet(d.packet.send_ts, d.arrival, d.packet.wire_bits());
+                let stream = d.packet.stream;
+                let frame_id = d.packet.frame_id;
+                let fr = leg.max_seq.entry(stream).or_insert(d.packet.seq);
+                *fr = (*fr).max(d.packet.seq);
+                if let Some(tl) = timeline {
                     // Stamp "link" on the first arriving packet of a frame.
                     if self.link_seen.len() > 8192 {
                         self.link_seen.clear();
@@ -459,14 +921,17 @@ impl RtcSession {
                         tl.mark_lane(frame_id, stage::LINK, lane_of(stream), d.arrival);
                     }
                 }
-            }
-            let re = self.reassemblers.entry(stream).or_default();
-            if let Some(frame) = re.push(d.packet, d.arrival) {
+                let re = self.reassemblers.entry(stream).or_default();
+                let Some(mut frame) = re.push(d.packet, d.arrival) else {
+                    continue;
+                };
+                frame.completed_at = frame
+                    .completed_at
+                    .saturating_sub(self.jitter_target)
+                    .max(frame.send_ts + playout_floor + self.playout_slack);
                 self.link_seen.remove(&(stream, frame_id));
-                if let Some(t) = &self.telemetry {
-                    if let Some(tl) = &t.timeline {
-                        tl.mark_lane(frame_id, stage::REASSEMBLY, lane_of(stream), d.arrival);
-                    }
+                if let Some(tl) = timeline {
+                    tl.mark_lane(frame_id, stage::REASSEMBLY, lane_of(stream), d.arrival);
                 }
                 if let Some(tr) = &self.trace {
                     tr.trace.record(
@@ -478,17 +943,18 @@ impl RtcSession {
                         frame.data.len() as i64 * 8,
                     );
                 }
-                let jb = self
-                    .jitters
+                self.jitters
                     .entry(stream)
-                    .or_insert_with(|| JitterBuffer::new(self.cfg.jitter_target));
-                jb.push(frame);
+                    .or_insert_with(|| JitterBuffer::new(self.jitter_target))
+                    .push(frame);
             }
         }
         self.poll_scratch = arrivals;
         // Pull playable frames.
+        let mut played = false;
         for (stream, jb) in self.jitters.iter_mut() {
             for f in jb.pop_ready(now) {
+                played = true;
                 self.stats.frames_delivered += 1;
                 self.stats.bits_delivered += f.data.len() as u64 * 8;
                 let latency_us = now.saturating_sub(f.send_ts);
@@ -511,46 +977,172 @@ impl RtcSession {
                 self.ready.push(f);
             }
         }
-        self.stats.late_drops = self.jitters.values().map(|j| j.late_drops).sum();
+        // Everything below moves only when a packet came in or a frame
+        // went out.
+        if !(arrived || played) {
+            return false;
+        }
+        let late_drops: u64 = self.jitters.values().map(|j| j.late_drops).sum();
+        if late_drops > self.stats.late_drops {
+            // A recovered frame missed its deadline: move playout out a
+            // notch so the next recovery fits inside the buffer.
+            self.playout_slack = (self.playout_slack + PLAYOUT_SLACK_STEP).min(MAX_PLAYOUT_SLACK);
+        }
+        self.stats.late_drops = late_drops;
         if let Some(t) = &self.telemetry {
             t.jitter_occupancy
                 .set(self.jitters.values().map(|j| j.depth()).sum::<usize>() as f64);
             t.late_drops.set(self.stats.late_drops as f64);
-            t.owd_ms.set(self.smoothed_owd / 1000.0);
+            t.owd_ms.set(self.one_way_delay_us() / 1000.0);
+        }
+        arrived
+    }
+
+    /// Feedback/NACK travel back to the sender over the fastest
+    /// surviving path.
+    fn fb_delay(&self) -> Micros {
+        self.legs
+            .iter()
+            .filter(|l| l.is_up())
+            .map(|l| l.em.propagation())
+            .min()
+            .unwrap_or(20_000)
+    }
+
+    /// Provable-loss frontier of `stream`: the smallest "highest
+    /// delivered sequence" across the up legs. Packets are paced in
+    /// sequence order and every leg is FIFO, so once *every* up leg has
+    /// delivered something newer, a missing sequence below the frontier
+    /// cannot still be in flight anywhere — it is a real loss and skips
+    /// the cross-leg reorder grace. During a burst this fires as soon as
+    /// both legs deliver past the hole, typically well inside the grace
+    /// window. `None` while some up leg has delivered nothing on the
+    /// stream (or no leg is up): nothing is provable.
+    fn loss_frontier(&self, stream: StreamId) -> Option<u64> {
+        let mut frontier: Option<u64> = None;
+        for l in self.legs.iter().filter(|l| l.is_up()) {
+            let delivered = *l.max_seq.get(&stream)?;
+            frontier = Some(frontier.map_or(delivered, |f| f.min(delivered)));
+        }
+        frontier
+    }
+
+    /// Event-driven NACK, every tick. On one FIFO link a sequence gap is
+    /// a loss; across legs with different propagation a packet in flight
+    /// on the slower leg *looks* like a gap next to its faster siblings.
+    /// Gaps must therefore age past the current cross-leg OWD spread
+    /// before they are NACK-eligible, or a lossless bond retransmits its
+    /// own reordering — but once a gap has aged, waiting for the next
+    /// feedback round would add up to a full interval to every burst-loss
+    /// recovery, so eligibility is checked per tick. The generator's
+    /// per-seq retry spacing keeps this storm-free.
+    ///
+    /// The refinement lane is best-effort by contract: losses there are
+    /// absorbed by the base layer, so it earns neither NACKs nor PLIs.
+    fn nack_gaps(&mut self, now: Micros) {
+        for (&stream, re) in &self.reassemblers {
+            if stream == StreamId::Refine {
+                continue;
+            }
+            let mut missing = re.missing_seqs(64);
+            // Forget first-seen times of gaps that closed; `missing_seqs`
+            // is ascending, so membership is a binary search.
+            self.missing_since
+                .retain(|(s, seq), _| *s != stream || missing.binary_search(seq).is_ok());
+            if missing.is_empty() {
+                continue;
+            }
+            let grace = self.reorder_grace();
+            let provable = self.loss_frontier(stream);
+            missing.retain(|&seq| {
+                let first = *self.missing_since.entry((stream, seq)).or_insert(now);
+                provable.is_some_and(|f| seq < f) || now.saturating_sub(first) >= grace
+            });
+            if missing.is_empty() {
+                continue;
+            }
+            let ng = self
+                .nack
+                .entry(stream)
+                .or_insert_with(NackGenerator::with_defaults);
+            let to_request = ng.nacks(&missing, now);
+            if to_request.is_empty() {
+                continue;
+            }
+            self.stats.nacks_sent += to_request.len() as u64;
+            if let Some(t) = &self.telemetry {
+                t.nacks_sent.add(to_request.len() as u64);
+            }
+            if let Some(tr) = &self.trace {
+                tr.trace.record(
+                    now,
+                    NO_FRAME,
+                    tr.recv_party,
+                    component_of(stream),
+                    kind::NACK,
+                    to_request.len() as i64,
+                );
+            }
+            if let Some(rb) = self.retransmit.get(&stream) {
+                let due = now + self.fb_delay();
+                for p in rb.lookup(&to_request) {
+                    self.pending_retx.push_back((due, p));
+                }
+            }
         }
     }
 
-    /// Receiver→sender feedback: estimates, NACKs, PLIs.
+    /// Receiver→sender feedback, per leg, plus the shared PLI check.
     fn feedback(&mut self, now: Micros) {
-        if now.saturating_sub(self.last_feedback) >= self.cfg.feedback_interval {
+        if now.saturating_sub(self.last_feedback) >= FEEDBACK_INTERVAL {
             self.last_feedback = now;
-            // Loss fraction over the interval, from offered/dropped deltas.
-            let sent = self.link.sent_packets;
-            let dropped = self.link.stats().dropped_total();
-            let (base_sent, base_drop) = self.loss_window_base;
-            let d_sent = sent.saturating_sub(base_sent);
-            let d_drop = dropped.saturating_sub(base_drop);
-            self.loss_window_base = (sent, dropped);
-            let loss = if d_sent == 0 {
-                0.0
-            } else {
-                d_drop as f64 / d_sent as f64
-            };
-            self.estimator.on_loss_report(loss);
-            self.pending_feedback.push_back((
-                now + self.cfg.link.propagation,
-                self.estimator.estimate_bps(),
-                loss,
-            ));
+            for leg in &mut self.legs {
+                // Loss fraction over the interval, from offered/dropped deltas.
+                let stats = leg.em.stats();
+                let (base_sent, base_drop) = leg.loss_window_base;
+                let d_sent = stats.sent_packets.saturating_sub(base_sent);
+                let d_drop = stats.dropped_total().saturating_sub(base_drop);
+                leg.loss_window_base = (stats.sent_packets, stats.dropped_total());
+                let loss = if d_sent == 0 {
+                    0.0
+                } else {
+                    d_drop as f64 / d_sent as f64
+                };
+                leg.loss_ewma = loss.max(leg.loss_ewma * 0.9);
+                leg.estimator.on_loss_report(loss);
+                leg.pending_feedback
+                    .push_back((now + leg.em.propagation(), leg.estimator.estimate_bps()));
+                if let Some(t) = &leg.telemetry {
+                    t.estimate_bps.set(leg.sender_estimate_bps);
+                    t.owd_ms.set(leg.smoothed_owd / 1000.0);
+                    t.loss_fraction.set(loss);
+                }
+            }
             if let Some(t) = &self.telemetry {
-                let st = self.estimator.state();
-                t.gcc_estimate_bps.set(st.estimate_bps);
-                t.gcc_queuing_delay_ms.set(st.queuing_delay_ms);
-                t.gcc_trend_ms.set(st.trend_ms);
-                t.gcc_threshold_ms.set(st.threshold_ms);
-                t.gcc_loss_fraction.set(st.loss_fraction);
-                t.estimate_sum_bps
-                    .set(t.estimate_sum_bps.get() + st.estimate_bps);
+                // Aggregate GCC view: estimate is the sum; the delay
+                // internals come from the leg with the worst queuing
+                // delay (the one closest to overuse).
+                let agg: f64 = self
+                    .legs
+                    .iter()
+                    .filter(|l| l.is_up())
+                    .map(|l| l.estimator.estimate_bps())
+                    .sum();
+                let worst = self
+                    .legs
+                    .iter()
+                    .filter(|l| l.is_up())
+                    .map(|l| l.estimator.state())
+                    .max_by(|a, b| a.queuing_delay_ms.total_cmp(&b.queuing_delay_ms));
+                t.gcc_estimate_bps.set(agg);
+                t.bond_estimate_bps.set(agg);
+                if let Some(st) = worst {
+                    t.gcc_queuing_delay_ms.set(st.queuing_delay_ms);
+                    t.gcc_trend_ms.set(st.trend_ms);
+                    t.gcc_threshold_ms.set(st.threshold_ms);
+                }
+                t.gcc_loss_fraction.set(self.aggregate_recent_loss());
+                t.estimate_sum_bps.set(t.estimate_sum_bps.get() + agg);
                 t.estimate_samples.inc();
             }
             if let Some(tr) = &self.trace {
@@ -560,51 +1152,11 @@ impl RtcSession {
                     tr.recv_party,
                     "transport.gcc",
                     kind::GCC,
-                    self.estimator.estimate_bps() as i64,
+                    self.estimate_bps() as i64,
                 );
             }
 
-            // NACKs for gaps. The refinement lane is best-effort by
-            // contract: losses there are absorbed by the base layer, so
-            // it earns neither NACKs nor PLIs.
-            let mut all_retx = Vec::new();
-            for (stream, re) in &self.reassemblers {
-                if *stream == StreamId::Refine {
-                    continue;
-                }
-                let missing = re.missing_seqs(64);
-                if missing.is_empty() {
-                    continue;
-                }
-                let ng = self
-                    .nack
-                    .entry(*stream)
-                    .or_insert_with(NackGenerator::with_defaults);
-                let to_request = ng.nacks(&missing, now);
-                if to_request.is_empty() {
-                    continue;
-                }
-                self.stats.nacks_sent += to_request.len() as u64;
-                if let Some(t) = &self.telemetry {
-                    t.nacks_sent.add(to_request.len() as u64);
-                }
-                if let Some(tr) = &self.trace {
-                    tr.trace.record(
-                        now,
-                        NO_FRAME,
-                        tr.recv_party,
-                        component_of(*stream),
-                        kind::NACK,
-                        to_request.len() as i64,
-                    );
-                }
-                if let Some(rb) = self.retransmit.get(stream) {
-                    for p in rb.lookup(&to_request) {
-                        all_retx.push((now + self.cfg.link.propagation, p));
-                    }
-                }
-            }
-            self.pending_retx.extend(all_retx);
+            let fb_delay = self.fb_delay();
 
             // PLI for frames stuck too long.
             for (stream, re) in &self.reassemblers {
@@ -643,20 +1195,25 @@ impl RtcSession {
                             ("now_us", now.into()),
                         ],
                     );
-                    self.pending_pli.push_back(now + self.cfg.link.propagation);
+                    self.pending_pli.push_back(now + fb_delay);
                 }
             }
         }
-        // Apply feedback that has reached the sender.
-        while let Some(&(due, est, _loss)) = self.pending_feedback.front() {
-            if due <= now {
-                self.pending_feedback.pop_front();
-                self.sender_estimate_bps = est;
-                if let Some(t) = &self.telemetry {
-                    t.sender_estimate_bps.set(est);
+        // Apply per-leg feedback that has reached the sender.
+        let mut applied = false;
+        for leg in &mut self.legs {
+            while let Some(&(due, est)) = leg.pending_feedback.front() {
+                if due > now {
+                    break;
                 }
-            } else {
-                break;
+                leg.pending_feedback.pop_front();
+                leg.sender_estimate_bps = est;
+                applied = true;
+            }
+        }
+        if applied {
+            if let Some(t) = &self.telemetry {
+                t.sender_estimate_bps.set(self.estimate_bps());
             }
         }
     }
@@ -671,14 +1228,14 @@ impl RtcSession {
     /// intra frame is still in flight — so it is consumed *without*
     /// granting a second intra. At most one keyframe is granted per RTT.
     pub fn take_pli(&mut self, now: Micros) -> bool {
-        // One RTT of grant suppression: the keyframe needs a propagation to
-        // reach the receiver and the receiver's reaction needs one back.
-        let rtt: Micros = (2.0 * self.one_way_delay_us()) as Micros;
         while let Some(&due) = self.pending_pli.front() {
             if due > now {
                 break;
             }
             self.pending_pli.pop_front();
+            // One RTT of grant suppression: the keyframe needs a propagation
+            // to reach the receiver and the receiver's reaction needs one back.
+            let rtt: Micros = (2.0 * self.one_way_delay_us()) as Micros;
             let suppressed = self
                 .last_key_grant
                 .is_some_and(|granted| now.saturating_sub(granted) < rtt);
@@ -698,22 +1255,6 @@ impl RtcSession {
 
     pub fn stats(&self) -> &SessionStats {
         &self.stats
-    }
-
-    /// Receiver-side estimator (for diagnostics).
-    pub fn estimator(&self) -> &GccEstimator {
-        &self.estimator
-    }
-
-    /// Link-level drop fraction so far.
-    pub fn link_loss_fraction(&self) -> f64 {
-        self.link.loss_fraction()
-    }
-
-    /// Instantaneous capacity of the underlying trace (ground truth, for
-    /// utilisation reporting — Table 1).
-    pub fn capacity_bps(&self, now: Micros) -> f64 {
-        self.link.capacity_bps(now)
     }
 }
 
@@ -755,13 +1296,49 @@ mod tests {
         (s, frames)
     }
 
+    /// The session under test built both ways: the one-leg constructor,
+    /// and two legs sharing `capacity_mbps` ("a" at 20 ms, "b" at 45 ms),
+    /// every link dropping `loss` of its packets.
+    fn one_and_two_legs(
+        capacity_mbps: f64,
+        initial_estimate_bps: f64,
+        loss: f64,
+    ) -> [RtcSession; 2] {
+        let link = |propagation, seed| LinkConfig {
+            propagation,
+            random_loss: loss,
+            seed,
+            ..Default::default()
+        };
+        let leg = |name: &str, link| LegConfig {
+            name: name.to_string(),
+            trace: BandwidthTrace::constant(capacity_mbps / 2.0, 30.0),
+            link,
+            events: Vec::new(),
+        };
+        let legs = vec![leg("a", link(20_000, 5)), leg("b", link(45_000, 6))];
+        let cfg = SessionConfig {
+            link: link(20_000, 5),
+            initial_estimate_bps,
+            ..Default::default()
+        };
+        [
+            RtcSession::new(BandwidthTrace::constant(capacity_mbps, 30.0), cfg.clone()),
+            RtcSession::with_legs(legs, cfg.jitter_target, initial_estimate_bps),
+        ]
+    }
+
     #[test]
     fn pacer_drops_refinement_never_base() {
         // A link far too slow for the offered load: the pacer backs up
         // immediately. Refinement must be shed; every base frame must
         // still go out (in order, behind its own frame's base packets).
-        let trace = BandwidthTrace::constant(2.0, 30.0);
-        let mut s = RtcSession::new(trace, SessionConfig::default());
+        for s in one_and_two_legs(2.0, 20e6, 0.0) {
+            pacer_sheds_refinement(s);
+        }
+    }
+
+    fn pacer_sheds_refinement(mut s: RtcSession) {
         let mut t: Micros = 0;
         for frame_id in 0..60u64 {
             s.send_frame(
@@ -802,10 +1379,12 @@ mod tests {
     #[test]
     fn newer_base_frame_purges_stale_queued_refinement() {
         // Zero-budget start: everything stays queued in the pacer.
-        let trace = BandwidthTrace::constant(100.0, 30.0);
-        let mut cfg = SessionConfig::default();
-        cfg.initial_estimate_bps = 0.0;
-        let mut s = RtcSession::new(trace, cfg);
+        for s in one_and_two_legs(100.0, 0.0, 0.0) {
+            newer_base_purges(s);
+        }
+    }
+
+    fn newer_base_purges(mut s: RtcSession) {
         s.send_frame(0, StreamId::Color, 0, Bytes::from(vec![0u8; 500]), true);
         s.send_frame(0, StreamId::Refine, 0, Bytes::from(vec![1u8; 500]), false);
         assert!(s.pacer.iter().any(|p| p.stream == StreamId::Refine));
@@ -1128,8 +1707,9 @@ mod tests {
     fn gcc_state_struct_matches_estimate() {
         let trace = BandwidthTrace::constant(50.0, 30.0);
         let s = RtcSession::new(trace, SessionConfig::default());
-        let st = s.estimator().state();
-        assert_eq!(st.estimate_bps, s.estimator().estimate_bps());
+        let estimator = &s.legs[0].estimator;
+        let st = estimator.state();
+        assert_eq!(st.estimate_bps, estimator.estimate_bps());
         assert_eq!(st.loss_fraction, 0.0);
         assert!(st.threshold_ms > 0.0);
     }
@@ -1146,5 +1726,73 @@ mod tests {
         let owd = s.one_way_delay_us();
         // ≥ propagation, < 100 ms under light load.
         assert!(owd >= 20_000.0 && owd < 100_000.0, "owd {owd} µs");
+    }
+
+    #[test]
+    fn refinement_loss_on_two_legs_raises_no_nack_and_no_pli() {
+        // Best-effort lane: the base layer absorbs refinement loss, so a
+        // lossy bond must not spend feedback (or keyframes) on it.
+        let [_, mut s] = one_and_two_legs(40.0, 20e6, 0.2);
+        for t in (0..5_000_000).step_by(1_000) {
+            if t % 33_333 < 1_000 {
+                let data = Bytes::from(vec![1u8; 12_000]);
+                s.send_frame(t, StreamId::Refine, t / 33_333, data, false);
+            }
+            s.tick(t);
+            assert!(!s.take_pli(t), "refinement loss escalated to a keyframe");
+        }
+        let dropped: u64 = s
+            .link_reports()
+            .iter()
+            .map(|r| r.stats.dropped_total())
+            .sum();
+        assert!(dropped > 100, "the links must drop");
+        let st = s.stats();
+        assert_eq!((st.nacks_sent, st.retransmits, st.plis), (0, 0, 0));
+        assert!(st.frames_delivered > 0, "intact refinement still plays");
+    }
+
+    #[test]
+    fn retransmits_do_not_inflate_the_one_way_delay() {
+        // A retransmit leaves with a fresh departure stamp; carrying the
+        // original would read the whole NACK round trip as path delay.
+        let cfg = SessionConfig {
+            link: LinkConfig {
+                random_loss: 0.03,
+                seed: 5,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let propagation = cfg.link.propagation as f64;
+        let mut s = RtcSession::new(BandwidthTrace::constant(50.0, 12.0), cfg);
+        let mut peak: f64 = 0.0;
+        for t in (0..10_000_000).step_by(1_000) {
+            if t % 33_333 < 1_000 {
+                let id = t / 33_333;
+                s.send_frame(
+                    t,
+                    StreamId::Color,
+                    id,
+                    Bytes::from(vec![0u8; 8_000]),
+                    id == 0,
+                );
+            }
+            s.tick(t);
+            s.recv_frames();
+            peak = peak.max(s.one_way_delay_us());
+        }
+        assert!(s.stats().retransmits > 0, "3% loss must retransmit");
+        assert!(
+            peak <= 1.5 * propagation,
+            "smoothed OWD peaked at {peak} µs on a {propagation} µs path"
+        );
+    }
+
+    #[test]
+    fn metric_names_sanitised() {
+        assert_eq!(metric_safe("WiFi-5G"), "wifi_5g");
+        assert_eq!(metric_safe("5g"), "l5g");
+        assert_eq!(metric_safe("lte"), "lte");
     }
 }

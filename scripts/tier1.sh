@@ -56,8 +56,8 @@ bond_check() {
 }
 
 # FoV-utility gate: `repro --quick fov --gate` exits non-zero when the
-# progressive scheme's PSSIM-in-frustum per bit falls below 1.2x the
-# all-or-nothing baseline at the lowest band, when the center-of-gaze
+# progressive scheme's PSSIM-in-frustum per bit falls below the
+# all-or-nothing baseline at any band, when the center-of-gaze
 # score sags as bandwidth collapses, or when no refinement slice is ever
 # applied. The snapshot must carry the stable schema tag and all six
 # (band x scheme) points.
@@ -128,12 +128,16 @@ if cargo_works; then
   bsnap=$(mktemp)
   LIVO_LOG=warn cargo run --release --bin repro -- --quick --gate bond --json "$bsnap" >/dev/null
   bond_check "$bsnap"; rm -f "$bsnap"
-  # FoV-utility gate: progressive delivery must clear the per-bit floor
-  # against the all-or-nothing baseline at the lowest band.
+  # FoV-utility gate: progressive delivery must match or beat the
+  # all-or-nothing baseline per bit at every band.
   echo "== tier1: fov gate =="
   fsnap=$(mktemp)
   LIVO_LOG=warn cargo run --release --bin repro -- --quick --gate fov --json "$fsnap" >/dev/null
   fov_check "$fsnap"; rm -f "$fsnap"
+  # Whole-call benchmark smoke: one short rep per workload with its
+  # correctness checks on (builds benchmark/ against this checkout).
+  echo "== tier1: benchmark smoke =="
+  bash benchmark/run.sh --smoke >/dev/null
   fmt_check cargo
   if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
@@ -172,6 +176,8 @@ else
   fsnap=$(mktemp)
   LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick --gate fov --json "$fsnap" >/dev/null
   fov_check "$fsnap"; rm -f "$fsnap"
+  echo "== tier1: benchmark smoke =="
+  bash benchmark/run.sh --smoke >/dev/null
   fmt_check offline
   if command -v clippy-driver >/dev/null 2>&1; then
     bash scripts/offline_clippy.sh

@@ -127,6 +127,9 @@ fn bonded_session_metric_names_follow_convention() {
         "transport.bond.failovers",
         "transport.bond.estimate_bps",
         "transport.gcc.estimate_bps",
+        // The refinement lane keeps its best-effort contract on a bond.
+        "transport.refine_drops",
+        "transport.bits_sent.refine",
     ] {
         let present = snap.counters.contains_key(name) || snap.gauges.contains_key(name);
         assert!(present, "expected metric {name} missing");
