@@ -2,22 +2,17 @@
 //! reference implementations they replaced.
 //!
 //! Each kernel keeps its pre-optimisation form in-tree (`cull_views_reference`,
-//! `dct::forward_ref`/`inverse_ref`, `motion::sad_ref`, the
-//! `livo_codec2d::reference` encoder), both as the oracle of the
-//! differential tests and as the baseline here — so the reported speedups
-//! measure the actual replacement, on the actual machine, not a synthetic
-//! stand-in. `repro kernels` prints the table; `--json` snapshots it
-//! (schema `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
-//! `--gate` exits non-zero if any gated kernel regresses below its
-//! per-point floor, which `scripts/tier1.sh` uses as a perf ratchet.
-//! Floors are 1.0× for the classic kernel-vs-reference points; the
-//! tier-vs-tier `_avx2` points use slightly looser floors (their deltas
-//! are smaller, so run-to-run noise is a larger fraction of the signal),
-//! and `entropy_lanes` uses a deliberately sub-1.0 floor: it is an
-//! overhead canary for a format feature that costs, not pays, on narrow
-//! cores (see the point's doc comment). Points marked `gated: false`
-//! (the slice-parallel decode scaling measurement) are reported but not
-//! ratcheted — their ratio depends on the machine's core count.
+//! `dct::forward_ref`/`inverse_ref`, `motion::sad_ref`), both as the oracle
+//! of the differential tests and as the baseline here — so the reported
+//! speedups measure the actual replacement, on the actual machine, not a
+//! synthetic stand-in. `repro kernels` prints the table; `--json` snapshots
+//! it (schema `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
+//! `--gate` exits non-zero if any gated kernel runs slower than what it
+//! replaced ([`GATE_FLOOR`]), which `scripts/tier1.sh` uses as a perf
+//! ratchet: a tier that does not pay for itself is deleted, not given a
+//! looser floor. Points marked `gated: false` (the slice-parallel decode
+//! scaling measurement, the AVX2 tier points on a host without AVX2) are
+//! reported but not ratcheted.
 //!
 //! Timing protocol: fast and reference passes alternate within each
 //! repetition (so drift hits both alike) and the per-iteration median over
@@ -28,18 +23,17 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, RgbdFrame, VideoId};
-use livo_codec2d::rangecoder::{
-    BitModel, BitSink, BitSource, LaneDecoder, LaneEncoder, RangeDecoder, RangeEncoder,
-};
-use livo_codec2d::reference::{decode_frame_reference, encode_frame_reference};
 use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
-use livo_core::{cull_views, cull_views_baseline, cull_views_reference};
+use livo_core::{cull_views, cull_views_reference};
 use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec3};
 use livo_runtime::WorkerPool;
 use livo_telemetry::json::ObjectWriter;
 
 /// Repetitions per kernel; the median is reported.
 const REPS: usize = 7;
+
+/// Minimum speedup `--gate` accepts on every gated point.
+pub const GATE_FLOOR: f64 = 1.0;
 
 /// One benchmarked kernel.
 pub struct KernelPoint {
@@ -50,15 +44,10 @@ pub struct KernelPoint {
     pub fast_ns: f64,
     /// Median wall-clock of the retained reference, nanoseconds.
     pub ref_ns: f64,
-    /// Whether `--gate` enforces `speedup() >= floor` for this point.
+    /// Whether `--gate` enforces `speedup() >= GATE_FLOOR` for this point.
     /// Informational points (thread-scaling measurements on an unknown
     /// core count) are reported but not ratcheted.
     pub gated: bool,
-    /// Minimum speedup `--gate` accepts. 1.0 for kernel-vs-reference
-    /// points; below 1.0 where the point is a noise-tolerant canary
-    /// (tier-vs-tier deltas, or a measured cost being bounded) rather
-    /// than a win being ratcheted.
-    pub floor: f64,
 }
 
 impl KernelPoint {
@@ -180,7 +169,6 @@ fn bench_cull() -> KernelPoint {
         fast_ns: (fast - clone_med).max(1.0),
         ref_ns: (naive - clone_med).max(1.0),
         gated: true,
-        floor: 1.0,
     }
 }
 
@@ -223,7 +211,6 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
             fast_ns: f_fast / per,
             ref_ns: f_ref / per,
             gated: true,
-            floor: 1.0,
         },
         KernelPoint {
             name: "dct_inverse",
@@ -231,7 +218,6 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
             fast_ns: i_fast / per,
             ref_ns: i_ref / per,
             gated: true,
-            floor: 1.0,
         },
     )
 }
@@ -275,91 +261,6 @@ fn bench_sad() -> KernelPoint {
         fast_ns: fast / count as f64,
         ref_ns: naive / count as f64,
         gated: true,
-        floor: 1.0,
-    }
-}
-
-fn bench_encode() -> KernelPoint {
-    const W: usize = 128;
-    const H: usize = 128;
-    const QP: u8 = 12;
-    let frames: Vec<Frame> = (0..3).map(|i| test_frame(W, H, i)).collect();
-    let (fast, naive) = time_pair(
-        || {
-            let mut cfg = EncoderConfig::new(W, H, PixelFormat::Yuv420);
-            cfg.gop_length = 0;
-            let mut enc = Encoder::new(cfg);
-            for f in &frames {
-                black_box(enc.encode_fixed_qp(f, QP));
-            }
-        },
-        || {
-            let mut prev: Option<Frame> = None;
-            for f in &frames {
-                let (bits, recon) = encode_frame_reference(f, prev.as_ref(), QP, 8);
-                black_box(bits);
-                prev = Some(recon);
-            }
-        },
-    );
-    KernelPoint {
-        name: "encode",
-        unit: "3 frames 128x128 yuv420, fixed qp, serial",
-        fast_ns: fast,
-        ref_ns: naive,
-        gated: true,
-        floor: 1.0,
-    }
-}
-
-fn bench_decode() -> KernelPoint {
-    const W: usize = 128;
-    const H: usize = 128;
-    const QP: u8 = 12;
-    let frames: Vec<Frame> = (0..3).map(|i| test_frame(W, H, i)).collect();
-
-    // Each decoder gets streams from its matching encoder (the closed DCT
-    // loops differ), so both sides decode one intra + two inter frames of
-    // identical content. Production streams use the default slicing
-    // (128×128 auto-slices to 2, i.e. the v2 bitstream); decode is serial.
-    let mut cfg = EncoderConfig::new(W, H, PixelFormat::Yuv420);
-    cfg.gop_length = 0;
-    let mut enc = Encoder::new(cfg);
-    let prod_streams: Vec<Vec<u8>> = frames
-        .iter()
-        .map(|f| enc.encode_fixed_qp(f, QP).data)
-        .collect();
-    let mut ref_streams = Vec::new();
-    let mut prev: Option<Frame> = None;
-    for f in &frames {
-        let (bits, recon) = encode_frame_reference(f, prev.as_ref(), QP, 8);
-        ref_streams.push(bits);
-        prev = Some(recon);
-    }
-
-    let (fast, naive) = time_pair(
-        || {
-            let mut dec = Decoder::new();
-            for s in &prod_streams {
-                black_box(dec.decode(s).expect("production stream decodes"));
-            }
-        },
-        || {
-            let mut prev: Option<Frame> = None;
-            for s in &ref_streams {
-                let f = decode_frame_reference(s, prev.as_ref()).expect("reference stream decodes");
-                black_box(&f);
-                prev = Some(f);
-            }
-        },
-    );
-    KernelPoint {
-        name: "decode",
-        unit: "3 frames 128x128 yuv420, qp 12, serial",
-        fast_ns: fast,
-        ref_ns: naive,
-        gated: true,
-        floor: 1.0,
     }
 }
 
@@ -410,7 +311,6 @@ fn bench_dct_avx2() -> (KernelPoint, KernelPoint) {
             fast_ns: f_fast / per,
             ref_ns: f_base / per,
             gated: avx2_gated(),
-            floor: 0.9,
         },
         KernelPoint {
             name: "idct_avx2",
@@ -418,7 +318,6 @@ fn bench_dct_avx2() -> (KernelPoint, KernelPoint) {
             fast_ns: i_fast / per,
             ref_ns: i_base / per,
             gated: avx2_gated(),
-            floor: 0.9,
         },
     )
 }
@@ -456,143 +355,6 @@ fn bench_sad_avx2() -> KernelPoint {
         fast_ns: fast / count as f64,
         ref_ns: base / count as f64,
         gated: avx2_gated(),
-        floor: 0.9,
-    }
-}
-
-fn bench_cull_avx2() -> KernelPoint {
-    let cameras: Vec<RgbdCamera> = rig::camera_ring(
-        3,
-        2.5,
-        1.2,
-        Vec3::new(0.0, 1.0, 0.0),
-        CameraIntrinsics::kinect_depth(0.2),
-    );
-    let preset = DatasetPreset::load(VideoId::Band2);
-    let snap = preset.scene.at(0.5);
-    let views: Vec<RgbdFrame> = cameras
-        .iter()
-        .map(|c| render_rgbd_at(c, &snap, 0))
-        .collect();
-    let frustum = Frustum::from_params(
-        &Pose::look_at(Vec3::new(1.0, 1.4, -2.5), Vec3::new(0.0, 1.0, 0.0), Vec3::Y),
-        &FrustumParams {
-            hfov: 0.9,
-            aspect: 1.3,
-            near: 0.1,
-            far: 8.0,
-        },
-    );
-    let (fast, base) = time_pair(
-        || {
-            let mut v = views.clone();
-            black_box(cull_views(&mut v, &cameras, &frustum));
-        },
-        || {
-            let mut v = views.clone();
-            black_box(cull_views_baseline(&mut v, &cameras, &frustum));
-        },
-    );
-    let mut clone_ns = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        black_box(views.clone());
-        clone_ns.push(t0.elapsed().as_nanos() as f64);
-    }
-    clone_ns.sort_by(f64::total_cmp);
-    let clone_med = clone_ns[REPS / 2];
-    KernelPoint {
-        name: "cull_avx2",
-        unit: "3 cameras, vs sse2/scalar tier",
-        fast_ns: (fast - clone_med).max(1.0),
-        ref_ns: (base - clone_med).max(1.0),
-        gated: avx2_gated(),
-        // Clone-median subtraction amplifies noise on this small kernel;
-        // the floor only catches an outright tier regression.
-        floor: 0.75,
-    }
-}
-
-/// Interleaved entropy lanes: decode throughput of a 4-lane payload vs the
-/// serial single-state range coder over the *same* symbol script (shared
-/// adaptive contexts, identical decisions). The serial coder is one long
-/// `(range, low)` carry chain; four round-robin states keep four chains in
-/// flight for the out-of-order window to overlap — *if* the core's decode
-/// throughput is carry-chain bound. Measured on narrow cores it is not
-/// (branch prediction and per-lane state traffic dominate), which is why
-/// `entropy_lanes` defaults off in `EncoderConfig` and this point gates at
-/// a sub-1.0 floor: it bounds the lane overhead rather than ratcheting a
-/// win, and records the honest ratio on the current host.
-fn bench_entropy_lanes() -> KernelPoint {
-    const SYMBOLS: usize = 200_000;
-    const CTX: usize = 16;
-
-    // Deterministic mixed script: ~2/3 context-modelled bits (skewed, so
-    // the models adapt as they do on real residuals), ~1/3 bypass.
-    let script: Vec<(usize, bool, bool)> = {
-        let mut s = 0x1234_5678_9abc_def1u64;
-        (0..SYMBOLS)
-            .map(|i| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                let modelled = i % 3 != 2;
-                let bit = if modelled {
-                    s.is_multiple_of(5)
-                } else {
-                    s & 1 == 0
-                };
-                (((s >> 8) % CTX as u64) as usize, modelled, bit)
-            })
-            .collect()
-    };
-    fn encode<S: BitSink>(enc: &mut S, script: &[(usize, bool, bool)]) {
-        let mut models = [BitModel::new(); CTX];
-        for &(ctx, modelled, bit) in script {
-            if modelled {
-                enc.encode_bit(&mut models[ctx], bit);
-            } else {
-                enc.encode_bypass(bit);
-            }
-        }
-    }
-    fn drain<D: BitSource>(dec: &mut D, script: &[(usize, bool, bool)]) -> u64 {
-        let mut models = [BitModel::new(); CTX];
-        let mut acc = 0u64;
-        for &(ctx, modelled, _) in script {
-            let bit = if modelled {
-                dec.decode_bit(&mut models[ctx])
-            } else {
-                dec.decode_bypass()
-            };
-            acc = acc.wrapping_add(bit as u64);
-        }
-        acc
-    }
-    let mut serial = RangeEncoder::new();
-    encode(&mut serial, &script);
-    let serial_bytes = serial.finish();
-    let mut laned = LaneEncoder::new(4);
-    encode(&mut laned, &script);
-    let lane_bytes = laned.finish_payload();
-
-    let (fast, slow) = time_pair(
-        || {
-            let mut dec = LaneDecoder::new(&lane_bytes, 4).expect("lane payload parses");
-            black_box(drain(&mut dec, &script));
-        },
-        || {
-            let mut dec = RangeDecoder::new(&serial_bytes);
-            black_box(drain(&mut dec, &script));
-        },
-    );
-    KernelPoint {
-        name: "entropy_lanes",
-        unit: "200k mixed bits, 4-lane vs 1-lane decode",
-        fast_ns: fast,
-        ref_ns: slow,
-        gated: true,
-        floor: 0.5,
     }
 }
 
@@ -637,7 +399,6 @@ fn bench_decode_sliced() -> KernelPoint {
         fast_ns: par / per,
         ref_ns: serial / per,
         gated: false,
-        floor: 1.0,
     }
 }
 
@@ -647,16 +408,12 @@ pub fn run() -> Vec<KernelPoint> {
     let (dct_f_avx2, dct_i_avx2) = bench_dct_avx2();
     vec![
         bench_cull(),
-        bench_cull_avx2(),
         dct_f,
         dct_i,
         dct_f_avx2,
         dct_i_avx2,
         bench_sad(),
         bench_sad_avx2(),
-        bench_entropy_lanes(),
-        bench_encode(),
-        bench_decode(),
         bench_decode_sliced(),
     ]
 }
@@ -680,16 +437,10 @@ pub fn text(points: &[KernelPoint]) -> String {
             p.ref_ns,
             p.speedup(),
             p.unit,
-            if !p.gated {
-                " [not gated]".to_string()
-            } else if p.floor != 1.0 {
-                format!(" [floor {:.2}x]", p.floor)
-            } else {
-                String::new()
-            }
+            if p.gated { "" } else { " [not gated]" }
         ));
     }
-    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref,\nlivo_codec2d::reference incl. decode_frame_reference) and double as\ndifferential-test oracles.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles.\n");
     s
 }
 
@@ -728,7 +479,7 @@ pub fn json(points: &[KernelPoint]) -> String {
             w.field_f64("ref_ns", p.ref_ns);
             w.field_f64("speedup", p.speedup());
             w.field_bool("gated", p.gated);
-            w.field_f64("gate_floor", p.floor);
+            w.field_f64("gate_floor", GATE_FLOOR);
             w.finish();
         }
         arr.push(']');
@@ -737,13 +488,11 @@ pub fn json(points: &[KernelPoint]) -> String {
     out
 }
 
-/// Perf ratchet: true when every gated kernel clears its per-point floor
-/// (1.0 for kernel-vs-reference points, looser for noise-prone tier
-/// comparisons and the `entropy_lanes` overhead canary). Non-gated points
-/// are informational.
+/// Perf ratchet: true when every gated kernel clears [`GATE_FLOOR`].
+/// Non-gated points are informational.
 pub fn gate_ok(points: &[KernelPoint]) -> bool {
     points
         .iter()
         .filter(|p| p.gated)
-        .all(|p| p.speedup() >= p.floor)
+        .all(|p| p.speedup() >= GATE_FLOOR)
 }

@@ -19,15 +19,12 @@
 //! sharded router falls behind the serial baseline at N=100, or churn
 //! intras violate the one-per-RTT guard.
 //!
-//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, full encode)
-//! against the retained pre-optimisation reference implementations, plus
-//! the AVX2 dispatch tier against its SSE2/scalar baseline and the 4-lane
-//! interleaved entropy decode against the serial range coder;
+//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD) against the
+//! retained pre-optimisation reference implementations, plus the AVX2
+//! dispatch tier of DCT and SAD against its SSE2/scalar baseline;
 //! `--json <path>` snapshots it (schema `livo-bench-kernels-v1`, committed
 //! as BENCH_kernels.json) and `--gate` exits non-zero if any gated
-//! kernel regressed below its per-point floor (1.0x for the classic
-//! kernel-vs-reference points; looser for the noise-prone tier
-//! comparisons and the entropy-lane overhead canary).
+//! kernel runs slower than what it replaced (floor 1.0x on every point).
 //!
 //! `conference` runs a traced 3-party SFU call and prints reconstructed
 //! per-frame capture→display paths; `--trace <path>` additionally writes

@@ -1,11 +1,10 @@
 //! The video decoder: the exact mirror of the encoder's closed loop.
 //!
-//! Both bitstream versions are supported: the legacy single-stream v1
-//! format decodes serially, and the sliced v2 format (see [`crate::slice`])
-//! decodes its independent slices concurrently when a worker pool is
-//! attached via [`Decoder::set_worker_pool`]. The reconstruction is
-//! bit-exact across pool sizes — slice geometry comes from the header, and
-//! each slice's entropy state is self-contained.
+//! Every frame is a sliced frame (see [`crate::slice`]); its independent
+//! slices decode concurrently when a worker pool is attached via
+//! [`Decoder::set_worker_pool`]. The reconstruction is bit-exact across pool
+//! sizes — slice geometry comes from the header, and each slice's entropy
+//! state is self-contained.
 //!
 //! Corrupt input must never panic: header inconsistencies map to
 //! [`DecodeError`], and past the header the range decoder is total (it
@@ -21,13 +20,11 @@ use livo_telemetry::{Counter, Histogram, MetricsRegistry};
 
 use crate::block::{decode_block, decode_svalue, CoeffContexts};
 use crate::dct;
-use crate::encoder::{
-    intra_dc_pred, plane_qp, run_slice_jobs, slice_lanes, FrameType, FRAME_MAGIC,
-};
+use crate::encoder::{plane_qp, run_slice_jobs, FrameType};
 use crate::motion::{self, MotionVector, MB_SIZE};
-use crate::plane::{write_block8_into_stripe, Frame, PixelFormat, Plane};
+use crate::plane::{write_block8_into_stripe, Frame, PixelFormat};
 use crate::quant::{self, DC_SCALE};
-use crate::rangecoder::{BitModel, BitSource, LaneDecoder, LaneFormatError, RangeDecoder};
+use crate::rangecoder::{BitModel, RangeDecoder};
 use crate::slice::{self, SliceRows};
 
 /// Decoding errors.
@@ -44,7 +41,7 @@ pub enum DecodeError {
     /// The buffer ends before the header (or the slice payloads it
     /// declares) is complete.
     Truncated,
-    /// The v2 slice table is inconsistent (zero or too many slices,
+    /// The slice table is inconsistent (zero or too many slices,
     /// impossible payload lengths, trailing bytes).
     BadSliceTable,
 }
@@ -65,23 +62,12 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-impl From<LaneFormatError> for DecodeError {
-    fn from(e: LaneFormatError) -> Self {
-        match e {
-            LaneFormatError::Truncated => DecodeError::Truncated,
-            LaneFormatError::BadTable => DecodeError::BadSliceTable,
-        }
-    }
-}
-
 /// Per-decoder scratch arena, the receive-side mirror of the encoder's
 /// `EncoderScratch`: the work frame the decode writes into (rotated with
 /// the reference frame after each commit, so the steady-state loop
-/// allocates only the one clone handed to the caller) and the reused
-/// motion-field buffer of the serial inter path.
+/// allocates only the one clone handed to the caller).
 struct DecoderScratch {
     work: Frame,
-    mvs: Vec<MotionVector>,
 }
 
 impl Default for DecoderScratch {
@@ -90,7 +76,6 @@ impl Default for DecoderScratch {
             // Zero-sized: matches no real frame, so the first decode always
             // allocates a correctly-shaped work frame.
             work: Frame::new(PixelFormat::Yuv420, 0, 0),
-            mvs: Vec::new(),
         }
     }
 }
@@ -126,7 +111,7 @@ struct DecoderTelemetry {
 #[derive(Default)]
 pub struct Decoder {
     recon: Option<Frame>,
-    /// Worker pool for slice-parallel v2 decode. `None` (or a single-thread
+    /// Worker pool for slice-parallel decode. `None` (or a single-thread
     /// pool) decodes slices serially; the output is identical either way.
     pool: Option<Arc<WorkerPool>>,
     scratch: DecoderScratch,
@@ -143,9 +128,8 @@ impl Decoder {
         Decoder::default()
     }
 
-    /// Decode v2 slices concurrently on `pool` (one task per slice). Legacy
-    /// v1 streams have a single entropy state and stay serial. A pool with
-    /// one thread behaves exactly like no pool.
+    /// Decode slices concurrently on `pool` (one task per slice). A pool
+    /// with one thread behaves exactly like no pool.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }
@@ -189,15 +173,10 @@ impl Decoder {
         self.recon = None;
     }
 
-    /// Decode one frame (either bitstream version; v2 is recognised by its
-    /// first byte, which a v1 range-coder stream can never emit).
+    /// Decode one frame.
     pub fn decode(&mut self, data: &[u8]) -> Result<Frame, DecodeError> {
         let start = Instant::now();
-        let result = if data.first() == Some(&slice::SLICED_MAGIC) {
-            self.decode_v2(data)
-        } else {
-            self.decode_v1(data).map(|f| (f, 1))
-        };
+        let result = self.decode_sliced(data);
         let stamp = self.trace_frame.take();
         match result {
             Ok((frame, n_slices)) => {
@@ -245,83 +224,9 @@ impl Decoder {
         frame
     }
 
-    /// Decode a legacy v1 single-stream frame (serial by construction: one
-    /// adaptive entropy state spans the whole frame).
-    fn decode_v1(&mut self, data: &[u8]) -> Result<Frame, DecodeError> {
-        let mut dec = RangeDecoder::new(data);
-        if dec.decode_bits(8) != FRAME_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let frame_type = if dec.decode_bits(1) == 1 {
-            FrameType::Inter
-        } else {
-            FrameType::Intra
-        };
-        let qp = dec.decode_bits(6) as u8;
-        let width = dec.decode_bits(16) as usize;
-        let height = dec.decode_bits(16) as usize;
-        let format = match dec.decode_bits(2) {
-            0 => PixelFormat::Yuv420,
-            1 => PixelFormat::Y16,
-            _ => return Err(DecodeError::BadHeader),
-        };
-        if width == 0
-            || height == 0
-            || width as u64 * height as u64 > slice::MAX_DECODE_PIXELS
-            || qp > quant::QP_MAX
-        {
-            return Err(DecodeError::BadHeader);
-        }
-
-        if self.scratch.ensure_work(format, width, height) {
-            if let Some(t) = &self.telemetry {
-                t.scratch_reuses.inc();
-            }
-        }
-        let DecoderScratch { work, mvs } = &mut self.scratch;
-        let peak = format.peak_value();
-
-        match frame_type {
-            FrameType::Intra => {
-                for pi in 0..format.plane_count() {
-                    let step = quant::qstep(plane_qp(qp, pi, format));
-                    let mut coeff = CoeffContexts::new();
-                    decode_plane_intra(&mut dec, &mut coeff, &mut work.planes[pi], step, peak);
-                }
-            }
-            FrameType::Inter => {
-                let prev = self.recon.as_ref().ok_or(DecodeError::MissingReference)?;
-                if (prev.width, prev.height, prev.format) != (width, height, format) {
-                    return Err(DecodeError::MissingReference);
-                }
-                let step = quant::qstep(plane_qp(qp, 0, format));
-                decode_plane_inter_luma(
-                    &mut dec,
-                    &prev.planes[0],
-                    &mut work.planes[0],
-                    step,
-                    peak,
-                    mvs,
-                );
-                for pi in 1..format.plane_count() {
-                    let cstep = quant::qstep(plane_qp(qp, pi, format));
-                    decode_plane_inter_chroma(
-                        &mut dec,
-                        &prev.planes[pi],
-                        &mut work.planes[pi],
-                        cstep,
-                        peak,
-                        mvs,
-                        width,
-                    );
-                }
-            }
-        }
-        Ok(self.commit())
-    }
-
-    /// Decode a sliced v2 frame; returns the frame and its slice count.
-    fn decode_v2(&mut self, data: &[u8]) -> Result<(Frame, usize), DecodeError> {
+    /// Parse the header and decode every slice; returns the frame and its
+    /// slice count.
+    fn decode_sliced(&mut self, data: &[u8]) -> Result<(Frame, usize), DecodeError> {
         let hdr = slice::parse_header(data)?;
         // Refinement payloads are not standalone frames — they patch an
         // already-decoded base frame via `apply_refinement` and must never
@@ -356,32 +261,19 @@ impl Decoder {
                 slice::split_plane_rows(&mut p.data, p.width, &rows).into_iter()
             })
             .collect();
-        // Each job carries its own result slot: slice decode can fail on a
-        // corrupt in-payload lane table, and errors must surface without
-        // committing the work frame.
-        let mut results: Vec<Result<(), DecodeError>> = vec![Ok(()); n_slices];
-        type SliceJob<'a> = (
-            SliceRows,
-            &'a [u8],
-            Vec<&'a mut [u16]>,
-            &'a mut Result<(), DecodeError>,
-        );
         let jobs: Vec<SliceJob<'_>> = slices
             .iter()
             .zip(payloads)
-            .zip(results.iter_mut())
-            .map(|((sr, payload), out)| {
+            .map(|(sr, payload)| {
                 let stripes = per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
-                (*sr, payload, stripes, out)
+                (*sr, payload, stripes)
             })
             .collect();
-        let use_lanes = hdr.lanes;
 
         match hdr.frame_type {
             FrameType::Intra => {
-                run_slice_jobs(pool, jobs, |(sr, payload, mut stripes, out)| {
-                    let lanes = slice_lanes(use_lanes, &sr);
-                    *out = decode_intra_slice(
+                run_slice_jobs(pool, jobs, |(sr, payload, mut stripes)| {
+                    decode_intra_slice(
                         payload,
                         &sr,
                         &mut stripes,
@@ -390,7 +282,6 @@ impl Decoder {
                         hdr.height,
                         hdr.qp,
                         peak,
-                        lanes,
                     );
                 });
             }
@@ -399,23 +290,18 @@ impl Decoder {
                 if (prev.width, prev.height, prev.format) != (hdr.width, hdr.height, hdr.format) {
                     return Err(DecodeError::MissingReference);
                 }
-                run_slice_jobs(pool, jobs, |(sr, payload, mut stripes, out)| {
-                    let lanes = slice_lanes(use_lanes, &sr);
-                    *out =
-                        decode_inter_slice(payload, &sr, &mut stripes, prev, hdr.qp, peak, lanes);
+                run_slice_jobs(pool, jobs, |(sr, payload, mut stripes)| {
+                    decode_inter_slice(payload, &sr, &mut stripes, prev, hdr.qp, peak);
                 });
             }
-        }
-        for r in results {
-            r?;
         }
         Ok((self.commit(), n_slices))
     }
 
     /// Apply a refinement payload (flag bit 5) onto an already-displayed
     /// `base` frame: each fine-QP intra band is decoded into a working copy
-    /// of `base`, and only on full success does the copy replace `*base` —
-    /// a corrupt refinement leaves the base pixels untouched. The decoder's
+    /// of `base`, which replaces `*base` once every band is written — a
+    /// rejected refinement leaves the base pixels untouched. The decoder's
     /// prediction state (`recon`, scratch work frame) is never read or
     /// written, so late refinement can never drift the inter loop; `&self`
     /// enforces that statically. Returns the number of bands applied.
@@ -448,8 +334,8 @@ impl Decoder {
         let peak = hdr.format.peak_value();
         let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
 
-        // Decode into a working copy so a mid-frame error can't leave a
-        // half-refined display frame behind.
+        // Decode into a working copy; `*base` is replaced only once every
+        // band has been written.
         let mut work = base.clone();
         let mut per_plane: Vec<std::vec::IntoIter<&mut [u16]>> = work
             .planes
@@ -460,26 +346,16 @@ impl Decoder {
                 slice::carve_plane_rows(&mut p.data, p.width, &rows).into_iter()
             })
             .collect();
-        let mut results: Vec<Result<(), DecodeError>> = vec![Ok(()); n_slices];
-        type SliceJob<'a> = (
-            SliceRows,
-            &'a [u8],
-            Vec<&'a mut [u16]>,
-            &'a mut Result<(), DecodeError>,
-        );
         let jobs: Vec<SliceJob<'_>> = slices
             .iter()
             .zip(payloads)
-            .zip(results.iter_mut())
-            .map(|((sr, payload), out)| {
+            .map(|(sr, payload)| {
                 let stripes = per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
-                (*sr, payload, stripes, out)
+                (*sr, payload, stripes)
             })
             .collect();
-        let use_lanes = hdr.lanes;
-        run_slice_jobs(pool, jobs, |(sr, payload, mut stripes, out)| {
-            let lanes = slice_lanes(use_lanes, &sr);
-            *out = decode_intra_slice(
+        run_slice_jobs(pool, jobs, |(sr, payload, mut stripes)| {
+            decode_intra_slice(
                 payload,
                 &sr,
                 &mut stripes,
@@ -488,22 +364,21 @@ impl Decoder {
                 hdr.height,
                 hdr.qp,
                 peak,
-                lanes,
             );
         });
         drop(per_plane);
-        for r in results {
-            r?;
-        }
         *base = work;
         Ok(n_slices)
     }
 }
 
-/// Slice the payload region of a parsed v2 buffer into per-slice byte
+/// One slice's decode job: its rows, payload bytes and plane stripes.
+type SliceJob<'a> = (SliceRows, &'a [u8], Vec<&'a mut [u16]>);
+
+/// Slice the payload region of a parsed buffer into per-slice byte
 /// ranges. `parse_header` already validated that the lengths sum exactly to
 /// the buffer end.
-fn slice_payloads<'a>(data: &'a [u8], hdr: &slice::V2Header) -> Vec<&'a [u8]> {
+fn slice_payloads<'a>(data: &'a [u8], hdr: &slice::FrameHeader) -> Vec<&'a [u8]> {
     let n = hdr.payload_lens.len();
     let mut offset = if hdr.geometry.is_some() {
         slice::header_len_explicit(n)
@@ -518,83 +393,16 @@ fn slice_payloads<'a>(data: &'a [u8], hdr: &slice::V2Header) -> Vec<&'a [u8]> {
     payloads
 }
 
-fn decode_plane_intra(
-    dec: &mut RangeDecoder<'_>,
-    coeff: &mut CoeffContexts,
-    plane: &mut Plane,
-    step: f32,
-    peak: u16,
-) {
-    for by in (0..plane.height).step_by(8) {
-        for bx in (0..plane.width).step_by(8) {
-            let levels = decode_block(dec, coeff);
-            let pred = intra_dc_pred(plane, bx, by, peak);
-            let deq = quant::dequantize_block(&levels, step, DC_SCALE);
-            let mut rec = dct::inverse(&deq);
-            for v in &mut rec {
-                *v += pred;
-            }
-            plane.write_block8(bx, by, &rec, peak);
-        }
-    }
-}
-
-fn decode_plane_inter_luma(
-    dec: &mut RangeDecoder<'_>,
-    prev: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-    mvs: &mut Vec<MotionVector>,
-) {
-    let mbs_x = recon.width.div_ceil(MB_SIZE);
-    let mbs_y = recon.height.div_ceil(MB_SIZE);
-    mvs.clear();
-    mvs.resize(mbs_x * mbs_y, MotionVector::default());
-    let mut coeff = CoeffContexts::new();
-    let mut skip_model = BitModel::new();
-    let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
-    for mby in 0..mbs_y {
-        for mbx in 0..mbs_x {
-            let bx = mbx * MB_SIZE;
-            let by = mby * MB_SIZE;
-            let pred_mv = if mbx > 0 {
-                mvs[mby * mbs_x + mbx - 1]
-            } else {
-                MotionVector::default()
-            };
-            let skip = dec.decode_bit(&mut skip_model);
-            let (mv, levels4) = if skip {
-                (pred_mv, None)
-            } else {
-                (
-                    decode_mv(dec, pred_mv),
-                    Some(decode_levels4(dec, &mut coeff)),
-                )
-            };
-            mvs[mby * mbs_x + mbx] = mv;
-            motion::predict_block(prev, bx, by, mv, &mut pred_buf);
-            for sb in 0..4 {
-                let ox = (sb % 2) * 8;
-                let oy = (sb / 2) * 8;
-                let mut rec = [0i32; 64];
-                reconstruct_luma_subblock(&mut rec, &levels4, sb, ox, oy, &pred_buf, step);
-                recon.write_block8(bx + ox, by + oy, &rec, peak);
-            }
-        }
-    }
-}
-
 /// Decode a motion-vector difference and add the predictor. Corrupt
 /// streams can produce arbitrary magnitudes; the wrapping arithmetic keeps
 /// the result a (garbage but valid) vector instead of overflowing.
-fn decode_mv<D: BitSource>(dec: &mut D, pred_mv: MotionVector) -> MotionVector {
+fn decode_mv(dec: &mut RangeDecoder<'_>, pred_mv: MotionVector) -> MotionVector {
     let dx = (decode_svalue(dec) as i16).wrapping_add(pred_mv.dx);
     let dy = (decode_svalue(dec) as i16).wrapping_add(pred_mv.dy);
     MotionVector { dx, dy }
 }
 
-fn decode_levels4<D: BitSource>(dec: &mut D, coeff: &mut CoeffContexts) -> [[i32; 64]; 4] {
+fn decode_levels4(dec: &mut RangeDecoder<'_>, coeff: &mut CoeffContexts) -> [[i32; 64]; 4] {
     let mut levels4 = [[0i32; 64]; 4];
     for l in &mut levels4 {
         *l = decode_block(dec, coeff);
@@ -633,47 +441,10 @@ fn reconstruct_luma_subblock(
     }
 }
 
-fn decode_plane_inter_chroma(
-    dec: &mut RangeDecoder<'_>,
-    prev: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-    luma_mvs: &[MotionVector],
-    luma_width: usize,
-) {
-    let mbs_x = luma_width.div_ceil(MB_SIZE);
-    let mut coeff = CoeffContexts::new();
-    for by in (0..recon.height).step_by(8) {
-        for bx in (0..recon.width).step_by(8) {
-            let mb_index = (by / 8) * mbs_x + (bx / 8);
-            let mv = luma_mvs.get(mb_index).copied().unwrap_or_default();
-            let cmv = MotionVector {
-                dx: mv.dx / 2,
-                dy: mv.dy / 2,
-            };
-            let levels = decode_block(dec, &mut coeff);
-            let deq = quant::dequantize_block(&levels, step, DC_SCALE);
-            let res = dct::inverse(&deq);
-            let mut rec = [0i32; 64];
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let pred = prev.get_clamped(
-                        (bx + dx) as isize + cmv.dx as isize,
-                        (by + dy) as isize + cmv.dy as isize,
-                    ) as i32;
-                    rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
-                }
-            }
-            recon.write_block8(bx, by, &rec, peak);
-        }
-    }
-}
-
 /// Decode one intra slice into its plane stripes — the exact mirror of the
 /// encoder's `encode_intra_slice`: plane-major, fresh contexts per plane,
-/// slice-local DC prediction. Errors only on a corrupt in-payload lane
-/// table; past that the bit source is total.
+/// slice-local DC prediction. Total on corrupt input: the range decoder
+/// reads zeros past the end of the payload.
 #[allow(clippy::too_many_arguments)]
 fn decode_intra_slice(
     payload: &[u8],
@@ -684,31 +455,8 @@ fn decode_intra_slice(
     height: usize,
     qp: u8,
     peak: u16,
-    lanes: usize,
-) -> Result<(), DecodeError> {
-    if lanes <= 1 {
-        let mut dec = RangeDecoder::new(payload);
-        intra_slice_pixels(&mut dec, sr, stripes, format, width, height, qp, peak);
-    } else {
-        let mut dec = LaneDecoder::new(payload, lanes)?;
-        intra_slice_pixels(&mut dec, sr, stripes, format, width, height, qp, peak);
-    }
-    Ok(())
-}
-
-/// The intra slice symbol script, generic over the bit source (the mirror
-/// of the encoder's `intra_slice_bits`).
-#[allow(clippy::too_many_arguments)]
-fn intra_slice_pixels<D: BitSource>(
-    dec: &mut D,
-    sr: &SliceRows,
-    stripes: &mut [&mut [u16]],
-    format: PixelFormat,
-    width: usize,
-    height: usize,
-    qp: u8,
-    peak: u16,
 ) {
+    let mut dec = RangeDecoder::new(payload);
     for (pi, stripe) in stripes.iter_mut().enumerate() {
         let (pw, _) = format.plane_dims(pi, width, height);
         let step = quant::qstep(plane_qp(qp, pi, format));
@@ -716,7 +464,7 @@ fn intra_slice_pixels<D: BitSource>(
         let mut coeff = CoeffContexts::new();
         for by in (r0..r1).step_by(8) {
             for bx in (0..pw).step_by(8) {
-                let levels = decode_block(dec, &mut coeff);
+                let levels = decode_block(&mut dec, &mut coeff);
                 let pred = slice::intra_dc_pred_stripe(stripe, pw, r0, bx, by, peak);
                 let deq = quant::dequantize_block(&levels, step, DC_SCALE);
                 let mut rec = dct::inverse(&deq);
@@ -732,8 +480,7 @@ fn intra_slice_pixels<D: BitSource>(
 /// Decode one inter slice into its plane stripes — the mirror of the
 /// encoder's `entropy_inter_slice` walk: the slice's luma macroblock rows
 /// (left-neighbour MV prediction, reset per row), then each chroma plane's
-/// matching block rows against the halved luma motion field. Errors only on
-/// a corrupt in-payload lane table.
+/// matching block rows against the halved luma motion field.
 fn decode_inter_slice(
     payload: &[u8],
     sr: &SliceRows,
@@ -741,28 +488,8 @@ fn decode_inter_slice(
     prev: &Frame,
     qp: u8,
     peak: u16,
-    lanes: usize,
-) -> Result<(), DecodeError> {
-    if lanes <= 1 {
-        let mut dec = RangeDecoder::new(payload);
-        inter_slice_pixels(&mut dec, sr, stripes, prev, qp, peak);
-    } else {
-        let mut dec = LaneDecoder::new(payload, lanes)?;
-        inter_slice_pixels(&mut dec, sr, stripes, prev, qp, peak);
-    }
-    Ok(())
-}
-
-/// The inter slice symbol script, generic over the bit source (the mirror
-/// of the encoder's `inter_slice_bits`).
-fn inter_slice_pixels<D: BitSource>(
-    dec: &mut D,
-    sr: &SliceRows,
-    stripes: &mut [&mut [u16]],
-    prev: &Frame,
-    qp: u8,
-    peak: u16,
 ) {
+    let mut dec = RangeDecoder::new(payload);
     let format = prev.format;
     let width = prev.width;
     let mbs_x = width.div_ceil(MB_SIZE);
@@ -788,8 +515,8 @@ fn inter_slice_pixels<D: BitSource>(
                 (pred_mv, None)
             } else {
                 (
-                    decode_mv(&mut *dec, pred_mv),
-                    Some(decode_levels4(&mut *dec, &mut coeff)),
+                    decode_mv(&mut dec, pred_mv),
+                    Some(decode_levels4(&mut dec, &mut coeff)),
                 )
             };
             mvs[row * mbs_x + mbx] = mv;
@@ -819,7 +546,7 @@ fn inter_slice_pixels<D: BitSource>(
                     dx: mv.dx / 2,
                     dy: mv.dy / 2,
                 };
-                let levels = decode_block(&mut *dec, &mut cctx);
+                let levels = decode_block(&mut dec, &mut cctx);
                 let deq = quant::dequantize_block(&levels, cstep, DC_SCALE);
                 let res = dct::inverse(&deq);
                 let mut rec = [0i32; 64];
@@ -898,7 +625,6 @@ mod tests {
 
     #[test]
     fn sliced_round_trip_matches_encoder() {
-        // 128×128 auto-slices to 2: exercises the v2 path end to end.
         let mut cfg = EncoderConfig::new(128, 128, PixelFormat::Yuv420);
         cfg.slices = 4;
         let mut enc = Encoder::new(cfg);
@@ -906,7 +632,7 @@ mod tests {
         for i in 0..6 {
             let f = test_frame(128, 128, i);
             let out = enc.encode(&f, 120_000);
-            assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i} should be v2");
+            assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i}");
             let decoded = dec.decode(&out.data).unwrap();
             assert_eq!(decoded, out.reconstruction, "frame {i}");
         }
@@ -924,7 +650,7 @@ mod tests {
                 .collect();
             let f = Frame::from_y16(96, 96, samples);
             let out = enc.encode(&f, 200_000);
-            assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i} should be v2");
+            assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i}");
             let decoded = dec.decode(&out.data).unwrap();
             assert_eq!(decoded, out.reconstruction, "frame {i}");
         }
@@ -971,7 +697,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let mut dec = Decoder::new();
-        // A stream of zeros decodes bits as 0 ≠ FRAME_MAGIC.
+        // 0x00 opened every frame of the retired v1 container.
         assert_eq!(dec.decode(&[0u8; 32]), Err(DecodeError::BadMagic));
     }
 

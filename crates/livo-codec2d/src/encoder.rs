@@ -6,16 +6,13 @@ use crate::dct;
 use crate::motion::{self, MotionVector, MB_SIZE};
 use crate::plane::{write_block8_into_stripe, Frame, PixelFormat, Plane};
 use crate::quant::{self, DC_SCALE};
-use crate::rangecoder::{BitModel, BitSink, LaneEncoder, RangeEncoder};
+use crate::rangecoder::{BitModel, RangeEncoder};
 use crate::ratecontrol::RateController;
 use crate::slice::{self, SliceRows};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace};
 use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
-
-/// Magic byte opening every encoded frame.
-pub const FRAME_MAGIC: u32 = 0xA7;
 
 /// Frame type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,25 +37,11 @@ pub struct EncoderConfig {
     pub qp_max: u8,
     /// Motion search range in pixels per axis.
     pub search_range: i16,
-    /// Entropy slices per frame for the v2 bitstream. `0` (the default)
-    /// picks automatically from the frame height — see
-    /// [`slice::slice_count`]; an effective count of 1 emits the legacy v1
-    /// (unsliced) bitstream. The count never depends on the worker-pool
-    /// size, so the bitstream is identical however many threads encode it.
+    /// Entropy slices per frame. `0` (the default) picks automatically
+    /// from the frame height — see [`slice::slice_count`]; small frames get
+    /// one slice. The count never depends on the worker-pool size, so the
+    /// bitstream is identical however many threads encode it.
     pub slices: u8,
-    /// Interleave each v2 slice's symbols across multiple independent
-    /// range-coder lanes (bitstream flag bit 3; see [`crate::rangecoder`]).
-    /// Lane count per slice is a pure function of slice geometry
-    /// ([`slice::lane_count`]), so the bitstream stays pool-independent.
-    /// Has no effect on the legacy v1 (unsliced) bitstream.
-    ///
-    /// Off by default: whether the interleave's extra per-bit state traffic
-    /// is repaid by the independent carry chains is microarchitecture-
-    /// dependent, and on narrow cores the measured decode cost is 15-40%
-    /// (the `entropy_lanes` point in `repro kernels` records the ratio on
-    /// the current host). Both lane layouts decode regardless of this
-    /// setting.
-    pub entropy_lanes: bool,
 }
 
 impl EncoderConfig {
@@ -72,7 +55,6 @@ impl EncoderConfig {
             qp_max: quant::QP_MAX,
             search_range: 8,
             slices: 0,
-            entropy_lanes: false,
         }
     }
 }
@@ -117,21 +99,6 @@ impl EncodedFrame {
     /// Size of the bitstream in bits.
     pub fn bits(&self) -> u64 {
         self.data.len() as u64 * 8
-    }
-}
-
-/// Per-plane adaptive contexts, reset every frame.
-struct PlaneContexts {
-    coeff: CoeffContexts,
-    skip: BitModel,
-}
-
-impl PlaneContexts {
-    fn new() -> Self {
-        PlaneContexts {
-            coeff: CoeffContexts::new(),
-            skip: BitModel::new(),
-        }
     }
 }
 
@@ -213,17 +180,18 @@ pub struct Encoder {
     /// Input frame of the previous call, for temporal complexity estimation.
     prev_input_luma: Option<Plane>,
     telemetry: Option<EncoderTelemetry>,
-    /// Worker pool for stripe-parallel inter-frame planning. `None` (or a
-    /// single-thread pool) keeps the original single-pass serial path.
+    /// Worker pool for stripe-parallel inter-frame planning and
+    /// slice-parallel entropy coding. `None` (or a single-thread pool) runs
+    /// the same tasks serially.
     pool: Option<Arc<WorkerPool>>,
     /// Reused per-frame buffers (plans, motion field, work reconstruction).
     scratch: EncoderScratch,
-    /// Uncompressed v2 header+table bits of the last `encode_with_qp` call
-    /// (0 for v1 frames); published as the `slice_header_bits` counter.
+    /// Uncompressed header+table bits of the last `encode_with_qp` call;
+    /// published as the `slice_header_bits` counter.
     last_header_bits: u64,
     /// Explicit slice geometry (macroblock-row bands). When set, every
-    /// encode emits the v2 bitstream with this geometry in the header
-    /// (flag bit 4) instead of the derived `(height, S)` partition — the
+    /// encode carries this geometry in the header (flag bit 4) instead of
+    /// the derived `(height, S)` partition — the
     /// tile-aligned mode that makes each tile row independently decodable
     /// and refinement-addressable.
     slice_bands: Option<Vec<(u16, u16)>>,
@@ -236,7 +204,22 @@ pub struct Encoder {
 }
 
 impl Encoder {
+    /// Panics when the frame size does not fit the bitstream header
+    /// (`width` and `height` are stored as `u16`) or exceeds what
+    /// [`Decoder`](crate::Decoder) accepts.
     pub fn new(cfg: EncoderConfig) -> Self {
+        for (field, v) in [("width", cfg.width), ("height", cfg.height)] {
+            assert!(
+                (1..=u16::MAX as usize).contains(&v),
+                "EncoderConfig::{field} {v} outside 1..=65535"
+            );
+        }
+        assert!(
+            cfg.width as u64 * cfg.height as u64 <= slice::MAX_DECODE_PIXELS,
+            "EncoderConfig::width x height = {} pixels exceeds the decoder's limit of {}",
+            cfg.width as u64 * cfg.height as u64,
+            slice::MAX_DECODE_PIXELS
+        );
         Encoder {
             cfg,
             rc: RateController::new(),
@@ -255,11 +238,11 @@ impl Encoder {
     }
 
     /// Run inter-frame motion search / transform / quantisation / closed-loop
-    /// reconstruction stripe-parallel on `pool` (one task per macroblock row).
-    /// The entropy pass stays serial, so the bitstream is bit-exact with the
-    /// serial encoder; intra frames are unaffected (their DC prediction is a
-    /// wavefront dependency that does not row-decompose). A pool with one
-    /// thread behaves exactly like no pool.
+    /// reconstruction stripe-parallel on `pool` (one task per macroblock row)
+    /// and the entropy stage slice-parallel (one task per slice; an intra
+    /// slice also transforms and reconstructs its own rows). Slice geometry
+    /// never depends on the pool, so the bitstream is byte-identical at any
+    /// pool size. A pool with one thread behaves exactly like no pool.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }
@@ -288,7 +271,7 @@ impl Encoder {
         });
     }
 
-    /// Pin the v2 entropy-slice geometry to explicit macroblock-row bands
+    /// Pin the entropy-slice geometry to explicit macroblock-row bands
     /// (e.g. [`crate::slice::tile_aligned_bands`] of a tile layout), or
     /// restore the derived partition with `None`. Bands must be contiguous
     /// and cover the frame; the geometry travels in the bitstream header,
@@ -529,178 +512,28 @@ impl Encoder {
     /// Deterministically encode `frame` at the given QP into the scratch
     /// work frame, returning the bitstream and the skip/coded block
     /// statistics. The reconstruction is left in `self.scratch.work_recon`
-    /// for [`Encoder::commit_reconstruction`] to rotate in. Dispatches on
-    /// the effective slice count: one slice emits the legacy v1 bitstream,
-    /// more emit the sliced v2 bitstream (see [`crate::slice`]).
+    /// for [`Encoder::commit_reconstruction`] to rotate in.
+    ///
+    /// The frame is partitioned into the explicit bands when set, else into
+    /// [`slice::slice_count`] slices (see [`crate::slice`]). Inter frames
+    /// are planned per macroblock row, then the entropy stage runs one
+    /// independent range coder per slice — in parallel on the pool when one
+    /// is attached — and the frame is assembled as header + length table +
+    /// concatenated payloads. Slice geometry never depends on the pool, so
+    /// the bitstream is identical at any thread count.
     fn encode_with_qp(
         &mut self,
         frame: &Frame,
         qp: u8,
         frame_type: FrameType,
     ) -> (Vec<u8>, BlockCounts) {
-        if let Some(bands) = self.slice_bands.clone() {
-            let slices = slice::rows_for_bands(frame.format, frame.height, &bands);
-            return self.encode_v2(frame, qp, frame_type, slices, Some(bands));
-        }
-        let n_slices = slice::slice_count(self.cfg.slices, frame.height);
-        if n_slices <= 1 {
-            self.encode_v1(frame, qp, frame_type)
-        } else {
-            let slices = slice::partition(frame.format, frame.height, n_slices);
-            self.encode_v2(frame, qp, frame_type, slices, None)
-        }
-    }
-
-    /// The legacy single-stream (v1) encode: one range coder over the whole
-    /// frame, with the plan/entropy split when a pool is attached.
-    fn encode_v1(
-        &mut self,
-        frame: &Frame,
-        qp: u8,
-        frame_type: FrameType,
-    ) -> (Vec<u8>, BlockCounts) {
-        self.last_header_bits = 0;
-        // Detach the arena so its buffers and `self`'s other fields (the
-        // prediction reference, config, pool) can be borrowed side by side.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if scratch.ensure_work_recon(frame.format, frame.width, frame.height) {
-            if let Some(t) = &self.telemetry {
-                t.scratch_reuses.inc();
+        let slices = match &self.slice_bands {
+            Some(bands) => slice::rows_for_bands(frame.format, frame.height, bands),
+            None => {
+                let n = slice::slice_count(self.cfg.slices, frame.height);
+                slice::partition(frame.format, frame.height, n)
             }
-        }
-
-        let mut enc = RangeEncoder::new();
-        // Header.
-        enc.encode_bits(FRAME_MAGIC, 8);
-        enc.encode_bits(matches!(frame_type, FrameType::Inter) as u32, 1);
-        enc.encode_bits(qp as u32, 6);
-        enc.encode_bits(frame.width as u32, 16);
-        enc.encode_bits(frame.height as u32, 16);
-        enc.encode_bits(matches!(frame.format, PixelFormat::Y16) as u32, 2);
-
-        let recon = &mut scratch.work_recon;
-        let peak = frame.format.peak_value();
-        let mut counts = BlockCounts::default();
-
-        match frame_type {
-            FrameType::Intra => {
-                for (pi, plane) in frame.planes.iter().enumerate() {
-                    let plane_qp = plane_qp(qp, pi, frame.format);
-                    let step = quant::qstep(plane_qp);
-                    let mut ctx = PlaneContexts::new();
-                    encode_plane_intra(
-                        &mut enc,
-                        &mut ctx,
-                        plane,
-                        &mut recon.planes[pi],
-                        step,
-                        peak,
-                        &mut counts,
-                    );
-                }
-            }
-            FrameType::Inter => {
-                let prev = self.recon.as_ref().expect("inter frame without reference");
-                let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-                // Luma with motion estimation; record vectors for chroma.
-                let luma_qp = plane_qp(qp, 0, frame.format);
-                let step = quant::qstep(luma_qp);
-                let mut ctx = PlaneContexts::new();
-                let mvs = &mut scratch.mvs;
-                match pool {
-                    Some(pool) => {
-                        // Parallel plan (search/DCT/quant/recon per MB row),
-                        // then a serial range-coder replay in raster order so
-                        // the bitstream is bit-exact with the serial path.
-                        plan_plane_inter_luma(
-                            Some(pool),
-                            &frame.planes[0],
-                            &prev.planes[0],
-                            &mut recon.planes[0],
-                            step,
-                            peak,
-                            self.cfg.search_range,
-                            &mut scratch.luma_plans,
-                        );
-                        entropy_plane_inter_luma(
-                            &mut enc,
-                            &mut ctx,
-                            &scratch.luma_plans,
-                            &mut counts,
-                            mvs,
-                        );
-                    }
-                    None => encode_plane_inter_luma(
-                        &mut enc,
-                        &mut ctx,
-                        &frame.planes[0],
-                        &prev.planes[0],
-                        &mut recon.planes[0],
-                        step,
-                        peak,
-                        self.cfg.search_range,
-                        &mut counts,
-                        mvs,
-                    ),
-                }
-                for pi in 1..frame.planes.len() {
-                    let cq = plane_qp(qp, pi, frame.format);
-                    let cstep = quant::qstep(cq);
-                    let mut cctx = PlaneContexts::new();
-                    match pool {
-                        Some(pool) => {
-                            plan_plane_inter_chroma(
-                                Some(pool),
-                                &frame.planes[pi],
-                                &prev.planes[pi],
-                                &mut recon.planes[pi],
-                                cstep,
-                                peak,
-                                mvs,
-                                frame.planes[0].width,
-                                &mut scratch.chroma_plans[pi - 1],
-                            );
-                            entropy_plane_inter_chroma(
-                                &mut enc,
-                                &mut cctx,
-                                &scratch.chroma_plans[pi - 1],
-                                &mut counts,
-                            );
-                        }
-                        None => encode_plane_inter_chroma(
-                            &mut enc,
-                            &mut cctx,
-                            &frame.planes[pi],
-                            &prev.planes[pi],
-                            &mut recon.planes[pi],
-                            cstep,
-                            peak,
-                            mvs,
-                            frame.planes[0].width,
-                            &mut counts,
-                        ),
-                    }
-                }
-            }
-        }
-        self.scratch = scratch;
-        (enc.finish(), counts)
-    }
-
-    /// Sliced (v2) encode: the plan phase is shared with v1, but the
-    /// entropy stage runs one independent range coder per slice — in
-    /// parallel on the pool when one is attached — and the frame is
-    /// assembled as header + length table + concatenated payloads. Slice
-    /// geometry is a function of the frame height only, never the pool, so
-    /// the bitstream is identical at any thread count.
-    fn encode_v2(
-        &mut self,
-        frame: &Frame,
-        qp: u8,
-        frame_type: FrameType,
-        slices: Vec<SliceRows>,
-        geometry: Option<Vec<(u16, u16)>>,
-    ) -> (Vec<u8>, BlockCounts) {
+        };
         let n_slices = slices.len();
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.ensure_work_recon(frame.format, frame.width, frame.height) {
@@ -710,7 +543,6 @@ impl Encoder {
         }
         let peak = frame.format.peak_value();
         let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-        let use_lanes = self.cfg.entropy_lanes;
         let mut payloads: Vec<(Vec<u8>, BlockCounts)> = Vec::new();
         payloads.resize_with(n_slices, Default::default);
 
@@ -744,8 +576,7 @@ impl Encoder {
                     })
                     .collect();
                 run_slice_jobs(pool, jobs, |(sr, mut stripes, out)| {
-                    let lanes = slice_lanes(use_lanes, &sr);
-                    *out = encode_intra_slice(frame, &sr, &mut stripes, qp, peak, lanes);
+                    *out = encode_intra_slice(frame, &sr, &mut stripes, qp, peak);
                 });
             }
             FrameType::Inter => {
@@ -785,9 +616,7 @@ impl Encoder {
                 let jobs: Vec<(SliceRows, &mut (Vec<u8>, BlockCounts))> =
                     slices.iter().copied().zip(payloads.iter_mut()).collect();
                 run_slice_jobs(pool, jobs, |(sr, out)| {
-                    let lanes = slice_lanes(use_lanes, &sr);
-                    *out =
-                        entropy_inter_slice(&sr, luma_plans, chroma_plans, mbs_x, n_planes, lanes);
+                    *out = entropy_inter_slice(&sr, luma_plans, chroma_plans, mbs_x, n_planes);
                 });
             }
         }
@@ -799,8 +628,7 @@ impl Encoder {
             qp,
             frame.width,
             frame.height,
-            use_lanes,
-            geometry.as_deref(),
+            self.slice_bands.as_deref(),
             false,
             &lens,
         );
@@ -818,7 +646,7 @@ impl Encoder {
     }
 
     /// Encode a fine-QP **refinement payload** for the given macroblock-row
-    /// bands of `frame` (flag bits 4+5 of the v2 header): each band is
+    /// bands of `frame` (flag bits 4+5 of the header): each band is
     /// intra-coded with slice-local DC prediction, so the decoder can apply
     /// it onto an already-displayed base frame.
     ///
@@ -832,6 +660,11 @@ impl Encoder {
     /// the frame is fine). The payload is a pure function of
     /// `(frame, bands, qp)` — identical at any worker-pool size.
     pub fn encode_refinement(&self, frame: &Frame, bands: &[(u16, u16)], qp: u8) -> Vec<u8> {
+        assert_eq!(frame.format, self.cfg.format, "format mismatch");
+        assert_eq!(
+            (frame.width, frame.height),
+            (self.cfg.width, self.cfg.height)
+        );
         assert!(!bands.is_empty() && bands.len() <= 255, "1..=255 bands");
         let mb_rows = frame.height.div_ceil(MB_SIZE);
         let mut prev = 0usize;
@@ -845,7 +678,6 @@ impl Encoder {
         let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
         let slices = slice::rows_for_bands(frame.format, frame.height, bands);
         let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-        let use_lanes = self.cfg.entropy_lanes;
         let peak = frame.format.peak_value();
         let mut payloads: Vec<(Vec<u8>, BlockCounts)> = Vec::new();
         payloads.resize_with(slices.len(), Default::default);
@@ -880,8 +712,7 @@ impl Encoder {
             })
             .collect();
         run_slice_jobs(pool, jobs, |(sr, mut stripes, out)| {
-            let lanes = slice_lanes(use_lanes, &sr);
-            *out = encode_intra_slice(frame, &sr, &mut stripes, qp, peak, lanes);
+            *out = encode_intra_slice(frame, &sr, &mut stripes, qp, peak);
         });
         let lens: Vec<usize> = payloads.iter().map(|(p, _)| p.len()).collect();
         let header = slice::write_header_ext(
@@ -890,7 +721,6 @@ impl Encoder {
             qp,
             frame.width,
             frame.height,
-            use_lanes,
             Some(bands),
             true,
             &lens,
@@ -932,51 +762,17 @@ pub(crate) fn run_slice_jobs<T: Send>(
     }
 }
 
-/// Entropy-lane count for one slice: derived from the slice's geometry when
-/// lanes are enabled for the frame, 1 otherwise (see [`slice::lane_count`]).
-pub(crate) fn slice_lanes(use_lanes: bool, sr: &SliceRows) -> usize {
-    if use_lanes {
-        slice::lane_count(sr.mb1 - sr.mb0)
-    } else {
-        1
-    }
-}
-
 /// Intra-code one slice: its stripe of every plane, plane-major, with
-/// slice-local DC prediction and fresh contexts. A 1-lane slice runs the
-/// plain serial range coder (byte-identical payload either way); more lanes
-/// interleave the identical symbol sequence across independent coders.
+/// slice-local DC prediction and fresh contexts.
 fn encode_intra_slice(
     frame: &Frame,
     sr: &SliceRows,
     stripes: &mut [&mut [u16]],
     qp: u8,
     peak: u16,
-    lanes: usize,
 ) -> (Vec<u8>, BlockCounts) {
     let mut counts = BlockCounts::default();
-    if lanes <= 1 {
-        let mut enc = RangeEncoder::new();
-        intra_slice_bits(&mut enc, frame, sr, stripes, qp, peak, &mut counts);
-        (enc.finish(), counts)
-    } else {
-        let mut enc = LaneEncoder::new(lanes);
-        intra_slice_bits(&mut enc, frame, sr, stripes, qp, peak, &mut counts);
-        (enc.finish_payload(), counts)
-    }
-}
-
-/// The intra slice symbol script, generic over the bit sink so the serial
-/// and interleaved-lane coders drive the identical coding order.
-fn intra_slice_bits<S: BitSink>(
-    enc: &mut S,
-    frame: &Frame,
-    sr: &SliceRows,
-    stripes: &mut [&mut [u16]],
-    qp: u8,
-    peak: u16,
-    counts: &mut BlockCounts,
-) {
+    let mut enc = RangeEncoder::new();
     let mut blk = [0i32; 64];
     for (pi, stripe) in stripes.iter_mut().enumerate() {
         let plane = &frame.planes[pi];
@@ -993,7 +789,7 @@ fn intra_slice_bits<S: BitSink>(
                 }
                 let coeffs = dct::forward(&blk);
                 let levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-                encode_block(enc, &mut ctx, &levels);
+                encode_block(&mut enc, &mut ctx, &levels);
                 let deq = quant::dequantize_block(&levels, step, DC_SCALE);
                 let mut rec = dct::inverse(&deq);
                 for v in &mut rec {
@@ -1003,73 +799,35 @@ fn intra_slice_bits<S: BitSink>(
             }
         }
     }
+    (enc.finish(), counts)
 }
 
 /// Entropy-code one slice of a planned inter frame: its luma macroblock
 /// rows, then each chroma plane's matching block rows, with fresh per-plane
-/// contexts (the mirror of the decoder's slice walk). Lane dispatch as in
-/// [`encode_intra_slice`].
+/// contexts (the mirror of the decoder's slice walk).
 fn entropy_inter_slice(
     sr: &SliceRows,
     luma_plans: &[LumaMbPlan],
     chroma_plans: &[Vec<[i32; 64]>; 2],
     mbs_x: usize,
     n_planes: usize,
-    lanes: usize,
 ) -> (Vec<u8>, BlockCounts) {
     let mut counts = BlockCounts::default();
-    if lanes <= 1 {
-        let mut enc = RangeEncoder::new();
-        inter_slice_bits(
-            &mut enc,
-            sr,
-            luma_plans,
-            chroma_plans,
-            mbs_x,
-            n_planes,
-            &mut counts,
-        );
-        (enc.finish(), counts)
-    } else {
-        let mut enc = LaneEncoder::new(lanes);
-        inter_slice_bits(
-            &mut enc,
-            sr,
-            luma_plans,
-            chroma_plans,
-            mbs_x,
-            n_planes,
-            &mut counts,
-        );
-        (enc.finish_payload(), counts)
-    }
-}
-
-/// The inter slice symbol script, generic over the bit sink (see
-/// [`intra_slice_bits`]).
-#[allow(clippy::too_many_arguments)]
-fn inter_slice_bits<S: BitSink>(
-    enc: &mut S,
-    sr: &SliceRows,
-    luma_plans: &[LumaMbPlan],
-    chroma_plans: &[Vec<[i32; 64]>; 2],
-    mbs_x: usize,
-    n_planes: usize,
-    counts: &mut BlockCounts,
-) {
-    let mut ctx = PlaneContexts::new();
+    let mut enc = RangeEncoder::new();
+    let mut coeff = CoeffContexts::new();
+    let mut skip_model = BitModel::new();
     for plan in &luma_plans[sr.mb0 * mbs_x..sr.mb1 * mbs_x] {
         if plan.skip {
             counts.skip += 1;
         } else {
             counts.coded += 1;
         }
-        enc.encode_bit(&mut ctx.skip, plan.skip);
+        enc.encode_bit(&mut skip_model, plan.skip);
         if !plan.skip {
-            encode_svalue(enc, (plan.mv.dx - plan.pred_mv.dx) as i32);
-            encode_svalue(enc, (plan.mv.dy - plan.pred_mv.dy) as i32);
+            encode_svalue(&mut enc, (plan.mv.dx - plan.pred_mv.dx) as i32);
+            encode_svalue(&mut enc, (plan.mv.dy - plan.pred_mv.dy) as i32);
             for levels in &plan.levels4 {
-                encode_block(enc, &mut ctx.coeff, levels);
+                encode_block(&mut enc, &mut coeff, levels);
             }
         }
     }
@@ -1080,9 +838,10 @@ fn inter_slice_bits<S: BitSink>(
         let end = (sr.mb1 * mbs_x).min(plans.len());
         for levels in &plans[sr.mb0 * mbs_x..end] {
             counts.coded += 1;
-            encode_block(enc, &mut cctx, levels);
+            encode_block(&mut enc, &mut cctx, levels);
         }
     }
+    (enc.finish(), counts)
 }
 
 /// QP used for plane `pi`: chroma planes are coded 4 QP coarser (they carry
@@ -1095,222 +854,10 @@ pub(crate) fn plane_qp(qp: u8, pi: usize, format: PixelFormat) -> u8 {
     }
 }
 
-/// Intra-code one plane with block-DC prediction from reconstructed
-/// neighbours. Shared scan order with the decoder.
-fn encode_plane_intra(
-    enc: &mut RangeEncoder,
-    ctx: &mut PlaneContexts,
-    plane: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-    counts: &mut BlockCounts,
-) {
-    let mut blk = [0i32; 64];
-    for by in (0..plane.height).step_by(8) {
-        for bx in (0..plane.width).step_by(8) {
-            counts.coded += 1;
-            plane.read_block8(bx, by, &mut blk);
-            let pred = intra_dc_pred(recon, bx, by, peak);
-            for v in &mut blk {
-                *v -= pred;
-            }
-            let coeffs = dct::forward(&blk);
-            let levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-            encode_block(enc, &mut ctx.coeff, &levels);
-            // Closed-loop reconstruction.
-            let deq = quant::dequantize_block(&levels, step, DC_SCALE);
-            let mut rec = dct::inverse(&deq);
-            for v in &mut rec {
-                *v += pred;
-            }
-            recon.write_block8(bx, by, &rec, peak);
-        }
-    }
-}
-
-/// DC predictor for an intra block: the mean of the reconstructed row above
-/// and column left of the block (whichever exist), else mid-range.
-pub(crate) fn intra_dc_pred(recon: &Plane, bx: usize, by: usize, peak: u16) -> i32 {
-    let mut acc = 0u64;
-    let mut n = 0u64;
-    if by > 0 {
-        for dx in 0..8 {
-            let x = (bx + dx).min(recon.width - 1);
-            acc += recon.get(x, by - 1) as u64;
-            n += 1;
-        }
-    }
-    if bx > 0 {
-        for dy in 0..8 {
-            let y = (by + dy).min(recon.height - 1);
-            acc += recon.get(bx - 1, y) as u64;
-            n += 1;
-        }
-    }
-    match acc.checked_div(n) {
-        Some(mean) => mean as i32,
-        None => (peak as i32 + 1) / 2,
-    }
-}
-
-/// Inter-code the luma plane; fills `mvs` with the per-macroblock motion
-/// vectors in raster order for the chroma planes to reuse.
-#[allow(clippy::too_many_arguments)]
-fn encode_plane_inter_luma(
-    enc: &mut RangeEncoder,
-    ctx: &mut PlaneContexts,
-    plane: &Plane,
-    prev: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-    search_range: i16,
-    counts: &mut BlockCounts,
-    mvs: &mut Vec<MotionVector>,
-) {
-    let mbs_x = plane.width.div_ceil(MB_SIZE);
-    let mbs_y = plane.height.div_ceil(MB_SIZE);
-    mvs.clear();
-    mvs.resize(mbs_x * mbs_y, MotionVector::default());
-    let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
-    let mut blk = [0i32; 64];
-    for mby in 0..mbs_y {
-        for mbx in 0..mbs_x {
-            let bx = mbx * MB_SIZE;
-            let by = mby * MB_SIZE;
-            let pred_mv = if mbx > 0 {
-                mvs[mby * mbs_x + mbx - 1]
-            } else {
-                MotionVector::default()
-            };
-            let (mv, _) = motion::diamond_search(plane, prev, bx, by, pred_mv, search_range);
-            motion::predict_block(prev, bx, by, mv, &mut pred_buf);
-
-            // Transform the four 8×8 residual sub-blocks.
-            let mut levels4 = [[0i32; 64]; 4];
-            let mut all_zero = true;
-            for (sb, levels) in levels4.iter_mut().enumerate() {
-                let ox = (sb % 2) * 8;
-                let oy = (sb / 2) * 8;
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        let cur = plane
-                            .get_clamped((bx + ox + dx) as isize, (by + oy + dy) as isize)
-                            as i32;
-                        blk[dy * 8 + dx] = cur - pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
-                let coeffs = dct::forward(&blk);
-                *levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-                if levels.iter().any(|&l| l != 0) {
-                    all_zero = false;
-                }
-            }
-
-            let skip = all_zero && mv == pred_mv;
-            if skip {
-                counts.skip += 1;
-            } else {
-                counts.coded += 1;
-            }
-            enc.encode_bit(&mut ctx.skip, skip);
-            if !skip {
-                encode_svalue(enc, (mv.dx - pred_mv.dx) as i32);
-                encode_svalue(enc, (mv.dy - pred_mv.dy) as i32);
-                for levels in &levels4 {
-                    encode_block(enc, &mut ctx.coeff, levels);
-                }
-            }
-            mvs[mby * mbs_x + mbx] = mv;
-
-            // Reconstruct.
-            for (sb, levels) in levels4.iter().enumerate() {
-                let ox = (sb % 2) * 8;
-                let oy = (sb / 2) * 8;
-                let mut rec = [0i32; 64];
-                if skip {
-                    for dy in 0..8 {
-                        for dx in 0..8 {
-                            rec[dy * 8 + dx] = pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                        }
-                    }
-                } else {
-                    let deq = quant::dequantize_block(levels, step, DC_SCALE);
-                    let res = dct::inverse(&deq);
-                    for dy in 0..8 {
-                        for dx in 0..8 {
-                            rec[dy * 8 + dx] =
-                                res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                        }
-                    }
-                }
-                recon.write_block8(bx + ox, by + oy, &rec, peak);
-            }
-        }
-    }
-}
-
-/// Inter-code a chroma plane reusing the luma motion field (halved vectors).
-#[allow(clippy::too_many_arguments)]
-fn encode_plane_inter_chroma(
-    enc: &mut RangeEncoder,
-    ctx: &mut PlaneContexts,
-    plane: &Plane,
-    prev: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-    luma_mvs: &[MotionVector],
-    luma_width: usize,
-    counts: &mut BlockCounts,
-) {
-    let mbs_x = luma_width.div_ceil(MB_SIZE);
-    let mut blk = [0i32; 64];
-    // One 8×8 chroma block per luma macroblock.
-    for by in (0..plane.height).step_by(8) {
-        for bx in (0..plane.width).step_by(8) {
-            counts.coded += 1;
-            let mb_index = (by / 8) * mbs_x + (bx / 8);
-            let mv = luma_mvs.get(mb_index).copied().unwrap_or_default();
-            let cmv = MotionVector {
-                dx: mv.dx / 2,
-                dy: mv.dy / 2,
-            };
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let cur = plane.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
-                    let pred = prev.get_clamped(
-                        (bx + dx) as isize + cmv.dx as isize,
-                        (by + dy) as isize + cmv.dy as isize,
-                    ) as i32;
-                    blk[dy * 8 + dx] = cur - pred;
-                }
-            }
-            let coeffs = dct::forward(&blk);
-            let levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-            encode_block(enc, &mut ctx.coeff, &levels);
-            let deq = quant::dequantize_block(&levels, step, DC_SCALE);
-            let res = dct::inverse(&deq);
-            let mut rec = [0i32; 64];
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let pred = prev.get_clamped(
-                        (bx + dx) as isize + cmv.dx as isize,
-                        (by + dy) as isize + cmv.dy as isize,
-                    ) as i32;
-                    rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
-                }
-            }
-            recon.write_block8(bx, by, &rec, peak);
-        }
-    }
-}
-
-/// Everything the serial entropy pass needs to replay one luma macroblock:
-/// the chosen and predicted motion vectors, the skip decision, and the four
-/// quantised 8×8 coefficient blocks. Produced row-parallel, consumed in
-/// raster order.
+/// Everything the entropy pass needs to replay one luma macroblock: the
+/// chosen and predicted motion vectors, the skip decision, and the four
+/// quantised 8×8 coefficient blocks. Produced row-parallel, consumed per
+/// slice in raster order.
 #[derive(Clone)]
 struct LumaMbPlan {
     mv: MotionVector,
@@ -1335,9 +882,9 @@ impl Default for LumaMbPlan {
 /// decision, and closed-loop reconstruction into that row's 16-pixel stripe
 /// of `recon`. Rows are independent by construction — the motion predictor
 /// is the *left* neighbour only, and prediction reads `prev`, which is
-/// immutable during the frame — so this computes exactly the values the
-/// serial [`encode_plane_inter_luma`] would. `plans` is a reused scratch
-/// vector; every element is overwritten before the entropy pass reads it.
+/// immutable during the frame — so the result is the same at any pool size.
+/// `plans` is a reused scratch vector; every element is overwritten before
+/// the entropy pass reads it.
 #[allow(clippy::too_many_arguments)]
 fn plan_plane_inter_luma(
     pool: Option<&WorkerPool>,
@@ -1454,37 +1001,6 @@ fn plan_luma_row(
     }
 }
 
-/// Serial entropy pass over a planned luma plane: replays the macroblocks in
-/// raster order through the adaptive range coder, producing the identical
-/// bitstream and statistics to the single-pass serial encoder. Fills `mvs`
-/// with the motion field for the chroma planes.
-fn entropy_plane_inter_luma(
-    enc: &mut RangeEncoder,
-    ctx: &mut PlaneContexts,
-    plans: &[LumaMbPlan],
-    counts: &mut BlockCounts,
-    mvs: &mut Vec<MotionVector>,
-) {
-    mvs.clear();
-    mvs.reserve(plans.len());
-    for plan in plans {
-        if plan.skip {
-            counts.skip += 1;
-        } else {
-            counts.coded += 1;
-        }
-        enc.encode_bit(&mut ctx.skip, plan.skip);
-        if !plan.skip {
-            encode_svalue(enc, (plan.mv.dx - plan.pred_mv.dx) as i32);
-            encode_svalue(enc, (plan.mv.dy - plan.pred_mv.dy) as i32);
-            for levels in &plan.levels4 {
-                encode_block(enc, &mut ctx.coeff, levels);
-            }
-        }
-        mvs.push(plan.mv);
-    }
-}
-
 /// Stripe-parallel plan phase for an inter chroma plane: one pool task per
 /// 8-pixel block row computes the motion-compensated residual levels (from
 /// the halved luma motion field) and reconstructs into that row's stripe.
@@ -1583,20 +1099,6 @@ fn plan_chroma_row(
     }
 }
 
-/// Serial entropy pass over a planned chroma plane (see
-/// [`entropy_plane_inter_luma`]).
-fn entropy_plane_inter_chroma(
-    enc: &mut RangeEncoder,
-    ctx: &mut PlaneContexts,
-    plans: &[[i32; 64]],
-    counts: &mut BlockCounts,
-) {
-    for levels in plans {
-        counts.coded += 1;
-        encode_block(enc, &mut ctx.coeff, levels);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1612,6 +1114,37 @@ mod tests {
             }
         }
         Frame::from_rgb8(w, h, &rgb)
+    }
+
+    #[test]
+    #[should_panic(expected = "EncoderConfig::width 0 outside")]
+    fn zero_width_is_rejected() {
+        Encoder::new(EncoderConfig::new(0, 64, PixelFormat::Yuv420));
+    }
+
+    #[test]
+    #[should_panic(expected = "EncoderConfig::width 65536 outside")]
+    fn width_beyond_the_header_field_is_rejected() {
+        Encoder::new(EncoderConfig::new(65_536, 16, PixelFormat::Yuv420));
+    }
+
+    #[test]
+    #[should_panic(expected = "EncoderConfig::height 65536 outside")]
+    fn height_beyond_the_header_field_is_rejected() {
+        Encoder::new(EncoderConfig::new(16, 65_536, PixelFormat::Y16));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the decoder's limit")]
+    fn pixel_count_beyond_the_decoder_limit_is_rejected() {
+        // Both sides fit the u16 header fields; the product does not fit
+        // what `Decoder` accepts.
+        Encoder::new(EncoderConfig::new(8192, 8192, PixelFormat::Y16));
+    }
+
+    #[test]
+    fn largest_decodable_frame_size_is_accepted() {
+        Encoder::new(EncoderConfig::new(65_535, 512, PixelFormat::Y16));
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod plane;
 pub mod quant;
 pub mod rangecoder;
 pub mod ratecontrol;
-pub mod reference;
 pub mod slice;
 
 pub use decoder::{DecodeError, Decoder};

@@ -150,7 +150,7 @@ impl PixelFormat {
     }
 
     /// Number of planes.
-    pub fn plane_count(self) -> usize {
+    pub fn num_planes(self) -> usize {
         match self {
             PixelFormat::Yuv420 => 3,
             PixelFormat::Y16 => 1,
@@ -179,7 +179,7 @@ pub struct Frame {
 impl Frame {
     /// An all-zero frame.
     pub fn new(format: PixelFormat, width: usize, height: usize) -> Self {
-        let planes = (0..format.plane_count())
+        let planes = (0..format.num_planes())
             .map(|i| {
                 let (w, h) = format.plane_dims(i, width, height);
                 Plane::new(w, h)

@@ -20,7 +20,7 @@ pub fn qstep(qp: u8) -> f32 {
 /// Rounding is `f32::round` — ties away from zero — and is frozen: real
 /// content hits exact-`.5` quotients, so switching to the DCT scale path's
 /// ties-to-even `round_i32` would change committed bitstreams (the golden
-/// v1 pin catches exactly that). The scalar and SIMD block paths instead
+/// pins catch exactly that). The scalar and SIMD block paths instead
 /// share one rounding contract structurally: both run this same
 /// `#[inline(always)]` body, pinned bitwise by a differential test.
 #[inline]
@@ -149,7 +149,7 @@ mod tests {
     }
 
     /// The quantiser's rounding contract is frozen at ties-away-from-zero
-    /// (`f32::round`): committed bitstreams — the golden v1 pin — depend on
+    /// (`f32::round`): committed bitstreams — the golden pins — depend on
     /// exact-`.5` quotients landing this way on every tier.
     #[test]
     fn quantize_rounds_ties_away_from_zero() {

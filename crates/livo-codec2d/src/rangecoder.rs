@@ -252,266 +252,6 @@ impl<'a> RangeDecoder<'a> {
     }
 }
 
-/// Abstraction over "somewhere bits go": the plain serial [`RangeEncoder`]
-/// or the interleaved [`LaneEncoder`]. The multi-bit helpers are provided
-/// methods expressed bit-by-bit through `self`, so a lane sink rotates on
-/// **every** binary decision — context-coded and bypass alike — which is
-/// what makes the lane rotation a pure function of the symbol sequence.
-pub trait BitSink {
-    /// Encode one bit under an adaptive context.
-    fn encode_bit(&mut self, model: &mut BitModel, bit: bool);
-    /// Encode one bit at fixed probability ½ (no context).
-    fn encode_bypass(&mut self, bit: bool);
-
-    /// Encode `nbits` raw bits of `value`, MSB first.
-    fn encode_bits(&mut self, value: u32, nbits: u32) {
-        for i in (0..nbits).rev() {
-            self.encode_bypass((value >> i) & 1 == 1);
-        }
-    }
-
-    /// Order-0 exponential-Golomb in bypass mode; see
-    /// [`RangeEncoder::encode_ue_bypass`].
-    fn encode_ue_bypass(&mut self, value: u32) {
-        let v = value + 1;
-        let nbits = 32 - v.leading_zeros(); // ≥ 1
-        for _ in 0..nbits - 1 {
-            self.encode_bypass(false);
-        }
-        self.encode_bypass(true);
-        for i in (0..nbits - 1).rev() {
-            self.encode_bypass((v >> i) & 1 == 1);
-        }
-    }
-}
-
-impl BitSink for RangeEncoder {
-    #[inline]
-    fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
-        RangeEncoder::encode_bit(self, model, bit);
-    }
-    #[inline]
-    fn encode_bypass(&mut self, bit: bool) {
-        RangeEncoder::encode_bypass(self, bit);
-    }
-}
-
-/// Decoding counterpart of [`BitSink`]; the provided multi-bit readers
-/// mirror the sink's provided writers bit-for-bit.
-pub trait BitSource {
-    /// Decode one bit under an adaptive context.
-    fn decode_bit(&mut self, model: &mut BitModel) -> bool;
-    /// Decode one fixed-probability bit.
-    fn decode_bypass(&mut self) -> bool;
-
-    /// Decode `nbits` raw bits, MSB first.
-    fn decode_bits(&mut self, nbits: u32) -> u32 {
-        let mut v = 0;
-        for _ in 0..nbits {
-            v = (v << 1) | self.decode_bypass() as u32;
-        }
-        v
-    }
-
-    /// Inverse of [`BitSink::encode_ue_bypass`], with the same corrupt-input
-    /// prefix cap as [`RangeDecoder::decode_ue_bypass`].
-    fn decode_ue_bypass(&mut self) -> u32 {
-        let mut nbits = 1u32;
-        while !self.decode_bypass() {
-            if nbits == 32 {
-                break;
-            }
-            nbits += 1;
-        }
-        let mut v = 1u32;
-        for _ in 0..nbits - 1 {
-            v = (v << 1) | self.decode_bypass() as u32;
-        }
-        v - 1
-    }
-}
-
-impl BitSource for RangeDecoder<'_> {
-    #[inline]
-    fn decode_bit(&mut self, model: &mut BitModel) -> bool {
-        RangeDecoder::decode_bit(self, model)
-    }
-    #[inline]
-    fn decode_bypass(&mut self) -> bool {
-        RangeDecoder::decode_bypass(self)
-    }
-}
-
-/// Most lanes a slice may interleave (and the only legal counts are the
-/// powers of two 1, 2, 4 — the rotation is a masked increment).
-pub const MAX_LANES: usize = 4;
-
-/// N independent range-coder states fed round-robin, one state per binary
-/// decision. A single range coder is a serial dependency chain — every bit's
-/// `(range, low)` update feeds the next — so ILP is capped near 1 regardless
-/// of how wide the core is. Rotating over N states keeps N carry chains in
-/// flight; the out-of-order window overlaps them. Contexts ([`BitModel`]) are
-/// **shared across lanes** and adapt in encode order, so the symbol stream
-/// and its probabilities are identical to the serial coder's — only which
-/// arithmetic state a bit lands in changes.
-#[derive(Debug)]
-pub struct LaneEncoder {
-    // A fixed-size array (unused lanes sit idle) rather than a `Vec`: the
-    // rotation indexes it with a masked value the optimiser can prove in
-    // bounds, so the per-bit hot path carries no bounds check or pointer
-    // indirection.
-    lanes: [RangeEncoder; MAX_LANES],
-    next: usize,
-    mask: usize,
-}
-
-impl LaneEncoder {
-    /// `n` must be 1, 2 or 4 ([`MAX_LANES`]).
-    pub fn new(n: usize) -> Self {
-        assert!(
-            (1..=MAX_LANES).contains(&n) && n.is_power_of_two(),
-            "lane count {n} not in {{1, 2, 4}}"
-        );
-        LaneEncoder {
-            lanes: std::array::from_fn(|_| RangeEncoder::new()),
-            next: 0,
-            mask: n - 1,
-        }
-    }
-
-    /// Flush every lane and assemble the in-slice lane payload:
-    /// `(n−1)` little-endian u32 sub-lengths (lanes 0..n−1; the last lane is
-    /// the remainder) followed by the concatenated lane streams. With one
-    /// lane the table is empty and the payload is byte-identical to
-    /// [`RangeEncoder::finish`] — which is how a lane-flagged frame keeps
-    /// its 1-lane slices parseable by construction.
-    pub fn finish_payload(self) -> Vec<u8> {
-        let n = self.mask + 1;
-        let streams: Vec<Vec<u8>> = self
-            .lanes
-            .into_iter()
-            .take(n)
-            .map(RangeEncoder::finish)
-            .collect();
-        let mut out = Vec::with_capacity(
-            (streams.len() - 1) * 4 + streams.iter().map(Vec::len).sum::<usize>(),
-        );
-        for s in &streams[..streams.len() - 1] {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        }
-        for s in &streams {
-            out.extend_from_slice(s);
-        }
-        out
-    }
-
-    /// Bytes produced so far across all lanes (excluding unflushed state
-    /// and the sub-length table).
-    pub fn bytes_written(&self) -> usize {
-        self.lanes[..=self.mask]
-            .iter()
-            .map(RangeEncoder::bytes_written)
-            .sum()
-    }
-}
-
-impl BitSink for LaneEncoder {
-    #[inline]
-    fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
-        // `next & (MAX_LANES - 1)` is provably in bounds for the fixed
-        // array, so no bounds check survives; `next` itself already wraps
-        // under the (possibly smaller) lane mask.
-        self.lanes[self.next & (MAX_LANES - 1)].encode_bit(model, bit);
-        self.next = (self.next + 1) & self.mask;
-    }
-    #[inline]
-    fn encode_bypass(&mut self, bit: bool) {
-        self.lanes[self.next & (MAX_LANES - 1)].encode_bypass(bit);
-        self.next = (self.next + 1) & self.mask;
-    }
-}
-
-/// Why a lane payload failed to parse. The decoder maps these onto its
-/// public `DecodeError`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneFormatError {
-    /// Payload too short to hold the sub-length table.
-    Truncated,
-    /// Sub-lengths illegal: below the 5-byte range-coder minimum, or
-    /// inconsistent with the payload length.
-    BadTable,
-}
-
-/// Decoding counterpart of [`LaneEncoder`]: parses the sub-length table,
-/// then rotates over per-lane [`RangeDecoder`]s in the same fixed
-/// round-robin. Total on corrupt input — table errors are reported, and a
-/// truncated lane stream just reads zeros like the serial decoder.
-#[derive(Debug)]
-pub struct LaneDecoder<'a> {
-    // Fixed-size like [`LaneEncoder`]; unused lanes decode an empty slice
-    // (which just reads zeros) and are never rotated onto.
-    lanes: [RangeDecoder<'a>; MAX_LANES],
-    next: usize,
-    mask: usize,
-}
-
-impl<'a> LaneDecoder<'a> {
-    /// Parse an `n`-lane payload. `n` must be 1, 2 or 4 (the caller derives
-    /// it from slice geometry; it is not read from the payload).
-    pub fn new(payload: &'a [u8], n: usize) -> Result<Self, LaneFormatError> {
-        assert!(
-            (1..=MAX_LANES).contains(&n) && n.is_power_of_two(),
-            "lane count {n} not in {{1, 2, 4}}"
-        );
-        let mut segs: [&'a [u8]; MAX_LANES] = [&[]; MAX_LANES];
-        if n == 1 {
-            segs[0] = payload;
-        } else {
-            let table = 4 * (n - 1);
-            if payload.len() < table {
-                return Err(LaneFormatError::Truncated);
-            }
-            let body = &payload[table..];
-            let mut off = 0usize;
-            for (i, seg) in segs.iter_mut().enumerate().take(n - 1) {
-                let len =
-                    u32::from_le_bytes(payload[4 * i..4 * i + 4].try_into().unwrap()) as usize;
-                // Each lane is a finished range-coder stream: ≥ 5 bytes
-                // (priming byte + 4 seed bytes), and inside the payload.
-                if len < 5 || len > body.len() - off {
-                    return Err(LaneFormatError::BadTable);
-                }
-                *seg = &body[off..off + len];
-                off += len;
-            }
-            if body.len() - off < 5 {
-                return Err(LaneFormatError::BadTable);
-            }
-            segs[n - 1] = &body[off..];
-        }
-        Ok(LaneDecoder {
-            lanes: segs.map(RangeDecoder::new),
-            next: 0,
-            mask: n - 1,
-        })
-    }
-}
-
-impl BitSource for LaneDecoder<'_> {
-    #[inline]
-    fn decode_bit(&mut self, model: &mut BitModel) -> bool {
-        let bit = self.lanes[self.next & (MAX_LANES - 1)].decode_bit(model);
-        self.next = (self.next + 1) & self.mask;
-        bit
-    }
-    #[inline]
-    fn decode_bypass(&mut self) -> bool {
-        let bit = self.lanes[self.next & (MAX_LANES - 1)].decode_bypass();
-        self.next = (self.next + 1) & self.mask;
-        bit
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,149 +401,6 @@ mod tests {
         let data = enc.finish();
         assert_eq!(data.len(), 5);
         assert_eq!(data[0], 0, "priming byte");
-    }
-
-    /// A mixed context/bypass/ue/raw symbol script, the same shape the block
-    /// coder produces. Returns (kind, value) pairs.
-    fn mixed_script(seed: u64, n: usize) -> Vec<(u8, u32)> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| match rng.gen_range(0..3) {
-                0 => (
-                    0,
-                    ((rng.gen_range(0..8u32)) << 1) | rng.gen_bool(0.2) as u32,
-                ),
-                1 => (1, rng.gen_range(0..10_000u32)),
-                _ => (2, rng.gen_range(0..256u32)),
-            })
-            .collect()
-    }
-
-    fn encode_script<S: BitSink>(enc: &mut S, script: &[(u8, u32)]) {
-        let mut models = vec![BitModel::new(); 8];
-        for &(kind, v) in script {
-            match kind {
-                0 => enc.encode_bit(&mut models[(v >> 1) as usize], v & 1 == 1),
-                1 => enc.encode_ue_bypass(v),
-                _ => enc.encode_bits(v, 8),
-            }
-        }
-    }
-
-    fn check_script<D: BitSource>(dec: &mut D, script: &[(u8, u32)]) {
-        let mut models = vec![BitModel::new(); 8];
-        for (i, &(kind, v)) in script.iter().enumerate() {
-            match kind {
-                0 => assert_eq!(
-                    dec.decode_bit(&mut models[(v >> 1) as usize]),
-                    v & 1 == 1,
-                    "symbol {i}"
-                ),
-                1 => assert_eq!(dec.decode_ue_bypass(), v, "symbol {i}"),
-                _ => assert_eq!(dec.decode_bits(8), v, "symbol {i}"),
-            }
-        }
-    }
-
-    /// Interleaved lanes round-trip the same symbol scripts the serial coder
-    /// does, at every legal lane count, with contexts shared across lanes.
-    #[test]
-    fn lane_round_trip_at_every_lane_count() {
-        for lanes in [1usize, 2, 4] {
-            for seed in [3u64, 11, 42] {
-                let script = mixed_script(seed, 5000);
-                let mut enc = LaneEncoder::new(lanes);
-                encode_script(&mut enc, &script);
-                let payload = enc.finish_payload();
-                let mut dec = LaneDecoder::new(&payload, lanes).unwrap();
-                check_script(&mut dec, &script);
-            }
-        }
-    }
-
-    /// One lane must be byte-identical to the plain serial coder — that is
-    /// what keeps 1-lane slices in a lane-flagged frame legacy-parseable.
-    #[test]
-    fn single_lane_is_byte_identical_to_serial() {
-        let script = mixed_script(7, 3000);
-        let mut serial = RangeEncoder::new();
-        encode_script(&mut serial, &script);
-        let mut lane = LaneEncoder::new(1);
-        encode_script(&mut lane, &script);
-        assert_eq!(lane.finish_payload(), serial.finish());
-    }
-
-    /// The trait path through a plain RangeEncoder/RangeDecoder must match
-    /// the inherent methods byte-for-byte (the v1 code path depends on it).
-    #[test]
-    fn trait_dispatch_matches_inherent_methods() {
-        let script = mixed_script(13, 2000);
-        let mut a = RangeEncoder::new();
-        encode_script(&mut a, &script); // via BitSink
-        let mut b = RangeEncoder::new();
-        let mut models = vec![BitModel::new(); 8];
-        for &(kind, v) in &script {
-            match kind {
-                0 => RangeEncoder::encode_bit(&mut b, &mut models[(v >> 1) as usize], v & 1 == 1),
-                1 => RangeEncoder::encode_ue_bypass(&mut b, v),
-                _ => RangeEncoder::encode_bits(&mut b, v, 8),
-            }
-        }
-        let bytes = a.finish();
-        assert_eq!(bytes, b.finish());
-        let mut dec = RangeDecoder::new(&bytes);
-        check_script(&mut dec, &script); // via BitSource
-    }
-
-    /// Corrupt lane tables must be rejected, never panic, never overread.
-    #[test]
-    fn corrupt_lane_tables_are_rejected() {
-        let script = mixed_script(21, 1000);
-        let mut enc = LaneEncoder::new(4);
-        encode_script(&mut enc, &script);
-        let payload = enc.finish_payload();
-
-        // Too short for the 12-byte table.
-        for cut in 0..12.min(payload.len()) {
-            assert_eq!(
-                LaneDecoder::new(&payload[..cut], 4).err(),
-                Some(LaneFormatError::Truncated),
-                "cut {cut}"
-            );
-        }
-        // Sub-length below the 5-byte minimum.
-        let mut c = payload.clone();
-        c[0..4].copy_from_slice(&4u32.to_le_bytes());
-        assert_eq!(
-            LaneDecoder::new(&c, 4).err(),
-            Some(LaneFormatError::BadTable)
-        );
-        // Sub-length overrunning the payload.
-        let mut c = payload.clone();
-        c[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        assert_eq!(
-            LaneDecoder::new(&c, 4).err(),
-            Some(LaneFormatError::BadTable)
-        );
-        // Huge sub-length (would overflow naive offset math).
-        let mut c = payload.clone();
-        c[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            LaneDecoder::new(&c, 4).err(),
-            Some(LaneFormatError::BadTable)
-        );
-        // Table eating the last lane below its 5-byte minimum.
-        let body = payload.len() - 12;
-        let mut c = payload.clone();
-        c[0..4].copy_from_slice(&((body - 12) as u32).to_le_bytes());
-        c[4..8].copy_from_slice(&5u32.to_le_bytes());
-        c[8..12].copy_from_slice(&5u32.to_le_bytes());
-        assert_eq!(
-            LaneDecoder::new(&c, 4).err(),
-            Some(LaneFormatError::BadTable)
-        );
-        // And the intact payload still parses.
-        assert!(LaneDecoder::new(&payload, 4).is_ok());
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Bitstream v2: independent entropy slices.
+//! The bitstream: independent entropy slices.
 //!
-//! v1 frames are one range-coded stream — the entropy stage is inherently
-//! serial on both sides. v2 splits the frame into `S` horizontal slices of
-//! whole luma macroblock rows; every slice carries its **own** adaptive
-//! range-coder contexts and a byte-aligned payload, so slices encode and
-//! decode independently (the H.265 "entropy slice" / wavefront idea this
-//! codec stands in for). The price is a small uncompressed frame header and
-//! per-slice context resets; the win is that the last serial stage of
-//! `Encoder::encode` and the entire `Decoder::decode` parallelise.
+//! Every frame is split into `S ≥ 1` horizontal slices of whole luma
+//! macroblock rows; every slice carries its **own** adaptive range-coder
+//! contexts and a byte-aligned payload, so slices encode and decode
+//! independently (the H.265 "entropy slice" / wavefront idea this codec
+//! stands in for). The price is a small uncompressed frame header and
+//! per-slice context resets; the win is that the entropy stage of
+//! `Encoder::encode` and the entire `Decoder::decode` parallelise. A frame
+//! too small to split is a one-slice frame in the same container.
 //!
 //! ```text
-//! byte 0        SLICED_MAGIC (0xB2; v1 streams always start with 0x00,
-//!               the range-encoder priming byte, so one byte disambiguates)
+//! byte 0        SLICED_MAGIC (0xB2)
 //! byte 1        flags: bit0 = inter, bits1-2 = pixel format (0 YUV420,
-//!               1 Y16), bit3 = interleaved entropy lanes, bit4 = explicit
-//!               slice geometry, bit5 = refinement payload
+//!               1 Y16), bit4 = explicit slice geometry, bit5 = refinement
+//!               payload; bits 3, 6 and 7 are reserved and rejected
 //! byte 2        QP
 //! bytes 3-4     width,  u16 little-endian
 //! bytes 5-6     height, u16 little-endian
@@ -36,27 +35,16 @@
 //! already-displayed base frame and never entering the prediction loop.
 //! Bit 5 requires bit 4 and an intra frame type.
 //!
-//! With flag bit 3 set, each slice payload is an interleaved lane payload
-//! (see `rangecoder::LaneEncoder`): `(N−1)` u32-LE lane sub-lengths
-//! followed by N concatenated range-coder streams, where
-//! `N = lane_count(slice mb rows)`. N is **derived from slice geometry**,
-//! never signalled and never taken from the worker-pool size — the same
-//! rule that keeps slice geometry pool-independent keeps lane geometry
-//! deterministic, so every encoder configuration emits identical bytes and
-//! every decoder pool size parses them. A 1-lane slice's payload is
-//! byte-identical to the unflagged layout.
-//!
 //! Slice geometry is a pure function of `(height, S)` — *never* of the
 //! worker-pool size — so the bitstream is identical no matter how many
 //! threads encode it, and any pool size decodes it bit-exactly.
 //!
 //! Inside a slice, planes are coded plane-major (all luma rows, then U,
-//! then V) with fresh contexts per plane, exactly like a v1 frame
-//! restricted to the slice's rows. Intra DC prediction treats the slice's
-//! top row as a frame edge (that is what makes intra slices independent);
-//! inter prediction is already row-independent because the motion-vector
-//! predictor is the left neighbour only and reference reads come from the
-//! previous frame.
+//! then V) with fresh contexts per plane. Intra DC prediction treats the
+//! slice's top row as a frame edge (that is what makes intra slices
+//! independent); inter prediction is already row-independent because the
+//! motion-vector predictor is the left neighbour only and reference reads
+//! come from the previous frame.
 
 use crate::decoder::DecodeError;
 use crate::encoder::FrameType;
@@ -64,11 +52,10 @@ use crate::motion::MB_SIZE;
 use crate::plane::PixelFormat;
 use crate::quant;
 
-/// First byte of every sliced (v2) frame. A v1 stream's first byte is the
-/// range encoder's priming byte, which is always `0x00`.
+/// First byte of every encoded frame.
 pub const SLICED_MAGIC: u8 = 0xB2;
 
-/// Fixed part of the v2 header, before the slice length table.
+/// Fixed part of the frame header, before the slice length table.
 pub(crate) const FIXED_HEADER_LEN: usize = 8;
 
 /// Upper bound on decoded frame size (samples of the luma plane), against
@@ -88,8 +75,8 @@ pub(crate) fn header_len_explicit(n: usize) -> usize {
 
 /// Effective slice count for a frame of this height: the configured count,
 /// or for `cfg_slices == 0` an automatic choice of one slice per four
-/// macroblock rows capped at 8 (small frames stay single-slice and thus on
-/// the v1 bitstream). Always in `1..=mb_rows`.
+/// macroblock rows capped at 8 (frames under 8 macroblock rows are one
+/// slice). Always in `1..=mb_rows`.
 pub fn slice_count(cfg_slices: u8, height: usize) -> usize {
     let mbs_y = height.div_ceil(MB_SIZE).max(1);
     let want = if cfg_slices == 0 {
@@ -98,19 +85,6 @@ pub fn slice_count(cfg_slices: u8, height: usize) -> usize {
         cfg_slices as usize
     };
     want.clamp(1, mbs_y).min(255)
-}
-
-/// Entropy-lane count for a slice spanning `mb_rows` luma macroblock rows:
-/// 1, 2 or 4, growing with the symbol volume so the per-lane flush overhead
-/// (5 bytes/lane) stays negligible. A pure function of slice geometry — the
-/// decoder re-derives it from the parsed header, so it is never signalled
-/// per slice and can never disagree between encoder and decoder.
-pub fn lane_count(mb_rows: usize) -> usize {
-    match mb_rows {
-        0 | 1 => 1,
-        2 | 3 => 2,
-        _ => 4,
-    }
 }
 
 /// Row extent of one slice: a contiguous run of luma macroblock rows and
@@ -149,7 +123,7 @@ pub(crate) fn partition(format: PixelFormat, height: usize, n: usize) -> Vec<Sli
     // An 8x8 chroma block row corresponds 1:1 to a luma macroblock row:
     // ceil(ceil(h/2)/8) == ceil(h/16), so slices are self-contained in
     // every plane.
-    let ch = if format.plane_count() > 1 {
+    let ch = if format.num_planes() > 1 {
         format.plane_dims(1, 0, height).1
     } else {
         0
@@ -182,7 +156,7 @@ pub(crate) fn rows_for_bands(
     height: usize,
     bands: &[(u16, u16)],
 ) -> Vec<SliceRows> {
-    let ch = if format.plane_count() > 1 {
+    let ch = if format.num_planes() > 1 {
         format.plane_dims(1, 0, height).1
     } else {
         0
@@ -269,9 +243,7 @@ pub(crate) fn carve_plane_rows<'a>(
 
 /// DC predictor for an intra block inside a slice stripe: the mean of the
 /// reconstructed row above and column left of the block *within the slice*
-/// (the slice's top row predicts like a frame edge), else mid-range. With
-/// `y0 == 0` and the stripe covering the whole plane this is exactly
-/// [`crate::encoder::intra_dc_pred`].
+/// (the slice's top row predicts like a frame edge), else mid-range.
 pub(crate) fn intra_dc_pred_stripe(
     stripe: &[u16],
     width: usize,
@@ -303,7 +275,7 @@ pub(crate) fn intra_dc_pred_stripe(
     }
 }
 
-/// Serialise the v2 frame header: fixed fields, the explicit-geometry
+/// Serialise the frame header: fixed fields, the explicit-geometry
 /// table when `geometry` is given (flag bit 4, aligned with
 /// `payload_lens`), the refinement flag (bit 5, requires geometry and an
 /// intra frame), and the slice length table.
@@ -314,7 +286,6 @@ pub(crate) fn write_header_ext(
     qp: u8,
     width: usize,
     height: usize,
-    lanes: bool,
     geometry: Option<&[(u16, u16)]>,
     refinement: bool,
     payload_lens: &[usize],
@@ -342,7 +313,6 @@ pub(crate) fn write_header_ext(
     out.push(
         u8::from(frame_type == FrameType::Inter)
             | (fmt_bits << 1)
-            | (u8::from(lanes) << 3)
             | (u8::from(geometry.is_some()) << 4)
             | (u8::from(refinement) << 5),
     );
@@ -362,16 +332,14 @@ pub(crate) fn write_header_ext(
     out
 }
 
-/// Parsed v2 frame header.
+/// Parsed frame header.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct V2Header {
+pub(crate) struct FrameHeader {
     pub frame_type: FrameType,
     pub format: PixelFormat,
     pub qp: u8,
     pub width: usize,
     pub height: usize,
-    /// Slice payloads use the interleaved entropy-lane layout (flag bit 3).
-    pub lanes: bool,
     /// Explicit macroblock-row bands (flag bit 4), aligned with
     /// `payload_lens`; `None` means geometry derives from `(height, S)`.
     pub geometry: Option<Vec<(u16, u16)>>,
@@ -382,10 +350,10 @@ pub(crate) struct V2Header {
     pub payload_lens: Vec<usize>,
 }
 
-/// Parse and validate a v2 frame header against the actual buffer length.
+/// Parse and validate a frame header against the actual buffer length.
 /// Every inconsistency maps to a [`DecodeError`]; nothing here (or later in
 /// the slice decode) can panic on corrupt input.
-pub(crate) fn parse_header(data: &[u8]) -> Result<V2Header, DecodeError> {
+pub(crate) fn parse_header(data: &[u8]) -> Result<FrameHeader, DecodeError> {
     if data.first() != Some(&SLICED_MAGIC) {
         return Err(DecodeError::BadMagic);
     }
@@ -403,10 +371,10 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<V2Header, DecodeError> {
         1 => PixelFormat::Y16,
         _ => return Err(DecodeError::BadHeader),
     };
-    let lanes = flags & 0b1000 != 0;
     let explicit = flags & 0b1_0000 != 0;
     let refinement = flags & 0b10_0000 != 0;
-    if flags & !0b11_1111 != 0 {
+    // Bits 3, 6 and 7 are reserved.
+    if flags & !0b11_0111 != 0 {
         return Err(DecodeError::BadHeader);
     }
     // Refinement payloads must carry their bands and be intra-coded.
@@ -481,13 +449,12 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<V2Header, DecodeError> {
         std::cmp::Ordering::Less => Err(DecodeError::Truncated),
         // Trailing bytes mean the offsets are inconsistent with the buffer.
         std::cmp::Ordering::Greater => Err(DecodeError::BadSliceTable),
-        std::cmp::Ordering::Equal => Ok(V2Header {
+        std::cmp::Ordering::Equal => Ok(FrameHeader {
             frame_type,
             format,
             qp,
             width,
             height,
-            lanes,
             geometry,
             refinement,
             payload_lens,
@@ -535,7 +502,7 @@ mod tests {
 
     #[test]
     fn auto_slice_count_scales_with_height() {
-        assert_eq!(slice_count(0, 64), 1, "4 MB rows stay unsliced");
+        assert_eq!(slice_count(0, 64), 1, "4 MB rows are one slice");
         assert_eq!(slice_count(0, 128), 2);
         assert_eq!(slice_count(0, 512), 8);
         assert_eq!(slice_count(0, 4096), 8, "capped at 8");
@@ -546,40 +513,26 @@ mod tests {
     #[test]
     fn header_round_trips() {
         let lens = [64usize, 1000, 5];
-        for lanes in [false, true] {
-            let h = write_header_ext(
-                FrameType::Inter,
-                PixelFormat::Y16,
-                17,
-                320,
-                240,
-                lanes,
-                None,
-                false,
-                &lens,
-            );
-            assert_eq!(h.len(), header_len(3));
-            // Pad to the advertised total so parse sees a consistent buffer.
-            let mut buf = h.clone();
-            buf.resize(header_len(3) + lens.iter().sum::<usize>(), 0);
-            let parsed = parse_header(&buf).unwrap();
-            assert_eq!(parsed.frame_type, FrameType::Inter);
-            assert_eq!(parsed.format, PixelFormat::Y16);
-            assert_eq!(parsed.qp, 17);
-            assert_eq!((parsed.width, parsed.height), (320, 240));
-            assert_eq!(parsed.lanes, lanes);
-            assert_eq!(parsed.payload_lens, lens);
-        }
-    }
-
-    #[test]
-    fn lane_count_is_a_pure_geometry_function() {
-        assert_eq!(lane_count(0), 1);
-        assert_eq!(lane_count(1), 1);
-        assert_eq!(lane_count(2), 2);
-        assert_eq!(lane_count(3), 2);
-        assert_eq!(lane_count(4), 4);
-        assert_eq!(lane_count(100), 4);
+        let h = write_header_ext(
+            FrameType::Inter,
+            PixelFormat::Y16,
+            17,
+            320,
+            240,
+            None,
+            false,
+            &lens,
+        );
+        assert_eq!(h.len(), header_len(3));
+        // Pad to the advertised total so parse sees a consistent buffer.
+        let mut buf = h.clone();
+        buf.resize(header_len(3) + lens.iter().sum::<usize>(), 0);
+        let parsed = parse_header(&buf).unwrap();
+        assert_eq!(parsed.frame_type, FrameType::Inter);
+        assert_eq!(parsed.format, PixelFormat::Y16);
+        assert_eq!(parsed.qp, 17);
+        assert_eq!((parsed.width, parsed.height), (320, 240));
+        assert_eq!(parsed.payload_lens, lens);
     }
 
     #[test]
@@ -592,7 +545,6 @@ mod tests {
                 10,
                 64,
                 64,
-                false,
                 None,
                 false,
                 &lens,
@@ -642,13 +594,16 @@ mod tests {
         let mut fmt = good.clone();
         fmt[1] = 0b110;
         assert_eq!(parse_header(&fmt), Err(DecodeError::BadHeader));
-        // Bit 3 is the lane flag — legal; bit 6 is still reserved.
-        let mut lane_flag = good.clone();
-        lane_flag[1] |= 0b1000;
-        assert!(parse_header(&lane_flag).unwrap().lanes);
-        let mut flag = good.clone();
-        flag[1] |= 0b100_0000;
-        assert_eq!(parse_header(&flag), Err(DecodeError::BadHeader));
+        // Bits 3 (the retired entropy-lane flag), 6 and 7 are reserved.
+        for bit in [3, 6, 7] {
+            let mut flag = good.clone();
+            flag[1] |= 1 << bit;
+            assert_eq!(
+                parse_header(&flag),
+                Err(DecodeError::BadHeader),
+                "bit {bit}"
+            );
+        }
         // Bit 4 without a plausible geometry table: the length-table bytes
         // get read as bands and fail validation.
         let mut geo = good.clone();
@@ -662,7 +617,8 @@ mod tests {
         let mut qp = good.clone();
         qp[2] = 120;
         assert_eq!(parse_header(&qp), Err(DecodeError::BadHeader));
-        // Not the v2 magic.
+        // Not the frame magic (0x00 opened every frame of the retired v1
+        // container).
         let mut magic = good;
         magic[0] = 0x00;
         assert_eq!(parse_header(&magic), Err(DecodeError::BadMagic));
@@ -678,7 +634,6 @@ mod tests {
             12,
             64,
             64,
-            false,
             Some(&bands),
             false,
             &lens,
@@ -704,7 +659,6 @@ mod tests {
             4,
             64,
             64,
-            true,
             Some(&bands),
             true,
             &lens,
@@ -713,7 +667,6 @@ mod tests {
         buf.resize(h.len() + lens.iter().sum::<usize>(), 0);
         let parsed = parse_header(&buf).unwrap();
         assert!(parsed.refinement);
-        assert!(parsed.lanes);
         assert_eq!(parsed.geometry.as_deref(), Some(&bands[..]));
 
         // The same subset without the refinement flag must not tile and
@@ -724,7 +677,6 @@ mod tests {
             4,
             64,
             64,
-            false,
             Some(&bands),
             false,
             &lens,
@@ -743,7 +695,6 @@ mod tests {
                 4,
                 64,
                 64,
-                false,
                 Some(bands),
                 refinement,
                 &lens,
@@ -793,9 +744,34 @@ mod tests {
         assert_eq!(stripes[1][0], 20);
     }
 
+    /// Whole-plane DC predictor: the mean of the reconstructed row above and
+    /// column left of the block (whichever exist), else mid-range. The
+    /// oracle for [`intra_dc_pred_stripe`] on a stripe covering the plane.
+    fn intra_dc_pred(recon: &crate::plane::Plane, bx: usize, by: usize, peak: u16) -> i32 {
+        let mut acc = 0u64;
+        let mut n = 0u64;
+        if by > 0 {
+            for dx in 0..8 {
+                let x = (bx + dx).min(recon.width - 1);
+                acc += recon.get(x, by - 1) as u64;
+                n += 1;
+            }
+        }
+        if bx > 0 {
+            for dy in 0..8 {
+                let y = (by + dy).min(recon.height - 1);
+                acc += recon.get(bx - 1, y) as u64;
+                n += 1;
+            }
+        }
+        match acc.checked_div(n) {
+            Some(mean) => mean as i32,
+            None => (peak as i32 + 1) / 2,
+        }
+    }
+
     #[test]
     fn stripe_dc_pred_matches_full_plane_at_y0_zero() {
-        use crate::encoder::intra_dc_pred;
         use crate::plane::Plane;
         let mut p = Plane::new(24, 24);
         for y in 0..24 {

@@ -116,14 +116,14 @@ fn y16_full_range_extremes_round_trip() {
     }
 }
 
-/// The five codec presets the mutation sweep covers: both pixel formats,
-/// v1 (unsliced) and v2 (sliced) streams, and slice counts from 2 to 8.
+/// The five codec presets the mutation sweep covers: both pixel formats
+/// and slice counts from 1 (frames too small to split) to 8.
 const MUTATION_PRESETS: [(usize, usize, PixelFormat, u8); 5] = [
-    (48, 40, PixelFormat::Yuv420, 0),   // v1 colour
-    (64, 64, PixelFormat::Y16, 0),      // v1 depth
-    (96, 80, PixelFormat::Yuv420, 3),   // v2 colour
-    (80, 96, PixelFormat::Y16, 4),      // v2 depth
-    (128, 128, PixelFormat::Yuv420, 8), // v2, max slice fan-out
+    (48, 40, PixelFormat::Yuv420, 0),   // one-slice colour
+    (64, 64, PixelFormat::Y16, 0),      // one-slice depth
+    (96, 80, PixelFormat::Yuv420, 3),   // sliced colour
+    (80, 96, PixelFormat::Y16, 4),      // sliced depth
+    (128, 128, PixelFormat::Yuv420, 8), // max slice fan-out
 ];
 
 /// Deterministic textured frame (no RNG: byte-mutation coverage must be
@@ -153,9 +153,6 @@ fn pattern_frame(w: usize, h: usize, format: PixelFormat, t: usize) -> Frame {
 fn preset_streams(w: usize, h: usize, format: PixelFormat, slices: u8) -> Vec<Vec<u8>> {
     let mut cfg = EncoderConfig::new(w, h, format);
     cfg.slices = slices;
-    // Lanes on: the mutation sweep then also chews on lane sub-length
-    // tables in every sliced preset, not just the targeted lane test.
-    cfg.entropy_lanes = true;
     let mut enc = Encoder::new(cfg);
     (0..3)
         .map(|t| enc.encode(&pattern_frame(w, h, format, t), 120_000).data)
@@ -171,8 +168,8 @@ fn mutated_streams_never_panic_across_presets() {
     let pool = std::sync::Arc::new(livo_runtime::WorkerPool::new(2));
     for &(w, h, format, slices) in &MUTATION_PRESETS {
         let streams = preset_streams(w, h, format, slices);
-        if slices > 1 {
-            assert_eq!(streams[0][0], SLICED_MAGIC, "{w}x{h} should emit v2");
+        for s in &streams {
+            assert_eq!(s[0], SLICED_MAGIC, "{w}x{h}: every frame is a sliced frame");
         }
         // One long-lived pooled decoder eats every mutation without resets —
         // garbage references included, like a receiver that keeps going.
@@ -202,7 +199,7 @@ fn mutated_streams_never_panic_across_presets() {
 
 #[test]
 fn corrupt_slice_tables_are_rejected() {
-    // Targeted v2 header/slice-table corruptions must map to `Err`, not
+    // Targeted header/slice-table corruptions must map to `Err`, not
     // to a silent garbage frame of the wrong shape.
     let (w, h) = (96usize, 80usize);
     let data = {
@@ -270,86 +267,41 @@ fn corrupt_slice_tables_are_rejected() {
 }
 
 #[test]
-fn corrupt_lane_tables_are_rejected() {
-    // 128 px high, 2 slices → 4 MB rows per slice → 4 entropy lanes, so
-    // every slice payload opens with a 12-byte lane sub-length table
-    // (3 × u32 LE; the last lane is the remainder). Corrupting that table
-    // must map to `Err`, never a panic or a wild allocation.
-    let (w, h) = (64usize, 128usize);
-    let streams = preset_streams(w, h, PixelFormat::Yuv420, 2);
-    let data = &streams[0];
-    assert_eq!(data[0], SLICED_MAGIC);
-    assert_eq!(data[1] & 0b1000, 0b1000, "lane flag must be set");
-    let n_slices = data[7] as usize;
-    assert_eq!(n_slices, 2);
-    let header_len = 8 + 4 * n_slices;
-    let len0 = u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
-    let len1 = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
-    let slices = [(header_len, len0), (header_len + len0, len1)];
-
-    let decode = |bytes: &[u8]| Decoder::new().decode(bytes).map(|_| ());
-
-    for &(start, len) in &slices {
-        // Lane 0 shorter than the 5-byte range-coder minimum.
-        let mut c = data.clone();
-        c[start..start + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert_eq!(decode(&c), Err(DecodeError::BadSliceTable));
-        // Lane 0 longer than the whole slice payload.
-        let mut c = data.clone();
-        c[start..start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode(&c), Err(DecodeError::BadSliceTable));
-        // Sub-lengths that squeeze the remainder lane below 5 bytes.
-        let body = len - 12;
-        let l0 = u32::from_le_bytes(data[start..start + 4].try_into().unwrap()) as usize;
-        let l1 = u32::from_le_bytes(data[start + 4..start + 8].try_into().unwrap()) as usize;
-        let grown = (body - l0 - l1 - 4) as u32;
-        let mut c = data.clone();
-        c[start + 8..start + 12].copy_from_slice(&grown.to_le_bytes());
-        assert_eq!(decode(&c), Err(DecodeError::BadSliceTable));
-    }
-
-    // Every lane-table byte forced to 0x00/0xFF, eaten both by fresh serial
-    // decoders and a warm pooled decoder holding a real reference (the
-    // mutated inter frame rides on the good keyframe).
-    let mut warm = Decoder::new();
-    warm.set_worker_pool(std::sync::Arc::new(livo_runtime::WorkerPool::new(2)));
-    warm.decode(&streams[0]).unwrap();
-    for frame in [&streams[0], &streams[1]] {
-        let fl0 = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
-        for start in [header_len, header_len + fl0] {
-            for i in start..start + 12 {
-                for forced in [0x00u8, 0xFF] {
-                    let mut c = frame.clone();
-                    if c[i] == forced {
-                        continue;
-                    }
-                    c[i] = forced;
-                    let _ = Decoder::new().decode(&c);
-                    let _ = warm.decode(&c);
-                }
-            }
+fn reserved_flag_bit_3_is_rejected() {
+    // Bit 3 selected the retired interleaved entropy lanes; it is reserved
+    // now, on one-slice and multi-slice frames alike.
+    for &(w, h, format, slices) in &MUTATION_PRESETS {
+        for mut c in preset_streams(w, h, format, slices) {
+            c[1] |= 0b1000;
+            assert_eq!(
+                Decoder::new().decode(&c).map(|_| ()),
+                Err(DecodeError::BadHeader),
+                "{w}x{h}"
+            );
         }
     }
+}
 
-    // Truncation anywhere — inside the header, a lane table, or a lane
-    // payload — must stay total. Strided overall, dense around each lane
-    // table where the interesting boundaries live.
-    let cuts = (0..data.len()).step_by(11).chain(
-        slices
-            .iter()
-            .flat_map(|&(s, _)| s.saturating_sub(2)..s + 16),
-    );
-    for cut in cuts {
-        let _ = Decoder::new().decode(&data[..cut]);
+#[test]
+fn former_v1_buffers_are_rejected() {
+    // A v1 frame was one range-coder stream, whose first byte is always the
+    // 0x00 priming byte. Such a buffer is not a frame any more, whatever
+    // follows and however long it is.
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    for len in [1usize, 5, 8, 64, 4096] {
+        let mut v1: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        v1[0] = 0x00;
+        assert_eq!(
+            Decoder::new().decode(&v1).map(|_| ()),
+            Err(DecodeError::BadMagic),
+            "len {len}"
+        );
     }
-
-    // And the pristine stream still decodes after all that.
-    Decoder::new().decode(data).unwrap();
 }
 
 #[test]
 fn sliced_inter_frames_fail_cleanly_without_reference() {
-    // v2 P-frames decoded without their reference must report
+    // P-frames decoded without their reference must report
     // `MissingReference`, never panic inside a worker.
     let streams = preset_streams(96, 80, PixelFormat::Yuv420, 3);
     let mut dec = Decoder::new();

@@ -606,7 +606,7 @@ impl ConferenceRunner {
         let pool = &pool_arc;
         color_enc.set_worker_pool(pool.clone());
         depth_enc.set_worker_pool(pool.clone());
-        // Receive side: sliced (v2) frames entropy-decode slice-parallel on
+        // Receive side: frames entropy-decode slice-parallel on
         // the same pool, and the colour/depth lanes decode concurrently.
         color_dec.set_worker_pool(pool.clone());
         depth_dec.set_worker_pool(pool.clone());

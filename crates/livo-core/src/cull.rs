@@ -108,69 +108,17 @@ const CHUNK: usize = 16;
 /// one-element slice). `ray_x` are the per-column ray components of the
 /// camera's [`RayTable`], `ray_y_v` the component of this row.
 ///
-/// Dispatches once per row on the runtime SIMD tier
-/// (`livo_math::simd::level()`, a cached atomic load): on AVX2 hosts the
-/// identical chunk body is recompiled with 256-bit vectors (the divide stays
-/// a true `vdivps`, never a reciprocal — same per-lane operations in the
-/// same order, so decisions are bit-exact across tiers).
-#[inline]
-fn cull_row(
-    frusta: &[Frustum],
-    ray_x: &[f32],
-    ray_y_v: f32,
-    drow: &mut [u16],
-    crow: &mut [u8],
-    stats: &mut CullStats,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if livo_math::simd::has_avx2() {
-        // SAFETY: has_avx2() never reports true unless the CPU supports it.
-        unsafe { cull_row_avx2(frusta, ray_x, ray_y_v, drow, crow, stats) };
-        return;
-    }
-    cull_row_body(frusta, ray_x, ray_y_v, drow, crow, stats);
-}
-
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn cull_row_avx2(
-    frusta: &[Frustum],
-    ray_x: &[f32],
-    ray_y_v: f32,
-    drow: &mut [u16],
-    crow: &mut [u8],
-    stats: &mut CullStats,
-) {
-    cull_row_body(frusta, ray_x, ray_y_v, drow, crow, stats);
-}
-
-/// Baseline-tier row kernel (the pre-dispatch compilation of the chunk
-/// body), kept callable for differential tests and `repro kernels`.
-fn cull_row_baseline(
-    frusta: &[Frustum],
-    ray_x: &[f32],
-    ray_y_v: f32,
-    drow: &mut [u16],
-    crow: &mut [u8],
-    stats: &mut CullStats,
-) {
-    cull_row_body(frusta, ray_x, ray_y_v, drow, crow, stats);
-}
-
-/// The shared chunk kernel: depth rows walked in 16-pixel chunks, all-zero
-/// chunks skipped with one scan, non-empty chunks evaluating all six plane
-/// tests branch-free over small fixed arrays LLVM vectorises at whatever
-/// width the enclosing wrapper's target features allow.
+/// Depth rows are walked in 16-pixel chunks, all-zero chunks skipped with
+/// one scan, non-empty chunks evaluating all six plane tests branch-free
+/// over small fixed arrays LLVM vectorises.
 ///
 /// Decisions are bit-identical to the per-pixel reference: each lane
 /// computes `signed_distance(ray·z) >= 0.0` for the same planes in the same
 /// point; conjunction/disjunction of identical comparisons is order-free.
 /// Lanes with zero depth produce a mask that the apply pass never reads, so
 /// their rgb bytes are left untouched exactly like the reference.
-#[inline(always)]
-fn cull_row_body(
+#[inline]
+fn cull_row(
     frusta: &[Frustum],
     ray_x: &[f32],
     ray_y_v: f32,
@@ -541,36 +489,6 @@ pub fn cull_views_union_coverage(
     CullContext::new().cull_views_union_coverage(views, cameras, frusta)
 }
 
-/// The chunked cull pinned to the baseline (non-AVX2) row kernel, whatever
-/// the host supports — the `repro kernels` reference side of the
-/// `cull_avx2` point, so the measured gain isolates the wider vectors from
-/// the chunking (which both sides share).
-#[doc(hidden)]
-pub fn cull_views_baseline(
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frustum: &Frustum,
-) -> CullStats {
-    assert_eq!(views.len(), cameras.len());
-    let mut stats = CullStats::default();
-    for (view, cam) in views.iter_mut().zip(cameras) {
-        let table = RayTable::build(&cam.intrinsics);
-        let local = frustum.transformed(&cam.world_to_local());
-        let frusta = std::slice::from_ref(&local);
-        let width = view.width;
-        let ray_y = table.ray_y();
-        for (y, (drow, crow)) in view
-            .depth_mm
-            .chunks_mut(width.max(1))
-            .zip(view.rgb.chunks_mut(width.max(1) * 3))
-            .enumerate()
-        {
-            cull_row_baseline(frusta, table.ray_x(), ray_y[y], drow, crow, &mut stats);
-        }
-    }
-    stats
-}
-
 /// The original per-pixel cull, retained verbatim as the differential-test
 /// and `repro kernels` reference for the chunked fast path. Results (pixel
 /// masks and stats) are bit-identical to [`cull_views`].
@@ -898,31 +816,6 @@ mod tests {
             let naive_stats = cull_views_reference(&mut naive, &cams, &f);
             assert_eq!(fast_stats, naive_stats);
             for (a, b) in fast.iter().zip(&naive) {
-                assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
-                assert_eq!(a.rgb, b.rgb, "rgb masks differ");
-            }
-        }
-    }
-
-    /// The runtime-dispatched row kernel (AVX2 on capable hosts) and the
-    /// pinned baseline tier must agree bitwise — masks, colours and stats.
-    #[test]
-    fn dispatched_cull_is_bit_identical_to_baseline_tier() {
-        let cams = rig::camera_ring(
-            3,
-            2.5,
-            1.2,
-            Vec3::new(0.0, 1.0, 0.0),
-            livo_math::CameraIntrinsics::kinect_depth(0.12),
-        );
-        let views = render_all(&cams);
-        for f in test_frusta() {
-            let mut fast = views.clone();
-            let fast_stats = cull_views(&mut fast, &cams, &f);
-            let mut base = views.clone();
-            let base_stats = cull_views_baseline(&mut base, &cams, &f);
-            assert_eq!(fast_stats, base_stats);
-            for (a, b) in fast.iter().zip(&base) {
                 assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
                 assert_eq!(a.rgb, b.rgb, "rgb masks differ");
             }

@@ -41,8 +41,8 @@ pub use conference::{
     RunSummary,
 };
 pub use cull::{
-    cull_views, cull_views_baseline, cull_views_coverage, cull_views_on, cull_views_reference,
-    cull_views_union, cull_views_union_coverage, CullContext, CullCoverage, CullStats,
+    cull_views, cull_views_coverage, cull_views_on, cull_views_reference, cull_views_union,
+    cull_views_union_coverage, CullContext, CullCoverage, CullStats,
 };
 pub use depth::{DepthCodec, DepthEncoding};
 pub use frustum_pred::FrustumPredictor;

@@ -187,7 +187,7 @@ const WINDOW: usize = 8;
 
 impl ReceiverState {
     fn new() -> Self {
-        // Sliced (v2) frames entropy-decode slice-parallel on the
+        // Frames entropy-decode slice-parallel on the
         // process-wide pool; with LIVO_THREADS=1 this is a plain serial
         // decode and the output is identical.
         let pool = livo_runtime::global();

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerate BENCH_kernels.json: the hot-kernel microbench snapshot
 # (schema livo-bench-kernels-v1) comparing each optimised kernel — cull,
-# forward/inverse DCT, SAD, full encode — against its retained
+# forward/inverse DCT, SAD — against its retained
 # pre-optimisation reference. `--gate` makes the run fail if any kernel
 # regressed below 1.0x.
 #

@@ -5,7 +5,9 @@
 # When the crates.io registry is unreachable (offline/sandboxed CI), falls
 # back to the raw-rustc offline build (scripts/offline_build.sh), which
 # compiles the workspace against scripts/stubs and runs the same unit +
-# integration suites. Clippy runs in both modes when clippy-driver exists.
+# integration suites. The mode decides only how to build, how to start
+# `repro` or a test binary, and which clippy to call; the gates below are
+# written once and run in both.
 set -e
 R="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$R"
@@ -16,9 +18,10 @@ cargo_works() {
   cargo metadata --format-version 1 >/dev/null 2>&1
 }
 
-# Sliced (v2) bitstream overhead gate: on the band2 pipeline run, the
-# uncompressed slice headers must cost at most 2% of each stream's total
-# bits (hdr * 50 <= total). Reads the --metrics JSON snapshot.
+# Bitstream overhead gate: on the band2 pipeline run, the uncompressed
+# frame headers and slice tables must cost at most 2% of each stream's
+# total bits (hdr * 50 <= total), small one-slice frames included. Reads
+# the --metrics JSON snapshot.
 overhead_check() {
   json=$1
   for lane in color depth; do
@@ -71,7 +74,7 @@ fov_check() {
 
 fmt_check() {
   # Formatting is part of the gate in both modes.
-  if command -v cargo >/dev/null 2>&1 && cargo fmt --version >/dev/null 2>&1 && [ "$1" = cargo ]; then
+  if [ "$MODE" = cargo ] && cargo fmt --version >/dev/null 2>&1; then
     echo "== tier1: cargo fmt --check =="
     cargo fmt --check
   elif command -v rustfmt >/dev/null 2>&1; then
@@ -85,105 +88,89 @@ fmt_check() {
 }
 
 if cargo_works; then
-  echo "== tier1: cargo mode =="
-  cargo build --release
-  cargo test -q
-  # The SFU fan-out suite and a 1 s multiparty smoke run, named so a
-  # regression is visible even when the workspace test list changes.
-  cargo test -q --test sfu_fanout
-  cargo run --release --example multiparty -- --seconds 1
-  # SIMD dispatch: the kernel differential suite must hold with the
-  # dispatcher forced to the scalar tier AND at the auto-detected tier
-  # (LIVO_SIMD caps the level per process; test binaries are separate
-  # processes, so the env var takes effect per run).
-  echo "== tier1: simd tier sweep =="
-  LIVO_SIMD=scalar cargo test -q --test kernel_differential
-  cargo test -q --test kernel_differential
-  # Hot-kernel regression gate: every gated kernel must clear its
-  # per-point floor against its retained reference implementation.
-  echo "== tier1: kernel gate =="
-  LIVO_LOG=warn cargo run --release --bin repro -- --gate kernels >/dev/null
-  echo "== tier1: slice overhead gate =="
-  snap=$(mktemp)
-  LIVO_LOG=warn cargo run --release --bin repro -- --quick --metrics "$snap" >/dev/null
-  overhead_check "$snap"; rm -f "$snap"
-  # QoE sweep smoke: schema-stable snapshot over the band2 loss/bandwidth
-  # sweep.
-  echo "== tier1: qoe smoke =="
-  qsnap=$(mktemp)
-  LIVO_LOG=warn cargo run --release --bin repro -- --quick qoe --json "$qsnap" >/dev/null
-  qoe_check "$qsnap"; rm -f "$qsnap"
-  # Trace-overhead gate: tracing on must cost at most 5% encode
-  # wall-clock versus tracing off (median of interleaved A/B pairs).
-  echo "== tier1: trace overhead gate =="
-  LIVO_LOG=warn cargo run --release --bin repro -- --quick --gate traceoverhead >/dev/null
-  # SFU scaling gate: shared passes/frame must track the gaze-group
-  # count (not N), the sharded route must hold against the serial
-  # baseline at N=100, and churn intras stay one RTT apart.
-  echo "== tier1: sfu scaling gate =="
-  LIVO_LOG=warn cargo run --release --bin repro -- --quick --gate sfu >/dev/null
-  # Bonded-transport gate: bonded delivery must beat the best single
-  # link on every topology scenario and survive the mid-call kill.
-  echo "== tier1: bond gate =="
-  bsnap=$(mktemp)
-  LIVO_LOG=warn cargo run --release --bin repro -- --quick --gate bond --json "$bsnap" >/dev/null
-  bond_check "$bsnap"; rm -f "$bsnap"
-  # FoV-utility gate: progressive delivery must match or beat the
-  # all-or-nothing baseline per bit at every band.
-  echo "== tier1: fov gate =="
-  fsnap=$(mktemp)
-  LIVO_LOG=warn cargo run --release --bin repro -- --quick --gate fov --json "$fsnap" >/dev/null
-  fov_check "$fsnap"; rm -f "$fsnap"
-  # Whole-call benchmark smoke: one short rep per workload with its
-  # correctness checks on (builds benchmark/ against this checkout).
-  echo "== tier1: benchmark smoke =="
-  bash benchmark/run.sh --smoke >/dev/null
-  fmt_check cargo
-  if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --workspace --all-targets -- -D warnings
-  else
-    echo "(cargo clippy unavailable — skipping lint)"
-  fi
+  MODE=cargo
+  build_and_test() {
+    cargo build --release
+    cargo test -q
+    # The SFU fan-out suite and a 1 s multiparty smoke run, named so a
+    # regression is visible even when the workspace test list changes.
+    cargo test -q --test sfu_fanout
+    cargo run --release --example multiparty -- --seconds 1
+  }
+  repro() { LIVO_LOG=warn cargo run --release --bin repro -- "$@"; }
+  run_test() { cargo test -q --test "$1"; }
+  lint() {
+    if cargo clippy --version >/dev/null 2>&1; then
+      cargo clippy --workspace --all-targets -- -D warnings
+    else
+      echo "(cargo clippy unavailable — skipping lint)"
+    fi
+  }
 else
-  echo "== tier1: offline mode (registry unreachable) =="
+  MODE=offline
+  OUT="${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}"
   # run-tests executes the sfu_fanout suite and the 1 s multiparty smoke.
-  bash scripts/offline_build.sh run-tests
-  # SIMD dispatch sweep (same bar as cargo mode): the differential suite
-  # forced to the scalar tier; run-tests above already covered the
-  # auto-detected tier.
-  echo "== tier1: simd tier sweep =="
-  LIVO_SIMD=scalar "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/kernel_differential" --test-threads=1 >/dev/null
-  # Hot-kernel regression gate (same bar as cargo mode).
-  echo "== tier1: kernel gate =="
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --gate kernels >/dev/null
-  echo "== tier1: slice overhead gate =="
-  snap=$(mktemp)
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick --metrics "$snap" >/dev/null
-  overhead_check "$snap"; rm -f "$snap"
-  echo "== tier1: qoe smoke =="
-  qsnap=$(mktemp)
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick qoe --json "$qsnap" >/dev/null
-  qoe_check "$qsnap"; rm -f "$qsnap"
-  echo "== tier1: trace overhead gate =="
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick --gate traceoverhead >/dev/null
-  echo "== tier1: sfu scaling gate =="
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick --gate sfu >/dev/null
-  echo "== tier1: bond gate =="
-  bsnap=$(mktemp)
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick --gate bond --json "$bsnap" >/dev/null
-  bond_check "$bsnap"; rm -f "$bsnap"
-  echo "== tier1: fov gate =="
-  fsnap=$(mktemp)
-  LIVO_LOG=warn "${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}/repro" --quick --gate fov --json "$fsnap" >/dev/null
-  fov_check "$fsnap"; rm -f "$fsnap"
-  echo "== tier1: benchmark smoke =="
-  bash benchmark/run.sh --smoke >/dev/null
-  fmt_check offline
-  if command -v clippy-driver >/dev/null 2>&1; then
-    bash scripts/offline_clippy.sh
-  else
-    echo "(clippy-driver unavailable — skipping lint)"
-  fi
+  build_and_test() { bash scripts/offline_build.sh run-tests; }
+  repro() { LIVO_LOG=warn "$OUT/repro" "$@"; }
+  run_test() { "$OUT/$1" --test-threads=1 >/dev/null; }
+  lint() {
+    if command -v clippy-driver >/dev/null 2>&1; then
+      bash scripts/offline_clippy.sh
+    else
+      echo "(clippy-driver unavailable — skipping lint)"
+    fi
+  }
 fi
+
+echo "== tier1: $MODE mode =="
+build_and_test
+# SIMD dispatch: the kernel differential suite must hold with the
+# dispatcher forced to the scalar tier AND at the auto-detected tier
+# (LIVO_SIMD caps the level per process; test binaries are separate
+# processes, so the env var takes effect per run).
+echo "== tier1: simd tier sweep =="
+LIVO_SIMD=scalar run_test kernel_differential
+run_test kernel_differential
+# Hot-kernel regression gate: every gated kernel must run at least as fast
+# as the implementation it replaced.
+echo "== tier1: kernel gate =="
+repro --gate kernels >/dev/null
+echo "== tier1: slice overhead gate =="
+snap=$(mktemp)
+repro --quick --metrics "$snap" >/dev/null
+overhead_check "$snap"; rm -f "$snap"
+# QoE sweep smoke: schema-stable snapshot over the band2 loss/bandwidth
+# sweep.
+echo "== tier1: qoe smoke =="
+qsnap=$(mktemp)
+repro --quick qoe --json "$qsnap" >/dev/null
+qoe_check "$qsnap"; rm -f "$qsnap"
+# Trace-overhead gate: tracing on must cost at most 5% encode
+# wall-clock versus tracing off (median of interleaved A/B pairs).
+echo "== tier1: trace overhead gate =="
+repro --quick --gate traceoverhead >/dev/null
+# SFU scaling gate: shared passes/frame must track the gaze-group
+# count (not N), the sharded route must hold against the serial
+# baseline at N=100, and churn intras stay one RTT apart.
+echo "== tier1: sfu scaling gate =="
+repro --quick --gate sfu >/dev/null
+# Bonded-transport gate: bonded delivery must beat the best single
+# link on every topology scenario and survive the mid-call kill.
+echo "== tier1: bond gate =="
+bsnap=$(mktemp)
+repro --quick --gate bond --json "$bsnap" >/dev/null
+bond_check "$bsnap"; rm -f "$bsnap"
+# FoV-utility gate: progressive delivery must match or beat the
+# all-or-nothing baseline per bit at every band.
+echo "== tier1: fov gate =="
+fsnap=$(mktemp)
+repro --quick --gate fov --json "$fsnap" >/dev/null
+fov_check "$fsnap"; rm -f "$fsnap"
+# Whole-call benchmark smoke: one short rep per workload with its
+# correctness checks on (builds benchmark/ against this checkout).
+echo "== tier1: benchmark smoke =="
+bash benchmark/run.sh --smoke >/dev/null
+fmt_check
+lint
 
 echo "TIER1 OK"

@@ -2,7 +2,7 @@
 //!
 //! The parallel inter-frame path in `livo-codec2d` splits each plane into
 //! macroblock-row stripes that run motion search + transform + quantisation
-//! concurrently, then replays the serial range coder over the planned rows.
+//! concurrently, then entropy-codes the planned rows one slice per task.
 //! That design is only correct if the bitstream is *byte-identical* to the
 //! serial encoder's — otherwise sender and receiver drift apart depending on
 //! `LIVO_THREADS`. This test pins that property on realistic content: every
@@ -34,9 +34,6 @@ fn encoders(w: usize, h: usize, format: PixelFormat, slices: u8) -> Vec<(String,
     let mut cfg = EncoderConfig::new(w, h, format);
     cfg.gop_length = 0; // open GOP: frames 1.. are inter, the parallel path
     cfg.slices = slices;
-    // Opt into interleaved entropy lanes so sliced presets exercise the
-    // multi-lane format across every pool size (v1 frames ignore the flag).
-    cfg.entropy_lanes = true;
     let mut out = vec![("serial".to_string(), Encoder::new(cfg))];
     for n in THREADS {
         let mut enc = Encoder::new(cfg);
@@ -113,12 +110,12 @@ fn parallel_encode_is_bit_exact_on_every_preset() {
     }
 }
 
-/// The v2 (sliced) matrix: encoders at pool sizes {serial,1,2,4} must emit
-/// byte-identical sliced bitstreams, and decoders at pool sizes {serial,1,2,4}
+/// The multi-slice matrix: encoders at pool sizes {serial,1,2,4} must emit
+/// byte-identical bitstreams, and decoders at pool sizes {serial,1,2,4}
 /// must all reproduce the encoder reconstruction bit-exactly — every preset,
 /// colour and depth, closed-loop over inter frames.
 #[test]
-fn sliced_v2_encode_and_decode_are_bit_exact_on_every_preset() {
+fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
     const SLICES: u8 = 4; // the ~115x104 canvas has 7 MB rows → real stripes
     let cameras = camera_ring(
         N_CAMERAS,
@@ -160,25 +157,24 @@ fn sliced_v2_encode_and_decode_are_bit_exact_on_every_preset() {
                     .collect();
                 let (_, reference) = &outputs[0];
                 assert_eq!(
-                    reference.data[0],
-                    livo::codec2d::slice::SLICED_MAGIC,
-                    "{video} frame {seq}: explicit slices must emit a v2 stream"
+                    reference.data[7], SLICES,
+                    "{video} frame {seq}: the header carries the configured slice count"
                 );
                 for (name, out) in &outputs[1..] {
                     assert_eq!(
                         out.data, reference.data,
-                        "{video} frame {seq}: v2 {name} bitstream diverged from serial"
+                        "{video} frame {seq}: sliced {name} bitstream diverged from serial"
                     );
                 }
                 // Every decode pool size consumes the same stream and must
                 // land on the same pixels as the encoder's closed loop.
                 for (name, dec) in decs.iter_mut() {
                     let decoded = dec.decode(&reference.data).unwrap_or_else(|e| {
-                        panic!("{video} frame {seq}: v2 decode ({name}): {e:?}")
+                        panic!("{video} frame {seq}: sliced decode ({name}): {e:?}")
                     });
                     assert!(
                         decoded == reference.reconstruction,
-                        "{video} frame {seq}: v2 decoder ({name}) drifted from reconstruction"
+                        "{video} frame {seq}: sliced decoder ({name}) drifted from reconstruction"
                     );
                 }
             }
@@ -207,38 +203,92 @@ fn golden_frame(w: usize, h: usize, t: usize) -> livo::codec2d::Frame {
     livo::codec2d::Frame::from_rgb8(w, h, &rgb)
 }
 
-/// Backwards compatibility: v1 streams (the unsliced format every pre-v2
-/// sender emits) are pinned by a committed golden bitstream. The current
-/// encoder must still produce those exact bytes for single-slice frames, and
-/// decoders at every pool size must decode them. Regenerate the golden file
-/// with `LIVO_BLESS_GOLDEN=1` after a *deliberate* bitstream change.
+/// Frames under 8 macroblock rows are one-slice frames in the same sliced
+/// container as everything else. Pinned separately from the preset matrix,
+/// whose canvases happen to be 7 macroblock rows and whose decoders are all
+/// serial: both pixel formats, closed-loop over inter frames, encoders at
+/// pool sizes {serial,1,2,4} byte-identical, decoders at pool sizes
+/// {serial,1,2,4} bit-exact with the encoder's reconstruction.
 #[test]
-fn legacy_v1_golden_stream_still_decodes() {
-    const W: usize = 64;
-    const H: usize = 48; // 3 MB rows → auto slice count 1 → v1 bitstream
-    const N: usize = 3; // intra + two inter frames
-    let mut cfg = EncoderConfig::new(W, H, PixelFormat::Yuv420);
-    cfg.gop_length = 0;
-    let mut enc = Encoder::new(cfg);
-    let streams: Vec<Vec<u8>> = (0..N)
-        .map(|t| enc.encode(&golden_frame(W, H, t), 90_000).data)
-        .collect();
-    for (t, s) in streams.iter().enumerate() {
-        assert_eq!(
-            s[0], 0x00,
-            "frame {t}: v1 streams start with the priming byte"
-        );
+fn one_slice_frames_are_bit_exact_at_every_pool_size() {
+    const W: usize = 80;
+    const H: usize = 72; // 5 MB rows (the last one partial) → one slice
+    for format in [PixelFormat::Yuv420, PixelFormat::Y16] {
+        let mut encs = encoders(W, H, format, 0);
+        let mut decs = decoders();
+        for t in 0..4 {
+            let frame = match format {
+                PixelFormat::Yuv420 => golden_frame(W, H, t),
+                PixelFormat::Y16 => livo::codec2d::Frame::from_y16(
+                    W,
+                    H,
+                    (0..W * H)
+                        .map(|i| (((i % W + 3 * t) * 211 + (i / W + t) * 397) % 60013) as u16)
+                        .collect(),
+                ),
+            };
+            let outputs: Vec<(String, EncodedFrame)> = encs
+                .iter_mut()
+                .map(|(n, e)| (n.clone(), e.encode(&frame, 120_000)))
+                .collect();
+            let (_, reference) = &outputs[0];
+            assert_eq!(
+                reference.data[0],
+                livo::codec2d::slice::SLICED_MAGIC,
+                "{format:?} frame {t}"
+            );
+            assert_eq!(reference.data[7], 1, "{format:?} frame {t}: one slice");
+            for (name, out) in &outputs[1..] {
+                assert_eq!(
+                    out.data, reference.data,
+                    "{format:?} frame {t}: {name} bitstream diverged from serial"
+                );
+            }
+            for (name, dec) in decs.iter_mut() {
+                let decoded = dec
+                    .decode(&reference.data)
+                    .unwrap_or_else(|e| panic!("{format:?} frame {t} ({name}): {e:?}"));
+                assert!(
+                    decoded == reference.reconstruction,
+                    "{format:?} frame {t}: decoder ({name}) drifted from reconstruction"
+                );
+            }
+        }
     }
+}
 
-    // Length-prefixed concatenation of the three frames.
+/// The container is pinned by one committed golden file holding two
+/// sequences of an intra and two inter frames each: a 48-row frame, which
+/// is one slice, and a 128-row frame in two slices. The current encoder
+/// must reproduce those exact bytes, and decoders at every pool size must
+/// decode them. Regenerate the golden file with `LIVO_BLESS_GOLDEN=1` after
+/// a *deliberate* bitstream change.
+#[test]
+fn sliced_golden_stream_still_decodes() {
+    const N: usize = 3; // intra + two inter frames per sequence
+                        // (width, height, configured slices, expected slice count, bit budget)
+    const SEQUENCES: [(usize, usize, u8, u8, u64); 2] =
+        [(64, 48, 0, 1, 90_000), (64, 128, 2, 2, 160_000)];
+
     let mut blob = Vec::new();
-    blob.extend_from_slice(&(N as u32).to_le_bytes());
-    for s in &streams {
-        blob.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        blob.extend_from_slice(s);
+    let mut recons = Vec::new();
+    blob.extend_from_slice(&((SEQUENCES.len() * N) as u32).to_le_bytes());
+    for (w, h, slices, expect, bits) in SEQUENCES {
+        let mut cfg = EncoderConfig::new(w, h, PixelFormat::Yuv420);
+        cfg.gop_length = 0;
+        cfg.slices = slices;
+        let mut enc = Encoder::new(cfg);
+        for t in 0..N {
+            let out = enc.encode(&golden_frame(w, h, t), bits);
+            assert_eq!(out.data[0], livo::codec2d::slice::SLICED_MAGIC);
+            assert_eq!(out.data[7], expect, "{w}x{h} frame {t}: slice count");
+            blob.extend_from_slice(&(out.data.len() as u32).to_le_bytes());
+            blob.extend_from_slice(&out.data);
+            recons.push(out.reconstruction);
+        }
     }
 
-    let path = golden_path("golden_v1_stream.bin");
+    let path = golden_path("golden_sliced_stream.bin");
     if std::env::var_os("LIVO_BLESS_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &blob).unwrap();
@@ -251,21 +301,15 @@ fn legacy_v1_golden_stream_still_decodes() {
     });
     assert_eq!(
         blob, golden,
-        "encoder no longer reproduces the committed v1 bitstream byte-for-byte"
+        "encoder no longer reproduces the committed bitstream byte-for-byte"
     );
 
     // Parse the golden blob back and decode it at every pool size; all must
-    // agree with the current encoder's reconstruction chain.
-    let mut recons = Vec::new();
-    {
-        let mut enc = Encoder::new(cfg);
-        for t in 0..N {
-            recons.push(enc.encode(&golden_frame(W, H, t), 90_000).reconstruction);
-        }
-    }
+    // agree with the current encoder's reconstruction chain. A decoder moves
+    // from one sequence to the next on its keyframe.
     let mut off = 4usize;
     let mut frames = Vec::new();
-    for _ in 0..N {
+    for _ in 0..recons.len() {
         let len = u32::from_le_bytes(golden[off..off + 4].try_into().unwrap()) as usize;
         off += 4;
         frames.push(&golden[off..off + len]);
@@ -363,7 +407,7 @@ fn refinement_plan_and_payload_are_deterministic_across_pools() {
 }
 
 /// The progressive refinement format is pinned by its own committed golden
-/// stream: one v2 base keyframe plus a refinement-flagged payload (flags
+/// stream: one base keyframe plus a refinement-flagged payload (flags
 /// bit 5) over two macroblock-row bands. The current encoder must reproduce
 /// the committed bytes; `apply_refinement` at every pool size must land on
 /// identical pixels; and the refinement payload must be rejected as a
@@ -444,85 +488,5 @@ fn refinement_golden_stream_still_applies() {
             f == serial,
             "{name}: refined pixels diverged from the serial apply"
         );
-    }
-}
-
-/// The multi-lane v2 format is pinned by its own committed golden stream:
-/// 128 px high, 2 slices of 4 MB rows each, so every slice carries 4
-/// interleaved entropy lanes (flag bit 3 set). The current encoder must
-/// reproduce the committed bytes and decoders at every pool size must decode
-/// them — any change to the lane rotation, sub-length table or lane-count
-/// rule breaks this. Regenerate with `LIVO_BLESS_GOLDEN=1` after a
-/// *deliberate* format change.
-#[test]
-fn lane_format_golden_stream_still_decodes() {
-    const W: usize = 64;
-    const H: usize = 128; // 8 MB rows / 2 slices → 4 MB rows → 4 lanes each
-    const N: usize = 3; // intra + two inter frames
-    let mut cfg = EncoderConfig::new(W, H, PixelFormat::Yuv420);
-    cfg.gop_length = 0;
-    cfg.slices = 2;
-    cfg.entropy_lanes = true;
-    let mut enc = Encoder::new(cfg);
-    let streams: Vec<Vec<u8>> = (0..N)
-        .map(|t| enc.encode(&golden_frame(W, H, t), 160_000).data)
-        .collect();
-    for (t, s) in streams.iter().enumerate() {
-        assert_eq!(
-            s[0],
-            livo::codec2d::slice::SLICED_MAGIC,
-            "frame {t}: expected a v2 stream"
-        );
-        assert_eq!(s[1] & 0b1000, 0b1000, "frame {t}: lane flag must be set");
-    }
-
-    let mut blob = Vec::new();
-    blob.extend_from_slice(&(N as u32).to_le_bytes());
-    for s in &streams {
-        blob.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        blob.extend_from_slice(s);
-    }
-
-    let path = golden_path("golden_v2_lanes_stream.bin");
-    if std::env::var_os("LIVO_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &blob).unwrap();
-    }
-    let golden = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "read {} (bless with LIVO_BLESS_GOLDEN=1): {e}",
-            path.display()
-        )
-    });
-    assert_eq!(
-        blob, golden,
-        "encoder no longer reproduces the committed v2+lanes bitstream byte-for-byte"
-    );
-
-    let mut recons = Vec::new();
-    {
-        let mut enc = Encoder::new(cfg);
-        for t in 0..N {
-            recons.push(enc.encode(&golden_frame(W, H, t), 160_000).reconstruction);
-        }
-    }
-    let mut off = 4usize;
-    let mut frames = Vec::new();
-    for _ in 0..N {
-        let len = u32::from_le_bytes(golden[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        frames.push(&golden[off..off + len]);
-        off += len;
-    }
-    for (name, dec) in decoders().iter_mut() {
-        for (t, data) in frames.iter().enumerate() {
-            let decoded = dec
-                .decode(data)
-                .unwrap_or_else(|e| panic!("lane golden frame {t} ({name}): {e:?}"));
-            assert!(
-                decoded == recons[t],
-                "lane golden frame {t} ({name}): decode drifted from reconstruction"
-            );
-        }
     }
 }
