@@ -5,8 +5,11 @@
 //! `dct::forward_ref`/`inverse_ref`, `motion::sad_ref`), both as the oracle
 //! of the differential tests and as the baseline here — so the reported
 //! speedups measure the actual replacement, on the actual machine, not a
-//! synthetic stand-in. `repro kernels` prints the table; `--json` snapshots
-//! it (schema `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
+//! synthetic stand-in. The two receiver points (`reconstruct`,
+//! `voxel_downsample`) carry their baselines in this file instead: the
+//! product has one receiver path and no reference twin. `repro kernels`
+//! prints the table; `--json` snapshots it (schema
+//! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
 //! replaced ([`GATE_FLOOR`]), which `scripts/tier1.sh` uses as a perf
 //! ratchet: a tier that does not pay for itself is deleted, not given a
@@ -19,13 +22,16 @@
 //! [`REPS`] repetitions is reported — robust to scheduler noise on small
 //! CI machines.
 
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, RgbdFrame, VideoId};
 use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
-use livo_core::{cull_views, cull_views_reference};
+use livo_core::tile::{compose_color, compose_depth, TileLayout};
+use livo_core::{cull_views, cull_views_reference, reconstruct_point_cloud, DepthCodec};
 use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec3};
+use livo_pointcloud::{Point, PointCloud, VoxelGrid};
 use livo_runtime::WorkerPool;
 use livo_telemetry::json::ObjectWriter;
 
@@ -402,10 +408,191 @@ fn bench_decode_sliced() -> KernelPoint {
     }
 }
 
+/// What a receiver holds when a frame is due: the decoded colour and depth
+/// canvases of one culled 4-camera capture at scale 0.25, with the layout,
+/// rig and depth codec it agreed on at set-up.
+struct ReceiverInput {
+    color: Frame,
+    depth: Frame,
+    layout: TileLayout,
+    cameras: Vec<RgbdCamera>,
+    codec: DepthCodec,
+}
+
+fn receiver_input() -> ReceiverInput {
+    let cameras: Vec<RgbdCamera> = rig::camera_ring(
+        4,
+        2.5,
+        1.2,
+        Vec3::new(0.0, 1.0, 0.0),
+        CameraIntrinsics::kinect_depth(0.25),
+    );
+    let snap = DatasetPreset::load(VideoId::Band2).scene.at(0.5);
+    let mut views: Vec<RgbdFrame> = cameras
+        .iter()
+        .map(|c| render_rgbd_at(c, &snap, 0))
+        .collect();
+    let frustum = Frustum::from_params(
+        &Pose::look_at(Vec3::new(1.0, 1.4, -2.5), Vec3::new(0.0, 1.0, 0.0), Vec3::Y),
+        &FrustumParams::default(),
+    );
+    cull_views(&mut views, &cameras, &frustum);
+    let layout = TileLayout::new(views[0].width, views[0].height, cameras.len());
+    let codec = DepthCodec::default();
+    let through_codec = |canvas: Frame| {
+        let mut enc = Encoder::new(EncoderConfig::new(
+            layout.canvas_w,
+            layout.canvas_h,
+            canvas.format,
+        ));
+        let data = enc.encode_fixed_qp(&canvas, 12).data;
+        Decoder::new().decode(&data).expect("own stream decodes")
+    };
+    ReceiverInput {
+        color: through_codec(compose_color(&views, &layout, 0)),
+        depth: through_codec(compose_depth(&views, &layout, &codec, 0)),
+        layout,
+        cameras,
+        codec,
+    }
+}
+
+/// `reconstruct_point_cloud` as it was before the fused pass: per camera,
+/// convert the whole colour canvas to RGB, copy the camera's slot out of
+/// both canvases, then back-project the slot copies.
+fn reconstruct_reference(input: &ReceiverInput) -> PointCloud {
+    let l = &input.layout;
+    let mut cloud = PointCloud::with_capacity(l.n * l.cam_w * l.cam_h / 4);
+    for (i, cam) in input.cameras.iter().enumerate() {
+        let (ox, oy) = l.slot_origin(i);
+        let mut depth = vec![0u16; l.cam_w * l.cam_h];
+        for y in 0..l.cam_h {
+            for x in 0..l.cam_w {
+                let coded = input.depth.planes[0].get(ox + x, oy + y);
+                depth[y * l.cam_w + x] = input.codec.decode_sample(coded);
+            }
+        }
+        let canvas_rgb = input.color.to_rgb8();
+        let mut rgb = vec![0u8; l.cam_w * l.cam_h * 3];
+        for y in 0..l.cam_h {
+            let src = ((oy + y) * l.canvas_w + ox) * 3;
+            let dst = y * l.cam_w * 3;
+            rgb[dst..dst + l.cam_w * 3].copy_from_slice(&canvas_rgb[src..src + l.cam_w * 3]);
+        }
+        for y in 0..l.cam_h {
+            for x in 0..l.cam_w {
+                let p = y * l.cam_w + x;
+                if depth[p] == 0 {
+                    continue;
+                }
+                if let Some(world) = cam.pixel_to_world(x as u32, y as u32, depth[p]) {
+                    cloud.push(Point::new(
+                        world,
+                        [rgb[p * 3], rgb[p * 3 + 1], rgb[p * 3 + 2]],
+                    ));
+                }
+            }
+        }
+    }
+    cloud
+}
+
+/// One voxel's position sum, colour sums and point count.
+type VoxelSums = (Vec3, [u32; 3], u32);
+
+/// `VoxelGrid::downsample` as it was before the flat table: per-voxel sums
+/// through the standard `HashMap`, emitted in the map's order.
+fn downsample_reference(voxel_size: f32, cloud: &PointCloud) -> PointCloud {
+    let inv = 1.0 / voxel_size;
+    let mut acc: HashMap<(i32, i32, i32), VoxelSums> = HashMap::new();
+    for p in &cloud.points {
+        let key = (
+            (p.position.x * inv).floor() as i32,
+            (p.position.y * inv).floor() as i32,
+            (p.position.z * inv).floor() as i32,
+        );
+        let e = acc.entry(key).or_insert((Vec3::ZERO, [0, 0, 0], 0));
+        e.0 += p.position;
+        for c in 0..3 {
+            e.1[c] += p.color[c] as u32;
+        }
+        e.2 += 1;
+    }
+    let mut out = PointCloud::with_capacity(acc.len());
+    for (_, (pos_sum, col_sum, n)) in acc {
+        let color = [
+            (col_sum[0] / n) as u8,
+            (col_sum[1] / n) as u8,
+            (col_sum[2] / n) as u8,
+        ];
+        out.push(Point::new(pos_sum / n as f32, color));
+    }
+    out
+}
+
+fn bench_receiver() -> (KernelPoint, KernelPoint) {
+    const VOXEL_M: f32 = 0.02;
+    let input = receiver_input();
+    let reconstruct = || {
+        reconstruct_point_cloud(
+            &input.color,
+            &input.depth,
+            &input.layout,
+            &input.cameras,
+            &input.codec,
+        )
+    };
+    let (rec_fast, rec_ref) = time_pair(
+        || {
+            black_box(reconstruct());
+        },
+        || {
+            black_box(reconstruct_reference(black_box(&input)));
+        },
+    );
+    let cloud = reconstruct();
+    assert_eq!(
+        cloud.points,
+        reconstruct_reference(&input).points,
+        "the reference must rebuild the same cloud"
+    );
+    let grid = VoxelGrid::new(VOXEL_M);
+    assert_eq!(
+        grid.downsample(&cloud).len(),
+        downsample_reference(VOXEL_M, &cloud).len(),
+        "the reference must find the same voxels"
+    );
+    let (vox_fast, vox_ref) = time_pair(
+        || {
+            black_box(grid.downsample(black_box(&cloud)));
+        },
+        || {
+            black_box(downsample_reference(VOXEL_M, black_box(&cloud)));
+        },
+    );
+    (
+        KernelPoint {
+            name: "reconstruct",
+            unit: "4 cameras, scale 0.25, one decoded canvas pair",
+            fast_ns: rec_fast,
+            ref_ns: rec_ref,
+            gated: true,
+        },
+        KernelPoint {
+            name: "voxel_downsample",
+            unit: "that cloud at 0.02 m, vs std HashMap accumulate",
+            fast_ns: vox_fast,
+            ref_ns: vox_ref,
+            gated: true,
+        },
+    )
+}
+
 /// Run the full kernel sweep.
 pub fn run() -> Vec<KernelPoint> {
     let (dct_f, dct_i) = bench_dct();
     let (dct_f_avx2, dct_i_avx2) = bench_dct_avx2();
+    let (reconstruct, voxel_downsample) = bench_receiver();
     vec![
         bench_cull(),
         dct_f,
@@ -415,6 +602,8 @@ pub fn run() -> Vec<KernelPoint> {
         bench_sad(),
         bench_sad_avx2(),
         bench_decode_sliced(),
+        reconstruct,
+        voxel_downsample,
     ]
 }
 
@@ -422,16 +611,16 @@ pub fn run() -> Vec<KernelPoint> {
 pub fn text(points: &[KernelPoint]) -> String {
     let mut s = String::from("Hot-kernel speedups vs retained reference implementations\n\n");
     s.push_str(&format!(
-        "{:>12} | {:>12} | {:>12} | {:>8} | unit\n",
+        "{:>16} | {:>12} | {:>12} | {:>8} | unit\n",
         "kernel", "fast ns", "ref ns", "speedup"
     ));
     s.push_str(&format!(
-        "{:->12}-+-{:->12}-+-{:->12}-+-{:->8}-+-----\n",
+        "{:->16}-+-{:->12}-+-{:->12}-+-{:->8}-+-----\n",
         "", "", "", ""
     ));
     for p in points {
         s.push_str(&format!(
-            "{:>12} | {:>12.0} | {:>12.0} | {:>7.2}x | {}{}\n",
+            "{:>16} | {:>12.0} | {:>12.0} | {:>7.2}x | {}{}\n",
             p.name,
             p.fast_ns,
             p.ref_ns,
@@ -440,7 +629,7 @@ pub fn text(points: &[KernelPoint]) -> String {
             if p.gated { "" } else { " [not gated]" }
         ));
     }
-    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, kept in\nkernels_bench.rs only.\n");
     s
 }
 

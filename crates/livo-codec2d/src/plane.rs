@@ -197,36 +197,66 @@ impl Frame {
     /// BT.601 full-range.
     pub fn from_rgb8(width: usize, height: usize, rgb: &[u8]) -> Self {
         assert_eq!(rgb.len(), width * height * 3);
+        Frame::from_rgb8_rows(width, height, |y, row| {
+            row.copy_from_slice(&rgb[y * width * 3..][..width * 3]);
+        })
+    }
+
+    /// [`Frame::from_rgb8`] over an image that exists only row by row:
+    /// `fill_row(y, row)` writes the packed RGB8 of image row `y` into
+    /// `row` (`width * 3` bytes, holding an earlier row's bytes on entry).
+    /// Rows are asked for once each, top to bottom, so a caller that tiles
+    /// several sources into one picture needs no full-size RGB copy of it.
+    pub fn from_rgb8_rows(
+        width: usize,
+        height: usize,
+        mut fill_row: impl FnMut(usize, &mut [u8]),
+    ) -> Self {
         let mut f = Frame::new(PixelFormat::Yuv420, width, height);
-        // Luma per pixel.
-        for y in 0..height {
-            for x in 0..width {
-                let i = (y * width + x) * 3;
-                let (r, g, b) = (rgb[i] as f32, rgb[i + 1] as f32, rgb[i + 2] as f32);
-                let luma = 0.299 * r + 0.587 * g + 0.114 * b;
-                f.planes[0].set(x, y, luma.round().clamp(0.0, 255.0) as u16);
+        let [luma, u_plane, v_plane] = &mut f.planes[..] else {
+            unreachable!("a Yuv420 frame has three planes");
+        };
+        let cw = u_plane.width;
+        // One chroma row at a time: the two image rows its quads cover.
+        let mut pair = vec![0u8; 2 * width * 3];
+        let (top, bottom) = pair.split_at_mut(width * 3);
+        for cy in 0..u_plane.height {
+            let y0 = cy * 2;
+            fill_row(y0, top);
+            write_luma_row(&mut luma.data[y0 * width..][..width], top);
+            if y0 + 1 < height {
+                fill_row(y0 + 1, bottom);
+                write_luma_row(&mut luma.data[(y0 + 1) * width..][..width], bottom);
+            } else {
+                // Odd height: the last quad row reads the edge row twice.
+                bottom.copy_from_slice(top);
             }
-        }
-        // Chroma, averaged over each 2×2 quad.
-        let (cw, ch) = PixelFormat::Yuv420.plane_dims(1, width, height);
-        for cy in 0..ch {
+            // Chroma, averaged over each 2×2 quad (odd width: the last quad
+            // reads the edge column twice).
             for cx in 0..cw {
+                let x0 = cx * 2 * 3;
+                let x1 = (cx * 2 + 1).min(width - 1) * 3;
+                let quad = [
+                    &top[x0..x0 + 3],
+                    &top[x1..x1 + 3],
+                    &bottom[x0..x0 + 3],
+                    &bottom[x1..x1 + 3],
+                ];
+                if quad.iter().all(|px| *px == BLACK) {
+                    // What the sums below come to: four times 128 exactly.
+                    u_plane.data[cy * cw + cx] = 128;
+                    v_plane.data[cy * cw + cx] = 128;
+                    continue;
+                }
                 let mut usum = 0.0f32;
                 let mut vsum = 0.0f32;
-                let mut n = 0.0f32;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let x = (cx * 2 + dx).min(width - 1);
-                        let y = (cy * 2 + dy).min(height - 1);
-                        let i = (y * width + x) * 3;
-                        let (r, g, b) = (rgb[i] as f32, rgb[i + 1] as f32, rgb[i + 2] as f32);
-                        usum += -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
-                        vsum += 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
-                        n += 1.0;
-                    }
+                for px in quad {
+                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+                    usum += -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
+                    vsum += 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
                 }
-                f.planes[1].set(cx, cy, (usum / n).round().clamp(0.0, 255.0) as u16);
-                f.planes[2].set(cx, cy, (vsum / n).round().clamp(0.0, 255.0) as u16);
+                u_plane.data[cy * cw + cx] = (usum / 4.0).round().clamp(0.0, 255.0) as u16;
+                v_plane.data[cy * cw + cx] = (vsum / 4.0).round().clamp(0.0, 255.0) as u16;
             }
         }
         f
@@ -239,19 +269,22 @@ impl Frame {
         let mut out = vec![0u8; self.width * self.height * 3];
         for y in 0..self.height {
             for x in 0..self.width {
-                let luma = self.planes[0].get(x, y) as f32;
-                let u = self.planes[1].get(x / 2, y / 2) as f32 - 128.0;
-                let v = self.planes[2].get(x / 2, y / 2) as f32 - 128.0;
-                let r = luma + 1.402 * v;
-                let g = luma - 0.344_136 * u - 0.714_136 * v;
-                let b = luma + 1.772 * u;
                 let i = (y * self.width + x) * 3;
-                out[i] = r.round().clamp(0.0, 255.0) as u8;
-                out[i + 1] = g.round().clamp(0.0, 255.0) as u8;
-                out[i + 2] = b.round().clamp(0.0, 255.0) as u8;
+                out[i..i + 3].copy_from_slice(&self.rgb_at(x, y));
             }
         }
         out
+    }
+
+    /// RGB8 of the one pixel `(x, y)` of a YUV 4:2:0 frame; its chroma
+    /// sample is the one at `(x / 2, y / 2)`.
+    #[inline]
+    pub fn rgb_at(&self, x: usize, y: usize) -> [u8; 3] {
+        yuv_to_rgb8(
+            self.planes[0].get(x, y),
+            self.planes[1].get(x / 2, y / 2),
+            self.planes[2].get(x / 2, y / 2),
+        )
     }
 
     /// Build a 16-bit luma frame from raw `u16` samples.
@@ -267,6 +300,41 @@ impl Frame {
     /// Total sample count across planes.
     pub fn sample_count(&self) -> usize {
         self.planes.iter().map(|p| p.data.len()).sum()
+    }
+}
+
+/// One 8-bit YUV sample triple to RGB8, BT.601 full-range: the inverse
+/// conversion every reader of a [`PixelFormat::Yuv420`] frame shares.
+#[inline]
+pub fn yuv_to_rgb8(luma: u16, u: u16, v: u16) -> [u8; 3] {
+    let luma = luma as f32;
+    let u = u as f32 - 128.0;
+    let v = v as f32 - 128.0;
+    let r = luma + 1.402 * v;
+    let g = luma - 0.344_136 * u - 0.714_136 * v;
+    let b = luma + 1.772 * u;
+    [
+        r.round().clamp(0.0, 255.0) as u8,
+        g.round().clamp(0.0, 255.0) as u8,
+        b.round().clamp(0.0, 255.0) as u8,
+    ]
+}
+
+/// A black RGB8 pixel. Tiled canvases are black between slots and wherever
+/// the sender culled, so the conversion steps over it: its luma is 0 and
+/// its chroma contribution exactly 128.
+const BLACK: [u8; 3] = [0, 0, 0];
+
+/// BT.601 full-range luma of one packed RGB8 row, into a zeroed luma row.
+fn write_luma_row(luma: &mut [u16], rgb: &[u8]) {
+    for (l, px) in luma.iter_mut().zip(rgb.chunks_exact(3)) {
+        if px == BLACK {
+            continue;
+        }
+        let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+        *l = (0.299 * r + 0.587 * g + 0.114 * b)
+            .round()
+            .clamp(0.0, 255.0) as u16;
     }
 }
 
@@ -364,6 +432,100 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_err <= 12, "max channel error {max_err}");
+    }
+
+    /// `from_rgb8` as first written: luma per pixel, then each chroma
+    /// sample from the four edge-clamped pixels of its quad.
+    fn from_rgb8_oracle(width: usize, height: usize, rgb: &[u8]) -> Frame {
+        let mut f = Frame::new(PixelFormat::Yuv420, width, height);
+        for y in 0..height {
+            for x in 0..width {
+                let i = (y * width + x) * 3;
+                let (r, g, b) = (rgb[i] as f32, rgb[i + 1] as f32, rgb[i + 2] as f32);
+                let luma = 0.299 * r + 0.587 * g + 0.114 * b;
+                f.planes[0].set(x, y, luma.round().clamp(0.0, 255.0) as u16);
+            }
+        }
+        let (cw, ch) = PixelFormat::Yuv420.plane_dims(1, width, height);
+        for cy in 0..ch {
+            for cx in 0..cw {
+                let mut usum = 0.0f32;
+                let mut vsum = 0.0f32;
+                let mut n = 0.0f32;
+                for dy in 0..2 {
+                    for dx in 0..2 {
+                        let x = (cx * 2 + dx).min(width - 1);
+                        let y = (cy * 2 + dy).min(height - 1);
+                        let i = (y * width + x) * 3;
+                        let (r, g, b) = (rgb[i] as f32, rgb[i + 1] as f32, rgb[i + 2] as f32);
+                        usum += -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
+                        vsum += 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
+                        n += 1.0;
+                    }
+                }
+                f.planes[1].set(cx, cy, (usum / n).round().clamp(0.0, 255.0) as u16);
+                f.planes[2].set(cx, cy, (vsum / n).round().clamp(0.0, 255.0) as u16);
+            }
+        }
+        f
+    }
+
+    /// Xorshift noise with runs of black pixels through it, so quads come
+    /// all black, part black and not black at all.
+    fn noisy_rgb(w: usize, h: usize) -> Vec<u8> {
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 32) as u8
+        };
+        let mut rgb = vec![0u8; w * h * 3];
+        for (i, px) in rgb.chunks_exact_mut(3).enumerate() {
+            if (i / 3) % 3 != 1 {
+                px.fill_with(&mut next);
+            }
+        }
+        rgb
+    }
+
+    #[test]
+    fn from_rgb8_is_byte_identical_to_the_per_pixel_construction() {
+        // Odd sizes exercise the clamped last quad column and row.
+        for (w, h) in [(16, 16), (9, 7), (1, 1), (2, 5), (13, 2)] {
+            let rgb = noisy_rgb(w, h);
+            assert_eq!(
+                Frame::from_rgb8(w, h, &rgb),
+                from_rgb8_oracle(w, h, &rgb),
+                "{w}x{h}"
+            );
+        }
+    }
+
+    #[test]
+    fn rgb_at_and_to_rgb8_keep_the_whole_frame_conversion() {
+        // Odd size: the last column and row share their chroma sample with
+        // no neighbour.
+        let (w, h) = (9, 7);
+        let f = Frame::from_rgb8(w, h, &noisy_rgb(w, h));
+        let all = f.to_rgb8();
+        for y in 0..h {
+            for x in 0..w {
+                let luma = f.planes[0].get(x, y) as f32;
+                let u = f.planes[1].get(x / 2, y / 2) as f32 - 128.0;
+                let v = f.planes[2].get(x / 2, y / 2) as f32 - 128.0;
+                let want = [
+                    (luma + 1.402 * v).round().clamp(0.0, 255.0) as u8,
+                    (luma - 0.344_136 * u - 0.714_136 * v)
+                        .round()
+                        .clamp(0.0, 255.0) as u8,
+                    (luma + 1.772 * u).round().clamp(0.0, 255.0) as u8,
+                ];
+                let i = (y * w + x) * 3;
+                assert_eq!(f.rgb_at(x, y), want, "({x}, {y})");
+                assert_eq!(all[i..i + 3], want, "({x}, {y})");
+            }
+        }
     }
 
     #[test]

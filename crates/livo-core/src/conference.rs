@@ -663,6 +663,8 @@ impl ConferenceRunner {
         let tile_hist = registry.histogram("conference.tile_ms");
         let encode_hist = registry.histogram("conference.encode_ms");
         let decode_hist = registry.histogram("conference.decode_ms");
+        let reconstruct_hist = registry.histogram("conference.reconstruct_ms");
+        let render_prep_hist = registry.histogram("conference.render_prep_ms");
         let keep_hist = registry.histogram("cull.keep_fraction");
         let split_gauge = registry.gauge("splitter.split");
         let splitter_steps = registry.counter("splitter.steps");
@@ -1101,16 +1103,14 @@ impl ConferenceRunner {
                             let cs = have.unwrap();
                             let color_frame = &last_color[&cs];
                             let depth_frame = &last_depth[&cs];
-                            let (full, center) = self.score_frame(
-                                cs,
-                                color_frame,
-                                depth_frame,
-                                &depth_codec,
-                                now,
-                                &mut timings,
-                            );
-                            rec.pssim = full;
-                            rec.pssim_center = center;
+                            let score =
+                                self.score_frame(cs, color_frame, depth_frame, &depth_codec, now);
+                            rec.pssim = score.full;
+                            rec.pssim_center = score.center;
+                            timings.reconstruct_ms += score.reconstruct_ms;
+                            timings.render_prep_ms += score.render_prep_ms;
+                            reconstruct_hist.record(score.reconstruct_ms);
+                            render_prep_hist.record(score.render_prep_ms);
                             quality_samples += 1;
                         }
                     }
@@ -1223,8 +1223,7 @@ impl ConferenceRunner {
         depth_frame: &Frame,
         depth_codec: &DepthCodec,
         now: Micros,
-        timings: &mut StageTimings,
-    ) -> (Option<PssimScore>, Option<PssimScore>) {
+    ) -> FrameScore {
         let cfg = &self.cfg;
         let t0 = Instant::now();
         let received = match cfg.depth_encoding {
@@ -1242,7 +1241,7 @@ impl ConferenceRunner {
                 depth_codec,
             ),
         };
-        timings.reconstruct_ms += t0.elapsed().as_secs_f64() * 1e3;
+        let reconstruct_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Ground truth: re-render the source views for this seq.
         let t_s = seq as f32 / cfg.fps as f32;
@@ -1272,7 +1271,7 @@ impl ConferenceRunner {
         let t0 = Instant::now();
         let shown = prepare_for_render(&received, cfg.voxel_m, &frustum);
         let reference = prepare_for_render(&truth, cfg.voxel_m, &frustum);
-        timings.render_prep_ms += t0.elapsed().as_secs_f64() * 1e3;
+        let render_prep_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let pcfg = PssimConfig {
             neighbors: 6,
@@ -1294,8 +1293,22 @@ impl ConferenceRunner {
         } else {
             None
         };
-        (full, center)
+        FrameScore {
+            full,
+            center,
+            reconstruct_ms,
+            render_prep_ms,
+        }
     }
+}
+
+/// What [`ConferenceRunner::score_frame`] found for one displayed frame,
+/// and what the two receiver stages it ran cost in wall-clock.
+struct FrameScore {
+    full: Option<PssimScore>,
+    center: Option<PssimScore>,
+    reconstruct_ms: f64,
+    render_prep_ms: f64,
 }
 
 /// Map scheduled refinement slots to macroblock-row bands on the colour

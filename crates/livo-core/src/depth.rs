@@ -73,6 +73,20 @@ impl DepthCodec {
         }
     }
 
+    /// [`DepthCodec::encode_sample`] over a row of samples, with the
+    /// encoding looked at once instead of once per sample.
+    pub fn encode_row(&self, depth_mm: &[u16], coded: &mut [u16]) {
+        assert_eq!(depth_mm.len(), coded.len());
+        match self.encoding {
+            DepthEncoding::ScaledY16 => {
+                for (c, &d) in coded.iter_mut().zip(depth_mm) {
+                    *c = self.encode_sample(d);
+                }
+            }
+            DepthEncoding::RawY16 | DepthEncoding::RgbPacked => coded.copy_from_slice(depth_mm),
+        }
+    }
+
     /// Map one coded sample back to millimetres.
     #[inline]
     pub fn decode_sample(&self, coded: u16) -> u16 {

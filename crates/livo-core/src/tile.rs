@@ -135,23 +135,34 @@ pub fn read_seq(plane: &Plane, peak: u16) -> u32 {
 /// Compose the colour canvas (YUV 4:2:0) from per-camera RGB-D frames.
 /// Colour is already at depth resolution (§3.2: LiVo downsamples colour to
 /// match depth before tiling; our renderer outputs that directly).
+///
+/// The canvas is black outside the slots, and chroma quads are taken in
+/// canvas coordinates: with an odd `cam_w` or `cam_h` a quad straddles two
+/// slots, or a slot and the padding.
 pub fn compose_color(views: &[RgbdFrame], layout: &TileLayout, seq: u32) -> Frame {
     assert_eq!(views.len(), layout.n);
-    let mut rgb = vec![0u8; layout.canvas_w * layout.canvas_h * 3];
     for (i, v) in views.iter().enumerate() {
         assert_eq!(
             (v.width, v.height),
             (layout.cam_w, layout.cam_h),
             "camera {i} size"
         );
-        let (ox, oy) = layout.slot_origin(i);
-        for y in 0..v.height {
-            let src = y * v.width * 3;
-            let dst = ((oy + y) * layout.canvas_w + ox) * 3;
-            rgb[dst..dst + v.width * 3].copy_from_slice(&v.rgb[src..src + v.width * 3]);
-        }
     }
-    let mut f = Frame::from_rgb8(layout.canvas_w, layout.canvas_h, &rgb);
+    let row_bytes = layout.cam_w * 3;
+    let mut f = Frame::from_rgb8_rows(layout.canvas_w, layout.canvas_h, |y, row| {
+        row.fill(0);
+        if y < layout.header_rows {
+            return;
+        }
+        // Canvas row `y` is image row `vy` of the views in this slot row
+        // (none below the last one).
+        let slot_row = (y - layout.header_rows) / layout.cam_h;
+        let vy = (y - layout.header_rows) % layout.cam_h;
+        let in_row = views.iter().skip(slot_row * layout.cols).take(layout.cols);
+        for (v, dst) in in_row.zip(row.chunks_exact_mut(row_bytes)) {
+            dst.copy_from_slice(&v.rgb[vy * row_bytes..][..row_bytes]);
+        }
+    });
     write_seq(&mut f.planes[0], seq, 255);
     f
 }
@@ -164,17 +175,16 @@ pub fn compose_depth(
     seq: u32,
 ) -> Frame {
     assert_eq!(views.len(), layout.n);
-    let mut samples = vec![0u16; layout.canvas_w * layout.canvas_h];
+    let mut f = Frame::new(PixelFormat::Y16, layout.canvas_w, layout.canvas_h);
+    let samples = &mut f.planes[0].data;
     for (i, v) in views.iter().enumerate() {
         let (ox, oy) = layout.slot_origin(i);
         for y in 0..v.height {
-            for x in 0..v.width {
-                samples[(oy + y) * layout.canvas_w + ox + x] =
-                    codec.encode_sample(v.depth_mm[y * v.width + x]);
-            }
+            let src = &v.depth_mm[y * v.width..][..v.width];
+            let dst = &mut samples[(oy + y) * layout.canvas_w + ox..][..v.width];
+            codec.encode_row(src, dst);
         }
     }
-    let mut f = Frame::from_y16(layout.canvas_w, layout.canvas_h, samples);
     write_seq(&mut f.planes[0], seq, u16::MAX);
     f
 }
@@ -197,13 +207,12 @@ pub fn extract_depth(frame: &Frame, layout: &TileLayout, codec: &DepthCodec, i: 
 /// Extract camera `i`'s RGB image from a decoded colour canvas.
 pub fn extract_color(frame: &Frame, layout: &TileLayout, i: usize) -> Vec<u8> {
     assert_eq!(frame.format, PixelFormat::Yuv420);
-    let rgb = frame.to_rgb8();
     let (ox, oy) = layout.slot_origin(i);
-    let mut out = vec![0u8; layout.cam_w * layout.cam_h * 3];
+    let mut out = Vec::with_capacity(layout.cam_w * layout.cam_h * 3);
     for y in 0..layout.cam_h {
-        let src = ((oy + y) * layout.canvas_w + ox) * 3;
-        let dst = y * layout.cam_w * 3;
-        out[dst..dst + layout.cam_w * 3].copy_from_slice(&rgb[src..src + layout.cam_w * 3]);
+        for x in 0..layout.cam_w {
+            out.extend_from_slice(&frame.rgb_at(ox + x, oy + y));
+        }
     }
     out
 }
@@ -311,6 +320,110 @@ mod tests {
                 max_err = max_err.max((*a as i32 - *b as i32).abs());
             }
             assert!(max_err <= 16, "camera {i}: max error {max_err}");
+        }
+    }
+
+    /// Views with every depth and colour byte drawn from a xorshift
+    /// stream, zero depths included.
+    fn noisy_views(n: usize, w: usize, h: usize) -> Vec<RgbdFrame> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 24) as u32
+        };
+        (0..n)
+            .map(|_| {
+                let mut f = RgbdFrame::new(w, h);
+                for d in &mut f.depth_mm {
+                    *d = if next() % 5 == 0 {
+                        0
+                    } else {
+                        (next() % 7000) as u16
+                    };
+                }
+                for c in &mut f.rgb {
+                    *c = next() as u8;
+                }
+                f
+            })
+            .collect()
+    }
+
+    /// The canvases as first composed: a full RGB (or sample) scratch
+    /// canvas with every view copied into its slot, converted as a whole.
+    fn scratch_canvases(
+        views: &[RgbdFrame],
+        l: &TileLayout,
+        codec: &DepthCodec,
+        seq: u32,
+    ) -> (Frame, Frame) {
+        let mut rgb = vec![0u8; l.canvas_w * l.canvas_h * 3];
+        let mut samples = vec![0u16; l.canvas_w * l.canvas_h];
+        for (i, v) in views.iter().enumerate() {
+            let (ox, oy) = l.slot_origin(i);
+            for y in 0..v.height {
+                for x in 0..v.width {
+                    let dst = (oy + y) * l.canvas_w + ox + x;
+                    rgb[dst * 3..dst * 3 + 3].copy_from_slice(&v.rgb_at(x, y));
+                    samples[dst] = codec.encode_sample(v.depth_at(x, y));
+                }
+            }
+        }
+        let mut color = Frame::from_rgb8(l.canvas_w, l.canvas_h, &rgb);
+        write_seq(&mut color.planes[0], seq, 255);
+        let mut depth = Frame::from_y16(l.canvas_w, l.canvas_h, samples);
+        write_seq(&mut depth.planes[0], seq, u16::MAX);
+        (color, depth)
+    }
+
+    #[test]
+    fn composed_canvases_are_byte_identical_to_the_scratch_canvas_construction() {
+        // Odd camera sizes put slot origins on odd columns and rows, so
+        // chroma quads straddle two slots or a slot and the black padding;
+        // 5 and 7 cameras leave the last slot row part empty.
+        for (w, h, n) in [
+            (64, 56, 4),
+            (45, 37, 4),
+            (45, 37, 5),
+            (33, 21, 7),
+            (7, 9, 2),
+        ] {
+            let l = TileLayout::new(w, h, n);
+            let views = noisy_views(n, w, h);
+            for encoding in [
+                crate::DepthEncoding::ScaledY16,
+                crate::DepthEncoding::RawY16,
+            ] {
+                let codec = DepthCodec::new(6000, encoding);
+                let (color, depth) = scratch_canvases(&views, &l, &codec, 0xA5A5_0FF0);
+                assert_eq!(compose_color(&views, &l, 0xA5A5_0FF0), color, "{l:?}");
+                assert_eq!(
+                    compose_depth(&views, &l, &codec, 0xA5A5_0FF0),
+                    depth,
+                    "{l:?} {encoding:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn extract_color_is_the_slot_window_of_the_whole_canvas_conversion() {
+        let l = TileLayout::new(45, 37, 5);
+        let f = compose_color(&noisy_views(5, 45, 37), &l, 1);
+        let whole = f.to_rgb8();
+        for i in 0..5 {
+            let (ox, oy) = l.slot_origin(i);
+            let got = extract_color(&f, &l, i);
+            for y in 0..l.cam_h {
+                let src = ((oy + y) * l.canvas_w + ox) * 3;
+                assert_eq!(
+                    got[y * l.cam_w * 3..][..l.cam_w * 3],
+                    whole[src..src + l.cam_w * 3],
+                    "camera {i} row {y}"
+                );
+            }
         }
     }
 

@@ -13,13 +13,82 @@ use std::collections::HashMap;
 /// Integer voxel coordinate.
 type Key = (i32, i32, i32);
 
+/// `v.floor() as i32` (saturating, NaN to 0) without the call into libm:
+/// truncate, then step down once if that rounded a negative value up.
+#[inline]
+fn floor_to_i32(v: f32) -> i32 {
+    let t = v as i32;
+    t.saturating_sub((t as f32 > v) as i32)
+}
+
 #[inline]
 fn key_of(p: Vec3, inv_size: f32) -> Key {
     (
-        (p.x * inv_size).floor() as i32,
-        (p.y * inv_size).floor() as i32,
-        (p.z * inv_size).floor() as i32,
+        floor_to_i32(p.x * inv_size),
+        floor_to_i32(p.y * inv_size),
+        floor_to_i32(p.z * inv_size),
     )
+}
+
+/// One voxel's running sums: positions, colour channels, point count.
+type VoxelSums = (Vec3, [u32; 3], u32);
+
+/// Marks a free slot of a [`VoxelTable`].
+const EMPTY: u32 = u32::MAX;
+
+/// Voxel key → dense voxel number (0, 1, 2… in order of first sight): a
+/// flat open-addressed table, sized once for a known number of points so
+/// it never rehashes. The hash is a fixed function of the key, so the
+/// numbering depends only on the order the keys arrive in.
+struct VoxelTable {
+    /// Power-of-two slot array, at most two-thirds full; a slot is
+    /// [`EMPTY`] or an index into `keys`.
+    slots: Vec<u32>,
+    /// The occupied voxels, in first-touch order.
+    keys: Vec<Key>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+}
+
+impl VoxelTable {
+    /// A table able to take `points` keys.
+    fn for_points(points: usize) -> Self {
+        assert!(points < EMPTY as usize, "cloud too large to voxelise");
+        // Never fewer than two slots: `shift` has to stay under 64.
+        let slots = (points + points / 2 + 1).next_power_of_two().max(2);
+        VoxelTable {
+            slots: vec![EMPTY; slots],
+            keys: Vec::with_capacity(points),
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    /// The voxel number of `key`; a key not seen before gets the next one
+    /// (`self.keys.len()` before the call).
+    #[inline]
+    fn index_of(&mut self, key: Key) -> usize {
+        // One odd 64-bit multiplier per axis; a product's high bits depend
+        // on every bit of its coordinate, and the home slot is read from
+        // the high bits of the sum.
+        let hash = (key.0 as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((key.1 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+            .wrapping_add((key.2 as u64).wrapping_mul(0x1656_67B1_9E37_79F9));
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> self.shift) as usize;
+        loop {
+            let idx = self.slots[slot];
+            if idx == EMPTY {
+                self.slots[slot] = self.keys.len() as u32;
+                self.keys.push(key);
+                return self.keys.len() - 1;
+            }
+            if self.keys[idx as usize] == key {
+                return idx as usize;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
 }
 
 /// Voxel-grid downsampler: one output point per occupied voxel, positioned at
@@ -37,13 +106,21 @@ impl VoxelGrid {
     }
 
     /// Downsample the cloud: one point per occupied voxel.
+    ///
+    /// Output order is first-touch order: voxel `i` of the result is the
+    /// `i`-th distinct voxel met walking `cloud` front to back, so equal
+    /// clouds give equal results, element for element. Each voxel's sums
+    /// are taken in cloud order.
     pub fn downsample(&self, cloud: &PointCloud) -> PointCloud {
         let inv = 1.0 / self.voxel_size;
-        let mut acc: HashMap<Key, (Vec3, [u32; 3], u32)> = HashMap::new();
+        let mut table = VoxelTable::for_points(cloud.len());
+        let mut acc: Vec<VoxelSums> = Vec::with_capacity(cloud.len());
         for p in &cloud.points {
-            let e = acc
-                .entry(key_of(p.position, inv))
-                .or_insert((Vec3::ZERO, [0, 0, 0], 0));
+            let i = table.index_of(key_of(p.position, inv));
+            if i == acc.len() {
+                acc.push((Vec3::ZERO, [0, 0, 0], 0));
+            }
+            let e = &mut acc[i];
             e.0 += p.position;
             for c in 0..3 {
                 e.1[c] += p.color[c] as u32;
@@ -51,7 +128,7 @@ impl VoxelGrid {
             e.2 += 1;
         }
         let mut out = PointCloud::with_capacity(acc.len());
-        for (_, (pos_sum, col_sum, n)) in acc {
+        for (pos_sum, col_sum, n) in acc {
             let nf = n as f32;
             out.push(Point::new(
                 pos_sum / nf,
@@ -68,14 +145,11 @@ impl VoxelGrid {
     /// Number of voxels the cloud occupies at this resolution.
     pub fn occupied_count(&self, cloud: &PointCloud) -> usize {
         let inv = 1.0 / self.voxel_size;
-        let mut keys: Vec<Key> = cloud
-            .points
-            .iter()
-            .map(|p| key_of(p.position, inv))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
+        let mut table = VoxelTable::for_points(cloud.len());
+        for p in &cloud.points {
+            table.index_of(key_of(p.position, inv));
+        }
+        table.keys.len()
     }
 }
 
@@ -245,6 +319,7 @@ impl<'a> VoxelIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn grid_cloud(n: usize, pitch: f32) -> PointCloud {
         let mut pc = PointCloud::new();
@@ -259,6 +334,40 @@ mod tests {
             }
         }
         pc
+    }
+
+    #[test]
+    fn floor_to_i32_is_floor_then_cast() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            1.0,
+            -1e-30,
+            16_777_216.0,
+            -16_777_217.0,
+            2_147_483_520.0,
+            -2_147_483_648.0,
+            3e9,
+            -3e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Every integer boundary of a room-sized grid, from both sides.
+        for k in -2000..2000 {
+            let b = k as f32 * 0.25;
+            cases.extend([
+                b,
+                f32::from_bits(b.to_bits() + 1),
+                f32::from_bits(b.to_bits().wrapping_sub(1)),
+            ]);
+        }
+        for v in cases {
+            assert_eq!(floor_to_i32(v), v.floor() as i32, "{v:?}");
+        }
     }
 
     #[test]
@@ -294,6 +403,113 @@ mod tests {
         let pc = grid_cloud(6, 0.03);
         let g = VoxelGrid::new(0.05);
         assert_eq!(g.occupied_count(&pc), g.downsample(&pc).len());
+    }
+
+    /// The pre-table algorithm: accumulate per voxel in cloud order through
+    /// a standard map, one point per voxel, keyed for comparison.
+    fn downsample_oracle(voxel_size: f32, cloud: &PointCloud) -> BTreeMap<Key, Point> {
+        let inv = 1.0 / voxel_size;
+        let mut acc: BTreeMap<Key, VoxelSums> = BTreeMap::new();
+        for p in &cloud.points {
+            let e = acc
+                .entry(key_of(p.position, inv))
+                .or_insert((Vec3::ZERO, [0, 0, 0], 0));
+            e.0 += p.position;
+            for c in 0..3 {
+                e.1[c] += p.color[c] as u32;
+            }
+            e.2 += 1;
+        }
+        acc.into_iter()
+            .map(|(k, (pos, col, n))| {
+                let color = [(col[0] / n) as u8, (col[1] / n) as u8, (col[2] / n) as u8];
+                (k, Point::new(pos / n as f32, color))
+            })
+            .collect()
+    }
+
+    fn bits(p: &Point) -> ([u32; 3], [u8; 3]) {
+        let v = p.position;
+        ([v.x.to_bits(), v.y.to_bits(), v.z.to_bits()], p.color)
+    }
+
+    /// Same voxel set as the oracle, every centroid and colour bit-equal,
+    /// and voxels emitted in first-touch order.
+    fn assert_matches_oracle(voxel_size: f32, cloud: &PointCloud) {
+        let grid = VoxelGrid::new(voxel_size);
+        let got = grid.downsample(cloud);
+        let want = downsample_oracle(voxel_size, cloud);
+        assert_eq!(got.len(), want.len(), "voxel count");
+        assert_eq!(grid.occupied_count(cloud), want.len());
+        let inv = 1.0 / voxel_size;
+        let mut first_touch: Vec<Key> = Vec::new();
+        for p in &cloud.points {
+            let k = key_of(p.position, inv);
+            if !first_touch.contains(&k) {
+                first_touch.push(k);
+            }
+        }
+        for (p, k) in got.points.iter().zip(&first_touch) {
+            assert_eq!(bits(p), bits(&want[k]), "voxel {k:?}");
+        }
+    }
+
+    /// Deterministic scatter of `n` points over a cube of `extent` metres
+    /// centred on the origin (so most coordinates are negative somewhere).
+    fn scattered_cloud(n: usize, extent: f32, seed: u64) -> PointCloud {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let mut pc = PointCloud::new();
+        for _ in 0..n {
+            let pos = Vec3::new(next() - 0.5, next() - 0.5, next() - 0.5) * extent;
+            let color = [
+                (next() * 255.0) as u8,
+                (next() * 255.0) as u8,
+                (next() * 255.0) as u8,
+            ];
+            pc.push(Point::new(pos, color));
+        }
+        pc
+    }
+
+    #[test]
+    fn downsample_matches_hashmap_oracle_bit_for_bit() {
+        // Several points per voxel, negative coordinates on every axis.
+        assert_matches_oracle(0.05, &scattered_cloud(600, 0.4, 1));
+        assert_matches_oracle(0.02, &grid_cloud(10, 0.007));
+        assert_matches_oracle(0.5, &PointCloud::new());
+        let mut one = PointCloud::new();
+        one.push(Point::new(Vec3::new(-0.3, 0.2, -7.5), [9, 8, 7]));
+        assert_matches_oracle(0.02, &one);
+        // All points in one voxel.
+        assert_matches_oracle(10.0, &scattered_cloud(300, 1.0, 2));
+    }
+
+    #[test]
+    fn downsample_survives_probe_chains() {
+        // 680 points, every one its own voxel: 680 keys in a 1024-slot
+        // table (two-thirds full), so lookups walk past occupied slots.
+        let cloud = scattered_cloud(680, 100.0, 3);
+        let table_slots = VoxelTable::for_points(cloud.len()).slots.len();
+        let voxels = VoxelGrid::new(0.01).occupied_count(&cloud);
+        assert_eq!(voxels, cloud.len(), "the scatter must not share voxels");
+        assert!(voxels * 2 > table_slots, "{voxels} of {table_slots} slots");
+        assert_matches_oracle(0.01, &cloud);
+    }
+
+    #[test]
+    fn downsample_is_deterministic() {
+        let cloud = scattered_cloud(2000, 1.0, 4);
+        let grid = VoxelGrid::new(0.05);
+        assert_eq!(
+            grid.downsample(&cloud).points,
+            grid.downsample(&cloud).points
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use livo_math::Vec3;
 use livo_pointcloud::{pssim, Point, PointCloud, PssimConfig, VoxelGrid, VoxelIndex};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_cloud(max_points: usize) -> impl Strategy<Value = PointCloud> {
     proptest::collection::vec(
@@ -36,6 +37,41 @@ fn brute_nearest(cloud: &PointCloud, q: Vec3) -> Option<u32> {
                 .unwrap()
         })
         .map(|(i, _)| i as u32)
+}
+
+/// A point as comparable bits: position by `to_bits`, then colour.
+fn point_bits(p: &Point) -> ([u32; 3], [u8; 3]) {
+    let v = p.position;
+    ([v.x.to_bits(), v.y.to_bits(), v.z.to_bits()], p.color)
+}
+
+/// One voxel's position sum, colour sums and point count.
+type VoxelSums = (Vec3, [u32; 3], u32);
+
+/// Voxel downsampling as it was before the flat table: per-voxel sums in
+/// cloud order through a `HashMap`, emitted in the map's order.
+fn hashmap_downsample(cloud: &PointCloud, voxel_size: f32) -> Vec<Point> {
+    let inv = 1.0 / voxel_size;
+    let mut acc: HashMap<(i32, i32, i32), VoxelSums> = HashMap::new();
+    for p in &cloud.points {
+        let key = (
+            (p.position.x * inv).floor() as i32,
+            (p.position.y * inv).floor() as i32,
+            (p.position.z * inv).floor() as i32,
+        );
+        let e = acc.entry(key).or_insert((Vec3::ZERO, [0, 0, 0], 0));
+        e.0 += p.position;
+        for c in 0..3 {
+            e.1[c] += p.color[c] as u32;
+        }
+        e.2 += 1;
+    }
+    acc.into_values()
+        .map(|(pos, col, n)| {
+            let color = [(col[0] / n) as u8, (col[1] / n) as u8, (col[2] / n) as u8];
+            Point::new(pos / n as f32, color)
+        })
+        .collect()
 }
 
 proptest! {
@@ -92,6 +128,23 @@ proptest! {
         let down = VoxelGrid::new(size).downsample(&cloud);
         prop_assert!(down.len() <= cloud.len());
         prop_assert!(!down.is_empty());
+    }
+
+    #[test]
+    fn downsample_matches_hashmap_oracle(cloud in arb_cloud(200), size in 0.05f32..1.0) {
+        let grid = VoxelGrid::new(size);
+        let got = grid.downsample(&cloud);
+        // Same voxels with bit-equal centroids and colours; only the order
+        // may differ from the map's.
+        let mut got_bits: Vec<_> = got.points.iter().map(point_bits).collect();
+        let mut want_bits: Vec<_> = hashmap_downsample(&cloud, size).iter().map(point_bits).collect();
+        got_bits.sort_unstable();
+        want_bits.sort_unstable();
+        prop_assert_eq!(&got_bits, &want_bits);
+        prop_assert_eq!(grid.occupied_count(&cloud), want_bits.len());
+        // And the order is a function of the input alone.
+        let again = grid.downsample(&cloud);
+        prop_assert_eq!(&again.points, &got.points);
     }
 
     #[test]

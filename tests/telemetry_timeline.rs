@@ -138,6 +138,15 @@ fn telemetry_overhead_stays_small() {
     // The legacy mean accessors survive the histogram migration.
     let h = a.metrics.histogram("conference.capture_ms").unwrap();
     assert!((h.mean - a.timings.capture_ms).abs() < 1e-9);
+    // The two receiver stages are in the registry too, fed the durations
+    // their stage means are taken from.
+    for (name, mean) in [
+        ("conference.reconstruct_ms", a.timings.reconstruct_ms),
+        ("conference.render_prep_ms", a.timings.render_prep_ms),
+    ] {
+        let h = a.metrics.histogram(name).unwrap();
+        assert!(h.count > 0 && (h.mean - mean).abs() < 1e-9, "{name}");
+    }
 
     // Per-sample recording cost: one 30 fps frame crosses ~10 instrumented
     // stages over a handful of streams, so keeping instrumented throughput
