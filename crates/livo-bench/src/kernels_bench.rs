@@ -6,8 +6,10 @@
 //! of the differential tests and as the baseline here — so the reported
 //! speedups measure the actual replacement, on the actual machine, not a
 //! synthetic stand-in. The two receiver points (`reconstruct`,
-//! `voxel_downsample`) carry their baselines in this file instead: the
-//! product has one receiver path and no reference twin. `repro kernels`
+//! `voxel_downsample`) and the three inter-frame points
+//! (`encode_inter_static`, `decode_inter_static`, `bypass_run`) carry their
+//! baselines in this file instead: the product has one receiver path and
+//! one inter-frame coder, no reference twins. `repro kernels`
 //! prints the table; `--json` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
@@ -20,13 +22,21 @@
 //! Timing protocol: fast and reference passes alternate within each
 //! repetition (so drift hits both alike) and the per-iteration median over
 //! [`REPS`] repetitions is reported — robust to scheduler noise on small
-//! CI machines.
+//! CI machines. The inter-frame points report the smallest of the
+//! repetitions instead (`best_of_pair`): each pass redoes untimed set-up (a
+//! fresh encoder, a primed decoder), and the minimum is what a frame costs
+//! when nothing else ran.
 
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, RgbdFrame, VideoId};
+use livo_codec2d::dct::ZIGZAG;
+use livo_codec2d::motion::{MotionVector, MB_SIZE};
+use livo_codec2d::plane::write_block8_into_stripe;
+use livo_codec2d::quant::{self, DC_SCALE};
+use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
 use livo_core::tile::{compose_color, compose_depth, TileLayout};
 use livo_core::{cull_views, cull_views_reference, reconstruct_point_cloud, DepthCodec};
@@ -419,18 +429,25 @@ struct ReceiverInput {
     codec: DepthCodec,
 }
 
-fn receiver_input() -> ReceiverInput {
-    let cameras: Vec<RgbdCamera> = rig::camera_ring(
+/// The bench rig's four cameras at scale 0.25.
+fn bench_cameras() -> Vec<RgbdCamera> {
+    rig::camera_ring(
         4,
         2.5,
         1.2,
         Vec3::new(0.0, 1.0, 0.0),
         CameraIntrinsics::kinect_depth(0.25),
-    );
-    let snap = DatasetPreset::load(VideoId::Band2).scene.at(0.5);
+    )
+}
+
+/// One culled 4-camera capture of `band2` at scene time `t`, and the tile
+/// layout of its canvases.
+fn culled_views(t: f32, seq: u32) -> (Vec<RgbdFrame>, TileLayout) {
+    let cameras = bench_cameras();
+    let snap = DatasetPreset::load(VideoId::Band2).scene.at(t);
     let mut views: Vec<RgbdFrame> = cameras
         .iter()
-        .map(|c| render_rgbd_at(c, &snap, 0))
+        .map(|c| render_rgbd_at(c, &snap, seq))
         .collect();
     let frustum = Frustum::from_params(
         &Pose::look_at(Vec3::new(1.0, 1.4, -2.5), Vec3::new(0.0, 1.0, 0.0), Vec3::Y),
@@ -438,6 +455,12 @@ fn receiver_input() -> ReceiverInput {
     );
     cull_views(&mut views, &cameras, &frustum);
     let layout = TileLayout::new(views[0].width, views[0].height, cameras.len());
+    (views, layout)
+}
+
+fn receiver_input() -> ReceiverInput {
+    let cameras = bench_cameras();
+    let (views, layout) = culled_views(0.5, 0);
     let codec = DepthCodec::default();
     let through_codec = |canvas: Frame| {
         let mut enc = Encoder::new(EncoderConfig::new(
@@ -588,11 +611,762 @@ fn bench_receiver() -> (KernelPoint, KernelPoint) {
     )
 }
 
+// ---------------------------------------------------------------------
+// Static macroblocks and bypass runs: one inter frame of the canvas pair.
+// ---------------------------------------------------------------------
+
+/// QPs the rate controller settles on for this content on `call_steady`.
+const COLOR_QP: u8 = 24;
+const DEPTH_QP: u8 = 40;
+/// `EncoderConfig::new`'s search range.
+const SEARCH_RANGE: i16 = 8;
+
+/// Where the oracle's entropy symbols go: into a range coder one bypass
+/// bit at a time (the coder as it was), or into a list to replay.
+trait SymbolSink {
+    fn ctx(&mut self, model: &mut BitModel, bit: bool);
+    fn bits(&mut self, value: u32, nbits: u32);
+    fn ue(&mut self, value: u32);
+    fn bypass(&mut self, bit: bool);
+}
+
+struct BitAtATime(RangeEncoder);
+
+impl SymbolSink for BitAtATime {
+    fn ctx(&mut self, model: &mut BitModel, bit: bool) {
+        self.0.encode_bit(model, bit);
+    }
+    fn bits(&mut self, value: u32, nbits: u32) {
+        for i in (0..nbits).rev() {
+            self.0.encode_bypass((value >> i) & 1 == 1);
+        }
+    }
+    fn ue(&mut self, value: u32) {
+        let v = value + 1;
+        let nbits = 32 - v.leading_zeros();
+        for _ in 0..nbits - 1 {
+            self.0.encode_bypass(false);
+        }
+        self.0.encode_bypass(true);
+        for i in (0..nbits - 1).rev() {
+            self.0.encode_bypass((v >> i) & 1 == 1);
+        }
+    }
+    fn bypass(&mut self, bit: bool) {
+        self.0.encode_bypass(bit);
+    }
+}
+
+/// One entropy symbol of a frame, context identity dropped (the replay
+/// feeds every context bit to one model; what matters is that they move
+/// `range` between the bypass fields as they do in a frame).
+#[derive(Clone, Copy)]
+enum Symbol {
+    Ctx(bool),
+    Bits(u32, u32),
+    Ue(u32),
+    Bypass(bool),
+}
+
+#[derive(Default)]
+struct Recorder(Vec<Symbol>);
+
+impl SymbolSink for Recorder {
+    fn ctx(&mut self, _: &mut BitModel, bit: bool) {
+        self.0.push(Symbol::Ctx(bit));
+    }
+    fn bits(&mut self, value: u32, nbits: u32) {
+        self.0.push(Symbol::Bits(value, nbits));
+    }
+    fn ue(&mut self, value: u32) {
+        self.0.push(Symbol::Ue(value));
+    }
+    fn bypass(&mut self, bit: bool) {
+        self.0.push(Symbol::Bypass(bit));
+    }
+}
+
+fn band_oracle(pos: usize) -> usize {
+    match pos {
+        0 => 0,
+        1..=2 => 1,
+        3..=9 => 2,
+        10..=24 => 3,
+        _ => 4,
+    }
+}
+
+#[derive(Default)]
+struct ContextsOracle {
+    cbf: BitModel,
+    sig: [BitModel; 5],
+    gt1: [BitModel; 5],
+    last_hi: BitModel,
+}
+
+fn encode_block_oracle(s: &mut impl SymbolSink, ctx: &mut ContextsOracle, levels: &[i32; 64]) {
+    let Some(last) = (0..64).rev().find(|&pos| levels[ZIGZAG[pos]] != 0) else {
+        s.ctx(&mut ctx.cbf, false);
+        return;
+    };
+    s.ctx(&mut ctx.cbf, true);
+    s.ctx(&mut ctx.last_hi, last >= 32);
+    s.bits(last as u32 % 32, 5);
+    for pos in 0..=last {
+        let level = levels[ZIGZAG[pos]];
+        if pos < last {
+            s.ctx(&mut ctx.sig[band_oracle(pos)], level != 0);
+            if level == 0 {
+                continue;
+            }
+        }
+        let mag = level.unsigned_abs();
+        s.ctx(&mut ctx.gt1[band_oracle(pos)], mag > 1);
+        if mag > 1 {
+            s.ue(mag - 2);
+        }
+        s.bypass(level < 0);
+    }
+}
+
+fn encode_svalue_oracle(s: &mut impl SymbolSink, v: i32) {
+    s.ue(v.unsigned_abs());
+    if v != 0 {
+        s.bypass(v < 0);
+    }
+}
+
+/// `motion::diamond_search` as it was: every probe scored, SAD 0 or not.
+fn diamond_search_oracle(
+    cur: &Plane,
+    reference: &Plane,
+    bx: usize,
+    by: usize,
+    start: MotionVector,
+) -> MotionVector {
+    let clamp_mv = |mv: MotionVector| MotionVector {
+        dx: mv.dx.clamp(-SEARCH_RANGE, SEARCH_RANGE),
+        dy: mv.dy.clamp(-SEARCH_RANGE, SEARCH_RANGE),
+    };
+    let mut best = clamp_mv(start);
+    let mut best_sad = motion::sad(cur, reference, bx, by, best, u64::MAX);
+    let mut came_from: Option<MotionVector> = None;
+    let zero = MotionVector::default();
+    let zero_sad = motion::sad(cur, reference, bx, by, zero, best_sad);
+    if zero_sad < best_sad {
+        came_from = Some(best);
+        best = zero;
+        best_sad = zero_sad;
+    }
+    const LARGE: [(i16, i16); 8] = [
+        (0, -2),
+        (1, -1),
+        (2, 0),
+        (1, 1),
+        (0, 2),
+        (-1, 1),
+        (-2, 0),
+        (-1, -1),
+    ];
+    const SMALL: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
+    let mut probe = |best: &mut MotionVector, best_sad: &mut u64, (ddx, ddy): (i16, i16)| {
+        let cand = clamp_mv(MotionVector {
+            dx: best.dx + ddx,
+            dy: best.dy + ddy,
+        });
+        if cand == *best || Some(cand) == came_from {
+            return false;
+        }
+        let s = motion::sad(cur, reference, bx, by, cand, *best_sad);
+        if s < *best_sad {
+            came_from = Some(*best);
+            *best = cand;
+            *best_sad = s;
+            return true;
+        }
+        false
+    };
+    let mut steps = 0;
+    loop {
+        let mut improved = false;
+        for d in LARGE {
+            improved |= probe(&mut best, &mut best_sad, d);
+        }
+        steps += 1;
+        if !improved || steps > 32 {
+            break;
+        }
+    }
+    for d in SMALL {
+        probe(&mut best, &mut best_sad, d);
+    }
+    best
+}
+
+struct PlanOracle {
+    mv: MotionVector,
+    pred_mv: MotionVector,
+    skip: bool,
+    levels4: [[i32; 64]; 4],
+}
+
+/// The luma plan as it was: every macroblock searched to the end, four
+/// forward transforms, and four inverse ones unless skipped.
+fn plan_luma_oracle(
+    plane: &Plane,
+    prev: &Plane,
+    recon: &mut Plane,
+    step: f32,
+    peak: u16,
+) -> Vec<PlanOracle> {
+    let mut plans = Vec::new();
+    let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
+    let mut blk = [0i32; 64];
+    for (mby, stripe) in recon.data.chunks_mut(plane.width * MB_SIZE).enumerate() {
+        let by = mby * MB_SIZE;
+        let mut left_mv = MotionVector::default();
+        for mbx in 0..plane.width.div_ceil(MB_SIZE) {
+            let bx = mbx * MB_SIZE;
+            let pred_mv = left_mv;
+            let mv = diamond_search_oracle(plane, prev, bx, by, pred_mv);
+            motion::predict_block(prev, bx, by, mv, &mut pred_buf);
+            let mut levels4 = [[0i32; 64]; 4];
+            let mut all_zero = true;
+            for (sb, levels) in levels4.iter_mut().enumerate() {
+                let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
+                for dy in 0..8 {
+                    for dx in 0..8 {
+                        let cur = plane
+                            .get_clamped((bx + ox + dx) as isize, (by + oy + dy) as isize)
+                            as i32;
+                        blk[dy * 8 + dx] = cur - pred_buf[(oy + dy) * MB_SIZE + ox + dx];
+                    }
+                }
+                *levels = quant::quantize_block(&dct::forward(&blk), step, DC_SCALE);
+                all_zero &= levels.iter().all(|&l| l == 0);
+            }
+            let skip = all_zero && mv == pred_mv;
+            for (sb, levels) in levels4.iter().enumerate() {
+                let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
+                let res = if skip {
+                    [0i32; 64]
+                } else {
+                    dct::inverse(&quant::dequantize_block(levels, step, DC_SCALE))
+                };
+                let mut rec = [0i32; 64];
+                for dy in 0..8 {
+                    for dx in 0..8 {
+                        rec[dy * 8 + dx] =
+                            res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
+                    }
+                }
+                write_block8_into_stripe(stripe, plane.width, by, bx + ox, by + oy, &rec, peak);
+            }
+            plans.push(PlanOracle {
+                mv,
+                pred_mv,
+                skip,
+                levels4,
+            });
+            left_mv = mv;
+        }
+    }
+    plans
+}
+
+/// The chroma plan as it was: every block through both transforms.
+fn plan_chroma_oracle(
+    plane: &Plane,
+    prev: &Plane,
+    recon: &mut Plane,
+    step: f32,
+    peak: u16,
+    plans: &[PlanOracle],
+    mbs_x: usize,
+) -> Vec<[i32; 64]> {
+    let mut out = Vec::new();
+    let mut blk = [0i32; 64];
+    for (row, stripe) in recon.data.chunks_mut(plane.width * 8).enumerate() {
+        let by = row * 8;
+        for bxi in 0..plane.width.div_ceil(8) {
+            let bx = bxi * 8;
+            let mv = plans
+                .get(row * mbs_x + bxi)
+                .map_or_else(Default::default, |p| p.mv);
+            let pred_at = |dx: usize, dy: usize| {
+                prev.get_clamped(
+                    (bx + dx) as isize + (mv.dx / 2) as isize,
+                    (by + dy) as isize + (mv.dy / 2) as isize,
+                ) as i32
+            };
+            for dy in 0..8 {
+                for dx in 0..8 {
+                    let cur = plane.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
+                    blk[dy * 8 + dx] = cur - pred_at(dx, dy);
+                }
+            }
+            let levels = quant::quantize_block(&dct::forward(&blk), step, DC_SCALE);
+            let res = dct::inverse(&quant::dequantize_block(&levels, step, DC_SCALE));
+            let mut rec = [0i32; 64];
+            for dy in 0..8 {
+                for dx in 0..8 {
+                    rec[dy * 8 + dx] = res[dy * 8 + dx] + pred_at(dx, dy);
+                }
+            }
+            write_block8_into_stripe(stripe, plane.width, by, bx, by, &rec, peak);
+            out.push(levels);
+        }
+    }
+    out
+}
+
+/// Macroblock-row range of each slice of a frame this tall (the encoder's
+/// automatic partition: as even as possible, earlier slices one longer).
+fn slice_rows(height: usize) -> Vec<(usize, usize)> {
+    let mbs_y = height.div_ceil(MB_SIZE);
+    let n = livo_codec2d::slice::slice_count(0, height);
+    let mut mb0 = 0;
+    (0..n)
+        .map(|i| {
+            let mb1 = mb0 + mbs_y / n + usize::from(i < mbs_y % n);
+            let rows = (mb0, mb1);
+            mb0 = mb1;
+            rows
+        })
+        .collect()
+}
+
+/// Chroma QP offset of the codec (`encoder::plane_qp`).
+fn plane_qp(qp: u8, pi: usize) -> u8 {
+    if pi == 0 {
+        qp
+    } else {
+        (qp + 4).min(quant::QP_MAX)
+    }
+}
+
+/// One inter frame coded the way it was before the static-macroblock path:
+/// plans of every plane, then each slice's symbols into `new_sink()`.
+/// Returns the reconstruction and the sinks, one per slice.
+fn encode_inter_oracle<S: SymbolSink>(
+    frame: &Frame,
+    prev: &Frame,
+    qp: u8,
+    new_sink: impl Fn() -> S,
+) -> (Frame, Vec<S>) {
+    let peak = frame.format.peak_value();
+    let mut recon = Frame::new(frame.format, frame.width, frame.height);
+    let mbs_x = frame.width.div_ceil(MB_SIZE);
+    let luma = plan_luma_oracle(
+        &frame.planes[0],
+        &prev.planes[0],
+        &mut recon.planes[0],
+        quant::qstep(qp),
+        peak,
+    );
+    let chroma: Vec<Vec<[i32; 64]>> = (1..frame.planes.len())
+        .map(|pi| {
+            plan_chroma_oracle(
+                &frame.planes[pi],
+                &prev.planes[pi],
+                &mut recon.planes[pi],
+                quant::qstep(plane_qp(qp, pi)),
+                peak,
+                &luma,
+                mbs_x,
+            )
+        })
+        .collect();
+    let sinks = slice_rows(frame.height)
+        .into_iter()
+        .map(|(mb0, mb1)| {
+            let mut s = new_sink();
+            let mut coeff = ContextsOracle::default();
+            let mut skip_model = BitModel::new();
+            for plan in &luma[mb0 * mbs_x..mb1 * mbs_x] {
+                s.ctx(&mut skip_model, plan.skip);
+                if !plan.skip {
+                    encode_svalue_oracle(&mut s, (plan.mv.dx - plan.pred_mv.dx) as i32);
+                    encode_svalue_oracle(&mut s, (plan.mv.dy - plan.pred_mv.dy) as i32);
+                    for levels in &plan.levels4 {
+                        encode_block_oracle(&mut s, &mut coeff, levels);
+                    }
+                }
+            }
+            for plans in &chroma {
+                let mut cctx = ContextsOracle::default();
+                for levels in &plans[mb0 * mbs_x..(mb1 * mbs_x).min(plans.len())] {
+                    encode_block_oracle(&mut s, &mut cctx, levels);
+                }
+            }
+            s
+        })
+        .collect();
+    (recon, sinks)
+}
+
+/// Byte offset of the first slice payload of a frame with `n` slices and
+/// the derived geometry: 8 fixed bytes and one `u32` length per slice.
+fn payload_offset(n: usize) -> usize {
+    8 + 4 * n
+}
+
+fn decode_ue_oracle(dec: &mut RangeDecoder<'_>) -> u32 {
+    let mut nbits = 1u32;
+    while !dec.decode_bypass() && nbits < 32 {
+        nbits += 1;
+    }
+    let mut v = 1u32;
+    for _ in 0..nbits - 1 {
+        v = (v << 1) | dec.decode_bypass() as u32;
+    }
+    v - 1
+}
+
+fn decode_svalue_oracle(dec: &mut RangeDecoder<'_>) -> i32 {
+    let mag = decode_ue_oracle(dec).min(i32::MAX as u32) as i32;
+    if mag != 0 && dec.decode_bypass() {
+        -mag
+    } else {
+        mag
+    }
+}
+
+fn decode_block_oracle(dec: &mut RangeDecoder<'_>, ctx: &mut ContextsOracle) -> [i32; 64] {
+    let mut levels = [0i32; 64];
+    if !dec.decode_bit(&mut ctx.cbf) {
+        return levels;
+    }
+    let hi = dec.decode_bit(&mut ctx.last_hi);
+    let mut last = 0usize;
+    for _ in 0..5 {
+        last = (last << 1) | dec.decode_bypass() as usize;
+    }
+    if hi {
+        last += 32;
+    }
+    for pos in 0..=last {
+        if pos < last && !dec.decode_bit(&mut ctx.sig[band_oracle(pos)]) {
+            continue;
+        }
+        let mag = if dec.decode_bit(&mut ctx.gt1[band_oracle(pos)]) {
+            decode_ue_oracle(dec).saturating_add(2)
+        } else {
+            1
+        };
+        let neg = dec.decode_bypass();
+        let mag = mag.min(i32::MAX as u32) as i32;
+        levels[ZIGZAG[pos]] = if neg { -mag } else { mag };
+    }
+    levels
+}
+
+/// One inter frame decoded the way it was: every macroblock predicted into
+/// a buffer and written back block by block, every coded block — empty or
+/// not — through the inverse transform, bypass bits one at a time.
+fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
+    let format = prev.format;
+    let peak = format.peak_value();
+    let width = prev.width;
+    let mbs_x = width.div_ceil(MB_SIZE);
+    let mut out = Frame::new(format, width, prev.height);
+    let slices = slice_rows(prev.height);
+    let mut offset = payload_offset(slices.len());
+    for (si, &(mb0, mb1)) in slices.iter().enumerate() {
+        let len = u32::from_le_bytes(data[8 + 4 * si..][..4].try_into().unwrap()) as usize;
+        let mut dec = RangeDecoder::new(&data[offset..offset + len]);
+        offset += len;
+        let mut mvs = vec![MotionVector::default(); (mb1 - mb0) * mbs_x];
+        let step = quant::qstep(qp);
+        let mut coeff = ContextsOracle::default();
+        let mut skip_model = BitModel::new();
+        let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
+        let y0 = mb0 * MB_SIZE;
+        let luma = &mut out.planes[0];
+        let y1 = (mb1 * MB_SIZE).min(luma.height);
+        let stripe = &mut luma.data[y0 * width..y1 * width];
+        for row in 0..mb1 - mb0 {
+            let by = (mb0 + row) * MB_SIZE;
+            for mbx in 0..mbs_x {
+                let bx = mbx * MB_SIZE;
+                let pred_mv = if mbx > 0 {
+                    mvs[row * mbs_x + mbx - 1]
+                } else {
+                    MotionVector::default()
+                };
+                let (mv, levels4) = if dec.decode_bit(&mut skip_model) {
+                    (pred_mv, None)
+                } else {
+                    let dx = (decode_svalue_oracle(&mut dec) as i16).wrapping_add(pred_mv.dx);
+                    let dy = (decode_svalue_oracle(&mut dec) as i16).wrapping_add(pred_mv.dy);
+                    let mut l4 = [[0i32; 64]; 4];
+                    for l in &mut l4 {
+                        *l = decode_block_oracle(&mut dec, &mut coeff);
+                    }
+                    (MotionVector { dx, dy }, Some(l4))
+                };
+                mvs[row * mbs_x + mbx] = mv;
+                motion::predict_block(&prev.planes[0], bx, by, mv, &mut pred_buf);
+                for sb in 0..4 {
+                    let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
+                    let res = match &levels4 {
+                        None => [0i32; 64],
+                        Some(l4) => dct::inverse(&quant::dequantize_block(&l4[sb], step, DC_SCALE)),
+                    };
+                    let mut rec = [0i32; 64];
+                    for dy in 0..8 {
+                        for dx in 0..8 {
+                            rec[dy * 8 + dx] =
+                                res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
+                        }
+                    }
+                    write_block8_into_stripe(stripe, width, y0, bx + ox, by + oy, &rec, peak);
+                }
+            }
+        }
+        for pi in 1..out.planes.len() {
+            let cprev = &prev.planes[pi];
+            let plane = &mut out.planes[pi];
+            let (pw, ph) = (plane.width, plane.height);
+            let (c0, c1) = ((mb0 * 8).min(ph), (mb1 * 8).min(ph));
+            let stripe = &mut plane.data[c0 * pw..c1 * pw];
+            let cstep = quant::qstep(plane_qp(qp, pi));
+            let mut cctx = ContextsOracle::default();
+            for by in (c0..c1).step_by(8) {
+                for bx in (0..pw).step_by(8) {
+                    let mv = mvs
+                        .get((by / 8 - mb0) * mbs_x + bx / 8)
+                        .copied()
+                        .unwrap_or_default();
+                    let levels = decode_block_oracle(&mut dec, &mut cctx);
+                    let res = dct::inverse(&quant::dequantize_block(&levels, cstep, DC_SCALE));
+                    let mut rec = [0i32; 64];
+                    for dy in 0..8 {
+                        for dx in 0..8 {
+                            let pred = cprev.get_clamped(
+                                (bx + dx) as isize + (mv.dx / 2) as isize,
+                                (by + dy) as isize + (mv.dy / 2) as isize,
+                            ) as i32;
+                            rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
+                        }
+                    }
+                    write_block8_into_stripe(stripe, pw, c0, bx, by, &rec, peak);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Smallest of `REPS` timings each of `fast` and `reference`, alternating;
+/// each call returns the nanoseconds of its own timed part, so set-up that
+/// must be redone per pass (a fresh encoder, a primed decoder) stays out.
+fn best_of_pair(mut fast: impl FnMut() -> f64, mut reference: impl FnMut() -> f64) -> (f64, f64) {
+    fast();
+    reference();
+    let mut best = (f64::MAX, f64::MAX);
+    for _ in 0..REPS {
+        best.0 = best.0.min(fast());
+        best.1 = best.1.min(reference());
+    }
+    best
+}
+
+fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
+    // Three consecutive captures: a keyframe and two inter frames a stream.
+    const FRAMES: usize = 3;
+    let canvases: Vec<(Frame, Frame)> = (0..FRAMES)
+        .map(|i| {
+            let (views, layout) = culled_views(0.5 + i as f32 / 30.0, i as u32);
+            (
+                compose_color(&views, &layout, i as u32),
+                compose_depth(&views, &layout, &DepthCodec::default(), i as u32),
+            )
+        })
+        .collect();
+    let streams: [(Vec<&Frame>, u8); 2] = [
+        (canvases.iter().map(|c| &c.0).collect(), COLOR_QP),
+        (canvases.iter().map(|c| &c.1).collect(), DEPTH_QP),
+    ];
+    let encoder_for = |f: &Frame| Encoder::new(EncoderConfig::new(f.width, f.height, f.format));
+
+    // What the product makes of them: bitstreams and the reference chain.
+    let coded: Vec<Vec<livo_codec2d::EncodedFrame>> = streams
+        .iter()
+        .map(|(frames, qp)| {
+            let mut enc = encoder_for(frames[0]);
+            frames.iter().map(|f| enc.encode_fixed_qp(f, *qp)).collect()
+        })
+        .collect();
+
+    // The oracles must rebuild exactly that, or the timings compare
+    // different work.
+    let mut depth_symbols = Vec::new();
+    for ((frames, qp), coded) in streams.iter().zip(&coded) {
+        for i in 1..FRAMES {
+            let prev = &coded[i - 1].reconstruction;
+            let (recon, sinks) =
+                encode_inter_oracle(frames[i], prev, *qp, || BitAtATime(RangeEncoder::new()));
+            assert_eq!(recon, coded[i].reconstruction, "oracle reconstruction");
+            let payloads: Vec<u8> = sinks.into_iter().flat_map(|s| s.0.finish()).collect();
+            assert_eq!(
+                payloads,
+                coded[i].data[payload_offset(slice_rows(recon.height).len())..],
+                "oracle bitstream"
+            );
+            assert_eq!(
+                decode_inter_oracle(&coded[i].data, prev, *qp),
+                recon,
+                "oracle decode"
+            );
+            if frames[i].format == PixelFormat::Y16 && i == 1 {
+                let (_, sinks) = encode_inter_oracle(frames[i], prev, *qp, Recorder::default);
+                depth_symbols = sinks.into_iter().flat_map(|s| s.0).collect();
+            }
+        }
+    }
+
+    let inter_frames = (FRAMES - 1) as f64;
+    let (enc_fast, enc_ref) = best_of_pair(
+        || {
+            let mut ns = 0.0;
+            for (frames, qp) in &streams {
+                let mut enc = encoder_for(frames[0]);
+                enc.encode_fixed_qp(frames[0], *qp);
+                let t0 = Instant::now();
+                for f in &frames[1..] {
+                    black_box(enc.encode_fixed_qp(f, *qp));
+                }
+                ns += t0.elapsed().as_nanos() as f64;
+            }
+            ns
+        },
+        || {
+            let t0 = Instant::now();
+            for ((frames, qp), coded) in streams.iter().zip(&coded) {
+                for i in 1..FRAMES {
+                    let prev = &coded[i - 1].reconstruction;
+                    let (recon, sinks) = encode_inter_oracle(frames[i], prev, *qp, || {
+                        BitAtATime(RangeEncoder::new())
+                    });
+                    for s in sinks {
+                        black_box(s.0.finish());
+                    }
+                    black_box(recon);
+                }
+            }
+            t0.elapsed().as_nanos() as f64
+        },
+    );
+    let (dec_fast, dec_ref) = best_of_pair(
+        || {
+            let mut ns = 0.0;
+            for coded in &coded {
+                let mut dec = Decoder::new();
+                dec.decode(&coded[0].data).expect("own keyframe decodes");
+                let t0 = Instant::now();
+                for c in &coded[1..] {
+                    black_box(dec.decode(&c.data).expect("own stream decodes"));
+                }
+                ns += t0.elapsed().as_nanos() as f64;
+            }
+            ns
+        },
+        || {
+            let t0 = Instant::now();
+            for ((_, qp), coded) in streams.iter().zip(&coded) {
+                for i in 1..FRAMES {
+                    black_box(decode_inter_oracle(
+                        &coded[i].data,
+                        &coded[i - 1].reconstruction,
+                        *qp,
+                    ));
+                }
+            }
+            t0.elapsed().as_nanos() as f64
+        },
+    );
+
+    // The depth frame's symbols again, bypass fields in runs against one
+    // bit at a time; context bits go to one model on both sides.
+    let bypass_bits: u64 = depth_symbols
+        .iter()
+        .map(|s| match *s {
+            Symbol::Ctx(_) => 0,
+            Symbol::Bits(_, n) => n as u64,
+            Symbol::Ue(v) => 2 * (32 - (v + 1).leading_zeros()) as u64 - 1,
+            Symbol::Bypass(_) => 1,
+        })
+        .sum();
+    let replay_runs = || {
+        let mut enc = RangeEncoder::new();
+        let mut model = BitModel::new();
+        for s in &depth_symbols {
+            match *s {
+                Symbol::Ctx(bit) => enc.encode_bit(&mut model, bit),
+                Symbol::Bits(v, n) => enc.encode_bits(v, n),
+                Symbol::Ue(v) => enc.encode_ue_bypass(v),
+                Symbol::Bypass(bit) => enc.encode_bypass(bit),
+            }
+        }
+        enc.finish()
+    };
+    let replay_bitwise = || {
+        let mut sink = BitAtATime(RangeEncoder::new());
+        let mut model = BitModel::new();
+        for s in &depth_symbols {
+            match *s {
+                Symbol::Ctx(bit) => sink.ctx(&mut model, bit),
+                Symbol::Bits(v, n) => sink.bits(v, n),
+                Symbol::Ue(v) => sink.ue(v),
+                Symbol::Bypass(bit) => sink.bypass(bit),
+            }
+        }
+        sink.0.finish()
+    };
+    assert_eq!(
+        replay_runs(),
+        replay_bitwise(),
+        "bypass runs keep the bytes"
+    );
+    let timed = |f: &dyn Fn() -> Vec<u8>| {
+        let t0 = Instant::now();
+        black_box(f());
+        t0.elapsed().as_nanos() as f64
+    };
+    let (run_fast, run_ref) = best_of_pair(|| timed(&replay_runs), || timed(&replay_bitwise));
+
+    (
+        KernelPoint {
+            name: "encode_inter_static",
+            unit: "per inter frame pair (colour + depth), culled 0.25-scale canvases, best of 7",
+            fast_ns: enc_fast / inter_frames,
+            ref_ns: enc_ref / inter_frames,
+            gated: true,
+        },
+        KernelPoint {
+            name: "decode_inter_static",
+            unit: "per inter frame pair (colour + depth), same streams, best of 7",
+            fast_ns: dec_fast / inter_frames,
+            ref_ns: dec_ref / inter_frames,
+            gated: true,
+        },
+        KernelPoint {
+            name: "bypass_run",
+            unit: "per bypass bit, one depth frame's symbols replayed, best of 7",
+            fast_ns: run_fast / bypass_bits as f64,
+            ref_ns: run_ref / bypass_bits as f64,
+            gated: true,
+        },
+    )
+}
+
 /// Run the full kernel sweep.
 pub fn run() -> Vec<KernelPoint> {
     let (dct_f, dct_i) = bench_dct();
     let (dct_f_avx2, dct_i_avx2) = bench_dct_avx2();
     let (reconstruct, voxel_downsample) = bench_receiver();
+    let (encode_inter_static, decode_inter_static, bypass_run) = bench_inter_static();
     vec![
         bench_cull(),
         dct_f,
@@ -604,6 +1378,9 @@ pub fn run() -> Vec<KernelPoint> {
         bench_decode_sliced(),
         reconstruct,
         voxel_downsample,
+        encode_inter_static,
+        decode_inter_static,
+        bypass_run,
     ]
 }
 
@@ -611,16 +1388,16 @@ pub fn run() -> Vec<KernelPoint> {
 pub fn text(points: &[KernelPoint]) -> String {
     let mut s = String::from("Hot-kernel speedups vs retained reference implementations\n\n");
     s.push_str(&format!(
-        "{:>16} | {:>12} | {:>12} | {:>8} | unit\n",
+        "{:>19} | {:>12} | {:>12} | {:>8} | unit\n",
         "kernel", "fast ns", "ref ns", "speedup"
     ));
     s.push_str(&format!(
-        "{:->16}-+-{:->12}-+-{:->12}-+-{:->8}-+-----\n",
+        "{:->19}-+-{:->12}-+-{:->12}-+-{:->8}-+-----\n",
         "", "", "", ""
     ));
     for p in points {
         s.push_str(&format!(
-            "{:>16} | {:>12.0} | {:>12.0} | {:>7.2}x | {}{}\n",
+            "{:>19} | {:>12.1} | {:>12.1} | {:>7.2}x | {}{}\n",
             p.name,
             p.fast_ns,
             p.ref_ns,
@@ -629,7 +1406,7 @@ pub fn text(points: &[KernelPoint]) -> String {
             if p.gated { "" } else { " [not gated]" }
         ));
     }
-    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, kept in\nkernels_bench.rs only.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, and the\nencode_inter_static, decode_inter_static and bypass_run ones the inter\ncoder before static macroblocks took the copy path, kept in\nkernels_bench.rs only.\n");
     s
 }
 

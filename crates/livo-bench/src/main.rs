@@ -19,8 +19,9 @@
 //! sharded router falls behind the serial baseline at N=100, or churn
 //! intras violate the one-per-RTT guard.
 //!
-//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD) against the
-//! retained pre-optimisation reference implementations, plus the AVX2
+//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, receiver
+//! reconstruct and voxel downsample, one static-scene inter frame each way,
+//! bypass runs) against the implementations they replaced, plus the AVX2
 //! dispatch tier of DCT and SAD against its SSE2/scalar baseline;
 //! `--json <path>` snapshots it (schema `livo-bench-kernels-v1`, committed
 //! as BENCH_kernels.json) and `--gate` exits non-zero if any gated

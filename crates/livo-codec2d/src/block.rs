@@ -10,16 +10,28 @@
 use crate::dct::ZIGZAG;
 use crate::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 
-/// Significance-context band for a zig-zag scan position.
+/// Significance-context band of each zig-zag scan position: `0`, `1..=2`,
+/// `3..=9`, `10..=24`, the rest. A table, not a `match`: the lookup sits
+/// between every two context-coded symbols of a block.
+const BAND: [u8; 64] = {
+    let mut t = [0u8; 64];
+    let mut pos = 0;
+    while pos < 64 {
+        t[pos] = match pos {
+            0 => 0,
+            1..=2 => 1,
+            3..=9 => 2,
+            10..=24 => 3,
+            _ => 4,
+        };
+        pos += 1;
+    }
+    t
+};
+
 #[inline]
 fn band(pos: usize) -> usize {
-    match pos {
-        0 => 0,
-        1..=2 => 1,
-        3..=9 => 2,
-        10..=24 => 3,
-        _ => 4,
-    }
+    BAND[pos] as usize
 }
 
 /// Adaptive contexts for one plane's coefficient coding.
@@ -92,11 +104,17 @@ pub fn encode_block(enc: &mut RangeEncoder, ctx: &mut CoeffContexts, levels: &[i
     }
 }
 
-/// Decode one block into raster-order quantised levels.
-pub fn decode_block(dec: &mut RangeDecoder<'_>, ctx: &mut CoeffContexts) -> [i32; 64] {
-    let mut levels = [0i32; 64];
+/// Decode one block into raster-order quantised `levels` (every entry is
+/// written). Returns the coded-block flag: `false` means all levels are
+/// zero, so the caller can leave the inverse transform out.
+pub fn decode_block(
+    dec: &mut RangeDecoder<'_>,
+    ctx: &mut CoeffContexts,
+    levels: &mut [i32; 64],
+) -> bool {
+    *levels = [0; 64];
     if !dec.decode_bit(&mut ctx.cbf) {
-        return levels;
+        return false;
     }
     let hi = dec.decode_bit(&mut ctx.last_hi);
     let mut last = dec.decode_bits(5) as usize;
@@ -119,7 +137,7 @@ pub fn decode_block(dec: &mut RangeDecoder<'_>, ctx: &mut CoeffContexts) -> [i32
         let mag = mag.min(i32::MAX as u32) as i32;
         levels[ZIGZAG[pos]] = if neg { -mag } else { mag };
     }
-    levels
+    true
 }
 
 /// Encode a signed value as (ue magnitude, sign) in bypass mode — used for
@@ -159,8 +177,26 @@ mod tests {
         let data = enc.finish();
         let mut dec = RangeDecoder::new(&data);
         let mut ctx2 = CoeffContexts::new();
+        // Stale contents: every entry must be overwritten.
+        let mut got = [7i32; 64];
         for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(&decode_block(&mut dec, &mut ctx2), b, "block {i}");
+            let coded = decode_block(&mut dec, &mut ctx2, &mut got);
+            assert_eq!(&got, b, "block {i}");
+            assert_eq!(coded, b.iter().any(|&l| l != 0), "block {i} flag");
+        }
+    }
+
+    #[test]
+    fn band_table_holds_the_five_ranges() {
+        for pos in 0..64 {
+            let want = match pos {
+                0 => 0,
+                1..=2 => 1,
+                3..=9 => 2,
+                10..=24 => 3,
+                _ => 4,
+            };
+            assert_eq!(band(pos), want, "scan position {pos}");
         }
     }
 

@@ -20,7 +20,7 @@ use livo_telemetry::{Counter, Histogram, MetricsRegistry};
 
 use crate::block::{decode_block, decode_svalue, CoeffContexts};
 use crate::dct;
-use crate::encoder::{plane_qp, run_slice_jobs, FrameType};
+use crate::encoder::{add_residual, plane_qp, run_slice_jobs, FrameType};
 use crate::motion::{self, MotionVector, MB_SIZE};
 use crate::plane::{write_block8_into_stripe, Frame, PixelFormat};
 use crate::quant::{self, DC_SCALE};
@@ -402,45 +402,6 @@ fn decode_mv(dec: &mut RangeDecoder<'_>, pred_mv: MotionVector) -> MotionVector 
     MotionVector { dx, dy }
 }
 
-fn decode_levels4(dec: &mut RangeDecoder<'_>, coeff: &mut CoeffContexts) -> [[i32; 64]; 4] {
-    let mut levels4 = [[0i32; 64]; 4];
-    for l in &mut levels4 {
-        *l = decode_block(dec, coeff);
-    }
-    levels4
-}
-
-/// Reconstruct one 8×8 luma sub-block of a macroblock: prediction alone
-/// for skipped blocks, prediction + dequantised residual otherwise.
-fn reconstruct_luma_subblock(
-    rec: &mut [i32; 64],
-    levels4: &Option<[[i32; 64]; 4]>,
-    sb: usize,
-    ox: usize,
-    oy: usize,
-    pred_buf: &[i32; MB_SIZE * MB_SIZE],
-    step: f32,
-) {
-    match levels4 {
-        None => {
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    rec[dy * 8 + dx] = pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                }
-            }
-        }
-        Some(l4) => {
-            let deq = quant::dequantize_block(&l4[sb], step, DC_SCALE);
-            let res = dct::inverse(&deq);
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    rec[dy * 8 + dx] = res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                }
-            }
-        }
-    }
-}
-
 /// Decode one intra slice into its plane stripes — the exact mirror of the
 /// encoder's `encode_intra_slice`: plane-major, fresh contexts per plane,
 /// slice-local DC prediction. Total on corrupt input: the range decoder
@@ -457,6 +418,7 @@ fn decode_intra_slice(
     peak: u16,
 ) {
     let mut dec = RangeDecoder::new(payload);
+    let mut levels = [0i32; 64];
     for (pi, stripe) in stripes.iter_mut().enumerate() {
         let (pw, _) = format.plane_dims(pi, width, height);
         let step = quant::qstep(plane_qp(qp, pi, format));
@@ -464,7 +426,7 @@ fn decode_intra_slice(
         let mut coeff = CoeffContexts::new();
         for by in (r0..r1).step_by(8) {
             for bx in (0..pw).step_by(8) {
-                let levels = decode_block(&mut dec, &mut coeff);
+                decode_block(&mut dec, &mut coeff, &mut levels);
                 let pred = slice::intra_dc_pred_stripe(stripe, pw, r0, bx, by, peak);
                 let deq = quant::dequantize_block(&levels, step, DC_SCALE);
                 let mut rec = dct::inverse(&deq);
@@ -481,6 +443,13 @@ fn decode_intra_slice(
 /// encoder's `entropy_inter_slice` walk: the slice's luma macroblock rows
 /// (left-neighbour MV prediction, reset per row), then each chroma plane's
 /// matching block rows against the halved luma motion field.
+///
+/// A block without a coded level reconstructs to its prediction exactly
+/// (the inverse transform of zeros is zero), so it skips the transform; and
+/// where that prediction is a plain copy of reference rows
+/// ([`motion::copy_origin`]) a skipped or level-free macroblock, or a
+/// level-free chroma block, is that copy. Any other vector — every hostile
+/// one included — goes through the clamped prediction as before.
 fn decode_inter_slice(
     payload: &[u8],
     sr: &SliceRows,
@@ -497,10 +466,12 @@ fn decode_inter_slice(
     let mut mvs = vec![MotionVector::default(); n_rows * mbs_x];
 
     let (luma_stripe, chroma_stripes) = stripes.split_first_mut().expect("at least one plane");
+    let luma_prev = &prev.planes[0];
     let step = quant::qstep(plane_qp(qp, 0, format));
     let mut coeff = CoeffContexts::new();
     let mut skip_model = BitModel::new();
     let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
+    let mut levels4 = [[0i32; 64]; 4];
     for row in 0..n_rows {
         let by = (sr.mb0 + row) * MB_SIZE;
         for mbx in 0..mbs_x {
@@ -510,27 +481,48 @@ fn decode_inter_slice(
             } else {
                 MotionVector::default()
             };
-            let skip = dec.decode_bit(&mut skip_model);
-            let (mv, levels4) = if skip {
-                (pred_mv, None)
+            let mut coded = [false; 4];
+            let mv = if dec.decode_bit(&mut skip_model) {
+                pred_mv
             } else {
-                (
-                    decode_mv(&mut dec, pred_mv),
-                    Some(decode_levels4(&mut dec, &mut coeff)),
-                )
+                let mv = decode_mv(&mut dec, pred_mv);
+                for (levels, c) in levels4.iter_mut().zip(&mut coded) {
+                    *c = decode_block(&mut dec, &mut coeff, levels);
+                }
+                mv
             };
             mvs[row * mbs_x + mbx] = mv;
-            motion::predict_block(&prev.planes[0], bx, by, mv, &mut pred_buf);
+            if coded == [false; 4] {
+                if let Some(origin) = motion::copy_origin(luma_prev, bx, by, mv, MB_SIZE) {
+                    motion::copy_block_into_stripe(
+                        luma_stripe,
+                        sr.y0,
+                        bx,
+                        by,
+                        luma_prev,
+                        origin,
+                        MB_SIZE,
+                    );
+                    continue;
+                }
+            }
+            motion::predict_block(luma_prev, bx, by, mv, &mut pred_buf);
             for sb in 0..4 {
                 let ox = (sb % 2) * 8;
                 let oy = (sb / 2) * 8;
                 let mut rec = [0i32; 64];
-                reconstruct_luma_subblock(&mut rec, &levels4, sb, ox, oy, &pred_buf, step);
+                for dy in 0..8 {
+                    rec[dy * 8..][..8].copy_from_slice(&pred_buf[(oy + dy) * MB_SIZE + ox..][..8]);
+                }
+                if coded[sb] {
+                    add_residual(&mut rec, &levels4[sb], step);
+                }
                 write_block8_into_stripe(luma_stripe, width, sr.y0, bx + ox, by + oy, &rec, peak);
             }
         }
     }
 
+    let mut levels = [0i32; 64];
     for (ci, stripe) in chroma_stripes.iter_mut().enumerate() {
         let pi = ci + 1;
         let (pw, _) = format.plane_dims(pi, width, prev.height);
@@ -546,18 +538,24 @@ fn decode_inter_slice(
                     dx: mv.dx / 2,
                     dy: mv.dy / 2,
                 };
-                let levels = decode_block(&mut dec, &mut cctx);
-                let deq = quant::dequantize_block(&levels, cstep, DC_SCALE);
-                let res = dct::inverse(&deq);
+                let coded = decode_block(&mut dec, &mut cctx, &mut levels);
+                if !coded {
+                    if let Some(origin) = motion::copy_origin(cprev, bx, by, cmv, 8) {
+                        motion::copy_block_into_stripe(stripe, sr.c0, bx, by, cprev, origin, 8);
+                        continue;
+                    }
+                }
                 let mut rec = [0i32; 64];
                 for dy in 0..8 {
                     for dx in 0..8 {
-                        let pred = cprev.get_clamped(
+                        rec[dy * 8 + dx] = cprev.get_clamped(
                             (bx + dx) as isize + cmv.dx as isize,
                             (by + dy) as isize + cmv.dy as isize,
                         ) as i32;
-                        rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
                     }
+                }
+                if coded {
+                    add_residual(&mut rec, &levels, cstep);
                 }
                 write_block8_into_stripe(stripe, pw, sr.c0, bx, by, &rec, peak);
             }

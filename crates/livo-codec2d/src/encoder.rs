@@ -854,6 +854,18 @@ pub(crate) fn plane_qp(qp: u8, pi: usize, format: PixelFormat) -> u8 {
     }
 }
 
+/// Add the dequantised, inverse-transformed residual of `levels` onto the
+/// prediction held in `rec` — the closed loop's one reconstruction step,
+/// shared with the decoder. Blocks without a level leave it out: the inverse
+/// transform of zeros is zero.
+pub(crate) fn add_residual(rec: &mut [i32; 64], levels: &[i32; 64], step: f32) {
+    let deq = quant::dequantize_block(levels, step, DC_SCALE);
+    let res = dct::inverse(&deq);
+    for (r, v) in rec.iter_mut().zip(&res) {
+        *r += v;
+    }
+}
+
 /// Everything the entropy pass needs to replay one luma macroblock: the
 /// chosen and predicted motion vectors, the skip decision, and the four
 /// quantised 8×8 coefficient blocks. Produced row-parallel, consumed per
@@ -883,8 +895,9 @@ impl Default for LumaMbPlan {
 /// of `recon`. Rows are independent by construction — the motion predictor
 /// is the *left* neighbour only, and prediction reads `prev`, which is
 /// immutable during the frame — so the result is the same at any pool size.
-/// `plans` is a reused scratch vector; every element is overwritten before
-/// the entropy pass reads it.
+/// `plans` is a reused scratch vector; every element the entropy pass
+/// reads is overwritten first (it does not read the levels of a skipped
+/// macroblock).
 #[allow(clippy::too_many_arguments)]
 fn plan_plane_inter_luma(
     pool: Option<&WorkerPool>,
@@ -923,6 +936,15 @@ fn plan_plane_inter_luma(
 /// Plan one macroblock row (see [`plan_plane_inter_luma`]). `stripe` is the
 /// row's slice of the reconstruction plane, starting at plane row
 /// `mby * MB_SIZE`.
+///
+/// A macroblock whose search ends on SAD 0 with a prediction that is a
+/// plain copy of reference rows ([`motion::copy_origin`]) has a zero
+/// residual at every sample the transform would read — the ones past a
+/// frame edge repeat in-bounds samples on both sides of the subtraction —
+/// so its levels are zero without a transform and its reconstruction is
+/// the reference rows themselves. Elsewhere, an 8×8 block whose levels all
+/// quantise to zero reconstructs to its prediction exactly (the inverse
+/// transform of zeros is zero), so only blocks with a level pay for one.
 #[allow(clippy::too_many_arguments)]
 fn plan_luma_row(
     plane: &Plane,
@@ -945,12 +967,25 @@ fn plan_luma_row(
         } else {
             MotionVector::default()
         };
-        let (mv, _) = motion::diamond_search(plane, prev, bx, by, pred_mv, search_range);
+        let (mv, best_sad) = motion::diamond_search(plane, prev, bx, by, pred_mv, search_range);
+        left_mv = mv;
+        plan.mv = mv;
+        plan.pred_mv = pred_mv;
+        if best_sad == 0 {
+            if let Some(origin) = motion::copy_origin(prev, bx, by, mv, MB_SIZE) {
+                plan.skip = mv == pred_mv;
+                if !plan.skip {
+                    // A skipped plan's levels are never read.
+                    plan.levels4 = [[0; 64]; 4];
+                }
+                motion::copy_block_into_stripe(stripe, by, bx, by, prev, origin, MB_SIZE);
+                continue;
+            }
+        }
         motion::predict_block(prev, bx, by, mv, &mut pred_buf);
 
-        let mut levels4 = [[0i32; 64]; 4];
-        let mut all_zero = true;
-        for (sb, levels) in levels4.iter_mut().enumerate() {
+        let mut coded = [false; 4];
+        for (sb, levels) in plan.levels4.iter_mut().enumerate() {
             let ox = (sb % 2) * 8;
             let oy = (sb / 2) * 8;
             for dy in 0..8 {
@@ -962,42 +997,22 @@ fn plan_luma_row(
             }
             let coeffs = dct::forward(&blk);
             *levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-            if levels.iter().any(|&l| l != 0) {
-                all_zero = false;
-            }
+            coded[sb] = levels.iter().any(|&l| l != 0);
         }
-        let skip = all_zero && mv == pred_mv;
+        plan.skip = coded == [false; 4] && mv == pred_mv;
 
-        for (sb, levels) in levels4.iter().enumerate() {
+        for (sb, levels) in plan.levels4.iter().enumerate() {
             let ox = (sb % 2) * 8;
             let oy = (sb / 2) * 8;
             let mut rec = [0i32; 64];
-            if skip {
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        rec[dy * 8 + dx] = pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
-            } else {
-                let deq = quant::dequantize_block(levels, step, DC_SCALE);
-                let res = dct::inverse(&deq);
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        rec[dy * 8 + dx] =
-                            res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
+            for dy in 0..8 {
+                rec[dy * 8..][..8].copy_from_slice(&pred_buf[(oy + dy) * MB_SIZE + ox..][..8]);
+            }
+            if coded[sb] {
+                add_residual(&mut rec, levels, step);
             }
             write_block8_into_stripe(stripe, plane.width, by, bx + ox, by + oy, &rec, peak);
         }
-
-        *plan = LumaMbPlan {
-            mv,
-            pred_mv,
-            skip,
-            levels4,
-        };
-        left_mv = mv;
     }
 }
 
@@ -1047,7 +1062,8 @@ fn plan_plane_inter_chroma(
 
 /// Plan one chroma block row (see [`plan_plane_inter_chroma`]). `stripe` is
 /// the row's slice of the reconstruction plane, starting at plane row
-/// `row * 8`.
+/// `row * 8`. Zero residuals and all-zero levels take the short ways out
+/// described on [`plan_luma_row`].
 #[allow(clippy::too_many_arguments)]
 fn plan_chroma_row(
     plane: &Plane,
@@ -1061,7 +1077,9 @@ fn plan_chroma_row(
     mbs_x: usize,
 ) {
     let by = row * 8;
+    let width = plane.width;
     let mut blk = [0i32; 64];
+    let mut pred = [0i32; 64];
     for (bxi, levels_out) in plan_row.iter_mut().enumerate() {
         let bx = bxi * 8;
         let mb_index = (by / 8) * mbs_x + (bx / 8);
@@ -1070,32 +1088,36 @@ fn plan_chroma_row(
             dx: mv.dx / 2,
             dy: mv.dy / 2,
         };
+        if let Some(origin) = motion::copy_origin(prev, bx, by, cmv, 8) {
+            let cols = 8.min(width - bx);
+            let rows = 8.min(plane.height - by);
+            let same = (0..rows).all(|dy| {
+                plane.data[(by + dy) * width + bx..][..cols]
+                    == prev.data[(origin.1 + dy) * width + origin.0..][..cols]
+            });
+            if same {
+                *levels_out = [0; 64];
+                motion::copy_block_into_stripe(stripe, by, bx, by, prev, origin, 8);
+                continue;
+            }
+        }
         for dy in 0..8 {
             for dx in 0..8 {
                 let cur = plane.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
-                let pred = prev.get_clamped(
+                pred[dy * 8 + dx] = prev.get_clamped(
                     (bx + dx) as isize + cmv.dx as isize,
                     (by + dy) as isize + cmv.dy as isize,
                 ) as i32;
-                blk[dy * 8 + dx] = cur - pred;
+                blk[dy * 8 + dx] = cur - pred[dy * 8 + dx];
             }
         }
         let coeffs = dct::forward(&blk);
-        let levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-        let deq = quant::dequantize_block(&levels, step, DC_SCALE);
-        let res = dct::inverse(&deq);
-        let mut rec = [0i32; 64];
-        for dy in 0..8 {
-            for dx in 0..8 {
-                let pred = prev.get_clamped(
-                    (bx + dx) as isize + cmv.dx as isize,
-                    (by + dy) as isize + cmv.dy as isize,
-                ) as i32;
-                rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
-            }
+        *levels_out = quant::quantize_block(&coeffs, step, DC_SCALE);
+        let mut rec = pred;
+        if levels_out.iter().any(|&l| l != 0) {
+            add_residual(&mut rec, levels_out, step);
         }
-        write_block8_into_stripe(stripe, plane.width, by, bx, by, &rec, peak);
-        *levels_out = levels;
+        write_block8_into_stripe(stripe, width, by, bx, by, &rec, peak);
     }
 }
 

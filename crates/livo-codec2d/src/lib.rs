@@ -32,6 +32,8 @@
 pub mod block;
 pub mod dct;
 pub mod decoder;
+#[cfg(test)]
+mod differential;
 pub mod encoder;
 pub mod motion;
 pub mod plane;

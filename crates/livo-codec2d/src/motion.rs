@@ -27,18 +27,74 @@ pub struct MotionVector {
 /// Macroblock size in samples.
 pub const MB_SIZE: usize = 16;
 
-/// True when the `MB_SIZE`² block at `(bx, by)` of `cur` and its
-/// `mv`-displaced counterpart in `reference` both lie fully in bounds.
+/// Where the `mv`-displaced counterpart of the `size`² block at `(bx, by)`
+/// starts in `reference`, when both it and the block itself (in `cur`) lie
+/// fully in bounds; `None` when either crosses an edge.
 #[inline]
-fn interior(cur: &Plane, reference: &Plane, bx: usize, by: usize, mv: MotionVector) -> bool {
+fn interior(
+    cur: &Plane,
+    reference: &Plane,
+    bx: usize,
+    by: usize,
+    mv: MotionVector,
+    size: usize,
+) -> Option<(usize, usize)> {
     let rx = bx as isize + mv.dx as isize;
     let ry = by as isize + mv.dy as isize;
-    bx + MB_SIZE <= cur.width
-        && by + MB_SIZE <= cur.height
+    let inside = bx + size <= cur.width
+        && by + size <= cur.height
         && rx >= 0
         && ry >= 0
-        && rx as usize + MB_SIZE <= reference.width
-        && ry as usize + MB_SIZE <= reference.height
+        && rx as usize + size <= reference.width
+        && ry as usize + size <= reference.height;
+    inside.then_some((rx as usize, ry as usize))
+}
+
+/// Where in `reference` the prediction of the `size`² block at `(bx, by)`
+/// under `mv` starts, when that prediction is a plain copy of reference
+/// rows — no in-bounds pixel of the block reads an edge-clamped sample. That
+/// holds for the zero vector (every pixel predicts from itself, partial
+/// edge blocks included) and whenever the block and its displaced
+/// counterpart both lie fully inside the plane. `None` sends the caller to
+/// the clamped path, which is where every out-of-range vector of a corrupt
+/// stream lands.
+#[inline]
+pub(crate) fn copy_origin(
+    reference: &Plane,
+    bx: usize,
+    by: usize,
+    mv: MotionVector,
+    size: usize,
+) -> Option<(usize, usize)> {
+    if mv == MotionVector::default() {
+        return Some((bx, by));
+    }
+    interior(reference, reference, bx, by, mv, size)
+}
+
+/// Reconstruct a block whose residual is zero: copy the `size`² block of
+/// `reference` at `origin` (from [`copy_origin`]) over the block at
+/// `(bx, by)` of `stripe`, plane rows `[y0, ..)` of a plane shaped like
+/// `reference`. Columns past the plane's right edge and rows past the
+/// stripe's end are left out, as `write_block8_into_stripe` leaves them
+/// out; reference samples are reconstructions, within the peak already.
+pub(crate) fn copy_block_into_stripe(
+    stripe: &mut [u16],
+    y0: usize,
+    bx: usize,
+    by: usize,
+    reference: &Plane,
+    origin: (usize, usize),
+    size: usize,
+) {
+    let width = reference.width;
+    let (rx, ry) = origin;
+    let cols = size.min(width - bx);
+    let rows = size.min(y0 + stripe.len() / width - by);
+    for dy in 0..rows {
+        stripe[(by - y0 + dy) * width + bx..][..cols]
+            .copy_from_slice(&reference.data[(ry + dy) * width + rx..][..cols]);
+    }
 }
 
 /// Sum of absolute differences between the `MB_SIZE`² block of `cur` at
@@ -53,11 +109,9 @@ pub fn sad(
     mv: MotionVector,
     early_exit: u64,
 ) -> u64 {
-    if !interior(cur, reference, bx, by, mv) {
+    let Some((rx, ry)) = interior(cur, reference, bx, by, mv, MB_SIZE) else {
         return sad_ref(cur, reference, bx, by, mv, early_exit);
-    }
-    let rx = (bx as isize + mv.dx as isize) as usize;
-    let ry = (by as isize + mv.dy as isize) as usize;
+    };
     #[cfg(target_arch = "x86_64")]
     if livo_math::simd::has_avx2() {
         // SAFETY: interior() guarantees both 16-wide row loads are in
@@ -108,11 +162,9 @@ pub fn sad_baseline(
     mv: MotionVector,
     early_exit: u64,
 ) -> u64 {
-    if !interior(cur, reference, bx, by, mv) {
+    let Some((rx, ry)) = interior(cur, reference, bx, by, mv, MB_SIZE) else {
         return sad_ref(cur, reference, bx, by, mv, early_exit);
-    }
-    let rx = (bx as isize + mv.dx as isize) as usize;
-    let ry = (by as isize + mv.dy as isize) as usize;
+    };
     sad_interior(cur, reference, bx, by, rx, ry, early_exit)
 }
 
@@ -235,7 +287,9 @@ pub fn sad_ref(
 /// previous best) and skips re-scoring it: its full SAD was the previous
 /// `best_sad`, which is strictly greater than the current one, so the probe
 /// can never win — dropping it is a pure saving with an identical result
-/// (pinned by `diamond_skip_matches_reference`).
+/// (pinned by `diamond_skip_matches_reference`). For the same reason the
+/// search returns the moment a candidate scores SAD 0: a later probe
+/// replaces the best only when strictly lower, so the vector cannot change.
 pub fn diamond_search(
     cur: &Plane,
     reference: &Plane,
@@ -259,6 +313,9 @@ pub fn diamond_search(
         came_from = Some(best);
         best = zero;
         best_sad = zero_sad;
+    }
+    if best_sad == 0 {
+        return (best, 0);
     }
     // Large diamond until the centre wins, then small diamond once.
     let large: [(i16, i16); 8] = [
@@ -285,6 +342,9 @@ pub fn diamond_search(
             }
             let s = sad(cur, reference, bx, by, cand, best_sad);
             if s < best_sad {
+                if s == 0 {
+                    return (cand, 0);
+                }
                 came_from = Some(best);
                 best = cand;
                 best_sad = s;
@@ -306,6 +366,9 @@ pub fn diamond_search(
         }
         let s = sad(cur, reference, bx, by, cand, best_sad);
         if s < best_sad {
+            if s == 0 {
+                return (cand, 0);
+            }
             came_from = Some(best);
             best = cand;
             best_sad = s;
@@ -326,11 +389,9 @@ pub fn predict_block(
     // The current-block bounds don't matter for prediction (it only reads
     // `reference`), but reusing the shared interior test keeps the fast-path
     // condition in one place; it is just as tight for the displaced block.
-    if !interior(reference, reference, bx, by, mv) {
+    let Some((rx, ry)) = interior(reference, reference, bx, by, mv, MB_SIZE) else {
         return predict_block_ref(reference, bx, by, mv, out);
-    }
-    let rx = (bx as isize + mv.dx as isize) as usize;
-    let ry = (by as isize + mv.dy as isize) as usize;
+    };
     #[cfg(target_arch = "x86_64")]
     if livo_math::simd::has_avx2() {
         // SAFETY: interior() bounds every displaced row; has_avx2() gates
@@ -592,6 +653,69 @@ mod tests {
             predict_block(&reference, bx, by, mv, &mut fast);
             predict_block_ref(&reference, bx, by, mv, &mut naive);
             assert_eq!(fast, naive, "({bx},{by}) mv {mv:?}");
+        }
+    }
+
+    #[test]
+    fn copy_origin_is_the_zero_vector_or_a_fully_inside_pair() {
+        let p = textured_plane(70, 54, 0);
+        let mv = |dx, dy| MotionVector { dx, dy };
+        // The zero vector copies from where it stands, partial blocks too.
+        assert_eq!(copy_origin(&p, 64, 48, mv(0, 0), MB_SIZE), Some((64, 48)));
+        // Block and displaced block inside: the displaced origin.
+        assert_eq!(copy_origin(&p, 16, 16, mv(-3, 5), MB_SIZE), Some((13, 21)));
+        assert_eq!(copy_origin(&p, 48, 32, mv(6, 6), MB_SIZE), Some((54, 38)));
+        assert_eq!(copy_origin(&p, 8, 8, mv(-8, -8), 8), Some((0, 0)));
+        // One sample over any edge, a partial block under a non-zero
+        // vector, or a vector from a corrupt stream: the clamped path.
+        assert_eq!(copy_origin(&p, 48, 32, mv(7, 0), MB_SIZE), None);
+        assert_eq!(copy_origin(&p, 48, 32, mv(0, 7), MB_SIZE), None);
+        assert_eq!(copy_origin(&p, 16, 16, mv(-17, 0), MB_SIZE), None);
+        assert_eq!(copy_origin(&p, 64, 16, mv(-8, 0), MB_SIZE), None);
+        for (dx, dy) in [
+            (i16::MAX, 0),
+            (i16::MIN, 0),
+            (0, i16::MAX),
+            (i16::MIN, i16::MIN),
+        ] {
+            assert_eq!(copy_origin(&p, 16, 16, mv(dx, dy), MB_SIZE), None);
+            assert_eq!(copy_origin(&p, 0, 0, mv(dx, dy), 8), None);
+        }
+    }
+
+    #[test]
+    fn copied_block_equals_clamped_prediction_written_back() {
+        let reference = textured_plane(70, 54, 0);
+        let peak = 255u16;
+        for (bx, by, mv) in differential_cases(70, 54) {
+            let Some(origin) = copy_origin(&reference, bx, by, mv, MB_SIZE) else {
+                continue;
+            };
+            // A stripe of the macroblock row holding the block, both ways.
+            let y0 = by / MB_SIZE * MB_SIZE;
+            let rows = MB_SIZE.min(54 - y0);
+            let mut copied = vec![7u16; 70 * rows];
+            let mut written = copied.clone();
+            copy_block_into_stripe(&mut copied, y0, bx, by, &reference, origin, MB_SIZE);
+            let mut pred = [0i32; MB_SIZE * MB_SIZE];
+            predict_block_ref(&reference, bx, by, mv, &mut pred);
+            for sb in 0..4 {
+                let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
+                let mut blk = [0i32; 64];
+                for dy in 0..8 {
+                    blk[dy * 8..][..8].copy_from_slice(&pred[(oy + dy) * MB_SIZE + ox..][..8]);
+                }
+                crate::plane::write_block8_into_stripe(
+                    &mut written,
+                    70,
+                    y0,
+                    bx + ox,
+                    by + oy,
+                    &blk,
+                    peak,
+                );
+            }
+            assert_eq!(copied, written, "({bx},{by}) mv {mv:?}");
         }
     }
 

@@ -82,11 +82,18 @@ impl Plane {
     /// horizontal stripe of a plane's rows.
     pub fn mad(&self, o: &Plane) -> f64 {
         assert_eq!((self.width, self.height), (o.width, o.height));
+        // 65 535 differences of at most 65 535 each still fit a `u32`, and
+        // a `u32` sum of `u16` differences vectorises where one `i64` per
+        // sample does not. The integer total is the same either way.
+        const RUN: usize = u16::MAX as usize;
         let sum: u64 = self
             .data
-            .iter()
-            .zip(&o.data)
-            .map(|(a, b)| (*a as i64 - *b as i64).unsigned_abs())
+            .chunks(RUN)
+            .zip(o.data.chunks(RUN))
+            .map(|(a, b)| {
+                let run: u32 = a.iter().zip(b).map(|(a, b)| a.abs_diff(*b) as u32).sum();
+                run as u64
+            })
             .sum();
         sum as f64 / self.data.len() as f64
     }
@@ -547,6 +554,46 @@ mod tests {
         let f = Frame::from_y16(2, 2, vec![0, 1000, 40000, u16::MAX]);
         assert_eq!(f.planes[0].get(1, 1), u16::MAX);
         assert_eq!(f.format.peak_value(), u16::MAX);
+    }
+
+    /// `mad` as first written: one `i64` difference per sample.
+    fn mad_oracle(a: &Plane, b: &Plane) -> f64 {
+        let sum: u64 = a
+            .data
+            .iter()
+            .zip(&b.data)
+            .map(|(a, b)| (*a as i64 - *b as i64).unsigned_abs())
+            .sum();
+        sum as f64 / a.data.len() as f64
+    }
+
+    #[test]
+    fn mad_is_bit_equal_to_the_per_sample_sum() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 24) as u16
+        };
+        for (w, h) in [(480, 296), (50, 38), (1, 1), (7, 3)] {
+            let a = Plane::from_data(w, h, (0..w * h).map(|_| next()).collect());
+            let b = Plane::from_data(w, h, (0..w * h).map(|_| next()).collect());
+            assert_eq!(a.mad(&b).to_bits(), mad_oracle(&a, &b).to_bits(), "{w}x{h}");
+            assert_eq!(b.mad(&a).to_bits(), mad_oracle(&a, &b).to_bits(), "{w}x{h}");
+        }
+        // Every difference at the peak, over runs of exactly the longest
+        // length a `u32` total holds, one sample less and one more.
+        for w in [65_534usize, 65_535, 65_536] {
+            let peak = Plane::from_data(w, 3, vec![u16::MAX; w * 3]);
+            let zero = Plane::new(w, 3);
+            assert_eq!(peak.mad(&zero), 65_535.0, "width {w}");
+            assert_eq!(
+                peak.mad(&zero).to_bits(),
+                mad_oracle(&peak, &zero).to_bits(),
+                "width {w}"
+            );
+        }
     }
 
     #[test]

@@ -117,23 +117,46 @@ impl RangeEncoder {
 
     /// Encode `nbits` raw bits of `value`, MSB first.
     pub fn encode_bits(&mut self, value: u32, nbits: u32) {
-        for i in (0..nbits).rev() {
-            self.encode_bypass((value >> i) & 1 == 1);
-        }
+        self.encode_bypass_run(value as u64, nbits);
     }
 
     /// Encode an unsigned value with order-0 exponential-Golomb in bypass
     /// mode (prefix + suffix); good for rare large magnitudes.
     pub fn encode_ue_bypass(&mut self, value: u32) {
         let v = value + 1;
-        let nbits = 32 - v.leading_zeros(); // ≥ 1
-        for _ in 0..nbits - 1 {
-            self.encode_bypass(false);
-        }
-        self.encode_bypass(true);
-        // Suffix: nbits-1 low bits of v.
-        for i in (0..nbits - 1).rev() {
-            self.encode_bypass((v >> i) & 1 == 1);
+        let nbits = 32 - v.leading_zeros();
+        // `nbits - 1 ≥ 0` zeros, the leading one of `v`, then its
+        // `nbits - 1` low bits: `v` itself, written `2·nbits − 1` wide.
+        self.encode_bypass_run(v as u64, 2 * nbits - 1);
+    }
+
+    /// The low `nbits ≤ 64` bits of `value` as bypass bits, MSB first, a
+    /// renormalisation interval at a time. [`encode_bypass`] renormalises
+    /// only when a halving takes `range` below `TOP`, which from a `range`
+    /// of bit length `25 + k` is the `k + 1`-th halving; until then the
+    /// bits only add to `low`. So a run of up to `8 − leading_zeros(range)`
+    /// bits is `low += Σ bitᵢ·(range ≫ i)`, one shift of `range` and at
+    /// most one `shift_low` — the same additions in the same order, hence
+    /// the same bytes. The sum is not `(range ≫ k)·value`: each halving
+    /// truncates, so the addends are not shifts of one another.
+    ///
+    /// [`encode_bypass`]: RangeEncoder::encode_bypass
+    fn encode_bypass_run(&mut self, value: u64, nbits: u32) {
+        let mut left = nbits;
+        while left > 0 {
+            let run = (8 - self.range.leading_zeros()).min(left);
+            left -= run;
+            let bits = value >> left;
+            for i in 1..=run {
+                // All-ones when bit `run − i` of the run is set.
+                let mask = ((bits >> (run - i)) & 1).wrapping_neg();
+                self.low += (self.range >> i) as u64 & mask;
+            }
+            self.range >>= run;
+            if self.range < TOP {
+                self.range <<= 8;
+                self.shift_low();
+            }
         }
     }
 
@@ -222,11 +245,30 @@ impl<'a> RangeDecoder<'a> {
         bit
     }
 
-    /// Decode `nbits` raw bits, MSB first.
+    /// Decode `nbits` raw bits, MSB first — in runs up to the next
+    /// renormalisation, the mirror of the encoder's bypass runs: the same
+    /// comparisons against the same halvings of `range` as
+    /// [`decode_bypass`](RangeDecoder::decode_bypass) bit by bit, with the
+    /// one renormalisation a run can need made once at its end.
     pub fn decode_bits(&mut self, nbits: u32) -> u32 {
-        let mut v = 0;
-        for _ in 0..nbits {
-            v = (v << 1) | self.decode_bypass() as u32;
+        let mut v = 0u32;
+        let mut left = nbits;
+        while left > 0 {
+            let run = (8 - self.range.leading_zeros()).min(left);
+            left -= run;
+            for i in 1..=run {
+                let half = self.range >> i;
+                let bit = self.code >= half;
+                if bit {
+                    self.code -= half;
+                }
+                v = (v << 1) | bit as u32;
+            }
+            self.range >>= run;
+            if self.range < TOP {
+                self.code = (self.code << 8) | self.next_byte() as u32;
+                self.range <<= 8;
+            }
         }
         v
     }
@@ -244,10 +286,8 @@ impl<'a> RangeDecoder<'a> {
             }
             nbits += 1;
         }
-        let mut v = 1u32;
-        for _ in 0..nbits - 1 {
-            v = (v << 1) | self.decode_bypass() as u32;
-        }
+        // The leading one, then the `nbits - 1` suffix bits as one field.
+        let v = (1u32 << (nbits - 1)) | self.decode_bits(nbits - 1);
         v - 1
     }
 }
@@ -380,6 +420,156 @@ mod tests {
                 _ => assert_eq!(dec.decode_bits(8), v),
             }
         }
+    }
+
+    /// A script of context bits, raw fields of every width and exp-Golomb
+    /// values, drawn so that the fields start from many different `range`
+    /// states (the context bits in between move it).
+    enum Sym {
+        Ctx(usize, bool),
+        Bits(u32, u32),
+        Ue(u32),
+    }
+
+    fn bypass_script(seed: u64) -> Vec<Sym> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let edge = [0u32, 1, 2, 3, 254, 255, 256, 65_535, 65_536, u32::MAX - 1];
+        let mut script = Vec::new();
+        for round in 0..40u32 {
+            for n in 0..=32u32 {
+                for _ in 0..rng.gen_range(0..4) {
+                    script.push(Sym::Ctx(rng.gen_range(0..4usize), rng.gen_bool(0.3)));
+                }
+                // Unmasked: bits above `n` must be ignored.
+                script.push(Sym::Bits(rng.gen_range(0..=u32::MAX), n));
+                let ue = if (n + round) % 3 == 0 {
+                    edge[(n + round) as usize % edge.len()]
+                } else {
+                    rng.gen_range(0..=u32::MAX - 1) >> rng.gen_range(0..32u32)
+                };
+                script.push(Sym::Ue(ue));
+            }
+        }
+        script
+    }
+
+    #[test]
+    fn bypass_runs_write_the_bytes_of_bit_at_a_time_coding() {
+        use crate::differential::{encode_bits_oracle, encode_ue_oracle};
+        for seed in 0..8 {
+            let script = bypass_script(seed);
+            let mut fast = RangeEncoder::new();
+            let mut slow = RangeEncoder::new();
+            let mut fast_models = [BitModel::new(); 4];
+            let mut slow_models = [BitModel::new(); 4];
+            for sym in &script {
+                match *sym {
+                    Sym::Ctx(c, bit) => {
+                        fast.encode_bit(&mut fast_models[c], bit);
+                        slow.encode_bit(&mut slow_models[c], bit);
+                    }
+                    Sym::Bits(v, n) => {
+                        fast.encode_bits(v, n);
+                        encode_bits_oracle(&mut slow, v, n);
+                    }
+                    Sym::Ue(v) => {
+                        fast.encode_ue_bypass(v);
+                        encode_ue_oracle(&mut slow, v);
+                    }
+                }
+                assert_eq!(
+                    (fast.low, fast.range),
+                    (slow.low, slow.range),
+                    "seed {seed}"
+                );
+            }
+            let data = fast.finish();
+            assert_eq!(data, slow.finish(), "seed {seed}");
+
+            // And both decoders read the script back, in step.
+            let mut fast = RangeDecoder::new(&data);
+            let mut slow = RangeDecoder::new(&data);
+            let mut fast_models = [BitModel::new(); 4];
+            let mut slow_models = [BitModel::new(); 4];
+            for sym in &script {
+                match *sym {
+                    Sym::Ctx(c, bit) => {
+                        assert_eq!(fast.decode_bit(&mut fast_models[c]), bit);
+                        assert_eq!(slow.decode_bit(&mut slow_models[c]), bit);
+                    }
+                    Sym::Bits(v, n) => {
+                        let want = if n == 32 { v } else { v & ((1 << n) - 1) };
+                        assert_eq!(fast.decode_bits(n), want, "seed {seed} width {n}");
+                        assert_eq!(crate::differential::decode_bits_oracle(&mut slow, n), want);
+                    }
+                    Sym::Ue(v) => {
+                        assert_eq!(fast.decode_ue_bypass(), v, "seed {seed}");
+                        assert_eq!(crate::differential::decode_ue_oracle(&mut slow), v);
+                    }
+                }
+                assert_eq!(
+                    (fast.code, fast.range, fast.pos),
+                    (slow.code, slow.range, slow.pos),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// On bytes no encoder wrote, the run decoder still walks the states
+    /// of the bit-at-a-time one.
+    #[test]
+    fn bypass_runs_decode_garbage_like_bit_at_a_time_decoding() {
+        use crate::differential::{decode_bits_oracle, decode_ue_oracle};
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for trial in 0..200 {
+            let len = rng.gen_range(0..96usize);
+            let fill = [0x00u8, 0xFF][trial % 2];
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    if trial % 5 < 2 {
+                        fill
+                    } else {
+                        rng.gen_range(0..=255u8)
+                    }
+                })
+                .collect();
+            let mut fast = RangeDecoder::new(&data);
+            let mut slow = RangeDecoder::new(&data);
+            let mut fast_model = BitModel::new();
+            let mut slow_model = BitModel::new();
+            for _ in 0..64 {
+                match rng.gen_range(0..3) {
+                    0 => assert_eq!(
+                        fast.decode_bit(&mut fast_model),
+                        slow.decode_bit(&mut slow_model)
+                    ),
+                    1 => {
+                        let n = rng.gen_range(0..=32u32);
+                        assert_eq!(fast.decode_bits(n), decode_bits_oracle(&mut slow, n));
+                    }
+                    _ => assert_eq!(fast.decode_ue_bypass(), decode_ue_oracle(&mut slow)),
+                }
+                assert_eq!(
+                    (fast.code, fast.range, fast.pos),
+                    (slow.code, slow.range, slow.pos),
+                    "trial {trial}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exp_golomb_prefix_cap_survives_the_suffix_field() {
+        // All zeros: no 1 ever ends the prefix, so it stops at 32 and the
+        // 31 suffix bits read as zeros too.
+        let mut dec = RangeDecoder::new(&[0u8; 64]);
+        assert_eq!(dec.decode_ue_bypass(), (1u32 << 31) - 1);
+        // The widest legal value sits one short of the cap.
+        let mut enc = RangeEncoder::new();
+        enc.encode_ue_bypass(u32::MAX - 1);
+        let data = enc.finish();
+        assert_eq!(RangeDecoder::new(&data).decode_ue_bypass(), u32::MAX - 1);
     }
 
     #[test]

@@ -406,3 +406,208 @@ fn one_by_n_and_n_by_one_frames() {
         );
     }
 }
+
+/// A scene that stands still: texture in the top-left quarter, black
+/// (padding slots, culled pixels) everywhere else. After the keyframe most
+/// macroblocks of every frame match their reference exactly, so encoder
+/// and decoder rebuild them by copying reference rows.
+fn still_frame(w: usize, h: usize, format: PixelFormat) -> Frame {
+    let mut f = pattern_frame(w, h, format, 0);
+    for (pi, p) in f.planes.iter_mut().enumerate() {
+        let black = if pi == 0 { 0 } else { 128 };
+        for y in 0..p.height {
+            for x in 0..p.width {
+                if x * 2 >= p.width || y * 2 >= p.height {
+                    p.data[y * p.width + x] = black;
+                }
+            }
+        }
+    }
+    f
+}
+
+#[test]
+fn copy_path_survives_bit_flips_in_static_inter_frames() {
+    // Sizes with partial macroblocks on the right and bottom, one sliced.
+    for &(w, h, format, slices) in &[
+        (72usize, 56usize, PixelFormat::Yuv420, 0u8),
+        (72, 56, PixelFormat::Y16, 0),
+        (96, 136, PixelFormat::Yuv420, 2),
+    ] {
+        let mut cfg = EncoderConfig::new(w, h, format);
+        cfg.slices = slices;
+        let mut enc = Encoder::new(cfg);
+        let frame = still_frame(w, h, format);
+        let streams: Vec<_> = (0..4).map(|_| enc.encode_fixed_qp(&frame, 28)).collect();
+        let luma_mbs = (w.div_ceil(16) * h.div_ceil(16)) as u64;
+        for s in &streams[1..] {
+            assert!(
+                s.blocks.skip * 2 >= luma_mbs,
+                "{w}x{h}: a still scene must mostly skip ({:?} of {luma_mbs} macroblocks)",
+                s.blocks
+            );
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(w as u64 * 31 + h as u64);
+        for victim in 1..streams.len() {
+            for _ in 0..150 {
+                let mut bad = streams[victim].data.clone();
+                for _ in 0..rng.gen_range(1..6) {
+                    let i = rng.gen_range(0..bad.len());
+                    bad[i] ^= 1 << rng.gen_range(0..8);
+                }
+                // A receiver that took every frame so far, then this one,
+                // then carries on with whatever reference that left.
+                let mut dec = Decoder::new();
+                for good in &streams[..victim] {
+                    dec.decode(&good.data).expect("own stream decodes");
+                }
+                if let Ok(out) = dec.decode(&bad) {
+                    assert_eq!((out.width, out.height, out.format), (w, h, format));
+                }
+                for later in &streams[victim + 1..] {
+                    let _ = dec.decode(&later.data);
+                }
+            }
+        }
+    }
+}
+
+/// Hand-build a one-slice inter frame of 3×3 macroblocks whose four corner
+/// macroblocks carry vectors of ±32 767 per axis. `coded_corner` gives
+/// each corner one non-zero level; otherwise every block is empty, which
+/// is the case that would copy reference rows if the vector allowed it.
+/// The macroblock after each top corner is skipped, so it inherits the
+/// extreme vector as its predictor.
+fn corner_vector_frame(format: PixelFormat, qp: u8, coded_corner: bool) -> Vec<u8> {
+    use livo_codec2d::block::{encode_block, encode_svalue, CoeffContexts};
+    use livo_codec2d::rangecoder::{BitModel, RangeEncoder};
+    const E: i32 = 32_767;
+    let corner = |mbx: usize, mby: usize| match (mbx, mby) {
+        (0, 0) => Some((E, E)),
+        (2, 0) => Some((-E, E)),
+        (0, 2) => Some((E, -E)),
+        (2, 2) => Some((-E, -E)),
+        _ => None,
+    };
+    let mut enc = RangeEncoder::new();
+    let mut coeff = CoeffContexts::new();
+    let mut skip = BitModel::new();
+    let empty = [0i32; 64];
+    let mut one = [0i32; 64];
+    one[0] = 3;
+    for mby in 0..3 {
+        let mut pred = (0i32, 0i32);
+        for mbx in 0..3 {
+            if (mbx, mby) == (1, 0) {
+                // Skipped: keeps the left corner's vector.
+                enc.encode_bit(&mut skip, true);
+                continue;
+            }
+            enc.encode_bit(&mut skip, false);
+            let mv = corner(mbx, mby).unwrap_or((0, 0));
+            encode_svalue(&mut enc, mv.0 - pred.0);
+            encode_svalue(&mut enc, mv.1 - pred.1);
+            for sb in 0..4 {
+                let levels = if coded_corner && corner(mbx, mby).is_some() && sb == 0 {
+                    &one
+                } else {
+                    &empty
+                };
+                encode_block(&mut enc, &mut coeff, levels);
+            }
+            pred = mv;
+        }
+    }
+    if format == PixelFormat::Yuv420 {
+        for _plane in 0..2 {
+            let mut cctx = CoeffContexts::new();
+            for _ in 0..9 {
+                encode_block(&mut enc, &mut cctx, &empty);
+            }
+        }
+    }
+    let payload = enc.finish();
+    let fmt_bits = if format == PixelFormat::Y16 { 1u8 } else { 0 };
+    let mut data = vec![SLICED_MAGIC, 1 | (fmt_bits << 1), qp, 48, 0, 48, 0, 1];
+    data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    data.extend_from_slice(&payload);
+    data
+}
+
+#[test]
+fn copy_path_sends_extreme_corner_vectors_through_the_clamp() {
+    for format in [PixelFormat::Yuv420, PixelFormat::Y16] {
+        let mut cfg = EncoderConfig::new(48, 48, format);
+        cfg.slices = 1;
+        let key = Encoder::new(cfg).encode_fixed_qp(&pattern_frame(48, 48, format, 0), 16);
+        for coded_corner in [false, true] {
+            let mut dec = Decoder::new();
+            let reference = dec.decode(&key.data).expect("keyframe decodes");
+            let out = dec
+                .decode(&corner_vector_frame(format, 16, coded_corner))
+                .expect("a well-formed frame, whatever its vectors");
+            if coded_corner {
+                continue; // total is all that is asked of it
+            }
+            // A vector that far out reads one clamped corner sample for the
+            // whole block; the skipped neighbour inherits it.
+            for (pi, (got, want)) in out.planes.iter().zip(&reference.planes).enumerate() {
+                let size = if pi == 0 { 16 } else { 8 };
+                let (w, h) = (got.width, got.height);
+                let blocks = [
+                    ((0, 0), want.get(w - 1, h - 1)),
+                    ((1, 0), want.get(w - 1, h - 1)),
+                    ((2, 0), want.get(0, h - 1)),
+                    ((0, 2), want.get(w - 1, 0)),
+                    ((2, 2), want.get(0, 0)),
+                ];
+                for ((bx, by), sample) in blocks {
+                    for y in by * size..(by + 1) * size {
+                        for x in bx * size..(bx + 1) * size {
+                            assert_eq!(
+                                got.get(x, y),
+                                sample,
+                                "{format:?} plane {pi} block ({bx},{by}) at ({x},{y})"
+                            );
+                        }
+                    }
+                }
+                // Zero vector, no levels: the centre block is the reference.
+                for y in size..2 * size {
+                    for x in size..2 * size {
+                        assert_eq!(
+                            got.get(x, y),
+                            want.get(x, y),
+                            "{format:?} plane {pi} centre"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The SIMD tier is fixed when a process first asks for it, so the two
+/// cases above run once more in a child capped to the scalar tier.
+#[test]
+fn copy_path_cases_hold_on_the_scalar_tier() {
+    if std::env::var("LIVO_SIMD").as_deref() == Ok("scalar") {
+        return; // already there; also what ends the recursion
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .env("LIVO_SIMD", "scalar")
+        .args([
+            "--exact",
+            "copy_path_survives_bit_flips_in_static_inter_frames",
+            "copy_path_sends_extreme_corner_vectors_through_the_clamp",
+        ])
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("2 passed"),
+        "scalar-tier run failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

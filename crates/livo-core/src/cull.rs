@@ -110,7 +110,8 @@ const CHUNK: usize = 16;
 ///
 /// Depth rows are walked in 16-pixel chunks, all-zero chunks skipped with
 /// one scan, non-empty chunks evaluating all six plane tests branch-free
-/// over small fixed arrays LLVM vectorises.
+/// over small fixed arrays LLVM vectorises, one frustum after another until
+/// every valid lane of the chunk is kept.
 ///
 /// Decisions are bit-identical to the per-pixel reference: each lane
 /// computes `signed_distance(ray·z) >= 0.0` for the same planes in the same
@@ -145,8 +146,15 @@ fn cull_row(
             px[i] = rx[i] * z[i];
             py[i] = ray_y_v * z[i];
         }
-        let mut keep = [false; CHUNK];
+        // Lanes without depth count as kept from the start: the apply pass
+        // never reads them, and it lets "every lane kept" end the loop.
+        let mut keep: [bool; CHUNK] = std::array::from_fn(|i| dchunk[i] == 0);
         for f in frusta {
+            // A frustum can only add lanes, so once all are kept the rest
+            // of a large union (the SFU's ~48 frusta) cannot change a mask.
+            if keep.iter().all(|&k| k) {
+                break;
+            }
             let mut inside = [true; CHUNK];
             for pl in &f.planes {
                 for i in 0..CHUNK {
@@ -890,17 +898,33 @@ mod tests {
         );
         let views = render_all(&cams);
         let frusta = test_frusta();
-        for n in [2usize, 3, 4] {
+        // The first of them keeps everything, so the prefixes end the
+        // frusta loop after one; `keep_all_last` puts it behind the two
+        // narrow ones, which keep part of a chunk first.
+        let keep_all_last = [frusta[1], frusta[2], frusta[0]];
+        let unions = [
+            &frusta[..2],
+            &frusta[..3],
+            &frusta[..],
+            &frusta[1..],
+            &keep_all_last[..],
+        ];
+        for union in unions {
             let mut fast = views.clone();
-            let fast_stats = cull_views_union(&mut fast, &cams, &frusta[..n]);
+            let fast_stats = cull_views_union(&mut fast, &cams, union);
             let mut naive = views.clone();
-            let naive_stats = cull_views_union_reference(&mut naive, &cams, &frusta[..n]);
-            assert_eq!(fast_stats, naive_stats, "{n} frusta");
+            let naive_stats = cull_views_union_reference(&mut naive, &cams, union);
+            assert_eq!(fast_stats, naive_stats);
             for (a, b) in fast.iter().zip(&naive) {
                 assert_eq!(a.depth_mm, b.depth_mm);
                 assert_eq!(a.rgb, b.rgb);
             }
         }
+        // The keep-all frustum really keeps all, and the narrow two do not.
+        let stats = cull_views_union(&mut views.clone(), &cams, &frusta[..1]);
+        assert_eq!(stats.kept, stats.total_valid);
+        let stats = cull_views_union(&mut views.clone(), &cams, &keep_all_last[..2]);
+        assert!(0 < stats.kept && stats.kept < stats.total_valid);
     }
 
     #[test]

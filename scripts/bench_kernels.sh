@@ -1,9 +1,11 @@
 #!/bin/bash
 # Regenerate BENCH_kernels.json: the hot-kernel microbench snapshot
 # (schema livo-bench-kernels-v1) comparing each optimised kernel — cull,
-# forward/inverse DCT, SAD — against its retained
-# pre-optimisation reference. `--gate` makes the run fail if any kernel
-# regressed below 1.0x.
+# forward/inverse DCT and SAD with their AVX2 tiers, sliced decode,
+# receiver reconstruct and voxel downsample, one static-scene inter frame
+# encoded and decoded, bypass runs — against the implementation it
+# replaced (retained in-tree, or written out in kernels_bench.rs). `--gate`
+# makes the run fail if any gated kernel regressed below 1.0x.
 #
 # Uses cargo when the registry is reachable, otherwise the raw-rustc
 # offline build (scripts/offline_build.sh must have produced the repro
