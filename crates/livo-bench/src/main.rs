@@ -46,7 +46,6 @@
 
 mod bond_bench;
 mod conference_bench;
-mod fov_bench;
 mod kernels_bench;
 mod qoe_bench;
 mod sfu_bench;
@@ -59,16 +58,14 @@ use livo_telemetry::{log_event, Level};
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick|--standard] [--metrics <path>] [--sfu-json <path>] [--json [path]] [--trace <path>] [--gate] <artefact>...\n\
-         artefacts: table1 table3 table4 table5 table6 fig4 fig5 fig9 fig12 fig13 fig15 fig16 fig17 fig18 fig20 figa2 figa3 grid sfu kernels conference qoe bond fov traceoverhead all\n\
+         artefacts: table1 table3 table4 table5 table6 fig4 fig5 fig9 fig12 fig13 fig15 fig16 fig17 fig18 fig20 figa2 figa3 grid sfu kernels conference qoe bond traceoverhead all\n\
          --metrics <path>: also run one instrumented LiVo replay and write the\n\
          telemetry snapshot (schema livo-bench-pipeline-v1) as JSON to <path>\n\
          --sfu-json <path>: write the SFU scaling sweep (schema livo-bench-sfu-v2)\n\
          as JSON to <path>\n\
          --json [path]: with qoe, write the QoE sweep (schema livo-bench-qoe-v1,\n\
          default BENCH_qoe.json); with bond, write the bonded-transport sweep\n\
-         (schema livo-bench-bond-v1, default BENCH_bond.json); with fov, write\n\
-         the FoV-utility sweep (schema livo-bench-fov-v1, default\n\
-         BENCH_fov.json); otherwise write\n\
+         (schema livo-bench-bond-v1, default BENCH_bond.json); otherwise write\n\
          the kernel microbench (schema livo-bench-kernels-v1, default\n\
          BENCH_kernels.json)\n\
          --trace <path>: with conference, write the run as Chrome trace-event\n\
@@ -115,7 +112,7 @@ impl GridCache {
 
 /// Artefact keywords, used to disambiguate `--json [path]`'s optional
 /// path from a following artefact name.
-const ARTEFACTS: [&str; 26] = [
+const ARTEFACTS: [&str; 25] = [
     "table1",
     "table3",
     "table4",
@@ -139,7 +136,6 @@ const ARTEFACTS: [&str; 26] = [
     "conference",
     "qoe",
     "bond",
-    "fov",
     "traceoverhead",
     "all",
 ];
@@ -219,7 +215,6 @@ fn main() {
     let mut kernel_points: Option<Vec<kernels_bench::KernelPoint>> = None;
     let mut qoe_points: Option<Vec<qoe_bench::QoePoint>> = None;
     let mut bond_points: Option<Vec<bond_bench::BondPoint>> = None;
-    let mut fov_points: Option<Vec<fov_bench::FovPoint>> = None;
     let mut conf_report: Option<conference_bench::ConferenceReport> = None;
     let mut overhead: Option<conference_bench::OverheadResult> = None;
     for a in &artefacts {
@@ -278,10 +273,6 @@ fn main() {
             "bond" => {
                 let pts = bond_points.get_or_insert_with(|| bond_bench::run_sweep(quick));
                 bond_bench::text(pts)
-            }
-            "fov" => {
-                let pts = fov_points.get_or_insert_with(|| fov_bench::run_sweep(&profile));
-                fov_bench::text(pts)
             }
             "traceoverhead" => {
                 let r = overhead.get_or_insert_with(|| conference_bench::run_overhead(&profile));
@@ -366,7 +357,6 @@ fn main() {
         // the path defaults to the committed baseline name.
         let qoe_requested = artefacts.iter().any(|a| a == "qoe");
         let bond_requested = artefacts.iter().any(|a| a == "bond");
-        let fov_requested = artefacts.iter().any(|a| a == "fov");
         let (path, what, json) = if qoe_requested {
             let pts = qoe_points.get_or_insert_with(|| qoe_bench::run_sweep(&profile));
             (
@@ -380,13 +370,6 @@ fn main() {
                 explicit.unwrap_or_else(|| "BENCH_bond.json".into()),
                 "bonded transport sweep",
                 bond_bench::json(pts, &profile, quick),
-            )
-        } else if fov_requested {
-            let pts = fov_points.get_or_insert_with(|| fov_bench::run_sweep(&profile));
-            (
-                explicit.unwrap_or_else(|| "BENCH_fov.json".into()),
-                "fov utility sweep",
-                fov_bench::json(pts, &profile),
             )
         } else {
             let pts = kernel_points.get_or_insert_with(kernels_bench::run);
@@ -453,23 +436,6 @@ fn main() {
                 "sfu gate passed: passes track clusters, sharded route holds, churn guarded"
             );
         }
-        if let Some(pts) = &fov_points {
-            if !fov_bench::gate_ok(pts) {
-                log_event!(
-                    Level::Error,
-                    "repro",
-                    "fov gate failed: progressive per-bit below the baseline at some \
-                     band, center-of-gaze quality sagged as bandwidth collapsed, or no \
-                     refinement was ever applied"
-                );
-                std::process::exit(1);
-            }
-            log_event!(
-                Level::Info,
-                "repro",
-                "fov gate passed: per-bit floor cleared and center quality held"
-            );
-        }
         if let Some(pts) = &bond_points {
             if !bond_bench::gate_ok(pts) {
                 log_event!(
@@ -486,10 +452,7 @@ fn main() {
                 "bond gate passed: bonded beats the best single link on every scenario"
             );
         }
-        if (overhead.is_none()
-            && sfu_sweep.is_none()
-            && bond_points.is_none()
-            && fov_points.is_none())
+        if (overhead.is_none() && sfu_sweep.is_none() && bond_points.is_none())
             || artefacts.iter().any(|a| a == "kernels")
         {
             let pts = kernel_points.get_or_insert_with(kernels_bench::run);

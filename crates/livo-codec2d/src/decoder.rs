@@ -102,8 +102,6 @@ struct DecoderTelemetry {
     decode_ns: Arc<Histogram>,
     slices: Arc<Counter>,
     scratch_reuses: Arc<Counter>,
-    refine_applied: Arc<Counter>,
-    refine_dropped: Arc<Counter>,
 }
 
 /// The decoder. Holds the previous reconstruction as the inter-prediction
@@ -138,17 +136,12 @@ impl Decoder {
     /// deliberately unprefixed — one decode-stage account shared by the
     /// colour and depth decoders: the `codec.decode_ns` wall-time
     /// histogram, the `codec.decode_slices` counter, and the
-    /// `codec.decode_scratch_reuses` arena-effectiveness counter. The
-    /// progressive path adds the `codec.refine.applied` /
-    /// `codec.refine.dropped` outcome counters of
-    /// [`apply_refinement`](Decoder::apply_refinement).
+    /// `codec.decode_scratch_reuses` arena-effectiveness counter.
     pub fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
         self.telemetry = Some(DecoderTelemetry {
             decode_ns: registry.histogram("codec.decode_ns"),
             slices: registry.counter("codec.decode_slices"),
             scratch_reuses: registry.counter("codec.decode_scratch_reuses"),
-            refine_applied: registry.counter("codec.refine.applied"),
-            refine_dropped: registry.counter("codec.refine.dropped"),
         });
     }
 
@@ -228,24 +221,21 @@ impl Decoder {
     /// slice count.
     fn decode_sliced(&mut self, data: &[u8]) -> Result<(Frame, usize), DecodeError> {
         let hdr = slice::parse_header(data)?;
-        // Refinement payloads are not standalone frames — they patch an
-        // already-decoded base frame via `apply_refinement` and must never
-        // enter the prediction loop.
-        if hdr.refinement {
-            return Err(DecodeError::BadHeader);
-        }
         let n_slices = hdr.payload_lens.len();
-        let payloads = slice_payloads(data, &hdr);
+        let mut offset = slice::header_len(n_slices);
+        let mut payloads: Vec<&[u8]> = Vec::with_capacity(n_slices);
+        for &len in &hdr.payload_lens {
+            // parse_header validated that the lengths sum to the buffer end.
+            payloads.push(&data[offset..offset + len]);
+            offset += len;
+        }
 
         if self.scratch.ensure_work(hdr.format, hdr.width, hdr.height) {
             if let Some(t) = &self.telemetry {
                 t.scratch_reuses.inc();
             }
         }
-        let slices = match &hdr.geometry {
-            Some(bands) => slice::rows_for_bands(hdr.format, hdr.height, bands),
-            None => slice::partition(hdr.format, hdr.height, n_slices),
-        };
+        let slices = slice::partition(hdr.format, hdr.height, n_slices);
         let peak = hdr.format.peak_value();
         let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
         let work = &mut self.scratch.work;
@@ -297,101 +287,10 @@ impl Decoder {
         }
         Ok((self.commit(), n_slices))
     }
-
-    /// Apply a refinement payload (flag bit 5) onto an already-displayed
-    /// `base` frame: each fine-QP intra band is decoded into a working copy
-    /// of `base`, which replaces `*base` once every band is written — a
-    /// rejected refinement leaves the base pixels untouched. The decoder's
-    /// prediction state (`recon`, scratch work frame) is never read or
-    /// written, so late refinement can never drift the inter loop; `&self`
-    /// enforces that statically. Returns the number of bands applied.
-    pub fn apply_refinement(&self, data: &[u8], base: &mut Frame) -> Result<usize, DecodeError> {
-        let result = self.apply_refinement_inner(data, base);
-        if let Some(t) = &self.telemetry {
-            match &result {
-                Ok(_) => t.refine_applied.inc(),
-                Err(_) => t.refine_dropped.inc(),
-            }
-        }
-        result
-    }
-
-    fn apply_refinement_inner(&self, data: &[u8], base: &mut Frame) -> Result<usize, DecodeError> {
-        let hdr = slice::parse_header(data)?;
-        if !hdr.refinement {
-            return Err(DecodeError::BadHeader);
-        }
-        if (base.format, base.width, base.height) != (hdr.format, hdr.width, hdr.height) {
-            return Err(DecodeError::BadHeader);
-        }
-        let bands = hdr
-            .geometry
-            .as_deref()
-            .expect("refinement implies geometry");
-        let n_slices = hdr.payload_lens.len();
-        let payloads = slice_payloads(data, &hdr);
-        let slices = slice::rows_for_bands(hdr.format, hdr.height, bands);
-        let peak = hdr.format.peak_value();
-        let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-
-        // Decode into a working copy; `*base` is replaced only once every
-        // band has been written.
-        let mut work = base.clone();
-        let mut per_plane: Vec<std::vec::IntoIter<&mut [u16]>> = work
-            .planes
-            .iter_mut()
-            .enumerate()
-            .map(|(pi, p)| {
-                let rows: Vec<(usize, usize)> = slices.iter().map(|sr| sr.plane_rows(pi)).collect();
-                slice::carve_plane_rows(&mut p.data, p.width, &rows).into_iter()
-            })
-            .collect();
-        let jobs: Vec<SliceJob<'_>> = slices
-            .iter()
-            .zip(payloads)
-            .map(|(sr, payload)| {
-                let stripes = per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
-                (*sr, payload, stripes)
-            })
-            .collect();
-        run_slice_jobs(pool, jobs, |(sr, payload, mut stripes)| {
-            decode_intra_slice(
-                payload,
-                &sr,
-                &mut stripes,
-                hdr.format,
-                hdr.width,
-                hdr.height,
-                hdr.qp,
-                peak,
-            );
-        });
-        drop(per_plane);
-        *base = work;
-        Ok(n_slices)
-    }
 }
 
 /// One slice's decode job: its rows, payload bytes and plane stripes.
 type SliceJob<'a> = (SliceRows, &'a [u8], Vec<&'a mut [u16]>);
-
-/// Slice the payload region of a parsed buffer into per-slice byte
-/// ranges. `parse_header` already validated that the lengths sum exactly to
-/// the buffer end.
-fn slice_payloads<'a>(data: &'a [u8], hdr: &slice::FrameHeader) -> Vec<&'a [u8]> {
-    let n = hdr.payload_lens.len();
-    let mut offset = if hdr.geometry.is_some() {
-        slice::header_len_explicit(n)
-    } else {
-        slice::header_len(n)
-    };
-    let mut payloads = Vec::with_capacity(n);
-    for &len in &hdr.payload_lens {
-        payloads.push(&data[offset..offset + len]);
-        offset += len;
-    }
-    payloads
-}
 
 /// Decode a motion-vector difference and add the predictor. Corrupt
 /// streams can produce arbitrary magnitudes; the wrapping arithmetic keeps
@@ -713,101 +612,6 @@ mod tests {
         let k = enc.encode(&test_frame(32, 32, 2), 50_000);
         let decoded = dec.decode(&k.data).unwrap();
         assert_eq!(decoded, k.reconstruction);
-    }
-
-    /// Sum of squared luma error between two same-shaped frames, restricted
-    /// to the pixel rows `[y0, y1)`.
-    fn luma_sse_rows(a: &Frame, b: &Frame, y0: usize, y1: usize) -> u64 {
-        let w = a.width;
-        (y0 * w..y1 * w)
-            .map(|i| {
-                let d = a.planes[0].data[i] as i64 - b.planes[0].data[i] as i64;
-                (d * d) as u64
-            })
-            .sum()
-    }
-
-    #[test]
-    fn refinement_improves_bands_and_leaves_rest_untouched() {
-        let f = test_frame(128, 128, 3);
-        let mut enc = Encoder::new(EncoderConfig::new(128, 128, PixelFormat::Yuv420));
-        let coarse = enc.encode_fixed_qp(&f, 40);
-        let mut dec = Decoder::new();
-        let base = dec.decode(&coarse.data).unwrap();
-
-        // Refine macroblock rows [2, 5) at a much finer QP.
-        let bands = [(2u16, 5u16)];
-        let refine = enc.encode_refinement(&f, &bands, 8);
-
-        // A refinement payload is not a standalone frame.
-        assert_eq!(dec.decode(&refine).unwrap_err(), DecodeError::BadHeader);
-
-        let mut refined = base.clone();
-        assert_eq!(dec.apply_refinement(&refine, &mut refined), Ok(1));
-
-        // Rows outside the band are bit-identical to the base...
-        assert_eq!(luma_sse_rows(&base, &refined, 0, 32), 0);
-        assert_eq!(luma_sse_rows(&base, &refined, 80, 128), 0);
-        // ...and the refined rows got strictly closer to the source.
-        let before = luma_sse_rows(&f, &base, 32, 80);
-        let after = luma_sse_rows(&f, &refined, 32, 80);
-        assert!(
-            after < before / 2,
-            "refinement should at least halve band error: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn refinement_is_pool_invariant() {
-        let f = test_frame(128, 128, 5);
-        let mut enc = Encoder::new(EncoderConfig::new(128, 128, PixelFormat::Yuv420));
-        let coarse = enc.encode_fixed_qp(&f, 36);
-        let refine = enc.encode_refinement(&f, &[(0, 2), (4, 6)], 10);
-
-        let mut serial = Decoder::new();
-        let base = serial.decode(&coarse.data).unwrap();
-        let mut pooled = Decoder::new();
-        pooled.set_worker_pool(Arc::new(WorkerPool::new(3)));
-        pooled.decode(&coarse.data).unwrap();
-
-        let mut a = base.clone();
-        let mut b = base.clone();
-        assert_eq!(serial.apply_refinement(&refine, &mut a), Ok(2));
-        assert_eq!(pooled.apply_refinement(&refine, &mut b), Ok(2));
-        assert_eq!(a, b, "refinement must be pool-size invariant");
-    }
-
-    #[test]
-    fn corrupt_refinement_leaves_base_frame_intact() {
-        let f = test_frame(128, 128, 7);
-        let mut enc = Encoder::new(EncoderConfig::new(128, 128, PixelFormat::Yuv420));
-        let coarse = enc.encode_fixed_qp(&f, 38);
-        let mut dec = Decoder::new();
-        let base = dec.decode(&coarse.data).unwrap();
-        let refine = enc.encode_refinement(&f, &[(1, 4)], 9);
-
-        // Invert the band in the geometry table (mb0 >= mb1).
-        let mut bad_geometry = refine.clone();
-        bad_geometry[8..12].copy_from_slice(&[4, 0, 1, 0]);
-        // Chop the last payload bytes off.
-        let truncated = &refine[..refine.len() - 3];
-
-        let mut frame = base.clone();
-        assert!(dec.apply_refinement(&bad_geometry, &mut frame).is_err());
-        assert_eq!(frame, base, "failed refinement must not touch the base");
-        assert!(dec.apply_refinement(truncated, &mut frame).is_err());
-        assert_eq!(frame, base, "truncated refinement must not touch the base");
-
-        // Shape mismatch is rejected up front.
-        let mut small = Frame::new(PixelFormat::Yuv420, 64, 64);
-        assert_eq!(
-            dec.apply_refinement(&refine, &mut small),
-            Err(DecodeError::BadHeader)
-        );
-
-        // The pristine payload still applies afterwards.
-        assert_eq!(dec.apply_refinement(&refine, &mut frame), Ok(1));
-        assert!(luma_sse_rows(&f, &frame, 16, 64) < luma_sse_rows(&f, &base, 16, 64));
     }
 
     #[test]

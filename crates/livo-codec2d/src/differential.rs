@@ -411,14 +411,12 @@ fn encode_inter_oracle(
         payloads.push(bytes);
     }
     let lens: Vec<usize> = payloads.iter().map(Vec::len).collect();
-    let mut data = slice::write_header_ext(
+    let mut data = slice::write_header(
         FrameType::Inter,
         frame.format,
         qp,
         frame.width,
         frame.height,
-        None,
-        false,
         &lens,
     );
     for p in &payloads {
@@ -525,13 +523,11 @@ fn decode_inter_slice_oracle(
     }
 }
 
-/// Decode an inter frame (implicit slice geometry) against `prev`; `None`
-/// when the header does not parse as one.
+/// Decode an inter frame against `prev`; `None` when the header does not
+/// parse as one.
 fn decode_inter_oracle(data: &[u8], prev: &Frame) -> Option<Frame> {
     let hdr = slice::parse_header(data).ok()?;
     if hdr.frame_type != FrameType::Inter
-        || hdr.refinement
-        || hdr.geometry.is_some()
         || (hdr.width, hdr.height, hdr.format) != (prev.width, prev.height, prev.format)
     {
         return None;

@@ -116,8 +116,6 @@ struct EncoderTelemetry {
     bits_total: Arc<Counter>,
     scratch_reuses: Arc<Counter>,
     slice_header_bits: Arc<Counter>,
-    refine_slices: Arc<Counter>,
-    refine_payload_bits: Arc<Histogram>,
 }
 
 /// Per-encoder scratch arena: every buffer the per-frame path used to
@@ -189,12 +187,6 @@ pub struct Encoder {
     /// Uncompressed header+table bits of the last `encode_with_qp` call;
     /// published as the `slice_header_bits` counter.
     last_header_bits: u64,
-    /// Explicit slice geometry (macroblock-row bands). When set, every
-    /// encode carries this geometry in the header (flag bit 4) instead of
-    /// the derived `(height, S)` partition — the
-    /// tile-aligned mode that makes each tile row independently decodable
-    /// and refinement-addressable.
-    slice_bands: Option<Vec<(u16, u16)>>,
     /// Causal-trace sink: `(ring, party, component)`.
     trace: Option<(Arc<EventTrace>, u16, &'static str)>,
     /// Identity of the next frame in the *harness's* numbering and clock,
@@ -231,7 +223,6 @@ impl Encoder {
             pool: None,
             scratch: EncoderScratch::default(),
             last_header_bits: 0,
-            slice_bands: None,
             trace: None,
             trace_frame: None,
         }
@@ -264,33 +255,7 @@ impl Encoder {
             // the whole codec stage, shared by colour and depth encoders.
             scratch_reuses: registry.counter("codec.scratch_reuses"),
             slice_header_bits: registry.counter(&format!("{prefix}.slice_header_bits")),
-            // Unprefixed like `codec.scratch_reuses`: refinement is a
-            // colour-stream concept, one family for the whole codec stage.
-            refine_slices: registry.counter("codec.refine.slices"),
-            refine_payload_bits: registry.histogram("codec.refine.payload_bits"),
         });
-    }
-
-    /// Pin the entropy-slice geometry to explicit macroblock-row bands
-    /// (e.g. [`crate::slice::tile_aligned_bands`] of a tile layout), or
-    /// restore the derived partition with `None`. Bands must be contiguous
-    /// and cover the frame; the geometry travels in the bitstream header,
-    /// so the decoder needs no side channel.
-    pub fn set_slice_bands(&mut self, bands: Option<Vec<(u16, u16)>>) {
-        if let Some(b) = &bands {
-            assert!(!b.is_empty() && b.len() <= 255, "1..=255 bands");
-            assert_eq!(b[0].0, 0, "bands must start at the top");
-            for w in b.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "bands must be contiguous");
-            }
-            assert!(b.iter().all(|&(a, z)| a < z), "bands must be non-empty");
-            assert_eq!(
-                b.last().unwrap().1 as usize,
-                self.cfg.height.div_ceil(MB_SIZE),
-                "bands must cover the frame"
-            );
-        }
-        self.slice_bands = bands;
     }
 
     /// Record an `encode` event per frame into the causal trace, on
@@ -514,27 +479,21 @@ impl Encoder {
     /// statistics. The reconstruction is left in `self.scratch.work_recon`
     /// for [`Encoder::commit_reconstruction`] to rotate in.
     ///
-    /// The frame is partitioned into the explicit bands when set, else into
-    /// [`slice::slice_count`] slices (see [`crate::slice`]). Inter frames
-    /// are planned per macroblock row, then the entropy stage runs one
-    /// independent range coder per slice — in parallel on the pool when one
-    /// is attached — and the frame is assembled as header + length table +
-    /// concatenated payloads. Slice geometry never depends on the pool, so
-    /// the bitstream is identical at any thread count.
+    /// The frame is partitioned into [`slice::slice_count`] slices (see
+    /// [`crate::slice`]). Inter frames are planned per macroblock row, then
+    /// the entropy stage runs one independent range coder per slice — in
+    /// parallel on the pool when one is attached — and the frame is
+    /// assembled as header + length table + concatenated payloads. Slice
+    /// geometry never depends on the pool, so the bitstream is identical at
+    /// any thread count.
     fn encode_with_qp(
         &mut self,
         frame: &Frame,
         qp: u8,
         frame_type: FrameType,
     ) -> (Vec<u8>, BlockCounts) {
-        let slices = match &self.slice_bands {
-            Some(bands) => slice::rows_for_bands(frame.format, frame.height, bands),
-            None => {
-                let n = slice::slice_count(self.cfg.slices, frame.height);
-                slice::partition(frame.format, frame.height, n)
-            }
-        };
-        let n_slices = slices.len();
+        let n_slices = slice::slice_count(self.cfg.slices, frame.height);
+        let slices = slice::partition(frame.format, frame.height, n_slices);
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.ensure_work_recon(frame.format, frame.width, frame.height) {
             if let Some(t) = &self.telemetry {
@@ -622,14 +581,12 @@ impl Encoder {
         }
 
         let lens: Vec<usize> = payloads.iter().map(|(p, _)| p.len()).collect();
-        let header = slice::write_header_ext(
+        let header = slice::write_header(
             frame_type,
             frame.format,
             qp,
             frame.width,
             frame.height,
-            self.slice_bands.as_deref(),
-            false,
             &lens,
         );
         self.last_header_bits = header.len() as u64 * 8;
@@ -643,98 +600,6 @@ impl Encoder {
         }
         self.scratch = scratch;
         (data, counts)
-    }
-
-    /// Encode a fine-QP **refinement payload** for the given macroblock-row
-    /// bands of `frame` (flag bits 4+5 of the header): each band is
-    /// intra-coded with slice-local DC prediction, so the decoder can apply
-    /// it onto an already-displayed base frame.
-    ///
-    /// Refinement never enters the codec's closed loop: the slice
-    /// reconstructions go into throwaway stripe buffers, not `work_recon`,
-    /// so the prediction chain on both sides stays base-only and a dropped
-    /// or corrupt refinement can never cause drift. The method takes
-    /// `&self` — no rate-controller, GOP or reference state moves.
-    ///
-    /// `bands` must be sorted, non-overlapping and non-empty (a subset of
-    /// the frame is fine). The payload is a pure function of
-    /// `(frame, bands, qp)` — identical at any worker-pool size.
-    pub fn encode_refinement(&self, frame: &Frame, bands: &[(u16, u16)], qp: u8) -> Vec<u8> {
-        assert_eq!(frame.format, self.cfg.format, "format mismatch");
-        assert_eq!(
-            (frame.width, frame.height),
-            (self.cfg.width, self.cfg.height)
-        );
-        assert!(!bands.is_empty() && bands.len() <= 255, "1..=255 bands");
-        let mb_rows = frame.height.div_ceil(MB_SIZE);
-        let mut prev = 0usize;
-        for &(mb0, mb1) in bands {
-            assert!(
-                mb0 < mb1 && mb1 as usize <= mb_rows && mb0 as usize >= prev,
-                "bands must be sorted, non-overlapping and in range"
-            );
-            prev = mb1 as usize;
-        }
-        let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
-        let slices = slice::rows_for_bands(frame.format, frame.height, bands);
-        let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-        let peak = frame.format.peak_value();
-        let mut payloads: Vec<(Vec<u8>, BlockCounts)> = Vec::new();
-        payloads.resize_with(slices.len(), Default::default);
-        // Throwaway reconstruction stripes: refinement must not touch the
-        // encoder's work/reference frames.
-        let mut stripe_bufs: Vec<Vec<Vec<u16>>> = slices
-            .iter()
-            .map(|sr| {
-                frame
-                    .planes
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, p)| {
-                        let (r0, r1) = sr.plane_rows(pi);
-                        vec![0u16; (r1 - r0) * p.width]
-                    })
-                    .collect()
-            })
-            .collect();
-        type RefineJob<'a> = (
-            SliceRows,
-            Vec<&'a mut [u16]>,
-            &'a mut (Vec<u8>, BlockCounts),
-        );
-        let jobs: Vec<RefineJob<'_>> = slices
-            .iter()
-            .zip(stripe_bufs.iter_mut())
-            .zip(payloads.iter_mut())
-            .map(|((sr, bufs), out)| {
-                let stripes = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-                (*sr, stripes, out)
-            })
-            .collect();
-        run_slice_jobs(pool, jobs, |(sr, mut stripes, out)| {
-            *out = encode_intra_slice(frame, &sr, &mut stripes, qp, peak);
-        });
-        let lens: Vec<usize> = payloads.iter().map(|(p, _)| p.len()).collect();
-        let header = slice::write_header_ext(
-            FrameType::Intra,
-            frame.format,
-            qp,
-            frame.width,
-            frame.height,
-            Some(bands),
-            true,
-            &lens,
-        );
-        let mut data = header;
-        data.reserve(lens.iter().sum());
-        for (payload, _) in &payloads {
-            data.extend_from_slice(payload);
-        }
-        if let Some(t) = &self.telemetry {
-            t.refine_slices.add(bands.len() as u64);
-            t.refine_payload_bits.record(data.len() as f64 * 8.0);
-        }
-        data
     }
 }
 

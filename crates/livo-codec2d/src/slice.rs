@@ -12,28 +12,15 @@
 //! ```text
 //! byte 0        SLICED_MAGIC (0xB2)
 //! byte 1        flags: bit0 = inter, bits1-2 = pixel format (0 YUV420,
-//!               1 Y16), bit4 = explicit slice geometry, bit5 = refinement
-//!               payload; bits 3, 6 and 7 are reserved and rejected
+//!               1 Y16); bits 3-7 are reserved and rejected
 //! byte 2        QP
 //! bytes 3-4     width,  u16 little-endian
 //! bytes 5-6     height, u16 little-endian
 //! byte 7        slice count S (1..=mb rows)
-//! [bit4 only]   geometry table: S × (mb0, mb1) u16 little-endian pairs
 //! ...next 4S    payload length of each slice, u32 little-endian
 //! ...           S concatenated slice payloads (independent range-coder
 //!               streams, byte-aligned)
 //! ```
-//!
-//! With flag bit 4 set, slice geometry is carried **explicitly** as luma
-//! macroblock-row bands `[mb0, mb1)` instead of being derived from
-//! `(height, S)` — the tile-aligned base layer uses this so each tile row
-//! is an independently decodable unit. A non-refinement explicit frame
-//! must tile the whole frame (contiguous, first `mb0 == 0`, last
-//! `mb1 == mb rows`). With flag bit 5 set the frame is a **refinement
-//! payload**: intra-coded fine-QP slices addressing a *subset* of bands
-//! (strictly increasing, non-overlapping), applied onto an
-//! already-displayed base frame and never entering the prediction loop.
-//! Bit 5 requires bit 4 and an intra frame type.
 //!
 //! Slice geometry is a pure function of `(height, S)` — *never* of the
 //! worker-pool size — so the bitstream is identical no matter how many
@@ -63,14 +50,9 @@ pub(crate) const FIXED_HEADER_LEN: usize = 8;
 /// luma samples, comfortably above 8K (7680x4320 = 33.2M).
 pub(crate) const MAX_DECODE_PIXELS: u64 = 1 << 25;
 
-/// Total header bytes for `n` slices (implicit geometry).
+/// Total header bytes for `n` slices.
 pub(crate) fn header_len(n: usize) -> usize {
     FIXED_HEADER_LEN + 4 * n
-}
-
-/// Total header bytes for `n` slices with an explicit geometry table.
-pub(crate) fn header_len_explicit(n: usize) -> usize {
-    FIXED_HEADER_LEN + 4 * n + 4 * n
 }
 
 /// Effective slice count for a frame of this height: the configured count,
@@ -148,58 +130,6 @@ pub(crate) fn partition(format: PixelFormat, height: usize, n: usize) -> Vec<Sli
     out
 }
 
-/// [`SliceRows`] for explicit macroblock-row bands `[mb0, mb1)`. Bands
-/// need not be exhaustive (refinement payloads address a subset); callers
-/// validate ordering. Deterministic in `(format, height, bands)` alone.
-pub(crate) fn rows_for_bands(
-    format: PixelFormat,
-    height: usize,
-    bands: &[(u16, u16)],
-) -> Vec<SliceRows> {
-    let ch = if format.num_planes() > 1 {
-        format.plane_dims(1, 0, height).1
-    } else {
-        0
-    };
-    bands
-        .iter()
-        .map(|&(mb0, mb1)| {
-            let (mb0, mb1) = (mb0 as usize, mb1 as usize);
-            SliceRows {
-                mb0,
-                mb1,
-                y0: mb0 * MB_SIZE,
-                y1: (mb1 * MB_SIZE).min(height),
-                c0: (mb0 * 8).min(ch),
-                c1: (mb1 * 8).min(ch),
-            }
-        })
-        .collect()
-}
-
-/// Round pixel-row boundaries (e.g. the tile layout's header strip and
-/// tile-row edges) to the nearest macroblock row and emit the contiguous
-/// band list covering `[0, mb rows)`. Duplicate or out-of-range cuts
-/// collapse, so the result is always a valid explicit geometry for a
-/// non-refinement frame. Pure function of `(height, boundaries)`.
-pub fn tile_aligned_bands(height: usize, row_boundaries_px: &[usize]) -> Vec<(u16, u16)> {
-    let mb_rows = height.div_ceil(MB_SIZE).max(1);
-    let mut cuts: Vec<usize> = row_boundaries_px
-        .iter()
-        .map(|&px| (px + MB_SIZE / 2) / MB_SIZE)
-        .filter(|&mb| mb > 0 && mb < mb_rows)
-        .collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-    let mut bands = Vec::with_capacity(cuts.len() + 1);
-    let mut mb0 = 0usize;
-    for cut in cuts.into_iter().chain(std::iter::once(mb_rows)) {
-        bands.push((mb0 as u16, cut as u16));
-        mb0 = cut;
-    }
-    bands
-}
-
 /// Split a plane's samples into the per-slice row stripes given by `rows`
 /// (contiguous, exhaustive `(r0, r1)` ranges). Each stripe can then be
 /// handed to a different worker.
@@ -216,28 +146,6 @@ pub(crate) fn split_plane_rows<'a>(
         rest = tail;
     }
     debug_assert!(rest.is_empty(), "row ranges must cover the plane");
-    out
-}
-
-/// Like [`split_plane_rows`], but for row ranges that need not be
-/// exhaustive: gaps between (sorted, non-overlapping) ranges are skipped,
-/// so a refinement payload can borrow stripes for just its bands from a
-/// full plane.
-pub(crate) fn carve_plane_rows<'a>(
-    data: &'a mut [u16],
-    width: usize,
-    rows: &[(usize, usize)],
-) -> Vec<&'a mut [u16]> {
-    let mut out = Vec::with_capacity(rows.len());
-    let mut rest = data;
-    let mut row = 0usize;
-    for &(r0, r1) in rows {
-        let (_gap, tail) = rest.split_at_mut((r0 - row) * width);
-        let (head, tail) = tail.split_at_mut((r1 - r0) * width);
-        out.push(head);
-        rest = tail;
-        row = r1;
-    }
     out
 }
 
@@ -275,57 +183,28 @@ pub(crate) fn intra_dc_pred_stripe(
     }
 }
 
-/// Serialise the frame header: fixed fields, the explicit-geometry
-/// table when `geometry` is given (flag bit 4, aligned with
-/// `payload_lens`), the refinement flag (bit 5, requires geometry and an
-/// intra frame), and the slice length table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_header_ext(
+/// Serialise the frame header: fixed fields, then the slice length table.
+pub(crate) fn write_header(
     frame_type: FrameType,
     format: PixelFormat,
     qp: u8,
     width: usize,
     height: usize,
-    geometry: Option<&[(u16, u16)]>,
-    refinement: bool,
     payload_lens: &[usize],
 ) -> Vec<u8> {
     debug_assert!(!payload_lens.is_empty() && payload_lens.len() <= 255);
-    if let Some(g) = geometry {
-        debug_assert_eq!(g.len(), payload_lens.len());
-    }
-    debug_assert!(
-        !refinement || (geometry.is_some() && frame_type == FrameType::Intra),
-        "refinement needs explicit geometry and intra coding"
-    );
     let n = payload_lens.len();
-    let cap = if geometry.is_some() {
-        header_len_explicit(n)
-    } else {
-        header_len(n)
-    };
-    let mut out = Vec::with_capacity(cap);
+    let mut out = Vec::with_capacity(header_len(n));
     out.push(SLICED_MAGIC);
     let fmt_bits = match format {
         PixelFormat::Yuv420 => 0u8,
         PixelFormat::Y16 => 1,
     };
-    out.push(
-        u8::from(frame_type == FrameType::Inter)
-            | (fmt_bits << 1)
-            | (u8::from(geometry.is_some()) << 4)
-            | (u8::from(refinement) << 5),
-    );
+    out.push(u8::from(frame_type == FrameType::Inter) | (fmt_bits << 1));
     out.push(qp);
     out.extend_from_slice(&(width as u16).to_le_bytes());
     out.extend_from_slice(&(height as u16).to_le_bytes());
     out.push(n as u8);
-    if let Some(g) = geometry {
-        for &(mb0, mb1) in g {
-            out.extend_from_slice(&mb0.to_le_bytes());
-            out.extend_from_slice(&mb1.to_le_bytes());
-        }
-    }
     for &len in payload_lens {
         out.extend_from_slice(&(len as u32).to_le_bytes());
     }
@@ -340,12 +219,6 @@ pub(crate) struct FrameHeader {
     pub qp: u8,
     pub width: usize,
     pub height: usize,
-    /// Explicit macroblock-row bands (flag bit 4), aligned with
-    /// `payload_lens`; `None` means geometry derives from `(height, S)`.
-    pub geometry: Option<Vec<(u16, u16)>>,
-    /// The frame is a refinement payload (flag bit 5): fine-QP intra
-    /// slices to apply onto a displayed base frame.
-    pub refinement: bool,
     /// Byte length of each slice payload, in slice order.
     pub payload_lens: Vec<usize>,
 }
@@ -371,14 +244,8 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<FrameHeader, DecodeError> {
         1 => PixelFormat::Y16,
         _ => return Err(DecodeError::BadHeader),
     };
-    let explicit = flags & 0b1_0000 != 0;
-    let refinement = flags & 0b10_0000 != 0;
-    // Bits 3, 6 and 7 are reserved.
-    if flags & !0b11_0111 != 0 {
-        return Err(DecodeError::BadHeader);
-    }
-    // Refinement payloads must carry their bands and be intra-coded.
-    if refinement && (!explicit || frame_type == FrameType::Inter) {
+    // Bits 3-7 are reserved.
+    if flags & !0b111 != 0 {
         return Err(DecodeError::BadHeader);
     }
     let qp = data[2];
@@ -395,47 +262,14 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<FrameHeader, DecodeError> {
     if n == 0 || n > mb_rows {
         return Err(DecodeError::BadSliceTable);
     }
-    let geometry = if explicit {
-        if data.len() < FIXED_HEADER_LEN + 4 * n {
-            return Err(DecodeError::Truncated);
-        }
-        let mut bands = Vec::with_capacity(n);
-        let mut prev_mb1 = 0usize;
-        for i in 0..n {
-            let off = FIXED_HEADER_LEN + 4 * i;
-            let mb0 = u16::from_le_bytes([data[off], data[off + 1]]);
-            let mb1 = u16::from_le_bytes([data[off + 2], data[off + 3]]);
-            // Bands must be non-empty, in range, strictly increasing and
-            // non-overlapping; non-refinement frames must tile the frame.
-            if mb0 >= mb1 || mb1 as usize > mb_rows || (mb0 as usize) < prev_mb1 {
-                return Err(DecodeError::BadSliceTable);
-            }
-            if !refinement && mb0 as usize != prev_mb1 {
-                return Err(DecodeError::BadSliceTable);
-            }
-            prev_mb1 = mb1 as usize;
-            bands.push((mb0, mb1));
-        }
-        if !refinement && prev_mb1 != mb_rows {
-            return Err(DecodeError::BadSliceTable);
-        }
-        Some(bands)
-    } else {
-        None
-    };
-    let lens_off = if explicit {
-        FIXED_HEADER_LEN + 4 * n
-    } else {
-        FIXED_HEADER_LEN
-    };
-    let total_header = lens_off + 4 * n;
+    let total_header = header_len(n);
     if data.len() < total_header {
         return Err(DecodeError::Truncated);
     }
     let mut payload_lens = Vec::with_capacity(n);
     let mut total = total_header as u64;
     for i in 0..n {
-        let off = lens_off + 4 * i;
+        let off = FIXED_HEADER_LEN + 4 * i;
         let len = u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]);
         // A finished range-coder stream is never shorter than its 5 flush
         // bytes, so smaller entries can only come from corruption.
@@ -455,8 +289,6 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<FrameHeader, DecodeError> {
             qp,
             width,
             height,
-            geometry,
-            refinement,
             payload_lens,
         }),
     }
@@ -513,16 +345,7 @@ mod tests {
     #[test]
     fn header_round_trips() {
         let lens = [64usize, 1000, 5];
-        let h = write_header_ext(
-            FrameType::Inter,
-            PixelFormat::Y16,
-            17,
-            320,
-            240,
-            None,
-            false,
-            &lens,
-        );
+        let h = write_header(FrameType::Inter, PixelFormat::Y16, 17, 320, 240, &lens);
         assert_eq!(h.len(), header_len(3));
         // Pad to the advertised total so parse sees a consistent buffer.
         let mut buf = h.clone();
@@ -539,16 +362,7 @@ mod tests {
     fn corrupt_headers_map_to_errors_not_panics() {
         let lens = [64usize, 64];
         let good = {
-            let mut b = write_header_ext(
-                FrameType::Intra,
-                PixelFormat::Yuv420,
-                10,
-                64,
-                64,
-                None,
-                false,
-                &lens,
-            );
+            let mut b = write_header(FrameType::Intra, PixelFormat::Yuv420, 10, 64, 64, &lens);
             b.resize(header_len(2) + 128, 0);
             b
         };
@@ -590,29 +404,27 @@ mod tests {
         huge[5] = 0xFF;
         huge[6] = 0xFF;
         assert_eq!(parse_header(&huge), Err(DecodeError::BadHeader));
-        // Unknown format / flag bits.
-        let mut fmt = good.clone();
-        fmt[1] = 0b110;
-        assert_eq!(parse_header(&fmt), Err(DecodeError::BadHeader));
-        // Bits 3 (the retired entropy-lane flag), 6 and 7 are reserved.
-        for bit in [3, 6, 7] {
+        // Every value of the flags byte either parses to its (inter,
+        // format) pair or is a bad header: format codes 2 and 3 are
+        // unknown and bits 3-7 are reserved (3, 4 and 5 carried meaning in
+        // retired revisions of the format, so frames from those encoders
+        // must be rejected, not misread).
+        for flags in 0..=255u8 {
             let mut flag = good.clone();
-            flag[1] |= 1 << bit;
-            assert_eq!(
-                parse_header(&flag),
-                Err(DecodeError::BadHeader),
-                "bit {bit}"
-            );
+            flag[1] = flags;
+            match parse_header(&flag) {
+                Ok(h) => {
+                    assert!(flags < 0b100, "flags {flags:#010b} must be rejected");
+                    assert_eq!(h.frame_type == FrameType::Inter, flags & 1 == 1);
+                    let format = [PixelFormat::Yuv420, PixelFormat::Y16][(flags >> 1) as usize];
+                    assert_eq!(h.format, format);
+                }
+                Err(e) => {
+                    assert!(flags >= 0b100, "flags {flags:#010b} must parse");
+                    assert_eq!(e, DecodeError::BadHeader, "flags {flags:#010b}");
+                }
+            }
         }
-        // Bit 4 without a plausible geometry table: the length-table bytes
-        // get read as bands and fail validation.
-        let mut geo = good.clone();
-        geo[1] |= 0b1_0000;
-        assert_eq!(parse_header(&geo), Err(DecodeError::BadSliceTable));
-        // Bit 5 without bit 4, and on an inter frame, are both malformed.
-        let mut refine_only = good.clone();
-        refine_only[1] |= 0b10_0000;
-        assert_eq!(parse_header(&refine_only), Err(DecodeError::BadHeader));
         // QP beyond the codec's range.
         let mut qp = good.clone();
         qp[2] = 120;
@@ -622,126 +434,6 @@ mod tests {
         let mut magic = good;
         magic[0] = 0x00;
         assert_eq!(parse_header(&magic), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn explicit_geometry_round_trips() {
-        let lens = [64usize, 80, 96];
-        let bands = [(0u16, 1u16), (1, 3), (3, 4)];
-        let h = write_header_ext(
-            FrameType::Intra,
-            PixelFormat::Yuv420,
-            12,
-            64,
-            64,
-            Some(&bands),
-            false,
-            &lens,
-        );
-        assert_eq!(h.len(), header_len_explicit(3));
-        let mut buf = h;
-        buf.resize(header_len_explicit(3) + lens.iter().sum::<usize>(), 0);
-        let parsed = parse_header(&buf).unwrap();
-        assert_eq!(parsed.geometry.as_deref(), Some(&bands[..]));
-        assert!(!parsed.refinement);
-        assert_eq!(parsed.payload_lens, lens);
-    }
-
-    #[test]
-    fn refinement_header_round_trips_with_subset_bands() {
-        let lens = [64usize, 80];
-        // Non-contiguous subset: legal only because the refinement flag
-        // is set.
-        let bands = [(0u16, 1u16), (3, 4)];
-        let h = write_header_ext(
-            FrameType::Intra,
-            PixelFormat::Yuv420,
-            4,
-            64,
-            64,
-            Some(&bands),
-            true,
-            &lens,
-        );
-        let mut buf = h.clone();
-        buf.resize(h.len() + lens.iter().sum::<usize>(), 0);
-        let parsed = parse_header(&buf).unwrap();
-        assert!(parsed.refinement);
-        assert_eq!(parsed.geometry.as_deref(), Some(&bands[..]));
-
-        // The same subset without the refinement flag must not tile and
-        // is rejected.
-        let mut gap = write_header_ext(
-            FrameType::Intra,
-            PixelFormat::Yuv420,
-            4,
-            64,
-            64,
-            Some(&bands),
-            false,
-            &lens,
-        );
-        gap.resize(header_len_explicit(2) + lens.iter().sum::<usize>(), 0);
-        assert_eq!(parse_header(&gap), Err(DecodeError::BadSliceTable));
-    }
-
-    #[test]
-    fn bad_explicit_bands_are_rejected() {
-        let lens = [64usize, 64];
-        let mk = |bands: &[(u16, u16)], refinement: bool| {
-            let mut b = write_header_ext(
-                FrameType::Intra,
-                PixelFormat::Yuv420,
-                4,
-                64,
-                64,
-                Some(bands),
-                refinement,
-                &lens,
-            );
-            b.resize(header_len_explicit(2) + 128, 0);
-            parse_header(&b)
-        };
-        // Empty band, overlapping bands, out-of-range band, decreasing.
-        assert_eq!(mk(&[(0, 0), (0, 4)], true), Err(DecodeError::BadSliceTable));
-        assert_eq!(mk(&[(0, 2), (1, 4)], true), Err(DecodeError::BadSliceTable));
-        assert_eq!(mk(&[(0, 2), (2, 9)], true), Err(DecodeError::BadSliceTable));
-        assert_eq!(mk(&[(2, 4), (0, 2)], true), Err(DecodeError::BadSliceTable));
-        // Non-refinement must start at 0 and end at mb_rows.
-        assert_eq!(
-            mk(&[(1, 2), (2, 4)], false),
-            Err(DecodeError::BadSliceTable)
-        );
-        assert_eq!(
-            mk(&[(0, 2), (2, 3)], false),
-            Err(DecodeError::BadSliceTable)
-        );
-        assert!(mk(&[(0, 2), (2, 4)], false).is_ok());
-    }
-
-    #[test]
-    fn tile_aligned_bands_cover_and_round() {
-        // 160 px tall, tile edges at 24 (header) and 24+56=80, 136.
-        let bands = tile_aligned_bands(160, &[24, 80, 136]);
-        assert_eq!(bands.first().unwrap().0, 0);
-        assert_eq!(bands.last().unwrap().1, 10, "160px = 10 MB rows");
-        for w in bands.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "contiguous");
-        }
-        // 24 rounds to MB row 2 (24+8)/16, 80 → 5, 136 → 9.
-        assert_eq!(bands, vec![(0, 2), (2, 5), (5, 9), (9, 10)]);
-        // Degenerate cuts collapse rather than emit empty bands.
-        assert_eq!(tile_aligned_bands(64, &[0, 1, 63, 64]), vec![(0, 4)]);
-    }
-
-    #[test]
-    fn carve_plane_rows_skips_gaps() {
-        let mut data: Vec<u16> = (0..8 * 4).map(|i| i as u16).collect();
-        let stripes = carve_plane_rows(&mut data, 4, &[(1, 2), (5, 7)]);
-        assert_eq!(stripes.len(), 2);
-        assert_eq!(stripes[0], &[4, 5, 6, 7]);
-        assert_eq!(stripes[1].len(), 8);
-        assert_eq!(stripes[1][0], 20);
     }
 
     /// Whole-plane DC predictor: the mean of the reconstructed row above and

@@ -12,11 +12,10 @@
 //! Everything runs in virtual time; wall-clock is only measured to report
 //! per-component processing latency (Table 6).
 
-use crate::cull::{CullContext, CullCoverage, CullStats};
+use crate::cull::{CullContext, CullStats};
 use crate::depth::{depth_mse_mm, DepthCodec, DepthEncoding};
 use crate::frustum_pred::FrustumPredictor;
 use crate::reconstruct::{prepare_for_render, reconstruct_point_cloud};
-use crate::sched::{SchedulerConfig, TileScheduler};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::tile::{compose_color, compose_depth, read_seq, write_seq, TileLayout};
 use bytes::Bytes;
@@ -88,15 +87,6 @@ pub struct ConferenceConfig {
     /// Flight-recorder detector thresholds (`AnomalyConfig::disarmed()`
     /// turns anomaly dumps off entirely).
     pub anomaly: AnomalyConfig,
-    /// Progressive FoV-utility delivery: tile-aligned entropy slices, a
-    /// utility-scheduled coarse base pass, and best-first fine-QP
-    /// refinement slices on the best-effort [`StreamId::Refine`] lane.
-    pub progressive: bool,
-    /// Utility-scheduler knobs (only read when `progressive` is on).
-    pub scheduler: SchedulerConfig,
-    /// Also score a narrowed centre-of-gaze frustum (`hfov ×` this scale)
-    /// at each quality sample; `0` disables the extra scoring pass.
-    pub center_hfov_scale: f32,
 }
 
 impl ConferenceConfig {
@@ -128,9 +118,6 @@ impl ConferenceConfig {
             trace: true,
             trace_capacity: 65_536,
             anomaly: AnomalyConfig::default(),
-            progressive: false,
-            scheduler: SchedulerConfig::default(),
-            center_hfov_scale: 0.0,
         }
     }
 
@@ -313,26 +300,6 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Progressive FoV-utility delivery (tile-aligned slices, utility
-    /// scheduling, best-effort refinement stream).
-    pub fn progressive(mut self, on: bool) -> Self {
-        self.cfg.progressive = on;
-        self
-    }
-
-    /// Utility-scheduler knobs for progressive delivery.
-    pub fn scheduler(mut self, sched: SchedulerConfig) -> Self {
-        self.cfg.scheduler = sched;
-        self
-    }
-
-    /// Score a narrowed centre-of-gaze frustum (`hfov ×` scale, in
-    /// `(0, 1]`) alongside the full-frustum PSSIM; `0` disables.
-    pub fn center_hfov_scale(mut self, scale: f32) -> Self {
-        self.cfg.center_hfov_scale = scale;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<ConferenceConfig, InvalidConfig> {
         let cfg = self.cfg;
@@ -390,24 +357,6 @@ impl ConferenceConfigBuilder {
                 return err("bond", msg);
             }
         }
-        if cfg.center_hfov_scale.is_nan()
-            || cfg.center_hfov_scale < 0.0
-            || cfg.center_hfov_scale > 1.0
-        {
-            return err(
-                "center_hfov_scale",
-                format!("{} not in [0, 1]", cfg.center_hfov_scale),
-            );
-        }
-        if cfg.progressive {
-            let s = &cfg.scheduler;
-            if s.base_fraction.is_nan() || s.base_fraction <= 0.0 || s.base_fraction > 1.0 {
-                return err(
-                    "scheduler",
-                    format!("base_fraction {} not in (0, 1]", s.base_fraction),
-                );
-            }
-        }
         Ok(cfg)
     }
 }
@@ -422,9 +371,6 @@ pub struct FrameRecord {
     pub shown_seq: Option<u32>,
     /// Quality scores, when sampled this slot.
     pub pssim: Option<PssimScore>,
-    /// Centre-of-gaze scores (narrowed frustum), when sampled and
-    /// `center_hfov_scale > 0`.
-    pub pssim_center: Option<PssimScore>,
 }
 
 /// Per-component mean processing times (Table 6), in milliseconds of
@@ -455,12 +401,6 @@ pub struct RunSummary {
     /// Same, excluding stalled slots (Fig. 12's no-stall view).
     pub pssim_geometry_no_stall: f64,
     pub pssim_color_no_stall: f64,
-    /// Mean centre-of-gaze PSSIM over sampled slots (stalls scored 0);
-    /// zero when `center_hfov_scale` is 0.
-    pub pssim_center_geometry: f64,
-    pub pssim_center_color: f64,
-    /// Refinement packets shed by the pacer (stale or backpressure).
-    pub refine_drops: u64,
     /// Receiver goodput in Mbps.
     pub throughput_mbps: f64,
     /// Mean capacity of the trace over the replay, Mbps.
@@ -580,22 +520,6 @@ impl ConferenceRunner {
         let mut color_dec = Decoder::new();
         let mut depth_dec = Decoder::new();
 
-        // Progressive delivery: pin the colour encoder's entropy slices to
-        // the tile-row boundaries so every refinement band addresses an
-        // independently decodable region, and stand up the utility
-        // scheduler that splits the colour budget into base + refinement.
-        let mut scheduler = if cfg.progressive {
-            let mut cuts = vec![self.layout.header_rows];
-            for r in 1..=self.layout.rows {
-                cuts.push(self.layout.header_rows + r * self.layout.cam_h);
-            }
-            let bands = livo_codec2d::slice::tile_aligned_bands(self.layout.canvas_h, &cuts);
-            color_enc.set_slice_bands(Some(bands));
-            Some(TileScheduler::new(cfg.scheduler))
-        } else {
-            None
-        };
-
         // Intra-frame parallelism (capture fan-out, cull rows, encoder
         // stripes) all runs on the process-wide pool: LIVO_THREADS sized,
         // serial when 1.
@@ -652,12 +576,6 @@ impl ConferenceRunner {
         // steady state shows zero `cull.lut_rebuilds` after the first pass.
         let mut cull_ctx = CullContext::new();
         cull_ctx.attach_telemetry(&registry);
-        if let Some(s) = scheduler.as_mut() {
-            s.attach_telemetry(&registry);
-        }
-        // Refinement payloads whose base frame is gone (never decoded, or
-        // already evicted from the reorder window) by the time they arrive.
-        let refine_orphans = registry.counter("codec.refine.orphans");
         let capture_hist = registry.histogram("conference.capture_ms");
         let cull_hist = registry.histogram("conference.cull_ms");
         let tile_hist = registry.histogram("conference.tile_ms");
@@ -693,9 +611,6 @@ impl ConferenceRunner {
         // synchronisation step).
         let mut last_color: std::collections::BTreeMap<u32, Frame> = Default::default();
         let mut last_depth: std::collections::BTreeMap<u32, Frame> = Default::default();
-        // Transport frame-id → embedded colour sequence, so late refinement
-        // payloads (addressed by frame id) find their base in `last_color`.
-        let mut color_seq_of: std::collections::BTreeMap<u64, u32> = Default::default();
         let mut expected_frame: [u64; 2] = [0, 0];
         let mut need_key = [false, false];
         let mut displayed_seq: Option<u32> = None;
@@ -738,7 +653,6 @@ impl ConferenceRunner {
             predictor.observe(&feedback_pose);
             predictor.observe_rtt(2.0 * owd_s + 0.03); // + processing slack
             let span = TelemetrySpan::start(&cull_hist);
-            let mut coverage: Option<CullCoverage> = None;
             if cfg.cull {
                 let frustum = if cfg.perfect_cull {
                     let display_pose = self
@@ -748,15 +662,8 @@ impl ConferenceRunner {
                 } else {
                     predictor.predicted_frustum()
                 };
-                let stats: CullStats = if cfg.progressive {
-                    let cov =
-                        cull_ctx.cull_views_on_coverage(pool, &mut views, &self.cameras, &frustum);
-                    let total = cov.total;
-                    coverage = Some(cov);
-                    total
-                } else {
-                    cull_ctx.cull_views_on(pool, &mut views, &self.cameras, &frustum)
-                };
+                let stats: CullStats =
+                    cull_ctx.cull_views_on(pool, &mut views, &self.cameras, &frustum);
                 keep_frac_sum += stats.keep_fraction();
                 keep_frac_n += 1;
                 keep_hist.record(stats.keep_fraction());
@@ -829,31 +736,8 @@ impl ConferenceRunner {
             let span = TelemetrySpan::start(&encode_hist);
             color_enc.set_trace_frame(frame_idx, now);
             depth_enc.set_trace_frame(frame_idx, now);
-            // Utility plan: the base pass gets `base_fraction` of the
-            // colour budget; the rest is the best-first refinement purse.
-            let plan = scheduler.as_mut().map(|s| {
-                let cov = coverage.take().unwrap_or_else(|| {
-                    // No cull pass (LiVo-NoCull): every valid pixel counts
-                    // as in-frustum, so utility degrades to area × motion.
-                    let mut cov = CullCoverage::with_capacity(views.len());
-                    for v in &views {
-                        let valid = v.depth_mm.iter().filter(|&&d| d != 0).count();
-                        cov.push_view(CullStats {
-                            total_valid: valid,
-                            kept: valid,
-                        });
-                    }
-                    cov
-                });
-                s.plan(&views, &self.layout, &cov, color_bits)
-            });
-            let color_target = plan
-                .as_ref()
-                .map(|p| p.base_bits)
-                .unwrap_or(color_bits)
-                .max(2_000);
             let color_out = if cfg.adapt {
-                color_enc.encode(&color_canvas, color_target)
+                color_enc.encode(&color_canvas, color_bits.max(2_000))
             } else {
                 color_enc.encode_fixed_qp(&color_canvas, cfg.fixed_color_qp)
             };
@@ -862,43 +746,6 @@ impl ConferenceRunner {
             } else {
                 depth_enc.encode_fixed_qp(&depth_canvas, cfg.fixed_depth_qp)
             };
-            // Refinement pass: fine-QP intra slices for the chosen tiles'
-            // rows, encoded against the *source* canvas and shipped on the
-            // best-effort refinement lane.
-            let refine_payload = plan.as_ref().and_then(|plan| {
-                if plan.refine_slots.is_empty() {
-                    return None;
-                }
-                let bands = refine_bands(&self.layout, &plan.refine_slots);
-                if bands.is_empty() {
-                    return None;
-                }
-                let qp = color_out.qp.saturating_sub(cfg.scheduler.refine_qp_delta);
-                let data = color_enc.encode_refinement(&color_canvas, &bands, qp);
-                let bits = data.len() as u64 * 8;
-                let covered: usize = plan
-                    .refine_slots
-                    .iter()
-                    .map(|&s| s / self.layout.cols)
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .iter()
-                    .map(|&r| self.layout.n.min((r + 1) * self.layout.cols) - r * self.layout.cols)
-                    .sum();
-                if let Some(s) = scheduler.as_mut() {
-                    s.observe_refine_cost(bits as f64 / covered.max(1) as f64);
-                }
-                // Purse cap: refinement never pushes the frame's colour
-                // spend past its budget. The base pass may overshoot its
-                // coarse target when the encoder saturates at qp_max —
-                // whatever it actually spent comes out of the purse first
-                // (the cost EMA above still learns, so later plans shrink).
-                let spent = color_out.bits().max(plan.base_bits);
-                let purse = color_bits.saturating_sub(spent);
-                if bits > purse.saturating_mul(5) / 4 {
-                    return None;
-                }
-                Some(data)
-            });
             let encode_elapsed = span.finish_ms();
             timings.encode_ms += encode_elapsed;
             timeline.mark_dur(frame_idx, stage::ENCODE, now, encode_elapsed);
@@ -971,11 +818,6 @@ impl ConferenceRunner {
                 Bytes::from(depth_out.data.clone()),
                 depth_out.frame_type == livo_codec2d::FrameType::Intra,
             );
-            // Base always ships before refinement: the refinement lane is
-            // queued last and the pacer drops it first under backpressure.
-            if let Some(data) = refine_payload {
-                session.send_frame(now, StreamId::Refine, frame_idx, Bytes::from(data), false);
-            }
 
             // --- advance virtual time one frame interval ---
             let frame_end = now + frame_interval;
@@ -993,12 +835,10 @@ impl ConferenceRunner {
                 // preserved either way.
                 let mut color_frames = Vec::new();
                 let mut depth_frames = Vec::new();
-                let mut refine_frames = Vec::new();
                 for af in session.recv_frames() {
                     match af.stream {
                         StreamId::Color => color_frames.push(af),
                         StreamId::Depth => depth_frames.push(af),
-                        StreamId::Refine => refine_frames.push(af),
                         StreamId::Control => {}
                     }
                 }
@@ -1014,7 +854,6 @@ impl ConferenceRunner {
                                 &mut last_color,
                                 exp_color,
                                 nk_color,
-                                Some(&mut color_seq_of),
                                 &decode_hist,
                                 &timeline,
                                 &flight,
@@ -1029,7 +868,6 @@ impl ConferenceRunner {
                                 &mut last_depth,
                                 exp_depth,
                                 nk_depth,
-                                None,
                                 &decode_hist,
                                 &timeline,
                                 &flight,
@@ -1040,20 +878,6 @@ impl ConferenceRunner {
                     timings.decode_ms += color_lane.0 + depth_lane.0;
                     force_key_next |= color_lane.1 || depth_lane.1;
                 }
-                // Late refinement: patch the already-decoded base colour
-                // frame in place while it sits in the reorder window. A
-                // refinement whose base was dropped (or already evicted) is
-                // an orphan; a corrupt payload leaves the base untouched.
-                for af in refine_frames {
-                    let applied = color_seq_of
-                        .get(&af.frame_id)
-                        .and_then(|seq| last_color.get_mut(seq))
-                        .map(|base| color_dec.apply_refinement(&af.data, base).is_ok());
-                    if applied.is_none() {
-                        refine_orphans.inc();
-                    }
-                }
-
                 // Display clock: one slot per frame interval; a slot with no
                 // *new* synchronised pair is a stall (§A.1: if both frames
                 // have not been decoded in time, LiVo skips the frame).
@@ -1095,7 +919,6 @@ impl ConferenceRunner {
                         slot,
                         shown_seq: shown,
                         pssim: None,
-                        pssim_center: None,
                     };
                     if is_new {
                         displayed_seq = have;
@@ -1105,8 +928,7 @@ impl ConferenceRunner {
                             let depth_frame = &last_depth[&cs];
                             let score =
                                 self.score_frame(cs, color_frame, depth_frame, &depth_codec, now);
-                            rec.pssim = score.full;
-                            rec.pssim_center = score.center;
+                            rec.pssim = score.pssim;
                             timings.reconstruct_ms += score.reconstruct_ms;
                             timings.render_prep_ms += score.render_prep_ms;
                             reconstruct_hist.record(score.reconstruct_ms);
@@ -1138,9 +960,6 @@ impl ConferenceRunner {
         let mut g_ok = 0.0;
         let mut c_ok = 0.0;
         let mut n_ok = 0u64;
-        let mut gc_sum = 0.0;
-        let mut cc_sum = 0.0;
-        let mut n_center = 0u64;
         for r in &sampled {
             if let Some(s) = r.pssim {
                 g_sum += s.geometry;
@@ -1148,11 +967,6 @@ impl ConferenceRunner {
                 g_ok += s.geometry;
                 c_ok += s.color;
                 n_ok += 1;
-            }
-            if let Some(s) = r.pssim_center {
-                gc_sum += s.geometry;
-                cc_sum += s.color;
-                n_center += 1;
             }
         }
         let n_sampled = sampled.len().max(1) as f64;
@@ -1183,17 +997,6 @@ impl ConferenceRunner {
             pssim_color: c_sum / n_sampled,
             pssim_geometry_no_stall: if n_ok > 0 { g_ok / n_ok as f64 } else { 0.0 },
             pssim_color_no_stall: if n_ok > 0 { c_ok / n_ok as f64 } else { 0.0 },
-            pssim_center_geometry: if n_center > 0 {
-                gc_sum / n_center as f64
-            } else {
-                0.0
-            },
-            pssim_center_color: if n_center > 0 {
-                cc_sum / n_center as f64
-            } else {
-                0.0
-            },
-            refine_drops: session.stats().refine_drops,
             throughput_mbps: session.stats().throughput_mbps(duration),
             mean_capacity_mbps: trace_mean,
             transport_latency_ms: session.stats().mean_latency_ms(),
@@ -1278,24 +1081,8 @@ impl ConferenceRunner {
             cell_size: cfg.voxel_m * 3.0,
             curvature_weight: 0.3,
         };
-        let full = pssim(&reference, &shown, &pcfg);
-
-        // Center-of-gaze score: the same comparison restricted to a
-        // narrower frustum around the view axis — the region the utility
-        // scheduler spends its refinement purse on.
-        let center = if cfg.center_hfov_scale > 0.0 {
-            let mut fp = FrustumParams::default();
-            fp.hfov *= cfg.center_hfov_scale;
-            let narrow = livo_math::Frustum::from_params(&viewer, &fp);
-            let shown_c = prepare_for_render(&received, cfg.voxel_m, &narrow);
-            let ref_c = prepare_for_render(&truth, cfg.voxel_m, &narrow);
-            pssim(&ref_c, &shown_c, &pcfg)
-        } else {
-            None
-        };
         FrameScore {
-            full,
-            center,
+            pssim: pssim(&reference, &shown, &pcfg),
             reconstruct_ms,
             render_prep_ms,
         }
@@ -1305,31 +1092,9 @@ impl ConferenceRunner {
 /// What [`ConferenceRunner::score_frame`] found for one displayed frame,
 /// and what the two receiver stages it ran cost in wall-clock.
 struct FrameScore {
-    full: Option<PssimScore>,
-    center: Option<PssimScore>,
+    pssim: Option<PssimScore>,
     reconstruct_ms: f64,
     render_prep_ms: f64,
-}
-
-/// Map scheduled refinement slots to macroblock-row bands on the colour
-/// canvas. Slices span the full canvas width, so slots sharing a tile row
-/// refine together; each distinct row becomes one half-open MB band using
-/// the same `(px + 8) / 16` rounding as the encoder's slice geometry, so
-/// refinement slices line up exactly with base entropy slices.
-fn refine_bands(layout: &TileLayout, slots: &[usize]) -> Vec<(u16, u16)> {
-    let mb_rows = layout.canvas_h.div_ceil(16);
-    let rows: std::collections::BTreeSet<usize> = slots.iter().map(|&s| s / layout.cols).collect();
-    let mut bands = Vec::new();
-    for r in rows {
-        let y0 = layout.header_rows + r * layout.cam_h;
-        let y1 = y0 + layout.cam_h;
-        let mb0 = ((y0 + 8) / 16).min(mb_rows);
-        let mb1 = ((y1 + 8) / 16).min(mb_rows);
-        if mb1 > mb0 {
-            bands.push((mb0 as u16, mb1 as u16));
-        }
-    }
-    bands
 }
 
 /// Drain one stream's arrived frames through its decoder: P-chain gap and
@@ -1346,7 +1111,6 @@ fn decode_lane(
     window: &mut std::collections::BTreeMap<u32, Frame>,
     expected_frame: &mut u64,
     need_key: &mut bool,
-    mut seq_map: Option<&mut std::collections::BTreeMap<u64, u32>>,
     decode_hist: &Arc<livo_telemetry::Histogram>,
     timeline: &Arc<FrameTimeline>,
     flight: &FlightRecorder,
@@ -1379,13 +1143,6 @@ fn decode_lane(
                 while window.len() > 6 {
                     let oldest = *window.keys().next().unwrap();
                     window.remove(&oldest);
-                }
-                if let Some(map) = seq_map.as_deref_mut() {
-                    map.insert(af.frame_id, got_seq);
-                    while map.len() > 32 {
-                        let oldest = *map.keys().next().unwrap();
-                        map.remove(&oldest);
-                    }
                 }
             }
             Err(_) => {
@@ -1556,37 +1313,6 @@ mod tests {
             "fixed-QP over a tight link should stall, got {}",
             s.stall_rate
         );
-    }
-
-    #[test]
-    fn progressive_delivery_refines_and_reports_center_quality() {
-        let mut cfg = quick_cfg();
-        cfg.progressive = true;
-        cfg.center_hfov_scale = 0.5;
-        let trace = BandwidthTrace::constant(60.0, 10.0);
-        let s = ConferenceRunner::new(cfg).run(trace);
-
-        // The scheduler planned every sender frame and the encoder emitted
-        // refinement slices that the receiver applied onto base frames.
-        assert!(s.metrics.counter("tile.utility.plans").unwrap_or(0) > 0);
-        assert!(s.metrics.counter("codec.refine.slices").unwrap_or(0) > 0);
-        assert!(
-            s.metrics.counter("codec.refine.applied").unwrap_or(0) > 0,
-            "no refinement reached a displayed base frame"
-        );
-        assert_eq!(s.metrics.counter("codec.refine.dropped").unwrap_or(0), 0);
-
-        // Center-of-gaze quality is scored on the narrowed frustum.
-        assert!(
-            s.pssim_center_geometry > 0.0 && s.pssim_center_color > 0.0,
-            "center PSSIM missing: {} / {}",
-            s.pssim_center_geometry,
-            s.pssim_center_color
-        );
-
-        // Progressive delivery must not cost base-layer fluidity.
-        assert!(s.mean_fps > 20.0, "fps {}", s.mean_fps);
-        assert!(s.stall_rate < 0.35, "stalls {}", s.stall_rate);
     }
 
     #[test]

@@ -59,44 +59,6 @@ impl CullStats {
             self.kept as f64 / self.total_valid as f64
         }
     }
-
-    fn absorb(&mut self, other: &CullStats) {
-        self.total_valid += other.total_valid;
-        self.kept += other.kept;
-    }
-}
-
-/// Per-view outcome of a cull pass: the run total plus one [`CullStats`]
-/// per input view, in view order. A view grazing the frustum edge shows up
-/// here as a *fractional* `keep_fraction`, which is what the tile
-/// scheduler ranks on — the binary in/out answer loses exactly that
-/// signal.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CullCoverage {
-    pub total: CullStats,
-    pub views: Vec<CullStats>,
-}
-
-impl CullCoverage {
-    pub fn with_capacity(n: usize) -> Self {
-        CullCoverage {
-            total: CullStats::default(),
-            views: Vec::with_capacity(n),
-        }
-    }
-
-    /// Append one view's stats (callers building coverage without a cull
-    /// pass — e.g. LiVo-NoCull — push full-keep stats per view).
-    pub fn push_view(&mut self, view: CullStats) {
-        self.total.absorb(&view);
-        self.views.push(view);
-    }
-
-    /// Fractional frustum coverage of view `i` (0 when it had no valid
-    /// pixels).
-    pub fn coverage(&self, i: usize) -> f64 {
-        self.views[i].keep_fraction()
-    }
 }
 
 /// Pixels per chunk of the branch-free row kernel. 16 depths fill a cache
@@ -268,21 +230,10 @@ impl CullContext {
         cameras: &[RgbdCamera],
         frustum: &Frustum,
     ) -> CullStats {
-        self.cull_views_coverage(views, cameras, frustum).total
-    }
-
-    /// [`CullContext::cull_views`] that also reports per-view stats, so
-    /// callers can see each camera's fractional frustum coverage.
-    pub fn cull_views_coverage(
-        &mut self,
-        views: &mut [RgbdFrame],
-        cameras: &[RgbdCamera],
-        frustum: &Frustum,
-    ) -> CullCoverage {
         assert_eq!(views.len(), cameras.len());
         self.refresh_tables(cameras);
         let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
-        let mut cov = CullCoverage::with_capacity(views.len());
+        let mut stats = CullStats::default();
         let mut pixels = 0usize;
         for ((view, cam), table) in views.iter_mut().zip(cameras).zip(&self.tables) {
             // Transform the frustum into this camera's local frame: cheaper
@@ -292,19 +243,17 @@ impl CullContext {
             let width = view.width;
             pixels += width * view.height;
             let ray_y = table.ray_y();
-            let mut vs = CullStats::default();
             for (y, (drow, crow)) in view
                 .depth_mm
                 .chunks_mut(width.max(1))
                 .zip(view.rgb.chunks_mut(width.max(1) * 3))
                 .enumerate()
             {
-                cull_row(frusta, table.ray_x(), ray_y[y], drow, crow, &mut vs);
+                cull_row(frusta, table.ray_x(), ray_y[y], drow, crow, &mut stats);
             }
-            cov.push_view(vs);
         }
         self.record_cost(started, pixels);
-        cov
+        stats
     }
 
     /// [`CullContext::cull_views`] with the per-pixel tests spread over
@@ -321,34 +270,19 @@ impl CullContext {
         cameras: &[RgbdCamera],
         frustum: &Frustum,
     ) -> CullStats {
-        self.cull_views_on_coverage(pool, views, cameras, frustum)
-            .total
-    }
-
-    /// [`CullContext::cull_views_on`] with per-view stats. Band stats are
-    /// summed per view before moving on, so the per-view numbers are
-    /// identical at any pool size.
-    pub fn cull_views_on_coverage(
-        &mut self,
-        pool: &WorkerPool,
-        views: &mut [RgbdFrame],
-        cameras: &[RgbdCamera],
-        frustum: &Frustum,
-    ) -> CullCoverage {
         if pool.threads() <= 1 {
-            return self.cull_views_coverage(views, cameras, frustum);
+            return self.cull_views(views, cameras, frustum);
         }
         assert_eq!(views.len(), cameras.len());
         self.refresh_tables(cameras);
         let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
-        let mut cov = CullCoverage::with_capacity(views.len());
+        let mut stats = CullStats::default();
         let mut pixels = 0usize;
         for ((view, cam), table) in views.iter_mut().zip(cameras).zip(&self.tables) {
             let local_frustum = frustum.transformed(&cam.world_to_local());
             let width = view.width;
             let height = view.height;
             if width == 0 || height == 0 {
-                cov.push_view(CullStats::default());
                 continue;
             }
             pixels += width * height;
@@ -377,14 +311,13 @@ impl CullContext {
                     });
                 }
             });
-            let mut vs = CullStats::default();
             for bs in &band_stats {
-                vs.absorb(bs);
+                stats.total_valid += bs.total_valid;
+                stats.kept += bs.kept;
             }
-            cov.push_view(vs);
         }
         self.record_cost(started, pixels);
-        cov
+        stats
     }
 
     /// Cull every view in place against the **union** of several frusta: a
@@ -403,25 +336,14 @@ impl CullContext {
         cameras: &[RgbdCamera],
         frusta: &[Frustum],
     ) -> CullStats {
-        self.cull_views_union_coverage(views, cameras, frusta).total
-    }
-
-    /// [`CullContext::cull_views_union`] with per-view stats, so a cluster
-    /// can build one utility plan from its shared union cull.
-    pub fn cull_views_union_coverage(
-        &mut self,
-        views: &mut [RgbdFrame],
-        cameras: &[RgbdCamera],
-        frusta: &[Frustum],
-    ) -> CullCoverage {
         assert!(!frusta.is_empty(), "union cull needs at least one frustum");
         if frusta.len() == 1 {
-            return self.cull_views_coverage(views, cameras, &frusta[0]);
+            return self.cull_views(views, cameras, &frusta[0]);
         }
         assert_eq!(views.len(), cameras.len());
         self.refresh_tables(cameras);
         let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
-        let mut cov = CullCoverage::with_capacity(views.len());
+        let mut stats = CullStats::default();
         let mut pixels = 0usize;
         let CullContext {
             tables,
@@ -434,19 +356,24 @@ impl CullContext {
             let width = view.width;
             pixels += width * view.height;
             let ray_y = table.ray_y();
-            let mut vs = CullStats::default();
             for (y, (drow, crow)) in view
                 .depth_mm
                 .chunks_mut(width.max(1))
                 .zip(view.rgb.chunks_mut(width.max(1) * 3))
                 .enumerate()
             {
-                cull_row(local_frusta, table.ray_x(), ray_y[y], drow, crow, &mut vs);
+                cull_row(
+                    local_frusta,
+                    table.ray_x(),
+                    ray_y[y],
+                    drow,
+                    crow,
+                    &mut stats,
+                );
             }
-            cov.push_view(vs);
         }
         self.record_cost(started, pixels);
-        cov
+        stats
     }
 }
 
@@ -475,26 +402,6 @@ pub fn cull_views_union(
     frusta: &[Frustum],
 ) -> CullStats {
     CullContext::new().cull_views_union(views, cameras, frusta)
-}
-
-/// Per-view cull stats; ephemeral-context form of
-/// [`CullContext::cull_views_coverage`].
-pub fn cull_views_coverage(
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frustum: &Frustum,
-) -> CullCoverage {
-    CullContext::new().cull_views_coverage(views, cameras, frustum)
-}
-
-/// Per-view union cull stats; ephemeral-context form of
-/// [`CullContext::cull_views_union_coverage`].
-pub fn cull_views_union_coverage(
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frusta: &[Frustum],
-) -> CullCoverage {
-    CullContext::new().cull_views_union_coverage(views, cameras, frusta)
 }
 
 /// The original per-pixel cull, retained verbatim as the differential-test
@@ -828,52 +735,6 @@ mod tests {
                 assert_eq!(a.rgb, b.rgb, "rgb masks differ");
             }
         }
-    }
-
-    #[test]
-    fn per_view_coverage_is_fractional_and_pool_invariant() {
-        let cams = rig::camera_ring(
-            4,
-            2.5,
-            1.2,
-            Vec3::new(0.0, 1.0, 0.0),
-            livo_math::CameraIntrinsics::kinect_depth(0.12),
-        );
-        let views = render_all(&cams);
-        // The mixed-outcome frustum: some views are partially inside.
-        let f = test_frusta()[1];
-        let mut serial = views.clone();
-        let cov = cull_views_coverage(&mut serial, &cams, &f);
-        assert_eq!(cov.views.len(), cams.len());
-        let mut sum = CullStats::default();
-        for v in &cov.views {
-            sum.absorb(v);
-        }
-        assert_eq!(sum, cov.total, "per-view stats sum to the run total");
-        assert!(
-            cov.views.iter().any(|v| {
-                let k = v.keep_fraction();
-                k > 0.0 && k < 1.0
-            }),
-            "edge-grazing views must report fractional coverage: {:?}",
-            cov.views
-        );
-        // Identical per-view numbers (and masks) at any pool size.
-        for threads in [1usize, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let mut banded = views.clone();
-            let banded_cov =
-                CullContext::new().cull_views_on_coverage(&pool, &mut banded, &cams, &f);
-            assert_eq!(banded_cov, cov, "{threads} threads");
-            for (a, b) in banded.iter().zip(&serial) {
-                assert_eq!(a.depth_mm, b.depth_mm);
-                assert_eq!(a.rgb, b.rgb);
-            }
-        }
-        // Union form with one frustum matches the single-frustum pass.
-        let mut unioned = views.clone();
-        let union_cov = cull_views_union_coverage(&mut unioned, &cams, std::slice::from_ref(&f));
-        assert_eq!(union_cov, cov);
     }
 
     #[test]

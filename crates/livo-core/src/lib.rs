@@ -32,7 +32,6 @@ pub mod depth;
 pub mod frustum_pred;
 pub mod pipeline;
 pub mod reconstruct;
-pub mod sched;
 pub mod splitter;
 pub mod tile;
 
@@ -41,8 +40,7 @@ pub use conference::{
     RunSummary,
 };
 pub use cull::{
-    cull_views, cull_views_coverage, cull_views_on, cull_views_reference, cull_views_union,
-    cull_views_union_coverage, CullContext, CullCoverage, CullStats,
+    cull_views, cull_views_on, cull_views_reference, cull_views_union, CullContext, CullStats,
 };
 pub use depth::{DepthCodec, DepthEncoding};
 pub use frustum_pred::FrustumPredictor;
@@ -50,6 +48,5 @@ pub use pipeline::{
     CaptureJob, EncodedPair, PipelineOptions, RecvError, SenderPipeline, SubmitError,
 };
 pub use reconstruct::reconstruct_point_cloud;
-pub use sched::{SchedulerConfig, TilePlan, TileScheduler, TileUtility};
 pub use splitter::{BandwidthSplitter, SplitterConfig};
 pub use tile::TileLayout;

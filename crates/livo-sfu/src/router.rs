@@ -56,10 +56,9 @@ use crate::subscriber::{Subscriber, SubscriberConfig};
 use bytes::Bytes;
 use livo_capture::{BandwidthTrace, RgbdFrame};
 use livo_codec2d::{luma_rmse, EncodedFrame, Encoder, EncoderConfig, FrameType, PixelFormat};
-use livo_core::cull::cull_views_union_coverage;
+use livo_core::cull::CullContext;
 use livo_core::depth::{DepthCodec, DepthEncoding};
 use livo_core::pipeline::EncodedPair;
-use livo_core::sched::{SchedulerConfig, TilePlan, TileScheduler};
 use livo_core::tile::{compose_color, compose_depth, TileLayout};
 use livo_math::{Frustum, Pose, RgbdCamera};
 use livo_runtime::WorkerPool;
@@ -370,9 +369,6 @@ pub struct ClusterOutput {
     pub low: Option<(EncodedFrame, EncodedFrame)>,
     /// Fraction of valid pixels the union cull kept.
     pub keep_fraction: f64,
-    /// FoV-utility plan over the cluster's union coverage: per-tile
-    /// utilities and the best-first spend order for this frame's budget.
-    pub plan: TilePlan,
     /// Media rate the shared encode was capped at, bits/second.
     pub target_bps: f64,
     /// Sender-side reconstruction error of the shared encode, fed to the
@@ -470,15 +466,21 @@ struct ClusterState {
     low_assign: Vec<bool>,
     shared_chain: ChainState,
     low_chain: ChainState,
-    /// Utility scheduler over the cluster's *union* coverage: what the
-    /// cluster as a whole is looking at, ranked tile by tile. Stateful for
-    /// the refinement-cost EMA, so it lives with the encoders.
-    sched: TileScheduler,
+    /// Union-cull state: the per-camera ray tables are built once per
+    /// cluster and live with the encoders, not rebuilt every frame.
+    cull: CullContext,
 }
 
 impl ClusterState {
-    fn new(key: u64, members: Vec<SubscriberId>, layout: &TileLayout) -> Self {
+    fn new(
+        key: u64,
+        members: Vec<SubscriberId>,
+        layout: &TileLayout,
+        registry: &MetricsRegistry,
+    ) -> Self {
         let n = members.len();
+        let mut cull = CullContext::new();
+        cull.attach_telemetry(registry);
         ClusterState {
             key,
             members,
@@ -488,7 +490,7 @@ impl ClusterState {
             low_assign: vec![false; n],
             shared_chain: ChainState::fresh(),
             low_chain: ChainState::fresh(),
-            sched: TileScheduler::new(SchedulerConfig::default()),
+            cull,
         }
     }
 
@@ -548,7 +550,6 @@ struct RouterMetrics {
     route_ms: Arc<Histogram>,
     encode_ms: Arc<Histogram>,
     keep_fraction: Arc<Histogram>,
-    cluster_utility: Arc<Histogram>,
 }
 
 impl RouterMetrics {
@@ -570,7 +571,6 @@ impl RouterMetrics {
             route_ms: reg.histogram("sfu.route_ms"),
             encode_ms: reg.histogram("sfu.encode_ms"),
             keep_fraction: reg.histogram("sfu.keep_fraction"),
-            cluster_utility: reg.histogram("sfu.cluster_utility"),
         }
     }
 }
@@ -919,8 +919,12 @@ impl Router {
                 None => {
                     let key = self.next_cluster_key;
                     self.next_cluster_key += 1;
-                    self.clusters
-                        .push(ClusterState::new(key, members, &self.layout));
+                    self.clusters.push(ClusterState::new(
+                        key,
+                        members,
+                        &self.layout,
+                        &self.registry,
+                    ));
                 }
             }
         }
@@ -1131,13 +1135,10 @@ impl Router {
                 {
                     s.spawn(move || {
                         let mut culled = views.to_vec();
-                        let coverage = cull_views_union_coverage(&mut culled, cameras, &job.frusta);
-                        let cull_stats = coverage.total;
-                        // The cluster-wide utility plan over the union
-                        // coverage: which tiles the shared encode's bits
-                        // matter most for, published per frame so operators
-                        // (and the downlink policy) can rank clusters.
-                        let plan = state.sched.plan(&culled, layout, &coverage, job.color_bits);
+                        let cull_stats =
+                            state
+                                .cull
+                                .cull_views_union(&mut culled, cameras, &job.frusta);
                         let color_canvas = compose_color(&culled, layout, seq);
                         let depth_canvas = compose_depth(&culled, layout, codec, seq);
                         if job.force_shared_key {
@@ -1190,7 +1191,6 @@ impl Router {
                             depth,
                             low,
                             keep_fraction: cull_stats.keep_fraction(),
-                            plan,
                             target_bps: job.target_bps,
                             rmse_color,
                             rmse_depth_mm: mse.sqrt(),
@@ -1213,7 +1213,6 @@ impl Router {
         let mut assign: BTreeMap<SubscriberId, (usize, bool)> = BTreeMap::new();
         for (ci, out) in clusters.iter().enumerate() {
             self.metrics.keep_fraction.record(out.keep_fraction);
-            self.metrics.cluster_utility.record(out.plan.mean_utility());
             if let Some(tr) = &self.trace {
                 // One shared encode event per cluster on the SFU track;
                 // arg: shared bitstream size in bits.
@@ -1469,43 +1468,6 @@ mod tests {
     }
 
     #[test]
-    fn clusters_publish_a_utility_plan_over_the_union_coverage() {
-        let mut router = Router::builder(tiny_rig()).build().unwrap();
-        let ids: Vec<SubscriberId> = (0..2).map(|i| add(&mut router, &format!("s{i}"))).collect();
-        let pose = looking(0.0);
-        for &id in &ids {
-            router.observe_pose(id, &pose).unwrap();
-        }
-        let views = views_at(&router.cameras.clone(), 0.0, 0);
-        let out = router.route_frame(0, &views);
-        assert_eq!(out.clusters.len(), 1);
-        let plan = &out.clusters[0].plan;
-        // One utility per camera slot, a total best-first order, and a
-        // base grant bounded by the job budget.
-        assert_eq!(plan.utilities.len(), router.cameras.len());
-        assert_eq!(plan.order.len(), router.cameras.len());
-        assert!(plan.base_bits > 0);
-        assert!(
-            plan.mean_utility() > 0.0,
-            "a subscriber looking at the scene should yield live tiles"
-        );
-        // The plan is deterministic for identical inputs: replaying the
-        // same frame through a fresh identical router gives the same plan.
-        let mut router2 = Router::builder(tiny_rig()).build().unwrap();
-        let ids2: Vec<SubscriberId> = (0..2)
-            .map(|i| add(&mut router2, &format!("s{i}")))
-            .collect();
-        for &id in &ids2 {
-            router2.observe_pose(id, &pose).unwrap();
-        }
-        let out2 = router2.route_frame(0, &views);
-        assert_eq!(out2.clusters[0].plan, *plan);
-        // Mean utility lands in the router's metrics.
-        let snap = router.registry().snapshot();
-        assert!(snap.histogram("sfu.cluster_utility").is_some());
-    }
-
-    #[test]
     fn naive_mode_encodes_once_per_subscriber() {
         let mut router = Router::builder(tiny_rig()).sharing(false).build().unwrap();
         let ids: Vec<SubscriberId> = (0..3).map(|i| add(&mut router, &format!("s{i}"))).collect();
@@ -1548,6 +1510,13 @@ mod tests {
         assert_eq!(membership.len(), 2);
         assert_eq!(membership[0].1, vec![ids[0], ids[2]]);
         assert_eq!(membership[1].1, vec![ids[1], ids[3]]);
+        // Each cluster built its cameras' ray tables once, not once per
+        // routed frame.
+        let snap = router.registry().snapshot();
+        assert_eq!(
+            snap.counter("cull.lut_rebuilds"),
+            Some(2 * router.cameras.len() as u64)
+        );
     }
 
     #[test]

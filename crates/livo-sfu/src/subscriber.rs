@@ -227,9 +227,7 @@ impl ReceiverState {
         let (sidx, dec, window) = match af.stream {
             StreamId::Color => (0usize, &mut self.color_dec, &mut self.window_color),
             StreamId::Depth => (1usize, &mut self.depth_dec, &mut self.window_depth),
-            // Refinement is point-to-point in the conference path; the SFU
-            // downlink carries base layers only.
-            StreamId::Refine | StreamId::Control => return false,
+            StreamId::Control => return false,
         };
         // A frame-id gap breaks the P chain: drop until an intra arrives.
         if af.frame_id != self.expected_frame[sidx] && !af.keyframe {

@@ -4,15 +4,11 @@ use crate::Micros;
 use bytes::Bytes;
 
 /// Which media stream a packet belongs to. LiVo sends two: tiled colour and
-/// tiled depth (§3.3 of the paper), plus an opportunistic refinement lane.
+/// tiled depth (§3.3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StreamId {
     Color,
     Depth,
-    /// Progressive colour refinement slices riding behind the base layer.
-    /// Strictly best-effort: the pacer drops them first under
-    /// backpressure, they are never NACKed and never trigger PLI.
-    Refine,
     /// Control/other (calibration exchange at session setup, §A.1).
     Control,
 }

@@ -94,9 +94,6 @@ pub struct SessionStats {
     pub plis: u64,
     pub nacks_sent: u64,
     pub retransmits: u64,
-    /// Refinement packets dropped by the pacer (stale or backpressure);
-    /// base-layer packets are never dropped there.
-    pub refine_drops: u64,
     /// Sum and count of frame transport latency (send → playout-ready).
     pub latency_sum_us: u128,
     pub latency_count: u64,
@@ -159,8 +156,6 @@ struct SessionTelemetry {
     late_drops: Arc<Gauge>,
     bits_sent_color: Arc<Counter>,
     bits_sent_depth: Arc<Counter>,
-    bits_sent_refine: Arc<Counter>,
-    refine_drops: Arc<Counter>,
     bits_delivered: Arc<Counter>,
     frames_delivered: Arc<Counter>,
     latency_ms: Arc<Histogram>,
@@ -246,7 +241,6 @@ fn lane_of(stream: StreamId) -> &'static str {
     match stream {
         StreamId::Color => "color",
         StreamId::Depth => "depth",
-        StreamId::Refine => "refine",
         StreamId::Control => "control",
     }
 }
@@ -256,7 +250,6 @@ fn component_of(stream: StreamId) -> &'static str {
     match stream {
         StreamId::Color => "transport.color",
         StreamId::Depth => "transport.depth",
-        StreamId::Refine => "transport.refine",
         StreamId::Control => "transport.control",
     }
 }
@@ -452,8 +445,6 @@ impl RtcSession {
             late_drops: registry.gauge(&format!("{prefix}.late_drops")),
             bits_sent_color: registry.counter(&format!("{prefix}.bits_sent.color")),
             bits_sent_depth: registry.counter(&format!("{prefix}.bits_sent.depth")),
-            bits_sent_refine: registry.counter(&format!("{prefix}.bits_sent.refine")),
-            refine_drops: registry.counter(&format!("{prefix}.refine_drops")),
             bits_delivered: registry.counter(&format!("{prefix}.bits_delivered")),
             frames_delivered: registry.counter(&format!("{prefix}.frames_delivered")),
             latency_ms: registry.histogram(&format!("{prefix}.latency_ms")),
@@ -544,17 +535,7 @@ impl RtcSession {
             .collect()
     }
 
-    fn drop_refinement(&mut self, packets: u64) {
-        self.stats.refine_drops += packets;
-        if let Some(t) = &self.telemetry {
-            t.refine_drops.add(packets);
-        }
-    }
-
-    /// Queue a frame for transmission. Base-layer streams additionally
-    /// purge queued refinement packets of *older* frames: once a newer
-    /// base frame is on its way, late refinement for superseded frames is
-    /// wasted bits the base layer should not sit behind.
+    /// Queue a frame for transmission.
     pub fn send_frame(
         &mut self,
         now: Micros,
@@ -563,15 +544,6 @@ impl RtcSession {
         data: Bytes,
         keyframe: bool,
     ) {
-        if matches!(stream, StreamId::Color | StreamId::Depth) {
-            let before = self.pacer.len();
-            self.pacer
-                .retain(|p| p.stream != StreamId::Refine || p.frame_id >= frame_id);
-            let purged = (before - self.pacer.len()) as u64;
-            if purged > 0 {
-                self.drop_refinement(purged);
-            }
-        }
         let pz = self
             .packetizers
             .entry(stream)
@@ -587,10 +559,7 @@ impl RtcSession {
         for p in pkts {
             frame_bits += p.wire_bits();
             n_pkts += 1;
-            // Refinement is never retransmitted, so don't retain it.
-            if stream != StreamId::Refine {
-                rb.store(&p);
-            }
+            rb.store(&p);
             self.pacer.push_back(p);
         }
         self.stats.bits_sent += frame_bits;
@@ -598,7 +567,6 @@ impl RtcSession {
             match stream {
                 StreamId::Color => t.bits_sent_color.add(frame_bits),
                 StreamId::Depth => t.bits_sent_depth.add(frame_bits),
-                StreamId::Refine => t.bits_sent_refine.add(frame_bits),
                 StreamId::Control => {}
             }
             if let Some(tl) = &t.timeline {
@@ -802,17 +770,6 @@ impl RtcSession {
         while let Some(head) = self.pacer.front() {
             let bits = head.wire_bits();
             if self.pacer_budget_bits < bits as f64 {
-                // Backpressure: a refinement packet at the head must not
-                // starve base-layer packets queued behind it — drop the
-                // refinement instead of waiting for budget. Base packets
-                // are never dropped here.
-                if head.stream == StreamId::Refine
-                    && self.pacer.iter().any(|q| q.stream != StreamId::Refine)
-                {
-                    self.pacer.pop_front();
-                    self.drop_refinement(1);
-                    continue;
-                }
                 break;
             }
             self.refresh_snapshots(now);
@@ -1036,14 +993,8 @@ impl RtcSession {
     /// feedback round would add up to a full interval to every burst-loss
     /// recovery, so eligibility is checked per tick. The generator's
     /// per-seq retry spacing keeps this storm-free.
-    ///
-    /// The refinement lane is best-effort by contract: losses there are
-    /// absorbed by the base layer, so it earns neither NACKs nor PLIs.
     fn nack_gaps(&mut self, now: Micros) {
         for (&stream, re) in &self.reassemblers {
-            if stream == StreamId::Refine {
-                continue;
-            }
             let mut missing = re.missing_seqs(64);
             // Forget first-seen times of gaps that closed; `missing_seqs`
             // is ascending, so membership is a binary search.
@@ -1160,9 +1111,6 @@ impl RtcSession {
 
             // PLI for frames stuck too long.
             for (stream, re) in &self.reassemblers {
-                if *stream == StreamId::Refine {
-                    continue;
-                }
                 let stuck = re.stuck_frames();
                 let ng = self
                     .nack
@@ -1294,121 +1242,6 @@ mod tests {
             t += 1000;
         }
         (s, frames)
-    }
-
-    /// The session under test built both ways: the one-leg constructor,
-    /// and two legs sharing `capacity_mbps` ("a" at 20 ms, "b" at 45 ms),
-    /// every link dropping `loss` of its packets.
-    fn one_and_two_legs(
-        capacity_mbps: f64,
-        initial_estimate_bps: f64,
-        loss: f64,
-    ) -> [RtcSession; 2] {
-        let link = |propagation, seed| LinkConfig {
-            propagation,
-            random_loss: loss,
-            seed,
-            ..Default::default()
-        };
-        let leg = |name: &str, link| LegConfig {
-            name: name.to_string(),
-            trace: BandwidthTrace::constant(capacity_mbps / 2.0, 30.0),
-            link,
-            events: Vec::new(),
-        };
-        let legs = vec![leg("a", link(20_000, 5)), leg("b", link(45_000, 6))];
-        let cfg = SessionConfig {
-            link: link(20_000, 5),
-            initial_estimate_bps,
-            ..Default::default()
-        };
-        [
-            RtcSession::new(BandwidthTrace::constant(capacity_mbps, 30.0), cfg.clone()),
-            RtcSession::with_legs(legs, cfg.jitter_target, initial_estimate_bps),
-        ]
-    }
-
-    #[test]
-    fn pacer_drops_refinement_never_base() {
-        // A link far too slow for the offered load: the pacer backs up
-        // immediately. Refinement must be shed; every base frame must
-        // still go out (in order, behind its own frame's base packets).
-        for s in one_and_two_legs(2.0, 20e6, 0.0) {
-            pacer_sheds_refinement(s);
-        }
-    }
-
-    fn pacer_sheds_refinement(mut s: RtcSession) {
-        let mut t: Micros = 0;
-        for frame_id in 0..60u64 {
-            s.send_frame(
-                t,
-                StreamId::Color,
-                frame_id,
-                Bytes::from(vec![0u8; 6_000]),
-                frame_id == 0,
-            );
-            s.send_frame(
-                t,
-                StreamId::Refine,
-                frame_id,
-                Bytes::from(vec![1u8; 9_000]),
-                false,
-            );
-            for _ in 0..33 {
-                s.tick(t);
-                s.recv_frames();
-                t += 1000;
-            }
-        }
-        for _ in 0..2000 {
-            s.tick(t);
-            s.recv_frames();
-            t += 1000;
-        }
-        let st = s.stats();
-        assert!(st.refine_drops > 0, "overload must shed refinement");
-        // Base frames were all packetised and none dropped by the pacer:
-        // whatever is still queued is refinement-only or empty.
-        assert!(
-            s.pacer.iter().all(|p| p.stream != StreamId::Color),
-            "base packets must never wait behind dropped refinement"
-        );
-    }
-
-    #[test]
-    fn newer_base_frame_purges_stale_queued_refinement() {
-        // Zero-budget start: everything stays queued in the pacer.
-        for s in one_and_two_legs(100.0, 0.0, 0.0) {
-            newer_base_purges(s);
-        }
-    }
-
-    fn newer_base_purges(mut s: RtcSession) {
-        s.send_frame(0, StreamId::Color, 0, Bytes::from(vec![0u8; 500]), true);
-        s.send_frame(0, StreamId::Refine, 0, Bytes::from(vec![1u8; 500]), false);
-        assert!(s.pacer.iter().any(|p| p.stream == StreamId::Refine));
-        // The next base frame supersedes frame 0's refinement.
-        s.send_frame(
-            33_333,
-            StreamId::Color,
-            1,
-            Bytes::from(vec![0u8; 500]),
-            false,
-        );
-        assert!(
-            s.pacer.iter().all(|p| p.stream != StreamId::Refine),
-            "stale refinement must be purged when a newer base frame queues"
-        );
-        assert_eq!(s.stats().refine_drops, 1);
-        // Base packets of both frames are still queued.
-        assert_eq!(
-            s.pacer
-                .iter()
-                .filter(|p| p.stream == StreamId::Color)
-                .count(),
-            2
-        );
     }
 
     #[test]
@@ -1726,30 +1559,6 @@ mod tests {
         let owd = s.one_way_delay_us();
         // ≥ propagation, < 100 ms under light load.
         assert!(owd >= 20_000.0 && owd < 100_000.0, "owd {owd} µs");
-    }
-
-    #[test]
-    fn refinement_loss_on_two_legs_raises_no_nack_and_no_pli() {
-        // Best-effort lane: the base layer absorbs refinement loss, so a
-        // lossy bond must not spend feedback (or keyframes) on it.
-        let [_, mut s] = one_and_two_legs(40.0, 20e6, 0.2);
-        for t in (0..5_000_000).step_by(1_000) {
-            if t % 33_333 < 1_000 {
-                let data = Bytes::from(vec![1u8; 12_000]);
-                s.send_frame(t, StreamId::Refine, t / 33_333, data, false);
-            }
-            s.tick(t);
-            assert!(!s.take_pli(t), "refinement loss escalated to a keyframe");
-        }
-        let dropped: u64 = s
-            .link_reports()
-            .iter()
-            .map(|r| r.stats.dropped_total())
-            .sum();
-        assert!(dropped > 100, "the links must drop");
-        let st = s.stats();
-        assert_eq!((st.nacks_sent, st.retransmits, st.plis), (0, 0, 0));
-        assert!(st.frames_delivered > 0, "intact refinement still plays");
     }
 
     #[test]

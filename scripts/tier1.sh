@@ -58,20 +58,6 @@ bond_check() {
   echo "bond snapshot OK (schema livo-bench-bond-v1, $pts scenarios)"
 }
 
-# FoV-utility gate: `repro --quick fov --gate` exits non-zero when the
-# progressive scheme's PSSIM-in-frustum per bit falls below the
-# all-or-nothing baseline at any band, when the center-of-gaze
-# score sags as bandwidth collapses, or when no refinement slice is ever
-# applied. The snapshot must carry the stable schema tag and all six
-# (band x scheme) points.
-fov_check() {
-  json=$1
-  grep -q '"schema":"livo-bench-fov-v1"' "$json" || { echo "fov snapshot missing schema tag"; exit 1; }
-  pts=$(grep -o '"scheme"' "$json" | wc -l)
-  [ "$pts" = 6 ] || { echo "fov snapshot has $pts points, expected 6"; exit 1; }
-  echo "fov snapshot OK (schema livo-bench-fov-v1, $pts points)"
-}
-
 fmt_check() {
   # Formatting is part of the gate in both modes.
   if [ "$MODE" = cargo ] && cargo fmt --version >/dev/null 2>&1; then
@@ -160,12 +146,6 @@ echo "== tier1: bond gate =="
 bsnap=$(mktemp)
 repro --quick --gate bond --json "$bsnap" >/dev/null
 bond_check "$bsnap"; rm -f "$bsnap"
-# FoV-utility gate: progressive delivery must match or beat the
-# all-or-nothing baseline per bit at every band.
-echo "== tier1: fov gate =="
-fsnap=$(mktemp)
-repro --quick --gate fov --json "$fsnap" >/dev/null
-fov_check "$fsnap"; rm -f "$fsnap"
 # Whole-call benchmark smoke: one short rep per workload with its
 # correctness checks on (builds benchmark/ against this checkout).
 echo "== tier1: benchmark smoke =="

@@ -327,166 +327,3 @@ fn sliced_golden_stream_still_decodes() {
         }
     }
 }
-
-/// FoV-utility scheduling determinism: the utility plan is a pure function
-/// of views + coverage + budget (no RNG, no wall clock, no pool), and the
-/// refinement payload a plan drives must be byte-identical across worker
-/// pool sizes {1,2,4}. Sender-side tile scheduling must not depend on
-/// `LIVO_THREADS`, or sender and receiver drift apart per machine.
-#[test]
-fn refinement_plan_and_payload_are_deterministic_across_pools() {
-    use livo::core::cull::{CullCoverage, CullStats};
-    use livo::core::sched::{SchedulerConfig, TilePlan, TileScheduler};
-
-    let cameras = camera_ring(
-        N_CAMERAS,
-        2.5,
-        1.4,
-        livo::math::Vec3::new(0.0, 1.0, 0.0),
-        livo::math::CameraIntrinsics::kinect_depth(SCALE),
-    );
-    let k = cameras[0].intrinsics;
-    let layout = TileLayout::new(k.width as usize, k.height as usize, N_CAMERAS);
-    let preset = DatasetPreset::load(VideoId::Band2);
-    let mb_rows = layout.canvas_h.div_ceil(16) as u16;
-    assert!(mb_rows >= 4, "canvas too small for a two-band refinement");
-    let bands = [(0u16, 2u16), (3, mb_rows)];
-
-    let mut reference: Option<Vec<(TilePlan, Vec<u8>)>> = None;
-    for run in 0..2 {
-        let mut sched = TileScheduler::new(SchedulerConfig::default());
-        let mut encs = encoders(layout.canvas_w, layout.canvas_h, PixelFormat::Yuv420, 4);
-        let mut per_frame: Vec<(TilePlan, Vec<u8>)> = Vec::new();
-        for seq in 0..FRAMES {
-            let snap = preset.scene.at(seq as f32 / 30.0);
-            let pool = WorkerPool::new(1);
-            let views: Vec<RgbdFrame> = livo::capture::render_views_at(&pool, &cameras, &snap, seq);
-            // NoCull-style full-keep coverage: every valid pixel survives,
-            // the same fallback the conference uses without a frustum.
-            let mut cov = CullCoverage::with_capacity(views.len());
-            for v in &views {
-                let valid = v.depth_mm.iter().filter(|&&d| d != 0).count();
-                cov.push_view(CullStats {
-                    total_valid: valid,
-                    kept: valid,
-                });
-            }
-            let plan = sched.plan(&views, &layout, &cov, 400_000);
-            assert!(
-                plan.base_bits > 0,
-                "run {run} frame {seq}: empty base purse"
-            );
-
-            let canvas = compose_color(&views, &layout, seq);
-            // Keep every encoder's closed loop in step, then cut refinement
-            // payloads off the same reconstruction state at every pool size.
-            let payloads: Vec<(String, Vec<u8>)> = encs
-                .iter_mut()
-                .map(|(n, e)| {
-                    e.encode(&canvas, plan.base_bits);
-                    (n.clone(), e.encode_refinement(&canvas, &bands, 12))
-                })
-                .collect();
-            let (_, serial) = &payloads[0];
-            for (name, p) in &payloads[1..] {
-                assert_eq!(
-                    p, serial,
-                    "run {run} frame {seq}: {name} refinement payload diverged from serial"
-                );
-            }
-            per_frame.push((plan, serial.clone()));
-        }
-        match &reference {
-            None => reference = Some(per_frame),
-            Some(r) => assert_eq!(
-                &per_frame, r,
-                "utility plans and refinement payloads must be reproducible run-to-run"
-            ),
-        }
-    }
-}
-
-/// The progressive refinement format is pinned by its own committed golden
-/// stream: one base keyframe plus a refinement-flagged payload (flags
-/// bit 5) over two macroblock-row bands. The current encoder must reproduce
-/// the committed bytes; `apply_refinement` at every pool size must land on
-/// identical pixels; and the refinement payload must be rejected as a
-/// standalone frame. Regenerate with `LIVO_BLESS_GOLDEN=1` after a
-/// *deliberate* format change.
-#[test]
-fn refinement_golden_stream_still_applies() {
-    const W: usize = 64;
-    const H: usize = 128; // 8 MB rows: bands (0,3) and (5,8) leave a gap
-    let mut cfg = EncoderConfig::new(W, H, PixelFormat::Yuv420);
-    cfg.gop_length = 0;
-    cfg.slices = 2;
-    let mut enc = Encoder::new(cfg);
-    let frame = golden_frame(W, H, 0);
-    let base_stream = enc.encode(&frame, 160_000).data;
-    let bands = [(0u16, 3u16), (5, 8)];
-    let refine = enc.encode_refinement(&frame, &bands, 8);
-    assert_eq!(base_stream[0], livo::codec2d::slice::SLICED_MAGIC);
-    assert_eq!(refine[0], livo::codec2d::slice::SLICED_MAGIC);
-    assert_eq!(
-        refine[1] & 0b10_0000,
-        0b10_0000,
-        "refinement payloads must carry flags bit 5"
-    );
-
-    let mut blob = Vec::new();
-    for s in [&base_stream, &refine] {
-        blob.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        blob.extend_from_slice(s);
-    }
-    let path = golden_path("golden_v2_refine_stream.bin");
-    if std::env::var_os("LIVO_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &blob).unwrap();
-    }
-    let golden = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "read {} (bless with LIVO_BLESS_GOLDEN=1): {e}",
-            path.display()
-        )
-    });
-    assert_eq!(
-        blob, golden,
-        "encoder no longer reproduces the committed refinement bitstream byte-for-byte"
-    );
-
-    // Parse the golden blob back: base frame then refinement payload.
-    let base_len = u32::from_le_bytes(golden[0..4].try_into().unwrap()) as usize;
-    let base_bytes = &golden[4..4 + base_len];
-    let off = 4 + base_len;
-    let ref_len = u32::from_le_bytes(golden[off..off + 4].try_into().unwrap()) as usize;
-    let ref_bytes = &golden[off + 4..off + 4 + ref_len];
-
-    let mut refined_frames = Vec::new();
-    for (name, dec) in decoders().iter_mut() {
-        // A refinement payload is not a frame: standalone decode must fail.
-        assert!(
-            dec.decode(ref_bytes).is_err(),
-            "{name}: standalone refinement decode must be rejected"
-        );
-        let mut base = dec
-            .decode(base_bytes)
-            .unwrap_or_else(|e| panic!("golden base decode ({name}): {e:?}"));
-        let untouched = base.clone();
-        let n = dec
-            .apply_refinement(ref_bytes, &mut base)
-            .unwrap_or_else(|e| panic!("golden refinement apply ({name}): {e:?}"));
-        assert_eq!(n, 2, "{name}: both bands must apply");
-        assert!(
-            base != untouched,
-            "{name}: refinement must actually sharpen the base"
-        );
-        refined_frames.push((name.clone(), base));
-    }
-    let (_, serial) = &refined_frames[0];
-    for (name, f) in &refined_frames[1..] {
-        assert!(
-            f == serial,
-            "{name}: refined pixels diverged from the serial apply"
-        );
-    }
-}
