@@ -7,10 +7,10 @@
 //! speedups measure the actual replacement, on the actual machine, not a
 //! synthetic stand-in. The two receiver points (`reconstruct`,
 //! `voxel_downsample`) and the three inter-frame points
-//! (`encode_inter_static`, `decode_inter_static`, `bypass_run`) carry their
-//! baselines in this file instead: the product has one receiver path and
-//! one inter-frame coder, no reference twins. `repro kernels`
-//! prints the table; `--json` snapshots it (schema
+//! (`encode_inter_static`, `decode_inter_static`, `raw_bits`) carry their
+//! baselines in this file instead: the product has one receiver path, one
+//! inter-frame coder and one place bypass bits go, no reference twins.
+//! `repro kernels` prints the table; `--json` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
 //! replaced ([`GATE_FLOOR`]), which `scripts/tier1.sh` uses as a perf
@@ -612,7 +612,7 @@ fn bench_receiver() -> (KernelPoint, KernelPoint) {
 }
 
 // ---------------------------------------------------------------------
-// Static macroblocks and bypass runs: one inter frame of the canvas pair.
+// Static macroblocks and the raw-bit tail: one inter frame of the canvas pair.
 // ---------------------------------------------------------------------
 
 /// QPs the rate controller settles on for this content on `call_steady`.
@@ -621,8 +621,9 @@ const DEPTH_QP: u8 = 40;
 /// `EncoderConfig::new`'s search range.
 const SEARCH_RANGE: i16 = 8;
 
-/// Where the oracle's entropy symbols go: into a range coder one bypass
-/// bit at a time (the coder as it was), or into a list to replay.
+/// Where the oracle's entropy symbols go: into the coder one bypass bit at
+/// a time (which is what defines the order of the tail), or into a list to
+/// replay.
 trait SymbolSink {
     fn ctx(&mut self, model: &mut BitModel, bit: bool);
     fn bits(&mut self, value: u32, nbits: u32);
@@ -1158,6 +1159,174 @@ fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
     out
 }
 
+/// `BitModel`'s adaptation, for the one model the replays below send every
+/// context bit to.
+fn adapt(prob0: &mut u32, bit: bool) {
+    if bit {
+        *prob0 -= *prob0 >> 5;
+    } else {
+        *prob0 += (4096 - *prob0) >> 5;
+    }
+}
+
+/// The range encoder as it was while bypass bits went through it: a field
+/// in runs of `8 − leading_zeros(range)` halvings, one renormalisation a
+/// run. What `raw_bits` times the tail against, and kept nowhere else.
+struct RangeCodedBypass {
+    low: u64,
+    range: u32,
+    cache: u8,
+    cache_size: u64,
+    out: Vec<u8>,
+    prob0: u32,
+}
+
+impl RangeCodedBypass {
+    fn new() -> Self {
+        RangeCodedBypass {
+            low: 0,
+            range: u32::MAX,
+            cache: 0,
+            cache_size: 1,
+            out: Vec::new(),
+            prob0: 2048,
+        }
+    }
+
+    fn shift_low(&mut self) {
+        if self.low < 0xFF00_0000 || self.low > 0xFFFF_FFFF {
+            let carry = (self.low >> 32) as u8;
+            let mut c = self.cache;
+            while self.cache_size > 0 {
+                self.out.push(c.wrapping_add(carry));
+                c = 0xFF;
+                self.cache_size -= 1;
+            }
+            self.cache = (self.low >> 24) as u8;
+        }
+        self.cache_size += 1;
+        self.low = (self.low << 8) & 0xFFFF_FFFF;
+    }
+
+    fn ctx(&mut self, bit: bool) {
+        let bound = (self.range >> 12) * self.prob0;
+        if bit {
+            self.low += bound as u64;
+            self.range -= bound;
+        } else {
+            self.range = bound;
+        }
+        adapt(&mut self.prob0, bit);
+        while self.range < 1 << 24 {
+            self.range <<= 8;
+            self.shift_low();
+        }
+    }
+
+    fn bits(&mut self, value: u64, nbits: u32) {
+        let mut left = nbits;
+        while left > 0 {
+            let run = (8 - self.range.leading_zeros()).min(left);
+            left -= run;
+            for i in 1..=run {
+                let mask = ((value >> (left + run - i)) & 1).wrapping_neg();
+                self.low += (self.range >> i) as u64 & mask;
+            }
+            self.range >>= run;
+            if self.range < 1 << 24 {
+                self.range <<= 8;
+                self.shift_low();
+            }
+        }
+    }
+
+    fn ue(&mut self, value: u32) {
+        let nbits = 32 - (value + 1).leading_zeros();
+        self.bits(value as u64 + 1, 2 * nbits - 1);
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        for _ in 0..5 {
+            self.shift_low();
+        }
+        self.out
+    }
+}
+
+/// Its decoding half: fields in the same runs, the exp-Golomb prefix a
+/// halving at a time.
+struct RangeCodedBypassReader<'a> {
+    code: u32,
+    range: u32,
+    input: &'a [u8],
+    prob0: u32,
+}
+
+impl<'a> RangeCodedBypassReader<'a> {
+    fn new(input: &'a [u8]) -> Self {
+        let code = u32::from_be_bytes(input[1..5].try_into().expect("flushed stream"));
+        RangeCodedBypassReader {
+            code,
+            range: u32::MAX,
+            input: &input[5..],
+            prob0: 2048,
+        }
+    }
+
+    fn renormalise(&mut self) {
+        let (&byte, rest) = self.input.split_first().unwrap_or((&0, &[]));
+        self.input = rest;
+        self.code = (self.code << 8) | byte as u32;
+        self.range <<= 8;
+    }
+
+    fn ctx(&mut self) -> bool {
+        let bound = (self.range >> 12) * self.prob0;
+        let bit = self.code >= bound;
+        if bit {
+            self.code -= bound;
+            self.range -= bound;
+        } else {
+            self.range = bound;
+        }
+        adapt(&mut self.prob0, bit);
+        while self.range < 1 << 24 {
+            self.renormalise();
+        }
+        bit
+    }
+
+    fn bits(&mut self, nbits: u32) -> u32 {
+        let mut v = 0u32;
+        let mut left = nbits;
+        while left > 0 {
+            let run = (8 - self.range.leading_zeros()).min(left);
+            left -= run;
+            for i in 1..=run {
+                let half = self.range >> i;
+                let bit = self.code >= half;
+                if bit {
+                    self.code -= half;
+                }
+                v = (v << 1) | bit as u32;
+            }
+            self.range >>= run;
+            if self.range < 1 << 24 {
+                self.renormalise();
+            }
+        }
+        v
+    }
+
+    fn ue(&mut self) -> u32 {
+        let mut nbits = 1;
+        while self.bits(1) == 0 {
+            nbits += 1;
+        }
+        ((1 << (nbits - 1)) | self.bits(nbits - 1)) - 1
+    }
+}
+
 /// Smallest of `REPS` timings each of `fast` and `reference`, alternating;
 /// each call returns the nanoseconds of its own timed part, so set-up that
 /// must be redone per pass (a fresh encoder, a primed decoder) stays out.
@@ -1287,8 +1456,9 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
         },
     );
 
-    // The depth frame's symbols again, bypass fields in runs against one
-    // bit at a time; context bits go to one model on both sides.
+    // The depth frame's symbols again, written and read back: bypass bits
+    // to the raw-bit tail against through the range coder; context bits go
+    // to one model on both sides.
     let bypass_bits: u64 = depth_symbols
         .iter()
         .map(|s| match *s {
@@ -1298,7 +1468,8 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
             Symbol::Bypass(_) => 1,
         })
         .sum();
-    let replay_runs = || {
+    // Both return the payload size and a sum over what was read back.
+    let replay_tail = || {
         let mut enc = RangeEncoder::new();
         let mut model = BitModel::new();
         for s in &depth_symbols {
@@ -1309,32 +1480,68 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
                 Symbol::Bypass(bit) => enc.encode_bypass(bit),
             }
         }
-        enc.finish()
-    };
-    let replay_bitwise = || {
-        let mut sink = BitAtATime(RangeEncoder::new());
+        let data = enc.finish();
+        let mut dec = RangeDecoder::new(&data);
         let mut model = BitModel::new();
+        let mut sum = 0u64;
+        for s in &depth_symbols {
+            sum += match *s {
+                Symbol::Ctx(_) => dec.decode_bit(&mut model) as u64,
+                Symbol::Bits(_, n) => dec.decode_bits(n) as u64,
+                Symbol::Ue(_) => dec.decode_ue_bypass() as u64,
+                Symbol::Bypass(_) => dec.decode_bypass() as u64,
+            };
+        }
+        (data.len(), sum)
+    };
+    let replay_range_coded = || {
+        let mut enc = RangeCodedBypass::new();
         for s in &depth_symbols {
             match *s {
-                Symbol::Ctx(bit) => sink.ctx(&mut model, bit),
-                Symbol::Bits(v, n) => sink.bits(v, n),
-                Symbol::Ue(v) => sink.ue(v),
-                Symbol::Bypass(bit) => sink.bypass(bit),
+                Symbol::Ctx(bit) => enc.ctx(bit),
+                Symbol::Bits(v, n) => enc.bits(v as u64, n),
+                Symbol::Ue(v) => enc.ue(v),
+                Symbol::Bypass(bit) => enc.bits(bit as u64, 1),
             }
         }
-        sink.0.finish()
+        let data = enc.finish();
+        let mut dec = RangeCodedBypassReader::new(&data);
+        let mut sum = 0u64;
+        for s in &depth_symbols {
+            sum += match *s {
+                Symbol::Ctx(_) => dec.ctx() as u64,
+                Symbol::Bits(_, n) => dec.bits(n) as u64,
+                Symbol::Ue(_) => dec.ue() as u64,
+                Symbol::Bypass(_) => dec.bits(1) as u64,
+            };
+        }
+        (data.len(), sum)
     };
+    let want: u64 = depth_symbols
+        .iter()
+        .map(|s| match *s {
+            Symbol::Ctx(bit) | Symbol::Bypass(bit) => bit as u64,
+            Symbol::Bits(v, _) | Symbol::Ue(v) => v as u64,
+        })
+        .sum();
+    let (tail_len, tail_sum) = replay_tail();
+    let (range_coded_len, range_coded_sum) = replay_range_coded();
     assert_eq!(
-        replay_runs(),
-        replay_bitwise(),
-        "bypass runs keep the bytes"
+        (tail_sum, range_coded_sum),
+        (want, want),
+        "replays read back"
     );
-    let timed = |f: &dyn Fn() -> Vec<u8>| {
+    // A raw bit costs a bit; a halving of `range` a little more.
+    assert!(
+        tail_len <= range_coded_len + 1,
+        "{tail_len} against {range_coded_len} B"
+    );
+    let timed = |f: &dyn Fn() -> (usize, u64)| {
         let t0 = Instant::now();
         black_box(f());
         t0.elapsed().as_nanos() as f64
     };
-    let (run_fast, run_ref) = best_of_pair(|| timed(&replay_runs), || timed(&replay_bitwise));
+    let (raw_fast, raw_ref) = best_of_pair(|| timed(&replay_tail), || timed(&replay_range_coded));
 
     (
         KernelPoint {
@@ -1352,10 +1559,10 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
             gated: true,
         },
         KernelPoint {
-            name: "bypass_run",
-            unit: "per bypass bit, one depth frame's symbols replayed, best of 7",
-            fast_ns: run_fast / bypass_bits as f64,
-            ref_ns: run_ref / bypass_bits as f64,
+            name: "raw_bits",
+            unit: "per bypass bit, one depth frame's symbols written and read back, vs range-coded bypass, best of 7",
+            fast_ns: raw_fast / bypass_bits as f64,
+            ref_ns: raw_ref / bypass_bits as f64,
             gated: true,
         },
     )
@@ -1366,7 +1573,7 @@ pub fn run() -> Vec<KernelPoint> {
     let (dct_f, dct_i) = bench_dct();
     let (dct_f_avx2, dct_i_avx2) = bench_dct_avx2();
     let (reconstruct, voxel_downsample) = bench_receiver();
-    let (encode_inter_static, decode_inter_static, bypass_run) = bench_inter_static();
+    let (encode_inter_static, decode_inter_static, raw_bits) = bench_inter_static();
     vec![
         bench_cull(),
         dct_f,
@@ -1380,7 +1587,7 @@ pub fn run() -> Vec<KernelPoint> {
         voxel_downsample,
         encode_inter_static,
         decode_inter_static,
-        bypass_run,
+        raw_bits,
     ]
 }
 
@@ -1406,7 +1613,7 @@ pub fn text(points: &[KernelPoint]) -> String {
             if p.gated { "" } else { " [not gated]" }
         ));
     }
-    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, and the\nencode_inter_static, decode_inter_static and bypass_run ones the inter\ncoder before static macroblocks took the copy path, kept in\nkernels_bench.rs only.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the raw_bits one the range\ncoder while bypass bits went through it, kept in kernels_bench.rs only.\n");
     s
 }
 

@@ -21,7 +21,7 @@
 //!
 //! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, receiver
 //! reconstruct and voxel downsample, one static-scene inter frame each way,
-//! bypass runs) against the implementations they replaced, plus the AVX2
+//! the raw-bit tail) against the implementations they replaced, plus the AVX2
 //! dispatch tier of DCT and SAD against its SSE2/scalar baseline;
 //! `--json <path>` snapshots it (schema `livo-bench-kernels-v1`, committed
 //! as BENCH_kernels.json) and `--gate` exits non-zero if any gated

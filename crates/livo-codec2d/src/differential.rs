@@ -1,6 +1,7 @@
 //! Differential tests for the inter-frame coder: the plan, entropy and
 //! slice-decode bodies as they stood before static macroblocks took the
-//! copy path and bypass bits were coded in runs, written out as oracles.
+//! copy path, with every bypass field pushed one bit at a time (which is
+//! what defines the order of the raw-bit tail), written out as oracles.
 //! The product must match them byte for byte — bitstream, reconstruction,
 //! block counts and decoder output — at every pool size.
 

@@ -1,9 +1,26 @@
-//! Adaptive binary range coder (the entropy-coding stage).
+//! Adaptive binary range coder and raw-bit tail (the entropy-coding stage).
 //!
 //! An LZMA-style byte-oriented range coder with adaptive binary contexts —
 //! functionally the same family as H.265's CABAC. Probabilities are 12-bit;
-//! contexts adapt with shift-5 exponential updates. "Bypass" bits encode at
-//! a fixed probability of ½ for sign bits and raw value bits.
+//! contexts adapt with shift-5 exponential updates.
+//!
+//! "Bypass" bits (signs, raw value bits, exp-Golomb magnitudes) are
+//! incompressible by definition, so they do not go through the arithmetic
+//! coder at all: one payload is two streams growing toward each other (the
+//! Opus / CELT `ec_enc_bits` layout).
+//!
+//! ```text
+//! payload:  | range-coder bytes  → … | … ←  raw-bit tail |
+//!           first byte                          last byte
+//! ```
+//!
+//! The raw bits are the bypass symbols in the order they were coded, a
+//! field being its bits MSB first; bit `i` of that sequence is bit
+//! `7 − i % 8` of the payload's byte `len − 1 − i / 8`, and the last tail
+//! byte is padded with zeros. Whoever frames the payload (the slice table,
+//! a length prefix) already says where it ends, so the tail needs no length
+//! field of its own: `finish().len()` is the range coder's bytes plus
+//! `⌈raw bits / 8⌉`.
 
 /// Total probability scale (12 bits).
 const PROB_BITS: u32 = 12;
@@ -50,6 +67,12 @@ pub struct RangeEncoder {
     cache: u8,
     cache_size: u64,
     out: Vec<u8>,
+    /// Raw-bit tail in coding order; `finish` reverses it into place.
+    tail: Vec<u8>,
+    /// The last `raw_bits < 32` raw bits, not yet in `tail`, in the low
+    /// bits (older ones above them are stale).
+    raw: u64,
+    raw_bits: u32,
 }
 
 impl Default for RangeEncoder {
@@ -66,6 +89,9 @@ impl RangeEncoder {
             cache: 0,
             cache_size: 1,
             out: Vec::new(),
+            tail: Vec::new(),
+            raw: 0,
+            raw_bits: 0,
         }
     }
 
@@ -102,87 +128,75 @@ impl RangeEncoder {
         }
     }
 
-    /// Encode one bit at fixed probability ½ (no context).
+    /// Append one raw bit to the tail.
     #[inline]
     pub fn encode_bypass(&mut self, bit: bool) {
-        self.range >>= 1;
-        if bit {
-            self.low += self.range as u64;
-        }
-        while self.range < TOP {
-            self.range <<= 8;
-            self.shift_low();
-        }
+        self.encode_bits(bit as u32, 1);
     }
 
-    /// Encode `nbits` raw bits of `value`, MSB first.
+    /// Append the low `nbits ≤ 32` bits of `value` to the tail, MSB first.
+    #[inline]
     pub fn encode_bits(&mut self, value: u32, nbits: u32) {
-        self.encode_bypass_run(value as u64, nbits);
+        debug_assert!(nbits <= 32);
+        self.raw = (self.raw << nbits) | (value as u64 & ((1 << nbits) - 1));
+        self.raw_bits += nbits;
+        if self.raw_bits >= 32 {
+            self.raw_bits -= 32;
+            let word = (self.raw >> self.raw_bits) as u32;
+            self.tail.extend_from_slice(&word.to_be_bytes());
+        }
     }
 
-    /// Encode an unsigned value with order-0 exponential-Golomb in bypass
-    /// mode (prefix + suffix); good for rare large magnitudes.
+    /// Append an unsigned value as order-0 exponential-Golomb raw bits
+    /// (prefix + suffix); good for rare large magnitudes.
+    #[inline]
     pub fn encode_ue_bypass(&mut self, value: u32) {
         let v = value + 1;
         let nbits = 32 - v.leading_zeros();
-        // `nbits - 1 ≥ 0` zeros, the leading one of `v`, then its
-        // `nbits - 1` low bits: `v` itself, written `2·nbits − 1` wide.
-        self.encode_bypass_run(v as u64, 2 * nbits - 1);
-    }
-
-    /// The low `nbits ≤ 64` bits of `value` as bypass bits, MSB first, a
-    /// renormalisation interval at a time. [`encode_bypass`] renormalises
-    /// only when a halving takes `range` below `TOP`, which from a `range`
-    /// of bit length `25 + k` is the `k + 1`-th halving; until then the
-    /// bits only add to `low`. So a run of up to `8 − leading_zeros(range)`
-    /// bits is `low += Σ bitᵢ·(range ≫ i)`, one shift of `range` and at
-    /// most one `shift_low` — the same additions in the same order, hence
-    /// the same bytes. The sum is not `(range ≫ k)·value`: each halving
-    /// truncates, so the addends are not shifts of one another.
-    ///
-    /// [`encode_bypass`]: RangeEncoder::encode_bypass
-    fn encode_bypass_run(&mut self, value: u64, nbits: u32) {
-        let mut left = nbits;
-        while left > 0 {
-            let run = (8 - self.range.leading_zeros()).min(left);
-            left -= run;
-            let bits = value >> left;
-            for i in 1..=run {
-                // All-ones when bit `run − i` of the run is set.
-                let mask = ((bits >> (run - i)) & 1).wrapping_neg();
-                self.low += (self.range >> i) as u64 & mask;
-            }
-            self.range >>= run;
-            if self.range < TOP {
-                self.range <<= 8;
-                self.shift_low();
-            }
+        // `nbits - 1` zeros, the leading one of `v`, then its `nbits - 1`
+        // low bits: `v` itself, written `2·nbits − 1` wide.
+        if nbits > 16 {
+            self.encode_bits(0, nbits - 1);
+            self.encode_bits(v, nbits);
+        } else {
+            self.encode_bits(v, 2 * nbits - 1);
         }
     }
 
-    /// Flush and return the bitstream.
+    /// Flush both streams and return the payload: the range coder's bytes,
+    /// then the tail, last byte first.
     pub fn finish(mut self) -> Vec<u8> {
         for _ in 0..5 {
             self.shift_low();
         }
+        // The `raw_bits < 32` pending bits left-aligned in a word, the stale
+        // ones above them cut off; the padding is zeros.
+        let pending = (self.raw << (32 - self.raw_bits)) as u32;
+        let bytes = self.raw_bits.div_ceil(8) as usize;
+        self.tail.extend_from_slice(&pending.to_be_bytes()[..bytes]);
+        self.out.extend(self.tail.iter().rev());
         self.out
-    }
-
-    /// Bytes produced so far (excluding unflushed state). Useful for rate
-    /// accounting mid-encode.
-    pub fn bytes_written(&self) -> usize {
-        self.out.len()
     }
 }
 
-/// The decoding half. Must see the exact byte stream produced by
-/// [`RangeEncoder::finish`] and consume bits with identical context usage.
+/// The decoding half. Must see the exact payload produced by
+/// [`RangeEncoder::finish`] and consume symbols in the order they were
+/// coded, context bits with identical context usage.
+///
+/// Both streams are total on any bytes: the range coder reads zeros past
+/// the payload's last byte and the tail reads zeros past its first. Neither
+/// looks at how far the other has come — on a payload an encoder wrote they
+/// never meet (the range decoder consumes exactly the bytes the range
+/// encoder flushed), and on any other the bytes read twice are garbage like
+/// the rest.
 #[derive(Debug)]
 pub struct RangeDecoder<'a> {
     code: u32,
     range: u32,
     input: &'a [u8],
     pos: usize,
+    /// Raw bits read from the tail so far.
+    raw_pos: usize,
 }
 
 impl<'a> RangeDecoder<'a> {
@@ -192,6 +206,7 @@ impl<'a> RangeDecoder<'a> {
             range: u32::MAX,
             input,
             pos: 1,
+            raw_pos: 0,
         };
         // First byte is always 0 (encoder cache priming); the next four seed
         // the code register.
@@ -228,48 +243,45 @@ impl<'a> RangeDecoder<'a> {
         bit
     }
 
-    /// Decode one fixed-probability bit.
+    /// The raw bits from `raw_pos` on, next one in the MSB; at least 57 are
+    /// there, zeros below them. A little-endian load of the eight bytes that
+    /// end with the one holding the next bit is those bits MSB first.
     #[inline]
-    pub fn decode_bypass(&mut self) -> bool {
-        self.range >>= 1;
-        let bit = if self.code >= self.range {
-            self.code -= self.range;
-            true
-        } else {
-            false
+    fn peek_raw(&self) -> u64 {
+        // Payload bytes with raw bits still to read; the next is in the last.
+        let left = self.input.len().saturating_sub(self.raw_pos / 8);
+        let word = match left.checked_sub(8) {
+            Some(start) => {
+                let bytes = self.input[start..left].try_into().expect("eight bytes");
+                u64::from_le_bytes(bytes)
+            }
+            None => self.peek_raw_near_start(left),
         };
-        while self.range < TOP {
-            self.code = (self.code << 8) | self.next_byte() as u32;
-            self.range <<= 8;
-        }
-        bit
+        word << (self.raw_pos % 8)
     }
 
-    /// Decode `nbits` raw bits, MSB first — in runs up to the next
-    /// renormalisation, the mirror of the encoder's bypass runs: the same
-    /// comparisons against the same halvings of `range` as
-    /// [`decode_bypass`](RangeDecoder::decode_bypass) bit by bit, with the
-    /// one renormalisation a run can need made once at its end.
+    /// [`peek_raw`](Self::peek_raw)'s load with fewer than eight bytes
+    /// `left`, the missing ones — before the payload's first — being zeros.
+    #[cold]
+    fn peek_raw_near_start(&self, left: usize) -> u64 {
+        let mut bytes = [0u8; 8];
+        bytes[8 - left..].copy_from_slice(&self.input[..left]);
+        u64::from_le_bytes(bytes)
+    }
+
+    /// Read one raw bit from the tail.
+    #[inline]
+    pub fn decode_bypass(&mut self) -> bool {
+        self.decode_bits(1) != 0
+    }
+
+    /// Read `nbits ≤ 32` raw bits from the tail, MSB first.
+    #[inline]
     pub fn decode_bits(&mut self, nbits: u32) -> u32 {
-        let mut v = 0u32;
-        let mut left = nbits;
-        while left > 0 {
-            let run = (8 - self.range.leading_zeros()).min(left);
-            left -= run;
-            for i in 1..=run {
-                let half = self.range >> i;
-                let bit = self.code >= half;
-                if bit {
-                    self.code -= half;
-                }
-                v = (v << 1) | bit as u32;
-            }
-            self.range >>= run;
-            if self.range < TOP {
-                self.code = (self.code << 8) | self.next_byte() as u32;
-                self.range <<= 8;
-            }
-        }
+        debug_assert!(nbits <= 32);
+        // Two shifts, so that a width of 0 is not a shift by 64.
+        let v = (self.peek_raw() >> 1 >> (63 - nbits)) as u32;
+        self.raw_pos += nbits as usize;
         v
     }
 
@@ -278,16 +290,13 @@ impl<'a> RangeDecoder<'a> {
     /// prefix a legal encode can produce (32) instead of panicking — the
     /// resulting garbage value flows into the callers' range clamps and the
     /// frame fails or decodes to noise, but the decoder never aborts.
+    #[inline]
     pub fn decode_ue_bypass(&mut self) -> u32 {
-        let mut nbits = 1u32;
-        while !self.decode_bypass() {
-            if nbits == 32 {
-                break;
-            }
-            nbits += 1;
-        }
-        // The leading one, then the `nbits - 1` suffix bits as one field.
-        let v = (1u32 << (nbits - 1)) | self.decode_bits(nbits - 1);
+        // The prefix ends with its first one, or unterminated at 32 bits.
+        let zeros = self.peek_raw().leading_zeros().min(31);
+        self.raw_pos += zeros as usize + 1;
+        // The leading one, then as many suffix bits as the prefix had zeros.
+        let v = (1u32 << zeros) | self.decode_bits(zeros);
         v - 1
     }
 }
@@ -423,8 +432,8 @@ mod tests {
     }
 
     /// A script of context bits, raw fields of every width and exp-Golomb
-    /// values, drawn so that the fields start from many different `range`
-    /// states (the context bits in between move it).
+    /// values, the context bits in between moving the range coder while the
+    /// fields land on every bit offset of the tail.
     enum Sym {
         Ctx(usize, bool),
         Bits(u32, u32),
@@ -453,8 +462,28 @@ mod tests {
         script
     }
 
+    /// Everything an encoder holds: the range coder's registers and how far
+    /// the tail has come, pending bits included.
+    fn encoder_state(e: &RangeEncoder) -> (u64, u32, usize, usize, u64, u32) {
+        let pending = e.raw & ((1 << e.raw_bits) - 1);
+        (
+            e.low,
+            e.range,
+            e.out.len(),
+            e.tail.len(),
+            pending,
+            e.raw_bits,
+        )
+    }
+
+    fn decoder_state(d: &RangeDecoder<'_>) -> (u32, u32, usize, usize) {
+        (d.code, d.range, d.pos, d.raw_pos)
+    }
+
+    /// A field writes the bytes of its bits pushed one at a time, and reads
+    /// back in step.
     #[test]
-    fn bypass_runs_write_the_bytes_of_bit_at_a_time_coding() {
+    fn raw_fields_write_the_bytes_of_bit_at_a_time_coding() {
         use crate::differential::{encode_bits_oracle, encode_ue_oracle};
         for seed in 0..8 {
             let script = bypass_script(seed);
@@ -477,11 +506,7 @@ mod tests {
                         encode_ue_oracle(&mut slow, v);
                     }
                 }
-                assert_eq!(
-                    (fast.low, fast.range),
-                    (slow.low, slow.range),
-                    "seed {seed}"
-                );
+                assert_eq!(encoder_state(&fast), encoder_state(&slow), "seed {seed}");
             }
             let data = fast.finish();
             assert_eq!(data, slow.finish(), "seed {seed}");
@@ -507,19 +532,19 @@ mod tests {
                         assert_eq!(crate::differential::decode_ue_oracle(&mut slow), v);
                     }
                 }
-                assert_eq!(
-                    (fast.code, fast.range, fast.pos),
-                    (slow.code, slow.range, slow.pos),
-                    "seed {seed}"
-                );
+                assert_eq!(decoder_state(&fast), decoder_state(&slow), "seed {seed}");
             }
+            // Every byte was somebody's: the range decoder stopped where the
+            // tail decoder's last byte begins.
+            assert_eq!(fast.pos + fast.raw_pos.div_ceil(8), data.len());
         }
     }
 
-    /// On bytes no encoder wrote, the run decoder still walks the states
-    /// of the bit-at-a-time one.
+    /// On bytes no encoder wrote — short, empty, constant, random — a field
+    /// still reads what its bits read one at a time would, and both streams
+    /// go on into zeros.
     #[test]
-    fn bypass_runs_decode_garbage_like_bit_at_a_time_decoding() {
+    fn raw_fields_decode_garbage_like_bit_at_a_time_decoding() {
         use crate::differential::{decode_bits_oracle, decode_ue_oracle};
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for trial in 0..200 {
@@ -550,12 +575,103 @@ mod tests {
                     }
                     _ => assert_eq!(fast.decode_ue_bypass(), decode_ue_oracle(&mut slow)),
                 }
+                assert_eq!(decoder_state(&fast), decoder_state(&slow), "trial {trial}");
+            }
+        }
+    }
+
+    #[test]
+    fn payload_is_the_range_coder_bytes_then_the_raw_bits_rounded_up() {
+        for seed in 0..8 {
+            let script = bypass_script(seed);
+            // Cut the script at many lengths so every padding 0..=7 occurs.
+            for cut in [0, 1, 2, 3, 5, 8, 13, 40, 333, script.len()] {
+                let mut both = RangeEncoder::new();
+                let mut front = RangeEncoder::new();
+                let mut both_models = [BitModel::new(); 4];
+                let mut front_models = [BitModel::new(); 4];
+                let mut raw_bits = 0usize;
+                for sym in &script[..cut] {
+                    match *sym {
+                        Sym::Ctx(c, bit) => {
+                            both.encode_bit(&mut both_models[c], bit);
+                            front.encode_bit(&mut front_models[c], bit);
+                        }
+                        Sym::Bits(v, n) => {
+                            both.encode_bits(v, n);
+                            raw_bits += n as usize;
+                        }
+                        Sym::Ue(v) => {
+                            both.encode_ue_bypass(v);
+                            raw_bits += 2 * (32 - (v + 1).leading_zeros()) as usize - 1;
+                        }
+                    }
+                }
+                let (both, front) = (both.finish(), front.finish());
+                // No length field, under a byte of padding, and the front is
+                // what the range coder writes when there is no tail at all.
+                assert_eq!(both.len(), front.len() + raw_bits.div_ceil(8));
+                assert_eq!(both[..front.len()], front[..]);
+                if raw_bits % 8 != 0 {
+                    let padding = both[front.len()] & (0xFF >> (raw_bits % 8));
+                    assert_eq!(padding, 0, "seed {seed} cut {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_starts_at_the_last_byte_msb_first() {
+        let mut enc = RangeEncoder::new();
+        enc.encode_bypass(true);
+        enc.encode_bits(0b0110, 4);
+        enc.encode_ue_bypass(4); // 00101
+        enc.encode_bits(0xABCD, 16);
+        let data = enc.finish();
+        assert_eq!(data.len(), 5 + 4);
+        // 1 0110 00101 1010101111001101, cut into bytes from the first bit
+        // on and padded: 10110001 01101010 11110011 01(000000).
+        assert_eq!(
+            data[5..],
+            [0b0100_0000, 0b1111_0011, 0b0110_1010, 0b1011_0001]
+        );
+    }
+
+    #[test]
+    fn both_streams_read_zeros_past_their_end() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for trial in 0..60 {
+            let len = [0, 1, 4, 5, 7, 8, 9, 40][trial % 8];
+            let data: Vec<u8> = match trial % 3 {
+                0 => vec![0x00; len],
+                1 => vec![0xFF; len],
+                _ => (0..len).map(|_| rng.gen()).collect(),
+            };
+            // The range coder cannot tell a payload from one with zeros after
+            // it, nor the tail from one with zeros before it.
+            let mut after = data.clone();
+            after.extend_from_slice(&[0; 24]);
+            let mut before = vec![0u8; 24];
+            before.extend_from_slice(&data);
+            let (mut a, mut a_long) = (RangeDecoder::new(&data), RangeDecoder::new(&after));
+            let (mut model, mut model_long) = (BitModel::new(), BitModel::new());
+            for _ in 0..(len + 16) * 8 {
                 assert_eq!(
-                    (fast.code, fast.range, fast.pos),
-                    (slow.code, slow.range, slow.pos),
+                    a.decode_bit(&mut model),
+                    a_long.decode_bit(&mut model_long),
                     "trial {trial}"
                 );
             }
+            let (mut b, mut b_long) = (RangeDecoder::new(&data), RangeDecoder::new(&before));
+            while b.raw_pos < (len + 16) * 8 {
+                let n = rng.gen_range(0..=32u32);
+                assert_eq!(b.decode_bits(n), b_long.decode_bits(n), "trial {trial}");
+                assert_eq!(b.decode_ue_bypass(), b_long.decode_ue_bypass());
+            }
+            // And past the payload's first byte there is nothing but zeros.
+            assert_eq!(b.decode_bits(32), 0);
+            assert!(!b.decode_bypass());
+            assert_eq!(b.decode_ue_bypass(), (1u32 << 31) - 1);
         }
     }
 

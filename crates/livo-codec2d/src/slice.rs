@@ -18,9 +18,26 @@
 //! bytes 5-6     height, u16 little-endian
 //! byte 7        slice count S (1..=mb rows)
 //! ...next 4S    payload length of each slice, u32 little-endian
-//! ...           S concatenated slice payloads (independent range-coder
-//!               streams, byte-aligned)
+//! ...           S concatenated slice payloads (independent, byte-aligned)
+//!
+//! one payload:  | range-coder bytes → … | … ← raw-bit tail |
+//!               first byte                         last byte
 //! ```
+//!
+//! A payload is two streams ([`crate::rangecoder`]). Context-coded bits go
+//! through the range coder, from the payload's first byte forward. Bypass
+//! bits (signs, `last` positions, exp-Golomb magnitudes and vector
+//! differences) are written verbatim from its last byte backward, in the
+//! order they were coded, a field MSB first: raw bit `i` is bit
+//! `7 − i % 8` of byte `len − 1 − i / 8`, zeros padding the byte nearest
+//! the range coder. The length table above is what tells the tail reader
+//! where to start, so the tail has no length field and costs under one
+//! byte of padding per slice; where it ends nobody needs to know, because
+//! the range decoder reads exactly the bytes the range encoder wrote. Both
+//! readers are total — zeros past the payload's last byte for the one,
+//! past its first for the other, neither looking at the other — so a
+//! damaged payload, or a table that cuts a tail short, decodes to garbage
+//! of the right shape.
 //!
 //! Slice geometry is a pure function of `(height, S)` — *never* of the
 //! worker-pool size — so the bitstream is identical no matter how many

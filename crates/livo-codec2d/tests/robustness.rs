@@ -512,7 +512,77 @@ fn copy_path_sends_extreme_corner_vectors_through_the_clamp() {
     }
 }
 
-/// The SIMD tier is fixed when a process first asks for it, so the two
+/// Each slice payload ends in its raw-bit tail, read from the last byte
+/// backward with nothing but the slice table saying where that is. Shorten a
+/// payload (table rewritten to match, so the container is well formed) or
+/// flip bits at its back, and the slice decodes different symbols — a frame
+/// of the right shape all the same, and a receiver that carries on.
+#[test]
+fn raw_bit_tail_survives_cuts_and_bit_flips() {
+    for &(w, h, format, slices, still) in &[
+        (72usize, 56usize, PixelFormat::Yuv420, 0u8, true),
+        (72, 56, PixelFormat::Y16, 0, false),
+        (96, 136, PixelFormat::Yuv420, 2, false),
+        (80, 96, PixelFormat::Y16, 4, true),
+    ] {
+        let mut cfg = EncoderConfig::new(w, h, format);
+        cfg.slices = slices;
+        let mut enc = Encoder::new(cfg);
+        let streams: Vec<Vec<u8>> = (0..4)
+            .map(|t| {
+                let frame = if still {
+                    still_frame(w, h, format)
+                } else {
+                    pattern_frame(w, h, format, t)
+                };
+                enc.encode_fixed_qp(&frame, 28).data
+            })
+            .collect();
+        // Frames 0..victim as sent, the damaged one, then the rest.
+        let receive = |victim: usize, bad: &[u8]| {
+            let mut dec = Decoder::new();
+            for good in &streams[..victim] {
+                dec.decode(good).expect("own stream decodes");
+            }
+            let out = dec.decode(bad).expect("header and slice table are intact");
+            assert_eq!((out.width, out.height, out.format), (w, h, format));
+            for later in &streams[victim + 1..] {
+                dec.decode(later)
+                    .expect("own stream decodes on any reference");
+            }
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(w as u64 * 37 + h as u64);
+        for victim in 1..streams.len() {
+            let data = &streams[victim];
+            let n_slices = data[7] as usize;
+            let mut start = 8 + 4 * n_slices;
+            for si in 0..n_slices {
+                let entry = 8 + 4 * si;
+                let len = u32::from_le_bytes(data[entry..entry + 4].try_into().unwrap()) as usize;
+                let end = start + len;
+                // Down to the shortest payload the slice table admits.
+                for cut in (1..=len - 5).take(24).chain([len - 5]) {
+                    let mut bad = data[..end - cut].to_vec();
+                    bad.extend_from_slice(&data[end..]);
+                    bad[entry..entry + 4].copy_from_slice(&((len - cut) as u32).to_le_bytes());
+                    receive(victim, &bad);
+                }
+                let back = len.div_ceil(4);
+                for _ in 0..40 {
+                    let mut bad = data.clone();
+                    for _ in 0..rng.gen_range(1..6) {
+                        bad[end - 1 - rng.gen_range(0..back)] ^= 1 << rng.gen_range(0..8);
+                    }
+                    receive(victim, &bad);
+                }
+                start = end;
+            }
+            assert_eq!(start, data.len());
+        }
+    }
+}
+
+/// The SIMD tier is fixed when a process first asks for it, so the three
 /// cases above run once more in a child capped to the scalar tier.
 #[test]
 fn copy_path_cases_hold_on_the_scalar_tier() {
@@ -526,12 +596,13 @@ fn copy_path_cases_hold_on_the_scalar_tier() {
             "--exact",
             "copy_path_survives_bit_flips_in_static_inter_frames",
             "copy_path_sends_extreme_corner_vectors_through_the_clamp",
+            "raw_bit_tail_survives_cuts_and_bit_flips",
         ])
         .output()
         .expect("re-run the test binary");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        out.status.success() && stdout.contains("2 passed"),
+        out.status.success() && stdout.contains("3 passed"),
         "scalar-tier run failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );

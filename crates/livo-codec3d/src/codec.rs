@@ -249,6 +249,11 @@ impl DracoDecoder {
             return Err(BadStream("bbox"));
         }
         let n = dec.decode_bits(32) as usize;
+        // Every point costs at least its three colour deltas of one bit
+        // each; a count the stream cannot hold must not size an allocation.
+        if n > data.len() * 8 / 3 {
+            return Err(BadStream("point count"));
+        }
 
         // Rebuild occupancy depth-first, collecting leaf Morton codes in
         // order (the same order the encoder walked).
@@ -502,6 +507,24 @@ mod tests {
         // Truncated stream decodes some junk but must not panic or hang.
         let half = &enc.data[..enc.data.len() / 2];
         let _ = DracoDecoder::decode(half);
+        // A well-formed header that promises more points than the stream has
+        // bits for: an error, not a 32 GiB allocation.
+        let mut header = RangeEncoder::new();
+        header.encode_bits(MAGIC, 8);
+        header.encode_bits(11, 5);
+        header.encode_bits(7, 4);
+        header.encode_bits(8, 4);
+        for v in [0.0f32, 0.0, 0.0, 1.0] {
+            header.encode_bits(v.to_bits(), 32);
+        }
+        header.encode_bits(u32::MAX, 32);
+        let header = header.finish();
+        assert_eq!(header.len(), 5 + 23);
+        assert_eq!(
+            DracoDecoder::decode(&header).err(),
+            Some(BadStream("point count"))
+        );
+        assert!(DracoDecoder::decode(&[0xFFu8; 64]).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # (schema livo-bench-kernels-v1) comparing each optimised kernel — cull,
 # forward/inverse DCT and SAD with their AVX2 tiers, sliced decode,
 # receiver reconstruct and voxel downsample, one static-scene inter frame
-# encoded and decoded, bypass runs — against the implementation it
+# encoded and decoded, the raw-bit tail — against the implementation it
 # replaced (retained in-tree, or written out in kernels_bench.rs). `--gate`
 # makes the run fail if any gated kernel regressed below 1.0x.
 #
