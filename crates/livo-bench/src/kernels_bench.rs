@@ -1,7 +1,7 @@
 //! Hot-kernel microbenchmarks: the optimised per-frame kernels against the
 //! reference implementations they replaced.
 //!
-//! Each kernel keeps its pre-optimisation form in-tree (`cull_views_reference`,
+//! Each kernel keeps its pre-optimisation form in-tree (`cull_views_union_reference`,
 //! `dct::forward_ref`/`inverse_ref`, `motion::sad_ref`), both as the oracle
 //! of the differential tests and as the baseline here — so the reported
 //! speedups measure the actual replacement, on the actual machine, not a
@@ -38,8 +38,9 @@ use livo_codec2d::plane::write_block8_into_stripe;
 use livo_codec2d::quant::{self, DC_SCALE};
 use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
+use livo_core::cull::cull_views_union_reference;
 use livo_core::tile::{compose_color, compose_depth, TileLayout};
-use livo_core::{cull_views, cull_views_reference, reconstruct_point_cloud, DepthCodec};
+use livo_core::{cull_views, reconstruct_point_cloud, DepthCodec};
 use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec3};
 use livo_pointcloud::{Point, PointCloud, VoxelGrid};
 use livo_runtime::WorkerPool;
@@ -168,7 +169,11 @@ fn bench_cull() -> KernelPoint {
         },
         || {
             let mut v = views.clone();
-            black_box(cull_views_reference(&mut v, &cameras, &frustum));
+            black_box(cull_views_union_reference(
+                &mut v,
+                &cameras,
+                std::slice::from_ref(&frustum),
+            ));
         },
     );
     let mut clone_ns = Vec::with_capacity(REPS);
@@ -1613,7 +1618,7 @@ pub fn text(points: &[KernelPoint]) -> String {
             if p.gated { "" } else { " [not gated]" }
         ));
     }
-    s.push_str("\nReferences stay in-tree (cull_views_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the raw_bits one the range\ncoder while bypass bits went through it, kept in kernels_bench.rs only.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_union_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the raw_bits one the range\ncoder while bypass bits went through it, kept in kernels_bench.rs only.\n");
     s
 }
 

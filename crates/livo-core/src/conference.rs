@@ -2,38 +2,40 @@
 //!
 //! This is the replay harness of §4.1 of the paper: RGB-D frames are
 //! produced at 30 fps (here: rendered from a scene preset), fed through the
-//! LiVo sender (cull → tile → depth-encode → rate-adaptive 2D encode),
-//! transmitted over the emulated WebRTC session against a bandwidth trace,
-//! decoded, reconstructed and "displayed" at the receiver, whose pose
-//! follows a user trace. Config flags turn off culling (LiVo-NoCull),
-//! adaptation (LiVo-NoAdapt), pin a static split (Figs. 18–19), switch the
-//! depth encoding (Fig. 17), or use oracle frustums (§4.5).
+//! LiVo sender ([`SenderStage`]: cull → tile → depth-encode → rate-adaptive
+//! 2D encode), transmitted over the emulated WebRTC session against a
+//! bandwidth trace, decoded and paired ([`ReceiverStage`]), reconstructed
+//! and "displayed" at the receiver, whose pose follows a user trace. Config
+//! flags turn off culling (LiVo-NoCull), adaptation (LiVo-NoAdapt), pin a
+//! static split (Figs. 18–19) or switch the depth encoding (Fig. 17).
 //!
 //! Everything runs in virtual time; wall-clock is only measured to report
 //! per-component processing latency (Table 6).
 
-use crate::cull::{CullContext, CullStats};
-use crate::depth::{depth_mse_mm, DepthCodec, DepthEncoding};
+use crate::depth::{DepthCodec, DepthEncoding};
 use crate::frustum_pred::FrustumPredictor;
 use crate::reconstruct::{prepare_for_render, reconstruct_point_cloud};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
-use crate::tile::{compose_color, compose_depth, read_seq, write_seq, TileLayout};
+use crate::stage::{
+    FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS,
+    RENDER_VOXEL_M,
+};
+use crate::tile::TileLayout;
 use bytes::Bytes;
 use livo_bond::{BondConfig, BondScenario};
 use livo_capture::{
-    datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, RgbdFrame, UserTrace,
-    VideoId,
+    datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, UserTrace, VideoId,
 };
-use livo_codec2d::{Decoder, Encoder, EncoderConfig, Frame, PixelFormat};
+use livo_codec2d::{Frame, FrameType};
 use livo_math::FrustumParams;
 use livo_pointcloud::{pssim, PointCloud, PssimConfig, PssimScore};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace, TraceEvent, NO_FRAME};
 use livo_telemetry::{
-    log_event, stage, AnomalyConfig, FlightBundle, FlightRecorder, FrameTimeline,
-    FrameTimelineRecord, Level, MetricsRegistry, RegistrySnapshot, TelemetrySpan,
+    log_event, stage, AnomalyConfig, Counter, FlightBundle, FlightRecorder, FrameTimeline,
+    FrameTimelineRecord, Gauge, Histogram, Level, MetricsRegistry, RegistrySnapshot,
 };
-use livo_transport::{Micros, RtcSession, SessionConfig, StreamId};
+use livo_transport::{Micros, RtcSession, SessionConfig, SessionStats, StreamId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,15 +52,10 @@ pub struct ConferenceConfig {
     pub fps: u32,
     /// Sender-side predictive culling (off = LiVo-NoCull).
     pub cull: bool,
-    /// Direct rate adaptation (off = LiVo-NoAdapt, fixed QPs below).
+    /// Direct rate adaptation (off = LiVo-NoAdapt, the fixed QPs of
+    /// [`NOADAPT_QPS`]).
     pub adapt: bool,
-    pub fixed_color_qp: u8,
-    pub fixed_depth_qp: u8,
     pub depth_encoding: DepthEncoding,
-    /// Frustum guard band ε in metres.
-    pub guard_m: f32,
-    /// Use the receiver's *true* pose for culling (perfect-culling oracle).
-    pub perfect_cull: bool,
     pub splitter: SplitterConfig,
     /// Pin the split to a constant (Figs. 18–19's static splits).
     pub static_split: Option<f64>,
@@ -68,14 +65,9 @@ pub struct ConferenceConfig {
     /// link in `session.link` (which is then ignored). Jitter target and
     /// initial estimate still come from `session`.
     pub bond: Option<BondScenario>,
-    /// Receiver render voxel size in metres.
-    pub voxel_m: f32,
     /// Compute PSSIM on every n-th display slot (the expensive part; the
     /// paper logs clouds and scores offline).
     pub quality_every: u32,
-    /// Fraction of the bandwidth estimate budgeted to media (headroom for
-    /// packet headers and retransmissions).
-    pub budget_fraction: f64,
     pub user_trace_seed: u64,
     pub user_trace_style: usize,
     /// Causal event tracing (capture→…→display ring buffer). On by
@@ -101,18 +93,12 @@ impl ConferenceConfig {
             fps: 30,
             cull: true,
             adapt: true,
-            fixed_color_qp: 22,
-            fixed_depth_qp: 14,
             depth_encoding: DepthEncoding::ScaledY16,
-            guard_m: 0.2,
-            perfect_cull: false,
             splitter: SplitterConfig::default(),
             static_split: None,
             session: SessionConfig::default(),
             bond: None,
-            voxel_m: 0.03,
             quality_every: 15,
-            budget_fraction: 0.80,
             user_trace_seed: 11,
             user_trace_style: 0,
             trace: true,
@@ -130,6 +116,21 @@ impl ConferenceConfig {
     pub fn builder(video: VideoId) -> ConferenceConfigBuilder {
         ConferenceConfigBuilder {
             cfg: Self::defaults(video),
+        }
+    }
+
+    /// What a frame may spend at bandwidth estimate `estimate_bps`: the media
+    /// share of one frame interval divided by `split` (depth's part), or
+    /// LiVo-NoAdapt's constant quantisers.
+    fn rate(&self, estimate_bps: f64, split: f64) -> Rate {
+        if !self.adapt {
+            let (color, depth) = NOADAPT_QPS;
+            return Rate::FixedQp { color, depth };
+        }
+        let media_budget = estimate_bps * MEDIA_SHARE / self.fps as f64;
+        Rate::Budget {
+            color_bits: (media_budget * (1.0 - split)) as u64,
+            depth_bits: (media_budget * split) as u64,
         }
     }
 }
@@ -158,7 +159,7 @@ impl std::error::Error for InvalidConfig {}
 /// Validating builder for [`ConferenceConfig`], started by
 /// [`ConferenceConfig::builder`]. Every knob defaults to the LiVo
 /// evaluation-scale configuration; [`build`](Self::build) rejects values the
-/// runner cannot execute (zero fps, empty rigs, out-of-range fractions)
+/// runner cannot execute (zero fps, empty rigs, an out-of-range split)
 /// instead of letting them surface as divide-by-zero or empty-layout panics
 /// mid-replay.
 ///
@@ -211,27 +212,8 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Fixed QPs used when adaptation is off.
-    pub fn fixed_qps(mut self, color: u8, depth: u8) -> Self {
-        self.cfg.fixed_color_qp = color;
-        self.cfg.fixed_depth_qp = depth;
-        self
-    }
-
     pub fn depth_encoding(mut self, enc: DepthEncoding) -> Self {
         self.cfg.depth_encoding = enc;
-        self
-    }
-
-    /// Frustum guard band ε in metres (≥ 0).
-    pub fn guard_m(mut self, m: f32) -> Self {
-        self.cfg.guard_m = m;
-        self
-    }
-
-    /// Cull against the receiver's *true* pose (perfect-culling oracle).
-    pub fn perfect_cull(mut self, on: bool) -> Self {
-        self.cfg.perfect_cull = on;
         self
     }
 
@@ -258,21 +240,9 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Receiver render voxel size in metres (> 0).
-    pub fn voxel_m(mut self, m: f32) -> Self {
-        self.cfg.voxel_m = m;
-        self
-    }
-
     /// Compute PSSIM on every n-th display slot (≥ 1).
     pub fn quality_every(mut self, n: u32) -> Self {
         self.cfg.quality_every = n;
-        self
-    }
-
-    /// Fraction of the bandwidth estimate budgeted to media, in `(0, 1]`.
-    pub fn budget_fraction(mut self, f: f64) -> Self {
-        self.cfg.budget_fraction = f;
         self
     }
 
@@ -323,27 +293,15 @@ impl ConferenceConfigBuilder {
         if cfg.fps == 0 {
             return err("fps", "frame rate must be at least 1".into());
         }
-        if cfg.guard_m.is_nan() || cfg.guard_m < 0.0 {
-            return err("guard_m", format!("{} not >= 0", cfg.guard_m));
-        }
         if let Some(s) = cfg.static_split {
             if !(0.0..=1.0).contains(&s) {
                 return err("static_split", format!("{s} not in [0, 1]"));
             }
         }
-        if cfg.voxel_m.is_nan() || cfg.voxel_m <= 0.0 {
-            return err("voxel_m", format!("{} not > 0", cfg.voxel_m));
-        }
         if cfg.quality_every == 0 {
             return err(
                 "quality_every",
                 "sampling interval must be at least 1".into(),
-            );
-        }
-        if cfg.budget_fraction.is_nan() || cfg.budget_fraction <= 0.0 || cfg.budget_fraction > 1.0 {
-            return err(
-                "budget_fraction",
-                format!("{} not in (0, 1]", cfg.budget_fraction),
             );
         }
         if cfg.trace && cfg.trace_capacity == 0 {
@@ -490,530 +448,160 @@ impl ConferenceRunner {
         &self.cfg
     }
 
-    /// Run the replay against the given bandwidth trace.
+    fn pool(&self) -> Arc<WorkerPool> {
+        let given = self.pool.clone();
+        given.unwrap_or_else(|| livo_runtime::global().clone())
+    }
+
+    /// Run the replay against the given bandwidth trace: a driver of the
+    /// two stages on an exact `fps` schedule in virtual time.
+    ///
+    /// The clock is a uniform 1 ms tick. With `due(n) = n·10⁶/fps` µs, frame
+    /// `f` is captured at the first tick at or after `due(f)`, display slot
+    /// `s` is shown at the first at or after `display_start + due(s)`
+    /// whatever happened to the slot before, a frame's age is taken from its
+    /// recorded capture stamp, and the run ends at `due(total_frames)`.
     pub fn run(&self, net_trace: BandwidthTrace) -> RunSummary {
         let cfg = &self.cfg;
-        let frame_interval: Micros = 1_000_000 / cfg.fps as u64;
         let total_frames = (cfg.duration_s * cfg.fps as f32) as u64;
-        let depth_codec = DepthCodec::new(6000, cfg.depth_encoding);
-
-        // Encoders/decoders for the two streams. RGB-packed depth rides the
-        // colour pixel format.
-        let depth_format = match cfg.depth_encoding {
-            DepthEncoding::RgbPacked => PixelFormat::Yuv420,
-            _ => PixelFormat::Y16,
-        };
-        // Open-ended GOP: like the paper's deployment, intra frames are sent
-        // only at start-up and on PLI/FIR (§A.1) — periodic keyframes would
-        // burst above the rate target and cause rhythmic stalls.
-        let mut color_cfg = EncoderConfig::new(
-            self.layout.canvas_w,
-            self.layout.canvas_h,
-            PixelFormat::Yuv420,
-        );
-        color_cfg.gop_length = 0;
-        let mut depth_cfg =
-            EncoderConfig::new(self.layout.canvas_w, self.layout.canvas_h, depth_format);
-        depth_cfg.gop_length = 0;
-        let mut color_enc = Encoder::new(color_cfg);
-        let mut depth_enc = Encoder::new(depth_cfg);
-        let mut color_dec = Decoder::new();
-        let mut depth_dec = Decoder::new();
+        let due = |n: u64| n * 1_000_000 / cfg.fps as u64;
+        // Display starts after the jitter target plus pipeline fill.
+        let display_start = cfg.session.jitter_target + due(3);
 
         // Intra-frame parallelism (capture fan-out, cull rows, encoder
-        // stripes) all runs on the process-wide pool: LIVO_THREADS sized,
-        // serial when 1.
-        let pool_arc = self
-            .pool
-            .clone()
-            .unwrap_or_else(|| livo_runtime::global().clone());
-        let pool = &pool_arc;
-        color_enc.set_worker_pool(pool.clone());
-        depth_enc.set_worker_pool(pool.clone());
-        // Receive side: frames entropy-decode slice-parallel on
-        // the same pool, and the colour/depth lanes decode concurrently.
-        color_dec.set_worker_pool(pool.clone());
-        depth_dec.set_worker_pool(pool.clone());
-
+        // stripes, the two decode lanes) runs on the runner's pool.
+        let pool = self.pool();
         let mut session = match &cfg.bond {
             Some(sc) => BondConfig::from_session(sc.clone(), &cfg.session).build(),
             None => RtcSession::new(net_trace.clone(), cfg.session.clone()),
         };
         let mut splitter = BandwidthSplitter::new(cfg.splitter);
-        let mut predictor = FrustumPredictor::new(FrustumParams::default(), cfg.guard_m);
+        let mut predictor = FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M);
+        let mut sender = SenderStage::new(self.layout, cfg.depth_encoding);
+        let mut receiver = ReceiverStage::new();
+        sender.set_worker_pool(pool.clone());
+        receiver.set_worker_pool(pool.clone());
 
-        // Per-run telemetry: a private registry (runs stay independent and
-        // deterministic) and a frame timeline in virtual session time.
-        let registry = Arc::new(MetricsRegistry::new());
-        let timeline = Arc::new(FrameTimeline::new(total_frames as usize + 16));
-        session.attach_telemetry(&registry, "transport", Some(timeline.clone()));
-        color_enc.attach_telemetry(&registry, "codec.color");
-        depth_enc.attach_telemetry(&registry, "codec.depth");
-        color_dec.attach_telemetry(&registry);
-        depth_dec.attach_telemetry(&registry);
-        // Causal event trace: party 0 is the sender, party 1 the receiver.
-        // The ring is always allocated (so the A/B overhead comparison
-        // exercises the same code path) but records only when enabled.
-        let trace = Arc::new(EventTrace::new(cfg.trace_capacity.max(1)));
-        trace.set_enabled(cfg.trace);
-        session.attach_trace(trace.clone(), 0, 1);
-        color_enc.attach_trace(trace.clone(), 0, "codec.color");
-        depth_enc.attach_trace(trace.clone(), 0, "codec.depth");
-        color_dec.attach_trace(trace.clone(), 1, "codec.color");
-        depth_dec.attach_trace(trace.clone(), 1, "codec.depth");
-        // Flight recorder: armed per cfg.anomaly, fed the trace ring,
-        // registry and timeline as evidence sources.
-        let mut flight = FlightRecorder::new(cfg.anomaly.clone());
-        flight.attach_trace(trace.clone());
-        flight.attach_registry(&registry);
-        flight.attach_timeline(timeline.clone());
-        let flight = flight;
-        // The worker pool reports its queue depth into this run's registry
-        // so the starvation detector sees it.
-        pool.attach_telemetry(&registry, "runtime.pool");
-        let pool_queue = registry.gauge("runtime.pool.queue_depth");
-        // Reusable cull state: per-camera ray tables live across frames, so
-        // steady state shows zero `cull.lut_rebuilds` after the first pass.
-        let mut cull_ctx = CullContext::new();
-        cull_ctx.attach_telemetry(&registry);
-        let capture_hist = registry.histogram("conference.capture_ms");
-        let cull_hist = registry.histogram("conference.cull_ms");
-        let tile_hist = registry.histogram("conference.tile_ms");
-        let encode_hist = registry.histogram("conference.encode_ms");
-        let decode_hist = registry.histogram("conference.decode_ms");
-        let reconstruct_hist = registry.histogram("conference.reconstruct_ms");
-        let render_prep_hist = registry.histogram("conference.render_prep_ms");
-        let keep_hist = registry.histogram("cull.keep_fraction");
-        let split_gauge = registry.gauge("splitter.split");
-        let splitter_steps = registry.counter("splitter.steps");
-        let stall_ctr = registry.counter("display.stalls");
-        let shown_ctr = registry.counter("display.frames_shown");
-        log_event!(
-            Level::Info,
-            "conference",
-            "run start",
-            "video" => format!("{:?}", cfg.video),
-            "cameras" => cfg.n_cameras,
-            "duration_s" => cfg.duration_s as f64,
-            "cull" => cfg.cull,
-            "adapt" => cfg.adapt
-        );
+        let tel = RunTelemetry::new(cfg, total_frames);
+        session.attach_telemetry(&tel.registry, "transport", Some(tel.timeline.clone()));
+        session.attach_trace(tel.trace.clone(), 0, 1);
+        sender.attach_cull_telemetry(&tel.registry);
+        sender.attach_codec_telemetry(&tel.registry);
+        sender.attach_trace(tel.trace.clone(), 0);
+        receiver.attach_telemetry(&tel.registry);
+        receiver.attach_trace(tel.trace.clone(), 1);
+        // The pool reports its queue depth into this run's registry so the
+        // starvation detector sees it.
+        pool.attach_telemetry(&tel.registry, "runtime.pool");
 
-        let mut timings = StageTimings::default();
-        let mut keep_frac_sum = 0.0;
-        let mut keep_frac_n = 0u64;
-        let mut split_sum = 0.0;
-        let mut quality_samples = 0u64;
-
-        // Receiver state: a small reorder window per stream so colour and
-        // depth frames are matched by embedded sequence number even when
-        // the (larger) depth frames complete a beat later (§A.1's
-        // synchronisation step).
-        let mut last_color: std::collections::BTreeMap<u32, Frame> = Default::default();
-        let mut last_depth: std::collections::BTreeMap<u32, Frame> = Default::default();
-        let mut expected_frame: [u64; 2] = [0, 0];
-        let mut need_key = [false, false];
-        let mut displayed_seq: Option<u32> = None;
+        let mut captured_at: Vec<Micros> = Vec::with_capacity(total_frames as usize);
         let mut records: Vec<FrameRecord> = Vec::new();
-        let mut force_key_next = false;
-
-        // Display clock starts after the jitter target plus pipeline fill.
-        let display_start: Micros = cfg.session.jitter_target + 3 * frame_interval;
-        let mut next_display: Micros = display_start;
-        let mut slot: u64 = 0;
-        // Time the display last advanced; a stall's length is measured
-        // from here (first slot counts from the nominal display start).
-        let mut last_shown_us: Micros = display_start;
-
+        let mut displayed_seq: Option<u32> = None;
+        // Time the display last advanced; a stall's length is measured from
+        // here (the first slot counts from the nominal display start).
+        let mut last_shown_us = display_start;
+        let mut force_key = false;
+        let mut split_sum = 0.0;
         let mut now: Micros = 0;
-        for frame_idx in 0..total_frames {
-            let t_s = frame_idx as f32 / cfg.fps as f32;
+        while now < due(total_frames) {
+            let f = captured_at.len() as u64;
+            if now >= due(f) {
+                // --- capture (render the camera array) ---
+                captured_at.push(now);
+                let (seq, t_s) = (f as u32, f as f32 / cfg.fps as f32);
+                let mut views = tel.time(Step::Capture, f, now, || {
+                    render_views_at(&pool, &self.cameras, &self.preset.scene.at(t_s), seq)
+                });
 
-            // --- capture (render the camera array) ---
-            let span = TelemetrySpan::start(&capture_hist);
-            let snap = self.preset.scene.at(t_s);
-            let mut views: Vec<RgbdFrame> =
-                render_views_at(pool, &self.cameras, &snap, frame_idx as u32);
-            let capture_elapsed = span.finish_ms();
-            timings.capture_ms += capture_elapsed;
-            timeline.mark_dur(frame_idx, stage::CAPTURE, now, capture_elapsed);
-            trace.record(
-                now,
-                frame_idx,
-                0,
-                "pipeline",
-                kind::CAPTURE,
-                (capture_elapsed * 1e3) as i64,
-            );
+                // --- sender: pose feedback + frustum prediction + cull + tile ---
+                let owd_s = session.one_way_delay_us() / 1e6;
+                // The sender sees receiver poses delayed by the feedback path.
+                let feedback_t_s = (t_s - owd_s as f32).max(0.0);
+                predictor.observe(&self.user_trace.pose_at_time(feedback_t_s));
+                predictor.observe_rtt(2.0 * owd_s + 0.03); // + processing slack
+                let frustum = cfg.cull.then(|| predictor.predicted_frustum());
+                let kept = tel.time(Step::Cull, f, now, || {
+                    sender.cull(&mut views, &self.cameras, frustum.as_slice())
+                });
+                if let Some(stats) = kept {
+                    tel.keep_fraction.record(stats.keep_fraction());
+                }
+                let canvases = tel.time(Step::Tile, f, now, || sender.compose(&views, seq));
 
-            // --- sender: pose feedback + frustum prediction + cull ---
-            let owd_s = session.one_way_delay_us() / 1e6;
-            // The sender sees receiver poses delayed by the feedback path.
-            let feedback_pose = self.user_trace.pose_at_time((t_s - owd_s as f32).max(0.0));
-            predictor.observe(&feedback_pose);
-            predictor.observe_rtt(2.0 * owd_s + 0.03); // + processing slack
-            let span = TelemetrySpan::start(&cull_hist);
-            if cfg.cull {
-                let frustum = if cfg.perfect_cull {
-                    let display_pose = self
-                        .user_trace
-                        .pose_at_time(t_s + predictor.horizon_s() as f32);
-                    predictor.exact_frustum(&display_pose, cfg.guard_m)
+                // --- bandwidth split + encode ---
+                let estimate = session.estimate_bps();
+                let split = cfg.static_split.unwrap_or(splitter.split());
+                split_sum += split;
+                tel.split.set(split);
+                tel.sender_health(now, estimate);
+                let rate = cfg.rate(estimate, split);
+                if std::mem::take(&mut force_key) {
+                    sender.force_keyframe();
+                }
+                let (color_out, depth_out) = tel.time(Step::Encode, f, now, || {
+                    sender.encode(&canvases, rate, f, now)
+                });
+                if cfg.static_split.is_none() && cfg.adapt && splitter.measurement_due() {
+                    let (rmse_c, rmse_d) = sender.rmse(&canvases, &color_out, &depth_out);
+                    tel.split_step(f, &mut splitter, rmse_d, rmse_c);
+                }
+                log_event!(Level::Debug, "conference", "frame encoded", "frame" => f,
+                    "estimate_mbps" => estimate / 1e6, "rate" => format!("{rate:?}"),
+                    "color_bits" => color_out.bits(), "depth_bits" => depth_out.bits(),
+                    "keyframe" => color_out.frame_type == FrameType::Intra);
+
+                // --- transmit ---
+                for (stream, out) in [(StreamId::Color, color_out), (StreamId::Depth, depth_out)] {
+                    let key = out.frame_type == FrameType::Intra;
+                    session.send_frame(now, stream, f, Bytes::from(out.data), key);
+                }
+            }
+
+            // --- network ---
+            session.tick(now);
+            if session.take_pli(now) {
+                force_key = true;
+                tel.flight.observe_pli(now, 1);
+            }
+
+            // --- receiver: decode this tick's arrivals ---
+            for o in receiver.ingest(&session.recv_frames(), now) {
+                force_key |= o.ingest.wants_key();
+                tel.ingested(now, &o);
+            }
+
+            // --- display: one slot per frame interval; a slot with no *new*
+            //     synchronised pair is a stall (§A.1: if both frames have not
+            //     been decoded in time, LiVo skips the frame) ---
+            let slot = records.len() as u64;
+            if now >= display_start + due(slot) {
+                let newest = receiver.newest_pair();
+                let shown = newest.filter(|&(seq, ..)| Some(seq) != displayed_seq);
+                let mut pssim = None;
+                if let Some((seq, color, depth)) = shown {
+                    // Frame age from the recorded capture stamp.
+                    let captured = captured_at.get(seq as usize).copied().unwrap_or(now);
+                    tel.shown(now, seq, now - captured);
+                    (last_shown_us, displayed_seq) = (now, Some(seq));
+                    if slot.is_multiple_of(cfg.quality_every as u64) {
+                        pssim =
+                            self.score_frame(&tel, seq, color, depth, sender.depth_codec(), now);
+                    }
                 } else {
-                    predictor.predicted_frustum()
-                };
-                let stats: CullStats =
-                    cull_ctx.cull_views_on(pool, &mut views, &self.cameras, &frustum);
-                keep_frac_sum += stats.keep_fraction();
-                keep_frac_n += 1;
-                keep_hist.record(stats.keep_fraction());
-                // arg: kept fraction in permille.
-                trace.record(
-                    now,
-                    frame_idx,
-                    0,
-                    "pipeline",
-                    kind::CULL,
-                    (stats.keep_fraction() * 1e3) as i64,
-                );
+                    tel.stalled(now, slot, now.saturating_sub(last_shown_us));
+                }
+                let shown_seq = shown.map(|(seq, ..)| seq);
+                records.push(FrameRecord {
+                    slot,
+                    shown_seq,
+                    pssim,
+                });
             }
-            let cull_elapsed = span.finish_ms();
-            timings.cull_ms += cull_elapsed;
-            timeline.mark_dur(frame_idx, stage::CULL, now, cull_elapsed);
-
-            // --- tile ---
-            let span = TelemetrySpan::start(&tile_hist);
-            let seq = frame_idx as u32;
-            let color_canvas = compose_color(&views, &self.layout, seq);
-            let depth_canvas = match cfg.depth_encoding {
-                DepthEncoding::RgbPacked => {
-                    let mut mm = vec![0u16; self.layout.canvas_w * self.layout.canvas_h];
-                    for (i, v) in views.iter().enumerate() {
-                        let (ox, oy) = self.layout.slot_origin(i);
-                        for y in 0..v.height {
-                            for x in 0..v.width {
-                                mm[(oy + y) * self.layout.canvas_w + ox + x] =
-                                    v.depth_mm[y * v.width + x];
-                            }
-                        }
-                    }
-                    let mut f =
-                        depth_codec.pack_rgb(&mm, self.layout.canvas_w, self.layout.canvas_h);
-                    write_seq(&mut f.planes[0], seq, 255);
-                    f
-                }
-                _ => compose_depth(&views, &self.layout, &depth_codec, seq),
-            };
-            let tile_elapsed = span.finish_ms();
-            timings.tile_ms += tile_elapsed;
-            timeline.mark_dur(frame_idx, stage::TILE, now, tile_elapsed);
-            trace.record(
-                now,
-                frame_idx,
-                0,
-                "pipeline",
-                kind::TILE,
-                (tile_elapsed * 1e3) as i64,
-            );
-
-            // --- bandwidth split + encode ---
-            let estimate = session.estimate_bps();
-            let media_budget = estimate * cfg.budget_fraction / cfg.fps as f64;
-            let split = cfg.static_split.unwrap_or(splitter.split());
-            split_sum += split;
-            split_gauge.set(split);
-            let depth_bits = (media_budget * split) as u64;
-            let color_bits = (media_budget * (1.0 - split)) as u64;
-
-            flight.observe_gcc(now, 0, estimate);
-            flight.observe_pool_queue(now, pool_queue.get() as u64);
-
-            if force_key_next {
-                color_enc.force_keyframe();
-                depth_enc.force_keyframe();
-                force_key_next = false;
-            }
-            let span = TelemetrySpan::start(&encode_hist);
-            color_enc.set_trace_frame(frame_idx, now);
-            depth_enc.set_trace_frame(frame_idx, now);
-            let color_out = if cfg.adapt {
-                color_enc.encode(&color_canvas, color_bits.max(2_000))
-            } else {
-                color_enc.encode_fixed_qp(&color_canvas, cfg.fixed_color_qp)
-            };
-            let depth_out = if cfg.adapt {
-                depth_enc.encode(&depth_canvas, depth_bits.max(2_000))
-            } else {
-                depth_enc.encode_fixed_qp(&depth_canvas, cfg.fixed_depth_qp)
-            };
-            let encode_elapsed = span.finish_ms();
-            timings.encode_ms += encode_elapsed;
-            timeline.mark_dur(frame_idx, stage::ENCODE, now, encode_elapsed);
-
-            // --- splitter feedback (the sender's own-decode comes free from
-            //     the codec's closed loop: reconstruction == decoder output) ---
-            if cfg.static_split.is_none() && cfg.adapt && splitter.measurement_due() {
-                let rmse_c = livo_codec2d::luma_rmse(&color_canvas, &color_out.reconstruction);
-                let rmse_d = match cfg.depth_encoding {
-                    DepthEncoding::RgbPacked => {
-                        let truth = depth_codec.unpack_rgb(&depth_canvas);
-                        let got = depth_codec.unpack_rgb(&depth_out.reconstruction);
-                        depth_mse_mm(&truth, &got).sqrt()
-                    }
-                    _ => {
-                        // Per-sample RMSE in millimetres on the Y16 canvas.
-                        let a = &depth_canvas.planes[0].data;
-                        let b = &depth_out.reconstruction.planes[0].data;
-                        let scale = depth_codec.scale() as f64;
-                        let mse = a
-                            .iter()
-                            .zip(b.iter())
-                            .map(|(&x, &y)| {
-                                let d = (x as f64 - y as f64) / scale;
-                                d * d
-                            })
-                            .sum::<f64>()
-                            / a.len() as f64;
-                        mse.sqrt()
-                    }
-                };
-                let steps_before = splitter.steps_taken();
-                splitter.update(rmse_d, rmse_c);
-                splitter_steps.add(splitter.steps_taken() - steps_before);
-                log_event!(
-                    Level::Trace,
-                    "conference.splitter",
-                    "split measurement",
-                    "frame" => frame_idx,
-                    "rmse_depth_mm" => rmse_d,
-                    "rmse_color" => rmse_c,
-                    "split" => splitter.split()
-                );
-            }
-
-            log_event!(
-                Level::Debug,
-                "conference",
-                "frame encoded",
-                "frame" => frame_idx,
-                "estimate_mbps" => estimate / 1e6,
-                "color_budget_bits" => color_bits,
-                "depth_budget_bits" => depth_bits,
-                "color_bits" => color_out.data.len() as u64 * 8,
-                "depth_bits" => depth_out.data.len() as u64 * 8,
-                "keyframe" => color_out.frame_type == livo_codec2d::FrameType::Intra
-            );
-            // --- transmit ---
-            session.send_frame(
-                now,
-                StreamId::Color,
-                frame_idx,
-                Bytes::from(color_out.data.clone()),
-                color_out.frame_type == livo_codec2d::FrameType::Intra,
-            );
-            session.send_frame(
-                now,
-                StreamId::Depth,
-                frame_idx,
-                Bytes::from(depth_out.data.clone()),
-                depth_out.frame_type == livo_codec2d::FrameType::Intra,
-            );
-
-            // --- advance virtual time one frame interval ---
-            let frame_end = now + frame_interval;
-            while now < frame_end {
-                session.tick(now);
-                if session.take_pli(now) {
-                    force_key_next = true;
-                    flight.observe_pli(now, 1);
-                }
-                // Split this tick's arrivals by stream and decode the two
-                // lanes concurrently — each lane owns its decoder, reorder
-                // window and P-chain state, so they only share the (atomic)
-                // telemetry sinks. On a single-thread pool the join runs
-                // inline and the arrival order within each lane is
-                // preserved either way.
-                let mut color_frames = Vec::new();
-                let mut depth_frames = Vec::new();
-                for af in session.recv_frames() {
-                    match af.stream {
-                        StreamId::Color => color_frames.push(af),
-                        StreamId::Depth => depth_frames.push(af),
-                        StreamId::Control => {}
-                    }
-                }
-                if !color_frames.is_empty() || !depth_frames.is_empty() {
-                    let [exp_color, exp_depth] = &mut expected_frame;
-                    let [nk_color, nk_depth] = &mut need_key;
-                    let (color_lane, depth_lane) = pool.join(
-                        || {
-                            decode_lane(
-                                color_frames,
-                                "color",
-                                &mut color_dec,
-                                &mut last_color,
-                                exp_color,
-                                nk_color,
-                                &decode_hist,
-                                &timeline,
-                                &flight,
-                                now,
-                            )
-                        },
-                        || {
-                            decode_lane(
-                                depth_frames,
-                                "depth",
-                                &mut depth_dec,
-                                &mut last_depth,
-                                exp_depth,
-                                nk_depth,
-                                &decode_hist,
-                                &timeline,
-                                &flight,
-                                now,
-                            )
-                        },
-                    );
-                    timings.decode_ms += color_lane.0 + depth_lane.0;
-                    force_key_next |= color_lane.1 || depth_lane.1;
-                }
-                // Display clock: one slot per frame interval; a slot with no
-                // *new* synchronised pair is a stall (§A.1: if both frames
-                // have not been decoded in time, LiVo skips the frame).
-                if now >= next_display {
-                    // The newest sequence number present in *both* windows.
-                    let have = last_color
-                        .keys()
-                        .rev()
-                        .find(|s| last_depth.contains_key(s))
-                        .copied();
-                    let is_new = have.is_some() && have != displayed_seq;
-                    if !is_new {
-                        stall_ctr.inc();
-                        let stall_ms = now.saturating_sub(last_shown_us) as f64 / 1e3;
-                        trace.record(now, NO_FRAME, 1, "display", kind::STALL, stall_ms as i64);
-                        flight.observe_stall(now, 1, stall_ms);
-                        log_event!(
-                            Level::Debug,
-                            "conference.display",
-                            "stall",
-                            "slot" => slot,
-                            "t_s" => now as f64 / 1e6,
-                            "newest_color" => last_color.keys().next_back().copied().unwrap_or(0),
-                            "newest_depth" => last_depth.keys().next_back().copied().unwrap_or(0),
-                            "displayed" => displayed_seq.unwrap_or(0)
-                        );
-                    } else {
-                        shown_ctr.inc();
-                        last_shown_us = now;
-                        if let Some(s) = have {
-                            timeline.mark(s as u64, stage::DISPLAY, now);
-                            // arg: end-to-end frame age µs (capture→display).
-                            let age = now.saturating_sub(s as u64 * frame_interval);
-                            trace.record(now, s as u64, 1, "display", kind::DISPLAY, age as i64);
-                        }
-                    }
-                    let shown = if is_new { have } else { None };
-                    let mut rec = FrameRecord {
-                        slot,
-                        shown_seq: shown,
-                        pssim: None,
-                    };
-                    if is_new {
-                        displayed_seq = have;
-                        if slot.is_multiple_of(cfg.quality_every as u64) {
-                            let cs = have.unwrap();
-                            let color_frame = &last_color[&cs];
-                            let depth_frame = &last_depth[&cs];
-                            let score =
-                                self.score_frame(cs, color_frame, depth_frame, &depth_codec, now);
-                            rec.pssim = score.pssim;
-                            timings.reconstruct_ms += score.reconstruct_ms;
-                            timings.render_prep_ms += score.render_prep_ms;
-                            reconstruct_hist.record(score.reconstruct_ms);
-                            render_prep_hist.record(score.render_prep_ms);
-                            quality_samples += 1;
-                        }
-                    }
-                    records.push(rec);
-                    slot += 1;
-                    next_display += frame_interval;
-                }
-                now += 1_000;
-            }
+            now += TICK_US;
         }
 
-        // Summarise.
-        let displayed = records.iter().filter(|r| r.shown_seq.is_some()).count();
-        let stall_rate = if records.is_empty() {
-            0.0
-        } else {
-            1.0 - displayed as f64 / records.len() as f64
-        };
-        let sampled: Vec<&FrameRecord> = records
-            .iter()
-            .filter(|r| r.slot % cfg.quality_every as u64 == 0)
-            .collect();
-        let mut g_sum = 0.0;
-        let mut c_sum = 0.0;
-        let mut g_ok = 0.0;
-        let mut c_ok = 0.0;
-        let mut n_ok = 0u64;
-        for r in &sampled {
-            if let Some(s) = r.pssim {
-                g_sum += s.geometry;
-                c_sum += s.color;
-                g_ok += s.geometry;
-                c_ok += s.color;
-                n_ok += 1;
-            }
-        }
-        let n_sampled = sampled.len().max(1) as f64;
-        let duration = cfg.duration_s as f64;
-        let mean_fps = displayed as f64 / (records.len().max(1) as f64 / cfg.fps as f64);
-        // Bonded runs ignore `net_trace` for the links; their capacity
-        // ceiling is the scenario's sum of link means.
-        let trace_mean = match &cfg.bond {
-            Some(sc) => sc.sum_capacity_mbps(),
-            None => net_trace.stats().mean,
-        };
-
-        let n = total_frames.max(1) as f64;
-        timings.capture_ms /= n;
-        timings.cull_ms /= n;
-        timings.tile_ms /= n;
-        timings.encode_ms /= n;
-        let decoded = displayed.max(1) as f64;
-        timings.decode_ms /= decoded;
-        let q = quality_samples.max(1) as f64;
-        timings.reconstruct_ms /= q;
-        timings.render_prep_ms /= q;
-
-        RunSummary {
-            stall_rate,
-            mean_fps,
-            pssim_geometry: g_sum / n_sampled,
-            pssim_color: c_sum / n_sampled,
-            pssim_geometry_no_stall: if n_ok > 0 { g_ok / n_ok as f64 } else { 0.0 },
-            pssim_color_no_stall: if n_ok > 0 { c_ok / n_ok as f64 } else { 0.0 },
-            throughput_mbps: session.stats().throughput_mbps(duration),
-            mean_capacity_mbps: trace_mean,
-            transport_latency_ms: session.stats().mean_latency_ms(),
-            mean_split: split_sum / total_frames.max(1) as f64,
-            mean_keep_fraction: if keep_frac_n > 0 {
-                keep_frac_sum / keep_frac_n as f64
-            } else {
-                1.0
-            },
-            timings,
-            bits_sent: session.stats().bits_sent,
-            records,
-            metrics: registry.snapshot(),
-            timeline: timeline.snapshot(),
-            trace: trace.snapshot(),
-            flight: flight.bundles(),
-        }
+        let mean_split = split_sum / total_frames.max(1) as f64;
+        summarise(cfg, &net_trace, records, session.stats(), mean_split, tel)
     }
 
     /// Score a displayed frame against ground truth: reconstruct the
@@ -1021,38 +609,29 @@ impl ConferenceRunner {
     /// frame, cull both to the viewer's current frustum, compare.
     fn score_frame(
         &self,
+        tel: &RunTelemetry,
         seq: u32,
         color_frame: &Frame,
         depth_frame: &Frame,
         depth_codec: &DepthCodec,
         now: Micros,
-    ) -> FrameScore {
-        let cfg = &self.cfg;
-        let t0 = Instant::now();
-        let received = match cfg.depth_encoding {
-            DepthEncoding::RgbPacked => {
-                let mm = depth_codec.unpack_rgb(depth_frame);
-                let y16 = Frame::from_y16(self.layout.canvas_w, self.layout.canvas_h, mm);
-                let raw = DepthCodec::new(6000, DepthEncoding::RawY16);
-                reconstruct_point_cloud(color_frame, &y16, &self.layout, &self.cameras, &raw)
-            }
-            _ => reconstruct_point_cloud(
+    ) -> Option<PssimScore> {
+        let received = tel.time(Step::Reconstruct, seq as u64, now, || {
+            reconstruct_point_cloud(
                 color_frame,
                 depth_frame,
                 &self.layout,
                 &self.cameras,
                 depth_codec,
-            ),
-        };
-        let reconstruct_ms = t0.elapsed().as_secs_f64() * 1e3;
+            )
+        });
 
-        // Ground truth: re-render the source views for this seq.
-        let t_s = seq as f32 / cfg.fps as f32;
-        let snap = self.preset.scene.at(t_s);
+        // Ground truth: re-render the source views for this seq. Same time
+        // key as the capture of this seq: the "ground truth" is what the
+        // sensor actually measured, noise included.
+        let snap = self.preset.scene.at(seq as f32 / self.cfg.fps as f32);
+        let truth_views = render_views_at(&self.pool(), &self.cameras, &snap, seq);
         let mut truth = PointCloud::new();
-        // Same time key as the capture of this seq: the "ground truth" is
-        // what the sensor actually measured, noise included.
-        let truth_views = render_views_at(livo_runtime::global(), &self.cameras, &snap, seq);
         for (cam, v) in self.cameras.iter().zip(&truth_views) {
             for y in 0..v.height {
                 for x in 0..v.width {
@@ -1068,109 +647,264 @@ impl ConferenceRunner {
         }
 
         // Current viewer frustum at display time.
-        let display_t = now as f32 / 1e6;
-        let viewer = self.user_trace.pose_at_time(display_t);
+        let viewer = self.user_trace.pose_at_time(now as f32 / 1e6);
         let frustum = livo_math::Frustum::from_params(&viewer, &FrustumParams::default());
-        let t0 = Instant::now();
-        let shown = prepare_for_render(&received, cfg.voxel_m, &frustum);
-        let reference = prepare_for_render(&truth, cfg.voxel_m, &frustum);
-        let render_prep_ms = t0.elapsed().as_secs_f64() * 1e3;
-
+        let (shown, reference) = tel.time(Step::RenderPrep, seq as u64, now, || {
+            (
+                prepare_for_render(&received, RENDER_VOXEL_M, &frustum),
+                prepare_for_render(&truth, RENDER_VOXEL_M, &frustum),
+            )
+        });
         let pcfg = PssimConfig {
             neighbors: 6,
-            cell_size: cfg.voxel_m * 3.0,
+            cell_size: RENDER_VOXEL_M * 3.0,
             curvature_weight: 0.3,
         };
-        FrameScore {
-            pssim: pssim(&reference, &shown, &pcfg),
-            reconstruct_ms,
-            render_prep_ms,
-        }
+        pssim(&reference, &shown, &pcfg)
     }
 }
 
-/// What [`ConferenceRunner::score_frame`] found for one displayed frame,
-/// and what the two receiver stages it ran cost in wall-clock.
-struct FrameScore {
-    pssim: Option<PssimScore>,
-    reconstruct_ms: f64,
-    render_prep_ms: f64,
+/// The virtual clock's tick.
+const TICK_US: Micros = 1_000;
+
+/// The steps of a call that Table 6 budgets, in pipeline order.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Capture,
+    Cull,
+    Tile,
+    Encode,
+    Decode,
+    Reconstruct,
+    RenderPrep,
 }
 
-/// Drain one stream's arrived frames through its decoder: P-chain gap and
-/// keyframe-wait handling, decode, sequence-stamped reorder-window insert,
-/// and per-frame decode telemetry. Returns the summed decode wall-time in
-/// milliseconds and whether a keyframe must be requested. One invocation
-/// owns all of its lane's state, so the colour and depth lanes run
-/// concurrently (the telemetry sinks they share are atomic).
-#[allow(clippy::too_many_arguments)]
-fn decode_lane(
-    frames: Vec<livo_transport::AssembledFrame>,
-    lane: &'static str,
-    dec: &mut Decoder,
-    window: &mut std::collections::BTreeMap<u32, Frame>,
-    expected_frame: &mut u64,
-    need_key: &mut bool,
-    decode_hist: &Arc<livo_telemetry::Histogram>,
-    timeline: &Arc<FrameTimeline>,
-    flight: &FlightRecorder,
-    now: Micros,
-) -> (f64, bool) {
-    let mut decode_ms = 0.0;
-    let mut force_key = false;
-    for af in frames {
-        // Loss handling: a frame-id gap breaks the P chain.
-        if af.frame_id != *expected_frame && !af.keyframe {
-            dec.reset();
-            *need_key = true;
-            *expected_frame = af.frame_id + 1;
-            force_key = true;
-            continue;
+impl Step {
+    const ALL: [Step; 7] = [
+        Step::Capture,
+        Step::Cull,
+        Step::Tile,
+        Step::Encode,
+        Step::Decode,
+        Step::Reconstruct,
+        Step::RenderPrep,
+    ];
+
+    /// The step's timeline stage and trace kind, and the `<name>` of its
+    /// `conference.<name>_ms` histogram.
+    fn name(self) -> &'static str {
+        match self {
+            Step::Capture => stage::CAPTURE,
+            Step::Cull => stage::CULL,
+            Step::Tile => stage::TILE,
+            Step::Encode => stage::ENCODE,
+            Step::Decode => stage::DECODE,
+            Step::Reconstruct => "reconstruct",
+            Step::RenderPrep => "render_prep",
         }
-        if *need_key && !af.keyframe {
-            *expected_frame = af.frame_id + 1;
-            continue;
-        }
-        *expected_frame = af.frame_id + 1;
-        *need_key = false;
-        let span = TelemetrySpan::start(decode_hist);
-        dec.set_trace_frame(af.frame_id, now);
-        match dec.decode(&af.data) {
-            Ok(frame) => {
-                let peak = frame.format.peak_value();
-                let got_seq = read_seq(&frame.planes[0], peak);
-                window.insert(got_seq, frame);
-                while window.len() > 6 {
-                    let oldest = *window.keys().next().unwrap();
-                    window.remove(&oldest);
-                }
-            }
-            Err(_) => {
-                dec.reset();
-                *need_key = true;
-                force_key = true;
-                flight.observe_decode_error(now, 1, lane);
-                // A corrupted P-chain fails every frame until the next
-                // keyframe lands — rate-limit the warning to one per
-                // second per lane instead of one per frame.
-                livo_telemetry::log::warn_limited(
-                    if lane == "color" {
-                        "conference.decode.color"
-                    } else {
-                        "conference.decode.depth"
-                    },
-                    1_000,
-                    "conference",
-                    "decode failed, requesting keyframe",
-                    &[("frame", af.frame_id.into()), ("stream", lane.into())],
-                );
-            }
-        }
-        let decode_elapsed = span.finish_ms();
-        decode_ms += decode_elapsed;
-        timeline.mark_lane_dur(af.frame_id, stage::DECODE, lane, now, decode_elapsed);
     }
-    (decode_ms, force_key)
+
+    /// The trace party the step runs at: 0 the sender, 1 the receiver.
+    fn party(self) -> u16 {
+        matches!(self, Step::Decode | Step::Reconstruct | Step::RenderPrep) as u16
+    }
+}
+
+/// One run's private telemetry (runs stay independent and deterministic):
+/// the metrics registry, the frame timeline in virtual session time, the
+/// causal event trace — party 0 is the sender, party 1 the receiver; the
+/// ring is always allocated, so the A/B overhead comparison exercises the
+/// same code path, but records only when enabled — and the flight recorder,
+/// armed per `cfg.anomaly` and fed the other three as evidence sources.
+struct RunTelemetry {
+    registry: Arc<MetricsRegistry>,
+    timeline: Arc<FrameTimeline>,
+    trace: Arc<EventTrace>,
+    flight: FlightRecorder,
+    /// `conference.<step>_ms`, indexed by `Step as usize`.
+    step_ms: [Arc<Histogram>; Step::ALL.len()],
+    keep_fraction: Arc<Histogram>,
+    split: Arc<Gauge>,
+    splitter_steps: Arc<Counter>,
+    stalls: Arc<Counter>,
+    frames_shown: Arc<Counter>,
+    pool_queue: Arc<Gauge>,
+}
+
+impl RunTelemetry {
+    fn new(cfg: &ConferenceConfig, total_frames: u64) -> Self {
+        let registry = Arc::new(MetricsRegistry::new());
+        let timeline = Arc::new(FrameTimeline::new(total_frames as usize + 16));
+        let trace = Arc::new(EventTrace::new(cfg.trace_capacity.max(1)));
+        trace.set_enabled(cfg.trace);
+        let mut flight = FlightRecorder::new(cfg.anomaly.clone());
+        flight.attach_trace(trace.clone());
+        flight.attach_registry(&registry);
+        flight.attach_timeline(timeline.clone());
+        log_event!(Level::Info, "conference", "run start",
+            "video" => format!("{:?}", cfg.video), "cameras" => cfg.n_cameras,
+            "duration_s" => cfg.duration_s as f64, "cull" => cfg.cull, "adapt" => cfg.adapt);
+        RunTelemetry {
+            step_ms: Step::ALL.map(|s| registry.histogram(&format!("conference.{}_ms", s.name()))),
+            keep_fraction: registry.histogram("cull.keep_fraction"),
+            split: registry.gauge("splitter.split"),
+            splitter_steps: registry.counter("splitter.steps"),
+            stalls: registry.counter("display.stalls"),
+            frames_shown: registry.counter("display.frames_shown"),
+            pool_queue: registry.gauge("runtime.pool.queue_depth"),
+            registry,
+            timeline,
+            trace,
+            flight,
+        }
+    }
+
+    /// A display slot showed frame `seq`, `age_us` after its capture.
+    fn shown(&self, now: Micros, seq: u32, age_us: Micros) {
+        self.frames_shown.inc();
+        self.timeline.mark(seq as u64, stage::DISPLAY, now);
+        self.trace
+            .record(now, seq as u64, 1, "display", kind::DISPLAY, age_us as i64);
+    }
+
+    /// A display slot had nothing new to show, `since_us` after the display
+    /// last advanced.
+    fn stalled(&self, now: Micros, slot: u64, since_us: Micros) {
+        self.stalls.inc();
+        let stall_ms = since_us as f64 / 1e3;
+        self.trace
+            .record(now, NO_FRAME, 1, "display", kind::STALL, stall_ms as i64);
+        self.flight.observe_stall(now, 1, stall_ms);
+        log_event!(Level::Debug, "conference.display", "stall", "slot" => slot,
+            "t_s" => now as f64 / 1e6, "stall_ms" => stall_ms);
+    }
+
+    /// The receiver ran a delivered frame through its lane: the decode
+    /// step's time where a decode was attempted, and a failure to the flight
+    /// recorder and the log. A corrupted P-chain fails every frame until the
+    /// next keyframe lands, so the warning is limited to one per second.
+    fn ingested(&self, now: Micros, o: &FrameOutcome) {
+        if matches!(o.ingest, Ingest::Decoded | Ingest::DecodeError) {
+            self.record(Step::Decode, Some(o.lane), o.frame_id, now, o.decode_ms);
+        }
+        if o.ingest == Ingest::DecodeError {
+            self.flight.observe_decode_error(now, 1, o.lane);
+            livo_telemetry::log::warn_limited(
+                "conference.decode",
+                1_000,
+                "conference",
+                "decode failed, requesting keyframe",
+                &[("frame", o.frame_id.into()), ("stream", o.lane.into())],
+            );
+        }
+    }
+
+    /// Feed the flight recorder's sender-side detectors: the bandwidth
+    /// estimate and the worker pool's queue depth.
+    fn sender_health(&self, now: Micros, estimate_bps: f64) {
+        self.flight.observe_gcc(now, 0, estimate_bps);
+        self.flight
+            .observe_pool_queue(now, self.pool_queue.get() as u64);
+    }
+
+    /// One RMSE-balancing step of the splitter from frame `frame`'s
+    /// sender-side errors, counted in `splitter.steps`.
+    fn split_step(&self, frame: u64, splitter: &mut BandwidthSplitter, rmse_d: f64, rmse_c: f64) {
+        let steps_before = splitter.steps_taken();
+        splitter.update(rmse_d, rmse_c);
+        self.splitter_steps
+            .add(splitter.steps_taken() - steps_before);
+        log_event!(Level::Trace, "conference.splitter", "split measurement", "frame" => frame,
+            "rmse_depth_mm" => rmse_d, "rmse_color" => rmse_c, "split" => splitter.split());
+    }
+
+    /// The one place a step's wall time is reported: its histogram, the
+    /// frame's timeline and the trace (arg: elapsed µs), stamped `now`.
+    fn record(&self, step: Step, lane: Option<&'static str>, frame: u64, now: Micros, ms: f64) {
+        self.step_ms[step as usize].record(ms);
+        match lane {
+            Some(lane) => self
+                .timeline
+                .mark_lane_dur(frame, step.name(), lane, now, ms),
+            None => self.timeline.mark_dur(frame, step.name(), now, ms),
+        }
+        let us = (ms * 1e3) as i64;
+        self.trace
+            .record(now, frame, step.party(), "pipeline", step.name(), us);
+    }
+
+    /// Run `f` as `step` of `frame` and [`record`](Self::record) its time.
+    fn time<T>(&self, step: Step, frame: u64, now: Micros, f: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = f();
+        self.record(step, None, frame, now, t0.elapsed().as_secs_f64() * 1e3);
+        out
+    }
+}
+
+/// Fold a finished run into its [`RunSummary`].
+fn summarise(
+    cfg: &ConferenceConfig,
+    net_trace: &BandwidthTrace,
+    records: Vec<FrameRecord>,
+    transport: &SessionStats,
+    mean_split: f64,
+    tel: RunTelemetry,
+) -> RunSummary {
+    let displayed = records.iter().filter(|r| r.shown_seq.is_some()).count();
+    let slots = records.len().max(1) as f64;
+    // PSSIM over the sampled slots: a sampled slot that stalled scores 0.
+    let sampled = records
+        .iter()
+        .filter(|r| r.slot % cfg.quality_every as u64 == 0);
+    let n_sampled = sampled.clone().count().max(1) as f64;
+    let scores: Vec<PssimScore> = sampled.filter_map(|r| r.pssim).collect();
+    let geometry: f64 = scores.iter().map(|s| s.geometry).sum();
+    let color: f64 = scores.iter().map(|s| s.color).sum();
+    let n_scored = scores.len().max(1) as f64;
+
+    // Table 6's means are read from the histograms the steps reported to:
+    // per sender frame, per displayed frame (decode: both lanes) and per
+    // scored frame.
+    let step = |s: Step| &tel.step_ms[s as usize];
+    let keep = &tel.keep_fraction;
+    RunSummary {
+        stall_rate: if records.is_empty() {
+            0.0
+        } else {
+            1.0 - displayed as f64 / slots
+        },
+        mean_fps: displayed as f64 / (slots / cfg.fps as f64),
+        pssim_geometry: geometry / n_sampled,
+        pssim_color: color / n_sampled,
+        pssim_geometry_no_stall: geometry / n_scored,
+        pssim_color_no_stall: color / n_scored,
+        throughput_mbps: transport.throughput_mbps(cfg.duration_s as f64),
+        // Bonded runs ignore `net_trace` for the links; their capacity
+        // ceiling is the scenario's sum of link means.
+        mean_capacity_mbps: match &cfg.bond {
+            Some(sc) => sc.sum_capacity_mbps(),
+            None => net_trace.stats().mean,
+        },
+        transport_latency_ms: transport.mean_latency_ms(),
+        mean_split,
+        mean_keep_fraction: if keep.count() > 0 { keep.mean() } else { 1.0 },
+        timings: StageTimings {
+            capture_ms: step(Step::Capture).mean(),
+            cull_ms: step(Step::Cull).mean(),
+            tile_ms: step(Step::Tile).mean(),
+            encode_ms: step(Step::Encode).mean(),
+            decode_ms: step(Step::Decode).sum() / displayed.max(1) as f64,
+            reconstruct_ms: step(Step::Reconstruct).mean(),
+            render_prep_ms: step(Step::RenderPrep).mean(),
+        },
+        bits_sent: transport.bits_sent,
+        records,
+        timeline: tel.timeline.snapshot(),
+        trace: tel.trace.snapshot(),
+        flight: tel.flight.bundles(),
+        metrics: tel.registry.snapshot(),
+    }
 }
 
 #[cfg(test)]
@@ -1194,7 +928,6 @@ mod tests {
         let livo = ConferenceConfig::builder(VideoId::Band2).build().unwrap();
         assert!(livo.cull && livo.adapt);
         assert_eq!(livo.video, VideoId::Band2);
-        assert_eq!((livo.fixed_color_qp, livo.fixed_depth_qp), (22, 14));
 
         let nocull = ConferenceConfig::builder(VideoId::Dance5)
             .cull(false)
@@ -1231,24 +964,12 @@ mod tests {
             ),
             ("fps", ConferenceConfig::builder(VideoId::Band2).fps(0)),
             (
-                "guard_m",
-                ConferenceConfig::builder(VideoId::Band2).guard_m(-0.1),
-            ),
-            (
                 "static_split",
                 ConferenceConfig::builder(VideoId::Band2).static_split(1.2),
             ),
             (
-                "voxel_m",
-                ConferenceConfig::builder(VideoId::Band2).voxel_m(0.0),
-            ),
-            (
                 "quality_every",
                 ConferenceConfig::builder(VideoId::Band2).quality_every(0),
-            ),
-            (
-                "budget_fraction",
-                ConferenceConfig::builder(VideoId::Band2).budget_fraction(0.0),
             ),
         ];
         for (field, builder) in cases {
@@ -1261,6 +982,55 @@ mod tests {
             .duration_s(f32::NAN)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn clean_link_shows_every_slot() {
+        // On the exact schedule a clean constant link never starves the
+        // display: every slot shows the next frame, on all five presets.
+        for video in VideoId::ALL {
+            let cfg = ConferenceConfig::builder(video)
+                .camera_scale(0.08)
+                .n_cameras(4)
+                .duration_s(3.0)
+                .quality_every(u32::MAX)
+                .build()
+                .unwrap();
+            let s = ConferenceRunner::new(cfg).run(BandwidthTrace::constant(40.0, 8.0));
+            // 90 frames end at 3.0 s; slots run from 0.2 s every 1/30 s.
+            assert_eq!(s.records.len(), 84, "{video}: display slots");
+            let shown: Vec<u32> = s.records.iter().filter_map(|r| r.shown_seq).collect();
+            assert_eq!(s.metrics.counter("display.stalls"), Some(0), "{video}");
+            assert_eq!(s.stall_rate, 0.0, "{video}");
+            assert!(
+                shown.windows(2).all(|w| w[1] == w[0] + 1),
+                "{video}: {shown:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scoring_renders_on_the_runner_pool() {
+        // The truth views of a scored slot render one task a camera on the
+        // pool the runner was given, so two runs that differ only in whether
+        // they score differ by exactly those tasks on that pool's counter.
+        let tasks = |quality_every: u32| {
+            let mut cfg = quick_cfg();
+            cfg.quality_every = quality_every;
+            let mut runner = ConferenceRunner::new(cfg);
+            runner.set_worker_pool(Arc::new(WorkerPool::new(2)));
+            let s = runner.run(BandwidthTrace::constant(60.0, 10.0));
+            let scored = s.records.iter().filter(|r| r.pssim.is_some()).count() as u64;
+            (s.metrics.counter("runtime.pool.tasks").unwrap(), scored)
+        };
+        let (often, scored_often) = tasks(10);
+        // Slot 0 is a multiple of every interval, so it is always scored.
+        let (once, scored_once) = tasks(u32::MAX);
+        assert!(
+            scored_often >= 8 && scored_once == 1,
+            "{scored_often}, {scored_once}"
+        );
+        assert_eq!(often - once, (scored_often - scored_once) * 4);
     }
 
     #[test]

@@ -19,21 +19,21 @@
 //! background removal) are skipped with one scan, and non-empty chunks
 //! evaluate all six plane tests branch-free over small fixed-size arrays
 //! that LLVM can vectorise. The per-pixel decisions are **bit-identical** to
-//! the retained [`cull_views_reference`]: the ray table reproduces
+//! the retained [`cull_views_union_reference`]: the ray table reproduces
 //! [`CameraIntrinsics::unproject`] exactly (see `livo_math::raytable`), and
 //! the chunk kernel evaluates the same [`Plane::signed_distance`] ≥ 0
 //! comparisons — computing them unconditionally and AND/OR-ing the results
 //! changes the schedule, not the outcome. Pinned by
-//! `fast_cull_is_bit_identical_to_reference` here and by
+//! `fast_union_cull_is_bit_identical_to_reference` here and by
 //! `tests/kernel_differential.rs` across all five dataset presets.
 //!
-//! The free functions [`cull_views`], [`cull_views_on`] and
-//! [`cull_views_union`] keep their original signatures and run on an
-//! ephemeral context: they still get the chunked kernel but rebuild the ray
-//! tables each call (width + height divisions per camera — negligible next
-//! to the per-pixel work; the SFU's per-cluster union cull uses this form).
-//! Long-lived callers hold a [`CullContext`] to amortise the tables and to
-//! export `cull.lut_rebuilds` / `kernel.cull_ns_per_mpx` telemetry.
+//! There is one cull body, [`CullContext::cull`]: any number of frusta,
+//! row-banded over a worker pool or inline. Long-lived callers hold a
+//! [`CullContext`] to amortise the ray tables and to export
+//! `cull.lut_rebuilds` / `kernel.cull_ns_per_mpx` telemetry; the free
+//! [`cull_views`] runs it on an ephemeral context (it rebuilds the tables
+//! each call: width + height divisions per camera, negligible next to the
+//! per-pixel work).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -223,75 +223,64 @@ impl CullContext {
         }
     }
 
-    /// Cull every view in place against the (world-space) frustum.
-    pub fn cull_views(
+    /// Cull every view in place against the **union** of `frusta`: a pixel
+    /// survives when *any* (world-space) frustum contains its back-projected
+    /// point. One frustum is the two-party sender's cull; several are the
+    /// SFU's encode-sharing primitive (the paper's §5 multi-way
+    /// optimisation), where one pass serves a whole cluster of receivers.
+    ///
+    /// With a `pool` of more than one thread each view's rows are split into
+    /// one contiguous band per thread, and each band task culls its own rows
+    /// through the same row kernel (depth and colour rows of a band are
+    /// disjoint slices, so no synchronisation is needed). Without one the
+    /// rows are walked inline on the calling thread. Results are identical
+    /// either way — the kernel has no cross-pixel state.
+    pub fn cull(
         &mut self,
+        pool: Option<&WorkerPool>,
         views: &mut [RgbdFrame],
         cameras: &[RgbdCamera],
-        frustum: &Frustum,
+        frusta: &[Frustum],
     ) -> CullStats {
+        assert!(!frusta.is_empty(), "cull needs at least one frustum");
         assert_eq!(views.len(), cameras.len());
         self.refresh_tables(cameras);
         let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
+        let pool = pool.filter(|p| p.threads() > 1);
         let mut stats = CullStats::default();
         let mut pixels = 0usize;
-        for ((view, cam), table) in views.iter_mut().zip(cameras).zip(&self.tables) {
-            // Transform the frustum into this camera's local frame: cheaper
+        let CullContext {
+            tables,
+            local_frusta,
+            ..
+        } = self;
+        for ((view, cam), table) in views.iter_mut().zip(cameras).zip(tables.iter()) {
+            // Transform the frusta into this camera's local frame: cheaper
             // than transforming every pixel into world coordinates.
-            let local = frustum.transformed(&cam.world_to_local());
-            let frusta = std::slice::from_ref(&local);
-            let width = view.width;
-            pixels += width * view.height;
-            let ray_y = table.ray_y();
-            for (y, (drow, crow)) in view
-                .depth_mm
-                .chunks_mut(width.max(1))
-                .zip(view.rgb.chunks_mut(width.max(1) * 3))
-                .enumerate()
-            {
-                cull_row(frusta, table.ray_x(), ray_y[y], drow, crow, &mut stats);
-            }
-        }
-        self.record_cost(started, pixels);
-        stats
-    }
-
-    /// [`CullContext::cull_views`] with the per-pixel tests spread over
-    /// `pool`: each view's rows are split into one contiguous band per pool
-    /// thread, and each band task culls its own rows through the same row
-    /// kernel (depth and colour rows of a band are disjoint slices, so no
-    /// synchronisation is needed). A single-thread pool falls back to the
-    /// serial path; results are identical either way — the kernel has no
-    /// cross-pixel state.
-    pub fn cull_views_on(
-        &mut self,
-        pool: &WorkerPool,
-        views: &mut [RgbdFrame],
-        cameras: &[RgbdCamera],
-        frustum: &Frustum,
-    ) -> CullStats {
-        if pool.threads() <= 1 {
-            return self.cull_views(views, cameras, frustum);
-        }
-        assert_eq!(views.len(), cameras.len());
-        self.refresh_tables(cameras);
-        let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
-        let mut stats = CullStats::default();
-        let mut pixels = 0usize;
-        for ((view, cam), table) in views.iter_mut().zip(cameras).zip(&self.tables) {
-            let local_frustum = frustum.transformed(&cam.world_to_local());
-            let width = view.width;
-            let height = view.height;
+            local_frusta.clear();
+            local_frusta.extend(frusta.iter().map(|f| f.transformed(&cam.world_to_local())));
+            let local = &local_frusta[..];
+            let (width, height) = (view.width, view.height);
             if width == 0 || height == 0 {
                 continue;
             }
             pixels += width * height;
+            let Some(pool) = pool else {
+                let ray_y = table.ray_y();
+                for (y, (drow, crow)) in view
+                    .depth_mm
+                    .chunks_mut(width)
+                    .zip(view.rgb.chunks_mut(width * 3))
+                    .enumerate()
+                {
+                    cull_row(local, table.ray_x(), ray_y[y], drow, crow, &mut stats);
+                }
+                continue;
+            };
             let bands = pool.threads().min(height);
             let band_rows = height.div_ceil(bands);
             let mut band_stats = vec![CullStats::default(); bands];
             pool.scope(|s| {
-                let lf = std::slice::from_ref(&local_frustum);
-                let t = &*table;
                 for (bi, ((depth_band, rgb_band), bs)) in view
                     .depth_mm
                     .chunks_mut(width * band_rows)
@@ -306,7 +295,8 @@ impl CullContext {
                             .zip(rgb_band.chunks_mut(width * 3))
                             .enumerate()
                         {
-                            cull_row(lf, t.ray_x(), t.ray_y()[y0 + ry], drow, crow, bs);
+                            let ray_y = table.ray_y()[y0 + ry];
+                            cull_row(local, table.ray_x(), ray_y, drow, crow, bs);
                         }
                     });
                 }
@@ -320,128 +310,28 @@ impl CullContext {
         stats
     }
 
-    /// Cull every view in place against the **union** of several frusta: a
-    /// pixel survives when *any* frustum contains its back-projected point.
-    ///
-    /// This is the SFU's encode-sharing primitive (the paper's §5 multi-way
-    /// optimisation): one cull pass serves a whole cluster of receivers
-    /// whose predicted frusta overlap, so the cluster's shared encode
-    /// contains every pixel any member needs. With a single frustum it is
-    /// exactly [`CullContext::cull_views`]. The pass is serial on the
-    /// calling thread — the SFU parallelises across clusters, not within
-    /// one.
-    pub fn cull_views_union(
+    /// [`CullContext::cull`] against one frustum on `pool`.
+    pub fn cull_views_on(
         &mut self,
+        pool: &WorkerPool,
         views: &mut [RgbdFrame],
         cameras: &[RgbdCamera],
-        frusta: &[Frustum],
+        frustum: &Frustum,
     ) -> CullStats {
-        assert!(!frusta.is_empty(), "union cull needs at least one frustum");
-        if frusta.len() == 1 {
-            return self.cull_views(views, cameras, &frusta[0]);
-        }
-        assert_eq!(views.len(), cameras.len());
-        self.refresh_tables(cameras);
-        let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
-        let mut stats = CullStats::default();
-        let mut pixels = 0usize;
-        let CullContext {
-            tables,
-            local_frusta,
-            ..
-        } = self;
-        for ((view, cam), table) in views.iter_mut().zip(cameras).zip(tables.iter()) {
-            local_frusta.clear();
-            local_frusta.extend(frusta.iter().map(|f| f.transformed(&cam.world_to_local())));
-            let width = view.width;
-            pixels += width * view.height;
-            let ray_y = table.ray_y();
-            for (y, (drow, crow)) in view
-                .depth_mm
-                .chunks_mut(width.max(1))
-                .zip(view.rgb.chunks_mut(width.max(1) * 3))
-                .enumerate()
-            {
-                cull_row(
-                    local_frusta,
-                    table.ray_x(),
-                    ray_y[y],
-                    drow,
-                    crow,
-                    &mut stats,
-                );
-            }
-        }
-        self.record_cost(started, pixels);
-        stats
+        self.cull(Some(pool), views, cameras, std::slice::from_ref(frustum))
     }
 }
 
-/// Cull every view in place against the (world-space) frustum.
-/// Ephemeral-context form of [`CullContext::cull_views`].
+/// Cull every view in place against the (world-space) frustum, inline on
+/// the calling thread: [`CullContext::cull`] on an ephemeral context.
 pub fn cull_views(views: &mut [RgbdFrame], cameras: &[RgbdCamera], frustum: &Frustum) -> CullStats {
-    CullContext::new().cull_views(views, cameras, frustum)
+    CullContext::new().cull(None, views, cameras, std::slice::from_ref(frustum))
 }
 
-/// Pool-banded cull; ephemeral-context form of
-/// [`CullContext::cull_views_on`].
-pub fn cull_views_on(
-    pool: &WorkerPool,
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frustum: &Frustum,
-) -> CullStats {
-    CullContext::new().cull_views_on(pool, views, cameras, frustum)
-}
-
-/// Union cull; ephemeral-context form of
-/// [`CullContext::cull_views_union`].
-pub fn cull_views_union(
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frusta: &[Frustum],
-) -> CullStats {
-    CullContext::new().cull_views_union(views, cameras, frusta)
-}
-
-/// The original per-pixel cull, retained verbatim as the differential-test
-/// and `repro kernels` reference for the chunked fast path. Results (pixel
-/// masks and stats) are bit-identical to [`cull_views`].
-pub fn cull_views_reference(
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frustum: &Frustum,
-) -> CullStats {
-    assert_eq!(views.len(), cameras.len());
-    let mut stats = CullStats::default();
-    for (view, cam) in views.iter_mut().zip(cameras) {
-        let local_frustum = frustum.transformed(&cam.world_to_local());
-        let k = &cam.intrinsics;
-        for y in 0..view.height {
-            for x in 0..view.width {
-                let i = y * view.width + x;
-                let d = view.depth_mm[i];
-                if d == 0 {
-                    continue;
-                }
-                stats.total_valid += 1;
-                let local = k.unproject(x as f32 + 0.5, y as f32 + 0.5, d as f32 / 1000.0);
-                if local_frustum.contains(local) {
-                    stats.kept += 1;
-                } else {
-                    view.depth_mm[i] = 0;
-                    view.rgb[i * 3] = 0;
-                    view.rgb[i * 3 + 1] = 0;
-                    view.rgb[i * 3 + 2] = 0;
-                }
-            }
-        }
-    }
-    stats
-}
-
-/// Union-cull counterpart of [`cull_views_reference`] (per-pixel `any`
-/// over camera-local frusta), retained for differential tests.
+/// The original per-pixel cull (`any` over camera-local frusta, no ray
+/// table, no chunking), retained as the differential-test and
+/// `repro kernels` oracle for [`CullContext::cull`]: pixel masks and stats
+/// are bit-identical, with a slice of one frustum as with a union.
 pub fn cull_views_union_reference(
     views: &mut [RgbdFrame],
     cameras: &[RgbdCamera],
@@ -714,7 +604,8 @@ mod tests {
     #[test]
     fn fast_cull_is_bit_identical_to_reference() {
         // Odd scale → width 77, not a multiple of the chunk size, so the
-        // tail path is exercised too.
+        // tail path is exercised too. One thread is the inline loop, three
+        // the row bands.
         let cams = rig::camera_ring(
             3,
             2.5,
@@ -724,15 +615,19 @@ mod tests {
         );
         let views = render_all(&cams);
         let mut ctx = CullContext::new();
-        for f in test_frusta() {
-            let mut fast = views.clone();
-            let fast_stats = ctx.cull_views(&mut fast, &cams, &f);
-            let mut naive = views.clone();
-            let naive_stats = cull_views_reference(&mut naive, &cams, &f);
-            assert_eq!(fast_stats, naive_stats);
-            for (a, b) in fast.iter().zip(&naive) {
-                assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
-                assert_eq!(a.rgb, b.rgb, "rgb masks differ");
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            for f in test_frusta() {
+                let mut fast = views.clone();
+                let fast_stats = ctx.cull_views_on(&pool, &mut fast, &cams, &f);
+                let mut naive = views.clone();
+                let naive_stats =
+                    cull_views_union_reference(&mut naive, &cams, std::slice::from_ref(&f));
+                assert_eq!(fast_stats, naive_stats);
+                for (a, b) in fast.iter().zip(&naive) {
+                    assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
+                    assert_eq!(a.rgb, b.rgb, "rgb masks differ");
+                }
             }
         }
     }
@@ -770,21 +665,27 @@ mod tests {
             &frusta[1..],
             &keep_all_last[..],
         ];
+        // Inline, and row-banded over a three-thread pool (77 rows do not
+        // divide by three, so the last band is short).
+        let pool = WorkerPool::new(3);
+        let mut ctx = CullContext::new();
         for union in unions {
-            let mut fast = views.clone();
-            let fast_stats = cull_views_union(&mut fast, &cams, union);
             let mut naive = views.clone();
             let naive_stats = cull_views_union_reference(&mut naive, &cams, union);
-            assert_eq!(fast_stats, naive_stats);
-            for (a, b) in fast.iter().zip(&naive) {
-                assert_eq!(a.depth_mm, b.depth_mm);
-                assert_eq!(a.rgb, b.rgb);
+            for pool in [None, Some(&pool)] {
+                let mut fast = views.clone();
+                let fast_stats = ctx.cull(pool, &mut fast, &cams, union);
+                assert_eq!(fast_stats, naive_stats);
+                for (a, b) in fast.iter().zip(&naive) {
+                    assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
+                    assert_eq!(a.rgb, b.rgb, "rgb masks differ");
+                }
             }
         }
         // The keep-all frustum really keeps all, and the narrow two do not.
-        let stats = cull_views_union(&mut views.clone(), &cams, &frusta[..1]);
+        let stats = ctx.cull(None, &mut views.clone(), &cams, &frusta[..1]);
         assert_eq!(stats.kept, stats.total_valid);
-        let stats = cull_views_union(&mut views.clone(), &cams, &keep_all_last[..2]);
+        let stats = ctx.cull(None, &mut views.clone(), &cams, &keep_all_last[..2]);
         assert!(0 < stats.kept && stats.kept < stats.total_valid);
     }
 
@@ -802,16 +703,16 @@ mod tests {
         );
         let f = test_frusta().remove(0);
         let mut views = render_all(&cams);
-        ctx.cull_views(&mut views, &cams, &f);
+        ctx.cull(None, &mut views, &cams, std::slice::from_ref(&f));
         assert_eq!(registry.snapshot().counter("cull.lut_rebuilds"), Some(2));
         // Steady state: same intrinsics, no rebuilds.
         let mut views = render_all(&cams);
-        ctx.cull_views(&mut views, &cams, &f);
+        ctx.cull(None, &mut views, &cams, std::slice::from_ref(&f));
         assert_eq!(registry.snapshot().counter("cull.lut_rebuilds"), Some(2));
         // One camera changes resolution → exactly one rebuild.
         cams[1].intrinsics = livo_math::CameraIntrinsics::kinect_depth(0.15);
         let mut views = render_all(&cams);
-        ctx.cull_views(&mut views, &cams, &f);
+        ctx.cull(None, &mut views, &cams, std::slice::from_ref(&f));
         assert_eq!(registry.snapshot().counter("cull.lut_rebuilds"), Some(3));
         let cost = registry.snapshot().gauge("kernel.cull_ns_per_mpx");
         assert!(cost.unwrap() > 0.0, "cost gauge set: {cost:?}");
@@ -898,7 +799,7 @@ mod tests {
         let mut green_only = views.clone();
         let green_stats = cull_views(&mut green_only, &cams, &on_green);
         let mut union = views.clone();
-        let union_stats = cull_views_union(&mut union, &cams, &[on_red, on_green]);
+        let union_stats = CullContext::new().cull(None, &mut union, &cams, &[on_red, on_green]);
 
         // The union keeps at least what each member keeps...
         assert!(union_stats.kept >= red_stats.kept.max(green_stats.kept));
@@ -915,31 +816,6 @@ mod tests {
                     assert_eq!(v.depth_mm[i], views[vi].depth_mm[i], "view {vi} pixel {i}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn union_cull_with_one_frustum_matches_single_cull() {
-        let cams = rig::camera_ring(
-            2,
-            2.5,
-            1.2,
-            Vec3::new(0.0, 1.0, 0.0),
-            livo_math::CameraIntrinsics::kinect_depth(0.12),
-        );
-        let views = render_all(&cams);
-        let f = Frustum::from_params(
-            &Pose::look_at(Vec3::new(0.0, 1.2, -3.0), Vec3::new(0.0, 1.0, 0.0), Vec3::Y),
-            &FrustumParams::default(),
-        );
-        let mut single = views.clone();
-        let s1 = cull_views(&mut single, &cams, &f);
-        let mut union = views.clone();
-        let s2 = cull_views_union(&mut union, &cams, &[f]);
-        assert_eq!(s1, s2);
-        for (a, b) in single.iter().zip(&union) {
-            assert_eq!(a.depth_mm, b.depth_mm);
-            assert_eq!(a.rgb, b.rgb);
         }
     }
 

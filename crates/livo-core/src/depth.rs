@@ -61,6 +61,15 @@ impl DepthCodec {
         }
     }
 
+    /// Pixel format of the depth canvas stream: RGB-packed depth rides an
+    /// 8-bit colour frame, the other two encodings a Y16 one.
+    pub fn pixel_format(&self) -> PixelFormat {
+        match self.encoding {
+            DepthEncoding::RgbPacked => PixelFormat::Yuv420,
+            DepthEncoding::ScaledY16 | DepthEncoding::RawY16 => PixelFormat::Y16,
+        }
+    }
+
     /// Map one sensor sample to a coded sample (Y16 modes).
     #[inline]
     pub fn encode_sample(&self, depth_mm: u16) -> u16 {
@@ -166,6 +175,29 @@ impl DepthCodec {
             }
         }
         out
+    }
+
+    /// Depth RMSE in millimetres between a composed depth canvas and what a
+    /// decoder makes of it — the splitter's depth error (§3.3). Y16 canvases
+    /// are compared sample by sample over the whole canvas; RGB-packed ones
+    /// are unpacked first and compared where the truth has a return.
+    pub fn rmse_mm(&self, canvas: &Frame, decoded: &Frame) -> f64 {
+        if self.encoding == DepthEncoding::RgbPacked {
+            return depth_mse_mm(&self.unpack_rgb(canvas), &self.unpack_rgb(decoded)).sqrt();
+        }
+        let a = &canvas.planes[0].data;
+        let b = &decoded.planes[0].data;
+        let scale = self.scale() as f64;
+        let mse = a
+            .iter()
+            .zip(b.iter())
+            .map(|(&x, &y)| {
+                let d = (x as f64 - y as f64) / scale;
+                d * d
+            })
+            .sum::<f64>()
+            / a.len().max(1) as f64;
+        mse.sqrt()
     }
 }
 
@@ -304,6 +336,35 @@ mod tests {
 
         assert!(scaled < raw, "scaled {scaled} !< raw {raw}");
         assert!(raw < rgb, "raw {raw} !< rgb-packed {rgb}");
+    }
+
+    #[test]
+    fn rmse_mm_reads_coded_samples_in_millimetres() {
+        let (w, h) = (16, 8);
+        let mm: Vec<u16> = (0..w * h).map(|i| 1000 + 20 * i as u16).collect();
+        for encoding in [DepthEncoding::ScaledY16, DepthEncoding::RawY16] {
+            let codec = DepthCodec::new(6000, encoding);
+            let coded: Vec<u16> = mm.iter().map(|&d| codec.encode_sample(d)).collect();
+            let far: Vec<u16> = mm.iter().map(|&d| codec.encode_sample(d + 30)).collect();
+            let canvas = Frame::from_y16(w, h, coded);
+            assert_eq!(codec.rmse_mm(&canvas, &canvas), 0.0);
+            // 30 mm everywhere, to within the rounding of a coded sample.
+            let rmse = codec.rmse_mm(&canvas, &Frame::from_y16(w, h, far));
+            assert!((rmse - 30.0).abs() < 0.1, "{encoding:?}: {rmse}");
+        }
+        // RGB-packed canvases are compared after unpacking, where the truth
+        // has a return.
+        let codec = DepthCodec::new(6000, DepthEncoding::RgbPacked);
+        let mut holes = mm.clone();
+        holes[..w].fill(0);
+        let (a, b) = (codec.pack_rgb(&holes, w, h), codec.pack_rgb(&mm, w, h));
+        assert_eq!(codec.rmse_mm(&a, &a), 0.0);
+        let want = depth_mse_mm(&codec.unpack_rgb(&a), &codec.unpack_rgb(&b)).sqrt();
+        assert_eq!(codec.rmse_mm(&a, &b), want);
+        assert!(
+            codec.rmse_mm(&b, &a) > want,
+            "the holes count where the truth has depth"
+        );
     }
 
     #[test]

@@ -73,12 +73,6 @@ impl FrustumPredictor {
         Frustum::from_params(&self.predictor.predict(horizon_s), &self.params).expanded(guard_m)
     }
 
-    /// The *exact* frustum for a known pose (perfect culling, used by the
-    /// oracle baselines and the §4.5 frustum-prediction ablation).
-    pub fn exact_frustum(&self, pose: &Pose, guard_m: f32) -> Frustum {
-        Frustum::from_params(pose, &self.params).expanded(guard_m)
-    }
-
     pub fn params(&self) -> &FrustumParams {
         &self.params
     }
@@ -144,15 +138,6 @@ mod tests {
                 assert!(guarded.contains(q));
             }
         }
-    }
-
-    #[test]
-    fn exact_frustum_matches_pose() {
-        let fp = FrustumPredictor::new(FrustumParams::default(), 0.2);
-        let pose = Pose::new(Vec3::new(0.0, 1.5, -3.0), Quat::IDENTITY);
-        let f = fp.exact_frustum(&pose, 0.0);
-        assert!(f.contains(Vec3::new(0.0, 1.5, 0.0)));
-        assert!(!f.contains(Vec3::new(0.0, 1.5, -5.0)));
     }
 
     #[test]

@@ -20,33 +20,33 @@
 //!   each camera's local frame, *without* reconstructing a point cloud.
 //! - [`reconstruct`]: receiver-side point-cloud reconstruction from the
 //!   decoded tiles, with voxelisation and final-frustum culling (§A.1).
+//! - [`stage`]: the two halves of a call (§A.1), each defined once —
+//!   `SenderStage` (cull → tile → encode) and `ReceiverStage` (P-chain
+//!   guard → decode → colour/depth pairing). The conference loop below and
+//!   the SFU's cluster pass and decode stand-in all drive these.
 //! - [`conference`]: the end-to-end sender→receiver loop over the real
-//!   transport — the object the evaluation harness and the examples run.
-//!   Flags reproduce the paper's ablations (LiVo-NoCull, LiVo-NoAdapt).
-//! - [`pipeline`]: the multi-threaded staged pipeline of §A.1 (capture →
-//!   cull → tile → encode), with per-stage latency accounting (Table 6).
+//!   transport — the object the evaluation harness and the examples run —
+//!   on an exact 30 fps virtual clock, with per-stage latency accounting
+//!   (Table 6). Flags reproduce the paper's ablations (LiVo-NoCull,
+//!   LiVo-NoAdapt).
 
 pub mod conference;
 pub mod cull;
 pub mod depth;
 pub mod frustum_pred;
-pub mod pipeline;
 pub mod reconstruct;
 pub mod splitter;
+pub mod stage;
 pub mod tile;
 
 pub use conference::{
     ConferenceConfig, ConferenceConfigBuilder, ConferenceRunner, FrameRecord, InvalidConfig,
     RunSummary,
 };
-pub use cull::{
-    cull_views, cull_views_on, cull_views_reference, cull_views_union, CullContext, CullStats,
-};
+pub use cull::{cull_views, CullContext, CullStats};
 pub use depth::{DepthCodec, DepthEncoding};
 pub use frustum_pred::FrustumPredictor;
-pub use pipeline::{
-    CaptureJob, EncodedPair, PipelineOptions, RecvError, SenderPipeline, SubmitError,
-};
 pub use reconstruct::reconstruct_point_cloud;
 pub use splitter::{BandwidthSplitter, SplitterConfig};
+pub use stage::{ReceiverStage, SenderStage};
 pub use tile::TileLayout;

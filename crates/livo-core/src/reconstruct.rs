@@ -6,7 +6,7 @@
 //! and culls to the viewer's *current* frustum (the sender culled to the
 //! guard-banded *predicted* one, so a final tight cull remains useful).
 
-use crate::depth::DepthCodec;
+use crate::depth::{DepthCodec, DepthEncoding};
 use crate::tile::TileLayout;
 use livo_codec2d::plane::yuv_to_rgb8;
 use livo_codec2d::{Frame, PixelFormat};
@@ -16,7 +16,8 @@ use livo_pointcloud::{Point, PointCloud, VoxelGrid};
 /// Reconstruct the world-space point cloud from decoded colour/depth
 /// canvases.
 ///
-/// One pass over each camera's slot of the depth canvas, camera by camera
+/// An RGB-packed depth canvas is unpacked to millimetres first. Then one
+/// pass over each camera's slot of the depth canvas, camera by camera
 /// in raster order: a sample coded zero is no return; every other one is
 /// decoded, back-projected, and — only if it lands in range — coloured
 /// from its own pixel of the colour canvas. A pixel's chroma sample sits at
@@ -30,6 +31,14 @@ pub fn reconstruct_point_cloud(
     depth_codec: &DepthCodec,
 ) -> PointCloud {
     assert_eq!(cameras.len(), layout.n);
+    if depth_codec.encoding == DepthEncoding::RgbPacked {
+        // Unpack to a millimetre canvas first; the pass below then reads it
+        // like an unscaled Y16 one.
+        let mm = depth_codec.unpack_rgb(depth_canvas);
+        let y16 = Frame::from_y16(layout.canvas_w, layout.canvas_h, mm);
+        let raw = DepthCodec::new(depth_codec.max_depth_mm, DepthEncoding::RawY16);
+        return reconstruct_point_cloud(color_canvas, &y16, layout, cameras, &raw);
+    }
     assert_eq!(depth_canvas.format, PixelFormat::Y16);
     assert_eq!(color_canvas.format, PixelFormat::Yuv420);
     let depth = &depth_canvas.planes[0];
@@ -74,7 +83,6 @@ pub fn prepare_for_render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::depth::DepthEncoding;
     use crate::tile::{compose_color, compose_depth, extract_color, extract_depth};
     use livo_capture::scene::{AnimatedShape, Scene, ShapeGeom, Texture};
     use livo_capture::{render_rgbd, rig};

@@ -1,0 +1,729 @@
+//! The two halves of a call (§A.1 of the paper), each defined once.
+//!
+//! [`SenderStage`] is cull → tile → encode for one outgoing canvas pair;
+//! [`ReceiverStage`] is the per-stream P-chain guard → decode → pairing
+//! window for one incoming pair. The conference loop
+//! ([`crate::conference`]), the SFU's per-cluster encode task and its
+//! per-subscriber decode stand-in (`livo_sfu`) all drive these, so a stage
+//! has one definition whoever's clock it runs on.
+//!
+//! Both types are `Send` and hold no thread of their own. §A.1's
+//! frame-level overlap (capture and cull of frame *n + 1* beside the encode
+//! of frame *n*) is therefore a property of the driver: a threaded driver
+//! is a loop around a stage on each thread. Intra-frame parallelism comes
+//! from the worker pool the owner hands in with `set_worker_pool`; a stage
+//! that was given none (one inside an SFU cluster task, which is already a
+//! pool task) runs serially. Output is identical either way.
+
+use crate::cull::{CullContext, CullStats};
+use crate::depth::{DepthCodec, DepthEncoding};
+use crate::tile::{compose_color, compose_depth, read_seq, TileLayout};
+use livo_capture::RgbdFrame;
+use livo_codec2d::{luma_rmse, Decoder, EncodedFrame, Encoder, EncoderConfig, Frame, PixelFormat};
+use livo_math::{Frustum, RgbdCamera};
+use livo_runtime::WorkerPool;
+use livo_telemetry::trace::EventTrace;
+use livo_telemetry::MetricsRegistry;
+use livo_transport::{AssembledFrame, Micros, StreamId};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Frustum guard band ε in metres (§3.4).
+pub const GUARD_BAND_M: f32 = 0.2;
+/// Receiver render voxel size in metres.
+pub const RENDER_VOXEL_M: f32 = 0.03;
+/// Share of the bandwidth estimate budgeted to media; the rest is headroom
+/// for packet headers and retransmissions.
+pub const MEDIA_SHARE: f64 = 0.80;
+/// Floor on a stream's per-frame bit budget.
+pub const MIN_FRAME_BITS: u64 = 2_000;
+/// LiVo-NoAdapt's constant quantisers, (colour, depth) (Figs. 20–21).
+pub const NOADAPT_QPS: (u8, u8) = (22, 14);
+/// Decoded frames kept per stream for colour/depth pairing: the (larger)
+/// depth frames may complete a beat after their colour frames.
+pub const PAIR_WINDOW: usize = 8;
+
+/// The colour and depth canvases of one frame.
+pub struct Canvases {
+    pub color: Frame,
+    pub depth: Frame,
+}
+
+/// How the encoder pair spends bits on a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rate {
+    /// Direct rate adaptation: a bit budget per stream, floored at
+    /// [`MIN_FRAME_BITS`].
+    Budget { color_bits: u64, depth_bits: u64 },
+    /// Constant quantisers (LiVo-NoAdapt).
+    FixedQp { color: u8, depth: u8 },
+}
+
+/// The sender half: one [`CullContext`] and the open-GOP colour/depth
+/// encoder pair over a fixed tile layout.
+pub struct SenderStage {
+    layout: TileLayout,
+    depth_codec: DepthCodec,
+    cull: CullContext,
+    color_enc: Encoder,
+    depth_enc: Encoder,
+    pool: Option<Arc<WorkerPool>>,
+}
+
+impl SenderStage {
+    pub fn new(layout: TileLayout, depth_encoding: DepthEncoding) -> Self {
+        let depth_codec = DepthCodec {
+            encoding: depth_encoding,
+            ..DepthCodec::default()
+        };
+        // Open-ended GOP: like the paper's deployment, intra frames are sent
+        // only at start-up and on request (§A.1) — periodic keyframes would
+        // burst above the rate target and cause rhythmic stalls.
+        let encoder = |format| {
+            let mut cfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, format);
+            cfg.gop_length = 0;
+            Encoder::new(cfg)
+        };
+        SenderStage {
+            layout,
+            depth_codec,
+            cull: CullContext::new(),
+            color_enc: encoder(PixelFormat::Yuv420),
+            depth_enc: encoder(depth_codec.pixel_format()),
+            pool: None,
+        }
+    }
+
+    /// Spread cull rows and encoder stripes over `pool`.
+    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
+        self.color_enc.set_worker_pool(pool.clone());
+        self.depth_enc.set_worker_pool(pool.clone());
+        self.pool = Some(pool);
+    }
+
+    /// Publish the cull context's `cull.lut_rebuilds` and `kernel.*` metrics
+    /// into `registry`.
+    pub fn attach_cull_telemetry(&mut self, registry: &MetricsRegistry) {
+        self.cull.attach_telemetry(registry);
+    }
+
+    /// Publish the encoders' `codec.color.*` / `codec.depth.*` families into
+    /// `registry`.
+    pub fn attach_codec_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
+        self.color_enc.attach_telemetry(registry, "codec.color");
+        self.depth_enc.attach_telemetry(registry, "codec.depth");
+    }
+
+    /// Record the encoders' per-frame `encode` events as `party`.
+    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
+        self.color_enc
+            .attach_trace(trace.clone(), party, "codec.color");
+        self.depth_enc.attach_trace(trace, party, "codec.depth");
+    }
+
+    pub fn depth_codec(&self) -> &DepthCodec {
+        &self.depth_codec
+    }
+
+    /// Make the next encoded pair intra frames (PLI, new receiver).
+    pub fn force_keyframe(&mut self) {
+        self.color_enc.force_keyframe();
+        self.depth_enc.force_keyframe();
+    }
+
+    /// Cull `views` in place against the union of `frusta`; none keeps
+    /// every pixel (LiVo-NoCull) and reports no statistics.
+    pub fn cull(
+        &mut self,
+        views: &mut [RgbdFrame],
+        cameras: &[RgbdCamera],
+        frusta: &[Frustum],
+    ) -> Option<CullStats> {
+        (!frusta.is_empty()).then(|| self.cull.cull(self.pool.as_deref(), views, cameras, frusta))
+    }
+
+    /// Tile the views into the two canvases, stamped with `seq`.
+    pub fn compose(&self, views: &[RgbdFrame], seq: u32) -> Canvases {
+        Canvases {
+            color: compose_color(views, &self.layout, seq),
+            depth: compose_depth(views, &self.layout, &self.depth_codec, seq),
+        }
+    }
+
+    /// Encode the pair, (colour, depth). `frame` and `now` stamp the
+    /// encoders' trace events. A second stage may encode the same canvases
+    /// at another rate: that is the SFU's straggler variant.
+    pub fn encode(
+        &mut self,
+        canvases: &Canvases,
+        rate: Rate,
+        frame: u64,
+        now: Micros,
+    ) -> (EncodedFrame, EncodedFrame) {
+        self.color_enc.set_trace_frame(frame, now);
+        self.depth_enc.set_trace_frame(frame, now);
+        match rate {
+            Rate::Budget {
+                color_bits,
+                depth_bits,
+            } => (
+                self.color_enc
+                    .encode(&canvases.color, color_bits.max(MIN_FRAME_BITS)),
+                self.depth_enc
+                    .encode(&canvases.depth, depth_bits.max(MIN_FRAME_BITS)),
+            ),
+            Rate::FixedQp { color, depth } => (
+                self.color_enc.encode_fixed_qp(&canvases.color, color),
+                self.depth_enc.encode_fixed_qp(&canvases.depth, depth),
+            ),
+        }
+    }
+
+    /// What the splitter balances (§3.3): colour luma RMSE and depth RMSE in
+    /// millimetres of an encoded pair against its canvases. The codec's
+    /// closed loop makes `reconstruction` the decoder's output, so the
+    /// sender's own decode comes free.
+    pub fn rmse(
+        &self,
+        canvases: &Canvases,
+        color: &EncodedFrame,
+        depth: &EncodedFrame,
+    ) -> (f64, f64) {
+        (
+            luma_rmse(&canvases.color, &color.reconstruction),
+            self.depth_codec
+                .rmse_mm(&canvases.depth, &depth.reconstruction),
+        )
+    }
+}
+
+/// What [`ReceiverStage::ingest`] did with one delivered frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ingest {
+    /// Decoded into the pairing window.
+    Decoded,
+    /// The payload failed to decode: decoder reset, keyframe needed.
+    DecodeError,
+    /// A frame-id gap broke the P chain: decoder reset, keyframe needed.
+    ChainBroken,
+    /// Skipped: the lane is waiting for a keyframe and this is not one.
+    AwaitingKey,
+}
+
+impl Ingest {
+    /// Whether the sender must be asked for a keyframe.
+    pub fn wants_key(self) -> bool {
+        matches!(self, Ingest::DecodeError | Ingest::ChainBroken)
+    }
+}
+
+/// One delivered frame's way through its decode lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameOutcome {
+    /// `"color"` or `"depth"`.
+    pub lane: &'static str,
+    pub frame_id: u64,
+    pub ingest: Ingest,
+    /// Wall time of the decode attempt, milliseconds; 0 where none was made.
+    pub decode_ms: f64,
+}
+
+/// One stream's decoder, P-chain state and sequence-stamped window.
+struct DecodeLane {
+    name: &'static str,
+    dec: Decoder,
+    window: BTreeMap<u32, Frame>,
+    expected_frame: u64,
+    need_key: bool,
+}
+
+impl DecodeLane {
+    fn new(name: &'static str) -> Self {
+        DecodeLane {
+            name,
+            dec: Decoder::new(),
+            window: BTreeMap::new(),
+            expected_frame: 0,
+            need_key: false,
+        }
+    }
+
+    fn ingest(&mut self, af: &AssembledFrame, now: Micros) -> FrameOutcome {
+        let gap = af.frame_id != self.expected_frame && !af.keyframe;
+        self.expected_frame = af.frame_id + 1;
+        let mut decode_ms = 0.0;
+        let ingest = if gap {
+            self.dec.reset();
+            self.need_key = true;
+            Ingest::ChainBroken
+        } else if self.need_key && !af.keyframe {
+            Ingest::AwaitingKey
+        } else {
+            self.need_key = false;
+            let t0 = Instant::now();
+            self.dec.set_trace_frame(af.frame_id, now);
+            let ingest = match self.dec.decode(&af.data) {
+                Ok(frame) => {
+                    let seq = read_seq(&frame.planes[0], frame.format.peak_value());
+                    self.window.insert(seq, frame);
+                    while self.window.len() > PAIR_WINDOW {
+                        self.window.pop_first();
+                    }
+                    Ingest::Decoded
+                }
+                Err(_) => {
+                    self.dec.reset();
+                    self.need_key = true;
+                    Ingest::DecodeError
+                }
+            };
+            decode_ms = t0.elapsed().as_secs_f64() * 1e3;
+            ingest
+        };
+        FrameOutcome {
+            lane: self.name,
+            frame_id: af.frame_id,
+            ingest,
+            decode_ms,
+        }
+    }
+}
+
+/// The receiver half: a colour and a depth decode lane, paired by the
+/// sequence number embedded in the canvases (§A.1's synchronisation step).
+pub struct ReceiverStage {
+    color: DecodeLane,
+    depth: DecodeLane,
+    pool: Option<Arc<WorkerPool>>,
+}
+
+impl Default for ReceiverStage {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ReceiverStage {
+    pub fn new() -> Self {
+        ReceiverStage {
+            color: DecodeLane::new("color"),
+            depth: DecodeLane::new("depth"),
+            pool: None,
+        }
+    }
+
+    /// Decode the two lanes side by side, and each frame's slices in
+    /// parallel, on `pool`.
+    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
+        self.color.dec.set_worker_pool(pool.clone());
+        self.depth.dec.set_worker_pool(pool.clone());
+        self.pool = Some(pool);
+    }
+
+    /// Publish the decoders' `codec.decode_*` metrics into `registry`.
+    pub fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
+        self.color.dec.attach_telemetry(registry);
+        self.depth.dec.attach_telemetry(registry);
+    }
+
+    /// Record the decoders' per-frame events as `party`.
+    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
+        self.color
+            .dec
+            .attach_trace(trace.clone(), party, "codec.color");
+        self.depth.dec.attach_trace(trace, party, "codec.depth");
+    }
+
+    /// Run one tick's delivered frames through their lanes, each lane in
+    /// arrival order. `Control` frames are not media and are ignored. The
+    /// outcomes, colour lane first, are the caller's to count.
+    pub fn ingest(&mut self, frames: &[AssembledFrame], now: Micros) -> Vec<FrameOutcome> {
+        if frames.is_empty() {
+            return Vec::new();
+        }
+        let drain = |lane: &mut DecodeLane, stream: StreamId| -> Vec<FrameOutcome> {
+            let of_lane = frames.iter().filter(|af| af.stream == stream);
+            of_lane.map(|af| lane.ingest(af, now)).collect()
+        };
+        // Each lane owns its decoder, window and P-chain state, so the two
+        // share nothing but the (atomic) telemetry sinks.
+        let (color, depth) = (&mut self.color, &mut self.depth);
+        let (mut outcomes, depth_outcomes) = match &self.pool {
+            Some(pool) => pool.join(
+                || drain(color, StreamId::Color),
+                || drain(depth, StreamId::Depth),
+            ),
+            None => (drain(color, StreamId::Color), drain(depth, StreamId::Depth)),
+        };
+        outcomes.extend(depth_outcomes);
+        outcomes
+    }
+
+    /// The newest sequence number decoded on *both* streams, with its
+    /// colour and depth canvases: what a display slot shows.
+    pub fn newest_pair(&self) -> Option<(u32, &Frame, &Frame)> {
+        let mut newest_first = self.color.window.iter().rev();
+        newest_first.find_map(|(&seq, color)| Some((seq, color, self.depth.window.get(&seq)?)))
+    }
+
+    /// Decoded colour canvas for `seq`, if still in the window.
+    pub fn color(&self, seq: u32) -> Option<&Frame> {
+        self.color.window.get(&seq)
+    }
+
+    /// Decoded depth canvas for `seq`, if still in the window.
+    pub fn depth(&self, seq: u32) -> Option<&Frame> {
+        self.depth.window.get(&seq)
+    }
+}
+
+// A threaded driver moves a stage onto its thread.
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<SenderStage>();
+    is_send::<ReceiverStage>();
+};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tile::write_seq;
+    use bytes::Bytes;
+    use livo_capture::{datasets::DatasetPreset, render::render_views_at, rig, VideoId};
+    use livo_codec2d::FrameType;
+    use livo_math::{CameraIntrinsics, FrustumParams, Pose, Vec3};
+
+    const FRAMES: u32 = 12;
+    const KEY_AT: u32 = 6;
+
+    fn cameras() -> Vec<RgbdCamera> {
+        let k = CameraIntrinsics::kinect_depth(0.08);
+        rig::camera_ring(4, 2.5, 1.4, Vec3::new(0.0, 1.0, 0.0), k)
+    }
+
+    fn layout_of(cameras: &[RgbdCamera]) -> TileLayout {
+        let k = cameras[0].intrinsics;
+        TileLayout::new(k.width as usize, k.height as usize, cameras.len())
+    }
+
+    /// Twelve frames of `band2` in motion, un-culled.
+    fn clip(cameras: &[RgbdCamera]) -> Vec<Vec<RgbdFrame>> {
+        let scene = DatasetPreset::load(VideoId::Band2).scene;
+        let pool = WorkerPool::new(1);
+        (0..FRAMES)
+            .map(|f| render_views_at(&pool, cameras, &scene.at(f as f32 / 30.0), f))
+            .collect()
+    }
+
+    fn viewer(eye: Vec3, at: Vec3) -> Frustum {
+        let pose = Pose::look_at(eye, at, Vec3::Y);
+        Frustum::from_params(&pose, &FrustumParams::default()).expanded(GUARD_BAND_M)
+    }
+
+    /// The path `benchmark/src/call.rs` times, composed by hand from the
+    /// entry points it names: `cull_views_on` → `compose_color` /
+    /// `compose_depth` → `Encoder::encode`.
+    struct ByHand {
+        layout: TileLayout,
+        codec: DepthCodec,
+        cull: CullContext,
+        color_enc: Encoder,
+        depth_enc: Encoder,
+    }
+
+    impl ByHand {
+        fn new(layout: TileLayout, encoding: DepthEncoding) -> Self {
+            let encoder = |format| {
+                let mut cfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, format);
+                cfg.gop_length = 0;
+                Encoder::new(cfg)
+            };
+            let depth_format = match encoding {
+                DepthEncoding::RgbPacked => PixelFormat::Yuv420,
+                _ => PixelFormat::Y16,
+            };
+            ByHand {
+                layout,
+                codec: DepthCodec::new(6000, encoding),
+                cull: CullContext::new(),
+                color_enc: encoder(PixelFormat::Yuv420),
+                depth_enc: encoder(depth_format),
+            }
+        }
+
+        /// RGB-packed depth the way the call loop used to compose it inline:
+        /// tile the millimetres, pack, stamp the 8-bit luma plane.
+        fn depth_canvas(&self, views: &[RgbdFrame], seq: u32) -> Frame {
+            if self.codec.encoding != DepthEncoding::RgbPacked {
+                return compose_depth(views, &self.layout, &self.codec, seq);
+            }
+            let (w, h) = (self.layout.canvas_w, self.layout.canvas_h);
+            let mut mm = vec![0u16; w * h];
+            for (i, v) in views.iter().enumerate() {
+                let (ox, oy) = self.layout.slot_origin(i);
+                for y in 0..v.height {
+                    let row = &v.depth_mm[y * v.width..][..v.width];
+                    mm[(oy + y) * w + ox..][..v.width].copy_from_slice(row);
+                }
+            }
+            let mut f = self.codec.pack_rgb(&mm, w, h);
+            write_seq(&mut f.planes[0], seq, 255);
+            f
+        }
+
+        fn frame(
+            &mut self,
+            views: &mut [RgbdFrame],
+            cameras: &[RgbdCamera],
+            frusta: &[Frustum],
+            seq: u32,
+            rate: Rate,
+        ) -> (EncodedFrame, EncodedFrame) {
+            let pool = WorkerPool::new(1);
+            match frusta {
+                [] => {}
+                [one] => {
+                    self.cull.cull_views_on(&pool, views, cameras, one);
+                }
+                // No single-frustum entry point makes a union: the per-pixel
+                // oracle does.
+                many => {
+                    crate::cull::cull_views_union_reference(views, cameras, many);
+                }
+            }
+            let color = compose_color(views, &self.layout, seq);
+            let depth = self.depth_canvas(views, seq);
+            if seq == KEY_AT {
+                self.color_enc.force_keyframe();
+                self.depth_enc.force_keyframe();
+            }
+            match rate {
+                Rate::Budget {
+                    color_bits,
+                    depth_bits,
+                } => (
+                    self.color_enc.encode(&color, color_bits.max(2_000)),
+                    self.depth_enc.encode(&depth, depth_bits.max(2_000)),
+                ),
+                Rate::FixedQp {
+                    color: qc,
+                    depth: qd,
+                } => (
+                    self.color_enc.encode_fixed_qp(&color, qc),
+                    self.depth_enc.encode_fixed_qp(&depth, qd),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn sender_stage_equals_the_hand_composed_path() {
+        let cameras = cameras();
+        let layout = layout_of(&cameras);
+        let clip = clip(&cameras);
+        let front = viewer(Vec3::new(0.0, 1.5, 3.0), Vec3::new(0.0, 1.0, 0.0));
+        let side = viewer(Vec3::new(3.0, 1.4, 0.5), Vec3::new(0.5, 1.0, 0.0));
+        let culls: [&[Frustum]; 3] = [&[], &[front], &[front, side]];
+        let (color, depth) = NOADAPT_QPS;
+        let rates = [
+            // The depth budget sits under the floor on purpose.
+            Rate::Budget {
+                color_bits: 14_000,
+                depth_bits: 1_500,
+            },
+            Rate::FixedQp { color, depth },
+        ];
+        let encodings = [
+            DepthEncoding::ScaledY16,
+            DepthEncoding::RawY16,
+            DepthEncoding::RgbPacked,
+        ];
+        for encoding in encodings {
+            for frusta in culls {
+                for rate in rates {
+                    let what = format!("{encoding:?}, {} frusta, {rate:?}", frusta.len());
+                    let mut stage = SenderStage::new(layout, encoding);
+                    let mut by_hand = ByHand::new(layout, encoding);
+                    let mut culled_any = false;
+                    for (seq, captured) in clip.iter().enumerate() {
+                        let seq = seq as u32;
+                        let mut views = captured.clone();
+                        let stats = stage.cull(&mut views, &cameras, frusta);
+                        assert_eq!(stats.is_some(), !frusta.is_empty(), "{what}");
+                        culled_any |= stats.is_some_and(|s| s.kept < s.total_valid);
+                        let canvases = stage.compose(&views, seq);
+                        if seq == KEY_AT {
+                            stage.force_keyframe();
+                        }
+                        let (c, d) = stage.encode(&canvases, rate, seq as u64, 0);
+
+                        let mut views = captured.clone();
+                        let (hc, hd) = by_hand.frame(&mut views, &cameras, frusta, seq, rate);
+                        let intra = seq == 0 || seq == KEY_AT;
+                        for (got, want, lane) in [(&c, &hc, "colour"), (&d, &hd, "depth")] {
+                            assert_eq!(got.data, want.data, "{what}: {lane} bytes, frame {seq}");
+                            assert!(
+                                got.reconstruction == want.reconstruction,
+                                "{what}: {lane} reconstruction, frame {seq}"
+                            );
+                            assert_eq!(got.frame_type == FrameType::Intra, intra, "{what}");
+                        }
+                        let (rmse_c, rmse_d) = stage.rmse(&canvases, &c, &d);
+                        assert!(rmse_c.is_finite() && rmse_d.is_finite(), "{what}");
+                    }
+                    assert_eq!(culled_any, !frusta.is_empty(), "{what}: cull engaged");
+                }
+            }
+        }
+    }
+
+    /// One delivered frame, as the transport's reassembly hands it over.
+    fn delivered(stream: StreamId, frame_id: u64, out: &EncodedFrame) -> AssembledFrame {
+        AssembledFrame {
+            stream,
+            frame_id,
+            data: Bytes::from(out.data.clone()),
+            keyframe: out.frame_type == FrameType::Intra,
+            completed_at: 0,
+            send_ts: 0,
+        }
+    }
+
+    #[test]
+    fn receiver_stage_guards_decodes_and_pairs() {
+        use Ingest::*;
+        use StreamId::{Color, Control, Depth};
+        let cameras = cameras();
+        let layout = layout_of(&cameras);
+        let clip = clip(&cameras);
+        // A twelve-frame stream pair with intra frames at 0 and 6.
+        let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16);
+        let (color, depth) = NOADAPT_QPS;
+        let sent: Vec<(EncodedFrame, EncodedFrame)> = (0..FRAMES)
+            .map(|seq| {
+                if seq == KEY_AT {
+                    sender.force_keyframe();
+                }
+                let canvases = sender.compose(&clip[seq as usize], seq);
+                sender.encode(&canvases, Rate::FixedQp { color, depth }, seq as u64, 0)
+            })
+            .collect();
+        let c = |id: u64| delivered(Color, id, &sent[id as usize].0);
+        let d = |id: u64| delivered(Depth, id, &sent[id as usize].1);
+        let mut garbage = c(9);
+        garbage.data = Bytes::from(vec![0xB2, 0xFF, 0x00, 0x13, 0x37]);
+        let control = AssembledFrame {
+            stream: Control,
+            ..c(0)
+        };
+
+        // (what, one tick's arrivals, the outcomes colour lane first, the
+        // newest pair afterwards)
+        type Case = (
+            &'static str,
+            Vec<AssembledFrame>,
+            Vec<(&'static str, u64, Ingest)>,
+            Option<u32>,
+        );
+        let cases: Vec<Case> = vec![
+            ("nothing arrived", vec![], vec![], None),
+            ("control is not media", vec![control], vec![], None),
+            (
+                "colour alone pairs with nothing",
+                vec![c(0)],
+                vec![("color", 0, Decoded)],
+                None,
+            ),
+            (
+                "depth catches up; lanes keep arrival order",
+                vec![d(0), c(1), d(1), c(2)],
+                vec![
+                    ("color", 1, Decoded),
+                    ("color", 2, Decoded),
+                    ("depth", 0, Decoded),
+                    ("depth", 1, Decoded),
+                ],
+                Some(1),
+            ),
+            (
+                "colour two frames ahead of depth",
+                vec![c(3), d(2), c(4)],
+                vec![
+                    ("color", 3, Decoded),
+                    ("color", 4, Decoded),
+                    ("depth", 2, Decoded),
+                ],
+                Some(2),
+            ),
+            (
+                "a frame-id gap breaks the depth chain",
+                vec![d(4)],
+                vec![("depth", 4, ChainBroken)],
+                Some(2),
+            ),
+            (
+                "non-key frames are skipped until an intra",
+                vec![d(5), c(5), d(6)],
+                vec![
+                    ("color", 5, Decoded),
+                    ("depth", 5, AwaitingKey),
+                    ("depth", 6, Decoded),
+                ],
+                Some(2),
+            ),
+            (
+                "the window holds eight frames a stream",
+                vec![c(6), c(7), c(8), d(7), d(8)],
+                vec![
+                    ("color", 6, Decoded),
+                    ("color", 7, Decoded),
+                    ("color", 8, Decoded),
+                    ("depth", 7, Decoded),
+                    ("depth", 8, Decoded),
+                ],
+                Some(8),
+            ),
+            (
+                "a payload that fails to decode",
+                vec![garbage, c(10), d(9)],
+                vec![
+                    ("color", 9, DecodeError),
+                    ("color", 10, AwaitingKey),
+                    ("depth", 9, Decoded),
+                ],
+                Some(8),
+            ),
+        ];
+        let mut rx = ReceiverStage::new();
+        for (what, arrivals, want, pair) in cases {
+            let got: Vec<_> = rx
+                .ingest(&arrivals, 0)
+                .iter()
+                .map(|o| {
+                    // A frame that never reached the decoder cost no time.
+                    let attempted = matches!(o.ingest, Decoded | DecodeError);
+                    assert!(attempted || o.decode_ms == 0.0, "{what}: decode time");
+                    assert!(
+                        o.ingest != Decoded || o.decode_ms > 0.0,
+                        "{what}: decode time"
+                    );
+                    let key = matches!(o.ingest, ChainBroken | DecodeError);
+                    assert_eq!(o.ingest.wants_key(), key, "{what}");
+                    (o.lane, o.frame_id, o.ingest)
+                })
+                .collect();
+            assert_eq!(got, want, "{what}");
+            assert_eq!(rx.newest_pair().map(|p| p.0), pair, "{what}: newest pair");
+        }
+        // Frames are keyed by the sequence number read back from the canvas,
+        // and what was decoded is what the sender reconstructed.
+        let (seq, color, depth) = rx.newest_pair().expect("a pair");
+        assert!(*color == sent[seq as usize].0.reconstruction);
+        assert!(*depth == sent[seq as usize].1.reconstruction);
+        // Colour decoded 0..=8: nine frames, the oldest evicted. Depth lost
+        // 3 to 5, so all of its seven are still there.
+        assert!(rx.color(0).is_none() && rx.color(1).is_some() && rx.color(8).is_some());
+        assert!(rx.depth(0).is_some() && rx.depth(4).is_none() && rx.depth(9).is_some());
+    }
+}

@@ -15,7 +15,7 @@
 use livo_capture::RgbdFrame;
 use livo_codec2d::{Frame, PixelFormat, Plane};
 
-use crate::depth::DepthCodec;
+use crate::depth::{DepthCodec, DepthEncoding};
 
 /// Bits in the embedded sequence number.
 pub const SEQ_BITS: usize = 32;
@@ -167,7 +167,9 @@ pub fn compose_color(views: &[RgbdFrame], layout: &TileLayout, seq: u32) -> Fram
     f
 }
 
-/// Compose the depth canvas (Y16) with the given depth codec (scaling).
+/// Compose the depth canvas in the depth codec's encoding: scaled or raw
+/// millimetres as Y16, or — for [`DepthEncoding::RgbPacked`] — the tiled
+/// millimetres packed into an 8-bit YUV 4:2:0 frame.
 pub fn compose_depth(
     views: &[RgbdFrame],
     layout: &TileLayout,
@@ -185,7 +187,10 @@ pub fn compose_depth(
             codec.encode_row(src, dst);
         }
     }
-    write_seq(&mut f.planes[0], seq, u16::MAX);
+    if codec.encoding == DepthEncoding::RgbPacked {
+        f = codec.pack_rgb(&f.planes[0].data, layout.canvas_w, layout.canvas_h);
+    }
+    write_seq(&mut f.planes[0], seq, f.format.peak_value());
     f
 }
 

@@ -458,7 +458,7 @@ static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
 
 /// The process-wide pool, built on first use with [`threads_from_env`]
 /// threads. The encoder, cull, and capture paths use it by default; pass
-/// an explicit pool (e.g. via `PipelineOptions` or
+/// an explicit pool (e.g. via `ConferenceRunner::set_worker_pool` or
 /// `Encoder::set_worker_pool`) to override per component.
 pub fn global() -> &'static Arc<WorkerPool> {
     GLOBAL.get_or_init(|| Arc::new(WorkerPool::new(threads_from_env())))

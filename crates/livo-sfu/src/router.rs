@@ -55,11 +55,10 @@ use crate::cluster::{cluster_views, ClusterParams, ViewVolume};
 use crate::subscriber::{Subscriber, SubscriberConfig};
 use bytes::Bytes;
 use livo_capture::{BandwidthTrace, RgbdFrame};
-use livo_codec2d::{luma_rmse, EncodedFrame, Encoder, EncoderConfig, FrameType, PixelFormat};
-use livo_core::cull::CullContext;
-use livo_core::depth::{DepthCodec, DepthEncoding};
-use livo_core::pipeline::EncodedPair;
-use livo_core::tile::{compose_color, compose_depth, TileLayout};
+use livo_codec2d::{EncodedFrame, FrameType};
+use livo_core::depth::DepthEncoding;
+use livo_core::stage::{Rate, SenderStage, MEDIA_SHARE};
+use livo_core::tile::TileLayout;
 use livo_math::{Frustum, Pose, RgbdCamera};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{intern, kind, EventTrace, NO_FRAME};
@@ -169,8 +168,6 @@ pub struct RouterConfig {
     /// variant (stragglers then receive the shared stream and rely on
     /// their own transport to shed the overflow).
     pub straggler_fraction: f64,
-    /// Fraction of a member's bandwidth estimate budgeted to media.
-    pub budget_fraction: f64,
     /// Re-run clustering every this many frames (membership changes and
     /// PLIs take effect immediately regardless).
     pub recluster_every: u32,
@@ -191,7 +188,6 @@ impl Default for RouterConfig {
             cluster: ClusterParams::default(),
             sharing: true,
             straggler_fraction: 0.0,
-            budget_fraction: 0.80,
             recluster_every: 15,
             max_subscribers: 4096,
             intra_cooldown_rtts: 1.0,
@@ -230,12 +226,6 @@ impl RouterBuilder {
     /// Straggler threshold as a fraction of the cluster leader estimate.
     pub fn straggler_fraction(mut self, fraction: f64) -> Self {
         self.cfg.straggler_fraction = fraction;
-        self
-    }
-
-    /// Fraction of a member's bandwidth estimate budgeted to media.
-    pub fn budget_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.budget_fraction = fraction;
         self
     }
 
@@ -284,12 +274,6 @@ impl RouterBuilder {
         if cfg.fps == 0 {
             return err("fps", "must be >= 1".into());
         }
-        if !(cfg.budget_fraction > 0.0 && cfg.budget_fraction <= 1.0) {
-            return err(
-                "budget_fraction",
-                format!("{} outside (0, 1]", cfg.budget_fraction),
-            );
-        }
         if !(cfg.straggler_fraction >= 0.0 && cfg.straggler_fraction < 1.0) {
             return err(
                 "straggler_fraction",
@@ -329,7 +313,6 @@ impl RouterBuilder {
             cfg: self.cfg,
             cameras: self.cameras,
             layout,
-            depth_codec: DepthCodec::new(6000, DepthEncoding::ScaledY16),
             pool: self.pool.unwrap_or_else(|| livo_runtime::global().clone()),
             registry,
             metrics,
@@ -344,10 +327,6 @@ impl RouterBuilder {
         })
     }
 }
-
-/// Floor on per-frame encode budgets, bits (matches the conference
-/// runner's floor).
-const MIN_FRAME_BITS: u64 = 2_000;
 
 /// Subscriber count at or above which `tick` shards the session drain
 /// across the pool (below it the spawn overhead outweighs the work).
@@ -453,62 +432,42 @@ impl ChainState {
 struct ClusterState {
     key: u64,
     members: Vec<SubscriberId>,
-    color_enc: Encoder,
-    depth_enc: Encoder,
-    /// Cached straggler-variant encoders (own P chains). Created on the
+    /// Union-cull state and the shared encoder pair. It is given no pool:
+    /// the cluster pass is itself a pool task, so its work is serial.
+    sender: SenderStage,
+    /// The straggler variant: a second stage fed `sender`'s canvases, so
+    /// only its encoder pair (an own P chain) ever runs. Created on the
     /// first straggler and kept across straggler departures, so a later
     /// straggler reuses the cached chain instead of forcing a fresh
     /// encoder pair.
-    low_enc: Option<(Encoder, Encoder)>,
+    low: Option<SenderStage>,
     /// Low-variant assignment of `members` as currently *forwarded*.
     /// Desired flips are deferred until the destination chain fires an
     /// intra, so no member decodes a P frame against a missing reference.
     low_assign: Vec<bool>,
     shared_chain: ChainState,
     low_chain: ChainState,
-    /// Union-cull state: the per-camera ray tables are built once per
-    /// cluster and live with the encoders, not rebuilt every frame.
-    cull: CullContext,
 }
 
 impl ClusterState {
     fn new(
         key: u64,
         members: Vec<SubscriberId>,
-        layout: &TileLayout,
-        registry: &MetricsRegistry,
+        layout: TileLayout,
+        registry: &Arc<MetricsRegistry>,
     ) -> Self {
         let n = members.len();
-        let mut cull = CullContext::new();
-        cull.attach_telemetry(registry);
+        let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16);
+        sender.attach_cull_telemetry(registry);
         ClusterState {
             key,
             members,
-            color_enc: Encoder::new(Self::enc_cfg(layout, PixelFormat::Yuv420)),
-            depth_enc: Encoder::new(Self::enc_cfg(layout, PixelFormat::Y16)),
-            low_enc: None,
+            sender,
+            low: None,
             low_assign: vec![false; n],
             shared_chain: ChainState::fresh(),
             low_chain: ChainState::fresh(),
-            cull,
         }
-    }
-
-    /// Open-GOP encoder config: intras only at start-up and on demand,
-    /// exactly like the two-party pipeline.
-    fn enc_cfg(layout: &TileLayout, format: PixelFormat) -> EncoderConfig {
-        let mut cfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, format);
-        cfg.gop_length = 0;
-        cfg
-    }
-
-    fn low_pair(&mut self, layout: &TileLayout) -> &mut (Encoder, Encoder) {
-        self.low_enc.get_or_insert_with(|| {
-            (
-                Encoder::new(Self::enc_cfg(layout, PixelFormat::Yuv420)),
-                Encoder::new(Self::enc_cfg(layout, PixelFormat::Y16)),
-            )
-        })
     }
 }
 
@@ -517,15 +476,13 @@ impl ClusterState {
 /// subscribers).
 struct ClusterJob {
     frusta: Vec<Frustum>,
-    color_bits: u64,
-    depth_bits: u64,
+    rate: Rate,
     target_bps: f64,
     /// Aligned with the cluster's members: who gets the low variant
     /// this frame (flips already resolved against the chain guards).
     low_assign: Vec<bool>,
-    run_low: bool,
-    low_color_bits: u64,
-    low_depth_bits: u64,
+    /// Rate of the straggler variant, when any member is on it.
+    low_rate: Option<Rate>,
     force_shared_key: bool,
     force_low_key: bool,
     shared_intra_gap_us: Option<u64>,
@@ -539,7 +496,6 @@ struct RouterMetrics {
     shared_intras: Arc<Counter>,
     deferred_intras: Arc<Counter>,
     pli_fanin: Arc<Counter>,
-    broadcast_frames: Arc<Counter>,
     reclusters: Arc<Counter>,
     joins: Arc<Counter>,
     leaves: Arc<Counter>,
@@ -560,7 +516,6 @@ impl RouterMetrics {
             shared_intras: reg.counter("sfu.shared_intras"),
             deferred_intras: reg.counter("sfu.deferred_intras"),
             pli_fanin: reg.counter("sfu.pli_fanin"),
-            broadcast_frames: reg.counter("sfu.broadcast_frames"),
             reclusters: reg.counter("sfu.reclusters"),
             joins: reg.counter("sfu.joins"),
             leaves: reg.counter("sfu.leaves"),
@@ -592,7 +547,6 @@ pub struct Router {
     cfg: RouterConfig,
     cameras: Vec<RgbdCamera>,
     layout: TileLayout,
-    depth_codec: DepthCodec,
     pool: Arc<WorkerPool>,
     registry: Arc<MetricsRegistry>,
     metrics: RouterMetrics,
@@ -657,7 +611,7 @@ impl Router {
         }
         let id = SubscriberId(self.next_id);
         self.next_id += 1;
-        let mut sub = Subscriber::new(cfg, trace);
+        let mut sub = Subscriber::new(cfg, trace, &self.pool);
         // Display names flow into metric names: fold anything outside the
         // documented `[a-z0-9_]` segment alphabet to '_' so a name like
         // "producer-desk" still yields convention-clean metrics.
@@ -772,13 +726,7 @@ impl Router {
                 pli.inc();
                 wants_key = true;
             }
-            for af in sub.session.recv_frames() {
-                if let Some(rx) = sub.receiver.as_mut() {
-                    if rx.ingest(&af, &mut sub.stats, now) {
-                        wants_key = true;
-                    }
-                }
-            }
+            wants_key |= sub.ingest_arrivals(now);
             wants_key
         };
         let mut need_key: Vec<SubscriberId> = Vec::new();
@@ -809,33 +757,6 @@ impl Router {
         }
         for id in need_key {
             self.arm_member_chain(id);
-        }
-    }
-
-    /// Forward an already-encoded pair to *every* subscriber, bypassing
-    /// cull and re-encode — the pure forwarding path for sources that
-    /// ship their own [`EncodedPair`]s (e.g. a `SenderPipeline` output).
-    /// No per-cluster adaptation happens on this path.
-    pub fn broadcast_encoded(&mut self, now: Micros, pair: &EncodedPair) {
-        let color = Bytes::from(pair.color.data.clone());
-        let depth = Bytes::from(pair.depth.data.clone());
-        for sub in self.subscribers.values_mut() {
-            sub.session.send_frame(
-                now,
-                StreamId::Color,
-                pair.seq as u64,
-                color.clone(),
-                pair.color.frame_type == FrameType::Intra,
-            );
-            sub.session.send_frame(
-                now,
-                StreamId::Depth,
-                pair.seq as u64,
-                depth.clone(),
-                pair.depth.frame_type == FrameType::Intra,
-            );
-            sub.stats.frames_forwarded += 1;
-            self.metrics.broadcast_frames.inc();
         }
     }
 
@@ -922,7 +843,7 @@ impl Router {
                     self.clusters.push(ClusterState::new(
                         key,
                         members,
-                        &self.layout,
+                        self.layout,
                         &self.registry,
                     ));
                 }
@@ -978,7 +899,7 @@ impl Router {
             let split = self.subscribers[&state.members[leader_idx]]
                 .splitter
                 .split();
-            let media = leader * self.cfg.budget_fraction / self.cfg.fps as f64;
+            let media = leader * MEDIA_SHARE / self.cfg.fps as f64;
             let max_rtt_us = state
                 .members
                 .iter()
@@ -1044,7 +965,7 @@ impl Router {
                 }
             }
             let run_low = state.low_assign.iter().any(|&l| l);
-            if run_low && state.low_enc.is_some() {
+            if run_low && state.low.is_some() {
                 self.metrics.low_chain_reuses.inc();
             }
 
@@ -1054,21 +975,22 @@ impl Router {
                 .filter(|(_, &low)| low)
                 .map(|(&e, _)| e)
                 .fold(0.0f64, f64::max);
-            let low_media = low_leader * self.cfg.budget_fraction / self.cfg.fps as f64;
+            let low_media = low_leader * MEDIA_SHARE / self.cfg.fps as f64;
             let frusta: Vec<Frustum> = state
                 .members
                 .iter()
                 .map(|&m| self.subscribers[&m].predictor.predicted_frustum())
                 .collect();
+            let budget = |media: f64| Rate::Budget {
+                color_bits: (media * (1.0 - split)) as u64,
+                depth_bits: (media * split) as u64,
+            };
             jobs.push(ClusterJob {
                 frusta,
-                color_bits: ((media * (1.0 - split)) as u64).max(MIN_FRAME_BITS),
-                depth_bits: ((media * split) as u64).max(MIN_FRAME_BITS),
-                target_bps: leader * self.cfg.budget_fraction,
+                rate: budget(media),
+                target_bps: leader * MEDIA_SHARE,
                 low_assign: state.low_assign.clone(),
-                run_low,
-                low_color_bits: ((low_media * (1.0 - split)) as u64).max(MIN_FRAME_BITS),
-                low_depth_bits: ((low_media * split) as u64).max(MIN_FRAME_BITS),
+                low_rate: run_low.then(|| budget(low_media)),
                 force_shared_key,
                 force_low_key,
                 shared_intra_gap_us,
@@ -1126,8 +1048,8 @@ impl Router {
         outputs.resize_with(self.clusters.len(), || None);
         {
             let cameras = &self.cameras;
-            let layout = &self.layout;
-            let codec = &self.depth_codec;
+            let layout = self.layout;
+            let frame_idx = self.frame_idx;
             let pool = self.pool.clone();
             pool.scope(|s| {
                 for ((state, job), out) in
@@ -1135,47 +1057,26 @@ impl Router {
                 {
                     s.spawn(move || {
                         let mut culled = views.to_vec();
-                        let cull_stats =
-                            state
-                                .cull
-                                .cull_views_union(&mut culled, cameras, &job.frusta);
-                        let color_canvas = compose_color(&culled, layout, seq);
-                        let depth_canvas = compose_depth(&culled, layout, codec, seq);
+                        let cull_stats = state.sender.cull(&mut culled, cameras, &job.frusta);
+                        let canvases = state.sender.compose(&culled, seq);
                         if job.force_shared_key {
-                            state.color_enc.force_keyframe();
-                            state.depth_enc.force_keyframe();
+                            state.sender.force_keyframe();
                         }
-                        let color = state.color_enc.encode(&color_canvas, job.color_bits);
-                        let depth = state.depth_enc.encode(&depth_canvas, job.depth_bits);
-                        let low = if job.run_low {
-                            let (lc, ld) = state.low_pair(layout);
+                        let (color, depth) =
+                            state.sender.encode(&canvases, job.rate, frame_idx, now);
+                        let low = job.low_rate.map(|rate| {
+                            let low = state.low.get_or_insert_with(|| {
+                                SenderStage::new(layout, DepthEncoding::ScaledY16)
+                            });
                             if job.force_low_key {
-                                lc.force_keyframe();
-                                ld.force_keyframe();
+                                low.force_keyframe();
                             }
-                            Some((
-                                lc.encode(&color_canvas, job.low_color_bits),
-                                ld.encode(&depth_canvas, job.low_depth_bits),
-                            ))
-                        } else {
-                            None
-                        };
+                            low.encode(&canvases, rate, frame_idx, now)
+                        });
                         // Sender-side reconstruction error for the
-                        // splitters (the codec's closed loop makes the
-                        // reconstruction bit-exact with the decoder).
-                        let rmse_color = luma_rmse(&color_canvas, &color.reconstruction);
-                        let scale = codec.scale() as f64;
-                        let a = &depth_canvas.planes[0].data;
-                        let b = &depth.reconstruction.planes[0].data;
-                        let mse = a
-                            .iter()
-                            .zip(b.iter())
-                            .map(|(&x, &y)| {
-                                let d = (x as f64 - y as f64) / scale;
-                                d * d
-                            })
-                            .sum::<f64>()
-                            / a.len().max(1) as f64;
+                        // splitters.
+                        let (rmse_color, rmse_depth_mm) =
+                            state.sender.rmse(&canvases, &color, &depth);
                         let low_members = state
                             .members
                             .iter()
@@ -1190,10 +1091,10 @@ impl Router {
                             color,
                             depth,
                             low,
-                            keep_fraction: cull_stats.keep_fraction(),
+                            keep_fraction: cull_stats.map_or(1.0, |s| s.keep_fraction()),
                             target_bps: job.target_bps,
                             rmse_color,
-                            rmse_depth_mm: mse.sqrt(),
+                            rmse_depth_mm,
                             shared_intra_gap_us: job.shared_intra_gap_us,
                         });
                     });
@@ -1337,7 +1238,7 @@ mod tests {
     fn views_at(cams: &[RgbdCamera], t_s: f32, seed: u32) -> Vec<RgbdFrame> {
         let preset = DatasetPreset::load(VideoId::Band2);
         let snap = preset.scene.at(t_s);
-        render_views_at(livo_runtime::global(), cams, &snap, seed)
+        render_views_at(&WorkerPool::new(1), cams, &snap, seed)
     }
 
     fn trace() -> BandwidthTrace {
@@ -1356,13 +1257,6 @@ mod tests {
             Router::builder(Vec::new()).build(),
             Err(RouterError::InvalidConfig {
                 field: "cameras",
-                ..
-            })
-        ));
-        assert!(matches!(
-            Router::builder(tiny_rig()).budget_fraction(0.0).build(),
-            Err(RouterError::InvalidConfig {
-                field: "budget_fraction",
                 ..
             })
         ));
@@ -1562,40 +1456,45 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_path_forwards_without_encode_passes() {
-        let mut router = Router::builder(tiny_rig()).build().unwrap();
-        let a = add(&mut router, "a");
-        let b = add(&mut router, "b");
-        // Hand-build a pair via a throwaway encode.
-        let views = views_at(&router.cameras.clone(), 0.0, 0);
-        let layout = router.layout().clone();
-        let color_canvas = compose_color(&views, &layout, 0);
-        let mut cfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, PixelFormat::Yuv420);
-        cfg.gop_length = 0;
-        let mut enc = Encoder::new(cfg);
-        let color = enc.encode_fixed_qp(&color_canvas, 20);
-        let depth_canvas = compose_depth(
-            &views,
-            &layout,
-            &DepthCodec::new(6000, DepthEncoding::ScaledY16),
-            0,
-        );
-        let mut dcfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, PixelFormat::Y16);
-        dcfg.gop_length = 0;
-        let mut denc = Encoder::new(dcfg);
-        let depth = denc.encode_fixed_qp(&depth_canvas, 14);
-        let pair = EncodedPair {
-            seq: 0,
-            color,
-            depth,
-            pipeline_latency_ms: 0.0,
+    fn standin_decodes_on_the_router_pool() {
+        // A one-thread pool counts the stand-in's two lane tasks per tick
+        // with arrivals and runs each decode inline; a two-thread pool adds
+        // one task per decoded (one-slice) frame. Both are the router's
+        // pool, not the process-wide one, so the difference between the two
+        // pools' counters is exactly the frames the stand-in decoded.
+        let run = |threads: usize, standin: bool| {
+            let pool = Arc::new(WorkerPool::new(threads));
+            let registry = Arc::new(MetricsRegistry::new());
+            pool.attach_telemetry(&registry, "own.pool");
+            let mut router = Router::builder(tiny_rig())
+                .worker_pool(pool)
+                .build()
+                .unwrap();
+            let mut cfg = SubscriberConfig::new("viewer");
+            cfg.standin = standin;
+            let id = router.add_subscriber(cfg, trace()).unwrap();
+            router.observe_pose(id, &looking(0.0)).unwrap();
+            let views = views_at(&router.cameras.clone(), 0.0, 0);
+            for now in (0..400_000).step_by(1_000) {
+                if now % 33_000 == 0 {
+                    router.route_frame(now, &views);
+                }
+                router.tick(now);
+            }
+            let decoded = router.subscriber(id).unwrap().stats().frames_decoded;
+            let tasks = registry.snapshot().counter("own.pool.tasks").unwrap();
+            (tasks, decoded)
         };
-        router.broadcast_encoded(0, &pair);
-        let snap = router.registry().snapshot();
-        assert_eq!(snap.counter("sfu.broadcast_frames"), Some(2));
-        assert_eq!(snap.counter("sfu.encode_passes"), Some(0));
-        assert_eq!(router.subscriber(a).unwrap().stats().frames_forwarded, 1);
-        assert_eq!(router.subscriber(b).unwrap().stats().frames_forwarded, 1);
+        let (serial, decoded) = run(1, true);
+        let (pooled, decoded_pooled) = run(2, true);
+        assert!(
+            decoded >= 10 && decoded == decoded_pooled,
+            "{decoded} frames"
+        );
+        assert_eq!(pooled - serial, decoded);
+        // And the lane tasks are the stand-in's: none without it.
+        let (bare, _) = run(1, false);
+        assert!(serial - bare >= decoded && (serial - bare) % 2 == 0);
     }
 
     #[test]

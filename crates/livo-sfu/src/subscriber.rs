@@ -9,15 +9,15 @@
 //! encoder: encoding happens per *cluster* in the [`crate::router`].
 
 use livo_capture::BandwidthTrace;
-use livo_codec2d::{Decoder, Frame};
+use livo_codec2d::Frame;
 use livo_core::frustum_pred::FrustumPredictor;
 use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
-use livo_core::tile::read_seq;
+use livo_core::stage::{Ingest, ReceiverStage, GUARD_BAND_M};
 use livo_math::{FrustumParams, Pose};
+use livo_runtime::WorkerPool;
 use livo_telemetry::trace::EventTrace;
 use livo_telemetry::FrameTimeline;
-use livo_transport::packet::AssembledFrame;
-use livo_transport::{Micros, RtcSession, SessionConfig, StreamId};
+use livo_transport::{Micros, RtcSession, SessionConfig};
 use std::sync::Arc;
 
 /// Configuration of one subscriber's downlink.
@@ -27,8 +27,6 @@ pub struct SubscriberConfig {
     pub name: String,
     /// Transport parameters of the emulated downlink.
     pub session: SessionConfig,
-    /// Frustum guard band ε in metres.
-    pub guard_m: f32,
     /// Viewing-volume shape (FoV, aspect, near/far).
     pub frustum: FrustumParams,
     /// RMSE-balancing split configuration.
@@ -47,7 +45,6 @@ impl SubscriberConfig {
         SubscriberConfig {
             name: name.into(),
             session: SessionConfig::default(),
-            guard_m: 0.2,
             frustum: FrustumParams::default(),
             splitter: SplitterConfig::default(),
             standin: true,
@@ -83,22 +80,66 @@ pub struct Subscriber {
     pub(crate) session: RtcSession,
     pub(crate) predictor: FrustumPredictor,
     pub(crate) splitter: BandwidthSplitter,
-    pub(crate) receiver: Option<ReceiverState>,
+    pub(crate) receiver: Option<ReceiverStage>,
     pub(crate) stats: SubscriberStats,
     pub(crate) timeline: Arc<FrameTimeline>,
 }
 
 impl Subscriber {
-    pub(crate) fn new(cfg: SubscriberConfig, trace: BandwidthTrace) -> Self {
+    /// `pool` is the router's: the decode stand-in runs on it.
+    pub(crate) fn new(
+        cfg: SubscriberConfig,
+        trace: BandwidthTrace,
+        pool: &Arc<WorkerPool>,
+    ) -> Self {
+        let receiver = cfg.standin.then(|| {
+            let mut rx = ReceiverStage::new();
+            rx.set_worker_pool(pool.clone());
+            rx
+        });
         Subscriber {
             name: cfg.name,
             session: RtcSession::new(trace, cfg.session),
-            predictor: FrustumPredictor::new(cfg.frustum, cfg.guard_m),
+            predictor: FrustumPredictor::new(cfg.frustum, GUARD_BAND_M),
             splitter: BandwidthSplitter::new(cfg.splitter),
-            receiver: cfg.standin.then(ReceiverState::new),
+            receiver,
             stats: SubscriberStats::default(),
             timeline: Arc::new(FrameTimeline::new(2048)),
         }
+    }
+
+    /// Take what the downlink delivered this tick and run it through the
+    /// decode stand-in. Returns `true` when the stand-in needs a keyframe to
+    /// resynchronise (a frame-id gap broke a P chain, or a payload failed to
+    /// decode) — the router fans this into the subscriber's cluster.
+    pub(crate) fn ingest_arrivals(&mut self, now: Micros) -> bool {
+        let arrived = self.session.recv_frames();
+        let Some(rx) = self.receiver.as_mut() else {
+            return false;
+        };
+        let mut wants_key = false;
+        for o in rx.ingest(&arrived, now) {
+            match o.ingest {
+                Ingest::Decoded => self.stats.frames_decoded += 1,
+                Ingest::DecodeError => {
+                    self.stats.decode_failures += 1;
+                    // One warning per second, not one per broken P frame.
+                    livo_telemetry::log::warn_limited(
+                        "sfu.decode",
+                        1_000,
+                        "sfu",
+                        "subscriber decode failed, requesting keyframe",
+                        &[("frame", o.frame_id.into()), ("stream", o.lane.into())],
+                    );
+                }
+                Ingest::ChainBroken | Ingest::AwaitingKey => {}
+            }
+            if o.ingest.wants_key() {
+                self.stats.keyframes_requested += 1;
+                wants_key = true;
+            }
+        }
+        wants_key
     }
 
     pub fn name(&self) -> &str {
@@ -147,143 +188,19 @@ impl Subscriber {
     /// Decoded colour frame for `seq`, if still in the reorder window.
     /// Always `None` with the decode stand-in disabled.
     pub fn decoded_color(&self, seq: u32) -> Option<&Frame> {
-        self.receiver.as_ref()?.window_color.get(&seq)
+        self.receiver.as_ref()?.color(seq)
     }
 
     /// Decoded depth frame for `seq`, if still in the reorder window.
     /// Always `None` with the decode stand-in disabled.
     pub fn decoded_depth(&self, seq: u32) -> Option<&Frame> {
-        self.receiver.as_ref()?.window_depth.get(&seq)
+        self.receiver.as_ref()?.depth(seq)
     }
 
     /// Newest sequence number decoded on *both* streams (displayable).
     /// Always `None` with the decode stand-in disabled.
     pub fn latest_synced_seq(&self) -> Option<u32> {
-        let rx = self.receiver.as_ref()?;
-        rx.window_color
-            .keys()
-            .rev()
-            .find(|s| rx.window_depth.contains_key(s))
-            .copied()
-    }
-}
-
-/// Receiver-side decode stand-in: the per-stream decoders and reorder
-/// windows a remote LiVo client would run, so the simulation can assert
-/// on delivered (not just transmitted) frames. Mirrors the receive loop
-/// of `livo_core::conference`.
-pub(crate) struct ReceiverState {
-    color_dec: Decoder,
-    depth_dec: Decoder,
-    pub(crate) window_color: std::collections::BTreeMap<u32, Frame>,
-    pub(crate) window_depth: std::collections::BTreeMap<u32, Frame>,
-    expected_frame: [u64; 2],
-    need_key: [bool; 2],
-    tracing: bool,
-}
-
-/// Bound of the per-stream reorder windows, in frames.
-const WINDOW: usize = 8;
-
-impl ReceiverState {
-    fn new() -> Self {
-        // Frames entropy-decode slice-parallel on the
-        // process-wide pool; with LIVO_THREADS=1 this is a plain serial
-        // decode and the output is identical.
-        let pool = livo_runtime::global();
-        let mut color_dec = Decoder::new();
-        let mut depth_dec = Decoder::new();
-        color_dec.set_worker_pool(pool.clone());
-        depth_dec.set_worker_pool(pool.clone());
-        ReceiverState {
-            color_dec,
-            depth_dec,
-            window_color: Default::default(),
-            window_depth: Default::default(),
-            expected_frame: [0, 0],
-            need_key: [false, false],
-            tracing: false,
-        }
-    }
-
-    /// Record this stand-in's decodes as `party` on the event trace.
-    pub(crate) fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
-        self.color_dec
-            .attach_trace(trace.clone(), party, "codec.color");
-        self.depth_dec.attach_trace(trace, party, "codec.depth");
-        self.tracing = true;
-    }
-
-    /// Ingest one assembled frame from the downlink. Returns `true` when
-    /// the receiver needs a keyframe to resynchronise (frame-id gap broke
-    /// the P chain, or the payload failed to decode) — the router fans
-    /// this into the subscriber's cluster.
-    pub(crate) fn ingest(
-        &mut self,
-        af: &AssembledFrame,
-        stats: &mut SubscriberStats,
-        now: Micros,
-    ) -> bool {
-        let (sidx, dec, window) = match af.stream {
-            StreamId::Color => (0usize, &mut self.color_dec, &mut self.window_color),
-            StreamId::Depth => (1usize, &mut self.depth_dec, &mut self.window_depth),
-            StreamId::Control => return false,
-        };
-        // A frame-id gap breaks the P chain: drop until an intra arrives.
-        if af.frame_id != self.expected_frame[sidx] && !af.keyframe {
-            dec.reset();
-            self.need_key[sidx] = true;
-            self.expected_frame[sidx] = af.frame_id + 1;
-            stats.keyframes_requested += 1;
-            return true;
-        }
-        if self.need_key[sidx] && !af.keyframe {
-            self.expected_frame[sidx] = af.frame_id + 1;
-            return false;
-        }
-        self.expected_frame[sidx] = af.frame_id + 1;
-        self.need_key[sidx] = false;
-        if self.tracing {
-            dec.set_trace_frame(af.frame_id, now);
-        }
-        match dec.decode(&af.data) {
-            Ok(frame) => {
-                let peak = frame.format.peak_value();
-                let seq = read_seq(&frame.planes[0], peak);
-                window.insert(seq, frame);
-                while window.len() > WINDOW {
-                    let oldest = *window.keys().next().unwrap();
-                    window.remove(&oldest);
-                }
-                stats.frames_decoded += 1;
-                false
-            }
-            Err(_) => {
-                dec.reset();
-                self.need_key[sidx] = true;
-                stats.decode_failures += 1;
-                stats.keyframes_requested += 1;
-                // One warning per second, not one per broken P frame.
-                livo_telemetry::log::warn_limited(
-                    "sfu.decode",
-                    1_000,
-                    "sfu",
-                    "subscriber decode failed, requesting keyframe",
-                    &[
-                        ("frame", af.frame_id.into()),
-                        (
-                            "stream",
-                            if af.stream == StreamId::Color {
-                                "color"
-                            } else {
-                                "depth"
-                            }
-                            .into(),
-                        ),
-                    ],
-                );
-                true
-            }
-        }
+        let (seq, ..) = self.receiver.as_ref()?.newest_pair()?;
+        Some(seq)
     }
 }

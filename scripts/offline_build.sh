@@ -26,13 +26,10 @@ $RUSTC --crate-type lib --crate-name rand "$STUBS/rand.rs" --out-dir "$OUT"
 $RUSTC --crate-type lib --crate-name rand_chacha "$STUBS/rand_chacha.rs" --out-dir "$OUT" \
   --extern rand="$OUT/librand.rlib"
 $RUSTC --crate-type lib --crate-name bytes "$STUBS/bytes.rs" --out-dir "$OUT"
-$RUSTC --crate-type lib --crate-name parking_lot "$STUBS/parking_lot.rs" --out-dir "$OUT"
-$RUSTC --crate-type lib --crate-name crossbeam "$STUBS/crossbeam.rs" --out-dir "$OUT"
 
 EXT="--extern serde=$OUT/libserde.rlib --extern serde_json=$OUT/libserde_json.rlib
      --extern rand=$OUT/librand.rlib --extern rand_chacha=$OUT/librand_chacha.rlib
-     --extern bytes=$OUT/libbytes.rlib --extern parking_lot=$OUT/libparking_lot.rlib
-     --extern crossbeam=$OUT/libcrossbeam.rlib --extern serde_derive=$OUT/libserde_derive.so"
+     --extern bytes=$OUT/libbytes.rlib --extern serde_derive=$OUT/libserde_derive.so"
 
 # Dependency order matters; livo-bench is the bin crate handled at the end.
 CRATES="livo-telemetry livo-runtime livo-math livo-pointcloud livo-capture

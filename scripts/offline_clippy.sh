@@ -12,8 +12,7 @@ CLIPPY="clippy-driver --edition 2021 -L dependency=$OUT -D warnings --emit=metad
 
 EXT="--extern serde=$OUT/libserde.rlib --extern serde_json=$OUT/libserde_json.rlib
      --extern rand=$OUT/librand.rlib --extern rand_chacha=$OUT/librand_chacha.rlib
-     --extern bytes=$OUT/libbytes.rlib --extern parking_lot=$OUT/libparking_lot.rlib
-     --extern crossbeam=$OUT/libcrossbeam.rlib --extern serde_derive=$OUT/libserde_derive.so"
+     --extern bytes=$OUT/libbytes.rlib --extern serde_derive=$OUT/libserde_derive.so"
 
 CRATES="livo-telemetry livo-runtime livo-math livo-pointcloud livo-capture
         livo-codec2d livo-codec3d livo-mesh livo-transport livo-bond

@@ -35,6 +35,17 @@ overhead_check() {
   echo "slice header overhead <=2% of bits_total (color + depth)"
 }
 
+# Clock gate: the same snapshot is a lossless call on a link with ten times
+# the rate it uses, so every display slot must show a new frame. A stall
+# here is the call loop's schedule drifting (capture every 34 ms against
+# display every 33.3 ms gave one phantom stall in 51 slots, 2 of its 86).
+stall_check() {
+  stalls=$(grep -o '"display\.stalls":[0-9]*' "$1" | grep -o '[0-9]*$')
+  [ -n "$stalls" ] || { echo "missing display.stalls in $1"; exit 1; }
+  [ "$stalls" = 0 ] || { echo "lossless call stalled $stalls display slots"; exit 1; }
+  echo "lossless call: display.stalls 0"
+}
+
 # QoE sweep smoke: `repro --quick qoe --json` must write a snapshot with
 # the stable schema tag and all four sweep points.
 qoe_check() {
@@ -121,10 +132,10 @@ run_test kernel_differential
 # as the implementation it replaced.
 echo "== tier1: kernel gate =="
 repro --gate kernels >/dev/null
-echo "== tier1: slice overhead gate =="
+echo "== tier1: slice overhead + call clock gates =="
 snap=$(mktemp)
 repro --quick --metrics "$snap" >/dev/null
-overhead_check "$snap"; rm -f "$snap"
+overhead_check "$snap"; stall_check "$snap"; rm -f "$snap"
 # QoE sweep smoke: schema-stable snapshot over the band2 loss/bandwidth
 # sweep.
 echo "== tier1: qoe smoke =="

@@ -23,7 +23,7 @@
 //! | [`mesh`] | `livo-mesh` | meshing, decimation, surface sampling |
 //! | [`transport`] | `livo-transport` | GCC, jitter buffer, NACK/PLI, link |
 //! | [`bond`] | `livo-bond` | bonded multi-link transport, impairment scenarios |
-//! | [`core`] | `livo-core` | tiling, depth, splitter, culling, pipeline |
+//! | [`core`] | `livo-core` | tiling, depth, splitter, culling, sender/receiver stages, call loop |
 //! | [`sfu`] | `livo-sfu` | selective forwarding, frustum-clustered encode sharing |
 //! | [`baselines`] | `livo-baselines` | Draco-Oracle, MeshReduce |
 //! | [`eval`] | `livo-eval` | experiment grid, QoE model, reports |
@@ -71,8 +71,8 @@ pub mod prelude {
         ConferenceConfig, ConferenceConfigBuilder, ConferenceRunner, InvalidConfig, RunSummary,
     };
     pub use livo_core::depth::{DepthCodec, DepthEncoding};
-    pub use livo_core::pipeline::{PipelineOptions, RecvError, SenderPipeline, SubmitError};
     pub use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
+    pub use livo_core::stage::{ReceiverStage, SenderStage};
     pub use livo_core::tile::TileLayout;
     pub use livo_math::{Frustum, FrustumParams, Pose, Quat, Vec3};
     pub use livo_pointcloud::{pssim, Point, PointCloud, PssimConfig};

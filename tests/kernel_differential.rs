@@ -1,7 +1,7 @@
 //! Differential tests for the cull fast path on realistic content.
 //!
 //! `livo-core`'s production cull runs a chunked branch-free row kernel over
-//! cached unprojection ray tables; `cull_views_reference` retains the
+//! cached unprojection ray tables; `cull_views_union_reference` retains the
 //! original per-pixel loop. The fast path is only correct if both produce
 //! the *same* result — not approximately: the cull mask feeds tiling and
 //! encode, so a single diverging pixel changes bitstreams downstream. This
@@ -10,7 +10,8 @@
 //! the union (multi-frustum) kernels.
 
 use livo::capture::{camera_ring, RgbdFrame};
-use livo::core::{cull_views, cull_views_reference, cull_views_union, CullStats};
+use livo::core::cull::cull_views_union_reference;
+use livo::core::{cull_views, CullContext, CullStats};
 use livo::math::{CameraIntrinsics, Frustum, FrustumParams, Pose, Vec3};
 use livo::prelude::*;
 use livo::runtime::WorkerPool;
@@ -84,7 +85,7 @@ fn fast_cull_matches_reference_on_every_preset() {
             let mut fast = views.clone();
             let mut refr = views;
             let s_fast: CullStats = cull_views(&mut fast, &cams, frustum);
-            let s_ref = cull_views_reference(&mut refr, &cams, frustum);
+            let s_ref = cull_views_union_reference(&mut refr, &cams, std::slice::from_ref(frustum));
             assert_eq!(s_fast, s_ref, "{video} frustum {fi}: stats diverged");
             assert!(
                 s_fast.total_valid > 0,
@@ -106,9 +107,8 @@ fn fast_union_cull_matches_reference_on_every_preset() {
             let views = render_views(video, 0.9, 13);
             let mut fast = views.clone();
             let mut refr = views;
-            let s_fast = cull_views_union(&mut fast, &cams, &frusta[..n]);
-            let s_ref =
-                livo::core::cull::cull_views_union_reference(&mut refr, &cams, &frusta[..n]);
+            let s_fast = CullContext::new().cull(None, &mut fast, &cams, &frusta[..n]);
+            let s_ref = cull_views_union_reference(&mut refr, &cams, &frusta[..n]);
             assert_eq!(s_fast, s_ref, "{video} union({n}): stats diverged");
             assert_views_identical(&fast, &refr, &format!("{video} union({n})"));
         }
