@@ -101,7 +101,7 @@ mod tests {
                 let bytes = (budget / 8).clamp(400, 4_000_000);
                 // Periodic intra refresh (every 2 s) like a real encoder,
                 // plus PLI-forced keyframes.
-                let key = frame_id % 60 == 0 || force_key;
+                let key = frame_id.is_multiple_of(60) || force_key;
                 force_key = false;
                 s.send_frame(
                     t,

@@ -12,12 +12,10 @@
 //! | trace-1 | 216.90 | 262.19 | 151.91 | 234.41 | 191.52 |
 //! | trace-2 | 89.20  | 106.37 | 36.35  | 98.09  | 80.52  |
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use livo_math::rng::SplitMix64;
 
 /// Which of the two evaluation traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceId {
     Trace1,
     Trace2,
@@ -45,7 +43,7 @@ impl std::fmt::Display for TraceId {
 pub const TRACE_SAMPLE_HZ: u32 = 10;
 
 /// A capacity trace in Mbps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthTrace {
     pub id: Option<TraceId>,
     pub samples_mbps: Vec<f64>,
@@ -71,7 +69,7 @@ impl BandwidthTrace {
         };
         let (mean, max, min, fade_p, fade_depth) = params;
         let n = (duration_s * TRACE_SAMPLE_HZ as f32).ceil().max(1.0) as usize;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB5AD_4ECE_DA1C_E2A9);
+        let mut rng = SplitMix64::new(seed ^ 0xB5AD_4ECE_DA1C_E2A9);
 
         // Smooth wander: a sum of slow sinusoids + AR(1) noise, then fades.
         let f1 = rng.gen_range(0.01..0.03);

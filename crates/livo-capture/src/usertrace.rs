@@ -7,16 +7,14 @@
 //! turns. The Kalman predictor's accuracy (Fig. 16) and the culling study
 //! (Fig. 15) depend only on these dynamics.
 
+use livo_math::rng::SplitMix64;
 use livo_math::{Pose, Quat, Vec3};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Sampling rate of headset tracking.
 pub const TRACE_HZ: u32 = 30;
 
 /// The broad motion style of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceStyle {
     /// Circle the scene at a comfortable radius.
     Orbit,
@@ -31,7 +29,7 @@ impl TraceStyle {
 }
 
 /// A recorded sequence of headset poses at [`TRACE_HZ`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UserTrace {
     pub style: TraceStyle,
     pub poses: Vec<Pose>,
@@ -42,7 +40,7 @@ impl UserTrace {
     /// seed. The viewer looks toward the scene centre (with noise) while
     /// moving; saccades briefly rotate the view away and back.
     pub fn generate(style: TraceStyle, duration_s: f32, seed: u64) -> UserTrace {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15);
         let n = (duration_s * TRACE_HZ as f32).ceil() as usize;
         let mut poses = Vec::with_capacity(n);
         let scene_center = Vec3::new(0.0, 1.0, 0.0);

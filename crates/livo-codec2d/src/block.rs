@@ -165,8 +165,7 @@ pub fn decode_svalue(dec: &mut RangeDecoder<'_>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
+    use livo_math::rng::SplitMix64;
 
     fn round_trip(blocks: &[[i32; 64]]) {
         let mut enc = RangeEncoder::new();
@@ -224,7 +223,7 @@ mod tests {
 
     #[test]
     fn dense_random_blocks() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         let blocks: Vec<[i32; 64]> = (0..50)
             .map(|_| std::array::from_fn(|_| rng.gen_range(-100..=100)))
             .collect();
@@ -233,7 +232,7 @@ mod tests {
 
     #[test]
     fn sparse_typical_blocks() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         let blocks: Vec<[i32; 64]> = (0..200)
             .map(|_| {
                 let mut b = [0i32; 64];

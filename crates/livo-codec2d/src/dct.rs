@@ -145,13 +145,14 @@ const A_2613: f32 = 2.613_126; // 2·(cos(2π/16) + cos(4π/16))
 /// closed loop stays self-consistent either way.
 #[inline(always)]
 pub(crate) fn round_i32(x: f32) -> i32 {
+    // `MAGIC + n` for integer `n` in ±2^22 stays inside [2^23, 2^24), where
+    // consecutive f32s are consecutive integers — so the rounded integer sits
+    // directly in the low mantissa bits, and an integer subtract extracts it
+    // without a float→int cast (whose Rust saturating semantics cost a
+    // clamp sequence per element). The subtract wraps: a corrupt stream can
+    // dequantise to anything, and the decoder has to stay total on it.
     const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
-                                     // `MAGIC + n` for integer `n` in ±2^22 stays inside [2^23, 2^24), where
-                                     // consecutive f32s are consecutive integers — so the rounded integer sits
-                                     // directly in the low mantissa bits, and an integer subtract extracts it
-                                     // without a float→int cast (whose Rust saturating semantics cost a
-                                     // clamp sequence per element).
-    (x + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32
+    ((x + MAGIC).to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32)
 }
 
 // Lane-parallel helpers for the butterfly passes: one `[f32; W]` holds the
@@ -680,16 +681,16 @@ mod tests {
 
     #[test]
     fn const_cos_table_matches_runtime_computation() {
-        for u in 0..8 {
+        for (u, row) in COS.iter().enumerate() {
             let cu = if u == 0 {
                 (1.0f64 / 8.0).sqrt()
             } else {
                 (2.0f64 / 8.0).sqrt()
             };
-            for x in 0..8 {
+            for (x, &got) in row.iter().enumerate() {
                 let want =
                     cu * ((2.0 * x as f64 + 1.0) * u as f64 * std::f64::consts::PI / 16.0).cos();
-                let got = COS[u][x] as f64;
+                let got = got as f64;
                 assert!((got - want).abs() < 1e-7, "COS[{u}][{x}]: {got} vs {want}");
             }
         }

@@ -330,7 +330,8 @@ fn decode_intra_slice(
                 let deq = quant::dequantize_block(&levels, step, DC_SCALE);
                 let mut rec = dct::inverse(&deq);
                 for v in &mut rec {
-                    *v += pred;
+                    // Wraps on a corrupt stream's levels; the write clamps.
+                    *v = v.wrapping_add(pred);
                 }
                 write_block8_into_stripe(stripe, pw, r0, bx, by, &rec, peak);
             }

@@ -7,9 +7,8 @@
 
 use std::sync::Arc;
 
+use livo_math::rng::SplitMix64;
 use livo_runtime::WorkerPool;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 use crate::dct::{self, ZIGZAG};
 use crate::decoder::Decoder;
@@ -614,7 +613,7 @@ fn first_frame(format: PixelFormat, w: usize, h: usize) -> Frame {
 ///   vector;
 /// - a block of rows in the middle left gets fresh texture and noise, so
 ///   the transform path runs beside the copy path.
-fn next_frame(recon: &Frame, index: usize, shift: (isize, isize), rng: &mut ChaCha8Rng) -> Frame {
+fn next_frame(recon: &Frame, index: usize, shift: (isize, isize), rng: &mut SplitMix64) -> Frame {
     let mut f = recon.clone();
     if index % 3 == 2 {
         return f;
@@ -670,7 +669,7 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
         .collect();
     let target_bits = (w * h) as u64 / 2 + 4000;
     let shifts = [(2, 0), (0, -2), (-1, 2), (4, 2), (-2, -2), (1, 1)];
-    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let mut rng = SplitMix64::new(15);
     let mut frame = first_frame(format, w, h);
     let mut prev: Option<Frame> = None;
     let mut totals = BlockCounts::default();
@@ -788,7 +787,7 @@ fn corrupt_inter_frames_decode_like_the_oracle() {
         let mut cfg = EncoderConfig::new(w, h, format);
         cfg.gop_length = 0;
         let mut enc = Encoder::new(cfg);
-        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let mut rng = SplitMix64::new(16);
         let first = enc.encode_fixed_qp(&first_frame(format, w, h), 20);
         let mut reference = first.reconstruction;
         let mut chain = vec![first.data];

@@ -722,12 +722,13 @@ pub(crate) fn plane_qp(qp: u8, pi: usize, format: PixelFormat) -> u8 {
 /// Add the dequantised, inverse-transformed residual of `levels` onto the
 /// prediction held in `rec` — the closed loop's one reconstruction step,
 /// shared with the decoder. Blocks without a level leave it out: the inverse
-/// transform of zeros is zero.
+/// transform of zeros is zero. The add wraps, because the decoder calls this
+/// with whatever levels a corrupt stream holds; the caller's write clamps.
 pub(crate) fn add_residual(rec: &mut [i32; 64], levels: &[i32; 64], step: f32) {
     let deq = quant::dequantize_block(levels, step, DC_SCALE);
     let res = dct::inverse(&deq);
     for (r, v) in rec.iter_mut().zip(&res) {
-        *r += v;
+        *r = r.wrapping_add(*v);
     }
 }
 

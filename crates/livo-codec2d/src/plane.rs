@@ -1,11 +1,9 @@
 //! Sample planes and video frames.
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular plane of samples. Samples are stored as `u16` regardless of
 /// bit depth so 8-bit colour and 16-bit depth share one code path; the
 /// format's [`PixelFormat::peak_value`] bounds the valid range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plane {
     pub width: usize,
     pub height: usize,
@@ -135,7 +133,7 @@ pub fn write_block8_into_stripe(
 }
 
 /// Pixel format of a [`Frame`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PixelFormat {
     /// 8-bit 4:2:0: planes `[Y(w×h), U(w/2×h/2), V(w/2×h/2)]`. Used for the
     /// tiled colour stream.
@@ -175,7 +173,7 @@ impl PixelFormat {
 }
 
 /// A video frame: one or more sample planes in a given format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     pub format: PixelFormat,
     pub width: usize,

@@ -304,8 +304,7 @@ impl<'a> RangeDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
+    use livo_math::rng::SplitMix64;
 
     #[test]
     fn single_context_round_trip() {
@@ -326,7 +325,7 @@ mod tests {
     #[test]
     fn biased_source_compresses() {
         // 95% zeros should code well below 1 bit/symbol.
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut rng = SplitMix64::new(42);
         let bits: Vec<bool> = (0..20_000).map(|_| rng.gen_bool(0.05)).collect();
         let mut enc = RangeEncoder::new();
         let mut m = BitModel::new();
@@ -346,7 +345,7 @@ mod tests {
 
     #[test]
     fn bypass_bits_round_trip() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let bits: Vec<bool> = (0..4000).map(|_| rng.gen_bool(0.5)).collect();
         let mut enc = RangeEncoder::new();
         for &b in &bits {
@@ -391,9 +390,9 @@ mod tests {
 
     #[test]
     fn mixed_context_and_bypass_round_trip() {
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
+        let mut rng = SplitMix64::new(99);
         let mut enc = RangeEncoder::new();
-        let mut models = vec![BitModel::new(); 8];
+        let mut models = [BitModel::new(); 8];
         let mut script: Vec<(u8, u32)> = Vec::new();
         for _ in 0..5000 {
             match rng.gen_range(0..3) {
@@ -417,7 +416,7 @@ mod tests {
         }
         let data = enc.finish();
         let mut dec = RangeDecoder::new(&data);
-        let mut models2 = vec![BitModel::new(); 8];
+        let mut models2 = [BitModel::new(); 8];
         for (kind, v) in script {
             match kind {
                 0 => {
@@ -441,7 +440,7 @@ mod tests {
     }
 
     fn bypass_script(seed: u64) -> Vec<Sym> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let edge = [0u32, 1, 2, 3, 254, 255, 256, 65_535, 65_536, u32::MAX - 1];
         let mut script = Vec::new();
         for round in 0..40u32 {
@@ -546,7 +545,7 @@ mod tests {
     #[test]
     fn raw_fields_decode_garbage_like_bit_at_a_time_decoding() {
         use crate::differential::{decode_bits_oracle, decode_ue_oracle};
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = SplitMix64::new(5);
         for trial in 0..200 {
             let len = rng.gen_range(0..96usize);
             let fill = [0x00u8, 0xFF][trial % 2];
@@ -612,7 +611,7 @@ mod tests {
                 // what the range coder writes when there is no tail at all.
                 assert_eq!(both.len(), front.len() + raw_bits.div_ceil(8));
                 assert_eq!(both[..front.len()], front[..]);
-                if raw_bits % 8 != 0 {
+                if !raw_bits.is_multiple_of(8) {
                     let padding = both[front.len()] & (0xFF >> (raw_bits % 8));
                     assert_eq!(padding, 0, "seed {seed} cut {cut}");
                 }
@@ -639,7 +638,7 @@ mod tests {
 
     #[test]
     fn both_streams_read_zeros_past_their_end() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut rng = SplitMix64::new(17);
         for trial in 0..60 {
             let len = [0, 1, 4, 5, 7, 8, 9, 40][trial % 8];
             let data: Vec<u8> = match trial % 3 {

@@ -1,13 +1,11 @@
 //! Property and behavioural tests for the 2D codec.
 
 use livo_codec2d::{luma_psnr, luma_rmse, Decoder, Encoder, EncoderConfig, Frame, PixelFormat};
-use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use livo_math::rng::{cases, SplitMix64};
 
 fn smooth_yuv_frame(w: usize, h: usize, seed: u64, t: f32) -> Frame {
     // Smooth, mildly animated content (sums of sinusoids) — video-like.
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let (a, b, c): (f32, f32, f32) = (
         rng.gen_range(0.05..0.3),
         rng.gen_range(0.05..0.3),
@@ -28,17 +26,16 @@ fn smooth_yuv_frame(w: usize, h: usize, seed: u64, t: f32) -> Frame {
     Frame::from_rgb8(w, h, &rgb)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+const CASES: u32 = 32;
 
-    /// The decoder must reproduce the encoder's reconstruction bit-exactly
-    /// for arbitrary (not-necessarily-smooth) content and any dimensions.
-    #[test]
-    fn decoder_bit_exact_on_random_content(
-        w in 8usize..96, h in 8usize..96, seed in 0u64..1000, frames in 1usize..5,
-        target in 5_000u64..500_000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+/// The decoder must reproduce the encoder's reconstruction bit-exactly
+/// for arbitrary (not-necessarily-smooth) content and any dimensions.
+#[test]
+fn decoder_bit_exact_on_random_content() {
+    cases(1, CASES, |rng| {
+        let (w, h) = (rng.gen_range(8usize..96), rng.gen_range(8usize..96));
+        let frames = rng.gen_range(1usize..5);
+        let target = rng.gen_range(5_000u64..500_000);
         let mut enc = Encoder::new(EncoderConfig::new(w, h, PixelFormat::Yuv420));
         let mut dec = Decoder::new();
         for _ in 0..frames {
@@ -46,15 +43,16 @@ proptest! {
             let f = Frame::from_rgb8(w, h, &rgb);
             let out = enc.encode(&f, target);
             let decoded = dec.decode(&out.data).unwrap();
-            prop_assert_eq!(decoded, out.reconstruction);
+            assert_eq!(decoded, out.reconstruction);
         }
-    }
+    });
+}
 
-    #[test]
-    fn y16_decoder_bit_exact(
-        w in 8usize..64, h in 8usize..64, seed in 0u64..1000, target in 10_000u64..400_000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+#[test]
+fn y16_decoder_bit_exact() {
+    cases(2, CASES, |rng| {
+        let (w, h) = (rng.gen_range(8usize..64), rng.gen_range(8usize..64));
+        let target = rng.gen_range(10_000u64..400_000);
         let mut enc = Encoder::new(EncoderConfig::new(w, h, PixelFormat::Y16));
         let mut dec = Decoder::new();
         for _ in 0..3 {
@@ -62,9 +60,9 @@ proptest! {
             let f = Frame::from_y16(w, h, samples);
             let out = enc.encode(&f, target);
             let decoded = dec.decode(&out.data).unwrap();
-            prop_assert_eq!(decoded, out.reconstruction);
+            assert_eq!(decoded, out.reconstruction);
         }
-    }
+    });
 }
 
 #[test]

@@ -4,11 +4,10 @@
 
 use livo_codec2d::slice::SLICED_MAGIC;
 use livo_codec2d::{DecodeError, Decoder, Encoder, EncoderConfig, Frame, PixelFormat};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use livo_math::rng::SplitMix64;
 
 fn valid_stream(w: usize, h: usize, seed: u64) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let rgb: Vec<u8> = (0..w * h * 3).map(|_| rng.gen()).collect();
     let mut enc = Encoder::new(EncoderConfig::new(w, h, PixelFormat::Yuv420));
     enc.encode(&Frame::from_rgb8(w, h, &rgb), 60_000).data
@@ -28,7 +27,7 @@ fn truncated_streams_never_panic() {
 #[test]
 fn bit_flips_never_panic() {
     let data = valid_stream(48, 40, 2);
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let mut rng = SplitMix64::new(3);
     for _ in 0..200 {
         let mut corrupted = data.clone();
         let n_flips = rng.gen_range(1..8);
@@ -43,7 +42,7 @@ fn bit_flips_never_panic() {
 
 #[test]
 fn random_garbage_never_panics() {
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let mut rng = SplitMix64::new(4);
     for len in [0usize, 1, 4, 5, 64, 4096] {
         for _ in 0..20 {
             let garbage: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
@@ -58,11 +57,11 @@ fn decoder_state_survives_a_bad_frame() {
     // A corrupted P-frame mustn't poison the decoder: after a reset and a
     // fresh keyframe, decoding must be bit-exact again.
     let (w, h) = (48, 40);
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut rng = SplitMix64::new(5);
     let mut enc = Encoder::new(EncoderConfig::new(w, h, PixelFormat::Yuv420));
     let mut dec = Decoder::new();
 
-    let frame = |rng: &mut ChaCha8Rng| {
+    let frame = |rng: &mut SplitMix64| {
         let rgb: Vec<u8> = (0..w * h * 3).map(|_| rng.gen()).collect();
         Frame::from_rgb8(w, h, &rgb)
     };
@@ -287,7 +286,7 @@ fn former_v1_buffers_are_rejected() {
     // A v1 frame was one range-coder stream, whose first byte is always the
     // 0x00 priming byte. Such a buffer is not a frame any more, whatever
     // follows and however long it is.
-    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let mut rng = SplitMix64::new(6);
     for len in [1usize, 5, 8, 64, 4096] {
         let mut v1: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         v1[0] = 0x00;
@@ -372,7 +371,7 @@ fn copy_path_survives_bit_flips_in_static_inter_frames() {
                 s.blocks
             );
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(w as u64 * 31 + h as u64);
+        let mut rng = SplitMix64::new(w as u64 * 31 + h as u64);
         for victim in 1..streams.len() {
             for _ in 0..150 {
                 let mut bad = streams[victim].data.clone();
@@ -551,9 +550,8 @@ fn raw_bit_tail_survives_cuts_and_bit_flips() {
                     .expect("own stream decodes on any reference");
             }
         };
-        let mut rng = ChaCha8Rng::seed_from_u64(w as u64 * 37 + h as u64);
-        for victim in 1..streams.len() {
-            let data = &streams[victim];
+        let mut rng = SplitMix64::new(w as u64 * 37 + h as u64);
+        for (victim, data) in streams.iter().enumerate().skip(1) {
             let n_slices = data[7] as usize;
             let mut start = 8 + 4 * n_slices;
             for si in 0..n_slices {

@@ -321,7 +321,8 @@ impl DracoDecoder {
         for &leaf in &leaves {
             let mut color = [0u8; 3];
             for c in 0..3 {
-                let q = prev[c] + livo_codec2d::block::decode_svalue(&mut dec);
+                // Wraps on a corrupt stream's deltas; the clamp below bounds it.
+                let q = prev[c].wrapping_add(livo_codec2d::block::decode_svalue(&mut dec));
                 prev[c] = q;
                 let q = q.clamp(0, (1 << color_bits) - 1) as u32;
                 // Mid-rise reconstruction of the quantised channel.
@@ -358,11 +359,10 @@ impl DracoDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
+    use livo_math::rng::SplitMix64;
 
     fn random_cloud(n: usize, seed: u64) -> PointCloud {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         (0..n)
             .map(|_| {
                 Point::new(

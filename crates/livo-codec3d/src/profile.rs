@@ -10,10 +10,9 @@
 use crate::codec::{DracoEncoder, DracoParams, QuantBits};
 use crate::timing;
 use livo_pointcloud::PointCloud;
-use serde::{Deserialize, Serialize};
 
 /// One profiled operating point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ProfileEntry {
     pub quant_bits: u8,
     pub level: u8,
@@ -24,9 +23,8 @@ pub struct ProfileEntry {
 }
 
 /// A rate profile: every (quantisation, level) point measured on sample
-/// frames. Serialisable so the "offline" phase can be cached, exactly like
-/// MeshReduce ships profiles with its videos.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+/// frames.
+#[derive(Debug, Clone, Default)]
 pub struct RateProfile {
     pub entries: Vec<ProfileEntry>,
 }
@@ -121,13 +119,12 @@ impl RateProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livo_math::rng::SplitMix64;
     use livo_math::Vec3;
     use livo_pointcloud::Point;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
 
     fn cloud(n: usize, seed: u64) -> PointCloud {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         (0..n)
             .map(|_| {
                 Point::new(

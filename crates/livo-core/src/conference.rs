@@ -1064,8 +1064,10 @@ mod tests {
     fn noadapt_overruns_low_bandwidth() {
         // pizza1's motion keeps fixed-QP P-frames large; a link well below
         // their natural rate (~2 Mbps at this scale) forces stalls.
-        let mut session = SessionConfig::default();
-        session.initial_estimate_bps = 0.4e6;
+        let session = SessionConfig {
+            initial_estimate_bps: 0.4e6,
+            ..Default::default()
+        };
         let cfg = ConferenceConfig::builder(VideoId::Pizza1)
             .camera_scale(0.08)
             .n_cameras(4)

@@ -12,10 +12,9 @@
 //! channels), which suffers 8-bit quantisation and chroma subsampling.
 
 use livo_codec2d::{Frame, PixelFormat};
-use serde::{Deserialize, Serialize};
 
 /// Which depth-to-video mapping to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepthEncoding {
     /// LiVo's: scale to fill 16 bits, encode as Y16.
     ScaledY16,

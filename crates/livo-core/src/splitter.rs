@@ -12,10 +12,8 @@
 //! - `s` is clamped to [0.5, 0.9]: depth always gets at least half (humans
 //!   are more sensitive to depth distortion) and colour is never starved.
 
-use serde::{Deserialize, Serialize};
-
 /// Splitter parameters (defaults follow the paper).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SplitterConfig {
     /// Initial split s_i.
     pub initial: f64,

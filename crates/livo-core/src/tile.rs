@@ -317,11 +317,11 @@ mod tests {
         let l = TileLayout::new(64, 56, 4);
         let views = mk_views(4, 64, 56);
         let f = compose_color(&views, &l, 7);
-        for i in 0..4 {
+        for (i, view) in views.iter().enumerate() {
             let got = extract_color(&f, &l, i);
             // 4:2:0 chroma costs a little; compare channel-wise loosely.
             let mut max_err = 0i32;
-            for (a, b) in got.iter().zip(&views[i].rgb) {
+            for (a, b) in got.iter().zip(&view.rgb) {
                 max_err = max_err.max((*a as i32 - *b as i32).abs());
             }
             assert!(max_err <= 16, "camera {i}: max error {max_err}");
@@ -438,9 +438,9 @@ mod tests {
         let views = mk_views(4, 64, 56);
         let codec = DepthCodec::default();
         let d = compose_depth(&views, &l, &codec, 9);
-        for i in 0..4 {
+        for (i, view) in views.iter().enumerate() {
             let got = extract_depth(&d, &l, &codec, i);
-            for (a, b) in got.iter().zip(&views[i].depth_mm) {
+            for (a, b) in got.iter().zip(&view.depth_mm) {
                 assert!(
                     (*a as i32 - *b as i32).abs() <= 1,
                     "camera {i}: {a} vs {b} (scaling quantisation ≤ 1 mm)"

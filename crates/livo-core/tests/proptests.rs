@@ -6,12 +6,11 @@ use livo_codec2d::{Encoder, EncoderConfig, PixelFormat};
 use livo_core::depth::DepthCodec;
 use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
 use livo_core::tile::{compose_color, compose_depth, extract_depth, read_seq, TileLayout};
-use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use livo_math::rng::{cases, SplitMix64};
 
-fn arb_views(n: usize, w: usize, h: usize, seed: u64) -> Vec<RgbdFrame> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+const CASES: u32 = 64;
+
+fn views(rng: &mut SplitMix64, n: usize, w: usize, h: usize) -> Vec<RgbdFrame> {
     (0..n)
         .map(|_| {
             let mut f = RgbdFrame::new(w, h);
@@ -29,16 +28,14 @@ fn arb_views(n: usize, w: usize, h: usize, seed: u64) -> Vec<RgbdFrame> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Depth tiling is within 1 mm for any camera count and size, and zero
-    /// pixels stay zero.
-    #[test]
-    fn depth_tiling_round_trips(
-        n in 1usize..12, w in 8usize..80, h in 8usize..72, seed in 0u64..1000,
-    ) {
-        let views = arb_views(n, w, h, seed);
+/// Depth tiling is within 1 mm for any camera count and size, and zero
+/// pixels stay zero.
+#[test]
+fn depth_tiling_round_trips() {
+    cases(1, CASES, |rng| {
+        let n = rng.gen_range(1usize..12);
+        let (w, h) = (rng.gen_range(8usize..80), rng.gen_range(8usize..72));
+        let views = views(rng, n, w, h);
         let layout = TileLayout::new(w, h, n);
         let codec = DepthCodec::default();
         let canvas = compose_depth(&views, &layout, &codec, 7);
@@ -46,21 +43,22 @@ proptest! {
             let got = extract_depth(&canvas, &layout, &codec, i);
             for (a, b) in got.iter().zip(&v.depth_mm) {
                 if *b == 0 {
-                    prop_assert_eq!(*a, 0u16);
+                    assert_eq!(*a, 0u16);
                 } else {
-                    prop_assert!((*a as i32 - *b as i32).abs() <= 1);
+                    assert!((*a as i32 - *b as i32).abs() <= 1);
                 }
             }
         }
-    }
+    });
+}
 
-    /// The embedded sequence number survives encode/decode at any rate the
-    /// rate controller will actually pick.
-    #[test]
-    fn seq_survives_any_rate(
-        seq in any::<u32>(), target in 2_000u64..200_000, seed in 0u64..500,
-    ) {
-        let views = arb_views(4, 48, 40, seed);
+/// The embedded sequence number survives encode/decode at any rate the
+/// rate controller will actually pick.
+#[test]
+fn seq_survives_any_rate() {
+    cases(2, CASES, |rng| {
+        let (seq, target) = (rng.gen::<u32>(), rng.gen_range(2_000u64..200_000));
+        let views = views(rng, 4, 48, 40);
         let layout = TileLayout::new(48, 40, 4);
         let canvas = compose_color(&views, &layout, seq);
         let mut enc = Encoder::new(EncoderConfig::new(
@@ -69,53 +67,59 @@ proptest! {
             PixelFormat::Yuv420,
         ));
         let out = enc.encode(&canvas, target);
-        prop_assert_eq!(read_seq(&out.reconstruction.planes[0], 255), seq);
-    }
+        assert_eq!(read_seq(&out.reconstruction.planes[0], 255), seq);
+    });
+}
 
-    /// The splitter never leaves its clamp range and never produces a
-    /// negative share, for any error sequence.
-    #[test]
-    fn splitter_stays_in_bounds(errors in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 0..300)) {
+/// The splitter never leaves its clamp range and never produces a
+/// negative share, for any error sequence.
+#[test]
+fn splitter_stays_in_bounds() {
+    cases(3, CASES, |rng| {
         let mut s = BandwidthSplitter::new(SplitterConfig::default());
-        for (d, c) in errors {
-            s.update(d, c);
-            prop_assert!((0.5..=0.9).contains(&s.split()));
+        for _ in 0..rng.gen_range(0..300) {
+            s.update(rng.gen_range(0.0f64..100.0), rng.gen_range(0.0f64..100.0));
+            assert!((0.5..=0.9).contains(&s.split()));
             let (db, cb) = s.apportion(50e6);
-            prop_assert!(db >= 0.0 && cb >= 0.0);
-            prop_assert!((db + cb - 50e6).abs() < 1e-3);
+            assert!(db >= 0.0 && cb >= 0.0);
+            assert!((db + cb - 50e6).abs() < 1e-3);
         }
-    }
+    });
+}
 
-    /// Culling is sound: every surviving pixel back-projects inside the
-    /// frustum, and culling with the whole-scene frustum keeps everything.
-    #[test]
-    fn cull_is_sound(seed in 0u64..300, yaw in -3.0f32..3.0) {
-        use livo_core::cull::cull_views;
-        use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, Quat, RgbdCamera, Vec3};
+/// Culling is sound: every surviving pixel back-projects inside the
+/// frustum.
+#[test]
+fn cull_is_sound() {
+    use livo_core::cull::cull_views;
+    use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, Quat, RgbdCamera, Vec3};
+    cases(4, CASES, |rng| {
         let cam = RgbdCamera::new(
             CameraIntrinsics::kinect_depth(0.05),
             Pose::look_at(Vec3::new(2.0, 1.2, 0.0), Vec3::new(0.0, 1.0, 0.0), Vec3::Y),
         );
-        let mut views = arb_views(1, cam.intrinsics.width as usize, cam.intrinsics.height as usize, seed);
+        let (w, h) = (
+            cam.intrinsics.width as usize,
+            cam.intrinsics.height as usize,
+        );
+        let mut views = views(rng, 1, w, h);
         let viewer = Pose::new(
             Vec3::new(0.0, 1.5, -3.0),
-            Quat::from_yaw_pitch_roll(yaw, 0.0, 0.0),
+            Quat::from_yaw_pitch_roll(rng.gen_range(-3.0f32..3.0), 0.0, 0.0),
         );
         let frustum = Frustum::from_params(&viewer, &FrustumParams::default());
-        let cams = vec![cam];
-        cull_views(&mut views, &cams, &frustum);
-        for y in 0..views[0].height {
-            for x in 0..views[0].width {
-                let d = views[0].depth_mm[y * views[0].width + x];
+        cull_views(&mut views, &[cam], &frustum);
+        for y in 0..h {
+            for x in 0..w {
+                let d = views[0].depth_mm[y * w + x];
                 if d != 0 {
-                    let w = cams[0].pixel_to_world(x as u32, y as u32, d).unwrap();
-                    prop_assert!(
-                        frustum.penetration(w) > -5e-3,
-                        "kept pixel clearly outside: {:?}",
-                        w
+                    let p = cam.pixel_to_world(x as u32, y as u32, d).unwrap();
+                    assert!(
+                        frustum.penetration(p) > -5e-3,
+                        "kept pixel clearly outside: {p:?}"
                     );
                 }
             }
         }
-    }
+    });
 }

@@ -13,9 +13,8 @@
 //! and dependency-free.
 
 use livo_capture::usertrace::{UserTrace, TRACE_HZ};
+use livo_math::rng::SplitMix64;
 use livo_math::{angles, Pose};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// Pose as a 6-vector: position (m) + yaw/pitch/roll (rad, unwrapped by the
 /// dataset builder).
@@ -88,7 +87,7 @@ pub struct Mlp {
 
 impl Mlp {
     pub fn new(inputs: usize, hidden: usize, seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let scale1 = (1.0 / inputs as f64).sqrt();
         let scale2 = (1.0 / hidden as f64).sqrt();
         Mlp {
@@ -131,7 +130,7 @@ impl Mlp {
     }
 
     /// One SGD epoch over the samples; returns mean squared error.
-    pub fn train_epoch(&mut self, samples: &[Sample], lr: f64, rng: &mut ChaCha8Rng) -> f64 {
+    pub fn train_epoch(&mut self, samples: &[Sample], lr: f64, rng: &mut SplitMix64) -> f64 {
         let mut order: Vec<usize> = (0..samples.len()).collect();
         // Fisher-Yates with the provided RNG for reproducibility.
         for i in (1..order.len()).rev() {
@@ -230,7 +229,7 @@ pub fn fig16_experiment(horizon_s: f64, trace_dur_s: f32) -> Vec<Fig16Row> {
     let mut rows = Vec::new();
     for hidden in [3usize, 32, 64] {
         let mut mlp = Mlp::new(window * 6, hidden, 7 + hidden as u64);
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let mut rng = SplitMix64::new(13);
         let epochs = 30;
         for e in 0..epochs {
             let lr = 0.02 / (1.0 + e as f64 * 0.15);
@@ -293,7 +292,7 @@ mod tests {
         let t = UserTrace::generate(TraceStyle::WalkIn, 20.0, 2);
         let samples = build_samples(&[&t], 8, 3);
         let mut mlp = Mlp::new(48, 16, 5);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let mut rng = SplitMix64::new(6);
         let first = mlp.train_epoch(&samples, 0.02, &mut rng);
         let mut last = first;
         for _ in 0..10 {

@@ -18,8 +18,7 @@
 //! Table 5's comment categories are sampled from soft bins over the same
 //! inputs.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use livo_math::rng::SplitMix64;
 
 /// Objective inputs to the model.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +53,7 @@ pub fn mos(q: &QoeInputs) -> f64 {
 /// A single simulated participant's rating: the model MOS plus seeded
 /// response noise, clamped and rounded to the Likert grid.
 pub fn participant_score(q: &QoeInputs, participant_seed: u64) -> u8 {
-    let mut rng = ChaCha8Rng::seed_from_u64(participant_seed ^ 0xC0FF_EE00);
+    let mut rng = SplitMix64::new(participant_seed ^ 0xC0FF_EE00);
     let noise: f64 = rng.gen_range(-0.7..0.7);
     (mos(q) + noise).round().clamp(1.0, 5.0) as u8
 }
@@ -77,7 +76,7 @@ pub struct CommentShares {
 
 /// Soft-bin a 0–1 "goodness" into (low, medium, high) shares with seeded
 /// sampling over `n` comments.
-fn soft_bin(goodness: f64, n: usize, rng: &mut ChaCha8Rng) -> [f64; 3] {
+fn soft_bin(goodness: f64, n: usize, rng: &mut SplitMix64) -> [f64; 3] {
     let mut counts = [0usize; 3];
     for _ in 0..n {
         let g = (goodness + rng.gen_range(-0.18..0.18)).clamp(0.0, 1.0);
@@ -100,7 +99,7 @@ fn soft_bin(goodness: f64, n: usize, rng: &mut ChaCha8Rng) -> [f64; 3] {
 
 /// Generate the comment-category shares for a scheme.
 pub fn comment_shares(q: &QoeInputs, n_comments: usize, seed: u64) -> CommentShares {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7AB1_E005);
+    let mut rng = SplitMix64::new(seed ^ 0x7AB1_E005);
     let fps_goodness = (q.fps / 30.0).clamp(0.0, 1.0);
     // "Low stalls" is good: invert the rate. MeshReduce's 0% stalls rate
     // highest here (§4.2's finding).

@@ -4,7 +4,6 @@ use crate::frustum::{Frustum, FrustumParams};
 use crate::mat::Mat4;
 use crate::pose::Pose;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Pinhole intrinsics: focal lengths and principal point in pixels.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// metres along the optical axis, *not* ray length) back-projects to
 /// `((u - cx) z / fx, (v - cy) z / fy, z)` in the camera frame. `v` grows
 /// downward in image space and maps to local `-Y` (so the image is upright).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraIntrinsics {
     pub width: u32,
     pub height: u32,
@@ -105,7 +104,7 @@ impl CameraIntrinsics {
 ///
 /// Matches the calibration output the paper assumes (Zhang's method produces
 /// the local→global transformation matrix per camera).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RgbdCamera {
     pub intrinsics: CameraIntrinsics,
     pub pose: Pose,

@@ -11,10 +11,9 @@ use crate::mat::Mat4;
 use crate::plane::Plane;
 use crate::pose::Pose;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Viewing-volume parameters of a headset or camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrustumParams {
     /// Horizontal field of view in radians.
     pub hfov: f32,
@@ -39,7 +38,7 @@ impl Default for FrustumParams {
 }
 
 /// A six-plane frustum in world coordinates. Plane normals point inward.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frustum {
     /// Order: near, far, left, right, top, bottom.
     pub planes: [Plane; 6],

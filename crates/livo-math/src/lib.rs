@@ -12,6 +12,8 @@
 //!   view culling (§3.4 of the paper).
 //! - [`kalman`]: a small dense-matrix Kalman filter plus the 6-DoF
 //!   constant-velocity pose predictor LiVo uses for frustum prediction.
+//! - [`rng`]: the workspace's seeded generator, [`rng::SplitMix64`], and the
+//!   seeded-case runner its property tests use.
 //!
 //! All scene-space quantities are in **metres**; depth images elsewhere in the
 //! workspace use millimetres (matching Kinect-class sensors) and convert at
@@ -26,6 +28,7 @@ pub mod plane;
 pub mod pose;
 pub mod quat;
 pub mod raytable;
+pub mod rng;
 pub mod simd;
 pub mod vec3;
 

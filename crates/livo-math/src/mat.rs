@@ -1,11 +1,10 @@
 //! Small fixed-size matrices: 3×3 rotations and 4×4 homogeneous transforms.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use std::ops::Mul;
 
 /// Row-major 3×3 matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Rows of the matrix: `m[r][c]`.
     pub m: [[f32; 3]; 3],
@@ -101,7 +100,7 @@ impl Mul for Mat3 {
 /// Used for camera extrinsics (local→world and world→local). The bottom row
 /// is `[0 0 0 1]` for all rigid transforms built by this crate, but general
 /// 4×4 contents are supported.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat4 {
     pub m: [[f32; 4]; 4],
 }

@@ -2,7 +2,6 @@
 
 use crate::mat::Mat4;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An oriented plane `n · p + d = 0` with unit normal `n`.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// to. LiVo's frustum stores its six planes with normals pointing *inward*,
 /// so a point is inside when every signed distance is ≥ 0 (§3.4 of the paper
 /// states the equivalent outward-normal formulation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plane {
     pub normal: Vec3,
     pub d: f32,

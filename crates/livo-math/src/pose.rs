@@ -3,7 +3,6 @@
 use crate::mat::Mat4;
 use crate::quat::Quat;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A 6-DoF pose: position plus orientation.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The camera/headset local frame is right-handed with `+Z` pointing *forward*
 /// (into the scene), `+X` right and `+Y` up.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     pub position: Vec3,
     pub orientation: Quat,

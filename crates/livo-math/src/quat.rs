@@ -3,12 +3,11 @@
 use crate::angles;
 use crate::mat::Mat3;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use std::ops::Mul;
 
 /// A quaternion `w + xi + yj + zk`. Orientations are represented by *unit*
 /// quaternions; constructors in this crate always normalise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     pub w: f32,
     pub x: f32,

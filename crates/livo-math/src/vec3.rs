@@ -1,6 +1,5 @@
 //! Three-component vector used throughout the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 3D vector of `f32` components.
@@ -8,7 +7,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, 
 /// Scene-space positions, directions and colours-as-floats all use this type.
 /// `f32` is sufficient: LiVo scenes span a few metres and depth sensors
 /// resolve millimetres, which is ~12 bits of mantissa out of 24.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f32,
     pub y: f32,

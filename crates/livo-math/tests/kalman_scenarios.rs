@@ -2,13 +2,12 @@
 //! wearers actually produce, with tracking noise.
 
 use livo_math::kalman::PosePredictorConfig;
+use livo_math::rng::SplitMix64;
 use livo_math::{angles, Pose, PosePredictor, Quat, Vec3};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 const DT: f32 = 1.0 / 30.0;
 
-fn noisy(pose: Pose, rng: &mut ChaCha8Rng) -> Pose {
+fn noisy(pose: Pose, rng: &mut SplitMix64) -> Pose {
     // Headset tracking noise: ~2 mm positional, ~0.2° rotational.
     let jitter = Vec3::new(
         rng.gen_range(-0.002..0.002),
@@ -32,7 +31,7 @@ fn noisy(pose: Pose, rng: &mut ChaCha8Rng) -> Pose {
 /// relative to the motion.
 #[test]
 fn circular_walk_prediction_error_is_bounded() {
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut rng = SplitMix64::new(1);
     let mut p = PosePredictor::new(PosePredictorConfig::default());
     let pose_at = |t: f32| {
         let a = 0.3 * t; // rad/s around a 2.5 m circle
@@ -63,7 +62,7 @@ fn circular_walk_prediction_error_is_bounded() {
 /// quickly instead of projecting phantom motion.
 #[test]
 fn stop_and_go_velocity_washes_out() {
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let mut rng = SplitMix64::new(2);
     let mut p = PosePredictor::new(PosePredictorConfig::default());
     // 2 s of walking, then 2 s standing still.
     for i in 0..60 {
@@ -88,7 +87,7 @@ fn stop_and_go_velocity_washes_out() {
 /// with the horizon but stays finite and monotone-ish.
 #[test]
 fn error_grows_with_horizon() {
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let mut rng = SplitMix64::new(3);
     let mut p = PosePredictor::new(PosePredictorConfig::default());
     let pose_at = |t: f32| {
         Pose::new(
@@ -119,7 +118,7 @@ fn error_grows_with_horizon() {
 /// Tracking noise alone must not destabilise the filter over long runs.
 #[test]
 fn long_run_with_noise_stays_stable() {
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let mut rng = SplitMix64::new(4);
     let mut p = PosePredictor::new(PosePredictorConfig::default());
     let still = Pose::new(
         Vec3::new(0.3, 1.65, -2.0),

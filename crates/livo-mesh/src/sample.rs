@@ -6,9 +6,8 @@
 //! with barycentric colour interpolation.
 
 use crate::mesh::Mesh;
+use livo_math::rng::SplitMix64;
 use livo_pointcloud::{Point, PointCloud};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// Draw `n` points uniformly over the mesh surface.
 pub fn sample_points(mesh: &Mesh, n: usize, seed: u64) -> PointCloud {
@@ -25,7 +24,7 @@ pub fn sample_points(mesh: &Mesh, n: usize, seed: u64) -> PointCloud {
     if total <= 0.0 {
         return PointCloud::new();
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut out = PointCloud::with_capacity(n);
     for _ in 0..n {
         let r = rng.gen_range(0.0..total);

@@ -71,11 +71,11 @@ pub fn color_mse(a: &PointCloud, b_index: &VoxelIndex<'_>) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::point::Point;
+    use livo_math::rng::SplitMix64;
     use livo_math::Vec3;
-    use rand::{Rng, SeedableRng};
 
     fn random_cloud(n: usize, seed: u64) -> PointCloud {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         (0..n)
             .map(|_| {
                 Point::new(
@@ -123,8 +123,8 @@ mod tests {
     #[test]
     fn psnr_decreases_with_more_noise() {
         let a = random_cloud(300, 5);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
-        let noisy = |scale: f32, rng: &mut rand_chacha::ChaCha8Rng| {
+        let mut rng = SplitMix64::new(6);
+        let noisy = |scale: f32, rng: &mut SplitMix64| {
             let mut b = a.clone();
             for p in &mut b.points {
                 p.position += Vec3::new(

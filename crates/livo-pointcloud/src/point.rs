@@ -1,10 +1,9 @@
 //! The point cloud frame representation.
 
 use livo_math::{Frustum, Mat4, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// One point: a 3D position (metres, world frame) and an sRGB colour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     pub position: Vec3,
     pub color: [u8; 3],
@@ -27,7 +26,7 @@ impl Point {
 /// RGB-D cameras of a capture rig. Uncompressed wire size is
 /// [`PointCloud::byte_size`] — positions as 3×f32 plus 3 colour bytes,
 /// matching the ~10 MB/frame full-scene sizes the paper reports (Table 3).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PointCloud {
     pub points: Vec<Point>,
 }

@@ -181,9 +181,8 @@ pub fn pssim(
 mod tests {
     use super::*;
     use crate::point::Point;
+    use livo_math::rng::SplitMix64;
     use livo_math::Vec3;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
 
     /// A wavy coloured surface patch — structured geometry and colour.
     fn surface_cloud(n: usize, pitch: f32) -> PointCloud {
@@ -201,7 +200,7 @@ mod tests {
     }
 
     fn jitter(pc: &PointCloud, pos_scale: f32, col_scale: i16, seed: u64) -> PointCloud {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut out = pc.clone();
         for p in &mut out.points {
             p.position += Vec3::new(

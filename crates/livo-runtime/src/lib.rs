@@ -628,7 +628,6 @@ mod tests {
                 s.spawn(move || {
                     pool.scope(|inner| {
                         for _ in 0..8 {
-                            let total = total;
                             inner.spawn(move || {
                                 total.fetch_add(1, Ordering::Relaxed);
                             });

@@ -2,10 +2,10 @@
 //!
 //! The telemetry sinks emit machine-readable JSON (registry snapshots,
 //! frame timelines, JSON-lines event logs). This crate sits below every
-//! other workspace crate and must stay dependency-free, so instead of
-//! `serde_json` we carry the ~hundred lines of JSON that telemetry actually
-//! needs: escaped strings, finite-checked numbers, and push-style object /
-//! array composition into a `String`.
+//! other workspace crate and must stay dependency-free, so we carry the
+//! ~hundred lines of JSON writer that telemetry actually needs: escaped
+//! strings, finite-checked numbers, and push-style object / array
+//! composition into a `String`.
 
 /// Append a JSON string literal (quoted, escaped) to `out`.
 pub fn write_str(out: &mut String, s: &str) {

@@ -9,8 +9,7 @@
 use crate::packet::Packet;
 use crate::Micros;
 use livo_capture::BandwidthTrace;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use livo_math::rng::SplitMix64;
 use std::collections::VecDeque;
 
 /// Two-state Gilbert–Elliott burst-loss model. The chain advances one
@@ -128,7 +127,7 @@ pub struct Delivery {
 pub struct LinkEmulator {
     trace: BandwidthTrace,
     cfg: LinkConfig,
-    rng: ChaCha8Rng,
+    rng: SplitMix64,
     /// Time the bottleneck server becomes free.
     busy_until: Micros,
     /// Packets in flight: ordered by arrival time (service completion +
@@ -150,7 +149,7 @@ pub struct LinkEmulator {
 
 impl LinkEmulator {
     pub fn new(trace: BandwidthTrace, cfg: LinkConfig) -> Self {
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x1357_9BDF_2468_ACE0);
+        let rng = SplitMix64::new(cfg.seed ^ 0x1357_9BDF_2468_ACE0);
         LinkEmulator {
             trace,
             cfg,

@@ -39,7 +39,7 @@ fn drive(
         }
         s.tick(t);
         s.recv_frames();
-        if t % 250_000 == 0 {
+        if t.is_multiple_of(250_000) {
             samples.push((t as f64 / 1e6, s.estimate_bps() / 1e6));
         }
         t += 1_000;

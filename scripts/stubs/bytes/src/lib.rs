@@ -1,4 +1,6 @@
-//! Typecheck/run stub for `bytes::Bytes`: Arc-backed immutable byte slice.
+//! In-tree stand-in for `bytes::Bytes`: an Arc-backed immutable byte slice
+//! with the handful of methods this workspace calls. Deleted by ROADMAP
+//! item 3.
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 

@@ -1,22 +1,10 @@
 #!/bin/bash
-# Tier-1 gate: build, test, lint. Run before every merge.
-#
-# Prefers cargo (ROADMAP.md: `cargo build --release && cargo test -q`).
-# When the crates.io registry is unreachable (offline/sandboxed CI), falls
-# back to the raw-rustc offline build (scripts/offline_build.sh), which
-# compiles the workspace against scripts/stubs and runs the same unit +
-# integration suites. The mode decides only how to build, how to start
-# `repro` or a test binary, and which clippy to call; the gates below are
-# written once and run in both.
+# Tier-1 gate: build, test, gates, format, lint. Run before every merge.
 set -e
 R="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$R"
 
-cargo_works() {
-  command -v cargo >/dev/null 2>&1 || return 1
-  # Registry probe: a metadata call that needs the lockfile/index resolved.
-  cargo metadata --format-version 1 >/dev/null 2>&1
-}
+repro() { LIVO_LOG=warn cargo run -q --release --bin repro -- "$@"; }
 
 # Bitstream overhead gate: on the band2 pipeline run, the uncompressed
 # frame headers and slice tables must cost at most 2% of each stream's
@@ -69,65 +57,15 @@ bond_check() {
   echo "bond snapshot OK (schema livo-bench-bond-v1, $pts scenarios)"
 }
 
-fmt_check() {
-  # Formatting is part of the gate in both modes.
-  if [ "$MODE" = cargo ] && cargo fmt --version >/dev/null 2>&1; then
-    echo "== tier1: cargo fmt --check =="
-    cargo fmt --check
-  elif command -v rustfmt >/dev/null 2>&1; then
-    echo "== tier1: rustfmt --check (offline) =="
-    git -C "$R" ls-files '*.rs' | while read -r f; do
-      rustfmt --edition 2021 --check --quiet "$R/$f" || { echo "NOT FORMATTED: $f"; exit 1; }
-    done
-  else
-    echo "(rustfmt unavailable — skipping format check)"
-  fi
-}
-
-if cargo_works; then
-  MODE=cargo
-  build_and_test() {
-    cargo build --release
-    cargo test -q
-    # The SFU fan-out suite and a 1 s multiparty smoke run, named so a
-    # regression is visible even when the workspace test list changes.
-    cargo test -q --test sfu_fanout
-    cargo run --release --example multiparty -- --seconds 1
-  }
-  repro() { LIVO_LOG=warn cargo run --release --bin repro -- "$@"; }
-  run_test() { cargo test -q --test "$1"; }
-  lint() {
-    if cargo clippy --version >/dev/null 2>&1; then
-      cargo clippy --workspace --all-targets -- -D warnings
-    else
-      echo "(cargo clippy unavailable — skipping lint)"
-    fi
-  }
-else
-  MODE=offline
-  OUT="${LIVO_OFFLINE_OUT:-/tmp/livo-offline-build}"
-  # run-tests executes the sfu_fanout suite and the 1 s multiparty smoke.
-  build_and_test() { bash scripts/offline_build.sh run-tests; }
-  repro() { LIVO_LOG=warn "$OUT/repro" "$@"; }
-  run_test() { "$OUT/$1" --test-threads=1 >/dev/null; }
-  lint() {
-    if command -v clippy-driver >/dev/null 2>&1; then
-      bash scripts/offline_clippy.sh
-    else
-      echo "(clippy-driver unavailable — skipping lint)"
-    fi
-  }
-fi
-
-echo "== tier1: $MODE mode =="
-build_and_test
-# SIMD dispatch: the kernel differential suite must hold with the
-# dispatcher forced to the scalar tier AND at the auto-detected tier
-# (LIVO_SIMD caps the level per process; test binaries are separate
-# processes, so the env var takes effect per run).
+echo "== tier1: build + test =="
+cargo build --release && cargo test -q
+# A 1 s multiparty smoke run: the SFU example end to end.
+cargo run -q --release --example multiparty -- --seconds 1
+# SIMD dispatch: the kernel differential suite ran at the auto-detected
+# tier above; it must also hold with the dispatcher forced to the scalar
+# tier (LIVO_SIMD caps the level per process).
 echo "== tier1: simd tier sweep =="
-LIVO_SIMD=scalar run_test kernel_differential
-run_test kernel_differential
+LIVO_SIMD=scalar cargo test -q --test kernel_differential
 # Hot-kernel regression gate: every gated kernel must run at least as fast
 # as the implementation it replaced.
 echo "== tier1: kernel gate =="
@@ -157,11 +95,12 @@ echo "== tier1: bond gate =="
 bsnap=$(mktemp)
 repro --quick --gate bond --json "$bsnap" >/dev/null
 bond_check "$bsnap"; rm -f "$bsnap"
+echo "== tier1: fmt + clippy =="
+cargo fmt --check
+cargo clippy --workspace --all-targets -- -D warnings
 # Whole-call benchmark smoke: one short rep per workload with its
 # correctness checks on (builds benchmark/ against this checkout).
 echo "== tier1: benchmark smoke =="
 bash benchmark/run.sh --smoke >/dev/null
-fmt_check
-lint
 
 echo "TIER1 OK"
