@@ -14,8 +14,9 @@ use livo_capture::{
     datasets::DatasetPreset, render::render_rgbd_at, rig, BandwidthTrace, UserTrace, VideoId,
 };
 use livo_codec3d::{DracoDecoder, DracoEncoder, DracoParams, QuantBits, RateProfile};
+use livo_core::reconstruct::back_project_views;
 use livo_math::{Frustum, FrustumParams, Vec3};
-use livo_pointcloud::{pssim, Point, PointCloud, PssimConfig};
+use livo_pointcloud::{pssim, PointCloud, PssimConfig};
 
 /// Configuration of a Draco-Oracle replay.
 #[derive(Debug, Clone)]
@@ -213,22 +214,11 @@ pub fn capture_cloud(
 ) -> PointCloud {
     let snap = preset.scene.at(t);
     let time_key = (t * 30.0).round() as u32;
-    let mut cloud = PointCloud::new();
-    for cam in cameras {
-        let v = render_rgbd_at(cam, &snap, time_key);
-        for y in 0..v.height {
-            for x in 0..v.width {
-                let d = v.depth_mm[y * v.width + x];
-                if d == 0 {
-                    continue;
-                }
-                if let Some(w) = cam.pixel_to_world(x as u32, y as u32, d) {
-                    cloud.push(Point::new(w, v.rgb_at(x, y)));
-                }
-            }
-        }
-    }
-    cloud
+    let views: Vec<_> = cameras
+        .iter()
+        .map(|cam| render_rgbd_at(cam, &snap, time_key))
+        .collect();
+    back_project_views(&views, cameras)
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! `dct::forward_ref`/`inverse_ref`, `motion::sad_ref`), both as the oracle
 //! of the differential tests and as the baseline here — so the reported
 //! speedups measure the actual replacement, on the actual machine, not a
-//! synthetic stand-in. The two receiver points (`reconstruct`,
-//! `voxel_downsample`) and the three inter-frame points
+//! synthetic stand-in. The pixel-path points (`compose`, `reconstruct`,
+//! `voxel_downsample`, `render_prep`) and the three inter-frame points
 //! (`encode_inter_static`, `decode_inter_static`, `raw_bits`) carry their
-//! baselines in this file instead: the product has one receiver path, one
+//! baselines in this file instead: the product has one pixel path, one
 //! inter-frame coder and one place bypass bits go, no reference twins.
 //! `repro kernels` prints the table; `--json` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
@@ -16,8 +16,8 @@
 //! replaced ([`GATE_FLOOR`]), which `scripts/tier1.sh` uses as a perf
 //! ratchet: a tier that does not pay for itself is deleted, not given a
 //! looser floor. Points marked `gated: false` (the slice-parallel decode
-//! scaling measurement, the AVX2 tier points on a host without AVX2) are
-//! reported but not ratcheted.
+//! scaling measurement, the two `pool_scope_*` dispatch diagnostics, the
+//! AVX2 tier points on a host without AVX2) are reported but not ratcheted.
 //!
 //! Timing protocol: fast and reference passes alternate within each
 //! repetition (so drift hits both alike) and the per-iteration median over
@@ -39,7 +39,8 @@ use livo_codec2d::quant::{self, DC_SCALE};
 use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
 use livo_core::cull::cull_views_union_reference;
-use livo_core::tile::{compose_color, compose_depth, TileLayout};
+use livo_core::reconstruct::prepare_for_render;
+use livo_core::tile::{compose_color, compose_depth, write_seq, TileLayout};
 use livo_core::{cull_views, reconstruct_point_cloud, DepthCodec};
 use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec3};
 use livo_pointcloud::{Point, PointCloud, VoxelGrid};
@@ -613,6 +614,164 @@ fn bench_receiver() -> (KernelPoint, KernelPoint) {
             ref_ns: vox_ref,
             gated: true,
         },
+    )
+}
+
+/// `compose_color` + `compose_depth` as they were before the lanes: luma
+/// and depth a sample at a time through `f32::round` (a libm call on
+/// baseline x86-64), chroma a quad at a time, black tested per pixel.
+fn compose_reference(views: &[RgbdFrame], l: &TileLayout, codec: &DepthCodec) -> (Frame, Frame) {
+    let round = |v: f32| v.round().clamp(0.0, 255.0) as u16;
+    let (w, row_bytes) = (l.canvas_w, l.cam_w * 3);
+    let mut color = Frame::new(PixelFormat::Yuv420, w, l.canvas_h);
+    let mut depth = Frame::new(PixelFormat::Y16, w, l.canvas_h);
+    let mut pair = vec![0u8; 2 * w * 3];
+    for y in 0..l.canvas_h {
+        let rgb = &mut pair[y % 2 * w * 3..][..w * 3];
+        rgb.fill(0);
+        if let Some(vy) = y.checked_sub(l.header_rows) {
+            let in_row = views.iter().skip(vy / l.cam_h * l.cols).take(l.cols);
+            for (v, dst) in in_row.zip(rgb.chunks_exact_mut(row_bytes)) {
+                dst.copy_from_slice(&v.rgb[vy % l.cam_h * row_bytes..][..row_bytes]);
+            }
+        }
+        let luma = color.planes[0].data[y * w..].iter_mut();
+        for (s, px) in luma
+            .zip(rgb.chunks_exact(3))
+            .filter(|(_, px)| *px != [0; 3])
+        {
+            *s = round(0.299 * px[0] as f32 + 0.587 * px[1] as f32 + 0.114 * px[2] as f32);
+        }
+        // Canvas heights are even: a row of quads ends on every odd row.
+        for cx in (0..w / 2).filter(|_| y % 2 == 1) {
+            let (top, bottom) = (&pair[cx * 6..][..6], &pair[(w + cx * 2) * 3..][..6]);
+            let (mut usum, mut vsum) = (512.0f32, 512.0f32);
+            if top != [0; 6] || bottom != [0; 6] {
+                (usum, vsum) = (0.0, 0.0);
+                for px in [&top[..3], &top[3..], &bottom[..3], &bottom[3..]] {
+                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+                    usum += -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
+                    vsum += 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
+                }
+            }
+            color.planes[1].data[y / 2 * (w / 2) + cx] = round(usum / 4.0);
+            color.planes[2].data[y / 2 * (w / 2) + cx] = round(vsum / 4.0);
+        }
+    }
+    for (i, v) in views.iter().enumerate() {
+        let (ox, oy) = l.slot_origin(i);
+        for (y, src) in v.depth_mm.chunks_exact(v.width).enumerate() {
+            let dst = depth.planes[0].data[(oy + y) * w + ox..].iter_mut();
+            for (c, &d) in dst.zip(src) {
+                let mm = d.min(codec.max_depth_mm) as f32;
+                *c = (mm * codec.scale()).round().min(u16::MAX as f32) as u16;
+            }
+        }
+    }
+    write_seq(&mut color.planes[0], 0, 255);
+    write_seq(&mut depth.planes[0], 0, u16::MAX);
+    (color, depth)
+}
+
+/// The two ends of the pixel path: one capture tiled into its canvas pair,
+/// and one cloud voxelised and culled to the viewer — each against the
+/// body it had before the lanes.
+fn bench_compose_and_render_prep() -> (KernelPoint, KernelPoint) {
+    const VOXEL_M: f32 = 0.03;
+    let (views, l) = culled_views(0.5, 0);
+    let codec = DepthCodec::default();
+    let compose = || {
+        (
+            compose_color(&views, &l, 0),
+            compose_depth(&views, &l, &codec, 0),
+        )
+    };
+    assert!(
+        compose() == compose_reference(&views, &l, &codec),
+        "same canvases"
+    );
+    let (compose_fast, compose_ref) = time_pair(
+        || drop(black_box(compose())),
+        || drop(black_box(compose_reference(black_box(&views), &l, &codec))),
+    );
+    let rx = receiver_input();
+    let cloud = reconstruct_point_cloud(&rx.color, &rx.depth, &rx.layout, &rx.cameras, &rx.codec);
+    let viewer = Pose::look_at(Vec3::new(1.0, 1.4, -2.5), Vec3::new(0.0, 1.0, 0.0), Vec3::Y);
+    let frustum = Frustum::from_params(&viewer, &FrustumParams::default());
+    let grid = VoxelGrid::new(VOXEL_M);
+    let two_clouds = || grid.downsample(black_box(&cloud)).cull_to_frustum(&frustum);
+    let shown = prepare_for_render(&cloud, VOXEL_M, &frustum);
+    assert_eq!(shown.points, two_clouds().points, "same shown cloud");
+    let (prep_fast, prep_ref) = time_pair(
+        || {
+            drop(black_box(prepare_for_render(
+                black_box(&cloud),
+                VOXEL_M,
+                &frustum,
+            )))
+        },
+        || drop(black_box(two_clouds())),
+    );
+    (
+        KernelPoint {
+            name: "compose",
+            unit: "4 culled views, scale 0.25, colour + depth canvas, vs per-sample f32::round",
+            fast_ns: compose_fast,
+            ref_ns: compose_ref,
+            gated: true,
+        },
+        KernelPoint {
+            name: "render_prep",
+            unit: "that cloud at 0.03 m, vs downsample then cull_to_frustum",
+            fast_ns: prep_fast,
+            ref_ns: prep_ref,
+            gated: true,
+        },
+    )
+}
+
+/// What a `WorkerPool::scope` costs on pool(2) against the inline pool: a
+/// scope of two empty tasks (wake-up and join alone) and one of eight
+/// ≈ 1 ms spins (whether a second thread is there to take half of them).
+/// Diagnostics for ROADMAP item 5(b), not gated.
+fn bench_pool_scope() -> (KernelPoint, KernelPoint) {
+    const SCOPES: usize = 200;
+    // ≈ 1 ms of dependent shifts at 2–3 GHz.
+    let spin = || {
+        black_box((0..black_box(400_000)).fold(1u64, |s, _| {
+            let s = s ^ (s << 13);
+            let s = s ^ (s >> 7);
+            s ^ (s << 17)
+        }));
+    };
+    let scope_of = |pool: &WorkerPool, tasks: usize, task: &(dyn Fn() + Sync)| {
+        pool.scope(|s| (0..tasks).for_each(|_| s.spawn(task)));
+    };
+    let (two, inline) = (WorkerPool::new(2), WorkerPool::new(1));
+    let empty = |pool: &WorkerPool| (0..SCOPES).for_each(|_| scope_of(pool, 2, &|| {}));
+    let (empty_two, empty_inline) = time_pair(|| empty(&two), || empty(&inline));
+    let (spins_two, spins_inline) =
+        time_pair(|| scope_of(&two, 8, &spin), || scope_of(&inline, 8, &spin));
+    let point = |name, unit, fast_ns, ref_ns| KernelPoint {
+        name,
+        unit,
+        fast_ns,
+        ref_ns,
+        gated: false,
+    };
+    (
+        point(
+            "pool_scope_empty",
+            "per scope of two empty tasks, pool(2) vs inline pool(1)",
+            empty_two / SCOPES as f64,
+            empty_inline / SCOPES as f64,
+        ),
+        point(
+            "pool_scope_tasks",
+            "per scope of 8 spins of ~1 ms, pool(2) vs inline pool(1)",
+            spins_two,
+            spins_inline,
+        ),
     )
 }
 
@@ -1578,6 +1737,8 @@ pub fn run() -> Vec<KernelPoint> {
     let (dct_f, dct_i) = bench_dct();
     let (dct_f_avx2, dct_i_avx2) = bench_dct_avx2();
     let (reconstruct, voxel_downsample) = bench_receiver();
+    let (compose, render_prep) = bench_compose_and_render_prep();
+    let (pool_scope_empty, pool_scope_tasks) = bench_pool_scope();
     let (encode_inter_static, decode_inter_static, raw_bits) = bench_inter_static();
     vec![
         bench_cull(),
@@ -1588,8 +1749,12 @@ pub fn run() -> Vec<KernelPoint> {
         bench_sad(),
         bench_sad_avx2(),
         bench_decode_sliced(),
+        pool_scope_empty,
+        pool_scope_tasks,
+        compose,
         reconstruct,
         voxel_downsample,
+        render_prep,
         encode_inter_static,
         decode_inter_static,
         raw_bits,
@@ -1618,7 +1783,7 @@ pub fn text(points: &[KernelPoint]) -> String {
             if p.gated { "" } else { " [not gated]" }
         ));
     }
-    s.push_str("\nReferences stay in-tree (cull_views_union_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the raw_bits one the range\ncoder while bypass bits went through it, kept in kernels_bench.rs only.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_union_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the compose\nand render_prep ones the bodies before the lanes, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the raw_bits one the range\ncoder while bypass bits went through it, kept in kernels_bench.rs only.\n");
     s
 }
 
@@ -1642,6 +1807,25 @@ pub fn json(points: &[KernelPoint]) -> String {
             livo_math::simd::level_name(livo_math::simd::level()),
         );
         c.finish();
+    }
+    {
+        // Where the numbers came from; `scripts/bench_kernels.sh` supplies
+        // what a running binary cannot know.
+        let env = |name: &str| std::env::var(name).unwrap_or_else(|_| "unknown".into());
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut h = ObjectWriter::new(o.field_raw("host"));
+        h.field_u64("nproc", nproc as u64)
+            .field_str(
+                "simd",
+                livo_math::simd::level_name(livo_math::simd::level()),
+            )
+            .field_str("rustc", &env("LIVO_BENCH_RUSTC"))
+            .field_str("git_rev", &env("LIVO_BENCH_GIT_REV"))
+            .field_str(
+                "build",
+                ["release", "debug"][cfg!(debug_assertions) as usize],
+            );
+        h.finish();
     }
     {
         let arr = o.field_raw("kernels");

@@ -19,10 +19,11 @@
 //! sharded router falls behind the serial baseline at N=100, or churn
 //! intras violate the one-per-RTT guard.
 //!
-//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, receiver
-//! reconstruct and voxel downsample, one static-scene inter frame each way,
-//! the raw-bit tail) against the implementations they replaced, plus the AVX2
-//! dispatch tier of DCT and SAD against its SSE2/scalar baseline;
+//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, the pixel
+//! path — compose, reconstruct, voxel downsample, render prep — one
+//! static-scene inter frame each way, the raw-bit tail) against the
+//! implementations they replaced, plus the AVX2 dispatch tier of DCT and
+//! SAD against its SSE2/scalar baseline and two pool-dispatch diagnostics;
 //! `--json <path>` snapshots it (schema `livo-bench-kernels-v1`, committed
 //! as BENCH_kernels.json) and `--gate` exits non-zero if any gated
 //! kernel runs slower than what it replaced (floor 1.0x on every point).

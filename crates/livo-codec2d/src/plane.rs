@@ -1,5 +1,7 @@
 //! Sample planes and video frames.
 
+use livo_math::{round_clamp, LANES};
+
 /// A rectangular plane of samples. Samples are stored as `u16` regardless of
 /// bit depth so 8-bit colour and 16-bit depth share one code path; the
 /// format's [`PixelFormat::peak_value`] bounds the valid range.
@@ -236,33 +238,12 @@ impl Frame {
                 // Odd height: the last quad row reads the edge row twice.
                 bottom.copy_from_slice(top);
             }
-            // Chroma, averaged over each 2×2 quad (odd width: the last quad
-            // reads the edge column twice).
-            for cx in 0..cw {
-                let x0 = cx * 2 * 3;
-                let x1 = (cx * 2 + 1).min(width - 1) * 3;
-                let quad = [
-                    &top[x0..x0 + 3],
-                    &top[x1..x1 + 3],
-                    &bottom[x0..x0 + 3],
-                    &bottom[x1..x1 + 3],
-                ];
-                if quad.iter().all(|px| *px == BLACK) {
-                    // What the sums below come to: four times 128 exactly.
-                    u_plane.data[cy * cw + cx] = 128;
-                    v_plane.data[cy * cw + cx] = 128;
-                    continue;
-                }
-                let mut usum = 0.0f32;
-                let mut vsum = 0.0f32;
-                for px in quad {
-                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
-                    usum += -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
-                    vsum += 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
-                }
-                u_plane.data[cy * cw + cx] = (usum / 4.0).round().clamp(0.0, 255.0) as u16;
-                v_plane.data[cy * cw + cx] = (vsum / 4.0).round().clamp(0.0, 255.0) as u16;
-            }
+            write_chroma_row(
+                &mut u_plane.data[cy * cw..][..cw],
+                &mut v_plane.data[cy * cw..][..cw],
+                top,
+                bottom,
+            );
         }
         f
     }
@@ -319,27 +300,85 @@ pub fn yuv_to_rgb8(luma: u16, u: u16, v: u16) -> [u8; 3] {
     let g = luma - 0.344_136 * u - 0.714_136 * v;
     let b = luma + 1.772 * u;
     [
-        r.round().clamp(0.0, 255.0) as u8,
-        g.round().clamp(0.0, 255.0) as u8,
-        b.round().clamp(0.0, 255.0) as u8,
+        round_clamp(r, 255) as u8,
+        round_clamp(g, 255) as u8,
+        round_clamp(b, 255) as u8,
     ]
 }
 
-/// A black RGB8 pixel. Tiled canvases are black between slots and wherever
-/// the sender culled, so the conversion steps over it: its luma is 0 and
-/// its chroma contribution exactly 128.
-const BLACK: [u8; 3] = [0, 0, 0];
+/// A chunk of black RGB8 pixels. Tiled canvases are black between slots
+/// and wherever the sender culled, so the conversion steps over whole
+/// chunks of it: black luma is 0 and a black quad's chroma exactly 128.
+const BLACK: [u8; 3 * LANES] = [0; 3 * LANES];
 
 /// BT.601 full-range luma of one packed RGB8 row, into a zeroed luma row.
 fn write_luma_row(luma: &mut [u16], rgb: &[u8]) {
-    for (l, px) in luma.iter_mut().zip(rgb.chunks_exact(3)) {
-        if px == BLACK {
+    let y = |px: &[u8]| {
+        let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+        round_clamp(0.299 * r + 0.587 * g + 0.114 * b, 255)
+    };
+    let mut chunks = luma.chunks_exact_mut(LANES);
+    let mut px = rgb.chunks_exact(3 * LANES);
+    for (l, px) in (&mut chunks).zip(&mut px) {
+        if px != BLACK {
+            for (l, px) in l.iter_mut().zip(px.chunks_exact(3)) {
+                *l = y(px);
+            }
+        }
+    }
+    let tail = chunks.into_remainder().iter_mut();
+    for (l, px) in tail.zip(px.remainder().chunks_exact(3)) {
+        *l = y(px);
+    }
+}
+
+/// What one RGB8 pixel adds to its quad's U and V sums.
+#[inline(always)]
+fn chroma_terms(px: &[u8]) -> (f32, f32) {
+    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+    (
+        -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0,
+        0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0,
+    )
+}
+
+/// One row of U and V samples from the two packed RGB8 rows its 2×2 quads
+/// cover, each quad averaged top-left, top-right, bottom-left,
+/// bottom-right (odd width: the last quad reads the edge column twice).
+/// The sums start at the first term where a running sum would start at
+/// +0.0: `0.0 + t` is `t` for any `t` but −0.0, and a term is at least 0.5.
+fn write_chroma_row(u_row: &mut [u16], v_row: &mut [u16], top: &[u8], bottom: &[u8]) {
+    let width = top.len() / 3;
+    let whole = width / LANES;
+    for c in 0..whole {
+        let (t, b) = (
+            &top[c * 3 * LANES..][..3 * LANES],
+            &bottom[c * 3 * LANES..][..3 * LANES],
+        );
+        let u_out = &mut u_row[c * LANES / 2..][..LANES / 2];
+        let v_out = &mut v_row[c * LANES / 2..][..LANES / 2];
+        if t == BLACK && b == BLACK {
+            u_out.fill(128);
+            v_out.fill(128);
             continue;
         }
-        let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
-        *l = (0.299 * r + 0.587 * g + 0.114 * b)
-            .round()
-            .clamp(0.0, 255.0) as u16;
+        let (mut tu, mut tv, mut bu, mut bv) =
+            ([0f32; LANES], [0f32; LANES], [0f32; LANES], [0f32; LANES]);
+        for i in 0..LANES {
+            (tu[i], tv[i]) = chroma_terms(&t[3 * i..]);
+            (bu[i], bv[i]) = chroma_terms(&b[3 * i..]);
+        }
+        for q in 0..LANES / 2 {
+            let (l, r) = (2 * q, 2 * q + 1);
+            u_out[q] = round_clamp((tu[l] + tu[r] + bu[l] + bu[r]) / 4.0, 255);
+            v_out[q] = round_clamp((tv[l] + tv[r] + bv[l] + bv[r]) / 4.0, 255);
+        }
+    }
+    for cx in whole * LANES / 2..u_row.len() {
+        let (x0, x1) = (cx * 2 * 3, (cx * 2 + 1).min(width - 1) * 3);
+        let [a, b, c, d] = [&top[x0..], &top[x1..], &bottom[x0..], &bottom[x1..]].map(chroma_terms);
+        u_row[cx] = round_clamp((a.0 + b.0 + c.0 + d.0) / 4.0, 255);
+        v_row[cx] = round_clamp((a.1 + b.1 + c.1 + d.1) / 4.0, 255);
     }
 }
 

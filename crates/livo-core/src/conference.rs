@@ -14,7 +14,7 @@
 
 use crate::depth::{DepthCodec, DepthEncoding};
 use crate::frustum_pred::FrustumPredictor;
-use crate::reconstruct::{prepare_for_render, reconstruct_point_cloud};
+use crate::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::stage::{
     FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS,
@@ -28,7 +28,7 @@ use livo_capture::{
 };
 use livo_codec2d::{Frame, FrameType};
 use livo_math::FrustumParams;
-use livo_pointcloud::{pssim, PointCloud, PssimConfig, PssimScore};
+use livo_pointcloud::{pssim, PssimConfig, PssimScore};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace, TraceEvent, NO_FRAME};
 use livo_telemetry::{
@@ -631,20 +631,7 @@ impl ConferenceRunner {
         // sensor actually measured, noise included.
         let snap = self.preset.scene.at(seq as f32 / self.cfg.fps as f32);
         let truth_views = render_views_at(&self.pool(), &self.cameras, &snap, seq);
-        let mut truth = PointCloud::new();
-        for (cam, v) in self.cameras.iter().zip(&truth_views) {
-            for y in 0..v.height {
-                for x in 0..v.width {
-                    let d = v.depth_mm[y * v.width + x];
-                    if d == 0 {
-                        continue;
-                    }
-                    if let Some(w) = cam.pixel_to_world(x as u32, y as u32, d) {
-                        truth.push(livo_pointcloud::Point::new(w, v.rgb_at(x, y)));
-                    }
-                }
-            }
-        }
+        let truth = back_project_views(&truth_views, &self.cameras);
 
         // Current viewer frustum at display time.
         let viewer = self.user_trace.pose_at_time(now as f32 / 1e6);

@@ -12,6 +12,7 @@
 //! channels), which suffers 8-bit quantisation and chroma subsampling.
 
 use livo_codec2d::{Frame, PixelFormat};
+use livo_math::round_clamp;
 
 /// Which depth-to-video mapping to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,23 +73,21 @@ impl DepthCodec {
     /// Map one sensor sample to a coded sample (Y16 modes).
     #[inline]
     pub fn encode_sample(&self, depth_mm: u16) -> u16 {
-        match self.encoding {
-            DepthEncoding::ScaledY16 => {
-                let d = depth_mm.min(self.max_depth_mm) as f32;
-                (d * self.scale()).round().min(u16::MAX as f32) as u16
-            }
-            _ => depth_mm,
-        }
+        let mut coded = 0;
+        self.encode_row(&[depth_mm], std::slice::from_mut(&mut coded));
+        coded
     }
 
     /// [`DepthCodec::encode_sample`] over a row of samples, with the
-    /// encoding looked at once instead of once per sample.
+    /// encoding looked at and the scale divided out once, not per sample.
+    #[inline]
     pub fn encode_row(&self, depth_mm: &[u16], coded: &mut [u16]) {
         assert_eq!(depth_mm.len(), coded.len());
         match self.encoding {
             DepthEncoding::ScaledY16 => {
+                let (max, scale) = (self.max_depth_mm, self.scale());
                 for (c, &d) in coded.iter_mut().zip(depth_mm) {
-                    *c = self.encode_sample(d);
+                    *c = round_clamp(d.min(max) as f32 * scale, u16::MAX);
                 }
             }
             DepthEncoding::RawY16 | DepthEncoding::RgbPacked => coded.copy_from_slice(depth_mm),
@@ -98,9 +97,24 @@ impl DepthCodec {
     /// Map one coded sample back to millimetres.
     #[inline]
     pub fn decode_sample(&self, coded: u16) -> u16 {
+        let mut depth_mm = 0;
+        self.decode_row(&[coded], std::slice::from_mut(&mut depth_mm));
+        depth_mm
+    }
+
+    /// [`DepthCodec::decode_sample`] over a row of samples, the mirror of
+    /// [`DepthCodec::encode_row`].
+    #[inline]
+    pub fn decode_row(&self, coded: &[u16], depth_mm: &mut [u16]) {
+        assert_eq!(coded.len(), depth_mm.len());
         match self.encoding {
-            DepthEncoding::ScaledY16 => (coded as f32 / self.scale()).round() as u16,
-            _ => coded,
+            DepthEncoding::ScaledY16 => {
+                let scale = self.scale();
+                for (d, &c) in depth_mm.iter_mut().zip(coded) {
+                    *d = round_clamp(c as f32 / scale, u16::MAX);
+                }
+            }
+            DepthEncoding::RawY16 | DepthEncoding::RgbPacked => depth_mm.copy_from_slice(coded),
         }
     }
 

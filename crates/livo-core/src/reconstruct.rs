@@ -8,9 +8,10 @@
 
 use crate::depth::{DepthCodec, DepthEncoding};
 use crate::tile::TileLayout;
+use livo_capture::RgbdFrame;
 use livo_codec2d::plane::yuv_to_rgb8;
 use livo_codec2d::{Frame, PixelFormat};
-use livo_math::{Frustum, RgbdCamera};
+use livo_math::{Frustum, RayTable, RgbdCamera, Vec3, LANES};
 use livo_pointcloud::{Point, PointCloud, VoxelGrid};
 
 /// Reconstruct the world-space point cloud from decoded colour/depth
@@ -47,27 +48,100 @@ pub fn reconstruct_point_cloud(
     };
     // Room for every slot pixel, so pushing never reallocates.
     let mut cloud = PointCloud::with_capacity(layout.n * layout.cam_w * layout.cam_h);
+    let mut depth_mm = vec![0u16; layout.cam_w];
     for (i, cam) in cameras.iter().enumerate() {
         let (ox, oy) = layout.slot_origin(i);
+        let rays = RayTable::build(&cam.intrinsics);
         for y in 0..layout.cam_h {
             let cy = oy + y;
-            let depth_row = &depth.data[cy * depth.width + ox..][..layout.cam_w];
+            depth_codec.decode_row(
+                &depth.data[cy * depth.width + ox..][..layout.cam_w],
+                &mut depth_mm,
+            );
             let luma_row = &luma.data[cy * luma.width + ox..][..layout.cam_w];
             let u_row = &u_plane.data[cy / 2 * u_plane.width..][..u_plane.width];
             let v_row = &v_plane.data[cy / 2 * v_plane.width..][..v_plane.width];
-            for (x, (&coded, &l)) in depth_row.iter().zip(luma_row).enumerate() {
-                if coded == 0 {
-                    continue;
+            push_row(cam, &rays, y, &depth_mm, &mut cloud, |x0, n| {
+                let mut yuv = [[0u16; LANES]; 3];
+                for i in 0..n {
+                    let cx = (ox + x0 + i) / 2;
+                    (yuv[0][i], yuv[1][i], yuv[2][i]) = (luma_row[x0 + i], u_row[cx], v_row[cx]);
                 }
-                let d = depth_codec.decode_sample(coded);
-                if let Some(world) = cam.pixel_to_world(x as u32, y as u32, d) {
-                    let cx = (ox + x) / 2;
-                    cloud.push(Point::new(world, yuv_to_rgb8(l, u_row[cx], v_row[cx])));
-                }
-            }
+                std::array::from_fn(|i| yuv_to_rgb8(yuv[0][i], yuv[1][i], yuv[2][i]))
+            });
         }
     }
     cloud
+}
+
+/// What the sensors measured: every in-range pixel of un-tiled views,
+/// back-projected camera by camera in raster order.
+pub fn back_project_views(views: &[RgbdFrame], cameras: &[RgbdCamera]) -> PointCloud {
+    let valid = views.iter().map(RgbdFrame::valid_pixels).sum();
+    let mut cloud = PointCloud::with_capacity(valid);
+    for (cam, v) in cameras.iter().zip(views) {
+        let rays = RayTable::build(&cam.intrinsics);
+        for (y, depth_mm) in v.depth_mm.chunks_exact(v.width).enumerate() {
+            push_row(cam, &rays, y, depth_mm, &mut cloud, |x0, n| {
+                let mut rgb = [[0u8; 3]; LANES];
+                for (px, x) in rgb.iter_mut().zip(x0..x0 + n) {
+                    *px = v.rgb_at(x, y);
+                }
+                rgb
+            });
+        }
+    }
+    cloud
+}
+
+/// [`RgbdCamera::pixel_to_world`] over image row `y` of `cam` (`rays` its
+/// [`RayTable`]): the in-range pixels are appended to `cloud` left to
+/// right, `color(x0, n)` giving the colours of the `n` pixels from `x0` of
+/// a chunk (lanes past `n` are not read). Chunks without a return are
+/// stepped over whole. Every lane runs `pixel_to_world`'s own operations
+/// in its order — `/ 1000`, the range test, `ray * z` (what `unproject`
+/// evaluates: the `RayTable` contract), `Quat::rotate`, `+ position` — so
+/// a point is bit-equal to the per-pixel call's.
+#[inline]
+fn push_row(
+    cam: &RgbdCamera,
+    rays: &RayTable,
+    y: usize,
+    depth_mm: &[u16],
+    cloud: &mut PointCloud,
+    mut color: impl FnMut(usize, usize) -> [[u8; 3]; LANES],
+) {
+    let (pose, near, far) = (cam.pose, cam.min_range_m, cam.max_range_m);
+    let ray_y = rays.ray_y()[y];
+    let mut chunk = |mm: &[u16; LANES], ray_x: &[f32; LANES], x0: usize, n: usize| {
+        if mm == &[0; LANES] {
+            return;
+        }
+        let mut world = [[0f32; LANES]; 3];
+        let mut in_range = [false; LANES];
+        for i in 0..LANES {
+            let z = mm[i] as f32 / 1000.0;
+            // `|` and `&`, not `||` and `&&`: a lane has no branch.
+            in_range[i] = (mm[i] != 0) & !((z < near) | (z > far));
+            let w = pose.transform_point(Vec3::new(ray_x[i] * z, ray_y * z, z));
+            (world[0][i], world[1][i], world[2][i]) = (w.x, w.y, w.z);
+        }
+        let rgb = color(x0, n);
+        for i in (0..LANES).filter(|&i| in_range[i]) {
+            let position = Vec3::new(world[0][i], world[1][i], world[2][i]);
+            cloud.points.push(Point::new(position, rgb[i]));
+        }
+    };
+    let (mm_chunks, mm_rest) = depth_mm.as_chunks::<LANES>();
+    let (ray_chunks, ray_rest) = rays.ray_x()[..depth_mm.len()].as_chunks::<LANES>();
+    for ((mm, ray_x), x0) in mm_chunks.iter().zip(ray_chunks).zip((0..).step_by(LANES)) {
+        chunk(mm, ray_x, x0, LANES);
+    }
+    // The part chunk at the end of a row, padded with no-return lanes.
+    let (mut mm, mut ray_x) = ([0u16; LANES], [0f32; LANES]);
+    mm[..mm_rest.len()].copy_from_slice(mm_rest);
+    ray_x[..ray_rest.len()].copy_from_slice(ray_rest);
+    chunk(&mm, &ray_x, depth_mm.len() - mm_rest.len(), mm_rest.len());
 }
 
 /// The receiver's render prep: voxelise then cull to the current frustum.
@@ -76,14 +150,13 @@ pub fn prepare_for_render(
     voxel_m: f32,
     current_frustum: &Frustum,
 ) -> PointCloud {
-    let voxelized = VoxelGrid::new(voxel_m).downsample(cloud);
-    voxelized.cull_to_frustum(current_frustum)
+    VoxelGrid::new(voxel_m).downsample_where(cloud, |p| current_frustum.contains(p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::{compose_color, compose_depth, extract_color, extract_depth};
+    use crate::tile::{compose_color, compose_depth};
     use livo_capture::scene::{AnimatedShape, Scene, ShapeGeom, Texture};
     use livo_capture::{render_rgbd, rig};
     use livo_codec2d::{Decoder, Encoder, EncoderConfig};
@@ -126,8 +199,9 @@ mod tests {
         (cams, layout, views)
     }
 
-    /// The body `reconstruct_point_cloud` had before the fused pass: copy
-    /// each camera's slot out of both canvases, then back-project the copies.
+    /// `reconstruct_point_cloud` a pixel at a time: every slot pixel decoded,
+    /// back-projected by `pixel_to_world` and coloured from the canvas pixel
+    /// it sits on.
     fn reconstruct_oracle(
         color_canvas: &Frame,
         depth_canvas: &Frame,
@@ -137,20 +211,12 @@ mod tests {
     ) -> PointCloud {
         let mut cloud = PointCloud::new();
         for (i, cam) in cameras.iter().enumerate() {
-            let depth = extract_depth(depth_canvas, layout, depth_codec, i);
-            let rgb = extract_color(color_canvas, layout, i);
+            let (ox, oy) = layout.slot_origin(i);
             for y in 0..layout.cam_h {
                 for x in 0..layout.cam_w {
-                    let p = y * layout.cam_w + x;
-                    let d = depth[p];
-                    if d == 0 {
-                        continue;
-                    }
+                    let d = depth_codec.decode_sample(depth_canvas.planes[0].get(ox + x, oy + y));
                     if let Some(world) = cam.pixel_to_world(x as u32, y as u32, d) {
-                        cloud.push(Point::new(
-                            world,
-                            [rgb[p * 3], rgb[p * 3 + 1], rgb[p * 3 + 2]],
-                        ));
+                        cloud.push(Point::new(world, color_canvas.rgb_at(ox + x, oy + y)));
                     }
                 }
             }

@@ -17,7 +17,7 @@
 
 use crate::cull::{CullContext, CullStats};
 use crate::depth::{DepthCodec, DepthEncoding};
-use crate::tile::{compose_color, compose_depth, read_seq, TileLayout};
+use crate::tile::{compose_color, compose_depth, header_rows_for, read_seq, TileLayout};
 use livo_capture::RgbdFrame;
 use livo_codec2d::{luma_rmse, Decoder, EncodedFrame, Encoder, EncoderConfig, Frame, PixelFormat};
 use livo_math::{Frustum, RgbdCamera};
@@ -263,8 +263,11 @@ impl DecodeLane {
             self.need_key = false;
             let t0 = Instant::now();
             self.dec.set_trace_frame(af.frame_id, now);
-            let ingest = match self.dec.decode(&af.data) {
-                Ok(frame) => {
+            // A well-formed frame too small to hold the sequence strip is
+            // no canvas of ours: an error like any other, not a frame 0.
+            let canvas = self.dec.decode(&af.data).ok();
+            let ingest = match canvas.filter(|f| header_rows_for(f.width) <= f.height) {
+                Some(frame) => {
                     let seq = read_seq(&frame.planes[0], frame.format.peak_value());
                     self.window.insert(seq, frame);
                     while self.window.len() > PAIR_WINDOW {
@@ -272,7 +275,7 @@ impl DecodeLane {
                     }
                     Ingest::Decoded
                 }
-                Err(_) => {
+                None => {
                     self.dec.reset();
                     self.need_key = true;
                     Ingest::DecodeError
@@ -587,6 +590,82 @@ mod tests {
             keyframe: out.frame_type == FrameType::Intra,
             completed_at: 0,
             send_ts: 0,
+        }
+    }
+
+    #[test]
+    fn receiver_stage_is_total_on_tiny_frames_and_arbitrary_bytes() {
+        use livo_codec2d::{Encoder, EncoderConfig, PixelFormat};
+        use livo_math::rng::SplitMix64;
+        let intra = |w: usize, h: usize, format: PixelFormat| {
+            let mut frame = Frame::new(format, w, h);
+            frame.planes[0].data.fill(format.peak_value());
+            Encoder::new(EncoderConfig::new(w, h, format)).encode_fixed_qp(&frame, 20)
+        };
+        let mut rx = ReceiverStage::new();
+        let mut frame_id = 0;
+        let mut ingest = |rx: &mut ReceiverStage, data: Vec<u8>, keyframe: bool| {
+            let af = AssembledFrame {
+                stream: [StreamId::Color, StreamId::Depth][frame_id as usize % 2],
+                frame_id,
+                data: Bytes::from(data),
+                keyframe,
+                completed_at: 0,
+                send_ts: 0,
+            };
+            frame_id += 1;
+            rx.ingest(&[af], 0)[0].ingest
+        };
+        // Well-formed keyframes too small for the 32-block strip: `read_seq`
+        // reads the missing blocks as 0 bits, the lane counts an error.
+        for (w, h) in [
+            (8, 8),
+            (1, 1),
+            (7, 9),
+            (40, 8),
+            (32, 56),
+            (248, 8),
+            (8, 248),
+        ] {
+            for format in [PixelFormat::Y16, PixelFormat::Yuv420] {
+                let out = intra(w, h, format);
+                assert!(header_rows_for(w) > h, "{w}x{h} holds the strip");
+                assert_eq!(
+                    read_seq(&out.reconstruction.planes[0], format.peak_value()) >> 31,
+                    (w >= 8 && h >= 8) as u32,
+                    "{w}x{h}: bit 31 is the one block sure to be there"
+                );
+                assert_eq!(ingest(&mut rx, out.data, true), Ingest::DecodeError);
+            }
+        }
+        // The smallest canvases that do hold it are frames like any other.
+        for (w, h) in [(256, 8), (32, 64), (8, 256)] {
+            let out = intra(w, h, PixelFormat::Y16);
+            assert_eq!(ingest(&mut rx, out.data, true), Ingest::Decoded, "{w}x{h}");
+        }
+        // All-peak strips on both lanes: every bit reads 1.
+        assert_eq!(rx.newest_pair().map(|p| p.0), Some(u32::MAX));
+        // Arbitrary bytes, and a valid stream cut short or with bits flipped,
+        // as keyframes and not: any outcome but a panic.
+        let valid = intra(64, 48, PixelFormat::Yuv420).data;
+        let mut rng = SplitMix64::new(0x5EC5);
+        for len in 0..valid.len() {
+            ingest(&mut rx, valid[..len].to_vec(), len % 2 == 0);
+        }
+        for round in 0..600 {
+            let mut data = valid.clone();
+            if round % 3 == 0 {
+                data = (0..rng.gen_range(0..200usize)).map(|_| rng.gen()).collect();
+                if let Some(b) = data.first_mut().filter(|_| round % 2 == 0) {
+                    *b = valid[0];
+                }
+            } else {
+                for _ in 0..rng.gen_range(1..6u32) {
+                    let bit = rng.gen_range(0..data.len() * 8);
+                    data[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            ingest(&mut rx, data, round % 5 != 0);
         }
     }
 

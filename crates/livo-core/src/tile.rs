@@ -112,17 +112,21 @@ pub fn write_seq(plane: &mut Plane, seq: u32, peak: u16) {
 }
 
 /// Recover the sequence number from a (possibly distorted) header strip.
+/// Total on any plane: a bit block that does not lie wholly inside it (a
+/// decoded frame smaller than the strip) reads as a 0 bit.
 pub fn read_seq(plane: &Plane, peak: u16) -> u32 {
     let bits_per_row = (plane.width / 8).max(1);
     let mut seq = 0u32;
     let mid = peak as u64 / 2;
     for bit in 0..SEQ_BITS {
         let (brow, bcol) = (bit / bits_per_row, bit % bits_per_row);
+        if bcol * 8 + 8 > plane.width || brow * 8 + 8 > plane.height {
+            continue;
+        }
         let mut acc = 0u64;
         for y in 0..8 {
-            for x in 0..8 {
-                acc += plane.get(bcol * 8 + x, brow * 8 + y) as u64;
-            }
+            let row = &plane.data[(brow * 8 + y) * plane.width + bcol * 8..][..8];
+            acc += row.iter().map(|&s| s as u64).sum::<u64>();
         }
         let mean = acc / 64;
         if mean > mid {
@@ -194,38 +198,38 @@ pub fn compose_depth(
     f
 }
 
-/// Extract camera `i`'s depth image (millimetres) from a decoded depth
-/// canvas.
-pub fn extract_depth(frame: &Frame, layout: &TileLayout, codec: &DepthCodec, i: usize) -> Vec<u16> {
-    assert_eq!(frame.format, PixelFormat::Y16);
-    let (ox, oy) = layout.slot_origin(i);
-    let mut out = vec![0u16; layout.cam_w * layout.cam_h];
-    let plane = &frame.planes[0];
-    for y in 0..layout.cam_h {
-        for x in 0..layout.cam_w {
-            out[y * layout.cam_w + x] = codec.decode_sample(plane.get(ox + x, oy + y));
-        }
-    }
-    out
-}
-
-/// Extract camera `i`'s RGB image from a decoded colour canvas.
-pub fn extract_color(frame: &Frame, layout: &TileLayout, i: usize) -> Vec<u8> {
-    assert_eq!(frame.format, PixelFormat::Yuv420);
-    let (ox, oy) = layout.slot_origin(i);
-    let mut out = Vec::with_capacity(layout.cam_w * layout.cam_h * 3);
-    for y in 0..layout.cam_h {
-        for x in 0..layout.cam_w {
-            out.extend_from_slice(&frame.rgb_at(ox + x, oy + y));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use livo_codec2d::{Encoder, EncoderConfig};
+
+    /// Extract camera `i`'s depth image (millimetres) from a decoded depth
+    /// canvas.
+    fn extract_depth(frame: &Frame, layout: &TileLayout, codec: &DepthCodec, i: usize) -> Vec<u16> {
+        assert_eq!(frame.format, PixelFormat::Y16);
+        let (ox, oy) = layout.slot_origin(i);
+        let mut out = vec![0u16; layout.cam_w * layout.cam_h];
+        let plane = &frame.planes[0];
+        for y in 0..layout.cam_h {
+            for x in 0..layout.cam_w {
+                out[y * layout.cam_w + x] = codec.decode_sample(plane.get(ox + x, oy + y));
+            }
+        }
+        out
+    }
+
+    /// Extract camera `i`'s RGB image from a decoded colour canvas.
+    fn extract_color(frame: &Frame, layout: &TileLayout, i: usize) -> Vec<u8> {
+        assert_eq!(frame.format, PixelFormat::Yuv420);
+        let (ox, oy) = layout.slot_origin(i);
+        let mut out = Vec::with_capacity(layout.cam_w * layout.cam_h * 3);
+        for y in 0..layout.cam_h {
+            for x in 0..layout.cam_w {
+                out.extend_from_slice(&frame.rgb_at(ox + x, oy + y));
+            }
+        }
+        out
+    }
 
     fn mk_views(n: usize, w: usize, h: usize) -> Vec<RgbdFrame> {
         (0..n)

@@ -137,6 +137,7 @@ impl RgbdCamera {
     /// Back-project an image pixel (with depth in millimetres, the sensor's
     /// native unit) into world coordinates. Returns `None` for zero depth
     /// (no return) or out-of-range depth.
+    #[inline]
     pub fn pixel_to_world(&self, u: u32, v: u32, depth_mm: u16) -> Option<Vec3> {
         if depth_mm == 0 {
             return None;

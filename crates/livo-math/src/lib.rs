@@ -41,3 +41,84 @@ pub use pose::Pose;
 pub use quat::Quat;
 pub use raytable::RayTable;
 pub use vec3::Vec3;
+
+/// Pixels per chunk of the pixel path's row loops (image → canvas → cloud):
+/// eight `f32` lanes, two SSE registers.
+pub const LANES: usize = 8;
+
+/// `x.round().clamp(0.0, peak as f32) as u16` for every `f32`, NaN (→ 0)
+/// included, without the call into libm that `f32::round` is on baseline
+/// x86-64: clamp, truncate, then add one when the fraction — exactly
+/// representable below 2²³ — is at least ½. Each step is a lane operation
+/// SSE2 has, so a loop over a row of these vectorises.
+#[inline]
+pub fn round_clamp(x: f32, peak: u16) -> u16 {
+    let hi = peak as f32;
+    // Written as selects so that NaN takes the constant arm.
+    let c = if x > 0.0 { x } else { 0.0 };
+    let c = if c < hi { c } else { hi };
+    // SAFETY: `c` is finite and in [0, 65 535], which `i32` holds.
+    let t = unsafe { c.to_int_unchecked::<i32>() };
+    (t + (c - t as f32 >= 0.5) as i32) as u16
+}
+
+#[cfg(test)]
+mod tests {
+    use super::round_clamp;
+
+    fn libm(x: f32, peak: u16) -> u16 {
+        x.round().clamp(0.0, peak as f32) as u16
+    }
+
+    #[test]
+    fn round_clamp_is_round_then_clamp_at_the_edges() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.499_999_97,
+            0.5,
+            1.5,
+            2.5,
+            254.5,
+            255.499_98,
+            65_534.5,
+            65_535.0,
+            65_535.5,
+            8_388_607.5,
+            -0.4,
+            -0.5,
+            -1.7,
+            3e9,
+            -3e9,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Every half-integer of the coded range from both sides.
+        for k in 0..=65_536u32 {
+            let h = k as f32 + 0.5;
+            cases.extend([
+                h,
+                f32::from_bits(h.to_bits() - 1),
+                f32::from_bits(h.to_bits() + 1),
+            ]);
+        }
+        for x in cases {
+            for peak in [1, 255, 6000, u16::MAX] {
+                assert_eq!(round_clamp(x, peak), libm(x, peak), "{x:?} peak {peak}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_clamp_is_round_then_clamp_on_a_stride_of_all_bit_patterns() {
+        // Every 4 099th `f32` (a prime stride, so every exponent and both
+        // signs are met): about a million values.
+        for bits in (0..=u32::MAX).step_by(4_099) {
+            let x = f32::from_bits(bits);
+            assert_eq!(round_clamp(x, 255), libm(x, 255), "{x:?}");
+            assert_eq!(round_clamp(x, u16::MAX), libm(x, u16::MAX), "{x:?}");
+        }
+    }
+}

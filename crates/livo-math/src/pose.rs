@@ -83,6 +83,7 @@ impl Pose {
     }
 
     /// Map a point from this pose's local frame into world coordinates.
+    #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec3 {
         self.orientation.rotate(p) + self.position
     }

@@ -96,6 +96,7 @@ impl Quat {
     }
 
     /// Rotate a vector by this quaternion.
+    #[inline]
     pub fn rotate(self, v: Vec3) -> Vec3 {
         // v' = v + 2 * q_vec × (q_vec × v + w v)
         let qv = Vec3::new(self.x, self.y, self.z);

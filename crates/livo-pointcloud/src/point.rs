@@ -10,6 +10,7 @@ pub struct Point {
 }
 
 impl Point {
+    #[inline]
     pub fn new(position: Vec3, color: [u8; 3]) -> Self {
         Point { position, color }
     }
@@ -57,6 +58,7 @@ impl PointCloud {
         self.points.is_empty()
     }
 
+    #[inline]
     pub fn push(&mut self, p: Point) {
         self.points.push(p);
     }

@@ -1,15 +1,19 @@
 #!/bin/bash
 # Regenerate BENCH_kernels.json: the hot-kernel microbench snapshot
 # (schema livo-bench-kernels-v1) comparing each optimised kernel — cull,
-# forward/inverse DCT and SAD with their AVX2 tiers, sliced decode,
-# receiver reconstruct and voxel downsample, one static-scene inter frame
-# encoded and decoded, the raw-bit tail — against the implementation it
-# replaced (retained in-tree, or written out in kernels_bench.rs). `--gate`
-# makes the run fail if any gated kernel regressed below 1.0x.
+# forward/inverse DCT and SAD with their AVX2 tiers, sliced decode, the
+# pixel path (compose, reconstruct, voxel downsample, render prep), one
+# static-scene inter frame encoded and decoded, the raw-bit tail — against
+# the implementation it replaced (retained in-tree, or written out in
+# kernels_bench.rs), plus two ungated pool-dispatch diagnostics and a host
+# block (cores, SIMD tier, rustc, commit, profile). `--gate` makes the run
+# fail if any gated kernel regressed below 1.0x.
 set -e
 R="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$R"
 OUT_JSON=${1:-$R/BENCH_kernels.json}
 
+export LIVO_BENCH_RUSTC="$(rustc --version)"
+export LIVO_BENCH_GIT_REV="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 LIVO_LOG=warn cargo run --release --bin repro -- --json "$OUT_JSON" --gate kernels
 echo "wrote $OUT_JSON"
