@@ -262,6 +262,7 @@ pub fn json(points: &[BondPoint], profile: &EvalProfile, quick: bool) -> String 
         c.field_u64("seed", profile.seed);
         c.finish();
     }
+    crate::write_host(o.field_raw("host"));
     {
         let arr = o.field_raw("points");
         arr.push('[');

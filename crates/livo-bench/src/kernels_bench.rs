@@ -1808,25 +1808,7 @@ pub fn json(points: &[KernelPoint]) -> String {
         );
         c.finish();
     }
-    {
-        // Where the numbers came from; `scripts/bench_kernels.sh` supplies
-        // what a running binary cannot know.
-        let env = |name: &str| std::env::var(name).unwrap_or_else(|_| "unknown".into());
-        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut h = ObjectWriter::new(o.field_raw("host"));
-        h.field_u64("nproc", nproc as u64)
-            .field_str(
-                "simd",
-                livo_math::simd::level_name(livo_math::simd::level()),
-            )
-            .field_str("rustc", &env("LIVO_BENCH_RUSTC"))
-            .field_str("git_rev", &env("LIVO_BENCH_GIT_REV"))
-            .field_str(
-                "build",
-                ["release", "debug"][cfg!(debug_assertions) as usize],
-            );
-        h.finish();
-    }
+    crate::write_host(o.field_raw("host"));
     {
         let arr = o.field_raw("kernels");
         arr.push('[');

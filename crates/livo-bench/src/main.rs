@@ -56,6 +56,27 @@ use livo_eval::experiments::{run_grid, EvalProfile, GridResult, Scheme};
 use livo_eval::report;
 use livo_telemetry::{log_event, Level};
 
+/// The `host` block every `BENCH_*.json` carries: where the numbers came
+/// from. The environment (`scripts/bench_kernels.sh`) supplies what a
+/// running binary cannot know.
+fn write_host(out: &mut String) {
+    let env = |name: &str| std::env::var(name).unwrap_or_else(|_| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut h = livo_telemetry::json::ObjectWriter::new(out);
+    h.field_u64("nproc", nproc as u64)
+        .field_str(
+            "simd",
+            livo_math::simd::level_name(livo_math::simd::level()),
+        )
+        .field_str("rustc", &env("LIVO_BENCH_RUSTC"))
+        .field_str("git_rev", &env("LIVO_BENCH_GIT_REV"))
+        .field_str(
+            "build",
+            ["release", "debug"][cfg!(debug_assertions) as usize],
+        );
+    h.finish();
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick|--standard] [--metrics <path>] [--sfu-json <path>] [--json [path]] [--trace <path>] [--gate] <artefact>...\n\
@@ -311,7 +332,9 @@ fn main() {
     }
     if let Some(path) = metrics_path {
         log_event!(Level::Info, "repro", "writing telemetry snapshot", "path" => path.as_str());
-        let json = report::bench_snapshot(&profile);
+        let mut host = String::new();
+        write_host(&mut host);
+        let json = report::bench_snapshot(&profile, &host);
         if let Err(e) = std::fs::write(&path, &json) {
             log_event!(
                 Level::Error,

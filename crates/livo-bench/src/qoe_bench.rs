@@ -4,7 +4,7 @@
 //! One instrumented band2 replay per sweep point (bandwidth × random
 //! loss), reporting the three receiver-side QoE signals the transport
 //! PRs gate against: stall rate, end-to-end frame age (capture→display,
-//! p50/p99 from the per-frame timeline), and the delivered-vs-GCC-
+//! p50/p99 from the trace's `display` events), and the delivered-vs-GCC-
 //! estimate bitrate ratio (goodput over the mean estimate — how much of
 //! what the estimator promised actually reached the display). The
 //! anomaly-dump count ties each point back to the flight recorder.
@@ -13,7 +13,7 @@ use livo_capture::{BandwidthTrace, VideoId};
 use livo_core::conference::{ConferenceConfig, ConferenceRunner, RunSummary};
 use livo_eval::experiments::EvalProfile;
 use livo_telemetry::json::ObjectWriter;
-use livo_telemetry::stage;
+use livo_telemetry::kind;
 use livo_transport::SessionConfig;
 
 /// The sweep: `(bandwidth_mbps, random_loss)` per point. A clean fat
@@ -47,16 +47,14 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
-/// Capture→display ages of every displayed frame, sorted, milliseconds.
+/// Capture→display ages of every displayed frame (the `display` event's
+/// `arg`, µs), sorted, milliseconds.
 fn frame_ages_ms(summary: &RunSummary) -> Vec<f64> {
     let mut ages: Vec<f64> = summary
-        .timeline
+        .trace
         .iter()
-        .filter_map(|rec| {
-            let shown = rec.ts_of(stage::DISPLAY)?;
-            let captured = rec.ts_of(stage::CAPTURE)?;
-            Some(shown.saturating_sub(captured) as f64 / 1e3)
-        })
+        .filter(|e| e.kind == kind::DISPLAY)
+        .map(|e| e.arg as f64 / 1e3)
         .collect();
     ages.sort_by(f64::total_cmp);
     ages
@@ -174,6 +172,7 @@ pub fn json(points: &[QoePoint], profile: &EvalProfile) -> String {
         c.field_u64("seed", profile.seed);
         c.finish();
     }
+    crate::write_host(o.field_raw("host"));
     {
         let arr = o.field_raw("points");
         arr.push('[');

@@ -31,6 +31,7 @@
 use livo_capture::{
     datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, RgbdFrame, VideoId,
 };
+use livo_core::stage::FPS;
 use livo_eval::experiments::EvalProfile;
 use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
 use livo_runtime::WorkerPool;
@@ -55,7 +56,6 @@ const STANDIN_SAMPLE: usize = 25;
 /// Frames per measured run (one virtual second per run keeps the full
 /// sweep CI-friendly).
 const FRAMES: u64 = 30;
-const FPS: u32 = 30;
 
 /// Sharded route p50 must be <= serial p50 * this (noise allowance).
 const SERIAL_TOLERANCE: f64 = 1.15;
@@ -297,7 +297,6 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
                 RouterEvent::SubscriberJoined { .. } => {}
                 RouterEvent::SubscriberLeft { .. } => leaves += 1,
                 RouterEvent::Regrouped { .. } => regroups += 1,
-                RouterEvent::StragglerPromoted { .. } => {}
             }
         }
         for cluster in &out.clusters {
@@ -500,6 +499,7 @@ pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
         c.field_u64("threads", sweep.threads as u64);
         c.finish();
     }
+    crate::write_host(o.field_raw("host"));
     {
         let arr = o.field_raw("points");
         arr.push('[');

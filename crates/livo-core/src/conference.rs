@@ -17,8 +17,8 @@ use crate::frustum_pred::FrustumPredictor;
 use crate::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::stage::{
-    FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS,
-    RENDER_VOXEL_M,
+    FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, FPS, GUARD_BAND_M, MEDIA_SHARE,
+    NOADAPT_QPS, RENDER_VOXEL_M,
 };
 use crate::tile::TileLayout;
 use bytes::Bytes;
@@ -32,8 +32,8 @@ use livo_pointcloud::{pssim, PssimConfig, PssimScore};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace, TraceEvent, NO_FRAME};
 use livo_telemetry::{
-    log_event, stage, AnomalyConfig, Counter, FlightBundle, FlightRecorder, FrameTimeline,
-    FrameTimelineRecord, Gauge, Histogram, Level, MetricsRegistry, RegistrySnapshot,
+    log_event, AnomalyConfig, Counter, FlightBundle, FlightRecorder, Gauge, Histogram, Level,
+    MetricsRegistry, RegistrySnapshot,
 };
 use livo_transport::{Micros, RtcSession, SessionConfig, SessionStats, StreamId};
 use std::sync::Arc;
@@ -49,14 +49,12 @@ pub struct ConferenceConfig {
     pub n_cameras: usize,
     /// Replay length in seconds (a prefix of the video).
     pub duration_s: f32,
-    pub fps: u32,
     /// Sender-side predictive culling (off = LiVo-NoCull).
     pub cull: bool,
     /// Direct rate adaptation (off = LiVo-NoAdapt, the fixed QPs of
     /// [`NOADAPT_QPS`]).
     pub adapt: bool,
     pub depth_encoding: DepthEncoding,
-    pub splitter: SplitterConfig,
     /// Pin the split to a constant (Figs. 18–19's static splits).
     pub static_split: Option<f64>,
     pub session: SessionConfig,
@@ -90,11 +88,9 @@ impl ConferenceConfig {
             camera_scale: 0.15,
             n_cameras: 10,
             duration_s: 10.0,
-            fps: 30,
             cull: true,
             adapt: true,
             depth_encoding: DepthEncoding::ScaledY16,
-            splitter: SplitterConfig::default(),
             static_split: None,
             session: SessionConfig::default(),
             bond: None,
@@ -127,7 +123,7 @@ impl ConferenceConfig {
             let (color, depth) = NOADAPT_QPS;
             return Rate::FixedQp { color, depth };
         }
-        let media_budget = estimate_bps * MEDIA_SHARE / self.fps as f64;
+        let media_budget = estimate_bps * MEDIA_SHARE / FPS as f64;
         Rate::Budget {
             color_bits: (media_budget * (1.0 - split)) as u64,
             depth_bits: (media_budget * split) as u64,
@@ -159,9 +155,8 @@ impl std::error::Error for InvalidConfig {}
 /// Validating builder for [`ConferenceConfig`], started by
 /// [`ConferenceConfig::builder`]. Every knob defaults to the LiVo
 /// evaluation-scale configuration; [`build`](Self::build) rejects values the
-/// runner cannot execute (zero fps, empty rigs, an out-of-range split)
-/// instead of letting them surface as divide-by-zero or empty-layout panics
-/// mid-replay.
+/// runner cannot execute (empty rigs, an out-of-range split) instead of
+/// letting them surface as empty-layout panics mid-replay.
 ///
 /// ```ignore
 /// let cfg = ConferenceConfig::builder(VideoId::Band2)
@@ -194,12 +189,6 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Capture and display rate (≥ 1).
-    pub fn fps(mut self, fps: u32) -> Self {
-        self.cfg.fps = fps;
-        self
-    }
-
     /// Sender-side predictive culling (off = LiVo-NoCull).
     pub fn cull(mut self, on: bool) -> Self {
         self.cfg.cull = on;
@@ -214,11 +203,6 @@ impl ConferenceConfigBuilder {
 
     pub fn depth_encoding(mut self, enc: DepthEncoding) -> Self {
         self.cfg.depth_encoding = enc;
-        self
-    }
-
-    pub fn splitter(mut self, splitter: SplitterConfig) -> Self {
-        self.cfg.splitter = splitter;
         self
     }
 
@@ -289,9 +273,6 @@ impl ConferenceConfigBuilder {
         }
         if cfg.duration_s.is_nan() || cfg.duration_s <= 0.0 {
             return err("duration_s", format!("{} not > 0", cfg.duration_s));
-        }
-        if cfg.fps == 0 {
-            return err("fps", "frame rate must be at least 1".into());
         }
         if let Some(s) = cfg.static_split {
             if !(0.0..=1.0).contains(&s) {
@@ -375,13 +356,11 @@ pub struct RunSummary {
     /// Full metrics snapshot of the run: stage/codec histograms, transport
     /// gauges and counters (see DESIGN.md "Telemetry").
     pub metrics: RegistrySnapshot,
-    /// Per-frame stage timeline (capture → … → display), keyed by sender
-    /// sequence number, in virtual session time µs.
-    pub timeline: Vec<FrameTimelineRecord>,
     /// Causal event-trace snapshot (empty when `cfg.trace` is off): the
-    /// ring's surviving capture→…→display events in causal order. Feed
-    /// to [`livo_telemetry::chrome_trace_json`] or
-    /// [`livo_telemetry::TraceQuery`].
+    /// ring's surviving capture→…→display events in causal order, virtual
+    /// session time µs. [`livo_telemetry::TraceQuery::frame`] gives one
+    /// frame's path by sender sequence number;
+    /// [`livo_telemetry::chrome_trace_json`] exports the whole run.
     pub trace: Vec<TraceEvent>,
     /// Flight-recorder bundles dumped by the anomaly detectors.
     pub flight: Vec<FlightBundle>,
@@ -454,17 +433,17 @@ impl ConferenceRunner {
     }
 
     /// Run the replay against the given bandwidth trace: a driver of the
-    /// two stages on an exact `fps` schedule in virtual time.
+    /// two stages on an exact [`FPS`] schedule in virtual time.
     ///
-    /// The clock is a uniform 1 ms tick. With `due(n) = n·10⁶/fps` µs, frame
+    /// The clock is a uniform 1 ms tick. With `due(n) = n·10⁶/FPS` µs, frame
     /// `f` is captured at the first tick at or after `due(f)`, display slot
     /// `s` is shown at the first at or after `display_start + due(s)`
     /// whatever happened to the slot before, a frame's age is taken from its
     /// recorded capture stamp, and the run ends at `due(total_frames)`.
     pub fn run(&self, net_trace: BandwidthTrace) -> RunSummary {
         let cfg = &self.cfg;
-        let total_frames = (cfg.duration_s * cfg.fps as f32) as u64;
-        let due = |n: u64| n * 1_000_000 / cfg.fps as u64;
+        let total_frames = (cfg.duration_s * FPS as f32) as u64;
+        let due = |n: u64| n * 1_000_000 / FPS as u64;
         // Display starts after the jitter target plus pipeline fill.
         let display_start = cfg.session.jitter_target + due(3);
 
@@ -475,15 +454,15 @@ impl ConferenceRunner {
             Some(sc) => BondConfig::from_session(sc.clone(), &cfg.session).build(),
             None => RtcSession::new(net_trace.clone(), cfg.session.clone()),
         };
-        let mut splitter = BandwidthSplitter::new(cfg.splitter);
+        let mut splitter = BandwidthSplitter::new(SplitterConfig::default());
         let mut predictor = FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M);
         let mut sender = SenderStage::new(self.layout, cfg.depth_encoding);
         let mut receiver = ReceiverStage::new();
         sender.set_worker_pool(pool.clone());
         receiver.set_worker_pool(pool.clone());
 
-        let tel = RunTelemetry::new(cfg, total_frames);
-        session.attach_telemetry(&tel.registry, "transport", Some(tel.timeline.clone()));
+        let tel = RunTelemetry::new(cfg);
+        session.attach_telemetry(&tel.registry, "transport");
         session.attach_trace(tel.trace.clone(), 0, 1);
         sender.attach_cull_telemetry(&tel.registry);
         sender.attach_codec_telemetry(&tel.registry);
@@ -508,7 +487,7 @@ impl ConferenceRunner {
             if now >= due(f) {
                 // --- capture (render the camera array) ---
                 captured_at.push(now);
-                let (seq, t_s) = (f as u32, f as f32 / cfg.fps as f32);
+                let (seq, t_s) = (f as u32, f as f32 / FPS as f32);
                 let mut views = tel.time(Step::Capture, f, now, || {
                     render_views_at(&pool, &self.cameras, &self.preset.scene.at(t_s), seq)
                 });
@@ -629,7 +608,7 @@ impl ConferenceRunner {
         // Ground truth: re-render the source views for this seq. Same time
         // key as the capture of this seq: the "ground truth" is what the
         // sensor actually measured, noise included.
-        let snap = self.preset.scene.at(seq as f32 / self.cfg.fps as f32);
+        let snap = self.preset.scene.at(seq as f32 / FPS as f32);
         let truth_views = render_views_at(&self.pool(), &self.cameras, &snap, seq);
         let truth = back_project_views(&truth_views, &self.cameras);
 
@@ -677,15 +656,15 @@ impl Step {
         Step::RenderPrep,
     ];
 
-    /// The step's timeline stage and trace kind, and the `<name>` of its
+    /// The step's trace kind, and the `<name>` of its
     /// `conference.<name>_ms` histogram.
     fn name(self) -> &'static str {
         match self {
-            Step::Capture => stage::CAPTURE,
-            Step::Cull => stage::CULL,
-            Step::Tile => stage::TILE,
-            Step::Encode => stage::ENCODE,
-            Step::Decode => stage::DECODE,
+            Step::Capture => kind::CAPTURE,
+            Step::Cull => kind::CULL,
+            Step::Tile => kind::TILE,
+            Step::Encode => kind::ENCODE,
+            Step::Decode => kind::DECODE,
             Step::Reconstruct => "reconstruct",
             Step::RenderPrep => "render_prep",
         }
@@ -698,14 +677,13 @@ impl Step {
 }
 
 /// One run's private telemetry (runs stay independent and deterministic):
-/// the metrics registry, the frame timeline in virtual session time, the
-/// causal event trace — party 0 is the sender, party 1 the receiver; the
-/// ring is always allocated, so the A/B overhead comparison exercises the
-/// same code path, but records only when enabled — and the flight recorder,
-/// armed per `cfg.anomaly` and fed the other three as evidence sources.
+/// the metrics registry, the causal event trace in virtual session time —
+/// party 0 is the sender, party 1 the receiver; the ring is always
+/// allocated, so the A/B overhead comparison exercises the same code path,
+/// but records only when enabled — and the flight recorder, armed per
+/// `cfg.anomaly` and fed the other two as evidence sources.
 struct RunTelemetry {
     registry: Arc<MetricsRegistry>,
-    timeline: Arc<FrameTimeline>,
     trace: Arc<EventTrace>,
     flight: FlightRecorder,
     /// `conference.<step>_ms`, indexed by `Step as usize`.
@@ -719,15 +697,13 @@ struct RunTelemetry {
 }
 
 impl RunTelemetry {
-    fn new(cfg: &ConferenceConfig, total_frames: u64) -> Self {
+    fn new(cfg: &ConferenceConfig) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let timeline = Arc::new(FrameTimeline::new(total_frames as usize + 16));
         let trace = Arc::new(EventTrace::new(cfg.trace_capacity.max(1)));
         trace.set_enabled(cfg.trace);
         let mut flight = FlightRecorder::new(cfg.anomaly.clone());
         flight.attach_trace(trace.clone());
         flight.attach_registry(&registry);
-        flight.attach_timeline(timeline.clone());
         log_event!(Level::Info, "conference", "run start",
             "video" => format!("{:?}", cfg.video), "cameras" => cfg.n_cameras,
             "duration_s" => cfg.duration_s as f64, "cull" => cfg.cull, "adapt" => cfg.adapt);
@@ -740,7 +716,6 @@ impl RunTelemetry {
             frames_shown: registry.counter("display.frames_shown"),
             pool_queue: registry.gauge("runtime.pool.queue_depth"),
             registry,
-            timeline,
             trace,
             flight,
         }
@@ -749,7 +724,6 @@ impl RunTelemetry {
     /// A display slot showed frame `seq`, `age_us` after its capture.
     fn shown(&self, now: Micros, seq: u32, age_us: Micros) {
         self.frames_shown.inc();
-        self.timeline.mark(seq as u64, stage::DISPLAY, now);
         self.trace
             .record(now, seq as u64, 1, "display", kind::DISPLAY, age_us as i64);
     }
@@ -772,7 +746,7 @@ impl RunTelemetry {
     /// next keyframe lands, so the warning is limited to one per second.
     fn ingested(&self, now: Micros, o: &FrameOutcome) {
         if matches!(o.ingest, Ingest::Decoded | Ingest::DecodeError) {
-            self.record(Step::Decode, Some(o.lane), o.frame_id, now, o.decode_ms);
+            self.record(Step::Decode, o.frame_id, now, o.decode_ms);
         }
         if o.ingest == Ingest::DecodeError {
             self.flight.observe_decode_error(now, 1, o.lane);
@@ -805,16 +779,10 @@ impl RunTelemetry {
             "rmse_depth_mm" => rmse_d, "rmse_color" => rmse_c, "split" => splitter.split());
     }
 
-    /// The one place a step's wall time is reported: its histogram, the
-    /// frame's timeline and the trace (arg: elapsed µs), stamped `now`.
-    fn record(&self, step: Step, lane: Option<&'static str>, frame: u64, now: Micros, ms: f64) {
+    /// The one place a step's wall time is reported: its histogram and the
+    /// trace (arg: elapsed µs), stamped `now`.
+    fn record(&self, step: Step, frame: u64, now: Micros, ms: f64) {
         self.step_ms[step as usize].record(ms);
-        match lane {
-            Some(lane) => self
-                .timeline
-                .mark_lane_dur(frame, step.name(), lane, now, ms),
-            None => self.timeline.mark_dur(frame, step.name(), now, ms),
-        }
         let us = (ms * 1e3) as i64;
         self.trace
             .record(now, frame, step.party(), "pipeline", step.name(), us);
@@ -824,7 +792,7 @@ impl RunTelemetry {
     fn time<T>(&self, step: Step, frame: u64, now: Micros, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
-        self.record(step, None, frame, now, t0.elapsed().as_secs_f64() * 1e3);
+        self.record(step, frame, now, t0.elapsed().as_secs_f64() * 1e3);
         out
     }
 }
@@ -861,7 +829,7 @@ fn summarise(
         } else {
             1.0 - displayed as f64 / slots
         },
-        mean_fps: displayed as f64 / (slots / cfg.fps as f64),
+        mean_fps: displayed as f64 / (slots / FPS as f64),
         pssim_geometry: geometry / n_sampled,
         pssim_color: color / n_sampled,
         pssim_geometry_no_stall: geometry / n_scored,
@@ -887,7 +855,6 @@ fn summarise(
         },
         bits_sent: transport.bits_sent,
         records,
-        timeline: tel.timeline.snapshot(),
         trace: tel.trace.snapshot(),
         flight: tel.flight.bundles(),
         metrics: tel.registry.snapshot(),
@@ -949,7 +916,6 @@ mod tests {
                 "duration_s",
                 ConferenceConfig::builder(VideoId::Band2).duration_s(-1.0),
             ),
-            ("fps", ConferenceConfig::builder(VideoId::Band2).fps(0)),
             (
                 "static_split",
                 ConferenceConfig::builder(VideoId::Band2).static_split(1.2),
@@ -1125,34 +1091,25 @@ mod tests {
             s.records.iter().filter(|r| r.shown_seq.is_some()).count() as u64
         );
 
-        // Every displayed frame has a complete, monotonic sender→receiver
-        // trail stitched across pipeline, transport, and decode stages.
-        let shown: std::collections::HashSet<u64> = s
-            .records
-            .iter()
-            .filter_map(|r| r.shown_seq)
-            .map(|q| q as u64)
-            .collect();
-        assert!(!shown.is_empty());
+        // Every displayed frame's path runs capture → encode → packetize →
+        // decode in causal order, stitched across pipeline, transport and
+        // codec events.
+        let q = livo_telemetry::TraceQuery::new(s.trace.clone());
         let mut complete = 0;
-        for rec in &s.timeline {
-            if !shown.contains(&rec.seq) {
-                continue;
-            }
+        for seq in s.records.iter().filter_map(|r| r.shown_seq) {
+            let p = q.frame(seq as u64).expect("displayed frame left a path");
+            let path = [
+                p.ts_of(kind::CAPTURE, 0),
+                p.ts_of(kind::ENCODE, 0),
+                p.ts_of(kind::PACKETIZE, 0),
+                p.ts_of(kind::DECODE, 1),
+                p.ts_of(kind::DISPLAY, 1),
+            ];
             assert!(
-                rec.is_monotonic(&stage::ORDER),
-                "frame {} out of order",
-                rec.seq
+                path.iter().flatten().is_sorted(),
+                "frame {seq} out of order: {path:?}"
             );
-            let full = [
-                stage::CAPTURE,
-                stage::ENCODE,
-                stage::PACKETIZE,
-                stage::DECODE,
-            ]
-            .iter()
-            .all(|st| rec.ts_of(st).is_some());
-            if full {
+            if path.iter().all(Option::is_some) {
                 complete += 1;
             }
         }

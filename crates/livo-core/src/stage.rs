@@ -33,6 +33,8 @@ use std::time::Instant;
 pub const GUARD_BAND_M: f32 = 0.2;
 /// Receiver render voxel size in metres.
 pub const RENDER_VOXEL_M: f32 = 0.03;
+/// Capture, forward and display rate of every call, frames per second.
+pub const FPS: u32 = 30;
 /// Share of the bandwidth estimate budgeted to media; the rest is headroom
 /// for packet headers and retransmissions.
 pub const MEDIA_SHARE: f64 = 0.80;
@@ -152,8 +154,7 @@ impl SenderStage {
     }
 
     /// Encode the pair, (colour, depth). `frame` and `now` stamp the
-    /// encoders' trace events. A second stage may encode the same canvases
-    /// at another rate: that is the SFU's straggler variant.
+    /// encoders' trace events.
     pub fn encode(
         &mut self,
         canvases: &Canvases,

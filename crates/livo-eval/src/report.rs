@@ -11,6 +11,7 @@ use crate::stats;
 use livo_capture::{BandwidthTrace, DatasetPreset, TraceId, VideoId};
 use livo_core::conference::{ConferenceConfig, ConferenceRunner};
 use livo_core::depth::DepthEncoding;
+use livo_telemetry::TraceQuery;
 
 /// Table 1: throughput and utilisation, LiVo vs MeshReduce, on both traces.
 pub fn table1(profile: &EvalProfile) -> String {
@@ -178,8 +179,10 @@ pub fn table6(profile: &EvalProfile) -> String {
 /// configuration) dumped as machine-readable JSON. The schema is stable —
 /// `livo-bench-pipeline-v1` — so `BENCH_*.json` files from different
 /// commits can be diffed to track the performance trajectory:
-/// `{"schema":..., "config":{...}, "summary":{...}, "metrics":{...}}`.
-pub fn bench_snapshot(profile: &EvalProfile) -> String {
+/// `{"schema":..., "config":{...}, "host":{...}, "summary":{...},
+/// "metrics":{...}}`; `host` is the caller's JSON object saying where the
+/// numbers came from.
+pub fn bench_snapshot(profile: &EvalProfile, host: &str) -> String {
     use livo_telemetry::json::ObjectWriter;
 
     let cfg = ConferenceConfig::builder(VideoId::Band2)
@@ -213,6 +216,7 @@ pub fn bench_snapshot(profile: &EvalProfile) -> String {
             .field_u64("seed", profile.seed);
         c.finish();
     }
+    o.field_raw("host").push_str(host);
     {
         let buf = o.field_raw("summary");
         let mut m = ObjectWriter::new(buf);
@@ -223,7 +227,10 @@ pub fn bench_snapshot(profile: &EvalProfile) -> String {
             .field_f64("pssim_geometry", s.pssim_geometry)
             .field_f64("pssim_color", s.pssim_color)
             .field_f64("mean_split", s.mean_split)
-            .field_u64("timeline_frames", s.timeline.len() as u64);
+            .field_u64(
+                "timeline_frames",
+                TraceQuery::new(s.trace.clone()).frames().len() as u64,
+            );
         m.finish();
     }
     {

@@ -18,18 +18,17 @@
 //!   a receiver-side decode stand-in used by tests and examples.
 //! - [`router`]: the SFU proper. One **union cull + tile + encode pass per
 //!   cluster** (not per subscriber), encoded at the *fastest* member's
-//!   estimated rate; stragglers optionally receive a re-quantised
-//!   lower-rate variant from a cached per-cluster chain. PLIs from any
-//!   member fan in to a per-chain intra guard (at most one shared intra
-//!   per RTT); NACK recovery stays per-downlink inside each session. The
-//!   hot path is sharded on a [`livo_runtime::WorkerPool`]: cluster
-//!   passes run in parallel, and the per-subscriber packetise/send
-//!   fan-out runs on contiguous subscriber shards.
+//!   estimated rate. PLIs from any member fan in to the cluster's intra
+//!   guard (at most one shared intra per RTT); NACK recovery stays
+//!   per-downlink inside each session. The hot path is sharded on a
+//!   [`livo_runtime::WorkerPool`]: cluster passes run in parallel, and the
+//!   per-subscriber packetise/send fan-out runs on contiguous subscriber
+//!   shards.
 //!
 //! Routers are built with the validating [`Router::builder`]; lifecycle
 //! calls return typed [`SubscriberId`] handles and [`RouterError`]s, and
-//! membership churn (join/leave/regroup/straggler promotion) surfaces as
-//! [`RouterEvent`]s on every [`RouteSummary`].
+//! membership churn (join/leave/regroup) surfaces as [`RouterEvent`]s on
+//! every [`RouteSummary`].
 //!
 //! Everything runs in virtual time ([`livo_transport::Micros`]) and is
 //! deterministic for a given configuration; with `LIVO_THREADS=1` the

@@ -6,10 +6,8 @@
 //! in parallel on the worker pool, with the encode rate capped at the
 //! fastest member's GCC estimate, and (4) fans the cluster bitstreams out
 //! to every member's own [`RtcSession`], the fan-out itself sharded
-//! across the pool. Members whose estimate falls far behind the cluster
-//! leader receive a re-quantised lower-rate variant (an own cached P
-//! chain encoded from the same canvases) instead of being dragged down —
-//! or dragging the cluster down.
+//! across the pool. A member whose link is far slower than the leader's
+//! receives the same stream and sheds the overflow in its own transport.
 //!
 //! ## Sharded hot path
 //!
@@ -17,7 +15,7 @@
 //!
 //! 1. **Plan** (serial, cheap): recluster if membership changed, derive
 //!    per-cluster work orders from member estimates, and resolve intra
-//!    requests against the per-chain cooldown.
+//!    requests against the cluster's cooldown.
 //! 2. **Encode** (parallel): one task per cluster runs union-cull,
 //!    tiling and both encoders. Clusters are independent, so this scales
 //!    with the gaze-group count.
@@ -33,21 +31,17 @@
 //!
 //! ## Churn without intra storms
 //!
-//! Subscribers join, leave and regroup mid-call. Each cluster keeps two
-//! independent P chains (shared + low variant), each guarded by a
-//! [`ChainState`]: an intra *request* arms the chain, and the chain fires
-//! at most one intra per cooldown window (the cluster's max member RTT ×
-//! [`RouterConfig::intra_cooldown_rtts`]). A joiner arms only its target
-//! cluster's chain; a leaver is patched out of its cluster in place —
-//! siblings keep their P chain and never see an intra; a regroup migrates
-//! the subscriber and arms only the *destination* chain. Straggler
-//! assignment flips are deferred until the destination chain actually
-//! fires, so no member ever receives a P frame against a reference it
-//! does not hold.
+//! Subscribers join, leave and regroup mid-call. Each cluster keeps one
+//! P chain guarded by a [`ChainState`]: an intra *request* arms the chain,
+//! and the chain fires at most one intra per cooldown window (the
+//! cluster's max member RTT). A joiner arms only its target cluster's
+//! chain; a leaver is patched out of its cluster in place — siblings keep
+//! their P chain and never see an intra; a regroup migrates the subscriber
+//! and arms only the *destination* chain.
 //!
 //! Keyframe control fans in: a PLI from *any* member (or a decode
 //! failure / P-chain break in the receiver stand-in) arms that member's
-//! chain, not one encoder per subscriber. NACK retransmissions never
+//! cluster chain, not one encoder per subscriber. NACK retransmissions never
 //! reach the router at all — they are handled per-downlink inside each
 //! member's session.
 
@@ -57,12 +51,12 @@ use bytes::Bytes;
 use livo_capture::{BandwidthTrace, RgbdFrame};
 use livo_codec2d::{EncodedFrame, FrameType};
 use livo_core::depth::DepthEncoding;
-use livo_core::stage::{Rate, SenderStage, MEDIA_SHARE};
+use livo_core::stage::{Rate, SenderStage, FPS, MEDIA_SHARE};
 use livo_core::tile::TileLayout;
 use livo_math::{Frustum, Pose, RgbdCamera};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{intern, kind, EventTrace, NO_FRAME};
-use livo_telemetry::{stage, Counter, Gauge, Histogram, MetricsRegistry, TelemetrySpan};
+use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, TelemetrySpan};
 use livo_transport::{Micros, StreamId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -146,51 +140,29 @@ pub enum RouterEvent {
         from: u64,
         to: u64,
     },
-    /// A straggler's estimate recovered and it rejoined the shared chain
-    /// (applied at the shared chain's next intra).
-    StragglerPromoted { id: SubscriberId, cluster: u64 },
 }
 
 /// Configuration of the SFU router.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Capture/forward rate in frames per second.
-    pub fps: u32,
-    /// Frustum clustering knobs.
-    pub cluster: ClusterParams,
     /// Encode sharing. `false` = naive fan-out: every subscriber is a
     /// singleton cluster with its own cull+encode pass (the baseline the
     /// scaling benchmark compares against).
     pub sharing: bool,
-    /// A member whose estimate is below `straggler_fraction` × the
-    /// cluster leader's estimate receives a re-quantised lower-rate
-    /// variant instead of the shared bitstream. `0.0` disables the
-    /// variant (stragglers then receive the shared stream and rely on
-    /// their own transport to shed the overflow).
-    pub straggler_fraction: f64,
     /// Re-run clustering every this many frames (membership changes and
     /// PLIs take effect immediately regardless).
     pub recluster_every: u32,
     /// Hard cap on live subscribers; `add_subscriber` returns
     /// [`RouterError::AtCapacity`] beyond it.
     pub max_subscribers: usize,
-    /// Shared-intra cooldown per cluster chain, in units of the
-    /// cluster's largest member RTT. `1.0` = at most one shared intra
-    /// per RTT (the keyframe-storm guard); `0.0` fires armed intras
-    /// immediately.
-    pub intra_cooldown_rtts: f64,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            fps: 30,
-            cluster: ClusterParams::default(),
             sharing: true,
-            straggler_fraction: 0.0,
             recluster_every: 15,
             max_subscribers: 4096,
-            intra_cooldown_rtts: 1.0,
         }
     }
 }
@@ -205,27 +177,9 @@ pub struct RouterBuilder {
 }
 
 impl RouterBuilder {
-    /// Capture/forward rate in frames per second.
-    pub fn fps(mut self, fps: u32) -> Self {
-        self.cfg.fps = fps;
-        self
-    }
-
-    /// Frustum clustering knobs.
-    pub fn cluster(mut self, params: ClusterParams) -> Self {
-        self.cfg.cluster = params;
-        self
-    }
-
     /// Encode sharing on/off (`false` = naive per-subscriber fan-out).
     pub fn sharing(mut self, sharing: bool) -> Self {
         self.cfg.sharing = sharing;
-        self
-    }
-
-    /// Straggler threshold as a fraction of the cluster leader estimate.
-    pub fn straggler_fraction(mut self, fraction: f64) -> Self {
-        self.cfg.straggler_fraction = fraction;
         self
     }
 
@@ -238,12 +192,6 @@ impl RouterBuilder {
     /// Hard cap on live subscribers.
     pub fn max_subscribers(mut self, max: usize) -> Self {
         self.cfg.max_subscribers = max;
-        self
-    }
-
-    /// Shared-intra cooldown in RTTs (see [`RouterConfig`]).
-    pub fn intra_cooldown_rtts(mut self, rtts: f64) -> Self {
-        self.cfg.intra_cooldown_rtts = rtts;
         self
     }
 
@@ -271,38 +219,11 @@ impl RouterBuilder {
             return err("cameras", "SFU needs a capture rig".into());
         }
         let cfg = &self.cfg;
-        if cfg.fps == 0 {
-            return err("fps", "must be >= 1".into());
-        }
-        if !(cfg.straggler_fraction >= 0.0 && cfg.straggler_fraction < 1.0) {
-            return err(
-                "straggler_fraction",
-                format!("{} outside [0, 1)", cfg.straggler_fraction),
-            );
-        }
         if cfg.recluster_every == 0 {
             return err("recluster_every", "must be >= 1".into());
         }
         if cfg.max_subscribers == 0 {
             return err("max_subscribers", "must be >= 1".into());
-        }
-        if !(cfg.intra_cooldown_rtts >= 0.0 && cfg.intra_cooldown_rtts.is_finite()) {
-            return err(
-                "intra_cooldown_rtts",
-                format!(
-                    "{} is not a finite non-negative count",
-                    cfg.intra_cooldown_rtts
-                ),
-            );
-        }
-        if !(0.0..=1.0).contains(&cfg.cluster.overlap_threshold) {
-            return err(
-                "cluster.overlap_threshold",
-                format!("{} outside [0, 1]", cfg.cluster.overlap_threshold),
-            );
-        }
-        if cfg.cluster.samples_per_axis == 0 {
-            return err("cluster.samples_per_axis", "must be >= 1".into());
         }
 
         let k = self.cameras[0].intrinsics;
@@ -339,12 +260,12 @@ pub struct ClusterOutput {
     pub key: u64,
     /// Member subscriber ids, seed first.
     pub members: Vec<SubscriberId>,
-    /// Members that were forwarded the low-rate variant this frame.
-    pub low_members: Vec<SubscriberId>,
     /// The shared encodes.
     pub color: EncodedFrame,
     pub depth: EncodedFrame,
-    /// The re-quantised straggler variant, when any member needed it.
+    /// Always `None`: the second, re-quantised encode of a cluster is gone
+    /// and `benchmark/src/sfu.rs` still reads the name — removed with
+    /// ROADMAP item 3's benchmark PR.
     pub low: Option<(EncodedFrame, EncodedFrame)>,
     /// Fraction of valid pixels the union cull kept.
     pub keep_fraction: f64,
@@ -367,7 +288,9 @@ pub struct RouteSummary {
     pub seq: u32,
     /// Cull+encode passes this frame (= number of clusters).
     pub encode_passes: u64,
-    /// Additional re-quantised straggler passes this frame.
+    /// Always 0: there is no second encode per cluster, and
+    /// `benchmark/src/sfu.rs` still reads the name — removed with ROADMAP
+    /// item 3's benchmark PR.
     pub low_variant_passes: u64,
     pub clusters: Vec<ClusterOutput>,
     /// Membership changes since the previous `route_frame`, in
@@ -375,10 +298,10 @@ pub struct RouteSummary {
     pub events: Vec<RouterEvent>,
 }
 
-/// Intra scheduling state of one encoder chain (shared or low variant).
+/// Intra scheduling state of a cluster's encoder chain.
 ///
 /// A chain is *armed* by any intra request — new member, PLI fan-in,
-/// decode failure, pending straggler flip — and *fires* at most once per
+/// decode failure — and *fires* at most once per
 /// cooldown window. An armed chain that cannot fire stays armed, so the
 /// deferred intra lands right after the window instead of being lost.
 #[derive(Debug, Clone, Copy)]
@@ -435,18 +358,7 @@ struct ClusterState {
     /// Union-cull state and the shared encoder pair. It is given no pool:
     /// the cluster pass is itself a pool task, so its work is serial.
     sender: SenderStage,
-    /// The straggler variant: a second stage fed `sender`'s canvases, so
-    /// only its encoder pair (an own P chain) ever runs. Created on the
-    /// first straggler and kept across straggler departures, so a later
-    /// straggler reuses the cached chain instead of forcing a fresh
-    /// encoder pair.
-    low: Option<SenderStage>,
-    /// Low-variant assignment of `members` as currently *forwarded*.
-    /// Desired flips are deferred until the destination chain fires an
-    /// intra, so no member decodes a P frame against a missing reference.
-    low_assign: Vec<bool>,
-    shared_chain: ChainState,
-    low_chain: ChainState,
+    chain: ChainState,
 }
 
 impl ClusterState {
@@ -456,17 +368,13 @@ impl ClusterState {
         layout: TileLayout,
         registry: &Arc<MetricsRegistry>,
     ) -> Self {
-        let n = members.len();
         let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16);
         sender.attach_cull_telemetry(registry);
         ClusterState {
             key,
             members,
             sender,
-            low: None,
-            low_assign: vec![false; n],
-            shared_chain: ChainState::fresh(),
-            low_chain: ChainState::fresh(),
+            chain: ChainState::fresh(),
         }
     }
 }
@@ -478,13 +386,7 @@ struct ClusterJob {
     frusta: Vec<Frustum>,
     rate: Rate,
     target_bps: f64,
-    /// Aligned with the cluster's members: who gets the low variant
-    /// this frame (flips already resolved against the chain guards).
-    low_assign: Vec<bool>,
-    /// Rate of the straggler variant, when any member is on it.
-    low_rate: Option<Rate>,
-    force_shared_key: bool,
-    force_low_key: bool,
+    force_key: bool,
     shared_intra_gap_us: Option<u64>,
 }
 
@@ -492,7 +394,6 @@ struct ClusterJob {
 /// never touches the registry's name map.
 struct RouterMetrics {
     encode_passes: Arc<Counter>,
-    low_variant_passes: Arc<Counter>,
     shared_intras: Arc<Counter>,
     deferred_intras: Arc<Counter>,
     pli_fanin: Arc<Counter>,
@@ -500,8 +401,6 @@ struct RouterMetrics {
     joins: Arc<Counter>,
     leaves: Arc<Counter>,
     regroups: Arc<Counter>,
-    straggler_promotions: Arc<Counter>,
-    low_chain_reuses: Arc<Counter>,
     clusters_gauge: Arc<Gauge>,
     route_ms: Arc<Histogram>,
     encode_ms: Arc<Histogram>,
@@ -512,7 +411,6 @@ impl RouterMetrics {
     fn new(reg: &Arc<MetricsRegistry>) -> Self {
         RouterMetrics {
             encode_passes: reg.counter("sfu.encode_passes"),
-            low_variant_passes: reg.counter("sfu.low_variant_passes"),
             shared_intras: reg.counter("sfu.shared_intras"),
             deferred_intras: reg.counter("sfu.deferred_intras"),
             pli_fanin: reg.counter("sfu.pli_fanin"),
@@ -520,8 +418,6 @@ impl RouterMetrics {
             joins: reg.counter("sfu.joins"),
             leaves: reg.counter("sfu.leaves"),
             regroups: reg.counter("sfu.regroups"),
-            straggler_promotions: reg.counter("sfu.straggler_promotions"),
-            low_chain_reuses: reg.counter("sfu.low_chain_reuses"),
             clusters_gauge: reg.gauge("sfu.clusters"),
             route_ms: reg.histogram("sfu.route_ms"),
             encode_ms: reg.histogram("sfu.encode_ms"),
@@ -537,7 +433,6 @@ struct FanPayload {
     color_key: bool,
     depth: Bytes,
     depth_key: bool,
-    low: Option<(Bytes, bool, Bytes, bool)>,
     rmse_color: f64,
     rmse_depth_mm: f64,
 }
@@ -624,8 +519,7 @@ impl Router {
             })
             .collect();
         let prefix = format!("sfu.sub.{safe}.transport");
-        sub.session
-            .attach_telemetry(&self.registry, &prefix, Some(sub.timeline.clone()));
+        sub.session.attach_telemetry(&self.registry, &prefix);
         if let Some(tr) = &self.trace {
             sub.attach_trace(tr.clone(), subscriber_party(id));
         }
@@ -647,7 +541,6 @@ impl Router {
         for c in &mut self.clusters {
             if let Some(pos) = c.members.iter().position(|&m| m == id) {
                 c.members.remove(pos);
-                c.low_assign.remove(pos);
                 break;
             }
         }
@@ -690,24 +583,10 @@ impl Router {
             .collect()
     }
 
-    /// `(cluster index, currently on the low chain)` for a member.
-    fn assignment_of(&self, id: SubscriberId) -> Option<(usize, bool)> {
-        for (ci, c) in self.clusters.iter().enumerate() {
-            if let Some(pos) = c.members.iter().position(|&m| m == id) {
-                return Some((ci, c.low_assign[pos]));
-            }
-        }
-        None
-    }
-
-    /// Arm the chain `id` currently decodes from (PLI / resync fan-in).
+    /// Arm the chain of `id`'s cluster (PLI / resync fan-in).
     fn arm_member_chain(&mut self, id: SubscriberId) {
-        if let Some((ci, low)) = self.assignment_of(id) {
-            if low {
-                self.clusters[ci].low_chain.arm();
-            } else {
-                self.clusters[ci].shared_chain.arm();
-            }
+        if let Some(c) = self.clusters.iter_mut().find(|c| c.members.contains(&id)) {
+            c.chain.arm();
         }
     }
 
@@ -763,7 +642,7 @@ impl Router {
     /// Recompute clusters from the subscribers' current predicted frusta
     /// and reconcile encoder state: each new group reuses the old cluster
     /// with the largest member overlap, keeping its encoders and P
-    /// chains. Added members arm (only) the destination's shared chain;
+    /// chains. Added members arm (only) the destination's chain;
     /// members migrating between clusters raise [`RouterEvent::Regrouped`].
     fn recluster(&mut self) {
         let ids: Vec<SubscriberId> = self.subscribers.keys().copied().collect();
@@ -777,7 +656,7 @@ impl Router {
             })
             .collect();
         let groups_idx: Vec<Vec<usize>> = if self.cfg.sharing {
-            cluster_views(&volumes, &self.cfg.cluster)
+            cluster_views(&volumes, &ClusterParams::default())
         } else {
             (0..ids.len()).map(|i| vec![i]).collect()
         };
@@ -809,7 +688,7 @@ impl Router {
                         .copied()
                         .collect();
                     if !added.is_empty() {
-                        state.shared_chain.arm();
+                        state.chain.arm();
                     }
                     for &m in &added {
                         if let Some(&from) = prev_key.get(&m) {
@@ -823,17 +702,6 @@ impl Router {
                             }
                         }
                     }
-                    // Preserve each surviving member's chain assignment.
-                    let old_low: BTreeMap<SubscriberId, bool> = state
-                        .members
-                        .iter()
-                        .zip(&state.low_assign)
-                        .map(|(&m, &l)| (m, l))
-                        .collect();
-                    state.low_assign = members
-                        .iter()
-                        .map(|m| old_low.get(m).copied().unwrap_or(false))
-                        .collect();
                     state.members = members;
                     self.clusters.push(state);
                 }
@@ -871,9 +739,6 @@ impl Router {
                     RouterEvent::Regrouped { id, to, .. } => {
                         (subscriber_party(id), kind::REGROUP, to as i64)
                     }
-                    RouterEvent::StragglerPromoted { id, cluster } => {
-                        (subscriber_party(id), kind::PROMOTE, cluster as i64)
-                    }
                 };
                 tr.record(now, NO_FRAME, party, "sfu.churn", k, arg);
             }
@@ -882,10 +747,10 @@ impl Router {
     }
 
     /// Build the per-cluster work orders (serial planning phase): rates
-    /// and frusta come from the members, straggler flips arm their
-    /// destination chain and apply only once it fires, and every armed
-    /// chain is resolved against its cooldown here so the parallel
-    /// encode pass never touches subscriber or chain state.
+    /// and frusta come from the members, and an armed chain is resolved
+    /// against its cooldown — one RTT of the cluster's slowest member, the
+    /// keyframe-storm guard — here, so the parallel encode pass never
+    /// touches subscriber or chain state.
     fn plan_jobs(&mut self, now: Micros) -> Vec<ClusterJob> {
         let mut jobs: Vec<ClusterJob> = Vec::with_capacity(self.clusters.len());
         for state in &mut self.clusters {
@@ -899,101 +764,31 @@ impl Router {
             let split = self.subscribers[&state.members[leader_idx]]
                 .splitter
                 .split();
-            let media = leader * MEDIA_SHARE / self.cfg.fps as f64;
-            let max_rtt_us = state
+            let media = leader * MEDIA_SHARE / FPS as f64;
+            let cooldown_us = state
                 .members
                 .iter()
                 .map(|&m| 2.0 * self.subscribers[&m].session.one_way_delay_us())
-                .fold(0.0f64, f64::max);
-            let cooldown_us = (max_rtt_us * self.cfg.intra_cooldown_rtts) as u64;
+                .fold(0.0f64, f64::max) as u64;
 
-            let desired: Vec<bool> = if self.cfg.straggler_fraction > 0.0 {
-                estimates
-                    .iter()
-                    .map(|&e| e < self.cfg.straggler_fraction * leader)
-                    .collect()
-            } else {
-                vec![false; state.members.len()]
-            };
-            // A flip arms the *destination* chain; the member keeps its
-            // current chain until that destination fires an intra.
-            let pending_low = desired
-                .iter()
-                .zip(&state.low_assign)
-                .any(|(&d, &a)| d && !a);
-            let pending_shared = desired
-                .iter()
-                .zip(&state.low_assign)
-                .any(|(&d, &a)| !d && a);
-            if pending_low {
-                state.low_chain.arm();
-            }
-            if pending_shared {
-                state.shared_chain.arm();
-            }
-
-            let mut force_shared_key = false;
-            let mut shared_intra_gap_us = None;
-            if let Some(gap) = state.shared_chain.try_fire(now, cooldown_us) {
-                force_shared_key = true;
-                shared_intra_gap_us = gap;
-                for (i, &d) in desired.iter().enumerate() {
-                    if state.low_assign[i] && !d {
-                        state.low_assign[i] = false;
-                        self.metrics.straggler_promotions.inc();
-                        self.pending_events.push(RouterEvent::StragglerPromoted {
-                            id: state.members[i],
-                            cluster: state.key,
-                        });
-                    }
-                }
-            } else if state.shared_chain.is_armed() {
+            let fired = state.chain.try_fire(now, cooldown_us);
+            if fired.is_none() && state.chain.is_armed() {
                 self.metrics.deferred_intras.inc();
             }
-
-            let mut force_low_key = false;
-            if state.low_assign.iter().any(|&l| l) || pending_low {
-                if state.low_chain.try_fire(now, cooldown_us).is_some() {
-                    force_low_key = true;
-                    for (i, &d) in desired.iter().enumerate() {
-                        if d && !state.low_assign[i] {
-                            state.low_assign[i] = true;
-                        }
-                    }
-                } else if state.low_chain.is_armed() {
-                    self.metrics.deferred_intras.inc();
-                }
-            }
-            let run_low = state.low_assign.iter().any(|&l| l);
-            if run_low && state.low.is_some() {
-                self.metrics.low_chain_reuses.inc();
-            }
-
-            let low_leader = estimates
-                .iter()
-                .zip(&state.low_assign)
-                .filter(|(_, &low)| low)
-                .map(|(&e, _)| e)
-                .fold(0.0f64, f64::max);
-            let low_media = low_leader * MEDIA_SHARE / self.cfg.fps as f64;
             let frusta: Vec<Frustum> = state
                 .members
                 .iter()
                 .map(|&m| self.subscribers[&m].predictor.predicted_frustum())
                 .collect();
-            let budget = |media: f64| Rate::Budget {
-                color_bits: (media * (1.0 - split)) as u64,
-                depth_bits: (media * split) as u64,
-            };
             jobs.push(ClusterJob {
                 frusta,
-                rate: budget(media),
+                rate: Rate::Budget {
+                    color_bits: (media * (1.0 - split)) as u64,
+                    depth_bits: (media * split) as u64,
+                },
                 target_bps: leader * MEDIA_SHARE,
-                low_assign: state.low_assign.clone(),
-                low_rate: run_low.then(|| budget(low_media)),
-                force_shared_key,
-                force_low_key,
-                shared_intra_gap_us,
+                force_key: fired.is_some(),
+                shared_intra_gap_us: fired.flatten(),
             });
         }
         jobs
@@ -1048,7 +843,6 @@ impl Router {
         outputs.resize_with(self.clusters.len(), || None);
         {
             let cameras = &self.cameras;
-            let layout = self.layout;
             let frame_idx = self.frame_idx;
             let pool = self.pool.clone();
             pool.scope(|s| {
@@ -1059,38 +853,21 @@ impl Router {
                         let mut culled = views.to_vec();
                         let cull_stats = state.sender.cull(&mut culled, cameras, &job.frusta);
                         let canvases = state.sender.compose(&culled, seq);
-                        if job.force_shared_key {
+                        if job.force_key {
                             state.sender.force_keyframe();
                         }
                         let (color, depth) =
                             state.sender.encode(&canvases, job.rate, frame_idx, now);
-                        let low = job.low_rate.map(|rate| {
-                            let low = state.low.get_or_insert_with(|| {
-                                SenderStage::new(layout, DepthEncoding::ScaledY16)
-                            });
-                            if job.force_low_key {
-                                low.force_keyframe();
-                            }
-                            low.encode(&canvases, rate, frame_idx, now)
-                        });
                         // Sender-side reconstruction error for the
                         // splitters.
                         let (rmse_color, rmse_depth_mm) =
                             state.sender.rmse(&canvases, &color, &depth);
-                        let low_members = state
-                            .members
-                            .iter()
-                            .zip(&job.low_assign)
-                            .filter(|(_, &l)| l)
-                            .map(|(&m, _)| m)
-                            .collect();
                         *out = Some(ClusterOutput {
                             key: state.key,
                             members: state.members.clone(),
-                            low_members,
                             color,
                             depth,
-                            low,
+                            low: None,
                             keep_fraction: cull_stats.map_or(1.0, |s| s.keep_fraction()),
                             target_bps: job.target_bps,
                             rmse_color,
@@ -1105,13 +882,12 @@ impl Router {
             .into_iter()
             .map(|o| o.expect("cluster task completed"))
             .collect();
-        let encode_ms = encode_span.finish_ms();
+        encode_span.finish_ms();
 
         // Per-cluster bookkeeping + payload prep (serial, cheap): one
         // shared `Bytes` per bitstream, refcount-cloned per member below.
-        let mut low_variant_passes = 0u64;
         let mut payloads: Vec<FanPayload> = Vec::with_capacity(clusters.len());
-        let mut assign: BTreeMap<SubscriberId, (usize, bool)> = BTreeMap::new();
+        let mut assign: BTreeMap<SubscriberId, usize> = BTreeMap::new();
         for (ci, out) in clusters.iter().enumerate() {
             self.metrics.keep_fraction.record(out.keep_fraction);
             if let Some(tr) = &self.trace {
@@ -1129,27 +905,16 @@ impl Router {
             if out.color.frame_type == FrameType::Intra {
                 self.metrics.shared_intras.inc();
             }
-            if out.low.is_some() {
-                low_variant_passes += 1;
-            }
             payloads.push(FanPayload {
                 color: Bytes::from(out.color.data.clone()),
                 color_key: out.color.frame_type == FrameType::Intra,
                 depth: Bytes::from(out.depth.data.clone()),
                 depth_key: out.depth.frame_type == FrameType::Intra,
-                low: out.low.as_ref().map(|(lc, ld)| {
-                    (
-                        Bytes::from(lc.data.clone()),
-                        lc.frame_type == FrameType::Intra,
-                        Bytes::from(ld.data.clone()),
-                        ld.frame_type == FrameType::Intra,
-                    )
-                }),
                 rmse_color: out.rmse_color,
                 rmse_depth_mm: out.rmse_depth_mm,
             });
             for &m in &out.members {
-                assign.insert(m, (ci, out.low_members.contains(&m)));
+                assign.insert(m, ci);
             }
         }
 
@@ -1169,26 +934,25 @@ impl Router {
             let pool = self.pool.clone();
             pool.for_each_chunk_mut(&mut fan, |chunk| {
                 for (id, sub) in chunk.iter_mut() {
-                    let Some(&(ci, is_low)) = assign.get(id) else {
+                    let Some(&ci) = assign.get(id) else {
                         continue;
                     };
                     let p = &payloads[ci];
-                    let (color, color_key, depth, depth_key) = if is_low {
-                        let (lc, lk, ld, dk) = p.low.as_ref().expect("low variant encoded");
-                        (lc.clone(), *lk, ld.clone(), *dk)
-                    } else {
-                        (p.color.clone(), p.color_key, p.depth.clone(), p.depth_key)
-                    };
-                    sub.timeline
-                        .mark_dur(frame_idx, stage::ENCODE, now, encode_ms);
-                    sub.session
-                        .send_frame(now, StreamId::Color, frame_idx, color, color_key);
-                    sub.session
-                        .send_frame(now, StreamId::Depth, frame_idx, depth, depth_key);
+                    sub.session.send_frame(
+                        now,
+                        StreamId::Color,
+                        frame_idx,
+                        p.color.clone(),
+                        p.color_key,
+                    );
+                    sub.session.send_frame(
+                        now,
+                        StreamId::Depth,
+                        frame_idx,
+                        p.depth.clone(),
+                        p.depth_key,
+                    );
                     sub.stats.frames_forwarded += 1;
-                    if is_low {
-                        sub.stats.low_variant_frames += 1;
-                    }
                     if sub.splitter.measurement_due() {
                         sub.splitter.update(p.rmse_depth_mm, p.rmse_color);
                     }
@@ -1197,7 +961,6 @@ impl Router {
         }
 
         self.metrics.encode_passes.add(clusters.len() as u64);
-        self.metrics.low_variant_passes.add(low_variant_passes);
         self.metrics.clusters_gauge.set(clusters.len() as f64);
         self.frame_idx += 1;
         span.finish_ms();
@@ -1205,7 +968,7 @@ impl Router {
         RouteSummary {
             seq,
             encode_passes: clusters.len() as u64,
-            low_variant_passes,
+            low_variant_passes: 0,
             clusters,
             events,
         }
@@ -1261,13 +1024,6 @@ mod tests {
             })
         ));
         assert!(matches!(
-            Router::builder(tiny_rig()).straggler_fraction(1.0).build(),
-            Err(RouterError::InvalidConfig {
-                field: "straggler_fraction",
-                ..
-            })
-        ));
-        assert!(matches!(
             Router::builder(tiny_rig()).recluster_every(0).build(),
             Err(RouterError::InvalidConfig {
                 field: "recluster_every",
@@ -1275,11 +1031,9 @@ mod tests {
             })
         ));
         assert!(matches!(
-            Router::builder(tiny_rig())
-                .intra_cooldown_rtts(f64::NAN)
-                .build(),
+            Router::builder(tiny_rig()).max_subscribers(0).build(),
             Err(RouterError::InvalidConfig {
-                field: "intra_cooldown_rtts",
+                field: "max_subscribers",
                 ..
             })
         ));
@@ -1495,42 +1249,5 @@ mod tests {
         // And the lane tasks are the stand-in's: none without it.
         let (bare, _) = run(1, false);
         assert!(serial - bare >= decoded && (serial - bare) % 2 == 0);
-    }
-
-    #[test]
-    fn straggler_gets_low_variant_and_chains_stay_guarded() {
-        let mut router = Router::builder(tiny_rig())
-            .straggler_fraction(0.5)
-            .build()
-            .unwrap();
-        // Same frustum, very different links: 60 Mbps vs 3 Mbps.
-        let mut fast = SubscriberConfig::new("fast");
-        fast.session.initial_estimate_bps = 20e6;
-        let mut slow = SubscriberConfig::new("slow");
-        slow.session.initial_estimate_bps = 1e6;
-        let fast = router
-            .add_subscriber(fast, BandwidthTrace::constant(60.0, 10.0))
-            .unwrap();
-        let slow = router
-            .add_subscriber(slow, BandwidthTrace::constant(3.0, 10.0))
-            .unwrap();
-        let pose = looking(0.0);
-        router.observe_pose(fast, &pose).unwrap();
-        router.observe_pose(slow, &pose).unwrap();
-        let views = views_at(&router.cameras.clone(), 0.0, 0);
-        let out = router.route_frame(0, &views);
-        assert_eq!(out.encode_passes, 1, "one shared cluster");
-        assert_eq!(out.low_variant_passes, 1, "slow member needs the variant");
-        assert_eq!(out.clusters[0].low_members, vec![slow]);
-        let (lc, _) = out.clusters[0].low.as_ref().unwrap();
-        assert!(lc.data.len() <= out.clusters[0].color.data.len() * 2);
-        assert_eq!(
-            router.subscriber(slow).unwrap().stats().low_variant_frames,
-            1
-        );
-        assert_eq!(
-            router.subscriber(fast).unwrap().stats().low_variant_frames,
-            0
-        );
     }
 }

@@ -16,7 +16,6 @@ use livo_core::stage::{Ingest, ReceiverStage, GUARD_BAND_M};
 use livo_math::{FrustumParams, Pose};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::EventTrace;
-use livo_telemetry::FrameTimeline;
 use livo_transport::{Micros, RtcSession, SessionConfig};
 use std::sync::Arc;
 
@@ -63,8 +62,6 @@ impl SubscriberConfig {
 pub struct SubscriberStats {
     /// Frames forwarded on this downlink (colour+depth pairs).
     pub frames_forwarded: u64,
-    /// Frames forwarded from the re-quantised low-rate variant.
-    pub low_variant_frames: u64,
     /// Colour/depth frames the decode stand-in decoded successfully.
     pub frames_decoded: u64,
     /// Decode failures (broken P chain, corrupt payload).
@@ -82,7 +79,6 @@ pub struct Subscriber {
     pub(crate) splitter: BandwidthSplitter,
     pub(crate) receiver: Option<ReceiverStage>,
     pub(crate) stats: SubscriberStats,
-    pub(crate) timeline: Arc<FrameTimeline>,
 }
 
 impl Subscriber {
@@ -104,7 +100,6 @@ impl Subscriber {
             splitter: BandwidthSplitter::new(cfg.splitter),
             receiver,
             stats: SubscriberStats::default(),
-            timeline: Arc::new(FrameTimeline::new(2048)),
         }
     }
 
@@ -177,12 +172,6 @@ impl Subscriber {
         if let Some(rx) = self.receiver.as_mut() {
             rx.attach_trace(trace, party);
         }
-    }
-
-    /// Per-subscriber frame timeline (encode/forward/transport stages in
-    /// virtual session time).
-    pub fn timeline(&self) -> &Arc<FrameTimeline> {
-        &self.timeline
     }
 
     /// Decoded colour frame for `seq`, if still in the reorder window.

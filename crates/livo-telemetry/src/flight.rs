@@ -6,10 +6,10 @@
 //! overwritten the interesting seconds. The flight recorder watches the
 //! live signals — display stalls, PLI/keyframe storms, GCC estimate
 //! collapse, decode errors, worker-pool starvation — and the moment a
-//! detector fires it freezes the evidence: the last-N trace events, a
-//! registry snapshot, the recent frame timelines, and the detector's
-//! verdict, as one [`FlightBundle`] kept in memory and optionally
-//! appended to a JSONL sink.
+//! detector fires it freezes the evidence: the last-N trace events (the
+//! recent frames' paths, via [`crate::TraceQuery`]), a registry snapshot
+//! and the detector's verdict, as one [`FlightBundle`] kept in memory and
+//! optionally appended to a JSONL sink.
 //!
 //! Detection is armed per signal via [`AnomalyConfig`] (a threshold of
 //! `None` disarms that detector — tests arm exactly one). Dumps are
@@ -19,7 +19,6 @@
 
 use crate::json::ObjectWriter;
 use crate::registry::{Counter, MetricsRegistry, RegistrySnapshot};
-use crate::timeline::{FrameTimeline, FrameTimelineRecord};
 use crate::trace::{EventTrace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -53,8 +52,6 @@ pub struct AnomalyConfig {
     pub cooldown_us: u64,
     /// Trace events kept per bundle (the newest N).
     pub bundle_events: usize,
-    /// Frame-timeline records kept per bundle (the newest N).
-    pub bundle_timelines: usize,
     /// Hard cap on retained bundles (oldest dropped; the JSONL sink
     /// still receives every dump).
     pub max_bundles: usize,
@@ -70,7 +67,6 @@ impl Default for AnomalyConfig {
             pool_queue: Some(256),
             cooldown_us: 2_000_000,
             bundle_events: 256,
-            bundle_timelines: 8,
             max_bundles: 8,
         }
     }
@@ -105,8 +101,6 @@ pub struct FlightBundle {
     pub events: Vec<TraceEvent>,
     /// Metrics at trigger time (when a registry is attached).
     pub metrics: Option<RegistrySnapshot>,
-    /// The newest frame timelines at trigger time.
-    pub timelines: Vec<FrameTimelineRecord>,
 }
 
 impl FlightBundle {
@@ -131,17 +125,6 @@ impl FlightBundle {
         if let Some(m) = &self.metrics {
             let buf = o.field_raw("metrics");
             m.write_json(buf);
-        }
-        {
-            let buf = o.field_raw("timelines");
-            buf.push('[');
-            for (i, r) in self.timelines.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                r.write_json(buf);
-            }
-            buf.push(']');
         }
         o.finish();
     }
@@ -189,7 +172,6 @@ pub struct FlightRecorder {
     cfg: AnomalyConfig,
     trace: Option<Arc<EventTrace>>,
     registry: Option<Arc<MetricsRegistry>>,
-    timeline: Option<Arc<FrameTimeline>>,
     counters: Option<AnomalyCounters>,
     state: Mutex<DetectorState>,
     bundles: Mutex<Vec<FlightBundle>>,
@@ -211,7 +193,6 @@ impl FlightRecorder {
             cfg,
             trace: None,
             registry: None,
-            timeline: None,
             counters: None,
             state: Mutex::new(DetectorState::default()),
             bundles: Mutex::new(Vec::new()),
@@ -236,11 +217,6 @@ impl FlightRecorder {
             dumps: registry.counter("trace.anomalies.dumps"),
         });
         self.registry = Some(Arc::clone(registry));
-    }
-
-    /// Evidence source: the per-frame timeline.
-    pub fn attach_timeline(&mut self, timeline: Arc<FrameTimeline>) {
-        self.timeline = Some(timeline);
     }
 
     /// Append every bundle to `w` as one JSON object per line.
@@ -389,14 +365,6 @@ impl FlightRecorder {
         if events.len() > self.cfg.bundle_events {
             events.drain(..events.len() - self.cfg.bundle_events);
         }
-        let mut timelines = self
-            .timeline
-            .as_ref()
-            .map(|t| t.snapshot())
-            .unwrap_or_default();
-        if timelines.len() > self.cfg.bundle_timelines {
-            timelines.drain(..timelines.len() - self.cfg.bundle_timelines);
-        }
         let bundle = FlightBundle {
             ts_us: now_us,
             verdict,
@@ -404,7 +372,6 @@ impl FlightRecorder {
             detail,
             events,
             metrics: self.registry.as_ref().map(|r| r.snapshot()),
-            timelines,
         };
 
         if let Some(c) = &self.counters {
@@ -501,13 +468,10 @@ mod tests {
         let trace = Arc::new(EventTrace::new(1024));
         trace.record(500, 4, 0, "pipeline", kind::CAPTURE, 0);
         trace.record(900, 4, 1, "display", kind::STALL, 180);
-        let tl = Arc::new(FrameTimeline::new(16));
-        tl.mark(4, crate::timeline::stage::CAPTURE, 500);
 
         let mut fr = FlightRecorder::new(armed_only_stall());
         fr.attach_registry(&reg);
         fr.attach_trace(Arc::clone(&trace));
-        fr.attach_timeline(Arc::clone(&tl));
 
         let sink: Arc<Mutex<Vec<u8>>> = Arc::default();
         struct S(Arc<Mutex<Vec<u8>>>);
@@ -525,7 +489,9 @@ mod tests {
         fr.observe_stall(1_000, 1, 180.0);
         let b = &fr.bundles()[0];
         assert_eq!(b.events.len(), 2);
-        assert_eq!(b.timelines.len(), 1);
+        // The frozen events are frame 4's timeline.
+        let path = crate::TraceQuery::new(b.events.clone()).frame(4).unwrap();
+        assert_eq!(path.ts_of(kind::CAPTURE, 0), Some(500));
         assert_eq!(
             b.metrics
                 .as_ref()
@@ -539,7 +505,7 @@ mod tests {
         assert!(lines[0].starts_with("{\"ts_us\":1000,\"verdict\":\"stall\""));
         assert!(lines[0].contains("\"kind\":\"stall\""));
         assert!(lines[0].contains("\"counters\""));
-        assert!(lines[0].contains("\"timelines\":[{\"seq\":4"));
+        assert!(lines[0].contains("\"frame_seq\":4"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Telemetry substrate for the LiVo workspace: metrics, spans, per-frame
-//! timelines, and structured logging.
+//! Telemetry substrate for the LiVo workspace: metrics, spans, the
+//! per-frame event trace, and structured logging.
 //!
 //! Every headline claim of the paper is an observability claim — per-stage
 //! latency (Table 6), throughput and utilisation (Table 1), the 200–300 ms
@@ -12,27 +12,24 @@
 //!   locked; recording is lock-free atomics on held handles.
 //! - [`span`]: [`TelemetrySpan`] — RAII wall-clock timers recording into
 //!   histograms, cheap enough for every stage of every 30 fps frame.
-//! - [`timeline`]: [`FrameTimeline`] — per-frame stage timestamps keyed by
-//!   sequence number, stitched across threads and layers (capture → cull →
-//!   tile → encode → packetize → link → reassembly → jitter → decode →
-//!   display); one JSON object tells the full story of one frame.
-//! - [`trace`]: [`EventTrace`] — the causal cross-layer event ring: every
-//!   frame's capture→cull→encode→packetize→send→(nack/retx/pli)→recv→
-//!   decode→display life, keyed by frame sequence and party id, merged
+//! - [`trace`]: [`EventTrace`] — the one per-frame record, a causal
+//!   cross-layer event ring: every frame's capture→cull→tile→encode→
+//!   packetize→send→(nack→retx)→recv→playout→decode→display life, keyed
+//!   by frame sequence and party id, stitched across threads and layers
 //!   into one causal order and queryable per frame ([`TraceQuery`]).
 //! - [`chrometrace`]: Chrome trace-event JSON export of a trace snapshot
 //!   (Perfetto-loadable, flow arrows stitching frames across tracks).
 //! - [`flight`]: [`FlightRecorder`] — anomaly detectors (stall, PLI
 //!   storm, GCC collapse, decode error, pool starvation) that dump
-//!   trace + metrics + timeline bundles the moment something goes wrong.
+//!   trace + metrics bundles the moment something goes wrong.
 //! - [`log`]: structured events with levels and key=value fields, filtered
-//!   by `LIVO_LOG`, with a stderr text sink, a JSON-lines sink, and
-//!   rate-limited warnings ([`Logger::warn_limited`]).
-//! - [`json`]: the dependency-free JSON writer the sinks share.
+//!   by `LIVO_LOG`, one text line per event on stderr, and rate-limited
+//!   warnings ([`log::warn_limited`]).
+//! - [`json`]: the dependency-free JSON writer the snapshots share.
 //!
 //! Design constraints: **std only** (this crate sits below every other
-//! workspace crate and must never cycle), bounded memory (timelines evict,
-//! histograms are fixed arrays), and hot-path cost of one atomic op per
+//! workspace crate and must never cycle), bounded memory (the trace is a
+//! ring, histograms are fixed arrays), and hot-path cost of one atomic op per
 //! sample after warm-up — the overhead budget that keeps instrumented
 //! throughput within 5% of uninstrumented.
 
@@ -43,7 +40,6 @@ pub mod json;
 pub mod log;
 pub mod registry;
 pub mod span;
-pub mod timeline;
 pub mod trace;
 
 pub use chrometrace::{chrome_trace_json, write_chrome_trace};
@@ -54,7 +50,6 @@ pub use registry::{
     global, name_follows_convention, Counter, Gauge, MetricsRegistry, RegistrySnapshot,
 };
 pub use span::{timed, TelemetrySpan};
-pub use timeline::{stage, FrameTimeline, FrameTimelineRecord, TimelineEvent};
 pub use trace::{intern, kind, EventTrace, FramePath, Hop, TraceEvent, TraceQuery, NO_FRAME};
 
 #[cfg(test)]
@@ -67,14 +62,15 @@ mod tests {
         // The shape of a typical instrumented stage: resolve handles once,
         // record per frame, snapshot at the end.
         let reg = Arc::new(MetricsRegistry::new());
-        let tl = FrameTimeline::new(128);
+        let trace = EventTrace::new(1024);
         let encode_ms = reg.histogram("pipeline.encode_ms");
         let frames = reg.counter("pipeline.frames");
         for seq in 0..30u64 {
             let span = TelemetrySpan::start(&encode_ms);
             std::hint::black_box(seq * 17 % 5);
             let ms = span.finish_ms();
-            tl.mark_dur(seq, stage::ENCODE, seq * 33_333, ms);
+            let us = (ms * 1e3) as i64;
+            trace.record(seq * 33_333, seq, 0, "pipeline", kind::ENCODE, us);
             frames.inc();
         }
         let snap = reg.snapshot();
@@ -82,8 +78,12 @@ mod tests {
         let h = snap.histogram("pipeline.encode_ms").unwrap();
         assert_eq!(h.count, 30);
         assert!(h.p50 <= h.p99 && h.p99 <= h.max);
-        assert_eq!(tl.len(), 30);
-        assert!(tl.record(29).unwrap().is_monotonic(&stage::ORDER));
+        let q = TraceQuery::from_trace(&trace);
+        assert_eq!(q.frames().len(), 30);
+        assert_eq!(
+            q.frame(29).unwrap().ts_of(kind::ENCODE, 0),
+            Some(29 * 33_333)
+        );
         // The whole snapshot serialises to JSON.
         let j = snap.to_json();
         assert!(j.contains("\"pipeline.encode_ms\""));

@@ -1,20 +1,15 @@
-//! Structured event logging: levels, key=value fields, pluggable sinks.
+//! Structured event logging: levels and key=value fields, one text line
+//! per event on stderr.
 //!
 //! Replaces the scattered `eprintln!` diagnostics with events that carry a
 //! level, a target (the subsystem emitting), a message, and typed fields.
-//! Two sinks: a human-readable text line on stderr, and an optional
-//! JSON-lines writer for machine consumption.
 //!
 //! Filtering is by level via the `LIVO_LOG` environment variable
-//! (`trace|debug|info|warn|error|off`, default `info`). The legacy
-//! `LIVO_DEBUG` variable is honoured as `debug` so existing invocations
-//! keep working. The cheap path is the disabled path: call sites check
-//! [`enabled`] (one relaxed atomic load) before formatting anything — the
-//! [`log_event!`] macro does this for you.
+//! (`trace|debug|info|warn|error|off`, default `info`), read once. The
+//! cheap path is the disabled path: call sites check [`enabled`] (one
+//! compare) before formatting anything — the [`log_event!`] macro does this
+//! for you.
 
-use crate::json::{self, ObjectWriter};
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Event severity, ordered.
@@ -35,16 +30,6 @@ impl Level {
             Level::Info => "info",
             Level::Warn => "warn",
             Level::Error => "error",
-        }
-    }
-
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Trace,
-            1 => Level::Debug,
-            2 => Level::Info,
-            3 => Level::Warn,
-            _ => Level::Error,
         }
     }
 
@@ -79,16 +64,6 @@ impl Value {
             Value::F64(v) => out.push_str(&format!("{v:.3}")),
             Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(v) => out.push_str(v),
-        }
-    }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::U64(v) => json::write_u64(out, *v),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) => json::write_f64(out, *v),
-            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            Value::Str(v) => json::write_str(out, v),
         }
     }
 }
@@ -128,68 +103,31 @@ struct LimiterState {
     suppressed: u64,
 }
 
-/// The logger: level filter plus sinks.
+/// The logger: a level filter in front of stderr.
 pub struct Logger {
     /// Minimum level that passes; `5` means everything is off.
-    min_level: AtomicU8,
-    text_sink: AtomicBool,
-    json_sink: Mutex<Option<Box<dyn Write + Send>>>,
+    min_level: u8,
+    /// This module's tests read event lines here instead of from stderr.
+    captured: Option<Mutex<String>>,
     limiters: Mutex<std::collections::HashMap<&'static str, LimiterState>>,
 }
 
 impl Logger {
     fn from_env() -> Logger {
-        let min = match std::env::var("LIVO_LOG") {
-            Ok(s) => match Level::parse(&s) {
-                Some(l) => l as u8,
-                None => 5, // unparsable (including "off") → off
-            },
-            Err(_) => {
-                if std::env::var("LIVO_DEBUG").is_ok() {
-                    Level::Debug as u8
-                } else {
-                    Level::Info as u8
-                }
-            }
+        let min_level = match std::env::var("LIVO_LOG") {
+            // Unparsable (including "off") → off.
+            Ok(s) => Level::parse(&s).map_or(5, |l| l as u8),
+            Err(_) => Level::Info as u8,
         };
         Logger {
-            min_level: AtomicU8::new(min),
-            text_sink: AtomicBool::new(true),
-            json_sink: Mutex::new(None),
+            min_level,
+            captured: None,
             limiters: Mutex::new(std::collections::HashMap::new()),
         }
     }
 
     pub fn enabled(&self, level: Level) -> bool {
-        level as u8 >= self.min_level.load(Ordering::Relaxed)
-    }
-
-    pub fn set_level(&self, level: Level) {
-        self.min_level.store(level as u8, Ordering::Relaxed);
-    }
-
-    pub fn level(&self) -> Option<Level> {
-        let v = self.min_level.load(Ordering::Relaxed);
-        (v <= 4).then(|| Level::from_u8(v))
-    }
-
-    /// Silence every sink (still overridable by `set_level`).
-    pub fn set_off(&self) {
-        self.min_level.store(5, Ordering::Relaxed);
-    }
-
-    /// Enable/disable the stderr text sink.
-    pub fn set_text_sink(&self, on: bool) {
-        self.text_sink.store(on, Ordering::Relaxed);
-    }
-
-    /// Install a JSON-lines sink (one event object per line).
-    pub fn set_json_sink(&self, w: Box<dyn Write + Send>) {
-        *self.json_sink.lock().unwrap() = Some(w);
-    }
-
-    pub fn clear_json_sink(&self) {
-        *self.json_sink.lock().unwrap() = None;
+        level as u8 >= self.min_level
     }
 
     /// Rate-limited warning: events sharing `key` emit at most once per
@@ -249,51 +187,26 @@ impl Logger {
         if !self.enabled(level) {
             return;
         }
-        if self.text_sink.load(Ordering::Relaxed) {
-            let mut line = String::with_capacity(64 + msg.len());
-            line.push('[');
-            line.push_str(level.as_str());
+        let mut line = String::with_capacity(64 + msg.len());
+        line.push('[');
+        line.push_str(level.as_str());
+        line.push(' ');
+        line.push_str(target);
+        line.push_str("] ");
+        line.push_str(msg);
+        for (k, v) in fields {
             line.push(' ');
-            line.push_str(target);
-            line.push_str("] ");
-            line.push_str(msg);
-            for (k, v) in fields {
-                line.push(' ');
-                line.push_str(k);
-                line.push('=');
-                v.write_text(&mut line);
-            }
-            eprintln!("{line}");
+            line.push_str(k);
+            line.push('=');
+            v.write_text(&mut line);
         }
-        let mut sink = self.json_sink.lock().unwrap();
-        if let Some(w) = sink.as_mut() {
-            let mut buf = String::with_capacity(96 + msg.len());
-            let mut o = ObjectWriter::new(&mut buf);
-            let ts_us = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            o.field_u64("ts_us", ts_us)
-                .field_str("level", level.as_str())
-                .field_str("target", target)
-                .field_str("msg", msg);
-            if !fields.is_empty() {
-                let raw = o.field_raw("fields");
-                raw.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        raw.push(',');
-                    }
-                    json::write_str(raw, k);
-                    raw.push(':');
-                    v.write_json(raw);
-                }
-                raw.push('}');
+        match &self.captured {
+            Some(buf) => {
+                let mut buf = buf.lock().unwrap();
+                buf.push_str(&line);
+                buf.push('\n');
             }
-            o.finish();
-            buf.push('\n');
-            let _ = w.write_all(buf.as_bytes());
-            let _ = w.flush();
+            None => eprintln!("{line}"),
         }
     }
 }
@@ -357,29 +270,18 @@ macro_rules! log_event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    /// A `Write` handle into a shared buffer, for asserting sink output.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
+    fn quiet_logger(min: u8) -> Logger {
+        Logger {
+            min_level: min,
+            captured: Some(Mutex::new(String::new())),
+            limiters: Mutex::new(std::collections::HashMap::new()),
         }
     }
 
-    fn quiet_logger() -> Logger {
-        Logger {
-            min_level: AtomicU8::new(Level::Info as u8),
-            text_sink: AtomicBool::new(false),
-            json_sink: Mutex::new(None),
-            limiters: Mutex::new(std::collections::HashMap::new()),
-        }
+    fn lines(l: &Logger) -> Vec<String> {
+        let text = l.captured.as_ref().unwrap().lock().unwrap();
+        text.lines().map(str::to_owned).collect()
     }
 
     #[test]
@@ -392,20 +294,18 @@ mod tests {
 
     #[test]
     fn filter_blocks_below_min() {
-        let l = quiet_logger();
+        let l = quiet_logger(Level::Info as u8);
         assert!(!l.enabled(Level::Debug));
         assert!(l.enabled(Level::Info));
-        l.set_level(Level::Error);
+        let l = quiet_logger(Level::Error as u8);
         assert!(!l.enabled(Level::Warn));
-        l.set_off();
-        assert!(!l.enabled(Level::Error));
+        let off = quiet_logger(5);
+        assert!(!off.enabled(Level::Error));
     }
 
     #[test]
     fn json_sink_gets_one_line_per_event() {
-        let l = quiet_logger();
-        let buf = SharedBuf::default();
-        l.set_json_sink(Box::new(buf.clone()));
+        let l = quiet_logger(Level::Info as u8);
         l.log(
             Level::Warn,
             "conference",
@@ -413,21 +313,12 @@ mod tests {
             &[("slot", Value::from(9u64))],
         );
         l.log(Level::Debug, "conference", "filtered out", &[]);
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1, "debug event must be filtered: {text:?}");
-        assert!(lines[0].contains("\"level\":\"warn\""));
-        assert!(lines[0].contains("\"target\":\"conference\""));
-        assert!(lines[0].contains("\"fields\":{\"slot\":9}"));
-        assert!(lines[0].starts_with("{\"ts_us\":"));
+        assert_eq!(lines(&l), ["[warn conference] stall slot=9"]);
     }
 
     #[test]
     fn warn_limited_suppresses_and_reports_tail() {
-        let l = quiet_logger();
-        let buf = SharedBuf::default();
-        l.set_json_sink(Box::new(buf.clone()));
+        let l = quiet_logger(Level::Info as u8);
         let interval = std::time::Duration::from_millis(40);
         // Burst: first passes, next three are suppressed.
         for i in 0..4u64 {
@@ -441,31 +332,28 @@ mod tests {
         }
         std::thread::sleep(interval + std::time::Duration::from_millis(5));
         l.warn_limited("test.pli", interval, "transport", "pli sent", &[]);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text:?}");
-        assert!(lines[0].contains("\"n\":0"));
-        assert!(!lines[0].contains("suppressed"));
-        assert!(lines[1].contains("\"suppressed\":3"));
+        assert_eq!(
+            lines(&l),
+            [
+                "[warn transport] pli sent n=0",
+                "[warn transport] pli sent suppressed=3"
+            ]
+        );
     }
 
     #[test]
     fn warn_limited_keys_are_independent() {
-        let l = quiet_logger();
-        let buf = SharedBuf::default();
-        l.set_json_sink(Box::new(buf.clone()));
+        let l = quiet_logger(Level::Info as u8);
         let interval = std::time::Duration::from_secs(60);
         l.warn_limited("test.a", interval, "t", "a", &[]);
         l.warn_limited("test.b", interval, "t", "b", &[]);
         l.warn_limited("test.a", interval, "t", "a", &[]); // suppressed
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2);
+        assert_eq!(lines(&l).len(), 2);
     }
 
     #[test]
     fn warn_limited_is_free_when_warn_disabled() {
-        let l = quiet_logger();
-        l.set_off();
+        let l = quiet_logger(5);
         // Must not record limiter state (nor panic) while disabled.
         l.warn_limited("test.off", std::time::Duration::from_secs(1), "t", "x", &[]);
         assert!(l.limiters.lock().unwrap().is_empty());

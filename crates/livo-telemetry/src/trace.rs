@@ -1,15 +1,15 @@
 //! Causal event trace: a lock-light, fixed-capacity ring of cross-layer
 //! frame events.
 //!
-//! Aggregate metrics say *how much*; the per-frame timeline says *what
-//! happened to frame 217 on one pipeline*. Neither answers the diagnosis
-//! question the multi-party topology poses: "which hop ate the latency,
-//! for which subscriber, and in what order did the transport events
-//! interleave?" The event trace does. Every layer — capture, cull, codec,
-//! packetizer, link, SFU router, receiver, display clock — appends
-//! [`TraceEvent`]s keyed by frame sequence and party id, and the merged,
-//! causally-ordered record reconstructs one frame's full life across the
-//! sender→SFU→receiver fan-out ([`TraceQuery::frame`]).
+//! Aggregate metrics say *how much*; they cannot say what happened to
+//! frame 217, nor "which hop ate the latency, for which subscriber, and in
+//! what order did the transport events interleave?" The event trace does,
+//! and it is the only per-frame record. Every layer — capture, cull, codec,
+//! packetizer, link, jitter buffer, SFU router, receiver, display clock —
+//! appends [`TraceEvent`]s keyed by frame sequence and party id, and the
+//! merged, causally-ordered record reconstructs one frame's full life
+//! across the sender→SFU→receiver fan-out ([`TraceQuery::frame`]):
+//! packetize → send → (nack → retx) → recv → playout → decode → display.
 //!
 //! Design: the trace is **always on** and must cost nearly nothing.
 //! Events land in one of [`SHARDS`] fixed-capacity ring buffers; each
@@ -39,17 +39,19 @@ pub mod kind {
     pub const RETX: &str = "retx";
     pub const PLI: &str = "pli";
     pub const RECV: &str = "recv";
+    /// The jitter buffer released the frame to the decoder; per stream by
+    /// `component`, `arg` is send→playout µs.
+    pub const PLAYOUT: &str = "playout";
     pub const DECODE: &str = "decode";
     pub const DECODE_ERROR: &str = "decode_error";
     pub const DISPLAY: &str = "display";
     pub const STALL: &str = "stall";
     pub const GCC: &str = "gcc_estimate";
-    // SFU membership churn (join/leave/regroup/straggler promotion),
-    // recorded against [`super::NO_FRAME`] on the subscriber's track.
+    // SFU membership churn (join/leave/regroup), recorded against
+    // [`super::NO_FRAME`] on the subscriber's track.
     pub const JOIN: &str = "join";
     pub const LEAVE: &str = "leave";
     pub const REGROUP: &str = "regroup";
-    pub const PROMOTE: &str = "promote";
     // Bonded-transport link lifecycle (livo-bond), recorded against
     // [`super::NO_FRAME`]. `arg` is the link index for up/down and the
     // count of stranded in-flight packets for failover.
@@ -309,6 +311,15 @@ impl FramePath {
             .map(|e| e.ts_us)
     }
 
+    /// Timestamp of the first `kind` event `party` emitted on `component`
+    /// — one stream's leg of the path (`"transport.depth"`, `"codec.color"`).
+    pub fn ts_on(&self, kind: &str, party: u16, component: &str) -> Option<u64> {
+        self.events
+            .iter()
+            .find(|e| e.kind == kind && e.party == party && e.component == component)
+            .map(|e| e.ts_us)
+    }
+
     /// Whether `party` emitted a `kind` event for this frame.
     pub fn has(&self, kind: &str, party: u16) -> bool {
         self.ts_of(kind, party).is_some()
@@ -490,6 +501,8 @@ mod tests {
         assert_eq!(p.hops[2].to_party, 1);
         assert!(p.has(kind::DISPLAY, 1));
         assert!(!p.has(kind::DISPLAY, 0));
+        assert_eq!(p.ts_on(kind::RECV, 1, "transport.color"), Some(9_000));
+        assert_eq!(p.ts_on(kind::RECV, 1, "transport.depth"), None);
         assert!(q.frame(99).is_none());
         let text = p.describe(&|p| format!("party{p}"));
         assert!(text.contains("frame 7"));

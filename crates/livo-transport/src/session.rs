@@ -33,8 +33,8 @@ use crate::Micros;
 use bytes::Bytes;
 use livo_capture::BandwidthTrace;
 use livo_telemetry::trace::{kind, EventTrace, NO_FRAME};
-use livo_telemetry::{stage, Counter, FrameTimeline, Gauge, Histogram, MetricsRegistry};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Parameters of a one-leg session.
@@ -167,7 +167,6 @@ struct SessionTelemetry {
     bond_estimate_bps: Arc<Gauge>,
     bond_links_up: Arc<Gauge>,
     bond_failovers: Arc<Counter>,
-    timeline: Option<Arc<FrameTimeline>>,
 }
 
 /// Causal-trace sink plus the party ids of the session's two endpoints.
@@ -312,11 +311,6 @@ pub struct RtcSession {
     failovers: u64,
     telemetry: Option<SessionTelemetry>,
     trace: Option<SessionTrace>,
-    /// (stream, frame_id) pairs whose first packet has arrived — used to
-    /// stamp the timeline "link" stage exactly once per frame. Entries are
-    /// removed when reassembly completes; capped to bound memory when
-    /// frames never complete (heavy loss).
-    link_seen: BTreeSet<(StreamId, u64)>,
     /// Reused arrival buffer for [`LinkEmulator::poll_into`] — keeps the
     /// per-tick receive path allocation-free.
     poll_scratch: Vec<Delivery>,
@@ -393,16 +387,12 @@ impl RtcSession {
             failovers: 0,
             telemetry: None,
             trace: None,
-            link_seen: BTreeSet::new(),
             poll_scratch: Vec::new(),
             playout_slack: 0,
         }
     }
 
-    /// Publish session metrics under `{prefix}.*` in `registry` and,
-    /// if a timeline is given, stamp per-frame transport stages
-    /// (packetize → link → reassembly → jitter) keyed by frame id with
-    /// the stream name ("color"/"depth") as the lane.
+    /// Publish session metrics under `{prefix}.*` in `registry`.
     ///
     /// Gauges: aggregate GCC internals ([`GccEstimator::state`]), the
     /// sender-side (feedback-delayed) estimate, jitter-buffer occupancy,
@@ -411,12 +401,7 @@ impl RtcSession {
     /// Histogram: per-frame transport latency (send → playout-ready).
     /// Plus the per-leg `{prefix}.link.<name>.*` family and
     /// `{prefix}.bond.*`.
-    pub fn attach_telemetry(
-        &mut self,
-        registry: &Arc<MetricsRegistry>,
-        prefix: &str,
-        timeline: Option<Arc<FrameTimeline>>,
-    ) {
+    pub fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>, prefix: &str) {
         for leg in &mut self.legs {
             let lp = format!("{prefix}.link.{}", metric_safe(&leg.name));
             let t = LegTelemetry {
@@ -453,16 +438,16 @@ impl RtcSession {
             bond_estimate_bps: registry.gauge(&format!("{prefix}.bond.estimate_bps")),
             bond_links_up: registry.gauge(&format!("{prefix}.bond.links_up")),
             bond_failovers: registry.counter(&format!("{prefix}.bond.failovers")),
-            timeline,
         };
         t.bond_links_up.set(self.links_up() as f64);
         self.telemetry = Some(t);
     }
 
     /// Record cross-layer causal events into `trace`: per-frame
-    /// `packetize`/`send` on the sender endpoint (`send_party`) and
-    /// `recv`, plus the control-plane `nack`/`retx`/`pli`/`gcc_estimate`
-    /// events, on the receiver endpoint (`recv_party`); and
+    /// `packetize`/`send`/`retx` on the sender endpoint (`send_party`) and
+    /// `nack`/`recv`/`playout`, plus the control-plane `pli`/`gcc_estimate`
+    /// events, on the receiver endpoint (`recv_party`), each stream on its
+    /// own `transport.<stream>` component; and
     /// `link_up`/`link_down`/`failover` on the `transport.bond` component
     /// (arg = leg index, or stranded packet count for failover).
     pub fn attach_trace(&mut self, trace: Arc<EventTrace>, send_party: u16, recv_party: u16) {
@@ -568,9 +553,6 @@ impl RtcSession {
                 StreamId::Color => t.bits_sent_color.add(frame_bits),
                 StreamId::Depth => t.bits_sent_depth.add(frame_bits),
                 StreamId::Control => {}
-            }
-            if let Some(tl) = &t.timeline {
-                tl.mark_lane(frame_id, stage::PACKETIZE, lane_of(stream), now);
             }
         }
         if let Some(tr) = &self.trace {
@@ -849,7 +831,6 @@ impl RtcSession {
             .map(|l| l.em.propagation())
             .max()
             .unwrap_or(20_000);
-        let timeline = self.telemetry.as_ref().and_then(|t| t.timeline.as_ref());
         let mut arrivals = std::mem::take(&mut self.poll_scratch);
         let mut arrived = false;
         for leg in &mut self.legs {
@@ -869,15 +850,6 @@ impl RtcSession {
                 let frame_id = d.packet.frame_id;
                 let fr = leg.max_seq.entry(stream).or_insert(d.packet.seq);
                 *fr = (*fr).max(d.packet.seq);
-                if let Some(tl) = timeline {
-                    // Stamp "link" on the first arriving packet of a frame.
-                    if self.link_seen.len() > 8192 {
-                        self.link_seen.clear();
-                    }
-                    if self.link_seen.insert((stream, frame_id)) {
-                        tl.mark_lane(frame_id, stage::LINK, lane_of(stream), d.arrival);
-                    }
-                }
                 let re = self.reassemblers.entry(stream).or_default();
                 let Some(mut frame) = re.push(d.packet, d.arrival) else {
                     continue;
@@ -886,10 +858,6 @@ impl RtcSession {
                     .completed_at
                     .saturating_sub(self.jitter_target)
                     .max(frame.send_ts + playout_floor + self.playout_slack);
-                self.link_seen.remove(&(stream, frame_id));
-                if let Some(tl) = timeline {
-                    tl.mark_lane(frame_id, stage::REASSEMBLY, lane_of(stream), d.arrival);
-                }
                 if let Some(tr) = &self.trace {
                     tr.trace.record(
                         d.arrival,
@@ -921,15 +889,16 @@ impl RtcSession {
                     t.frames_delivered.inc();
                     t.bits_delivered.add(f.data.len() as u64 * 8);
                     t.latency_ms.record(latency_us as f64 / 1000.0);
-                    if let Some(tl) = &t.timeline {
-                        tl.mark_lane_dur(
-                            f.frame_id,
-                            stage::JITTER,
-                            lane_of(*stream),
-                            now,
-                            latency_us as f64 / 1000.0,
-                        );
-                    }
+                }
+                if let Some(tr) = &self.trace {
+                    tr.trace.record(
+                        now,
+                        f.frame_id,
+                        tr.recv_party,
+                        component_of(*stream),
+                        kind::PLAYOUT,
+                        latency_us as i64,
+                    );
                 }
                 self.ready.push(f);
             }
@@ -1024,19 +993,24 @@ impl RtcSession {
             if let Some(t) = &self.telemetry {
                 t.nacks_sent.add(to_request.len() as u64);
             }
-            if let Some(tr) = &self.trace {
-                tr.trace.record(
-                    now,
-                    NO_FRAME,
-                    tr.recv_party,
-                    component_of(stream),
-                    kind::NACK,
-                    to_request.len() as i64,
-                );
-            }
             if let Some(rb) = self.retransmit.get(&stream) {
                 let due = now + self.fb_delay();
-                for p in rb.lookup(&to_request) {
+                let requested = rb.lookup(&to_request);
+                if let Some(tr) = &self.trace {
+                    // One event per frame the request reaches into (arg: its
+                    // packets asked for), so the frame's path carries it.
+                    for run in requested.chunk_by(|a, b| a.frame_id == b.frame_id) {
+                        tr.trace.record(
+                            now,
+                            run[0].frame_id,
+                            tr.recv_party,
+                            component_of(stream),
+                            kind::NACK,
+                            run.len() as i64,
+                        );
+                    }
+                }
+                for p in requested {
                     self.pending_retx.push_back((due, p));
                 }
             }
@@ -1210,6 +1184,7 @@ impl RtcSession {
 mod tests {
     use super::*;
     use crate::{mbps, ms};
+    use livo_telemetry::TraceQuery;
 
     fn run_session(
         trace: BandwidthTrace,
@@ -1476,8 +1451,9 @@ mod tests {
         let trace = BandwidthTrace::constant(50.0, 30.0);
         let mut s = RtcSession::new(trace, SessionConfig::default());
         let registry = Arc::new(MetricsRegistry::new());
-        let timeline = Arc::new(FrameTimeline::new(4096));
-        s.attach_telemetry(&registry, "transport", Some(timeline.clone()));
+        let trace = Arc::new(EventTrace::new(1 << 16));
+        s.attach_telemetry(&registry, "transport");
+        s.attach_trace(trace.clone(), 0, 1);
 
         let mut t: Micros = 0;
         let mut frame_id = 0u64;
@@ -1509,28 +1485,24 @@ mod tests {
         let lat = snap.histogram("transport.latency_ms").unwrap();
         assert!(lat.count > 0 && lat.p50 > 0.0);
 
-        // Every delivered frame has a monotonic packetize→link→reassembly→
-        // jitter trail on the "color" lane.
-        let records = timeline.snapshot();
-        assert!(!records.is_empty());
+        // Every delivered frame has a causally ordered packetize → send →
+        // recv → playout path on the colour track.
+        let q = TraceQuery::from_trace(&trace);
         let mut checked = 0;
-        for r in &records {
-            if r.ts_of(stage::JITTER).is_none() {
+        for seq in q.frames() {
+            let p = q.frame(seq).unwrap();
+            let on = |k, party| p.ts_on(k, party, "transport.color");
+            if on(kind::PLAYOUT, 1).is_none() {
                 continue; // frame still in flight at cutoff
             }
-            for s in [
-                stage::PACKETIZE,
-                stage::LINK,
-                stage::REASSEMBLY,
-                stage::JITTER,
-            ] {
-                assert!(r.ts_of(s).is_some(), "frame {} missing {s}", r.seq);
-            }
-            assert!(
-                r.is_monotonic(&stage::ORDER),
-                "frame {} out of order",
-                r.seq
-            );
+            let path = [
+                on(kind::PACKETIZE, 0),
+                on(kind::SEND, 0),
+                on(kind::RECV, 1),
+                on(kind::PLAYOUT, 1),
+            ];
+            assert!(path.iter().all(Option::is_some), "frame {seq}: {path:?}");
+            assert!(path.is_sorted(), "frame {seq} out of order: {path:?}");
             checked += 1;
         }
         assert!(checked > 50, "only {checked} complete frame timelines");

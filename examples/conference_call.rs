@@ -3,7 +3,7 @@
 //! direction), over asymmetric network conditions.
 //!
 //! ```text
-//! cargo run --release --example conference_call
+//! cargo run --release --example conference_call [-- --seconds 4]
 //! ```
 //!
 //! Site A hosts the `band2` scene (a rehearsal being coached remotely);
@@ -13,61 +13,46 @@
 //! fractions per direction.
 
 use livo::prelude::*;
-use livo::telemetry::stage;
+use livo::telemetry::kind;
 
-/// Per-frame stage timeline for the last few delivered frames: every column
-/// is a stage timestamp in session time (ms since capture of that frame),
-/// stitched across the sender pipeline, transport, and receiver.
-fn print_frame_timeline(label: &str, summary: &RunSummary) {
-    const STAGES: [&str; 7] = [
-        stage::CAPTURE,
-        stage::ENCODE,
-        stage::PACKETIZE,
-        stage::LINK,
-        stage::JITTER,
-        stage::DECODE,
-        stage::DISPLAY,
-    ];
-    println!("\n[{label}] per-frame timeline (ms after capture):");
-    print!("{:>6}", "frame");
-    for s in STAGES {
-        print!(" | {s:>9}");
-    }
-    println!();
-    let full: Vec<&FrameTimelineRecord> = summary
-        .timeline
-        .iter()
-        .filter(|r| STAGES.iter().all(|s| r.ts_of(s).is_some()))
-        .collect();
-    let tail = &full[full.len().saturating_sub(8)..];
-    for rec in tail {
-        let t0 = rec.ts_of(stage::CAPTURE).unwrap();
-        print!("{:>6}", rec.seq);
-        for s in STAGES {
-            let dt = (rec.ts_of(s).unwrap() - t0) as f64 / 1e3;
-            print!(" | {dt:>9.1}");
-        }
-        println!();
-    }
+/// The newest displayed frame's life, hop by hop: every event the sender
+/// pipeline, the transport and the receiver left on the trace for it, in
+/// causal order, with the time each hop took.
+fn print_frame_path(label: &str, summary: &RunSummary) {
+    let q = TraceQuery::new(summary.trace.clone());
+    let paths: Vec<FramePath> = q.frames().iter().filter_map(|&f| q.frame(f)).collect();
+    let shown = paths.iter().filter(|p| p.has(kind::DISPLAY, 1));
+    let Some(last) = shown.clone().next_back() else {
+        println!("\n[{label}] no displayed frame left on the trace");
+        return;
+    };
+    let party = |p: u16| ["sender", "receiver"][p.min(1) as usize].to_string();
+    println!("\n[{label}] {}", last.describe(&party));
     println!(
-        "({} of {} frames completed every stage; histogram p95s: encode {:.1} ms, transport {:.1} ms)",
-        full.len(),
-        summary.timeline.len(),
+        "({} of {} traced frames reached the display; histogram p95s: encode {:.1} ms, transport {:.1} ms)",
+        shown.count(),
+        paths.len(),
         summary.metrics.histogram("conference.encode_ms").map(|h| h.p95).unwrap_or(0.0),
         summary.metrics.histogram("transport.latency_ms").map(|h| h.p95).unwrap_or(0.0),
     );
 }
 
-fn run_direction(label: &str, video: VideoId, trace_id: TraceId, style: usize) -> RunSummary {
+fn run_direction(
+    label: &str,
+    video: VideoId,
+    trace_id: TraceId,
+    style: usize,
+    seconds: f32,
+) -> RunSummary {
     let cfg = ConferenceConfig::builder(video)
         .camera_scale(0.10)
         .n_cameras(6)
-        .duration_s(4.0)
+        .duration_s(seconds)
         .quality_every(20)
         .user_trace(style, 11)
         .build()
         .expect("conference_call config is valid");
-    let trace = BandwidthTrace::generate(trace_id, 10.0, 21 + style as u64);
+    let trace = BandwidthTrace::generate(trace_id, seconds + 6.0, 21 + style as u64);
     println!(
         "[{label}] {} over {} (mean {:.0} Mbps)",
         video,
@@ -78,9 +63,18 @@ fn run_direction(label: &str, video: VideoId, trace_id: TraceId, style: usize) -
 }
 
 fn main() {
+    let mut seconds = 4.0f32;
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == "--seconds") {
+        seconds = args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .expect("--seconds takes a number");
+    }
+
     println!("two-way LiVo call: A(band2) <-> B(office1)\n");
-    let a_to_b = run_direction("A->B", VideoId::Band2, TraceId::Trace1, 0);
-    let b_to_a = run_direction("B->A", VideoId::Office1, TraceId::Trace2, 1);
+    let a_to_b = run_direction("A->B", VideoId::Band2, TraceId::Trace1, 0, seconds);
+    let b_to_a = run_direction("B->A", VideoId::Office1, TraceId::Trace2, 1, seconds);
 
     println!("\n{:<12} | {:>8} | {:>8}", "metric", "A->B", "B->A");
     println!("{:-<12}-+-{:->8}-+-{:->8}", "", "", "");
@@ -108,7 +102,7 @@ fn main() {
         println!("{name:<12} | {a:>8.2} | {b:>8.2}");
     }
 
-    print_frame_timeline("A->B", &a_to_b);
+    print_frame_path("A->B", &a_to_b);
 
     println!(
         "\nEach direction adapted on its own: the A->B direction ({}x capacity) ran at higher rate

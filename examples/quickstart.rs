@@ -1,7 +1,7 @@
 //! Quickstart: run a short LiVo conference replay and print what happened.
 //!
 //! ```text
-//! cargo run --release --example quickstart
+//! cargo run --release --example quickstart [-- --seconds 5]
 //! ```
 //!
 //! This exercises the full pipeline end to end: a synthetic `pizza1` scene
@@ -14,11 +14,20 @@
 use livo::prelude::*;
 
 fn main() {
+    let mut seconds = 5.0f32;
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == "--seconds") {
+        seconds = args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .expect("--seconds takes a number");
+    }
+
     // Laptop-friendly scale; raise these to approach the paper's setup.
     let cfg = ConferenceConfig::builder(VideoId::Pizza1)
         .camera_scale(0.12)
         .n_cameras(6)
-        .duration_s(5.0)
+        .duration_s(seconds)
         .quality_every(15)
         .build()
         .expect("quickstart config is valid");
@@ -34,7 +43,7 @@ fn main() {
         layout.canvas_w, layout.canvas_h, layout.n, layout.cam_w, layout.cam_h
     );
 
-    let trace = BandwidthTrace::generate(TraceId::Trace2, 12.0, 7);
+    let trace = BandwidthTrace::generate(TraceId::Trace2, seconds + 7.0, 7);
     println!(
         "network: {} (mean {:.1} Mbps)",
         TraceId::Trace2,

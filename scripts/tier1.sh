@@ -59,8 +59,15 @@ bond_check() {
 
 echo "== tier1: build + test =="
 cargo build --release && cargo test -q
-# A 1 s multiparty smoke run: the SFU example end to end.
-cargo run -q --release --example multiparty -- --seconds 1
+# Every example runs, one call second each: the two-party replay, the
+# two-way call with its frame path, the SFU fan-out.
+for ex in quickstart conference_call multiparty; do
+  cargo run -q --release --example "$ex" -- --seconds 1 >/dev/null
+done
+# One per-frame record, one chain per cluster: neither name comes back.
+if grep -rn "FrameTimeline\|straggler_fraction" crates src tests examples; then
+  echo "the frame timeline or the straggler option is back"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite ran at the auto-detected
 # tier above; it must also hold with the dispatcher forced to the scalar
 # tier (LIVO_SIMD caps the level per process).

@@ -27,7 +27,7 @@
 //! | [`sfu`] | `livo-sfu` | selective forwarding, frustum-clustered encode sharing |
 //! | [`baselines`] | `livo-baselines` | Draco-Oracle, MeshReduce |
 //! | [`eval`] | `livo-eval` | experiment grid, QoE model, reports |
-//! | [`telemetry`] | `livo-telemetry` | metrics, spans, frame timelines, logging |
+//! | [`telemetry`] | `livo-telemetry` | metrics, spans, per-frame event trace, logging |
 //!
 //! ## Quick start
 //!
@@ -81,7 +81,7 @@ pub mod prelude {
         SubscriberConfig, SubscriberId,
     };
     pub use livo_telemetry::{
-        FrameTimeline, FrameTimelineRecord, Level, MetricsRegistry, RegistrySnapshot, TelemetrySpan,
+        FramePath, Level, MetricsRegistry, RegistrySnapshot, TelemetrySpan, TraceQuery,
     };
     pub use livo_transport::{RtcSession, SessionConfig, StreamId};
 }

@@ -69,7 +69,7 @@ fn bonded_session_metric_names_follow_convention() {
         .link(LinkScenario::new("caf\u{e9} lte", 4.0, 3.0).propagation_ms(45.0));
     let mut s = BondedSession::new(BondConfig::new(sc));
     let registry = Arc::new(MetricsRegistry::new());
-    s.attach_telemetry(&registry, "transport", None);
+    s.attach_telemetry(&registry, "transport");
     // Drive briefly so gauges/counters get touched.
     let mut t = 0u64;
     for frame in 0..30u64 {

@@ -1,25 +1,28 @@
-//! Telemetry integration: the frame timeline stitches every layer of the
-//! pipeline together, and the metrics registry carries the same story the
-//! `RunSummary` aggregates tell — asserted end to end across livo-core,
-//! livo-transport, and livo-codec2d.
+//! Telemetry integration: the event trace stitches every layer of the
+//! pipeline into one path per frame, and the metrics registry carries the
+//! same story the `RunSummary` aggregates tell — asserted end to end across
+//! livo-core, livo-transport, and livo-codec2d.
 
 use livo::prelude::*;
-use livo::telemetry::stage;
+use livo::telemetry::kind;
 
-fn quick(video: VideoId) -> ConferenceConfig {
+fn quick(video: VideoId) -> ConferenceConfigBuilder {
     ConferenceConfig::builder(video)
         .camera_scale(0.08)
         .n_cameras(4)
         .duration_s(3.0)
         .quality_every(30)
-        .build()
-        .expect("quick config is valid")
 }
+
+const LANES: [(&str, &str); 2] = [
+    ("transport.color", "codec.color"),
+    ("transport.depth", "codec.depth"),
+];
 
 #[test]
 fn every_displayed_frame_has_a_complete_monotonic_timeline() {
     let trace = BandwidthTrace::generate(TraceId::Trace1, 10.0, 3);
-    let s = ConferenceRunner::new(quick(VideoId::Band2)).run(trace);
+    let s = ConferenceRunner::new(quick(VideoId::Band2).build().unwrap()).run(trace);
 
     let shown: std::collections::HashSet<u64> = s
         .records
@@ -29,44 +32,39 @@ fn every_displayed_frame_has_a_complete_monotonic_timeline() {
         .collect();
     assert!(shown.len() > 30, "only {} frames displayed", shown.len());
 
-    // Sender-side stages exist for every frame the pipeline produced;
-    // transport + receiver stages exist for every frame that reached the
-    // screen; and stage timestamps never run backwards.
+    // Sender-side steps exist for every frame the pipeline produced; both
+    // streams' transport and decode events exist for every frame that
+    // reached the screen; and timestamps never run backwards along a path.
+    let q = TraceQuery::new(s.trace.clone());
     let mut checked = 0;
-    for rec in &s.timeline {
+    for seq in q.frames() {
+        let p = q.frame(seq).unwrap();
+        let sender = [kind::CAPTURE, kind::CULL, kind::TILE, kind::ENCODE].map(|k| p.ts_of(k, 0));
         assert!(
-            rec.is_monotonic(&stage::ORDER),
-            "frame {} timeline out of order: {:?}",
-            rec.seq,
-            rec.events
+            sender.iter().all(Option::is_some) && sender.is_sorted(),
+            "frame {seq} sender steps: {sender:?}"
         );
-        for st in [stage::CAPTURE, stage::CULL, stage::TILE, stage::ENCODE] {
-            assert!(
-                rec.ts_of(st).is_some(),
-                "frame {} missing sender stage {st}",
-                rec.seq
-            );
-        }
-        if !shown.contains(&rec.seq) {
+        if !shown.contains(&seq) {
             continue;
         }
-        for st in [
-            stage::PACKETIZE,
-            stage::LINK,
-            stage::REASSEMBLY,
-            stage::JITTER,
-            stage::DECODE,
-        ] {
+        for (transport, codec) in LANES {
+            let lane = [
+                sender[3],
+                p.ts_on(kind::PACKETIZE, 0, transport),
+                p.ts_on(kind::RECV, 1, transport),
+                p.ts_on(kind::PLAYOUT, 1, transport),
+                p.ts_on(kind::DECODE, 1, codec),
+                p.ts_of(kind::DISPLAY, 1),
+            ];
             assert!(
-                rec.ts_of(st).is_some(),
-                "displayed frame {} missing {st}",
-                rec.seq
+                lane.iter().all(Option::is_some) && lane.is_sorted(),
+                "displayed frame {seq} on {transport}: {lane:?}"
             );
         }
         checked += 1;
     }
-    // Eviction may drop the oldest records, but most displayed frames must
-    // have survived with a full sender→receiver trail.
+    // Ring wraparound may drop the oldest events, but most displayed frames
+    // must have survived with a full sender→receiver path.
     assert!(
         checked as f64 > shown.len() as f64 * 0.8,
         "{checked}/{}",
@@ -75,9 +73,36 @@ fn every_displayed_frame_has_a_complete_monotonic_timeline() {
 }
 
 #[test]
+fn a_repaired_frame_carries_its_loss_and_its_recovery_on_one_path() {
+    // 2 % random loss: some frame loses a packet, asks for it, gets it
+    // again and still plays out. All four events sit on that frame's one
+    // path, in causal order, on the lane the packet belonged to.
+    let mut session = SessionConfig::default();
+    session.link.random_loss = 0.02;
+    let cfg = quick(VideoId::Band2).session(session).build().unwrap();
+    let s = ConferenceRunner::new(cfg).run(BandwidthTrace::constant(40.0, 8.0));
+    assert!(s.metrics.counter("transport.retransmits").unwrap_or(0) > 0);
+
+    let q = TraceQuery::new(s.trace.clone());
+    let repaired = q.frames().into_iter().any(|seq| {
+        let p = q.frame(seq).unwrap();
+        LANES.iter().any(|(lane, _)| {
+            let path = [
+                p.ts_on(kind::NACK, 1, lane),
+                p.ts_on(kind::RETX, 0, lane),
+                p.ts_on(kind::RECV, 1, lane),
+                p.ts_on(kind::PLAYOUT, 1, lane),
+            ];
+            path.iter().all(Option::is_some) && path.is_sorted()
+        })
+    });
+    assert!(repaired, "no frame path holds nack → retx → recv → playout");
+}
+
+#[test]
 fn metrics_agree_with_summary_aggregates() {
     let trace = BandwidthTrace::generate(TraceId::Trace2, 10.0, 7);
-    let s = ConferenceRunner::new(quick(VideoId::Toddler4)).run(trace);
+    let s = ConferenceRunner::new(quick(VideoId::Toddler4).build().unwrap()).run(trace);
     let m = &s.metrics;
 
     // Codec counters: every sender frame was encoded on both streams.
@@ -129,7 +154,7 @@ fn telemetry_overhead_stays_small() {
     // range Table 6 reported before the histogram migration.
     let run = || {
         let trace = BandwidthTrace::generate(TraceId::Trace2, 8.0, 13);
-        ConferenceRunner::new(quick(VideoId::Dance5)).run(trace)
+        ConferenceRunner::new(quick(VideoId::Dance5).build().unwrap()).run(trace)
     };
     let a = run();
     let b = run();
