@@ -6,10 +6,12 @@
 //! of the differential tests and as the baseline here — so the reported
 //! speedups measure the actual replacement, on the actual machine, not a
 //! synthetic stand-in. The pixel-path points (`compose`, `reconstruct`,
-//! `voxel_downsample`, `render_prep`) and the three inter-frame points
-//! (`encode_inter_static`, `decode_inter_static`, `raw_bits`) carry their
-//! baselines in this file instead: the product has one pixel path, one
-//! inter-frame coder and one place bypass bits go, no reference twins.
+//! `voxel_downsample`, `render_prep`) and the inter-frame points
+//! (`encode_inter_static`, `decode_inter_static`, `coeff_coder_*`) carry
+//! their baselines in this file instead: the product has one pixel path, one
+//! inter-frame coder and one block layout, no reference twins. The two
+//! `coeff_coder` points also carry both coders' payload bits, which repeat
+//! exactly and are gated against a ceiling beside the clock.
 //! `repro kernels` prints the table; `--json` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
@@ -32,6 +34,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, RgbdFrame, VideoId};
+use livo_codec2d::block::{
+    decode_block, decode_svalue, encode_block, encode_svalue, CoeffContexts,
+};
 use livo_codec2d::dct::ZIGZAG;
 use livo_codec2d::motion::{MotionVector, MB_SIZE};
 use livo_codec2d::plane::write_block8_into_stripe;
@@ -66,6 +71,16 @@ pub struct KernelPoint {
     /// Informational points (thread-scaling measurements on an unknown
     /// core count) are reported but not ratcheted.
     pub gated: bool,
+    /// What both sides wrote, where the point compares two coders.
+    pub bits: Option<CodedBits>,
+}
+
+/// Payload sizes of a coder point. They repeat exactly, so `--gate` holds
+/// `fast` to `ceiling` times `reference` whatever the clock says.
+pub struct CodedBits {
+    pub fast: u64,
+    pub reference: u64,
+    pub ceiling: f64,
 }
 
 impl KernelPoint {
@@ -191,6 +206,7 @@ fn bench_cull() -> KernelPoint {
         fast_ns: (fast - clone_med).max(1.0),
         ref_ns: (naive - clone_med).max(1.0),
         gated: true,
+        bits: None,
     }
 }
 
@@ -233,6 +249,7 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
             fast_ns: f_fast / per,
             ref_ns: f_ref / per,
             gated: true,
+            bits: None,
         },
         KernelPoint {
             name: "dct_inverse",
@@ -240,6 +257,7 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
             fast_ns: i_fast / per,
             ref_ns: i_ref / per,
             gated: true,
+            bits: None,
         },
     )
 }
@@ -283,6 +301,7 @@ fn bench_sad() -> KernelPoint {
         fast_ns: fast / count as f64,
         ref_ns: naive / count as f64,
         gated: true,
+        bits: None,
     }
 }
 
@@ -333,6 +352,7 @@ fn bench_dct_avx2() -> (KernelPoint, KernelPoint) {
             fast_ns: f_fast / per,
             ref_ns: f_base / per,
             gated: avx2_gated(),
+            bits: None,
         },
         KernelPoint {
             name: "idct_avx2",
@@ -340,6 +360,7 @@ fn bench_dct_avx2() -> (KernelPoint, KernelPoint) {
             fast_ns: i_fast / per,
             ref_ns: i_base / per,
             gated: avx2_gated(),
+            bits: None,
         },
     )
 }
@@ -377,6 +398,7 @@ fn bench_sad_avx2() -> KernelPoint {
         fast_ns: fast / count as f64,
         ref_ns: base / count as f64,
         gated: avx2_gated(),
+        bits: None,
     }
 }
 
@@ -421,6 +443,7 @@ fn bench_decode_sliced() -> KernelPoint {
         fast_ns: par / per,
         ref_ns: serial / per,
         gated: false,
+        bits: None,
     }
 }
 
@@ -606,6 +629,7 @@ fn bench_receiver() -> (KernelPoint, KernelPoint) {
             fast_ns: rec_fast,
             ref_ns: rec_ref,
             gated: true,
+            bits: None,
         },
         KernelPoint {
             name: "voxel_downsample",
@@ -613,6 +637,7 @@ fn bench_receiver() -> (KernelPoint, KernelPoint) {
             fast_ns: vox_fast,
             ref_ns: vox_ref,
             gated: true,
+            bits: None,
         },
     )
 }
@@ -719,6 +744,7 @@ fn bench_compose_and_render_prep() -> (KernelPoint, KernelPoint) {
             fast_ns: compose_fast,
             ref_ns: compose_ref,
             gated: true,
+            bits: None,
         },
         KernelPoint {
             name: "render_prep",
@@ -726,6 +752,7 @@ fn bench_compose_and_render_prep() -> (KernelPoint, KernelPoint) {
             fast_ns: prep_fast,
             ref_ns: prep_ref,
             gated: true,
+            bits: None,
         },
     )
 }
@@ -758,6 +785,7 @@ fn bench_pool_scope() -> (KernelPoint, KernelPoint) {
         fast_ns,
         ref_ns,
         gated: false,
+        bits: None,
     };
     (
         point(
@@ -776,7 +804,7 @@ fn bench_pool_scope() -> (KernelPoint, KernelPoint) {
 }
 
 // ---------------------------------------------------------------------
-// Static macroblocks and the raw-bit tail: one inter frame of the canvas pair.
+// Static macroblocks and the block coder: one inter frame of the canvas pair.
 // ---------------------------------------------------------------------
 
 /// QPs the rate controller settles on for this content on `call_steady`.
@@ -785,120 +813,110 @@ const DEPTH_QP: u8 = 40;
 /// `EncoderConfig::new`'s search range.
 const SEARCH_RANGE: i16 = 8;
 
-/// Where the oracle's entropy symbols go: into the coder one bypass bit at
-/// a time (which is what defines the order of the tail), or into a list to
-/// replay.
-trait SymbolSink {
-    fn ctx(&mut self, model: &mut BitModel, bit: bool);
-    fn bits(&mut self, value: u32, nbits: u32);
-    fn ue(&mut self, value: u32);
-    fn bypass(&mut self, bit: bool);
-}
+/// The block coder as it was while every coefficient went through the range
+/// coder: a banded significance flag per position under `last` and a
+/// "greater than one" flag per level, both context-coded, with exp-Golomb
+/// tails and a raw sign. What `coeff_coder` times and sizes the product's
+/// coder against, and kept nowhere else.
+const BAND_OLD: [u8; 64] = {
+    let mut t = [0u8; 64];
+    let mut pos = 0;
+    while pos < 64 {
+        t[pos] = match pos {
+            0 => 0,
+            1..=2 => 1,
+            3..=9 => 2,
+            10..=24 => 3,
+            _ => 4,
+        };
+        pos += 1;
+    }
+    t
+};
 
-struct BitAtATime(RangeEncoder);
-
-impl SymbolSink for BitAtATime {
-    fn ctx(&mut self, model: &mut BitModel, bit: bool) {
-        self.0.encode_bit(model, bit);
-    }
-    fn bits(&mut self, value: u32, nbits: u32) {
-        for i in (0..nbits).rev() {
-            self.0.encode_bypass((value >> i) & 1 == 1);
-        }
-    }
-    fn ue(&mut self, value: u32) {
-        let v = value + 1;
-        let nbits = 32 - v.leading_zeros();
-        for _ in 0..nbits - 1 {
-            self.0.encode_bypass(false);
-        }
-        self.0.encode_bypass(true);
-        for i in (0..nbits - 1).rev() {
-            self.0.encode_bypass((v >> i) & 1 == 1);
-        }
-    }
-    fn bypass(&mut self, bit: bool) {
-        self.0.encode_bypass(bit);
-    }
-}
-
-/// One entropy symbol of a frame, context identity dropped (the replay
-/// feeds every context bit to one model; what matters is that they move
-/// `range` between the bypass fields as they do in a frame).
-#[derive(Clone, Copy)]
-enum Symbol {
-    Ctx(bool),
-    Bits(u32, u32),
-    Ue(u32),
-    Bypass(bool),
+#[inline]
+fn band_old(pos: usize) -> usize {
+    BAND_OLD[pos] as usize
 }
 
 #[derive(Default)]
-struct Recorder(Vec<Symbol>);
-
-impl SymbolSink for Recorder {
-    fn ctx(&mut self, _: &mut BitModel, bit: bool) {
-        self.0.push(Symbol::Ctx(bit));
-    }
-    fn bits(&mut self, value: u32, nbits: u32) {
-        self.0.push(Symbol::Bits(value, nbits));
-    }
-    fn ue(&mut self, value: u32) {
-        self.0.push(Symbol::Ue(value));
-    }
-    fn bypass(&mut self, bit: bool) {
-        self.0.push(Symbol::Bypass(bit));
-    }
-}
-
-fn band_oracle(pos: usize) -> usize {
-    match pos {
-        0 => 0,
-        1..=2 => 1,
-        3..=9 => 2,
-        10..=24 => 3,
-        _ => 4,
-    }
-}
-
-#[derive(Default)]
-struct ContextsOracle {
+struct ContextsOld {
     cbf: BitModel,
     sig: [BitModel; 5],
     gt1: [BitModel; 5],
     last_hi: BitModel,
 }
 
-fn encode_block_oracle(s: &mut impl SymbolSink, ctx: &mut ContextsOracle, levels: &[i32; 64]) {
-    let Some(last) = (0..64).rev().find(|&pos| levels[ZIGZAG[pos]] != 0) else {
-        s.ctx(&mut ctx.cbf, false);
+fn encode_block_old(enc: &mut RangeEncoder, ctx: &mut ContextsOld, levels: &[i32; 64]) {
+    // Scan in zig-zag order, find the last significant position.
+    let mut last: Option<usize> = None;
+    for pos in (0..64).rev() {
+        if levels[ZIGZAG[pos]] != 0 {
+            last = Some(pos);
+            break;
+        }
+    }
+    let Some(last) = last else {
+        enc.encode_bit(&mut ctx.cbf, false);
         return;
     };
-    s.ctx(&mut ctx.cbf, true);
-    s.ctx(&mut ctx.last_hi, last >= 32);
-    s.bits(last as u32 % 32, 5);
+    enc.encode_bit(&mut ctx.cbf, true);
+    if last < 32 {
+        enc.encode_bit(&mut ctx.last_hi, false);
+        enc.encode_bits(last as u32, 5);
+    } else {
+        enc.encode_bit(&mut ctx.last_hi, true);
+        enc.encode_bits(last as u32 - 32, 5);
+    }
     for pos in 0..=last {
         let level = levels[ZIGZAG[pos]];
         if pos < last {
-            s.ctx(&mut ctx.sig[band_oracle(pos)], level != 0);
-            if level == 0 {
+            let significant = level != 0;
+            enc.encode_bit(&mut ctx.sig[band_old(pos)], significant);
+            if !significant {
                 continue;
             }
         }
+        // Magnitude ≥ 1 here.
         let mag = level.unsigned_abs();
-        s.ctx(&mut ctx.gt1[band_oracle(pos)], mag > 1);
-        if mag > 1 {
-            s.ue(mag - 2);
+        let gt1 = mag > 1;
+        enc.encode_bit(&mut ctx.gt1[band_old(pos)], gt1);
+        if gt1 {
+            enc.encode_ue_bypass(mag - 2);
         }
-        s.bypass(level < 0);
+        enc.encode_bypass(level < 0);
     }
 }
 
-fn encode_svalue_oracle(s: &mut impl SymbolSink, v: i32) {
-    s.ue(v.unsigned_abs());
-    if v != 0 {
-        s.bypass(v < 0);
+fn decode_block_old(
+    dec: &mut RangeDecoder<'_>,
+    ctx: &mut ContextsOld,
+    levels: &mut [i32; 64],
+) -> bool {
+    *levels = [0; 64];
+    if !dec.decode_bit(&mut ctx.cbf) {
+        return false;
     }
+    let hi = dec.decode_bit(&mut ctx.last_hi);
+    let mut last = dec.decode_bits(5) as usize;
+    if hi {
+        last += 32;
+    }
+    for pos in 0..=last {
+        if pos < last && !dec.decode_bit(&mut ctx.sig[band_old(pos)]) {
+            continue;
+        }
+        let gt1 = dec.decode_bit(&mut ctx.gt1[band_old(pos)]);
+        let mag = if gt1 {
+            dec.decode_ue_bypass().saturating_add(2)
+        } else {
+            1
+        };
+        let neg = dec.decode_bypass();
+        let mag = mag.min(i32::MAX as u32) as i32;
+        levels[ZIGZAG[pos]] = if neg { -mag } else { mag };
+    }
+    true
 }
 
 /// `motion::diamond_search` as it was: every probe scored, SAD 0 or not.
@@ -1110,15 +1128,15 @@ fn plane_qp(qp: u8, pi: usize) -> u8 {
     }
 }
 
-/// One inter frame coded the way it was before the static-macroblock path:
-/// plans of every plane, then each slice's symbols into `new_sink()`.
-/// Returns the reconstruction and the sinks, one per slice.
-fn encode_inter_oracle<S: SymbolSink>(
-    frame: &Frame,
-    prev: &Frame,
-    qp: u8,
-    new_sink: impl Fn() -> S,
-) -> (Frame, Vec<S>) {
+/// One inter frame planned the way it was before the static-macroblock
+/// path: the reconstruction and the plans of every plane.
+struct InterOracle {
+    recon: Frame,
+    luma: Vec<PlanOracle>,
+    chroma: Vec<Vec<[i32; 64]>>,
+}
+
+fn plan_inter_oracle(frame: &Frame, prev: &Frame, qp: u8) -> InterOracle {
     let peak = frame.format.peak_value();
     let mut recon = Frame::new(frame.format, frame.width, frame.height);
     let mbs_x = frame.width.div_ceil(MB_SIZE);
@@ -1129,7 +1147,7 @@ fn encode_inter_oracle<S: SymbolSink>(
         quant::qstep(qp),
         peak,
     );
-    let chroma: Vec<Vec<[i32; 64]>> = (1..frame.planes.len())
+    let chroma = (1..frame.planes.len())
         .map(|pi| {
             plan_chroma_oracle(
                 &frame.planes[pi],
@@ -1142,32 +1160,67 @@ fn encode_inter_oracle<S: SymbolSink>(
             )
         })
         .collect();
-    let sinks = slice_rows(frame.height)
-        .into_iter()
-        .map(|(mb0, mb1)| {
-            let mut s = new_sink();
-            let mut coeff = ContextsOracle::default();
-            let mut skip_model = BitModel::new();
-            for plan in &luma[mb0 * mbs_x..mb1 * mbs_x] {
-                s.ctx(&mut skip_model, plan.skip);
-                if !plan.skip {
-                    encode_svalue_oracle(&mut s, (plan.mv.dx - plan.pred_mv.dx) as i32);
-                    encode_svalue_oracle(&mut s, (plan.mv.dy - plan.pred_mv.dy) as i32);
-                    for levels in &plan.levels4 {
-                        encode_block_oracle(&mut s, &mut coeff, levels);
+    InterOracle {
+        recon,
+        luma,
+        chroma,
+    }
+}
+
+impl InterOracle {
+    /// Each slice's luma macroblocks and chroma block rows, plane by plane.
+    fn slices(&self) -> impl Iterator<Item = (&[PlanOracle], Vec<&[[i32; 64]]>)> {
+        let mbs_x = self.recon.width.div_ceil(MB_SIZE);
+        slice_rows(self.recon.height)
+            .into_iter()
+            .map(move |(mb0, mb1)| {
+                let chroma = self
+                    .chroma
+                    .iter()
+                    .map(|plans| &plans[mb0 * mbs_x..(mb1 * mbs_x).min(plans.len())])
+                    .collect();
+                (&self.luma[mb0 * mbs_x..mb1 * mbs_x], chroma)
+            })
+    }
+
+    /// The slice payloads, through the product's block coder.
+    fn payloads(&self) -> Vec<Vec<u8>> {
+        self.slices()
+            .map(|(luma, chroma)| {
+                let mut enc = RangeEncoder::new();
+                let mut coeff = CoeffContexts::new();
+                let mut skip_model = BitModel::new();
+                for plan in luma {
+                    enc.encode_bit(&mut skip_model, plan.skip);
+                    if !plan.skip {
+                        encode_svalue(&mut enc, (plan.mv.dx - plan.pred_mv.dx) as i32);
+                        encode_svalue(&mut enc, (plan.mv.dy - plan.pred_mv.dy) as i32);
+                        for levels in &plan.levels4 {
+                            encode_block(&mut enc, &mut coeff, levels);
+                        }
                     }
                 }
-            }
-            for plans in &chroma {
-                let mut cctx = ContextsOracle::default();
-                for levels in &plans[mb0 * mbs_x..(mb1 * mbs_x).min(plans.len())] {
-                    encode_block_oracle(&mut s, &mut cctx, levels);
+                for plans in chroma {
+                    let mut cctx = CoeffContexts::new();
+                    for levels in plans {
+                        encode_block(&mut enc, &mut cctx, levels);
+                    }
                 }
-            }
-            s
-        })
-        .collect();
-    (recon, sinks)
+                enc.finish()
+            })
+            .collect()
+    }
+
+    /// The level blocks the frame codes, grouped as they share contexts.
+    fn coded_blocks(&self) -> Vec<Vec<[i32; 64]>> {
+        self.slices()
+            .flat_map(|(luma, chroma)| {
+                let coded = luma.iter().filter(|p| !p.skip);
+                let luma = coded.flat_map(|p| p.levels4).collect();
+                std::iter::once(luma).chain(chroma.into_iter().map(<[_]>::to_vec))
+            })
+            .collect()
+    }
 }
 
 /// Byte offset of the first slice payload of a frame with `n` slices and
@@ -1176,59 +1229,9 @@ fn payload_offset(n: usize) -> usize {
     8 + 4 * n
 }
 
-fn decode_ue_oracle(dec: &mut RangeDecoder<'_>) -> u32 {
-    let mut nbits = 1u32;
-    while !dec.decode_bypass() && nbits < 32 {
-        nbits += 1;
-    }
-    let mut v = 1u32;
-    for _ in 0..nbits - 1 {
-        v = (v << 1) | dec.decode_bypass() as u32;
-    }
-    v - 1
-}
-
-fn decode_svalue_oracle(dec: &mut RangeDecoder<'_>) -> i32 {
-    let mag = decode_ue_oracle(dec).min(i32::MAX as u32) as i32;
-    if mag != 0 && dec.decode_bypass() {
-        -mag
-    } else {
-        mag
-    }
-}
-
-fn decode_block_oracle(dec: &mut RangeDecoder<'_>, ctx: &mut ContextsOracle) -> [i32; 64] {
-    let mut levels = [0i32; 64];
-    if !dec.decode_bit(&mut ctx.cbf) {
-        return levels;
-    }
-    let hi = dec.decode_bit(&mut ctx.last_hi);
-    let mut last = 0usize;
-    for _ in 0..5 {
-        last = (last << 1) | dec.decode_bypass() as usize;
-    }
-    if hi {
-        last += 32;
-    }
-    for pos in 0..=last {
-        if pos < last && !dec.decode_bit(&mut ctx.sig[band_oracle(pos)]) {
-            continue;
-        }
-        let mag = if dec.decode_bit(&mut ctx.gt1[band_oracle(pos)]) {
-            decode_ue_oracle(dec).saturating_add(2)
-        } else {
-            1
-        };
-        let neg = dec.decode_bypass();
-        let mag = mag.min(i32::MAX as u32) as i32;
-        levels[ZIGZAG[pos]] = if neg { -mag } else { mag };
-    }
-    levels
-}
-
 /// One inter frame decoded the way it was: every macroblock predicted into
 /// a buffer and written back block by block, every coded block — empty or
-/// not — through the inverse transform, bypass bits one at a time.
+/// not — through the inverse transform.
 fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
     let format = prev.format;
     let peak = format.peak_value();
@@ -1243,7 +1246,7 @@ fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
         offset += len;
         let mut mvs = vec![MotionVector::default(); (mb1 - mb0) * mbs_x];
         let step = quant::qstep(qp);
-        let mut coeff = ContextsOracle::default();
+        let mut coeff = CoeffContexts::new();
         let mut skip_model = BitModel::new();
         let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
         let y0 = mb0 * MB_SIZE;
@@ -1262,11 +1265,11 @@ fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
                 let (mv, levels4) = if dec.decode_bit(&mut skip_model) {
                     (pred_mv, None)
                 } else {
-                    let dx = (decode_svalue_oracle(&mut dec) as i16).wrapping_add(pred_mv.dx);
-                    let dy = (decode_svalue_oracle(&mut dec) as i16).wrapping_add(pred_mv.dy);
+                    let dx = (decode_svalue(&mut dec) as i16).wrapping_add(pred_mv.dx);
+                    let dy = (decode_svalue(&mut dec) as i16).wrapping_add(pred_mv.dy);
                     let mut l4 = [[0i32; 64]; 4];
                     for l in &mut l4 {
-                        *l = decode_block_oracle(&mut dec, &mut coeff);
+                        decode_block(&mut dec, &mut coeff, l);
                     }
                     (MotionVector { dx, dy }, Some(l4))
                 };
@@ -1296,14 +1299,15 @@ fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
             let (c0, c1) = ((mb0 * 8).min(ph), (mb1 * 8).min(ph));
             let stripe = &mut plane.data[c0 * pw..c1 * pw];
             let cstep = quant::qstep(plane_qp(qp, pi));
-            let mut cctx = ContextsOracle::default();
+            let mut cctx = CoeffContexts::new();
+            let mut levels = [0i32; 64];
             for by in (c0..c1).step_by(8) {
                 for bx in (0..pw).step_by(8) {
                     let mv = mvs
                         .get((by / 8 - mb0) * mbs_x + bx / 8)
                         .copied()
                         .unwrap_or_default();
-                    let levels = decode_block_oracle(&mut dec, &mut cctx);
+                    decode_block(&mut dec, &mut cctx, &mut levels);
                     let res = dct::inverse(&quant::dequantize_block(&levels, cstep, DC_SCALE));
                     let mut rec = [0i32; 64];
                     for dy in 0..8 {
@@ -1323,174 +1327,6 @@ fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
     out
 }
 
-/// `BitModel`'s adaptation, for the one model the replays below send every
-/// context bit to.
-fn adapt(prob0: &mut u32, bit: bool) {
-    if bit {
-        *prob0 -= *prob0 >> 5;
-    } else {
-        *prob0 += (4096 - *prob0) >> 5;
-    }
-}
-
-/// The range encoder as it was while bypass bits went through it: a field
-/// in runs of `8 − leading_zeros(range)` halvings, one renormalisation a
-/// run. What `raw_bits` times the tail against, and kept nowhere else.
-struct RangeCodedBypass {
-    low: u64,
-    range: u32,
-    cache: u8,
-    cache_size: u64,
-    out: Vec<u8>,
-    prob0: u32,
-}
-
-impl RangeCodedBypass {
-    fn new() -> Self {
-        RangeCodedBypass {
-            low: 0,
-            range: u32::MAX,
-            cache: 0,
-            cache_size: 1,
-            out: Vec::new(),
-            prob0: 2048,
-        }
-    }
-
-    fn shift_low(&mut self) {
-        if self.low < 0xFF00_0000 || self.low > 0xFFFF_FFFF {
-            let carry = (self.low >> 32) as u8;
-            let mut c = self.cache;
-            while self.cache_size > 0 {
-                self.out.push(c.wrapping_add(carry));
-                c = 0xFF;
-                self.cache_size -= 1;
-            }
-            self.cache = (self.low >> 24) as u8;
-        }
-        self.cache_size += 1;
-        self.low = (self.low << 8) & 0xFFFF_FFFF;
-    }
-
-    fn ctx(&mut self, bit: bool) {
-        let bound = (self.range >> 12) * self.prob0;
-        if bit {
-            self.low += bound as u64;
-            self.range -= bound;
-        } else {
-            self.range = bound;
-        }
-        adapt(&mut self.prob0, bit);
-        while self.range < 1 << 24 {
-            self.range <<= 8;
-            self.shift_low();
-        }
-    }
-
-    fn bits(&mut self, value: u64, nbits: u32) {
-        let mut left = nbits;
-        while left > 0 {
-            let run = (8 - self.range.leading_zeros()).min(left);
-            left -= run;
-            for i in 1..=run {
-                let mask = ((value >> (left + run - i)) & 1).wrapping_neg();
-                self.low += (self.range >> i) as u64 & mask;
-            }
-            self.range >>= run;
-            if self.range < 1 << 24 {
-                self.range <<= 8;
-                self.shift_low();
-            }
-        }
-    }
-
-    fn ue(&mut self, value: u32) {
-        let nbits = 32 - (value + 1).leading_zeros();
-        self.bits(value as u64 + 1, 2 * nbits - 1);
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        for _ in 0..5 {
-            self.shift_low();
-        }
-        self.out
-    }
-}
-
-/// Its decoding half: fields in the same runs, the exp-Golomb prefix a
-/// halving at a time.
-struct RangeCodedBypassReader<'a> {
-    code: u32,
-    range: u32,
-    input: &'a [u8],
-    prob0: u32,
-}
-
-impl<'a> RangeCodedBypassReader<'a> {
-    fn new(input: &'a [u8]) -> Self {
-        let code = u32::from_be_bytes(input[1..5].try_into().expect("flushed stream"));
-        RangeCodedBypassReader {
-            code,
-            range: u32::MAX,
-            input: &input[5..],
-            prob0: 2048,
-        }
-    }
-
-    fn renormalise(&mut self) {
-        let (&byte, rest) = self.input.split_first().unwrap_or((&0, &[]));
-        self.input = rest;
-        self.code = (self.code << 8) | byte as u32;
-        self.range <<= 8;
-    }
-
-    fn ctx(&mut self) -> bool {
-        let bound = (self.range >> 12) * self.prob0;
-        let bit = self.code >= bound;
-        if bit {
-            self.code -= bound;
-            self.range -= bound;
-        } else {
-            self.range = bound;
-        }
-        adapt(&mut self.prob0, bit);
-        while self.range < 1 << 24 {
-            self.renormalise();
-        }
-        bit
-    }
-
-    fn bits(&mut self, nbits: u32) -> u32 {
-        let mut v = 0u32;
-        let mut left = nbits;
-        while left > 0 {
-            let run = (8 - self.range.leading_zeros()).min(left);
-            left -= run;
-            for i in 1..=run {
-                let half = self.range >> i;
-                let bit = self.code >= half;
-                if bit {
-                    self.code -= half;
-                }
-                v = (v << 1) | bit as u32;
-            }
-            self.range >>= run;
-            if self.range < 1 << 24 {
-                self.renormalise();
-            }
-        }
-        v
-    }
-
-    fn ue(&mut self) -> u32 {
-        let mut nbits = 1;
-        while self.bits(1) == 0 {
-            nbits += 1;
-        }
-        ((1 << (nbits - 1)) | self.bits(nbits - 1)) - 1
-    }
-}
-
 /// Smallest of `REPS` timings each of `fast` and `reference`, alternating;
 /// each call returns the nanoseconds of its own timed part, so set-up that
 /// must be redone per pass (a fresh encoder, a primed decoder) stays out.
@@ -1505,7 +1341,68 @@ fn best_of_pair(mut fast: impl FnMut() -> f64, mut reference: impl FnMut() -> f6
     best
 }
 
-fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
+/// One frame's coded level blocks written and read back through a block
+/// coder, fresh contexts per group: the payload's bits, and whether every
+/// block came back.
+fn replay_blocks<C: Default>(
+    groups: &[Vec<[i32; 64]>],
+    encode: impl Fn(&mut RangeEncoder, &mut C, &[i32; 64]),
+    decode: impl Fn(&mut RangeDecoder<'_>, &mut C, &mut [i32; 64]) -> bool,
+) -> (u64, bool) {
+    let mut enc = RangeEncoder::new();
+    for group in groups {
+        let mut ctx = C::default();
+        for levels in group {
+            encode(&mut enc, &mut ctx, levels);
+        }
+    }
+    let data = enc.finish();
+    let mut dec = RangeDecoder::new(&data);
+    let mut levels = [0i32; 64];
+    let mut same = true;
+    for group in groups {
+        let mut ctx = C::default();
+        for want in group {
+            decode(&mut dec, &mut ctx, &mut levels);
+            same &= levels == *want;
+        }
+    }
+    (data.len() as u64 * 8, same)
+}
+
+/// The product's block coder against the one it replaced, on the blocks
+/// one inter frame codes. `ceiling` bounds new bits over old bits.
+fn bench_coeff_coder(
+    name: &'static str,
+    unit: &'static str,
+    groups: &[Vec<[i32; 64]>],
+    ceiling: f64,
+) -> KernelPoint {
+    let new = || replay_blocks::<CoeffContexts>(groups, encode_block, decode_block);
+    let old = || replay_blocks::<ContextsOld>(groups, encode_block_old, decode_block_old);
+    let ((fast, new_same), (reference, old_same)) = (new(), old());
+    assert!(new_same && old_same, "{name}: replays read back");
+    let timed = |f: &dyn Fn() -> (u64, bool)| {
+        let t0 = Instant::now();
+        black_box(f());
+        t0.elapsed().as_nanos() as f64
+    };
+    let (fast_ns, ref_ns) = best_of_pair(|| timed(&new), || timed(&old));
+    KernelPoint {
+        name,
+        unit,
+        fast_ns,
+        ref_ns,
+        gated: true,
+        bits: Some(CodedBits {
+            fast,
+            reference,
+            ceiling,
+        }),
+    }
+}
+
+fn bench_inter_static() -> [KernelPoint; 4] {
     // Three consecutive captures: a keyframe and two inter frames a stream.
     const FRAMES: usize = 3;
     let canvases: Vec<(Frame, Frame)> = (0..FRAMES)
@@ -1533,28 +1430,29 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
         .collect();
 
     // The oracles must rebuild exactly that, or the timings compare
-    // different work.
-    let mut depth_symbols = Vec::new();
+    // different work. The first inter frame of each stream keeps its coded
+    // blocks for the coefficient-coder replay.
+    let mut blocks = Vec::new();
     for ((frames, qp), coded) in streams.iter().zip(&coded) {
         for i in 1..FRAMES {
             let prev = &coded[i - 1].reconstruction;
-            let (recon, sinks) =
-                encode_inter_oracle(frames[i], prev, *qp, || BitAtATime(RangeEncoder::new()));
-            assert_eq!(recon, coded[i].reconstruction, "oracle reconstruction");
-            let payloads: Vec<u8> = sinks.into_iter().flat_map(|s| s.0.finish()).collect();
+            let oracle = plan_inter_oracle(frames[i], prev, *qp);
             assert_eq!(
-                payloads,
-                coded[i].data[payload_offset(slice_rows(recon.height).len())..],
+                oracle.recon, coded[i].reconstruction,
+                "oracle reconstruction"
+            );
+            assert_eq!(
+                oracle.payloads().concat(),
+                coded[i].data[payload_offset(slice_rows(oracle.recon.height).len())..],
                 "oracle bitstream"
             );
             assert_eq!(
                 decode_inter_oracle(&coded[i].data, prev, *qp),
-                recon,
+                oracle.recon,
                 "oracle decode"
             );
-            if frames[i].format == PixelFormat::Y16 && i == 1 {
-                let (_, sinks) = encode_inter_oracle(frames[i], prev, *qp, Recorder::default);
-                depth_symbols = sinks.into_iter().flat_map(|s| s.0).collect();
+            if i == 1 {
+                blocks.push(oracle.coded_blocks());
             }
         }
     }
@@ -1578,14 +1476,9 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
             let t0 = Instant::now();
             for ((frames, qp), coded) in streams.iter().zip(&coded) {
                 for i in 1..FRAMES {
-                    let prev = &coded[i - 1].reconstruction;
-                    let (recon, sinks) = encode_inter_oracle(frames[i], prev, *qp, || {
-                        BitAtATime(RangeEncoder::new())
-                    });
-                    for s in sinks {
-                        black_box(s.0.finish());
-                    }
-                    black_box(recon);
+                    let oracle = plan_inter_oracle(frames[i], &coded[i - 1].reconstruction, *qp);
+                    black_box(oracle.payloads());
+                    black_box(oracle.recon);
                 }
             }
             t0.elapsed().as_nanos() as f64
@@ -1620,100 +1513,14 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
         },
     );
 
-    // The depth frame's symbols again, written and read back: bypass bits
-    // to the raw-bit tail against through the range coder; context bits go
-    // to one model on both sides.
-    let bypass_bits: u64 = depth_symbols
-        .iter()
-        .map(|s| match *s {
-            Symbol::Ctx(_) => 0,
-            Symbol::Bits(_, n) => n as u64,
-            Symbol::Ue(v) => 2 * (32 - (v + 1).leading_zeros()) as u64 - 1,
-            Symbol::Bypass(_) => 1,
-        })
-        .sum();
-    // Both return the payload size and a sum over what was read back.
-    let replay_tail = || {
-        let mut enc = RangeEncoder::new();
-        let mut model = BitModel::new();
-        for s in &depth_symbols {
-            match *s {
-                Symbol::Ctx(bit) => enc.encode_bit(&mut model, bit),
-                Symbol::Bits(v, n) => enc.encode_bits(v, n),
-                Symbol::Ue(v) => enc.encode_ue_bypass(v),
-                Symbol::Bypass(bit) => enc.encode_bypass(bit),
-            }
-        }
-        let data = enc.finish();
-        let mut dec = RangeDecoder::new(&data);
-        let mut model = BitModel::new();
-        let mut sum = 0u64;
-        for s in &depth_symbols {
-            sum += match *s {
-                Symbol::Ctx(_) => dec.decode_bit(&mut model) as u64,
-                Symbol::Bits(_, n) => dec.decode_bits(n) as u64,
-                Symbol::Ue(_) => dec.decode_ue_bypass() as u64,
-                Symbol::Bypass(_) => dec.decode_bypass() as u64,
-            };
-        }
-        (data.len(), sum)
-    };
-    let replay_range_coded = || {
-        let mut enc = RangeCodedBypass::new();
-        for s in &depth_symbols {
-            match *s {
-                Symbol::Ctx(bit) => enc.ctx(bit),
-                Symbol::Bits(v, n) => enc.bits(v as u64, n),
-                Symbol::Ue(v) => enc.ue(v),
-                Symbol::Bypass(bit) => enc.bits(bit as u64, 1),
-            }
-        }
-        let data = enc.finish();
-        let mut dec = RangeCodedBypassReader::new(&data);
-        let mut sum = 0u64;
-        for s in &depth_symbols {
-            sum += match *s {
-                Symbol::Ctx(_) => dec.ctx() as u64,
-                Symbol::Bits(_, n) => dec.bits(n) as u64,
-                Symbol::Ue(_) => dec.ue() as u64,
-                Symbol::Bypass(_) => dec.bits(1) as u64,
-            };
-        }
-        (data.len(), sum)
-    };
-    let want: u64 = depth_symbols
-        .iter()
-        .map(|s| match *s {
-            Symbol::Ctx(bit) | Symbol::Bypass(bit) => bit as u64,
-            Symbol::Bits(v, _) | Symbol::Ue(v) => v as u64,
-        })
-        .sum();
-    let (tail_len, tail_sum) = replay_tail();
-    let (range_coded_len, range_coded_sum) = replay_range_coded();
-    assert_eq!(
-        (tail_sum, range_coded_sum),
-        (want, want),
-        "replays read back"
-    );
-    // A raw bit costs a bit; a halving of `range` a little more.
-    assert!(
-        tail_len <= range_coded_len + 1,
-        "{tail_len} against {range_coded_len} B"
-    );
-    let timed = |f: &dyn Fn() -> (usize, u64)| {
-        let t0 = Instant::now();
-        black_box(f());
-        t0.elapsed().as_nanos() as f64
-    };
-    let (raw_fast, raw_ref) = best_of_pair(|| timed(&replay_tail), || timed(&replay_range_coded));
-
-    (
+    [
         KernelPoint {
             name: "encode_inter_static",
             unit: "per inter frame pair (colour + depth), culled 0.25-scale canvases, best of 7",
             fast_ns: enc_fast / inter_frames,
             ref_ns: enc_ref / inter_frames,
             gated: true,
+            bits: None,
         },
         KernelPoint {
             name: "decode_inter_static",
@@ -1721,15 +1528,21 @@ fn bench_inter_static() -> (KernelPoint, KernelPoint, KernelPoint) {
             fast_ns: dec_fast / inter_frames,
             ref_ns: dec_ref / inter_frames,
             gated: true,
+            bits: None,
         },
-        KernelPoint {
-            name: "raw_bits",
-            unit: "per bypass bit, one depth frame's symbols written and read back, vs range-coded bypass, best of 7",
-            fast_ns: raw_fast / bypass_bits as f64,
-            ref_ns: raw_ref / bypass_bits as f64,
-            gated: true,
-        },
-    )
+        bench_coeff_coder(
+            "coeff_coder_color",
+            "per colour inter frame at QP 24, its coded blocks written and read back, vs context-coded coefficients, best of 7",
+            &blocks[0],
+            1.02,
+        ),
+        bench_coeff_coder(
+            "coeff_coder_depth",
+            "per depth inter frame at QP 40, its coded blocks written and read back, vs context-coded coefficients, best of 7",
+            &blocks[1],
+            1.0,
+        ),
+    ]
 }
 
 /// Run the full kernel sweep.
@@ -1739,8 +1552,7 @@ pub fn run() -> Vec<KernelPoint> {
     let (reconstruct, voxel_downsample) = bench_receiver();
     let (compose, render_prep) = bench_compose_and_render_prep();
     let (pool_scope_empty, pool_scope_tasks) = bench_pool_scope();
-    let (encode_inter_static, decode_inter_static, raw_bits) = bench_inter_static();
-    vec![
+    let mut points = vec![
         bench_cull(),
         dct_f,
         dct_i,
@@ -1755,10 +1567,9 @@ pub fn run() -> Vec<KernelPoint> {
         reconstruct,
         voxel_downsample,
         render_prep,
-        encode_inter_static,
-        decode_inter_static,
-        raw_bits,
-    ]
+    ];
+    points.extend(bench_inter_static());
+    points
 }
 
 /// Human-readable table.
@@ -1782,8 +1593,18 @@ pub fn text(points: &[KernelPoint]) -> String {
             p.unit,
             if p.gated { "" } else { " [not gated]" }
         ));
+        if let Some(b) = &p.bits {
+            s.push_str(&format!(
+                "{:>19} | {:>12} | {:>12} | {:>7.3}x | bits, fast over ref at most {}x\n",
+                "",
+                b.fast,
+                b.reference,
+                b.fast as f64 / b.reference as f64,
+                b.ceiling
+            ));
+        }
     }
-    s.push_str("\nReferences stay in-tree (cull_views_union_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the compose\nand render_prep ones the bodies before the lanes, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the raw_bits one the range\ncoder while bypass bits went through it, kept in kernels_bench.rs only.\n");
+    s.push_str("\nReferences stay in-tree (cull_views_union_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the compose\nand render_prep ones the bodies before the lanes, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the coeff_coder ones the block\ncoder while every coefficient went through the range coder, kept in\nkernels_bench.rs only.\n");
     s
 }
 
@@ -1824,6 +1645,11 @@ pub fn json(points: &[KernelPoint]) -> String {
             w.field_f64("speedup", p.speedup());
             w.field_bool("gated", p.gated);
             w.field_f64("gate_floor", GATE_FLOOR);
+            if let Some(b) = &p.bits {
+                w.field_u64("fast_bits", b.fast);
+                w.field_u64("ref_bits", b.reference);
+                w.field_f64("bits_ceiling", b.ceiling);
+            }
             w.finish();
         }
         arr.push(']');
@@ -1835,8 +1661,11 @@ pub fn json(points: &[KernelPoint]) -> String {
 /// Perf ratchet: true when every gated kernel clears [`GATE_FLOOR`].
 /// Non-gated points are informational.
 pub fn gate_ok(points: &[KernelPoint]) -> bool {
-    points
-        .iter()
-        .filter(|p| p.gated)
-        .all(|p| p.speedup() >= GATE_FLOOR)
+    points.iter().filter(|p| p.gated).all(|p| {
+        let bits_ok = p
+            .bits
+            .as_ref()
+            .is_none_or(|b| b.fast as f64 <= b.reference as f64 * b.ceiling);
+        p.speedup() >= GATE_FLOOR && bits_ok
+    })
 }

@@ -21,12 +21,14 @@
 //!
 //! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, the pixel
 //! path — compose, reconstruct, voxel downsample, render prep — one
-//! static-scene inter frame each way, the raw-bit tail) against the
-//! implementations they replaced, plus the AVX2 dispatch tier of DCT and
-//! SAD against its SSE2/scalar baseline and two pool-dispatch diagnostics;
-//! `--json <path>` snapshots it (schema `livo-bench-kernels-v1`, committed
-//! as BENCH_kernels.json) and `--gate` exits non-zero if any gated
-//! kernel runs slower than what it replaced (floor 1.0x on every point).
+//! static-scene inter frame each way, the block coder in time and bits)
+//! against the implementations they replaced, plus the AVX2 dispatch tier
+//! of DCT and SAD against its SSE2/scalar baseline and two pool-dispatch
+//! diagnostics; `--json <path>` snapshots it (schema
+//! `livo-bench-kernels-v1`, committed as BENCH_kernels.json) and `--gate`
+//! exits non-zero if any gated kernel runs slower than what it replaced
+//! (floor 1.0x on every point) or the block coder writes more bits than
+//! its ceiling over the old one's allows.
 //!
 //! `conference` runs a traced 3-party SFU call and prints reconstructed
 //! per-frame capture→display paths; `--trace <path>` additionally writes

@@ -446,14 +446,11 @@ fn decode_inter_slice(
                     }
                 }
                 let mut rec = [0i32; 64];
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        rec[dy * 8 + dx] = cprev.get_clamped(
-                            (bx + dx) as isize + cmv.dx as isize,
-                            (by + dy) as isize + cmv.dy as isize,
-                        ) as i32;
-                    }
-                }
+                cprev.read_block8_at(
+                    bx as isize + cmv.dx as isize,
+                    by as isize + cmv.dy as isize,
+                    &mut rec,
+                );
                 if coded {
                     add_residual(&mut rec, &levels, cstep);
                 }

@@ -36,9 +36,47 @@ fn band_oracle(pos: usize) -> usize {
 #[derive(Default)]
 struct ContextsOracle {
     cbf: BitModel,
-    sig: [BitModel; 5],
-    gt1: [BitModel; 5],
     last_hi: BitModel,
+    dens: [BitModel; 4],
+    mag: [u32; 5],
+}
+
+impl ContextsOracle {
+    /// The Rice parameter for a magnitude at `pos`: the bit length of an
+    /// eighth of the band's decayed sum, 15 at most.
+    fn rice_k(&self, pos: usize) -> u32 {
+        let mean = self.mag[band_oracle(pos)] / 8;
+        let mut k = 0;
+        while k < 15 && mean >> k != 0 {
+            k += 1;
+        }
+        k
+    }
+
+    fn take_in(&mut self, pos: usize, v: u32) {
+        let m = &mut self.mag[band_oracle(pos)];
+        *m = (*m - *m / 8).saturating_add(v);
+    }
+}
+
+/// How a mask of `last` flags, `nnz` of them set, is written: `None` raw,
+/// or `(dense, k)` — the gaps between its zeros (`dense`) or its ones,
+/// Rice-coded with parameter `k`.
+fn density_oracle(last: usize, nnz: usize) -> Option<(bool, u32)> {
+    let zeros = last - nnz;
+    if last < 8 {
+        None
+    } else if nnz * 8 < last {
+        Some((false, 3))
+    } else if nnz * 4 < last {
+        Some((false, 2))
+    } else if zeros * 8 < last {
+        Some((true, 3))
+    } else if zeros * 4 < last {
+        Some((true, 2))
+    } else {
+        None
+    }
 }
 
 pub(crate) fn encode_bits_oracle(enc: &mut RangeEncoder, value: u32, nbits: u32) {
@@ -66,40 +104,67 @@ fn encode_svalue_oracle(enc: &mut RangeEncoder, v: i32) {
     }
 }
 
-fn encode_block_oracle(enc: &mut RangeEncoder, ctx: &mut ContextsOracle, levels: &[i32; 64]) {
-    let mut last: Option<usize> = None;
-    for pos in (0..64).rev() {
-        if levels[ZIGZAG[pos]] != 0 {
-            last = Some(pos);
-            break;
-        }
+/// `zeros` zeros, a one, then `value` in `nbits` bits.
+pub(crate) fn encode_unary_oracle(enc: &mut RangeEncoder, zeros: u32, value: u32, nbits: u32) {
+    for _ in 0..zeros {
+        enc.encode_bypass(false);
     }
-    let Some(last) = last else {
+    enc.encode_bypass(true);
+    encode_bits_oracle(enc, value, nbits);
+}
+
+fn encode_block_oracle(enc: &mut RangeEncoder, ctx: &mut ContextsOracle, levels: &[i32; 64]) {
+    let sig: Vec<bool> = ZIGZAG.iter().map(|&i| levels[i] != 0).collect();
+    let Some(last) = sig.iter().rposition(|&s| s) else {
         enc.encode_bit(&mut ctx.cbf, false);
         return;
     };
     enc.encode_bit(&mut ctx.cbf, true);
-    if last < 32 {
-        enc.encode_bit(&mut ctx.last_hi, false);
-        encode_bits_oracle(enc, last as u32, 5);
-    } else {
-        enc.encode_bit(&mut ctx.last_hi, true);
-        encode_bits_oracle(enc, last as u32 - 32, 5);
+    enc.encode_bit(&mut ctx.last_hi, last >= 32);
+    encode_bits_oracle(enc, last as u32 % 32, 5);
+
+    let class = density_oracle(last, sig[..last].iter().filter(|&&s| s).count());
+    if last >= 8 {
+        enc.encode_bit(&mut ctx.dens[0], class.is_some());
     }
-    for pos in 0..=last {
-        let level = levels[ZIGZAG[pos]];
-        if pos < last {
-            let significant = level != 0;
-            enc.encode_bit(&mut ctx.sig[band_oracle(pos)], significant);
-            if !significant {
-                continue;
+    match class {
+        None => {
+            for &s in sig[..last].iter().rev() {
+                enc.encode_bypass(s);
             }
         }
-        let mag = level.unsigned_abs();
-        let gt1 = mag > 1;
-        enc.encode_bit(&mut ctx.gt1[band_oracle(pos)], gt1);
-        if gt1 {
-            encode_ue_oracle(enc, mag - 2);
+        Some((dense, k)) => {
+            enc.encode_bit(&mut ctx.dens[1], dense);
+            enc.encode_bit(&mut ctx.dens[2 + dense as usize], k == 3);
+            // A gap before every minority flag, and one more for what is
+            // left behind the last of them.
+            let mut gap = 0u32;
+            for &s in &sig[..last] {
+                if s == dense {
+                    gap += 1;
+                } else {
+                    encode_unary_oracle(enc, gap >> k, gap % (1 << k), k);
+                    gap = 0;
+                }
+            }
+            if gap > 0 {
+                encode_unary_oracle(enc, gap >> k, gap % (1 << k), k);
+            }
+        }
+    }
+
+    for pos in (0..=last).filter(|&pos| sig[pos]) {
+        let level = levels[ZIGZAG[pos]];
+        let v = level.unsigned_abs() - 1;
+        let k = ctx.rice_k(pos);
+        ctx.take_in(pos, v);
+        if v >> k < 10 {
+            encode_unary_oracle(enc, v >> k, v % (1 << k), k);
+        } else {
+            for _ in 0..10 {
+                enc.encode_bypass(false);
+            }
+            encode_ue_oracle(enc, v - (10 << k));
         }
         enc.encode_bypass(level < 0);
     }
@@ -139,29 +204,56 @@ fn decode_svalue_oracle(dec: &mut RangeDecoder<'_>) -> i32 {
     }
 }
 
+/// Zeros up to the first one, which is consumed too; `None` once `cap`
+/// zeros went by without one.
+pub(crate) fn decode_unary_oracle(dec: &mut RangeDecoder<'_>, cap: u32) -> Option<u32> {
+    (0..cap).find(|_| dec.decode_bypass())
+}
+
 fn decode_block_oracle(dec: &mut RangeDecoder<'_>, ctx: &mut ContextsOracle) -> [i32; 64] {
     let mut levels = [0i32; 64];
     if !dec.decode_bit(&mut ctx.cbf) {
         return levels;
     }
     let hi = dec.decode_bit(&mut ctx.last_hi);
-    let mut last = decode_bits_oracle(dec, 5) as usize;
-    if hi {
-        last += 32;
-    }
-    for pos in 0..=last {
-        if pos < last && !dec.decode_bit(&mut ctx.sig[band_oracle(pos)]) {
-            continue;
-        }
-        let gt1 = dec.decode_bit(&mut ctx.gt1[band_oracle(pos)]);
-        let mag = if gt1 {
-            decode_ue_oracle(dec).saturating_add(2)
+    let last = decode_bits_oracle(dec, 5) as usize + if hi { 32 } else { 0 };
+
+    let mut sig = [false; 64];
+    sig[last] = true;
+    if last >= 8 && dec.decode_bit(&mut ctx.dens[0]) {
+        let dense = dec.decode_bit(&mut ctx.dens[1]);
+        let k = if dec.decode_bit(&mut ctx.dens[2 + dense as usize]) {
+            3
         } else {
-            1
+            2
         };
-        let neg = dec.decode_bypass();
-        let mag = mag.min(i32::MAX as u32) as i32;
-        levels[ZIGZAG[pos]] = if neg { -mag } else { mag };
+        sig[..last].fill(dense);
+        let mut pos = 0;
+        while pos < last {
+            pos += match decode_unary_oracle(dec, 16) {
+                Some(q) => ((q << k) | decode_bits_oracle(dec, k)) as usize,
+                None => 64,
+            };
+            if pos < last {
+                sig[pos] = !dense;
+            }
+            pos += 1;
+        }
+    } else {
+        for pos in (0..last).rev() {
+            sig[pos] = dec.decode_bypass();
+        }
+    }
+
+    for pos in (0..=last).filter(|&pos| sig[pos]) {
+        let k = ctx.rice_k(pos);
+        let v = match decode_unary_oracle(dec, 10) {
+            Some(q) => (q << k) | decode_bits_oracle(dec, k),
+            None => decode_ue_oracle(dec).saturating_add(10 << k),
+        };
+        ctx.take_in(pos, v);
+        let mag = v.saturating_add(1).min(i32::MAX as u32) as i32;
+        levels[ZIGZAG[pos]] = if dec.decode_bypass() { -mag } else { mag };
     }
     levels
 }

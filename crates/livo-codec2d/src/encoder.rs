@@ -354,15 +354,16 @@ impl Encoder {
             self.cfg.qp_max,
         );
 
-        let (mut data, mut blocks) = self.encode_with_qp(frame, qp, frame_type);
+        let (mut data, mut blocks) = self.encode_with_qp(frame, qp, frame_type, false);
         let mut actual_bits = data.len() as u64 * 8;
         // One corrective re-encode on overshoot, like a CBR encoder's
-        // internal re-quantisation.
+        // internal re-quantisation. The motion search reads the input and
+        // the reference, never the QP, so its result carries over.
         if actual_bits > target_bits + target_bits / 4 && qp + 4 <= self.cfg.qp_max {
             self.rc
                 .update(frame_type, complexity, actual_bits as f64, qp);
             qp = (qp + 4).min(self.cfg.qp_max);
-            let redo = self.encode_with_qp(frame, qp, frame_type);
+            let redo = self.encode_with_qp(frame, qp, frame_type, true);
             data = redo.0;
             blocks = redo.1;
             actual_bits = data.len() as u64 * 8;
@@ -404,7 +405,7 @@ impl Encoder {
             FrameType::Inter
         };
         let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
-        let (data, blocks) = self.encode_with_qp(frame, qp, frame_type);
+        let (data, blocks) = self.encode_with_qp(frame, qp, frame_type, false);
         self.publish_frame_metrics(frame_type, qp, data.len() as u64 * 8, blocks, None);
         self.publish_frame_trace(data.len() as u64 * 8);
         self.store_prev_luma(frame);
@@ -486,11 +487,16 @@ impl Encoder {
     /// assembled as header + length table + concatenated payloads. Slice
     /// geometry never depends on the pool, so the bitstream is identical at
     /// any thread count.
+    ///
+    /// `searched` says the scratch plans hold this frame's motion field and
+    /// SADs from an earlier pass at another QP, which an inter frame then
+    /// starts from instead of searching again.
     fn encode_with_qp(
         &mut self,
         frame: &Frame,
         qp: u8,
         frame_type: FrameType,
+        searched: bool,
     ) -> (Vec<u8>, BlockCounts) {
         let n_slices = slice::slice_count(self.cfg.slices, frame.height);
         let slices = slice::partition(frame.format, frame.height, n_slices);
@@ -549,7 +555,7 @@ impl Encoder {
                     &mut recon.planes[0],
                     step,
                     peak,
-                    self.cfg.search_range,
+                    (!searched).then_some(self.cfg.search_range),
                     &mut scratch.luma_plans,
                 );
                 scratch.mvs.clear();
@@ -740,6 +746,8 @@ pub(crate) fn add_residual(rec: &mut [i32; 64], levels: &[i32; 64], step: f32) {
 struct LumaMbPlan {
     mv: MotionVector,
     pred_mv: MotionVector,
+    /// SAD of `mv`: with it, a second pass at another QP needs no search.
+    sad: u64,
     skip: bool,
     levels4: [[i32; 64]; 4],
 }
@@ -749,6 +757,7 @@ impl Default for LumaMbPlan {
         LumaMbPlan {
             mv: MotionVector::default(),
             pred_mv: MotionVector::default(),
+            sad: 0,
             skip: false,
             levels4: [[0; 64]; 4],
         }
@@ -763,7 +772,8 @@ impl Default for LumaMbPlan {
 /// immutable during the frame — so the result is the same at any pool size.
 /// `plans` is a reused scratch vector; every element the entropy pass
 /// reads is overwritten first (it does not read the levels of a skipped
-/// macroblock).
+/// macroblock). `search_range` is `None` on a frame's second pass, which
+/// keeps the vectors and SADs the first one left in `plans`.
 #[allow(clippy::too_many_arguments)]
 fn plan_plane_inter_luma(
     pool: Option<&WorkerPool>,
@@ -772,7 +782,7 @@ fn plan_plane_inter_luma(
     recon: &mut Plane,
     step: f32,
     peak: u16,
-    search_range: i16,
+    search_range: Option<i16>,
     plans: &mut Vec<LumaMbPlan>,
 ) {
     let mbs_x = plane.width.div_ceil(MB_SIZE);
@@ -820,7 +830,7 @@ fn plan_luma_row(
     mby: usize,
     step: f32,
     peak: u16,
-    search_range: i16,
+    search_range: Option<i16>,
 ) {
     let by = mby * MB_SIZE;
     let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
@@ -833,10 +843,12 @@ fn plan_luma_row(
         } else {
             MotionVector::default()
         };
-        let (mv, best_sad) = motion::diamond_search(plane, prev, bx, by, pred_mv, search_range);
+        if let Some(range) = search_range {
+            (plan.mv, plan.sad) = motion::diamond_search(plane, prev, bx, by, pred_mv, range);
+            plan.pred_mv = pred_mv;
+        }
+        let (mv, best_sad) = (plan.mv, plan.sad);
         left_mv = mv;
-        plan.mv = mv;
-        plan.pred_mv = pred_mv;
         if best_sad == 0 {
             if let Some(origin) = motion::copy_origin(prev, bx, by, mv, MB_SIZE) {
                 plan.skip = mv == pred_mv;
@@ -854,11 +866,10 @@ fn plan_luma_row(
         for (sb, levels) in plan.levels4.iter_mut().enumerate() {
             let ox = (sb % 2) * 8;
             let oy = (sb / 2) * 8;
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let cur =
-                        plane.get_clamped((bx + ox + dx) as isize, (by + oy + dy) as isize) as i32;
-                    blk[dy * 8 + dx] = cur - pred_buf[(oy + dy) * MB_SIZE + ox + dx];
+            plane.read_block8(bx + ox, by + oy, &mut blk);
+            for (dy, row) in blk.chunks_exact_mut(8).enumerate() {
+                for (r, p) in row.iter_mut().zip(&pred_buf[(oy + dy) * MB_SIZE + ox..]) {
+                    *r -= p;
                 }
             }
             let coeffs = dct::forward(&blk);
@@ -967,15 +978,14 @@ fn plan_chroma_row(
                 continue;
             }
         }
-        for dy in 0..8 {
-            for dx in 0..8 {
-                let cur = plane.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
-                pred[dy * 8 + dx] = prev.get_clamped(
-                    (bx + dx) as isize + cmv.dx as isize,
-                    (by + dy) as isize + cmv.dy as isize,
-                ) as i32;
-                blk[dy * 8 + dx] = cur - pred[dy * 8 + dx];
-            }
+        plane.read_block8(bx, by, &mut blk);
+        prev.read_block8_at(
+            bx as isize + cmv.dx as isize,
+            by as isize + cmv.dy as isize,
+            &mut pred,
+        );
+        for (r, p) in blk.iter_mut().zip(&pred) {
+            *r -= p;
         }
         let coeffs = dct::forward(&blk);
         *levels_out = quant::quantize_block(&coeffs, step, DC_SCALE);
@@ -1117,6 +1127,48 @@ mod tests {
             "coded fraction {}",
             p.blocks.coded_fraction()
         );
+    }
+
+    #[test]
+    fn second_pass_on_the_kept_motion_field_matches_a_fresh_search() {
+        // Content that moves, so vectors and SADs are not all zero, on a
+        // frame with partial macroblocks; two encoders in the same state.
+        let (w, h) = (72, 56);
+        let cfg = EncoderConfig::new(w, h, PixelFormat::Yuv420);
+        let (mut kept, mut fresh) = (Encoder::new(cfg), Encoder::new(cfg));
+        for enc in [&mut kept, &mut fresh] {
+            enc.encode_fixed_qp(&test_frame(w, h, 0), 20);
+        }
+        // The picture three samples on, with grain the vectors cannot explain.
+        let mut frame = test_frame(w, h, 3);
+        for (i, v) in frame.planes[0].data.iter_mut().enumerate() {
+            *v ^= (i * 7 % 13) as u16;
+        }
+        // A budget far under what the first pass will spend forces the second.
+        let target = 3_000;
+        let complexity = kept.estimate_complexity(&frame, FrameType::Inter);
+        let first_qp = kept.rc.pick_qp(
+            FrameType::Inter,
+            complexity,
+            target as f64,
+            cfg.qp_min,
+            cfg.qp_max,
+        );
+        let out = kept.encode(&frame, target);
+        assert_eq!(out.qp, first_qp + 4, "the frame took two passes");
+        assert!(
+            kept.scratch.luma_plans.iter().any(|p| p.sad > 0)
+                && kept
+                    .scratch
+                    .mvs
+                    .iter()
+                    .any(|&mv| mv != MotionVector::default()),
+            "the search had something to find"
+        );
+        let want = fresh.encode_fixed_qp(&frame, out.qp);
+        assert_eq!(out.data, want.data);
+        assert_eq!(out.reconstruction, want.reconstruction);
+        assert_eq!(out.blocks, want.blocks);
     }
 
     #[test]

@@ -51,9 +51,27 @@ impl Plane {
 
     /// Copy an 8×8 block starting at `(bx, by)` into `out`, edge-clamped.
     pub fn read_block8(&self, bx: usize, by: usize, out: &mut [i32; 64]) {
+        self.read_block8_at(bx as isize, by as isize, out);
+    }
+
+    /// Copy the 8×8 block whose first sample is `(x, y)` into `out`; samples
+    /// outside the plane read the nearest edge sample, as a displaced
+    /// prediction block does. A block wholly inside is eight row slices,
+    /// any other the clamped fetch sample by sample — the same values.
+    pub fn read_block8_at(&self, x: isize, y: isize, out: &mut [i32; 64]) {
+        if x >= 0 && y >= 0 && x as usize + 8 <= self.width && y as usize + 8 <= self.height {
+            let first = y as usize * self.width + x as usize;
+            for (dy, row) in out.chunks_exact_mut(8).enumerate() {
+                let src = &self.data[first + dy * self.width..][..8];
+                for (o, s) in row.iter_mut().zip(src) {
+                    *o = *s as i32;
+                }
+            }
+            return;
+        }
         for dy in 0..8 {
             for dx in 0..8 {
-                out[dy * 8 + dx] = self.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
+                out[dy * 8 + dx] = self.get_clamped(x + dx as isize, y + dy as isize) as i32;
             }
         }
     }
@@ -105,7 +123,8 @@ impl Plane {
 /// Semantics match [`Plane::write_block8`]: samples clamp to `[0, peak]` and
 /// pixels outside the plane (here: outside the stripe) are skipped, so the
 /// partial last stripe of a non-multiple-of-stripe-height plane behaves like
-/// the plane's bottom edge.
+/// the plane's bottom edge. A block wholly inside the stripe is written row
+/// slice by row slice; the sample-by-sample loop is the edge fallback.
 pub fn write_block8_into_stripe(
     stripe: &mut [u16],
     width: usize,
@@ -116,6 +135,17 @@ pub fn write_block8_into_stripe(
     peak: u16,
 ) {
     let rows = stripe.len() / width;
+    let peak = peak as i32;
+    if by >= y0 && by + 8 <= y0 + rows && bx + 8 <= width {
+        // Wholly inside the stripe: eight row slices, nothing to skip.
+        for (dy, src) in block.chunks_exact(8).enumerate() {
+            let dst = &mut stripe[(by - y0 + dy) * width + bx..][..8];
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = (*s).clamp(0, peak) as u16;
+            }
+        }
+        return;
+    }
     for dy in 0..8 {
         let y = by + dy;
         if y < y0 {
@@ -129,7 +159,7 @@ pub fn write_block8_into_stripe(
             if x >= width {
                 break;
             }
-            stripe[(y - y0) * width + x] = block[dy * 8 + dx].clamp(0, peak as i32) as u16;
+            stripe[(y - y0) * width + x] = block[dy * 8 + dx].clamp(0, peak) as u16;
         }
     }
 }

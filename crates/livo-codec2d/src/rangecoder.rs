@@ -4,9 +4,9 @@
 //! functionally the same family as H.265's CABAC. Probabilities are 12-bit;
 //! contexts adapt with shift-5 exponential updates.
 //!
-//! "Bypass" bits (signs, raw value bits, exp-Golomb magnitudes) are
-//! incompressible by definition, so they do not go through the arithmetic
-//! coder at all: one payload is two streams growing toward each other (the
+//! "Bypass" bits (raw value bits, significance masks, Rice and exp-Golomb
+//! magnitudes with their signs) are written at their own width, so they do
+//! not go through the arithmetic coder at all: one payload is two streams growing toward each other (the
 //! Opus / CELT `ec_enc_bits` layout).
 //!
 //! ```text
@@ -163,6 +163,15 @@ impl RangeEncoder {
         }
     }
 
+    /// Append `zeros` zeros, a one and the low `nbits` bits of `value` as one
+    /// field: a Rice code's unary quotient, stop bit and remainder (and
+    /// whatever rides behind it). `zeros + 1 + nbits ≤ 32`.
+    #[inline]
+    pub fn encode_unary_then(&mut self, zeros: u32, value: u32, nbits: u32) {
+        debug_assert!(value >> nbits == 0);
+        self.encode_bits((1 << nbits) | value, zeros + 1 + nbits);
+    }
+
     /// Flush both streams and return the payload: the range coder's bytes,
     /// then the tail, last byte first.
     pub fn finish(mut self) -> Vec<u8> {
@@ -283,6 +292,24 @@ impl<'a> RangeDecoder<'a> {
         let v = (self.peek_raw() >> 1 >> (63 - nbits)) as u32;
         self.raw_pos += nbits as usize;
         v
+    }
+
+    /// Inverse of [`RangeEncoder::encode_unary_then`]: the count of zeros
+    /// before the first one, then `nbits ≤ 32` bits. A run of `cap ≤ 24`
+    /// zeros is an escape: exactly `cap` bits are consumed and `(cap, 0)`
+    /// returned, so a corrupt stream's prefix is bounded by the caller.
+    #[inline]
+    pub fn decode_unary_then(&mut self, cap: u32, nbits: u32) -> (u32, u32) {
+        debug_assert!(cap <= 24 && nbits <= 32);
+        let word = self.peek_raw();
+        let zeros = word.leading_zeros();
+        if zeros >= cap {
+            self.raw_pos += cap as usize;
+            return (cap, 0);
+        }
+        self.raw_pos += (zeros + 1 + nbits) as usize;
+        // The one shifted out; two shifts more, so a width of 0 is not 64.
+        (zeros, (word << (zeros + 1) >> 1 >> (63 - nbits)) as u32)
     }
 
     /// Inverse of [`RangeEncoder::encode_ue_bypass`]. A corrupt stream can
@@ -430,14 +457,19 @@ mod tests {
         }
     }
 
-    /// A script of context bits, raw fields of every width and exp-Golomb
-    /// values, the context bits in between moving the range coder while the
-    /// fields land on every bit offset of the tail.
+    /// A script of context bits, raw fields of every width, exp-Golomb
+    /// values and unary-prefixed fields, the context bits in between moving
+    /// the range coder while the fields land on every bit offset of the tail.
     enum Sym {
         Ctx(usize, bool),
         Bits(u32, u32),
         Ue(u32),
+        /// Zeros, value, width of the value.
+        Unary(u32, u32, u32),
     }
+
+    /// Above every prefix the script writes, so none of them escapes.
+    const SCRIPT_CAP: u32 = 16;
 
     fn bypass_script(seed: u64) -> Vec<Sym> {
         let mut rng = SplitMix64::new(seed);
@@ -456,6 +488,9 @@ mod tests {
                     rng.gen_range(0..=u32::MAX - 1) >> rng.gen_range(0..32u32)
                 };
                 script.push(Sym::Ue(ue));
+                let width = n / 2;
+                let value = rng.gen_range(0..=u32::MAX) >> 1 >> (31 - width);
+                script.push(Sym::Unary((n + round) % SCRIPT_CAP, value, width));
             }
         }
         script
@@ -483,7 +518,9 @@ mod tests {
     /// back in step.
     #[test]
     fn raw_fields_write_the_bytes_of_bit_at_a_time_coding() {
-        use crate::differential::{encode_bits_oracle, encode_ue_oracle};
+        use crate::differential::{
+            decode_unary_oracle, encode_bits_oracle, encode_ue_oracle, encode_unary_oracle,
+        };
         for seed in 0..8 {
             let script = bypass_script(seed);
             let mut fast = RangeEncoder::new();
@@ -503,6 +540,10 @@ mod tests {
                     Sym::Ue(v) => {
                         fast.encode_ue_bypass(v);
                         encode_ue_oracle(&mut slow, v);
+                    }
+                    Sym::Unary(zeros, v, n) => {
+                        fast.encode_unary_then(zeros, v, n);
+                        encode_unary_oracle(&mut slow, zeros, v, n);
                     }
                 }
                 assert_eq!(encoder_state(&fast), encoder_state(&slow), "seed {seed}");
@@ -530,6 +571,12 @@ mod tests {
                         assert_eq!(fast.decode_ue_bypass(), v, "seed {seed}");
                         assert_eq!(crate::differential::decode_ue_oracle(&mut slow), v);
                     }
+                    Sym::Unary(zeros, v, n) => {
+                        let got = fast.decode_unary_then(SCRIPT_CAP, n);
+                        assert_eq!(got, (zeros, v), "seed {seed}");
+                        assert_eq!(decode_unary_oracle(&mut slow, SCRIPT_CAP), Some(zeros));
+                        assert_eq!(crate::differential::decode_bits_oracle(&mut slow, n), v);
+                    }
                 }
                 assert_eq!(decoder_state(&fast), decoder_state(&slow), "seed {seed}");
             }
@@ -544,7 +591,7 @@ mod tests {
     /// go on into zeros.
     #[test]
     fn raw_fields_decode_garbage_like_bit_at_a_time_decoding() {
-        use crate::differential::{decode_bits_oracle, decode_ue_oracle};
+        use crate::differential::{decode_bits_oracle, decode_ue_oracle, decode_unary_oracle};
         let mut rng = SplitMix64::new(5);
         for trial in 0..200 {
             let len = rng.gen_range(0..96usize);
@@ -563,7 +610,7 @@ mod tests {
             let mut fast_model = BitModel::new();
             let mut slow_model = BitModel::new();
             for _ in 0..64 {
-                match rng.gen_range(0..3) {
+                match rng.gen_range(0..4) {
                     0 => assert_eq!(
                         fast.decode_bit(&mut fast_model),
                         slow.decode_bit(&mut slow_model)
@@ -571,6 +618,15 @@ mod tests {
                     1 => {
                         let n = rng.gen_range(0..=32u32);
                         assert_eq!(fast.decode_bits(n), decode_bits_oracle(&mut slow, n));
+                    }
+                    2 => {
+                        // A prefix that runs into the cap ends there.
+                        let (cap, n) = (rng.gen_range(0..=24u32), rng.gen_range(0..=32u32));
+                        let want = match decode_unary_oracle(&mut slow, cap) {
+                            Some(zeros) => (zeros, decode_bits_oracle(&mut slow, n)),
+                            None => (cap, 0),
+                        };
+                        assert_eq!(fast.decode_unary_then(cap, n), want, "trial {trial}");
                     }
                     _ => assert_eq!(fast.decode_ue_bypass(), decode_ue_oracle(&mut slow)),
                 }
@@ -603,6 +659,10 @@ mod tests {
                         Sym::Ue(v) => {
                             both.encode_ue_bypass(v);
                             raw_bits += 2 * (32 - (v + 1).leading_zeros()) as usize - 1;
+                        }
+                        Sym::Unary(zeros, v, n) => {
+                            both.encode_unary_then(zeros, v, n);
+                            raw_bits += (zeros + 1 + n) as usize;
                         }
                     }
                 }

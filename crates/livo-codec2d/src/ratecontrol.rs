@@ -20,8 +20,6 @@ pub struct RateController {
     gain_inter: f64,
     /// EWMA smoothing factor for gain updates.
     alpha: f64,
-    /// Accumulated bit debt (positive = we overspent) nudging later frames.
-    debt_bits: f64,
 }
 
 impl Default for RateController {
@@ -37,7 +35,6 @@ impl RateController {
             gain_intra: 1.2,
             gain_inter: 0.6,
             alpha: 0.35,
-            debt_bits: 0.0,
         }
     }
 
@@ -60,9 +57,7 @@ impl RateController {
         qp_max: u8,
     ) -> u8 {
         let qp_max = qp_max.min(QP_MAX);
-        // Pay down (or up) a third of the debt this frame.
-        let adjusted = (target_bits - self.debt_bits / 3.0).max(target_bits * 0.1);
-        let desired_step = (self.gain(ft) * complexity / adjusted).max(1e-9);
+        let desired_step = (self.gain(ft) * complexity / target_bits).max(1e-9);
         // Invert qstep(qp) = 0.625 · 2^(qp/6).
         let qp = 6.0 * (desired_step / 0.625).log2();
         (qp.round().clamp(qp_min as f64, qp_max as f64)) as u8
@@ -79,16 +74,6 @@ impl RateController {
             };
             *g = (1.0 - self.alpha) * *g + self.alpha * observed_gain;
         }
-    }
-
-    /// Record target-vs-actual of a delivered frame to build up debt.
-    pub fn settle(&mut self, target_bits: f64, actual_bits: f64) {
-        self.debt_bits = 0.7 * self.debt_bits + (actual_bits - target_bits);
-    }
-
-    /// Current bit debt (positive = overspent recently).
-    pub fn debt(&self) -> f64 {
-        self.debt_bits
     }
 }
 
@@ -137,16 +122,6 @@ mod tests {
             "gain {}",
             rc.gain_inter
         );
-    }
-
-    #[test]
-    fn debt_raises_qp() {
-        let mut rc = RateController::new();
-        let base = rc.pick_qp(FrameType::Inter, 5.0e6, 100_000.0, 0, 51);
-        rc.settle(100_000.0, 400_000.0); // overshoot → debt
-        assert!(rc.debt() > 0.0);
-        let after = rc.pick_qp(FrameType::Inter, 5.0e6, 100_000.0, 0, 51);
-        assert!(after >= base);
     }
 
     #[test]

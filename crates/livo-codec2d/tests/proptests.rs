@@ -1,5 +1,7 @@
 //! Property and behavioural tests for the 2D codec.
 
+use livo_codec2d::block::{decode_block, encode_block, CoeffContexts};
+use livo_codec2d::rangecoder::{RangeDecoder, RangeEncoder};
 use livo_codec2d::{luma_psnr, luma_rmse, Decoder, Encoder, EncoderConfig, Frame, PixelFormat};
 use livo_math::rng::{cases, SplitMix64};
 
@@ -61,6 +63,93 @@ fn y16_decoder_bit_exact() {
             let out = enc.encode(&f, target);
             let decoded = dec.decode(&out.data).unwrap();
             assert_eq!(decoded, out.reconstruction);
+        }
+    });
+}
+
+/// Runs of blocks sharing one set of contexts, each with its own scan
+/// length, density (from empty to full, so every mask class and the gap
+/// codes' terminating cases occur) and magnitude scale (from ones to a
+/// 16-bit intra DC, so the Rice parameter climbs, falls and escapes), come
+/// back level for level.
+#[test]
+fn block_coder_round_trips_any_density_and_magnitude() {
+    cases(3, 4 * CASES, |rng| {
+        let blocks: Vec<[i32; 64]> = (0..rng.gen_range(1usize..40))
+            .map(|_| {
+                let mut b = [0i32; 64];
+                let scan = rng.gen_range(0usize..=64);
+                let density = [0.0, 0.06, 0.12, 0.2, 0.5, 0.8, 0.9, 0.95, 1.0][rng.gen_range(0..9)];
+                let peak = 1i32 << rng.gen_range(0..21u32);
+                for (pos, &i) in livo_codec2d::dct::ZIGZAG.iter().enumerate() {
+                    if pos < scan && rng.gen_bool(density) {
+                        let mag = rng.gen_range(1..=peak);
+                        b[i] = if rng.gen_bool(0.5) { -mag } else { mag };
+                    }
+                }
+                b
+            })
+            .collect();
+        let mut enc = RangeEncoder::new();
+        let mut ctx = CoeffContexts::new();
+        for b in &blocks {
+            encode_block(&mut enc, &mut ctx, b);
+        }
+        let data = enc.finish();
+        let mut dec = RangeDecoder::new(&data);
+        let mut ctx = CoeffContexts::new();
+        let mut got = [7i32; 64];
+        for (i, b) in blocks.iter().enumerate() {
+            let coded = decode_block(&mut dec, &mut ctx, &mut got);
+            assert_eq!(&got, b, "block {i}");
+            assert_eq!(coded, b.iter().any(|&l| l != 0), "block {i} flag");
+        }
+    });
+}
+
+/// On bytes no encoder wrote (random, all zeros — where every unary prefix
+/// runs into its cap — and all ones) and on an encoder's bytes with bits
+/// flipped, `decode_block` returns every time with every level written: the
+/// same from two starting arrays. Debug builds trap a shift or an index out
+/// of range on the way.
+#[test]
+fn block_decoder_is_total_on_arbitrary_bytes() {
+    cases(4, 4 * CASES, |rng| {
+        let len = rng.gen_range(0usize..300);
+        let mut data: Vec<u8> = match rng.gen_range(0..6) {
+            0 => vec![0x00; len],
+            1 => vec![0xFF; len],
+            2 | 3 => (0..len).map(|_| rng.gen()).collect(),
+            _ => {
+                let mut enc = RangeEncoder::new();
+                let mut ctx = CoeffContexts::new();
+                for _ in 0..20 {
+                    let b: [i32; 64] = std::array::from_fn(|_| {
+                        if rng.gen_bool(0.4) {
+                            rng.gen_range(-40..=40)
+                        } else {
+                            0
+                        }
+                    });
+                    encode_block(&mut enc, &mut ctx, &b);
+                }
+                enc.finish()
+            }
+        };
+        for _ in 0..rng.gen_range(0..6) {
+            if !data.is_empty() {
+                let at = rng.gen_range(0..data.len());
+                data[at] ^= 1 << rng.gen_range(0..8);
+            }
+        }
+        let mut decs = [RangeDecoder::new(&data), RangeDecoder::new(&data)];
+        let mut ctxs = [CoeffContexts::new(), CoeffContexts::new()];
+        for _ in 0..60 {
+            let (mut a, mut b) = ([7i32; 64], [-9i32; 64]);
+            let coded = decode_block(&mut decs[0], &mut ctxs[0], &mut a);
+            decode_block(&mut decs[1], &mut ctxs[1], &mut b);
+            assert_eq!(a, b, "an entry kept its stale value");
+            assert_eq!(coded, a.iter().any(|&l| l != 0), "the coded-block flag");
         }
     });
 }

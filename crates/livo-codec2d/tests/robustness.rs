@@ -385,8 +385,14 @@ fn copy_path_survives_bit_flips_in_static_inter_frames() {
                 for good in &streams[..victim] {
                     dec.decode(&good.data).expect("own stream decodes");
                 }
+                // A flip in the header can make it another well-formed
+                // header; one in the payload leaves the frame its shape.
+                let good = &streams[victim].data;
+                let header = 8 + 4 * good[7] as usize;
                 if let Ok(out) = dec.decode(&bad) {
-                    assert_eq!((out.width, out.height, out.format), (w, h, format));
+                    if bad[..header] == good[..header] {
+                        assert_eq!((out.width, out.height, out.format), (w, h, format));
+                    }
                 }
                 for later in &streams[victim + 1..] {
                     let _ = dec.decode(&later.data);

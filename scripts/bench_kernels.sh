@@ -3,11 +3,12 @@
 # (schema livo-bench-kernels-v1) comparing each optimised kernel — cull,
 # forward/inverse DCT and SAD with their AVX2 tiers, sliced decode, the
 # pixel path (compose, reconstruct, voxel downsample, render prep), one
-# static-scene inter frame encoded and decoded, the raw-bit tail — against
-# the implementation it replaced (retained in-tree, or written out in
-# kernels_bench.rs), plus two ungated pool-dispatch diagnostics and a host
-# block (cores, SIMD tier, rustc, commit, profile). `--gate` makes the run
-# fail if any gated kernel regressed below 1.0x.
+# static-scene inter frame encoded and decoded, the block coder (time and
+# bits) — against the implementation it replaced (retained in-tree, or
+# written out in kernels_bench.rs), plus two ungated pool-dispatch
+# diagnostics and a host block (cores, SIMD tier, rustc, commit, profile).
+# `--gate` makes the run fail if any gated kernel regressed below 1.0x or
+# the block coder wrote more bits than its ceiling allows.
 set -e
 R="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$R"

@@ -18,9 +18,16 @@
 //! must match them bit for bit. Where the domain is small the rounding is
 //! checked exhaustively instead: every coded depth sample, every (Y, U, V)
 //! and every RGB triple.
+//!
+//! The codec's plan and reconstruction loops fetch and store 8×8 blocks
+//! through `Plane::read_block8_at` and `write_block8_into_stripe`, which
+//! take row slices for a block wholly inside the plane or stripe; the
+//! sample-by-sample clamped loops they fall back to at an edge are written
+//! out below, and both must agree at every block origin and every vector.
 
 use livo::capture::{camera_ring, RgbdFrame};
-use livo::codec2d::plane::yuv_to_rgb8;
+use livo::codec2d::plane::{write_block8_into_stripe, yuv_to_rgb8};
+use livo::codec2d::Plane;
 use livo::core::cull::cull_views_union_reference;
 use livo::core::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
 use livo::core::tile::{compose_color, compose_depth, write_seq};
@@ -472,5 +479,69 @@ fn a_million_random_quads_get_the_chroma_of_f32_round() {
         }
         let got = Frame::from_rgb8(w, h, &rgb);
         assert!(got == yuv420_oracle(w, h, &rgb), "image {image}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The codec's block gather and block write against their clamped loops.
+// ---------------------------------------------------------------------
+
+/// `write_block8_into_stripe` one sample at a time: clamp to the peak, leave
+/// out what falls off the stripe or the plane.
+fn write_block8_oracle(
+    stripe: &mut [u16],
+    width: usize,
+    y0: usize,
+    (bx, by): (usize, usize),
+    block: &[i32; 64],
+    peak: u16,
+) {
+    for (i, &v) in block.iter().enumerate() {
+        let (x, y) = (bx + i % 8, by + i / 8);
+        if x < width && y >= y0 && y < y0 + stripe.len() / width {
+            stripe[(y - y0) * width + x] = v.clamp(0, peak as i32) as u16;
+        }
+    }
+}
+
+#[test]
+fn block_gather_and_write_take_the_clamped_loops_values() {
+    let mut rng = SplitMix64::new(0xB10C);
+    for (w, h) in [(20usize, 12usize), (33, 17)] {
+        // Both formats: 8-bit samples and the full 16-bit range.
+        for peak in [255u16, u16::MAX] {
+            let samples = (0..w * h).map(|_| rng.gen_range(0..=peak)).collect();
+            let plane = Plane::from_data(w, h, samples);
+            // Residual-plus-prediction values on both sides of the clamp.
+            let block: [i32; 64] = std::array::from_fn(|_| rng.gen_range(-300..=peak as i32 + 300));
+            for by in 0..h {
+                for bx in 0..w {
+                    // Every vector a search of range 8 can return, and one
+                    // more: the halved ones of chroma lie inside.
+                    for dy in -9..=9isize {
+                        for dx in -9..=9isize {
+                            let (x, y) = (bx as isize + dx, by as isize + dy);
+                            let mut got = [0i32; 64];
+                            plane.read_block8_at(x, y, &mut got);
+                            let want: [i32; 64] = std::array::from_fn(|i| {
+                                plane.get_clamped(x + (i % 8) as isize, y + (i / 8) as isize) as i32
+                            });
+                            assert_eq!(got, want, "{w}x{h} block ({bx},{by}) mv ({dx},{dy})");
+                        }
+                    }
+                    // The stripe holding the block's first row, luma-tall
+                    // and chroma-tall, the plane's partial last one included;
+                    // and one that begins inside the block.
+                    for (y0, tall) in [(by / 16 * 16, 16usize), (by / 8 * 8, 8), (by + 3, 8)] {
+                        let rows = tall.min(h.saturating_sub(y0));
+                        let mut got = vec![0xABCD_u16; rows * w];
+                        let mut want = got.clone();
+                        write_block8_into_stripe(&mut got, w, y0, bx, by, &block, peak);
+                        write_block8_oracle(&mut want, w, y0, (bx, by), &block, peak);
+                        assert_eq!(got, want, "{w}x{h} block ({bx},{by}) stripe at {y0}");
+                    }
+                }
+            }
+        }
     }
 }
