@@ -43,8 +43,10 @@ use livo_codec2d::plane::write_block8_into_stripe;
 use livo_codec2d::quant::{self, DC_SCALE};
 use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
-use livo_core::cull::cull_views_union_reference;
+use livo_core::cull::{cull_views_union_reference, CullContext};
+use livo_core::frustum_pred::FrustumPredictor;
 use livo_core::reconstruct::prepare_for_render;
+use livo_core::stage::GUARD_BAND_M;
 use livo_core::tile::{compose_color, compose_depth, write_seq, TileLayout};
 use livo_core::{cull_views, reconstruct_point_cloud, DepthCodec};
 use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec3};
@@ -192,17 +194,81 @@ fn bench_cull() -> KernelPoint {
             ));
         },
     );
-    let mut clone_ns = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        black_box(views.clone());
-        clone_ns.push(t0.elapsed().as_nanos() as f64);
-    }
-    clone_ns.sort_by(f64::total_cmp);
-    let clone_med = clone_ns[REPS / 2];
+    let clone_med = clone_median(&views);
     KernelPoint {
         name: "cull",
         unit: "3 cameras, scale 0.2, one frustum",
+        fast_ns: (fast - clone_med).max(1.0),
+        ref_ns: (naive - clone_med).max(1.0),
+        gated: true,
+        bits: None,
+    }
+}
+
+/// Median wall-clock of cloning `views`, which each timed cull pass pays.
+fn clone_median(views: &[RgbdFrame]) -> f64 {
+    let mut clone_ns = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        black_box(views.to_vec());
+        clone_ns.push(t0.elapsed().as_nanos() as f64);
+    }
+    clone_ns.sort_by(f64::total_cmp);
+    clone_ns[REPS / 2]
+}
+
+/// One cluster's union cull in `sfu_fanout`: its rig (four cameras at scale
+/// 0.08), and the frusta of one gaze group's 48 static viewers as their
+/// predictors give them — four yaws, twelve viewers each, interleaved — on
+/// a reused context as a cluster holds one, against the reference, which
+/// tests every member.
+fn bench_union_cull() -> KernelPoint {
+    let cameras = rig::camera_ring(
+        4,
+        2.5,
+        1.4,
+        Vec3::new(0.0, 1.0, 0.0),
+        CameraIntrinsics::kinect_depth(0.08),
+    );
+    let snap = DatasetPreset::load(VideoId::Band2).scene.at(0.5);
+    let views: Vec<RgbdFrame> = cameras
+        .iter()
+        .map(|c| render_rgbd_at(c, &snap, 0))
+        .collect();
+    let frusta: Vec<Frustum> = (0..48)
+        .map(|i| {
+            let yaw = 0.02 * (i % 4) as f32;
+            let eye = Vec3::new(0.0, 1.5, 2.0);
+            let dir = Vec3::new(yaw.sin(), 0.0, -yaw.cos());
+            let mut p = FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M);
+            p.observe(&Pose::look_at(eye, eye + dir, Vec3::Y));
+            p.predicted_frustum()
+        })
+        .collect();
+    let mut ctx = CullContext::new();
+    let (mut fast_views, mut ref_views) = (views.clone(), views.clone());
+    assert_eq!(
+        ctx.cull(None, &mut fast_views, &cameras, &frusta),
+        cull_views_union_reference(&mut ref_views, &cameras, &frusta),
+    );
+    assert!(fast_views
+        .iter()
+        .zip(&ref_views)
+        .all(|(a, b)| a.depth_mm == b.depth_mm && a.rgb == b.rgb));
+    let (fast, naive) = time_pair(
+        || {
+            let mut v = views.clone();
+            black_box(ctx.cull(None, &mut v, &cameras, &frusta));
+        },
+        || {
+            let mut v = views.clone();
+            black_box(cull_views_union_reference(&mut v, &cameras, &frusta));
+        },
+    );
+    let clone_med = clone_median(&views);
+    KernelPoint {
+        name: "union_cull",
+        unit: "4 cameras, scale 0.08, an SFU cluster's 48 frusta (4 distinct)",
         fast_ns: (fast - clone_med).max(1.0),
         ref_ns: (naive - clone_med).max(1.0),
         gated: true,
@@ -1554,6 +1620,7 @@ pub fn run() -> Vec<KernelPoint> {
     let (pool_scope_empty, pool_scope_tasks) = bench_pool_scope();
     let mut points = vec![
         bench_cull(),
+        bench_union_cull(),
         dct_f,
         dct_i,
         dct_f_avx2,

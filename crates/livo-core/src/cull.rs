@@ -27,7 +27,8 @@
 //! `fast_union_cull_is_bit_identical_to_reference` here and by
 //! `tests/kernel_differential.rs` across all five dataset presets.
 //!
-//! There is one cull body, [`CullContext::cull`]: any number of frusta,
+//! There is one cull body, [`CullContext::cull`]: any number of frusta —
+//! equal ones tested once, since a union is duplicate-free —
 //! row-banded over a worker pool or inline. Long-lived callers hold a
 //! [`CullContext`] to amortise the ray tables and to export
 //! `cull.lut_rebuilds` / `kernel.cull_ns_per_mpx` telemetry; the free
@@ -173,7 +174,9 @@ pub struct CullContext {
     /// One [`RayTable`] per camera index, lazily (re)built when the
     /// camera's intrinsics change.
     tables: Vec<RayTable>,
-    /// Scratch for camera-local frusta in union culls.
+    /// Scratch: the distinct frusta of a union, then their camera-local
+    /// transforms.
+    distinct: Vec<Frustum>,
     local_frusta: Vec<Frustum>,
     /// Counts table (re)builds — steady state is zero per frame.
     lut_rebuilds: Option<Arc<Counter>>,
@@ -251,14 +254,30 @@ impl CullContext {
         let mut pixels = 0usize;
         let CullContext {
             tables,
+            distinct,
             local_frusta,
             ..
         } = self;
+        // A union is order- and duplicate-free, so equal frusta are tested
+        // once (`==` also equates planes that differ only in the sign of a
+        // zero, which decide every `>= 0.0` alike): an SFU cluster's static
+        // viewers predict the same one (4 distinct of 48 in `sfu_fanout`),
+        // and the camera loop below costs per distinct view, not per member.
+        distinct.clear();
+        for f in frusta {
+            if !distinct.contains(f) {
+                distinct.push(*f);
+            }
+        }
         for ((view, cam), table) in views.iter_mut().zip(cameras).zip(tables.iter()) {
             // Transform the frusta into this camera's local frame: cheaper
             // than transforming every pixel into world coordinates.
             local_frusta.clear();
-            local_frusta.extend(frusta.iter().map(|f| f.transformed(&cam.world_to_local())));
+            local_frusta.extend(
+                distinct
+                    .iter()
+                    .map(|f| f.transformed(&cam.world_to_local())),
+            );
             let local = &local_frusta[..];
             let (width, height) = (view.width, view.height);
             if width == 0 || height == 0 {
@@ -687,6 +706,55 @@ mod tests {
         assert_eq!(stats.kept, stats.total_valid);
         let stats = ctx.cull(None, &mut views.clone(), &cams, &keep_all_last[..2]);
         assert!(0 < stats.kept && stats.kept < stats.total_valid);
+    }
+
+    #[test]
+    fn repeated_frusta_cull_like_their_distinct_set() {
+        // Each frustum of a distinct set repeated 1–12 times, shuffled: the
+        // cull collapses the copies, so masks, rgb and stats are those of
+        // the distinct set (on the un-collapsing reference). A set of one
+        // in round 0 is a single-frustum call.
+        let cams = rig::camera_ring(
+            3,
+            2.5,
+            1.2,
+            Vec3::new(0.0, 1.0, 0.0),
+            livo_math::CameraIntrinsics::kinect_depth(0.12),
+        );
+        let views = render_all(&cams);
+        let frusta = test_frusta();
+        let sets: Vec<&[Frustum]> = vec![
+            &frusta[..1],
+            &frusta[2..3],
+            &frusta[3..],
+            &frusta[1..],
+            &frusta[..],
+        ];
+        let mut rng = livo_math::rng::SplitMix64::new(25);
+        for threads in [1, 2] {
+            let pool = WorkerPool::new(threads);
+            let mut ctx = CullContext::new();
+            for set in &sets {
+                let mut want = views.clone();
+                let want_stats = cull_views_union_reference(&mut want, &cams, set);
+                // Round 0 is the set itself (shuffled), then each frustum
+                // 1–12 times.
+                for max_copies in [1, 12, 12, 12] {
+                    let mut repeated: Vec<Frustum> = set
+                        .iter()
+                        .flat_map(|f| std::iter::repeat_n(*f, rng.gen_range(1..=max_copies)))
+                        .collect();
+                    rng.shuffle(&mut repeated);
+                    let mut got = views.clone();
+                    let got_stats = ctx.cull(Some(&pool), &mut got, &cams, &repeated);
+                    assert_eq!(got_stats, want_stats, "{threads} threads");
+                    for (a, b) in got.iter().zip(&want) {
+                        assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
+                        assert_eq!(a.rgb, b.rgb, "rgb masks differ");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

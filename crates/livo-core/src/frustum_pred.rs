@@ -65,7 +65,15 @@ impl FrustumPredictor {
 
     /// Predicted frustum, guard band applied.
     pub fn predicted_frustum(&self) -> Frustum {
-        Frustum::from_params(&self.predicted_pose(), &self.params).expanded(self.guard_m)
+        self.predicted_view().1
+    }
+
+    /// Predicted pose at the horizon and its guard-banded frustum, from one
+    /// prediction.
+    pub fn predicted_view(&self) -> (Pose, Frustum) {
+        let pose = self.predicted_pose();
+        let frustum = Frustum::from_params(&pose, &self.params).expanded(self.guard_m);
+        (pose, frustum)
     }
 
     /// Predicted frustum at an explicit horizon with an explicit guard.

@@ -2,296 +2,21 @@
 //!
 //! LiVo predicts the receiver's frustum `Δt` ahead by running a Kalman filter
 //! over the six pose dimensions (position x/y/z and yaw/pitch/roll), following
-//! Gül et al. (MM '20). We implement:
+//! Gül et al. (MM '20), with Euler-angle unwrapping so the filter never
+//! differentiates across the ±π seam.
 //!
-//! - [`DMatrix`]: a minimal dense `f64` matrix (multiply, transpose, invert)
-//!   — the tiny slice of Eigen the original implementation used via OpenCV.
-//! - [`KalmanFilter`]: a textbook linear KF with predict/update and
-//!   extrapolation to an arbitrary horizon.
-//! - [`PosePredictor`]: the 6-DoF constant-velocity wrapper used by
-//!   `livo-core::frustum_pred`, including Euler-angle unwrapping so the
-//!   filter never differentiates across the ±π seam.
+//! Written as one filter, the state is `[p₀..p₅, v₀..v₅]` and every matrix in
+//! it — transition F, measurement H, noises Q and R, prior P₀ — is
+//! block-diagonal per dimension: the 12-state filter *is* six independent
+//! 2-state constant-velocity filters. [`PosePredictor`] runs them as such, a
+//! few dozen `f64` operations per observation and no allocation, replaying
+//! the dense filter's operation order so every prediction is bit-equal to it
+//! (`tests/kalman_scenarios.rs` holds the dense filter as its oracle).
 
 use crate::angles;
 use crate::pose::Pose;
 use crate::quat::Quat;
 use crate::vec3::Vec3;
-
-/// Minimal dense row-major `f64` matrix.
-///
-/// Only the operations a small Kalman filter needs; sizes here are ≤ 12×12 so
-/// no effort is spent on cache blocking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DMatrix {
-    pub rows: usize,
-    pub cols: usize,
-    data: Vec<f64>,
-}
-
-impl DMatrix {
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        DMatrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut m = Self::zeros(r, c);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), c, "ragged rows");
-            for (j, v) in row.iter().enumerate() {
-                m[(i, j)] = *v;
-            }
-        }
-        m
-    }
-
-    /// Column vector from a slice.
-    pub fn col_vec(v: &[f64]) -> Self {
-        let mut m = Self::zeros(v.len(), 1);
-        for (i, x) in v.iter().enumerate() {
-            m[(i, 0)] = *x;
-        }
-        m
-    }
-
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    pub fn transpose(&self) -> DMatrix {
-        let mut t = DMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    pub fn mul(&self, o: &DMatrix) -> DMatrix {
-        assert_eq!(
-            self.cols, o.rows,
-            "dimension mismatch {}x{} * {}x{}",
-            self.rows, self.cols, o.rows, o.cols
-        );
-        let mut out = DMatrix::zeros(self.rows, o.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..o.cols {
-                    out[(i, j)] += a * o[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    pub fn add(&self, o: &DMatrix) -> DMatrix {
-        assert_eq!((self.rows, self.cols), (o.rows, o.cols));
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&o.data) {
-            *a += b;
-        }
-        out
-    }
-
-    pub fn sub(&self, o: &DMatrix) -> DMatrix {
-        assert_eq!((self.rows, self.cols), (o.rows, o.cols));
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&o.data) {
-            *a -= b;
-        }
-        out
-    }
-
-    pub fn scale(&self, s: f64) -> DMatrix {
-        let mut out = self.clone();
-        for a in &mut out.data {
-            *a *= s;
-        }
-        out
-    }
-
-    /// Inverse by Gauss–Jordan elimination with partial pivoting. Returns
-    /// `None` for singular matrices.
-    pub fn inverse(&self) -> Option<DMatrix> {
-        assert_eq!(self.rows, self.cols, "inverse of non-square matrix");
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = DMatrix::identity(n);
-        for col in 0..n {
-            // Partial pivot.
-            let mut pivot = col;
-            for r in (col + 1)..n {
-                if a[(r, col)].abs() > a[(pivot, col)].abs() {
-                    pivot = r;
-                }
-            }
-            if a[(pivot, col)].abs() < 1e-12 {
-                return None;
-            }
-            if pivot != col {
-                a.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
-            }
-            let d = a[(col, col)];
-            for j in 0..n {
-                a[(col, j)] /= d;
-                inv[(col, j)] /= d;
-            }
-            for r in 0..n {
-                if r == col {
-                    continue;
-                }
-                let f = a[(r, col)];
-                if f == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    a[(r, j)] -= f * a[(col, j)];
-                    inv[(r, j)] -= f * inv[(col, j)];
-                }
-            }
-        }
-        Some(inv)
-    }
-
-    fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for j in 0..self.cols {
-            self.data.swap(a * self.cols + j, b * self.cols + j);
-        }
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for DMatrix {
-    type Output = f64;
-    #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl std::ops::IndexMut<(usize, usize)> for DMatrix {
-    #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        &mut self.data[r * self.cols + c]
-    }
-}
-
-/// A linear Kalman filter `x' = F x`, `z = H x` with process noise `Q` and
-/// measurement noise `R`.
-#[derive(Debug, Clone)]
-pub struct KalmanFilter {
-    /// State estimate (n×1).
-    pub x: DMatrix,
-    /// Estimate covariance (n×n).
-    pub p: DMatrix,
-    /// State transition (n×n).
-    pub f: DMatrix,
-    /// Measurement model (m×n).
-    pub h: DMatrix,
-    /// Process noise covariance (n×n).
-    pub q: DMatrix,
-    /// Measurement noise covariance (m×m).
-    pub r: DMatrix,
-}
-
-impl KalmanFilter {
-    pub fn new(f: DMatrix, h: DMatrix, q: DMatrix, r: DMatrix, x0: DMatrix, p0: DMatrix) -> Self {
-        assert_eq!(f.rows, f.cols);
-        assert_eq!(h.cols, f.rows);
-        KalmanFilter {
-            x: x0,
-            p: p0,
-            f,
-            h,
-            q,
-            r,
-        }
-    }
-
-    /// Time update: propagate state and covariance one step.
-    pub fn predict(&mut self) {
-        self.x = self.f.mul(&self.x);
-        self.p = self.f.mul(&self.p).mul(&self.f.transpose()).add(&self.q);
-    }
-
-    /// Measurement update with observation `z` (m×1).
-    pub fn update(&mut self, z: &DMatrix) {
-        let ht = self.h.transpose();
-        let s = self.h.mul(&self.p).mul(&ht).add(&self.r);
-        let k = self
-            .p
-            .mul(&ht)
-            .mul(&s.inverse().expect("innovation covariance singular"));
-        let y = z.sub(&self.h.mul(&self.x));
-        self.x = self.x.add(&k.mul(&y));
-        let i = DMatrix::identity(self.p.rows);
-        self.p = i.sub(&k.mul(&self.h)).mul(&self.p);
-    }
-
-    /// Extrapolate the current state with transition `f_dt` *without*
-    /// mutating the filter — used to look `Δt` ahead of the last update.
-    pub fn extrapolate(&self, f_dt: &DMatrix) -> DMatrix {
-        f_dt.mul(&self.x)
-    }
-}
-
-/// Constant-velocity transition for `dims` position-like dimensions over a
-/// step of `dt` seconds. State layout: `[p0..p_{dims-1}, v0..v_{dims-1}]`.
-pub fn constant_velocity_f(dims: usize, dt: f64) -> DMatrix {
-    let n = dims * 2;
-    let mut f = DMatrix::identity(n);
-    for i in 0..dims {
-        f[(i, dims + i)] = dt;
-    }
-    f
-}
-
-/// Measurement matrix observing only the position block.
-pub fn position_only_h(dims: usize) -> DMatrix {
-    let mut h = DMatrix::zeros(dims, dims * 2);
-    for i in 0..dims {
-        h[(i, i)] = 1.0;
-    }
-    h
-}
-
-/// Discrete white-noise-acceleration process noise for a constant-velocity
-/// model (per dimension block), scaled by `accel_var`.
-pub fn white_noise_q(dims: usize, dt: f64, accel_var: f64) -> DMatrix {
-    let n = dims * 2;
-    let mut q = DMatrix::zeros(n, n);
-    let dt2 = dt * dt;
-    let dt3 = dt2 * dt;
-    let dt4 = dt3 * dt;
-    for i in 0..dims {
-        q[(i, i)] = dt4 / 4.0 * accel_var;
-        q[(i, dims + i)] = dt3 / 2.0 * accel_var;
-        q[(dims + i, i)] = dt3 / 2.0 * accel_var;
-        q[(dims + i, dims + i)] = dt2 * accel_var;
-    }
-    q
-}
 
 /// Configuration for [`PosePredictor`].
 #[derive(Debug, Clone, Copy)]
@@ -321,6 +46,86 @@ impl Default for PosePredictorConfig {
     }
 }
 
+/// One dimension's constant-velocity filter: state `(p, v)`, its covariance
+/// (all four entries — rounding leaves it only nearly symmetric), the
+/// white-noise-acceleration process noise and the measurement variance.
+///
+/// Each step is the dense filter's matrix products restricted to this
+/// block, term for term in the dense summation order. A `0.0 +` is a dense
+/// product's zero accumulator: it turns −0.0 into +0.0, so it stays. Terms
+/// the dense products add from other blocks are ±0.0 products, which
+/// change no finite sum.
+#[derive(Debug, Clone, Copy)]
+struct Axis {
+    p: f64,
+    v: f64,
+    pp: f64,
+    pv: f64,
+    vp: f64,
+    vv: f64,
+    q_pp: f64,
+    q_pv: f64,
+    q_vv: f64,
+    r: f64,
+}
+
+impl Axis {
+    fn new(dt: f64, accel_var: f64, meas_std: f64) -> Self {
+        let dt2 = dt * dt;
+        let dt3 = dt2 * dt;
+        let dt4 = dt3 * dt;
+        Axis {
+            p: 0.0,
+            v: 0.0,
+            pp: 1.0,
+            pv: 0.0,
+            vp: 0.0,
+            vv: 1.0,
+            q_pp: dt4 / 4.0 * accel_var,
+            q_pv: dt3 / 2.0 * accel_var,
+            q_vv: dt2 * accel_var,
+            r: meas_std * meas_std,
+        }
+    }
+
+    /// `x ← F x`, `P ← F P Fᵀ + Q`.
+    fn time_update(&mut self, dt: f64) {
+        self.p = 0.0 + self.p + dt * self.v;
+        // The dense `0.0 + 1.0·v`.
+        self.v += 0.0;
+        // F P, then (F P) Fᵀ + Q.
+        let (fp_pp, fp_pv) = (0.0 + self.pp + dt * self.vp, 0.0 + self.pv + dt * self.vv);
+        let (fp_vp, fp_vv) = (0.0 + self.vp, 0.0 + self.vv);
+        self.pp = 0.0 + fp_pp + fp_pv * dt + self.q_pp;
+        self.pv = 0.0 + fp_pv + self.q_pv;
+        self.vp = 0.0 + fp_vp + fp_vv * dt + self.q_pv;
+        self.vv = 0.0 + fp_vv + self.q_vv;
+    }
+
+    /// Measurement update with the observed position `z`:
+    /// `K = P Hᵀ S⁻¹`, `x ← x + K (z − H x)`, `P ← (I − K H) P`.
+    fn measure(&mut self, z: f64) {
+        let s_inv = 1.0 / (0.0 + self.pp + self.r);
+        let k_p = 0.0 + (0.0 + self.pp) * s_inv;
+        let k_v = 0.0 + (0.0 + self.vp) * s_inv;
+        let y = z - (0.0 + self.p);
+        self.p += 0.0 + k_p * y;
+        self.v += 0.0 + k_v * y;
+        let ikh_pp = 1.0 - (0.0 + k_p);
+        let ikh_vp = 0.0 - (0.0 + k_v);
+        let (pp, pv) = (self.pp, self.pv);
+        self.pp = 0.0 + ikh_pp * pp;
+        self.pv = 0.0 + ikh_pp * pv;
+        self.vp += 0.0 + ikh_vp * pp;
+        self.vv += 0.0 + ikh_vp * pv;
+    }
+
+    /// The state extrapolated `horizon` seconds: `p + horizon · v`.
+    fn at(&self, horizon: f64) -> f64 {
+        0.0 + self.p + horizon * self.v
+    }
+}
+
 /// 6-DoF constant-velocity pose predictor (the paper's frustum predictor).
 ///
 /// Feed observed headset poses with [`PosePredictor::observe`]; ask for the
@@ -328,91 +133,71 @@ impl Default for PosePredictorConfig {
 /// [`PosePredictor::predict`].
 #[derive(Debug, Clone)]
 pub struct PosePredictor {
-    kf: KalmanFilter,
+    /// x, y, z, then yaw, pitch, roll (unwrapped).
+    axes: [Axis; 6],
     cfg: PosePredictorConfig,
-    /// Last unwrapped Euler angles, for seam-free measurements.
+    /// Last unwrapped Euler angles, for seam-free measurements; `None`
+    /// until the first observation.
     last_angles: Option<[f64; 3]>,
-    initialized: bool,
 }
 
 impl PosePredictor {
     pub fn new(cfg: PosePredictorConfig) -> Self {
-        let dims = 6;
-        let f = constant_velocity_f(dims, cfg.dt);
-        let h = position_only_h(dims);
-        // Block-diagonal Q: positions use pos_accel_var, angles ang_accel_var.
-        let mut q = white_noise_q(dims, cfg.dt, 1.0);
-        for i in 0..dims {
-            let var = if i < 3 {
-                cfg.pos_accel_var
-            } else {
-                cfg.ang_accel_var
-            };
-            q[(i, i)] *= var;
-            q[(i, dims + i)] *= var;
-            q[(dims + i, i)] *= var;
-            q[(dims + i, dims + i)] *= var;
-        }
-        let mut r = DMatrix::zeros(dims, dims);
-        for i in 0..3 {
-            r[(i, i)] = cfg.pos_meas_std * cfg.pos_meas_std;
-        }
-        for i in 3..6 {
-            r[(i, i)] = cfg.ang_meas_std * cfg.ang_meas_std;
-        }
-        let x0 = DMatrix::zeros(dims * 2, 1);
-        let p0 = DMatrix::identity(dims * 2).scale(1.0);
+        let pos = Axis::new(cfg.dt, cfg.pos_accel_var, cfg.pos_meas_std);
+        let ang = Axis::new(cfg.dt, cfg.ang_accel_var, cfg.ang_meas_std);
         PosePredictor {
-            kf: KalmanFilter::new(f, h, q, r, x0, p0),
+            axes: [pos, pos, pos, ang, ang, ang],
             cfg,
             last_angles: None,
-            initialized: false,
         }
     }
 
-    /// Observe a headset pose (one tracking sample).
+    /// Observe a headset pose (one tracking sample). The pose comes from a
+    /// remote client: a sample with any non-finite component is dropped, as
+    /// if it had never been sent — absorbed, it would make every later
+    /// prediction NaN.
     pub fn observe(&mut self, pose: &Pose) {
-        let (yaw, pitch, roll) = pose.orientation.to_yaw_pitch_roll();
+        let q = pose.orientation;
+        let (yaw, pitch, roll) = q.to_yaw_pitch_roll();
         let mut ang = [yaw as f64, pitch as f64, roll as f64];
         if let Some(prev) = self.last_angles {
-            for i in 0..3 {
-                ang[i] = angles::unwrap_near(prev[i] as f32, ang[i] as f32) as f64;
+            for (a, prev) in ang.iter_mut().zip(prev) {
+                *a = angles::unwrap_near(prev as f32, *a as f32) as f64;
             }
         }
-        self.last_angles = Some(ang);
-        let z = DMatrix::col_vec(&[
+        let z = [
             pose.position.x as f64,
             pose.position.y as f64,
             pose.position.z as f64,
             ang[0],
             ang[1],
             ang[2],
-        ]);
-        if !self.initialized {
-            // Seed state directly from the first observation.
-            for i in 0..6 {
-                self.kf.x[(i, 0)] = z[(i, 0)];
-            }
-            self.initialized = true;
+        ];
+        if ![q.w, q.x, q.y, q.z].iter().all(|c| c.is_finite()) || !z.iter().all(|c| c.is_finite()) {
             return;
         }
-        self.kf.predict();
-        self.kf.update(&z);
+        let first = self.last_angles.replace(ang).is_none();
+        for (axis, z) in self.axes.iter_mut().zip(z) {
+            if first {
+                // Seed the state directly from the first observation.
+                axis.p = z;
+            } else {
+                axis.time_update(self.cfg.dt);
+                axis.measure(z);
+            }
+        }
     }
 
     /// Predict the pose `horizon` seconds past the last observation.
     pub fn predict(&self, horizon: f64) -> Pose {
-        let f_dt = constant_velocity_f(6, horizon);
-        let x = self.kf.extrapolate(&f_dt);
-        let position = Vec3::new(x[(0, 0)] as f32, x[(1, 0)] as f32, x[(2, 0)] as f32);
-        let orientation = Quat::from_yaw_pitch_roll(
-            angles::wrap(x[(3, 0)] as f32),
-            angles::wrap(x[(4, 0)] as f32),
-            angles::wrap(x[(5, 0)] as f32),
-        );
+        let x = self.axes.map(|a| a.at(horizon) as f32);
         Pose {
-            position,
-            orientation,
+            position: Vec3::new(x[0], x[1], x[2]),
+            orientation: Quat::from_yaw_pitch_roll(
+                angles::wrap(x[3]),
+                angles::wrap(x[4]),
+                angles::wrap(x[5]),
+            ),
         }
     }
 
@@ -427,12 +212,17 @@ impl PosePredictor {
 
     /// Whether at least one observation has been consumed.
     pub fn is_initialized(&self) -> bool {
-        self.initialized
+        self.last_angles.is_some()
     }
 }
 
 #[cfg(test)]
+#[path = "../tests/common/dense_kalman.rs"]
+mod dense_kalman;
+
+#[cfg(test)]
 mod tests {
+    use super::dense_kalman::{DMatrix, DensePosePredictor};
     use super::*;
 
     #[test]
@@ -471,38 +261,119 @@ mod tests {
 
     #[test]
     fn constant_velocity_transition_moves_position() {
-        let f = constant_velocity_f(2, 0.5);
-        let x = DMatrix::col_vec(&[1.0, 2.0, 10.0, -4.0]); // p=(1,2), v=(10,-4)
-        let x2 = f.mul(&x);
-        assert!((x2[(0, 0)] - 6.0).abs() < 1e-12);
-        assert!((x2[(1, 0)] - 0.0).abs() < 1e-12);
-        assert!((x2[(2, 0)] - 10.0).abs() < 1e-12); // velocity unchanged
+        let mut a = Axis::new(0.5, 1.0, 0.1);
+        (a.p, a.v) = (1.0, 10.0);
+        a.time_update(0.5);
+        assert_eq!((a.p, a.v), (6.0, 10.0), "velocity unchanged");
+        (a.p, a.v) = (2.0, -4.0);
+        assert_eq!(a.at(0.5), 0.0);
     }
 
     #[test]
     fn kalman_tracks_constant_velocity_1d() {
-        // 1-D constant velocity target observed with small noise.
+        // One axis: a constant-velocity target observed with small noise.
         let dt = 0.1;
-        let f = constant_velocity_f(1, dt);
-        let h = position_only_h(1);
-        let q = white_noise_q(1, dt, 0.01);
-        let mut r = DMatrix::zeros(1, 1);
-        r[(0, 0)] = 1e-4;
-        let x0 = DMatrix::col_vec(&[0.0, 0.0]);
-        let p0 = DMatrix::identity(2).scale(10.0);
-        let mut kf = KalmanFilter::new(f, h, q, r, x0, p0);
-
+        let mut kf = Axis::new(dt, 0.01, 0.01);
         let v_true = 2.0;
         for step in 1..=100 {
             let t = step as f64 * dt;
-            kf.predict();
-            kf.update(&DMatrix::col_vec(&[v_true * t]));
+            kf.time_update(dt);
+            kf.measure(v_true * t);
         }
-        assert!(
-            (kf.x[(1, 0)] - v_true).abs() < 0.05,
-            "estimated v = {}",
-            kf.x[(1, 0)]
-        );
+        assert!((kf.v - v_true).abs() < 0.05, "estimated v = {}", kf.v);
+    }
+
+    /// The six axes carry the dense filter's state and covariance bit for
+    /// bit — a stricter check than the `f32` predictions
+    /// `tests/kalman_scenarios.rs` compares — and the dense covariance
+    /// really is block-diagonal: every entry outside the six 2×2 blocks
+    /// stays +0.0.
+    #[test]
+    fn axes_carry_the_dense_filter_state_bit_for_bit() {
+        let cfg = PosePredictorConfig::default();
+        let mut fast = PosePredictor::new(cfg);
+        let mut dense = DensePosePredictor::new(cfg);
+        let mut rng = crate::rng::SplitMix64::new(7);
+        let (mut eye, mut yaw) = (Vec3::new(0.0, 1.6, 0.0), 3.0f32);
+        for n in 0..5_000 {
+            let step = if rng.gen_bool(0.02) { 3.0 } else { 0.3 };
+            yaw = angles::wrap(yaw + rng.gen_range(-step..step));
+            eye += Vec3::new(
+                rng.gen_range(-0.05..0.05),
+                rng.gen_range(-0.01..0.01),
+                rng.gen_range(-0.05..0.05),
+            );
+            let (pitch, roll) = (rng.gen_range(-1.57..1.57), rng.gen_range(-0.5..0.5));
+            let pose = Pose::new(eye, Quat::from_yaw_pitch_roll(yaw, pitch, roll));
+            fast.observe(&pose);
+            dense.observe(&pose);
+            let (x, p) = (&dense.kf.x, &dense.kf.p);
+            for (d, a) in fast.axes.iter().enumerate() {
+                let (i, j) = (d, d + 6);
+                let want = [
+                    x[(i, 0)],
+                    x[(j, 0)],
+                    p[(i, i)],
+                    p[(i, j)],
+                    p[(j, i)],
+                    p[(j, j)],
+                ];
+                let got = [a.p, a.v, a.pp, a.pv, a.vp, a.vv];
+                assert_eq!(
+                    want.map(f64::to_bits),
+                    got.map(f64::to_bits),
+                    "sample {n}, axis {d}"
+                );
+            }
+            for r in 0..12 {
+                for c in (0..12).filter(|c| c % 6 != r % 6) {
+                    assert_eq!(p[(r, c)].to_bits(), 0, "sample {n}, P[{r}, {c}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nonfinite_samples_are_dropped_not_absorbed() {
+        let cfg = PosePredictorConfig::default();
+        let pose_at = |i: usize| {
+            let t = i as f32 / 30.0;
+            Pose::new(
+                Vec3::new(0.5 * t, 1.6, -t),
+                Quat::from_yaw_pitch_roll(0.4 * t, 0.1, 0.0),
+            )
+        };
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut clean = PosePredictor::new(cfg);
+        let mut dirty = PosePredictor::new(cfg);
+        for i in 0..60 {
+            if i % 7 == 3 {
+                let c = bad[i % 3];
+                let mut p = pose_at(i);
+                match i % 4 {
+                    0 => p.position.x = c,
+                    1 => p.position.z = c,
+                    2 => p.orientation.w = c,
+                    _ => p.orientation.y = c,
+                }
+                dirty.observe(&p);
+            }
+            clean.observe(&pose_at(i));
+            dirty.observe(&pose_at(i));
+            for h in [0.0, 0.05, 0.137] {
+                let (a, b) = (clean.predict(h), dirty.predict(h));
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "sample {i}, horizon {h}"
+                );
+                assert!(b.position.is_finite());
+            }
+        }
+        // A non-finite first sample does not initialise the filter either.
+        let mut p = PosePredictor::new(cfg);
+        p.observe(&Pose::new(Vec3::new(f32::NAN, 0.0, 0.0), Quat::IDENTITY));
+        assert!(!p.is_initialized());
     }
 
     #[test]

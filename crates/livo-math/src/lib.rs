@@ -10,8 +10,9 @@
 //!   back-project RGB-D pixels into 3D and to build per-camera frusta.
 //! - [`Plane`] / [`Frustum`]: the six-plane truncated pyramid used by LiVo's
 //!   view culling (§3.4 of the paper).
-//! - [`kalman`]: a small dense-matrix Kalman filter plus the 6-DoF
-//!   constant-velocity pose predictor LiVo uses for frustum prediction.
+//! - [`kalman`]: the 6-DoF constant-velocity pose predictor LiVo uses for
+//!   frustum prediction — six independent 2-state Kalman filters, one per
+//!   pose dimension.
 //! - [`rng`]: the workspace's seeded generator, [`rng::SplitMix64`], and the
 //!   seeded-case runner its property tests use.
 //!
@@ -34,7 +35,7 @@ pub mod vec3;
 
 pub use camera::{CameraIntrinsics, RgbdCamera};
 pub use frustum::{Frustum, FrustumParams};
-pub use kalman::{KalmanFilter, PosePredictor};
+pub use kalman::PosePredictor;
 pub use mat::{Mat3, Mat4};
 pub use plane::Plane;
 pub use pose::Pose;

@@ -1,11 +1,98 @@
 //! Motion-scenario tests for the pose predictor: the trajectories headset
-//! wearers actually produce, with tracking noise.
+//! wearers actually produce, with tracking noise — and the per-axis filter
+//! against the dense 12-state filter it replaced, prediction for prediction.
 
+#[path = "common/dense_kalman.rs"]
+mod dense_kalman;
+
+use dense_kalman::DensePosePredictor;
+use livo_capture::usertrace::{TraceStyle, UserTrace};
 use livo_math::kalman::PosePredictorConfig;
 use livo_math::rng::SplitMix64;
 use livo_math::{angles, Pose, PosePredictor, Quat, Vec3};
+use std::f32::consts::FRAC_PI_2;
 
 const DT: f32 = 1.0 / 30.0;
+
+/// Prediction horizons of the differential tests, seconds.
+const HORIZONS: [f64; 4] = [0.0, 0.05, 0.137, 0.5];
+
+fn bits(p: &Pose) -> [u32; 7] {
+    let (v, q) = (p.position, p.orientation);
+    [v.x, v.y, v.z, q.w, q.x, q.y, q.z].map(f32::to_bits)
+}
+
+/// Feed `poses` to the per-axis predictor and the dense oracle alike and
+/// require every prediction at every horizon to be bit-equal.
+fn assert_replays_dense(poses: &[Pose], what: &str) -> usize {
+    let cfg = PosePredictorConfig::default();
+    let mut fast = PosePredictor::new(cfg);
+    let mut dense = DensePosePredictor::new(cfg);
+    for (i, pose) in poses.iter().enumerate() {
+        fast.observe(pose);
+        dense.observe(pose);
+        for h in HORIZONS {
+            let (a, b) = (fast.predict(h), dense.predict(h));
+            assert_eq!(
+                bits(&a),
+                bits(&b),
+                "{what}, sample {i}, horizon {h}: {a:?} vs {b:?}"
+            );
+        }
+    }
+    poses.len() * HORIZONS.len()
+}
+
+/// The study's three motion styles × ten seeds, eight seconds each.
+#[test]
+fn per_axis_filter_is_bit_equal_to_the_dense_filter_on_user_traces() {
+    let mut predictions = 0;
+    for style in TraceStyle::ALL {
+        for seed in 0..10 {
+            let trace = UserTrace::generate(style, 8.0, seed);
+            predictions += assert_replays_dense(&trace.poses, &format!("{style:?} seed {seed}"));
+        }
+    }
+    assert_eq!(predictions, 3 * 10 * 240 * HORIZONS.len());
+}
+
+/// 20 000 random poses in twenty runs that keep crossing the ±π yaw seam:
+/// small and large yaw steps, the full pitch range up to gimbal lock,
+/// tracking noise, and the odd teleport.
+#[test]
+fn per_axis_filter_is_bit_equal_to_the_dense_filter_across_the_yaw_seam() {
+    let mut rng = SplitMix64::new(0x5EA3);
+    let mut crossings = 0;
+    for run in 0..20 {
+        // Yaw is π + `off`, `off` a walk held inside ±0.6 rad, so it
+        // changes sign — crosses the seam — every few samples.
+        let mut off = 0.0f32;
+        let mut eye = Vec3::new(0.0, 1.6, 0.0);
+        let poses: Vec<Pose> = (0..1_000)
+            .map(|_| {
+                let step = if rng.gen_bool(0.05) { 0.6 } else { 0.15 };
+                let next = (off + rng.gen_range(-step..step)).clamp(-0.6, 0.6);
+                crossings += (next.signum() != off.signum()) as usize;
+                off = next;
+                let yaw = angles::wrap(std::f32::consts::PI + off);
+                eye = if rng.gen_bool(0.01) {
+                    Vec3::new(rng.gen_range(-5.0..5.0), 1.6, rng.gen_range(-5.0..5.0))
+                } else {
+                    eye + Vec3::new(
+                        rng.gen_range(-0.05..0.05),
+                        rng.gen_range(-0.01..0.01),
+                        rng.gen_range(-0.05..0.05),
+                    )
+                };
+                let pitch = rng.gen_range(-FRAC_PI_2..FRAC_PI_2);
+                let roll = rng.gen_range(-0.6..0.6f32);
+                Pose::new(eye, Quat::from_yaw_pitch_roll(yaw, pitch, roll))
+            })
+            .collect();
+        assert_replays_dense(&poses, &format!("seam run {run}"));
+    }
+    assert!(crossings > 1_000, "only {crossings} seam crossings");
+}
 
 fn noisy(pose: Pose, rng: &mut SplitMix64) -> Pose {
     // Headset tracking noise: ~2 mm positional, ~0.2° rotational.

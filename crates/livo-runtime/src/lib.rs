@@ -246,6 +246,11 @@ impl WorkerPool {
         // Always join before returning: spawned tasks may borrow locals of
         // the caller, so the scope must outlive them even when unwinding.
         state.wait_all();
+        // Each task publishes the depth it saw when it started, and tasks
+        // finish in any order: publish it once more after all have.
+        if let Some(t) = &scope.telemetry {
+            t.queue_depth.set(self.depth.load(Ordering::Relaxed) as f64);
+        }
         match state.take_panic() {
             Some(p) => resume_unwind(p),
             None => match result {

@@ -1,7 +1,7 @@
 //! The SFU router: one capture stream in, N adapted downlinks out.
 //!
-//! Per frame the router (1) refreshes every subscriber's predicted
-//! frustum, (2) groups subscribers into clusters by mutual frustum
+//! Per frame the router (1) predicts every subscriber's frustum, once,
+//! (2) groups subscribers into clusters by mutual frustum
 //! coverage, (3) runs **one union-cull + tile + encode pass per cluster**
 //! in parallel on the worker pool, with the encode rate capped at the
 //! fastest member's GCC estimate, and (4) fans the cluster bitstreams out
@@ -639,24 +639,15 @@ impl Router {
         }
     }
 
-    /// Recompute clusters from the subscribers' current predicted frusta
-    /// and reconcile encoder state: each new group reuses the old cluster
-    /// with the largest member overlap, keeping its encoders and P
-    /// chains. Added members arm (only) the destination's chain;
-    /// members migrating between clusters raise [`RouterEvent::Regrouped`].
-    fn recluster(&mut self) {
-        let ids: Vec<SubscriberId> = self.subscribers.keys().copied().collect();
-        let volumes: Vec<ViewVolume> = self
-            .subscribers
-            .values()
-            .map(|s| ViewVolume {
-                frustum: s.predictor.predicted_frustum(),
-                pose: s.predictor.predicted_pose(),
-                params: *s.predictor.params(),
-            })
-            .collect();
+    /// Recompute clusters from this frame's predicted view volumes (`ids`
+    /// and `volumes` in subscriber order) and reconcile encoder state: each
+    /// new group reuses the old cluster with the largest member overlap,
+    /// keeping its encoders and P chains. Added members arm (only) the
+    /// destination's chain; members migrating between clusters raise
+    /// [`RouterEvent::Regrouped`].
+    fn recluster(&mut self, ids: &[SubscriberId], volumes: &[ViewVolume]) {
         let groups_idx: Vec<Vec<usize>> = if self.cfg.sharing {
-            cluster_views(&volumes, &ClusterParams::default())
+            cluster_views(volumes, &ClusterParams::default())
         } else {
             (0..ids.len()).map(|i| vec![i]).collect()
         };
@@ -747,11 +738,17 @@ impl Router {
     }
 
     /// Build the per-cluster work orders (serial planning phase): rates
-    /// and frusta come from the members, and an armed chain is resolved
-    /// against its cooldown — one RTT of the cluster's slowest member, the
-    /// keyframe-storm guard — here, so the parallel encode pass never
-    /// touches subscriber or chain state.
-    fn plan_jobs(&mut self, now: Micros) -> Vec<ClusterJob> {
+    /// and frusta come from the members — the frusta from this frame's
+    /// predictions (`ids` / `volumes`, as for [`Self::recluster`]) — and an
+    /// armed chain is resolved against its cooldown — one RTT of the
+    /// cluster's slowest member, the keyframe-storm guard — here, so the
+    /// parallel encode pass never touches subscriber or chain state.
+    fn plan_jobs(
+        &mut self,
+        now: Micros,
+        ids: &[SubscriberId],
+        volumes: &[ViewVolume],
+    ) -> Vec<ClusterJob> {
         let mut jobs: Vec<ClusterJob> = Vec::with_capacity(self.clusters.len());
         for state in &mut self.clusters {
             let estimates: Vec<f64> = state
@@ -778,7 +775,7 @@ impl Router {
             let frusta: Vec<Frustum> = state
                 .members
                 .iter()
-                .map(|&m| self.subscribers[&m].predictor.predicted_frustum())
+                .map(|m| volumes[ids.binary_search(m).expect("member is live")].frustum)
                 .collect();
             jobs.push(ClusterJob {
                 frusta,
@@ -818,11 +815,27 @@ impl Router {
         let encode_span = TelemetrySpan::start(&self.metrics.encode_ms);
 
         // Predictor horizons track each downlink's RTT (+ processing
-        // slack), exactly like the two-party sender.
-        for sub in self.subscribers.values_mut() {
-            let owd_s = sub.session.one_way_delay_us() / 1e6;
-            sub.predictor.observe_rtt(2.0 * owd_s + 0.03);
-        }
+        // slack), exactly like the two-party sender. Each subscriber's view
+        // is predicted once per frame, in id order; clustering and the
+        // cluster jobs both read it.
+        let (ids, volumes): (Vec<SubscriberId>, Vec<ViewVolume>) = self
+            .subscribers
+            .iter_mut()
+            .map(|(&id, sub)| {
+                let owd_s = sub.session.one_way_delay_us() / 1e6;
+                sub.predictor.observe_rtt(2.0 * owd_s + 0.03);
+                let (pose, frustum) = sub.predictor.predicted_view();
+                let params = *sub.predictor.params();
+                (
+                    id,
+                    ViewVolume {
+                        frustum,
+                        pose,
+                        params,
+                    },
+                )
+            })
+            .unzip();
 
         if self.clusters.is_empty()
             || self.membership_dirty
@@ -830,10 +843,10 @@ impl Router {
                 .frame_idx
                 .is_multiple_of(self.cfg.recluster_every as u64)
         {
-            self.recluster();
+            self.recluster(&ids, &volumes);
         }
 
-        let jobs = self.plan_jobs(now);
+        let jobs = self.plan_jobs(now, &ids, &volumes);
 
         // Phase 2: one union-cull + tile + encode pass per cluster,
         // clusters in parallel on the pool. Work inside a task is serial

@@ -1,6 +1,7 @@
 #!/bin/bash
 # Regenerate BENCH_kernels.json: the hot-kernel microbench snapshot
-# (schema livo-bench-kernels-v1) comparing each optimised kernel — cull,
+# (schema livo-bench-kernels-v1) comparing each optimised kernel — cull
+# (one frustum, and an SFU cluster's 48-frustum union),
 # forward/inverse DCT and SAD with their AVX2 tiers, sliced decode, the
 # pixel path (compose, reconstruct, voxel downsample, render prep), one
 # static-scene inter frame encoded and decoded, the block coder (time and
