@@ -1,58 +1,61 @@
-//! Hot-kernel microbenchmarks: the optimised per-frame kernels against the
-//! reference implementations they replaced.
+//! Hot-kernel microbenchmarks: each per-frame kernel whose subject is still
+//! open, against the body it replaced.
 //!
-//! Each kernel keeps its pre-optimisation form in-tree (`cull_views_union_reference`,
-//! `dct::forward_ref`/`inverse_ref`, `motion::sad_ref`), both as the oracle
-//! of the differential tests and as the baseline here — so the reported
-//! speedups measure the actual replacement, on the actual machine, not a
-//! synthetic stand-in. The pixel-path points (`compose`, `reconstruct`,
-//! `voxel_downsample`, `render_prep`) and the inter-frame points
-//! (`encode_inter_static`, `decode_inter_static`, `coeff_coder_*`) carry
-//! their baselines in this file instead: the product has one pixel path, one
-//! inter-frame coder and one block layout, no reference twins. The two
-//! `coeff_coder` points also carry both coders' payload bits, which repeat
-//! exactly and are gated against a ceiling beside the clock.
+//! The references are the test oracles, included here from each crate's
+//! `tests/common/oracle.rs` — the per-pixel union cull for `cull` and
+//! `union_cull`, the matrix DCT pair for `dct_forward` / `dct_inverse`, the
+//! clamped-loop SAD for `sad` — so the reported speedups measure the actual
+//! replacement, on the actual machine, against the body the differential
+//! tests hold it to. The two `coeff_coder` points write and read back the
+//! level blocks of one colour and one depth inter frame (planned by the
+//! codec's inter plan oracle) through the product's block coder and through
+//! the one it replaced, kept below as its only copy; they also carry both
+//! coders' payload bits, which repeat exactly and are gated against a
+//! ceiling beside the clock. A point whose win is measured on a `call_*`
+//! workload and whose subject no open change touches is retired into its
+//! differential test (DESIGN.md, the second-path ledger).
 //! `repro kernels` prints the table; `--json` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
 //! replaced ([`GATE_FLOOR`]), which `scripts/tier1.sh` uses as a perf
-//! ratchet: a tier that does not pay for itself is deleted, not given a
+//! ratchet: a kernel that does not pay for itself is deleted, not given a
 //! looser floor. Points marked `gated: false` (the slice-parallel decode
-//! scaling measurement, the two `pool_scope_*` dispatch diagnostics, the
-//! AVX2 tier points on a host without AVX2) are reported but not ratcheted.
+//! scaling measurement and the two `pool_scope_*` dispatch diagnostics) are
+//! reported but not ratcheted.
 //!
 //! Timing protocol: fast and reference passes alternate within each
 //! repetition (so drift hits both alike) and the per-iteration median over
 //! [`REPS`] repetitions is reported — robust to scheduler noise on small
-//! CI machines. The inter-frame points report the smallest of the
-//! repetitions instead (`best_of_pair`): each pass redoes untimed set-up (a
-//! fresh encoder, a primed decoder), and the minimum is what a frame costs
-//! when nothing else ran.
+//! CI machines. The coder points report the smallest of the repetitions
+//! instead (`best_of_pair`): the minimum is what a frame costs when nothing
+//! else ran.
 
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, RgbdFrame, VideoId};
-use livo_codec2d::block::{
-    decode_block, decode_svalue, encode_block, encode_svalue, CoeffContexts,
-};
+use livo_codec2d::block::{decode_block, encode_block, CoeffContexts};
 use livo_codec2d::dct::ZIGZAG;
-use livo_codec2d::motion::{MotionVector, MB_SIZE};
-use livo_codec2d::plane::write_block8_into_stripe;
-use livo_codec2d::quant::{self, DC_SCALE};
 use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
-use livo_codec2d::{dct, motion, Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
-use livo_core::cull::{cull_views_union_reference, CullContext};
+use livo_codec2d::slice::slice_count;
+use livo_codec2d::{dct, motion, plane, quant};
+use livo_codec2d::{Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
+use livo_core::cull::CullContext;
 use livo_core::frustum_pred::FrustumPredictor;
-use livo_core::reconstruct::prepare_for_render;
 use livo_core::stage::GUARD_BAND_M;
-use livo_core::tile::{compose_color, compose_depth, write_seq, TileLayout};
-use livo_core::{cull_views, reconstruct_point_cloud, DepthCodec};
+use livo_core::tile::{compose_color, compose_depth, TileLayout};
+use livo_core::{cull_views, CullStats, DepthCodec};
 use livo_math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec3};
-use livo_pointcloud::{Point, PointCloud, VoxelGrid};
 use livo_runtime::WorkerPool;
 use livo_telemetry::json::ObjectWriter;
+
+#[path = "../../livo-codec2d/tests/common/oracle.rs"]
+mod codec_oracle;
+#[path = "../../livo-core/tests/common/oracle.rs"]
+mod cull_oracle;
+
+use codec_oracle::{forward_ref, inverse_ref, plan_inter, sad_ref, InterPlan};
+use cull_oracle::cull_views_union_reference;
 
 /// Repetitions per kernel; the median is reported.
 const REPS: usize = 7;
@@ -67,7 +70,7 @@ pub struct KernelPoint {
     pub unit: &'static str,
     /// Median wall-clock of the optimised kernel, nanoseconds.
     pub fast_ns: f64,
-    /// Median wall-clock of the retained reference, nanoseconds.
+    /// Median wall-clock of the reference it replaced, nanoseconds.
     pub ref_ns: f64,
     /// Whether `--gate` enforces `speedup() >= GATE_FLOOR` for this point.
     /// Informational points (thread-scaling measurements on an unknown
@@ -291,7 +294,7 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
         },
         || {
             for b in &blocks {
-                black_box(dct::forward_ref(black_box(b)));
+                black_box(forward_ref(black_box(b)));
             }
         },
     );
@@ -303,7 +306,7 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
         },
         || {
             for c in &coeffs {
-                black_box(dct::inverse_ref(black_box(c)));
+                black_box(inverse_ref(black_box(c)));
             }
         },
     );
@@ -332,138 +335,28 @@ fn bench_sad() -> KernelPoint {
     let cur = textured_plane(256, 256, 2);
     let reference = textured_plane(256, 256, 0);
     let vectors = [(0i16, 0i16), (3, 0), (-2, 1), (5, -4), (-7, -7), (8, 8)];
-    let mut count = 0usize;
-    for by in (16..224).step_by(16) {
-        for _bx in (16..224).step_by(16) {
-            count += vectors.len();
-            let _ = by;
+    // Interior macroblocks only: every vector keeps the block inside.
+    let blocks = || {
+        (16..224)
+            .step_by(16)
+            .flat_map(|by| (16..224).step_by(16).map(move |bx| (bx, by)))
+    };
+    let count = blocks().count() * vectors.len();
+    let sweep = |sad: fn(&Plane, &Plane, usize, usize, motion::MotionVector, u64) -> u64| {
+        for (bx, by) in blocks() {
+            for (dx, dy) in vectors {
+                let mv = motion::MotionVector { dx, dy };
+                black_box(sad(&cur, &reference, bx, by, mv, u64::MAX));
+            }
         }
-    }
-    let (fast, naive) = time_pair(
-        || {
-            for by in (16..224).step_by(16) {
-                for bx in (16..224).step_by(16) {
-                    for (dx, dy) in vectors {
-                        let mv = motion::MotionVector { dx, dy };
-                        black_box(motion::sad(&cur, &reference, bx, by, mv, u64::MAX));
-                    }
-                }
-            }
-        },
-        || {
-            for by in (16..224).step_by(16) {
-                for bx in (16..224).step_by(16) {
-                    for (dx, dy) in vectors {
-                        let mv = motion::MotionVector { dx, dy };
-                        black_box(motion::sad_ref(&cur, &reference, bx, by, mv, u64::MAX));
-                    }
-                }
-            }
-        },
-    );
+    };
+    let (fast, naive) = time_pair(|| sweep(motion::sad), || sweep(sad_ref));
     KernelPoint {
         name: "sad",
         unit: "per 16x16 SAD, no early exit",
         fast_ns: fast / count as f64,
         ref_ns: naive / count as f64,
         gated: true,
-        bits: None,
-    }
-}
-
-/// The `_avx2` points compare the *dispatched* kernel against the retained
-/// next-lower tier (`*_baseline`: the SSE2/scalar shared body), isolating
-/// the 256-bit recompile from the algorithmic win the base points measure.
-/// On hosts without AVX2 both sides run the same code, so the points are
-/// reported at ~1.0× but not gated.
-fn avx2_gated() -> bool {
-    livo_math::simd::has_avx2()
-}
-
-fn bench_dct_avx2() -> (KernelPoint, KernelPoint) {
-    const BLOCKS: usize = 4096;
-    let blocks: Vec<[i32; 64]> = (0..BLOCKS)
-        .map(|i| pseudo_block(i as u64 + 7, if i % 2 == 0 { 255 } else { 65535 }))
-        .collect();
-    let coeffs: Vec<[f32; 64]> = blocks.iter().map(dct::forward).collect();
-    let (f_fast, f_base) = time_pair(
-        || {
-            for b in &blocks {
-                black_box(dct::forward(black_box(b)));
-            }
-        },
-        || {
-            for b in &blocks {
-                black_box(dct::forward_baseline(black_box(b)));
-            }
-        },
-    );
-    let (i_fast, i_base) = time_pair(
-        || {
-            for c in &coeffs {
-                black_box(dct::inverse(black_box(c)));
-            }
-        },
-        || {
-            for c in &coeffs {
-                black_box(dct::inverse_baseline(black_box(c)));
-            }
-        },
-    );
-    let per = BLOCKS as f64;
-    (
-        KernelPoint {
-            name: "dct_avx2",
-            unit: "per 8x8 forward, vs sse2/scalar tier",
-            fast_ns: f_fast / per,
-            ref_ns: f_base / per,
-            gated: avx2_gated(),
-            bits: None,
-        },
-        KernelPoint {
-            name: "idct_avx2",
-            unit: "per 8x8 inverse, vs sse2/scalar tier",
-            fast_ns: i_fast / per,
-            ref_ns: i_base / per,
-            gated: avx2_gated(),
-            bits: None,
-        },
-    )
-}
-
-fn bench_sad_avx2() -> KernelPoint {
-    let cur = textured_plane(256, 256, 2);
-    let reference = textured_plane(256, 256, 0);
-    let vectors = [(0i16, 0i16), (3, 0), (-2, 1), (5, -4), (-7, -7), (8, 8)];
-    let count = 13 * 13 * vectors.len();
-    let (fast, base) = time_pair(
-        || {
-            for by in (16..224).step_by(16) {
-                for bx in (16..224).step_by(16) {
-                    for (dx, dy) in vectors {
-                        let mv = motion::MotionVector { dx, dy };
-                        black_box(motion::sad(&cur, &reference, bx, by, mv, u64::MAX));
-                    }
-                }
-            }
-        },
-        || {
-            for by in (16..224).step_by(16) {
-                for bx in (16..224).step_by(16) {
-                    for (dx, dy) in vectors {
-                        let mv = motion::MotionVector { dx, dy };
-                        black_box(motion::sad_baseline(&cur, &reference, bx, by, mv, u64::MAX));
-                    }
-                }
-            }
-        },
-    );
-    KernelPoint {
-        name: "sad_avx2",
-        unit: "per 16x16 SAD, vs sse2/scalar tier",
-        fast_ns: fast / count as f64,
-        ref_ns: base / count as f64,
-        gated: avx2_gated(),
         bits: None,
     }
 }
@@ -513,32 +406,11 @@ fn bench_decode_sliced() -> KernelPoint {
     }
 }
 
-/// What a receiver holds when a frame is due: the decoded colour and depth
-/// canvases of one culled 4-camera capture at scale 0.25, with the layout,
-/// rig and depth codec it agreed on at set-up.
-struct ReceiverInput {
-    color: Frame,
-    depth: Frame,
-    layout: TileLayout,
-    cameras: Vec<RgbdCamera>,
-    codec: DepthCodec,
-}
-
-/// The bench rig's four cameras at scale 0.25.
-fn bench_cameras() -> Vec<RgbdCamera> {
-    rig::camera_ring(
-        4,
-        2.5,
-        1.2,
-        Vec3::new(0.0, 1.0, 0.0),
-        CameraIntrinsics::kinect_depth(0.25),
-    )
-}
-
-/// One culled 4-camera capture of `band2` at scene time `t`, and the tile
-/// layout of its canvases.
+/// One culled capture of `band2` at scene time `t` by four cameras at
+/// scale 0.25, and the tile layout of its canvases.
 fn culled_views(t: f32, seq: u32) -> (Vec<RgbdFrame>, TileLayout) {
-    let cameras = bench_cameras();
+    let k = CameraIntrinsics::kinect_depth(0.25);
+    let cameras = rig::camera_ring(4, 2.5, 1.2, Vec3::new(0.0, 1.0, 0.0), k);
     let snap = DatasetPreset::load(VideoId::Band2).scene.at(t);
     let mut views: Vec<RgbdFrame> = cameras
         .iter()
@@ -551,276 +423,6 @@ fn culled_views(t: f32, seq: u32) -> (Vec<RgbdFrame>, TileLayout) {
     cull_views(&mut views, &cameras, &frustum);
     let layout = TileLayout::new(views[0].width, views[0].height, cameras.len());
     (views, layout)
-}
-
-fn receiver_input() -> ReceiverInput {
-    let cameras = bench_cameras();
-    let (views, layout) = culled_views(0.5, 0);
-    let codec = DepthCodec::default();
-    let through_codec = |canvas: Frame| {
-        let mut enc = Encoder::new(EncoderConfig::new(
-            layout.canvas_w,
-            layout.canvas_h,
-            canvas.format,
-        ));
-        let data = enc.encode_fixed_qp(&canvas, 12).data;
-        Decoder::new().decode(&data).expect("own stream decodes")
-    };
-    ReceiverInput {
-        color: through_codec(compose_color(&views, &layout, 0)),
-        depth: through_codec(compose_depth(&views, &layout, &codec, 0)),
-        layout,
-        cameras,
-        codec,
-    }
-}
-
-/// `reconstruct_point_cloud` as it was before the fused pass: per camera,
-/// convert the whole colour canvas to RGB, copy the camera's slot out of
-/// both canvases, then back-project the slot copies.
-fn reconstruct_reference(input: &ReceiverInput) -> PointCloud {
-    let l = &input.layout;
-    let mut cloud = PointCloud::with_capacity(l.n * l.cam_w * l.cam_h / 4);
-    for (i, cam) in input.cameras.iter().enumerate() {
-        let (ox, oy) = l.slot_origin(i);
-        let mut depth = vec![0u16; l.cam_w * l.cam_h];
-        for y in 0..l.cam_h {
-            for x in 0..l.cam_w {
-                let coded = input.depth.planes[0].get(ox + x, oy + y);
-                depth[y * l.cam_w + x] = input.codec.decode_sample(coded);
-            }
-        }
-        let canvas_rgb = input.color.to_rgb8();
-        let mut rgb = vec![0u8; l.cam_w * l.cam_h * 3];
-        for y in 0..l.cam_h {
-            let src = ((oy + y) * l.canvas_w + ox) * 3;
-            let dst = y * l.cam_w * 3;
-            rgb[dst..dst + l.cam_w * 3].copy_from_slice(&canvas_rgb[src..src + l.cam_w * 3]);
-        }
-        for y in 0..l.cam_h {
-            for x in 0..l.cam_w {
-                let p = y * l.cam_w + x;
-                if depth[p] == 0 {
-                    continue;
-                }
-                if let Some(world) = cam.pixel_to_world(x as u32, y as u32, depth[p]) {
-                    cloud.push(Point::new(
-                        world,
-                        [rgb[p * 3], rgb[p * 3 + 1], rgb[p * 3 + 2]],
-                    ));
-                }
-            }
-        }
-    }
-    cloud
-}
-
-/// One voxel's position sum, colour sums and point count.
-type VoxelSums = (Vec3, [u32; 3], u32);
-
-/// `VoxelGrid::downsample` as it was before the flat table: per-voxel sums
-/// through the standard `HashMap`, emitted in the map's order.
-fn downsample_reference(voxel_size: f32, cloud: &PointCloud) -> PointCloud {
-    let inv = 1.0 / voxel_size;
-    let mut acc: HashMap<(i32, i32, i32), VoxelSums> = HashMap::new();
-    for p in &cloud.points {
-        let key = (
-            (p.position.x * inv).floor() as i32,
-            (p.position.y * inv).floor() as i32,
-            (p.position.z * inv).floor() as i32,
-        );
-        let e = acc.entry(key).or_insert((Vec3::ZERO, [0, 0, 0], 0));
-        e.0 += p.position;
-        for c in 0..3 {
-            e.1[c] += p.color[c] as u32;
-        }
-        e.2 += 1;
-    }
-    let mut out = PointCloud::with_capacity(acc.len());
-    for (_, (pos_sum, col_sum, n)) in acc {
-        let color = [
-            (col_sum[0] / n) as u8,
-            (col_sum[1] / n) as u8,
-            (col_sum[2] / n) as u8,
-        ];
-        out.push(Point::new(pos_sum / n as f32, color));
-    }
-    out
-}
-
-fn bench_receiver() -> (KernelPoint, KernelPoint) {
-    const VOXEL_M: f32 = 0.02;
-    let input = receiver_input();
-    let reconstruct = || {
-        reconstruct_point_cloud(
-            &input.color,
-            &input.depth,
-            &input.layout,
-            &input.cameras,
-            &input.codec,
-        )
-    };
-    let (rec_fast, rec_ref) = time_pair(
-        || {
-            black_box(reconstruct());
-        },
-        || {
-            black_box(reconstruct_reference(black_box(&input)));
-        },
-    );
-    let cloud = reconstruct();
-    assert_eq!(
-        cloud.points,
-        reconstruct_reference(&input).points,
-        "the reference must rebuild the same cloud"
-    );
-    let grid = VoxelGrid::new(VOXEL_M);
-    assert_eq!(
-        grid.downsample(&cloud).len(),
-        downsample_reference(VOXEL_M, &cloud).len(),
-        "the reference must find the same voxels"
-    );
-    let (vox_fast, vox_ref) = time_pair(
-        || {
-            black_box(grid.downsample(black_box(&cloud)));
-        },
-        || {
-            black_box(downsample_reference(VOXEL_M, black_box(&cloud)));
-        },
-    );
-    (
-        KernelPoint {
-            name: "reconstruct",
-            unit: "4 cameras, scale 0.25, one decoded canvas pair",
-            fast_ns: rec_fast,
-            ref_ns: rec_ref,
-            gated: true,
-            bits: None,
-        },
-        KernelPoint {
-            name: "voxel_downsample",
-            unit: "that cloud at 0.02 m, vs std HashMap accumulate",
-            fast_ns: vox_fast,
-            ref_ns: vox_ref,
-            gated: true,
-            bits: None,
-        },
-    )
-}
-
-/// `compose_color` + `compose_depth` as they were before the lanes: luma
-/// and depth a sample at a time through `f32::round` (a libm call on
-/// baseline x86-64), chroma a quad at a time, black tested per pixel.
-fn compose_reference(views: &[RgbdFrame], l: &TileLayout, codec: &DepthCodec) -> (Frame, Frame) {
-    let round = |v: f32| v.round().clamp(0.0, 255.0) as u16;
-    let (w, row_bytes) = (l.canvas_w, l.cam_w * 3);
-    let mut color = Frame::new(PixelFormat::Yuv420, w, l.canvas_h);
-    let mut depth = Frame::new(PixelFormat::Y16, w, l.canvas_h);
-    let mut pair = vec![0u8; 2 * w * 3];
-    for y in 0..l.canvas_h {
-        let rgb = &mut pair[y % 2 * w * 3..][..w * 3];
-        rgb.fill(0);
-        if let Some(vy) = y.checked_sub(l.header_rows) {
-            let in_row = views.iter().skip(vy / l.cam_h * l.cols).take(l.cols);
-            for (v, dst) in in_row.zip(rgb.chunks_exact_mut(row_bytes)) {
-                dst.copy_from_slice(&v.rgb[vy % l.cam_h * row_bytes..][..row_bytes]);
-            }
-        }
-        let luma = color.planes[0].data[y * w..].iter_mut();
-        for (s, px) in luma
-            .zip(rgb.chunks_exact(3))
-            .filter(|(_, px)| *px != [0; 3])
-        {
-            *s = round(0.299 * px[0] as f32 + 0.587 * px[1] as f32 + 0.114 * px[2] as f32);
-        }
-        // Canvas heights are even: a row of quads ends on every odd row.
-        for cx in (0..w / 2).filter(|_| y % 2 == 1) {
-            let (top, bottom) = (&pair[cx * 6..][..6], &pair[(w + cx * 2) * 3..][..6]);
-            let (mut usum, mut vsum) = (512.0f32, 512.0f32);
-            if top != [0; 6] || bottom != [0; 6] {
-                (usum, vsum) = (0.0, 0.0);
-                for px in [&top[..3], &top[3..], &bottom[..3], &bottom[3..]] {
-                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
-                    usum += -0.168_736 * r - 0.331_264 * g + 0.5 * b + 128.0;
-                    vsum += 0.5 * r - 0.418_688 * g - 0.081_312 * b + 128.0;
-                }
-            }
-            color.planes[1].data[y / 2 * (w / 2) + cx] = round(usum / 4.0);
-            color.planes[2].data[y / 2 * (w / 2) + cx] = round(vsum / 4.0);
-        }
-    }
-    for (i, v) in views.iter().enumerate() {
-        let (ox, oy) = l.slot_origin(i);
-        for (y, src) in v.depth_mm.chunks_exact(v.width).enumerate() {
-            let dst = depth.planes[0].data[(oy + y) * w + ox..].iter_mut();
-            for (c, &d) in dst.zip(src) {
-                let mm = d.min(codec.max_depth_mm) as f32;
-                *c = (mm * codec.scale()).round().min(u16::MAX as f32) as u16;
-            }
-        }
-    }
-    write_seq(&mut color.planes[0], 0, 255);
-    write_seq(&mut depth.planes[0], 0, u16::MAX);
-    (color, depth)
-}
-
-/// The two ends of the pixel path: one capture tiled into its canvas pair,
-/// and one cloud voxelised and culled to the viewer — each against the
-/// body it had before the lanes.
-fn bench_compose_and_render_prep() -> (KernelPoint, KernelPoint) {
-    const VOXEL_M: f32 = 0.03;
-    let (views, l) = culled_views(0.5, 0);
-    let codec = DepthCodec::default();
-    let compose = || {
-        (
-            compose_color(&views, &l, 0),
-            compose_depth(&views, &l, &codec, 0),
-        )
-    };
-    assert!(
-        compose() == compose_reference(&views, &l, &codec),
-        "same canvases"
-    );
-    let (compose_fast, compose_ref) = time_pair(
-        || drop(black_box(compose())),
-        || drop(black_box(compose_reference(black_box(&views), &l, &codec))),
-    );
-    let rx = receiver_input();
-    let cloud = reconstruct_point_cloud(&rx.color, &rx.depth, &rx.layout, &rx.cameras, &rx.codec);
-    let viewer = Pose::look_at(Vec3::new(1.0, 1.4, -2.5), Vec3::new(0.0, 1.0, 0.0), Vec3::Y);
-    let frustum = Frustum::from_params(&viewer, &FrustumParams::default());
-    let grid = VoxelGrid::new(VOXEL_M);
-    let two_clouds = || grid.downsample(black_box(&cloud)).cull_to_frustum(&frustum);
-    let shown = prepare_for_render(&cloud, VOXEL_M, &frustum);
-    assert_eq!(shown.points, two_clouds().points, "same shown cloud");
-    let (prep_fast, prep_ref) = time_pair(
-        || {
-            drop(black_box(prepare_for_render(
-                black_box(&cloud),
-                VOXEL_M,
-                &frustum,
-            )))
-        },
-        || drop(black_box(two_clouds())),
-    );
-    (
-        KernelPoint {
-            name: "compose",
-            unit: "4 culled views, scale 0.25, colour + depth canvas, vs per-sample f32::round",
-            fast_ns: compose_fast,
-            ref_ns: compose_ref,
-            gated: true,
-            bits: None,
-        },
-        KernelPoint {
-            name: "render_prep",
-            unit: "that cloud at 0.03 m, vs downsample then cull_to_frustum",
-            fast_ns: prep_fast,
-            ref_ns: prep_ref,
-            gated: true,
-            bits: None,
-        },
-    )
 }
 
 /// What a `WorkerPool::scope` costs on pool(2) against the inline pool: a
@@ -870,14 +472,12 @@ fn bench_pool_scope() -> (KernelPoint, KernelPoint) {
 }
 
 // ---------------------------------------------------------------------
-// Static macroblocks and the block coder: one inter frame of the canvas pair.
+// The block coder: the level blocks of one inter frame of the canvas pair.
 // ---------------------------------------------------------------------
 
 /// QPs the rate controller settles on for this content on `call_steady`.
 const COLOR_QP: u8 = 24;
 const DEPTH_QP: u8 = 40;
-/// `EncoderConfig::new`'s search range.
-const SEARCH_RANGE: i16 = 8;
 
 /// The block coder as it was while every coefficient went through the range
 /// coder: a banded significance flag per position under `last` and a
@@ -985,424 +585,20 @@ fn decode_block_old(
     true
 }
 
-/// `motion::diamond_search` as it was: every probe scored, SAD 0 or not.
-fn diamond_search_oracle(
-    cur: &Plane,
-    reference: &Plane,
-    bx: usize,
-    by: usize,
-    start: MotionVector,
-) -> MotionVector {
-    let clamp_mv = |mv: MotionVector| MotionVector {
-        dx: mv.dx.clamp(-SEARCH_RANGE, SEARCH_RANGE),
-        dy: mv.dy.clamp(-SEARCH_RANGE, SEARCH_RANGE),
-    };
-    let mut best = clamp_mv(start);
-    let mut best_sad = motion::sad(cur, reference, bx, by, best, u64::MAX);
-    let mut came_from: Option<MotionVector> = None;
-    let zero = MotionVector::default();
-    let zero_sad = motion::sad(cur, reference, bx, by, zero, best_sad);
-    if zero_sad < best_sad {
-        came_from = Some(best);
-        best = zero;
-        best_sad = zero_sad;
-    }
-    const LARGE: [(i16, i16); 8] = [
-        (0, -2),
-        (1, -1),
-        (2, 0),
-        (1, 1),
-        (0, 2),
-        (-1, 1),
-        (-2, 0),
-        (-1, -1),
-    ];
-    const SMALL: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
-    let mut probe = |best: &mut MotionVector, best_sad: &mut u64, (ddx, ddy): (i16, i16)| {
-        let cand = clamp_mv(MotionVector {
-            dx: best.dx + ddx,
-            dy: best.dy + ddy,
-        });
-        if cand == *best || Some(cand) == came_from {
-            return false;
-        }
-        let s = motion::sad(cur, reference, bx, by, cand, *best_sad);
-        if s < *best_sad {
-            came_from = Some(*best);
-            *best = cand;
-            *best_sad = s;
-            return true;
-        }
-        false
-    };
-    let mut steps = 0;
-    loop {
-        let mut improved = false;
-        for d in LARGE {
-            improved |= probe(&mut best, &mut best_sad, d);
-        }
-        steps += 1;
-        if !improved || steps > 32 {
-            break;
-        }
-    }
-    for d in SMALL {
-        probe(&mut best, &mut best_sad, d);
-    }
-    best
-}
-
-struct PlanOracle {
-    mv: MotionVector,
-    pred_mv: MotionVector,
-    skip: bool,
-    levels4: [[i32; 64]; 4],
-}
-
-/// The luma plan as it was: every macroblock searched to the end, four
-/// forward transforms, and four inverse ones unless skipped.
-fn plan_luma_oracle(
-    plane: &Plane,
-    prev: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-) -> Vec<PlanOracle> {
-    let mut plans = Vec::new();
-    let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
-    let mut blk = [0i32; 64];
-    for (mby, stripe) in recon.data.chunks_mut(plane.width * MB_SIZE).enumerate() {
-        let by = mby * MB_SIZE;
-        let mut left_mv = MotionVector::default();
-        for mbx in 0..plane.width.div_ceil(MB_SIZE) {
-            let bx = mbx * MB_SIZE;
-            let pred_mv = left_mv;
-            let mv = diamond_search_oracle(plane, prev, bx, by, pred_mv);
-            motion::predict_block(prev, bx, by, mv, &mut pred_buf);
-            let mut levels4 = [[0i32; 64]; 4];
-            let mut all_zero = true;
-            for (sb, levels) in levels4.iter_mut().enumerate() {
-                let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        let cur = plane
-                            .get_clamped((bx + ox + dx) as isize, (by + oy + dy) as isize)
-                            as i32;
-                        blk[dy * 8 + dx] = cur - pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
-                *levels = quant::quantize_block(&dct::forward(&blk), step, DC_SCALE);
-                all_zero &= levels.iter().all(|&l| l == 0);
-            }
-            let skip = all_zero && mv == pred_mv;
-            for (sb, levels) in levels4.iter().enumerate() {
-                let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
-                let res = if skip {
-                    [0i32; 64]
-                } else {
-                    dct::inverse(&quant::dequantize_block(levels, step, DC_SCALE))
-                };
-                let mut rec = [0i32; 64];
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        rec[dy * 8 + dx] =
-                            res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
-                write_block8_into_stripe(stripe, plane.width, by, bx + ox, by + oy, &rec, peak);
-            }
-            plans.push(PlanOracle {
-                mv,
-                pred_mv,
-                skip,
-                levels4,
-            });
-            left_mv = mv;
-        }
-    }
-    plans
-}
-
-/// The chroma plan as it was: every block through both transforms.
-fn plan_chroma_oracle(
-    plane: &Plane,
-    prev: &Plane,
-    recon: &mut Plane,
-    step: f32,
-    peak: u16,
-    plans: &[PlanOracle],
-    mbs_x: usize,
-) -> Vec<[i32; 64]> {
-    let mut out = Vec::new();
-    let mut blk = [0i32; 64];
-    for (row, stripe) in recon.data.chunks_mut(plane.width * 8).enumerate() {
-        let by = row * 8;
-        for bxi in 0..plane.width.div_ceil(8) {
-            let bx = bxi * 8;
-            let mv = plans
-                .get(row * mbs_x + bxi)
-                .map_or_else(Default::default, |p| p.mv);
-            let pred_at = |dx: usize, dy: usize| {
-                prev.get_clamped(
-                    (bx + dx) as isize + (mv.dx / 2) as isize,
-                    (by + dy) as isize + (mv.dy / 2) as isize,
-                ) as i32
-            };
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let cur = plane.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
-                    blk[dy * 8 + dx] = cur - pred_at(dx, dy);
-                }
-            }
-            let levels = quant::quantize_block(&dct::forward(&blk), step, DC_SCALE);
-            let res = dct::inverse(&quant::dequantize_block(&levels, step, DC_SCALE));
-            let mut rec = [0i32; 64];
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    rec[dy * 8 + dx] = res[dy * 8 + dx] + pred_at(dx, dy);
-                }
-            }
-            write_block8_into_stripe(stripe, plane.width, by, bx, by, &rec, peak);
-            out.push(levels);
-        }
-    }
-    out
-}
-
-/// Macroblock-row range of each slice of a frame this tall (the encoder's
-/// automatic partition: as even as possible, earlier slices one longer).
-fn slice_rows(height: usize) -> Vec<(usize, usize)> {
-    let mbs_y = height.div_ceil(MB_SIZE);
-    let n = livo_codec2d::slice::slice_count(0, height);
-    let mut mb0 = 0;
-    (0..n)
-        .map(|i| {
-            let mb1 = mb0 + mbs_y / n + usize::from(i < mbs_y % n);
-            let rows = (mb0, mb1);
-            mb0 = mb1;
-            rows
-        })
-        .collect()
-}
-
-/// Chroma QP offset of the codec (`encoder::plane_qp`).
-fn plane_qp(qp: u8, pi: usize) -> u8 {
-    if pi == 0 {
-        qp
-    } else {
-        (qp + 4).min(quant::QP_MAX)
-    }
-}
-
-/// One inter frame planned the way it was before the static-macroblock
-/// path: the reconstruction and the plans of every plane.
-struct InterOracle {
-    recon: Frame,
-    luma: Vec<PlanOracle>,
-    chroma: Vec<Vec<[i32; 64]>>,
-}
-
-fn plan_inter_oracle(frame: &Frame, prev: &Frame, qp: u8) -> InterOracle {
-    let peak = frame.format.peak_value();
-    let mut recon = Frame::new(frame.format, frame.width, frame.height);
-    let mbs_x = frame.width.div_ceil(MB_SIZE);
-    let luma = plan_luma_oracle(
-        &frame.planes[0],
-        &prev.planes[0],
-        &mut recon.planes[0],
-        quant::qstep(qp),
-        peak,
-    );
-    let chroma = (1..frame.planes.len())
-        .map(|pi| {
-            plan_chroma_oracle(
-                &frame.planes[pi],
-                &prev.planes[pi],
-                &mut recon.planes[pi],
-                quant::qstep(plane_qp(qp, pi)),
-                peak,
-                &luma,
-                mbs_x,
-            )
-        })
-        .collect();
-    InterOracle {
-        recon,
-        luma,
-        chroma,
-    }
-}
-
-impl InterOracle {
-    /// Each slice's luma macroblocks and chroma block rows, plane by plane.
-    fn slices(&self) -> impl Iterator<Item = (&[PlanOracle], Vec<&[[i32; 64]]>)> {
-        let mbs_x = self.recon.width.div_ceil(MB_SIZE);
-        slice_rows(self.recon.height)
-            .into_iter()
-            .map(move |(mb0, mb1)| {
-                let chroma = self
-                    .chroma
-                    .iter()
-                    .map(|plans| &plans[mb0 * mbs_x..(mb1 * mbs_x).min(plans.len())])
-                    .collect();
-                (&self.luma[mb0 * mbs_x..mb1 * mbs_x], chroma)
-            })
-    }
-
-    /// The slice payloads, through the product's block coder.
-    fn payloads(&self) -> Vec<Vec<u8>> {
-        self.slices()
-            .map(|(luma, chroma)| {
-                let mut enc = RangeEncoder::new();
-                let mut coeff = CoeffContexts::new();
-                let mut skip_model = BitModel::new();
-                for plan in luma {
-                    enc.encode_bit(&mut skip_model, plan.skip);
-                    if !plan.skip {
-                        encode_svalue(&mut enc, (plan.mv.dx - plan.pred_mv.dx) as i32);
-                        encode_svalue(&mut enc, (plan.mv.dy - plan.pred_mv.dy) as i32);
-                        for levels in &plan.levels4 {
-                            encode_block(&mut enc, &mut coeff, levels);
-                        }
-                    }
-                }
-                for plans in chroma {
-                    let mut cctx = CoeffContexts::new();
-                    for levels in plans {
-                        encode_block(&mut enc, &mut cctx, levels);
-                    }
-                }
-                enc.finish()
-            })
-            .collect()
-    }
-
-    /// The level blocks the frame codes, grouped as they share contexts.
-    fn coded_blocks(&self) -> Vec<Vec<[i32; 64]>> {
-        self.slices()
-            .flat_map(|(luma, chroma)| {
-                let coded = luma.iter().filter(|p| !p.skip);
-                let luma = coded.flat_map(|p| p.levels4).collect();
-                std::iter::once(luma).chain(chroma.into_iter().map(<[_]>::to_vec))
-            })
-            .collect()
-    }
-}
-
-/// Byte offset of the first slice payload of a frame with `n` slices and
-/// the derived geometry: 8 fixed bytes and one `u32` length per slice.
-fn payload_offset(n: usize) -> usize {
-    8 + 4 * n
-}
-
-/// One inter frame decoded the way it was: every macroblock predicted into
-/// a buffer and written back block by block, every coded block — empty or
-/// not — through the inverse transform.
-fn decode_inter_oracle(data: &[u8], prev: &Frame, qp: u8) -> Frame {
-    let format = prev.format;
-    let peak = format.peak_value();
-    let width = prev.width;
-    let mbs_x = width.div_ceil(MB_SIZE);
-    let mut out = Frame::new(format, width, prev.height);
-    let slices = slice_rows(prev.height);
-    let mut offset = payload_offset(slices.len());
-    for (si, &(mb0, mb1)) in slices.iter().enumerate() {
-        let len = u32::from_le_bytes(data[8 + 4 * si..][..4].try_into().unwrap()) as usize;
-        let mut dec = RangeDecoder::new(&data[offset..offset + len]);
-        offset += len;
-        let mut mvs = vec![MotionVector::default(); (mb1 - mb0) * mbs_x];
-        let step = quant::qstep(qp);
-        let mut coeff = CoeffContexts::new();
-        let mut skip_model = BitModel::new();
-        let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
-        let y0 = mb0 * MB_SIZE;
-        let luma = &mut out.planes[0];
-        let y1 = (mb1 * MB_SIZE).min(luma.height);
-        let stripe = &mut luma.data[y0 * width..y1 * width];
-        for row in 0..mb1 - mb0 {
-            let by = (mb0 + row) * MB_SIZE;
-            for mbx in 0..mbs_x {
-                let bx = mbx * MB_SIZE;
-                let pred_mv = if mbx > 0 {
-                    mvs[row * mbs_x + mbx - 1]
-                } else {
-                    MotionVector::default()
-                };
-                let (mv, levels4) = if dec.decode_bit(&mut skip_model) {
-                    (pred_mv, None)
-                } else {
-                    let dx = (decode_svalue(&mut dec) as i16).wrapping_add(pred_mv.dx);
-                    let dy = (decode_svalue(&mut dec) as i16).wrapping_add(pred_mv.dy);
-                    let mut l4 = [[0i32; 64]; 4];
-                    for l in &mut l4 {
-                        decode_block(&mut dec, &mut coeff, l);
-                    }
-                    (MotionVector { dx, dy }, Some(l4))
-                };
-                mvs[row * mbs_x + mbx] = mv;
-                motion::predict_block(&prev.planes[0], bx, by, mv, &mut pred_buf);
-                for sb in 0..4 {
-                    let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
-                    let res = match &levels4 {
-                        None => [0i32; 64],
-                        Some(l4) => dct::inverse(&quant::dequantize_block(&l4[sb], step, DC_SCALE)),
-                    };
-                    let mut rec = [0i32; 64];
-                    for dy in 0..8 {
-                        for dx in 0..8 {
-                            rec[dy * 8 + dx] =
-                                res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                        }
-                    }
-                    write_block8_into_stripe(stripe, width, y0, bx + ox, by + oy, &rec, peak);
-                }
-            }
-        }
-        for pi in 1..out.planes.len() {
-            let cprev = &prev.planes[pi];
-            let plane = &mut out.planes[pi];
-            let (pw, ph) = (plane.width, plane.height);
-            let (c0, c1) = ((mb0 * 8).min(ph), (mb1 * 8).min(ph));
-            let stripe = &mut plane.data[c0 * pw..c1 * pw];
-            let cstep = quant::qstep(plane_qp(qp, pi));
-            let mut cctx = CoeffContexts::new();
-            let mut levels = [0i32; 64];
-            for by in (c0..c1).step_by(8) {
-                for bx in (0..pw).step_by(8) {
-                    let mv = mvs
-                        .get((by / 8 - mb0) * mbs_x + bx / 8)
-                        .copied()
-                        .unwrap_or_default();
-                    decode_block(&mut dec, &mut cctx, &mut levels);
-                    let res = dct::inverse(&quant::dequantize_block(&levels, cstep, DC_SCALE));
-                    let mut rec = [0i32; 64];
-                    for dy in 0..8 {
-                        for dx in 0..8 {
-                            let pred = cprev.get_clamped(
-                                (bx + dx) as isize + (mv.dx / 2) as isize,
-                                (by + dy) as isize + (mv.dy / 2) as isize,
-                            ) as i32;
-                            rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
-                        }
-                    }
-                    write_block8_into_stripe(stripe, pw, c0, bx, by, &rec, peak);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Smallest of `REPS` timings each of `fast` and `reference`, alternating;
-/// each call returns the nanoseconds of its own timed part, so set-up that
-/// must be redone per pass (a fresh encoder, a primed decoder) stays out.
-fn best_of_pair(mut fast: impl FnMut() -> f64, mut reference: impl FnMut() -> f64) -> (f64, f64) {
+/// Smallest of `REPS` wall-clock timings each of `fast` and `reference`,
+/// alternating, after one untimed pass of each.
+fn best_of_pair(mut fast: impl FnMut(), mut reference: impl FnMut()) -> (f64, f64) {
     fast();
     reference();
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as f64
+    };
     let mut best = (f64::MAX, f64::MAX);
     for _ in 0..REPS {
-        best.0 = best.0.min(fast());
-        best.1 = best.1.min(reference());
+        best.0 = best.0.min(time(&mut fast));
+        best.1 = best.1.min(time(&mut reference));
     }
     best
 }
@@ -1448,12 +644,7 @@ fn bench_coeff_coder(
     let old = || replay_blocks::<ContextsOld>(groups, encode_block_old, decode_block_old);
     let ((fast, new_same), (reference, old_same)) = (new(), old());
     assert!(new_same && old_same, "{name}: replays read back");
-    let timed = |f: &dyn Fn() -> (u64, bool)| {
-        let t0 = Instant::now();
-        black_box(f());
-        t0.elapsed().as_nanos() as f64
-    };
-    let (fast_ns, ref_ns) = best_of_pair(|| timed(&new), || timed(&old));
+    let (fast_ns, ref_ns) = best_of_pair(|| _ = black_box(new()), || _ = black_box(old()));
     KernelPoint {
         name,
         unit,
@@ -1468,10 +659,22 @@ fn bench_coeff_coder(
     }
 }
 
-fn bench_inter_static() -> [KernelPoint; 4] {
-    // Three consecutive captures: a keyframe and two inter frames a stream.
-    const FRAMES: usize = 3;
-    let canvases: Vec<(Frame, Frame)> = (0..FRAMES)
+/// The level blocks `plan` codes, grouped as they share contexts: per
+/// slice, the coded luma macroblocks' blocks, then each chroma plane's.
+fn coded_blocks(plan: &InterPlan, slices: usize) -> Vec<Vec<[i32; 64]>> {
+    plan.slices(slices)
+        .flat_map(|(luma, chroma)| {
+            let coded = luma.iter().filter(|p| !p.skip);
+            let luma = coded.flat_map(|p| p.levels4).collect();
+            std::iter::once(luma).chain(chroma.into_iter().map(<[_]>::to_vec))
+        })
+        .collect()
+}
+
+/// Both coder points, on the first inter frame of the colour and of the
+/// depth stream of two consecutive captures.
+fn bench_coeff_coders() -> [KernelPoint; 2] {
+    let canvases: Vec<(Frame, Frame)> = (0..2)
         .map(|i| {
             let (views, layout) = culled_views(0.5 + i as f32 / 30.0, i as u32);
             (
@@ -1480,132 +683,28 @@ fn bench_inter_static() -> [KernelPoint; 4] {
             )
         })
         .collect();
-    let streams: [(Vec<&Frame>, u8); 2] = [
-        (canvases.iter().map(|c| &c.0).collect(), COLOR_QP),
-        (canvases.iter().map(|c| &c.1).collect(), DEPTH_QP),
-    ];
-    let encoder_for = |f: &Frame| Encoder::new(EncoderConfig::new(f.width, f.height, f.format));
-
-    // What the product makes of them: bitstreams and the reference chain.
-    let coded: Vec<Vec<livo_codec2d::EncodedFrame>> = streams
-        .iter()
-        .map(|(frames, qp)| {
-            let mut enc = encoder_for(frames[0]);
-            frames.iter().map(|f| enc.encode_fixed_qp(f, *qp)).collect()
-        })
-        .collect();
-
-    // The oracles must rebuild exactly that, or the timings compare
-    // different work. The first inter frame of each stream keeps its coded
-    // blocks for the coefficient-coder replay.
-    let mut blocks = Vec::new();
-    for ((frames, qp), coded) in streams.iter().zip(&coded) {
-        for i in 1..FRAMES {
-            let prev = &coded[i - 1].reconstruction;
-            let oracle = plan_inter_oracle(frames[i], prev, *qp);
-            assert_eq!(
-                oracle.recon, coded[i].reconstruction,
-                "oracle reconstruction"
-            );
-            assert_eq!(
-                oracle.payloads().concat(),
-                coded[i].data[payload_offset(slice_rows(oracle.recon.height).len())..],
-                "oracle bitstream"
-            );
-            assert_eq!(
-                decode_inter_oracle(&coded[i].data, prev, *qp),
-                oracle.recon,
-                "oracle decode"
-            );
-            if i == 1 {
-                blocks.push(oracle.coded_blocks());
-            }
-        }
-    }
-
-    let inter_frames = (FRAMES - 1) as f64;
-    let (enc_fast, enc_ref) = best_of_pair(
-        || {
-            let mut ns = 0.0;
-            for (frames, qp) in &streams {
-                let mut enc = encoder_for(frames[0]);
-                enc.encode_fixed_qp(frames[0], *qp);
-                let t0 = Instant::now();
-                for f in &frames[1..] {
-                    black_box(enc.encode_fixed_qp(f, *qp));
-                }
-                ns += t0.elapsed().as_nanos() as f64;
-            }
-            ns
-        },
-        || {
-            let t0 = Instant::now();
-            for ((frames, qp), coded) in streams.iter().zip(&coded) {
-                for i in 1..FRAMES {
-                    let oracle = plan_inter_oracle(frames[i], &coded[i - 1].reconstruction, *qp);
-                    black_box(oracle.payloads());
-                    black_box(oracle.recon);
-                }
-            }
-            t0.elapsed().as_nanos() as f64
-        },
-    );
-    let (dec_fast, dec_ref) = best_of_pair(
-        || {
-            let mut ns = 0.0;
-            for coded in &coded {
-                let mut dec = Decoder::new();
-                dec.decode(&coded[0].data).expect("own keyframe decodes");
-                let t0 = Instant::now();
-                for c in &coded[1..] {
-                    black_box(dec.decode(&c.data).expect("own stream decodes"));
-                }
-                ns += t0.elapsed().as_nanos() as f64;
-            }
-            ns
-        },
-        || {
-            let t0 = Instant::now();
-            for ((_, qp), coded) in streams.iter().zip(&coded) {
-                for i in 1..FRAMES {
-                    black_box(decode_inter_oracle(
-                        &coded[i].data,
-                        &coded[i - 1].reconstruction,
-                        *qp,
-                    ));
-                }
-            }
-            t0.elapsed().as_nanos() as f64
-        },
-    );
-
+    let blocks = |frames: [&Frame; 2], qp: u8| {
+        let cfg = EncoderConfig::new(frames[0].width, frames[0].height, frames[0].format);
+        let mut enc = Encoder::new(cfg);
+        let key = enc.encode_fixed_qp(frames[0], qp).reconstruction;
+        let inter = enc.encode_fixed_qp(frames[1], qp).reconstruction;
+        // The oracle must rebuild what the product coded, or the replay
+        // codes different blocks.
+        let plan = plan_inter(frames[1], &key, qp, cfg.search_range);
+        assert_eq!(plan.recon, inter, "oracle reconstruction");
+        coded_blocks(&plan, slice_count(cfg.slices, frames[1].height))
+    };
     [
-        KernelPoint {
-            name: "encode_inter_static",
-            unit: "per inter frame pair (colour + depth), culled 0.25-scale canvases, best of 7",
-            fast_ns: enc_fast / inter_frames,
-            ref_ns: enc_ref / inter_frames,
-            gated: true,
-            bits: None,
-        },
-        KernelPoint {
-            name: "decode_inter_static",
-            unit: "per inter frame pair (colour + depth), same streams, best of 7",
-            fast_ns: dec_fast / inter_frames,
-            ref_ns: dec_ref / inter_frames,
-            gated: true,
-            bits: None,
-        },
         bench_coeff_coder(
             "coeff_coder_color",
             "per colour inter frame at QP 24, its coded blocks written and read back, vs context-coded coefficients, best of 7",
-            &blocks[0],
+            &blocks([&canvases[0].0, &canvases[1].0], COLOR_QP),
             1.02,
         ),
         bench_coeff_coder(
             "coeff_coder_depth",
             "per depth inter frame at QP 40, its coded blocks written and read back, vs context-coded coefficients, best of 7",
-            &blocks[1],
+            &blocks([&canvases[0].1, &canvases[1].1], DEPTH_QP),
             1.0,
         ),
     ]
@@ -1614,34 +713,24 @@ fn bench_inter_static() -> [KernelPoint; 4] {
 /// Run the full kernel sweep.
 pub fn run() -> Vec<KernelPoint> {
     let (dct_f, dct_i) = bench_dct();
-    let (dct_f_avx2, dct_i_avx2) = bench_dct_avx2();
-    let (reconstruct, voxel_downsample) = bench_receiver();
-    let (compose, render_prep) = bench_compose_and_render_prep();
     let (pool_scope_empty, pool_scope_tasks) = bench_pool_scope();
     let mut points = vec![
         bench_cull(),
         bench_union_cull(),
         dct_f,
         dct_i,
-        dct_f_avx2,
-        dct_i_avx2,
         bench_sad(),
-        bench_sad_avx2(),
         bench_decode_sliced(),
         pool_scope_empty,
         pool_scope_tasks,
-        compose,
-        reconstruct,
-        voxel_downsample,
-        render_prep,
     ];
-    points.extend(bench_inter_static());
+    points.extend(bench_coeff_coders());
     points
 }
 
 /// Human-readable table.
 pub fn text(points: &[KernelPoint]) -> String {
-    let mut s = String::from("Hot-kernel speedups vs retained reference implementations\n\n");
+    let mut s = String::from("Hot-kernel speedups vs the bodies they replaced\n\n");
     s.push_str(&format!(
         "{:>19} | {:>12} | {:>12} | {:>8} | unit\n",
         "kernel", "fast ns", "ref ns", "speedup"
@@ -1671,7 +760,7 @@ pub fn text(points: &[KernelPoint]) -> String {
             ));
         }
     }
-    s.push_str("\nReferences stay in-tree (cull_views_union_reference, dct::*_ref, motion::*_ref)\nand double as differential-test oracles; the reconstruct and\nvoxel_downsample references are the pre-fusion algorithms, the compose\nand render_prep ones the bodies before the lanes, the\nencode_inter_static and decode_inter_static ones the inter coder before\nstatic macroblocks took the copy path, and the coeff_coder ones the block\ncoder while every coefficient went through the range coder, kept in\nkernels_bench.rs only.\n");
+    s.push_str("\nThe cull, DCT and SAD references are the test oracles in livo-core's and\nlivo-codec2d's tests/common/oracle.rs; the coeff_coder one is the block\ncoder while every coefficient went through the range coder, kept in\nkernels_bench.rs only.\n");
     s
 }
 

@@ -4,6 +4,7 @@
 //! repro [--quick|--standard] <artefact>...
 //! repro --quick all
 //! repro table1 fig9 fig15
+//! repro diff BENCH_qoe.json new_qoe.json
 //! ```
 //!
 //! Artefacts: table1 table3 table4 table5 table6 fig4 fig5 fig9 fig12
@@ -13,18 +14,16 @@
 //!
 //! `sfu` runs the N-subscriber scaling sweep (encode passes per frame and
 //! route-time percentiles, shared vs naive vs a 1-thread serial baseline,
-//! plus a Poisson churn run per N); `--sfu-json <path>` snapshots it as
-//! JSON (schema `livo-bench-sfu-v2`, committed as BENCH_sfu.json), and
+//! plus a Poisson churn run per N); `--json [path]` snapshots it (schema
+//! `livo-bench-sfu-v2`, committed as BENCH_sfu.json), and
 //! `--gate` exits non-zero if passes stop tracking the cluster count, the
 //! sharded router falls behind the serial baseline at N=100, or churn
 //! intras violate the one-per-RTT guard.
 //!
-//! `kernels` runs the hot-kernel microbench (cull, DCT, SAD, the pixel
-//! path — compose, reconstruct, voxel downsample, render prep — one
-//! static-scene inter frame each way, the block coder in time and bits)
-//! against the implementations they replaced, plus the AVX2 dispatch tier
-//! of DCT and SAD against its SSE2/scalar baseline and two pool-dispatch
-//! diagnostics; `--json <path>` snapshots it (schema
+//! `kernels` runs the hot-kernel microbench (cull, union cull, DCT, SAD,
+//! the block coder in time and bits) against the bodies they replaced,
+//! plus a sliced-decode scaling point and two pool-dispatch diagnostics;
+//! `--json [path]` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as BENCH_kernels.json) and `--gate`
 //! exits non-zero if any gated kernel runs slower than what it replaced
 //! (floor 1.0x on every point) or the block coder writes more bits than
@@ -35,20 +34,28 @@
 //! the whole run as Chrome trace-event JSON (open in ui.perfetto.dev).
 //! `qoe` runs the receiver-side QoE sweep (stall rate, frame age
 //! p50/p99, delivered-vs-estimate ratio) over band2 loss/bandwidth
-//! conditions; with `qoe`, `--json [path]` writes the snapshot (schema
+//! conditions; `--json [path]` writes the snapshot (schema
 //! `livo-bench-qoe-v1`, committed as BENCH_qoe.json). `traceoverhead`
 //! A/B-measures the tracing cost on band2 encode; with `--gate` it exits
 //! non-zero if the median on/off ratio exceeds 1.05.
 //!
 //! `bond` runs the bonded-transport sweep (bonded vs every single link
 //! over the canned topology scenarios — clean dual link, WiFi fade,
-//! WiFi→LTE handover, burst loss); with `bond`, `--json [path]` writes
-//! the snapshot (schema `livo-bench-bond-v1`, committed as
-//! BENCH_bond.json) and `--gate` exits non-zero if bonding stops beating
-//! the best single link or the mid-call kill stops failing over cleanly.
+//! WiFi→LTE handover, burst loss); `--json [path]` writes the snapshot
+//! (schema `livo-bench-bond-v1`, committed as BENCH_bond.json) and `--gate`
+//! exits non-zero if bonding stops beating the best single link or the
+//! mid-call kill stops failing over cleanly.
+//!
+//! `--json` snapshots the one artefact of qoe, bond, sfu and kernels that
+//! was requested, to `BENCH_<artefact>.json` unless a path is given; asking
+//! for two of them with `--json` is an error. `repro diff old.json new.json`
+//! compares two snapshots: changed virtual-time leaves are printed and fail
+//! it, wall-clock leaves are printed as ratios, host leaves are ignored
+//! (see `diff.rs`).
 
 mod bond_bench;
 mod conference_bench;
+mod diff;
 mod kernels_bench;
 mod qoe_bench;
 mod sfu_bench;
@@ -81,23 +88,22 @@ fn write_host(out: &mut String) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick|--standard] [--metrics <path>] [--sfu-json <path>] [--json [path]] [--trace <path>] [--gate] <artefact>...\n\
+        "usage: repro [--quick|--standard] [--metrics <path>] [--json [path]] [--trace <path>] [--gate] <artefact>...\n\
+         \x20      repro diff <old.json> <new.json>\n\
          artefacts: table1 table3 table4 table5 table6 fig4 fig5 fig9 fig12 fig13 fig15 fig16 fig17 fig18 fig20 figa2 figa3 grid sfu kernels conference qoe bond traceoverhead all\n\
          --metrics <path>: also run one instrumented LiVo replay and write the\n\
          telemetry snapshot (schema livo-bench-pipeline-v1) as JSON to <path>\n\
-         --sfu-json <path>: write the SFU scaling sweep (schema livo-bench-sfu-v2)\n\
-         as JSON to <path>\n\
-         --json [path]: with qoe, write the QoE sweep (schema livo-bench-qoe-v1,\n\
-         default BENCH_qoe.json); with bond, write the bonded-transport sweep\n\
-         (schema livo-bench-bond-v1, default BENCH_bond.json); otherwise write\n\
-         the kernel microbench (schema livo-bench-kernels-v1, default\n\
-         BENCH_kernels.json)\n\
+         --json [path]: write the snapshot of the one requested artefact of qoe,\n\
+         bond, sfu and kernels (schema livo-bench-<artefact>-v*, default\n\
+         BENCH_<artefact>.json)\n\
          --trace <path>: with conference, write the run as Chrome trace-event\n\
          JSON (open in ui.perfetto.dev)\n\
          --gate: exit non-zero if any gated kernel runs below its floor,\n\
          (with traceoverhead) if tracing costs more than 5% encode wall-clock,\n\
          (with sfu) if the scaling/churn structural claims fail, or (with\n\
          bond) if bonding stops beating the best single link\n\
+         diff: print the virtual-time leaves that differ (exit 1 if any) and\n\
+         wall-clock ratios between two snapshots; host leaves are ignored\n\
          progress goes through the structured logger; filter with LIVO_LOG=warn|info|debug"
     );
     std::process::exit(2);
@@ -164,16 +170,21 @@ const ARTEFACTS: [&str; 25] = [
     "all",
 ];
 
+/// The artefacts `--json` snapshots.
+const SNAPSHOTS: [&str; 4] = ["qoe", "bond", "sfu", "kernels"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
     }
+    if args[0] == "diff" {
+        std::process::exit(diff::main(&args[1..]));
+    }
     let mut profile = EvalProfile::standard();
     let mut quick = false;
     let mut artefacts: Vec<String> = Vec::new();
     let mut metrics_path: Option<String> = None;
-    let mut sfu_json_path: Option<String> = None;
     // `--json` given, with its optional explicit path.
     let mut json_flag: Option<Option<String>> = None;
     let mut trace_path: Option<String> = None;
@@ -191,10 +202,6 @@ fn main() {
             }
             "--metrics" => match iter.next() {
                 Some(p) => metrics_path = Some(p.clone()),
-                None => usage(),
-            },
-            "--sfu-json" => match iter.next() {
-                Some(p) => sfu_json_path = Some(p.clone()),
                 None => usage(),
             },
             "--json" => {
@@ -223,14 +230,32 @@ fn main() {
             other => artefacts.push(other.to_string()),
         }
     }
-    if artefacts.is_empty()
-        && metrics_path.is_none()
-        && sfu_json_path.is_none()
-        && json_flag.is_none()
-        && trace_path.is_none()
-    {
+    if artefacts.is_empty() && metrics_path.is_none() && trace_path.is_none() {
         usage();
     }
+    // `--json` writes the snapshot of exactly one artefact.
+    let snapshot = json_flag.map(|explicit| {
+        let asked: Vec<&str> = SNAPSHOTS
+            .into_iter()
+            .filter(|s| artefacts.iter().any(|a| a == s))
+            .collect();
+        let [what] = asked[..] else {
+            eprintln!(
+                "--json snapshots one artefact of {}; {} requested",
+                SNAPSHOTS.join(", "),
+                if asked.is_empty() {
+                    "none".into()
+                } else {
+                    asked.join(" and ")
+                }
+            );
+            std::process::exit(2);
+        };
+        (
+            what,
+            explicit.unwrap_or_else(|| format!("BENCH_{what}.json")),
+        )
+    });
     let mut cache = GridCache {
         profile,
         grid: None,
@@ -348,21 +373,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Some(path) = sfu_json_path {
-        log_event!(Level::Info, "repro", "writing sfu scaling snapshot", "path" => path.as_str());
-        let sweep = sfu_sweep.get_or_insert_with(|| sfu_bench::run_scaling(&profile, quick));
-        let json = sfu_bench::json(sweep, &profile);
-        if let Err(e) = std::fs::write(&path, &json) {
-            log_event!(
-                Level::Error,
-                "repro",
-                "failed to write sfu snapshot",
-                "path" => path.as_str(),
-                "error" => e.to_string()
-            );
-            std::process::exit(1);
-        }
-    }
     if let Some(path) = trace_path {
         log_event!(Level::Info, "repro", "writing chrome trace", "path" => path.as_str());
         let rep = conf_report.get_or_insert_with(|| conference_bench::run(&profile));
@@ -377,33 +387,13 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Some(explicit) = json_flag {
-        // `--json` snapshots the QoE sweep when qoe was requested, the
-        // bond sweep when bond was, the kernel microbench otherwise;
-        // the path defaults to the committed baseline name.
-        let qoe_requested = artefacts.iter().any(|a| a == "qoe");
-        let bond_requested = artefacts.iter().any(|a| a == "bond");
-        let (path, what, json) = if qoe_requested {
-            let pts = qoe_points.get_or_insert_with(|| qoe_bench::run_sweep(&profile));
-            (
-                explicit.unwrap_or_else(|| "BENCH_qoe.json".into()),
-                "qoe sweep",
-                qoe_bench::json(pts, &profile),
-            )
-        } else if bond_requested {
-            let pts = bond_points.get_or_insert_with(|| bond_bench::run_sweep(quick));
-            (
-                explicit.unwrap_or_else(|| "BENCH_bond.json".into()),
-                "bonded transport sweep",
-                bond_bench::json(pts, &profile, quick),
-            )
-        } else {
-            let pts = kernel_points.get_or_insert_with(kernels_bench::run);
-            (
-                explicit.unwrap_or_else(|| "BENCH_kernels.json".into()),
-                "kernel microbench",
-                kernels_bench::json(pts),
-            )
+    if let Some((what, path)) = snapshot {
+        // Each artefact ran above; this takes its result.
+        let json = match what {
+            "qoe" => qoe_bench::json(qoe_points.as_ref().unwrap(), &profile),
+            "bond" => bond_bench::json(bond_points.as_ref().unwrap(), &profile, quick),
+            "sfu" => sfu_bench::json(sfu_sweep.as_ref().unwrap(), &profile),
+            _ => kernels_bench::json(kernel_points.as_ref().unwrap()),
         };
         log_event!(
             Level::Info,

@@ -4,19 +4,15 @@
 //! only loss in the codec comes from quantisation — matching how real video
 //! codecs behave and keeping the rate/distortion relationship clean.
 //!
-//! Two implementations live here:
-//!
-//! - [`forward`] / [`inverse`]: the production path, a separable AAN-style
-//!   (Arai–Agui–Nakajima) butterfly — 5 multiplies and 29 additions per
-//!   8-point pass plus one 64-entry scale map back to the orthonormal
-//!   convention, against 64 multiplies per pass for the matrix form. The
-//!   encoder and decoder share it, so the closed loop stays self-consistent.
-//! - [`forward_ref`] / [`inverse_ref`]: the retained naive matrix transform
-//!   (8 multiplies per output coefficient), kept as the ground truth for
-//!   differential tests and the `repro kernels` microbenchmark.
-//!
-//! Both use a compile-time-`const` cosine basis — no `OnceLock` fetch (an
-//! atomic load per block) on the hot path.
+//! [`forward`] / [`inverse`] are a separable AAN-style (Arai–Agui–Nakajima)
+//! butterfly — 5 multiplies and 29 additions per 8-point pass plus one
+//! 64-entry scale map back to the orthonormal convention, against 64
+//! multiplies per pass for the matrix form. The encoder and decoder share
+//! it, so the closed loop stays self-consistent. Each dispatches to an AVX2
+//! body or to the SSE2/scalar one a `LIVO_SIMD` cap selects; the matrix
+//! transform they are checked against is a test oracle in
+//! `tests/common/oracle.rs`. The scale maps are compile-time `const`s — no
+//! `OnceLock` fetch (an atomic load per block) on the hot path.
 
 /// Zig-zag scan order for an 8×8 block: `ZIGZAG[scan_pos] = raster_index`.
 pub const ZIGZAG: [usize; 64] = [
@@ -24,60 +20,6 @@ pub const ZIGZAG: [usize; 64] = [
     13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
     52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ];
-
-/// `cos(k·π/16)` for `k = 0..=8`, to f64 precision; every basis angle
-/// reduces onto this first quadrant by symmetry.
-const COS_PI_16: [f64; 9] = [
-    1.0,
-    0.980_785_280_403_230_4,
-    0.923_879_532_511_286_7,
-    0.831_469_612_302_545_2,
-    std::f64::consts::FRAC_1_SQRT_2,
-    0.555_570_233_019_602_2,
-    0.382_683_432_365_089_8,
-    0.195_090_322_016_128_27,
-    0.0,
-];
-
-/// `cos((2x+1)·u·π/16)` via quadrant symmetry on [`COS_PI_16`].
-const fn basis_cos(x: usize, u: usize) -> f64 {
-    let k = ((2 * x + 1) * u) % 32;
-    if k <= 8 {
-        COS_PI_16[k]
-    } else if k <= 16 {
-        -COS_PI_16[16 - k]
-    } else if k <= 24 {
-        -COS_PI_16[k - 16]
-    } else {
-        COS_PI_16[32 - k]
-    }
-}
-
-const fn build_cos_table() -> [[f32; 8]; 8] {
-    let mut t = [[0.0f32; 8]; 8];
-    let mut u = 0;
-    while u < 8 {
-        // c(0) = √(1/8), c(u>0) = √(2/8).
-        // √(1/8) = (1/√2)/2, exact in binary floating point.
-        let cu = if u == 0 {
-            std::f64::consts::FRAC_1_SQRT_2 * 0.5
-        } else {
-            0.5
-        };
-        let mut x = 0;
-        while x < 8 {
-            t[u][x] = (cu * basis_cos(x, u)) as f32;
-            x += 1;
-        }
-        u += 1;
-    }
-    t
-}
-
-/// Cosine basis table, computed at compile time:
-/// `COS[u][x] = c(u) * cos((2x+1) u π / 16)` where `c(0) = √(1/8)`,
-/// `c(u>0) = √(2/8)`.
-const COS: [[f32; 8]; 8] = build_cos_table();
 
 /// AAN post-/pre-scale factors: `SF[0] = 1`, `SF[k] = cos(kπ/16)·√2`.
 const AAN_SF: [f64; 8] = [
@@ -330,8 +272,8 @@ fn idct8_lanes(s: [[f32; 8]; 8]) -> [[f32; 8]; 8] {
 
 /// Forward 8×8 DCT of a raster-order block of samples. Output is raster
 /// order (DC at index 0). Dispatches to the AVX2 path when the runtime tier
-/// allows (bit-identical — see [`avx2`]); agrees with [`forward_ref`] up to
-/// f32 rounding either way.
+/// allows (bit-identical — see [`avx2`]); agrees with the matrix transform
+/// up to f32 rounding either way.
 pub fn forward(block: &[i32; 64]) -> [f32; 64] {
     #[cfg(target_arch = "x86_64")]
     if livo_math::simd::has_avx2() {
@@ -342,8 +284,8 @@ pub fn forward(block: &[i32; 64]) -> [f32; 64] {
 }
 
 /// Inverse 8×8 DCT back to integer samples (rounded, unclamped). Dispatches
-/// like [`forward`]; agrees with [`inverse_ref`] up to the same rounding the
-/// codec's tolerances already allow.
+/// like [`forward`]; agrees with the matrix transform up to the same rounding
+/// the codec's tolerances already allow.
 pub fn inverse(coeffs: &[f32; 64]) -> [i32; 64] {
     #[cfg(target_arch = "x86_64")]
     if livo_math::simd::has_avx2() {
@@ -353,11 +295,9 @@ pub fn inverse(coeffs: &[f32; 64]) -> [i32; 64] {
     inverse_baseline(coeffs)
 }
 
-/// The pre-AVX2 fast path (4-wide halves + SSE2 transpose). Public so the
-/// `repro kernels` bench can time the AVX2 path against it in one process;
-/// not part of the codec API.
-#[doc(hidden)]
-pub fn forward_baseline(block: &[i32; 64]) -> [f32; 64] {
+/// The SSE2/scalar tier (4-wide halves + SSE2 transpose), what
+/// [`forward`] runs below AVX2.
+fn forward_baseline(block: &[i32; 64]) -> [f32; 64] {
     // Column pass first: a row-major load puts column `u` in lane `u`, so
     // the int→float conversion and the whole pass stay contiguous.
     let rows: [[f32; 8]; 8] =
@@ -380,9 +320,8 @@ pub fn forward_baseline(block: &[i32; 64]) -> [f32; 64] {
     d
 }
 
-/// The pre-AVX2 inverse fast path; see [`forward_baseline`].
-#[doc(hidden)]
-pub fn inverse_baseline(coeffs: &[f32; 64]) -> [i32; 64] {
+/// The SSE2/scalar tier of [`inverse`]; see [`forward_baseline`].
+fn inverse_baseline(coeffs: &[f32; 64]) -> [i32; 64] {
     // Pre-scale while loading: lane `u` carries column `u`, index `v` is
     // the coefficient row, so the column pass needs no transpose.
     let rows: [[f32; 8]; 8] =
@@ -592,67 +531,10 @@ mod avx2 {
     }
 }
 
-/// Retained naive matrix forward DCT (8 multiplies per output coefficient):
-/// the differential-test and `repro kernels` reference for [`forward`].
-pub fn forward_ref(block: &[i32; 64]) -> [f32; 64] {
-    let t = &COS;
-    // Rows first.
-    let mut tmp = [0.0f32; 64];
-    for y in 0..8 {
-        for u in 0..8 {
-            let mut acc = 0.0f32;
-            for x in 0..8 {
-                acc += block[y * 8 + x] as f32 * t[u][x];
-            }
-            tmp[y * 8 + u] = acc;
-        }
-    }
-    // Then columns.
-    let mut out = [0.0f32; 64];
-    for u in 0..8 {
-        for v in 0..8 {
-            let mut acc = 0.0f32;
-            for y in 0..8 {
-                acc += tmp[y * 8 + u] * t[v][y];
-            }
-            out[v * 8 + u] = acc;
-        }
-    }
-    out
-}
-
-/// Retained naive matrix inverse DCT: the differential-test and
-/// `repro kernels` reference for [`inverse`].
-pub fn inverse_ref(coeffs: &[f32; 64]) -> [i32; 64] {
-    let t = &COS;
-    // Columns first.
-    let mut tmp = [0.0f32; 64];
-    for u in 0..8 {
-        for y in 0..8 {
-            let mut acc = 0.0f32;
-            for v in 0..8 {
-                acc += coeffs[v * 8 + u] * t[v][y];
-            }
-            tmp[y * 8 + u] = acc;
-        }
-    }
-    // Then rows.
-    let mut out = [0i32; 64];
-    for y in 0..8 {
-        for x in 0..8 {
-            let mut acc = 0.0f32;
-            for u in 0..8 {
-                acc += tmp[y * 8 + u] * t[u][x];
-            }
-            out[y * 8 + x] = acc.round() as i32;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{forward_ref, inverse_ref, COS};
 
     /// Deterministic pseudo-random block generator (xorshift), no rand dep.
     fn pseudo_block(seed: u64, peak: i32) -> [i32; 64] {
@@ -768,7 +650,7 @@ mod tests {
     }
 
     /// Differential: AAN forward agrees coefficient-by-coefficient with the
-    /// retained matrix reference, for 8-bit, 16-bit and residual content.
+    /// matrix oracle, for 8-bit, 16-bit and residual content.
     #[test]
     fn aan_forward_matches_reference() {
         for seed in 0..32u64 {

@@ -1,7 +1,8 @@
-//! Differential tests for the inter-frame coder: the plan, entropy and
+//! Differential tests for the inter-frame coder: the entropy and
 //! slice-decode bodies as they stood before static macroblocks took the
 //! copy path, with every bypass field pushed one bit at a time (which is
-//! what defines the order of the raw-bit tail), written out as oracles.
+//! what defines the order of the raw-bit tail), written out as oracles over
+//! the inter plan oracle of `tests/common/oracle.rs`.
 //! The product must match them byte for byte — bitstream, reconstruction,
 //! block counts and decoder output — at every pool size.
 
@@ -14,7 +15,8 @@ use crate::dct::{self, ZIGZAG};
 use crate::decoder::Decoder;
 use crate::encoder::{plane_qp, BlockCounts, Encoder, EncoderConfig, FrameType};
 use crate::motion::{self, MotionVector, MB_SIZE};
-use crate::plane::{write_block8_into_stripe, Frame, PixelFormat, Plane};
+use crate::oracle::{plan_inter, MbPlan};
+use crate::plane::{write_block8_into_stripe, Frame, PixelFormat};
 use crate::quant::{self, DC_SCALE};
 use crate::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use crate::slice::{self, SliceRows};
@@ -259,161 +261,18 @@ fn decode_block_oracle(dec: &mut RangeDecoder<'_>, ctx: &mut ContextsOracle) -> 
 }
 
 // ---------------------------------------------------------------------
-// Oracles: inter-frame plan, entropy walk and slice decode.
+// Oracles: entropy walk and slice decode.
 // ---------------------------------------------------------------------
 
-#[derive(Clone)]
-struct PlanOracle {
-    mv: MotionVector,
-    pred_mv: MotionVector,
-    skip: bool,
-    levels4: [[i32; 64]; 4],
-}
-
-/// One macroblock row: search every macroblock through all its probes,
-/// transform and quantise all four blocks, reconstruct through the inverse
-/// transform unless skipped.
-#[allow(clippy::too_many_arguments)]
-fn plan_luma_row_oracle(
-    plane: &Plane,
-    prev: &Plane,
-    stripe: &mut [u16],
-    mby: usize,
-    step: f32,
-    peak: u16,
-    search_range: i16,
-) -> Vec<PlanOracle> {
-    let by = mby * MB_SIZE;
-    let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
-    let mut blk = [0i32; 64];
-    let mut left_mv = MotionVector::default();
-    let mut plans = Vec::new();
-    for mbx in 0..plane.width.div_ceil(MB_SIZE) {
-        let bx = mbx * MB_SIZE;
-        let pred_mv = if mbx > 0 {
-            left_mv
-        } else {
-            MotionVector::default()
-        };
-        let (mv, _) = motion::diamond_search_ref(plane, prev, bx, by, pred_mv, search_range);
-        motion::predict_block_ref(prev, bx, by, mv, &mut pred_buf);
-
-        let mut levels4 = [[0i32; 64]; 4];
-        let mut all_zero = true;
-        for (sb, levels) in levels4.iter_mut().enumerate() {
-            let ox = (sb % 2) * 8;
-            let oy = (sb / 2) * 8;
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let cur =
-                        plane.get_clamped((bx + ox + dx) as isize, (by + oy + dy) as isize) as i32;
-                    blk[dy * 8 + dx] = cur - pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                }
-            }
-            let coeffs = dct::forward(&blk);
-            *levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-            if levels.iter().any(|&l| l != 0) {
-                all_zero = false;
-            }
-        }
-        let skip = all_zero && mv == pred_mv;
-
-        for (sb, levels) in levels4.iter().enumerate() {
-            let ox = (sb % 2) * 8;
-            let oy = (sb / 2) * 8;
-            let mut rec = [0i32; 64];
-            if skip {
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        rec[dy * 8 + dx] = pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
-            } else {
-                let deq = quant::dequantize_block(levels, step, DC_SCALE);
-                let res = dct::inverse(&deq);
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        rec[dy * 8 + dx] =
-                            res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
-                    }
-                }
-            }
-            write_block8_into_stripe(stripe, plane.width, by, bx + ox, by + oy, &rec, peak);
-        }
-
-        plans.push(PlanOracle {
-            mv,
-            pred_mv,
-            skip,
-            levels4,
-        });
-        left_mv = mv;
-    }
-    plans
-}
-
-/// One chroma block row: every block through both transforms.
-#[allow(clippy::too_many_arguments)]
-fn plan_chroma_row_oracle(
-    plane: &Plane,
-    prev: &Plane,
-    stripe: &mut [u16],
-    row: usize,
-    step: f32,
-    peak: u16,
-    luma_mvs: &[MotionVector],
-    mbs_x: usize,
-) -> Vec<[i32; 64]> {
-    let by = row * 8;
-    let mut blk = [0i32; 64];
-    let mut out = Vec::new();
-    for bxi in 0..plane.width.div_ceil(8) {
-        let bx = bxi * 8;
-        let mb_index = (by / 8) * mbs_x + (bx / 8);
-        let mv = luma_mvs.get(mb_index).copied().unwrap_or_default();
-        let cmv = MotionVector {
-            dx: mv.dx / 2,
-            dy: mv.dy / 2,
-        };
-        let pred_at = |dx: usize, dy: usize| {
-            prev.get_clamped(
-                (bx + dx) as isize + cmv.dx as isize,
-                (by + dy) as isize + cmv.dy as isize,
-            ) as i32
-        };
-        for dy in 0..8 {
-            for dx in 0..8 {
-                let cur = plane.get_clamped((bx + dx) as isize, (by + dy) as isize) as i32;
-                blk[dy * 8 + dx] = cur - pred_at(dx, dy);
-            }
-        }
-        let coeffs = dct::forward(&blk);
-        let levels = quant::quantize_block(&coeffs, step, DC_SCALE);
-        let deq = quant::dequantize_block(&levels, step, DC_SCALE);
-        let res = dct::inverse(&deq);
-        let mut rec = [0i32; 64];
-        for dy in 0..8 {
-            for dx in 0..8 {
-                rec[dy * 8 + dx] = res[dy * 8 + dx] + pred_at(dx, dy);
-            }
-        }
-        write_block8_into_stripe(stripe, plane.width, by, bx, by, &rec, peak);
-        out.push(levels);
-    }
-    out
-}
-
 fn entropy_inter_slice_oracle(
-    sr: &SliceRows,
-    luma_plans: &[PlanOracle],
-    chroma_plans: &[Vec<[i32; 64]>],
-    mbs_x: usize,
+    luma: &[MbPlan],
+    chroma: Vec<&[[i32; 64]]>,
 ) -> (Vec<u8>, BlockCounts) {
     let mut counts = BlockCounts::default();
     let mut enc = RangeEncoder::new();
     let mut coeff = ContextsOracle::default();
     let mut skip_model = BitModel::new();
-    for plan in &luma_plans[sr.mb0 * mbs_x..sr.mb1 * mbs_x] {
+    for plan in luma {
         if plan.skip {
             counts.skip += 1;
         } else {
@@ -428,10 +287,9 @@ fn entropy_inter_slice_oracle(
             }
         }
     }
-    for plans in chroma_plans {
+    for plans in chroma {
         let mut cctx = ContextsOracle::default();
-        let end = (sr.mb1 * mbs_x).min(plans.len());
-        for levels in &plans[sr.mb0 * mbs_x..end] {
+        for levels in plans {
             counts.coded += 1;
             encode_block_oracle(&mut enc, &mut cctx, levels);
         }
@@ -447,57 +305,11 @@ fn encode_inter_oracle(
     search_range: i16,
     cfg_slices: u8,
 ) -> (Vec<u8>, Frame, BlockCounts) {
-    let peak = frame.format.peak_value();
-    let mut recon = Frame::new(frame.format, frame.width, frame.height);
-    let luma = &frame.planes[0];
-    let mbs_x = luma.width.div_ceil(MB_SIZE);
-    let step = quant::qstep(plane_qp(qp, 0, frame.format));
-    let mut luma_plans = Vec::new();
-    for (mby, stripe) in recon.planes[0]
-        .data
-        .chunks_mut(luma.width * MB_SIZE)
-        .enumerate()
-    {
-        luma_plans.extend(plan_luma_row_oracle(
-            luma,
-            &prev.planes[0],
-            stripe,
-            mby,
-            step,
-            peak,
-            search_range,
-        ));
-    }
-    let mvs: Vec<MotionVector> = luma_plans.iter().map(|p| p.mv).collect();
-    let mut chroma_plans = Vec::new();
-    for pi in 1..frame.planes.len() {
-        let cstep = quant::qstep(plane_qp(qp, pi, frame.format));
-        let plane = &frame.planes[pi];
-        let mut plans = Vec::new();
-        for (row, stripe) in recon.planes[pi]
-            .data
-            .chunks_mut(plane.width * 8)
-            .enumerate()
-        {
-            plans.extend(plan_chroma_row_oracle(
-                plane,
-                &prev.planes[pi],
-                stripe,
-                row,
-                cstep,
-                peak,
-                &mvs,
-                mbs_x,
-            ));
-        }
-        chroma_plans.push(plans);
-    }
-    let n = slice::slice_count(cfg_slices, frame.height);
-    let slices = slice::partition(frame.format, frame.height, n);
+    let plan = plan_inter(frame, prev, qp, search_range);
     let mut counts = BlockCounts::default();
     let mut payloads = Vec::new();
-    for sr in &slices {
-        let (bytes, c) = entropy_inter_slice_oracle(sr, &luma_plans, &chroma_plans, mbs_x);
+    for (luma, chroma) in plan.slices(slice::slice_count(cfg_slices, frame.height)) {
+        let (bytes, c) = entropy_inter_slice_oracle(luma, chroma);
         counts.skip += c.skip;
         counts.coded += c.coded;
         payloads.push(bytes);
@@ -514,11 +326,11 @@ fn encode_inter_oracle(
     for p in &payloads {
         data.extend_from_slice(p);
     }
-    (data, recon, counts)
+    (data, plan.recon, counts)
 }
 
-/// One inter slice decoded the long way: predict every macroblock through
-/// the (clamping) block predictor and run every coded block, zero or not,
+/// One inter slice decoded the long way: predict every sample through
+/// `get_clamped` and run every coded block, zero or not,
 /// through the inverse transform.
 fn decode_inter_slice_oracle(
     payload: &[u8],
@@ -539,7 +351,6 @@ fn decode_inter_slice_oracle(
     let step = quant::qstep(plane_qp(qp, 0, format));
     let mut coeff = ContextsOracle::default();
     let mut skip_model = BitModel::new();
-    let mut pred_buf = [0i32; MB_SIZE * MB_SIZE];
     for row in 0..n_rows {
         let by = (sr.mb0 + row) * MB_SIZE;
         for mbx in 0..mbs_x {
@@ -562,7 +373,6 @@ fn decode_inter_slice_oracle(
                 (MotionVector { dx, dy }, Some(levels4))
             };
             mvs[row * mbs_x + mbx] = mv;
-            motion::predict_block_ref(&prev.planes[0], bx, by, mv, &mut pred_buf);
             for sb in 0..4 {
                 let ox = (sb % 2) * 8;
                 let oy = (sb / 2) * 8;
@@ -573,8 +383,11 @@ fn decode_inter_slice_oracle(
                 };
                 for dy in 0..8 {
                     for dx in 0..8 {
-                        rec[dy * 8 + dx] =
-                            res[dy * 8 + dx] + pred_buf[(oy + dy) * MB_SIZE + ox + dx];
+                        let pred = prev.planes[0].get_clamped(
+                            (bx + ox + dx) as isize + mv.dx as isize,
+                            (by + oy + dy) as isize + mv.dy as isize,
+                        ) as i32;
+                        rec[dy * 8 + dx] = res[dy * 8 + dx] + pred;
                     }
                 }
                 write_block8_into_stripe(luma_stripe, width, sr.y0, bx + ox, by + oy, &rec, peak);

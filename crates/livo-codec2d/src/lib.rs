@@ -36,6 +36,9 @@ pub mod decoder;
 mod differential;
 pub mod encoder;
 pub mod motion;
+#[cfg(test)]
+#[path = "../tests/common/oracle.rs"]
+mod oracle;
 pub mod plane;
 pub mod quant;
 pub mod rangecoder;

@@ -11,9 +11,10 @@
 //! reference block lie fully inside their planes — no per-sample bounds
 //! check, no `get_clamped`, and the early-exit test folded to once per row.
 //! Edge macroblocks (and out-of-range vectors) fall back to the clamped
-//! loop, which [`sad_ref`] / [`predict_block_ref`] retain verbatim as the
-//! differential-test and `repro kernels` reference. Both paths accumulate
-//! the same per-sample values in the same order, so results are identical.
+//! loops `sad_clamped` / `predict_clamped`. Both paths accumulate the same
+//! per-sample values in the same order, so results are identical; the
+//! tests hold them, and the full search, to the oracles in
+//! `tests/common/oracle.rs`.
 
 use crate::plane::Plane;
 
@@ -110,7 +111,7 @@ pub fn sad(
     early_exit: u64,
 ) -> u64 {
     let Some((rx, ry)) = interior(cur, reference, bx, by, mv, MB_SIZE) else {
-        return sad_ref(cur, reference, bx, by, mv, early_exit);
+        return sad_clamped(cur, reference, bx, by, mv, early_exit);
     };
     #[cfg(target_arch = "x86_64")]
     if livo_math::simd::has_avx2() {
@@ -121,9 +122,7 @@ pub fn sad(
     sad_interior(cur, reference, bx, by, rx, ry, early_exit)
 }
 
-/// The interior SAD without the AVX2 dispatch: the pre-AVX2 fast path,
-/// exported (wrapped by [`sad_baseline`]) so the `repro kernels` bench can
-/// time the AVX2 path against it in one process.
+/// The interior SAD of the SSE2/scalar tier, what [`sad`] runs below AVX2.
 #[inline(always)]
 fn sad_interior(
     cur: &Plane,
@@ -149,23 +148,6 @@ fn sad_interior(
         }
     }
     acc
-}
-
-/// [`sad`] pinned to the pre-AVX2 tier regardless of the runtime dispatch;
-/// bench-only, not part of the codec API.
-#[doc(hidden)]
-pub fn sad_baseline(
-    cur: &Plane,
-    reference: &Plane,
-    bx: usize,
-    by: usize,
-    mv: MotionVector,
-    early_exit: u64,
-) -> u64 {
-    let Some((rx, ry)) = interior(cur, reference, bx, by, mv, MB_SIZE) else {
-        return sad_ref(cur, reference, bx, by, mv, early_exit);
-    };
-    sad_interior(cur, reference, bx, by, rx, ry, early_exit)
 }
 
 /// AVX2 tier for the interior paths: 16 `u16` lanes per row in one 256-bit
@@ -247,9 +229,9 @@ mod avx2 {
     }
 }
 
-/// Retained clamped-loop SAD: the reference implementation for [`sad`]
-/// (identical results; also the edge-macroblock fallback).
-pub fn sad_ref(
+/// [`sad`] of a block that crosses an edge: every reference sample through
+/// `get_clamped`, the block's samples past the plane left out.
+fn sad_clamped(
     cur: &Plane,
     reference: &Plane,
     bx: usize,
@@ -390,7 +372,7 @@ pub fn predict_block(
     // `reference`), but reusing the shared interior test keeps the fast-path
     // condition in one place; it is just as tight for the displaced block.
     let Some((rx, ry)) = interior(reference, reference, bx, by, mv, MB_SIZE) else {
-        return predict_block_ref(reference, bx, by, mv, out);
+        return predict_clamped(reference, bx, by, mv, out);
     };
     #[cfg(target_arch = "x86_64")]
     if livo_math::simd::has_avx2() {
@@ -407,9 +389,9 @@ pub fn predict_block(
     }
 }
 
-/// Retained clamped-loop prediction: the reference implementation for
-/// [`predict_block`] (identical results; also the edge fallback).
-pub fn predict_block_ref(
+/// [`predict_block`] of a block whose displaced counterpart crosses an
+/// edge: every sample through `get_clamped`.
+fn predict_clamped(
     reference: &Plane,
     bx: usize,
     by: usize,
@@ -426,83 +408,10 @@ pub fn predict_block_ref(
     }
 }
 
-/// [`diamond_search`] without the came-from skip: retained for the
-/// differential test pinning that the skip never changes the outcome.
-#[doc(hidden)]
-pub fn diamond_search_ref(
-    cur: &Plane,
-    reference: &Plane,
-    bx: usize,
-    by: usize,
-    start: MotionVector,
-    range: i16,
-) -> (MotionVector, u64) {
-    let clamp_mv = |mv: MotionVector| MotionVector {
-        dx: mv.dx.clamp(-range, range),
-        dy: mv.dy.clamp(-range, range),
-    };
-    let mut best = clamp_mv(start);
-    let mut best_sad = sad_ref(cur, reference, bx, by, best, u64::MAX);
-    let zero = MotionVector::default();
-    let zero_sad = sad_ref(cur, reference, bx, by, zero, best_sad);
-    if zero_sad < best_sad {
-        best = zero;
-        best_sad = zero_sad;
-    }
-    let large: [(i16, i16); 8] = [
-        (0, -2),
-        (1, -1),
-        (2, 0),
-        (1, 1),
-        (0, 2),
-        (-1, 1),
-        (-2, 0),
-        (-1, -1),
-    ];
-    let small: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
-    let mut steps = 0;
-    loop {
-        let mut improved = false;
-        for (ddx, ddy) in large {
-            let cand = clamp_mv(MotionVector {
-                dx: best.dx + ddx,
-                dy: best.dy + ddy,
-            });
-            if cand == best {
-                continue;
-            }
-            let s = sad_ref(cur, reference, bx, by, cand, best_sad);
-            if s < best_sad {
-                best = cand;
-                best_sad = s;
-                improved = true;
-            }
-        }
-        steps += 1;
-        if !improved || steps > 32 {
-            break;
-        }
-    }
-    for (ddx, ddy) in small {
-        let cand = clamp_mv(MotionVector {
-            dx: best.dx + ddx,
-            dy: best.dy + ddy,
-        });
-        if cand == best {
-            continue;
-        }
-        let s = sad_ref(cur, reference, bx, by, cand, best_sad);
-        if s < best_sad {
-            best = cand;
-            best_sad = s;
-        }
-    }
-    (best, best_sad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{diamond_search_ref, sad_ref};
 
     /// Smooth texture: diamond search needs a well-behaved SAD landscape
     /// (real video is smooth; adversarial noise has no findable motion).
@@ -623,7 +532,7 @@ mod tests {
             let mut fast = [0i32; MB_SIZE * MB_SIZE];
             let mut naive = [0i32; MB_SIZE * MB_SIZE];
             predict_block(&reference, bx, by, mv, &mut fast);
-            predict_block_ref(&reference, bx, by, mv, &mut naive);
+            predict_clamped(&reference, bx, by, mv, &mut naive);
             assert_eq!(fast, naive, "({bx},{by}) mv {mv:?}");
         }
     }
@@ -642,16 +551,20 @@ mod tests {
         let reference = textured_plane(w, h, 0);
         for (bx, by, mv) in differential_cases(w, h) {
             for cap in [u64::MAX, 10_000, 300, 1] {
+                let below_avx2 = match interior(&cur, &reference, bx, by, mv, MB_SIZE) {
+                    Some((rx, ry)) => sad_interior(&cur, &reference, bx, by, rx, ry, cap),
+                    None => sad_clamped(&cur, &reference, bx, by, mv, cap),
+                };
                 assert_eq!(
                     sad(&cur, &reference, bx, by, mv, cap),
-                    sad_baseline(&cur, &reference, bx, by, mv, cap),
+                    below_avx2,
                     "({bx},{by}) mv {mv:?} cap {cap}"
                 );
             }
             let mut fast = [0i32; MB_SIZE * MB_SIZE];
             let mut naive = [0i32; MB_SIZE * MB_SIZE];
             predict_block(&reference, bx, by, mv, &mut fast);
-            predict_block_ref(&reference, bx, by, mv, &mut naive);
+            predict_clamped(&reference, bx, by, mv, &mut naive);
             assert_eq!(fast, naive, "({bx},{by}) mv {mv:?}");
         }
     }
@@ -698,7 +611,7 @@ mod tests {
             let mut written = copied.clone();
             copy_block_into_stripe(&mut copied, y0, bx, by, &reference, origin, MB_SIZE);
             let mut pred = [0i32; MB_SIZE * MB_SIZE];
-            predict_block_ref(&reference, bx, by, mv, &mut pred);
+            predict_clamped(&reference, bx, by, mv, &mut pred);
             for sb in 0..4 {
                 let (ox, oy) = ((sb % 2) * 8, (sb / 2) * 8);
                 let mut blk = [0i32; 64];
@@ -720,7 +633,7 @@ mod tests {
     }
 
     /// The came-from skip must never change the search outcome: pin
-    /// (mv, sad) against the retained no-skip reference on the textured
+    /// (mv, sad) against the no-skip oracle on the textured
     /// planes over a sweep of shifts, starts and block positions.
     #[test]
     fn diamond_skip_matches_reference() {

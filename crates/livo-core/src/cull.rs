@@ -19,7 +19,8 @@
 //! background removal) are skipped with one scan, and non-empty chunks
 //! evaluate all six plane tests branch-free over small fixed-size arrays
 //! that LLVM can vectorise. The per-pixel decisions are **bit-identical** to
-//! the retained [`cull_views_union_reference`]: the ray table reproduces
+//! the per-pixel cull it replaced, kept as the test oracle in
+//! `tests/common/oracle.rs`: the ray table reproduces
 //! [`CameraIntrinsics::unproject`] exactly (see `livo_math::raytable`), and
 //! the chunk kernel evaluates the same [`Plane::signed_distance`] ≥ 0
 //! comparisons — computing them unconditionally and AND/OR-ing the results
@@ -347,47 +348,6 @@ pub fn cull_views(views: &mut [RgbdFrame], cameras: &[RgbdCamera], frustum: &Fru
     CullContext::new().cull(None, views, cameras, std::slice::from_ref(frustum))
 }
 
-/// The original per-pixel cull (`any` over camera-local frusta, no ray
-/// table, no chunking), retained as the differential-test and
-/// `repro kernels` oracle for [`CullContext::cull`]: pixel masks and stats
-/// are bit-identical, with a slice of one frustum as with a union.
-pub fn cull_views_union_reference(
-    views: &mut [RgbdFrame],
-    cameras: &[RgbdCamera],
-    frusta: &[Frustum],
-) -> CullStats {
-    assert!(!frusta.is_empty(), "union cull needs at least one frustum");
-    assert_eq!(views.len(), cameras.len());
-    let mut stats = CullStats::default();
-    for (view, cam) in views.iter_mut().zip(cameras) {
-        let local: Vec<Frustum> = frusta
-            .iter()
-            .map(|f| f.transformed(&cam.world_to_local()))
-            .collect();
-        let k = &cam.intrinsics;
-        for y in 0..view.height {
-            for x in 0..view.width {
-                let i = y * view.width + x;
-                let d = view.depth_mm[i];
-                if d == 0 {
-                    continue;
-                }
-                stats.total_valid += 1;
-                let p = k.unproject(x as f32 + 0.5, y as f32 + 0.5, d as f32 / 1000.0);
-                if local.iter().any(|f| f.contains(p)) {
-                    stats.kept += 1;
-                } else {
-                    view.depth_mm[i] = 0;
-                    view.rgb[i * 3] = 0;
-                    view.rgb[i * 3 + 1] = 0;
-                    view.rgb[i * 3 + 2] = 0;
-                }
-            }
-        }
-    }
-    stats
-}
-
 // Re-assert the types the fast path's bit-identity argument leans on, so a
 // refactor of livo-math that changes them fails here with a message rather
 // than silently changing cull decisions.
@@ -467,7 +427,12 @@ impl CullAccuracy {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/oracle.rs"]
+pub(crate) mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::cull_views_union_reference;
     use super::*;
     use livo_capture::scene::{AnimatedShape, Scene, ShapeGeom, Texture};
     use livo_capture::{render_rgbd, rig};

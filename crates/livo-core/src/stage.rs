@@ -490,10 +490,10 @@ mod tests {
                 [one] => {
                     self.cull.cull_views_on(&pool, views, cameras, one);
                 }
-                // No single-frustum entry point makes a union: the per-pixel
-                // oracle does.
+                // `call.rs` culls one frustum; a union goes through the
+                // per-pixel oracle, so the stage's cull is checked against it.
                 many => {
-                    crate::cull::cull_views_union_reference(views, cameras, many);
+                    crate::cull::oracle::cull_views_union_reference(views, cameras, many);
                 }
             }
             let color = compose_color(views, &self.layout, seq);

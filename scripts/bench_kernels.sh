@@ -1,13 +1,12 @@
 #!/bin/bash
 # Regenerate BENCH_kernels.json: the hot-kernel microbench snapshot
-# (schema livo-bench-kernels-v1) comparing each optimised kernel — cull
-# (one frustum, and an SFU cluster's 48-frustum union),
-# forward/inverse DCT and SAD with their AVX2 tiers, sliced decode, the
-# pixel path (compose, reconstruct, voxel downsample, render prep), one
-# static-scene inter frame encoded and decoded, the block coder (time and
-# bits) — against the implementation it replaced (retained in-tree, or
-# written out in kernels_bench.rs), plus two ungated pool-dispatch
-# diagnostics and a host block (cores, SIMD tier, rustc, commit, profile).
+# (schema livo-bench-kernels-v1) comparing each kernel whose subject is
+# still open — cull (one frustum, and an SFU cluster's 48-frustum union),
+# forward/inverse DCT, SAD, the block coder (time and bits) — against the
+# body it replaced (the test oracles in crates/*/tests/common/oracle.rs,
+# or the old block coder written out in kernels_bench.rs), plus an ungated
+# sliced-decode scaling point, two ungated pool-dispatch diagnostics and a
+# host block (cores, SIMD tier, rustc, commit, profile).
 # `--gate` makes the run fail if any gated kernel regressed below 1.0x or
 # the block coder wrote more bits than its ceiling allows.
 set -e

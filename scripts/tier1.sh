@@ -23,38 +23,20 @@ overhead_check() {
   echo "slice header overhead <=2% of bits_total (color + depth)"
 }
 
-# Clock gate: the same snapshot is a lossless call on a link with ten times
-# the rate it uses, so every display slot must show a new frame. A stall
-# here is the call loop's schedule drifting (capture every 34 ms against
-# display every 33.3 ms gave one phantom stall in 51 slots, 2 of its 86).
-stall_check() {
-  stalls=$(grep -o '"display\.stalls":[0-9]*' "$1" | grep -o '[0-9]*$')
-  [ -n "$stalls" ] || { echo "missing display.stalls in $1"; exit 1; }
-  [ "$stalls" = 0 ] || { echo "lossless call stalled $stalls display slots"; exit 1; }
-  echo "lossless call: display.stalls 0"
-}
-
-# QoE sweep smoke: `repro --quick qoe --json` must write a snapshot with
-# the stable schema tag and all four sweep points.
-qoe_check() {
-  json=$1
-  grep -q '"schema":"livo-bench-qoe-v1"' "$json" || { echo "qoe snapshot missing schema tag"; exit 1; }
-  pts=$(grep -o '"bandwidth_mbps"' "$json" | wc -l)
-  [ "$pts" = 4 ] || { echo "qoe snapshot has $pts points, expected 4"; exit 1; }
-  echo "qoe snapshot OK (schema livo-bench-qoe-v1, $pts points)"
-}
-
-# Bonded-transport gate: `repro --quick bond --gate` exits non-zero when
-# bonding stops beating the best single link (delivered Mbps and stall
-# rate on the degradation scenarios, >=90% of summed capacity on the
-# lossless one). The snapshot must carry the stable schema tag and all
-# four topology scenarios.
-bond_check() {
-  json=$1
-  grep -q '"schema":"livo-bench-bond-v1"' "$json" || { echo "bond snapshot missing schema tag"; exit 1; }
-  pts=$(grep -o '"scenario"' "$json" | wc -l)
-  [ "$pts" = 4 ] || { echo "bond snapshot has $pts scenarios, expected 4"; exit 1; }
-  echo "bond snapshot OK (schema livo-bench-bond-v1, $pts scenarios)"
+# Virtual-time pin: regenerate one committed snapshot into $snaps and fail
+# if any virtual-time leaf moved (`repro diff`: wall-clock leaves print as
+# ratios, host leaves are ignored). Among what it pins: the lossless quick
+# call shows every display slot (`display.stalls` 0), the qoe and bond
+# snapshots keep their schema and all four points. A change that moves
+# bytes regenerates the committed file, and the diff is what review reads.
+snapshot_check() {
+  name=$1; shift
+  repro "$@" >/dev/null
+  out=$(repro diff "BENCH_$name.json" "$snaps/$name.json") || {
+    echo "$out" | grep -v '^  wall'
+    echo "virtual-time leaves of BENCH_$name.json moved"; exit 1
+  }
+  echo "BENCH_$name.json: $(echo "$out" | tail -1)"
 }
 
 echo "== tier1: build + test =="
@@ -68,6 +50,11 @@ done
 if grep -rn "FrameTimeline\|straggler_fraction" crates src tests examples; then
   echo "the frame timeline or the straggler option is back"; exit 1
 fi
+# Replaced kernels are test oracles in crates/*/tests/common/oracle.rs; the
+# product exports none of them, nor a bench-only tier.
+if grep -rnE "pub fn \w*_(ref|reference|baseline)\b" crates/*/src; then
+  echo "an oracle or a bench-only tier is public product API again"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite ran at the auto-detected
 # tier above; it must also hold with the dispatcher forced to the scalar
 # tier (LIVO_SIMD caps the level per process).
@@ -77,31 +64,24 @@ LIVO_SIMD=scalar cargo test -q --test kernel_differential
 # as the implementation it replaced.
 echo "== tier1: kernel gate =="
 repro --gate kernels >/dev/null
-echo "== tier1: slice overhead + call clock gates =="
-snap=$(mktemp)
-repro --quick --metrics "$snap" >/dev/null
-overhead_check "$snap"; stall_check "$snap"; rm -f "$snap"
-# QoE sweep smoke: schema-stable snapshot over the band2 loss/bandwidth
-# sweep.
-echo "== tier1: qoe smoke =="
-qsnap=$(mktemp)
-repro --quick qoe --json "$qsnap" >/dev/null
-qoe_check "$qsnap"; rm -f "$qsnap"
+# The four snapshots of deterministic runs: the quick pipeline (also read
+# by the slice overhead gate), the quick qoe sweep, the standard bond sweep
+# (the committed one; gated: bonded delivery beats the best single link and
+# survives the mid-call kill) and the quick sfu sweep (gated: shared passes
+# track the gaze-group count, the sharded route holds against the serial
+# baseline at N=100, churn intras stay one RTT apart).
+echo "== tier1: virtual-time snapshots + gates =="
+snaps=$(mktemp -d)
+snapshot_check pipeline --quick --metrics "$snaps/pipeline.json"
+overhead_check "$snaps/pipeline.json"
+snapshot_check qoe --quick qoe --json "$snaps/qoe.json"
+snapshot_check bond --gate bond --json "$snaps/bond.json"
+snapshot_check sfu --quick --gate sfu --json "$snaps/sfu.json"
+rm -rf "$snaps"
 # Trace-overhead gate: tracing on must cost at most 5% encode
 # wall-clock versus tracing off (median of interleaved A/B pairs).
 echo "== tier1: trace overhead gate =="
 repro --quick --gate traceoverhead >/dev/null
-# SFU scaling gate: shared passes/frame must track the gaze-group
-# count (not N), the sharded route must hold against the serial
-# baseline at N=100, and churn intras stay one RTT apart.
-echo "== tier1: sfu scaling gate =="
-repro --quick --gate sfu >/dev/null
-# Bonded-transport gate: bonded delivery must beat the best single
-# link on every topology scenario and survive the mid-call kill.
-echo "== tier1: bond gate =="
-bsnap=$(mktemp)
-repro --quick --gate bond --json "$bsnap" >/dev/null
-bond_check "$bsnap"; rm -f "$bsnap"
 echo "== tier1: fmt + clippy =="
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings

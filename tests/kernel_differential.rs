@@ -2,8 +2,8 @@
 //! canvas → cloud) on realistic content.
 //!
 //! `livo-core`'s production cull runs a chunked branch-free row kernel over
-//! cached unprojection ray tables; `cull_views_union_reference` retains the
-//! original per-pixel loop. The fast path is only correct if both produce
+//! cached unprojection ray tables; `livo-core`'s test oracle,
+//! `cull_views_union_reference`, is the original per-pixel loop. The fast path is only correct if both produce
 //! the *same* result — not approximately: the cull mask feeds tiling and
 //! encode, so a single diverging pixel changes bitstreams downstream. This
 //! pins bit-identical masks (depth + RGB zeroing) and identical
@@ -28,7 +28,6 @@
 use livo::capture::{camera_ring, RgbdFrame};
 use livo::codec2d::plane::{write_block8_into_stripe, yuv_to_rgb8};
 use livo::codec2d::Plane;
-use livo::core::cull::cull_views_union_reference;
 use livo::core::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
 use livo::core::tile::{compose_color, compose_depth, write_seq};
 use livo::core::{cull_views, CullContext, CullStats};
@@ -37,6 +36,11 @@ use livo::math::{CameraIntrinsics, Frustum, FrustumParams, Pose, RgbdCamera, Vec
 use livo::pointcloud::VoxelGrid;
 use livo::prelude::*;
 use livo::runtime::WorkerPool;
+
+#[path = "../crates/livo-core/tests/common/oracle.rs"]
+mod cull_oracle;
+
+use cull_oracle::cull_views_union_reference;
 
 const N_CAMERAS: usize = 3;
 const SCALE: f32 = 0.15;
@@ -96,8 +100,8 @@ fn assert_views_identical(fast: &[RgbdFrame], refr: &[RgbdFrame], what: &str) {
     }
 }
 
-/// Single-frustum fast cull: masks and stats bit-identical to the retained
-/// per-pixel reference on all five presets.
+/// Single-frustum fast cull: masks and stats bit-identical to the
+/// per-pixel oracle on all five presets.
 #[test]
 fn fast_cull_matches_reference_on_every_preset() {
     let cams = cameras();

@@ -327,3 +327,33 @@ fn sliced_golden_stream_still_decodes() {
         }
     }
 }
+
+/// The SIMD tier is fixed when a process first asks for it, so the golden
+/// stream and the one-slice frames run once more in a child capped to each
+/// tier below AVX2: the encoder writes the same bytes on every tier, and
+/// every tier decodes them to the same pictures.
+#[test]
+fn golden_bytes_hold_on_the_sse2_and_scalar_tiers() {
+    if std::env::var_os("LIVO_SIMD").is_some() {
+        return; // a capped child (what ends the recursion), or a capped run
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    for tier in ["sse2", "scalar"] {
+        let out = std::process::Command::new(&exe)
+            .env("LIVO_SIMD", tier)
+            .env_remove("LIVO_BLESS_GOLDEN")
+            .args([
+                "--exact",
+                "sliced_golden_stream_still_decodes",
+                "one_slice_frames_are_bit_exact_at_every_pool_size",
+            ])
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("2 passed"),
+            "{tier}-tier run failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
