@@ -24,7 +24,7 @@ enum Leaf {
 /// other leaf is [`Leaf::Virtual`]. Patterns are globs over the leaf's path
 /// with array indices dropped (`points[].stall_rate`); `*` matches any run
 /// of characters.
-const KINDS: [(&str, Leaf); 14] = [
+const KINDS: [(&str, Leaf); 15] = [
     ("host.*", Leaf::Host),
     // kernels: the dispatch tier; sfu: the pool the host gives.
     ("config.simd_level*", Leaf::Host),
@@ -39,8 +39,9 @@ const KINDS: [(&str, Leaf); 14] = [
     ("metrics.gauges.kernel.*", Leaf::Wall),
     ("metrics.histograms.codec.decode_ns.*", Leaf::Wall),
     ("metrics.histograms.conference.*", Leaf::Wall),
-    // sfu: route-time percentiles.
+    // sfu: route- and tick-time percentiles.
     ("*route_ms*", Leaf::Wall),
+    ("*tick_ms*", Leaf::Wall),
     // kernels: the clock, not the bits.
     ("kernels[].*_ns", Leaf::Wall),
     ("kernels[].speedup", Leaf::Wall),
@@ -307,6 +308,8 @@ mod tests {
         assert_eq!(kind_of("metrics.gauges.kernel.cull_ns_per_mpx"), Leaf::Wall);
         assert_eq!(kind_of("points[1].shared_route_ms_p50"), Leaf::Wall);
         assert_eq!(kind_of("churn[0].route_ms_p99"), Leaf::Wall);
+        assert_eq!(kind_of("points[1].tick_ms_p50"), Leaf::Wall);
+        assert_eq!(kind_of("points[1].session_ticks_per_frame"), Leaf::Virtual);
         assert_eq!(kind_of("host.git_rev"), Leaf::Host);
         assert_eq!(kind_of("metrics.counters.runtime.pool.tasks"), Leaf::Host);
         assert_eq!(

@@ -12,7 +12,8 @@
 //!
 //! - Route wall-clock is measured directly per frame and reported as
 //!   exact p50/p99 percentiles (the registry's log-bucket histogram is
-//!   too coarse to gate on).
+//!   too coarse to gate on), and so is the frame's 1 ms router ticks,
+//!   with how many subscriber sessions those ticks ran.
 //! - At N = 100 the same workload also runs on a single-thread pool; the
 //!   gate requires the sharded route time to stay at or below that serial
 //!   baseline (within noise) whenever more than one worker is available.
@@ -80,6 +81,10 @@ pub struct ScalingPoint {
     /// Same workload on a 1-thread pool; only measured at
     /// [`SERIAL_BASELINE_N`].
     pub serial_route_ms_p50: Option<f64>,
+    /// Wall-clock of one frame interval's router ticks, milliseconds.
+    pub tick_ms_p50: f64,
+    /// Subscriber session ticks that ran per frame (`sfu.session_ticks`).
+    pub session_ticks_per_frame: f64,
 }
 
 /// One Poisson churn run: joins and leaves arriving mid-call.
@@ -139,21 +144,15 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[idx]
 }
 
-/// Virtual-time tick stride: coarser at conference scale, where the
-/// per-tick session work dominates the bench without changing what is
-/// measured (route wall-clock and pass counts).
-fn tick_stride(n: usize) -> Micros {
-    if n >= 100 {
-        5_000
-    } else {
-        1_000
-    }
-}
+/// Router tick spacing: the product's and the benchmark's.
+const TICK_US: Micros = 1_000;
 
 struct RunStats {
     passes_per_frame: f64,
     clusters: usize,
     route_ms: Vec<f64>,
+    tick_ms: Vec<f64>,
+    session_ticks_per_frame: f64,
 }
 
 fn run_one(
@@ -179,9 +178,9 @@ fn run_one(
         })
         .collect();
     let interval: Micros = 1_000_000 / FPS as u64;
-    let stride = tick_stride(n);
     let mut now: Micros = 0;
     let mut route_ms = Vec::with_capacity(frames.len());
+    let mut tick_ms = Vec::with_capacity(frames.len());
     for views in frames {
         for (i, &id) in ids.iter().enumerate() {
             router.observe_pose(id, &looking(yaw_of(i))).expect("live");
@@ -190,17 +189,21 @@ fn run_one(
         router.route_frame(now, views);
         route_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let frame_end = now + interval;
+        let t0 = std::time::Instant::now();
         while now < frame_end {
             router.tick(now);
-            now += stride;
+            now += TICK_US;
         }
+        tick_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     let snap = router.registry().snapshot();
+    let per_frame = |name| snap.counter(name).unwrap_or(0) as f64 / frames.len() as f64;
     RunStats {
-        passes_per_frame: snap.counter("sfu.encode_passes").unwrap_or(0) as f64
-            / frames.len() as f64,
+        passes_per_frame: per_frame("sfu.encode_passes"),
         clusters: router.cluster_membership().len(),
         route_ms,
+        tick_ms,
+        session_ticks_per_frame: per_frame("sfu.session_ticks"),
     }
 }
 
@@ -254,7 +257,6 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
     let mut next_slot = n;
 
     let interval: Micros = 1_000_000 / FPS as u64;
-    let stride = tick_stride(n);
     let mut now: Micros = 0;
     let mut route_ms = Vec::with_capacity(frames.len());
     let (mut joins, mut leaves, mut regroups) = (0u64, 0u64, 0u64);
@@ -307,7 +309,7 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
         let frame_end = now + interval;
         while now < frame_end {
             router.tick(now);
-            now += stride;
+            now += TICK_US;
         }
     }
     let shared_intras = router
@@ -373,6 +375,8 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
                 shared_route_ms_p99: percentile(&mut shared.route_ms, 0.99),
                 naive_route_ms_p50: naive.map(|mut r| percentile(&mut r.route_ms, 0.5)),
                 serial_route_ms_p50: serial.map(|mut r| percentile(&mut r.route_ms, 0.5)),
+                tick_ms_p50: percentile(&mut shared.tick_ms, 0.5),
+                session_ticks_per_frame: shared.session_ticks_per_frame,
             }
         })
         .collect();
@@ -423,7 +427,7 @@ pub fn text(sweep: &SfuSweep) -> String {
         "SFU scaling: encode passes per frame, shared (frustum clusters) vs naive\n\n",
     );
     s.push_str(&format!(
-        "{:>11} | {:>8} | {:>12} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9}\n",
+        "{:>11} | {:>8} | {:>12} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9}\n",
         "subscribers",
         "clusters",
         "shared p/f",
@@ -431,16 +435,18 @@ pub fn text(sweep: &SfuSweep) -> String {
         "p50 ms",
         "p99 ms",
         "naive p50",
-        "serial p50"
+        "serial p50",
+        "tick ms",
+        "ticks/f"
     ));
     s.push_str(&format!(
-        "{:->11}-+-{:->8}-+-{:->12}-+-{:->11}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}\n",
-        "", "", "", "", "", "", "", ""
+        "{:->11}-+-{:->8}-+-{:->12}-+-{:->11}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}\n",
+        "", "", "", "", "", "", "", "", "", ""
     ));
     let opt = |v: Option<f64>| v.map_or("-".into(), |v| format!("{v:.2}"));
     for p in &sweep.points {
         s.push_str(&format!(
-            "{:>11} | {:>8} | {:>12.2} | {:>11} | {:>9.2} | {:>9.2} | {:>9} | {:>9}\n",
+            "{:>11} | {:>8} | {:>12.2} | {:>11} | {:>9.2} | {:>9.2} | {:>9} | {:>9} | {:>9.2} | {:>9.1}\n",
             p.subscribers,
             p.clusters,
             p.shared_passes_per_frame,
@@ -449,6 +455,8 @@ pub fn text(sweep: &SfuSweep) -> String {
             p.shared_route_ms_p99,
             opt(p.naive_route_ms_p50),
             opt(p.serial_route_ms_p50),
+            p.tick_ms_p50,
+            p.session_ticks_per_frame,
         ));
     }
     s.push_str(&format!(
@@ -522,6 +530,8 @@ pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
             if let Some(v) = p.serial_route_ms_p50 {
                 w.field_f64("serial_route_ms_p50", v);
             }
+            w.field_f64("tick_ms_p50", p.tick_ms_p50);
+            w.field_f64("session_ticks_per_frame", p.session_ticks_per_frame);
             w.finish();
         }
         arr.push(']');

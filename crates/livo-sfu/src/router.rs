@@ -9,7 +9,7 @@
 //! across the pool. A member whose link is far slower than the leader's
 //! receives the same stream and sheds the overflow in its own transport.
 //!
-//! ## Sharded hot path
+//! ## Sharded route, due-only tick
 //!
 //! `route_frame` has no global serial section around the heavy work:
 //!
@@ -28,6 +28,13 @@
 //! With `LIVO_THREADS=1` all three phases run inline and the forwarded
 //! streams are bit-exact with any other pool size: each member's state is
 //! only ever touched by the one task that owns its shard.
+//!
+//! `tick` is serial and visits only the subscribers whose session has
+//! something due ([`RtcSession::next_event`]); most downlinks have nothing
+//! due in most milliseconds, and a tick of the rest costs less than a pool
+//! scope would.
+//!
+//! [`RtcSession::next_event`]: livo_transport::RtcSession::next_event
 //!
 //! ## Churn without intra storms
 //!
@@ -249,10 +256,6 @@ impl RouterBuilder {
     }
 }
 
-/// Subscriber count at or above which `tick` shards the session drain
-/// across the pool (below it the spawn overhead outweighs the work).
-const PARALLEL_TICK_MIN: usize = 32;
-
 /// What one cluster produced for one frame.
 pub struct ClusterOutput {
     /// Stable cluster identity, assigned at cluster creation and kept
@@ -397,6 +400,7 @@ struct RouterMetrics {
     shared_intras: Arc<Counter>,
     deferred_intras: Arc<Counter>,
     pli_fanin: Arc<Counter>,
+    session_ticks: Arc<Counter>,
     reclusters: Arc<Counter>,
     joins: Arc<Counter>,
     leaves: Arc<Counter>,
@@ -414,6 +418,7 @@ impl RouterMetrics {
             shared_intras: reg.counter("sfu.shared_intras"),
             deferred_intras: reg.counter("sfu.deferred_intras"),
             pli_fanin: reg.counter("sfu.pli_fanin"),
+            session_ticks: reg.counter("sfu.session_ticks"),
             reclusters: reg.counter("sfu.reclusters"),
             joins: reg.counter("sfu.joins"),
             leaves: reg.counter("sfu.leaves"),
@@ -590,50 +595,31 @@ impl Router {
         }
     }
 
-    /// Advance the transport simulations to `now`: drain links, collect
-    /// feedback, fan PLIs and receiver resync requests into their
-    /// clusters' chain guards, and run the decode stand-ins. With enough
-    /// subscribers the per-member drain shards across the pool (each
-    /// member's state is owned by exactly one shard, so the result is
-    /// identical at any pool size).
+    /// Advance the transport simulations to `now`: for each subscriber
+    /// whose session has something due ([`RtcSession::next_event`]), tick
+    /// it, fan its PLIs and receiver resync requests into its cluster's
+    /// chain guard, and run its decode stand-in. The rest are not visited.
+    /// The drain is serial: a 96-subscriber tick has ≈ 21 due sessions,
+    /// less work than one pool scope costs.
     pub fn tick(&mut self, now: Micros) {
-        let pli = self.metrics.pli_fanin.clone();
-        let tick_one = |sub: &mut Subscriber| -> bool {
+        let mut need_key: Vec<SubscriberId> = Vec::new();
+        let mut ticked = 0;
+        for (&id, sub) in self.subscribers.iter_mut() {
+            if sub.session.next_event() > now {
+                continue;
+            }
+            ticked += 1;
             sub.session.tick(now);
             let mut wants_key = false;
             if sub.session.take_pli(now) {
-                pli.inc();
+                self.metrics.pli_fanin.inc();
                 wants_key = true;
             }
-            wants_key |= sub.ingest_arrivals(now);
-            wants_key
-        };
-        let mut need_key: Vec<SubscriberId> = Vec::new();
-        if self.subscribers.len() >= PARALLEL_TICK_MIN {
-            let mut entries: Vec<(SubscriberId, &mut Subscriber, bool)> = self
-                .subscribers
-                .iter_mut()
-                .map(|(&id, s)| (id, s, false))
-                .collect();
-            let pool = self.pool.clone();
-            pool.for_each_chunk_mut(&mut entries, |chunk| {
-                for (_, sub, wants) in chunk.iter_mut() {
-                    *wants = tick_one(sub);
-                }
-            });
-            need_key.extend(
-                entries
-                    .iter()
-                    .filter(|(_, _, wants)| *wants)
-                    .map(|(id, _, _)| *id),
-            );
-        } else {
-            for (&id, sub) in self.subscribers.iter_mut() {
-                if tick_one(sub) {
-                    need_key.push(id);
-                }
+            if sub.ingest_arrivals(now) || wants_key {
+                need_key.push(id);
             }
         }
+        self.metrics.session_ticks.add(ticked);
         for id in need_key {
             self.arm_member_chain(id);
         }

@@ -62,6 +62,14 @@ impl JitterBuffer {
         out
     }
 
+    /// When [`Self::pop_ready`] releases its next frame: the oldest
+    /// buffered frame gates every newer one.
+    pub fn next_ready(&self) -> Option<Micros> {
+        self.frames
+            .first_key_value()
+            .map(|(_, f)| f.completed_at + self.target)
+    }
+
     /// Skip forward: drop buffered frames older than `frame_id` (used when
     /// the decoder resynchronises on a keyframe).
     pub fn skip_to(&mut self, frame_id: u64) {

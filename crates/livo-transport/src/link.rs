@@ -247,6 +247,12 @@ impl LinkEmulator {
         n
     }
 
+    /// Arrival time of the packet [`Self::poll_into`] hands out next (the
+    /// FIFO head, even when a propagation drop lets a later one land first).
+    pub fn next_arrival(&self) -> Option<Micros> {
+        self.in_flight.front().map(|d| d.arrival)
+    }
+
     /// Take the link administratively down or bring it back up. Going down
     /// flushes everything in flight (those packets are lost, counted as
     /// `dropped_down`); the count of stranded packets is returned. Bringing

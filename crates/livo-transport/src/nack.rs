@@ -27,6 +27,8 @@ pub struct NackGenerator {
     last_pli: Option<Micros>,
     /// Minimum spacing between PLIs.
     pli_interval: Micros,
+    /// Earliest retry among the seqs of the last [`Self::nacks`] call.
+    next_due: Micros,
 }
 
 impl NackGenerator {
@@ -39,6 +41,7 @@ impl NackGenerator {
             stuck_since: BTreeMap::new(),
             last_pli: None,
             pli_interval: pli_deadline,
+            next_due: Micros::MAX,
         }
     }
 
@@ -51,6 +54,7 @@ impl NackGenerator {
     /// Given current gaps, decide which seqs to NACK now.
     pub fn nacks(&mut self, missing: &[u64], now: Micros) -> Vec<u64> {
         let mut out = Vec::new();
+        self.next_due = Micros::MAX;
         for &seq in missing {
             let e = self.requested.entry(seq).or_insert((0, 0));
             let due = e.0 == 0 || now.saturating_sub(e.1) >= self.retry_interval;
@@ -59,6 +63,9 @@ impl NackGenerator {
                 e.1 = now;
                 out.push(seq);
             }
+            if e.0 < self.max_retries {
+                self.next_due = self.next_due.min(e.1 + self.retry_interval);
+            }
         }
         // Garbage-collect entries for seqs no longer missing.
         if self.requested.len() > 10_000 {
@@ -66,6 +73,13 @@ impl NackGenerator {
             self.requested.retain(|s, _| missing_set.contains(s));
         }
         out
+    }
+
+    /// The earliest instant one of the seqs last passed to [`Self::nacks`]
+    /// can be requested again: its last request + the retry interval while
+    /// retries remain; `Micros::MAX` once all are spent.
+    pub fn next_due(&self) -> Micros {
+        self.next_due
     }
 
     /// Track stuck frames; returns `true` when a PLI should fire now.
@@ -151,15 +165,18 @@ mod tests {
         assert_eq!(g.nacks(&[5, 6], 0), vec![5, 6]);
         assert!(g.nacks(&[5, 6], 10_000).is_empty(), "too soon to retry");
         assert_eq!(g.nacks(&[5, 6], 31_000), vec![5, 6]);
+        assert_eq!(g.next_due(), 61_000);
     }
 
     #[test]
     fn nack_gives_up_after_max_retries() {
         let mut g = NackGenerator::new(10_000, 2, 250_000);
         assert_eq!(g.nacks(&[9], 0).len(), 1);
+        assert_eq!(g.next_due(), 10_000);
         assert_eq!(g.nacks(&[9], 20_000).len(), 1);
         assert!(g.nacks(&[9], 40_000).is_empty());
         assert!(g.nacks(&[9], 400_000).is_empty());
+        assert_eq!(g.next_due(), Micros::MAX, "retries spent");
     }
 
     #[test]

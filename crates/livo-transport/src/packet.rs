@@ -126,6 +126,10 @@ pub struct AssembledFrame {
     pub send_ts: Micros,
 }
 
+/// Seen-window bound: past this many out-of-order seqs, the older half of
+/// the window is given up on.
+const SEEN_WINDOW: usize = 20_000;
+
 /// Per-stream frame reassembly with gap tracking.
 ///
 /// Keeps packets of in-flight frames; emits frames when every packet from
@@ -134,15 +138,16 @@ pub struct AssembledFrame {
 /// enforces playout order; decode requires sender order anyway).
 #[derive(Debug)]
 pub struct Reassembler {
-    /// In-flight frames: (frame_id → (packets sorted by seq, have_marker)).
+    /// In-flight frames: frame_id → packets sorted by fragment index.
     pending: std::collections::BTreeMap<u64, Vec<Packet>>,
     /// Highest seq seen (for gap detection).
     highest_seq: Option<u64>,
-    /// Seqs seen, within the tracking window (for NACK de-duplication).
+    /// Seqs seen above the contiguity frontier (for gap detection and
+    /// NACK de-duplication); empty while the stream has no open gap.
     seen: std::collections::BTreeSet<u64>,
-    /// Every seq at or below this has been seen — gap scans start above
-    /// it, so an in-order stream costs O(1) per `missing_seqs` call
-    /// instead of walking the whole seen-window.
+    /// Every seq at or below this has been seen (or given up on) — gap
+    /// scans start above it, so an in-order stream costs O(1) per
+    /// `missing_seqs` call instead of walking the whole seen-window.
     contig: Option<u64>,
     /// Frames already emitted (ids below this are stale).
     next_emit_frame: u64,
@@ -168,58 +173,72 @@ impl Reassembler {
     /// Feed one packet; returns a frame if this packet completed one.
     pub fn push(&mut self, pkt: Packet, now: Micros) -> Option<AssembledFrame> {
         self.highest_seq = Some(self.highest_seq.map_or(pkt.seq, |h| h.max(pkt.seq)));
-        self.seen.insert(pkt.seq);
-        // Advance the contiguity frontier, then drop the seen-seqs it
-        // covers — they can never be reported missing again.
-        let mut advanced = false;
-        loop {
-            let next = self.contig.map_or(0, |c| c + 1);
-            if self.seen.contains(&next) {
-                self.contig = Some(next);
-                advanced = true;
-            } else {
-                break;
-            }
-        }
-        if advanced {
-            self.seen = self.seen.split_off(&self.contig.unwrap());
-        }
-        // Trim the seen-window to bound memory.
-        if self.seen.len() > 20_000 {
-            let cutoff = *self.seen.iter().nth(10_000).unwrap();
-            self.seen = self.seen.split_off(&cutoff);
-        }
-        if pkt.frame_id < self.next_emit_frame {
+        self.mark_seen(pkt.seq);
+        if self.passed(pkt.frame_id) {
             return None; // stale retransmission of an old frame
         }
-        let entry = self.pending.entry(pkt.frame_id).or_default();
-        if entry.iter().any(|p| p.seq == pkt.seq) {
+        let (frame_id, frag_count) = (pkt.frame_id, pkt.frag_count as usize);
+        let entry = self.pending.entry(frame_id).or_default();
+        // Each fragment goes in at its place, so the frame stays sorted.
+        let Err(at) = entry.binary_search_by_key(&pkt.frag_index, |p| p.frag_index) else {
             return None; // duplicate
-        }
-        let frag_count = pkt.frag_count as usize;
-        entry.push(pkt);
-        entry.sort_by_key(|p| p.frag_index);
+        };
+        entry.insert(at, pkt);
         // Complete = every fragment of the frame has arrived.
         if entry.len() < frag_count {
             return None;
         }
-        let frame_id = entry[0].frame_id;
         let packets = self.pending.remove(&frame_id).unwrap();
         // Drop any stale older frames still pending.
-        self.pending = self.pending.split_off(&frame_id);
-        self.next_emit_frame = frame_id + 1;
-        let mut data = Vec::with_capacity(packets.iter().map(|p| p.payload.len()).sum());
-        for p in &packets {
-            data.extend_from_slice(&p.payload);
+        while let Some(stale) = self.pending.first_entry().filter(|e| *e.key() < frame_id) {
+            stale.remove();
         }
+        self.next_emit_frame = frame_id + 1;
         Some(AssembledFrame {
             stream: packets[0].stream,
             frame_id,
-            data: Bytes::from(data),
+            data: join(&packets),
             keyframe: packets[0].keyframe,
             completed_at: now,
             send_ts: packets[0].origin_ts,
         })
+    }
+
+    /// Record `seq` as seen and advance the contiguity frontier. An
+    /// in-order packet with no gap open moves the frontier alone.
+    fn mark_seen(&mut self, seq: u64) {
+        let next = self.contig.map_or(0, |c| c + 1);
+        if seq < next {
+            return; // at or below the frontier: already counted
+        }
+        if seq == next {
+            self.contig = Some(seq);
+        } else {
+            self.seen.insert(seq);
+        }
+        self.advance();
+        if self.seen.len() > SEEN_WINDOW {
+            // A gap that never fills pins the frontier: give up on every
+            // gap below the cutoff, or the seqs trimmed from the window
+            // would read as missing.
+            let cutoff = *self.seen.iter().nth(SEEN_WINDOW / 2).unwrap();
+            self.contig = Some(cutoff - 1);
+            self.seen = self.seen.split_off(&cutoff);
+            self.advance();
+        }
+    }
+
+    /// Move the frontier over the seen seqs that continue it.
+    fn advance(&mut self) {
+        while self.seen.first().copied() == Some(self.contig.map_or(0, |c| c + 1)) {
+            self.contig = self.seen.pop_first();
+        }
+    }
+
+    /// Whether frame `frame_id` is behind an already-emitted frame, so
+    /// packets for it are dropped on arrival.
+    pub fn passed(&self, frame_id: u64) -> bool {
+        frame_id < self.next_emit_frame
     }
 
     /// Sequence numbers below the highest seen that have never arrived —
@@ -257,6 +276,22 @@ impl Reassembler {
     pub fn stuck_frames(&self) -> Vec<u64> {
         self.pending.keys().copied().collect()
     }
+}
+
+/// A frame's payload from its sorted fragments: one slice of the sender's
+/// buffer when the fragments are adjacent slices of it, a copy otherwise.
+fn join(packets: &[Packet]) -> Bytes {
+    let mut data = packets[0].payload.clone();
+    for p in &packets[1..] {
+        if data.try_unsplit(p.payload.clone()).is_err() {
+            let mut buf = Vec::with_capacity(packets.iter().map(|p| p.payload.len()).sum());
+            for p in packets {
+                buf.extend_from_slice(&p.payload);
+            }
+            return Bytes::from(buf);
+        }
+    }
+    data
 }
 
 #[cfg(test)]
@@ -385,6 +420,40 @@ mod tests {
         // Late packet of frame 0 no longer resurrects it.
         assert!(r.push(f0[1].clone(), 2).is_none());
         assert!(r.stuck_frames().is_empty());
+    }
+
+    #[test]
+    fn seen_window_trim_gives_up_on_old_gaps() {
+        // Only seq 5 is lost. Once the window trims, the gap is given up
+        // on; no seq that arrived may be reported missing.
+        let mut p = Packetizer::with_mtu(StreamId::Color, 1);
+        let pkts = p.packetize(0, frame_bytes(21_000, 1), 0, false);
+        let mut r = Reassembler::new();
+        for pkt in pkts.into_iter().filter(|p| p.seq != 5) {
+            r.push(pkt, 0);
+        }
+        assert_eq!(r.missing_seqs(64), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn adjacent_fragments_share_the_sender_buffer() {
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let data = frame_bytes(300, 4);
+        let mut pkts = p.packetize(0, data.clone(), 5, false);
+        pkts.swap(0, 3);
+        let mut r = Reassembler::new();
+        let f = pkts.into_iter().find_map(|pkt| r.push(pkt, 1)).unwrap();
+        assert_eq!(f.data, data);
+        assert_eq!(f.data.as_ptr(), data.as_ptr(), "no copy");
+
+        // Fragments from separate buffers come out as one byte-equal copy.
+        let mut foreign = p.packetize(1, frame_bytes(200, 5), 6, false);
+        let whole: Vec<u8> = foreign.iter().flat_map(|p| p.payload.to_vec()).collect();
+        for pkt in &mut foreign {
+            pkt.payload = Bytes::from(pkt.payload.to_vec());
+        }
+        let f = foreign.into_iter().find_map(|pkt| r.push(pkt, 2)).unwrap();
+        assert_eq!(&f.data[..], &whole[..]);
     }
 
     #[test]

@@ -76,6 +76,21 @@ const FEEDBACK_INTERVAL: Micros = 50_000;
 /// Pacing headroom over the aggregate estimate.
 const PACING_FACTOR: f64 = 1.25;
 
+/// Pacer credit is kept in bit·µs (rate in bit/s × elapsed µs), so it
+/// accrues in integers: k ticks of 1 ms add exactly what one of k ms adds,
+/// which is what lets a session skip the ticks where nothing is due.
+const BIT_US: u64 = 1_000_000;
+
+/// Credit after `dt` µs at `rate` bit/s. Unused credit is capped at 5 ms
+/// of sending: bursts larger than that create standing queues at the
+/// bottleneck that read as overuse (WebRTC's pacer enforces a similar
+/// burst bound). The floor of two MTUs keeps low-rate sessions able to
+/// emit full packets at all.
+fn accrue(credit: u64, rate: u64, dt: Micros) -> u64 {
+    let cap = rate.saturating_mul(5_000).max(20_000 * BIT_US);
+    credit.saturating_add(rate.saturating_mul(dt)).min(cap)
+}
+
 /// One notch of adaptive playout slack per late-dropped frame.
 const PLAYOUT_SLACK_STEP: Micros = 5_000;
 
@@ -93,6 +108,9 @@ pub struct SessionStats {
     pub late_drops: u64,
     pub plis: u64,
     pub nacks_sent: u64,
+    /// NACKed packets of frames the receiver had already passed: their
+    /// retransmits are dropped as stale on arrival.
+    pub nacks_superseded: u64,
     pub retransmits: u64,
     /// Sum and count of frame transport latency (send → playout-ready).
     pub latency_sum_us: u128,
@@ -151,6 +169,7 @@ struct SessionTelemetry {
     jitter_occupancy: Arc<Gauge>,
     owd_ms: Arc<Gauge>,
     nacks_sent: Arc<Counter>,
+    nacks_superseded: Arc<Counter>,
     retransmits: Arc<Counter>,
     plis: Arc<Counter>,
     late_drops: Arc<Gauge>,
@@ -282,7 +301,8 @@ pub struct RtcSession {
     packetizers: BTreeMap<StreamId, Packetizer>,
     retransmit: BTreeMap<StreamId, RetransmitBuffer>,
     pacer: VecDeque<Packet>,
-    pacer_budget_bits: f64,
+    /// Unspent pacing credit, bit·µs ([`BIT_US`]).
+    pacer_credit: u64,
     last_pace: Micros,
     pending_retx: VecDeque<(Micros, Packet)>,
     pending_pli: VecDeque<Micros>,
@@ -305,6 +325,12 @@ pub struct RtcSession {
     /// younger than the cross-leg reorder grace are packets still in
     /// flight on a slower leg, not losses.
     missing_since: BTreeMap<(StreamId, u64), Micros>,
+    /// When a gap next ages past the reorder grace or a NACK retry falls
+    /// due; `nack_gaps` also runs on every arrival and leg event.
+    nack_due: Micros,
+    /// Earliest instant the next `tick` can change anything, computed by
+    /// the last tick that ran (see [`RtcSession::next_event`]).
+    wake: Micros,
     ready: Vec<AssembledFrame>,
     last_feedback: Micros,
     stats: SessionStats,
@@ -372,7 +398,7 @@ impl RtcSession {
             packetizers: BTreeMap::new(),
             retransmit: BTreeMap::new(),
             pacer: VecDeque::new(),
-            pacer_budget_bits: 0.0,
+            pacer_credit: 0,
             last_pace: 0,
             pending_retx: VecDeque::new(),
             pending_pli: VecDeque::new(),
@@ -381,6 +407,8 @@ impl RtcSession {
             jitters: BTreeMap::new(),
             nack: BTreeMap::new(),
             missing_since: BTreeMap::new(),
+            nack_due: Micros::MAX,
+            wake: 0,
             ready: Vec::new(),
             last_feedback: 0,
             stats: SessionStats::default(),
@@ -425,6 +453,7 @@ impl RtcSession {
             jitter_occupancy: registry.gauge(&format!("{prefix}.jitter_occupancy")),
             owd_ms: registry.gauge(&format!("{prefix}.owd_ms")),
             nacks_sent: registry.counter(&format!("{prefix}.nacks_sent")),
+            nacks_superseded: registry.counter(&format!("{prefix}.nacks_superseded")),
             retransmits: registry.counter(&format!("{prefix}.retransmits")),
             plis: registry.counter(&format!("{prefix}.plis")),
             late_drops: registry.gauge(&format!("{prefix}.late_drops")),
@@ -539,6 +568,7 @@ impl RtcSession {
             .entry(stream)
             .or_insert_with(|| RetransmitBuffer::new(4096));
         self.stats.frames_sent += 1;
+        self.wake = self.wake.min(now);
         let mut frame_bits = 0u64;
         let mut n_pkts = 0i64;
         for p in pkts {
@@ -571,20 +601,74 @@ impl RtcSession {
     }
 
     /// Advance the session to `now`. Call at ≥ millisecond granularity.
+    /// A tick before [`next_event`](Self::next_event) is a no-op and
+    /// returns at once.
     pub fn tick(&mut self, now: Micros) {
-        self.apply_events(now);
+        if now < self.next_event() {
+            return;
+        }
+        // Credit for the time since the last tick accrues at the rate that
+        // held over it, before this instant's leg events change the rate.
+        let dt = now.saturating_sub(self.last_pace);
+        self.pacer_credit = accrue(self.pacer_credit, self.pacing_rate(), dt);
+        self.last_pace = now;
+        let fired = self.apply_events(now);
         self.pace(now);
         let arrived = self.deliver(now);
-        // A gap opens only when a packet arrives past it: with nothing
-        // new and no gap outstanding there is nothing to age or request.
-        if arrived || !self.missing_since.is_empty() {
+        // Gaps open, close, age and become provable only on an arrival or
+        // a leg event; otherwise nothing is due before `nack_due`.
+        if arrived || fired || now >= self.nack_due {
             self.nack_gaps(now);
         }
         self.feedback(now);
+        self.wake = self.wake_after_tick();
     }
 
-    /// Fire every leg event due by `now`.
-    fn apply_events(&mut self, now: Micros) {
+    /// The earliest instant at which [`tick`](Self::tick) can change
+    /// anything, or at which [`take_pli`](Self::take_pli) has a PLI to hand
+    /// out. [`send_frame`](Self::send_frame) lowers it to its `now`.
+    pub fn next_event(&self) -> Micros {
+        self.pending_pli
+            .front()
+            .map_or(self.wake, |&due| due.min(self.wake))
+    }
+
+    /// Minimum over everything a tick acts on: leg events, link arrivals,
+    /// feedback reaching the sender, the first retransmit, the pacer's
+    /// release of its head packet, playout, NACK aging and retries, and the
+    /// next feedback report.
+    fn wake_after_tick(&self) -> Micros {
+        let legs = self.legs.iter().flat_map(|l| {
+            let feedback = l.pending_feedback.front().map(|f| f.0);
+            [
+                l.events.front().map(|e| e.at),
+                l.em.next_arrival(),
+                feedback,
+            ]
+        });
+        let release = self.pacer.front().map(|p| self.release_at(p.wire_bits()));
+        legs.chain([self.pending_retx.front().map(|r| r.0), release])
+            .chain(self.jitters.values().map(JitterBuffer::next_ready))
+            .flatten()
+            .fold(self.nack_due, Micros::min)
+            .min(self.last_feedback + FEEDBACK_INTERVAL)
+    }
+
+    /// Pacing rate, bit/s: [`PACING_FACTOR`] × the aggregate estimate.
+    fn pacing_rate(&self) -> u64 {
+        (self.estimate_bps() * PACING_FACTOR) as u64
+    }
+
+    /// When the pacer's credit covers a packet of `bits` at today's rate (a
+    /// zero rate changes only at an instant that is itself a wake-up).
+    fn release_at(&self, bits: u64) -> Micros {
+        let short = (bits * BIT_US).saturating_sub(self.pacer_credit);
+        let rate = self.pacing_rate().max(1);
+        self.last_pace.saturating_add(short.div_ceil(rate))
+    }
+
+    /// Fire every leg event due by `now`; returns whether any fired.
+    fn apply_events(&mut self, now: Micros) -> bool {
         let mut fired = false;
         for i in 0..self.legs.len() {
             while let Some(ev) = self.legs[i].events.front().copied() {
@@ -618,6 +702,7 @@ impl RtcSession {
                 t.bond_links_up.set(self.links_up() as f64);
             }
         }
+        fired
     }
 
     /// Record a leg up/down/failover event on the `transport.bond` track.
@@ -690,21 +775,11 @@ impl RtcSession {
         leg.em.send(p, now);
     }
 
-    /// Pacer + per-packet scheduler: release packets at [`PACING_FACTOR`]
-    /// × the aggregate estimate, each onto the leg with the minimum
-    /// scheduling cost; keyframe packets are duplicated onto the
-    /// second-best leg while the session is seeing loss.
+    /// Pacer + per-packet scheduler: spend the accrued credit releasing
+    /// packets, each onto the leg with the minimum scheduling cost;
+    /// keyframe packets are duplicated onto the second-best leg while the
+    /// session is seeing loss.
     fn pace(&mut self, now: Micros) {
-        let dt = now.saturating_sub(self.last_pace);
-        self.last_pace = now;
-        let rate = self.estimate_bps() * PACING_FACTOR;
-        self.pacer_budget_bits += rate * dt as f64 / 1e6;
-        // Cap unused budget at ~5 ms of sending: bursts larger than that
-        // create standing queues at the bottleneck that read as overuse
-        // (WebRTC's pacer enforces a similar burst bound). The floor of two
-        // MTUs keeps low-rate sessions able to emit full packets at all.
-        self.pacer_budget_bits = self.pacer_budget_bits.min((rate * 0.005).max(20_000.0));
-
         // Retransmissions jump the queue, on the most reliable leg — a
         // retransmit that dies again costs a PLI — and are mirrored onto
         // the fastest *other* leg: retransmits are a sliver of the
@@ -751,14 +826,14 @@ impl RtcSession {
 
         while let Some(head) = self.pacer.front() {
             let bits = head.wire_bits();
-            if self.pacer_budget_bits < bits as f64 {
+            if self.pacer_credit < bits * BIT_US {
                 break;
             }
             self.refresh_snapshots(now);
             let Some(primary) = scheduler::pick_primary(&self.snaps, bits) else {
                 break; // total blackout: hold packets, NACK recovers later
             };
-            self.pacer_budget_bits -= bits as f64;
+            self.pacer_credit -= bits * BIT_US;
             let mut p = self.pacer.pop_front().unwrap();
             p.send_ts = now; // true departure time, for the delay estimator
                              // Keyframes are insured whenever the session sees any loss:
@@ -953,16 +1028,18 @@ impl RtcSession {
         frontier
     }
 
-    /// Event-driven NACK, every tick. On one FIFO link a sequence gap is
-    /// a loss; across legs with different propagation a packet in flight
-    /// on the slower leg *looks* like a gap next to its faster siblings.
-    /// Gaps must therefore age past the current cross-leg OWD spread
-    /// before they are NACK-eligible, or a lossless bond retransmits its
-    /// own reordering — but once a gap has aged, waiting for the next
-    /// feedback round would add up to a full interval to every burst-loss
-    /// recovery, so eligibility is checked per tick. The generator's
-    /// per-seq retry spacing keeps this storm-free.
+    /// Event-driven NACK. On one FIFO link a sequence gap is a loss;
+    /// across legs with different propagation a packet in flight on the
+    /// slower leg *looks* like a gap next to its faster siblings. Gaps
+    /// must therefore age past the current cross-leg OWD spread before
+    /// they are NACK-eligible, or a lossless bond retransmits its own
+    /// reordering — but once a gap has aged, waiting for the next feedback
+    /// round would add up to a full interval to every burst-loss recovery,
+    /// so eligibility is checked on every tick that can change it (see
+    /// `nack_due`). The generator's per-seq retry spacing keeps this
+    /// storm-free.
     fn nack_gaps(&mut self, now: Micros) {
+        self.nack_due = Micros::MAX;
         for (&stream, re) in &self.reassemblers {
             let mut missing = re.missing_seqs(64);
             // Forget first-seen times of gaps that closed; `missing_seqs`
@@ -976,7 +1053,12 @@ impl RtcSession {
             let provable = self.loss_frontier(stream);
             missing.retain(|&seq| {
                 let first = *self.missing_since.entry((stream, seq)).or_insert(now);
-                provable.is_some_and(|f| seq < f) || now.saturating_sub(first) >= grace
+                let eligible =
+                    provable.is_some_and(|f| seq < f) || now.saturating_sub(first) >= grace;
+                if !eligible {
+                    self.nack_due = self.nack_due.min(first + grace);
+                }
+                eligible
             });
             if missing.is_empty() {
                 continue;
@@ -986,6 +1068,7 @@ impl RtcSession {
                 .entry(stream)
                 .or_insert_with(NackGenerator::with_defaults);
             let to_request = ng.nacks(&missing, now);
+            self.nack_due = self.nack_due.min(ng.next_due());
             if to_request.is_empty() {
                 continue;
             }
@@ -996,6 +1079,11 @@ impl RtcSession {
             if let Some(rb) = self.retransmit.get(&stream) {
                 let due = now + self.fb_delay();
                 let requested = rb.lookup(&to_request);
+                let superseded = requested.iter().filter(|p| re.passed(p.frame_id)).count() as u64;
+                self.stats.nacks_superseded += superseded;
+                if let Some(t) = &self.telemetry {
+                    t.nacks_superseded.add(superseded);
+                }
                 if let Some(tr) = &self.trace {
                     // One event per frame the request reaches into (arg: its
                     // packets asked for), so the frame's path carries it.
@@ -1183,7 +1271,10 @@ impl RtcSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::GilbertElliott;
     use crate::{mbps, ms};
+    use livo_capture::TraceId;
+    use livo_math::rng::{cases, SplitMix64};
     use livo_telemetry::TraceQuery;
 
     fn run_session(
@@ -1568,6 +1659,113 @@ mod tests {
             peak <= 1.5 * propagation,
             "smoothed OWD peaked at {peak} µs on a {propagation} µs path"
         );
+    }
+
+    #[test]
+    fn credit_accrues_the_same_in_one_step_or_many() {
+        cases(0xC4ED, 200, |rng| {
+            let credit = rng.gen_range(0..40_000 * BIT_US);
+            let rate = rng.gen_range(0..200_000_000u64);
+            let k = rng.gen_range(1..400u64);
+            let stepped = (0..k).fold(credit, |c, _| accrue(c, rate, 1_000));
+            assert_eq!(stepped, accrue(credit, rate, k * 1_000));
+        });
+    }
+
+    /// A random 1–2 leg session: constant or `trace-2` capacity, random
+    /// and Gilbert–Elliott loss, and leg events of every kind.
+    fn random_legs(rng: &mut SplitMix64, secs: f32) -> Vec<LegConfig> {
+        (0..rng.gen_range(1..3usize))
+            .map(|i| {
+                let trace = if rng.gen_bool(0.5) {
+                    BandwidthTrace::constant(rng.gen_range(1.5..30.0), secs)
+                } else {
+                    BandwidthTrace::generate(TraceId::Trace2, secs, rng.gen()).scaled(0.1)
+                };
+                let link = LinkConfig {
+                    propagation: rng.gen_range(5..60) * 1_000,
+                    random_loss: [0.0, 0.03, 0.1][rng.gen_range(0..3)],
+                    burst: rng
+                        .gen_bool(0.3)
+                        .then(|| GilbertElliott::bursty(150.0, 8.0, 0.5)),
+                    seed: rng.gen(),
+                    ..Default::default()
+                };
+                let mut events: Vec<LinkEvent> = (0..rng.gen_range(0..4))
+                    .map(|_| LinkEvent {
+                        at: rng.gen_range(0..(secs * 1e6) as Micros),
+                        action: match rng.gen_range(0..4) {
+                            0 => LinkAction::Down,
+                            1 => LinkAction::Up,
+                            2 => LinkAction::Kill,
+                            _ => LinkAction::SetPropagation(rng.gen_range(5..80) * 1_000),
+                        },
+                    })
+                    .collect();
+                events.sort_by_key(|e| e.at);
+                LegConfig {
+                    name: format!("leg{i}"),
+                    trace,
+                    link,
+                    events,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn waking_on_next_event_equals_ticking_every_millisecond() {
+        // A runs every 1 ms tick in full (its wake-up and NACK times are
+        // reset before each); B is ticked only at the millisecond instants at or after
+        // its `next_event()`, which its sends lower to the send instant.
+        let (mut ran_a, mut ran_b) = (0u64, 0u64);
+        cases(0x3A7E, 32, |rng| {
+            let secs = 4.0;
+            let legs = random_legs(rng, secs + 1.0);
+            let initial = rng.gen_range(2e6..20e6);
+            let mut a = RtcSession::with_legs(legs.clone(), 100_000, initial);
+            let mut b = RtcSession::with_legs(legs, 100_000, initial);
+            let poll_pli = rng.gen_bool(0.7);
+            // Sparse frames leave the link quiet while gaps age and retry.
+            let spacing = [33_333, 100_000, 250_000][rng.gen_range(0..3)];
+            let mut frame_id = 0u64;
+            for t in (0..(secs * 1e6) as Micros).step_by(1_000) {
+                if t % spacing < 1_000 {
+                    for stream in [StreamId::Color, StreamId::Depth] {
+                        // Half the estimate per stream, give or take.
+                        let share = a.estimate_bps() / 30.0 / 16.0 * rng.gen_range(0.1..1.2);
+                        let data = Bytes::from(vec![0u8; share as usize + 100]);
+                        let key = rng.gen_bool(0.05);
+                        a.send_frame(t, stream, frame_id, data.clone(), key);
+                        b.send_frame(t, stream, frame_id, data, key);
+                    }
+                    frame_id += 1;
+                }
+                (a.wake, a.nack_due) = (0, 0);
+                a.tick(t);
+                ran_a += 1;
+                let due = b.next_event() <= t;
+                if due {
+                    b.tick(t);
+                    ran_b += 1;
+                }
+                let pli_a = poll_pli && a.take_pli(t);
+                let pli_b = poll_pli && due && b.take_pli(t);
+                assert_eq!(pli_a, pli_b, "take_pli at {t}");
+                let frames = |s: &mut RtcSession| -> Vec<(u64, Micros, Bytes)> {
+                    let got = s.recv_frames().into_iter();
+                    got.map(|f| (f.frame_id, f.completed_at, f.data)).collect()
+                };
+                assert_eq!(frames(&mut a), frames(&mut b), "frames at {t}");
+                assert_eq!(a.stats(), b.stats(), "stats at {t}");
+                assert_eq!(a.estimate_bps().to_bits(), b.estimate_bps().to_bits());
+                assert_eq!(
+                    a.one_way_delay_us().to_bits(),
+                    b.one_way_delay_us().to_bits()
+                );
+            }
+        });
+        assert!(ran_b * 5 < ran_a * 4, "B ran {ran_b} of {ran_a} ticks");
     }
 
     #[test]

@@ -43,6 +43,18 @@ impl Bytes {
             end: self.start + hi,
         }
     }
+
+    /// Append `other` in O(1) when it starts where `self` ends in the same
+    /// buffer — the case the real crate's `BytesMut::unsplit` absorbs
+    /// without copying. Otherwise `other` comes back untouched.
+    pub fn try_unsplit(&mut self, other: Bytes) -> Result<(), Bytes> {
+        if Arc::ptr_eq(&self.data, &other.data) && self.end == other.start {
+            self.end = other.end;
+            Ok(())
+        } else {
+            Err(other)
+        }
+    }
 }
 
 impl Default for Bytes {

@@ -50,6 +50,11 @@ done
 if grep -rn "FrameTimeline\|straggler_fraction" crates src tests examples; then
   echo "the frame timeline or the straggler option is back"; exit 1
 fi
+# Pacer credit is integer and subscriber ticks run only when due: the float
+# budget, the sharded tick and the bench's coarse tick stride stay gone.
+if grep -rn "pacer_budget_bits\|PARALLEL_TICK_MIN\|tick_stride" crates; then
+  echo "the float pacer budget, the sharded tick or the tick stride is back"; exit 1
+fi
 # Replaced kernels are test oracles in crates/*/tests/common/oracle.rs; the
 # product exports none of them, nor a bench-only tier.
 if grep -rnE "pub fn \w*_(ref|reference|baseline)\b" crates/*/src; then
