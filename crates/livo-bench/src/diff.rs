@@ -24,7 +24,7 @@ enum Leaf {
 /// other leaf is [`Leaf::Virtual`]. Patterns are globs over the leaf's path
 /// with array indices dropped (`points[].stall_rate`); `*` matches any run
 /// of characters.
-const KINDS: [(&str, Leaf); 15] = [
+const KINDS: [(&str, Leaf); 14] = [
     ("host.*", Leaf::Host),
     // kernels: the dispatch tier; sfu: the pool the host gives.
     ("config.simd_level*", Leaf::Host),
@@ -37,7 +37,6 @@ const KINDS: [(&str, Leaf); 15] = [
     // pipeline: how many samples a timing histogram took is virtual.
     ("metrics.histograms.*.count", Leaf::Virtual),
     ("metrics.gauges.kernel.*", Leaf::Wall),
-    ("metrics.histograms.codec.decode_ns.*", Leaf::Wall),
     ("metrics.histograms.conference.*", Leaf::Wall),
     // sfu: route- and tick-time percentiles.
     ("*route_ms*", Leaf::Wall),

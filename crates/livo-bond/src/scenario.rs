@@ -4,7 +4,7 @@
 //! topology over one call: a set of named links, each with its own
 //! bandwidth trace, propagation delay, loss model (i.i.d. and/or
 //! Gilbert–Elliott bursts), and a timeline of mid-run events (link
-//! down/up, permanent kill, RTT jumps). The grammar is a typed builder
+//! down/up, permanent kill). The grammar is a typed builder
 //! rather than a string DSL, so "car leaves WiFi onto LTE" really is one
 //! line:
 //!
@@ -76,11 +76,6 @@ impl LinkScenario {
         self
     }
 
-    pub fn max_queue_delay_ms(mut self, ms: f64) -> Self {
-        self.link.max_queue_delay = (ms * 1e3) as Micros;
-        self
-    }
-
     fn event(mut self, at_s: f64, action: LinkAction) -> Self {
         self.events.push(LinkEvent {
             at: secs(at_s),
@@ -103,11 +98,6 @@ impl LinkScenario {
     /// Kill the link permanently at `at_s` seconds.
     pub fn kill_at(self, at_s: f64) -> Self {
         self.event(at_s, LinkAction::Kill)
-    }
-
-    /// Jump the one-way propagation delay to `ms` at `at_s` seconds.
-    pub fn rtt_jump_at(self, at_s: f64, ms: f64) -> Self {
-        self.event(at_s, LinkAction::SetPropagation((ms * 1e3) as Micros))
     }
 
     /// Mean capacity of the trace in Mbps.

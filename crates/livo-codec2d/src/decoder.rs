@@ -12,11 +12,9 @@
 //! payloads decode to garbage pixels, not crashes.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use livo_runtime::WorkerPool;
-use livo_telemetry::trace::{kind, EventTrace};
-use livo_telemetry::{Counter, Histogram, MetricsRegistry};
+use livo_telemetry::{Counter, MetricsRegistry};
 
 use crate::block::{decode_block, decode_svalue, CoeffContexts};
 use crate::dct;
@@ -99,7 +97,6 @@ impl DecoderScratch {
 
 /// Held metric handles recorded once per decoded frame.
 struct DecoderTelemetry {
-    decode_ns: Arc<Histogram>,
     slices: Arc<Counter>,
     scratch_reuses: Arc<Counter>,
 }
@@ -114,11 +111,6 @@ pub struct Decoder {
     pool: Option<Arc<WorkerPool>>,
     scratch: DecoderScratch,
     telemetry: Option<DecoderTelemetry>,
-    /// Causal-trace sink: `(ring, party, component)`.
-    trace: Option<(Arc<EventTrace>, u16, &'static str)>,
-    /// Harness identity of the next decoded frame (seq, virtual ts_us),
-    /// stamped via [`set_trace_frame`](Decoder::set_trace_frame).
-    trace_frame: Option<(u64, u64)>,
 }
 
 impl Decoder {
@@ -132,32 +124,16 @@ impl Decoder {
         self.pool = Some(pool);
     }
 
-    /// Publish per-frame decoder metrics in `registry`. The names are
+    /// Publish per-frame bitstream metrics in `registry`. The names are
     /// deliberately unprefixed — one decode-stage account shared by the
-    /// colour and depth decoders: the `codec.decode_ns` wall-time
-    /// histogram, the `codec.decode_slices` counter, and the
-    /// `codec.decode_scratch_reuses` arena-effectiveness counter.
+    /// colour and depth decoders: the `codec.decode_slices` counter and the
+    /// `codec.decode_scratch_reuses` arena-effectiveness counter. Timing a
+    /// decode is the caller's, who owns the clock.
     pub fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
         self.telemetry = Some(DecoderTelemetry {
-            decode_ns: registry.histogram("codec.decode_ns"),
             slices: registry.counter("codec.decode_slices"),
             scratch_reuses: registry.counter("codec.decode_scratch_reuses"),
         });
-    }
-
-    /// Record per-frame `decode`/`decode_error` events into the causal
-    /// trace on `party`'s `component` track. As with the encoder, the
-    /// harness stamps each frame's identity via
-    /// [`set_trace_frame`](Decoder::set_trace_frame) first; unstamped
-    /// decodes emit nothing.
-    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16, component: &'static str) {
-        self.trace = Some((trace, party, component));
-    }
-
-    /// Stamp the next decoded frame's harness-level identity (sequence
-    /// number and virtual timestamp). Consumed by the next `decode`.
-    pub fn set_trace_frame(&mut self, seq: u64, ts_us: u64) {
-        self.trace_frame = Some((seq, ts_us));
     }
 
     /// Drop the reference frame (e.g. after an unrecoverable loss, before
@@ -168,39 +144,11 @@ impl Decoder {
 
     /// Decode one frame.
     pub fn decode(&mut self, data: &[u8]) -> Result<Frame, DecodeError> {
-        let start = Instant::now();
-        let result = self.decode_sliced(data);
-        let stamp = self.trace_frame.take();
-        match result {
-            Ok((frame, n_slices)) => {
-                let elapsed_ns = start.elapsed().as_nanos() as u64;
-                if let Some(t) = &self.telemetry {
-                    t.decode_ns.record(elapsed_ns as f64);
-                    t.slices.add(n_slices as u64);
-                }
-                if let Some((trace, party, component)) = &self.trace {
-                    if let Some((seq, ts_us)) = stamp {
-                        trace.record(
-                            ts_us,
-                            seq,
-                            *party,
-                            component,
-                            kind::DECODE,
-                            elapsed_ns as i64,
-                        );
-                    }
-                }
-                Ok(frame)
-            }
-            Err(e) => {
-                if let Some((trace, party, component)) = &self.trace {
-                    if let Some((seq, ts_us)) = stamp {
-                        trace.record(ts_us, seq, *party, component, kind::DECODE_ERROR, 0);
-                    }
-                }
-                Err(e)
-            }
+        let (frame, n_slices) = self.decode_sliced(data)?;
+        if let Some(t) = &self.telemetry {
+            t.slices.add(n_slices as u64);
         }
+        Ok(frame)
     }
 
     /// Rotate the reconstruction double buffer after a successful decode:

@@ -10,7 +10,6 @@ use crate::rangecoder::{BitModel, RangeEncoder};
 use crate::ratecontrol::RateController;
 use crate::slice::{self, SliceRows};
 use livo_runtime::WorkerPool;
-use livo_telemetry::trace::{kind, EventTrace};
 use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
@@ -187,12 +186,6 @@ pub struct Encoder {
     /// Uncompressed header+table bits of the last `encode_with_qp` call;
     /// published as the `slice_header_bits` counter.
     last_header_bits: u64,
-    /// Causal-trace sink: `(ring, party, component)`.
-    trace: Option<(Arc<EventTrace>, u16, &'static str)>,
-    /// Identity of the next frame in the *harness's* numbering and clock,
-    /// stamped by [`set_trace_frame`](Encoder::set_trace_frame) right
-    /// before `encode`; consumed by the `encode` trace event.
-    trace_frame: Option<(u64, u64)>,
 }
 
 impl Encoder {
@@ -223,8 +216,6 @@ impl Encoder {
             pool: None,
             scratch: EncoderScratch::default(),
             last_header_bits: 0,
-            trace: None,
-            trace_frame: None,
         }
     }
 
@@ -256,31 +247,6 @@ impl Encoder {
             scratch_reuses: registry.counter("codec.scratch_reuses"),
             slice_header_bits: registry.counter(&format!("{prefix}.slice_header_bits")),
         });
-    }
-
-    /// Record an `encode` event per frame into the causal trace, on
-    /// `party`'s `component` track (e.g. `"codec.color"`). The encoder
-    /// has no notion of the harness clock or frame numbering, so the
-    /// caller stamps both via [`set_trace_frame`](Encoder::set_trace_frame)
-    /// before each `encode`; frames encoded without a stamp emit nothing.
-    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16, component: &'static str) {
-        self.trace = Some((trace, party, component));
-    }
-
-    /// Stamp the next encoded frame's harness-level identity: its frame
-    /// sequence number and the virtual timestamp the `encode` trace event
-    /// should carry. Consumed by the next `encode`/`encode_fixed_qp`.
-    pub fn set_trace_frame(&mut self, seq: u64, ts_us: u64) {
-        self.trace_frame = Some((seq, ts_us));
-    }
-
-    /// Emit the per-frame `encode` trace event, if armed.
-    fn publish_frame_trace(&mut self, bits: u64) {
-        if let Some((trace, party, component)) = &self.trace {
-            if let Some((seq, ts_us)) = self.trace_frame.take() {
-                trace.record(ts_us, seq, *party, component, kind::ENCODE, bits as i64);
-            }
-        }
     }
 
     /// Record one encoded frame into the attached metrics, if any.
@@ -317,11 +283,6 @@ impl Encoder {
     /// from the transport).
     pub fn force_keyframe(&mut self) {
         self.force_intra = true;
-    }
-
-    /// Frames encoded so far.
-    pub fn frames_encoded(&self) -> u64 {
-        self.frame_index
     }
 
     /// Encode a frame to approximately `target_bits`. The rate controller
@@ -371,7 +332,6 @@ impl Encoder {
         self.rc
             .update(frame_type, complexity, actual_bits as f64, qp);
         self.publish_frame_metrics(frame_type, qp, actual_bits, blocks, Some(target_bits));
-        self.publish_frame_trace(actual_bits);
 
         self.store_prev_luma(frame);
         let recon = self.commit_reconstruction();
@@ -407,7 +367,6 @@ impl Encoder {
         let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
         let (data, blocks) = self.encode_with_qp(frame, qp, frame_type, false);
         self.publish_frame_metrics(frame_type, qp, data.len() as u64 * 8, blocks, None);
-        self.publish_frame_trace(data.len() as u64 * 8);
         self.store_prev_luma(frame);
         let recon = self.commit_reconstruction();
         self.frame_index += 1;

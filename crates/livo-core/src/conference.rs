@@ -72,8 +72,6 @@ pub struct ConferenceConfig {
     /// default: the ring is fixed-capacity and the record path is a few
     /// atomics, so the overhead stays within the tier-1 budget (≤ 5%).
     pub trace: bool,
-    /// Trace ring capacity in events (shared across all record sites).
-    pub trace_capacity: usize,
     /// Flight-recorder detector thresholds (`AnomalyConfig::disarmed()`
     /// turns anomaly dumps off entirely).
     pub anomaly: AnomalyConfig,
@@ -98,7 +96,6 @@ impl ConferenceConfig {
             user_trace_seed: 11,
             user_trace_style: 0,
             trace: true,
-            trace_capacity: 65_536,
             anomaly: AnomalyConfig::default(),
         }
     }
@@ -242,12 +239,6 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Trace ring capacity in events (≥ 1 when tracing is on).
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.cfg.trace_capacity = events;
-        self
-    }
-
     /// Flight-recorder detector thresholds.
     pub fn anomaly(mut self, cfg: AnomalyConfig) -> Self {
         self.cfg.anomaly = cfg;
@@ -285,12 +276,6 @@ impl ConferenceConfigBuilder {
                 "sampling interval must be at least 1".into(),
             );
         }
-        if cfg.trace && cfg.trace_capacity == 0 {
-            return err(
-                "trace_capacity",
-                "tracing is on but the ring holds zero events".into(),
-            );
-        }
         if let Some(sc) = &cfg.bond {
             if let Err(msg) = sc.validate() {
                 return err("bond", msg);
@@ -310,19 +295,6 @@ pub struct FrameRecord {
     pub shown_seq: Option<u32>,
     /// Quality scores, when sampled this slot.
     pub pssim: Option<PssimScore>,
-}
-
-/// Per-component mean processing times (Table 6), in milliseconds of
-/// wall-clock on *this* machine at the configured scale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    pub capture_ms: f64,
-    pub cull_ms: f64,
-    pub tile_ms: f64,
-    pub encode_ms: f64,
-    pub decode_ms: f64,
-    pub reconstruct_ms: f64,
-    pub render_prep_ms: f64,
 }
 
 /// Summary of one replay.
@@ -350,11 +322,11 @@ pub struct RunSummary {
     pub mean_split: f64,
     /// Mean fraction of valid pixels kept by the cull (1.0 without cull).
     pub mean_keep_fraction: f64,
-    pub timings: StageTimings,
     /// Total wire bits offered by the sender (both streams).
     pub bits_sent: u64,
-    /// Full metrics snapshot of the run: stage/codec histograms, transport
-    /// gauges and counters (see DESIGN.md "Telemetry").
+    /// Full metrics snapshot of the run: the `conference.<step>_ms`
+    /// histograms Table 6 reads, codec counters, transport gauges and
+    /// counters (see DESIGN.md "Telemetry").
     pub metrics: RegistrySnapshot,
     /// Causal event-trace snapshot (empty when `cfg.trace` is off): the
     /// ring's surviving capture→…→display events in causal order, virtual
@@ -633,6 +605,10 @@ impl ConferenceRunner {
 /// The virtual clock's tick.
 const TICK_US: Micros = 1_000;
 
+/// Trace ring capacity in events, shared across all record sites: a few
+/// seconds of a call per writing thread (DESIGN.md "Telemetry").
+const TRACE_CAPACITY: usize = 65_536;
+
 /// The steps of a call that Table 6 budgets, in pipeline order.
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -699,7 +675,7 @@ struct RunTelemetry {
 impl RunTelemetry {
     fn new(cfg: &ConferenceConfig) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let trace = Arc::new(EventTrace::new(cfg.trace_capacity.max(1)));
+        let trace = Arc::new(EventTrace::new(TRACE_CAPACITY));
         trace.set_enabled(cfg.trace);
         let mut flight = FlightRecorder::new(cfg.anomaly.clone());
         flight.attach_trace(trace.clone());
@@ -779,13 +755,16 @@ impl RunTelemetry {
             "rmse_depth_mm" => rmse_d, "rmse_color" => rmse_c, "split" => splitter.split());
     }
 
-    /// The one place a step's wall time is reported: its histogram and the
-    /// trace (arg: elapsed µs), stamped `now`.
+    /// The one place a step's wall time is reported: its histogram and,
+    /// for the steps no stage traces, a `pipeline` trace event (arg:
+    /// elapsed µs), stamped `now`. The stages trace encode and decode.
     fn record(&self, step: Step, frame: u64, now: Micros, ms: f64) {
         self.step_ms[step as usize].record(ms);
-        let us = (ms * 1e3) as i64;
-        self.trace
-            .record(now, frame, step.party(), "pipeline", step.name(), us);
+        if !matches!(step, Step::Encode | Step::Decode) {
+            let us = (ms * 1e3) as i64;
+            self.trace
+                .record(now, frame, step.party(), "pipeline", step.name(), us);
+        }
     }
 
     /// Run `f` as `step` of `frame` and [`record`](Self::record) its time.
@@ -818,10 +797,6 @@ fn summarise(
     let color: f64 = scores.iter().map(|s| s.color).sum();
     let n_scored = scores.len().max(1) as f64;
 
-    // Table 6's means are read from the histograms the steps reported to:
-    // per sender frame, per displayed frame (decode: both lanes) and per
-    // scored frame.
-    let step = |s: Step| &tel.step_ms[s as usize];
     let keep = &tel.keep_fraction;
     RunSummary {
         stall_rate: if records.is_empty() {
@@ -844,15 +819,6 @@ fn summarise(
         transport_latency_ms: transport.mean_latency_ms(),
         mean_split,
         mean_keep_fraction: if keep.count() > 0 { keep.mean() } else { 1.0 },
-        timings: StageTimings {
-            capture_ms: step(Step::Capture).mean(),
-            cull_ms: step(Step::Cull).mean(),
-            tile_ms: step(Step::Tile).mean(),
-            encode_ms: step(Step::Encode).mean(),
-            decode_ms: step(Step::Decode).sum() / displayed.max(1) as f64,
-            reconstruct_ms: step(Step::Reconstruct).mean(),
-            render_prep_ms: step(Step::RenderPrep).mean(),
-        },
         bits_sent: transport.bits_sent,
         records,
         trace: tel.trace.snapshot(),
@@ -1076,10 +1042,6 @@ mod tests {
             assert_eq!(Some(h.count), frames, "{name} count");
             assert!(h.p95 >= h.p50 && h.max >= h.p95, "{name} quantile order");
         }
-
-        // The histogram means back the legacy Table-6 accessors exactly.
-        let enc = s.metrics.histogram("conference.encode_ms").unwrap();
-        assert!((enc.mean - s.timings.encode_ms).abs() < 1e-9);
 
         // Transport + codec instrumentation attached to the same registry.
         assert!(s.metrics.counter("transport.frames_delivered").unwrap_or(0) > 0);

@@ -48,19 +48,9 @@ impl FrustumPredictor {
         self.smoothed_owd_s
     }
 
-    /// Whether any pose has been observed yet.
-    pub fn is_ready(&self) -> bool {
-        self.predictor.is_initialized()
-    }
-
     /// Predicted pose at the horizon.
     pub fn predicted_pose(&self) -> Pose {
         self.predictor.predict(self.smoothed_owd_s)
-    }
-
-    /// Predicted pose at an explicit horizon (for the Fig. 15/16 sweeps).
-    pub fn predicted_pose_at(&self, horizon_s: f64) -> Pose {
-        self.predictor.predict(horizon_s)
     }
 
     /// Predicted frustum, guard band applied.

@@ -22,7 +22,7 @@ use livo_capture::RgbdFrame;
 use livo_codec2d::{luma_rmse, Decoder, EncodedFrame, Encoder, EncoderConfig, Frame, PixelFormat};
 use livo_math::{Frustum, RgbdCamera};
 use livo_runtime::WorkerPool;
-use livo_telemetry::trace::EventTrace;
+use livo_telemetry::trace::{kind, EventTrace};
 use livo_telemetry::MetricsRegistry;
 use livo_transport::{AssembledFrame, Micros, StreamId};
 use std::collections::BTreeMap;
@@ -71,6 +71,8 @@ pub struct SenderStage {
     color_enc: Encoder,
     depth_enc: Encoder,
     pool: Option<Arc<WorkerPool>>,
+    /// Where each encoded frame is recorded, and as which party.
+    trace: Option<(Arc<EventTrace>, u16)>,
 }
 
 impl SenderStage {
@@ -94,6 +96,7 @@ impl SenderStage {
             color_enc: encoder(PixelFormat::Yuv420),
             depth_enc: encoder(depth_codec.pixel_format()),
             pool: None,
+            trace: None,
         }
     }
 
@@ -117,11 +120,10 @@ impl SenderStage {
         self.depth_enc.attach_telemetry(registry, "codec.depth");
     }
 
-    /// Record the encoders' per-frame `encode` events as `party`.
+    /// Record one `encode` event per stream and frame as `party`, on
+    /// `codec.color` / `codec.depth` (arg: bits).
     pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
-        self.color_enc
-            .attach_trace(trace.clone(), party, "codec.color");
-        self.depth_enc.attach_trace(trace, party, "codec.depth");
+        self.trace = Some((trace, party));
     }
 
     pub fn depth_codec(&self) -> &DepthCodec {
@@ -153,8 +155,8 @@ impl SenderStage {
         }
     }
 
-    /// Encode the pair, (colour, depth). `frame` and `now` stamp the
-    /// encoders' trace events.
+    /// Encode the pair, (colour, depth). `frame` and `now` stamp its trace
+    /// events.
     pub fn encode(
         &mut self,
         canvases: &Canvases,
@@ -162,9 +164,7 @@ impl SenderStage {
         frame: u64,
         now: Micros,
     ) -> (EncodedFrame, EncodedFrame) {
-        self.color_enc.set_trace_frame(frame, now);
-        self.depth_enc.set_trace_frame(frame, now);
-        match rate {
+        let (color, depth) = match rate {
             Rate::Budget {
                 color_bits,
                 depth_bits,
@@ -178,7 +178,13 @@ impl SenderStage {
                 self.color_enc.encode_fixed_qp(&canvases.color, color),
                 self.depth_enc.encode_fixed_qp(&canvases.depth, depth),
             ),
+        };
+        if let Some((trace, party)) = &self.trace {
+            for (track, out) in [("codec.color", &color), ("codec.depth", &depth)] {
+                trace.record(now, frame, *party, track, kind::ENCODE, out.bits() as i64);
+            }
         }
+        (color, depth)
     }
 
     /// What the splitter balances (§3.3): colour luma RMSE and depth RMSE in
@@ -233,20 +239,26 @@ pub struct FrameOutcome {
 /// One stream's decoder, P-chain state and sequence-stamped window.
 struct DecodeLane {
     name: &'static str,
+    /// The lane's trace component, `codec.<name>`.
+    track: &'static str,
     dec: Decoder,
     window: BTreeMap<u32, Frame>,
     expected_frame: u64,
     need_key: bool,
+    /// Where each decode attempt is recorded, and as which party.
+    trace: Option<(Arc<EventTrace>, u16)>,
 }
 
 impl DecodeLane {
-    fn new(name: &'static str) -> Self {
+    fn new(name: &'static str, track: &'static str) -> Self {
         DecodeLane {
             name,
+            track,
             dec: Decoder::new(),
             window: BTreeMap::new(),
             expected_frame: 0,
             need_key: false,
+            trace: None,
         }
     }
 
@@ -263,7 +275,6 @@ impl DecodeLane {
         } else {
             self.need_key = false;
             let t0 = Instant::now();
-            self.dec.set_trace_frame(af.frame_id, now);
             // A well-formed frame too small to hold the sequence strip is
             // no canvas of ours: an error like any other, not a frame 0.
             let canvas = self.dec.decode(&af.data).ok();
@@ -283,6 +294,13 @@ impl DecodeLane {
                 }
             };
             decode_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if let Some((trace, party)) = &self.trace {
+                let (k, arg) = match ingest {
+                    Ingest::Decoded => (kind::DECODE, (decode_ms * 1e3) as i64),
+                    _ => (kind::DECODE_ERROR, 0),
+                };
+                trace.record(now, af.frame_id, *party, self.track, k, arg);
+            }
             ingest
         };
         FrameOutcome {
@@ -311,8 +329,8 @@ impl Default for ReceiverStage {
 impl ReceiverStage {
     pub fn new() -> Self {
         ReceiverStage {
-            color: DecodeLane::new("color"),
-            depth: DecodeLane::new("depth"),
+            color: DecodeLane::new("color", "codec.color"),
+            depth: DecodeLane::new("depth", "codec.depth"),
             pool: None,
         }
     }
@@ -325,18 +343,20 @@ impl ReceiverStage {
         self.pool = Some(pool);
     }
 
-    /// Publish the decoders' `codec.decode_*` metrics into `registry`.
+    /// Publish the decoders' `codec.decode_*` bitstream counters into
+    /// `registry`.
     pub fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
         self.color.dec.attach_telemetry(registry);
         self.depth.dec.attach_telemetry(registry);
     }
 
-    /// Record the decoders' per-frame events as `party`.
+    /// Record one `decode` (arg: elapsed µs) or `decode_error` event per
+    /// decode attempt as `party`, on the lane's `codec.color` /
+    /// `codec.depth` component. A frame that never reaches the decoder
+    /// records nothing.
     pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
-        self.color
-            .dec
-            .attach_trace(trace.clone(), party, "codec.color");
-        self.depth.dec.attach_trace(trace, party, "codec.depth");
+        self.color.trace = Some((trace.clone(), party));
+        self.depth.trace = Some((trace, party));
     }
 
     /// Run one tick's delivered frames through their lanes, each lane in
@@ -604,6 +624,8 @@ mod tests {
             Encoder::new(EncoderConfig::new(w, h, format)).encode_fixed_qp(&frame, 20)
         };
         let mut rx = ReceiverStage::new();
+        let trace = Arc::new(EventTrace::new(1 << 16));
+        rx.attach_trace(trace.clone(), 1);
         let mut frame_id = 0;
         let mut ingest = |rx: &mut ReceiverStage, data: Vec<u8>, keyframe: bool| {
             let af = AssembledFrame {
@@ -614,8 +636,23 @@ mod tests {
                 completed_at: 0,
                 send_ts: 0,
             };
+            let outcome = rx.ingest(&[af], 0)[0].ingest;
+            // The trace says what the lane did with the frame: one decode or
+            // one decode_error per attempt, nothing for a skipped frame.
+            let kinds: Vec<&str> = trace
+                .snapshot()
+                .iter()
+                .filter(|e| e.frame_seq == frame_id)
+                .map(|e| e.kind)
+                .collect();
+            let want: &[&str] = match outcome {
+                Ingest::Decoded => &[kind::DECODE],
+                Ingest::DecodeError => &[kind::DECODE_ERROR],
+                Ingest::ChainBroken | Ingest::AwaitingKey => &[],
+            };
+            assert_eq!(kinds, want, "frame {frame_id}: {outcome:?}");
             frame_id += 1;
-            rx.ingest(&[af], 0)[0].ingest
+            outcome
         };
         // Well-formed keyframes too small for the 32-block strip: `read_seq`
         // reads the missing blocks as 0 bits, the lane counts an error.

@@ -137,9 +137,10 @@ pub fn table5(grid: &[GridResult]) -> String {
     out
 }
 
-/// Table 6: per-component latency. Processing components are measured on
-/// this machine at evaluation scale; the transport column comes from the
-/// session (jitter buffer + path), which is scale-free.
+/// Table 6: per-component latency. Processing components are the means of
+/// the run's `conference.<step>_ms` histograms, measured on this machine at
+/// evaluation scale; the transport column comes from the session (jitter
+/// buffer + path), which is scale-free.
 pub fn table6(profile: &EvalProfile) -> String {
     let mut out = String::new();
     out.push_str("Table 6: per-component latency (ms)\n");
@@ -159,17 +160,22 @@ pub fn table6(profile: &EvalProfile) -> String {
         let trace =
             BandwidthTrace::generate(TraceId::Trace1, profile.duration_s + 5.0, profile.seed);
         let s = ConferenceRunner::new(cfg).run(trace);
-        let t = s.timings;
+        let m = &s.metrics;
+        let step = |name: &str| m.histogram(&format!("conference.{name}_ms"));
+        let mean = |name: &str| step(name).map_or(0.0, |h| h.mean);
+        // Decode is per displayed frame over both lanes.
+        let shown = m.counter("display.frames_shown").unwrap_or(0).max(1);
+        let decode = step("decode").map_or(0.0, |h| h.sum / shown as f64);
         out.push_str(&format!(
             "  {name}: capture {:.1} | cull {:.1} | tile {:.1} | encode {:.1} | transport {:.1} | decode {:.1} | reconstruct {:.1} | render-prep {:.1}\n",
-            t.capture_ms,
-            t.cull_ms,
-            t.tile_ms,
-            t.encode_ms,
+            mean("capture"),
+            mean("cull"),
+            mean("tile"),
+            mean("encode"),
             s.transport_latency_ms,
-            t.decode_ms,
-            t.reconstruct_ms,
-            t.render_prep_ms,
+            decode,
+            mean("reconstruct"),
+            mean("render_prep"),
         ));
     }
     out

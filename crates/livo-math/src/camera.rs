@@ -54,11 +54,6 @@ impl CameraIntrinsics {
         2.0 * (self.width as f32 / (2.0 * self.fx)).atan()
     }
 
-    /// Vertical field of view in radians implied by `fy`.
-    pub fn vfov(&self) -> f32 {
-        2.0 * (self.height as f32 / (2.0 * self.fy)).atan()
-    }
-
     /// Back-project pixel `(u, v)` with depth `z_m` (metres along the optical
     /// axis) into the camera's local frame.
     ///
@@ -85,12 +80,6 @@ impl CameraIntrinsics {
         let u = p.x * self.fx / p.z + self.cx;
         let v = self.cy - p.y * self.fy / p.z;
         Some((u, v, p.z))
-    }
-
-    /// True if the pixel coordinate lands inside the image.
-    #[inline]
-    pub fn in_bounds(&self, u: f32, v: f32) -> bool {
-        u >= 0.0 && v >= 0.0 && u < self.width as f32 && v < self.height as f32
     }
 
     /// Direction (unit vector, local frame) of the ray through pixel centre
@@ -122,11 +111,6 @@ impl RgbdCamera {
             min_range_m: 0.25,
             max_range_m: 6.0,
         }
-    }
-
-    /// Local→world matrix.
-    pub fn local_to_world(&self) -> Mat4 {
-        self.pose.to_mat4()
     }
 
     /// World→local matrix.

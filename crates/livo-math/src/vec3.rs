@@ -136,12 +136,6 @@ impl Vec3 {
         Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
     }
 
-    /// Component-wise multiply.
-    #[inline]
-    pub fn mul_elem(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Largest component.
     #[inline]
     pub fn max_element(self) -> f32 {

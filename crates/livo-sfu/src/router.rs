@@ -63,11 +63,12 @@ use livo_core::tile::TileLayout;
 use livo_math::{Frustum, Pose, RgbdCamera};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{intern, kind, EventTrace, NO_FRAME};
-use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, TelemetrySpan};
+use livo_telemetry::{metric_safe, Counter, Gauge, Histogram, MetricsRegistry};
 use livo_transport::{Micros, StreamId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Opaque subscriber handle issued by [`Router::add_subscriber`].
 ///
@@ -106,8 +107,9 @@ pub enum RouterError {
     },
     /// The id does not name a live subscriber (never issued, or removed).
     UnknownSubscriber(SubscriberId),
-    /// A live subscriber already uses this display name (names feed the
-    /// `sfu.sub.<name>.*` metric namespace, which must stay unambiguous).
+    /// A live subscriber's display name folds to the same metric segment
+    /// as this one ([`metric_safe`]): names feed the `sfu.sub.<name>.*`
+    /// namespace, which must stay unambiguous.
     DuplicateSubscriber(String),
     /// The router is at [`RouterConfig::max_subscribers`].
     AtCapacity { max: usize },
@@ -506,23 +508,17 @@ impl Router {
                 max: self.cfg.max_subscribers,
             });
         }
-        if self.subscribers.values().any(|s| s.name() == cfg.name) {
-            return Err(RouterError::DuplicateSubscriber(cfg.name.clone()));
+        // Display names flow into metric names, folded so a name like
+        // "producer-desk" still yields convention-clean metrics; two names
+        // that fold alike would share one set of counters.
+        let safe = metric_safe(&cfg.name);
+        let taken = |s: &Subscriber| metric_safe(&s.name) == safe;
+        if self.subscribers.values().any(taken) {
+            return Err(RouterError::DuplicateSubscriber(cfg.name));
         }
         let id = SubscriberId(self.next_id);
         self.next_id += 1;
         let mut sub = Subscriber::new(cfg, trace, &self.pool);
-        // Display names flow into metric names: fold anything outside the
-        // documented `[a-z0-9_]` segment alphabet to '_' so a name like
-        // "producer-desk" still yields convention-clean metrics.
-        let safe: String = sub
-            .name
-            .chars()
-            .map(|c| match c.to_ascii_lowercase() {
-                c @ ('a'..='z' | '0'..='9' | '_') => c,
-                _ => '_',
-            })
-            .collect();
         let prefix = format!("sfu.sub.{safe}.transport");
         sub.session.attach_telemetry(&self.registry, &prefix);
         if let Some(tr) = &self.trace {
@@ -564,10 +560,6 @@ impl Router {
     /// Live subscribers in id order.
     pub fn subscribers(&self) -> impl Iterator<Item = (SubscriberId, &Subscriber)> {
         self.subscribers.iter().map(|(&id, s)| (id, s))
-    }
-
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
     }
 
     /// Feed subscriber `id`'s (feedback-delayed) head pose.
@@ -797,8 +789,8 @@ impl Router {
                 events,
             };
         }
-        let span = TelemetrySpan::start(&self.metrics.route_ms);
-        let encode_span = TelemetrySpan::start(&self.metrics.encode_ms);
+        let t0 = Instant::now();
+        let elapsed_ms = || t0.elapsed().as_secs_f64() * 1e3;
 
         // Predictor horizons track each downlink's RTT (+ processing
         // slack), exactly like the two-party sender. Each subscriber's view
@@ -881,7 +873,7 @@ impl Router {
             .into_iter()
             .map(|o| o.expect("cluster task completed"))
             .collect();
-        encode_span.finish_ms();
+        self.metrics.encode_ms.record(elapsed_ms());
 
         // Per-cluster bookkeeping + payload prep (serial, cheap): one
         // shared `Bytes` per bitstream, refcount-cloned per member below.
@@ -962,7 +954,7 @@ impl Router {
         self.metrics.encode_passes.add(clusters.len() as u64);
         self.metrics.clusters_gauge.set(clusters.len() as f64);
         self.frame_idx += 1;
-        span.finish_ms();
+        self.metrics.route_ms.record(elapsed_ms());
         let events = self.drain_events(now);
         RouteSummary {
             seq,
@@ -1051,6 +1043,14 @@ mod tests {
                 .add_subscriber(SubscriberConfig::new("a"), trace())
                 .unwrap_err(),
             RouterError::DuplicateSubscriber("a".into())
+        );
+        // A name that folds to a live subscriber's metric segment is taken
+        // too: both would publish `sfu.sub.a.*`.
+        assert_eq!(
+            router
+                .add_subscriber(SubscriberConfig::new("A"), trace())
+                .unwrap_err(),
+            RouterError::DuplicateSubscriber("A".into())
         );
         let b = add(&mut router, "b");
         assert_eq!(

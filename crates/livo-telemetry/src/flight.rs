@@ -8,8 +8,7 @@
 //! collapse, decode errors, worker-pool starvation — and the moment a
 //! detector fires it freezes the evidence: the last-N trace events (the
 //! recent frames' paths, via [`crate::TraceQuery`]), a registry snapshot
-//! and the detector's verdict, as one [`FlightBundle`] kept in memory and
-//! optionally appended to a JSONL sink.
+//! and the detector's verdict, as one [`FlightBundle`] kept in memory.
 //!
 //! Detection is armed per signal via [`AnomalyConfig`] (a threshold of
 //! `None` disarms that detector — tests arm exactly one). Dumps are
@@ -21,7 +20,6 @@ use crate::json::ObjectWriter;
 use crate::registry::{Counter, MetricsRegistry, RegistrySnapshot};
 use crate::trace::{EventTrace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// Detector verdicts (the `verdict` field of a bundle and the suffix of
@@ -52,8 +50,7 @@ pub struct AnomalyConfig {
     pub cooldown_us: u64,
     /// Trace events kept per bundle (the newest N).
     pub bundle_events: usize,
-    /// Hard cap on retained bundles (oldest dropped; the JSONL sink
-    /// still receives every dump).
+    /// Hard cap on retained bundles (oldest dropped).
     pub max_bundles: usize,
 }
 
@@ -104,7 +101,7 @@ pub struct FlightBundle {
 }
 
 impl FlightBundle {
-    /// One JSON object (a JSONL line of the dump file).
+    /// One JSON object.
     pub fn write_json(&self, out: &mut String) {
         let mut o = ObjectWriter::new(out);
         o.field_u64("ts_us", self.ts_us)
@@ -175,7 +172,6 @@ pub struct FlightRecorder {
     counters: Option<AnomalyCounters>,
     state: Mutex<DetectorState>,
     bundles: Mutex<Vec<FlightBundle>>,
-    sink: Mutex<Option<Box<dyn Write + Send>>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -196,7 +192,6 @@ impl FlightRecorder {
             counters: None,
             state: Mutex::new(DetectorState::default()),
             bundles: Mutex::new(Vec::new()),
-            sink: Mutex::new(None),
         }
     }
 
@@ -217,11 +212,6 @@ impl FlightRecorder {
             dumps: registry.counter("trace.anomalies.dumps"),
         });
         self.registry = Some(Arc::clone(registry));
-    }
-
-    /// Append every bundle to `w` as one JSON object per line.
-    pub fn set_sink(&self, w: Box<dyn Write + Send>) {
-        *self.sink.lock().unwrap() = Some(w);
     }
 
     pub fn config(&self) -> &AnomalyConfig {
@@ -377,12 +367,6 @@ impl FlightRecorder {
         if let Some(c) = &self.counters {
             c.dumps.inc();
         }
-        if let Some(w) = self.sink.lock().unwrap().as_mut() {
-            let mut line = bundle.to_json();
-            line.push('\n');
-            let _ = w.write_all(line.as_bytes());
-            let _ = w.flush();
-        }
         let mut bundles = self.bundles.lock().unwrap();
         bundles.push(bundle);
         while bundles.len() > self.cfg.max_bundles {
@@ -473,19 +457,6 @@ mod tests {
         fr.attach_registry(&reg);
         fr.attach_trace(Arc::clone(&trace));
 
-        let sink: Arc<Mutex<Vec<u8>>> = Arc::default();
-        struct S(Arc<Mutex<Vec<u8>>>);
-        impl Write for S {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        fr.set_sink(Box::new(S(Arc::clone(&sink))));
-
         fr.observe_stall(1_000, 1, 180.0);
         let b = &fr.bundles()[0];
         assert_eq!(b.events.len(), 2);
@@ -499,13 +470,11 @@ mod tests {
                 .counter("conference.frames_shown"),
             Some(7)
         );
-        let out = String::from_utf8(sink.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("{\"ts_us\":1000,\"verdict\":\"stall\""));
-        assert!(lines[0].contains("\"kind\":\"stall\""));
-        assert!(lines[0].contains("\"counters\""));
-        assert!(lines[0].contains("\"frame_seq\":4"));
+        let json = b.to_json();
+        assert!(json.starts_with("{\"ts_us\":1000,\"verdict\":\"stall\""));
+        assert!(json.contains("\"kind\":\"stall\""));
+        assert!(json.contains("\"counters\""));
+        assert!(json.contains("\"frame_seq\":4"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Telemetry substrate for the LiVo workspace: metrics, spans, the
-//! per-frame event trace, and structured logging.
+//! Telemetry substrate for the LiVo workspace: metrics, the per-frame
+//! event trace, and structured logging.
 //!
 //! Every headline claim of the paper is an observability claim — per-stage
 //! latency (Table 6), throughput and utilisation (Table 1), the 200–300 ms
@@ -9,9 +9,8 @@
 //!
 //! - [`registry`]: [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s exposing p50/p95/p99/max. Registration is
-//!   locked; recording is lock-free atomics on held handles.
-//! - [`span`]: [`TelemetrySpan`] — RAII wall-clock timers recording into
-//!   histograms, cheap enough for every stage of every 30 fps frame.
+//!   locked; recording is lock-free atomics on held handles. Whoever runs
+//!   a step times it and records the elapsed time into a histogram.
 //! - [`trace`]: [`EventTrace`] — the one per-frame record, a causal
 //!   cross-layer event ring: every frame's capture→cull→tile→encode→
 //!   packetize→send→(nack→retx)→recv→playout→decode→display life, keyed
@@ -39,7 +38,6 @@ pub mod histogram;
 pub mod json;
 pub mod log;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use chrometrace::{chrome_trace_json, write_chrome_trace};
@@ -47,9 +45,8 @@ pub use flight::{verdict, AnomalyConfig, FlightBundle, FlightRecorder};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::{Level, Logger, Value};
 pub use registry::{
-    global, name_follows_convention, Counter, Gauge, MetricsRegistry, RegistrySnapshot,
+    global, metric_safe, name_follows_convention, Counter, Gauge, MetricsRegistry, RegistrySnapshot,
 };
-pub use span::{timed, TelemetrySpan};
 pub use trace::{intern, kind, EventTrace, FramePath, Hop, TraceEvent, TraceQuery, NO_FRAME};
 
 #[cfg(test)]
@@ -66,9 +63,10 @@ mod tests {
         let encode_ms = reg.histogram("pipeline.encode_ms");
         let frames = reg.counter("pipeline.frames");
         for seq in 0..30u64 {
-            let span = TelemetrySpan::start(&encode_ms);
+            let t0 = std::time::Instant::now();
             std::hint::black_box(seq * 17 % 5);
-            let ms = span.finish_ms();
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            encode_ms.record(ms);
             let us = (ms * 1e3) as i64;
             trace.record(seq * 33_333, seq, 0, "pipeline", kind::ENCODE, us);
             frames.inc();

@@ -156,8 +156,8 @@ impl MetricsRegistry {
 }
 
 /// Unit tokens that may only appear as a `_unit` suffix of a segment,
-/// never as a standalone dotted segment (`codec.decode.ns` is drift;
-/// `codec.decode_ns` is the convention).
+/// never as a standalone dotted segment (`conference.decode.ms` is drift;
+/// `conference.decode_ms` is the convention).
 const UNIT_TOKENS: [&str; 12] = [
     "ms", "us", "ns", "s", "bits", "bytes", "bps", "kbps", "mbps", "hz", "pct", "ratio",
 ];
@@ -198,6 +198,25 @@ pub fn name_follows_convention(name: &str) -> bool {
         prev = Some(seg);
     }
     true
+}
+
+/// Fold a display name (a subscriber, a link) into one segment that
+/// [`name_follows_convention`] accepts: lowercase, anything outside
+/// `[a-z0-9_]` becomes `_`, and an `l` goes in front of a name that does
+/// not start with a letter. Two names that fold alike share the segment,
+/// so a publisher keyed by display names compares folded names.
+pub fn metric_safe(name: &str) -> String {
+    let mut out: String = name
+        .chars()
+        .map(|c| match c.to_ascii_lowercase() {
+            c @ ('a'..='z' | '0'..='9' | '_') => c,
+            _ => '_',
+        })
+        .collect();
+    if !out.starts_with(|c: char| c.is_ascii_lowercase()) {
+        out.insert(0, 'l');
+    }
+    out
 }
 
 /// The process-wide default registry. Long-lived tools (`repro`, examples)
@@ -343,7 +362,7 @@ mod tests {
         for good in [
             "codec.color.bits_total",
             "transport.latency_ms",
-            "codec.decode_ns",
+            "conference.decode_ms",
             "sfu.sub.producer_desk.transport.plis",
             "runtime.pool.queue_depth",
             "trace.anomalies.pli_storm",
@@ -352,7 +371,7 @@ mod tests {
         }
         for bad in [
             "frames",                         // no component
-            "codec.decode.ns",                // standalone unit segment
+            "conference.decode.ms",           // standalone unit segment
             "transport.transport_latency_ms", // stutter
             "Codec.bits",                     // uppercase
             "codec.2pass",                    // digit-leading segment

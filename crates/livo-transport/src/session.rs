@@ -33,7 +33,7 @@ use crate::Micros;
 use bytes::Bytes;
 use livo_capture::BandwidthTrace;
 use livo_telemetry::trace::{kind, EventTrace, NO_FRAME};
-use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use livo_telemetry::{metric_safe, Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -183,7 +183,6 @@ struct SessionTelemetry {
     /// delivered-vs-estimate ratio.
     estimate_sum_bps: Arc<Gauge>,
     estimate_samples: Arc<Counter>,
-    bond_estimate_bps: Arc<Gauge>,
     bond_links_up: Arc<Gauge>,
     bond_failovers: Arc<Counter>,
 }
@@ -270,27 +269,6 @@ fn component_of(stream: StreamId) -> &'static str {
         StreamId::Depth => "transport.depth",
         StreamId::Control => "transport.control",
     }
-}
-
-/// Fold a link display name into a metric-safe segment (`[a-z0-9_]`,
-/// starting with a letter) — same convention the SFU router uses for
-/// subscriber names.
-fn metric_safe(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        let lc = c.to_ascii_lowercase();
-        out.push(
-            if lc.is_ascii_lowercase() || lc.is_ascii_digit() || lc == '_' {
-                lc
-            } else {
-                '_'
-            },
-        );
-    }
-    if !out.starts_with(|c: char| c.is_ascii_lowercase()) {
-        out.insert(0, 'l');
-    }
-    out
 }
 
 /// One direction of a conference call, over one or more legs.
@@ -464,7 +442,6 @@ impl RtcSession {
             latency_ms: registry.histogram(&format!("{prefix}.latency_ms")),
             estimate_sum_bps: registry.gauge(&format!("{prefix}.gcc.estimate_sum_bps")),
             estimate_samples: registry.counter(&format!("{prefix}.gcc.estimate_samples")),
-            bond_estimate_bps: registry.gauge(&format!("{prefix}.bond.estimate_bps")),
             bond_links_up: registry.gauge(&format!("{prefix}.bond.links_up")),
             bond_failovers: registry.counter(&format!("{prefix}.bond.failovers")),
         };
@@ -1148,7 +1125,6 @@ impl RtcSession {
                     .map(|l| l.estimator.state())
                     .max_by(|a, b| a.queuing_delay_ms.total_cmp(&b.queuing_delay_ms));
                 t.gcc_estimate_bps.set(agg);
-                t.bond_estimate_bps.set(agg);
                 if let Some(st) = worst {
                     t.gcc_queuing_delay_ms.set(st.queuing_delay_ms);
                     t.gcc_trend_ms.set(st.trend_ms);

@@ -77,8 +77,15 @@ fn main() {
         "transport latency : {:.0} ms (send -> playout, incl. 100 ms jitter buffer)",
         s.transport_latency_ms
     );
+    let mean_ms = |step: &str| {
+        let h = s.metrics.histogram(&format!("conference.{step}_ms"));
+        h.map_or(0.0, |h| h.mean)
+    };
     println!(
         "sender stages (ms): capture {:.1} | cull {:.1} | tile {:.1} | encode {:.1}",
-        s.timings.capture_ms, s.timings.cull_ms, s.timings.tile_ms, s.timings.encode_ms
+        mean_ms("capture"),
+        mean_ms("cull"),
+        mean_ms("tile"),
+        mean_ms("encode")
     );
 }

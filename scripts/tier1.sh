@@ -60,6 +60,16 @@ fi
 if grep -rnE "pub fn \w*_(ref|reference|baseline)\b" crates/*/src; then
   echo "an oracle or a bench-only tier is public product API again"; exit 1
 fi
+# One clock and one record per pipeline step: the stages time and trace
+# encode and decode, the codec counts only its bitstream. The codec's trace
+# hooks and decode clock, the second timer helper, the copy of Table 6's
+# means, the duplicate bond gauge and the ring-size knob stay gone.
+if grep -rnE "set_trace_frame|TelemetrySpan|StageTimings|codec\.decode_ns|bond\.estimate_bps|\btrace_capacity\b" crates src tests examples; then
+  echo "a second clock, trace record or timer helper is back"; exit 1
+fi
+if grep -rn "livo_telemetry::trace\|EventTrace" crates/livo-codec2d/src; then
+  echo "the codec records into the event trace again"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite ran at the auto-detected
 # tier above; it must also hold with the dispatcher forced to the scalar
 # tier (LIVO_SIMD caps the level per process).

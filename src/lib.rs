@@ -80,8 +80,6 @@ pub mod prelude {
         ClusterParams, Router, RouterBuilder, RouterConfig, RouterError, RouterEvent,
         SubscriberConfig, SubscriberId,
     };
-    pub use livo_telemetry::{
-        FramePath, Level, MetricsRegistry, RegistrySnapshot, TelemetrySpan, TraceQuery,
-    };
+    pub use livo_telemetry::{FramePath, Level, MetricsRegistry, RegistrySnapshot, TraceQuery};
     pub use livo_transport::{RtcSession, SessionConfig, StreamId};
 }

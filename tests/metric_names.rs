@@ -95,7 +95,6 @@ fn bonded_session_metric_names_follow_convention() {
         "transport.link.wifi_5g.estimate_bps",
         "transport.link.caf__lte.tx_packets",
         "transport.bond.failovers",
-        "transport.bond.estimate_bps",
         "transport.gcc.estimate_bps",
     ] {
         let present = snap.counters.contains_key(name) || snap.gauges.contains_key(name);
@@ -115,8 +114,9 @@ fn sfu_metric_names_follow_convention() {
     let preset = DatasetPreset::load(VideoId::Band2);
     let pool = livo::runtime::global();
     let mut router = Router::builder(cameras.clone()).build().expect("valid");
-    // Names with hostile characters must be sanitised into the prefix.
-    let ids: Vec<SubscriberId> = ["alice", "Bob's iPad", "caf\u{e9}.42"]
+    // Names with hostile characters, or without a leading letter, must be
+    // sanitised into the prefix.
+    let ids: Vec<SubscriberId> = ["alice", "Bob's iPad", "caf\u{e9}.42", "2nd-row"]
         .into_iter()
         .map(|name| {
             router

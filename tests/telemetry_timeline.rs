@@ -1,10 +1,11 @@
 //! Telemetry integration: the event trace stitches every layer of the
-//! pipeline into one path per frame, and the metrics registry carries the
-//! same story the `RunSummary` aggregates tell — asserted end to end across
-//! livo-core, livo-transport, and livo-codec2d.
+//! pipeline into one path per frame, each step recorded once by the code
+//! that runs it, and the metrics registry carries the same story the
+//! `RunSummary` aggregates tell — asserted end to end across the
+//! conference, its two stages and the transport.
 
 use livo::prelude::*;
-use livo::telemetry::kind;
+use livo::telemetry::{kind, TraceEvent};
 
 fn quick(video: VideoId) -> ConferenceConfigBuilder {
     ConferenceConfig::builder(video)
@@ -100,6 +101,57 @@ fn a_repaired_frame_carries_its_loss_and_its_recovery_on_one_path() {
 }
 
 #[test]
+fn every_step_is_recorded_once_by_the_code_that_runs_it() {
+    // The stages trace encode (per stream) and every decode attempt (per
+    // lane) on the codec tracks; the conference traces only the steps no
+    // stage runs. One record per step and frame, never a second copy.
+    let s = ConferenceRunner::new(quick(VideoId::Band2).build().unwrap())
+        .run(BandwidthTrace::constant(40.0, 8.0));
+    let q = TraceQuery::new(s.trace.clone());
+    let mut attempts = 0;
+    for seq in q.frames() {
+        let p = q.frame(seq).unwrap();
+        let count = |party: u16, component: &str, kinds: &[&str]| {
+            let on = |e: &&TraceEvent| e.party == party && e.component == component;
+            p.events
+                .iter()
+                .filter(on)
+                .filter(|e| kinds.contains(&e.kind))
+                .count()
+        };
+        for (_, codec) in LANES {
+            assert_eq!(
+                count(0, codec, &[kind::ENCODE]),
+                1,
+                "frame {seq} on {codec}"
+            );
+            let decoded = count(1, codec, &[kind::DECODE, kind::DECODE_ERROR]);
+            assert!(decoded <= 1, "frame {seq} on {codec}: {decoded} decodes");
+            attempts += decoded;
+        }
+        for (party, component, k) in [
+            (0, "pipeline", kind::CAPTURE),
+            (0, "pipeline", kind::CULL),
+            (0, "pipeline", kind::TILE),
+            (1, "display", kind::DISPLAY),
+        ] {
+            assert!(count(party, component, &[k]) <= 1, "frame {seq}: {k}");
+        }
+        assert!(
+            !p.events
+                .iter()
+                .any(|e| e.component == "pipeline"
+                    && (e.kind == kind::ENCODE || e.kind == kind::DECODE)),
+            "frame {seq}: encode or decode traced twice"
+        );
+    }
+    // Every decode the receiver attempted left exactly one record.
+    let timed = s.metrics.histogram("conference.decode_ms").map(|h| h.count);
+    assert!(attempts > 0);
+    assert_eq!(Some(attempts as u64), timed);
+}
+
+#[test]
 fn metrics_agree_with_summary_aggregates() {
     let trace = BandwidthTrace::generate(TraceId::Trace2, 10.0, 7);
     let s = ConferenceRunner::new(quick(VideoId::Toddler4).build().unwrap()).run(trace);
@@ -160,17 +212,15 @@ fn telemetry_overhead_stays_small() {
     let b = run();
     assert_eq!(a.bits_sent, b.bits_sent);
     assert_eq!(a.stall_rate, b.stall_rate);
-    // The legacy mean accessors survive the histogram migration.
-    let h = a.metrics.histogram("conference.capture_ms").unwrap();
-    assert!((h.mean - a.timings.capture_ms).abs() < 1e-9);
-    // The two receiver stages are in the registry too, fed the durations
-    // their stage means are taken from.
-    for (name, mean) in [
-        ("conference.reconstruct_ms", a.timings.reconstruct_ms),
-        ("conference.render_prep_ms", a.timings.render_prep_ms),
+    // Table 6 reads its means from the step histograms, the two scored
+    // receiver steps included.
+    for name in [
+        "conference.capture_ms",
+        "conference.reconstruct_ms",
+        "conference.render_prep_ms",
     ] {
         let h = a.metrics.histogram(name).unwrap();
-        assert!(h.count > 0 && (h.mean - mean).abs() < 1e-9, "{name}");
+        assert!(h.count > 0 && h.mean > 0.0, "{name}");
     }
 
     // Per-sample recording cost: one 30 fps frame crosses ~10 instrumented
