@@ -4,10 +4,119 @@
 //! image (`u16` millimetres, 0 = no return) and a pixel-aligned RGB colour
 //! image at the same resolution (the paper downsamples colour to depth
 //! resolution before tiling, §3.2 — our renderer outputs that directly).
+//!
+//! # Tile binning
+//!
+//! Every pixel casts one ray, but not at every shape. Per camera, each
+//! shape's hull is moved into the camera frame once: a ball for a sphere
+//! and for the floor disc, the two end balls for a capsule, the centre and
+//! rotated half-axes for a box. The image is cut into [`TILE`]×[`TILE`]
+//! pixel tiles; a tile's candidate list keeps, in scene order, the shapes
+//! whose hull meets the tile's wedge (the four planes through the camera
+//! centre and the tile's corner pixel-centre rays) and the
+//! `[min_range_m, max_range_m]` depth slab. Each ray is then cast at its
+//! tile's list only.
+//!
+//! The output is the same, byte for byte, as casting every ray at every
+//! shape (the all-shapes loop is kept as the test oracle in
+//! `tests/common/oracle.rs`):
+//! - A dropped shape is one that no ray of the tile can hit within range.
+//!   Every pixel-centre ray of the tile lies inside its wedge, and every
+//!   hull extent is inflated to `extent·1.001 + 1 mm` (ball and capsule
+//!   radii first widened by [`GRAZE_M2`] under the root), more than the
+//!   rounding in the ray casts and in the move to the camera frame.
+//! - The list keeps scene order, and the cast keeps the first of equally
+//!   near hits, so ties resolve as they did over the whole scene.
 
-use crate::scene::SceneSnapshot;
-use livo_math::RgbdCamera;
+use crate::scene::{SceneSnapshot, ShapeGeom};
+use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
 use livo_runtime::WorkerPool;
+
+/// Edge of the square pixel tiles that share one candidate list.
+const TILE: usize = 8;
+
+/// Slack in m² added to a ball or capsule radius squared before
+/// inflation. A grazing ray's discriminant carries an absolute rounding
+/// error of ~1e-5 m² at the 6 m range limit, which can report a ray that
+/// passes `sqrt(r² + 1e-5)` from the centre as a hit: for a millimetre
+/// ball that is more than [`pad`]'s 1 mm covers.
+const GRAZE_M2: f32 = 1e-4;
+
+/// Inflate a hull extent (a radius, or a box's projected half-width) by
+/// 0.1 % plus 1 mm.
+fn pad(extent: f32) -> f32 {
+    extent * 1.001 + 1e-3
+}
+
+/// A shape's inflated bound in one camera's local frame.
+#[derive(Debug, Clone, Copy)]
+enum Hull {
+    /// Spheres and the floor disc: centre and inflated radius.
+    Ball(Vec3, f32),
+    /// A capsule: its end centres and inflated radius. It is outside a
+    /// plane when both end balls are.
+    Capsule(Vec3, Vec3, f32),
+    /// A box: centre and its three half-axes, rotated into the camera frame.
+    Box(Vec3, [Vec3; 3]),
+}
+
+impl Hull {
+    fn new(geom: &ShapeGeom, pose: &Pose) -> Hull {
+        let local = |p| pose.inverse_transform_point(p);
+        let round = |r: f32| pad((r * r + GRAZE_M2).sqrt());
+        match *geom {
+            ShapeGeom::Sphere { center, radius } => Hull::Ball(local(center), round(radius)),
+            ShapeGeom::Capsule { a, b, radius } => Hull::Capsule(local(a), local(b), round(radius)),
+            ShapeGeom::Box { center, half } => {
+                let to_local = pose.orientation.conjugate();
+                Hull::Box(
+                    local(center),
+                    [
+                        to_local.rotate(Vec3::X * half.x),
+                        to_local.rotate(Vec3::Y * half.y),
+                        to_local.rotate(Vec3::Z * half.z),
+                    ],
+                )
+            }
+            ShapeGeom::Floor { height, radius } => {
+                Hull::Ball(local(Vec3::new(0.0, height, 0.0)), pad(radius))
+            }
+        }
+    }
+
+    /// `max n·p` over the inflated hull, for a unit normal `n`.
+    fn reach(&self, n: Vec3) -> f32 {
+        match *self {
+            Hull::Ball(c, r) => n.dot(c) + r,
+            Hull::Capsule(a, b, r) => n.dot(a).max(n.dot(b)) + r,
+            Hull::Box(c, axes) => n.dot(c) + pad(axes.iter().map(|u| n.dot(*u).abs()).sum()),
+        }
+    }
+
+    /// Whether the hull meets every plane of `wedge` (inside is `n·p ≥ 0`)
+    /// and the depth slab `[near, far]`.
+    fn meets(&self, wedge: &[Vec3; 4], near: f32, far: f32) -> bool {
+        self.reach(Vec3::Z) >= near
+            && -self.reach(-Vec3::Z) <= far
+            && wedge.iter().all(|&n| self.reach(n) >= 0.0)
+    }
+}
+
+/// Unit inward normals of the four planes through the camera centre that
+/// bound the pixel-centre rays of pixels `x0..x1` × `y0..y1`.
+fn tile_wedge(k: &CameraIntrinsics, x0: usize, x1: usize, y0: usize, y1: usize) -> [Vec3; 4] {
+    let left = (x0 as f32 + 0.5 - k.cx) / k.fx;
+    let right = (x1 as f32 - 0.5 - k.cx) / k.fx;
+    // Image v grows downward, local y upward.
+    let top = (k.cy - (y0 as f32 + 0.5)) / k.fy;
+    let bottom = (k.cy - (y1 as f32 - 0.5)) / k.fy;
+    [
+        Vec3::new(1.0, 0.0, -left).normalized(),
+        Vec3::new(-1.0, 0.0, right).normalized(),
+        Vec3::new(0.0, -1.0, top).normalized(),
+        Vec3::new(0.0, 1.0, -bottom).normalized(),
+    ]
+}
 
 /// Deterministic per-(pixel, time) depth noise, approximating Kinect-class
 /// time-of-flight error: ~1.5 mm up close, growing quadratically to ~9 mm at
@@ -76,37 +185,72 @@ impl RgbdFrame {
 /// is what time-of-flight depth images store and what
 /// [`livo_math::CameraIntrinsics::unproject`] expects back. Depth carries
 /// sensor noise keyed by pixel and `time_key` (pass the frame time so noise
-/// varies frame to frame, as on a real sensor).
+/// varies frame to frame, as on a real sensor). Each ray is cast only at
+/// the shapes that can reach its pixel's tile (see the module docs).
 pub fn render_rgbd_at(camera: &RgbdCamera, scene: &SceneSnapshot, time_key: u32) -> RgbdFrame {
     let k = &camera.intrinsics;
     let w = k.width as usize;
     let h = k.height as usize;
     let mut out = RgbdFrame::new(w, h);
-    let origin = camera.pose.position;
-    for y in 0..h {
-        for x in 0..w {
-            let local_dir = k.ray_dir(x as f32 + 0.5, y as f32 + 0.5);
-            let dir = camera.pose.orientation.rotate(local_dir);
-            // The ray's length per unit z: local_dir.z is cos of the angle
-            // to the optical axis.
-            let cos_axis = local_dir.z.max(1e-6);
-            let s_min = camera.min_range_m / cos_axis;
-            let s_max = camera.max_range_m / cos_axis;
-            if let Some((s, color)) = scene.cast_ray(origin, dir, s_min, s_max) {
-                let depth_m = s * cos_axis;
-                let clean_mm = depth_m * 1000.0;
-                let depth_mm = (clean_mm + depth_noise_mm(x, y, time_key, clean_mm)).round();
-                if depth_mm >= 1.0 && depth_mm <= u16::MAX as f32 {
-                    let i = y * w + x;
-                    out.depth_mm[i] = depth_mm as u16;
-                    out.rgb[i * 3] = color[0];
-                    out.rgb[i * 3 + 1] = color[1];
-                    out.rgb[i * 3 + 2] = color[2];
+    let hulls: Vec<Hull> = scene
+        .shapes
+        .iter()
+        .map(|s| Hull::new(&s.geom, &camera.pose))
+        .collect();
+    let mut candidates = Vec::with_capacity(hulls.len());
+    for y0 in (0..h).step_by(TILE) {
+        let y1 = (y0 + TILE).min(h);
+        for x0 in (0..w).step_by(TILE) {
+            let x1 = (x0 + TILE).min(w);
+            let wedge = tile_wedge(k, x0, x1, y0, y1);
+            candidates.clear();
+            candidates.extend(
+                (0..hulls.len())
+                    .filter(|&i| hulls[i].meets(&wedge, camera.min_range_m, camera.max_range_m)),
+            );
+            if candidates.is_empty() {
+                continue;
+            }
+            for y in y0..y1 {
+                for x in x0..x1 {
+                    cast_pixel(&mut out, camera, scene, &candidates, (x, y), time_key);
                 }
             }
         }
     }
     out
+}
+
+/// Cast pixel `(x, y)`'s ray at the shapes at `candidates` and store the
+/// return, if there is one in range, in `out`.
+fn cast_pixel(
+    out: &mut RgbdFrame,
+    camera: &RgbdCamera,
+    scene: &SceneSnapshot,
+    candidates: &[usize],
+    (x, y): (usize, usize),
+    time_key: u32,
+) {
+    let local_dir = camera.intrinsics.ray_dir(x as f32 + 0.5, y as f32 + 0.5);
+    let dir = camera.pose.orientation.rotate(local_dir);
+    // The ray's length per unit z: local_dir.z is cos of the angle to the
+    // optical axis.
+    let cos_axis = local_dir.z.max(1e-6);
+    let s_min = camera.min_range_m / cos_axis;
+    let s_max = camera.max_range_m / cos_axis;
+    let origin = camera.pose.position;
+    if let Some((s, color)) = scene.cast_ray(candidates, origin, dir, s_min, s_max) {
+        let depth_m = s * cos_axis;
+        let clean_mm = depth_m * 1000.0;
+        let depth_mm = (clean_mm + depth_noise_mm(x, y, time_key, clean_mm)).round();
+        if depth_mm >= 1.0 && depth_mm <= u16::MAX as f32 {
+            let i = y * out.width + x;
+            out.depth_mm[i] = depth_mm as u16;
+            out.rgb[i * 3] = color[0];
+            out.rgb[i * 3 + 1] = color[1];
+            out.rgb[i * 3 + 2] = color[2];
+        }
+    }
 }
 
 /// [`render_rgbd_at`] with a zero time key (static captures, tests).
@@ -142,10 +286,266 @@ pub fn render_views_at(
 }
 
 #[cfg(test)]
+#[path = "../tests/common/oracle.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::render_rgbd_reference;
     use super::*;
-    use crate::scene::{AnimatedShape, Scene, ShapeGeom, Texture};
-    use livo_math::{CameraIntrinsics, Pose, Vec3};
+    use crate::datasets::DatasetPreset;
+    use crate::rig;
+    use crate::scene::{AnimatedShape, Scene, Texture};
+    use livo_math::rng::{cases, SplitMix64};
+
+    /// Pixels whose depth or colour differ.
+    fn differing_pixels(a: &RgbdFrame, b: &RgbdFrame) -> usize {
+        assert_eq!((a.width, a.height), (b.width, b.height));
+        (0..a.depth_mm.len())
+            .filter(|&i| {
+                a.depth_mm[i] != b.depth_mm[i] || a.rgb[i * 3..i * 3 + 3] != b.rgb[i * 3..i * 3 + 3]
+            })
+            .count()
+    }
+
+    #[test]
+    fn tile_binned_render_equals_the_all_shapes_reference_on_every_preset() {
+        // 0.06× and 0.08× are 38×35 and 51×46: edge tiles narrower and
+        // shorter than TILE.
+        for preset in DatasetPreset::all() {
+            for scale in [0.06, 0.08, 0.125, 0.25] {
+                let ring = rig::camera_ring(
+                    4,
+                    2.5,
+                    1.4,
+                    Vec3::new(0.0, 1.0, 0.0),
+                    CameraIntrinsics::kinect_depth(scale),
+                );
+                for cams in [ring, rig::panoptic_rig(scale)] {
+                    for (key, t) in [(0, 0.0), (41, 1.37), (299, 9.97)] {
+                        let snap = preset.scene.at(t);
+                        for (i, cam) in cams.iter().enumerate() {
+                            let n = differing_pixels(
+                                &render_rgbd_at(cam, &snap, key),
+                                &render_rgbd_reference(cam, &snap, key),
+                            );
+                            assert_eq!(
+                                n,
+                                0,
+                                "{} at {scale}×, t = {t}: camera {i} of {}",
+                                preset.id,
+                                cams.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn unit(rng: &mut SplitMix64) -> Vec3 {
+        let v = Vec3::new(
+            rng.gen_range(-1.0f32..1.0),
+            rng.gen_range(-1.0f32..1.0),
+            rng.gen_range(-1.0f32..1.0),
+        );
+        if v.length_squared() < 1e-4 {
+            Vec3::Y
+        } else {
+            v.normalized()
+        }
+    }
+
+    /// One random shape centred on `c`.
+    fn random_shape(rng: &mut SplitMix64, c: Vec3) -> ShapeGeom {
+        let r = rng.gen_range(0.005f32..0.4);
+        match rng.gen_range(0u32..5) {
+            0 => ShapeGeom::Sphere {
+                center: c,
+                radius: r,
+            },
+            1 => {
+                let half = unit(rng) * rng.gen_range(0.0f32..0.8);
+                ShapeGeom::Capsule {
+                    a: c - half,
+                    b: c + half,
+                    radius: r,
+                }
+            }
+            // Degenerate: both ends at one point.
+            2 => ShapeGeom::Capsule {
+                a: c,
+                b: c,
+                radius: r,
+            },
+            3 => ShapeGeom::Box {
+                center: c,
+                half: Vec3::new(
+                    rng.gen_range(0.01f32..0.6),
+                    rng.gen_range(0.01f32..0.6),
+                    rng.gen_range(0.01f32..0.6),
+                ),
+            },
+            // Thin: one axis a millimetre thick.
+            _ => {
+                let mut half = [
+                    rng.gen_range(0.05f32..1.0),
+                    rng.gen_range(0.05f32..1.0),
+                    rng.gen_range(0.05f32..1.0),
+                ];
+                half[rng.gen_range(0usize..3)] = 0.001;
+                ShapeGeom::Box {
+                    center: c,
+                    half: Vec3::from_array(half),
+                }
+            }
+        }
+    }
+
+    /// A shape that touches a bounding plane of one random tile to within
+    /// ±3 mm, from outside or inside: a wedge plane (so the rays along that
+    /// tile edge graze it), or the near or far end of the depth slab. Float
+    /// rounding decides these hits, which is what the hull inflation is for.
+    fn grazing_shape(rng: &mut SplitMix64, cam: &RgbdCamera) -> ShapeGeom {
+        let k = &cam.intrinsics;
+        let (w, h) = (k.width as usize, k.height as usize);
+        let x0 = rng.gen_range(0..w.div_ceil(TILE)) * TILE;
+        let y0 = rng.gen_range(0..h.div_ceil(TILE)) * TILE;
+        let (x1, y1) = ((x0 + TILE).min(w), (y0 + TILE).min(h));
+        let side = rng.gen_range(0usize..6);
+        // A pixel on the chosen edge of the tile.
+        let (x, y) = match side {
+            0 => (x0, rng.gen_range(y0..y1)),
+            1 => (x1 - 1, rng.gen_range(y0..y1)),
+            2 => (rng.gen_range(x0..x1), y0),
+            3 => (rng.gen_range(x0..x1), y1 - 1),
+            _ => (rng.gen_range(x0..x1), rng.gen_range(y0..y1)),
+        };
+        let dir = k.ray_dir(x as f32 + 0.5, y as f32 + 0.5);
+        // `p` on the pixel's ray and on the plane, `n` the plane's inward
+        // unit normal (camera frame).
+        let (p, n) = match side {
+            0..=3 => (
+                dir * (rng.gen_range(0.3f32..6.0) / dir.z),
+                tile_wedge(k, x0, x1, y0, y1)[side],
+            ),
+            4 => (dir * (cam.min_range_m / dir.z), Vec3::Z),
+            _ => (dir * (cam.max_range_m / dir.z), -Vec3::Z),
+        };
+        // The shape's extreme point along `n` sits at `p + n·delta`, with
+        // |delta| log-uniform in 10 nm … 3 mm.
+        let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        let delta = sign * 10f32.powf(rng.gen_range(-8.0f32..-2.5));
+        let world = |q: Vec3| cam.pose.transform_point(q);
+        // Millimetre balls and capsules are where a grazing ray's rounding
+        // reaches furthest past the radius.
+        let r = if rng.gen_bool(0.5) {
+            rng.gen_range(0.0005f32..0.005)
+        } else {
+            rng.gen_range(0.005f32..0.4)
+        };
+        match rng.gen_range(0u32..3) {
+            0 => ShapeGeom::Sphere {
+                center: world(p + n * (delta - r)),
+                radius: r,
+            },
+            1 => {
+                let a = p + n * (delta - r);
+                let along = n.cross(unit(rng)).normalized() * rng.gen_range(0.0f32..0.8);
+                ShapeGeom::Capsule {
+                    a: world(a),
+                    b: world(a + along),
+                    radius: r,
+                }
+            }
+            _ => {
+                let half = Vec3::new(
+                    rng.gen_range(0.001f32..0.5),
+                    rng.gen_range(0.001f32..0.5),
+                    rng.gen_range(0.001f32..0.5),
+                );
+                // Centre so that the box corner furthest along `n` is at
+                // `p + n·delta`.
+                let to_local = cam.pose.orientation.conjugate();
+                let corner: Vec3 = [Vec3::X * half.x, Vec3::Y * half.y, Vec3::Z * half.z]
+                    .iter()
+                    .map(|&e| {
+                        let u = to_local.rotate(e);
+                        u * n.dot(u).signum()
+                    })
+                    .fold(Vec3::ZERO, |acc, u| acc + u);
+                ShapeGeom::Box {
+                    center: world(p + n * delta - corner),
+                    half,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_binned_render_equals_the_reference_on_random_scenes() {
+        cases(0x7115_B1A5, 512, |rng| {
+            // Odd sizes leave edge tiles of 1–7 pixels; an off-centre
+            // principal point with fx ≠ fy skews every wedge.
+            let (w, h) = (rng.gen_range(8u32..70), rng.gen_range(8u32..70));
+            let fx = w as f32 * rng.gen_range(0.4f32..1.6);
+            let k = CameraIntrinsics {
+                width: w,
+                height: h,
+                fx,
+                fy: fx * rng.gen_range(0.8f32..1.25),
+                cx: w as f32 * rng.gen_range(0.3f32..0.7),
+                cy: h as f32 * rng.gen_range(0.3f32..0.7),
+            };
+            let eye = Vec3::new(
+                rng.gen_range(-3.0f32..3.0),
+                rng.gen_range(0.2f32..2.5),
+                rng.gen_range(-3.0f32..3.0),
+            );
+            let cam = RgbdCamera::new(k, Pose::look_at(eye, eye + unit(rng), Vec3::Y));
+            let mut scene = Scene::new();
+            for _ in 0..rng.gen_range(4usize..14) {
+                let geom = if rng.gen_bool(0.5) {
+                    grazing_shape(rng, &cam)
+                } else {
+                    // A shape around a pixel ray (a little outside the
+                    // image too), straddling tiles, near the 0.25 m or 6 m
+                    // limit or anywhere between.
+                    let u = rng.gen_range(-3.0f32..w as f32 + 3.0);
+                    let v = rng.gen_range(-3.0f32..h as f32 + 3.0);
+                    let z = match rng.gen_range(0u32..3) {
+                        0 => cam.min_range_m + rng.gen_range(-0.05f32..0.05),
+                        1 => cam.max_range_m + rng.gen_range(-0.3f32..0.3),
+                        _ => rng.gen_range(0.3f32..6.0),
+                    };
+                    let c = cam.pose.transform_point(k.unproject(u, v, z));
+                    random_shape(rng, c)
+                };
+                let texture = Texture::Checker([200, 40, 40], [40, 40, 200], 0.05);
+                scene.add(AnimatedShape::fixed(geom, texture));
+            }
+            if rng.gen_bool(0.3) {
+                // The camera inside a shape's bounding sphere.
+                let c = eye + unit(rng) * 0.01;
+                let geom = random_shape(rng, c);
+                scene.add(AnimatedShape::fixed(geom, Texture::Solid([9, 90, 9])));
+            }
+            if rng.gen_bool(0.3) {
+                let floor = ShapeGeom::Floor {
+                    height: eye.y - rng.gen_range(0.1f32..2.0),
+                    radius: rng.gen_range(0.5f32..8.0),
+                };
+                scene.add(AnimatedShape::fixed(floor, Texture::Solid([90, 9, 9])));
+            }
+            let snap = scene.at(0.0);
+            let key = rng.gen_range(0u32..1000);
+            let n = differing_pixels(
+                &render_rgbd_at(&cam, &snap, key),
+                &render_rgbd_reference(&cam, &snap, key),
+            );
+            assert_eq!(n, 0, "{w}×{h}, {} shapes", snap.shapes.len());
+        });
+    }
 
     fn camera_at_origin(scale: f32) -> RgbdCamera {
         RgbdCamera::new(CameraIntrinsics::kinect_depth(scale), Pose::IDENTITY)

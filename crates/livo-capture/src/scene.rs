@@ -348,16 +348,21 @@ pub struct SceneSnapshot {
 }
 
 impl SceneSnapshot {
-    /// Nearest intersection along the ray. Returns `(distance, colour)`.
+    /// Nearest intersection along the ray among the shapes at `candidates`
+    /// (indices into `shapes`, ascending). Returns `(distance, colour)`; of
+    /// equally near hits the first candidate wins, so a candidate list that
+    /// keeps scene order and leaves out only shapes the ray cannot hit
+    /// within `s_max` returns what the whole scene would.
     pub fn cast_ray(
         &self,
+        candidates: &[usize],
         origin: Vec3,
         dir: Vec3,
         s_min: f32,
         s_max: f32,
     ) -> Option<(f32, [u8; 3])> {
         let mut best: Option<(f32, [u8; 3])> = None;
-        for shape in &self.shapes {
+        for shape in candidates.iter().map(|&i| &self.shapes[i]) {
             if let Some(s) = shape.intersect(origin, dir, s_min) {
                 if s <= s_max && best.is_none_or(|(bs, _)| s < bs) {
                     let hit = origin + dir * s;
@@ -476,9 +481,30 @@ mod tests {
             Texture::Solid([0, 2, 0]),
         ));
         let snap = scene.at(0.0);
-        let (s, color) = snap.cast_ray(Vec3::ZERO, Vec3::Z, 0.0, 100.0).unwrap();
+        let (s, color) = snap
+            .cast_ray(&[0, 1], Vec3::ZERO, Vec3::Z, 0.0, 100.0)
+            .unwrap();
         assert!((s - 2.5).abs() < 1e-5);
         assert_eq!(color, [0, 2, 0]);
+    }
+
+    #[test]
+    fn first_candidate_wins_a_tie() {
+        let mut scene = Scene::new();
+        for color in [[1, 0, 0], [0, 2, 0]] {
+            scene.add(AnimatedShape::fixed(
+                ShapeGeom::Sphere {
+                    center: Vec3::new(0.0, 0.0, 5.0),
+                    radius: 1.0,
+                },
+                Texture::Solid(color),
+            ));
+        }
+        let snap = scene.at(0.0);
+        let cast = |c: &[usize]| snap.cast_ray(c, Vec3::ZERO, Vec3::Z, 0.0, 100.0);
+        assert_eq!(cast(&[0, 1]).unwrap().1, [1, 0, 0]);
+        assert_eq!(cast(&[1]).unwrap().1, [0, 2, 0]);
+        assert!(cast(&[]).is_none());
     }
 
     #[test]
@@ -547,9 +573,11 @@ mod tests {
         ));
         let snap = scene.at(0.0);
         assert!(
-            snap.cast_ray(Vec3::ZERO, Vec3::Z, 0.0, 5.0).is_none(),
+            snap.cast_ray(&[0], Vec3::ZERO, Vec3::Z, 0.0, 5.0).is_none(),
             "beyond s_max"
         );
-        assert!(snap.cast_ray(Vec3::ZERO, Vec3::Z, 0.0, 20.0).is_some());
+        assert!(snap
+            .cast_ray(&[0], Vec3::ZERO, Vec3::Z, 0.0, 20.0)
+            .is_some());
     }
 }

@@ -1,6 +1,6 @@
 //! Scoped worker pool for the LiVo hot path.
 //!
-//! Every per-frame stage the paper measures — per-camera rasterisation,
+//! Every per-frame stage the paper measures — per-camera ray casting,
 //! per-pixel cull evaluation, and the block-row DCT/quant/motion loop of
 //! the 2D encoder — is data-parallel over disjoint stripes of its input.
 //! This crate provides the one concurrency primitive those stages share: a
