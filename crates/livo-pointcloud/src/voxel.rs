@@ -64,17 +64,42 @@ struct VoxelTable {
     shift: u32,
 }
 
+thread_local! {
+    /// This thread's table, kept between calls. A receiver voxelises a
+    /// cloud every frame, and a table allocated afresh each time lands on
+    /// pages the allocator has just handed back to the system: faulting
+    /// them in again cost about as much as the voxelising.
+    static TABLE: std::cell::Cell<VoxelTable> = const { std::cell::Cell::new(VoxelTable::UNSIZED) };
+}
+
 impl VoxelTable {
-    /// A table able to take `points` keys.
-    fn for_points(points: usize) -> Self {
+    const UNSIZED: VoxelTable = VoxelTable {
+        slots: Vec::new(),
+        voxels: Vec::new(),
+        shift: 0,
+    };
+
+    /// Empty the table and size it for `points` keys: the same slot count,
+    /// and so the same probe sequences, as a new table would have.
+    fn reset(&mut self, points: usize) {
         assert!(points < EMPTY as usize, "cloud too large to voxelise");
         // Never fewer than two slots: `shift` has to stay under 64.
         let slots = (points + points / 2 + 1).next_power_of_two().max(2);
-        VoxelTable {
-            slots: vec![EMPTY; slots],
-            voxels: Vec::with_capacity(points),
-            shift: 64 - slots.trailing_zeros(),
-        }
+        self.slots.clear();
+        self.slots.resize(slots, EMPTY);
+        self.voxels.clear();
+        self.voxels.reserve(points);
+        self.shift = 64 - slots.trailing_zeros();
+    }
+
+    /// Run `f` on this thread's table, emptied and sized for `points` keys.
+    /// A nested call gets a table of its own.
+    fn with<R>(points: usize, f: impl FnOnce(&mut VoxelTable) -> R) -> R {
+        let mut table = TABLE.replace(VoxelTable::UNSIZED);
+        table.reset(points);
+        let out = f(&mut table);
+        TABLE.set(table);
+        out
     }
 
     /// The voxel of `key`; a key not seen before gets a new, empty one at
@@ -144,34 +169,47 @@ impl VoxelGrid {
         mut keep: impl FnMut(Vec3) -> bool,
     ) -> PointCloud {
         let inv = 1.0 / self.voxel_size;
-        let mut table = VoxelTable::for_points(cloud.len());
-        for p in &cloud.points {
-            let v = table.voxel_of(key_of(p.position, inv));
-            v.pos_sum += p.position;
-            for c in 0..3 {
-                v.col_sum[c] += p.color[c] as u32;
+        VoxelTable::with(cloud.len(), |table| {
+            for p in &cloud.points {
+                let v = table.voxel_of(key_of(p.position, inv));
+                v.pos_sum += p.position;
+                for c in 0..3 {
+                    v.col_sum[c] += p.color[c] as u32;
+                }
+                v.n += 1;
             }
-            v.n += 1;
-        }
-        let mut out = PointCloud::with_capacity(table.voxels.len());
-        for v in &table.voxels {
-            let centroid = v.pos_sum / v.n as f32;
-            if keep(centroid) {
-                let color = v.col_sum.map(|c| (c / v.n) as u8);
-                out.points.push(Point::new(centroid, color));
+            let mut out = PointCloud::with_capacity(table.voxels.len());
+            for v in &table.voxels {
+                // A lone point is its own centroid and colour (x / 1 == x),
+                // and most voxels of a receiver's cloud hold one.
+                let lone = v.n == 1;
+                let centroid = if lone {
+                    v.pos_sum
+                } else {
+                    v.pos_sum / v.n as f32
+                };
+                if keep(centroid) {
+                    let color = if lone {
+                        v.col_sum.map(|c| c as u8)
+                    } else {
+                        v.col_sum.map(|c| (c / v.n) as u8)
+                    };
+                    out.points.push(Point::new(centroid, color));
+                }
             }
-        }
-        out
+            out
+        })
     }
 
     /// Number of voxels the cloud occupies at this resolution.
     pub fn occupied_count(&self, cloud: &PointCloud) -> usize {
         let inv = 1.0 / self.voxel_size;
-        let mut table = VoxelTable::for_points(cloud.len());
-        for p in &cloud.points {
-            table.voxel_of(key_of(p.position, inv));
-        }
-        table.voxels.len()
+        VoxelTable::with(cloud.len(), |table| {
+            for p in &cloud.points {
+                table.voxel_of(key_of(p.position, inv));
+            }
+            table.voxels.len()
+        })
     }
 }
 
@@ -520,7 +558,9 @@ mod tests {
         // 680 points, every one its own voxel: 680 keys in a 1024-slot
         // table (two-thirds full), so lookups walk past occupied slots.
         let cloud = scattered_cloud(680, 100.0, 3);
-        let table_slots = VoxelTable::for_points(cloud.len()).slots.len();
+        let mut table = VoxelTable::UNSIZED;
+        table.reset(cloud.len());
+        let table_slots = table.slots.len();
         let voxels = VoxelGrid::new(0.01).occupied_count(&cloud);
         assert_eq!(voxels, cloud.len(), "the scatter must not share voxels");
         assert!(voxels * 2 > table_slots, "{voxels} of {table_slots} slots");

@@ -70,13 +70,10 @@ impl JitterBuffer {
             .map(|(_, f)| f.completed_at + self.target)
     }
 
-    /// Skip forward: drop buffered frames older than `frame_id` (used when
-    /// the decoder resynchronises on a keyframe).
-    pub fn skip_to(&mut self, frame_id: u64) {
-        let keep = self.frames.split_off(&frame_id);
-        self.late_drops += self.frames.len() as u64;
-        self.frames = keep;
-        self.next_playout = self.next_playout.max(frame_id);
+    /// The playout frontier: the id after the last released frame. Frames
+    /// below it are late, so the session gives up reassembling them.
+    pub fn next_playout(&self) -> u64 {
+        self.next_playout
     }
 
     /// Number of buffered (not yet ready) frames.
@@ -129,26 +126,11 @@ mod tests {
         let mut jb = JitterBuffer::new(10_000);
         jb.push(frame(1, 0));
         assert_eq!(jb.pop_ready(20_000).len(), 1);
+        assert_eq!(jb.next_playout(), 2);
         // Frame 0 arrives after frame 1 played out.
         jb.push(frame(0, 25_000));
         assert!(jb.pop_ready(100_000).is_empty());
         assert_eq!(jb.late_drops, 1);
-    }
-
-    #[test]
-    fn skip_to_discards_older() {
-        let mut jb = JitterBuffer::new(10_000);
-        jb.push(frame(3, 0));
-        jb.push(frame(4, 0));
-        jb.push(frame(7, 0));
-        jb.skip_to(5);
-        assert_eq!(jb.depth(), 1);
-        let out = jb.pop_ready(1_000_000);
-        assert_eq!(out[0].frame_id, 7);
-        assert_eq!(jb.late_drops, 2);
-        // Frames older than the skip point are refused afterwards.
-        jb.push(frame(4, 0));
-        assert_eq!(jb.late_drops, 3);
     }
 
     #[test]

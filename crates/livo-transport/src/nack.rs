@@ -123,7 +123,8 @@ impl RetransmitBuffer {
         }
     }
 
-    /// Remember a sent packet.
+    /// Remember a sent packet. Packets come in sequence order, so the
+    /// window stays sorted by seq.
     pub fn store(&mut self, pkt: &Packet) {
         self.packets.push_back(pkt.clone());
         while self.packets.len() > self.max_packets {
@@ -135,11 +136,10 @@ impl RetransmitBuffer {
     pub fn lookup(&self, seqs: &[u64]) -> Vec<Packet> {
         seqs.iter()
             .filter_map(|&s| {
-                self.packets.iter().find(|p| p.seq == s).map(|p| {
-                    let mut p = p.clone();
-                    p.retransmit = true;
-                    p
-                })
+                let at = self.packets.binary_search_by_key(&s, |p| p.seq).ok()?;
+                let mut p = self.packets[at].clone();
+                p.retransmit = true;
+                Some(p)
             })
             .collect()
     }
@@ -228,5 +228,13 @@ mod tests {
         assert_eq!(rb.len(), 4);
         assert!(rb.lookup(&[0]).is_empty(), "oldest evicted");
         assert_eq!(rb.lookup(&[9]).len(), 1);
+        // Seqs 6..=9 are held: one just below the window, its two ends,
+        // one just above, and one far above.
+        let seqs: Vec<u64> = rb
+            .lookup(&[5, 6, 9, 10, 1_000])
+            .iter()
+            .map(|p| p.seq)
+            .collect();
+        assert_eq!(seqs, vec![6, 9]);
     }
 }

@@ -132,10 +132,11 @@ const SEEN_WINDOW: usize = 20_000;
 
 /// Per-stream frame reassembly with gap tracking.
 ///
-/// Keeps packets of in-flight frames; emits frames when every packet from
-/// the frame's first seq through its marker has arrived. Frames whose id is
-/// older than an already-emitted frame are discarded (the jitter buffer
-/// enforces playout order; decode requires sender order anyway).
+/// Keeps packets of in-flight frames; emits a frame once every one of its
+/// fragments has arrived, whether or not a newer frame completed first.
+/// An incomplete frame is given up only when the playout frontier passes
+/// it ([`Self::abandon_before`]): until then a retransmit can still
+/// complete it, and the jitter buffer plays it in order.
 #[derive(Debug)]
 pub struct Reassembler {
     /// In-flight frames: frame_id → packets sorted by fragment index.
@@ -149,8 +150,12 @@ pub struct Reassembler {
     /// scans start above it, so an in-order stream costs O(1) per
     /// `missing_seqs` call instead of walking the whole seen-window.
     contig: Option<u64>,
-    /// Frames already emitted (ids below this are stale).
-    next_emit_frame: u64,
+    /// Playout frontier: frames below it are played or given up, and
+    /// their packets are stale.
+    frontier: u64,
+    /// Frames emitted at or above the frontier, so that a duplicate packet
+    /// cannot reopen one.
+    emitted: std::collections::BTreeSet<u64>,
 }
 
 impl Default for Reassembler {
@@ -166,7 +171,8 @@ impl Reassembler {
             highest_seq: None,
             seen: Default::default(),
             contig: None,
-            next_emit_frame: 0,
+            frontier: 0,
+            emitted: Default::default(),
         }
     }
 
@@ -175,7 +181,7 @@ impl Reassembler {
         self.highest_seq = Some(self.highest_seq.map_or(pkt.seq, |h| h.max(pkt.seq)));
         self.mark_seen(pkt.seq);
         if self.passed(pkt.frame_id) {
-            return None; // stale retransmission of an old frame
+            return None; // stale: the frame was emitted or given up
         }
         let (frame_id, frag_count) = (pkt.frame_id, pkt.frag_count as usize);
         let entry = self.pending.entry(frame_id).or_default();
@@ -189,11 +195,7 @@ impl Reassembler {
             return None;
         }
         let packets = self.pending.remove(&frame_id).unwrap();
-        // Drop any stale older frames still pending.
-        while let Some(stale) = self.pending.first_entry().filter(|e| *e.key() < frame_id) {
-            stale.remove();
-        }
-        self.next_emit_frame = frame_id + 1;
+        self.emitted.insert(frame_id);
         Some(AssembledFrame {
             stream: packets[0].stream,
             frame_id,
@@ -235,10 +237,22 @@ impl Reassembler {
         }
     }
 
-    /// Whether frame `frame_id` is behind an already-emitted frame, so
-    /// packets for it are dropped on arrival.
+    /// Whether frame `frame_id` was emitted or is behind the playout
+    /// frontier, so packets for it are dropped on arrival.
     pub fn passed(&self, frame_id: u64) -> bool {
-        frame_id < self.next_emit_frame
+        frame_id < self.frontier || self.emitted.contains(&frame_id)
+    }
+
+    /// Move the playout frontier to `frontier` (the jitter buffer's next
+    /// playout id): pending frames below it are given up, and their later
+    /// packets are stale.
+    pub fn abandon_before(&mut self, frontier: u64) {
+        if frontier <= self.frontier {
+            return;
+        }
+        self.frontier = frontier;
+        self.pending = self.pending.split_off(&frontier);
+        self.emitted = self.emitted.split_off(&frontier);
     }
 
     /// Sequence numbers below the highest seen that have never arrived —
@@ -409,16 +423,62 @@ mod tests {
     }
 
     #[test]
-    fn newer_complete_frame_discards_older_incomplete() {
+    fn a_newer_complete_frame_leaves_an_older_one_open() {
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
         let f0 = p.packetize(0, frame_bytes(128, 7), 0, false);
         let f1 = p.packetize(1, frame_bytes(64, 8), 1, false);
         let mut r = Reassembler::new();
-        r.push(f0[0].clone(), 0); // frame 0 incomplete (missing second pkt)
-        let done = r.push(f1[0].clone(), 1).unwrap();
-        assert_eq!(done.frame_id, 1);
-        // Late packet of frame 0 no longer resurrects it.
-        assert!(r.push(f0[1].clone(), 2).is_none());
+        assert!(r.push(f0[0].clone(), 0).is_none()); // frame 0 one packet short
+        assert_eq!(r.push(f1[0].clone(), 1).unwrap().frame_id, 1);
+        assert_eq!(r.stuck_frames(), vec![0]);
+        // The retransmit of frame 0 still completes it.
+        let done = r.push(f0[1].clone(), 2).unwrap();
+        assert_eq!(done.frame_id, 0);
+        assert_eq!(done.data, frame_bytes(128, 7));
+        assert!(r.stuck_frames().is_empty());
+    }
+
+    #[test]
+    fn the_playout_frontier_gives_up_incomplete_frames() {
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let f0 = p.packetize(0, frame_bytes(128, 7), 0, false);
+        let f1 = p.packetize(1, frame_bytes(128, 8), 1, false);
+        let f2 = p.packetize(2, frame_bytes(128, 9), 2, false);
+        let mut r = Reassembler::new();
+        r.push(f0[0].clone(), 0);
+        r.push(f2[0].clone(), 0);
+        assert_eq!(r.stuck_frames(), vec![0, 2]);
+        // Frame 1 played: frame 0 is given up, frame 2 stays open.
+        r.abandon_before(2);
+        assert_eq!(r.stuck_frames(), vec![2]);
+        assert!(r.passed(0) && r.passed(1) && !r.passed(2));
+        assert!(r.push(f0[1].clone(), 1).is_none(), "stale");
+        assert!(r.push(f1[0].clone(), 1).is_none(), "stale");
+        assert_eq!(r.stuck_frames(), vec![2]);
+        // A frontier that goes back moves nothing.
+        r.abandon_before(1);
+        assert!(r.passed(1));
+        assert_eq!(r.push(f2[1].clone(), 2).unwrap().frame_id, 2);
+    }
+
+    #[test]
+    fn a_duplicate_of_an_emitted_frame_opens_nothing() {
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let f0 = p.packetize(0, frame_bytes(128, 7), 0, false);
+        let f1 = p.packetize(1, frame_bytes(128, 8), 1, false);
+        let mut r = Reassembler::new();
+        r.push(f1[0].clone(), 0);
+        assert!(r.push(f1[1].clone(), 0).is_some());
+        r.push(f0[0].clone(), 0);
+        // A mirrored copy of frame 1 arrives while frame 0 is still open.
+        assert!(r.push(f1[0].clone(), 1).is_none());
+        assert!(r.push(f1[1].clone(), 1).is_none());
+        assert!(r.passed(1));
+        assert_eq!(r.stuck_frames(), vec![0]);
+        // Once the frontier passes it, the emitted id is forgotten but
+        // still stale.
+        r.abandon_before(2);
+        assert!(r.push(f1[0].clone(), 2).is_none());
         assert!(r.stuck_frames().is_empty());
     }
 

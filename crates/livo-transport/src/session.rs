@@ -108,8 +108,8 @@ pub struct SessionStats {
     pub late_drops: u64,
     pub plis: u64,
     pub nacks_sent: u64,
-    /// NACKed packets of frames the receiver had already passed: their
-    /// retransmits are dropped as stale on arrival.
+    /// NACKed packets of frames already behind playout: the jitter buffer
+    /// played a newer frame, so their retransmits are stale on arrival.
     pub nacks_superseded: u64,
     pub retransmits: u64,
     /// Sum and count of frame transport latency (send → playout-ready).
@@ -862,9 +862,12 @@ impl RtcSession {
     }
 
     /// Receiver side: drain every leg into the *shared* reassembly/jitter
-    /// path. The reassembler dedups by sequence number, so key packets
-    /// duplicated across legs collapse back into one copy here.
-    /// Returns whether any packet arrived.
+    /// path. The reassembler drops a second copy of a fragment and every
+    /// packet of a frame it already emitted, so key packets duplicated
+    /// across legs collapse back into one copy here. An incomplete frame
+    /// is given up when the jitter buffer plays a newer one, not when a
+    /// newer one completes: until its playout deadline, a retransmit can
+    /// still bring it in. Returns whether any packet arrived.
     fn deliver(&mut self, now: Micros) -> bool {
         // Delay-aligned playout: every frame's deadline is anchored to
         // *capture* time plus the slowest up leg's propagation (plus the
@@ -927,7 +930,7 @@ impl RtcSession {
             }
         }
         self.poll_scratch = arrivals;
-        // Pull playable frames.
+        // Pull playable frames, then give up what playout has passed.
         let mut played = false;
         for (stream, jb) in self.jitters.iter_mut() {
             for f in jb.pop_ready(now) {
@@ -953,6 +956,9 @@ impl RtcSession {
                     );
                 }
                 self.ready.push(f);
+            }
+            if let Some(re) = self.reassemblers.get_mut(stream) {
+                re.abandon_before(jb.next_playout());
             }
         }
         // Everything below moves only when a packet came in or a frame
