@@ -5,13 +5,13 @@
 //! recovery, and replays bandwidth traces through Mahimahi. This crate
 //! reimplements that stack as a deterministic discrete-time simulation:
 //!
-//! - [`packet`]: RTP-like packetisation and frame reassembly.
+//! - [`packet`]: RTP-like packetisation and the per-stream receive buffer
+//!   (frame reassembly and playout at a fixed target, the paper's 100 ms).
 //! - [`gcc`]: a delay-gradient + loss bandwidth estimator in the GCC
 //!   family (trendline filter, overuse detector, AIMD rate control).
 //! - [`link`]: a trace-driven bottleneck link (token service at the trace
 //!   capacity, drop-tail queue, propagation delay, optional random loss) —
 //!   the Mahimahi stand-in.
-//! - [`jitter`]: a fixed-target jitter buffer (the paper uses 100 ms).
 //! - [`nack`]: receiver-side gap detection with retransmission requests
 //!   and Picture-Loss-Indication escalation.
 //! - [`scheduler`]: stateless per-packet choice among a session's legs
@@ -24,7 +24,6 @@
 //! a real clock, so every experiment is reproducible.
 
 pub mod gcc;
-pub mod jitter;
 pub mod link;
 pub mod nack;
 pub mod packet;
@@ -32,11 +31,10 @@ pub mod scheduler;
 pub mod session;
 
 pub use gcc::{GccEstimator, GccState};
-pub use jitter::JitterBuffer;
 pub use link::{
     Delivery, GilbertElliott, LinkAction, LinkConfig, LinkEmulator, LinkEvent, LinkStats,
 };
-pub use packet::{AssembledFrame, Packet, Packetizer, Reassembler, StreamId};
+pub use packet::{AssembledFrame, FrameBuffer, Packet, Packetizer, StreamId};
 pub use session::{LegConfig, LinkReport, RtcSession, SessionConfig, SessionStats};
 
 /// Virtual time in microseconds since session start.

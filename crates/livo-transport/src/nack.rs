@@ -2,11 +2,12 @@
 //!
 //! The paper enables WebRTC's negative acknowledgements, Picture Loss
 //! Indication and Full Intraframe Request (§A.1). The receiver-side
-//! [`NackGenerator`] batches missing sequence numbers at RTCP-ish
-//! intervals with bounded retries; the sender-side [`RetransmitBuffer`]
-//! answers them from a recent-packet window. When a frame stays
-//! incomplete past a deadline, the receiver escalates to a PLI, which the
-//! application layer translates into a forced keyframe.
+//! [`NackGenerator`] requests missing sequence numbers on any tick the
+//! session finds them eligible, with spaced and bounded retries; the
+//! sender-side [`RetransmitBuffer`] answers them from a recent-packet
+//! window. When a frame stays incomplete past a deadline, the receiver
+//! escalates to a PLI, which the application layer translates into a
+//! forced keyframe.
 
 use crate::packet::Packet;
 use crate::Micros;

@@ -1,7 +1,9 @@
-//! RTP-like packetisation and frame reassembly.
+//! RTP-like packetisation, and the per-stream receive buffer that
+//! reassembles frames and plays them out.
 
 use crate::Micros;
 use bytes::Bytes;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which media stream a packet belongs to. LiVo sends two: tiled colour and
 /// tiled depth (§3.3 of the paper).
@@ -130,58 +132,50 @@ pub struct AssembledFrame {
 /// the window is given up on.
 const SEEN_WINDOW: usize = 20_000;
 
-/// Per-stream frame reassembly with gap tracking.
+/// Per-stream receive buffer: reassembly, gap tracking and playout.
 ///
-/// Keeps packets of in-flight frames; emits a frame once every one of its
-/// fragments has arrived, whether or not a newer frame completed first.
-/// An incomplete frame is given up only when the playout frontier passes
-/// it ([`Self::abandon_before`]): until then a retransmit can still
-/// complete it, and the jitter buffer plays it in order.
-#[derive(Debug)]
-pub struct Reassembler {
-    /// In-flight frames: frame_id → packets sorted by fragment index.
-    pending: std::collections::BTreeMap<u64, Vec<Packet>>,
+/// A frame completes once every one of its fragments has arrived, whether
+/// or not a newer frame completed first, and plays at
+/// `max(arrival, origin_ts + path_delay)`. Complete frames are released in
+/// id order; each release moves the one playout frontier past it, and the
+/// incomplete frames below the frontier are given up. Until then a
+/// retransmit can still complete them: a lost packet has until its frame's
+/// playout deadline.
+#[derive(Debug, Default)]
+pub struct FrameBuffer {
+    /// Incomplete frames: frame_id → packets sorted by fragment index.
+    pending: BTreeMap<u64, Vec<Packet>>,
+    /// Complete frames waiting to play: frame_id → (play_at, frame).
+    complete: BTreeMap<u64, (Micros, AssembledFrame)>,
+    /// Playout frontier: the id after the last released frame.
+    frontier: u64,
     /// Highest seq seen (for gap detection).
     highest_seq: Option<u64>,
     /// Seqs seen above the contiguity frontier (for gap detection and
     /// NACK de-duplication); empty while the stream has no open gap.
-    seen: std::collections::BTreeSet<u64>,
+    seen: BTreeSet<u64>,
     /// Every seq at or below this has been seen (or given up on) — gap
     /// scans start above it, so an in-order stream costs O(1) per
     /// `missing_seqs` call instead of walking the whole seen-window.
     contig: Option<u64>,
-    /// Playout frontier: frames below it are played or given up, and
-    /// their packets are stale.
-    frontier: u64,
-    /// Frames emitted at or above the frontier, so that a duplicate packet
-    /// cannot reopen one.
-    emitted: std::collections::BTreeSet<u64>,
+    /// Incomplete frames given up because playout passed them.
+    pub(crate) late_drops: u64,
 }
 
-impl Default for Reassembler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Reassembler {
-    pub fn new() -> Self {
-        Reassembler {
-            pending: Default::default(),
-            highest_seq: None,
-            seen: Default::default(),
-            contig: None,
-            frontier: 0,
-            emitted: Default::default(),
-        }
-    }
-
-    /// Feed one packet; returns a frame if this packet completed one.
-    pub fn push(&mut self, pkt: Packet, now: Micros) -> Option<AssembledFrame> {
+impl FrameBuffer {
+    /// Feed one packet that arrived at `arrival`; returns the frame if this
+    /// packet completed one. `path_delay` is how long after capture a
+    /// frame that completes in time plays.
+    pub fn push(
+        &mut self,
+        pkt: Packet,
+        arrival: Micros,
+        path_delay: Micros,
+    ) -> Option<&AssembledFrame> {
         self.highest_seq = Some(self.highest_seq.map_or(pkt.seq, |h| h.max(pkt.seq)));
         self.mark_seen(pkt.seq);
         if self.passed(pkt.frame_id) {
-            return None; // stale: the frame was emitted or given up
+            return None; // stale: the frame is complete or given up
         }
         let (frame_id, frag_count) = (pkt.frame_id, pkt.frag_count as usize);
         let entry = self.pending.entry(frame_id).or_default();
@@ -195,15 +189,47 @@ impl Reassembler {
             return None;
         }
         let packets = self.pending.remove(&frame_id).unwrap();
-        self.emitted.insert(frame_id);
-        Some(AssembledFrame {
+        let frame = AssembledFrame {
             stream: packets[0].stream,
             frame_id,
             data: join(&packets),
             keyframe: packets[0].keyframe,
-            completed_at: now,
+            completed_at: arrival,
             send_ts: packets[0].origin_ts,
-        })
+        };
+        let play_at = arrival.max(frame.send_ts + path_delay);
+        Some(&self.complete.entry(frame_id).or_insert((play_at, frame)).1)
+    }
+
+    /// Release the oldest complete frame if it is due at `now`. Its
+    /// release moves the frontier past it and gives up the incomplete
+    /// frames below.
+    pub fn pop_ready(&mut self, now: Micros) -> Option<AssembledFrame> {
+        let entry = self.complete.first_entry()?;
+        if entry.get().0 > now {
+            return None;
+        }
+        let (_, frame) = entry.remove();
+        self.frontier = frame.frame_id + 1;
+        while let Some(stale) = self.pending.first_entry() {
+            if *stale.key() >= self.frontier {
+                break;
+            }
+            stale.remove();
+            self.late_drops += 1;
+        }
+        Some(frame)
+    }
+
+    /// When [`Self::pop_ready`] releases its next frame: the oldest
+    /// complete frame gates every newer one.
+    pub fn next_ready(&self) -> Option<Micros> {
+        self.complete.first_key_value().map(|(_, f)| f.0)
+    }
+
+    /// Number of complete frames waiting to play.
+    pub fn depth(&self) -> usize {
+        self.complete.len()
     }
 
     /// Record `seq` as seen and advance the contiguity frontier. An
@@ -237,22 +263,10 @@ impl Reassembler {
         }
     }
 
-    /// Whether frame `frame_id` was emitted or is behind the playout
+    /// Whether frame `frame_id` is complete or behind the playout
     /// frontier, so packets for it are dropped on arrival.
     pub fn passed(&self, frame_id: u64) -> bool {
-        frame_id < self.frontier || self.emitted.contains(&frame_id)
-    }
-
-    /// Move the playout frontier to `frontier` (the jitter buffer's next
-    /// playout id): pending frames below it are given up, and their later
-    /// packets are stale.
-    pub fn abandon_before(&mut self, frontier: u64) {
-        if frontier <= self.frontier {
-            return;
-        }
-        self.frontier = frontier;
-        self.pending = self.pending.split_off(&frontier);
-        self.emitted = self.emitted.split_off(&frontier);
+        frame_id < self.frontier || self.complete.contains_key(&frame_id)
     }
 
     /// Sequence numbers below the highest seen that have never arrived —
@@ -316,6 +330,21 @@ mod tests {
         Bytes::from((0..n).map(|i| (i as u8) ^ tag).collect::<Vec<u8>>())
     }
 
+    /// Feed `pkts` arriving at `at` with no path delay; the frame a packet
+    /// completes, if any.
+    fn feed(b: &mut FrameBuffer, pkts: &[Packet], at: Micros) -> Option<AssembledFrame> {
+        let mut done = None;
+        for p in pkts {
+            done = done.or(b.push(p.clone(), at, 0).cloned());
+        }
+        done
+    }
+
+    /// Every frame `b` releases at `now`, in order.
+    fn pop_all(b: &mut FrameBuffer, now: Micros) -> Vec<AssembledFrame> {
+        std::iter::from_fn(|| b.pop_ready(now)).collect()
+    }
+
     #[test]
     fn packetizer_splits_on_mtu() {
         let mut p = Packetizer::with_mtu(StreamId::Color, 100);
@@ -343,12 +372,8 @@ mod tests {
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
         let data = frame_bytes(200, 3);
         let pkts = p.packetize(0, data.clone(), 5, true);
-        let mut r = Reassembler::new();
-        let mut out = None;
-        for pkt in pkts {
-            out = r.push(pkt, 99);
-        }
-        let f = out.expect("frame completes on last packet");
+        let mut b = FrameBuffer::default();
+        let f = feed(&mut b, &pkts, 99).expect("frame completes on last packet");
         assert_eq!(f.data, data);
         assert_eq!(f.frame_id, 0);
         assert!(f.keyframe);
@@ -361,24 +386,18 @@ mod tests {
         let data = frame_bytes(300, 4);
         let mut pkts = p.packetize(0, data.clone(), 5, false);
         pkts.reverse();
-        let mut r = Reassembler::new();
-        let mut done = None;
-        for pkt in pkts {
-            if let Some(f) = r.push(pkt, 1) {
-                done = Some(f);
-            }
-        }
-        assert_eq!(done.unwrap().data, data);
+        let mut b = FrameBuffer::default();
+        assert_eq!(feed(&mut b, &pkts, 1).unwrap().data, data);
     }
 
     #[test]
     fn duplicates_are_ignored() {
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
         let pkts = p.packetize(0, frame_bytes(100, 5), 0, false);
-        let mut r = Reassembler::new();
-        assert!(r.push(pkts[0].clone(), 0).is_none());
-        assert!(r.push(pkts[0].clone(), 0).is_none());
-        let f = r.push(pkts[1].clone(), 0).unwrap();
+        let mut b = FrameBuffer::default();
+        assert!(b.push(pkts[0].clone(), 0, 0).is_none());
+        assert!(b.push(pkts[0].clone(), 0, 0).is_none());
+        let f = b.push(pkts[1].clone(), 0, 0).unwrap();
         assert_eq!(f.data.len(), 100);
     }
 
@@ -386,16 +405,14 @@ mod tests {
     fn missing_seqs_reports_gaps() {
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
         let pkts = p.packetize(0, frame_bytes(64 * 5, 6), 0, false);
-        let mut r = Reassembler::new();
-        r.push(pkts[0].clone(), 0);
-        r.push(pkts[3].clone(), 0);
-        assert_eq!(r.missing_seqs(10), vec![1, 2]);
-        assert_eq!(r.stuck_frames(), vec![0]);
+        let mut b = FrameBuffer::default();
+        feed(&mut b, &[pkts[0].clone(), pkts[3].clone()], 0);
+        assert_eq!(b.missing_seqs(10), vec![1, 2]);
+        assert_eq!(b.stuck_frames(), vec![0]);
         // Retransmissions fill the gap.
-        r.push(pkts[1].clone(), 1);
-        r.push(pkts[2].clone(), 1);
-        assert!(r.missing_seqs(10).is_empty());
-        let f = r.push(pkts[4].clone(), 2).unwrap();
+        feed(&mut b, &pkts[1..3], 1);
+        assert!(b.missing_seqs(10).is_empty());
+        let f = b.push(pkts[4].clone(), 2, 0).unwrap();
         assert_eq!(f.data.len(), 320);
     }
 
@@ -404,22 +421,18 @@ mod tests {
         // A long in-order prefix must not be rescanned: gaps are reported
         // relative to the frontier, and retransmits close them.
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
-        let mut r = Reassembler::new();
+        let mut b = FrameBuffer::default();
         let mut all = Vec::new();
         for f in 0..50u64 {
             all.extend(p.packetize(f, frame_bytes(64 * 4, f as u8), 0, false));
         }
-        for pkt in &all[..100] {
-            r.push(pkt.clone(), 0);
-        }
-        assert!(r.missing_seqs(10).is_empty());
+        feed(&mut b, &all[..100], 0);
+        assert!(b.missing_seqs(10).is_empty());
         // Skip seq 100, deliver 101..110: exactly one gap.
-        for pkt in &all[101..110] {
-            r.push(pkt.clone(), 1);
-        }
-        assert_eq!(r.missing_seqs(10), vec![100]);
-        r.push(all[100].clone(), 2);
-        assert!(r.missing_seqs(10).is_empty());
+        feed(&mut b, &all[101..110], 1);
+        assert_eq!(b.missing_seqs(10), vec![100]);
+        feed(&mut b, &all[100..101], 2);
+        assert!(b.missing_seqs(10).is_empty());
     }
 
     #[test]
@@ -427,15 +440,20 @@ mod tests {
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
         let f0 = p.packetize(0, frame_bytes(128, 7), 0, false);
         let f1 = p.packetize(1, frame_bytes(64, 8), 1, false);
-        let mut r = Reassembler::new();
-        assert!(r.push(f0[0].clone(), 0).is_none()); // frame 0 one packet short
-        assert_eq!(r.push(f1[0].clone(), 1).unwrap().frame_id, 1);
-        assert_eq!(r.stuck_frames(), vec![0]);
+        let mut b = FrameBuffer::default();
+        assert!(b.push(f0[0].clone(), 0, 0).is_none()); // frame 0 one packet short
+        assert_eq!(b.push(f1[0].clone(), 1, 0).unwrap().frame_id, 1);
+        assert_eq!(b.stuck_frames(), vec![0]);
         // The retransmit of frame 0 still completes it.
-        let done = r.push(f0[1].clone(), 2).unwrap();
+        let done = b.push(f0[1].clone(), 2, 0).unwrap();
         assert_eq!(done.frame_id, 0);
         assert_eq!(done.data, frame_bytes(128, 7));
-        assert!(r.stuck_frames().is_empty());
+        assert!(b.stuck_frames().is_empty());
+        let played = pop_all(&mut b, 2);
+        assert_eq!(
+            played.iter().map(|f| f.frame_id).collect::<Vec<_>>(),
+            [0, 1]
+        );
     }
 
     #[test]
@@ -444,21 +462,19 @@ mod tests {
         let f0 = p.packetize(0, frame_bytes(128, 7), 0, false);
         let f1 = p.packetize(1, frame_bytes(128, 8), 1, false);
         let f2 = p.packetize(2, frame_bytes(128, 9), 2, false);
-        let mut r = Reassembler::new();
-        r.push(f0[0].clone(), 0);
-        r.push(f2[0].clone(), 0);
-        assert_eq!(r.stuck_frames(), vec![0, 2]);
-        // Frame 1 played: frame 0 is given up, frame 2 stays open.
-        r.abandon_before(2);
-        assert_eq!(r.stuck_frames(), vec![2]);
-        assert!(r.passed(0) && r.passed(1) && !r.passed(2));
-        assert!(r.push(f0[1].clone(), 1).is_none(), "stale");
-        assert!(r.push(f1[0].clone(), 1).is_none(), "stale");
-        assert_eq!(r.stuck_frames(), vec![2]);
-        // A frontier that goes back moves nothing.
-        r.abandon_before(1);
-        assert!(r.passed(1));
-        assert_eq!(r.push(f2[1].clone(), 2).unwrap().frame_id, 2);
+        let mut b = FrameBuffer::default();
+        feed(&mut b, &[f0[0].clone(), f2[0].clone()], 0);
+        assert_eq!(b.stuck_frames(), vec![0, 2]);
+        // Frame 1 plays: frame 0 is given up, frame 2 stays open.
+        feed(&mut b, &f1, 1);
+        assert_eq!(pop_all(&mut b, 1).len(), 1);
+        assert_eq!(b.stuck_frames(), vec![2]);
+        assert_eq!(b.late_drops, 1);
+        assert!(b.passed(0) && b.passed(1) && !b.passed(2));
+        assert!(b.push(f0[1].clone(), 1, 0).is_none(), "stale");
+        assert!(b.push(f1[0].clone(), 1, 0).is_none(), "stale");
+        assert_eq!(b.stuck_frames(), vec![2]);
+        assert_eq!(b.push(f2[1].clone(), 2, 0).unwrap().frame_id, 2);
     }
 
     #[test]
@@ -466,20 +482,106 @@ mod tests {
         let mut p = Packetizer::with_mtu(StreamId::Color, 64);
         let f0 = p.packetize(0, frame_bytes(128, 7), 0, false);
         let f1 = p.packetize(1, frame_bytes(128, 8), 1, false);
-        let mut r = Reassembler::new();
-        r.push(f1[0].clone(), 0);
-        assert!(r.push(f1[1].clone(), 0).is_some());
-        r.push(f0[0].clone(), 0);
+        let mut b = FrameBuffer::default();
+        assert!(feed(&mut b, &f1, 0).is_some());
+        b.push(f0[0].clone(), 0, 0);
         // A mirrored copy of frame 1 arrives while frame 0 is still open.
-        assert!(r.push(f1[0].clone(), 1).is_none());
-        assert!(r.push(f1[1].clone(), 1).is_none());
-        assert!(r.passed(1));
-        assert_eq!(r.stuck_frames(), vec![0]);
-        // Once the frontier passes it, the emitted id is forgotten but
-        // still stale.
-        r.abandon_before(2);
-        assert!(r.push(f1[0].clone(), 2).is_none());
-        assert!(r.stuck_frames().is_empty());
+        assert!(feed(&mut b, &f1, 1).is_none());
+        assert!(b.passed(1));
+        assert_eq!(b.stuck_frames(), vec![0]);
+        // Once frame 1 plays, it is no longer held but still stale.
+        assert_eq!(pop_all(&mut b, 1).len(), 1);
+        assert!(b.push(f1[0].clone(), 2, 0).is_none());
+        assert!(b.stuck_frames().is_empty());
+    }
+
+    #[test]
+    fn frames_wait_for_target() {
+        // Captured at 0 on a path of 120 ms (propagation + jitter target),
+        // complete at 30 ms: the frame plays at 120 ms, not before.
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let mut b = FrameBuffer::default();
+        for pkt in p.packetize(0, frame_bytes(100, 1), 0, true) {
+            b.push(pkt, 30_000, 120_000);
+        }
+        assert_eq!(b.next_ready(), Some(120_000));
+        assert!(b.pop_ready(119_999).is_none());
+        let f = b.pop_ready(120_000).unwrap();
+        assert_eq!((f.frame_id, f.completed_at), (0, 30_000));
+    }
+
+    #[test]
+    fn frames_release_in_order() {
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let f0 = p.packetize(0, frame_bytes(64, 1), 0, false);
+        let f1 = p.packetize(1, frame_bytes(64, 2), 0, false);
+        let mut b = FrameBuffer::default();
+        b.push(f1[0].clone(), 10_000, 50_000);
+        b.push(f0[0].clone(), 20_000, 50_000); // completed later but older id
+        let ids: Vec<u64> = pop_all(&mut b, 100_000)
+            .iter()
+            .map(|f| f.frame_id)
+            .collect();
+        assert_eq!(ids, vec![0, 1]);
+    }
+
+    #[test]
+    fn late_frames_are_dropped() {
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let f0 = p.packetize(0, frame_bytes(128, 1), 0, false);
+        let f1 = p.packetize(1, frame_bytes(64, 2), 0, false);
+        let mut b = FrameBuffer::default();
+        b.push(f0[0].clone(), 5_000, 10_000);
+        b.push(f1[0].clone(), 6_000, 10_000);
+        assert_eq!(pop_all(&mut b, 20_000).len(), 1);
+        assert_eq!(b.late_drops, 1, "frame 0 given up one packet short");
+        // Frame 0's last packet arrives after frame 1 played out.
+        assert!(b.push(f0[1].clone(), 25_000, 10_000).is_none());
+        assert!(pop_all(&mut b, 100_000).is_empty());
+        assert_eq!(b.late_drops, 1);
+    }
+
+    #[test]
+    fn steady_stream_adds_constant_latency() {
+        // Arrivals jitter by up to 30 ms; playout stays capture + 140 ms.
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let mut b = FrameBuffer::default();
+        for i in 0..30u64 {
+            let sent = i * 33_333;
+            for pkt in p.packetize(i, frame_bytes(100, i as u8), sent, false) {
+                b.push(pkt, sent + 20_000 + i * 7_919 % 30_000, 140_000);
+            }
+        }
+        let mut playout_delays = Vec::new();
+        for t in (0..2_000_000).step_by(1_000) {
+            for f in pop_all(&mut b, t) {
+                playout_delays.push(t - f.send_ts);
+            }
+        }
+        assert_eq!(playout_delays.len(), 30);
+        for d in playout_delays {
+            assert!((d as i64 - 140_000).abs() <= 1_000, "playout delay {d}");
+        }
+    }
+
+    #[test]
+    fn a_frame_completing_after_its_deadline_plays_on_arrival() {
+        // Frame 1 played at its deadline; frame 2's retransmit lands 60 ms
+        // after its own, while frame 2 is still above the frontier.
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let f1 = p.packetize(1, frame_bytes(64, 1), 33_333, false);
+        let f2 = p.packetize(2, frame_bytes(128, 2), 66_666, false);
+        let mut b = FrameBuffer::default();
+        b.push(f1[0].clone(), 60_000, 120_000);
+        b.push(f2[0].clone(), 90_000, 120_000);
+        assert_eq!(pop_all(&mut b, 153_333).len(), 1);
+        assert!(pop_all(&mut b, 246_665).is_empty(), "frame 2 incomplete");
+        let late = 246_666;
+        b.push(f2[1].clone(), late, 120_000);
+        assert_eq!(b.next_ready(), Some(late));
+        let f = b.pop_ready(late).unwrap();
+        assert_eq!((f.frame_id, f.completed_at), (2, late));
+        assert_eq!(f.data, frame_bytes(128, 2));
     }
 
     #[test]
@@ -488,11 +590,11 @@ mod tests {
         // on; no seq that arrived may be reported missing.
         let mut p = Packetizer::with_mtu(StreamId::Color, 1);
         let pkts = p.packetize(0, frame_bytes(21_000, 1), 0, false);
-        let mut r = Reassembler::new();
+        let mut b = FrameBuffer::default();
         for pkt in pkts.into_iter().filter(|p| p.seq != 5) {
-            r.push(pkt, 0);
+            b.push(pkt, 0, 0);
         }
-        assert_eq!(r.missing_seqs(64), Vec::<u64>::new());
+        assert_eq!(b.missing_seqs(64), Vec::<u64>::new());
     }
 
     #[test]
@@ -501,8 +603,8 @@ mod tests {
         let data = frame_bytes(300, 4);
         let mut pkts = p.packetize(0, data.clone(), 5, false);
         pkts.swap(0, 3);
-        let mut r = Reassembler::new();
-        let f = pkts.into_iter().find_map(|pkt| r.push(pkt, 1)).unwrap();
+        let mut b = FrameBuffer::default();
+        let f = feed(&mut b, &pkts, 1).unwrap();
         assert_eq!(f.data, data);
         assert_eq!(f.data.as_ptr(), data.as_ptr(), "no copy");
 
@@ -512,7 +614,7 @@ mod tests {
         for pkt in &mut foreign {
             pkt.payload = Bytes::from(pkt.payload.to_vec());
         }
-        let f = foreign.into_iter().find_map(|pkt| r.push(pkt, 2)).unwrap();
+        let f = feed(&mut b, &foreign, 2).unwrap();
         assert_eq!(&f.data[..], &whole[..]);
     }
 

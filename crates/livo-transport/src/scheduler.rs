@@ -63,11 +63,6 @@ impl LinkSnapshot {
 /// Weight of one-way propagation in the scheduling cost.
 const RTT_BIAS: f64 = 0.1;
 
-/// Duplicate keyframe packets onto the second-best link while any loss
-/// is being observed (cheap insurance: keyframes are rare and losing one
-/// costs a PLI round-trip).
-pub const DUPLICATE_KEYFRAMES: bool = true;
-
 /// A link is "degraded" when its recent loss fraction exceeds this…
 const DEGRADED_LOSS: f64 = 0.08;
 

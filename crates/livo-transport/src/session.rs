@@ -1,11 +1,11 @@
 //! The sender→receiver real-time session.
 //!
 //! [`RtcSession`] wires packetisation, pacing, trace-driven links, GCC
-//! estimation, reassembly, NACK/PLI and the jitter buffer into the object
-//! LiVo's pipeline drives: the sender calls [`RtcSession::send_frame`]
-//! once per encoded frame per stream and [`RtcSession::estimate_bps`] to
-//! size the next frame; the receiver pulls ready frames with
-//! [`RtcSession::recv_frames`].
+//! estimation, the per-stream receive buffers (reassembly and playout) and
+//! NACK/PLI into the object LiVo's pipeline drives: the sender calls
+//! [`RtcSession::send_frame`] once per encoded frame per stream and
+//! [`RtcSession::estimate_bps`] to size the next frame; the receiver pulls
+//! ready frames with [`RtcSession::recv_frames`].
 //!
 //! A session carries its packets over one or more *legs* — emulated links
 //! bonded under one sender/receiver pair. [`RtcSession::new`] builds the
@@ -14,7 +14,7 @@
 //! arrival timestamps and reaches the sender through that leg's delayed
 //! feedback path (like REMB/transport-wide-cc), so the per-packet
 //! [`scheduler`](crate::scheduler) sees honest per-path rates; the
-//! receiver side (reassembly, jitter buffer, NACK/PLI) is *shared*, so
+//! receiver side (receive buffers, NACK/PLI) is *shared*, so
 //! frames arriving interleaved across legs reassemble exactly as
 //! out-of-order packets on one path would.
 //!
@@ -24,10 +24,9 @@
 //! session object never restarts.
 
 use crate::gcc::GccEstimator;
-use crate::jitter::JitterBuffer;
 use crate::link::{Delivery, LinkAction, LinkConfig, LinkEmulator, LinkEvent, LinkStats};
 use crate::nack::{NackGenerator, RetransmitBuffer};
-use crate::packet::{AssembledFrame, Packet, Packetizer, Reassembler, StreamId};
+use crate::packet::{AssembledFrame, FrameBuffer, Packet, Packetizer, StreamId};
 use crate::scheduler::{self, LinkSnapshot};
 use crate::Micros;
 use bytes::Bytes;
@@ -91,13 +90,6 @@ fn accrue(credit: u64, rate: u64, dt: Micros) -> u64 {
     credit.saturating_add(rate.saturating_mul(dt)).min(cap)
 }
 
-/// One notch of adaptive playout slack per late-dropped frame.
-const PLAYOUT_SLACK_STEP: Micros = 5_000;
-
-/// Ceiling on adaptive playout slack: recovery latency beyond this is a
-/// frame worth giving up on rather than a delay worth carrying forever.
-const MAX_PLAYOUT_SLACK: Micros = 60_000;
-
 /// Aggregate session statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
@@ -105,11 +97,12 @@ pub struct SessionStats {
     pub frames_delivered: u64,
     pub bits_sent: u64,
     pub bits_delivered: u64,
+    /// Incomplete frames given up because playout passed them.
     pub late_drops: u64,
     pub plis: u64,
     pub nacks_sent: u64,
-    /// NACKed packets of frames already behind playout: the jitter buffer
-    /// played a newer frame, so their retransmits are stale on arrival.
+    /// NACKed packets of frames already behind playout: a newer frame
+    /// played, so their retransmits are stale on arrival.
     pub nacks_superseded: u64,
     pub retransmits: u64,
     /// Sum and count of frame transport latency (send → playout-ready).
@@ -296,8 +289,7 @@ pub struct RtcSession {
     /// Reused per-packet scheduler input (one snapshot per leg).
     snaps: Vec<LinkSnapshot>,
     // --- shared receiver side ---
-    reassemblers: BTreeMap<StreamId, Reassembler>,
-    jitters: BTreeMap<StreamId, JitterBuffer>,
+    buffers: BTreeMap<StreamId, FrameBuffer>,
     nack: BTreeMap<StreamId, NackGenerator>,
     /// First time each currently-missing seq was seen missing — gaps
     /// younger than the cross-leg reorder grace are packets still in
@@ -318,14 +310,6 @@ pub struct RtcSession {
     /// Reused arrival buffer for [`LinkEmulator::poll_into`] — keeps the
     /// per-tick receive path allocation-free.
     poll_scratch: Vec<Delivery>,
-    /// Adaptive playout slack (NetEQ-style): each time a recovered frame
-    /// arrives after its playout deadline and is late-dropped, the
-    /// deadline for subsequent frames moves out a notch, so the playout
-    /// delay converges onto the observed NACK-recovery latency instead
-    /// of discarding every recovered frame by a few milliseconds.
-    /// Ratchets up only — bounded by [`MAX_PLAYOUT_SLACK`] — so playout
-    /// never oscillates mid-call.
-    playout_slack: Micros,
 }
 
 impl RtcSession {
@@ -381,8 +365,7 @@ impl RtcSession {
             pending_retx: VecDeque::new(),
             pending_pli: VecDeque::new(),
             last_key_grant: None,
-            reassemblers: BTreeMap::new(),
-            jitters: BTreeMap::new(),
+            buffers: BTreeMap::new(),
             nack: BTreeMap::new(),
             missing_since: BTreeMap::new(),
             nack_due: Micros::MAX,
@@ -394,7 +377,6 @@ impl RtcSession {
             telemetry: None,
             trace: None,
             poll_scratch: Vec::new(),
-            playout_slack: 0,
         }
     }
 
@@ -625,7 +607,7 @@ impl RtcSession {
         });
         let release = self.pacer.front().map(|p| self.release_at(p.wire_bits()));
         legs.chain([self.pending_retx.front().map(|r| r.0), release])
-            .chain(self.jitters.values().map(JitterBuffer::next_ready))
+            .chain(self.buffers.values().map(FrameBuffer::next_ready))
             .flatten()
             .fold(self.nack_due, Micros::min)
             .min(self.last_feedback + FEEDBACK_INTERVAL)
@@ -812,11 +794,11 @@ impl RtcSession {
             };
             self.pacer_credit -= bits * BIT_US;
             let mut p = self.pacer.pop_front().unwrap();
-            p.send_ts = now; // true departure time, for the delay estimator
-                             // Keyframes are insured whenever the session sees any loss:
-                             // losing one costs a PLI round-trip.
-            if scheduler::DUPLICATE_KEYFRAMES
-                && p.keyframe
+            // True departure time, for the delay estimator.
+            p.send_ts = now;
+            // Keyframes are insured whenever the session sees any loss:
+            // losing one costs a PLI round-trip.
+            if p.keyframe
                 && (self.snaps[primary].is_degraded() || self.aggregate_recent_loss() > 0.01)
             {
                 if let Some(second) = scheduler::pick_duplicate(&self.snaps, bits, primary) {
@@ -861,31 +843,24 @@ impl RtcSession {
         }
     }
 
-    /// Receiver side: drain every leg into the *shared* reassembly/jitter
-    /// path. The reassembler drops a second copy of a fragment and every
-    /// packet of a frame it already emitted, so key packets duplicated
-    /// across legs collapse back into one copy here. An incomplete frame
-    /// is given up when the jitter buffer plays a newer one, not when a
-    /// newer one completes: until its playout deadline, a retransmit can
-    /// still bring it in. Returns whether any packet arrived.
+    /// Receiver side: drain every leg into the *shared* per-stream
+    /// [`FrameBuffer`], then play out what is due. The buffer drops a second
+    /// copy of a fragment and every packet of a frame it already holds
+    /// complete, so key packets duplicated across legs collapse back into
+    /// one copy here. Returns whether any packet arrived.
     fn deliver(&mut self, now: Micros) -> bool {
-        // Delay-aligned playout: every frame's deadline is anchored to
-        // *capture* time plus the slowest up leg's propagation (plus the
-        // jitter target the buffer adds), so display cadence is uniform
-        // no matter which leg a frame rode — and a frame that completes
-        // later than its deadline (NACK recovery) pops the moment it
-        // arrives instead of serving a second full jitter target and
-        // freezing everything queued behind it in playout order. The
-        // buffer pops at `completed_at + target`, so rewriting
-        // `completed_at` to `max(send + slowest_prop, arrival − target)`
-        // realises exactly that deadline.
-        let playout_floor = self
+        // Delay-aligned playout: a frame plays the slowest up leg's
+        // propagation plus the jitter target after capture, so display
+        // cadence is uniform whichever leg it rode — or on arrival, if it
+        // completes later (NACK recovery).
+        let path_delay = self
             .legs
             .iter()
             .filter(|l| l.is_up())
             .map(|l| l.em.propagation())
             .max()
-            .unwrap_or(20_000);
+            .unwrap_or(20_000)
+            + self.jitter_target;
         let mut arrivals = std::mem::take(&mut self.poll_scratch);
         let mut arrived = false;
         for leg in &mut self.legs {
@@ -905,14 +880,10 @@ impl RtcSession {
                 let frame_id = d.packet.frame_id;
                 let fr = leg.max_seq.entry(stream).or_insert(d.packet.seq);
                 *fr = (*fr).max(d.packet.seq);
-                let re = self.reassemblers.entry(stream).or_default();
-                let Some(mut frame) = re.push(d.packet, d.arrival) else {
+                let buf = self.buffers.entry(stream).or_default();
+                let Some(frame) = buf.push(d.packet, d.arrival, path_delay) else {
                     continue;
                 };
-                frame.completed_at = frame
-                    .completed_at
-                    .saturating_sub(self.jitter_target)
-                    .max(frame.send_ts + playout_floor + self.playout_slack);
                 if let Some(tr) = &self.trace {
                     tr.trace.record(
                         d.arrival,
@@ -923,17 +894,13 @@ impl RtcSession {
                         frame.data.len() as i64 * 8,
                     );
                 }
-                self.jitters
-                    .entry(stream)
-                    .or_insert_with(|| JitterBuffer::new(self.jitter_target))
-                    .push(frame);
             }
         }
         self.poll_scratch = arrivals;
-        // Pull playable frames, then give up what playout has passed.
+        // Play what is due; each release gives up what playout passed.
         let mut played = false;
-        for (stream, jb) in self.jitters.iter_mut() {
-            for f in jb.pop_ready(now) {
+        for (stream, buf) in self.buffers.iter_mut() {
+            while let Some(f) = buf.pop_ready(now) {
                 played = true;
                 self.stats.frames_delivered += 1;
                 self.stats.bits_delivered += f.data.len() as u64 * 8;
@@ -957,25 +924,16 @@ impl RtcSession {
                 }
                 self.ready.push(f);
             }
-            if let Some(re) = self.reassemblers.get_mut(stream) {
-                re.abandon_before(jb.next_playout());
-            }
         }
         // Everything below moves only when a packet came in or a frame
         // went out.
         if !(arrived || played) {
             return false;
         }
-        let late_drops: u64 = self.jitters.values().map(|j| j.late_drops).sum();
-        if late_drops > self.stats.late_drops {
-            // A recovered frame missed its deadline: move playout out a
-            // notch so the next recovery fits inside the buffer.
-            self.playout_slack = (self.playout_slack + PLAYOUT_SLACK_STEP).min(MAX_PLAYOUT_SLACK);
-        }
-        self.stats.late_drops = late_drops;
+        self.stats.late_drops = self.buffers.values().map(|b| b.late_drops).sum();
         if let Some(t) = &self.telemetry {
             t.jitter_occupancy
-                .set(self.jitters.values().map(|j| j.depth()).sum::<usize>() as f64);
+                .set(self.buffers.values().map(|b| b.depth()).sum::<usize>() as f64);
             t.late_drops.set(self.stats.late_drops as f64);
             t.owd_ms.set(self.one_way_delay_us() / 1000.0);
         }
@@ -1023,8 +981,8 @@ impl RtcSession {
     /// storm-free.
     fn nack_gaps(&mut self, now: Micros) {
         self.nack_due = Micros::MAX;
-        for (&stream, re) in &self.reassemblers {
-            let mut missing = re.missing_seqs(64);
+        for (&stream, buf) in &self.buffers {
+            let mut missing = buf.missing_seqs(64);
             // Forget first-seen times of gaps that closed; `missing_seqs`
             // is ascending, so membership is a binary search.
             self.missing_since
@@ -1062,7 +1020,7 @@ impl RtcSession {
             if let Some(rb) = self.retransmit.get(&stream) {
                 let due = now + self.fb_delay();
                 let requested = rb.lookup(&to_request);
-                let superseded = requested.iter().filter(|p| re.passed(p.frame_id)).count() as u64;
+                let superseded = requested.iter().filter(|p| buf.passed(p.frame_id)).count() as u64;
                 self.stats.nacks_superseded += superseded;
                 if let Some(t) = &self.telemetry {
                     t.nacks_superseded.add(superseded);
@@ -1154,8 +1112,8 @@ impl RtcSession {
             let fb_delay = self.fb_delay();
 
             // PLI for frames stuck too long.
-            for (stream, re) in &self.reassemblers {
-                let stuck = re.stuck_frames();
+            for (stream, buf) in &self.buffers {
+                let stuck = buf.stuck_frames();
                 let ng = self
                     .nack
                     .entry(*stream)

@@ -1,12 +1,12 @@
-//! Property tests for the transport substrate: reassembly under arbitrary
-//! loss/reorder/duplication, jitter-buffer ordering, and link conservation.
+//! Property tests for the transport substrate: reassembly and playout
+//! under arbitrary loss/reorder/duplication, and link conservation.
 
 use bytes::Bytes;
 use livo_capture::BandwidthTrace;
 use livo_math::rng::cases;
 use livo_transport::link::{LinkConfig, LinkEmulator};
-use livo_transport::packet::{Packetizer, Reassembler, StreamId};
-use livo_transport::JitterBuffer;
+use livo_transport::packet::{FrameBuffer, Packet, Packetizer, StreamId};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u32 = 48;
 
@@ -35,15 +35,15 @@ fn reassembly_is_exact_under_reorder_and_dup() {
         packets.extend(dups);
         rng.shuffle(&mut packets);
 
-        let mut re = Reassembler::new();
+        let mut buf = FrameBuffer::default();
         let mut got: Vec<(u64, Bytes)> = Vec::new();
         for p in packets {
-            if let Some(frame) = re.push(p, 1) {
-                got.push((frame.frame_id, frame.data));
+            if let Some(frame) = buf.push(p, 1, 0) {
+                got.push((frame.frame_id, frame.data.clone()));
             }
         }
-        // No playout frontier moved, so a frame completing before an older
-        // one gives nothing up: each frame emerges once, byte-exact.
+        // Nothing played, so a frame completing before an older one gives
+        // nothing up: each frame emerges once, byte-exact.
         got.sort_by_key(|(id, _)| *id);
         let ids: Vec<u64> = got.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, (0..n_frames as u64).collect::<Vec<_>>());
@@ -53,42 +53,71 @@ fn reassembly_is_exact_under_reorder_and_dup() {
     });
 }
 
-/// The jitter buffer never releases out of order and never releases
-/// before the target delay.
+/// The receive buffer under random loss, reorder and duplication, on a
+/// moving clock: no frame plays before `max(arrival, origin_ts +
+/// path_delay)`, ids strictly increase, each plays at most once, and a
+/// frame whose packets all arrive before the playout frontier passes it
+/// always plays, byte-exact. No other frame plays.
 #[test]
 fn jitter_buffer_invariants() {
     cases(2, CASES, |rng| {
         let n = rng.gen_range(1u64..40);
-        let target = rng.gen_range(1u64..200) * 1000;
-        let mut jb = JitterBuffer::new(target);
-        let mut pushes: Vec<(u64, u64)> = (0..n)
-            .map(|id| (id, id * 33_333 + rng.gen_range(0..50_000)))
-            .collect();
-        rng.shuffle(&mut pushes);
-        let mut completed_at = std::collections::HashMap::new();
-        for &(id, at) in &pushes {
-            completed_at.insert(id, at);
-            jb.push(livo_transport::packet::AssembledFrame {
-                stream: StreamId::Depth,
-                frame_id: id,
-                data: Bytes::new(),
-                keyframe: id == 0,
-                completed_at: at,
-                send_ts: at.saturating_sub(20_000),
-            });
-        }
-        let mut t = 0u64;
-        let mut last_id: Option<u64> = None;
-        while t < 10_000_000 {
-            for f in jb.pop_ready(t) {
-                assert!(t >= completed_at[&f.frame_id] + target, "early release");
-                if let Some(prev) = last_id {
-                    assert!(f.frame_id > prev, "order violation");
+        let path_delay = rng.gen_range(1u64..200) * 1000;
+        let loss = [0.0, 0.05, 0.3][rng.gen_range(0..3)];
+        let mut pz = Packetizer::with_mtu(StreamId::Depth, rng.gen_range(16usize..600));
+        let mut originals = Vec::new();
+        // Every delivered copy with its arrival; random delays reorder.
+        let mut wire: Vec<(u64, Packet)> = Vec::new();
+        for id in 0..n {
+            let data: Vec<u8> = (0..rng.gen_range(1usize..3_000))
+                .map(|_| rng.gen())
+                .collect();
+            let sent = id * 33_333;
+            for p in pz.packetize(id, Bytes::from(data.clone()), sent, id == 0) {
+                let copies = match rng.gen_range(0.0..1.0) {
+                    x if x < loss => 0,
+                    x if x < loss + 0.1 => 2,
+                    _ => 1,
+                };
+                for _ in 0..copies {
+                    wire.push((sent + rng.gen_range(0..250_000), p.clone()));
                 }
-                last_id = Some(f.frame_id);
             }
-            t += 7_000;
+            originals.push(data);
         }
+        wire.sort_by_key(|(at, _)| *at);
+
+        let mut buf = FrameBuffer::default();
+        // The model: fragments in per frame, the frontier the releases
+        // imply, and the arrival that completed each frame above it.
+        let mut frags: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+        let mut frontier = 0u64;
+        let mut completed: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut played = BTreeSet::new();
+        let mut wire = wire.into_iter().peekable();
+        let mut t = 0u64;
+        while wire.peek().is_some() || buf.next_ready().is_some() {
+            while let Some((at, p)) = wire.next_if(|(at, _)| *at <= t) {
+                let (id, count) = (p.frame_id, p.frag_count as usize);
+                let seen = frags.entry(id).or_default();
+                if seen.insert(p.frag_index) && seen.len() == count && id >= frontier {
+                    completed.insert(id, at);
+                }
+                buf.push(p, at, path_delay);
+            }
+            while let Some(f) = buf.pop_ready(t) {
+                let id = f.frame_id;
+                let arrival = completed[&id];
+                assert!(id >= frontier, "order violation: {id} below {frontier}");
+                assert!(played.insert(id), "frame {id} played twice");
+                assert_eq!(f.completed_at, arrival, "frame {id}");
+                assert!(t >= arrival.max(id * 33_333 + path_delay), "early release");
+                assert_eq!(&f.data[..], &originals[id as usize][..], "frame {id}");
+                frontier = id + 1;
+            }
+            t += rng.gen_range(1u64..8) * 1_000;
+        }
+        assert_eq!(played, completed.keys().copied().collect(), "lost a frame");
     });
 }
 

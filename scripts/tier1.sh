@@ -70,6 +70,12 @@ fi
 if grep -rn "livo_telemetry::trace\|EventTrace" crates/livo-codec2d/src; then
   echo "the codec records into the event trace again"; exit 1
 fi
+# One receive buffer per stream owns reassembly, the playout deadline and
+# give-up: the separate jitter buffer, the session's slack ratchet, the
+# frontier hand-off and the always-true duplication flag stay gone.
+if grep -rn "JitterBuffer\|playout_slack\|PLAYOUT_SLACK\|abandon_before\|DUPLICATE_KEYFRAMES" crates src tests examples; then
+  echo "the jitter buffer, the playout slack, abandon_before or DUPLICATE_KEYFRAMES is back"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite ran at the auto-detected
 # tier above; it must also hold with the dispatcher forced to the scalar
 # tier (LIVO_SIMD caps the level per process).
