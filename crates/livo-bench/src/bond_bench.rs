@@ -263,44 +263,24 @@ pub fn json(points: &[BondPoint], profile: &EvalProfile, quick: bool) -> String 
         c.finish();
     }
     crate::write_host(o.field_raw("host"));
-    {
-        let arr = o.field_raw("points");
-        arr.push('[');
-        for (i, p) in points.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            let mut w = ObjectWriter::new(arr);
-            w.field_str("scenario", &p.scenario);
-            w.field_f64("sum_capacity_mbps", p.sum_capacity_mbps);
-            if let Some(load) = p.fixed_load_mbps {
-                w.field_f64("fixed_load_mbps", load);
-            }
-            {
-                let b = w.field_raw("bonded");
-                let mut bw = ObjectWriter::new(b);
-                outcome(&mut bw, &p.bonded);
-                bw.finish();
-            }
-            {
-                let ls = w.field_raw("links");
-                ls.push('[');
-                for (j, (name, run)) in p.singles.iter().enumerate() {
-                    if j > 0 {
-                        ls.push(',');
-                    }
-                    let mut lw = ObjectWriter::new(ls);
-                    lw.field_str("name", name);
-                    outcome(&mut lw, run);
-                    lw.finish();
-                }
-                ls.push(']');
-            }
-            w.field_bool("gate_ok", p.gate_ok());
-            w.finish();
+    o.field_objects("points", points, |w, p| {
+        w.field_str("scenario", &p.scenario);
+        w.field_f64("sum_capacity_mbps", p.sum_capacity_mbps);
+        if let Some(load) = p.fixed_load_mbps {
+            w.field_f64("fixed_load_mbps", load);
         }
-        arr.push(']');
-    }
+        {
+            let b = w.field_raw("bonded");
+            let mut bw = ObjectWriter::new(b);
+            outcome(&mut bw, &p.bonded);
+            bw.finish();
+        }
+        w.field_objects("links", &p.singles, |lw, (name, run)| {
+            lw.field_str("name", name);
+            outcome(lw, run);
+        });
+        w.field_bool("gate_ok", p.gate_ok());
+    });
     o.finish();
     out
 }

@@ -786,30 +786,20 @@ pub fn json(points: &[KernelPoint]) -> String {
         c.finish();
     }
     crate::write_host(o.field_raw("host"));
-    {
-        let arr = o.field_raw("kernels");
-        arr.push('[');
-        for (i, p) in points.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            let mut w = ObjectWriter::new(arr);
-            w.field_str("name", p.name);
-            w.field_str("unit", p.unit);
-            w.field_f64("fast_ns", p.fast_ns);
-            w.field_f64("ref_ns", p.ref_ns);
-            w.field_f64("speedup", p.speedup());
-            w.field_bool("gated", p.gated);
-            w.field_f64("gate_floor", GATE_FLOOR);
-            if let Some(b) = &p.bits {
-                w.field_u64("fast_bits", b.fast);
-                w.field_u64("ref_bits", b.reference);
-                w.field_f64("bits_ceiling", b.ceiling);
-            }
-            w.finish();
+    o.field_objects("kernels", points, |w, p| {
+        w.field_str("name", p.name);
+        w.field_str("unit", p.unit);
+        w.field_f64("fast_ns", p.fast_ns);
+        w.field_f64("ref_ns", p.ref_ns);
+        w.field_f64("speedup", p.speedup());
+        w.field_bool("gated", p.gated);
+        w.field_f64("gate_floor", GATE_FLOOR);
+        if let Some(b) = &p.bits {
+            w.field_u64("fast_bits", b.fast);
+            w.field_u64("ref_bits", b.reference);
+            w.field_f64("bits_ceiling", b.ceiling);
         }
-        arr.push(']');
-    }
+    });
     o.finish();
     out
 }

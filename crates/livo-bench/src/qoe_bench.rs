@@ -12,6 +12,7 @@
 use livo_capture::{BandwidthTrace, VideoId};
 use livo_core::conference::{ConferenceConfig, ConferenceRunner, RunSummary};
 use livo_eval::experiments::EvalProfile;
+use livo_eval::stats::percentile;
 use livo_telemetry::json::ObjectWriter;
 use livo_telemetry::kind;
 use livo_transport::SessionConfig;
@@ -37,14 +38,6 @@ pub struct QoePoint {
     pub delivery_ratio: f64,
     /// Flight-recorder bundles the run's detectors dumped.
     pub anomaly_dumps: u64,
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 /// Capture→display ages of every displayed frame (the `display` event's
@@ -173,27 +166,17 @@ pub fn json(points: &[QoePoint], profile: &EvalProfile) -> String {
         c.finish();
     }
     crate::write_host(o.field_raw("host"));
-    {
-        let arr = o.field_raw("points");
-        arr.push('[');
-        for (i, p) in points.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            let mut w = ObjectWriter::new(arr);
-            w.field_f64("bandwidth_mbps", p.bandwidth_mbps);
-            w.field_f64("loss", p.loss);
-            w.field_f64("stall_rate", p.stall_rate);
-            w.field_f64("frame_age_p50_ms", p.frame_age_p50_ms);
-            w.field_f64("frame_age_p99_ms", p.frame_age_p99_ms);
-            w.field_f64("delivered_mbps", p.delivered_mbps);
-            w.field_f64("estimate_mbps", p.estimate_mbps);
-            w.field_f64("delivery_ratio", p.delivery_ratio);
-            w.field_u64("anomaly_dumps", p.anomaly_dumps);
-            w.finish();
-        }
-        arr.push(']');
-    }
+    o.field_objects("points", points, |w, p| {
+        w.field_f64("bandwidth_mbps", p.bandwidth_mbps);
+        w.field_f64("loss", p.loss);
+        w.field_f64("stall_rate", p.stall_rate);
+        w.field_f64("frame_age_p50_ms", p.frame_age_p50_ms);
+        w.field_f64("frame_age_p99_ms", p.frame_age_p99_ms);
+        w.field_f64("delivered_mbps", p.delivered_mbps);
+        w.field_f64("estimate_mbps", p.estimate_mbps);
+        w.field_f64("delivery_ratio", p.delivery_ratio);
+        w.field_u64("anomaly_dumps", p.anomaly_dumps);
+    });
     o.finish();
     out
 }

@@ -34,9 +34,10 @@ use livo_capture::{
 };
 use livo_core::stage::FPS;
 use livo_eval::experiments::EvalProfile;
+use livo_eval::stats::percentile;
 use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
 use livo_runtime::WorkerPool;
-use livo_sfu::{Router, RouterEvent, SubscriberConfig, SubscriberId};
+use livo_sfu::{RouteSummary, Router, RouterEvent, SubscriberConfig, SubscriberId};
 use livo_telemetry::json::ObjectWriter;
 use livo_transport::Micros;
 use std::sync::Arc;
@@ -101,11 +102,28 @@ pub struct ChurnPoint {
     pub route_ms_p99: f64,
 }
 
+/// The link-class run: the whole-call benchmark's fast, mid and slow
+/// downlinks (Mbit/s), 120 frames, display slots from the sixth frame
+/// interval on (the 100 ms jitter target and three frames of fill).
+pub const LINK_CLASSES_MBPS: [f64; 3] = [50.0, 6.0, 1.5];
+const CLASS_FRAMES: usize = 120;
+const DISPLAY_AFTER: usize = 6;
+
+/// What the stage group's member on one link class displayed: new frames
+/// a second, the share of slots with none, and the T1s not forwarded.
+pub struct ClassPoint {
+    pub link_mbps: f64,
+    pub shown_fps: f64,
+    pub stall_rate: f64,
+    pub t1_dropped: u64,
+}
+
 /// The full v2 sweep, plus the worker count it ran with (the serial
 /// comparison is only meaningful with >= 2 workers).
 pub struct SfuSweep {
     pub points: Vec<ScalingPoint>,
     pub churn: Vec<ChurnPoint>,
+    pub classes: Vec<ClassPoint>,
     pub threads: usize,
 }
 
@@ -134,18 +152,34 @@ fn subscriber_cfg(i: usize, n: usize) -> SubscriberConfig {
     }
 }
 
-/// Exact percentile over raw per-frame samples.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-    samples[idx]
-}
-
 /// Router tick spacing: the product's and the benchmark's.
 const TICK_US: Micros = 1_000;
+
+/// One frame interval: each `(subscriber, slot)` observes its gaze group's
+/// pose, the router routes `views` at `now`, then ticks every 1 ms up to
+/// the next frame. Returns the summary and the route and tick wall times,
+/// milliseconds.
+fn step(
+    router: &mut Router,
+    subs: &[(SubscriberId, usize)],
+    views: &[RgbdFrame],
+    now: &mut Micros,
+) -> (RouteSummary, f64, f64) {
+    for &(id, slot) in subs {
+        router
+            .observe_pose(id, &looking(yaw_of(slot)))
+            .expect("live");
+    }
+    let t0 = std::time::Instant::now();
+    let out = router.route_frame(*now, views);
+    let route_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (frame_end, t0) = (*now + 1_000_000 / FPS as u64, std::time::Instant::now());
+    while *now < frame_end {
+        router.tick(*now);
+        *now += TICK_US;
+    }
+    (out, route_ms, t0.elapsed().as_secs_f64() * 1e3)
+}
 
 struct RunStats {
     passes_per_frame: f64,
@@ -167,34 +201,19 @@ fn run_one(
         b = b.worker_pool(pool);
     }
     let mut router = b.build().expect("valid router config");
-    let ids: Vec<SubscriberId> = (0..n)
+    let subs: Vec<(SubscriberId, usize)> = (0..n)
         .map(|i| {
-            router
-                .add_subscriber(
-                    subscriber_cfg(i, n),
-                    BandwidthTrace::constant(40.0, FRAMES as f32 / FPS as f32 + 2.0),
-                )
-                .expect("add subscriber")
+            let link = BandwidthTrace::constant(40.0, FRAMES as f32 / FPS as f32 + 2.0);
+            let id = router.add_subscriber(subscriber_cfg(i, n), link);
+            (id.expect("add subscriber"), i)
         })
         .collect();
-    let interval: Micros = 1_000_000 / FPS as u64;
     let mut now: Micros = 0;
-    let mut route_ms = Vec::with_capacity(frames.len());
-    let mut tick_ms = Vec::with_capacity(frames.len());
+    let (mut route_ms, mut tick_ms) = (Vec::new(), Vec::new());
     for views in frames {
-        for (i, &id) in ids.iter().enumerate() {
-            router.observe_pose(id, &looking(yaw_of(i))).expect("live");
-        }
-        let t0 = std::time::Instant::now();
-        router.route_frame(now, views);
-        route_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        let frame_end = now + interval;
-        let t0 = std::time::Instant::now();
-        while now < frame_end {
-            router.tick(now);
-            now += TICK_US;
-        }
-        tick_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let (_, route, tick) = step(&mut router, &subs, views, &mut now);
+        route_ms.push(route);
+        tick_ms.push(tick);
     }
     let snap = router.registry().snapshot();
     let per_frame = |name| snap.counter(name).unwrap_or(0) as f64 / frames.len() as f64;
@@ -256,7 +275,6 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
     let mut next_leave = rng.exp_frames(CHURN_MEAN_FRAMES);
     let mut next_slot = n;
 
-    let interval: Micros = 1_000_000 / FPS as u64;
     let mut now: Micros = 0;
     let mut route_ms = Vec::with_capacity(frames.len());
     let (mut joins, mut leaves, mut regroups) = (0u64, 0u64, 0u64);
@@ -284,14 +302,8 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
             }
             next_leave += rng.exp_frames(CHURN_MEAN_FRAMES);
         }
-        for &(id, slot) in &subs {
-            router
-                .observe_pose(id, &looking(yaw_of(slot)))
-                .expect("live");
-        }
-        let t0 = std::time::Instant::now();
-        let out = router.route_frame(now, views);
-        route_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let (out, route, _) = step(&mut router, &subs, views, &mut now);
+        route_ms.push(route);
         for ev in &out.events {
             match ev {
                 // Frame 0 drains the N initial adds — not churn.
@@ -306,11 +318,6 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
                 min_gap_us = min_gap_us.min(gap);
             }
         }
-        let frame_end = now + interval;
-        while now < frame_end {
-            router.tick(now);
-            now += TICK_US;
-        }
     }
     let shared_intras = router
         .registry()
@@ -324,8 +331,50 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
         regroups,
         shared_intras,
         min_intra_gap_us: (min_gap_us != u64::MAX).then_some(min_gap_us),
-        route_ms_p99: percentile(&mut route_ms, 0.99),
+        route_ms_p99: percentile(&route_ms, 0.99),
     }
+}
+
+/// Two gaze groups with one member per link class; the clip plays forward
+/// then backward, and a slot shows when the newest colour+depth pair is new.
+fn run_classes(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>]) -> Vec<ClassPoint> {
+    let mut router = Router::builder(cameras.to_vec())
+        .build()
+        .expect("valid router config");
+    // Subscriber i is in gaze group i % 2 on link class i / 2.
+    let subs: Vec<(SubscriberId, usize)> = (0..2 * LINK_CLASSES_MBPS.len())
+        .map(|i| {
+            let link = BandwidthTrace::constant(LINK_CLASSES_MBPS[i / 2], 6.0);
+            let id = router.add_subscriber(SubscriberConfig::new(format!("sub{i}")), link);
+            (id.expect("add subscriber"), i)
+        })
+        .collect();
+    let (mut shown, mut fresh) = (vec![None; subs.len()], vec![0u64; subs.len()]);
+    let (mut now, period) = (0, 2 * (frames.len() - 1));
+    for f in 0..CLASS_FRAMES {
+        let views = &frames[(f % period).min(period - f % period)];
+        step(&mut router, &subs, views, &mut now);
+        for (i, &(id, _)) in subs.iter().enumerate().filter(|_| f >= DISPLAY_AFTER) {
+            let newest = router.subscriber(id).and_then(|s| s.latest_synced_seq());
+            fresh[i] += u64::from(newest.is_some() && newest != shown[i]);
+            shown[i] = newest;
+        }
+    }
+    let (snap, slots) = (
+        router.registry().snapshot(),
+        (CLASS_FRAMES - DISPLAY_AFTER) as f64,
+    );
+    (0..subs.len())
+        .step_by(2)
+        .map(|i| ClassPoint {
+            link_mbps: LINK_CLASSES_MBPS[i / 2],
+            shown_fps: fresh[i] as f64 * FPS as f64 / slots,
+            stall_rate: 1.0 - fresh[i] as f64 / slots,
+            t1_dropped: snap
+                .counter(&format!("sfu.sub.sub{i}.t1_dropped"))
+                .unwrap_or(0),
+        })
+        .collect()
 }
 
 /// Run the sweep. The rendered capture is shared across all runs — the
@@ -355,7 +404,7 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
     let points = counts
         .iter()
         .map(|&n| {
-            let mut shared = run_one(&cameras, &frames, n, true, None);
+            let shared = run_one(&cameras, &frames, n, true, None);
             let naive = (n <= NAIVE_CAP).then(|| run_one(&cameras, &frames, n, false, None));
             let serial = (n == SERIAL_BASELINE_N).then(|| {
                 run_one(
@@ -371,11 +420,11 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
                 clusters: shared.clusters,
                 shared_passes_per_frame: shared.passes_per_frame,
                 naive_passes_per_frame: naive.as_ref().map(|r| r.passes_per_frame),
-                shared_route_ms_p50: percentile(&mut shared.route_ms, 0.5),
-                shared_route_ms_p99: percentile(&mut shared.route_ms, 0.99),
-                naive_route_ms_p50: naive.map(|mut r| percentile(&mut r.route_ms, 0.5)),
-                serial_route_ms_p50: serial.map(|mut r| percentile(&mut r.route_ms, 0.5)),
-                tick_ms_p50: percentile(&mut shared.tick_ms, 0.5),
+                shared_route_ms_p50: percentile(&shared.route_ms, 0.5),
+                shared_route_ms_p99: percentile(&shared.route_ms, 0.99),
+                naive_route_ms_p50: naive.map(|r| percentile(&r.route_ms, 0.5)),
+                serial_route_ms_p50: serial.map(|r| percentile(&r.route_ms, 0.5)),
+                tick_ms_p50: percentile(&shared.tick_ms, 0.5),
                 session_ticks_per_frame: shared.session_ticks_per_frame,
             }
         })
@@ -387,6 +436,7 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
     SfuSweep {
         points,
         churn,
+        classes: run_classes(&cameras, &frames),
         threads: pool.threads(),
     }
 }
@@ -485,7 +535,16 @@ pub fn text(sweep: &SfuSweep) -> String {
         ));
     }
     s.push_str(
-        "\nShared passes track the gaze groups, not the subscriber count; churn\nintras stay at least one RTT apart per cluster.\n",
+        "\nLink classes (stage group):\n\nlink Mbps | shown fps | stall rate | T1 dropped\n",
+    );
+    for c in &sweep.classes {
+        s.push_str(&format!(
+            "{:>9.1} | {:>9.1} | {:>10.3} | {:>10}\n",
+            c.link_mbps, c.shown_fps, c.stall_rate, c.t1_dropped
+        ));
+    }
+    s.push_str(
+        "\nShared passes track the gaze groups, not the subscriber count; churn\nintras stay at least one RTT apart per cluster; a slow link drops T1.\n",
     );
     s
 }
@@ -508,55 +567,41 @@ pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
         c.finish();
     }
     crate::write_host(o.field_raw("host"));
-    {
-        let arr = o.field_raw("points");
-        arr.push('[');
-        for (i, p) in sweep.points.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            let mut w = ObjectWriter::new(arr);
-            w.field_u64("subscribers", p.subscribers as u64);
-            w.field_u64("clusters", p.clusters as u64);
-            w.field_f64("shared_passes_per_frame", p.shared_passes_per_frame);
-            if let Some(v) = p.naive_passes_per_frame {
-                w.field_f64("naive_passes_per_frame", v);
-            }
-            w.field_f64("shared_route_ms_p50", p.shared_route_ms_p50);
-            w.field_f64("shared_route_ms_p99", p.shared_route_ms_p99);
-            if let Some(v) = p.naive_route_ms_p50 {
-                w.field_f64("naive_route_ms_p50", v);
-            }
-            if let Some(v) = p.serial_route_ms_p50 {
-                w.field_f64("serial_route_ms_p50", v);
-            }
-            w.field_f64("tick_ms_p50", p.tick_ms_p50);
-            w.field_f64("session_ticks_per_frame", p.session_ticks_per_frame);
-            w.finish();
+    o.field_objects("points", &sweep.points, |w, p| {
+        w.field_u64("subscribers", p.subscribers as u64);
+        w.field_u64("clusters", p.clusters as u64);
+        w.field_f64("shared_passes_per_frame", p.shared_passes_per_frame);
+        if let Some(v) = p.naive_passes_per_frame {
+            w.field_f64("naive_passes_per_frame", v);
         }
-        arr.push(']');
-    }
-    {
-        let arr = o.field_raw("churn");
-        arr.push('[');
-        for (i, c) in sweep.churn.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            let mut w = ObjectWriter::new(arr);
-            w.field_u64("subscribers", c.subscribers as u64);
-            w.field_u64("joins", c.joins);
-            w.field_u64("leaves", c.leaves);
-            w.field_u64("regroups", c.regroups);
-            w.field_u64("shared_intras", c.shared_intras);
-            if let Some(gap) = c.min_intra_gap_us {
-                w.field_u64("min_intra_gap_us", gap);
-            }
-            w.field_f64("route_ms_p99", c.route_ms_p99);
-            w.finish();
+        w.field_f64("shared_route_ms_p50", p.shared_route_ms_p50);
+        w.field_f64("shared_route_ms_p99", p.shared_route_ms_p99);
+        if let Some(v) = p.naive_route_ms_p50 {
+            w.field_f64("naive_route_ms_p50", v);
         }
-        arr.push(']');
-    }
+        if let Some(v) = p.serial_route_ms_p50 {
+            w.field_f64("serial_route_ms_p50", v);
+        }
+        w.field_f64("tick_ms_p50", p.tick_ms_p50);
+        w.field_f64("session_ticks_per_frame", p.session_ticks_per_frame);
+    });
+    o.field_objects("churn", &sweep.churn, |w, c| {
+        w.field_u64("subscribers", c.subscribers as u64);
+        w.field_u64("joins", c.joins);
+        w.field_u64("leaves", c.leaves);
+        w.field_u64("regroups", c.regroups);
+        w.field_u64("shared_intras", c.shared_intras);
+        if let Some(gap) = c.min_intra_gap_us {
+            w.field_u64("min_intra_gap_us", gap);
+        }
+        w.field_f64("route_ms_p99", c.route_ms_p99);
+    });
+    o.field_objects("link_classes", &sweep.classes, |w, c| {
+        w.field_f64("link_mbps", c.link_mbps);
+        w.field_f64("shown_fps", c.shown_fps);
+        w.field_f64("stall_rate", c.stall_rate);
+        w.field_u64("t1_dropped", c.t1_dropped);
+    });
     o.finish();
     out
 }

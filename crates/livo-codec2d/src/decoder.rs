@@ -23,15 +23,16 @@ use crate::motion::{self, MotionVector, MB_SIZE};
 use crate::plane::{write_block8_into_stripe, Frame, PixelFormat};
 use crate::quant::{self, DC_SCALE};
 use crate::rangecoder::{BitModel, RangeDecoder};
-use crate::slice::{self, SliceRows};
+use crate::slice::{self, Layer, SliceRows};
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The bitstream does not start with the frame magic.
     BadMagic,
-    /// An inter frame arrived but no reference is available (e.g. after a
-    /// reset or when the first received frame was not intra).
+    /// An inter frame arrived but its reference is not available (e.g.
+    /// after a reset, when the first received frame was not intra, or when
+    /// the T0 it predicts from never reached this decoder).
     MissingReference,
     /// Header fields are inconsistent (zero or absurd dimensions, unknown
     /// format, out-of-range QP).
@@ -101,11 +102,14 @@ struct DecoderTelemetry {
     scratch_reuses: Arc<Counter>,
 }
 
-/// The decoder. Holds the previous reconstruction as the inter-prediction
-/// reference.
+/// The decoder. Holds the last intra or T0 reconstruction as the
+/// inter-prediction reference.
 #[derive(Default)]
 pub struct Decoder {
     recon: Option<Frame>,
+    /// The reference's tag, and the last intra's (two layers or one).
+    ref_tag: bool,
+    layered: bool,
     /// Worker pool for slice-parallel decode. `None` (or a single-thread
     /// pool) decodes slices serially; the output is identical either way.
     pool: Option<Arc<WorkerPool>>,
@@ -151,11 +155,15 @@ impl Decoder {
         Ok(frame)
     }
 
-    /// Rotate the reconstruction double buffer after a successful decode:
-    /// the work frame becomes the prediction reference and the outgoing
-    /// reference's allocation becomes the next frame's workspace. Returns
-    /// the caller's copy of the reconstruction.
-    fn commit(&mut self) -> Frame {
+    /// Rotate the reconstruction double buffer after a successful decode
+    /// (not of a T1): the work frame becomes the prediction reference and
+    /// the outgoing reference's allocation becomes the next frame's
+    /// workspace. Returns the caller's copy of the reconstruction.
+    fn commit(&mut self, layer: Layer) -> Frame {
+        if !layer.is_t0() {
+            return self.scratch.work.clone();
+        }
+        self.ref_tag = layer.tag;
         let recycled = self
             .recon
             .take()
@@ -169,6 +177,15 @@ impl Decoder {
     /// slice count.
     fn decode_sliced(&mut self, data: &[u8]) -> Result<(Frame, usize), DecodeError> {
         let hdr = slice::parse_header(data)?;
+        if hdr.frame_type == FrameType::Intra {
+            self.layered = hdr.layer.tag;
+        } else if hdr.layer != Layer::following(hdr.layer.temporal_id, self.ref_tag, self.layered)
+            || !(hdr.layer.is_t0() || self.layered)
+        {
+            // A P frame names its reference by tag, and only a two-layer
+            // stream has T1s.
+            return Err(DecodeError::MissingReference);
+        }
         let n_slices = hdr.payload_lens.len();
         let mut offset = slice::header_len(n_slices);
         let mut payloads: Vec<&[u8]> = Vec::with_capacity(n_slices);
@@ -233,7 +250,7 @@ impl Decoder {
                 });
             }
         }
-        Ok((self.commit(), n_slices))
+        Ok((self.commit(hdr.layer), n_slices))
     }
 }
 

@@ -317,6 +317,7 @@ fn encode_inter_oracle(
     let lens: Vec<usize> = payloads.iter().map(Vec::len).collect();
     let mut data = slice::write_header(
         FrameType::Inter,
+        slice::Layer::default(),
         frame.format,
         qp,
         frame.width,

@@ -8,7 +8,7 @@ use crate::plane::{write_block8_into_stripe, Frame, PixelFormat, Plane};
 use crate::quant::{self, DC_SCALE};
 use crate::rangecoder::{BitModel, RangeEncoder};
 use crate::ratecontrol::RateController;
-use crate::slice::{self, SliceRows};
+use crate::slice::{self, Layer, SliceRows};
 use livo_runtime::WorkerPool;
 use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
@@ -18,8 +18,9 @@ use std::sync::Arc;
 pub enum FrameType {
     /// Intra frame: self-contained, DC-predicted blocks.
     Intra,
-    /// Inter frame: motion-compensated prediction from the previous
-    /// reconstructed frame.
+    /// Inter frame: motion-compensated prediction from the reference (the
+    /// previous reconstructed frame, or the previous T0 of a two-layer
+    /// stream).
     Inter,
 }
 
@@ -41,6 +42,11 @@ pub struct EncoderConfig {
     /// one slice. The count never depends on the worker-pool size, so the
     /// bitstream is identical however many threads encode it.
     pub slices: u8,
+    /// Temporal layers: 2 alternates T0, T1 from each intra on, and a T1
+    /// is never a reference, so a forwarder can drop any T1 (see
+    /// [`crate::slice`]); any other value is one layer. Two cost bits at
+    /// equal QP, which is why a two-party call keeps 1 (EXPERIMENTS.md).
+    pub temporal_layers: u8,
 }
 
 impl EncoderConfig {
@@ -54,6 +60,7 @@ impl EncoderConfig {
             qp_max: quant::QP_MAX,
             search_range: 8,
             slices: 0,
+            temporal_layers: 1,
         }
     }
 }
@@ -88,6 +95,8 @@ impl BlockCounts {
 pub struct EncodedFrame {
     pub data: Vec<u8>,
     pub frame_type: FrameType,
+    /// 0 (T0) or 1 (T1: nothing predicts from it).
+    pub temporal_id: u8,
     pub qp: u8,
     pub reconstruction: Frame,
     /// Skip/coded block statistics (telemetry: intra/inter block counts).
@@ -171,10 +180,13 @@ impl EncoderScratch {
 pub struct Encoder {
     cfg: EncoderConfig,
     rc: RateController,
+    /// The reference: the last intra or T0 reconstruction.
     recon: Option<Frame>,
+    /// The last frame's layer: its tag is the reference's.
+    last: Layer,
     frame_index: u64,
     force_intra: bool,
-    /// Input frame of the previous call, for temporal complexity estimation.
+    /// The reference's input frame, for temporal complexity estimation.
     prev_input_luma: Option<Plane>,
     telemetry: Option<EncoderTelemetry>,
     /// Worker pool for stripe-parallel inter-frame planning and
@@ -209,6 +221,7 @@ impl Encoder {
             cfg,
             rc: RateController::new(),
             recon: None,
+            last: Layer::default(),
             frame_index: 0,
             force_intra: false,
             prev_input_luma: None,
@@ -295,17 +308,7 @@ impl Encoder {
             (self.cfg.width, self.cfg.height)
         );
 
-        let intra = self.force_intra
-            || self.recon.is_none()
-            || (self.cfg.gop_length > 0
-                && self.frame_index.is_multiple_of(self.cfg.gop_length as u64));
-        self.force_intra = false;
-        let frame_type = if intra {
-            FrameType::Intra
-        } else {
-            FrameType::Inter
-        };
-
+        let (frame_type, layer) = self.plan_frame();
         let complexity = self.estimate_complexity(frame, frame_type);
         let mut qp = self.rc.pick_qp(
             frame_type,
@@ -315,7 +318,7 @@ impl Encoder {
             self.cfg.qp_max,
         );
 
-        let (mut data, mut blocks) = self.encode_with_qp(frame, qp, frame_type, false);
+        let (mut data, mut blocks) = self.encode_with_qp(frame, qp, frame_type, layer, false);
         let mut actual_bits = data.len() as u64 * 8;
         // One corrective re-encode on overshoot, like a CBR encoder's
         // internal re-quantisation. The motion search reads the input and
@@ -324,7 +327,7 @@ impl Encoder {
             self.rc
                 .update(frame_type, complexity, actual_bits as f64, qp);
             qp = (qp + 4).min(self.cfg.qp_max);
-            let redo = self.encode_with_qp(frame, qp, frame_type, true);
+            let redo = self.encode_with_qp(frame, qp, frame_type, layer, true);
             data = redo.0;
             blocks = redo.1;
             actual_bits = data.len() as u64 * 8;
@@ -332,15 +335,12 @@ impl Encoder {
         self.rc
             .update(frame_type, complexity, actual_bits as f64, qp);
         self.publish_frame_metrics(frame_type, qp, actual_bits, blocks, Some(target_bits));
-
-        self.store_prev_luma(frame);
-        let recon = self.commit_reconstruction();
-        self.frame_index += 1;
         EncodedFrame {
+            reconstruction: self.finish_frame(frame, layer),
             data,
             frame_type,
+            temporal_id: layer.temporal_id,
             qp,
-            reconstruction: recon,
             blocks,
         }
     }
@@ -354,29 +354,61 @@ impl Encoder {
             (frame.width, frame.height),
             (self.cfg.width, self.cfg.height)
         );
-        let intra = self.force_intra
+        let (frame_type, layer) = self.plan_frame();
+        let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
+        let (data, blocks) = self.encode_with_qp(frame, qp, frame_type, layer, false);
+        self.publish_frame_metrics(frame_type, qp, data.len() as u64 * 8, blocks, None);
+        EncodedFrame {
+            reconstruction: self.finish_frame(frame, layer),
+            data,
+            frame_type,
+            temporal_id: layer.temporal_id,
+            qp,
+            blocks,
+        }
+    }
+
+    /// Intra on request, without a reference, or at a GOP boundary.
+    fn next_frame_type(&self) -> FrameType {
+        if self.force_intra
             || self.recon.is_none()
             || (self.cfg.gop_length > 0
-                && self.frame_index.is_multiple_of(self.cfg.gop_length as u64));
-        self.force_intra = false;
-        let frame_type = if intra {
+                && self.frame_index.is_multiple_of(self.cfg.gop_length as u64))
+        {
             FrameType::Intra
         } else {
             FrameType::Inter
-        };
-        let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
-        let (data, blocks) = self.encode_with_qp(frame, qp, frame_type, false);
-        self.publish_frame_metrics(frame_type, qp, data.len() as u64 * 8, blocks, None);
-        self.store_prev_luma(frame);
-        let recon = self.commit_reconstruction();
-        self.frame_index += 1;
-        EncodedFrame {
-            data,
-            frame_type,
-            qp,
-            reconstruction: recon,
-            blocks,
         }
+    }
+
+    /// The temporal id the next encoded frame will carry.
+    pub fn next_temporal_id(&self) -> u8 {
+        let t1 = self.cfg.temporal_layers == 2 && self.last.is_t0();
+        u8::from(t1 && self.next_frame_type() == FrameType::Inter)
+    }
+
+    /// The next frame's type and layer; consumes a keyframe request. An
+    /// intra is a T0 that follows tag 0 (a two-layer one carries tag 1) and
+    /// restarts the T0, T1 pattern.
+    fn plan_frame(&mut self) -> (FrameType, Layer) {
+        let (frame_type, temporal_id) = (self.next_frame_type(), self.next_temporal_id());
+        self.force_intra = false;
+        let ref_tag = self.last.tag && frame_type == FrameType::Inter;
+        let layered = self.cfg.temporal_layers == 2;
+        (frame_type, Layer::following(temporal_id, ref_tag, layered))
+    }
+
+    /// After the final encode pass of a frame: a reference becomes the
+    /// next frame's prediction source (and complexity baseline); a T1
+    /// leaves both as they were. Returns the caller's reconstruction.
+    fn finish_frame(&mut self, frame: &Frame, layer: Layer) -> Frame {
+        self.frame_index += 1;
+        self.last = layer;
+        if !layer.is_t0() {
+            return self.scratch.work_recon.clone();
+        }
+        self.store_prev_luma(frame);
+        self.commit_reconstruction()
     }
 
     /// Remember this frame's luma for temporal complexity estimation,
@@ -437,7 +469,7 @@ impl Encoder {
     /// Deterministically encode `frame` at the given QP into the scratch
     /// work frame, returning the bitstream and the skip/coded block
     /// statistics. The reconstruction is left in `self.scratch.work_recon`
-    /// for [`Encoder::commit_reconstruction`] to rotate in.
+    /// for [`Encoder::finish_frame`].
     ///
     /// The frame is partitioned into [`slice::slice_count`] slices (see
     /// [`crate::slice`]). Inter frames are planned per macroblock row, then
@@ -455,6 +487,7 @@ impl Encoder {
         frame: &Frame,
         qp: u8,
         frame_type: FrameType,
+        layer: Layer,
         searched: bool,
     ) -> (Vec<u8>, BlockCounts) {
         let n_slices = slice::slice_count(self.cfg.slices, frame.height);
@@ -548,6 +581,7 @@ impl Encoder {
         let lens: Vec<usize> = payloads.iter().map(|(p, _)| p.len()).collect();
         let header = slice::write_header(
             frame_type,
+            layer,
             frame.format,
             qp,
             frame.width,

@@ -12,7 +12,9 @@
 //! ```text
 //! byte 0        SLICED_MAGIC (0xB2)
 //! byte 1        flags: bit0 = inter, bits1-2 = pixel format (0 YUV420,
-//!               1 Y16); bits 3-7 are reserved and rejected
+//!               1 Y16), bit3 = temporal id (0 T0, 1 T1; an intra is
+//!               T0), bit4 = reference tag; bits 5-7 are reserved and
+//!               rejected
 //! byte 2        QP
 //! bytes 3-4     width,  u16 little-endian
 //! bytes 5-6     height, u16 little-endian
@@ -38,6 +40,12 @@
 //! past its first for the other, neither looking at the other — so a
 //! damaged payload, or a table that cuts a tail short, decodes to garbage
 //! of the right shape.
+//!
+//! **Temporal layers.** A one-layer stream is all T0 with tag 0. A
+//! two-layer stream alternates T0, T1 from each intra on; a P frame
+//! predicts from the last T0, and nothing from a T1. Its intra carries tag
+//! 1, each T0 flips the tag of the T0 it predicts from, and a T1 repeats
+//! it, so a frame names its reference (DESIGN.md "Bitstream").
 //!
 //! Slice geometry is a pure function of `(height, S)` — *never* of the
 //! worker-pool size — so the bitstream is identical no matter how many
@@ -200,9 +208,70 @@ pub(crate) fn intra_dc_pred_stripe(
     }
 }
 
+/// Flags bits 3 and 4: a frame's place in its stream's temporal layers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Layer {
+    /// 0 (T0, a reference) or 1 (T1, never a reference).
+    pub temporal_id: u8,
+    /// The reference tag.
+    pub tag: bool,
+}
+
+impl Layer {
+    /// Whether this is a T0 (an intra included): what later frames
+    /// predict from.
+    pub fn is_t0(&self) -> bool {
+        self.temporal_id == 0
+    }
+
+    /// The layer of a frame that follows a reference tagged `ref_tag`: a
+    /// two-layer T0 flips the tag, anything else repeats it.
+    pub(crate) fn following(temporal_id: u8, ref_tag: bool, layered: bool) -> Layer {
+        Layer {
+            temporal_id,
+            tag: ref_tag ^ (layered && temporal_id == 0),
+        }
+    }
+}
+
+/// Split the flags byte; every value outside the header table is a
+/// [`DecodeError::BadHeader`].
+fn parse_flags(flags: u8) -> Result<(FrameType, PixelFormat, Layer), DecodeError> {
+    let frame_type = if flags & 1 == 1 {
+        FrameType::Inter
+    } else {
+        FrameType::Intra
+    };
+    let format = match (flags >> 1) & 0b11 {
+        0 => PixelFormat::Yuv420,
+        1 => PixelFormat::Y16,
+        _ => return Err(DecodeError::BadHeader),
+    };
+    let layer = Layer {
+        temporal_id: (flags >> 3) & 1,
+        tag: flags & 0b1_0000 != 0,
+    };
+    // Bits 5-7 are reserved, and an intra restarts the pattern as T0.
+    if flags >> 5 != 0 || (frame_type == FrameType::Intra && !layer.is_t0()) {
+        return Err(DecodeError::BadHeader);
+    }
+    Ok((frame_type, format, layer))
+}
+
+/// A frame's type and temporal layer, read from its flags byte alone;
+/// `None` when `data` does not open with a valid frame header.
+pub fn peek_layer(data: &[u8]) -> Option<(FrameType, Layer)> {
+    if data.len() < FIXED_HEADER_LEN || data[0] != SLICED_MAGIC {
+        return None;
+    }
+    let (frame_type, _, layer) = parse_flags(data[1]).ok()?;
+    Some((frame_type, layer))
+}
+
 /// Serialise the frame header: fixed fields, then the slice length table.
 pub(crate) fn write_header(
     frame_type: FrameType,
+    layer: Layer,
     format: PixelFormat,
     qp: u8,
     width: usize,
@@ -217,7 +286,12 @@ pub(crate) fn write_header(
         PixelFormat::Yuv420 => 0u8,
         PixelFormat::Y16 => 1,
     };
-    out.push(u8::from(frame_type == FrameType::Inter) | (fmt_bits << 1));
+    out.push(
+        u8::from(frame_type == FrameType::Inter)
+            | (fmt_bits << 1)
+            | (layer.temporal_id << 3)
+            | (u8::from(layer.tag) << 4),
+    );
     out.push(qp);
     out.extend_from_slice(&(width as u16).to_le_bytes());
     out.extend_from_slice(&(height as u16).to_le_bytes());
@@ -232,6 +306,7 @@ pub(crate) fn write_header(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FrameHeader {
     pub frame_type: FrameType,
+    pub layer: Layer,
     pub format: PixelFormat,
     pub qp: u8,
     pub width: usize,
@@ -250,21 +325,7 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<FrameHeader, DecodeError> {
     if data.len() < FIXED_HEADER_LEN {
         return Err(DecodeError::Truncated);
     }
-    let flags = data[1];
-    let frame_type = if flags & 1 == 1 {
-        FrameType::Inter
-    } else {
-        FrameType::Intra
-    };
-    let format = match (flags >> 1) & 0b11 {
-        0 => PixelFormat::Yuv420,
-        1 => PixelFormat::Y16,
-        _ => return Err(DecodeError::BadHeader),
-    };
-    // Bits 3-7 are reserved.
-    if flags & !0b111 != 0 {
-        return Err(DecodeError::BadHeader);
-    }
+    let (frame_type, format, layer) = parse_flags(data[1])?;
     let qp = data[2];
     if qp > quant::QP_MAX {
         return Err(DecodeError::BadHeader);
@@ -302,6 +363,7 @@ pub(crate) fn parse_header(data: &[u8]) -> Result<FrameHeader, DecodeError> {
         std::cmp::Ordering::Greater => Err(DecodeError::BadSliceTable),
         std::cmp::Ordering::Equal => Ok(FrameHeader {
             frame_type,
+            layer,
             format,
             qp,
             width,
@@ -362,13 +424,27 @@ mod tests {
     #[test]
     fn header_round_trips() {
         let lens = [64usize, 1000, 5];
-        let h = write_header(FrameType::Inter, PixelFormat::Y16, 17, 320, 240, &lens);
+        let layer = Layer {
+            temporal_id: 1,
+            tag: true,
+        };
+        let h = write_header(
+            FrameType::Inter,
+            layer,
+            PixelFormat::Y16,
+            17,
+            320,
+            240,
+            &lens,
+        );
         assert_eq!(h.len(), header_len(3));
         // Pad to the advertised total so parse sees a consistent buffer.
         let mut buf = h.clone();
         buf.resize(header_len(3) + lens.iter().sum::<usize>(), 0);
         let parsed = parse_header(&buf).unwrap();
         assert_eq!(parsed.frame_type, FrameType::Inter);
+        assert_eq!(parsed.layer, layer);
+        assert_eq!(peek_layer(&buf), Some((FrameType::Inter, layer)));
         assert_eq!(parsed.format, PixelFormat::Y16);
         assert_eq!(parsed.qp, 17);
         assert_eq!((parsed.width, parsed.height), (320, 240));
@@ -379,7 +455,15 @@ mod tests {
     fn corrupt_headers_map_to_errors_not_panics() {
         let lens = [64usize, 64];
         let good = {
-            let mut b = write_header(FrameType::Intra, PixelFormat::Yuv420, 10, 64, 64, &lens);
+            let mut b = write_header(
+                FrameType::Intra,
+                Layer::default(),
+                PixelFormat::Yuv420,
+                10,
+                64,
+                64,
+                &lens,
+            );
             b.resize(header_len(2) + 128, 0);
             b
         };
@@ -422,23 +506,28 @@ mod tests {
         huge[6] = 0xFF;
         assert_eq!(parse_header(&huge), Err(DecodeError::BadHeader));
         // Every value of the flags byte either parses to its (inter,
-        // format) pair or is a bad header: format codes 2 and 3 are
-        // unknown and bits 3-7 are reserved (3, 4 and 5 carried meaning in
-        // retired revisions of the format, so frames from those encoders
-        // must be rejected, not misread).
+        // format, temporal id, tag) or is a bad header: format codes 2 and
+        // 3 are unknown, an intra is never T1, and bits 5-7 are reserved.
+        // Bits 3-5 carried meaning in retired revisions of the format; 3
+        // and 4 are the temporal id and tag now, and 5 is still rejected.
         for flags in 0..=255u8 {
             let mut flag = good.clone();
             flag[1] = flags;
+            let valid = flags < 0b10_0000 && (flags >> 1) & 0b11 < 2 && flags & 0b1001 != 0b1000;
             match parse_header(&flag) {
                 Ok(h) => {
-                    assert!(flags < 0b100, "flags {flags:#010b} must be rejected");
+                    assert!(valid, "flags {flags:#010b} must be rejected");
                     assert_eq!(h.frame_type == FrameType::Inter, flags & 1 == 1);
-                    let format = [PixelFormat::Yuv420, PixelFormat::Y16][(flags >> 1) as usize];
+                    let format = [PixelFormat::Yuv420, PixelFormat::Y16][(flags >> 1) as usize & 1];
                     assert_eq!(h.format, format);
+                    assert_eq!(h.layer.temporal_id, (flags >> 3) & 1);
+                    assert_eq!(h.layer.tag, flags & 0b1_0000 != 0);
+                    assert_eq!(peek_layer(&flag), Some((h.frame_type, h.layer)));
                 }
                 Err(e) => {
-                    assert!(flags >= 0b100, "flags {flags:#010b} must parse");
+                    assert!(!valid, "flags {flags:#010b} must parse");
                     assert_eq!(e, DecodeError::BadHeader, "flags {flags:#010b}");
+                    assert_eq!(peek_layer(&flag), None);
                 }
             }
         }

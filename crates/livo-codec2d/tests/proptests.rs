@@ -2,7 +2,10 @@
 
 use livo_codec2d::block::{decode_block, encode_block, CoeffContexts};
 use livo_codec2d::rangecoder::{RangeDecoder, RangeEncoder};
-use livo_codec2d::{luma_psnr, luma_rmse, Decoder, Encoder, EncoderConfig, Frame, PixelFormat};
+use livo_codec2d::{
+    luma_psnr, luma_rmse, DecodeError, Decoder, Encoder, EncoderConfig, Frame, FrameType,
+    PixelFormat,
+};
 use livo_math::rng::{cases, SplitMix64};
 
 fn smooth_yuv_frame(w: usize, h: usize, seed: u64, t: f32) -> Frame {
@@ -300,4 +303,108 @@ fn sixteen_bit_depth_scaling_reduces_relative_error() {
         err_scaled < err_raw,
         "scaled MSE {err_scaled} should beat raw MSE {err_raw} (both in mm²)"
     );
+}
+
+fn two_layer_encoder(w: usize, h: usize, format: PixelFormat) -> Encoder {
+    let mut cfg = EncoderConfig::new(w, h, format);
+    cfg.temporal_layers = 2;
+    Encoder::new(cfg)
+}
+
+fn layered_frame(w: usize, h: usize, format: PixelFormat, seed: u64, t: usize) -> Frame {
+    match format {
+        PixelFormat::Yuv420 => smooth_yuv_frame(w, h, seed, t as f32 * 0.3),
+        PixelFormat::Y16 => Frame::from_y16(
+            w,
+            h,
+            (0..w * h)
+                .map(|p| (((p + t * 7) * 401 + seed as usize) % 60_000) as u16)
+                .collect(),
+        ),
+    }
+}
+
+/// A two-layer stream alternates T0, T1 from every intra on, and with any
+/// seeded pattern of T1 frames dropped in transit the decoder reproduces
+/// the encoder's reconstruction for every frame it is given.
+#[test]
+fn two_layer_stream_survives_any_dropped_t1() {
+    cases(9, CASES, |rng| {
+        let (w, h) = (rng.gen_range(16usize..80), rng.gen_range(16usize..80));
+        let format = [PixelFormat::Yuv420, PixelFormat::Y16][rng.gen_range(0usize..2)];
+        let target = rng.gen_range(5_000u64..200_000);
+        let drop_share = rng.gen_range(0.0..1.0);
+        let mut enc = two_layer_encoder(w, h, format);
+        let mut dec = Decoder::new();
+        let mut expect_t1 = false;
+        for t in 0..12 {
+            if rng.gen_bool(0.1) {
+                enc.force_keyframe();
+            }
+            let out = enc.encode(&layered_frame(w, h, format, 3, t), target);
+            if out.frame_type == FrameType::Intra {
+                expect_t1 = false;
+            }
+            assert_eq!(out.temporal_id, u8::from(expect_t1), "frame {t}");
+            expect_t1 = !expect_t1;
+            if out.temporal_id == 1 && rng.gen_bool(drop_share) {
+                continue;
+            }
+            assert_eq!(
+                dec.decode(&out.data).unwrap(),
+                out.reconstruction,
+                "frame {t}"
+            );
+        }
+    });
+}
+
+/// A T0 whose reference T0 never reached the decoder is an error, not a
+/// garbage frame, and so is the T1 that predicts from the missing T0; the
+/// next intra recovers.
+#[test]
+fn two_layer_stream_rejects_a_t0_whose_reference_is_missing() {
+    cases(10, 8, |rng| {
+        let (w, h) = (rng.gen_range(16usize..64), rng.gen_range(16usize..64));
+        let mut enc = two_layer_encoder(w, h, PixelFormat::Yuv420);
+        let frames: Vec<_> = (0..7)
+            .map(|t| enc.encode(&layered_frame(w, h, PixelFormat::Yuv420, 4, t), 60_000))
+            .collect();
+        // I T1 T0 T1 T0 T1 T0: frame 2 (a T0) is lost.
+        let mut dec = Decoder::new();
+        dec.decode(&frames[0].data).unwrap();
+        dec.decode(&frames[1].data).unwrap();
+        for lacking in &frames[3..5] {
+            assert_eq!(
+                dec.decode(&lacking.data),
+                Err(DecodeError::MissingReference)
+            );
+        }
+        enc.force_keyframe();
+        let key = enc.encode(&layered_frame(w, h, PixelFormat::Yuv420, 4, 7), 60_000);
+        assert_eq!(dec.decode(&key.data).unwrap(), key.reconstruction);
+        let next = enc.encode(&layered_frame(w, h, PixelFormat::Yuv420, 4, 8), 60_000);
+        assert_eq!(dec.decode(&next.data).unwrap(), next.reconstruction);
+    });
+}
+
+/// The decoder stays total on a two-layer stream's mutated bytes, with T1
+/// frames and tags flipped anywhere: garbage or an error, never a panic.
+#[test]
+fn two_layer_decoder_is_total_under_mutation() {
+    cases(11, CASES, |rng| {
+        let (w, h) = (rng.gen_range(16usize..64), rng.gen_range(16usize..64));
+        let mut enc = two_layer_encoder(w, h, PixelFormat::Yuv420);
+        let mut dec = Decoder::new();
+        for t in 0..6 {
+            let mut data = enc
+                .encode(&layered_frame(w, h, PixelFormat::Yuv420, 5, t), 40_000)
+                .data;
+            for _ in 0..rng.gen_range(0usize..4) {
+                let at = rng.gen_range(0..data.len());
+                data[at] ^= 1 << rng.gen_range(0u32..8);
+            }
+            let _ = dec.decode(&data);
+        }
+    });
 }

@@ -266,17 +266,33 @@ fn corrupt_slice_tables_are_rejected() {
 }
 
 #[test]
-fn reserved_flag_bit_3_is_rejected() {
-    // Bit 3 selected the retired interleaved entropy lanes; it is reserved
-    // now, on one-slice and multi-slice frames alike.
+fn flag_bit_3_is_the_temporal_id() {
+    // Bit 3 selected the retired interleaved entropy lanes; it is the
+    // temporal id now. An intra is never T1, and a T1 in a one-layer
+    // stream names a reference the decoder does not hold, on one-slice and
+    // multi-slice frames alike. Bits 5-7 stay reserved.
     for &(w, h, format, slices) in &MUTATION_PRESETS {
-        for mut c in preset_streams(w, h, format, slices) {
-            c[1] |= 0b1000;
-            assert_eq!(
-                Decoder::new().decode(&c).map(|_| ()),
-                Err(DecodeError::BadHeader),
-                "{w}x{h}"
-            );
+        let streams = preset_streams(w, h, format, slices);
+        let mut dec = Decoder::new();
+        dec.decode(&streams[0]).unwrap();
+        for (i, data) in streams.iter().enumerate() {
+            let mut t1 = data.clone();
+            t1[1] |= 0b1000;
+            let want = if i == 0 {
+                DecodeError::BadHeader
+            } else {
+                DecodeError::MissingReference
+            };
+            assert_eq!(dec.decode(&t1).map(|_| ()), Err(want), "{w}x{h} #{i}");
+            for bit in 5..8 {
+                let mut c = data.clone();
+                c[1] |= 1 << bit;
+                assert_eq!(
+                    Decoder::new().decode(&c).map(|_| ()),
+                    Err(DecodeError::BadHeader),
+                    "{w}x{h} #{i} bit {bit}"
+                );
+            }
         }
     }
 }

@@ -428,7 +428,7 @@ impl ConferenceRunner {
         };
         let mut splitter = BandwidthSplitter::new(SplitterConfig::default());
         let mut predictor = FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M);
-        let mut sender = SenderStage::new(self.layout, cfg.depth_encoding);
+        let mut sender = SenderStage::new(self.layout, cfg.depth_encoding, 1);
         let mut receiver = ReceiverStage::new();
         sender.set_worker_pool(pool.clone());
         receiver.set_worker_pool(pool.clone());

@@ -19,7 +19,9 @@ use crate::cull::{CullContext, CullStats};
 use crate::depth::{DepthCodec, DepthEncoding};
 use crate::tile::{compose_color, compose_depth, header_rows_for, read_seq, TileLayout};
 use livo_capture::RgbdFrame;
-use livo_codec2d::{luma_rmse, Decoder, EncodedFrame, Encoder, EncoderConfig, Frame, PixelFormat};
+use livo_codec2d::{
+    luma_rmse, Decoder, EncodedFrame, Encoder, EncoderConfig, Frame, FrameType, PixelFormat,
+};
 use livo_math::{Frustum, RgbdCamera};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace};
@@ -76,7 +78,9 @@ pub struct SenderStage {
 }
 
 impl SenderStage {
-    pub fn new(layout: TileLayout, depth_encoding: DepthEncoding) -> Self {
+    /// `temporal_layers` is the encoders' (1 | 2): a two-party call sends
+    /// one, an SFU cluster two, so each downlink can drop T1.
+    pub fn new(layout: TileLayout, depth_encoding: DepthEncoding, temporal_layers: u8) -> Self {
         let depth_codec = DepthCodec {
             encoding: depth_encoding,
             ..DepthCodec::default()
@@ -87,6 +91,7 @@ impl SenderStage {
         let encoder = |format| {
             let mut cfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, format);
             cfg.gop_length = 0;
+            cfg.temporal_layers = temporal_layers;
             Encoder::new(cfg)
         };
         SenderStage {
@@ -128,6 +133,12 @@ impl SenderStage {
 
     pub fn depth_codec(&self) -> &DepthCodec {
         &self.depth_codec
+    }
+
+    /// The temporal id of the next encoded pair (both encoders keep one
+    /// pattern: they see the same frames and keyframe requests).
+    pub fn next_temporal_id(&self) -> u8 {
+        self.color_enc.next_temporal_id()
     }
 
     /// Make the next encoded pair intra frames (PLI, new receiver).
@@ -212,7 +223,8 @@ pub enum Ingest {
     Decoded,
     /// The payload failed to decode: decoder reset, keyframe needed.
     DecodeError,
-    /// A frame-id gap broke the P chain: decoder reset, keyframe needed.
+    /// The frame this one predicts from never arrived: decoder reset,
+    /// keyframe needed.
     ChainBroken,
     /// Skipped: the lane is waiting for a keyframe and this is not one.
     AwaitingKey,
@@ -243,7 +255,10 @@ struct DecodeLane {
     track: &'static str,
     dec: Decoder,
     window: BTreeMap<u32, Frame>,
-    expected_frame: u64,
+    /// Id of the last frame seen that later frames predict from.
+    last_ref: Option<u64>,
+    /// Whether a T1 or a two-layer intra has been seen.
+    layered: bool,
     need_key: bool,
     /// Where each decode attempt is recorded, and as which party.
     trace: Option<(Arc<EventTrace>, u16)>,
@@ -256,15 +271,25 @@ impl DecodeLane {
             track,
             dec: Decoder::new(),
             window: BTreeMap::new(),
-            expected_frame: 0,
+            last_ref: None,
+            layered: false,
             need_key: false,
             trace: None,
         }
     }
 
     fn ingest(&mut self, af: &AssembledFrame, now: Micros) -> FrameOutcome {
-        let gap = af.frame_id != self.expected_frame && !af.keyframe;
-        self.expected_frame = af.frame_id + 1;
+        // The frame this one predicts from must be the last reference seen:
+        // a T1 and a one-layer P frame name the frame before them, a T0 of a
+        // two-layer stream the one two back. A missing T1 costs nothing.
+        let layer =
+            livo_codec2d::slice::peek_layer(&af.data).map(|(t, l)| (t == FrameType::Intra, l));
+        self.layered |= layer.is_some_and(|(intra, l)| !l.is_t0() || (intra && l.tag));
+        let reference = layer.is_none_or(|(_, l)| l.is_t0());
+        let back = if reference && self.layered { 2 } else { 1 };
+        let gap = !af.keyframe && af.frame_id.checked_sub(back) != self.last_ref;
+        // Later frames predict from this one, or from the T0 this T1 named.
+        self.last_ref = af.frame_id.checked_sub(u64::from(!reference));
         let mut decode_ms = 0.0;
         let ingest = if gap {
             self.dec.reset();
@@ -567,7 +592,7 @@ mod tests {
             for frusta in culls {
                 for rate in rates {
                     let what = format!("{encoding:?}, {} frusta, {rate:?}", frusta.len());
-                    let mut stage = SenderStage::new(layout, encoding);
+                    let mut stage = SenderStage::new(layout, encoding, 1);
                     let mut by_hand = ByHand::new(layout, encoding);
                     let mut culled_any = false;
                     for (seq, captured) in clip.iter().enumerate() {
@@ -715,7 +740,7 @@ mod tests {
         let layout = layout_of(&cameras);
         let clip = clip(&cameras);
         // A twelve-frame stream pair with intra frames at 0 and 6.
-        let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16);
+        let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16, 1);
         let (color, depth) = NOADAPT_QPS;
         let sent: Vec<(EncodedFrame, EncodedFrame)> = (0..FRAMES)
             .map(|seq| {
@@ -842,5 +867,70 @@ mod tests {
         // 3 to 5, so all of its seven are still there.
         assert!(rx.color(0).is_none() && rx.color(1).is_some() && rx.color(8).is_some());
         assert!(rx.depth(0).is_some() && rx.depth(4).is_none() && rx.depth(9).is_some());
+    }
+
+    #[test]
+    fn two_layer_lanes_lose_t1_freely_and_break_on_a_lost_t0() {
+        use Ingest::*;
+        use StreamId::{Color, Depth};
+        let cameras = cameras();
+        let clip = clip(&cameras);
+        // Intras at 0, 6 and 11; T1 at every odd id between.
+        let mut sender = SenderStage::new(layout_of(&cameras), DepthEncoding::ScaledY16, 2);
+        let (color, depth) = NOADAPT_QPS;
+        let sent: Vec<(EncodedFrame, EncodedFrame)> = (0..FRAMES)
+            .map(|seq| {
+                if seq == KEY_AT || seq == FRAMES - 1 {
+                    sender.force_keyframe();
+                }
+                let canvases = sender.compose(&clip[seq as usize], seq);
+                sender.encode(&canvases, Rate::FixedQp { color, depth }, seq as u64, 0)
+            })
+            .collect();
+        let t1: Vec<u64> = (0..FRAMES as u64)
+            .filter(|&i| sent[i as usize].0.temporal_id == 1)
+            .collect();
+        assert_eq!(t1, [1, 3, 5, 7, 9]);
+        // Colour loses T1 1 and 5, then T0 8; depth gets the T0s alone.
+        let colour = [0, 2, 3, 4, 6, 7, 9, 10, 11];
+        let depth_ids = [0, 2, 4, 6, 8, 10, 11];
+        let mut arrivals: Vec<AssembledFrame> = colour
+            .iter()
+            .map(|&i| delivered(Color, i, &sent[i as usize].0))
+            .collect();
+        arrivals.extend(
+            depth_ids
+                .iter()
+                .map(|&i| delivered(Depth, i, &sent[i as usize].1)),
+        );
+        let mut rx = ReceiverStage::new();
+        let got: Vec<_> = rx
+            .ingest(&arrivals, 0)
+            .iter()
+            .map(|o| (o.lane, o.frame_id, o.ingest))
+            .collect();
+        let mut want: Vec<_> = colour
+            .iter()
+            .map(|&i| {
+                let ingest = match i {
+                    9 => ChainBroken,
+                    10 => AwaitingKey,
+                    _ => Decoded,
+                };
+                ("color", i, ingest)
+            })
+            .collect();
+        want.extend(depth_ids.iter().map(|&i| ("depth", i, Decoded)));
+        assert_eq!(got, want);
+        // What decoded is what the sender reconstructed, T1s included.
+        for i in [3, 4, 7, 11] {
+            assert!(
+                *rx.color(i as u32).unwrap() == sent[i].0.reconstruction,
+                "{i}"
+            );
+        }
+        for i in depth_ids {
+            assert!(*rx.depth(i as u32).unwrap() == sent[i as usize].1.reconstruction);
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! in parallel on the worker pool, with the encode rate capped at the
 //! fastest member's GCC estimate, and (4) fans the cluster bitstreams out
 //! to every member's own [`RtcSession`], the fan-out itself sharded
-//! across the pool. A member whose link is far slower than the leader's
-//! receives the same stream and sheds the overflow in its own transport.
+//! across the pool. Cluster encodes have two temporal layers: every member
+//! gets each T0 and a T1 only while its downlink carries it, so a member
+//! far slower than the leader settles on the T0s, 15 fps that decode alone
+//! (no re-encode, no second variant; see `Subscriber::takes_t1`).
 //!
 //! ## Sharded route, due-only tick
 //!
@@ -373,7 +375,7 @@ impl ClusterState {
         layout: TileLayout,
         registry: &Arc<MetricsRegistry>,
     ) -> Self {
-        let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16);
+        let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16, 2);
         sender.attach_cull_telemetry(registry);
         ClusterState {
             key,
@@ -440,6 +442,8 @@ struct FanPayload {
     color_key: bool,
     depth: Bytes,
     depth_key: bool,
+    /// A T1 pair: nothing predicts from it, so a downlink may skip it.
+    t1: bool,
     rmse_color: f64,
     rmse_depth_mm: f64,
 }
@@ -487,10 +491,6 @@ impl Router {
         &self.registry
     }
 
-    pub fn layout(&self) -> &TileLayout {
-        &self.layout
-    }
-
     /// Add a subscriber on its own emulated downlink. The returned
     /// [`SubscriberId`] keys [`observe_pose`](Self::observe_pose),
     /// [`subscriber`](Self::subscriber) and the cluster reports.
@@ -521,6 +521,7 @@ impl Router {
         let mut sub = Subscriber::new(cfg, trace, &self.pool);
         let prefix = format!("sfu.sub.{safe}.transport");
         sub.session.attach_telemetry(&self.registry, &prefix);
+        sub.t1_dropped = self.registry.counter(&format!("sfu.sub.{safe}.t1_dropped"));
         if let Some(tr) = &self.trace {
             sub.attach_trace(tr.clone(), subscriber_party(id));
         }
@@ -739,7 +740,6 @@ impl Router {
             let split = self.subscribers[&state.members[leader_idx]]
                 .splitter
                 .split();
-            let media = leader * MEDIA_SHARE / FPS as f64;
             let cooldown_us = state
                 .members
                 .iter()
@@ -750,6 +750,12 @@ impl Router {
             if fired.is_none() && state.chain.is_armed() {
                 self.metrics.deferred_intras.inc();
             }
+            // A T1 gets the leader's rate; a T0 (or intra) no more than the
+            // slowest member carries at half the frame rate.
+            let slowest = estimates.iter().cloned().fold(f64::MAX, f64::min);
+            let t1 = fired.is_none() && state.sender.next_temporal_id() == 1;
+            let media =
+                leader.min(if t1 { f64::MAX } else { 2.0 * slowest }) * MEDIA_SHARE / FPS as f64;
             let frusta: Vec<Frustum> = state
                 .members
                 .iter()
@@ -901,6 +907,7 @@ impl Router {
                 color_key: out.color.frame_type == FrameType::Intra,
                 depth: Bytes::from(out.depth.data.clone()),
                 depth_key: out.depth.frame_type == FrameType::Intra,
+                t1: out.color.temporal_id == 1,
                 rmse_color: out.rmse_color,
                 rmse_depth_mm: out.rmse_depth_mm,
             });
@@ -929,6 +936,13 @@ impl Router {
                         continue;
                     };
                     let p = &payloads[ci];
+                    if sub.splitter.measurement_due() {
+                        sub.splitter.update(p.rmse_depth_mm, p.rmse_color);
+                    }
+                    if p.t1 && !sub.takes_t1(8 * (p.color.len() + p.depth.len()) as u64) {
+                        sub.t1_dropped.inc();
+                        continue;
+                    }
                     sub.session.send_frame(
                         now,
                         StreamId::Color,
@@ -944,9 +958,6 @@ impl Router {
                         p.depth_key,
                     );
                     sub.stats.frames_forwarded += 1;
-                    if sub.splitter.measurement_due() {
-                        sub.splitter.update(p.rmse_depth_mm, p.rmse_color);
-                    }
                 }
             });
         }
@@ -1206,6 +1217,79 @@ mod tests {
         let out = router.route_frame(66_666, &views);
         assert_eq!(out.clusters[0].members, vec![ids[2]]);
         assert_eq!(out.clusters[0].color.frame_type, FrameType::Inter);
+    }
+
+    #[test]
+    fn a_slow_member_settles_on_t0_and_arms_no_intra() {
+        // The benchmark's rig: four cameras at 0.08x, a stream of ≈ 100
+        // kbit a frame at the QP floor, far more than 1.5 Mbit/s carries.
+        let cams = rig::camera_ring(
+            4,
+            2.5,
+            1.4,
+            Vec3::new(0.0, 1.0, 0.0),
+            CameraIntrinsics::kinect_depth(0.08),
+        );
+        let clip: Vec<_> = (0..10)
+            .map(|f| views_at(&cams, f as f32 / 30.0, f))
+            .collect();
+        let mut router = Router::builder(cams).build().unwrap();
+        let link = |mbps| BandwidthTrace::constant(mbps, 6.0);
+        let fast = router
+            .add_subscriber(SubscriberConfig::new("fast"), link(50.0))
+            .unwrap();
+        let slow = router
+            .add_subscriber(SubscriberConfig::new("slow"), link(1.5))
+            .unwrap();
+        let frames = 120u64;
+        let (mut t1_late_half, mut dropped_half) = (0, 0);
+        for f in 0..frames {
+            for id in [fast, slow] {
+                router.observe_pose(id, &looking(0.0)).unwrap();
+            }
+            let now = f * 1_000_000 / 30;
+            let out = router.route_frame(now, &clip[(f % 10) as usize]);
+            assert_eq!(out.encode_passes, 1, "one cluster");
+            let t1 = out.clusters[0].color.temporal_id == 1;
+            assert_eq!(t1, f % 2 == 1, "frame {f}: T0, T1 from the intra on");
+            if t1 && f >= frames / 2 {
+                t1_late_half += 1;
+            }
+            if f + 1 == frames / 2 {
+                let snap = router.registry().snapshot();
+                dropped_half = snap.counter("sfu.sub.slow.t1_dropped").unwrap();
+            }
+            for tick in now..now + 33_334 {
+                if tick % 1_000 == 0 {
+                    router.tick(tick);
+                }
+            }
+        }
+        let snap = router.registry().snapshot();
+        let dropped = |name: &str| snap.counter(&format!("sfu.sub.{name}.t1_dropped")).unwrap();
+        // The fast member receives every frame; the slow one, late in the
+        // call, every T0 and no T1.
+        assert_eq!(dropped("fast"), 0);
+        assert_eq!(
+            router.subscriber(fast).unwrap().stats().frames_forwarded,
+            frames
+        );
+        let slow_sub = router.subscriber(slow).unwrap();
+        assert!(dropped_half > 0);
+        assert_eq!(dropped("slow") - dropped_half, t1_late_half);
+        assert_eq!(slow_sub.stats().frames_forwarded + dropped("slow"), frames);
+        // Only the first intra: the slow member never breaks its chain.
+        assert_eq!(snap.counter("sfu.shared_intras"), Some(1));
+        assert_eq!(slow_sub.stats().keyframes_requested, 0);
+        assert!(slow_sub.stats().frames_decoded >= 2 * (frames / 2 - 10));
+        // Every forwarded pair went out as two frames.
+        for id in [fast, slow] {
+            let sub = router.subscriber(id).unwrap();
+            assert_eq!(
+                sub.session().stats().frames_sent,
+                2 * sub.stats().frames_forwarded
+            );
+        }
     }
 
     #[test]

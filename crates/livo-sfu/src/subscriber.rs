@@ -12,10 +12,11 @@ use livo_capture::BandwidthTrace;
 use livo_codec2d::Frame;
 use livo_core::frustum_pred::FrustumPredictor;
 use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
-use livo_core::stage::{Ingest, ReceiverStage, GUARD_BAND_M};
-use livo_math::{FrustumParams, Pose};
+use livo_core::stage::{Ingest, ReceiverStage, FPS, GUARD_BAND_M};
+use livo_math::FrustumParams;
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::EventTrace;
+use livo_telemetry::Counter;
 use livo_transport::{Micros, RtcSession, SessionConfig};
 use std::sync::Arc;
 
@@ -70,6 +71,11 @@ pub struct SubscriberStats {
     pub keyframes_requested: u64,
 }
 
+/// Share of a T0 period's estimate that must cover a T1 (with what the
+/// pacer holds) before a downlink dropping T1 takes them again: the
+/// hysteresis that keeps a link near the edge from flapping.
+const T1_RESUME: f64 = 0.7;
+
 /// One subscriber: downlink session + predictor + splitter + decode
 /// stand-in. Constructed by [`crate::router::Router::add_subscriber`].
 pub struct Subscriber {
@@ -79,6 +85,10 @@ pub struct Subscriber {
     pub(crate) splitter: BandwidthSplitter,
     pub(crate) receiver: Option<ReceiverStage>,
     pub(crate) stats: SubscriberStats,
+    /// Whether the downlink takes T1 frames now.
+    takes_t1: bool,
+    /// `sfu.sub.<name>.t1_dropped`.
+    pub(crate) t1_dropped: Arc<Counter>,
 }
 
 impl Subscriber {
@@ -100,13 +110,27 @@ impl Subscriber {
             splitter: BandwidthSplitter::new(cfg.splitter),
             receiver,
             stats: SubscriberStats::default(),
+            takes_t1: true,
+            t1_dropped: Arc::new(Counter::new()),
         }
+    }
+
+    /// Whether this downlink takes a T1 of `bits`: its GCC estimate over
+    /// one T0 period (two frame intervals) must cover the T1 on top of what
+    /// its pacer still holds, with [`T1_RESUME`] hysteresis once it has
+    /// been dropping. A T0 always goes: the T0s alone decode at half rate.
+    pub(crate) fn takes_t1(&mut self, bits: u64) -> bool {
+        let budget = 2.0 * self.session.estimate_bps() / FPS as f64;
+        let need = (self.session.queued_bits() + bits) as f64;
+        self.takes_t1 = need <= budget * if self.takes_t1 { 1.0 } else { T1_RESUME };
+        self.takes_t1
     }
 
     /// Take what the downlink delivered this tick and run it through the
     /// decode stand-in. Returns `true` when the stand-in needs a keyframe to
-    /// resynchronise (a frame-id gap broke a P chain, or a payload failed to
-    /// decode) — the router fans this into the subscriber's cluster.
+    /// resynchronise (the reference a frame predicts from never arrived, or
+    /// a payload failed to decode) — the router fans this into the
+    /// subscriber's cluster. A T1 the router dropped breaks nothing.
     pub(crate) fn ingest_arrivals(&mut self, now: Micros) -> bool {
         let arrived = self.session.recv_frames();
         let Some(rx) = self.receiver.as_mut() else {
@@ -149,16 +173,6 @@ impl Subscriber {
     /// The emulated transport session (stats, estimator, link state).
     pub fn session(&self) -> &RtcSession {
         &self.session
-    }
-
-    /// The Kalman pose/frustum predictor for this subscriber.
-    pub fn predictor(&self) -> &FrustumPredictor {
-        &self.predictor
-    }
-
-    /// Feed a (feedback-delayed) head pose observation.
-    pub fn observe_pose(&mut self, pose: &Pose) {
-        self.predictor.observe(pose);
     }
 
     pub fn stats(&self) -> &SubscriberStats {

@@ -96,6 +96,27 @@ impl<'a> ObjectWriter<'a> {
         self.key(k)
     }
 
+    /// Write `k` as an array of one object per item, each filled by `each`.
+    pub fn field_objects<T>(
+        &mut self,
+        k: &str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut ObjectWriter<'_>, T),
+    ) -> &mut Self {
+        let out = self.key(k);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut w = ObjectWriter::new(out);
+            each(&mut w, item);
+            w.finish();
+        }
+        out.push(']');
+        self
+    }
+
     pub fn finish(self) {
         self.out.push('}');
     }
@@ -129,6 +150,18 @@ mod tests {
         s.clear();
         write_f64(&mut s, 3.5);
         assert_eq!(s, "3.5");
+    }
+
+    #[test]
+    fn object_arrays_separate_their_objects() {
+        let mut s = String::new();
+        let mut o = ObjectWriter::new(&mut s);
+        o.field_objects("xs", [1u64, 2], |w, x| {
+            w.field_u64("x", x);
+        });
+        o.field_objects("none", Vec::<u64>::new(), |_, _| {});
+        o.finish();
+        assert_eq!(s, r#"{"xs":[{"x":1},{"x":2}],"none":[]}"#);
     }
 
     #[test]

@@ -145,10 +145,14 @@ const SEEN_WINDOW: usize = 20_000;
 pub struct FrameBuffer {
     /// Incomplete frames: frame_id → packets sorted by fragment index.
     pending: BTreeMap<u64, Vec<Packet>>,
-    /// Complete frames waiting to play: frame_id → (play_at, frame).
-    complete: BTreeMap<u64, (Micros, AssembledFrame)>,
+    /// Complete frames waiting to play: frame_id → (play_at, frame, its
+    /// last seq).
+    complete: BTreeMap<u64, (Micros, AssembledFrame, u64)>,
     /// Playout frontier: the id after the last released frame.
     frontier: u64,
+    /// The seq after the last released frame's: every seq below it belongs
+    /// to a frame playout has passed, so none is worth a NACK.
+    nack_floor: u64,
     /// Highest seq seen (for gap detection).
     highest_seq: Option<u64>,
     /// Seqs seen above the contiguity frontier (for gap detection and
@@ -189,6 +193,7 @@ impl FrameBuffer {
             return None;
         }
         let packets = self.pending.remove(&frame_id).unwrap();
+        let last_seq = packets.last().map_or(0, |p| p.seq);
         let frame = AssembledFrame {
             stream: packets[0].stream,
             frame_id,
@@ -198,7 +203,13 @@ impl FrameBuffer {
             send_ts: packets[0].origin_ts,
         };
         let play_at = arrival.max(frame.send_ts + path_delay);
-        Some(&self.complete.entry(frame_id).or_insert((play_at, frame)).1)
+        Some(
+            &self
+                .complete
+                .entry(frame_id)
+                .or_insert((play_at, frame, last_seq))
+                .1,
+        )
     }
 
     /// Release the oldest complete frame if it is due at `now`. Its
@@ -209,8 +220,9 @@ impl FrameBuffer {
         if entry.get().0 > now {
             return None;
         }
-        let (_, frame) = entry.remove();
+        let (_, frame, last_seq) = entry.remove();
         self.frontier = frame.frame_id + 1;
+        self.nack_floor = last_seq + 1;
         while let Some(stale) = self.pending.first_entry() {
             if *stale.key() >= self.frontier {
                 break;
@@ -269,8 +281,8 @@ impl FrameBuffer {
         frame_id < self.frontier || self.complete.contains_key(&frame_id)
     }
 
-    /// Sequence numbers below the highest seen that have never arrived —
-    /// the NACK candidates.
+    /// Sequence numbers below the highest seen that have never arrived and
+    /// belong to no frame playout has passed — the NACK candidates.
     pub fn missing_seqs(&self, max: usize) -> Vec<u64> {
         let Some(high) = self.highest_seq else {
             return Vec::new();
@@ -278,7 +290,8 @@ impl FrameBuffer {
         let floor = match self.contig {
             Some(c) => c + 1,
             None => self.seen.iter().next().copied().unwrap_or(0),
-        };
+        }
+        .max(self.nack_floor);
         let mut out = Vec::new();
         if floor > high {
             return out;
@@ -475,6 +488,22 @@ mod tests {
         assert!(b.push(f1[0].clone(), 1, 0).is_none(), "stale");
         assert_eq!(b.stuck_frames(), vec![2]);
         assert_eq!(b.push(f2[1].clone(), 2, 0).unwrap().frame_id, 2);
+    }
+
+    #[test]
+    fn no_seq_behind_the_playout_frontier_is_a_nack_candidate() {
+        let mut p = Packetizer::with_mtu(StreamId::Color, 64);
+        let f0 = p.packetize(0, frame_bytes(192, 7), 0, false);
+        let f1 = p.packetize(1, frame_bytes(128, 8), 1, false);
+        let f2 = p.packetize(2, frame_bytes(128, 9), 2, false);
+        let mut b = FrameBuffer::default();
+        // Frame 0 lacks seqs 1 and 2, frame 2 its first packet (seq 5).
+        feed(&mut b, &[f0[0].clone(), f1[0].clone(), f1[1].clone()], 0);
+        feed(&mut b, &f2[1..], 0);
+        assert_eq!(b.missing_seqs(10), vec![1, 2, 5]);
+        // Frame 1 plays: frame 0's holes are behind it, frame 2's is not.
+        assert_eq!(pop_all(&mut b, 1).len(), 1);
+        assert_eq!(b.missing_seqs(10), vec![5]);
     }
 
     #[test]

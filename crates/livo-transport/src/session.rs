@@ -495,6 +495,11 @@ impl RtcSession {
             .sum()
     }
 
+    /// Wire bits the pacer still holds, not yet handed to a leg.
+    pub fn queued_bits(&self) -> u64 {
+        self.pacer.iter().map(Packet::wire_bits).sum()
+    }
+
     /// Per-leg diagnostics for benches.
     pub fn link_reports(&self) -> Vec<LinkReport> {
         self.legs
