@@ -5,8 +5,8 @@
 //! (all links as legs of one `RtcSession`) and once per link alone (a
 //! 1-link bond, so the impairment timeline — fades, kills, bursts —
 //! replays identically). The point reports delivered goodput, display
-//! stall rate at 30 fps, failovers, and duplicated key packets, and
-//! gates the aggregation claims:
+//! stall rate at 30 fps, failovers, and insurance copies (key packets and
+//! mirrored retransmits), and gates the aggregation claims:
 //!
 //! * `dual_clean` is driven at a fixed 96% of the summed capacity and
 //!   must deliver ≥ 90% of the sum — the lossless aggregation ceiling.
@@ -32,6 +32,7 @@ pub struct RunOutcome {
     pub stall_rate: f64,
     pub frames_delivered: u64,
     pub failovers: u64,
+    /// Insurance copies: key packets and mirrored retransmits.
     pub dup_packets: u64,
     /// A frame captured in the call's final second reached the display.
     pub survived: bool,
@@ -93,7 +94,6 @@ fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -
     let mut t = 0u64;
     let mut frame_id = 0u64;
     let mut next_frame = 0u64;
-    let mut force_key = false;
     let mut max_delivered: Option<u64> = None;
     let mut last_shown: Option<u64> = None;
     let mut next_slot = jitter_target + 3 * FRAME_INTERVAL;
@@ -103,8 +103,7 @@ fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -
         if t >= next_frame {
             let rate = fixed_rate_bps.unwrap_or_else(|| s.estimate_bps() * 0.85);
             let bytes = ((rate / 30.0 / 8.0) as usize).clamp(400, 4_000_000);
-            let key = frame_id.is_multiple_of(60) || force_key;
-            force_key = false;
+            let key = frame_id.is_multiple_of(60);
             s.send_frame(
                 t,
                 StreamId::Color,
@@ -116,9 +115,6 @@ fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -
             next_frame += FRAME_INTERVAL;
         }
         s.tick(t);
-        if s.take_pli(t) {
-            force_key = true;
-        }
         for f in s.recv_frames() {
             max_delivered = Some(max_delivered.map_or(f.frame_id, |m| m.max(f.frame_id)));
         }
@@ -236,7 +232,8 @@ pub fn text(points: &[BondPoint]) -> String {
     }
     s.push_str(
         "\nbonded/best delivered = receiver goodput, Mbps; (..%) = the best\n\
-         single link's stall rate; dual_clean is driven at a fixed 96% of\n\
+         single link's stall rate; dups = insurance copies (key packets and\n\
+         mirrored retransmits); dual_clean is driven at a fixed 96% of\n\
          capacity, the rest adapt to the aggregate estimate.\n",
     );
     s

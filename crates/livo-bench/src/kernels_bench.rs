@@ -36,6 +36,7 @@ use std::time::Instant;
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, RgbdFrame, VideoId};
 use livo_codec2d::block::{decode_block, encode_block, CoeffContexts};
 use livo_codec2d::dct::ZIGZAG;
+use livo_codec2d::encoder::SEARCH_RANGE;
 use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use livo_codec2d::slice::slice_count;
 use livo_codec2d::{dct, motion, plane, quant};
@@ -690,7 +691,7 @@ fn bench_coeff_coders() -> [KernelPoint; 2] {
         let inter = enc.encode_fixed_qp(frames[1], qp).reconstruction;
         // The oracle must rebuild what the product coded, or the replay
         // codes different blocks.
-        let plan = plan_inter(frames[1], &key, qp, cfg.search_range);
+        let plan = plan_inter(frames[1], &key, qp, SEARCH_RANGE);
         assert_eq!(plan.recon, inter, "oracle reconstruction");
         coded_blocks(&plan, slice_count(cfg.slices, frames[1].height))
     };

@@ -13,7 +13,7 @@ use livo_runtime::WorkerPool;
 
 use crate::dct::{self, ZIGZAG};
 use crate::decoder::Decoder;
-use crate::encoder::{plane_qp, BlockCounts, Encoder, EncoderConfig, FrameType};
+use crate::encoder::{plane_qp, BlockCounts, Encoder, EncoderConfig, FrameType, SEARCH_RANGE};
 use crate::motion::{self, MotionVector, MB_SIZE};
 use crate::oracle::{plan_inter, MbPlan};
 use crate::plane::{write_block8_into_stripe, Frame, PixelFormat};
@@ -605,7 +605,7 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
         assert_eq!(out.frame_type == FrameType::Intra, want_intra, "{tag}");
         if let (FrameType::Inter, Some(prev)) = (out.frame_type, &prev) {
             let (data, recon, counts) =
-                encode_inter_oracle(&frame, prev, out.qp, cfg.search_range, cfg.slices);
+                encode_inter_oracle(&frame, prev, out.qp, SEARCH_RANGE, cfg.slices);
             assert_eq!(out.data, data, "{tag}: bitstream vs oracle");
             assert_eq!(out.reconstruction, recon, "{tag}: reconstruction vs oracle");
             assert_eq!(out.blocks, counts, "{tag}: block counts vs oracle");
@@ -629,7 +629,7 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
                         mbx * MB_SIZE,
                         mby * MB_SIZE,
                         left,
-                        cfg.search_range,
+                        SEARCH_RANGE,
                     );
                     if sad == 0 && mv != left {
                         zero_vector_free += 1;

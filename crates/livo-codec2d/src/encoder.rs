@@ -24,6 +24,9 @@ pub enum FrameType {
     Inter,
 }
 
+/// Motion search range in pixels per axis.
+pub const SEARCH_RANGE: i16 = 8;
+
 /// Static encoder configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EncoderConfig {
@@ -33,10 +36,6 @@ pub struct EncoderConfig {
     /// Distance between intra frames; 1 = all-intra. LiVo uses long GOPs and
     /// relies on PLI/FIR to request intra refresh after loss (§A.1).
     pub gop_length: u32,
-    pub qp_min: u8,
-    pub qp_max: u8,
-    /// Motion search range in pixels per axis.
-    pub search_range: i16,
     /// Entropy slices per frame. `0` (the default) picks automatically
     /// from the frame height — see [`slice::slice_count`]; small frames get
     /// one slice. The count never depends on the worker-pool size, so the
@@ -56,9 +55,6 @@ impl EncoderConfig {
             height,
             format,
             gop_length: 120,
-            qp_min: 4,
-            qp_max: quant::QP_MAX,
-            search_range: 8,
             slices: 0,
             temporal_layers: 1,
         }
@@ -310,23 +306,17 @@ impl Encoder {
 
         let (frame_type, layer) = self.plan_frame();
         let complexity = self.estimate_complexity(frame, frame_type);
-        let mut qp = self.rc.pick_qp(
-            frame_type,
-            complexity,
-            target_bits as f64,
-            self.cfg.qp_min,
-            self.cfg.qp_max,
-        );
+        let mut qp = self.rc.pick_qp(frame_type, complexity, target_bits as f64);
 
         let (mut data, mut blocks) = self.encode_with_qp(frame, qp, frame_type, layer, false);
         let mut actual_bits = data.len() as u64 * 8;
         // One corrective re-encode on overshoot, like a CBR encoder's
         // internal re-quantisation. The motion search reads the input and
         // the reference, never the QP, so its result carries over.
-        if actual_bits > target_bits + target_bits / 4 && qp + 4 <= self.cfg.qp_max {
+        if actual_bits > target_bits + target_bits / 4 && qp + 4 <= quant::QP_MAX {
             self.rc
                 .update(frame_type, complexity, actual_bits as f64, qp);
-            qp = (qp + 4).min(self.cfg.qp_max);
+            qp = (qp + 4).min(quant::QP_MAX);
             let redo = self.encode_with_qp(frame, qp, frame_type, layer, true);
             data = redo.0;
             blocks = redo.1;
@@ -355,7 +345,7 @@ impl Encoder {
             (self.cfg.width, self.cfg.height)
         );
         let (frame_type, layer) = self.plan_frame();
-        let qp = qp.clamp(self.cfg.qp_min, self.cfg.qp_max);
+        let qp = qp.clamp(quant::QP_FLOOR, quant::QP_MAX);
         let (data, blocks) = self.encode_with_qp(frame, qp, frame_type, layer, false);
         self.publish_frame_metrics(frame_type, qp, data.len() as u64 * 8, blocks, None);
         EncodedFrame {
@@ -547,7 +537,7 @@ impl Encoder {
                     &mut recon.planes[0],
                     step,
                     peak,
-                    (!searched).then_some(self.cfg.search_range),
+                    (!searched).then_some(SEARCH_RANGE),
                     &mut scratch.luma_plans,
                 );
                 scratch.mvs.clear();
@@ -1140,13 +1130,7 @@ mod tests {
         // A budget far under what the first pass will spend forces the second.
         let target = 3_000;
         let complexity = kept.estimate_complexity(&frame, FrameType::Inter);
-        let first_qp = kept.rc.pick_qp(
-            FrameType::Inter,
-            complexity,
-            target as f64,
-            cfg.qp_min,
-            cfg.qp_max,
-        );
+        let first_qp = kept.rc.pick_qp(FrameType::Inter, complexity, target as f64);
         let out = kept.encode(&frame, target);
         assert_eq!(out.qp, first_qp + 4, "the frame took two passes");
         assert!(

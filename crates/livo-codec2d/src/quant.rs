@@ -9,6 +9,8 @@
 /// Inclusive QP range.
 pub const QP_MIN: u8 = 0;
 pub const QP_MAX: u8 = 51;
+/// Finest QP the encoder codes at, rate-controlled or fixed.
+pub const QP_FLOOR: u8 = 4;
 
 /// Quantisation step size for a QP, H.26x-style: `0.625 · 2^(qp/6)`.
 pub fn qstep(qp: u8) -> f32 {

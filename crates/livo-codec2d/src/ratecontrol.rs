@@ -9,7 +9,7 @@
 //! bandwidth adaptation assumes (§3.3).
 
 use crate::encoder::FrameType;
-use crate::quant::{self, QP_MAX};
+use crate::quant::{self, QP_FLOOR, QP_MAX};
 
 /// Online rate model + QP chooser.
 #[derive(Debug, Clone)]
@@ -45,22 +45,15 @@ impl RateController {
         }
     }
 
-    /// Pick the QP whose step size best matches the bit budget under the
-    /// current model. `complexity` is the encoder's activity measure times
-    /// nothing — the gain absorbs scale, so only consistency matters.
-    pub fn pick_qp(
-        &self,
-        ft: FrameType,
-        complexity: f64,
-        target_bits: f64,
-        qp_min: u8,
-        qp_max: u8,
-    ) -> u8 {
-        let qp_max = qp_max.min(QP_MAX);
+    /// Pick the QP in [`QP_FLOOR`, `QP_MAX`] whose step size best matches
+    /// the bit budget under the current model. `complexity` is the
+    /// encoder's activity measure times nothing — the gain absorbs scale, so
+    /// only consistency matters.
+    pub fn pick_qp(&self, ft: FrameType, complexity: f64, target_bits: f64) -> u8 {
         let desired_step = (self.gain(ft) * complexity / target_bits).max(1e-9);
         // Invert qstep(qp) = 0.625 · 2^(qp/6).
         let qp = 6.0 * (desired_step / 0.625).log2();
-        (qp.round().clamp(qp_min as f64, qp_max as f64)) as u8
+        (qp.round().clamp(QP_FLOOR as f64, QP_MAX as f64)) as u8
     }
 
     /// Feed back the result of an encode to refine the model.
@@ -85,24 +78,24 @@ mod tests {
     fn higher_target_means_lower_qp() {
         let rc = RateController::new();
         let c = 5.0 * 1e6; // per-pixel activity × pixels
-        let qp_small = rc.pick_qp(FrameType::Inter, c, 10_000.0, 0, 51);
-        let qp_big = rc.pick_qp(FrameType::Inter, c, 1_000_000.0, 0, 51);
+        let qp_small = rc.pick_qp(FrameType::Inter, c, 10_000.0);
+        let qp_big = rc.pick_qp(FrameType::Inter, c, 1_000_000.0);
         assert!(qp_big < qp_small, "{qp_big} !< {qp_small}");
     }
 
     #[test]
     fn higher_complexity_means_higher_qp() {
         let rc = RateController::new();
-        let qp_calm = rc.pick_qp(FrameType::Inter, 1.0e6, 100_000.0, 0, 51);
-        let qp_busy = rc.pick_qp(FrameType::Inter, 50.0e6, 100_000.0, 0, 51);
+        let qp_calm = rc.pick_qp(FrameType::Inter, 1.0e6, 100_000.0);
+        let qp_busy = rc.pick_qp(FrameType::Inter, 50.0e6, 100_000.0);
         assert!(qp_busy > qp_calm);
     }
 
     #[test]
     fn qp_respects_bounds() {
         let rc = RateController::new();
-        assert!(rc.pick_qp(FrameType::Intra, 1000.0, 10.0, 10, 40) <= 40);
-        assert!(rc.pick_qp(FrameType::Intra, 0.001, 1e12, 10, 40) >= 10);
+        assert_eq!(rc.pick_qp(FrameType::Intra, 1e12, 10.0), QP_MAX);
+        assert_eq!(rc.pick_qp(FrameType::Intra, 0.001, 1e12), QP_FLOOR);
     }
 
     #[test]
@@ -112,7 +105,7 @@ mod tests {
         let true_gain = 2.0;
         let complexity = 8.0e6;
         for _ in 0..30 {
-            let qp = rc.pick_qp(FrameType::Inter, complexity, 50_000.0, 0, 51);
+            let qp = rc.pick_qp(FrameType::Inter, complexity, 50_000.0);
             let step = quant::qstep(qp) as f64;
             let actual = true_gain * complexity / step;
             rc.update(FrameType::Inter, complexity, actual, qp);

@@ -517,7 +517,9 @@ impl ConferenceRunner {
 
             // --- receiver: decode this tick's arrivals ---
             for o in receiver.ingest(&session.recv_frames(), now) {
-                force_key |= o.ingest.wants_key();
+                if o.ingest.wants_key() {
+                    session.request_keyframe(now, o.stream, o.frame_id);
+                }
                 tel.ingested(now, &o);
             }
 
@@ -725,13 +727,16 @@ impl RunTelemetry {
             self.record(Step::Decode, o.frame_id, now, o.decode_ms);
         }
         if o.ingest == Ingest::DecodeError {
-            self.flight.observe_decode_error(now, 1, o.lane);
+            self.flight.observe_decode_error(now, 1, o.stream.name());
             livo_telemetry::log::warn_limited(
                 "conference.decode",
                 1_000,
                 "conference",
                 "decode failed, requesting keyframe",
-                &[("frame", o.frame_id.into()), ("stream", o.lane.into())],
+                &[
+                    ("frame", o.frame_id.into()),
+                    ("stream", o.stream.name().into()),
+                ],
             );
         }
     }
@@ -1013,6 +1018,46 @@ mod tests {
         let trace = BandwidthTrace::constant(40.0, 10.0);
         let s = ConferenceRunner::new(cfg).run(trace);
         assert!((s.mean_split - 0.7).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_broken_lane_gets_its_intra_no_sooner_than_one_feedback_delay() {
+        // A 30 ms jitter target leaves no time for a NACK round trip (≥ 40
+        // ms on the 20 ms link), so a lost packet costs its frame and the
+        // next frame breaks its decode lane, which asks for a keyframe.
+        let mut cfg = quick_cfg();
+        cfg.session.jitter_target = 30_000;
+        cfg.session.link.random_loss = 0.02;
+        cfg.session.link.seed = 5;
+        let fb_delay = cfg.session.link.propagation;
+        let s = ConferenceRunner::new(cfg).run(BandwidthTrace::constant(20.0, 10.0));
+        let q = livo_telemetry::TraceQuery::new(s.trace.clone());
+        let on = |f: u64, k: &str, party: u16, comp: &str| q.frame(f)?.ts_on(k, party, comp);
+        // The first break: a frame played out whose predecessor never was
+        // (ChainBroken records no decode), on either lane, and when.
+        let lanes = [
+            ("transport.color", "codec.color"),
+            ("transport.depth", "codec.depth"),
+        ];
+        let (t_req, f, (transport, codec)) = (1..q.frames().len() as u64)
+            .flat_map(|f| lanes.map(|lane| (f, lane)))
+            .filter(|&(f, (tr, _))| on(f - 1, kind::PLAYOUT, 1, tr).is_none())
+            .filter_map(|(f, lane)| Some((on(f, kind::PLAYOUT, 1, lane.0)?, f, lane)))
+            .min()
+            .expect("the lossy call broke a decode lane");
+        // The lane decodes nothing until a keyframe: its next decode is the
+        // intra that answered the request.
+        let intra = (f + 1..)
+            .take_while(|&g| q.frame(g).is_some())
+            .find(|&g| on(g, kind::DECODE, 1, codec).is_some())
+            .expect("the lane recovered");
+        let sent = on(intra, kind::SEND, 0, transport).unwrap();
+        assert!(
+            sent >= t_req + fb_delay,
+            "frame {f} broke {codec} at {t_req} µs; intra {intra} sent at {sent} µs"
+        );
+        // The request is on the broken frame's path, on its lane.
+        assert_eq!(on(f, kind::PLI, 1, transport), Some(t_req));
     }
 
     #[test]

@@ -240,8 +240,8 @@ impl Ingest {
 /// One delivered frame's way through its decode lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameOutcome {
-    /// `"color"` or `"depth"`.
-    pub lane: &'static str,
+    /// The lane: colour or depth.
+    pub stream: StreamId,
     pub frame_id: u64,
     pub ingest: Ingest,
     /// Wall time of the decode attempt, milliseconds; 0 where none was made.
@@ -250,8 +250,7 @@ pub struct FrameOutcome {
 
 /// One stream's decoder, P-chain state and sequence-stamped window.
 struct DecodeLane {
-    name: &'static str,
-    /// The lane's trace component, `codec.<name>`.
+    /// The lane's trace component, `codec.color` or `codec.depth`.
     track: &'static str,
     dec: Decoder,
     window: BTreeMap<u32, Frame>,
@@ -265,9 +264,8 @@ struct DecodeLane {
 }
 
 impl DecodeLane {
-    fn new(name: &'static str, track: &'static str) -> Self {
+    fn new(track: &'static str) -> Self {
         DecodeLane {
-            name,
             track,
             dec: Decoder::new(),
             window: BTreeMap::new(),
@@ -329,7 +327,7 @@ impl DecodeLane {
             ingest
         };
         FrameOutcome {
-            lane: self.name,
+            stream: af.stream,
             frame_id: af.frame_id,
             ingest,
             decode_ms,
@@ -354,8 +352,8 @@ impl Default for ReceiverStage {
 impl ReceiverStage {
     pub fn new() -> Self {
         ReceiverStage {
-            color: DecodeLane::new("color", "codec.color"),
-            depth: DecodeLane::new("depth", "codec.depth"),
+            color: DecodeLane::new("codec.color"),
+            depth: DecodeLane::new("codec.depth"),
             pool: None,
         }
     }
@@ -852,7 +850,7 @@ mod tests {
                     );
                     let key = matches!(o.ingest, ChainBroken | DecodeError);
                     assert_eq!(o.ingest.wants_key(), key, "{what}");
-                    (o.lane, o.frame_id, o.ingest)
+                    (o.stream.name(), o.frame_id, o.ingest)
                 })
                 .collect();
             assert_eq!(got, want, "{what}");
@@ -907,7 +905,7 @@ mod tests {
         let got: Vec<_> = rx
             .ingest(&arrivals, 0)
             .iter()
-            .map(|o| (o.lane, o.frame_id, o.ingest))
+            .map(|o| (o.stream.name(), o.frame_id, o.ingest))
             .collect();
         let mut want: Vec<_> = colour
             .iter()

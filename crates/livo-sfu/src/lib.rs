@@ -18,9 +18,10 @@
 //!   a receiver-side decode stand-in used by tests and examples.
 //! - [`router`]: the SFU proper. One **union cull + tile + encode pass per
 //!   cluster** (not per subscriber), encoded at the *fastest* member's
-//!   estimated rate. PLIs from any member fan in to the cluster's intra
-//!   guard (at most one shared intra per RTT); NACK recovery stays
-//!   per-downlink inside each session. The hot path is sharded on a
+//!   estimated rate. PLIs from any member — its decode stand-in's
+//!   keyframe requests too, sent up its own downlink — fan in to the
+//!   cluster's intra guard (at most one shared intra per RTT); NACK
+//!   recovery stays per-downlink inside each session. The hot path is sharded on a
 //!   [`livo_runtime::WorkerPool`]: cluster passes run in parallel, and the
 //!   per-subscriber packetise/send fan-out runs on contiguous subscriber
 //!   shards.

@@ -48,9 +48,13 @@
 //! their P chain and never see an intra; a regroup migrates the subscriber
 //! and arms only the *destination* chain.
 //!
-//! Keyframe control fans in: a PLI from *any* member (or a decode
-//! failure / P-chain break in the receiver stand-in) arms that member's
-//! cluster chain, not one encoder per subscriber. NACK retransmissions never
+//! Keyframe control fans in: a PLI from *any* member — its receiver
+//! stand-in's decode failure or P-chain break, asked for over the member's
+//! own downlink like any PLI — arms that member's cluster chain, not one
+//! encoder per subscriber. The downlink session answers a PLI about a
+//! frame older than a keyframe it already sent with that keyframe, so
+//! such a PLI arms nothing; every other PLI arms the chain, and the chain's
+//! cooldown defers (never drops) the intra. NACK retransmissions never
 //! reach the router at all — they are handled per-downlink inside each
 //! member's session.
 
@@ -590,8 +594,9 @@ impl Router {
 
     /// Advance the transport simulations to `now`: for each subscriber
     /// whose session has something due ([`RtcSession::next_event`]), tick
-    /// it, fan its PLIs and receiver resync requests into its cluster's
-    /// chain guard, and run its decode stand-in. The rest are not visited.
+    /// it, run its decode stand-in (whose resync requests travel up the
+    /// downlink's feedback path as PLIs) and fan the PLIs that reached the
+    /// SFU into its cluster's chain guard. The rest are not visited.
     /// The drain is serial: a 96-subscriber tick has ≈ 21 due sessions,
     /// less work than one pool scope costs.
     pub fn tick(&mut self, now: Micros) {
@@ -603,12 +608,9 @@ impl Router {
             }
             ticked += 1;
             sub.session.tick(now);
-            let mut wants_key = false;
+            sub.ingest_arrivals(now);
             if sub.session.take_pli(now) {
                 self.metrics.pli_fanin.inc();
-                wants_key = true;
-            }
-            if sub.ingest_arrivals(now) || wants_key {
                 need_key.push(id);
             }
         }
@@ -1099,6 +1101,54 @@ mod tests {
     }
 
     #[test]
+    fn a_pli_within_one_rtt_of_a_shared_intra_arms_no_second_intra() {
+        let mut router = Router::builder(tiny_rig()).build().unwrap();
+        let id = add(&mut router, "a");
+        let cams = router.cameras.clone();
+        // Route frame `f`, then (optionally) let a lane of the member ask
+        // for a keyframe about frame `broken` at the frame's instant, and
+        // tick through the frame interval; whether `f` went out as an intra.
+        let frame = |router: &mut Router, f: u32, ask: Option<(StreamId, u64)>| {
+            router.observe_pose(id, &looking(0.0)).unwrap();
+            let now = f as Micros * 1_000_000 / 30;
+            let out = router.route_frame(now, &views_at(&cams, f as f32 / 30.0, f));
+            if let Some((stream, broken)) = ask {
+                let sub = router.subscribers.get_mut(&id).unwrap();
+                sub.session.request_keyframe(now, stream, broken);
+            }
+            for t in (now..now + 33_334).step_by(1_000) {
+                router.tick(t);
+            }
+            out.clusters[0].color.frame_type == FrameType::Intra
+        };
+        let fanin = |router: &Router| router.registry().snapshot().counter("sfu.pli_fanin");
+        assert!(
+            frame(&mut router, 0, None),
+            "a fresh chain opens with an intra"
+        );
+        // The colour lane breaks on frame 1: its request reaches the SFU
+        // one feedback delay (20 ms) later and arms the chain.
+        assert!(!frame(&mut router, 1, Some((StreamId::Color, 1))));
+        // The depth lane, too, broke on frame 1, and asks as the intra this
+        // armed goes out; the request reaches the SFU 20 ms later, within
+        // one RTT (≈ 40 ms) of that intra, which answers it.
+        assert!(
+            frame(&mut router, 2, Some((StreamId::Depth, 1))),
+            "the PLI armed the chain"
+        );
+        assert!(!frame(&mut router, 3, None), "the PLI armed a second intra");
+        assert_eq!(fanin(&router), Some(1));
+        // A break after intra 2 arms the chain again.
+        assert!(!frame(&mut router, 4, Some((StreamId::Color, 4))));
+        assert!(
+            frame(&mut router, 5, None),
+            "a PLI after the intra arms the chain"
+        );
+        assert_eq!(fanin(&router), Some(2));
+        assert_eq!(router.subscriber(id).unwrap().session().stats().plis, 3);
+    }
+
+    #[test]
     fn aligned_subscribers_share_one_encode_pass() {
         let mut router = Router::builder(tiny_rig()).build().unwrap();
         let ids: Vec<SubscriberId> = (0..3).map(|i| add(&mut router, &format!("s{i}"))).collect();
@@ -1280,7 +1330,7 @@ mod tests {
         assert_eq!(slow_sub.stats().frames_forwarded + dropped("slow"), frames);
         // Only the first intra: the slow member never breaks its chain.
         assert_eq!(snap.counter("sfu.shared_intras"), Some(1));
-        assert_eq!(slow_sub.stats().keyframes_requested, 0);
+        assert_eq!(slow_sub.session().stats().plis, 0);
         assert!(slow_sub.stats().frames_decoded >= 2 * (frames / 2 - 10));
         // Every forwarded pair went out as two frames.
         for id in [fast, slow] {

@@ -27,10 +27,6 @@ pub struct SubscriberConfig {
     pub name: String,
     /// Transport parameters of the emulated downlink.
     pub session: SessionConfig,
-    /// Viewing-volume shape (FoV, aspect, near/far).
-    pub frustum: FrustumParams,
-    /// RMSE-balancing split configuration.
-    pub splitter: SplitterConfig,
     /// Run the receiver-side decode stand-in for this subscriber.
     /// Disabling it (`false`) keeps the full transport simulation —
     /// packetisation, link, jitter buffer, NACK/PLI — but skips the
@@ -45,8 +41,6 @@ impl SubscriberConfig {
         SubscriberConfig {
             name: name.into(),
             session: SessionConfig::default(),
-            frustum: FrustumParams::default(),
-            splitter: SplitterConfig::default(),
             standin: true,
         }
     }
@@ -67,8 +61,6 @@ pub struct SubscriberStats {
     pub frames_decoded: u64,
     /// Decode failures (broken P chain, corrupt payload).
     pub decode_failures: u64,
-    /// Keyframe requests this subscriber escalated to its cluster.
-    pub keyframes_requested: u64,
 }
 
 /// Share of a T0 period's estimate that must cover a T1 (with what the
@@ -106,8 +98,8 @@ impl Subscriber {
         Subscriber {
             name: cfg.name,
             session: RtcSession::new(trace, cfg.session),
-            predictor: FrustumPredictor::new(cfg.frustum, GUARD_BAND_M),
-            splitter: BandwidthSplitter::new(cfg.splitter),
+            predictor: FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M),
+            splitter: BandwidthSplitter::new(SplitterConfig::default()),
             receiver,
             stats: SubscriberStats::default(),
             takes_t1: true,
@@ -127,16 +119,16 @@ impl Subscriber {
     }
 
     /// Take what the downlink delivered this tick and run it through the
-    /// decode stand-in. Returns `true` when the stand-in needs a keyframe to
-    /// resynchronise (the reference a frame predicts from never arrived, or
-    /// a payload failed to decode) — the router fans this into the
-    /// subscriber's cluster. A T1 the router dropped breaks nothing.
-    pub(crate) fn ingest_arrivals(&mut self, now: Micros) -> bool {
+    /// decode stand-in. When the stand-in needs a keyframe to resynchronise
+    /// (the reference a frame predicts from never arrived, or a payload
+    /// failed to decode) it asks over its own downlink's feedback path, as
+    /// any PLI does; the router fans the arriving PLI into the subscriber's
+    /// cluster. A T1 the router dropped breaks nothing.
+    pub(crate) fn ingest_arrivals(&mut self, now: Micros) {
         let arrived = self.session.recv_frames();
         let Some(rx) = self.receiver.as_mut() else {
-            return false;
+            return;
         };
-        let mut wants_key = false;
         for o in rx.ingest(&arrived, now) {
             match o.ingest {
                 Ingest::Decoded => self.stats.frames_decoded += 1,
@@ -148,17 +140,18 @@ impl Subscriber {
                         1_000,
                         "sfu",
                         "subscriber decode failed, requesting keyframe",
-                        &[("frame", o.frame_id.into()), ("stream", o.lane.into())],
+                        &[
+                            ("frame", o.frame_id.into()),
+                            ("stream", o.stream.name().into()),
+                        ],
                     );
                 }
                 Ingest::ChainBroken | Ingest::AwaitingKey => {}
             }
             if o.ingest.wants_key() {
-                self.stats.keyframes_requested += 1;
-                wants_key = true;
+                self.session.request_keyframe(now, o.stream, o.frame_id);
             }
         }
-        wants_key
     }
 
     pub fn name(&self) -> &str {

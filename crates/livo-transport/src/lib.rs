@@ -12,13 +12,14 @@
 //! - [`link`]: a trace-driven bottleneck link (token service at the trace
 //!   capacity, drop-tail queue, propagation delay, optional random loss) —
 //!   the Mahimahi stand-in.
-//! - [`nack`]: receiver-side gap detection with retransmission requests
-//!   and Picture-Loss-Indication escalation.
+//! - [`nack`]: receiver-side gap detection with retransmission requests.
 //! - [`scheduler`]: stateless per-packet choice among a session's legs
 //!   (per-leg GCC estimate + RTT + backlog + loss memory).
 //! - [`session`]: wires the above into a sender→receiver pipe over one or
 //!   more bonded legs with paced sending and delayed feedback, the object
-//!   the LiVo pipeline talks to.
+//!   the LiVo pipeline talks to. A keyframe request (PLI) takes one path:
+//!   [`RtcSession::request_keyframe`] on the receiver, delivered one
+//!   feedback delay later by [`RtcSession::take_pli`] on the sender.
 //!
 //! All timestamps are virtual microseconds ([`Micros`]); nothing here reads
 //! a real clock, so every experiment is reproducible.

@@ -1,13 +1,13 @@
-//! Loss recovery: NACK retransmission requests and PLI escalation.
+//! Loss recovery: NACK retransmission requests.
 //!
 //! The paper enables WebRTC's negative acknowledgements, Picture Loss
 //! Indication and Full Intraframe Request (§A.1). The receiver-side
 //! [`NackGenerator`] requests missing sequence numbers on any tick the
 //! session finds them eligible, with spaced and bounded retries; the
 //! sender-side [`RetransmitBuffer`] answers them from a recent-packet
-//! window. When a frame stays incomplete past a deadline, the receiver
-//! escalates to a PLI, which the application layer translates into a
-//! forced keyframe.
+//! window. A frame still incomplete at its playout deadline is given up;
+//! the decode lane that then misses its reference asks for a keyframe
+//! through `RtcSession::request_keyframe`.
 
 use crate::packet::Packet;
 use crate::Micros;
@@ -21,35 +21,24 @@ pub struct NackGenerator {
     /// Minimum spacing between requests for the same seq.
     retry_interval: Micros,
     max_retries: u32,
-    /// Incomplete-frame deadline after which a PLI fires.
-    pli_deadline: Micros,
-    /// frame_id → first time it was seen stuck.
-    stuck_since: BTreeMap<u64, Micros>,
-    last_pli: Option<Micros>,
-    /// Minimum spacing between PLIs.
-    pli_interval: Micros,
     /// Earliest retry among the seqs of the last [`Self::nacks`] call.
     next_due: Micros,
 }
 
 impl NackGenerator {
-    pub fn new(retry_interval: Micros, max_retries: u32, pli_deadline: Micros) -> Self {
+    pub fn new(retry_interval: Micros, max_retries: u32) -> Self {
         NackGenerator {
             requested: BTreeMap::new(),
             retry_interval,
             max_retries,
-            pli_deadline,
-            stuck_since: BTreeMap::new(),
-            last_pli: None,
-            pli_interval: pli_deadline,
             next_due: Micros::MAX,
         }
     }
 
     /// Defaults tuned for a ~40 ms RTT path: retry every 30 ms, at most 3
-    /// times, PLI after 250 ms stuck.
+    /// times.
     pub fn with_defaults() -> Self {
-        Self::new(30_000, 3, 250_000)
+        Self::new(30_000, 3)
     }
 
     /// Given current gaps, decide which seqs to NACK now.
@@ -81,31 +70,6 @@ impl NackGenerator {
     /// retries remain; `Micros::MAX` once all are spent.
     pub fn next_due(&self) -> Micros {
         self.next_due
-    }
-
-    /// Track stuck frames; returns `true` when a PLI should fire now.
-    pub fn check_pli(&mut self, stuck_frames: &[u64], now: Micros) -> bool {
-        // Forget frames that are no longer stuck.
-        let stuck: std::collections::BTreeSet<u64> = stuck_frames.iter().copied().collect();
-        self.stuck_since.retain(|f, _| stuck.contains(f));
-        for &f in stuck_frames {
-            self.stuck_since.entry(f).or_insert(now);
-        }
-        let overdue = self
-            .stuck_since
-            .values()
-            .any(|&since| now.saturating_sub(since) >= self.pli_deadline);
-        if overdue {
-            let can_fire = self
-                .last_pli
-                .is_none_or(|t| now.saturating_sub(t) >= self.pli_interval);
-            if can_fire {
-                self.last_pli = Some(now);
-                self.stuck_since.clear();
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -162,7 +126,7 @@ mod tests {
 
     #[test]
     fn nack_fires_once_then_respects_retry_interval() {
-        let mut g = NackGenerator::new(30_000, 3, 250_000);
+        let mut g = NackGenerator::new(30_000, 3);
         assert_eq!(g.nacks(&[5, 6], 0), vec![5, 6]);
         assert!(g.nacks(&[5, 6], 10_000).is_empty(), "too soon to retry");
         assert_eq!(g.nacks(&[5, 6], 31_000), vec![5, 6]);
@@ -171,37 +135,13 @@ mod tests {
 
     #[test]
     fn nack_gives_up_after_max_retries() {
-        let mut g = NackGenerator::new(10_000, 2, 250_000);
+        let mut g = NackGenerator::new(10_000, 2);
         assert_eq!(g.nacks(&[9], 0).len(), 1);
         assert_eq!(g.next_due(), 10_000);
         assert_eq!(g.nacks(&[9], 20_000).len(), 1);
         assert!(g.nacks(&[9], 40_000).is_empty());
         assert!(g.nacks(&[9], 400_000).is_empty());
         assert_eq!(g.next_due(), Micros::MAX, "retries spent");
-    }
-
-    #[test]
-    fn pli_fires_after_deadline_and_rate_limits() {
-        let mut g = NackGenerator::new(10_000, 2, 100_000);
-        assert!(!g.check_pli(&[3], 0));
-        assert!(!g.check_pli(&[3], 50_000));
-        assert!(g.check_pli(&[3], 120_000), "overdue frame fires PLI");
-        // Immediately after, another stuck frame shouldn't re-fire.
-        assert!(!g.check_pli(&[4], 130_000));
-        assert!(!g.check_pli(&[4], 200_000));
-        assert!(g.check_pli(&[4], 260_000), "after the PLI interval");
-    }
-
-    #[test]
-    fn recovered_frames_stop_the_pli_clock() {
-        let mut g = NackGenerator::new(10_000, 2, 100_000);
-        assert!(!g.check_pli(&[7], 0));
-        // Frame 7 recovers; nothing stuck now.
-        assert!(!g.check_pli(&[], 150_000));
-        // A new stuck frame starts a fresh clock.
-        assert!(!g.check_pli(&[8], 160_000));
-        assert!(!g.check_pli(&[8], 200_000));
-        assert!(g.check_pli(&[8], 270_000));
     }
 
     #[test]

@@ -15,6 +15,17 @@ pub enum StreamId {
     Control,
 }
 
+impl StreamId {
+    /// `"color"`, `"depth"` or `"control"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            StreamId::Color => "color",
+            StreamId::Depth => "depth",
+            StreamId::Control => "control",
+        }
+    }
+}
+
 /// One packet. Sequence numbers are per-stream and monotonically
 /// increasing; `marker` flags the last packet of a frame (RTP's M bit).
 #[derive(Debug, Clone)]
@@ -311,12 +322,6 @@ impl FrameBuffer {
         }
         out
     }
-
-    /// Frame ids currently stuck in reassembly (candidates for PLI when
-    /// they stay stuck).
-    pub fn stuck_frames(&self) -> Vec<u64> {
-        self.pending.keys().copied().collect()
-    }
 }
 
 /// A frame's payload from its sorted fragments: one slice of the sender's
@@ -351,6 +356,11 @@ mod tests {
             done = done.or(b.push(p.clone(), at, 0).cloned());
         }
         done
+    }
+
+    /// Ids of the frames `b` holds incomplete.
+    fn open_frames(b: &FrameBuffer) -> Vec<u64> {
+        b.pending.keys().copied().collect()
     }
 
     /// Every frame `b` releases at `now`, in order.
@@ -421,7 +431,7 @@ mod tests {
         let mut b = FrameBuffer::default();
         feed(&mut b, &[pkts[0].clone(), pkts[3].clone()], 0);
         assert_eq!(b.missing_seqs(10), vec![1, 2]);
-        assert_eq!(b.stuck_frames(), vec![0]);
+        assert_eq!(open_frames(&b), vec![0]);
         // Retransmissions fill the gap.
         feed(&mut b, &pkts[1..3], 1);
         assert!(b.missing_seqs(10).is_empty());
@@ -456,12 +466,12 @@ mod tests {
         let mut b = FrameBuffer::default();
         assert!(b.push(f0[0].clone(), 0, 0).is_none()); // frame 0 one packet short
         assert_eq!(b.push(f1[0].clone(), 1, 0).unwrap().frame_id, 1);
-        assert_eq!(b.stuck_frames(), vec![0]);
+        assert_eq!(open_frames(&b), vec![0]);
         // The retransmit of frame 0 still completes it.
         let done = b.push(f0[1].clone(), 2, 0).unwrap();
         assert_eq!(done.frame_id, 0);
         assert_eq!(done.data, frame_bytes(128, 7));
-        assert!(b.stuck_frames().is_empty());
+        assert!(open_frames(&b).is_empty());
         let played = pop_all(&mut b, 2);
         assert_eq!(
             played.iter().map(|f| f.frame_id).collect::<Vec<_>>(),
@@ -477,16 +487,16 @@ mod tests {
         let f2 = p.packetize(2, frame_bytes(128, 9), 2, false);
         let mut b = FrameBuffer::default();
         feed(&mut b, &[f0[0].clone(), f2[0].clone()], 0);
-        assert_eq!(b.stuck_frames(), vec![0, 2]);
+        assert_eq!(open_frames(&b), vec![0, 2]);
         // Frame 1 plays: frame 0 is given up, frame 2 stays open.
         feed(&mut b, &f1, 1);
         assert_eq!(pop_all(&mut b, 1).len(), 1);
-        assert_eq!(b.stuck_frames(), vec![2]);
+        assert_eq!(open_frames(&b), vec![2]);
         assert_eq!(b.late_drops, 1);
         assert!(b.passed(0) && b.passed(1) && !b.passed(2));
         assert!(b.push(f0[1].clone(), 1, 0).is_none(), "stale");
         assert!(b.push(f1[0].clone(), 1, 0).is_none(), "stale");
-        assert_eq!(b.stuck_frames(), vec![2]);
+        assert_eq!(open_frames(&b), vec![2]);
         assert_eq!(b.push(f2[1].clone(), 2, 0).unwrap().frame_id, 2);
     }
 
@@ -517,11 +527,11 @@ mod tests {
         // A mirrored copy of frame 1 arrives while frame 0 is still open.
         assert!(feed(&mut b, &f1, 1).is_none());
         assert!(b.passed(1));
-        assert_eq!(b.stuck_frames(), vec![0]);
+        assert_eq!(open_frames(&b), vec![0]);
         // Once frame 1 plays, it is no longer held but still stale.
         assert_eq!(pop_all(&mut b, 1).len(), 1);
         assert!(b.push(f1[0].clone(), 2, 0).is_none());
-        assert!(b.stuck_frames().is_empty());
+        assert!(open_frames(&b).is_empty());
     }
 
     #[test]

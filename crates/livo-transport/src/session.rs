@@ -246,15 +246,6 @@ impl Leg {
     }
 }
 
-/// Timeline lane for a media stream.
-fn lane_of(stream: StreamId) -> &'static str {
-    match stream {
-        StreamId::Color => "color",
-        StreamId::Depth => "depth",
-        StreamId::Control => "control",
-    }
-}
-
 /// Causal-trace track for a media stream.
 fn component_of(stream: StreamId) -> &'static str {
     match stream {
@@ -276,16 +267,13 @@ pub struct RtcSession {
     pacer_credit: u64,
     last_pace: Micros,
     pending_retx: VecDeque<(Micros, Packet)>,
-    pending_pli: VecDeque<Micros>,
-    /// When the application was last granted a keyframe via [`take_pli`]
-    /// (`take_pli` is the only consumer). Guards against keyframe storms:
-    /// under heavy loss the receiver keeps emitting PLIs, but a PLI that
-    /// reaches the sender within one RTT of an already-granted keyframe is
-    /// answered by the intra frame *already in flight* — granting another
-    /// would burst a second full intra into an already-collapsing link.
-    ///
-    /// [`take_pli`]: RtcSession::take_pli
-    last_key_grant: Option<Micros>,
+    /// Keyframe requests in request order: when each reaches the sender,
+    /// and the stream and frame whose decode broke.
+    pending_pli: VecDeque<(Micros, StreamId, u64)>,
+    /// Per stream, the frame id of the last keyframe
+    /// [`send_frame`](RtcSession::send_frame) sent: the keyframe-storm
+    /// guard of [`take_pli`](RtcSession::take_pli).
+    keyframe_sent: BTreeMap<StreamId, u64>,
     /// Reused per-packet scheduler input (one snapshot per leg).
     snaps: Vec<LinkSnapshot>,
     // --- shared receiver side ---
@@ -364,7 +352,7 @@ impl RtcSession {
             last_pace: 0,
             pending_retx: VecDeque::new(),
             pending_pli: VecDeque::new(),
-            last_key_grant: None,
+            keyframe_sent: BTreeMap::new(),
             buffers: BTreeMap::new(),
             nack: BTreeMap::new(),
             missing_since: BTreeMap::new(),
@@ -433,9 +421,9 @@ impl RtcSession {
 
     /// Record cross-layer causal events into `trace`: per-frame
     /// `packetize`/`send`/`retx` on the sender endpoint (`send_party`) and
-    /// `nack`/`recv`/`playout`, plus the control-plane `pli`/`gcc_estimate`
-    /// events, on the receiver endpoint (`recv_party`), each stream on its
-    /// own `transport.<stream>` component; and
+    /// `nack`/`recv`/`playout`/`pli` on the receiver endpoint
+    /// (`recv_party`), each stream on its own `transport.<stream>`
+    /// component, plus the receiver's `gcc_estimate` on `transport.gcc`; and
     /// `link_up`/`link_down`/`failover` on the `transport.bond` component
     /// (arg = leg index, or stranded packet count for failover).
     pub fn attach_trace(&mut self, trace: Arc<EventTrace>, send_party: u16, recv_party: u16) {
@@ -513,7 +501,9 @@ impl RtcSession {
             .collect()
     }
 
-    /// Queue a frame for transmission.
+    /// Queue a frame for transmission. A keyframe answers the keyframe
+    /// requests about its stream's earlier frames (see
+    /// [`take_pli`](Self::take_pli)).
     pub fn send_frame(
         &mut self,
         now: Micros,
@@ -532,6 +522,9 @@ impl RtcSession {
             .entry(stream)
             .or_insert_with(|| RetransmitBuffer::new(4096));
         self.stats.frames_sent += 1;
+        if keyframe {
+            self.keyframe_sent.insert(stream, frame_id);
+        }
         self.wake = self.wake.min(now);
         let mut frame_bits = 0u64;
         let mut n_pkts = 0i64;
@@ -594,7 +587,7 @@ impl RtcSession {
     pub fn next_event(&self) -> Micros {
         self.pending_pli
             .front()
-            .map_or(self.wake, |&due| due.min(self.wake))
+            .map_or(self.wake, |&(due, ..)| due.min(self.wake))
     }
 
     /// Minimum over everything a tick acts on: leg events, link arrivals,
@@ -1051,7 +1044,7 @@ impl RtcSession {
         }
     }
 
-    /// Receiver→sender feedback, per leg, plus the shared PLI check.
+    /// Receiver→sender feedback, per leg.
     fn feedback(&mut self, now: Micros) {
         if now.saturating_sub(self.last_feedback) >= FEEDBACK_INTERVAL {
             self.last_feedback = now;
@@ -1113,46 +1106,6 @@ impl RtcSession {
                     self.estimate_bps() as i64,
                 );
             }
-
-            let fb_delay = self.fb_delay();
-
-            // PLI for frames stuck too long.
-            for (stream, buf) in &self.buffers {
-                let stuck = buf.stuck_frames();
-                let ng = self
-                    .nack
-                    .entry(*stream)
-                    .or_insert_with(NackGenerator::with_defaults);
-                if ng.check_pli(&stuck, now) {
-                    self.stats.plis += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.plis.inc();
-                    }
-                    if let Some(tr) = &self.trace {
-                        tr.trace.record(
-                            now,
-                            NO_FRAME,
-                            tr.recv_party,
-                            component_of(*stream),
-                            kind::PLI,
-                            stuck.len() as i64,
-                        );
-                    }
-                    // PLIs come in storms under loss; keep stderr readable.
-                    livo_telemetry::log::warn_limited(
-                        "transport.pli",
-                        1_000,
-                        "transport",
-                        "PLI requested: frames stuck in reassembly",
-                        &[
-                            ("stream", lane_of(*stream).into()),
-                            ("stuck", (stuck.len() as u64).into()),
-                            ("now_us", now.into()),
-                        ],
-                    );
-                    self.pending_pli.push_back(now + fb_delay);
-                }
-            }
         }
         // Apply per-leg feedback that has reached the sender.
         let mut applied = false;
@@ -1173,32 +1126,57 @@ impl RtcSession {
         }
     }
 
-    /// True once per PLI that has reached the sender; the application
-    /// responds by forcing a keyframe.
+    /// Receiver side: ask the sender for a keyframe, because the decode of
+    /// `stream`'s frame `frame_id` lost its reference. The request counts
+    /// in `plis`, records a `pli` event on that frame's path (arg: the
+    /// feedback delay, µs) and reaches the sender one feedback delay
+    /// later, where [`take_pli`](Self::take_pli) hands it out.
+    pub fn request_keyframe(&mut self, now: Micros, stream: StreamId, frame_id: u64) {
+        let fb_delay = self.fb_delay();
+        self.stats.plis += 1;
+        if let Some(t) = &self.telemetry {
+            t.plis.inc();
+        }
+        if let Some(tr) = &self.trace {
+            tr.trace.record(
+                now,
+                frame_id,
+                tr.recv_party,
+                component_of(stream),
+                kind::PLI,
+                fb_delay as i64,
+            );
+        }
+        self.pending_pli
+            .push_back((now + fb_delay, stream, frame_id));
+    }
+
+    /// True once per keyframe request that has reached the sender; the
+    /// application responds by forcing a keyframe.
     ///
-    /// Keyframe-storm guard: when the link has dropped every packet for a
-    /// window (total blackout), the receiver's PLI timer keeps firing and
-    /// the pending queue fills with PLIs. A PLI arriving within one RTT of
-    /// a granted keyframe cannot be reacting to that keyframe's loss — the
-    /// intra frame is still in flight — so it is consumed *without*
-    /// granting a second intra. At most one keyframe is granted per RTT.
+    /// Keyframe-storm guard: a request about a frame older than a
+    /// keyframe already sent on that stream is answered by that keyframe —
+    /// in flight or waiting to play, the lane resynchronises on it — so it is
+    /// consumed *without* granting a second intra, which would burst
+    /// another full intra into a link that is already losing packets. A
+    /// request about that keyframe or a later frame (the keyframe was lost
+    /// or undecodable, or the chain broke again after it) is granted, so no
+    /// request goes unanswered. The guard reads what was sent, not what was
+    /// granted, so it also holds where intras are fired by something other
+    /// than a grant (an SFU cluster's chain).
     pub fn take_pli(&mut self, now: Micros) -> bool {
-        while let Some(&due) = self.pending_pli.front() {
+        while let Some(&(due, stream, frame_id)) = self.pending_pli.front() {
             if due > now {
                 break;
             }
             self.pending_pli.pop_front();
-            // One RTT of grant suppression: the keyframe needs a propagation
-            // to reach the receiver and the receiver's reaction needs one back.
-            let rtt: Micros = (2.0 * self.one_way_delay_us()) as Micros;
-            let suppressed = self
-                .last_key_grant
-                .is_some_and(|granted| now.saturating_sub(granted) < rtt);
-            if suppressed {
-                continue; // answered by the keyframe already in flight
+            let answered = self
+                .keyframe_sent
+                .get(&stream)
+                .is_some_and(|&key| key > frame_id);
+            if !answered {
+                return true;
             }
-            self.last_key_grant = Some(now);
-            return true;
         }
         false
     }
@@ -1352,49 +1330,46 @@ mod tests {
     }
 
     #[test]
-    fn heavy_loss_triggers_pli() {
-        let cfg = SessionConfig {
-            link: LinkConfig {
-                random_loss: 0.25,
-                seed: 9,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
+    fn a_keyframe_request_is_handed_out_once_after_the_feedback_delay() {
         let trace = BandwidthTrace::constant(50.0, 30.0);
-        let mut s = RtcSession::new(trace, cfg);
-        let mut saw_pli = false;
-        let mut t = 0;
-        let mut frame_id = 0;
-        let mut next = 0;
-        while t < ms(5_000) {
-            if t >= next {
-                s.send_frame(
-                    t,
-                    StreamId::Depth,
-                    frame_id,
-                    Bytes::from(vec![0u8; 30_000]),
-                    false,
-                );
-                frame_id += 1;
-                next += 33_333;
-            }
-            s.tick(t);
-            if s.take_pli(t) {
-                saw_pli = true;
-            }
-            t += 1000;
-        }
-        assert!(saw_pli, "25% loss should escalate to PLI");
+        let mut s = RtcSession::new(trace, SessionConfig::default());
+        let registry = Arc::new(MetricsRegistry::new());
+        let events = Arc::new(EventTrace::new(1 << 10));
+        s.attach_telemetry(&registry, "transport");
+        s.attach_trace(events.clone(), 0, 1);
+        let fb_delay = s.fb_delay();
+        s.tick(0);
+        s.request_keyframe(5_000, StreamId::Depth, 7);
+        assert_eq!(
+            s.next_event(),
+            5_000 + fb_delay,
+            "the request makes the session due"
+        );
+        let grants: Vec<Micros> = (5_000..300_000)
+            .step_by(1_000)
+            .filter(|&t| {
+                s.tick(t);
+                s.take_pli(t)
+            })
+            .collect();
+        assert_eq!(grants, vec![5_000 + fb_delay]);
+        assert_eq!(s.stats().plis, 1);
+        assert_eq!(registry.snapshot().counter("transport.plis"), Some(1));
+        // One `pli` event, on the requesting frame's depth path.
+        let q = TraceQuery::from_trace(&events);
+        let path = q.frame(7).expect("the request is on frame 7's path");
+        assert_eq!(path.ts_on(kind::PLI, 1, "transport.depth"), Some(5_000));
+        assert_eq!(path.ts_on(kind::PLI, 1, "transport.color"), None);
     }
 
     #[test]
     fn pli_within_one_rtt_of_granted_keyframe_is_suppressed() {
-        // Regression for the keyframe-storm edge case: a near-blackout link
-        // (90% loss — every frame strands partial packets in reassembly)
-        // queues a PLI per receiver deadline, but the sender must grant at
-        // most one intra per RTT — a PLI landing in the same RTT as a
-        // granted keyframe is answered by the intra already in flight.
+        // Regression for the keyframe-storm edge case: on a near-blackout
+        // link (90% loss) a receiver asks for a keyframe every 10 ms about
+        // the frame it is at (sent one propagation ago), and the sender
+        // answers each grant with an intra at once. The requests about
+        // frames before that intra are answered by it, so grants come at
+        // most once per round trip (propagation out, feedback delay back).
         let cfg = SessionConfig {
             link: LinkConfig {
                 random_loss: 0.9,
@@ -1403,58 +1378,46 @@ mod tests {
             },
             ..Default::default()
         };
+        let prop = cfg.link.propagation;
         let trace = BandwidthTrace::constant(50.0, 30.0);
         let mut s = RtcSession::new(trace, cfg);
-        // (grant time, smoothed RTT at that moment) — the RTT climbs as the
-        // blackout backs the path up, and the guard suppresses against the
-        // RTT at the arriving PLI's time, so each gap is judged by the RTT
-        // captured at the *later* grant, not the end-of-run value.
-        let mut grants: Vec<(Micros, Micros)> = Vec::new();
+        let min_rtt = prop + s.fb_delay();
+        let mut grants: Vec<Micros> = Vec::new();
+        let mut sent: Vec<Micros> = Vec::new(); // send time by frame id
         let mut t: Micros = 0;
-        let mut frame_id = 0u64;
         let mut next: Micros = 0;
         while t < ms(10_000) {
-            if t >= next {
-                // Both media streams: their per-stream PLI timers fire
-                // independently, landing pairs of PLIs inside one RTT.
-                s.send_frame(
-                    t,
-                    StreamId::Color,
-                    frame_id,
-                    Bytes::from(vec![0u8; 20_000]),
-                    false,
-                );
-                s.send_frame(
-                    t,
-                    StreamId::Depth,
-                    frame_id,
-                    Bytes::from(vec![0u8; 30_000]),
-                    false,
-                );
-                frame_id += 1;
-                next += 33_333;
+            let key = s.take_pli(t);
+            if key {
+                grants.push(t);
+            }
+            if key || t >= next {
+                let frame_id = sent.len() as u64;
+                let payload = Bytes::from(vec![0u8; 30_000]);
+                s.send_frame(t, StreamId::Depth, frame_id, payload, key || t == 0);
+                sent.push(t);
+                next = t + 33_333;
             }
             s.tick(t);
-            if s.take_pli(t) {
-                grants.push((t, (2.0 * s.one_way_delay_us()) as Micros));
+            if t.is_multiple_of(10_000) {
+                if let Some(at) = sent.iter().rposition(|&sent| sent + prop <= t) {
+                    s.request_keyframe(t, StreamId::Depth, at as u64);
+                }
             }
             t += 1000;
         }
-        // PLIs kept coming from both streams, yet the session neither
-        // panicked nor granted a keyframe storm.
+        // Requests kept coming, yet the session granted no keyframe storm.
         assert!(
-            s.stats().plis > grants.len() as u64,
-            "guard must swallow some PLIs"
+            s.stats().plis > 2 * grants.len() as u64,
+            "guard must swallow most requests"
         );
-        assert!(
-            !grants.is_empty(),
-            "blackout still escalates to (some) keyframes"
-        );
+        assert!(grants.len() > 10, "the storm still gets keyframes");
         for w in grants.windows(2) {
-            let ((t0, _), (t1, rtt)) = (w[0], w[1]);
             assert!(
-                t1 - t0 >= rtt,
-                "keyframe grants {t0} and {t1} within one RTT ({rtt} µs)"
+                w[1] - w[0] >= min_rtt,
+                "keyframe grants {} and {} within one RTT ({min_rtt} µs)",
+                w[0],
+                w[1]
             );
         }
     }
@@ -1464,21 +1427,93 @@ mod tests {
         let trace = BandwidthTrace::constant(50.0, 30.0);
         let mut s = RtcSession::new(trace, SessionConfig::default());
         let rtt = (2.0 * s.one_way_delay_us()) as Micros;
-        s.pending_pli.push_back(1_000);
-        s.pending_pli.push_back(1_000 + rtt / 2); // duplicate within the RTT
-        s.pending_pli.push_back(1_000 + 2 * rtt); // genuinely new loss event
-        assert!(s.take_pli(1_000), "first PLI grants a keyframe");
+        let fb = s.fb_delay();
+        let send = |s: &mut RtcSession, t: Micros, frame_id: u64, key: bool| {
+            s.send_frame(
+                t,
+                StreamId::Color,
+                frame_id,
+                Bytes::from(vec![0u8; 100]),
+                key,
+            );
+        };
+        // Keyframe 10 goes out, whoever asked for it (a call's first frame,
+        // an SFU chain's intra); P frame 11 follows.
+        send(&mut s, 100_000, 10, true);
+        send(&mut s, 100_000 + rtt / 4, 11, false);
+        // Within one RTT of the keyframe: a request about frame 9, which
+        // keyframe 10 answers, a request about depth frame 9, which no
+        // depth keyframe answers, and one about frame 11, whose chain broke
+        // after keyframe 10.
+        let due = 100_000 + rtt / 2;
+        s.request_keyframe(due - fb, StreamId::Color, 9);
+        s.request_keyframe(due - fb, StreamId::Depth, 9);
+        s.request_keyframe(due - fb, StreamId::Color, 11);
+        assert!(s.take_pli(due), "no depth keyframe answers depth frame 9");
+        assert_eq!(s.pending_pli.len(), 1, "the answered request was consumed");
         assert!(
-            !s.take_pli(1_000 + rtt / 2),
-            "PLI within one RTT of the grant is consumed without a second intra"
+            s.take_pli(due),
+            "a break after the keyframe sent gets an intra, within one RTT too"
         );
-        assert!(
-            s.pending_pli.len() == 1,
-            "suppressed PLI was consumed, not left queued"
-        );
-        assert!(
-            s.take_pli(1_000 + 2 * rtt),
-            "a PLI after the RTT window grants again"
+        assert!(!s.take_pli(due), "each request is handed out once");
+        // A genuinely new loss event after the RTT window.
+        s.request_keyframe(100_000 + 2 * rtt - fb, StreamId::Color, 12);
+        assert!(s.take_pli(100_000 + 2 * rtt));
+    }
+
+    #[test]
+    fn a_lane_broken_after_a_delivered_keyframe_gets_an_intra_on_a_queued_link() {
+        // A 3 Mbps link offered ≈ 3.2 Mbps plus a 40 kB keyframe every
+        // second: its queue grows, and the smoothed one-way delay with it
+        // (≈ 190 ms by frame 31, against 20 ms of propagation). A lane that
+        // decoded keyframe 30 and then breaks on frame 31 asks for a
+        // keyframe; the request reaches the sender within two smoothed
+        // one-way delays of keyframe 30's send, and must still be granted:
+        // the sender sent no keyframe after frame 31.
+        let trace = BandwidthTrace::constant(3.0, 30.0);
+        let cfg = SessionConfig {
+            jitter_target: 30_000,
+            ..Default::default()
+        };
+        let mut s = RtcSession::new(trace, cfg);
+        let fb = s.fb_delay();
+        let mut sent: Vec<Micros> = Vec::new(); // send time by frame id
+        let mut asked: Option<Micros> = None;
+        let mut granted: Option<Micros> = None;
+        let mut t: Micros = 0;
+        while t < ms(5_000) && granted.is_none() {
+            if t.is_multiple_of(33_000) {
+                let frame_id = sent.len() as u64;
+                let key = frame_id.is_multiple_of(30);
+                let bytes = if key { 40_000 } else { 13_000 };
+                let payload = Bytes::from(vec![0u8; bytes]);
+                s.send_frame(t, StreamId::Color, frame_id, payload, key);
+                sent.push(t);
+            }
+            s.tick(t);
+            for f in s.recv_frames() {
+                if f.frame_id == 31 {
+                    s.request_keyframe(t, StreamId::Color, 31);
+                    asked = Some(t);
+                }
+            }
+            if s.take_pli(t) {
+                granted = Some(t);
+                let owd = s.one_way_delay_us() as Micros;
+                assert!(
+                    t - sent[30] < 2 * owd,
+                    "the request must reach the sender within 2 × OWD ({owd} µs) \
+                     of keyframe 30 (sent {}, request at {t})",
+                    sent[30]
+                );
+            }
+            t += 1000;
+        }
+        let asked = asked.expect("frame 31 arrived");
+        assert_eq!(
+            granted,
+            Some(asked + fb),
+            "the request was granted on arrival"
         );
     }
 
@@ -1693,6 +1728,11 @@ mod tests {
                 if due {
                     b.tick(t);
                     ran_b += 1;
+                }
+                // A lane asks for a keyframe now and then.
+                if poll_pli && t.is_multiple_of(97_000) {
+                    a.request_keyframe(t, StreamId::Color, frame_id);
+                    b.request_keyframe(t, StreamId::Color, frame_id);
                 }
                 let pli_a = poll_pli && a.take_pli(t);
                 let pli_b = poll_pli && due && b.take_pli(t);

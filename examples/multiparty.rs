@@ -122,22 +122,18 @@ fn main() {
 
     let naive_passes = total_frames * parties.len() as u64;
     println!(
-        "{:<14} | {:>9} | {:>8} | {:>6} | {:>9}",
-        "subscriber", "est Mbps", "decoded", "PLIs", "key reqs"
+        "{:<14} | {:>9} | {:>8} | {:>6}",
+        "subscriber", "est Mbps", "decoded", "PLIs"
     );
-    println!(
-        "{:-<14}-+-{:->9}-+-{:->8}-+-{:->6}-+-{:->9}",
-        "", "", "", "", ""
-    );
+    println!("{:-<14}-+-{:->9}-+-{:->8}-+-{:->6}", "", "", "", "");
     for ((id, _), p) in subscribers.iter().zip(&parties) {
         let sub = router.subscriber(*id).expect("still subscribed");
         println!(
-            "{:<14} | {:>9.1} | {:>8} | {:>6} | {:>9}",
+            "{:<14} | {:>9.1} | {:>8} | {:>6}",
             p.name,
             sub.estimate_bps() / 1e6,
             sub.stats().frames_decoded,
             sub.session().stats().plis,
-            sub.stats().keyframes_requested,
         );
     }
 

@@ -76,6 +76,12 @@ fi
 if grep -rn "JitterBuffer\|playout_slack\|PLAYOUT_SLACK\|abandon_before\|DUPLICATE_KEYFRAMES" crates src tests examples; then
   echo "the jitter buffer, the playout slack, abandon_before or DUPLICATE_KEYFRAMES is back"; exit 1
 fi
+# One way to ask for a keyframe: a decode lane that lost its reference
+# asks through RtcSession::request_keyframe. The transport's stuck-frame PLI
+# timer stays gone.
+if grep -rn "check_pli\|stuck_frames\|pli_deadline" crates src tests examples; then
+  echo "the stuck-frame PLI timer (check_pli, stuck_frames, pli_deadline) is back"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite ran at the auto-detected
 # tier above; it must also hold with the dispatcher forced to the scalar
 # tier (LIVO_SIMD caps the level per process).
