@@ -8,7 +8,8 @@
 //!
 //! - [`scene`]: analytic 3D scenes — animated articulated people
 //!   ([`people`]), furniture, floors — with procedural surface colour.
-//! - [`render`]: a per-pixel ray-cast RGB-D renderer with a pinhole model;
+//! - [`render`]: a ray-cast RGB-D renderer with a pinhole model, one ray
+//!   per pixel, cast eight at a time;
 //!   it produces exactly what an RGB-D camera produces (a depth image in
 //!   millimetres plus a pixel-aligned colour image).
 //! - [`rig`]: circular camera arrays matching the paper's capture rig.
@@ -36,3 +37,7 @@ pub use render::{render_rgbd, render_views_at, RgbdFrame};
 pub use rig::camera_ring;
 pub use scene::{Scene, SceneSnapshot};
 pub use usertrace::UserTrace;
+
+#[cfg(test)]
+#[path = "../tests/common/oracle.rs"]
+mod oracle;

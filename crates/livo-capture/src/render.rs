@@ -5,7 +5,7 @@
 //! image at the same resolution (the paper downsamples colour to depth
 //! resolution before tiling, §3.2 — our renderer outputs that directly).
 //!
-//! # Tile binning
+//! # Tile binning and ray packets
 //!
 //! Every pixel casts one ray, but not at every shape. Per camera, each
 //! shape's hull is moved into the camera frame once: a ball for a sphere
@@ -14,26 +14,43 @@
 //! pixel tiles; a tile's candidate list keeps, in scene order, the shapes
 //! whose hull meets the tile's wedge (the four planes through the camera
 //! centre and the tile's corner pixel-centre rays) and the
-//! `[min_range_m, max_range_m]` depth slab. Each ray is then cast at its
-//! tile's list only.
+//! `[min_range_m, max_range_m]` depth slab. Each tile row is then cast as
+//! one packet of [`LANES`] rays at its tile's list only: one lane body per
+//! shape kind returns every lane's hit distance (NaN for none), the
+//! packet keeps per lane the nearest hit within range and its shape, and
+//! only that final hit is shaded, noised and rounded. A partial packet at
+//! the right image edge repeats its last pixel and discards those lanes.
+//! The body is compiled twice, at the baseline tier and under AVX2, and
+//! picked by [`livo_math::simd::has_avx2`].
 //!
-//! The output is the same, byte for byte, as casting every ray at every
-//! shape (the all-shapes loop is kept as the test oracle in
+//! The output is the same, byte for byte, as casting every pixel's ray
+//! alone at every shape (kept as the test oracle in
 //! `tests/common/oracle.rs`):
 //! - A dropped shape is one that no ray of the tile can hit within range.
 //!   Every pixel-centre ray of the tile lies inside its wedge, and every
 //!   hull extent is inflated to `extent·1.001 + 1 mm` (ball and capsule
 //!   radii first widened by [`GRAZE_M2`] under the root), more than the
 //!   rounding in the ray casts and in the move to the camera frame.
-//! - The list keeps scene order, and the cast keeps the first of equally
+//! - The list keeps scene order, and the packet keeps the first of equally
 //!   near hits, so ties resolve as they did over the whole scene.
+//! - A lane runs the scalar cast's operations in their order: the same
+//!   `ray_dir` and `Quat::rotate` calls, and in each lane body the same
+//!   products, sums, divisions and square roots, none fused. A branch of
+//!   the scalar cast is a mask, so a lane computes both arms and keeps the
+//!   one the scalar cast would take. Every one of those operations is
+//!   correctly rounded at 128 and 256 bits alike, so each lane is
+//!   bit-equal to its ray cast alone, at either tier.
+//! - Shading only the final hit shades what the scalar cast stored last,
+//!   and [`round_clamp`] equals `f32::round` on `[0.5, 65 535.5)`, the
+//!   values that round into `1 ..= 65 535`.
 
-use crate::scene::{SceneSnapshot, ShapeGeom};
-use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
+use crate::scene::{RayPacket, SceneSnapshot, ShapeGeom, NO_HIT};
+use livo_math::{round_clamp, CameraIntrinsics, Pose, RgbdCamera, Vec3, LANES};
 use livo_runtime::WorkerPool;
 
-/// Edge of the square pixel tiles that share one candidate list.
-const TILE: usize = 8;
+/// Edge of the square pixel tiles that share one candidate list. One tile
+/// row is one ray packet.
+const TILE: usize = LANES;
 
 /// Slack in m² added to a ball or capsule radius squared before
 /// inflation. A grazing ray's discriminant carries an absolute rounding
@@ -124,7 +141,7 @@ fn tile_wedge(k: &CameraIntrinsics, x0: usize, x1: usize, y0: usize, y1: usize) 
 /// depth stream expensive to encode (and why LiVo gives it the larger
 /// bandwidth share). Hash-based so the same (pixel, time) always gets the
 /// same noise: renders are reproducible.
-fn depth_noise_mm(x: usize, y: usize, t_key: u32, depth_mm: f32) -> f32 {
+pub(crate) fn depth_noise_mm(x: usize, y: usize, t_key: u32, depth_mm: f32) -> f32 {
     let mut h = (x as u32).wrapping_mul(0x9E37_79B9)
         ^ (y as u32).wrapping_mul(0x85EB_CA6B)
         ^ t_key.wrapping_mul(0xC2B2_AE35);
@@ -185,9 +202,29 @@ impl RgbdFrame {
 /// is what time-of-flight depth images store and what
 /// [`livo_math::CameraIntrinsics::unproject`] expects back. Depth carries
 /// sensor noise keyed by pixel and `time_key` (pass the frame time so noise
-/// varies frame to frame, as on a real sensor). Each ray is cast only at
-/// the shapes that can reach its pixel's tile (see the module docs).
+/// varies frame to frame, as on a real sensor). Each tile row is cast as
+/// one ray packet at the shapes that can reach its tile (see the module
+/// docs). The AVX2 build of the same body runs where the CPU has it; the
+/// bytes are the same at every tier.
 pub fn render_rgbd_at(camera: &RgbdCamera, scene: &SceneSnapshot, time_key: u32) -> RgbdFrame {
+    #[cfg(target_arch = "x86_64")]
+    if livo_math::simd::has_avx2() {
+        // SAFETY: has_avx2() never reports true unless the CPU supports it.
+        return unsafe { render_avx2(camera, scene, time_key) };
+    }
+    render_body(camera, scene, time_key)
+}
+
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn render_avx2(camera: &RgbdCamera, scene: &SceneSnapshot, time_key: u32) -> RgbdFrame {
+    render_body(camera, scene, time_key)
+}
+
+#[inline(always)]
+fn render_body(camera: &RgbdCamera, scene: &SceneSnapshot, time_key: u32) -> RgbdFrame {
     let k = &camera.intrinsics;
     let w = k.width as usize;
     let h = k.height as usize;
@@ -212,43 +249,59 @@ pub fn render_rgbd_at(camera: &RgbdCamera, scene: &SceneSnapshot, time_key: u32)
                 continue;
             }
             for y in y0..y1 {
-                for x in x0..x1 {
-                    cast_pixel(&mut out, camera, scene, &candidates, (x, y), time_key);
-                }
+                cast_tile_row(&mut out, camera, scene, &candidates, (x0..x1, y), time_key);
             }
         }
     }
     out
 }
 
-/// Cast pixel `(x, y)`'s ray at the shapes at `candidates` and store the
-/// return, if there is one in range, in `out`.
-fn cast_pixel(
+/// Cast the rays of pixels `xs` (at most [`LANES`]) of row `y` as one
+/// packet at the shapes at `candidates`, and store each return in range in
+/// `out`. A partial packet repeats its last pixel; those lanes are
+/// discarded.
+#[inline(always)]
+fn cast_tile_row(
     out: &mut RgbdFrame,
     camera: &RgbdCamera,
     scene: &SceneSnapshot,
     candidates: &[usize],
-    (x, y): (usize, usize),
+    (xs, y): (std::ops::Range<usize>, usize),
     time_key: u32,
 ) {
-    let local_dir = camera.intrinsics.ray_dir(x as f32 + 0.5, y as f32 + 0.5);
-    let dir = camera.pose.orientation.rotate(local_dir);
-    // The ray's length per unit z: local_dir.z is cos of the angle to the
-    // optical axis.
-    let cos_axis = local_dir.z.max(1e-6);
-    let s_min = camera.min_range_m / cos_axis;
-    let s_max = camera.max_range_m / cos_axis;
-    let origin = camera.pose.position;
-    if let Some((s, color)) = scene.cast_ray(candidates, origin, dir, s_min, s_max) {
-        let depth_m = s * cos_axis;
+    let mut rays = RayPacket {
+        origin: camera.pose.position,
+        dir: [[0.0; LANES]; 3],
+        s_min: [0.0; LANES],
+    };
+    let mut cos_axis = [0.0; LANES];
+    let mut s_max = [0.0; LANES];
+    for l in 0..LANES {
+        let x = (xs.start + l).min(xs.end - 1);
+        let local_dir = camera.intrinsics.ray_dir(x as f32 + 0.5, y as f32 + 0.5);
+        let dir = camera.pose.orientation.rotate(local_dir);
+        // The ray's length per unit z: local_dir.z is cos of the angle to
+        // the optical axis.
+        cos_axis[l] = local_dir.z.max(1e-6);
+        rays.s_min[l] = camera.min_range_m / cos_axis[l];
+        s_max[l] = camera.max_range_m / cos_axis[l];
+        (rays.dir[0][l], rays.dir[1][l], rays.dir[2][l]) = (dir.x, dir.y, dir.z);
+    }
+    let (s, hit) = scene.cast_packet(candidates, &rays, &s_max);
+    for (l, x) in xs.enumerate() {
+        if hit[l] == NO_HIT {
+            continue;
+        }
+        let depth_m = s[l] * cos_axis[l];
         let clean_mm = depth_m * 1000.0;
-        let depth_mm = (clean_mm + depth_noise_mm(x, y, time_key, clean_mm)).round();
-        if depth_mm >= 1.0 && depth_mm <= u16::MAX as f32 {
+        let depth_mm = clean_mm + depth_noise_mm(x, y, time_key, clean_mm);
+        // Exactly the values that round to 1 ..= 65 535.
+        if (0.5..65_535.5).contains(&depth_mm) {
+            let shape = &scene.shapes[hit[l] as usize];
+            let color = shape.texture.color_at(rays.origin + rays.dir(l) * s[l]);
             let i = y * out.width + x;
-            out.depth_mm[i] = depth_mm as u16;
-            out.rgb[i * 3] = color[0];
-            out.rgb[i * 3 + 1] = color[1];
-            out.rgb[i * 3 + 2] = color[2];
+            out.depth_mm[i] = round_clamp(depth_mm, u16::MAX);
+            out.rgb[i * 3..i * 3 + 3].copy_from_slice(&color);
         }
     }
 }
@@ -286,17 +339,14 @@ pub fn render_views_at(
 }
 
 #[cfg(test)]
-#[path = "../tests/common/oracle.rs"]
-mod oracle;
-
-#[cfg(test)]
 mod tests {
-    use super::oracle::render_rgbd_reference;
     use super::*;
     use crate::datasets::DatasetPreset;
+    use crate::oracle::render_rgbd_reference;
     use crate::rig;
     use crate::scene::{AnimatedShape, Scene, Texture};
     use livo_math::rng::{cases, SplitMix64};
+    use livo_math::Quat;
 
     /// Pixels whose depth or colour differ.
     fn differing_pixels(a: &RgbdFrame, b: &RgbdFrame) -> usize {
@@ -337,6 +387,97 @@ mod tests {
                                 cams.len()
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packets_equal_the_reference_when_partial_and_when_axis_aligned() {
+        // 45 = 5·8 + 5: the last packet of every row repeats its last
+        // pixel in three lanes. With an identity orientation, cx = 22.5
+        // and cy = 18.5, the rays of column 22 have dir.x == 0.0 and those
+        // of row 18 dir.y == 0.0 exactly: box lanes flat on an axis, with
+        // the eye inside, outside and on the face of that slab, and floor
+        // lanes parallel to the plane.
+        let k = CameraIntrinsics {
+            width: 45,
+            height: 37,
+            fx: 40.0,
+            fy: 38.0,
+            cx: 22.5,
+            cy: 18.5,
+        };
+        let eye = Vec3::new(0.0, 1.0, -3.0);
+        let aligned = RgbdCamera::new(k, Pose::new(eye, Quat::IDENTITY));
+        let dir = |x: f32, y: f32| aligned.pose.orientation.rotate(k.ray_dir(x + 0.5, y + 0.5));
+        assert_eq!(dir(22.0, 3.0).x, 0.0);
+        assert_eq!(dir(40.0, 18.0).y, 0.0);
+        let mut cams = rig::camera_ring(4, 2.5, 1.4, Vec3::new(0.0, 1.0, 0.0), k);
+        cams.push(aligned);
+        let mut boxes = Scene::new();
+        for (center, half, color) in [
+            // Spans x = 0 and y = 1: flat lanes start inside both slabs.
+            (
+                Vec3::new(0.0, 1.0, 0.5),
+                Vec3::new(0.4, 0.3, 0.2),
+                [9, 9, 90],
+            ),
+            // Beside x = 0 and above y = 1: flat lanes start outside.
+            (
+                Vec3::new(0.6, 1.6, 1.0),
+                Vec3::new(0.2, 0.2, 0.2),
+                [90, 9, 9],
+            ),
+            (
+                Vec3::new(-0.7, 0.4, 1.5),
+                Vec3::new(0.3, 0.4, 0.3),
+                [9, 90, 9],
+            ),
+            // Its x = 0 face holds the eye: column 22 grazes it and hits.
+            (
+                Vec3::new(-0.25, 1.6, 1.0),
+                Vec3::new(0.25, 0.15, 0.1),
+                [90, 90, 9],
+            ),
+        ] {
+            boxes.add(AnimatedShape::fixed(
+                ShapeGeom::Box { center, half },
+                Texture::Solid(color),
+            ));
+        }
+        boxes.add(AnimatedShape::fixed(
+            ShapeGeom::Floor {
+                height: 0.0,
+                radius: 5.0,
+            },
+            Texture::Checker([200, 200, 200], [30, 30, 30], 0.25),
+        ));
+        let box_view = render_rgbd_at(&aligned, &boxes.at(0.0), 7);
+        assert_eq!(
+            box_view.rgb_at(22, 18),
+            [9, 9, 90],
+            "the near box is in view"
+        );
+        assert_eq!(
+            box_view.rgb_at(22, 13),
+            [90, 90, 9],
+            "the eye's face box is hit"
+        );
+        let mut scenes: Vec<Scene> = DatasetPreset::all().into_iter().map(|p| p.scene).collect();
+        scenes.push(boxes);
+        for scene in &scenes {
+            for (key, t) in [(0, 0.0), (41, 1.37), (299, 9.97)] {
+                let snap = scene.at(t);
+                for (i, cam) in cams.iter().enumerate() {
+                    let want = render_rgbd_reference(cam, &snap, key);
+                    // The auto-detected tier, then the baseline body.
+                    for got in [
+                        render_rgbd_at(cam, &snap, key),
+                        render_body(cam, &snap, key),
+                    ] {
+                        assert_eq!(differing_pixels(&got, &want), 0, "t = {t}: camera {i}");
                     }
                 }
             }

@@ -63,9 +63,24 @@ pub fn round_clamp(x: f32, peak: u16) -> u16 {
     (t + (c - t as f32 >= 0.5) as i32) as u16
 }
 
+/// `v.floor() as i32` (saturating, NaN to 0) without the call into libm:
+/// truncate, then step down once if that rounded a negative value up.
+#[inline]
+pub fn floor_to_i32(v: f32) -> i32 {
+    if v.abs() < 2_147_483_648.0 {
+        // SAFETY: |v| < 2³¹ and not NaN, so its truncation is an `i32`.
+        // (The checked cast costs twice this whole function.)
+        let t = unsafe { v.to_int_unchecked::<i32>() };
+        // |t| < 2³¹ too, so stepping down cannot overflow.
+        t - (t as f32 > v) as i32
+    } else {
+        v as i32
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::round_clamp;
+    use super::{floor_to_i32, round_clamp};
 
     fn libm(x: f32, peak: u16) -> u16 {
         x.round().clamp(0.0, peak as f32) as u16
@@ -120,6 +135,40 @@ mod tests {
             let x = f32::from_bits(bits);
             assert_eq!(round_clamp(x, 255), libm(x, 255), "{x:?}");
             assert_eq!(round_clamp(x, u16::MAX), libm(x, u16::MAX), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn floor_to_i32_is_floor_then_cast() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            1.0,
+            -1e-30,
+            16_777_216.0,
+            -16_777_217.0,
+            2_147_483_520.0,
+            -2_147_483_648.0,
+            3e9,
+            -3e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Every integer boundary of a room-sized grid, from both sides.
+        for k in -2000..2000 {
+            let b = k as f32 * 0.25;
+            cases.extend([
+                b,
+                f32::from_bits(b.to_bits() + 1),
+                f32::from_bits(b.to_bits().wrapping_sub(1)),
+            ]);
+        }
+        for v in cases {
+            assert_eq!(floor_to_i32(v), v.floor() as i32, "{v:?}");
         }
     }
 }

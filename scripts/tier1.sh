@@ -82,11 +82,13 @@ fi
 if grep -rn "check_pli\|stuck_frames\|pli_deadline" crates src tests examples; then
   echo "the stuck-frame PLI timer (check_pli, stuck_frames, pli_deadline) is back"; exit 1
 fi
-# SIMD dispatch: the kernel differential suite ran at the auto-detected
-# tier above; it must also hold with the dispatcher forced to the scalar
-# tier (LIVO_SIMD caps the level per process).
+# SIMD dispatch: the kernel differential suite and the renderer's oracle
+# tests ran at the auto-detected tier above; they must also hold with the
+# dispatcher forced to the scalar tier (LIVO_SIMD caps the level per
+# process).
 echo "== tier1: simd tier sweep =="
 LIVO_SIMD=scalar cargo test -q --test kernel_differential
+LIVO_SIMD=scalar cargo test -q -p livo-capture
 # Hot-kernel regression gate: every gated kernel must run at least as fast
 # as the implementation it replaced.
 echo "== tier1: kernel gate =="
