@@ -3,9 +3,11 @@
 //!
 //! The conference harness mirrors `examples/multiparty.rs` — one capture
 //! rig feeding the SFU router, three subscribers on distinct emulated
-//! links — but wires a causal [`EventTrace`] through every layer and a
-//! [`FlightRecorder`] over the live signals. The report prints one
-//! frame's reconstructed capture→display path per subscriber (the
+//! links, the same drive loop — but wires a causal [`EventTrace`] through
+//! every layer (each subscriber's display clock records its `display`
+//! events) and a [`FlightRecorder`] over the live signals. The
+//! per-subscriber outcomes are the example's table; this report prints
+//! one frame's reconstructed capture→display path per subscriber (the
 //! [`TraceQuery`] per-hop breakdown) and, with `--trace <path>`, exports
 //! the whole run as Chrome trace-event JSON for Perfetto.
 //!
@@ -20,6 +22,7 @@ use livo_capture::{
     VideoId,
 };
 use livo_core::conference::{ConferenceConfig, ConferenceRunner};
+use livo_core::stage::{due, FPS};
 use livo_eval::experiments::EvalProfile;
 use livo_math::{CameraIntrinsics, Vec3};
 use livo_sfu::{subscriber_party, Router, SubscriberConfig, SubscriberId};
@@ -37,7 +40,7 @@ const PARTIES: [(&str, TraceId, usize); 3] = [
 
 /// Outcome of one traced conference run.
 pub struct ConferenceReport {
-    /// Human-readable report (per-subscriber outcomes + frame paths).
+    /// Human-readable report: one frame path per subscriber.
     pub text: String,
     /// The full run as Chrome trace-event JSON (Perfetto-loadable).
     pub chrome_json: String,
@@ -62,7 +65,6 @@ fn party_name(party: u16) -> String {
 
 /// Run the traced 3-party conference.
 pub fn run(profile: &EvalProfile) -> ConferenceReport {
-    let fps = 30u32;
     let seconds = profile.duration_s.min(3.0);
     let cameras = rig::camera_ring(
         profile.n_cameras,
@@ -100,12 +102,10 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
         })
         .collect();
 
-    let frame_interval: Micros = 1_000_000 / fps as u64;
-    let total_frames = (seconds * fps as f32) as u64;
+    let total_frames = (seconds * FPS as f32) as u64;
     let mut now: Micros = 0;
-    let mut displayed: Vec<Option<u32>> = vec![None; PARTIES.len()];
     for frame_idx in 0..total_frames {
-        let t_s = frame_idx as f32 / fps as f32;
+        let t_s = frame_idx as f32 / FPS as f32;
         let snap = preset.scene.at(t_s);
         let views = render_views_at(pool, &cameras, &snap, frame_idx as u32);
         trace.record(now, frame_idx, 0, "pipeline", kind::CAPTURE, 0);
@@ -121,31 +121,7 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
         }
         router.route_frame(now, &views);
 
-        let frame_end = now + frame_interval;
-        while now < frame_end {
-            router.tick(now);
-            // Display stand-in: a subscriber "shows" the newest sequence
-            // decoded on both streams, once per frame interval.
-            for ((id, _), shown) in subscribers.iter().zip(displayed.iter_mut()) {
-                let sub = router.subscriber(*id).expect("still subscribed");
-                if let Some(have) = sub.latest_synced_seq() {
-                    if Some(have) != *shown {
-                        *shown = Some(have);
-                        let seq = have as u64;
-                        let age = now.saturating_sub(seq * frame_interval);
-                        trace.record(
-                            now,
-                            seq,
-                            subscriber_party(*id),
-                            "display",
-                            kind::DISPLAY,
-                            age as i64,
-                        );
-                    }
-                }
-            }
-            now += 1_000;
-        }
+        now = router.run_until(now, due(frame_idx + 1));
     }
 
     // Reconstruct: which frames have a full sender→SFU→subscriber path?
@@ -169,26 +145,6 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
         PARTIES.len(),
         total_frames
     );
-    text.push_str(&format!(
-        "{:<14} | {:>9} | {:>8} | {:>6} | {:>13}\n",
-        "subscriber", "est Mbps", "decoded", "PLIs", "traced frames"
-    ));
-    text.push_str(&format!(
-        "{:-<14}-+-{:->9}-+-{:->8}-+-{:->6}-+-{:->13}\n",
-        "", "", "", "", ""
-    ));
-    for (i, (name, _, _)) in PARTIES.iter().enumerate() {
-        let sub = router.subscriber(subscribers[i].0).expect("subscribed");
-        text.push_str(&format!(
-            "{:<14} | {:>9.1} | {:>8} | {:>6} | {:>13}\n",
-            name,
-            sub.estimate_bps() / 1e6,
-            sub.stats().frames_decoded,
-            sub.session().stats().plis,
-            reconstructed[i].len(),
-        ));
-    }
-    text.push('\n');
     // One reconstructed path per subscriber: the newest fully-traced frame.
     for seqs in &reconstructed {
         if let Some(&seq) = seqs.last() {

@@ -10,10 +10,14 @@
 //! v2 extends the sweep to conference scale (N ∈ {10, 100, 500}) and to
 //! the sharded router:
 //!
+//! - Every run drives the router on the two-party call's exact 30 fps
+//!   schedule: frame `f` is routed at the first 1 ms tick at or after
+//!   `due(f)`, then `Router::run_until` steps the downlinks and display
+//!   clocks to `due(f + 1)`.
 //! - Route wall-clock is measured directly per frame and reported as
 //!   exact p50/p99 percentiles (the registry's log-bucket histogram is
-//!   too coarse to gate on), and so is the frame's 1 ms router ticks,
-//!   with how many subscriber sessions those ticks ran.
+//!   too coarse to gate on), and so is the frame's `run_until`, with how
+//!   many subscriber session ticks it ran.
 //! - At N = 100 the same workload also runs on a single-thread pool; the
 //!   gate requires the sharded route time to stay at or below that serial
 //!   baseline (within noise) whenever more than one worker is available.
@@ -32,7 +36,7 @@
 use livo_capture::{
     datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, RgbdFrame, VideoId,
 };
-use livo_core::stage::FPS;
+use livo_core::stage::{due, FPS};
 use livo_eval::experiments::EvalProfile;
 use livo_eval::stats::percentile;
 use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
@@ -103,11 +107,11 @@ pub struct ChurnPoint {
 }
 
 /// The link-class run: the whole-call benchmark's fast, mid and slow
-/// downlinks (Mbit/s), 120 frames, display slots from the sixth frame
-/// interval on (the 100 ms jitter target and three frames of fill).
+/// downlinks (Mbit/s), 120 frames; each subscriber's display clock counts
+/// its slots from 200 ms after its first frame (the 100 ms jitter target
+/// and three frames of fill).
 pub const LINK_CLASSES_MBPS: [f64; 3] = [50.0, 6.0, 1.5];
-const CLASS_FRAMES: usize = 120;
-const DISPLAY_AFTER: usize = 6;
+const CLASS_FRAMES: u64 = 120;
 
 /// What the stage group's member on one link class displayed: new frames
 /// a second, the share of slots with none, and the T1s not forwarded.
@@ -152,17 +156,15 @@ fn subscriber_cfg(i: usize, n: usize) -> SubscriberConfig {
     }
 }
 
-/// Router tick spacing: the product's and the benchmark's.
-const TICK_US: Micros = 1_000;
-
-/// One frame interval: each `(subscriber, slot)` observes its gaze group's
-/// pose, the router routes `views` at `now`, then ticks every 1 ms up to
-/// the next frame. Returns the summary and the route and tick wall times,
-/// milliseconds.
+/// Frame `f`'s interval: each `(subscriber, slot)` observes its gaze
+/// group's pose, the router routes `views` at `now`, then runs to the next
+/// frame's due instant. Returns the summary and the route and run wall
+/// times, milliseconds.
 fn step(
     router: &mut Router,
     subs: &[(SubscriberId, usize)],
     views: &[RgbdFrame],
+    f: u64,
     now: &mut Micros,
 ) -> (RouteSummary, f64, f64) {
     for &(id, slot) in subs {
@@ -173,11 +175,8 @@ fn step(
     let t0 = std::time::Instant::now();
     let out = router.route_frame(*now, views);
     let route_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (frame_end, t0) = (*now + 1_000_000 / FPS as u64, std::time::Instant::now());
-    while *now < frame_end {
-        router.tick(*now);
-        *now += TICK_US;
-    }
+    let t0 = std::time::Instant::now();
+    *now = router.run_until(*now, due(f + 1));
     (out, route_ms, t0.elapsed().as_secs_f64() * 1e3)
 }
 
@@ -210,8 +209,8 @@ fn run_one(
         .collect();
     let mut now: Micros = 0;
     let (mut route_ms, mut tick_ms) = (Vec::new(), Vec::new());
-    for views in frames {
-        let (_, route, tick) = step(&mut router, &subs, views, &mut now);
+    for (f, views) in (0..).zip(frames) {
+        let (_, route, tick) = step(&mut router, &subs, views, f, &mut now);
         route_ms.push(route);
         tick_ms.push(tick);
     }
@@ -302,7 +301,7 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
             }
             next_leave += rng.exp_frames(CHURN_MEAN_FRAMES);
         }
-        let (out, route, _) = step(&mut router, &subs, views, &mut now);
+        let (out, route, _) = step(&mut router, &subs, views, frame_idx, &mut now);
         route_ms.push(route);
         for ev in &out.events {
             match ev {
@@ -336,7 +335,7 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
 }
 
 /// Two gaze groups with one member per link class; the clip plays forward
-/// then backward, and a slot shows when the newest colour+depth pair is new.
+/// then backward, and each member's display clock counts its slots.
 fn run_classes(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>]) -> Vec<ClassPoint> {
     let mut router = Router::builder(cameras.to_vec())
         .build()
@@ -349,30 +348,26 @@ fn run_classes(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>]) -> Vec<ClassPo
             (id.expect("add subscriber"), i)
         })
         .collect();
-    let (mut shown, mut fresh) = (vec![None; subs.len()], vec![0u64; subs.len()]);
     let (mut now, period) = (0, 2 * (frames.len() - 1));
     for f in 0..CLASS_FRAMES {
-        let views = &frames[(f % period).min(period - f % period)];
-        step(&mut router, &subs, views, &mut now);
-        for (i, &(id, _)) in subs.iter().enumerate().filter(|_| f >= DISPLAY_AFTER) {
-            let newest = router.subscriber(id).and_then(|s| s.latest_synced_seq());
-            fresh[i] += u64::from(newest.is_some() && newest != shown[i]);
-            shown[i] = newest;
-        }
+        let at = f as usize % period;
+        let views = &frames[at.min(period - at)];
+        step(&mut router, &subs, views, f, &mut now);
     }
-    let (snap, slots) = (
-        router.registry().snapshot(),
-        (CLASS_FRAMES - DISPLAY_AFTER) as f64,
-    );
-    (0..subs.len())
+    let snap = router.registry().snapshot();
+    subs.iter()
         .step_by(2)
-        .map(|i| ClassPoint {
-            link_mbps: LINK_CLASSES_MBPS[i / 2],
-            shown_fps: fresh[i] as f64 * FPS as f64 / slots,
-            stall_rate: 1.0 - fresh[i] as f64 / slots,
-            t1_dropped: snap
-                .counter(&format!("sfu.sub.sub{i}.t1_dropped"))
-                .unwrap_or(0),
+        .map(|&(id, i)| {
+            let stats = router.subscriber(id).expect("subscribed").stats();
+            let slots = (stats.slots_shown + stats.slots_stalled) as f64;
+            ClassPoint {
+                link_mbps: LINK_CLASSES_MBPS[i / 2],
+                shown_fps: stats.slots_shown as f64 * FPS as f64 / slots,
+                stall_rate: stats.slots_stalled as f64 / slots,
+                t1_dropped: snap
+                    .counter(&format!("sfu.sub.sub{i}.t1_dropped"))
+                    .unwrap_or(0),
+            }
         })
         .collect()
 }

@@ -17,8 +17,8 @@ use crate::frustum_pred::FrustumPredictor;
 use crate::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::stage::{
-    FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, FPS, GUARD_BAND_M, MEDIA_SHARE,
-    NOADAPT_QPS, RENDER_VOXEL_M,
+    due, DisplayClock, FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, Slot, FPS,
+    GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS, RENDER_VOXEL_M,
 };
 use crate::tile::TileLayout;
 use bytes::Bytes;
@@ -30,7 +30,7 @@ use livo_codec2d::{Frame, FrameType};
 use livo_math::FrustumParams;
 use livo_pointcloud::{pssim, PssimConfig, PssimScore};
 use livo_runtime::WorkerPool;
-use livo_telemetry::trace::{kind, EventTrace, TraceEvent, NO_FRAME};
+use livo_telemetry::trace::{kind, EventTrace, TraceEvent};
 use livo_telemetry::{
     log_event, AnomalyConfig, Counter, FlightBundle, FlightRecorder, Gauge, Histogram, Level,
     MetricsRegistry, RegistrySnapshot,
@@ -407,17 +407,12 @@ impl ConferenceRunner {
     /// Run the replay against the given bandwidth trace: a driver of the
     /// two stages on an exact [`FPS`] schedule in virtual time.
     ///
-    /// The clock is a uniform 1 ms tick. With `due(n) = n·10⁶/FPS` µs, frame
-    /// `f` is captured at the first tick at or after `due(f)`, display slot
-    /// `s` is shown at the first at or after `display_start + due(s)`
-    /// whatever happened to the slot before, a frame's age is taken from its
-    /// recorded capture stamp, and the run ends at `due(total_frames)`.
+    /// The clock is a uniform 1 ms tick. Frame `f` is captured at the first
+    /// tick at or after [`due`]`(f)`, the [`DisplayClock`] decides each slot
+    /// after the tick's arrivals, and the run ends at `due(total_frames)`.
     pub fn run(&self, net_trace: BandwidthTrace) -> RunSummary {
         let cfg = &self.cfg;
         let total_frames = (cfg.duration_s * FPS as f32) as u64;
-        let due = |n: u64| n * 1_000_000 / FPS as u64;
-        // Display starts after the jitter target plus pipeline fill.
-        let display_start = cfg.session.jitter_target + due(3);
 
         // Intra-frame parallelism (capture fan-out, cull rows, encoder
         // stripes, the two decode lanes) runs on the runner's pool.
@@ -445,21 +440,18 @@ impl ConferenceRunner {
         // starvation detector sees it.
         pool.attach_telemetry(&tel.registry, "runtime.pool");
 
-        let mut captured_at: Vec<Micros> = Vec::with_capacity(total_frames as usize);
+        let mut display = DisplayClock::new(cfg.session.jitter_target);
+        display.attach_trace(tel.trace.clone(), 1);
         let mut records: Vec<FrameRecord> = Vec::new();
-        let mut displayed_seq: Option<u32> = None;
-        // Time the display last advanced; a stall's length is measured from
-        // here (the first slot counts from the nominal display start).
-        let mut last_shown_us = display_start;
+        let mut f = 0;
         let mut force_key = false;
         let mut split_sum = 0.0;
         let mut now: Micros = 0;
         while now < due(total_frames) {
-            let f = captured_at.len() as u64;
             if now >= due(f) {
                 // --- capture (render the camera array) ---
-                captured_at.push(now);
                 let (seq, t_s) = (f as u32, f as f32 / FPS as f32);
+                display.captured(seq, now);
                 let mut views = tel.time(Step::Capture, f, now, || {
                     render_views_at(&pool, &self.cameras, &self.preset.scene.at(t_s), seq)
                 });
@@ -506,6 +498,7 @@ impl ConferenceRunner {
                     let key = out.frame_type == FrameType::Intra;
                     session.send_frame(now, stream, f, Bytes::from(out.data), key);
                 }
+                f += 1;
             }
 
             // --- network ---
@@ -523,27 +516,25 @@ impl ConferenceRunner {
                 tel.ingested(now, &o);
             }
 
-            // --- display: one slot per frame interval; a slot with no *new*
-            //     synchronised pair is a stall (§A.1: if both frames have not
-            //     been decoded in time, LiVo skips the frame) ---
-            let slot = records.len() as u64;
-            if now >= display_start + due(slot) {
-                let newest = receiver.newest_pair();
-                let shown = newest.filter(|&(seq, ..)| Some(seq) != displayed_seq);
-                let mut pssim = None;
-                if let Some((seq, color, depth)) = shown {
-                    // Frame age from the recorded capture stamp.
-                    let captured = captured_at.get(seq as usize).copied().unwrap_or(now);
-                    tel.shown(now, seq, now - captured);
-                    (last_shown_us, displayed_seq) = (now, Some(seq));
-                    if slot.is_multiple_of(cfg.quality_every as u64) {
-                        pssim =
-                            self.score_frame(&tel, seq, color, depth, sender.depth_codec(), now);
+            // --- display: the slot due at this tick, if any ---
+            let newest = || receiver.newest_pair().map(|(seq, ..)| seq);
+            if let Some((slot, outcome)) = display.poll(now, newest) {
+                let shown_seq = match outcome {
+                    Slot::Shown { seq, .. } => {
+                        tel.frames_shown.inc();
+                        Some(seq)
                     }
-                } else {
-                    tel.stalled(now, slot, now.saturating_sub(last_shown_us));
-                }
-                let shown_seq = shown.map(|(seq, ..)| seq);
+                    Slot::Stalled { since_us } => {
+                        tel.stalled(now, slot, since_us);
+                        None
+                    }
+                };
+                let scored = shown_seq.filter(|_| slot.is_multiple_of(cfg.quality_every as u64));
+                // A slot that shows a frame shows the newest pair.
+                let pssim = scored.and_then(|_| {
+                    let (seq, c, d) = receiver.newest_pair()?;
+                    self.score_frame(&tel, seq, c, d, sender.depth_codec(), now)
+                });
                 records.push(FrameRecord {
                     slot,
                     shown_seq,
@@ -699,20 +690,11 @@ impl RunTelemetry {
         }
     }
 
-    /// A display slot showed frame `seq`, `age_us` after its capture.
-    fn shown(&self, now: Micros, seq: u32, age_us: Micros) {
-        self.frames_shown.inc();
-        self.trace
-            .record(now, seq as u64, 1, "display", kind::DISPLAY, age_us as i64);
-    }
-
     /// A display slot had nothing new to show, `since_us` after the display
-    /// last advanced.
+    /// last advanced (the clock traced it).
     fn stalled(&self, now: Micros, slot: u64, since_us: Micros) {
         self.stalls.inc();
         let stall_ms = since_us as f64 / 1e3;
-        self.trace
-            .record(now, NO_FRAME, 1, "display", kind::STALL, stall_ms as i64);
         self.flight.observe_stall(now, 1, stall_ms);
         log_event!(Level::Debug, "conference.display", "stall", "slot" => slot,
             "t_s" => now as f64 / 1e6, "stall_ms" => stall_ms);

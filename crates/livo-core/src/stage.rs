@@ -2,10 +2,11 @@
 //!
 //! [`SenderStage`] is cull → tile → encode for one outgoing canvas pair;
 //! [`ReceiverStage`] is the per-stream P-chain guard → decode → pairing
-//! window for one incoming pair. The conference loop
-//! ([`crate::conference`]), the SFU's per-cluster encode task and its
-//! per-subscriber decode stand-in (`livo_sfu`) all drive these, so a stage
-//! has one definition whoever's clock it runs on.
+//! window for one incoming pair; [`DisplayClock`] decides, once per display
+//! slot, whether the receiver showed a new pair or stalled. The conference
+//! loop ([`crate::conference`]), the SFU's per-cluster encode task and its
+//! per-subscriber stand-in (`livo_sfu`) all drive these, so a stage has one
+//! definition whoever's clock it runs on.
 //!
 //! Both types are `Send` and hold no thread of their own. §A.1's
 //! frame-level overlap (capture and cull of frame *n + 1* beside the encode
@@ -24,10 +25,10 @@ use livo_codec2d::{
 };
 use livo_math::{Frustum, RgbdCamera};
 use livo_runtime::WorkerPool;
-use livo_telemetry::trace::{kind, EventTrace};
+use livo_telemetry::trace::{kind, EventTrace, NO_FRAME};
 use livo_telemetry::MetricsRegistry;
 use livo_transport::{AssembledFrame, Micros, StreamId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -422,6 +423,101 @@ impl ReceiverStage {
     /// Decoded depth canvas for `seq`, if still in the window.
     pub fn depth(&self, seq: u32) -> Option<&Frame> {
         self.depth.window.get(&seq)
+    }
+}
+
+/// When frame (or display slot) `n` falls due on the [`FPS`] clock, µs.
+pub fn due(n: u64) -> Micros {
+    n * 1_000_000 / FPS as u64
+}
+
+/// What one display slot showed: a new pair, `age_us` after its capture, or
+/// nothing new, `since_us` after the display last advanced (or started).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    Shown { seq: u32, age_us: Micros },
+    Stalled { since_us: Micros },
+}
+
+/// The display half of §A.1, defined once: one slot per frame interval, and
+/// a slot with no *new* synchronised colour+depth pair is a stall.
+///
+/// Slot `s` falls due at `start + due(s)`, `start` being the jitter target
+/// plus three frame intervals after the first captured frame. The driver
+/// polls once per 1 ms tick, after the tick's arrivals, so a slot is decided
+/// at the first tick at or after its instant. With a trace, each slot
+/// records `display` (arg: age µs) or `stall` (arg: ms since the last).
+#[derive(Debug, Clone, Default)]
+pub struct DisplayClock {
+    delay: Micros,
+    /// Slot 0's instant, once a frame was captured.
+    start: Option<Micros>,
+    slot: u64,
+    shown: Option<u32>,
+    last_shown: Micros,
+    /// Capture instants of the frames the display has not passed yet.
+    captured: VecDeque<(u32, Micros)>,
+    trace: Option<(Arc<EventTrace>, u16)>,
+}
+
+impl DisplayClock {
+    pub fn new(jitter_target: Micros) -> Self {
+        DisplayClock {
+            delay: jitter_target + due(3),
+            ..Default::default()
+        }
+    }
+
+    /// Record each slot as `party` on the `display` component.
+    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
+        self.trace = Some((trace, party));
+    }
+
+    /// Frame `seq` was captured (on the SFU: routed) at `at`. The first
+    /// frame starts the clock.
+    pub fn captured(&mut self, seq: u32, at: Micros) {
+        if self.start.is_none() {
+            (self.start, self.last_shown) = (Some(at + self.delay), at + self.delay);
+        }
+        self.captured.push_back((seq, at));
+    }
+
+    /// When the next slot falls due (never, before the first frame).
+    fn next_due(&self) -> Micros {
+        self.start.map_or(Micros::MAX, |s| s + due(self.slot))
+    }
+
+    /// Decide the next slot if it is due at `now`, given the newest decoded
+    /// pair's sequence number (asked for only then): its index and outcome.
+    pub fn poll(
+        &mut self,
+        now: Micros,
+        newest: impl FnOnce() -> Option<u32>,
+    ) -> Option<(u64, Slot)> {
+        if now < self.next_due() {
+            return None;
+        }
+        let slot = self.slot;
+        self.slot += 1;
+        let Some(seq) = newest().filter(|&seq| Some(seq) != self.shown) else {
+            let since_us = now - self.last_shown;
+            self.record(now, NO_FRAME, kind::STALL, since_us / 1_000);
+            return Some((slot, Slot::Stalled { since_us }));
+        };
+        while self.captured.front().is_some_and(|&(s, _)| s < seq) {
+            self.captured.pop_front();
+        }
+        let at = self.captured.front().filter(|c| c.0 == seq);
+        let age_us = now - at.map_or(now, |c| c.1);
+        (self.shown, self.last_shown) = (Some(seq), now);
+        self.record(now, seq as u64, kind::DISPLAY, age_us);
+        Some((slot, Slot::Shown { seq, age_us }))
+    }
+
+    fn record(&self, now: Micros, seq: u64, k: &'static str, arg: Micros) {
+        if let Some((trace, party)) = &self.trace {
+            trace.record(now, seq, *party, "display", k, arg as i64);
+        }
     }
 }
 
@@ -929,6 +1025,97 @@ mod tests {
         }
         for i in depth_ids {
             assert!(*rx.depth(i as u32).unwrap() == sent[i as usize].1.reconstruction);
+        }
+    }
+
+    /// The first 1 ms tick at or after `t`.
+    fn on_grid(t: Micros) -> Micros {
+        t.div_ceil(1_000) * 1_000
+    }
+
+    #[test]
+    fn display_clock_decides_every_slot_once_at_its_first_tick() {
+        // 10 000 slots (≈ 5.6 min) polled every 1 ms: slot s is decided at
+        // the first tick at or after start + due(s), so the schedule does
+        // not drift from the 30 fps clock and no slot is skipped or
+        // decided twice.
+        let mut clock = DisplayClock::new(100_000);
+        assert_eq!(clock.next_due(), Micros::MAX, "no slot before a frame");
+        clock.captured(0, 0);
+        let start = 100_000 + due(3);
+        assert_eq!(clock.next_due(), start);
+        let mut decided = 0u64;
+        let mut now = 0;
+        while decided < 10_000 {
+            if let Some((slot, _)) = clock.poll(now, || Some(slot_seq(now))) {
+                assert_eq!(slot, decided, "slot {decided} skipped or repeated");
+                assert_eq!(now, on_grid(start + due(slot)), "slot {slot}");
+                decided += 1;
+            }
+            now += 1_000;
+        }
+        // The last slot sits exactly where the exact clock puts it.
+        assert_eq!(now - 1_000, on_grid(start + due(9_999)));
+    }
+
+    /// A new sequence number at every tick, so every slot shows.
+    fn slot_seq(now: Micros) -> u32 {
+        (now / 1_000) as u32
+    }
+
+    #[test]
+    fn display_clock_stalls_on_a_repeated_seq_for_exactly_the_gap() {
+        let mut clock = DisplayClock::new(100_000);
+        clock.captured(0, 0);
+        let start = 200_000;
+        // Nothing decoded yet: the first slot stalls, counted from the start.
+        assert_eq!(
+            clock.poll(start, || None),
+            Some((0, Slot::Stalled { since_us: 0 }))
+        );
+        let t1 = on_grid(start + due(1));
+        assert_eq!(
+            clock.poll(t1, || Some(0)),
+            Some((1, Slot::Shown { seq: 0, age_us: t1 }))
+        );
+        // The same pair again is no new frame: two stalls, each measured
+        // from the slot that last showed one.
+        for slot in [2, 3] {
+            let t = on_grid(start + due(slot));
+            let since_us = t - t1;
+            assert_eq!(
+                clock.poll(t, || Some(0)),
+                Some((slot, Slot::Stalled { since_us }))
+            );
+        }
+        // Before the next slot's instant nothing is decided.
+        let t4 = on_grid(start + due(4));
+        assert_eq!(clock.poll(t4 - 1_000, || Some(1)), None);
+    }
+
+    #[test]
+    fn display_clock_ages_a_frame_from_its_capture() {
+        // Frames captured on the exact schedule (first tick at or after
+        // due(f)); the display shows each one three slots later. The age is
+        // the gap to the frame's own capture tick, not to seq · 33 333 µs.
+        let mut clock = DisplayClock::new(0);
+        let mut now = 0;
+        let mut f = 0u64;
+        let mut shown = 0;
+        while shown < 300 {
+            if now >= due(f) {
+                clock.captured(f as u32, now);
+                f += 1;
+            }
+            let newest = || f.checked_sub(1).map(|s| s as u32);
+            if let Some((_, slot)) = clock.poll(now, newest) {
+                let Slot::Shown { seq, age_us } = slot else {
+                    panic!("a new frame is captured every slot");
+                };
+                assert_eq!(age_us, now - on_grid(due(seq as u64)), "seq {seq}");
+                shown += 1;
+            }
+            now += 1_000;
         }
     }
 }

@@ -15,7 +15,8 @@
 //! - [`subscriber`]: per-subscriber downlink state — an own
 //!   [`livo_transport::RtcSession`] (trace-driven link + GCC), an own
 //!   Kalman frustum predictor, an own RMSE-balancing bandwidth split, and
-//!   a receiver-side decode stand-in used by tests and examples.
+//!   a receiver-side stand-in: decode lanes and the two-party call's
+//!   [`livo_core::stage::DisplayClock`], counting shown and stalled slots.
 //! - [`router`]: the SFU proper. One **union cull + tile + encode pass per
 //!   cluster** (not per subscriber), encoded at the *fastest* member's
 //!   estimated rate. PLIs from any member — its decode stand-in's
@@ -25,6 +26,10 @@
 //!   [`livo_runtime::WorkerPool`]: cluster passes run in parallel, and the
 //!   per-subscriber packetise/send fan-out runs on contiguous subscriber
 //!   shards.
+//!
+//! A driver routes frame `f` and then calls
+//! [`Router::run_until`]`(now, due(f + 1))`: the two-party call loop's exact
+//! 30 fps schedule.
 //!
 //! Routers are built with the validating [`Router::builder`]; lifecycle
 //! calls return typed [`SubscriberId`] handles and [`RouterError`]s, and

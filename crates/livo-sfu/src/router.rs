@@ -11,7 +11,7 @@
 //! far slower than the leader settles on the T0s, 15 fps that decode alone
 //! (no re-encode, no second variant; see `Subscriber::takes_t1`).
 //!
-//! ## Sharded route, due-only tick
+//! ## Sharded route
 //!
 //! `route_frame` has no global serial section around the heavy work:
 //!
@@ -31,10 +31,13 @@
 //! streams are bit-exact with any other pool size: each member's state is
 //! only ever touched by the one task that owns its shard.
 //!
-//! `tick` is serial and visits only the subscribers whose session has
-//! something due ([`RtcSession::next_event`]); most downlinks have nothing
-//! due in most milliseconds, and a tick of the rest costs less than a pool
-//! scope would.
+//! ## One drive loop
+//!
+//! Between routed frames the driver calls `run_until`, which ticks every
+//! instant of the 1 ms grid. A tick is serial: it ticks only the sessions
+//! with something due ([`RtcSession::next_event`]) and decides only the
+//! display slots that are due; the rest cost one compare each, less than
+//! a pool scope would.
 //!
 //! [`RtcSession::next_event`]: livo_transport::RtcSession::next_event
 //!
@@ -75,6 +78,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The drive loop's tick: every router instant is on a 1 ms grid.
+const TICK_US: Micros = 1_000;
 
 /// Opaque subscriber handle issued by [`Router::add_subscriber`].
 ///
@@ -592,27 +598,39 @@ impl Router {
         }
     }
 
-    /// Advance the transport simulations to `now`: for each subscriber
-    /// whose session has something due ([`RtcSession::next_event`]), tick
-    /// it, run its decode stand-in (whose resync requests travel up the
-    /// downlink's feedback path as PLIs) and fan the PLIs that reached the
-    /// SFU into its cluster's chain guard. The rest are not visited.
-    /// The drain is serial: a 96-subscriber tick has ≈ 21 due sessions,
-    /// less work than one pool scope costs.
+    /// Step every downlink and display clock along the 1 ms grid from `now`
+    /// to the first grid instant at or after `until`, and return that
+    /// instant, not yet ticked: routing frame `f` there and running to
+    /// `due(f + 1)` is the two-party loop's exact schedule.
+    pub fn run_until(&mut self, mut now: Micros, until: Micros) -> Micros {
+        while now < until {
+            self.tick(now);
+            now += TICK_US;
+        }
+        now
+    }
+
+    /// One grid instant of [`run_until`](Self::run_until): for each
+    /// subscriber whose session has something due, tick it, run its decode
+    /// stand-in (whose resync requests travel up the downlink's feedback
+    /// path as PLIs) and fan the PLIs that reached the SFU into its cluster's
+    /// chain guard; then decide every display slot due at `now`. Only session
+    /// ticks count in `sfu.session_ticks`. Public for the whole-call
+    /// benchmark's own loop.
     pub fn tick(&mut self, now: Micros) {
         let mut need_key: Vec<SubscriberId> = Vec::new();
         let mut ticked = 0;
         for (&id, sub) in self.subscribers.iter_mut() {
-            if sub.session.next_event() > now {
-                continue;
+            if sub.session.next_event() <= now {
+                ticked += 1;
+                sub.session.tick(now);
+                sub.ingest_arrivals(now);
+                if sub.session.take_pli(now) {
+                    self.metrics.pli_fanin.inc();
+                    need_key.push(id);
+                }
             }
-            ticked += 1;
-            sub.session.tick(now);
-            sub.ingest_arrivals(now);
-            if sub.session.take_pli(now) {
-                self.metrics.pli_fanin.inc();
-                need_key.push(id);
-            }
+            sub.display(now);
         }
         self.metrics.session_ticks.add(ticked);
         for id in need_key {
@@ -937,6 +955,9 @@ impl Router {
                     let Some(&ci) = assign.get(id) else {
                         continue;
                     };
+                    if let Some(standin) = sub.standin.as_mut() {
+                        standin.clock.captured(seq, now);
+                    }
                     let p = &payloads[ci];
                     if sub.splitter.measurement_due() {
                         sub.splitter.update(p.rmse_depth_mm, p.rmse_color);
@@ -1382,5 +1403,145 @@ mod tests {
         // And the lane tasks are the stand-in's: none without it.
         let (bare, _) = run(1, false);
         assert!(serial - bare >= decoded && (serial - bare) % 2 == 0);
+    }
+
+    /// One subscriber's end-of-run outcome: its session's and its own
+    /// counters.
+    fn outcome(sub: &Subscriber) -> (livo_transport::SessionStats, crate::SubscriberStats) {
+        (sub.session().stats().clone(), *sub.stats())
+    }
+
+    /// Step `router` from `now` to `until`: through `run_until`, or with a
+    /// tick at every millisecond.
+    fn advance(router: &mut Router, mut now: Micros, until: Micros, every_ms: bool) -> Micros {
+        if !every_ms {
+            return router.run_until(now, until);
+        }
+        while now < until {
+            router.tick(now);
+            now += TICK_US;
+        }
+        now
+    }
+
+    /// `run_until` is a tick every millisecond; this pins it, so a drive
+    /// loop that skips instants must leave every outcome as it is.
+    #[test]
+    fn run_until_equals_a_tick_every_millisecond() {
+        use livo_core::stage::due;
+        use livo_transport::LinkConfig;
+        let cams = tiny_rig();
+        let clip: Vec<_> = (0..20)
+            .map(|f| views_at(&cams, f as f32 / 30.0, f))
+            .collect();
+        // Three lossy downlinks, one without a stand-in, and a joiner on
+        // the first one's gaze from frame 4 to frame 8, on the exact 30 fps
+        // schedule, then half a second with nothing routed, in which the
+        // display slots are most of what is due.
+        let run = |every_ms: bool| {
+            let trace = Arc::new(EventTrace::new(1 << 16));
+            let mut router = Router::builder(cams.clone())
+                .trace(trace.clone())
+                .build()
+                .unwrap();
+            let add = |router: &mut Router, name: &str, seed: u64, standin: bool| {
+                let mut cfg = SubscriberConfig::new(name);
+                cfg.session.link = LinkConfig {
+                    random_loss: 0.05,
+                    seed,
+                    ..LinkConfig::default()
+                };
+                cfg.standin = standin;
+                let link = BandwidthTrace::constant(4.0, 10.0);
+                router.add_subscriber(cfg, link).unwrap()
+            };
+            let mut subs = vec![
+                (add(&mut router, "a", 1, true), 0.0),
+                (add(&mut router, "b", 2, true), std::f32::consts::PI),
+                (add(&mut router, "c", 3, false), 0.03),
+            ];
+            let (mut streams, mut outcomes) = (Vec::new(), BTreeMap::new());
+            let mut now = 0;
+            for f in 0..clip.len() as u64 {
+                if f == 4 {
+                    subs.push((add(&mut router, "joiner", 4, true), 0.02));
+                }
+                if f == 8 {
+                    let (joiner, _) = subs.pop().unwrap();
+                    outcomes.insert(joiner, outcome(router.subscriber(joiner).unwrap()));
+                    router.remove_subscriber(joiner).unwrap();
+                }
+                for &(id, yaw) in &subs {
+                    router.observe_pose(id, &looking(yaw)).unwrap();
+                }
+                let out = router.route_frame(now, &clip[f as usize]);
+                for c in out.clusters {
+                    streams.push((out.seq, c.key, c.members, c.color.data, c.depth.data));
+                }
+                now = advance(&mut router, now, due(f + 1), every_ms);
+            }
+            now = advance(&mut router, now, due(clip.len() as u64 + 15), every_ms);
+            for &(id, _) in &subs {
+                outcomes.insert(id, outcome(router.subscriber(id).unwrap()));
+            }
+            let ticks = router.registry().snapshot().counter("sfu.session_ticks");
+            let mut slots: Vec<_> = trace
+                .snapshot()
+                .into_iter()
+                .filter(|e| e.kind == kind::DISPLAY || e.kind == kind::STALL)
+                .map(|e| (e.ts_us, e.party, e.frame_seq, e.arg))
+                .collect();
+            slots.sort_unstable();
+            (streams, outcomes, ticks, slots, now)
+        };
+        let (streams, outcomes, ticks, slots, end) = run(false);
+        // The links were lossy, the stand-ins of the whole run displayed,
+        // and the joiner left before its first slot.
+        assert!(outcomes.values().any(|(session, _)| session.nacks_sent > 0));
+        let stats = |raw| outcomes[&SubscriberId(raw)].1;
+        assert!(stats(0).slots_shown > 0 && stats(1).slots_shown > 0);
+        assert_eq!(
+            stats(2).slots_shown + stats(2).slots_stalled,
+            0,
+            "no stand-in"
+        );
+        assert!(stats(3).frames_forwarded > 0 && stats(3).slots_shown == 0);
+        assert_eq!(end, due(35).div_ceil(TICK_US) * TICK_US);
+        assert!(
+            (streams, outcomes, ticks, slots, end) == run(true),
+            "run_until diverged from the 1 ms tick loop"
+        );
+    }
+
+    #[test]
+    fn a_joiner_at_frame_k_starts_its_display_slots_k_frames_later() {
+        use livo_core::stage::due;
+        let cams = tiny_rig();
+        let views = views_at(&cams, 0.0, 0);
+        let mut router = Router::builder(cams).build().unwrap();
+        let first = add(&mut router, "first");
+        let mut joiner = None;
+        let (k, frames) = (6, 30);
+        let mut now = 0;
+        for f in 0..frames {
+            if f == k {
+                joiner = Some(add(&mut router, "joiner"));
+            }
+            let ids: Vec<SubscriberId> = router.subscribers().map(|(id, _)| id).collect();
+            for id in ids {
+                router.observe_pose(id, &looking(0.0)).unwrap();
+            }
+            router.route_frame(now, &views);
+            now = router.run_until(now, due(f + 1));
+        }
+        // due(6) is on the 1 ms grid, so the joiner's slots are the first
+        // subscriber's, six frame intervals later.
+        let slots = |id| {
+            let stats = router.subscriber(id).unwrap().stats();
+            stats.slots_shown + stats.slots_stalled
+        };
+        let (a, b) = (slots(first), slots(joiner.unwrap()));
+        assert!(b > 0, "the joiner decided no slot");
+        assert_eq!(a - b, k);
     }
 }

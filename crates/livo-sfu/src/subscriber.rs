@@ -3,16 +3,17 @@
 //! Each subscriber owns the full two-party receive path of the paper —
 //! an [`RtcSession`] (trace-driven link, GCC estimate, jitter buffer,
 //! NACK/PLI), a Kalman frustum predictor fed with feedback-delayed poses,
-//! and an RMSE-balancing bandwidth splitter — plus a decode stand-in for
-//! the remote client so tests and examples can assert on what the
-//! subscriber actually displays. What subscribers do *not* own is an
-//! encoder: encoding happens per *cluster* in the [`crate::router`].
+//! and an RMSE-balancing bandwidth splitter — plus a stand-in for the
+//! remote client: its decode lanes and its [`DisplayClock`], which counts
+//! the display slots the subscriber shows and stalls. What subscribers do
+//! *not* own is an encoder: encoding happens per *cluster* in the
+//! [`crate::router`].
 
 use livo_capture::BandwidthTrace;
 use livo_codec2d::Frame;
 use livo_core::frustum_pred::FrustumPredictor;
 use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
-use livo_core::stage::{Ingest, ReceiverStage, FPS, GUARD_BAND_M};
+use livo_core::stage::{DisplayClock, Ingest, ReceiverStage, Slot, FPS, GUARD_BAND_M};
 use livo_math::FrustumParams;
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::EventTrace;
@@ -27,11 +28,11 @@ pub struct SubscriberConfig {
     pub name: String,
     /// Transport parameters of the emulated downlink.
     pub session: SessionConfig,
-    /// Run the receiver-side decode stand-in for this subscriber.
-    /// Disabling it (`false`) keeps the full transport simulation —
-    /// packetisation, link, jitter buffer, NACK/PLI — but skips the
-    /// decoders, which large-N benchmarks use to sample decode work on a
-    /// subset of subscribers instead of paying it N times.
+    /// Run the receiver-side stand-in (decode and display clock) for this
+    /// subscriber. Disabling it (`false`) keeps the full transport
+    /// simulation — packetisation, link, jitter buffer, NACK/PLI — but
+    /// skips the decoders, which large-N benchmarks use to sample decode
+    /// work on a subset of subscribers instead of paying it N times.
     pub standin: bool,
 }
 
@@ -53,7 +54,7 @@ impl SubscriberConfig {
 }
 
 /// Forwarding counters for one subscriber.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubscriberStats {
     /// Frames forwarded on this downlink (colour+depth pairs).
     pub frames_forwarded: u64,
@@ -61,6 +62,10 @@ pub struct SubscriberStats {
     pub frames_decoded: u64,
     /// Decode failures (broken P chain, corrupt payload).
     pub decode_failures: u64,
+    /// Display slots that showed a new colour+depth pair (stand-in only).
+    pub slots_shown: u64,
+    /// Display slots with nothing new to show (stand-in only).
+    pub slots_stalled: u64,
 }
 
 /// Share of a T0 period's estimate that must cover a T1 (with what the
@@ -68,14 +73,23 @@ pub struct SubscriberStats {
 /// hysteresis that keeps a link near the edge from flapping.
 const T1_RESUME: f64 = 0.7;
 
-/// One subscriber: downlink session + predictor + splitter + decode
-/// stand-in. Constructed by [`crate::router::Router::add_subscriber`].
+/// The remote client's stand-in: its decode lanes and its display slots,
+/// from the first routed frame on (a shown frame's age counts from its
+/// route).
+pub(crate) struct StandIn {
+    rx: ReceiverStage,
+    pub(crate) clock: DisplayClock,
+}
+
+/// One subscriber: downlink session + predictor + splitter + decode and
+/// display stand-in. Constructed by
+/// [`crate::router::Router::add_subscriber`].
 pub struct Subscriber {
     pub(crate) name: String,
     pub(crate) session: RtcSession,
     pub(crate) predictor: FrustumPredictor,
     pub(crate) splitter: BandwidthSplitter,
-    pub(crate) receiver: Option<ReceiverStage>,
+    pub(crate) standin: Option<StandIn>,
     pub(crate) stats: SubscriberStats,
     /// Whether the downlink takes T1 frames now.
     takes_t1: bool,
@@ -90,17 +104,18 @@ impl Subscriber {
         trace: BandwidthTrace,
         pool: &Arc<WorkerPool>,
     ) -> Self {
-        let receiver = cfg.standin.then(|| {
+        let standin = cfg.standin.then(|| {
             let mut rx = ReceiverStage::new();
             rx.set_worker_pool(pool.clone());
-            rx
+            let clock = DisplayClock::new(cfg.session.jitter_target);
+            StandIn { rx, clock }
         });
         Subscriber {
             name: cfg.name,
             session: RtcSession::new(trace, cfg.session),
             predictor: FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M),
             splitter: BandwidthSplitter::new(SplitterConfig::default()),
-            receiver,
+            standin,
             stats: SubscriberStats::default(),
             takes_t1: true,
             t1_dropped: Arc::new(Counter::new()),
@@ -126,10 +141,10 @@ impl Subscriber {
     /// cluster. A T1 the router dropped breaks nothing.
     pub(crate) fn ingest_arrivals(&mut self, now: Micros) {
         let arrived = self.session.recv_frames();
-        let Some(rx) = self.receiver.as_mut() else {
+        let Some(standin) = self.standin.as_mut() else {
             return;
         };
-        for o in rx.ingest(&arrived, now) {
+        for o in standin.rx.ingest(&arrived, now) {
             match o.ingest {
                 Ingest::Decoded => self.stats.frames_decoded += 1,
                 Ingest::DecodeError => {
@@ -154,6 +169,18 @@ impl Subscriber {
         }
     }
 
+    /// Count the stand-in's display slot due at `now`, if any.
+    pub(crate) fn display(&mut self, now: Micros) {
+        let Some(StandIn { rx, clock }) = self.standin.as_mut() else {
+            return;
+        };
+        match clock.poll(now, || rx.newest_pair().map(|(seq, ..)| seq)) {
+            Some((_, Slot::Shown { .. })) => self.stats.slots_shown += 1,
+            Some((_, Slot::Stalled { .. })) => self.stats.slots_stalled += 1,
+            None => {}
+        }
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -173,30 +200,32 @@ impl Subscriber {
     }
 
     /// Wire the causal event trace through this subscriber's downlink
-    /// (SFU = party 1 sends, `party` receives) and decode stand-in.
+    /// (SFU = party 1 sends, `party` receives) and stand-in, whose display
+    /// slots record `display` / `stall` events as `party`.
     pub(crate) fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
         self.session.attach_trace(trace.clone(), 1, party);
-        if let Some(rx) = self.receiver.as_mut() {
-            rx.attach_trace(trace, party);
+        if let Some(StandIn { rx, clock }) = self.standin.as_mut() {
+            rx.attach_trace(trace.clone(), party);
+            clock.attach_trace(trace, party);
         }
     }
 
     /// Decoded colour frame for `seq`, if still in the reorder window.
     /// Always `None` with the decode stand-in disabled.
     pub fn decoded_color(&self, seq: u32) -> Option<&Frame> {
-        self.receiver.as_ref()?.color(seq)
+        self.standin.as_ref()?.rx.color(seq)
     }
 
     /// Decoded depth frame for `seq`, if still in the reorder window.
     /// Always `None` with the decode stand-in disabled.
     pub fn decoded_depth(&self, seq: u32) -> Option<&Frame> {
-        self.receiver.as_ref()?.depth(seq)
+        self.standin.as_ref()?.rx.depth(seq)
     }
 
     /// Newest sequence number decoded on *both* streams (displayable).
     /// Always `None` with the decode stand-in disabled.
     pub fn latest_synced_seq(&self) -> Option<u32> {
-        let (seq, ..) = self.receiver.as_ref()?.newest_pair()?;
+        let (seq, ..) = self.standin.as_ref()?.rx.newest_pair()?;
         Some(seq)
     }
 }

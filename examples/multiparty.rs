@@ -11,12 +11,15 @@
 //! GCC estimate, jitter buffer, NACK/PLI) and its own RMSE-balancing
 //! split; PLIs fan in to a single shared intra per cluster.
 //!
-//! The run ends with a table of per-subscriber outcomes and the encode
-//! passes the frustum clustering saved against naive per-subscriber
-//! fan-out.
+//! Between frames `Router::run_until` steps every downlink and every
+//! subscriber's display clock to the next frame's due instant. The run ends
+//! with a table of per-subscriber outcomes (display slots shown and
+//! stalled among them) and the encode passes the frustum clustering saved
+//! against naive per-subscriber fan-out.
 
 use livo::capture::usertrace::TraceStyle;
 use livo::capture::{datasets::DatasetPreset, render::render_views_at, rig, UserTrace};
+use livo::core::stage::{due, FPS};
 use livo::prelude::*;
 use livo::transport::Micros;
 
@@ -54,7 +57,6 @@ fn main() {
         },
     ];
 
-    let fps = 30u32;
     let n_cameras = 6usize;
     let cameras = rig::camera_ring(
         n_cameras,
@@ -90,13 +92,12 @@ fn main() {
         parties.len()
     );
 
-    let frame_interval: Micros = 1_000_000 / fps as u64;
-    let total_frames = (seconds * fps as f32) as u64;
+    let total_frames = (seconds * FPS as f32) as u64;
     let mut now: Micros = 0;
     let mut encode_passes = 0u64;
     let mut keep_sum = 0.0f64;
     for frame_idx in 0..total_frames {
-        let t_s = frame_idx as f32 / fps as f32;
+        let t_s = frame_idx as f32 / FPS as f32;
         let snap = preset.scene.at(t_s);
         let views = render_views_at(pool, &cameras, &snap, frame_idx as u32);
 
@@ -113,27 +114,29 @@ fn main() {
         keep_sum +=
             out.clusters.iter().map(|c| c.keep_fraction).sum::<f64>() / out.clusters.len() as f64;
 
-        let frame_end = now + frame_interval;
-        while now < frame_end {
-            router.tick(now);
-            now += 1_000;
-        }
+        now = router.run_until(now, due(frame_idx + 1));
     }
 
     let naive_passes = total_frames * parties.len() as u64;
     println!(
-        "{:<14} | {:>9} | {:>8} | {:>6}",
-        "subscriber", "est Mbps", "decoded", "PLIs"
+        "{:<14} | {:>9} | {:>8} | {:>6} | {:>6} | {:>7}",
+        "subscriber", "est Mbps", "decoded", "PLIs", "shown", "stalled"
     );
-    println!("{:-<14}-+-{:->9}-+-{:->8}-+-{:->6}", "", "", "", "");
+    println!(
+        "{:-<14}-+-{:->9}-+-{:->8}-+-{:->6}-+-{:->6}-+-{:->7}",
+        "", "", "", "", "", ""
+    );
     for ((id, _), p) in subscribers.iter().zip(&parties) {
         let sub = router.subscriber(*id).expect("still subscribed");
+        let stats = sub.stats();
         println!(
-            "{:<14} | {:>9.1} | {:>8} | {:>6}",
+            "{:<14} | {:>9.1} | {:>8} | {:>6} | {:>6} | {:>7}",
             p.name,
             sub.estimate_bps() / 1e6,
-            sub.stats().frames_decoded,
+            stats.frames_decoded,
             sub.session().stats().plis,
+            stats.slots_shown,
+            stats.slots_stalled,
         );
     }
 

@@ -82,6 +82,12 @@ fi
 if grep -rn "check_pli\|stuck_frames\|pli_deadline" crates src tests examples; then
   echo "the stuck-frame PLI timer (check_pli, stuck_frames, pli_deadline) is back"; exit 1
 fi
+# One drive loop and one display clock on the SFU: drivers call
+# Router::run_until, and stage::DisplayClock decides shown vs stalled. The
+# hand 1 ms tick loops and the link-class display stand-in stay gone.
+if grep -rn "router\.tick(" examples tests crates/livo-bench || grep -rn "DISPLAY_AFTER" crates; then
+  echo "a hand router tick loop or the DISPLAY_AFTER display stand-in is back"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite and the renderer's oracle
 # tests ran at the auto-detected tier above; they must also hold with the
 # dispatcher forced to the scalar tier (LIVO_SIMD caps the level per

@@ -8,6 +8,7 @@
 //! route — and audits every name they actually register.
 
 use livo::capture::{datasets::DatasetPreset, render::render_views_at, rig};
+use livo::core::stage::due;
 use livo::prelude::*;
 use livo::telemetry::name_follows_convention;
 
@@ -133,14 +134,15 @@ fn sfu_metric_names_follow_convention() {
         eye + Vec3::new(0.0, 0.0, -1.0),
         Vec3::new(0.0, 1.0, 0.0),
     );
+    let mut now = 0;
     for frame_idx in 0..5u64 {
         let snap = preset.scene.at(frame_idx as f32 / 30.0);
         let views = render_views_at(pool, &cameras, &snap, frame_idx as u32);
         for &id in &ids {
             router.observe_pose(id, &pose).expect("live id");
         }
-        router.route_frame(frame_idx * 33_333, &views);
-        router.tick(frame_idx * 33_333 + 1_000);
+        router.route_frame(now, &views);
+        now = router.run_until(now, due(frame_idx + 1));
     }
     let names = router.registry().names();
     assert!(!names.is_empty());

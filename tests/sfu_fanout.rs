@@ -15,6 +15,7 @@
 //! gaze-group pass count.
 
 use livo::capture::{datasets::DatasetPreset, render::render_views_at, rig};
+use livo::core::stage::due;
 use livo::prelude::*;
 use livo::sfu::RouteSummary;
 use livo::transport::Micros;
@@ -22,7 +23,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const FPS: u32 = 30;
-const FRAME_INTERVAL: Micros = 1_000_000 / FPS as u64;
 
 fn tiny_rig() -> Vec<livo::math::RgbdCamera> {
     rig::camera_ring(
@@ -54,8 +54,8 @@ fn record_forwarded(out: &RouteSummary, sent: &mut BTreeMap<SubscriberId, BTreeM
 }
 
 /// Drive `frames` frames through the router: fixed per-subscriber gaze,
-/// virtual-time ticks between frames, and a final drain so in-flight
-/// packets arrive. Returns, per subscriber, the reconstruction of every
+/// the exact 30 fps schedule, and a final drain so in-flight packets
+/// arrive. Returns, per subscriber, the reconstruction of every
 /// frame its cluster encoded for it, keyed by sequence number.
 fn drive(
     router: &mut Router,
@@ -76,18 +76,10 @@ fn drive(
         }
         let out = router.route_frame(now, &views);
         record_forwarded(&out, &mut sent);
-        let frame_end = now + FRAME_INTERVAL;
-        while now < frame_end {
-            router.tick(now);
-            now += 1_000;
-        }
+        now = router.run_until(now, due(frame_idx + 1));
     }
     // Drain: let queued packets land and the jitter buffers release.
-    let drain_end = now + 500_000;
-    while now < drain_end {
-        router.tick(now);
-        now += 1_000;
-    }
+    router.run_until(now, now + 500_000);
     sent
 }
 
@@ -341,11 +333,7 @@ fn churn_keeps_unaffected_subscribers_bit_exact() {
             let out = router.route_frame(now, &views);
             events.extend(out.events.iter().copied());
             record_forwarded(&out, &mut sent);
-            let frame_end = now + FRAME_INTERVAL;
-            while now < frame_end {
-                router.tick(now);
-                now += 1_000;
-            }
+            now = router.run_until(now, due(frame_idx + 1));
         }
         (sent, [a0, a1, b0], events)
     };
@@ -445,11 +433,7 @@ fn regroup_wave_rate_limits_shared_intras() {
                 min_gap_us = min_gap_us.min(gap);
             }
         }
-        let frame_end = now + FRAME_INTERVAL;
-        while now < frame_end {
-            router.tick(now);
-            now += 1_000;
-        }
+        now = router.run_until(now, due(frame_idx + 1));
     }
 
     let regroups: Vec<&RouterEvent> = events
@@ -518,17 +502,9 @@ fn hundred_subscriber_smoke_stays_at_group_count_passes() {
             out.encode_passes, 2,
             "frame {frame_idx}: passes must track the 2 gaze groups, not N=100"
         );
-        let frame_end = now + FRAME_INTERVAL;
-        while now < frame_end {
-            router.tick(now);
-            now += 1_000;
-        }
+        now = router.run_until(now, due(frame_idx + 1));
     }
-    let drain_end = now + 500_000;
-    while now < drain_end {
-        router.tick(now);
-        now += 1_000;
-    }
+    router.run_until(now, now + 500_000);
 
     for &(id, _) in &subs {
         let sub = router.subscriber(id).expect("still subscribed");

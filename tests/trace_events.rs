@@ -13,6 +13,7 @@
 //! `capacity_is_bounded_and_evicts_oldest`.
 
 use livo::capture::{datasets::DatasetPreset, render::render_views_at, rig};
+use livo::core::stage::due;
 use livo::prelude::*;
 use livo::sfu::subscriber_party;
 use livo::telemetry::trace::{kind, EventTrace, TraceQuery, NO_FRAME};
@@ -21,7 +22,6 @@ use livo::transport::Micros;
 use std::sync::Arc;
 
 const FPS: u32 = 30;
-const FRAME_INTERVAL: Micros = 1_000_000 / FPS as u64;
 
 fn quick_conference() -> ConferenceConfigBuilder {
     ConferenceConfig::builder(VideoId::Band2)
@@ -148,57 +148,38 @@ fn sfu_fanout_reconstructs_per_subscriber_paths() {
         .trace(Arc::clone(&trace))
         .build()
         .expect("valid config");
-    let yaws = [0.0f32, 0.1, 1.4];
-    let ids: Vec<SubscriberId> = (0..yaws.len())
+    // Three subscribers on 30 Mbps links, and a fourth in the first one's
+    // gaze group on a 0.3 Mbps link, too slow for even the T0s.
+    let links = [(0.0f32, 30.0), (0.1, 30.0), (1.4, 30.0), (0.05, 0.3)];
+    let ids: Vec<SubscriberId> = (0..links.len())
         .map(|i| {
             router
                 .add_subscriber(
                     SubscriberConfig::new(format!("sub{i}")),
-                    BandwidthTrace::constant(30.0, 10.0),
+                    BandwidthTrace::constant(links[i].1, 10.0),
                 )
                 .expect("add subscriber")
         })
         .collect();
 
-    // Drive 30 frames; the harness plays the capture clock (party 0) and
-    // each subscriber's display clock (party 2+), exactly like the
-    // `repro conference` report.
+    // Drive 30 frames; the harness plays the capture clock (party 0), the
+    // router every subscriber's downlink and display clock (party 2+),
+    // exactly like the `repro conference` report.
     let mut now: Micros = 0;
-    let mut displayed: Vec<Option<u32>> = vec![None; yaws.len()];
     for frame_idx in 0..30u64 {
         let t_s = frame_idx as f32 / FPS as f32;
         let snap = preset.scene.at(t_s);
         let views = render_views_at(pool, &cameras, &snap, frame_idx as u32);
         trace.record(now, frame_idx, 0, "pipeline", kind::CAPTURE, 0);
-        for (&id, &yaw) in ids.iter().zip(&yaws) {
+        for (&id, &(yaw, _)) in ids.iter().zip(&links) {
             router.observe_pose(id, &looking(yaw)).expect("live id");
         }
         router.route_frame(now, &views);
-        let frame_end = now + FRAME_INTERVAL;
-        while now < frame_end {
-            router.tick(now);
-            for (&id, shown) in ids.iter().zip(displayed.iter_mut()) {
-                let sub = router.subscriber(id).expect("still subscribed");
-                if let Some(seq) = sub.latest_synced_seq() {
-                    if Some(seq) != *shown {
-                        *shown = Some(seq);
-                        trace.record(
-                            now,
-                            seq as u64,
-                            subscriber_party(id),
-                            "display",
-                            kind::DISPLAY,
-                            0,
-                        );
-                    }
-                }
-            }
-            now += 1_000;
-        }
+        now = router.run_until(now, due(frame_idx + 1));
     }
 
     let q = TraceQuery::from_trace(&trace);
-    for &id in &ids {
+    for &id in &ids[..3] {
         let party = subscriber_party(id);
         // At least one frame per subscriber crosses all three tracks:
         // captured at the sender, encoded at the SFU (party 1), received,
@@ -214,8 +195,28 @@ fn sfu_fanout_reconstructs_per_subscriber_paths() {
         assert!(full, "subscriber {id} has no fully-traced frame");
     }
     // The SFU's encode events carry the cluster component names.
-    assert!(trace
-        .snapshot()
+    let events = trace.snapshot();
+    assert!(events
         .iter()
         .any(|e| e.party == 1 && e.kind == kind::ENCODE && e.component.starts_with("sfu.cluster")));
+
+    // Every stand-in decided each display slot due before the run's end
+    // exactly once: slot s falls due 200 ms (jitter target + three frames)
+    // plus due(s) after the first routed frame, at 0, and the last tick ran
+    // 1 ms before `now`.
+    let start = SessionConfig::default().jitter_target + due(3);
+    let due_slots = (0..).take_while(|&s| start + due(s) <= now - 1_000).count() as u64;
+    for &id in &ids {
+        let stats = *router.subscriber(id).expect("subscribed").stats();
+        assert_eq!(stats.slots_shown + stats.slots_stalled, due_slots, "{id}");
+    }
+    // The slow subscriber stalls, and says so on its own party's track.
+    let slow = ids[3];
+    let stalled = router.subscriber(slow).unwrap().stats().slots_stalled;
+    assert!(stalled > 0, "a 0.3 Mbps downlink must stall");
+    let stall_events = events
+        .iter()
+        .filter(|e| e.kind == kind::STALL && e.party == subscriber_party(slow))
+        .count() as u64;
+    assert_eq!(stall_events, stalled);
 }
