@@ -5,11 +5,11 @@
 //! rig feeding the SFU router, three subscribers on distinct emulated
 //! links, the same drive loop — but wires a causal [`EventTrace`] through
 //! every layer (each subscriber's display clock records its `display`
-//! events) and a [`FlightRecorder`] over the live signals. The
-//! per-subscriber outcomes are the example's table; this report prints
-//! one frame's reconstructed capture→display path per subscriber (the
-//! [`TraceQuery`] per-hop breakdown) and, with `--trace <path>`, exports
-//! the whole run as Chrome trace-event JSON for Perfetto.
+//! events). The per-subscriber outcomes are the example's table; this
+//! report prints one frame's reconstructed capture→display path per
+//! subscriber (the [`TraceQuery`] per-hop breakdown) and, with
+//! `--trace <path>`, exports the whole run as Chrome trace-event JSON for
+//! Perfetto.
 //!
 //! The overhead benchmark answers tier-1's gate: interleaved band2
 //! replays with tracing on and off, comparing median encode wall-clock.
@@ -26,8 +26,8 @@ use livo_core::stage::{due, FPS};
 use livo_eval::experiments::EvalProfile;
 use livo_math::{CameraIntrinsics, Vec3};
 use livo_sfu::{subscriber_party, Router, SubscriberConfig, SubscriberId};
+use livo_telemetry::chrome_trace_json;
 use livo_telemetry::trace::{kind, EventTrace, TraceQuery};
-use livo_telemetry::{chrome_trace_json, AnomalyConfig, FlightRecorder};
 use livo_transport::Micros;
 use std::sync::Arc;
 
@@ -44,8 +44,6 @@ pub struct ConferenceReport {
     pub text: String,
     /// The full run as Chrome trace-event JSON (Perfetto-loadable).
     pub chrome_json: String,
-    /// Flight-recorder dumps during the run.
-    pub anomaly_dumps: usize,
     /// Sequence numbers with a complete capture→display path, per
     /// subscriber id (used by the smoke assertions).
     pub reconstructed: Vec<Vec<u64>>,
@@ -81,10 +79,6 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
         .trace(trace.clone())
         .build()
         .expect("valid router config");
-    let mut flight = FlightRecorder::new(AnomalyConfig::default());
-    flight.attach_trace(trace.clone());
-    flight.attach_registry(router.registry());
-    let flight = flight;
 
     let subscribers: Vec<(SubscriberId, UserTrace)> = PARTIES
         .iter()
@@ -113,11 +107,9 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
         for (id, ut) in &subscribers {
             let sub = router.subscriber(*id).expect("still subscribed");
             let owd_s = sub.session().one_way_delay_us() as f32 / 1e6;
-            let estimate = sub.estimate_bps();
             router
                 .observe_pose(*id, &ut.pose_at_time((t_s - owd_s).max(0.0)))
                 .expect("live id");
-            flight.observe_gcc(now, subscriber_party(*id), estimate);
         }
         router.route_frame(now, &views);
 
@@ -155,16 +147,14 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
         }
     }
     text.push_str(&format!(
-        "trace: {} events recorded, {} evicted, {} anomaly dumps\n",
+        "trace: {} events recorded, {} evicted\n",
         trace.recorded(),
         trace.evicted(),
-        flight.dump_count(),
     ));
 
     ConferenceReport {
         text,
         chrome_json: chrome_trace_json(&trace.snapshot(), &party_name),
-        anomaly_dumps: flight.dump_count(),
         reconstructed,
     }
 }

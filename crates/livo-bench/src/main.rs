@@ -61,9 +61,11 @@ mod qoe_bench;
 mod sfu_bench;
 
 use livo_capture::{TraceId, VideoId};
+use livo_core::stage::StallCause;
 use livo_eval::experiments::{run_grid, EvalProfile, GridResult, Scheme};
 use livo_eval::report;
-use livo_telemetry::{log_event, Level};
+use livo_telemetry::json::ObjectWriter;
+use livo_telemetry::{log_event, Level, Value};
 
 /// The `host` block every `BENCH_*.json` carries: where the numbers came
 /// from. The environment (`scripts/bench_kernels.sh`) supplies what a
@@ -84,6 +86,47 @@ fn write_host(out: &mut String) {
             ["release", "debug"][cfg!(debug_assertions) as usize],
         );
     h.finish();
+}
+
+/// The stall-cause columns of a text table, one per cause by name.
+fn stall_cause_head() -> String {
+    StallCause::ALL.map(StallCause::name).join(" | ")
+}
+
+/// One row's stall-cause counts, each under its name.
+fn stall_cause_row(counts: &[u64; StallCause::ALL.len()]) -> String {
+    let cells = StallCause::ALL.iter().zip(counts);
+    let cells: Vec<String> = cells
+        .map(|(c, n)| format!("{n:>w$}", w = c.name().len()))
+        .collect();
+    cells.join(" | ")
+}
+
+/// A snapshot's `stall_causes` object: one count per cause, by name.
+fn write_stall_causes(out: &mut String, counts: &[u64; StallCause::ALL.len()]) {
+    let mut w = ObjectWriter::new(out);
+    for (c, &n) in StallCause::ALL.iter().zip(counts) {
+        w.field_u64(c.name(), n);
+    }
+    w.finish();
+}
+
+/// Write `contents` to `path`, or log `failed` with the error and exit 1.
+fn write_or_exit(path: &str, contents: &str, failed: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        log_event!(Level::Error, "repro", failed, "path" => path, "error" => e.to_string());
+        std::process::exit(1);
+    }
+}
+
+/// Log `passed` if `ok`; otherwise log `failed` as an error and exit 1.
+/// Both lines carry `fields`.
+fn gate_or_exit(ok: bool, passed: &str, failed: &str, fields: &[(&str, Value)]) {
+    if !ok {
+        livo_telemetry::log::log(Level::Error, "repro", failed, fields);
+        std::process::exit(1);
+    }
+    livo_telemetry::log::log(Level::Info, "repro", passed, fields);
 }
 
 fn usage() -> ! {
@@ -306,13 +349,7 @@ fn main() {
                     );
                     std::process::exit(1);
                 }
-                log_event!(
-                    Level::Info,
-                    "repro",
-                    "conference traced",
-                    "paths" => traced,
-                    "anomaly_dumps" => rep.anomaly_dumps
-                );
+                log_event!(Level::Info, "repro", "conference traced", "paths" => traced);
                 rep.text.clone()
             }
             "qoe" => {
@@ -362,30 +399,12 @@ fn main() {
         let mut host = String::new();
         write_host(&mut host);
         let json = report::bench_snapshot(&profile, &host);
-        if let Err(e) = std::fs::write(&path, &json) {
-            log_event!(
-                Level::Error,
-                "repro",
-                "failed to write metrics snapshot",
-                "path" => path.as_str(),
-                "error" => e.to_string()
-            );
-            std::process::exit(1);
-        }
+        write_or_exit(&path, &json, "failed to write metrics snapshot");
     }
     if let Some(path) = trace_path {
         log_event!(Level::Info, "repro", "writing chrome trace", "path" => path.as_str());
         let rep = conf_report.get_or_insert_with(|| conference_bench::run(&profile));
-        if let Err(e) = std::fs::write(&path, &rep.chrome_json) {
-            log_event!(
-                Level::Error,
-                "repro",
-                "failed to write chrome trace",
-                "path" => path.as_str(),
-                "error" => e.to_string()
-            );
-            std::process::exit(1);
-        }
+        write_or_exit(&path, &rep.chrome_json, "failed to write chrome trace");
     }
     if let Some((what, path)) = snapshot {
         // Each artefact ran above; this takes its result.
@@ -402,88 +421,48 @@ fn main() {
             "what" => what,
             "path" => path.as_str()
         );
-        if let Err(e) = std::fs::write(&path, &json) {
-            log_event!(
-                Level::Error,
-                "repro",
-                "failed to write json snapshot",
-                "path" => path.as_str(),
-                "error" => e.to_string()
-            );
-            std::process::exit(1);
-        }
+        write_or_exit(&path, &json, "failed to write json snapshot");
     }
     if gate {
         // Gate whatever gated artefacts were requested; with no
         // traceoverhead in the list this stays the historical kernel
         // gate (`repro --gate kernels`).
         if let Some(r) = &overhead {
-            if r.ratio > conference_bench::OVERHEAD_LIMIT {
-                log_event!(
-                    Level::Error,
-                    "repro",
-                    "trace overhead gate failed",
-                    "ratio" => r.ratio,
-                    "limit" => conference_bench::OVERHEAD_LIMIT
-                );
-                std::process::exit(1);
-            }
-            log_event!(
-                Level::Info,
-                "repro",
+            let limit = conference_bench::OVERHEAD_LIMIT;
+            gate_or_exit(
+                r.ratio <= limit,
                 "trace overhead gate passed",
-                "ratio" => r.ratio,
-                "limit" => conference_bench::OVERHEAD_LIMIT
+                "trace overhead gate failed",
+                &[("ratio", r.ratio.into()), ("limit", limit.into())],
             );
         }
         if let Some(sweep) = &sfu_sweep {
-            if !sfu_bench::gate_ok(sweep) {
-                log_event!(
-                    Level::Error,
-                    "repro",
-                    "sfu gate failed: passes off the cluster count, sharded slower than \
-                     serial at N=100, or churn intras inside one RTT"
-                );
-                std::process::exit(1);
-            }
-            log_event!(
-                Level::Info,
-                "repro",
-                "sfu gate passed: passes track clusters, sharded route holds, churn guarded"
+            gate_or_exit(
+                sfu_bench::gate_ok(sweep),
+                "sfu gate passed: passes track clusters, sharded route holds, churn guarded",
+                "sfu gate failed: passes off the cluster count, sharded slower than \
+                 serial at N=100, or churn intras inside one RTT",
+                &[],
             );
         }
         if let Some(pts) = &bond_points {
-            if !bond_bench::gate_ok(pts) {
-                log_event!(
-                    Level::Error,
-                    "repro",
-                    "bond gate failed: bonded delivery lost to the best single link, \
-                     stalled more, or the mid-call kill did not fail over cleanly"
-                );
-                std::process::exit(1);
-            }
-            log_event!(
-                Level::Info,
-                "repro",
-                "bond gate passed: bonded beats the best single link on every scenario"
+            gate_or_exit(
+                bond_bench::gate_ok(pts),
+                "bond gate passed: bonded beats the best single link on every scenario",
+                "bond gate failed: bonded delivery lost to the best single link, \
+                 stalled more, or the mid-call kill did not fail over cleanly",
+                &[],
             );
         }
         if (overhead.is_none() && sfu_sweep.is_none() && bond_points.is_none())
             || artefacts.iter().any(|a| a == "kernels")
         {
             let pts = kernel_points.get_or_insert_with(kernels_bench::run);
-            if !kernels_bench::gate_ok(pts) {
-                log_event!(
-                    Level::Error,
-                    "repro",
-                    "kernel gate failed: a gated kernel runs below its floor"
-                );
-                std::process::exit(1);
-            }
-            log_event!(
-                Level::Info,
-                "repro",
-                "kernel gate passed: every gated kernel clears its floor"
+            gate_or_exit(
+                kernels_bench::gate_ok(pts),
+                "kernel gate passed: every gated kernel clears its floor",
+                "kernel gate failed: a gated kernel runs below its floor",
+                &[],
             );
         }
     }

@@ -6,11 +6,12 @@
 //! PRs gate against: stall rate, end-to-end frame age (capture→display,
 //! p50/p99 from the trace's `display` events), and the delivered-vs-GCC-
 //! estimate bitrate ratio (goodput over the mean estimate — how much of
-//! what the estimator promised actually reached the display). The
-//! anomaly-dump count ties each point back to the flight recorder.
+//! what the estimator promised actually reached the display). Each point's
+//! stalled slots are split by the cause the display clock gave them.
 
 use livo_capture::{BandwidthTrace, VideoId};
 use livo_core::conference::{ConferenceConfig, ConferenceRunner, RunSummary};
+use livo_core::stage::StallCause;
 use livo_eval::experiments::EvalProfile;
 use livo_eval::stats::percentile;
 use livo_telemetry::json::ObjectWriter;
@@ -36,8 +37,8 @@ pub struct QoePoint {
     pub estimate_mbps: f64,
     /// delivered / estimate (how much of the promised rate was realised).
     pub delivery_ratio: f64,
-    /// Flight-recorder bundles the run's detectors dumped.
-    pub anomaly_dumps: u64,
+    /// Stalled slots per cause, indexed by `StallCause as usize`.
+    pub stall_causes: [u64; StallCause::ALL.len()],
 }
 
 /// Capture→display ages of every displayed frame (the `display` event's
@@ -101,7 +102,10 @@ fn run_point(profile: &EvalProfile, bandwidth_mbps: f64, loss: f64) -> QoePoint 
         } else {
             0.0
         },
-        anomaly_dumps: s.metrics.counter("trace.anomalies.dumps").unwrap_or(0),
+        stall_causes: StallCause::ALL.map(|c| {
+            let name = format!("display.stall_cause.{}", c.name());
+            s.metrics.counter(&name).unwrap_or(0)
+        }),
     }
 }
 
@@ -117,7 +121,7 @@ pub fn run_sweep(profile: &EvalProfile) -> Vec<QoePoint> {
 pub fn text(points: &[QoePoint]) -> String {
     let mut s = String::from("QoE sweep: band2, receiver-side outcomes per link condition\n\n");
     s.push_str(&format!(
-        "{:>7} | {:>5} | {:>7} | {:>9} | {:>9} | {:>9} | {:>8} | {:>6} | {:>5}\n",
+        "{:>7} | {:>5} | {:>7} | {:>9} | {:>9} | {:>9} | {:>8} | {:>6} | {}\n",
         "bw Mbps",
         "loss",
         "stalls",
@@ -126,15 +130,11 @@ pub fn text(points: &[QoePoint]) -> String {
         "delivered",
         "estimate",
         "ratio",
-        "dumps"
-    ));
-    s.push_str(&format!(
-        "{:->7}-+-{:->5}-+-{:->7}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->8}-+-{:->6}-+-{:->5}\n",
-        "", "", "", "", "", "", "", "", ""
+        crate::stall_cause_head(),
     ));
     for p in points {
         s.push_str(&format!(
-            "{:>7.0} | {:>5.2} | {:>6.1}% | {:>6.1} ms | {:>6.1} ms | {:>9.2} | {:>8.2} | {:>6.2} | {:>5}\n",
+            "{:>7.0} | {:>5.2} | {:>6.1}% | {:>6.1} ms | {:>6.1} ms | {:>9.2} | {:>8.2} | {:>6.2} | {}\n",
             p.bandwidth_mbps,
             p.loss,
             p.stall_rate * 100.0,
@@ -143,10 +143,12 @@ pub fn text(points: &[QoePoint]) -> String {
             p.delivered_mbps,
             p.estimate_mbps,
             p.delivery_ratio,
-            p.anomaly_dumps,
+            crate::stall_cause_row(&p.stall_causes),
         ));
     }
-    s.push_str("\nage = capture→display; ratio = delivered / mean GCC estimate.\n");
+    s.push_str(
+        "\nage = capture→display; ratio = delivered / mean GCC estimate; the last\ncolumns count stalled slots by cause.\n",
+    );
     s
 }
 
@@ -175,7 +177,7 @@ pub fn json(points: &[QoePoint], profile: &EvalProfile) -> String {
         w.field_f64("delivered_mbps", p.delivered_mbps);
         w.field_f64("estimate_mbps", p.estimate_mbps);
         w.field_f64("delivery_ratio", p.delivery_ratio);
-        w.field_u64("anomaly_dumps", p.anomaly_dumps);
+        crate::write_stall_causes(w.field_raw("stall_causes"), &p.stall_causes);
     });
     o.finish();
     out

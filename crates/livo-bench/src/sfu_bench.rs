@@ -36,7 +36,7 @@
 use livo_capture::{
     datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, RgbdFrame, VideoId,
 };
-use livo_core::stage::{due, FPS};
+use livo_core::stage::{due, StallCause, FPS};
 use livo_eval::experiments::EvalProfile;
 use livo_eval::stats::percentile;
 use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
@@ -114,11 +114,14 @@ pub const LINK_CLASSES_MBPS: [f64; 3] = [50.0, 6.0, 1.5];
 const CLASS_FRAMES: u64 = 120;
 
 /// What the stage group's member on one link class displayed: new frames
-/// a second, the share of slots with none, and the T1s not forwarded.
+/// a second, the share of slots with none and why, and the T1s not
+/// forwarded.
 pub struct ClassPoint {
     pub link_mbps: f64,
     pub shown_fps: f64,
     pub stall_rate: f64,
+    /// Stalled slots per cause, indexed by `StallCause as usize`.
+    pub stall_causes: [u64; StallCause::ALL.len()],
     pub t1_dropped: u64,
 }
 
@@ -359,11 +362,12 @@ fn run_classes(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>]) -> Vec<ClassPo
         .step_by(2)
         .map(|&(id, i)| {
             let stats = router.subscriber(id).expect("subscribed").stats();
-            let slots = (stats.slots_shown + stats.slots_stalled) as f64;
+            let slots = (stats.slots_shown + stats.slots_stalled()) as f64;
             ClassPoint {
                 link_mbps: LINK_CLASSES_MBPS[i / 2],
                 shown_fps: stats.slots_shown as f64 * FPS as f64 / slots,
-                stall_rate: stats.slots_stalled as f64 / slots,
+                stall_rate: stats.slots_stalled() as f64 / slots,
+                stall_causes: stats.stalled,
                 t1_dropped: snap
                     .counter(&format!("sfu.sub.sub{i}.t1_dropped"))
                     .unwrap_or(0),
@@ -529,13 +533,18 @@ pub fn text(sweep: &SfuSweep) -> String {
             c.route_ms_p99,
         ));
     }
-    s.push_str(
-        "\nLink classes (stage group):\n\nlink Mbps | shown fps | stall rate | T1 dropped\n",
-    );
+    s.push_str(&format!(
+        "\nLink classes (stage group; stalled slots by cause):\n\nlink Mbps | shown fps | stall rate | T1 dropped | {}\n",
+        crate::stall_cause_head()
+    ));
     for c in &sweep.classes {
         s.push_str(&format!(
-            "{:>9.1} | {:>9.1} | {:>10.3} | {:>10}\n",
-            c.link_mbps, c.shown_fps, c.stall_rate, c.t1_dropped
+            "{:>9.1} | {:>9.1} | {:>10.3} | {:>10} | {}\n",
+            c.link_mbps,
+            c.shown_fps,
+            c.stall_rate,
+            c.t1_dropped,
+            crate::stall_cause_row(&c.stall_causes)
         ));
     }
     s.push_str(
@@ -596,6 +605,7 @@ pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
         w.field_f64("shown_fps", c.shown_fps);
         w.field_f64("stall_rate", c.stall_rate);
         w.field_u64("t1_dropped", c.t1_dropped);
+        crate::write_stall_causes(w.field_raw("stall_causes"), &c.stall_causes);
     });
     o.finish();
     out

@@ -17,8 +17,8 @@ use crate::frustum_pred::FrustumPredictor;
 use crate::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::stage::{
-    due, DisplayClock, FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, Slot, FPS,
-    GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS, RENDER_VOXEL_M,
+    due, DisplayClock, FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, Slot, StallCause,
+    FPS, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS, RENDER_VOXEL_M,
 };
 use crate::tile::TileLayout;
 use bytes::Bytes;
@@ -32,8 +32,8 @@ use livo_pointcloud::{pssim, PssimConfig, PssimScore};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace, TraceEvent};
 use livo_telemetry::{
-    log_event, AnomalyConfig, Counter, FlightBundle, FlightRecorder, Gauge, Histogram, Level,
-    MetricsRegistry, RegistrySnapshot,
+    log_event, Counter, FlightBundle, FlightRecorder, Gauge, Histogram, Level, MetricsRegistry,
+    RegistrySnapshot,
 };
 use livo_transport::{Micros, RtcSession, SessionConfig, SessionStats, StreamId};
 use std::sync::Arc;
@@ -72,9 +72,6 @@ pub struct ConferenceConfig {
     /// default: the ring is fixed-capacity and the record path is a few
     /// atomics, so the overhead stays within the tier-1 budget (≤ 5%).
     pub trace: bool,
-    /// Flight-recorder detector thresholds (`AnomalyConfig::disarmed()`
-    /// turns anomaly dumps off entirely).
-    pub anomaly: AnomalyConfig,
 }
 
 impl ConferenceConfig {
@@ -96,7 +93,6 @@ impl ConferenceConfig {
             user_trace_seed: 11,
             user_trace_style: 0,
             trace: true,
-            anomaly: AnomalyConfig::default(),
         }
     }
 
@@ -239,12 +235,6 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Flight-recorder detector thresholds.
-    pub fn anomaly(mut self, cfg: AnomalyConfig) -> Self {
-        self.cfg.anomaly = cfg;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<ConferenceConfig, InvalidConfig> {
         let cfg = self.cfg;
@@ -334,7 +324,8 @@ pub struct RunSummary {
     /// frame's path by sender sequence number;
     /// [`livo_telemetry::chrome_trace_json`] exports the whole run.
     pub trace: Vec<TraceEvent>,
-    /// Flight-recorder bundles dumped by the anomaly detectors.
+    /// Flight-recorder bundles, one per display stall over 150 ms outside
+    /// a 2 s cooldown; each bundle's verdict is its stall's cause.
     pub flight: Vec<FlightBundle>,
 }
 
@@ -428,7 +419,7 @@ impl ConferenceRunner {
         sender.set_worker_pool(pool.clone());
         receiver.set_worker_pool(pool.clone());
 
-        let tel = RunTelemetry::new(cfg);
+        let mut tel = RunTelemetry::new(cfg);
         session.attach_telemetry(&tel.registry, "transport");
         session.attach_trace(tel.trace.clone(), 0, 1);
         sender.attach_cull_telemetry(&tel.registry);
@@ -436,8 +427,8 @@ impl ConferenceRunner {
         sender.attach_trace(tel.trace.clone(), 0);
         receiver.attach_telemetry(&tel.registry);
         receiver.attach_trace(tel.trace.clone(), 1);
-        // The pool reports its queue depth into this run's registry so the
-        // starvation detector sees it.
+        // The pool reports its task times and queue depth into this run's
+        // registry.
         pool.attach_telemetry(&tel.registry, "runtime.pool");
 
         let mut display = DisplayClock::new(cfg.session.jitter_target);
@@ -476,7 +467,6 @@ impl ConferenceRunner {
                 let split = cfg.static_split.unwrap_or(splitter.split());
                 split_sum += split;
                 tel.split.set(split);
-                tel.sender_health(now, estimate);
                 let rate = cfg.rate(estimate, split);
                 if std::mem::take(&mut force_key) {
                     sender.force_keyframe();
@@ -505,7 +495,6 @@ impl ConferenceRunner {
             session.tick(now);
             if session.take_pli(now) {
                 force_key = true;
-                tel.flight.observe_pli(now, 1);
             }
 
             // --- receiver: decode this tick's arrivals ---
@@ -517,15 +506,14 @@ impl ConferenceRunner {
             }
 
             // --- display: the slot due at this tick, if any ---
-            let newest = || receiver.newest_pair().map(|(seq, ..)| seq);
-            if let Some((slot, outcome)) = display.poll(now, newest) {
+            if let Some((slot, outcome)) = display.poll(now, || receiver.lanes()) {
                 let shown_seq = match outcome {
                     Slot::Shown { seq, .. } => {
                         tel.frames_shown.inc();
                         Some(seq)
                     }
-                    Slot::Stalled { since_us } => {
-                        tel.stalled(now, slot, since_us);
+                    Slot::Stalled { since_us, cause } => {
+                        tel.stalled(now, slot, since_us, cause);
                         None
                     }
                 };
@@ -649,8 +637,8 @@ impl Step {
 /// the metrics registry, the causal event trace in virtual session time —
 /// party 0 is the sender, party 1 the receiver; the ring is always
 /// allocated, so the A/B overhead comparison exercises the same code path,
-/// but records only when enabled — and the flight recorder, armed per
-/// `cfg.anomaly` and fed the other two as evidence sources.
+/// but records only when enabled — and the flight recorder, which freezes
+/// the other two when a long stall happens.
 struct RunTelemetry {
     registry: Arc<MetricsRegistry>,
     trace: Arc<EventTrace>,
@@ -661,8 +649,9 @@ struct RunTelemetry {
     split: Arc<Gauge>,
     splitter_steps: Arc<Counter>,
     stalls: Arc<Counter>,
+    /// `display.stall_cause.<name>`, indexed by `StallCause as usize`.
+    stall_causes: [Arc<Counter>; StallCause::ALL.len()],
     frames_shown: Arc<Counter>,
-    pool_queue: Arc<Gauge>,
 }
 
 impl RunTelemetry {
@@ -670,9 +659,6 @@ impl RunTelemetry {
         let registry = Arc::new(MetricsRegistry::new());
         let trace = Arc::new(EventTrace::new(TRACE_CAPACITY));
         trace.set_enabled(cfg.trace);
-        let mut flight = FlightRecorder::new(cfg.anomaly.clone());
-        flight.attach_trace(trace.clone());
-        flight.attach_registry(&registry);
         log_event!(Level::Info, "conference", "run start",
             "video" => format!("{:?}", cfg.video), "cameras" => cfg.n_cameras,
             "duration_s" => cfg.duration_s as f64, "cull" => cfg.cull, "adapt" => cfg.adapt);
@@ -682,34 +668,34 @@ impl RunTelemetry {
             split: registry.gauge("splitter.split"),
             splitter_steps: registry.counter("splitter.steps"),
             stalls: registry.counter("display.stalls"),
+            stall_causes: StallCause::ALL
+                .map(|c| registry.counter(&format!("display.stall_cause.{}", c.name()))),
             frames_shown: registry.counter("display.frames_shown"),
-            pool_queue: registry.gauge("runtime.pool.queue_depth"),
+            flight: FlightRecorder::new(trace.clone(), registry.clone()),
             registry,
             trace,
-            flight,
         }
     }
 
     /// A display slot had nothing new to show, `since_us` after the display
-    /// last advanced (the clock traced it).
-    fn stalled(&self, now: Micros, slot: u64, since_us: Micros) {
+    /// last advanced, for `cause` (the clock traced it).
+    fn stalled(&mut self, now: Micros, slot: u64, since_us: Micros, cause: StallCause) {
         self.stalls.inc();
+        self.stall_causes[cause as usize].inc();
         let stall_ms = since_us as f64 / 1e3;
-        self.flight.observe_stall(now, 1, stall_ms);
+        self.flight.observe_stall(now, 1, stall_ms, cause.name());
         log_event!(Level::Debug, "conference.display", "stall", "slot" => slot,
-            "t_s" => now as f64 / 1e6, "stall_ms" => stall_ms);
+            "t_s" => now as f64 / 1e6, "stall_ms" => stall_ms, "cause" => cause.name());
     }
 
     /// The receiver ran a delivered frame through its lane: the decode
-    /// step's time where a decode was attempted, and a failure to the flight
-    /// recorder and the log. A corrupted P-chain fails every frame until the
+    /// step's time where a decode was attempted, and a failure to the log. A corrupted P-chain fails every frame until the
     /// next keyframe lands, so the warning is limited to one per second.
     fn ingested(&self, now: Micros, o: &FrameOutcome) {
         if matches!(o.ingest, Ingest::Decoded | Ingest::DecodeError) {
             self.record(Step::Decode, o.frame_id, now, o.decode_ms);
         }
         if o.ingest == Ingest::DecodeError {
-            self.flight.observe_decode_error(now, 1, o.stream.name());
             livo_telemetry::log::warn_limited(
                 "conference.decode",
                 1_000,
@@ -721,14 +707,6 @@ impl RunTelemetry {
                 ],
             );
         }
-    }
-
-    /// Feed the flight recorder's sender-side detectors: the bandwidth
-    /// estimate and the worker pool's queue depth.
-    fn sender_health(&self, now: Micros, estimate_bps: f64) {
-        self.flight.observe_gcc(now, 0, estimate_bps);
-        self.flight
-            .observe_pool_queue(now, self.pool_queue.get() as u64);
     }
 
     /// One RMSE-balancing step of the splitter from frame `frame`'s
@@ -809,7 +787,7 @@ fn summarise(
         bits_sent: transport.bits_sent,
         records,
         trace: tel.trace.snapshot(),
-        flight: tel.flight.bundles(),
+        flight: tel.flight.bundles().to_vec(),
         metrics: tel.registry.snapshot(),
     }
 }

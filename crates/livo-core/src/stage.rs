@@ -408,6 +408,16 @@ impl ReceiverStage {
         outcomes
     }
 
+    /// What the lanes hold for the display clock to decide a slot on.
+    pub fn lanes(&self) -> Lanes {
+        let newest = |lane: &DecodeLane| lane.window.last_key_value().map(|(&seq, _)| seq);
+        Lanes {
+            pair: self.newest_pair().map(|(seq, ..)| seq),
+            newest: newest(&self.color).max(newest(&self.depth)),
+            awaiting_key: self.color.need_key || self.depth.need_key,
+        }
+    }
+
     /// The newest sequence number decoded on *both* streams, with its
     /// colour and depth canvases: what a display slot shows.
     pub fn newest_pair(&self) -> Option<(u32, &Frame, &Frame)> {
@@ -432,15 +442,69 @@ pub fn due(n: u64) -> Micros {
 }
 
 /// What one display slot showed: a new pair, `age_us` after its capture, or
-/// nothing new, `since_us` after the display last advanced (or started).
+/// nothing new, `since_us` after the display last advanced (or started), for
+/// one `cause`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot {
     Shown { seq: u32, age_us: Micros },
-    Stalled { since_us: Micros },
+    Stalled { since_us: Micros, cause: StallCause },
+}
+
+/// Why a display slot showed nothing new. The clock checks them in this
+/// order and names the first that holds, so every stalled slot has one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StallCause {
+    /// Nothing has been shown yet.
+    Startup,
+    /// No frame newer than the shown one was handed to this receiver at
+    /// least the clock's delay ago (on the SFU: a T1 it was not sent).
+    NotSent,
+    /// A decode lane is waiting for a keyframe.
+    KeyframeWait,
+    /// One lane decoded a frame newer than the shown one that the other
+    /// lane lacks.
+    PairMiss,
+    /// Sent but not at the decoder yet: in the pacer, on the link, waiting
+    /// for a NACK repair, or given up.
+    InTransport,
+}
+
+impl StallCause {
+    pub const ALL: [StallCause; 5] = [
+        StallCause::Startup,
+        StallCause::NotSent,
+        StallCause::KeyframeWait,
+        StallCause::PairMiss,
+        StallCause::InTransport,
+    ];
+
+    /// The `<name>` of `display.stall_cause.<name>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            StallCause::Startup => "startup",
+            StallCause::NotSent => "not_sent",
+            StallCause::KeyframeWait => "keyframe_wait",
+            StallCause::PairMiss => "pair_miss",
+            StallCause::InTransport => "in_transport",
+        }
+    }
+}
+
+/// What the decode lanes hold when a display slot falls due
+/// ([`ReceiverStage::lanes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lanes {
+    /// The newest sequence number decoded on both lanes.
+    pub pair: Option<u32>,
+    /// The newest sequence number decoded on either lane.
+    pub newest: Option<u32>,
+    /// Whether a lane is waiting for a keyframe.
+    pub awaiting_key: bool,
 }
 
 /// The display half of §A.1, defined once: one slot per frame interval, and
-/// a slot with no *new* synchronised colour+depth pair is a stall.
+/// a slot with no *new* synchronised colour+depth pair is a stall, with its
+/// [`StallCause`].
 ///
 /// Slot `s` falls due at `start + due(s)`, `start` being the jitter target
 /// plus three frame intervals after the first captured frame. The driver
@@ -449,6 +513,8 @@ pub enum Slot {
 /// records `display` (arg: age µs) or `stall` (arg: ms since the last).
 #[derive(Debug, Clone, Default)]
 pub struct DisplayClock {
+    /// Jitter target plus three frame intervals: how long after its capture
+    /// a frame is due on the display.
     delay: Micros,
     /// Slot 0's instant, once a frame was captured.
     start: Option<Micros>,
@@ -473,8 +539,8 @@ impl DisplayClock {
         self.trace = Some((trace, party));
     }
 
-    /// Frame `seq` was captured (on the SFU: routed) at `at`. The first
-    /// frame starts the clock.
+    /// Frame `seq` was captured (on the SFU: forwarded to this receiver) at
+    /// `at`. The first frame starts the clock.
     pub fn captured(&mut self, seq: u32, at: Micros) {
         if self.start.is_none() {
             (self.start, self.last_shown) = (Some(at + self.delay), at + self.delay);
@@ -487,22 +553,26 @@ impl DisplayClock {
         self.start.map_or(Micros::MAX, |s| s + due(self.slot))
     }
 
-    /// Decide the next slot if it is due at `now`, given the newest decoded
-    /// pair's sequence number (asked for only then): its index and outcome.
-    pub fn poll(
-        &mut self,
-        now: Micros,
-        newest: impl FnOnce() -> Option<u32>,
-    ) -> Option<(u64, Slot)> {
+    /// The sequence numbers handed to the clock that the display has not
+    /// passed yet, oldest first.
+    pub fn handed(&self) -> impl Iterator<Item = u32> + '_ {
+        self.captured.iter().map(|&(seq, _)| seq)
+    }
+
+    /// Decide the next slot if it is due at `now`, given what the decode
+    /// lanes hold (asked for only then): its index and outcome.
+    pub fn poll(&mut self, now: Micros, lanes: impl FnOnce() -> Lanes) -> Option<(u64, Slot)> {
         if now < self.next_due() {
             return None;
         }
         let slot = self.slot;
         self.slot += 1;
-        let Some(seq) = newest().filter(|&seq| Some(seq) != self.shown) else {
+        let lanes = lanes();
+        let Some(seq) = lanes.pair.filter(|&seq| Some(seq) != self.shown) else {
             let since_us = now - self.last_shown;
+            let cause = self.stall_cause(now, &lanes);
             self.record(now, NO_FRAME, kind::STALL, since_us / 1_000);
-            return Some((slot, Slot::Stalled { since_us }));
+            return Some((slot, Slot::Stalled { since_us, cause }));
         };
         while self.captured.front().is_some_and(|&(s, _)| s < seq) {
             self.captured.pop_front();
@@ -512,6 +582,25 @@ impl DisplayClock {
         (self.shown, self.last_shown) = (Some(seq), now);
         self.record(now, seq as u64, kind::DISPLAY, age_us);
         Some((slot, Slot::Shown { seq, age_us }))
+    }
+
+    /// The first [`StallCause`] that holds for a slot at `now` with no new
+    /// pair. The queue's front is the shown frame or newer, so this looks at
+    /// one or two entries.
+    fn stall_cause(&self, now: Micros, lanes: &Lanes) -> StallCause {
+        let Some(shown) = self.shown else {
+            return StallCause::Startup;
+        };
+        let next = self.captured.iter().find(|&&(seq, _)| seq > shown);
+        if next.is_none_or(|&(_, at)| at + self.delay > now) {
+            StallCause::NotSent
+        } else if lanes.awaiting_key {
+            StallCause::KeyframeWait
+        } else if lanes.newest > Some(shown) {
+            StallCause::PairMiss
+        } else {
+            StallCause::InTransport
+        }
     }
 
     fn record(&self, now: Micros, seq: u64, k: &'static str, arg: Micros) {
@@ -1047,7 +1136,7 @@ mod tests {
         let mut decided = 0u64;
         let mut now = 0;
         while decided < 10_000 {
-            if let Some((slot, _)) = clock.poll(now, || Some(slot_seq(now))) {
+            if let Some((slot, _)) = clock.poll(now, || paired(slot_seq(now))) {
                 assert_eq!(slot, decided, "slot {decided} skipped or repeated");
                 assert_eq!(now, on_grid(start + due(slot)), "slot {slot}");
                 decided += 1;
@@ -1063,34 +1152,89 @@ mod tests {
         (now / 1_000) as u32
     }
 
+    /// Lanes that both hold `seq` and nothing newer.
+    fn paired(seq: u32) -> Lanes {
+        Lanes {
+            pair: Some(seq),
+            newest: Some(seq),
+            awaiting_key: false,
+        }
+    }
+
     #[test]
     fn display_clock_stalls_on_a_repeated_seq_for_exactly_the_gap() {
         let mut clock = DisplayClock::new(100_000);
         clock.captured(0, 0);
         let start = 200_000;
         // Nothing decoded yet: the first slot stalls, counted from the start.
+        let cause = StallCause::Startup;
         assert_eq!(
-            clock.poll(start, || None),
-            Some((0, Slot::Stalled { since_us: 0 }))
+            clock.poll(start, Lanes::default),
+            Some((0, Slot::Stalled { since_us: 0, cause }))
         );
         let t1 = on_grid(start + due(1));
         assert_eq!(
-            clock.poll(t1, || Some(0)),
+            clock.poll(t1, || paired(0)),
             Some((1, Slot::Shown { seq: 0, age_us: t1 }))
         );
         // The same pair again is no new frame: two stalls, each measured
-        // from the slot that last showed one.
+        // from the slot that last showed one. Nothing newer was captured.
+        let cause = StallCause::NotSent;
         for slot in [2, 3] {
             let t = on_grid(start + due(slot));
             let since_us = t - t1;
             assert_eq!(
-                clock.poll(t, || Some(0)),
-                Some((slot, Slot::Stalled { since_us }))
+                clock.poll(t, || paired(0)),
+                Some((slot, Slot::Stalled { since_us, cause }))
             );
         }
         // Before the next slot's instant nothing is decided.
         let t4 = on_grid(start + due(4));
-        assert_eq!(clock.poll(t4 - 1_000, || Some(1)), None);
+        assert_eq!(clock.poll(t4 - 1_000, || paired(1)), None);
+    }
+
+    #[test]
+    fn display_clock_names_the_first_cause_that_holds() {
+        use StallCause::*;
+        // Frames 0..=5 and 7 handed over at their capture instants; 6 never
+        // was (a T1 the SFU dropped). A frame is due on the display 200 ms
+        // after its capture, and slot s falls due with frame s.
+        let mut clock = DisplayClock::new(100_000);
+        for f in (0..=5).chain([7]) {
+            clock.captured(f, due(f as u64));
+        }
+        let lanes = |pair: u32, newest: u32, awaiting_key: bool| Lanes {
+            pair: Some(pair),
+            newest: Some(newest),
+            awaiting_key,
+        };
+        let startup = Lanes {
+            pair: None,
+            ..lanes(0, 0, true)
+        };
+        // (slot's lanes, what it shows or the one cause of its stall); every
+        // stall also matches each later check, so the order decides.
+        let cases = [
+            (startup, Err(Startup)),
+            (lanes(1, 1, false), Ok(1)),
+            (lanes(1, 3, true), Err(KeyframeWait)),
+            (lanes(1, 3, false), Err(PairMiss)),
+            (lanes(1, 1, false), Err(InTransport)),
+            (lanes(5, 5, false), Ok(5)),
+            (lanes(5, 7, true), Err(NotSent)),
+            (lanes(5, 5, false), Err(InTransport)),
+        ];
+        for (slot, (held, want)) in (0..).zip(cases) {
+            let now = on_grid(200_000 + due(slot));
+            let got = match clock.poll(now, || held) {
+                Some((s, Slot::Shown { seq, .. })) if s == slot => Ok(seq),
+                Some((s, Slot::Stalled { cause, .. })) if s == slot => Err(cause),
+                other => panic!("slot {slot}: {other:?}"),
+            };
+            assert_eq!(got, want, "slot {slot}");
+        }
+        // Showing 5 passed the frames before it; 6 never entered the clock.
+        assert_eq!(clock.handed().collect::<Vec<_>>(), [5, 7]);
     }
 
     #[test]
@@ -1107,7 +1251,7 @@ mod tests {
                 clock.captured(f as u32, now);
                 f += 1;
             }
-            let newest = || f.checked_sub(1).map(|s| s as u32);
+            let newest = || paired(f as u32 - 1);
             if let Some((_, slot)) = clock.poll(now, newest) {
                 let Slot::Shown { seq, age_us } = slot else {
                     panic!("a new frame is captured every slot");

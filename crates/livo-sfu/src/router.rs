@@ -955,9 +955,6 @@ impl Router {
                     let Some(&ci) = assign.get(id) else {
                         continue;
                     };
-                    if let Some(standin) = sub.standin.as_mut() {
-                        standin.clock.captured(seq, now);
-                    }
                     let p = &payloads[ci];
                     if sub.splitter.measurement_due() {
                         sub.splitter.update(p.rmse_depth_mm, p.rmse_color);
@@ -981,6 +978,11 @@ impl Router {
                         p.depth_key,
                     );
                     sub.stats.frames_forwarded += 1;
+                    // The display clock sees what was sent, so a T1 this
+                    // downlink dropped is a `not_sent` stall, not a late one.
+                    if let Some(standin) = sub.standin.as_mut() {
+                        standin.clock.captured(seq, now);
+                    }
                 }
             });
         }
@@ -1005,6 +1007,7 @@ mod tests {
     use super::*;
     use livo_capture::render::render_views_at;
     use livo_capture::{datasets::DatasetPreset, rig, VideoId};
+    use livo_core::stage::StallCause;
     use livo_math::{CameraIntrinsics, Vec3};
 
     fn tiny_rig() -> Vec<RgbdCamera> {
@@ -1353,6 +1356,15 @@ mod tests {
         assert_eq!(snap.counter("sfu.shared_intras"), Some(1));
         assert_eq!(slow_sub.session().stats().plis, 0);
         assert!(slow_sub.stats().frames_decoded >= 2 * (frames / 2 - 10));
+        // The slow member's display stalls on the T1s it was not sent, and
+        // none of those ever entered its clock: what the clock still holds
+        // from the late half is T0s alone.
+        let not_sent = slow_sub.stats().stalled[StallCause::NotSent as usize];
+        assert!(not_sent > 0, "{:?}", slow_sub.stats());
+        let clock = &slow_sub.standin.as_ref().unwrap().clock;
+        let held: Vec<u32> = clock.handed().collect();
+        assert!(held.iter().any(|&seq| seq as u64 >= frames / 2), "{held:?}");
+        assert!(held.iter().all(|&seq| seq % 2 == 0), "{held:?}");
         // Every forwarded pair went out as two frames.
         for id in [fast, slow] {
             let sub = router.subscriber(id).unwrap();
@@ -1501,7 +1513,7 @@ mod tests {
         let stats = |raw| outcomes[&SubscriberId(raw)].1;
         assert!(stats(0).slots_shown > 0 && stats(1).slots_shown > 0);
         assert_eq!(
-            stats(2).slots_shown + stats(2).slots_stalled,
+            stats(2).slots_shown + stats(2).slots_stalled(),
             0,
             "no stand-in"
         );
@@ -1538,7 +1550,7 @@ mod tests {
         // subscriber's, six frame intervals later.
         let slots = |id| {
             let stats = router.subscriber(id).unwrap().stats();
-            stats.slots_shown + stats.slots_stalled
+            stats.slots_shown + stats.slots_stalled()
         };
         let (a, b) = (slots(first), slots(joiner.unwrap()));
         assert!(b > 0, "the joiner decided no slot");

@@ -5,7 +5,7 @@
 //! NACK/PLI), a Kalman frustum predictor fed with feedback-delayed poses,
 //! and an RMSE-balancing bandwidth splitter — plus a stand-in for the
 //! remote client: its decode lanes and its [`DisplayClock`], which counts
-//! the display slots the subscriber shows and stalls. What subscribers do
+//! the display slots the subscriber shows, and stalls by cause. What subscribers do
 //! *not* own is an encoder: encoding happens per *cluster* in the
 //! [`crate::router`].
 
@@ -13,7 +13,7 @@ use livo_capture::BandwidthTrace;
 use livo_codec2d::Frame;
 use livo_core::frustum_pred::FrustumPredictor;
 use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
-use livo_core::stage::{DisplayClock, Ingest, ReceiverStage, Slot, FPS, GUARD_BAND_M};
+use livo_core::stage::{DisplayClock, Ingest, ReceiverStage, Slot, StallCause, FPS, GUARD_BAND_M};
 use livo_math::FrustumParams;
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::EventTrace;
@@ -64,8 +64,16 @@ pub struct SubscriberStats {
     pub decode_failures: u64,
     /// Display slots that showed a new colour+depth pair (stand-in only).
     pub slots_shown: u64,
-    /// Display slots with nothing new to show (stand-in only).
-    pub slots_stalled: u64,
+    /// Display slots with nothing new to show, one count per cause, indexed
+    /// by `StallCause as usize` (stand-in only).
+    pub stalled: [u64; StallCause::ALL.len()],
+}
+
+impl SubscriberStats {
+    /// Display slots with nothing new to show, whatever the cause.
+    pub fn slots_stalled(&self) -> u64 {
+        self.stalled.iter().sum()
+    }
 }
 
 /// Share of a T0 period's estimate that must cover a T1 (with what the
@@ -169,14 +177,15 @@ impl Subscriber {
         }
     }
 
-    /// Count the stand-in's display slot due at `now`, if any.
+    /// Count the stand-in's display slot due at `now`, if any, as shown or
+    /// as stalled for its cause.
     pub(crate) fn display(&mut self, now: Micros) {
         let Some(StandIn { rx, clock }) = self.standin.as_mut() else {
             return;
         };
-        match clock.poll(now, || rx.newest_pair().map(|(seq, ..)| seq)) {
+        match clock.poll(now, || rx.lanes()) {
             Some((_, Slot::Shown { .. })) => self.stats.slots_shown += 1,
-            Some((_, Slot::Stalled { .. })) => self.stats.slots_stalled += 1,
+            Some((_, Slot::Stalled { cause, .. })) => self.stats.stalled[cause as usize] += 1,
             None => {}
         }
     }

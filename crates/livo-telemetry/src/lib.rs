@@ -18,9 +18,9 @@
 //!   into one causal order and queryable per frame ([`TraceQuery`]).
 //! - [`chrometrace`]: Chrome trace-event JSON export of a trace snapshot
 //!   (Perfetto-loadable, flow arrows stitching frames across tracks).
-//! - [`flight`]: [`FlightRecorder`] — anomaly detectors (stall, PLI
-//!   storm, GCC collapse, decode error, pool starvation) that dump
-//!   trace + metrics bundles the moment something goes wrong.
+//! - [`flight`]: [`FlightRecorder`] — freezes the trace and the metrics
+//!   into one bundle when a display stall runs long, with the cause the
+//!   display clock gave it as the verdict.
 //! - [`log`]: structured events with levels and key=value fields, filtered
 //!   by `LIVO_LOG`, one text line per event on stderr, and rate-limited
 //!   warnings ([`log::warn_limited`]).
@@ -41,7 +41,7 @@ pub mod registry;
 pub mod trace;
 
 pub use chrometrace::{chrome_trace_json, write_chrome_trace};
-pub use flight::{verdict, AnomalyConfig, FlightBundle, FlightRecorder};
+pub use flight::{FlightBundle, FlightRecorder};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::{Level, Logger, Value};
 pub use registry::{

@@ -365,7 +365,7 @@ mod tests {
             "conference.decode_ms",
             "sfu.sub.producer_desk.transport.plis",
             "runtime.pool.queue_depth",
-            "trace.anomalies.pli_storm",
+            "display.stall_cause.pair_miss",
         ] {
             assert!(name_follows_convention(good), "{good} should pass");
         }

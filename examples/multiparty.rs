@@ -136,7 +136,7 @@ fn main() {
             stats.frames_decoded,
             sub.session().stats().plis,
             stats.slots_shown,
-            stats.slots_stalled,
+            stats.slots_stalled(),
         );
     }
 

@@ -88,6 +88,12 @@ fi
 if grep -rn "router\.tick(" examples tests crates/livo-bench || grep -rn "DISPLAY_AFTER" crates; then
   echo "a hand router tick loop or the DISPLAY_AFTER display stand-in is back"; exit 1
 fi
+# One answer per stalled slot: the display clock names each stall's cause,
+# and the flight recorder freezes a bundle for a long one. The threshold
+# detectors, their settings and their counters stay gone.
+if grep -rnE "AnomalyConfig|pli_storm|gcc_collapse|pool_starvation|observe_gcc|observe_pli|trace\.anomalies" crates src tests examples; then
+  echo "a flight-recorder detector, AnomalyConfig or a trace.anomalies counter is back"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite and the renderer's oracle
 # tests ran at the auto-detected tier above; they must also hold with the
 # dispatcher forced to the scalar tier (LIVO_SIMD caps the level per

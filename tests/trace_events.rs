@@ -1,5 +1,5 @@
-//! Causal event-trace integration: cross-layer frame reconstruction and
-//! anomaly-triggered flight dumps on live pipelines.
+//! Causal event-trace integration: cross-layer frame reconstruction,
+//! stall causes and stall-triggered flight dumps on live pipelines.
 //!
 //! The `livo-telemetry` unit tests cover the ring mechanics (wraparound
 //! eviction, concurrent writers, tie-breaking). These tests assert the
@@ -7,17 +7,17 @@
 //! reconstructible capture→encode→send→recv→decode→display path for
 //! delivered frames, (b) the same holds across the SFU fan-out with one
 //! sender track, one SFU track, and per-subscriber receiver tracks,
-//! (c) tracing off records nothing, and (d) an injected display stall
-//! produces exactly one flight bundle with the stall verdict while the
-//! detection counters keep counting. The ring's bound is `trace.rs`'s
+//! (c) tracing off records nothing, and (d) a starved link's stalls each
+//! carry one cause, and the first long one produces exactly one flight
+//! bundle whose verdict is that cause. The ring's bound is `trace.rs`'s
 //! `capacity_is_bounded_and_evicts_oldest`.
 
 use livo::capture::{datasets::DatasetPreset, render::render_views_at, rig};
-use livo::core::stage::due;
+use livo::core::stage::{due, StallCause};
 use livo::prelude::*;
 use livo::sfu::subscriber_party;
+use livo::telemetry::chrome_trace_json;
 use livo::telemetry::trace::{kind, EventTrace, TraceQuery, NO_FRAME};
-use livo::telemetry::{chrome_trace_json, verdict, AnomalyConfig};
 use livo::transport::Micros;
 use std::sync::Arc;
 
@@ -87,37 +87,41 @@ fn trace_ring_stays_bounded_and_can_be_disabled() {
 
 #[test]
 fn injected_stall_dumps_exactly_one_flight_bundle() {
-    // Arm only the stall detector, with a cooldown longer than the run:
-    // the starved link below stalls the display repeatedly, but exactly
-    // one bundle may be dumped.
-    let anomaly = AnomalyConfig {
-        stall_ms: Some(120.0),
-        cooldown_us: u64::MAX / 2,
-        ..AnomalyConfig::disarmed()
-    };
-    let cfg = quick_conference()
-        .anomaly(anomaly)
-        .build()
-        .expect("valid config");
+    // The starved link below stalls the display repeatedly, for long; the
+    // recorder's 2 s cooldown outlasts the 1.5 s run, so exactly one bundle
+    // may be dumped.
+    let cfg = quick_conference().build().expect("valid config");
     let summary = ConferenceRunner::new(cfg).run(BandwidthTrace::constant(0.3, 8.0));
     assert!(
         summary.stall_rate > 0.0,
         "a 0.3 Mbps link must stall the display"
     );
+    // Every stalled slot has exactly one cause.
+    let cause_count = |c: StallCause| {
+        let name = format!("display.stall_cause.{}", c.name());
+        summary.metrics.counter(&name).expect("registered")
+    };
+    let by_cause: u64 = StallCause::ALL.into_iter().map(cause_count).sum();
+    assert_eq!(Some(by_cause), summary.metrics.counter("display.stalls"));
     assert_eq!(summary.flight.len(), 1, "cooldown allows exactly one dump");
     let b = &summary.flight[0];
-    assert_eq!(b.verdict, verdict::STALL);
+    assert!(
+        StallCause::ALL.iter().any(|c| c.name() == b.verdict),
+        "verdict {} is no stall cause",
+        b.verdict
+    );
     assert_eq!(b.party, 1, "stalls are a receiver-side signal");
     assert!(b.detail.contains("stall"));
-    // The bundle froze real evidence: trace events and a registry
-    // snapshot including the anomaly counters themselves.
+    // The bundle froze real evidence: trace events and a registry snapshot
+    // that holds the stall causes counted so far.
     assert!(!b.events.is_empty());
     let frozen = b.metrics.as_ref().expect("registry attached");
-    assert!(frozen.counter("trace.anomalies.stall").unwrap_or(0) >= 1);
-    // Detections keep counting after the dump is rate-limited.
-    let stalls = summary.metrics.counter("trace.anomalies.stall").unwrap();
-    assert!(stalls >= 1);
-    assert_eq!(summary.metrics.counter("trace.anomalies.dumps"), Some(1));
+    let frozen_causes: Vec<u64> = StallCause::ALL
+        .iter()
+        .map(|c| frozen.counter(&format!("display.stall_cause.{}", c.name())))
+        .collect::<Option<_>>()
+        .expect("every cause is in the frozen metrics");
+    assert!(frozen_causes.iter().sum::<u64>() >= 1);
     // Stall events land on the trace under the display component.
     assert!(summary
         .trace
@@ -208,15 +212,17 @@ fn sfu_fanout_reconstructs_per_subscriber_paths() {
     let due_slots = (0..).take_while(|&s| start + due(s) <= now - 1_000).count() as u64;
     for &id in &ids {
         let stats = *router.subscriber(id).expect("subscribed").stats();
-        assert_eq!(stats.slots_shown + stats.slots_stalled, due_slots, "{id}");
+        assert_eq!(stats.slots_shown + stats.slots_stalled(), due_slots, "{id}");
+        // Each stalled slot was counted once, under its one cause: the
+        // per-cause counts sum to the `stall` events on the stand-in's own
+        // party's track.
+        let stall_events = events
+            .iter()
+            .filter(|e| e.kind == kind::STALL && e.party == subscriber_party(id))
+            .count() as u64;
+        assert_eq!(stats.stalled.iter().sum::<u64>(), stall_events, "{id}");
     }
-    // The slow subscriber stalls, and says so on its own party's track.
-    let slow = ids[3];
-    let stalled = router.subscriber(slow).unwrap().stats().slots_stalled;
+    // The slow subscriber stalls.
+    let stalled = router.subscriber(ids[3]).unwrap().stats().slots_stalled();
     assert!(stalled > 0, "a 0.3 Mbps downlink must stall");
-    let stall_events = events
-        .iter()
-        .filter(|e| e.kind == kind::STALL && e.party == subscriber_party(slow))
-        .count() as u64;
-    assert_eq!(stall_events, stalled);
 }
