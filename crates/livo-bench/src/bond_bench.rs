@@ -198,21 +198,19 @@ pub fn gate_ok(points: &[BondPoint]) -> bool {
 pub fn text(points: &[BondPoint]) -> String {
     let mut s =
         String::from("Bonded transport sweep: bonded vs single links, per topology scenario\n\n");
-    s.push_str(&format!(
-        "{:>12} | {:>8} | {:>9} | {:>7} | {:>9} | {:>14} | {:>4} | {:>5} | {:>4}\n",
-        "scenario",
-        "sum Mbps",
-        "bonded",
-        "stalls",
-        "best link",
-        "best delivered",
-        "fail",
-        "dups",
-        "gate"
-    ));
-    s.push_str(&format!(
-        "{:->12}-+-{:->8}-+-{:->9}-+-{:->7}-+-{:->9}-+-{:->14}-+-{:->4}-+-{:->5}-+-{:->4}\n",
-        "", "", "", "", "", "", "", "", ""
+    s.push_str(&crate::table_head(
+        &[
+            ("scenario", 12),
+            ("sum Mbps", 8),
+            ("bonded", 9),
+            ("stalls", 7),
+            ("best link", 9),
+            ("best delivered", 14),
+            ("fail", 4),
+            ("dups", 5),
+            ("gate", 4),
+        ],
+        true,
     ));
     for p in points {
         let (best_name, best) = p.best_single();

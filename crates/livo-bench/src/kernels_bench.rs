@@ -19,9 +19,8 @@
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
 //! replaced ([`GATE_FLOOR`]), which `scripts/tier1.sh` uses as a perf
 //! ratchet: a kernel that does not pay for itself is deleted, not given a
-//! looser floor. Points marked `gated: false` (the slice-parallel decode
-//! scaling measurement and the two `pool_scope_*` dispatch diagnostics) are
-//! reported but not ratcheted.
+//! looser floor. Points marked `gated: false` (the two `pool_scope_*`
+//! dispatch diagnostics) are reported but not ratcheted.
 //!
 //! Timing protocol: fast and reference passes alternate within each
 //! repetition (so drift hits both alike) and the per-iteration median over
@@ -40,7 +39,7 @@ use livo_codec2d::encoder::SEARCH_RANGE;
 use livo_codec2d::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use livo_codec2d::slice::slice_count;
 use livo_codec2d::{dct, motion, plane, quant};
-use livo_codec2d::{Decoder, Encoder, EncoderConfig, Frame, PixelFormat, Plane};
+use livo_codec2d::{Encoder, EncoderConfig, Frame, Plane};
 use livo_core::cull::CullContext;
 use livo_core::frustum_pred::FrustumPredictor;
 use livo_core::stage::GUARD_BAND_M;
@@ -145,19 +144,6 @@ fn textured_plane(w: usize, h: usize, phase: usize) -> Plane {
     p
 }
 
-fn test_frame(w: usize, h: usize, phase: usize) -> Frame {
-    let mut rgb = vec![0u8; w * h * 3];
-    for y in 0..h {
-        for x in 0..w {
-            let i = (y * w + x) * 3;
-            rgb[i] = (((x + phase) * 5) % 256) as u8;
-            rgb[i + 1] = ((y * 3 + phase) % 256) as u8;
-            rgb[i + 2] = (((x + y) * 2) % 256) as u8;
-        }
-    }
-    Frame::from_rgb8(w, h, &rgb)
-}
-
 fn bench_cull() -> KernelPoint {
     let cameras: Vec<RgbdCamera> = rig::camera_ring(
         3,
@@ -252,7 +238,7 @@ fn bench_union_cull() -> KernelPoint {
     let mut ctx = CullContext::new();
     let (mut fast_views, mut ref_views) = (views.clone(), views.clone());
     assert_eq!(
-        ctx.cull(None, &mut fast_views, &cameras, &frusta),
+        ctx.cull(&mut fast_views, &cameras, &frusta),
         cull_views_union_reference(&mut ref_views, &cameras, &frusta),
     );
     assert!(fast_views
@@ -262,7 +248,7 @@ fn bench_union_cull() -> KernelPoint {
     let (fast, naive) = time_pair(
         || {
             let mut v = views.clone();
-            black_box(ctx.cull(None, &mut v, &cameras, &frusta));
+            black_box(ctx.cull(&mut v, &cameras, &frusta));
         },
         || {
             let mut v = views.clone();
@@ -358,51 +344,6 @@ fn bench_sad() -> KernelPoint {
         fast_ns: fast / count as f64,
         ref_ns: naive / count as f64,
         gated: true,
-        bits: None,
-    }
-}
-
-fn bench_decode_sliced() -> KernelPoint {
-    const W: usize = 128;
-    const H: usize = 128;
-    const QP: u8 = 12;
-    const SLICES: u8 = 4;
-    let frames: Vec<Frame> = (0..3).map(|i| test_frame(W, H, i)).collect();
-    let mut cfg = EncoderConfig::new(W, H, PixelFormat::Yuv420);
-    cfg.gop_length = 0;
-    cfg.slices = SLICES;
-    let mut enc = Encoder::new(cfg);
-    let streams: Vec<Vec<u8>> = frames
-        .iter()
-        .map(|f| enc.encode_fixed_qp(f, QP).data)
-        .collect();
-
-    let pool = std::sync::Arc::new(WorkerPool::new(SLICES as usize));
-    let (par, serial) = time_pair(
-        || {
-            let mut dec = Decoder::new();
-            dec.set_worker_pool(pool.clone());
-            for s in &streams {
-                black_box(dec.decode(s).expect("sliced stream decodes"));
-            }
-        },
-        || {
-            let mut dec = Decoder::new();
-            for s in &streams {
-                black_box(dec.decode(s).expect("sliced stream decodes"));
-            }
-        },
-    );
-    // Reported per slice: both sides decode 3 frames × 4 slices. Not gated
-    // — on a single-core box the pool's thread handoff can make the
-    // parallel side slower; the point records the scaling headroom.
-    let per = 3.0 * SLICES as f64;
-    KernelPoint {
-        name: "decode_sliced",
-        unit: "per slice, 3 frames 128x128 x4 slices, pool(4) vs serial",
-        fast_ns: par / per,
-        ref_ns: serial / per,
-        gated: false,
         bits: None,
     }
 }
@@ -721,7 +662,6 @@ pub fn run() -> Vec<KernelPoint> {
         dct_f,
         dct_i,
         bench_sad(),
-        bench_decode_sliced(),
         pool_scope_empty,
         pool_scope_tasks,
     ];
@@ -732,13 +672,15 @@ pub fn run() -> Vec<KernelPoint> {
 /// Human-readable table.
 pub fn text(points: &[KernelPoint]) -> String {
     let mut s = String::from("Hot-kernel speedups vs the bodies they replaced\n\n");
-    s.push_str(&format!(
-        "{:>19} | {:>12} | {:>12} | {:>8} | unit\n",
-        "kernel", "fast ns", "ref ns", "speedup"
-    ));
-    s.push_str(&format!(
-        "{:->19}-+-{:->12}-+-{:->12}-+-{:->8}-+-----\n",
-        "", "", "", ""
+    s.push_str(&crate::table_head(
+        &[
+            ("kernel", 19),
+            ("fast ns", 12),
+            ("ref ns", 12),
+            ("speedup", 8),
+            ("unit", 4),
+        ],
+        true,
     ));
     for p in points {
         s.push_str(&format!(

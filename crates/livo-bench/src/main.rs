@@ -88,9 +88,21 @@ fn write_host(out: &mut String) {
     h.finish();
 }
 
+/// A text table's header: each column's name right-aligned to its width,
+/// joined by ` | `, and with `rule` a line of dashes under it.
+fn table_head(cols: &[(&str, usize)], rule: bool) -> String {
+    let names: Vec<String> = cols.iter().map(|&(n, w)| format!("{n:>w$}")).collect();
+    let mut s = names.join(" | ") + "\n";
+    if rule {
+        let dashes: Vec<String> = cols.iter().map(|&(_, w)| "-".repeat(w)).collect();
+        s += &(dashes.join("-+-") + "\n");
+    }
+    s
+}
+
 /// The stall-cause columns of a text table, one per cause by name.
-fn stall_cause_head() -> String {
-    StallCause::ALL.map(StallCause::name).join(" | ")
+fn stall_cause_cols() -> [(&'static str, usize); StallCause::ALL.len()] {
+    StallCause::ALL.map(|c| (c.name(), c.name().len()))
 }
 
 /// One row's stall-cause counts, each under its name.
@@ -465,5 +477,18 @@ fn main() {
                 &[],
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn table_head_aligns_names_and_rules_each_column() {
+        let cols = [("kernel", 8), ("ns", 4), ("unit", 4)];
+        assert_eq!(super::table_head(&cols[..2], false), "  kernel |   ns\n");
+        assert_eq!(
+            super::table_head(&cols, true),
+            "  kernel |   ns | unit\n---------+------+-----\n"
+        );
     }
 }

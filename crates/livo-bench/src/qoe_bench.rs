@@ -120,18 +120,18 @@ pub fn run_sweep(profile: &EvalProfile) -> Vec<QoePoint> {
 /// Human-readable table of the sweep.
 pub fn text(points: &[QoePoint]) -> String {
     let mut s = String::from("QoE sweep: band2, receiver-side outcomes per link condition\n\n");
-    s.push_str(&format!(
-        "{:>7} | {:>5} | {:>7} | {:>9} | {:>9} | {:>9} | {:>8} | {:>6} | {}\n",
-        "bw Mbps",
-        "loss",
-        "stalls",
-        "age p50",
-        "age p99",
-        "delivered",
-        "estimate",
-        "ratio",
-        crate::stall_cause_head(),
-    ));
+    let mut cols = vec![
+        ("bw Mbps", 7),
+        ("loss", 5),
+        ("stalls", 7),
+        ("age p50", 9),
+        ("age p99", 9),
+        ("delivered", 9),
+        ("estimate", 8),
+        ("ratio", 6),
+    ];
+    cols.extend(crate::stall_cause_cols());
+    s.push_str(&crate::table_head(&cols, false));
     for p in points {
         s.push_str(&format!(
             "{:>7.0} | {:>5.2} | {:>6.1}% | {:>6.1} ms | {:>6.1} ms | {:>9.2} | {:>8.2} | {:>6.2} | {}\n",

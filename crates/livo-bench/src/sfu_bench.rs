@@ -475,22 +475,20 @@ pub fn text(sweep: &SfuSweep) -> String {
     let mut s = String::from(
         "SFU scaling: encode passes per frame, shared (frustum clusters) vs naive\n\n",
     );
-    s.push_str(&format!(
-        "{:>11} | {:>8} | {:>12} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9}\n",
-        "subscribers",
-        "clusters",
-        "shared p/f",
-        "naive p/f",
-        "p50 ms",
-        "p99 ms",
-        "naive p50",
-        "serial p50",
-        "tick ms",
-        "ticks/f"
-    ));
-    s.push_str(&format!(
-        "{:->11}-+-{:->8}-+-{:->12}-+-{:->11}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}-+-{:->9}\n",
-        "", "", "", "", "", "", "", "", "", ""
+    s.push_str(&crate::table_head(
+        &[
+            ("subscribers", 11),
+            ("clusters", 8),
+            ("shared p/f", 12),
+            ("naive p/f", 11),
+            ("p50 ms", 9),
+            ("p99 ms", 9),
+            ("naive p50", 9),
+            ("serial p50", 9),
+            ("tick ms", 9),
+            ("ticks/f", 9),
+        ],
+        true,
     ));
     let opt = |v: Option<f64>| v.map_or("-".into(), |v| format!("{v:.2}"));
     for p in &sweep.points {
@@ -512,13 +510,17 @@ pub fn text(sweep: &SfuSweep) -> String {
         "\nPoisson churn (~{:.0} joins + leaves/s each):\n\n",
         FPS as f64 / CHURN_MEAN_FRAMES
     ));
-    s.push_str(&format!(
-        "{:>11} | {:>5} | {:>6} | {:>8} | {:>6} | {:>11} | {:>9}\n",
-        "subscribers", "joins", "leaves", "regroups", "intras", "min gap ms", "p99 ms"
-    ));
-    s.push_str(&format!(
-        "{:->11}-+-{:->5}-+-{:->6}-+-{:->8}-+-{:->6}-+-{:->11}-+-{:->9}\n",
-        "", "", "", "", "", "", ""
+    s.push_str(&crate::table_head(
+        &[
+            ("subscribers", 11),
+            ("joins", 5),
+            ("leaves", 6),
+            ("regroups", 8),
+            ("intras", 6),
+            ("min gap ms", 11),
+            ("p99 ms", 9),
+        ],
+        true,
     ));
     for c in &sweep.churn {
         s.push_str(&format!(
@@ -533,10 +535,15 @@ pub fn text(sweep: &SfuSweep) -> String {
             c.route_ms_p99,
         ));
     }
-    s.push_str(&format!(
-        "\nLink classes (stage group; stalled slots by cause):\n\nlink Mbps | shown fps | stall rate | T1 dropped | {}\n",
-        crate::stall_cause_head()
-    ));
+    s.push_str("\nLink classes (stage group; stalled slots by cause):\n\n");
+    let mut cols = vec![
+        ("link Mbps", 9),
+        ("shown fps", 9),
+        ("stall rate", 10),
+        ("T1 dropped", 10),
+    ];
+    cols.extend(crate::stall_cause_cols());
+    s.push_str(&crate::table_head(&cols, false));
     for c in &sweep.classes {
         s.push_str(&format!(
             "{:>9.1} | {:>9.1} | {:>10.3} | {:>10} | {}\n",

@@ -93,11 +93,6 @@ impl DatasetPreset {
     pub fn total_frames(&self) -> u64 {
         self.duration_s as u64 * self.fps as u64
     }
-
-    /// Time of frame `i` in seconds.
-    pub fn frame_time(&self, i: u64) -> f32 {
-        i as f32 / self.fps as f32
-    }
 }
 
 /// Background common to all presets: floor disc plus two wall slabs, giving
@@ -466,12 +461,5 @@ mod tests {
                 });
             assert!(moved, "{} has no visible motion", p.id);
         }
-    }
-
-    #[test]
-    fn frame_time_is_30fps() {
-        let p = DatasetPreset::load(VideoId::Pizza1);
-        assert!((p.frame_time(30) - 1.0).abs() < 1e-6);
-        assert!((p.frame_time(45) - 1.5).abs() < 1e-6);
     }
 }

@@ -1,10 +1,10 @@
 //! The video decoder: the exact mirror of the encoder's closed loop.
 //!
-//! Every frame is a sliced frame (see [`crate::slice`]); its independent
-//! slices decode concurrently when a worker pool is attached via
-//! [`Decoder::set_worker_pool`]. The reconstruction is bit-exact across pool
-//! sizes — slice geometry comes from the header, and each slice's entropy
-//! state is self-contained.
+//! Every frame is a sliced frame (see [`crate::slice`]); its slices decode
+//! one after another on the calling thread — slice geometry comes from the
+//! header, and each slice's entropy state is self-contained. Decode
+//! parallelism is the receiver's: it decodes the colour and depth streams
+//! side by side (`ReceiverStage` in `livo-core`).
 //!
 //! Corrupt input must never panic: header inconsistencies map to
 //! [`DecodeError`], and past the header the range decoder is total (it
@@ -18,7 +18,7 @@ use livo_telemetry::{Counter, MetricsRegistry};
 
 use crate::block::{decode_block, decode_svalue, CoeffContexts};
 use crate::dct;
-use crate::encoder::{add_residual, plane_qp, run_slice_jobs, FrameType};
+use crate::encoder::{add_residual, plane_qp, FrameType};
 use crate::motion::{self, MotionVector, MB_SIZE};
 use crate::plane::{write_block8_into_stripe, Frame, PixelFormat};
 use crate::quant::{self, DC_SCALE};
@@ -110,9 +110,6 @@ pub struct Decoder {
     /// The reference's tag, and the last intra's (two layers or one).
     ref_tag: bool,
     layered: bool,
-    /// Worker pool for slice-parallel decode. `None` (or a single-thread
-    /// pool) decodes slices serially; the output is identical either way.
-    pool: Option<Arc<WorkerPool>>,
     scratch: DecoderScratch,
     telemetry: Option<DecoderTelemetry>,
 }
@@ -122,11 +119,11 @@ impl Decoder {
         Decoder::default()
     }
 
-    /// Decode slices concurrently on `pool` (one task per slice). A pool
-    /// with one thread behaves exactly like no pool.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
+    /// Does nothing: slices decode on the calling thread. The name stays
+    /// only because `benchmark/src/adapters.rs` calls it, until the
+    /// benchmark's own call and SFU loops go (ROADMAP item 3). Nothing
+    /// else calls it.
+    pub fn set_worker_pool(&mut self, _pool: Arc<WorkerPool>) {}
 
     /// Publish per-frame bitstream metrics in `registry`. The names are
     /// deliberately unprefixed — one decode-stage account shared by the
@@ -148,7 +145,7 @@ impl Decoder {
 
     /// Decode one frame.
     pub fn decode(&mut self, data: &[u8]) -> Result<Frame, DecodeError> {
-        let (frame, n_slices) = self.decode_sliced(data)?;
+        let (frame, n_slices) = self.decode_slices(data)?;
         if let Some(t) = &self.telemetry {
             t.slices.add(n_slices as u64);
         }
@@ -175,7 +172,7 @@ impl Decoder {
 
     /// Parse the header and decode every slice; returns the frame and its
     /// slice count.
-    fn decode_sliced(&mut self, data: &[u8]) -> Result<(Frame, usize), DecodeError> {
+    fn decode_slices(&mut self, data: &[u8]) -> Result<(Frame, usize), DecodeError> {
         let hdr = slice::parse_header(data)?;
         if hdr.frame_type == FrameType::Intra {
             self.layered = hdr.layer.tag;
@@ -187,27 +184,29 @@ impl Decoder {
             return Err(DecodeError::MissingReference);
         }
         let n_slices = hdr.payload_lens.len();
-        let mut offset = slice::header_len(n_slices);
-        let mut payloads: Vec<&[u8]> = Vec::with_capacity(n_slices);
-        for &len in &hdr.payload_lens {
-            // parse_header validated that the lengths sum to the buffer end.
-            payloads.push(&data[offset..offset + len]);
-            offset += len;
-        }
-
         if self.scratch.ensure_work(hdr.format, hdr.width, hdr.height) {
             if let Some(t) = &self.telemetry {
                 t.scratch_reuses.inc();
             }
         }
+        let prev = match hdr.frame_type {
+            FrameType::Intra => None,
+            FrameType::Inter => {
+                let prev = self.recon.as_ref().ok_or(DecodeError::MissingReference)?;
+                if (prev.width, prev.height, prev.format) != (hdr.width, hdr.height, hdr.format) {
+                    return Err(DecodeError::MissingReference);
+                }
+                Some(prev)
+            }
+        };
         let slices = slice::partition(hdr.format, hdr.height, n_slices);
         let peak = hdr.format.peak_value();
-        let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-        let work = &mut self.scratch.work;
 
-        // Carve every plane into per-slice row stripes, then transpose to
-        // one stripe set per slice.
-        let mut per_plane: Vec<std::vec::IntoIter<&mut [u16]>> = work
+        // Carve every plane into per-slice row stripes; slice i decodes into
+        // the i-th stripe of each plane.
+        let mut per_plane: Vec<std::vec::IntoIter<&mut [u16]>> = self
+            .scratch
+            .work
             .planes
             .iter_mut()
             .enumerate()
@@ -216,46 +215,30 @@ impl Decoder {
                 slice::split_plane_rows(&mut p.data, p.width, &rows).into_iter()
             })
             .collect();
-        let jobs: Vec<SliceJob<'_>> = slices
-            .iter()
-            .zip(payloads)
-            .map(|(sr, payload)| {
-                let stripes = per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
-                (*sr, payload, stripes)
-            })
-            .collect();
-
-        match hdr.frame_type {
-            FrameType::Intra => {
-                run_slice_jobs(pool, jobs, |(sr, payload, mut stripes)| {
-                    decode_intra_slice(
-                        payload,
-                        &sr,
-                        &mut stripes,
-                        hdr.format,
-                        hdr.width,
-                        hdr.height,
-                        hdr.qp,
-                        peak,
-                    );
-                });
-            }
-            FrameType::Inter => {
-                let prev = self.recon.as_ref().ok_or(DecodeError::MissingReference)?;
-                if (prev.width, prev.height, prev.format) != (hdr.width, hdr.height, hdr.format) {
-                    return Err(DecodeError::MissingReference);
-                }
-                run_slice_jobs(pool, jobs, |(sr, payload, mut stripes)| {
-                    decode_inter_slice(payload, &sr, &mut stripes, prev, hdr.qp, peak);
-                });
+        let mut offset = slice::header_len(n_slices);
+        for (sr, &len) in slices.iter().zip(&hdr.payload_lens) {
+            // parse_header validated that the lengths sum to the buffer end.
+            let payload = &data[offset..offset + len];
+            offset += len;
+            let mut stripes: Vec<&mut [u16]> =
+                per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
+            match prev {
+                None => decode_intra_slice(
+                    payload,
+                    sr,
+                    &mut stripes,
+                    hdr.format,
+                    hdr.width,
+                    hdr.height,
+                    hdr.qp,
+                    peak,
+                ),
+                Some(prev) => decode_inter_slice(payload, sr, &mut stripes, prev, hdr.qp, peak),
             }
         }
         Ok((self.commit(hdr.layer), n_slices))
     }
 }
-
-/// One slice's decode job: its rows, payload bytes and plane stripes.
-type SliceJob<'a> = (SliceRows, &'a [u8], Vec<&'a mut [u16]>);
 
 /// Decode a motion-vector difference and add the predictor. Corrupt
 /// streams can produce arbitrary magnitudes; the wrapping arithmetic keeps
@@ -513,22 +496,6 @@ mod tests {
             assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i}");
             let decoded = dec.decode(&out.data).unwrap();
             assert_eq!(decoded, out.reconstruction, "frame {i}");
-        }
-    }
-
-    #[test]
-    fn parallel_slice_decode_matches_serial() {
-        let mut cfg = EncoderConfig::new(128, 128, PixelFormat::Yuv420);
-        cfg.slices = 4;
-        let mut enc = Encoder::new(cfg);
-        let mut serial = Decoder::new();
-        let mut parallel = Decoder::new();
-        parallel.set_worker_pool(Arc::new(WorkerPool::new(3)));
-        for i in 0..5 {
-            let out = enc.encode(&test_frame(128, 128, i), 120_000);
-            let a = serial.decode(&out.data).unwrap();
-            let b = parallel.decode(&out.data).unwrap();
-            assert_eq!(a, b, "frame {i}");
         }
     }
 

@@ -550,8 +550,8 @@ fn next_frame(recon: &Frame, index: usize, shift: (isize, isize), rng: &mut Spli
 const GOP: usize = 12;
 
 /// Drive one 12-frame GOP with a forced keyframe in the middle through
-/// encoders and decoders at pool sizes 1, 2 and 4, checking every inter
-/// frame against the oracles. `qp_of(i)` fixes the QP of frame `i`; `None`
+/// encoders at pool sizes 1, 2 and 4, each with its own decoder, checking
+/// every inter frame against the oracles. `qp_of(i)` fixes the QP of frame `i`; `None`
 /// leaves it to the rate controller at `target_bits`.
 fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Option<u8>) {
     let mut cfg = EncoderConfig::new(w, h, format);
@@ -565,14 +565,7 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
             e
         })
         .collect();
-    let mut decoders: Vec<Decoder> = pools
-        .iter()
-        .map(|&n| {
-            let mut d = Decoder::new();
-            d.set_worker_pool(Arc::new(WorkerPool::new(n)));
-            d
-        })
-        .collect();
+    let mut decoders: Vec<Decoder> = pools.iter().map(|_| Decoder::new()).collect();
     let target_bits = (w * h) as u64 / 2 + 4000;
     let shifts = [(2, 0), (0, -2), (-1, 2), (4, 2), (-2, -2), (1, 1)];
     let mut rng = SplitMix64::new(15);

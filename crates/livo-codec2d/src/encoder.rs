@@ -70,18 +70,6 @@ pub struct BlockCounts {
     pub coded: u64,
 }
 
-impl BlockCounts {
-    /// Fraction of blocks that carried a coded residual.
-    pub fn coded_fraction(&self) -> f64 {
-        let total = self.skip + self.coded;
-        if total == 0 {
-            0.0
-        } else {
-            self.coded as f64 / total as f64
-        }
-    }
-}
-
 /// One encoded frame: the bitstream plus metadata and the encoder-side
 /// reconstruction. The reconstruction is bit-exact with what the decoder
 /// will produce, which is how LiVo estimates encoded quality at the sender
@@ -596,11 +584,7 @@ impl Encoder {
 /// attached (slices are entropy-independent, so completion order is
 /// irrelevant), serially otherwise. Results land in the jobs' `&mut`
 /// slots and are identical either way.
-pub(crate) fn run_slice_jobs<T: Send>(
-    pool: Option<&WorkerPool>,
-    jobs: Vec<T>,
-    f: impl Fn(T) + Sync,
-) {
+fn run_slice_jobs<T: Send>(pool: Option<&WorkerPool>, jobs: Vec<T>, f: impl Fn(T) + Sync) {
     match pool {
         Some(pool) => pool.scope(|s| {
             for job in jobs {
@@ -1105,11 +1089,8 @@ mod tests {
             p.blocks.skip > 0,
             "static content should produce skip blocks"
         );
-        assert!(
-            p.blocks.coded_fraction() < 0.9,
-            "coded fraction {}",
-            p.blocks.coded_fraction()
-        );
+        let coded_fraction = p.blocks.coded as f64 / (p.blocks.skip + p.blocks.coded) as f64;
+        assert!(coded_fraction < 0.9, "coded fraction {coded_fraction}");
     }
 
     #[test]

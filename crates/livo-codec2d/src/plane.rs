@@ -312,11 +312,6 @@ impl Frame {
             planes: vec![Plane::from_data(width, height, samples)],
         }
     }
-
-    /// Total sample count across planes.
-    pub fn sample_count(&self) -> usize {
-        self.planes.iter().map(|p| p.data.len()).sum()
-    }
 }
 
 /// One 8-bit YUV sample triple to RGB8, BT.601 full-range: the inverse
@@ -481,7 +476,8 @@ mod tests {
         let f = Frame::new(PixelFormat::Yuv420, 9, 7);
         assert_eq!((f.planes[0].width, f.planes[0].height), (9, 7));
         assert_eq!((f.planes[1].width, f.planes[1].height), (5, 4));
-        assert_eq!(f.sample_count(), 63 + 20 + 20);
+        let samples: usize = f.planes.iter().map(|p| p.data.len()).sum();
+        assert_eq!(samples, 63 + 20 + 20);
     }
 
     #[test]

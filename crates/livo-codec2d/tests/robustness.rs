@@ -162,18 +162,16 @@ fn preset_streams(w: usize, h: usize, format: PixelFormat, slices: u8) -> Vec<Ve
 fn mutated_streams_never_panic_across_presets() {
     // Deterministic byte-mutation sweep over encoded frames of all five
     // presets: every header/slice-table byte and a stride through the
-    // payload gets forced to 0x00 and 0xFF. Decoders (serial and pooled)
-    // may return garbage or `Err`, but must always terminate cleanly.
-    let pool = std::sync::Arc::new(livo_runtime::WorkerPool::new(2));
+    // payload gets forced to 0x00 and 0xFF. Decoders may return garbage or
+    // `Err`, but must always terminate cleanly.
     for &(w, h, format, slices) in &MUTATION_PRESETS {
         let streams = preset_streams(w, h, format, slices);
         for s in &streams {
             assert_eq!(s[0], SLICED_MAGIC, "{w}x{h}: every frame is a sliced frame");
         }
-        // One long-lived pooled decoder eats every mutation without resets —
+        // One long-lived decoder eats every mutation without resets —
         // garbage references included, like a receiver that keeps going.
         let mut warm = Decoder::new();
-        warm.set_worker_pool(pool.clone());
         for data in &streams {
             // Dense over the first 64 bytes (headers and slice tables live
             // there), strided through the payload to bound the test's cost.
@@ -185,9 +183,9 @@ fn mutated_streams_never_panic_across_presets() {
                         continue;
                     }
                     corrupted[i] = forced;
-                    // Fresh serial decoder (no reference: mutated inter
-                    // frames must fail cleanly, not panic) and the warm
-                    // pooled decoder (worker paths, stale references).
+                    // Fresh decoder (no reference: mutated inter frames
+                    // must fail cleanly, not panic) and the warm decoder
+                    // (stale references).
                     let _ = Decoder::new().decode(&corrupted);
                     let _ = warm.decode(&corrupted);
                 }
@@ -317,10 +315,9 @@ fn former_v1_buffers_are_rejected() {
 #[test]
 fn sliced_inter_frames_fail_cleanly_without_reference() {
     // P-frames decoded without their reference must report
-    // `MissingReference`, never panic inside a worker.
+    // `MissingReference`, never panic.
     let streams = preset_streams(96, 80, PixelFormat::Yuv420, 3);
     let mut dec = Decoder::new();
-    dec.set_worker_pool(std::sync::Arc::new(livo_runtime::WorkerPool::new(2)));
     assert_eq!(
         dec.decode(&streams[1]).map(|_| ()),
         Err(DecodeError::MissingReference)

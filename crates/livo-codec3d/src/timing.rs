@@ -31,12 +31,6 @@ pub fn encode_time_ms(n_points: usize, level: u8, quant: QuantBits) -> f64 {
         + n_points as f64 * BASE_US_PER_POINT * level_factor.max(0.05) * depth_factor / 1000.0
 }
 
-/// Modelled *decode* time: Draco decodes roughly 3× faster than it encodes
-/// (GROOT reports similar asymmetry).
-pub fn decode_time_ms(n_points: usize, level: u8, quant: QuantBits) -> f64 {
-    BASE_OVERHEAD_MS * 0.5 + (encode_time_ms(n_points, level, quant) - BASE_OVERHEAD_MS) / 3.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +75,6 @@ mod tests {
     fn deeper_quantisation_is_slower() {
         assert!(
             encode_time_ms(100_000, 7, QuantBits(14)) > encode_time_ms(100_000, 7, QuantBits(8))
-        );
-    }
-
-    #[test]
-    fn decode_is_faster_than_encode() {
-        assert!(
-            decode_time_ms(500_000, 7, QuantBits(11)) < encode_time_ms(500_000, 7, QuantBits(11))
         );
     }
 }

@@ -405,8 +405,8 @@ impl ConferenceRunner {
         let cfg = &self.cfg;
         let total_frames = (cfg.duration_s * FPS as f32) as u64;
 
-        // Intra-frame parallelism (capture fan-out, cull rows, encoder
-        // stripes, the two decode lanes) runs on the runner's pool.
+        // Intra-frame parallelism (capture fan-out, encoder stripes, the
+        // two decode lanes) runs on the runner's pool.
         let pool = self.pool();
         let mut session = match &cfg.bond {
             Some(sc) => BondConfig::from_session(sc.clone(), &cfg.session).build(),

@@ -29,8 +29,8 @@
 //! `tests/kernel_differential.rs` across all five dataset presets.
 //!
 //! There is one cull body, [`CullContext::cull`]: any number of frusta —
-//! equal ones tested once, since a union is duplicate-free —
-//! row-banded over a worker pool or inline. Long-lived callers hold a
+//! equal ones tested once, since a union is duplicate-free — over one row
+//! loop on the calling thread. Long-lived callers hold a
 //! [`CullContext`] to amortise the ray tables and to export
 //! `cull.lut_rebuilds` / `kernel.cull_ns_per_mpx` telemetry; the free
 //! [`cull_views`] runs it on an ephemeral context (it rebuilds the tables
@@ -233,15 +233,12 @@ impl CullContext {
     /// SFU's encode-sharing primitive (the paper's §5 multi-way
     /// optimisation), where one pass serves a whole cluster of receivers.
     ///
-    /// With a `pool` of more than one thread each view's rows are split into
-    /// one contiguous band per thread, and each band task culls its own rows
-    /// through the same row kernel (depth and colour rows of a band are
-    /// disjoint slices, so no synchronisation is needed). Without one the
-    /// rows are walked inline on the calling thread. Results are identical
-    /// either way — the kernel has no cross-pixel state.
+    /// The rows are walked on the calling thread. Row bands over a worker
+    /// pool measured slower than this loop on two CPUs: 1.06–1.48× its time
+    /// for ten full-resolution views in 9 of 10 runs, and 2.6–4.2× at 0.08
+    /// scale (EXPERIMENTS.md, "Item 9's pool rows").
     pub fn cull(
         &mut self,
-        pool: Option<&WorkerPool>,
         views: &mut [RgbdFrame],
         cameras: &[RgbdCamera],
         frusta: &[Frustum],
@@ -250,7 +247,6 @@ impl CullContext {
         assert_eq!(views.len(), cameras.len());
         self.refresh_tables(cameras);
         let started = self.ns_per_mpx.as_ref().map(|_| Instant::now());
-        let pool = pool.filter(|p| p.threads() > 1);
         let mut stats = CullStats::default();
         let mut pixels = 0usize;
         let CullContext {
@@ -279,73 +275,52 @@ impl CullContext {
                     .iter()
                     .map(|f| f.transformed(&cam.world_to_local())),
             );
-            let local = &local_frusta[..];
             let (width, height) = (view.width, view.height);
             if width == 0 || height == 0 {
                 continue;
             }
             pixels += width * height;
-            let Some(pool) = pool else {
-                let ray_y = table.ray_y();
-                for (y, (drow, crow)) in view
-                    .depth_mm
-                    .chunks_mut(width)
-                    .zip(view.rgb.chunks_mut(width * 3))
-                    .enumerate()
-                {
-                    cull_row(local, table.ray_x(), ray_y[y], drow, crow, &mut stats);
-                }
-                continue;
-            };
-            let bands = pool.threads().min(height);
-            let band_rows = height.div_ceil(bands);
-            let mut band_stats = vec![CullStats::default(); bands];
-            pool.scope(|s| {
-                for (bi, ((depth_band, rgb_band), bs)) in view
-                    .depth_mm
-                    .chunks_mut(width * band_rows)
-                    .zip(view.rgb.chunks_mut(width * 3 * band_rows))
-                    .zip(band_stats.iter_mut())
-                    .enumerate()
-                {
-                    s.spawn(move || {
-                        let y0 = bi * band_rows;
-                        for (ry, (drow, crow)) in depth_band
-                            .chunks_mut(width)
-                            .zip(rgb_band.chunks_mut(width * 3))
-                            .enumerate()
-                        {
-                            let ray_y = table.ray_y()[y0 + ry];
-                            cull_row(local, table.ray_x(), ray_y, drow, crow, bs);
-                        }
-                    });
-                }
-            });
-            for bs in &band_stats {
-                stats.total_valid += bs.total_valid;
-                stats.kept += bs.kept;
+            let ray_y = table.ray_y();
+            for (y, (drow, crow)) in view
+                .depth_mm
+                .chunks_mut(width)
+                .zip(view.rgb.chunks_mut(width * 3))
+                .enumerate()
+            {
+                cull_row(
+                    local_frusta,
+                    table.ray_x(),
+                    ray_y[y],
+                    drow,
+                    crow,
+                    &mut stats,
+                );
             }
         }
         self.record_cost(started, pixels);
         stats
     }
 
-    /// [`CullContext::cull`] against one frustum on `pool`.
+    /// [`CullContext::cull`] against one frustum. `_pool` is unused: the
+    /// name and signature stay only because `benchmark/src/adapters.rs`
+    /// calls them, until the benchmark's own call and SFU loops go
+    /// (ROADMAP item 3).
+    /// Nothing else calls this.
     pub fn cull_views_on(
         &mut self,
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
         views: &mut [RgbdFrame],
         cameras: &[RgbdCamera],
         frustum: &Frustum,
     ) -> CullStats {
-        self.cull(Some(pool), views, cameras, std::slice::from_ref(frustum))
+        self.cull(views, cameras, std::slice::from_ref(frustum))
     }
 }
 
 /// Cull every view in place against the (world-space) frustum, inline on
 /// the calling thread: [`CullContext::cull`] on an ephemeral context.
 pub fn cull_views(views: &mut [RgbdFrame], cameras: &[RgbdCamera], frustum: &Frustum) -> CullStats {
-    CullContext::new().cull(None, views, cameras, std::slice::from_ref(frustum))
+    CullContext::new().cull(views, cameras, std::slice::from_ref(frustum))
 }
 
 // Re-assert the types the fast path's bit-identity argument leans on, so a
@@ -588,8 +563,7 @@ mod tests {
     #[test]
     fn fast_cull_is_bit_identical_to_reference() {
         // Odd scale → width 77, not a multiple of the chunk size, so the
-        // tail path is exercised too. One thread is the inline loop, three
-        // the row bands.
+        // tail path is exercised too.
         let cams = rig::camera_ring(
             3,
             2.5,
@@ -599,19 +573,16 @@ mod tests {
         );
         let views = render_all(&cams);
         let mut ctx = CullContext::new();
-        for threads in [1, 3] {
-            let pool = WorkerPool::new(threads);
-            for f in test_frusta() {
-                let mut fast = views.clone();
-                let fast_stats = ctx.cull_views_on(&pool, &mut fast, &cams, &f);
-                let mut naive = views.clone();
-                let naive_stats =
-                    cull_views_union_reference(&mut naive, &cams, std::slice::from_ref(&f));
-                assert_eq!(fast_stats, naive_stats);
-                for (a, b) in fast.iter().zip(&naive) {
-                    assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
-                    assert_eq!(a.rgb, b.rgb, "rgb masks differ");
-                }
+        for f in test_frusta() {
+            let one = std::slice::from_ref(&f);
+            let mut fast = views.clone();
+            let fast_stats = ctx.cull(&mut fast, &cams, one);
+            let mut naive = views.clone();
+            let naive_stats = cull_views_union_reference(&mut naive, &cams, one);
+            assert_eq!(fast_stats, naive_stats);
+            for (a, b) in fast.iter().zip(&naive) {
+                assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
+                assert_eq!(a.rgb, b.rgb, "rgb masks differ");
             }
         }
     }
@@ -649,27 +620,22 @@ mod tests {
             &frusta[1..],
             &keep_all_last[..],
         ];
-        // Inline, and row-banded over a three-thread pool (77 rows do not
-        // divide by three, so the last band is short).
-        let pool = WorkerPool::new(3);
         let mut ctx = CullContext::new();
         for union in unions {
             let mut naive = views.clone();
             let naive_stats = cull_views_union_reference(&mut naive, &cams, union);
-            for pool in [None, Some(&pool)] {
-                let mut fast = views.clone();
-                let fast_stats = ctx.cull(pool, &mut fast, &cams, union);
-                assert_eq!(fast_stats, naive_stats);
-                for (a, b) in fast.iter().zip(&naive) {
-                    assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
-                    assert_eq!(a.rgb, b.rgb, "rgb masks differ");
-                }
+            let mut fast = views.clone();
+            let fast_stats = ctx.cull(&mut fast, &cams, union);
+            assert_eq!(fast_stats, naive_stats);
+            for (a, b) in fast.iter().zip(&naive) {
+                assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
+                assert_eq!(a.rgb, b.rgb, "rgb masks differ");
             }
         }
         // The keep-all frustum really keeps all, and the narrow two do not.
-        let stats = ctx.cull(None, &mut views.clone(), &cams, &frusta[..1]);
+        let stats = ctx.cull(&mut views.clone(), &cams, &frusta[..1]);
         assert_eq!(stats.kept, stats.total_valid);
-        let stats = ctx.cull(None, &mut views.clone(), &cams, &keep_all_last[..2]);
+        let stats = ctx.cull(&mut views.clone(), &cams, &keep_all_last[..2]);
         assert!(0 < stats.kept && stats.kept < stats.total_valid);
     }
 
@@ -696,27 +662,24 @@ mod tests {
             &frusta[..],
         ];
         let mut rng = livo_math::rng::SplitMix64::new(25);
-        for threads in [1, 2] {
-            let pool = WorkerPool::new(threads);
-            let mut ctx = CullContext::new();
-            for set in &sets {
-                let mut want = views.clone();
-                let want_stats = cull_views_union_reference(&mut want, &cams, set);
-                // Round 0 is the set itself (shuffled), then each frustum
-                // 1–12 times.
-                for max_copies in [1, 12, 12, 12] {
-                    let mut repeated: Vec<Frustum> = set
-                        .iter()
-                        .flat_map(|f| std::iter::repeat_n(*f, rng.gen_range(1..=max_copies)))
-                        .collect();
-                    rng.shuffle(&mut repeated);
-                    let mut got = views.clone();
-                    let got_stats = ctx.cull(Some(&pool), &mut got, &cams, &repeated);
-                    assert_eq!(got_stats, want_stats, "{threads} threads");
-                    for (a, b) in got.iter().zip(&want) {
-                        assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
-                        assert_eq!(a.rgb, b.rgb, "rgb masks differ");
-                    }
+        let mut ctx = CullContext::new();
+        for set in &sets {
+            let mut want = views.clone();
+            let want_stats = cull_views_union_reference(&mut want, &cams, set);
+            // Round 0 is the set itself (shuffled), then each frustum 1–12
+            // times.
+            for max_copies in [1, 12, 12, 12] {
+                let mut repeated: Vec<Frustum> = set
+                    .iter()
+                    .flat_map(|f| std::iter::repeat_n(*f, rng.gen_range(1..=max_copies)))
+                    .collect();
+                rng.shuffle(&mut repeated);
+                let mut got = views.clone();
+                let got_stats = ctx.cull(&mut got, &cams, &repeated);
+                assert_eq!(got_stats, want_stats);
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.depth_mm, b.depth_mm, "depth masks differ");
+                    assert_eq!(a.rgb, b.rgb, "rgb masks differ");
                 }
             }
         }
@@ -736,16 +699,16 @@ mod tests {
         );
         let f = test_frusta().remove(0);
         let mut views = render_all(&cams);
-        ctx.cull(None, &mut views, &cams, std::slice::from_ref(&f));
+        ctx.cull(&mut views, &cams, std::slice::from_ref(&f));
         assert_eq!(registry.snapshot().counter("cull.lut_rebuilds"), Some(2));
         // Steady state: same intrinsics, no rebuilds.
         let mut views = render_all(&cams);
-        ctx.cull(None, &mut views, &cams, std::slice::from_ref(&f));
+        ctx.cull(&mut views, &cams, std::slice::from_ref(&f));
         assert_eq!(registry.snapshot().counter("cull.lut_rebuilds"), Some(2));
         // One camera changes resolution → exactly one rebuild.
         cams[1].intrinsics = livo_math::CameraIntrinsics::kinect_depth(0.15);
         let mut views = render_all(&cams);
-        ctx.cull(None, &mut views, &cams, std::slice::from_ref(&f));
+        ctx.cull(&mut views, &cams, std::slice::from_ref(&f));
         assert_eq!(registry.snapshot().counter("cull.lut_rebuilds"), Some(3));
         let cost = registry.snapshot().gauge("kernel.cull_ns_per_mpx");
         assert!(cost.unwrap() > 0.0, "cost gauge set: {cost:?}");
@@ -832,7 +795,7 @@ mod tests {
         let mut green_only = views.clone();
         let green_stats = cull_views(&mut green_only, &cams, &on_green);
         let mut union = views.clone();
-        let union_stats = CullContext::new().cull(None, &mut union, &cams, &[on_red, on_green]);
+        let union_stats = CullContext::new().cull(&mut union, &cams, &[on_red, on_green]);
 
         // The union keeps at least what each member keeps...
         assert!(union_stats.kept >= red_stats.kept.max(green_stats.kept));

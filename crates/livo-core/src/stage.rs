@@ -11,7 +11,8 @@
 //! Both types are `Send` and hold no thread of their own. §A.1's
 //! frame-level overlap (capture and cull of frame *n + 1* beside the encode
 //! of frame *n*) is therefore a property of the driver: a threaded driver
-//! is a loop around a stage on each thread. Intra-frame parallelism comes
+//! is a loop around a stage on each thread. Intra-frame parallelism (the
+//! sender's encoder stripes, the receiver's colour ∥ depth decode) comes
 //! from the worker pool the owner hands in with `set_worker_pool`; a stage
 //! that was given none (one inside an SFU cluster task, which is already a
 //! pool task) runs serially. Output is identical either way.
@@ -73,7 +74,6 @@ pub struct SenderStage {
     cull: CullContext,
     color_enc: Encoder,
     depth_enc: Encoder,
-    pool: Option<Arc<WorkerPool>>,
     /// Where each encoded frame is recorded, and as which party.
     trace: Option<(Arc<EventTrace>, u16)>,
 }
@@ -101,16 +101,15 @@ impl SenderStage {
             cull: CullContext::new(),
             color_enc: encoder(PixelFormat::Yuv420),
             depth_enc: encoder(depth_codec.pixel_format()),
-            pool: None,
             trace: None,
         }
     }
 
-    /// Spread cull rows and encoder stripes over `pool`.
+    /// Spread the encoders' stripes over `pool`; the cull runs on the
+    /// calling thread (see [`CullContext::cull`]).
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         self.color_enc.set_worker_pool(pool.clone());
-        self.depth_enc.set_worker_pool(pool.clone());
-        self.pool = Some(pool);
+        self.depth_enc.set_worker_pool(pool);
     }
 
     /// Publish the cull context's `cull.lut_rebuilds` and `kernel.*` metrics
@@ -156,7 +155,7 @@ impl SenderStage {
         cameras: &[RgbdCamera],
         frusta: &[Frustum],
     ) -> Option<CullStats> {
-        (!frusta.is_empty()).then(|| self.cull.cull(self.pool.as_deref(), views, cameras, frusta))
+        (!frusta.is_empty()).then(|| self.cull.cull(views, cameras, frusta))
     }
 
     /// Tile the views into the two canvases, stamped with `seq`.
@@ -359,11 +358,9 @@ impl ReceiverStage {
         }
     }
 
-    /// Decode the two lanes side by side, and each frame's slices in
-    /// parallel, on `pool`.
+    /// Decode the two lanes side by side on `pool`. Each decoder walks its
+    /// slices on its lane's thread.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.color.dec.set_worker_pool(pool.clone());
-        self.depth.dec.set_worker_pool(pool.clone());
         self.pool = Some(pool);
     }
 
@@ -456,8 +453,9 @@ pub enum Slot {
 pub enum StallCause {
     /// Nothing has been shown yet.
     Startup,
-    /// No frame newer than the shown one was handed to this receiver at
-    /// least the clock's delay ago (on the SFU: a T1 it was not sent).
+    /// No frame newer than the shown one was handed to this receiver as
+    /// long ago as the shown one had been when it was shown (at most the
+    /// clock's delay): on the SFU, a T1 it was not sent.
     NotSent,
     /// A decode lane is waiting for a keyframe.
     KeyframeWait,
@@ -521,6 +519,9 @@ pub struct DisplayClock {
     slot: u64,
     shown: Option<u32>,
     last_shown: Micros,
+    /// How long after its capture the shown frame was shown, at most
+    /// `delay`: the age by which the next frame counts as sent.
+    shown_age: Micros,
     /// Capture instants of the frames the display has not passed yet.
     captured: VecDeque<(u32, Micros)>,
     trace: Option<(Arc<EventTrace>, u16)>,
@@ -580,19 +581,22 @@ impl DisplayClock {
         let at = self.captured.front().filter(|c| c.0 == seq);
         let age_us = now - at.map_or(now, |c| c.1);
         (self.shown, self.last_shown) = (Some(seq), now);
+        self.shown_age = at.map_or(self.delay, |_| age_us.min(self.delay));
         self.record(now, seq as u64, kind::DISPLAY, age_us);
         Some((slot, Slot::Shown { seq, age_us }))
     }
 
     /// The first [`StallCause`] that holds for a slot at `now` with no new
     /// pair. The queue's front is the shown frame or newer, so this looks at
-    /// one or two entries.
+    /// one or two entries. The next frame counts as sent once it is as old
+    /// as the shown frame was when shown: a display that runs ahead of its
+    /// delay shows frames younger than it.
     fn stall_cause(&self, now: Micros, lanes: &Lanes) -> StallCause {
         let Some(shown) = self.shown else {
             return StallCause::Startup;
         };
         let next = self.captured.iter().find(|&&(seq, _)| seq > shown);
-        if next.is_none_or(|&(_, at)| at + self.delay > now) {
+        if next.is_none_or(|&(_, at)| at + self.shown_age > now) {
             StallCause::NotSent
         } else if lanes.awaiting_key {
             StallCause::KeyframeWait
@@ -654,8 +658,9 @@ mod tests {
     }
 
     /// The path `benchmark/src/call.rs` times, composed by hand from the
-    /// entry points it names: `cull_views_on` → `compose_color` /
-    /// `compose_depth` → `Encoder::encode`.
+    /// entry points it names: `CullContext::cull` (which its
+    /// `cull_views_on` calls) → `compose_color` / `compose_depth` →
+    /// `Encoder::encode`.
     struct ByHand {
         layout: TileLayout,
         codec: DepthCodec,
@@ -712,11 +717,10 @@ mod tests {
             seq: u32,
             rate: Rate,
         ) -> (EncodedFrame, EncodedFrame) {
-            let pool = WorkerPool::new(1);
             match frusta {
                 [] => {}
                 [one] => {
-                    self.cull.cull_views_on(&pool, views, cameras, one);
+                    self.cull.cull(views, cameras, std::slice::from_ref(one));
                 }
                 // `call.rs` culls one frustum; a union goes through the
                 // per-pixel oracle, so the stage's cull is checked against it.
@@ -1235,6 +1239,46 @@ mod tests {
         }
         // Showing 5 passed the frames before it; 6 never entered the clock.
         assert_eq!(clock.handed().collect::<Vec<_>>(), [5, 7]);
+    }
+
+    #[test]
+    fn display_clock_judges_the_next_frame_by_the_shown_frames_age() {
+        // A display running ahead of its 200 ms delay shows frame 2 at slot
+        // 0, 133 ms after its capture. One slot later frame 3 is as old as
+        // that and not decoded: it is in transport. A T0-only downlink was
+        // handed no frame 3, and its frame 4 is younger than that: not sent.
+        for (handed, cause) in [
+            (&[0, 2, 3, 4][..], StallCause::InTransport),
+            (&[0, 2, 4][..], StallCause::NotSent),
+        ] {
+            let mut clock = DisplayClock::new(100_000);
+            for &f in handed {
+                clock.captured(f, due(f as u64));
+            }
+            let start = 200_000;
+            assert_eq!(
+                clock.poll(start, || paired(2)),
+                Some((
+                    0,
+                    Slot::Shown {
+                        seq: 2,
+                        age_us: start - due(2)
+                    }
+                ))
+            );
+            let t1 = on_grid(start + due(1));
+            assert_eq!(
+                clock.poll(t1, || paired(2)),
+                Some((
+                    1,
+                    Slot::Stalled {
+                        since_us: t1 - start,
+                        cause
+                    }
+                )),
+                "handed {handed:?}"
+            );
+        }
     }
 
     #[test]

@@ -45,21 +45,6 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "█".repeat(n)
 }
 
-/// Render a labelled bar chart block (one row per (label, value)).
-pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
-    let max = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
-    let label_w = rows.iter().map(|r| r.0.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, v) in rows {
-        out.push_str(&format!(
-            "  {label:<label_w$}  {:>8.2}  {}\n",
-            v,
-            bar(*v, max, width)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,13 +78,5 @@ mod tests {
         assert_eq!(bar(10.0, 10.0, 10).chars().count(), 10);
         assert_eq!(bar(0.0, 10.0, 10).chars().count(), 0);
         assert!(bar(1.0, 0.0, 10).is_empty());
-    }
-
-    #[test]
-    fn chart_includes_all_rows() {
-        let rows = vec![("a".to_string(), 1.0), ("bb".to_string(), 2.0)];
-        let c = bar_chart(&rows, 20);
-        assert_eq!(c.lines().count(), 2);
-        assert!(c.contains("bb"));
     }
 }

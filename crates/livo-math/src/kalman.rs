@@ -209,11 +209,6 @@ impl PosePredictor {
     pub fn config(&self) -> &PosePredictorConfig {
         &self.cfg
     }
-
-    /// Whether at least one observation has been consumed.
-    pub fn is_initialized(&self) -> bool {
-        self.last_angles.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -373,19 +368,19 @@ mod tests {
         // A non-finite first sample does not initialise the filter either.
         let mut p = PosePredictor::new(cfg);
         p.observe(&Pose::new(Vec3::new(f32::NAN, 0.0, 0.0), Quat::IDENTITY));
-        assert!(!p.is_initialized());
+        assert!(p.last_angles.is_none());
     }
 
     #[test]
     fn pose_predictor_initializes_from_first_observation() {
         let mut p = PosePredictor::new(PosePredictorConfig::default());
-        assert!(!p.is_initialized());
+        assert!(p.last_angles.is_none());
         let pose = Pose::new(
             Vec3::new(1.0, 2.0, 3.0),
             Quat::from_axis_angle(Vec3::Y, 0.4),
         );
         p.observe(&pose);
-        assert!(p.is_initialized());
+        assert!(p.last_angles.is_some());
         let (pos_err, ang_err) = p.filtered().error_to(&pose);
         assert!(pos_err < 1e-4);
         assert!(ang_err < 0.5);

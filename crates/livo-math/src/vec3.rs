@@ -142,12 +142,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline]
-    pub fn min_element(self) -> f32 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// True if all components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -319,7 +313,6 @@ mod tests {
         let hi = Vec3::splat(1.0);
         assert_eq!(v.clamp(lo, hi), Vec3::new(0.0, 1.0, 0.5));
         assert_eq!(v.max_element(), 5.0);
-        assert_eq!(v.min_element(), -1.0);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! surface-variation curvature `λ₀ / (λ₀ + λ₁ + λ₂)`.
 
 use crate::point::PointCloud;
-use crate::voxel::VoxelIndex;
 use livo_math::Vec3;
 
 /// Per-point differential-geometry estimates.
@@ -115,27 +114,11 @@ pub fn estimate_at(cloud: &PointCloud, idxs: &[u32]) -> Option<SurfaceEstimate> 
     Some(SurfaceEstimate { normal, curvature })
 }
 
-/// Estimate normals and curvatures for every point from its `k`-nearest
-/// neighbourhood. Degenerate points get a default up-normal and zero
-/// curvature so indices stay aligned with the cloud.
-pub fn estimate_all(cloud: &PointCloud, index: &VoxelIndex<'_>, k: usize) -> Vec<SurfaceEstimate> {
-    cloud
-        .points
-        .iter()
-        .map(|p| {
-            let nn = index.knn(p.position, k);
-            estimate_at(cloud, &nn).unwrap_or(SurfaceEstimate {
-                normal: Vec3::Y,
-                curvature: 0.0,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::point::Point;
+    use crate::voxel::VoxelIndex;
 
     fn plane_cloud(n: usize, pitch: f32, normal_axis: usize) -> PointCloud {
         let mut pc = PointCloud::new();
@@ -206,10 +189,15 @@ mod tests {
 
     #[test]
     fn estimate_all_aligns_with_cloud() {
+        // Every point's estimate from its 9 nearest neighbours, as PSSIM
+        // takes them.
         let pc = plane_cloud(6, 0.05, 1);
         let idx = VoxelIndex::build(&pc, 0.1);
-        let ests = estimate_all(&pc, &idx, 9);
-        assert_eq!(ests.len(), pc.len());
+        let ests: Vec<SurfaceEstimate> = pc
+            .points
+            .iter()
+            .map(|p| estimate_at(&pc, &idx.knn(p.position, 9)).expect("a plane is not degenerate"))
+            .collect();
         // Most normals should be ±Y.
         let good = ests
             .iter()

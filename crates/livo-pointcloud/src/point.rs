@@ -116,20 +116,6 @@ impl PointCloud {
                 .collect(),
         }
     }
-
-    /// Fraction of points inside the frustum (used by the Fig. 15 accuracy
-    /// analysis).
-    pub fn fraction_in_frustum(&self, frustum: &Frustum) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let inside = self
-            .points
-            .iter()
-            .filter(|p| frustum.contains(p.position))
-            .count();
-        inside as f64 / self.points.len() as f64
-    }
 }
 
 impl FromIterator<Point> for PointCloud {
@@ -232,8 +218,6 @@ mod tests {
             },
         );
         assert_eq!(pc.cull_to_frustum(&f2).len(), 0);
-        assert_eq!(pc.fraction_in_frustum(&f2), 0.0);
-        assert_eq!(pc.fraction_in_frustum(&f), 1.0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Scoped worker pool for the LiVo hot path.
 //!
-//! Every per-frame stage the paper measures — per-camera ray casting,
-//! per-pixel cull evaluation, and the block-row DCT/quant/motion loop of
-//! the 2D encoder — is data-parallel over disjoint stripes of its input.
-//! This crate provides the one concurrency primitive those stages share: a
+//! The per-frame stages that pay for a second thread — per-camera ray
+//! casting, the block-row DCT/quant/motion loop of the 2D encoder, the
+//! receiver's colour ∥ depth decode and the SFU's per-cluster and
+//! per-subscriber passes — are data-parallel over disjoint parts of their
+//! input. This crate provides the one concurrency primitive they share: a
 //! **fixed-size pool of worker threads** with
 //!
 //! - **scoped spawning** ([`WorkerPool::scope`]): tasks may borrow from the
@@ -48,10 +49,11 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 
 std::thread_local! {
     /// Set on pool worker threads. A scope opened *from inside a task*
-    /// (e.g. a parallel slice decode kicked off by a parallel colour/depth
-    /// decode) runs its tasks inline on the spawning worker: queueing them
-    /// would let a blocked `wait_all` sit in front of its own sub-tasks in
-    /// the worker's FIFO and deadlock the striped (non-stealing) pool.
+    /// (e.g. a subscriber stand-in's colour/depth decode join inside the
+    /// SFU's sharded fan-out) runs its tasks inline on the spawning worker:
+    /// queueing them would let a blocked `wait_all` sit in front of its own
+    /// sub-tasks in the worker's FIFO and deadlock the striped
+    /// (non-stealing) pool.
     static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -289,32 +291,9 @@ impl WorkerPool {
         )
     }
 
-    /// Run `f(i)` for every `i in 0..n`, striped across the pool, and
-    /// return once all calls finished. The convenience form of `scope` for
-    /// index-parallel loops; with one thread (or one item) it degenerates
-    /// to the plain serial loop with zero allocation.
-    pub fn for_each_index<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.threads() == 1 || n <= 1 {
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        self.scope(|s| {
-            let fref = &f;
-            for i in 0..n {
-                s.spawn(move || fref(i));
-            }
-        });
-    }
-
     /// Split `items` into up to `2 × threads` contiguous shards and run
     /// `f` on each shard in parallel, returning once all shards finished.
-    /// The shard-parallel counterpart of [`WorkerPool::for_each_index`]
-    /// for loops that *mutate* their items: each shard owns its slice
+    /// It serves loops that *mutate* their items: each shard owns its slice
     /// exclusively (`split_at_mut`), so per-item work needs no locking
     /// and runs exactly once regardless of the pool size — with one
     /// thread (or one item) this degenerates to `f(items)` inline.
@@ -462,9 +441,9 @@ fn default_threads() -> usize {
 static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
 
 /// The process-wide pool, built on first use with [`threads_from_env`]
-/// threads. The encoder, cull, and capture paths use it by default; pass
-/// an explicit pool (e.g. via `ConferenceRunner::set_worker_pool` or
-/// `Encoder::set_worker_pool`) to override per component.
+/// threads. The conference runner and the SFU router use it by default; pass
+/// an explicit pool (via `ConferenceRunner::set_worker_pool` or
+/// `RouterBuilder::worker_pool`) to override it per component.
 pub fn global() -> &'static Arc<WorkerPool> {
     GLOBAL.get_or_init(|| Arc::new(WorkerPool::new(threads_from_env())))
 }
@@ -561,27 +540,16 @@ mod tests {
     }
 
     #[test]
-    fn for_each_index_covers_range() {
-        for threads in [1, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let hits: Vec<AtomicU64> = (0..37).map(|_| AtomicU64::new(0)).collect();
-            pool.for_each_index(hits.len(), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads}: every index exactly once"
-            );
-        }
-    }
-
-    #[test]
     fn telemetry_records_tasks_and_latency() {
         let pool = WorkerPool::new(2);
         let registry = Arc::new(MetricsRegistry::new());
         pool.attach_telemetry(&registry, "runtime.pool");
-        pool.for_each_index(16, |i| {
-            std::hint::black_box(i * i);
+        pool.scope(|s| {
+            for i in 0..16usize {
+                s.spawn(move || {
+                    std::hint::black_box(i * i);
+                });
+            }
         });
         let snap = registry.snapshot();
         assert_eq!(snap.counter("runtime.pool.tasks"), Some(16));

@@ -109,13 +109,6 @@ impl GccEstimator {
         }
     }
 
-    /// Clamp the working range of the estimator.
-    pub fn set_bounds(&mut self, min_bps: f64, max_bps: f64) {
-        self.min_bps = min_bps;
-        self.max_bps = max_bps;
-        self.rate_bps = self.rate_bps.clamp(min_bps, max_bps);
-    }
-
     /// Record one packet arrival.
     pub fn on_packet(&mut self, send_ts: Micros, arrival_ts: Micros, bits: u64) {
         // One-way delay tracking: the running minimum is the propagation
@@ -443,15 +436,14 @@ mod tests {
     #[test]
     fn bounds_are_respected() {
         let mut est = GccEstimator::new(50e6);
-        est.set_bounds(10e6, 60e6);
         for _ in 0..50 {
             est.on_loss_report(0.5);
         }
-        assert!(est.estimate_bps() >= 10e6);
+        assert_eq!(est.estimate_bps(), est.min_bps);
         for _ in 0..500 {
             est.on_loss_report(0.0);
         }
-        assert!(est.estimate_bps() <= 60e6);
+        assert_eq!(est.estimate_bps(), est.max_bps);
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn fast_union_cull_matches_reference_on_every_preset() {
             let views = render_views(video, 0.9, 13);
             let mut fast = views.clone();
             let mut refr = views;
-            let s_fast = CullContext::new().cull(None, &mut fast, &cams, &frusta[..n]);
+            let s_fast = CullContext::new().cull(&mut fast, &cams, &frusta[..n]);
             let s_ref = cull_views_union_reference(&mut refr, &cams, &frusta[..n]);
             assert_eq!(s_fast, s_ref, "{video} union({n}): stats diverged");
             assert_views_identical(&fast, &refr, &format!("{video} union({n})"));

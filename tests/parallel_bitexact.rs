@@ -43,16 +43,6 @@ fn encoders(w: usize, h: usize, format: PixelFormat, slices: u8) -> Vec<(String,
     out
 }
 
-fn decoders() -> Vec<(String, Decoder)> {
-    let mut out = vec![("serial".to_string(), Decoder::new())];
-    for n in THREADS {
-        let mut dec = Decoder::new();
-        dec.set_worker_pool(Arc::new(WorkerPool::new(n)));
-        out.push((format!("pool({n})"), dec));
-    }
-    out
-}
-
 #[test]
 fn parallel_encode_is_bit_exact_on_every_preset() {
     let cameras = camera_ring(
@@ -111,9 +101,9 @@ fn parallel_encode_is_bit_exact_on_every_preset() {
 }
 
 /// The multi-slice matrix: encoders at pool sizes {serial,1,2,4} must emit
-/// byte-identical bitstreams, and decoders at pool sizes {serial,1,2,4}
-/// must all reproduce the encoder reconstruction bit-exactly — every preset,
-/// colour and depth, closed-loop over inter frames.
+/// byte-identical bitstreams, and a decoder must reproduce the encoder
+/// reconstruction bit-exactly — every preset, colour and depth, closed-loop
+/// over inter frames.
 #[test]
 fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
     const SLICES: u8 = 4; // the ~115x104 canvas has 7 MB rows → real stripes
@@ -137,8 +127,8 @@ fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
             SLICES,
         );
         let mut depth_encs = encoders(layout.canvas_w, layout.canvas_h, PixelFormat::Y16, SLICES);
-        let mut color_decs = decoders();
-        let mut depth_decs = decoders();
+        let mut color_dec = Decoder::new();
+        let mut depth_dec = Decoder::new();
 
         for seq in 0..FRAMES {
             let snap = preset.scene.at(seq as f32 / 30.0);
@@ -147,9 +137,9 @@ fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
             let color = compose_color(&views, &layout, seq);
             let depth = compose_depth(&views, &layout, &depth_codec, seq);
 
-            for (canvas, encs, decs, bits) in [
-                (&color, &mut color_encs, &mut color_decs, 180_000u64),
-                (&depth, &mut depth_encs, &mut depth_decs, 220_000u64),
+            for (canvas, encs, dec, bits) in [
+                (&color, &mut color_encs, &mut color_dec, 180_000u64),
+                (&depth, &mut depth_encs, &mut depth_dec, 220_000u64),
             ] {
                 let outputs: Vec<(String, EncodedFrame)> = encs
                     .iter_mut()
@@ -166,17 +156,15 @@ fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
                         "{video} frame {seq}: sliced {name} bitstream diverged from serial"
                     );
                 }
-                // Every decode pool size consumes the same stream and must
-                // land on the same pixels as the encoder's closed loop.
-                for (name, dec) in decs.iter_mut() {
-                    let decoded = dec.decode(&reference.data).unwrap_or_else(|e| {
-                        panic!("{video} frame {seq}: sliced decode ({name}): {e:?}")
-                    });
-                    assert!(
-                        decoded == reference.reconstruction,
-                        "{video} frame {seq}: sliced decoder ({name}) drifted from reconstruction"
-                    );
-                }
+                // The decoder consumes the same stream and must land on the
+                // same pixels as the encoder's closed loop.
+                let decoded = dec
+                    .decode(&reference.data)
+                    .unwrap_or_else(|e| panic!("{video} frame {seq}: sliced decode: {e:?}"));
+                assert!(
+                    decoded == reference.reconstruction,
+                    "{video} frame {seq}: sliced decoder drifted from reconstruction"
+                );
             }
         }
     }
@@ -207,15 +195,15 @@ fn golden_frame(w: usize, h: usize, t: usize) -> livo::codec2d::Frame {
 /// container as everything else. Pinned separately from the preset matrix,
 /// whose canvases happen to be 7 macroblock rows and whose decoders are all
 /// serial: both pixel formats, closed-loop over inter frames, encoders at
-/// pool sizes {serial,1,2,4} byte-identical, decoders at pool sizes
-/// {serial,1,2,4} bit-exact with the encoder's reconstruction.
+/// pool sizes {serial,1,2,4} byte-identical, the decoder bit-exact with the
+/// encoder's reconstruction.
 #[test]
 fn one_slice_frames_are_bit_exact_at_every_pool_size() {
     const W: usize = 80;
     const H: usize = 72; // 5 MB rows (the last one partial) → one slice
     for format in [PixelFormat::Yuv420, PixelFormat::Y16] {
         let mut encs = encoders(W, H, format, 0);
-        let mut decs = decoders();
+        let mut dec = Decoder::new();
         for t in 0..4 {
             let frame = match format {
                 PixelFormat::Yuv420 => golden_frame(W, H, t),
@@ -244,15 +232,13 @@ fn one_slice_frames_are_bit_exact_at_every_pool_size() {
                     "{format:?} frame {t}: {name} bitstream diverged from serial"
                 );
             }
-            for (name, dec) in decs.iter_mut() {
-                let decoded = dec
-                    .decode(&reference.data)
-                    .unwrap_or_else(|e| panic!("{format:?} frame {t} ({name}): {e:?}"));
-                assert!(
-                    decoded == reference.reconstruction,
-                    "{format:?} frame {t}: decoder ({name}) drifted from reconstruction"
-                );
-            }
+            let decoded = dec
+                .decode(&reference.data)
+                .unwrap_or_else(|e| panic!("{format:?} frame {t}: {e:?}"));
+            assert!(
+                decoded == reference.reconstruction,
+                "{format:?} frame {t}: decoder drifted from reconstruction"
+            );
         }
     }
 }
@@ -260,8 +246,8 @@ fn one_slice_frames_are_bit_exact_at_every_pool_size() {
 /// The container is pinned by one committed golden file holding two
 /// sequences of an intra and two inter frames each: a 48-row frame, which
 /// is one slice, and a 128-row frame in two slices. The current encoder
-/// must reproduce those exact bytes, and decoders at every pool size must
-/// decode them. Regenerate the golden file with `LIVO_BLESS_GOLDEN=1` after
+/// must reproduce those exact bytes, and the decoder must decode them.
+/// Regenerate the golden file with `LIVO_BLESS_GOLDEN=1` after
 /// a *deliberate* bitstream change.
 #[test]
 fn sliced_golden_stream_still_decodes() {
@@ -304,9 +290,9 @@ fn sliced_golden_stream_still_decodes() {
         "encoder no longer reproduces the committed bitstream byte-for-byte"
     );
 
-    // Parse the golden blob back and decode it at every pool size; all must
-    // agree with the current encoder's reconstruction chain. A decoder moves
-    // from one sequence to the next on its keyframe.
+    // Parse the golden blob back and decode it; it must agree with the
+    // current encoder's reconstruction chain. The decoder moves from one
+    // sequence to the next on its keyframe.
     let mut off = 4usize;
     let mut frames = Vec::new();
     for _ in 0..recons.len() {
@@ -315,16 +301,15 @@ fn sliced_golden_stream_still_decodes() {
         frames.push(&golden[off..off + len]);
         off += len;
     }
-    for (name, dec) in decoders().iter_mut() {
-        for (t, data) in frames.iter().enumerate() {
-            let decoded = dec
-                .decode(data)
-                .unwrap_or_else(|e| panic!("golden frame {t} ({name}): {e:?}"));
-            assert!(
-                decoded == recons[t],
-                "golden frame {t} ({name}): decode drifted from reconstruction"
-            );
-        }
+    let mut dec = Decoder::new();
+    for (t, data) in frames.iter().enumerate() {
+        let decoded = dec
+            .decode(data)
+            .unwrap_or_else(|e| panic!("golden frame {t}: {e:?}"));
+        assert!(
+            decoded == recons[t],
+            "golden frame {t}: decode drifted from reconstruction"
+        );
     }
 }
 
