@@ -68,10 +68,17 @@ use livo_telemetry::json::ObjectWriter;
 use livo_telemetry::{log_event, Level, Value};
 
 /// The `host` block every `BENCH_*.json` carries: where the numbers came
-/// from. The environment (`scripts/bench_kernels.sh`) supplies what a
-/// running binary cannot know.
+/// from. `rustc` and `git_rev` are what `rustc -V` and `git describe
+/// --always --dirty` print in the working directory, `unknown` where the
+/// command fails.
 fn write_host(out: &mut String) {
-    let env = |name: &str| std::env::var(name).unwrap_or_else(|_| "unknown".into());
+    let run = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok();
+        let text = out.filter(|o| o.status.success());
+        let text = text.and_then(|o| String::from_utf8(o.stdout).ok());
+        let text = text.map(|t| t.trim().to_string()).filter(|t| !t.is_empty());
+        text.unwrap_or_else(|| "unknown".into())
+    };
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut h = livo_telemetry::json::ObjectWriter::new(out);
     h.field_u64("nproc", nproc as u64)
@@ -79,8 +86,8 @@ fn write_host(out: &mut String) {
             "simd",
             livo_math::simd::level_name(livo_math::simd::level()),
         )
-        .field_str("rustc", &env("LIVO_BENCH_RUSTC"))
-        .field_str("git_rev", &env("LIVO_BENCH_GIT_REV"))
+        .field_str("rustc", &run("rustc", &["-V"]))
+        .field_str("git_rev", &run("git", &["describe", "--always", "--dirty"]))
         .field_str(
             "build",
             ["release", "debug"][cfg!(debug_assertions) as usize],
@@ -490,5 +497,17 @@ mod tests {
             super::table_head(&cols, true),
             "  kernel |   ns | unit\n---------+------+-----\n"
         );
+    }
+
+    #[test]
+    fn host_block_names_the_rustc_on_path() {
+        let rustc = std::process::Command::new("rustc").arg("-V").output();
+        if !rustc.is_ok_and(|o| o.status.success()) {
+            return;
+        }
+        let mut host = String::new();
+        super::write_host(&mut host);
+        let field = host.split("\"rustc\":\"").nth(1).unwrap_or("");
+        assert!(field.starts_with("rustc "), "{host}");
     }
 }

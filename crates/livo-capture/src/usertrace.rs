@@ -107,22 +107,6 @@ impl UserTrace {
         UserTrace { style, poses }
     }
 
-    /// The three traces the study collected for a video, seeded from the
-    /// video name so every run sees the same traces.
-    pub fn study_traces(video_seed: u64, duration_s: f32) -> Vec<UserTrace> {
-        TraceStyle::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &style)| {
-                UserTrace::generate(
-                    style,
-                    duration_s,
-                    video_seed.wrapping_mul(31).wrapping_add(i as u64),
-                )
-            })
-            .collect()
-    }
-
     pub fn len(&self) -> usize {
         self.poses.len()
     }
@@ -216,14 +200,6 @@ mod tests {
         let min = d.iter().cloned().fold(f32::INFINITY, f32::min);
         let max = d.iter().cloned().fold(0.0f32, f32::max);
         assert!(max - min > 1.0, "walk-in range {min}..{max}");
-    }
-
-    #[test]
-    fn study_traces_cover_all_styles() {
-        let ts = UserTrace::study_traces(42, 5.0);
-        assert_eq!(ts.len(), 3);
-        let styles: Vec<TraceStyle> = ts.iter().map(|t| t.style).collect();
-        assert_eq!(styles, TraceStyle::ALL.to_vec());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use livo_runtime::WorkerPool;
 use livo_telemetry::{Counter, MetricsRegistry};
 
 use crate::block::{decode_block, decode_svalue, CoeffContexts};
@@ -123,7 +122,7 @@ impl Decoder {
     /// only because `benchmark/src/adapters.rs` calls it, until the
     /// benchmark's own call and SFU loops go (ROADMAP item 3). Nothing
     /// else calls it.
-    pub fn set_worker_pool(&mut self, _pool: Arc<WorkerPool>) {}
+    pub fn set_worker_pool(&mut self, _pool: Arc<livo_runtime::WorkerPool>) {}
 
     /// Publish per-frame bitstream metrics in `registry`. The names are
     /// deliberately unprefixed — one decode-stage account shared by the

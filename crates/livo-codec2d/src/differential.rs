@@ -4,12 +4,9 @@
 //! what defines the order of the raw-bit tail), written out as oracles over
 //! the inter plan oracle of `tests/common/oracle.rs`.
 //! The product must match them byte for byte — bitstream, reconstruction,
-//! block counts and decoder output — at every pool size.
-
-use std::sync::Arc;
+//! block counts and decoder output.
 
 use livo_math::rng::SplitMix64;
-use livo_runtime::WorkerPool;
 
 use crate::dct::{self, ZIGZAG};
 use crate::decoder::Decoder;
@@ -549,23 +546,15 @@ fn next_frame(recon: &Frame, index: usize, shift: (isize, isize), rng: &mut Spli
 
 const GOP: usize = 12;
 
-/// Drive one 12-frame GOP with a forced keyframe in the middle through
-/// encoders at pool sizes 1, 2 and 4, each with its own decoder, checking
-/// every inter frame against the oracles. `qp_of(i)` fixes the QP of frame `i`; `None`
+/// Drive one 12-frame GOP with a forced keyframe in the middle through an
+/// encoder and its decoder, checking every inter frame against the
+/// oracles. `qp_of(i)` fixes the QP of frame `i`; `None`
 /// leaves it to the rate controller at `target_bits`.
 fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Option<u8>) {
     let mut cfg = EncoderConfig::new(w, h, format);
     cfg.gop_length = GOP as u32;
-    let pools = [1usize, 2, 4];
-    let mut encoders: Vec<Encoder> = pools
-        .iter()
-        .map(|&n| {
-            let mut e = Encoder::new(cfg);
-            e.set_worker_pool(Arc::new(WorkerPool::new(n)));
-            e
-        })
-        .collect();
-    let mut decoders: Vec<Decoder> = pools.iter().map(|_| Decoder::new()).collect();
+    let mut enc = Encoder::new(cfg);
+    let mut dec = Decoder::new();
     let target_bits = (w * h) as u64 / 2 + 4000;
     let shifts = [(2, 0), (0, -2), (-1, 2), (4, 2), (-2, -2), (1, 1)];
     let mut rng = SplitMix64::new(15);
@@ -575,25 +564,13 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
     let mut zero_vector_free = 0u64;
     for i in 0..GOP {
         let tag = format!("{format:?} {w}x{h} frame {i}");
-        let mut outs = Vec::new();
-        for enc in &mut encoders {
-            if i == GOP / 2 {
-                enc.force_keyframe();
-            }
-            outs.push(match qp_of(i) {
-                Some(qp) => enc.encode_fixed_qp(&frame, qp),
-                None => enc.encode(&frame, target_bits),
-            });
+        if i == GOP / 2 {
+            enc.force_keyframe();
         }
-        let out = &outs[0];
-        for (o, n) in outs.iter().zip(pools).skip(1) {
-            assert_eq!(o.data, out.data, "{tag}: bitstream at pool {n}");
-            assert_eq!(
-                o.reconstruction, out.reconstruction,
-                "{tag}: recon at pool {n}"
-            );
-            assert_eq!(o.blocks, out.blocks, "{tag}: counts at pool {n}");
-        }
+        let out = &match qp_of(i) {
+            Some(qp) => enc.encode_fixed_qp(&frame, qp),
+            None => enc.encode(&frame, target_bits),
+        };
         let want_intra = i == 0 || i == GOP / 2;
         assert_eq!(out.frame_type == FrameType::Intra, want_intra, "{tag}");
         if let (FrameType::Inter, Some(prev)) = (out.frame_type, &prev) {
@@ -631,10 +608,8 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
                 }
             }
         }
-        for (dec, n) in decoders.iter_mut().zip(pools) {
-            let got = dec.decode(&out.data).expect("own stream decodes");
-            assert_eq!(got, out.reconstruction, "{tag}: decode at pool {n}");
-        }
+        let got = dec.decode(&out.data).expect("own stream decodes");
+        assert_eq!(got, out.reconstruction, "{tag}: decode");
         frame = next_frame(
             &out.reconstruction,
             i + 1,

@@ -9,7 +9,6 @@ use crate::quant::{self, DC_SCALE};
 use crate::rangecoder::{BitModel, RangeEncoder};
 use crate::ratecontrol::RateController;
 use crate::slice::{self, Layer, SliceRows};
-use livo_runtime::WorkerPool;
 use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
@@ -38,8 +37,7 @@ pub struct EncoderConfig {
     pub gop_length: u32,
     /// Entropy slices per frame. `0` (the default) picks automatically
     /// from the frame height — see [`slice::slice_count`]; small frames get
-    /// one slice. The count never depends on the worker-pool size, so the
-    /// bitstream is identical however many threads encode it.
+    /// one slice.
     pub slices: u8,
     /// Temporal layers: 2 alternates T0, T1 from each intra on, and a T1
     /// is never a reference, so a forwarder can drop any T1 (see
@@ -118,9 +116,9 @@ struct EncoderTelemetry {
 /// and fully re-reconstructed (the work frame) before anything reads it;
 /// `tests/parallel_bitexact.rs` pins bit-exactness across reuse.
 struct EncoderScratch {
-    /// Planned luma macroblocks of the pooled inter path.
+    /// Planned luma macroblocks of the inter path.
     luma_plans: Vec<LumaMbPlan>,
-    /// Planned chroma blocks of the pooled inter path, one arena per
+    /// Planned chroma blocks of the inter path, one arena per
     /// chroma plane (the sliced entropy pass needs U and V side by side).
     chroma_plans: [Vec<[i32; 64]>; 2],
     /// Luma motion field of the frame being encoded.
@@ -173,10 +171,6 @@ pub struct Encoder {
     /// The reference's input frame, for temporal complexity estimation.
     prev_input_luma: Option<Plane>,
     telemetry: Option<EncoderTelemetry>,
-    /// Worker pool for stripe-parallel inter-frame planning and
-    /// slice-parallel entropy coding. `None` (or a single-thread pool) runs
-    /// the same tasks serially.
-    pool: Option<Arc<WorkerPool>>,
     /// Reused per-frame buffers (plans, motion field, work reconstruction).
     scratch: EncoderScratch,
     /// Uncompressed header+table bits of the last `encode_with_qp` call;
@@ -210,21 +204,17 @@ impl Encoder {
             force_intra: false,
             prev_input_luma: None,
             telemetry: None,
-            pool: None,
             scratch: EncoderScratch::default(),
             last_header_bits: 0,
         }
     }
 
-    /// Run inter-frame motion search / transform / quantisation / closed-loop
-    /// reconstruction stripe-parallel on `pool` (one task per macroblock row)
-    /// and the entropy stage slice-parallel (one task per slice; an intra
-    /// slice also transforms and reconstructs its own rows). Slice geometry
-    /// never depends on the pool, so the bitstream is byte-identical at any
-    /// pool size. A pool with one thread behaves exactly like no pool.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
+    /// Does nothing: a frame encodes on the calling thread. Encode
+    /// parallelism is the sender's: `SenderStage` in `livo-core` encodes
+    /// the colour and depth streams side by side. The name stays only
+    /// because `benchmark/src/adapters.rs` calls it, until the benchmark's
+    /// own call and SFU loops go (ROADMAP item 3). Nothing else calls it.
+    pub fn set_worker_pool(&mut self, _pool: Arc<livo_runtime::WorkerPool>) {}
 
     /// Publish per-frame encoder metrics under `{prefix}.*` in `registry`:
     /// `encoded_bits` and `budget_ratio` histograms, the last `qp` gauge,
@@ -451,11 +441,9 @@ impl Encoder {
     ///
     /// The frame is partitioned into [`slice::slice_count`] slices (see
     /// [`crate::slice`]). Inter frames are planned per macroblock row, then
-    /// the entropy stage runs one independent range coder per slice — in
-    /// parallel on the pool when one is attached — and the frame is
-    /// assembled as header + length table + concatenated payloads. Slice
-    /// geometry never depends on the pool, so the bitstream is identical at
-    /// any thread count.
+    /// the entropy stage runs one independent range coder per slice, one
+    /// slice after another, and the frame is assembled as header + length
+    /// table + concatenated payloads.
     ///
     /// `searched` says the scratch plans hold this frame's motion field and
     /// SADs from an earlier pass at another QP, which an inter frame then
@@ -477,17 +465,13 @@ impl Encoder {
             }
         }
         let peak = frame.format.peak_value();
-        let pool = self.pool.as_deref().filter(|p| p.threads() > 1);
-        let mut payloads: Vec<(Vec<u8>, BlockCounts)> = Vec::new();
-        payloads.resize_with(n_slices, Default::default);
-
-        match frame_type {
+        let payloads: Vec<(Vec<u8>, BlockCounts)> = match frame_type {
             FrameType::Intra => {
                 // Each slice intra-codes its stripe of every plane with
                 // slice-local DC prediction, so slices are fully
                 // independent on both sides.
-                let recon = &mut scratch.work_recon;
-                let mut per_plane: Vec<std::vec::IntoIter<&mut [u16]>> = recon
+                let mut per_plane: Vec<std::vec::IntoIter<&mut [u16]>> = scratch
+                    .work_recon
                     .planes
                     .iter_mut()
                     .enumerate()
@@ -497,29 +481,20 @@ impl Encoder {
                         slice::split_plane_rows(&mut p.data, p.width, &rows).into_iter()
                     })
                     .collect();
-                type IntraJob<'a> = (
-                    SliceRows,
-                    Vec<&'a mut [u16]>,
-                    &'a mut (Vec<u8>, BlockCounts),
-                );
-                let jobs: Vec<IntraJob<'_>> = slices
+                slices
                     .iter()
-                    .zip(payloads.iter_mut())
-                    .map(|(sr, out)| {
-                        let stripes = per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
-                        (*sr, stripes, out)
+                    .map(|sr| {
+                        let mut stripes: Vec<&mut [u16]> =
+                            per_plane.iter_mut().map(|it| it.next().unwrap()).collect();
+                        encode_intra_slice(frame, sr, &mut stripes, qp, peak)
                     })
-                    .collect();
-                run_slice_jobs(pool, jobs, |(sr, mut stripes, out)| {
-                    *out = encode_intra_slice(frame, &sr, &mut stripes, qp, peak);
-                });
+                    .collect()
             }
             FrameType::Inter => {
                 let prev = self.recon.as_ref().expect("inter frame without reference");
                 let recon = &mut scratch.work_recon;
                 let step = quant::qstep(plane_qp(qp, 0, frame.format));
                 plan_plane_inter_luma(
-                    pool,
                     &frame.planes[0],
                     &prev.planes[0],
                     &mut recon.planes[0],
@@ -533,7 +508,6 @@ impl Encoder {
                 for pi in 1..frame.planes.len() {
                     let cstep = quant::qstep(plane_qp(qp, pi, frame.format));
                     plan_plane_inter_chroma(
-                        pool,
                         &frame.planes[pi],
                         &prev.planes[pi],
                         &mut recon.planes[pi],
@@ -545,16 +519,16 @@ impl Encoder {
                     );
                 }
                 let mbs_x = frame.planes[0].width.div_ceil(MB_SIZE);
-                let luma_plans = &scratch.luma_plans;
-                let chroma_plans = &scratch.chroma_plans;
                 let n_planes = frame.planes.len();
-                let jobs: Vec<(SliceRows, &mut (Vec<u8>, BlockCounts))> =
-                    slices.iter().copied().zip(payloads.iter_mut()).collect();
-                run_slice_jobs(pool, jobs, |(sr, out)| {
-                    *out = entropy_inter_slice(&sr, luma_plans, chroma_plans, mbs_x, n_planes);
-                });
+                slices
+                    .iter()
+                    .map(|sr| {
+                        let (luma, chroma) = (&scratch.luma_plans, &scratch.chroma_plans);
+                        entropy_inter_slice(sr, luma, chroma, mbs_x, n_planes)
+                    })
+                    .collect()
             }
-        }
+        };
 
         let lens: Vec<usize> = payloads.iter().map(|(p, _)| p.len()).collect();
         let header = slice::write_header(
@@ -577,26 +551,6 @@ impl Encoder {
         }
         self.scratch = scratch;
         (data, counts)
-    }
-}
-
-/// Run one closure per slice job — striped across the pool when one is
-/// attached (slices are entropy-independent, so completion order is
-/// irrelevant), serially otherwise. Results land in the jobs' `&mut`
-/// slots and are identical either way.
-fn run_slice_jobs<T: Send>(pool: Option<&WorkerPool>, jobs: Vec<T>, f: impl Fn(T) + Sync) {
-    match pool {
-        Some(pool) => pool.scope(|s| {
-            for job in jobs {
-                let f = &f;
-                s.spawn(move || f(job));
-            }
-        }),
-        None => {
-            for job in jobs {
-                f(job);
-            }
-        }
     }
 }
 
@@ -707,7 +661,7 @@ pub(crate) fn add_residual(rec: &mut [i32; 64], levels: &[i32; 64], step: f32) {
 
 /// Everything the entropy pass needs to replay one luma macroblock: the
 /// chosen and predicted motion vectors, the skip decision, and the four
-/// quantised 8×8 coefficient blocks. Produced row-parallel, consumed per
+/// quantised 8×8 coefficient blocks. Produced row by row, consumed per
 /// slice in raster order.
 #[derive(Clone)]
 struct LumaMbPlan {
@@ -731,19 +685,16 @@ impl Default for LumaMbPlan {
     }
 }
 
-/// Stripe-parallel plan phase for an inter luma plane: one pool task per
-/// macroblock row runs motion search, residual DCT + quantisation, the skip
-/// decision, and closed-loop reconstruction into that row's 16-pixel stripe
-/// of `recon`. Rows are independent by construction — the motion predictor
-/// is the *left* neighbour only, and prediction reads `prev`, which is
-/// immutable during the frame — so the result is the same at any pool size.
-/// `plans` is a reused scratch vector; every element the entropy pass
-/// reads is overwritten first (it does not read the levels of a skipped
-/// macroblock). `search_range` is `None` on a frame's second pass, which
-/// keeps the vectors and SADs the first one left in `plans`.
-#[allow(clippy::too_many_arguments)]
+/// Plan phase for an inter luma plane, one macroblock row after another:
+/// motion search, residual DCT + quantisation, the skip decision, and
+/// closed-loop reconstruction into that row's 16-pixel stripe of `recon`.
+/// Rows are independent by construction — the motion predictor is the
+/// *left* neighbour only, and prediction reads `prev`, which is immutable
+/// during the frame. `plans` is a reused scratch vector; every element the
+/// entropy pass reads is overwritten first (it does not read the levels of
+/// a skipped macroblock). `search_range` is `None` on a frame's second
+/// pass, which keeps the vectors and SADs the first one left in `plans`.
 fn plan_plane_inter_luma(
-    pool: Option<&WorkerPool>,
     plane: &Plane,
     prev: &Plane,
     recon: &mut Plane,
@@ -755,24 +706,11 @@ fn plan_plane_inter_luma(
     let mbs_x = plane.width.div_ceil(MB_SIZE);
     let mbs_y = plane.height.div_ceil(MB_SIZE);
     plans.resize(mbs_x * mbs_y, LumaMbPlan::default());
-    let width = plane.width;
     let rows = plans
         .chunks_mut(mbs_x)
-        .zip(recon.data.chunks_mut(width * MB_SIZE))
-        .enumerate();
-    match pool {
-        Some(pool) => pool.scope(|s| {
-            for (mby, (plan_row, stripe)) in rows {
-                s.spawn(move || {
-                    plan_luma_row(plane, prev, plan_row, stripe, mby, step, peak, search_range);
-                });
-            }
-        }),
-        None => {
-            for (mby, (plan_row, stripe)) in rows {
-                plan_luma_row(plane, prev, plan_row, stripe, mby, step, peak, search_range);
-            }
-        }
+        .zip(recon.data.chunks_mut(plane.width * MB_SIZE));
+    for (mby, (plan_row, stripe)) in rows.enumerate() {
+        plan_luma_row(plane, prev, plan_row, stripe, mby, step, peak, search_range);
     }
 }
 
@@ -860,12 +798,11 @@ fn plan_luma_row(
     }
 }
 
-/// Stripe-parallel plan phase for an inter chroma plane: one pool task per
-/// 8-pixel block row computes the motion-compensated residual levels (from
-/// the halved luma motion field) and reconstructs into that row's stripe.
+/// Plan phase for an inter chroma plane, one 8-pixel block row after
+/// another: the motion-compensated residual levels (from the halved luma
+/// motion field) and the reconstruction into that row's stripe.
 #[allow(clippy::too_many_arguments)]
 fn plan_plane_inter_chroma(
-    pool: Option<&WorkerPool>,
     plane: &Plane,
     prev: &Plane,
     recon: &mut Plane,
@@ -879,28 +816,13 @@ fn plan_plane_inter_chroma(
     let blocks_y = plane.height.div_ceil(8);
     let mbs_x = luma_width.div_ceil(MB_SIZE);
     plans.resize(blocks_x * blocks_y, [0i32; 64]);
-    let width = plane.width;
     let rows = plans
         .chunks_mut(blocks_x)
-        .zip(recon.data.chunks_mut(width * 8))
-        .enumerate();
-    match pool {
-        Some(pool) => pool.scope(|s| {
-            for (row, (plan_row, stripe)) in rows {
-                s.spawn(move || {
-                    plan_chroma_row(
-                        plane, prev, plan_row, stripe, row, step, peak, luma_mvs, mbs_x,
-                    );
-                });
-            }
-        }),
-        None => {
-            for (row, (plan_row, stripe)) in rows {
-                plan_chroma_row(
-                    plane, prev, plan_row, stripe, row, step, peak, luma_mvs, mbs_x,
-                );
-            }
-        }
+        .zip(recon.data.chunks_mut(plane.width * 8));
+    for (row, (plan_row, stripe)) in rows.enumerate() {
+        plan_chroma_row(
+            plane, prev, plan_row, stripe, row, step, peak, luma_mvs, mbs_x,
+        );
     }
 }
 

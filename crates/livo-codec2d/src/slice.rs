@@ -5,9 +5,11 @@
 //! contexts and a byte-aligned payload, so slices encode and decode
 //! independently (the H.265 "entropy slice" / wavefront idea this codec
 //! stands in for). The price is a small uncompressed frame header and
-//! per-slice context resets; the win is that the entropy stage of
-//! `Encoder::encode` and the entire `Decoder::decode` parallelise. A frame
-//! too small to split is a one-slice frame in the same container.
+//! per-slice context resets. Both ends code the slices one after another
+//! on the stream's thread: the parallelism is the sender's and the
+//! receiver's colour ∥ depth join (`livo-core`'s stages), which row or
+//! slice tasks inside a stream lost to. A frame too small to split is a
+//! one-slice frame in the same container.
 //!
 //! ```text
 //! byte 0        SLICED_MAGIC (0xB2)
@@ -47,9 +49,8 @@
 //! 1, each T0 flips the tag of the T0 it predicts from, and a T1 repeats
 //! it, so a frame names its reference (DESIGN.md "Bitstream").
 //!
-//! Slice geometry is a pure function of `(height, S)` — *never* of the
-//! worker-pool size — so the bitstream is identical no matter how many
-//! threads encode it, and any pool size decodes it bit-exactly.
+//! Slice geometry is a pure function of `(height, S)`, so the bitstream is
+//! identical however many threads the sender has.
 //!
 //! Inside a slice, planes are coded plane-major (all luma rows, then U,
 //! then V) with fresh contexts per plane. Intra DC prediction treats the

@@ -405,7 +405,7 @@ impl ConferenceRunner {
         let cfg = &self.cfg;
         let total_frames = (cfg.duration_s * FPS as f32) as u64;
 
-        // Intra-frame parallelism (capture fan-out, encoder stripes, the
+        // Intra-frame parallelism (capture fan-out, the two encode and the
         // two decode lanes) runs on the runner's pool.
         let pool = self.pool();
         let mut session = match &cfg.bond {

@@ -11,11 +11,13 @@
 //! Both types are `Send` and hold no thread of their own. §A.1's
 //! frame-level overlap (capture and cull of frame *n + 1* beside the encode
 //! of frame *n*) is therefore a property of the driver: a threaded driver
-//! is a loop around a stage on each thread. Intra-frame parallelism (the
-//! sender's encoder stripes, the receiver's colour ∥ depth decode) comes
-//! from the worker pool the owner hands in with `set_worker_pool`; a stage
-//! that was given none (one inside an SFU cluster task, which is already a
-//! pool task) runs serially. Output is identical either way.
+//! is a loop around a stage on each thread. Intra-frame parallelism is one
+//! [`WorkerPool::join`] per stage: the sender encodes its colour and depth
+//! canvases side by side, the receiver decodes its two lanes side by side,
+//! each on the pool the owner hands in with `set_worker_pool`. The codec
+//! holds no pool, and a stage that was given none (one inside an SFU
+//! cluster task, which is already a pool task) runs serially. Output is
+//! identical either way.
 
 use crate::cull::{CullContext, CullStats};
 use crate::depth::{DepthCodec, DepthEncoding};
@@ -74,6 +76,7 @@ pub struct SenderStage {
     cull: CullContext,
     color_enc: Encoder,
     depth_enc: Encoder,
+    pool: Option<Arc<WorkerPool>>,
     /// Where each encoded frame is recorded, and as which party.
     trace: Option<(Arc<EventTrace>, u16)>,
 }
@@ -101,15 +104,16 @@ impl SenderStage {
             cull: CullContext::new(),
             color_enc: encoder(PixelFormat::Yuv420),
             depth_enc: encoder(depth_codec.pixel_format()),
+            pool: None,
             trace: None,
         }
     }
 
-    /// Spread the encoders' stripes over `pool`; the cull runs on the
-    /// calling thread (see [`CullContext::cull`]).
+    /// Encode the colour and depth canvases side by side on `pool`. Each
+    /// encoder codes its frame on its stream's thread, and the cull runs
+    /// on the calling thread (see [`CullContext::cull`]).
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.color_enc.set_worker_pool(pool.clone());
-        self.depth_enc.set_worker_pool(pool);
+        self.pool = Some(pool);
     }
 
     /// Publish the cull context's `cull.lut_rebuilds` and `kernel.*` metrics
@@ -175,20 +179,23 @@ impl SenderStage {
         frame: u64,
         now: Micros,
     ) -> (EncodedFrame, EncodedFrame) {
-        let (color, depth) = match rate {
-            Rate::Budget {
-                color_bits,
-                depth_bits,
-            } => (
-                self.color_enc
-                    .encode(&canvases.color, color_bits.max(MIN_FRAME_BITS)),
-                self.depth_enc
-                    .encode(&canvases.depth, depth_bits.max(MIN_FRAME_BITS)),
-            ),
-            Rate::FixedQp { color, depth } => (
-                self.color_enc.encode_fixed_qp(&canvases.color, color),
-                self.depth_enc.encode_fixed_qp(&canvases.depth, depth),
-            ),
+        // The two encoders share nothing but the (atomic) telemetry sinks.
+        let (color_enc, depth_enc) = (&mut self.color_enc, &mut self.depth_enc);
+        let mut encode_color = || match rate {
+            Rate::Budget { color_bits, .. } => {
+                color_enc.encode(&canvases.color, color_bits.max(MIN_FRAME_BITS))
+            }
+            Rate::FixedQp { color, .. } => color_enc.encode_fixed_qp(&canvases.color, color),
+        };
+        let mut encode_depth = || match rate {
+            Rate::Budget { depth_bits, .. } => {
+                depth_enc.encode(&canvases.depth, depth_bits.max(MIN_FRAME_BITS))
+            }
+            Rate::FixedQp { depth, .. } => depth_enc.encode_fixed_qp(&canvases.depth, depth),
+        };
+        let (color, depth) = match &self.pool {
+            Some(pool) => pool.join(encode_color, encode_depth),
+            None => (encode_color(), encode_depth()),
         };
         if let Some((trace, party)) = &self.trace {
             for (track, out) in [("codec.color", &color), ("codec.depth", &depth)] {

@@ -47,26 +47,6 @@ pub fn p2p_psnr(reference: &PointCloud, distorted: &PointCloud, cell_size: f32) 
     Some(20.0 * (peak / rmse).log10())
 }
 
-/// Mean per-point colour MSE (0–255 scale per channel) between `a` and the
-/// colours of each point's nearest neighbour in `b`.
-pub fn color_mse(a: &PointCloud, b_index: &VoxelIndex<'_>) -> Option<f64> {
-    if a.is_empty() || b_index.cloud().is_empty() {
-        return None;
-    }
-    let mut acc = 0.0f64;
-    for p in &a.points {
-        let n = b_index.nearest(p.position)?;
-        let q = &b_index.cloud().points[n as usize];
-        let mut e = 0.0f64;
-        for c in 0..3 {
-            let d = p.color[c] as f64 - q.color[c] as f64;
-            e += d * d;
-        }
-        acc += e / 3.0;
-    }
-    Some(acc / a.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,24 +130,5 @@ mod tests {
         assert!(p2p_rmse(&a, &empty, 0.2).is_none());
         assert!(p2p_rmse(&empty, &a, 0.2).is_none());
         assert!(p2p_psnr(&empty, &a, 0.2).is_none());
-    }
-
-    #[test]
-    fn color_mse_zero_for_identical() {
-        let a = random_cloud(100, 8);
-        let idx = VoxelIndex::build(&a, 0.2);
-        assert_eq!(color_mse(&a, &idx), Some(0.0));
-    }
-
-    #[test]
-    fn color_mse_detects_channel_shift() {
-        let a = random_cloud(100, 9);
-        let mut b = a.clone();
-        for p in &mut b.points {
-            p.color[0] = p.color[0].saturating_add(40);
-        }
-        let idx = VoxelIndex::build(&b, 0.2);
-        let mse = color_mse(&a, &idx).unwrap();
-        assert!(mse > 100.0, "mse {mse}"); // ≈ 40²/3 averaged over points
     }
 }

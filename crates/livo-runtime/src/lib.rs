@@ -1,11 +1,11 @@
 //! Scoped worker pool for the LiVo hot path.
 //!
 //! The per-frame stages that pay for a second thread — per-camera ray
-//! casting, the block-row DCT/quant/motion loop of the 2D encoder, the
-//! receiver's colour ∥ depth decode and the SFU's per-cluster and
-//! per-subscriber passes — are data-parallel over disjoint parts of their
-//! input. This crate provides the one concurrency primitive they share: a
-//! **fixed-size pool of worker threads** with
+//! casting, the sender's colour ∥ depth encode, the receiver's colour ∥
+//! depth decode and the SFU's per-cluster and per-subscriber passes — are
+//! data-parallel over disjoint parts of their input. This crate provides
+//! the concurrency primitives they share on a **fixed-size pool of worker
+//! threads**:
 //!
 //! - **scoped spawning** ([`WorkerPool::scope`]): tasks may borrow from the
 //!   caller's stack; the scope joins every task before it returns, so the
@@ -14,6 +14,9 @@
 //!   spawn order. There is **no work stealing** — the assignment of stripe
 //!   *i* to worker *i mod n* is deterministic, which keeps scheduling out
 //!   of the set of things that can perturb a run;
+//! - **a two-sided join** ([`WorkerPool::join`]): one side on the caller,
+//!   the other queued, and taken back by the caller if no worker has
+//!   started it by the time the caller's side is done;
 //! - **panic propagation**: a panicking task fails the whole scope (the
 //!   first payload is re-raised from `scope()`) instead of deadlocking the
 //!   join;
@@ -29,10 +32,10 @@
 //! against serial execution.
 //!
 //! Correctness note for codec users: parallelising *computation* must not
-//! change *output*. The 2D encoder therefore only stripes the
-//! order-independent work (motion search, DCT, quantisation,
-//! reconstruction) and keeps the adaptive range coder as a serial pass
-//! over the already-quantised coefficients — see `livo-codec2d::encoder`.
+//! change *output*. The 2D encoder and decoder therefore hold no pool: each
+//! stream is coded serially, and the stages in `livo-core::stage` run the
+//! colour and depth streams side by side with one [`WorkerPool::join`],
+//! which changes when each byte is written but not which.
 
 use livo_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
@@ -49,11 +52,13 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 
 std::thread_local! {
     /// Set on pool worker threads. A scope opened *from inside a task*
-    /// (e.g. a subscriber stand-in's colour/depth decode join inside the
-    /// SFU's sharded fan-out) runs its tasks inline on the spawning worker:
-    /// queueing them would let a blocked `wait_all` sit in front of its own
-    /// sub-tasks in the worker's FIFO and deadlock the striped
-    /// (non-stealing) pool.
+    /// runs its tasks inline on the spawning worker: queueing them would
+    /// let a blocked `wait_all` sit in front of its own sub-tasks in the
+    /// worker's FIFO and deadlock the striped (non-stealing) pool. A join
+    /// from inside a task (a subscriber stand-in's colour ∥ depth decode
+    /// inside the SFU's sharded fan-out) could not deadlock, since its
+    /// caller takes the queued side back, but runs inline too: the
+    /// enclosing pass already keeps every worker busy.
     static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -114,6 +119,48 @@ struct PoolTelemetry {
     queue_depth: Arc<Gauge>,
     task_ms: Arc<Histogram>,
     tasks: Arc<Counter>,
+}
+
+/// Run one task on this thread: time it, count it and catch its panic.
+fn run_task<R>(
+    telemetry: &Option<Arc<PoolTelemetry>>,
+    f: impl FnOnce() -> R,
+) -> std::thread::Result<R> {
+    let started = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(f));
+    if let Some(t) = telemetry {
+        t.task_ms.record(started.elapsed().as_secs_f64() * 1e3);
+        t.tasks.inc();
+    }
+    result
+}
+
+/// Count one queued task as started.
+fn dequeued(depth: &AtomicUsize, telemetry: &Option<Arc<PoolTelemetry>>) {
+    let queued = depth.fetch_sub(1, Ordering::Relaxed) - 1;
+    if let Some(t) = telemetry {
+        t.queue_depth.set(queued as f64);
+    }
+}
+
+/// The queued side of a [`WorkerPool::join`]. Its job runs once, on
+/// whichever thread claims it first: the worker that pops its queue entry,
+/// or the joining caller once its own side is done.
+struct Handoff {
+    job: Mutex<Option<Task>>,
+    state: ScopeState,
+}
+
+impl Handoff {
+    /// Run the job unless the other party has claimed it.
+    fn run(&self, depth: &AtomicUsize, telemetry: &Option<Arc<PoolTelemetry>>) {
+        let Some(job) = self.job.lock().unwrap().take() else {
+            return;
+        };
+        dequeued(depth, telemetry);
+        job();
+        self.state.task_finished();
+    }
 }
 
 /// Join/panic bookkeeping shared between a scope and its in-flight tasks.
@@ -262,12 +309,19 @@ impl WorkerPool {
         }
     }
 
-    /// Run two closures concurrently and return both results — the binary
-    /// fork/join form of [`WorkerPool::scope`], used by the receiver to
-    /// decode the colour and depth streams side by side. On a one-thread
-    /// pool (or when called from inside a pool task) `a` and `b` run
-    /// sequentially on the calling thread; a panic in either is propagated
-    /// after both have been joined.
+    /// Run two closures concurrently and return both results: the binary
+    /// fork/join the sender and the receiver use for their colour ∥ depth
+    /// lanes.
+    ///
+    /// `b` runs on the calling thread while `a` waits in the first worker's
+    /// queue. Once `b` is done, the caller takes `a` back and runs it itself
+    /// if no worker has started it yet, and otherwise waits for it, so a
+    /// join never costs more than running both sides serially plus one
+    /// queue push. On a one-thread pool, or when called from inside a pool
+    /// task (see [`IS_WORKER`]), `a` then `b` run inline. Each side counts
+    /// once as a pool task, whichever thread ran it. A panic in either side
+    /// is propagated after both have finished; `a`'s payload wins if both
+    /// panicked.
     pub fn join<RA, RB>(
         &self,
         a: impl FnOnce() -> RA + Send,
@@ -277,18 +331,55 @@ impl WorkerPool {
         RA: Send,
         RB: Send,
     {
+        let telemetry = self.telemetry.lock().unwrap().clone();
         let mut ra = None;
-        let mut rb = None;
-        self.scope(|s| {
-            let slot_a = &mut ra;
-            let slot_b = &mut rb;
-            s.spawn(move || *slot_a = Some(a()));
-            s.spawn(move || *slot_b = Some(b()));
-        });
-        (
-            ra.expect("join closure a did not run"),
-            rb.expect("join closure b did not run"),
-        )
+        let rb = if self.queues.is_empty() || IS_WORKER.with(|w| w.get()) {
+            ra = Some(run_task(&telemetry, a));
+            run_task(&telemetry, b)
+        } else {
+            let (slot, tel) = (&mut ra, &telemetry);
+            let side_a: Box<dyn FnOnce() + Send + '_> =
+                Box::new(move || *slot = Some(run_task(tel, a)));
+            // SAFETY: `side_a` borrows `ra`, `telemetry` and whatever `a`
+            // borrows, and is erased to 'static to sit in a worker's queue.
+            // It is only ever called by whoever takes it out of
+            // `handoff.job` under the lock, a worker or this caller; the
+            // queue entry a worker pops after the caller took it back finds
+            // nothing and touches nothing of this frame. If a worker took
+            // it, `wait_all` below holds the caller until the job has run
+            // and been dropped, before it reads `ra` or returns (`b` cannot
+            // unwind past it: it runs under `catch_unwind`). Identical
+            // layout: only the trait object's lifetime parameter changes.
+            let side_a: Task = unsafe {
+                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
+                    side_a,
+                )
+            };
+            let handoff = Arc::new(Handoff {
+                job: Mutex::new(Some(side_a)),
+                state: ScopeState::new(),
+            });
+            handoff.state.task_started();
+            let (h, depth, tel) = (handoff.clone(), self.depth.clone(), telemetry.clone());
+            self.push(0, Box::new(move || h.run(&depth, &tel)), &telemetry);
+            let rb = run_task(&telemetry, b);
+            handoff.run(&self.depth, &telemetry);
+            handoff.state.wait_all();
+            rb
+        };
+        match (ra.expect("join side a did not run"), rb) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(p), _) | (_, Err(p)) => resume_unwind(p),
+        }
+    }
+
+    /// Queue `task` on worker `i`, counting it as queued.
+    fn push(&self, i: usize, task: Task, telemetry: &Option<Arc<PoolTelemetry>>) {
+        let queued = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(t) = telemetry {
+            t.queue_depth.set(queued as f64);
+        }
+        self.queues[i].push(task);
     }
 
     /// Split `items` into up to `2 × threads` contiguous shards and run
@@ -374,13 +465,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             // worker that is about to block on them would deadlock. Same
             // panic policy as workers so one panicking stripe doesn't skip
             // its siblings.
-            let started = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(f));
-            if let Some(t) = &telemetry {
-                t.task_ms.record(started.elapsed().as_secs_f64() * 1e3);
-                t.tasks.inc();
-            }
-            if let Err(p) = result {
+            if let Err(p) = run_task(&telemetry, f) {
                 state.store_panic(p);
             }
             state.task_finished();
@@ -388,15 +473,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         }
 
         let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let queued = depth.fetch_sub(1, Ordering::Relaxed) - 1;
-            let started = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(f));
-            if let Some(t) = &telemetry {
-                t.queue_depth.set(queued as f64);
-                t.task_ms.record(started.elapsed().as_secs_f64() * 1e3);
-                t.tasks.inc();
-            }
-            if let Err(p) = result {
+            dequeued(&depth, &telemetry);
+            if let Err(p) = run_task(&telemetry, f) {
                 state.store_panic(p);
             }
             state.task_finished();
@@ -412,11 +490,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             )
         };
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.queues.len();
-        let queued = self.pool.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(t) = &self.telemetry {
-            t.queue_depth.set(queued as f64);
-        }
-        self.pool.queues[i].push(task);
+        self.pool.push(i, task, &self.telemetry);
     }
 }
 
@@ -451,7 +525,8 @@ pub fn global() -> &'static Arc<WorkerPool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::time::Duration;
 
     #[test]
     fn scope_runs_all_tasks_with_borrows() {
@@ -584,6 +659,186 @@ mod tests {
         }));
         assert!(outcome.is_err());
         // Pool still usable afterwards.
+        assert_eq!(pool.join(|| 1, || 2), (1, 2));
+    }
+
+    /// Every worker of a pool held busy by a task that waits for
+    /// [`Blockers::release`], or [`HOLD`] at most.
+    struct Blockers {
+        released: Arc<AtomicBool>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    const HOLD: Duration = Duration::from_secs(5);
+
+    impl Blockers {
+        /// Returns once every worker has started its blocking task.
+        fn start(pool: &Arc<WorkerPool>) -> Self {
+            let released = Arc::new(AtomicBool::new(false));
+            let started = Arc::new(AtomicUsize::new(0));
+            let (p, r, st) = (pool.clone(), released.clone(), started.clone());
+            let thread = std::thread::spawn(move || {
+                p.scope(|s| {
+                    for _ in 0..p.threads() {
+                        let (r, st) = (&r, &st);
+                        s.spawn(move || {
+                            st.fetch_add(1, Ordering::SeqCst);
+                            let t0 = Instant::now();
+                            while !r.load(Ordering::SeqCst) && t0.elapsed() < HOLD {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        });
+                    }
+                })
+            });
+            while started.load(Ordering::SeqCst) < pool.threads() {
+                std::thread::yield_now();
+            }
+            Blockers { released, thread }
+        }
+
+        fn release(self) {
+            self.released.store(true, Ordering::SeqCst);
+            self.thread.join().unwrap();
+        }
+    }
+
+    /// Wait until `flag` is set, or [`HOLD`] passed.
+    fn wait_for(flag: &AtomicBool) {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::SeqCst) && t0.elapsed() < HOLD {
+            std::hint::spin_loop();
+        }
+    }
+
+    fn tasks(registry: &MetricsRegistry) -> u64 {
+        registry
+            .snapshot()
+            .counter("runtime.pool.tasks")
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn join_takes_back_a_side_no_worker_started() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let registry = Arc::new(MetricsRegistry::new());
+        pool.attach_telemetry(&registry, "runtime.pool");
+        let blockers = Blockers::start(&pool);
+        let runs = AtomicU64::new(0);
+        let side = || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            std::thread::current().id()
+        };
+        let t0 = Instant::now();
+        let (a, b) = pool.join(side, side);
+        let took = t0.elapsed();
+        let counted = tasks(&registry);
+        blockers.release();
+        let caller = std::thread::current().id();
+        assert_eq!((a, b), (caller, caller), "both sides ran on the caller");
+        assert!(took < HOLD / 5, "join waited {took:?} for a busy worker");
+        assert_eq!(counted, 2, "each side counts once");
+        // The workers now pop the queue entry the caller emptied; it runs
+        // nothing, and the pool goes on as before.
+        assert_eq!(pool.join(|| 1, || 2), (1, 2));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn join_counts_two_tasks_on_every_path() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let inline = WorkerPool::new(1);
+        inline.attach_telemetry(&registry, "runtime.pool");
+        assert_eq!(inline.join(|| 1, || 2), (1, 2));
+        assert_eq!(tasks(&registry), 2, "inline");
+
+        let registry = Arc::new(MetricsRegistry::new());
+        let pool = Arc::new(WorkerPool::new(2));
+        pool.attach_telemetry(&registry, "runtime.pool");
+        // Worker path: the caller's side holds until a worker started `a`.
+        let started = AtomicBool::new(false);
+        let caller = std::thread::current().id();
+        let (ran_on, _) = pool.join(
+            || {
+                started.store(true, Ordering::SeqCst);
+                std::thread::current().id()
+            },
+            || wait_for(&started),
+        );
+        assert_ne!(ran_on, caller, "a worker ran the queued side");
+        assert_eq!(tasks(&registry), 2, "worker path");
+        // Take-back path: every worker busy.
+        let blockers = Blockers::start(&pool);
+        pool.join(|| (), || ());
+        assert_eq!(tasks(&registry), 4, "take-back path");
+        blockers.release();
+        // Inline from inside a pool task: the task and its two sides.
+        let before = tasks(&registry);
+        pool.scope(|s| s.spawn(|| assert_eq!(pool.join(|| 1, || 2), (1, 2))));
+        assert_eq!(tasks(&registry) - before, 3, "join inside a task");
+    }
+
+    #[test]
+    fn join_panics_propagate_after_both_sides_finished() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let message = |outcome: std::thread::Result<_>| {
+            let payload = outcome.expect_err("the join must propagate the panic");
+            let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+            text.or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        };
+        let caller = std::thread::current().id();
+
+        // Taken back: `a` panics on the caller after `b` finished, and `b`
+        // panics with `a` still to run.
+        for a_panics in [true, false] {
+            let blockers = Blockers::start(&pool);
+            let (a_ran, b_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || {
+                        a_ran.store(true, Ordering::SeqCst);
+                        assert_eq!(std::thread::current().id(), caller);
+                        assert!(!a_panics, "a exploded");
+                    },
+                    || {
+                        b_ran.store(true, Ordering::SeqCst);
+                        assert!(a_panics, "b exploded");
+                    },
+                )
+            }));
+            blockers.release();
+            let expect = if a_panics { "a exploded" } else { "b exploded" };
+            assert!(message(outcome).contains(expect));
+            assert!(a_ran.load(Ordering::SeqCst) && b_ran.load(Ordering::SeqCst));
+        }
+
+        // Run by a worker: `a` panics there while `b` waits for it to
+        // start, and `b` panics while `a` is still running there.
+        for a_panics in [true, false] {
+            let (started, a_done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || {
+                        started.store(true, Ordering::SeqCst);
+                        assert_ne!(std::thread::current().id(), caller);
+                        std::thread::sleep(Duration::from_millis(20));
+                        a_done.store(true, Ordering::SeqCst);
+                        assert!(!a_panics, "a exploded");
+                    },
+                    || {
+                        wait_for(&started);
+                        assert!(a_panics, "b exploded");
+                    },
+                )
+            }));
+            let expect = if a_panics { "a exploded" } else { "b exploded" };
+            assert!(message(outcome).contains(expect));
+            assert!(
+                a_done.load(Ordering::SeqCst),
+                "the worker's side finished first"
+            );
+        }
         assert_eq!(pool.join(|| 1, || 2), (1, 2));
     }
 

@@ -14,7 +14,5 @@ R="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$R"
 OUT_JSON=${1:-$R/BENCH_kernels.json}
 
-export LIVO_BENCH_RUSTC="$(rustc --version)"
-export LIVO_BENCH_GIT_REV="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 LIVO_LOG=warn cargo run --release --bin repro -- --json "$OUT_JSON" --gate kernels
 echo "wrote $OUT_JSON"

@@ -94,16 +94,20 @@ fi
 if grep -rnE "AnomalyConfig|pli_storm|gcc_collapse|pool_starvation|observe_gcc|observe_pli|trace\.anomalies" crates src tests examples; then
   echo "a flight-recorder detector, AnomalyConfig or a trace.anomalies counter is back"; exit 1
 fi
-# One level of parallelism per decision: the cull walks one row loop, a
-# decoder its slices in a plain loop, and the receiver's colour ∥ depth join
-# is the only decode parallelism. The row bands, the unused index loop and
-# the slice-parallel decode point stay gone, and nothing calls the two inert
+# One level of parallelism per decision: the cull walks one row loop, an
+# encoder and a decoder their slices in plain loops, and the two stages'
+# colour ∥ depth joins (SenderStage::encode, ReceiverStage::ingest) are the
+# only codec parallelism. The row bands, the unused index loop, the
+# slice-parallel decode point and the encoder's row stripes and slice jobs
+# stay gone: livo-codec2d/src names no WorkerPool and opens no scope outside
+# the two inert `set_worker_pool` definitions. Nothing calls the inert
 # stand-ins that benchmark/src/adapters.rs still names (`cull_views_on`,
-# `Decoder::set_worker_pool`) outside their definitions.
+# `Decoder::set_worker_pool`, `Encoder::set_worker_pool`) on a binding.
 if grep -rnE "band_rows|for_each_index|decode_sliced" crates src tests examples \
   || grep -rn "cull_views_on(" crates src tests examples | grep -v "pub fn cull_views_on(" \
-  || grep -rnE "\w*dec\w*\.set_worker_pool\(" crates src tests examples; then
-  echo "the banded cull, for_each_index, decode_sliced or a call of an inert pool stand-in is back"; exit 1
+  || grep -rnE "\w*(dec|enc)\w*\.set_worker_pool\(" crates src tests examples \
+  || grep -rnE "WorkerPool|\.scope\(" crates/livo-codec2d/src | grep -v "pub fn set_worker_pool("; then
+  echo "the banded cull, for_each_index, decode_sliced, a pool in the 2D codec or a call of an inert pool stand-in is back"; exit 1
 fi
 # SIMD dispatch: the kernel differential suite and the renderer's oracle
 # tests ran at the auto-detected tier above; they must also hold with the

@@ -1,46 +1,93 @@
-//! Serial-vs-parallel encoder bit-exactness across all five scene presets.
+//! Bit-exactness of the sender's parallel encode across all five scene
+//! presets.
 //!
-//! The parallel inter-frame path in `livo-codec2d` splits each plane into
-//! macroblock-row stripes that run motion search + transform + quantisation
-//! concurrently, then entropy-codes the planned rows one slice per task.
-//! That design is only correct if the bitstream is *byte-identical* to the
-//! serial encoder's — otherwise sender and receiver drift apart depending on
+//! `SenderStage` encodes its colour and depth canvases side by side, one
+//! `WorkerPool::join` per frame; each encoder codes its own frame serially.
+//! That is only correct if the bitstreams are *byte-identical* to a stage
+//! without a pool — otherwise sender and receiver drift apart depending on
 //! `LIVO_THREADS`. This test pins that property on realistic content: every
 //! preset of Table 3, colour (YUV 4:2:0) and scaled-Y16 depth canvases,
-//! closed-loop over several frames, at pool sizes 1, 2 and 4 (the same sizes
+//! closed-loop over several frames under rate control and at fixed QPs,
+//! with no pool and at pool sizes 1, 2 and 4 (the same sizes
 //! `LIVO_THREADS=1|2|4` would give the process-wide pool).
 //!
-//! Each encoder is also paired with a decoder that consumes its bitstream
+//! Each stream is also paired with a decoder that consumes its bitstream
 //! every frame and must reproduce the encoder's reconstruction bit-exactly.
-//! The encoder reuses its pooled scratch (plan/motion-vector arenas, the
+//! The encoders reuse their scratch (plan/motion-vector arenas, the
 //! double-buffered work reconstruction) across all frames, so this pins the
 //! scratch-reuse path against prediction drift over a multi-frame GOP.
 
 use std::sync::Arc;
 
 use livo::capture::{camera_ring, RgbdFrame};
-use livo::codec2d::EncodedFrame;
+use livo::codec2d::{EncodedFrame, FrameType};
 use livo::core::depth::{DepthCodec, DepthEncoding};
+use livo::core::stage::{Canvases, Rate, NOADAPT_QPS};
 use livo::core::tile::{compose_color, compose_depth, TileLayout};
 use livo::prelude::*;
 use livo::runtime::WorkerPool;
 
 const N_CAMERAS: usize = 2;
-const SCALE: f32 = 0.18; // 115×104 tiles → ~7 MB rows per plane, real stripes
+const SCALE: f32 = 0.18; // 115×104 tiles → ~7 MB rows per plane
 const FRAMES: u32 = 5;
 const THREADS: [usize; 3] = [1, 2, 4];
 
-fn encoders(w: usize, h: usize, format: PixelFormat, slices: u8) -> Vec<(String, Encoder)> {
-    let mut cfg = EncoderConfig::new(w, h, format);
-    cfg.gop_length = 0; // open GOP: frames 1.. are inter, the parallel path
-    cfg.slices = slices;
-    let mut out = vec![("serial".to_string(), Encoder::new(cfg))];
+/// The sender matrix: a stage with no pool, then one on each pool size.
+fn senders(layout: TileLayout) -> Vec<(String, SenderStage)> {
+    let stage = || SenderStage::new(layout, DepthEncoding::ScaledY16, 1);
+    let mut out = vec![("no pool".to_string(), stage())];
     for n in THREADS {
-        let mut enc = Encoder::new(cfg);
-        enc.set_worker_pool(Arc::new(WorkerPool::new(n)));
-        out.push((format!("pool({n})"), enc));
+        let mut s = stage();
+        s.set_worker_pool(Arc::new(WorkerPool::new(n)));
+        out.push((format!("pool({n})"), s));
     }
     out
+}
+
+/// Encode `canvases` on every stage of the matrix, and check each stage's
+/// pair against the first's byte for byte and each stream against its
+/// decoder. Returns the first stage's pair.
+fn encode_matrix(
+    stages: &mut [(String, SenderStage)],
+    decoders: &mut [[Decoder; 2]],
+    canvases: &Canvases,
+    rate: Rate,
+    tag: &str,
+) -> (EncodedFrame, EncodedFrame) {
+    let outputs: Vec<(EncodedFrame, EncodedFrame)> = stages
+        .iter_mut()
+        .map(|(_, s)| s.encode(canvases, rate, 0, 0))
+        .collect();
+    for (((name, _), (color, depth)), decs) in stages.iter().zip(&outputs).zip(decoders) {
+        for ((stream, out, reference), dec) in [
+            ("colour", color, &outputs[0].0),
+            ("depth", depth, &outputs[0].1),
+        ]
+        .into_iter()
+        .zip(decs)
+        {
+            assert_eq!(
+                out.data, reference.data,
+                "{tag}: {name} {stream} bitstream diverged from the stage without a pool"
+            );
+            assert!(
+                out.reconstruction == reference.reconstruction,
+                "{tag}: {name} {stream} reconstruction diverged"
+            );
+            let decoded = dec
+                .decode(&out.data)
+                .unwrap_or_else(|e| panic!("{tag}: {name} {stream} decode: {e:?}"));
+            assert!(
+                decoded == out.reconstruction,
+                "{tag}: {name} {stream} decoder drifted from encoder reconstruction"
+            );
+        }
+    }
+    outputs.into_iter().next().unwrap()
+}
+
+fn decoders(n: usize) -> Vec<[Decoder; 2]> {
+    (0..n).map(|_| [Decoder::new(), Decoder::new()]).collect()
 }
 
 #[test]
@@ -54,59 +101,65 @@ fn parallel_encode_is_bit_exact_on_every_preset() {
     );
     let k = cameras[0].intrinsics;
     let layout = TileLayout::new(k.width as usize, k.height as usize, N_CAMERAS);
-    let depth_codec = DepthCodec::new(6000, DepthEncoding::ScaledY16);
 
     for video in VideoId::ALL {
         let preset = DatasetPreset::load(video);
-        let mut color_encs = encoders(layout.canvas_w, layout.canvas_h, PixelFormat::Yuv420, 0);
-        let mut depth_encs = encoders(layout.canvas_w, layout.canvas_h, PixelFormat::Y16, 0);
-        let mut color_decs: Vec<Decoder> = color_encs.iter().map(|_| Decoder::new()).collect();
-        let mut depth_decs: Vec<Decoder> = depth_encs.iter().map(|_| Decoder::new()).collect();
+        let mut stages = senders(layout);
+        let mut decs = decoders(stages.len());
 
         for seq in 0..FRAMES {
             // Advance scene time each frame so inter frames carry real motion.
             let snap = preset.scene.at(seq as f32 / 30.0);
             let pool = WorkerPool::new(1);
             let views: Vec<RgbdFrame> = livo::capture::render_views_at(&pool, &cameras, &snap, seq);
-            let color = compose_color(&views, &layout, seq);
-            let depth = compose_depth(&views, &layout, &depth_codec, seq);
-
-            for (canvas, encs, decs, bits) in [
-                (&color, &mut color_encs, &mut color_decs, 180_000u64),
-                (&depth, &mut depth_encs, &mut depth_decs, 220_000u64),
-            ] {
-                let outputs: Vec<(String, EncodedFrame)> = encs
-                    .iter_mut()
-                    .map(|(n, e)| (n.clone(), e.encode(canvas, bits)))
-                    .collect();
-                let (_, reference) = &outputs[0];
-                for (name, out) in &outputs[1..] {
-                    assert_eq!(
-                        out.data, reference.data,
-                        "{video} frame {seq}: {name} bitstream diverged from serial"
-                    );
+            let canvases = stages[0].1.compose(&views, seq);
+            // The last frame takes the fixed-QP arm of the join.
+            let rate = if seq + 1 < FRAMES {
+                Rate::Budget {
+                    color_bits: 180_000,
+                    depth_bits: 220_000,
                 }
-                for ((name, out), dec) in outputs.iter().zip(decs.iter_mut()) {
-                    let decoded = dec
-                        .decode(&out.data)
-                        .unwrap_or_else(|e| panic!("{video} frame {seq}: {name} decode: {e:?}"));
-                    assert!(
-                        decoded == out.reconstruction,
-                        "{video} frame {seq}: {name} decoder drifted from encoder reconstruction"
-                    );
+            } else {
+                Rate::FixedQp {
+                    color: NOADAPT_QPS.0,
+                    depth: NOADAPT_QPS.1,
                 }
-            }
+            };
+            encode_matrix(
+                &mut stages,
+                &mut decs,
+                &canvases,
+                rate,
+                &format!("{video} frame {seq}"),
+            );
         }
     }
 }
 
-/// The multi-slice matrix: encoders at pool sizes {serial,1,2,4} must emit
-/// byte-identical bitstreams, and a decoder must reproduce the encoder
-/// reconstruction bit-exactly — every preset, colour and depth, closed-loop
-/// over inter frames.
+/// The sender's join is the only encode parallelism: an encoder handed a
+/// two-thread pool still codes an intra and an inter frame on the calling
+/// thread, and queues no pool task. (`Encoder::set_worker_pool` is inert
+/// and called by path here; nothing else calls it.)
+#[test]
+fn a_pool_handed_to_the_encoder_runs_no_task() {
+    let pool = Arc::new(WorkerPool::new(2));
+    let registry = Arc::new(livo::telemetry::MetricsRegistry::new());
+    pool.attach_telemetry(&registry, "runtime.pool");
+    let mut enc = Encoder::new(EncoderConfig::new(128, 96, PixelFormat::Yuv420));
+    Encoder::set_worker_pool(&mut enc, pool);
+    let types: Vec<FrameType> = (0..2)
+        .map(|t| enc.encode(&golden_frame(128, 96, t), 60_000).frame_type)
+        .collect();
+    assert_eq!(types, [FrameType::Intra, FrameType::Inter]);
+    assert_eq!(registry.snapshot().counter("runtime.pool.tasks"), Some(0));
+}
+
+/// The multi-slice stream: an encoder configured for four slices writes
+/// them, and a decoder reproduces its reconstruction bit-exactly — every
+/// preset, colour and depth, closed-loop over inter frames.
 #[test]
 fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
-    const SLICES: u8 = 4; // the ~115x104 canvas has 7 MB rows → real stripes
+    const SLICES: u8 = 4; // the ~115x104 canvas has 7 MB rows
     let cameras = camera_ring(
         N_CAMERAS,
         2.5,
@@ -120,13 +173,14 @@ fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
 
     for video in VideoId::ALL {
         let preset = DatasetPreset::load(video);
-        let mut color_encs = encoders(
-            layout.canvas_w,
-            layout.canvas_h,
-            PixelFormat::Yuv420,
-            SLICES,
-        );
-        let mut depth_encs = encoders(layout.canvas_w, layout.canvas_h, PixelFormat::Y16, SLICES);
+        let encoder = |format| {
+            let mut cfg = EncoderConfig::new(layout.canvas_w, layout.canvas_h, format);
+            cfg.gop_length = 0; // open GOP: frames 1.. are inter
+            cfg.slices = SLICES;
+            Encoder::new(cfg)
+        };
+        let mut color_enc = encoder(PixelFormat::Yuv420);
+        let mut depth_enc = encoder(PixelFormat::Y16);
         let mut color_dec = Decoder::new();
         let mut depth_dec = Decoder::new();
 
@@ -137,32 +191,22 @@ fn sliced_encode_and_decode_are_bit_exact_on_every_preset() {
             let color = compose_color(&views, &layout, seq);
             let depth = compose_depth(&views, &layout, &depth_codec, seq);
 
-            for (canvas, encs, dec, bits) in [
-                (&color, &mut color_encs, &mut color_dec, 180_000u64),
-                (&depth, &mut depth_encs, &mut depth_dec, 220_000u64),
+            for (canvas, enc, dec, bits) in [
+                (&color, &mut color_enc, &mut color_dec, 180_000u64),
+                (&depth, &mut depth_enc, &mut depth_dec, 220_000u64),
             ] {
-                let outputs: Vec<(String, EncodedFrame)> = encs
-                    .iter_mut()
-                    .map(|(n, e)| (n.clone(), e.encode(canvas, bits)))
-                    .collect();
-                let (_, reference) = &outputs[0];
+                let out = enc.encode(canvas, bits);
                 assert_eq!(
-                    reference.data[7], SLICES,
+                    out.data[7], SLICES,
                     "{video} frame {seq}: the header carries the configured slice count"
                 );
-                for (name, out) in &outputs[1..] {
-                    assert_eq!(
-                        out.data, reference.data,
-                        "{video} frame {seq}: sliced {name} bitstream diverged from serial"
-                    );
-                }
-                // The decoder consumes the same stream and must land on the
+                // The decoder consumes the stream and must land on the
                 // same pixels as the encoder's closed loop.
                 let decoded = dec
-                    .decode(&reference.data)
+                    .decode(&out.data)
                     .unwrap_or_else(|e| panic!("{video} frame {seq}: sliced decode: {e:?}"));
                 assert!(
-                    decoded == reference.reconstruction,
+                    decoded == out.reconstruction,
                     "{video} frame {seq}: sliced decoder drifted from reconstruction"
                 );
             }
@@ -193,52 +237,46 @@ fn golden_frame(w: usize, h: usize, t: usize) -> livo::codec2d::Frame {
 
 /// Frames under 8 macroblock rows are one-slice frames in the same sliced
 /// container as everything else. Pinned separately from the preset matrix,
-/// whose canvases happen to be 7 macroblock rows and whose decoders are all
-/// serial: both pixel formats, closed-loop over inter frames, encoders at
-/// pool sizes {serial,1,2,4} byte-identical, the decoder bit-exact with the
-/// encoder's reconstruction.
+/// whose canvases happen to be 7 macroblock rows: a synthetic colour and
+/// depth pair, closed-loop over inter frames, through the sender matrix
+/// (no pool, pools of 1, 2 and 4) byte-identical, each decoder bit-exact
+/// with its encoder's reconstruction.
 #[test]
 fn one_slice_frames_are_bit_exact_at_every_pool_size() {
     const W: usize = 80;
     const H: usize = 72; // 5 MB rows (the last one partial) → one slice
-    for format in [PixelFormat::Yuv420, PixelFormat::Y16] {
-        let mut encs = encoders(W, H, format, 0);
-        let mut dec = Decoder::new();
-        for t in 0..4 {
-            let frame = match format {
-                PixelFormat::Yuv420 => golden_frame(W, H, t),
-                PixelFormat::Y16 => livo::codec2d::Frame::from_y16(
-                    W,
-                    H,
-                    (0..W * H)
-                        .map(|i| (((i % W + 3 * t) * 211 + (i / W + t) * 397) % 60013) as u16)
-                        .collect(),
-                ),
-            };
-            let outputs: Vec<(String, EncodedFrame)> = encs
-                .iter_mut()
-                .map(|(n, e)| (n.clone(), e.encode(&frame, 120_000)))
-                .collect();
-            let (_, reference) = &outputs[0];
-            assert_eq!(
-                reference.data[0],
-                livo::codec2d::slice::SLICED_MAGIC,
-                "{format:?} frame {t}"
-            );
-            assert_eq!(reference.data[7], 1, "{format:?} frame {t}: one slice");
-            for (name, out) in &outputs[1..] {
-                assert_eq!(
-                    out.data, reference.data,
-                    "{format:?} frame {t}: {name} bitstream diverged from serial"
-                );
-            }
-            let decoded = dec
-                .decode(&reference.data)
-                .unwrap_or_else(|e| panic!("{format:?} frame {t}: {e:?}"));
-            assert!(
-                decoded == reference.reconstruction,
-                "{format:?} frame {t}: decoder drifted from reconstruction"
-            );
+    let layout = TileLayout {
+        canvas_w: W,
+        canvas_h: H,
+        ..TileLayout::new(W, H - 8, 1)
+    };
+    let mut stages = senders(layout);
+    let mut decs = decoders(stages.len());
+    for t in 0..4 {
+        let canvases = Canvases {
+            color: golden_frame(W, H, t),
+            depth: livo::codec2d::Frame::from_y16(
+                W,
+                H,
+                (0..W * H)
+                    .map(|i| (((i % W + 3 * t) * 211 + (i / W + t) * 397) % 60013) as u16)
+                    .collect(),
+            ),
+        };
+        let rate = Rate::Budget {
+            color_bits: 120_000,
+            depth_bits: 120_000,
+        };
+        let (color, depth) = encode_matrix(
+            &mut stages,
+            &mut decs,
+            &canvases,
+            rate,
+            &format!("frame {t}"),
+        );
+        for out in [color, depth] {
+            assert_eq!(out.data[0], livo::codec2d::slice::SLICED_MAGIC, "frame {t}");
+            assert_eq!(out.data[7], 1, "frame {t}: one slice");
         }
     }
 }
