@@ -368,9 +368,9 @@ fn culled_views(t: f32, seq: u32) -> (Vec<RgbdFrame>, TileLayout) {
 }
 
 /// What a `WorkerPool::scope` costs on pool(2) against the inline pool: a
-/// scope of two empty tasks (wake-up and join alone) and one of eight
-/// ≈ 1 ms spins (whether a second thread is there to take half of them).
-/// Diagnostics for ROADMAP item 5(b), not gated.
+/// scope of two empty tasks (queueing, take-back and join alone) and one
+/// of eight ≈ 1 ms spins (whether a second thread is there to take half of
+/// them). Diagnostics for ROADMAP item 5(d), not gated.
 fn bench_pool_scope() -> (KernelPoint, KernelPoint) {
     const SCOPES: usize = 200;
     // ≈ 1 ms of dependent shifts at 2–3 GHz.

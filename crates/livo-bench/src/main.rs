@@ -13,12 +13,12 @@
 //! covers 18–19; fig20 covers 20–21; fig17 covers 17+A.1.)
 //!
 //! `sfu` runs the N-subscriber scaling sweep (encode passes per frame and
-//! route-time percentiles, shared vs naive vs a 1-thread serial baseline,
-//! plus a Poisson churn run per N); `--json [path]` snapshots it (schema
-//! `livo-bench-sfu-v2`, committed as BENCH_sfu.json), and
-//! `--gate` exits non-zero if passes stop tracking the cluster count, the
-//! sharded router falls behind the serial baseline at N=100, or churn
-//! intras violate the one-per-RTT guard.
+//! route-time percentiles, shared vs naive, a Poisson churn run per N, and
+//! a full-scale pooled vs 1-thread route at N=10); `--json [path]`
+//! snapshots it (schema `livo-bench-sfu-v2`, committed as BENCH_sfu.json),
+//! and `--gate` exits non-zero if passes stop tracking the cluster count,
+//! the pooled route falls behind the 1-thread one, or churn intras violate
+//! the one-per-RTT guard.
 //!
 //! `kernels` runs the hot-kernel microbench (cull, union cull, DCT, SAD,
 //! the block coder in time and bits) against the bodies they replaced,
@@ -459,8 +459,8 @@ fn main() {
             gate_or_exit(
                 sfu_bench::gate_ok(sweep),
                 "sfu gate passed: passes track clusters, sharded route holds, churn guarded",
-                "sfu gate failed: passes off the cluster count, sharded slower than \
-                 serial at N=100, or churn intras inside one RTT",
+                "sfu gate failed: passes off the cluster count, the pooled full-scale \
+                 route slower than one thread, or churn intras inside one RTT",
                 &[],
             );
         }

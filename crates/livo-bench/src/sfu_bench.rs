@@ -18,9 +18,10 @@
 //!   exact p50/p99 percentiles (the registry's log-bucket histogram is
 //!   too coarse to gate on), and so is the frame's `run_until`, with how
 //!   many subscriber session ticks it ran.
-//! - At N = 100 the same workload also runs on a single-thread pool; the
-//!   gate requires the sharded route time to stay at or below that serial
-//!   baseline (within noise) whenever more than one worker is available.
+//! - The sharded-route check runs at paper scale, where a route is long
+//!   enough to judge ([`route_check`]); the gate holds the pooled route
+//!   p50 to [`SERIAL_TOLERANCE`] × the one-thread p50 whenever the pool
+//!   has more than one thread.
 //! - Naive fan-out is only measured up to [`NAIVE_CAP`] subscribers — at
 //!   N = 500 it would encode 15 000 passes to prove a point made at 10.
 //! - A Poisson churn run per N (exponential inter-arrival joins/leaves
@@ -53,8 +54,12 @@ pub const QUICK_COUNTS: [usize; 2] = [10, 100];
 
 /// Naive fan-out is measured only up to this N.
 pub const NAIVE_CAP: usize = 10;
-/// The sharded-vs-serial comparison runs at this N.
-pub const SERIAL_BASELINE_N: usize = 100;
+/// The sharded-route check: viewers per set, cameras, camera scale, and
+/// frames rendered (routed forward, then backward).
+const ROUTE_CHECK_N: usize = 10;
+const ROUTE_CHECK_CAMERAS: usize = 10;
+const ROUTE_CHECK_SCALE: f32 = 1.0;
+const ROUTE_CHECK_RENDERED: u32 = 6;
 /// With more than this many subscribers, 1 in `STANDIN_SAMPLE` runs the
 /// decode stand-in; the rest skip decode (transport still simulated).
 const STANDIN_SAMPLE: usize = 25;
@@ -63,7 +68,7 @@ const STANDIN_SAMPLE: usize = 25;
 /// sweep CI-friendly).
 const FRAMES: u64 = 30;
 
-/// Sharded route p50 must be <= serial p50 * this (noise allowance).
+/// Pooled route p50 must be <= one-thread p50 * this (noise allowance).
 const SERIAL_TOLERANCE: f64 = 1.15;
 /// One RTT on the default emulated link (20 ms each way), with 0.8 slack
 /// for the measured-RTT cooldown: intras on one chain must be at least
@@ -83,9 +88,6 @@ pub struct ScalingPoint {
     pub shared_route_ms_p50: f64,
     pub shared_route_ms_p99: f64,
     pub naive_route_ms_p50: Option<f64>,
-    /// Same workload on a 1-thread pool; only measured at
-    /// [`SERIAL_BASELINE_N`].
-    pub serial_route_ms_p50: Option<f64>,
     /// Wall-clock of one frame interval's router ticks, milliseconds.
     pub tick_ms_p50: f64,
     /// Subscriber session ticks that ran per frame (`sfu.session_ticks`).
@@ -125,12 +127,22 @@ pub struct ClassPoint {
     pub t1_dropped: u64,
 }
 
-/// The full v2 sweep, plus the worker count it ran with (the serial
-/// comparison is only meaningful with >= 2 workers).
+/// One viewer set of the sharded-route check: its gaze groups, the
+/// clusters the pooled router settled on, and the two route p50s, ms.
+pub struct RouteCheck {
+    pub groups: usize,
+    pub clusters: usize,
+    pub serial_route_ms_p50: f64,
+    pub sharded_route_ms_p50: f64,
+}
+
+/// The full v2 sweep, plus the thread count it ran with (the sharded-route
+/// check is only meaningful with >= 2 threads).
 pub struct SfuSweep {
     pub points: Vec<ScalingPoint>,
     pub churn: Vec<ChurnPoint>,
     pub classes: Vec<ClassPoint>,
+    pub route_checks: Vec<RouteCheck>,
     pub threads: usize,
 }
 
@@ -140,7 +152,8 @@ fn looking(yaw: f32) -> Pose {
     Pose::look_at(eye, eye + dir, Vec3::new(0.0, 1.0, 0.0))
 }
 
-/// Two gaze groups, interleaved over subscriber indices.
+/// Two gaze groups, interleaved over subscriber slots: even slots watch
+/// the stage, odd ones the crowd.
 fn yaw_of(i: usize) -> f32 {
     let jitter = 0.02 * ((i / 2) % 4) as f32;
     if i.is_multiple_of(2) {
@@ -191,25 +204,32 @@ struct RunStats {
     session_ticks_per_frame: f64,
 }
 
-fn run_one(
+/// A router (on `pool`, or the process-wide one) with one subscriber per
+/// slot, each on a 40 Mbit/s link.
+fn router_for(
     cameras: &[RgbdCamera],
-    frames: &[Vec<RgbdFrame>],
-    n: usize,
     sharing: bool,
     pool: Option<Arc<WorkerPool>>,
-) -> RunStats {
+    slots: impl Iterator<Item = usize>,
+    cfg: impl Fn(usize) -> SubscriberConfig,
+) -> (Router, Vec<(SubscriberId, usize)>) {
     let mut b = Router::builder(cameras.to_vec()).sharing(sharing);
     if let Some(pool) = pool {
         b = b.worker_pool(pool);
     }
     let mut router = b.build().expect("valid router config");
-    let subs: Vec<(SubscriberId, usize)> = (0..n)
+    let subs = slots
         .map(|i| {
             let link = BandwidthTrace::constant(40.0, FRAMES as f32 / FPS as f32 + 2.0);
-            let id = router.add_subscriber(subscriber_cfg(i, n), link);
+            let id = router.add_subscriber(cfg(i), link);
             (id.expect("add subscriber"), i)
         })
         .collect();
+    (router, subs)
+}
+
+fn run_one(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize, sharing: bool) -> RunStats {
+    let (mut router, subs) = router_for(cameras, sharing, None, 0..n, |i| subscriber_cfg(i, n));
     let mut now: Micros = 0;
     let (mut route_ms, mut tick_ms) = (Vec::new(), Vec::new());
     for (f, views) in (0..).zip(frames) {
@@ -376,24 +396,55 @@ fn run_classes(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>]) -> Vec<ClassPo
         .collect()
 }
 
+/// `n` cameras on a ring around the stage at `scale` × Kinect resolution.
+fn ring(n: usize, scale: f32) -> Vec<RgbdCamera> {
+    let k = CameraIntrinsics::kinect_depth(scale);
+    rig::camera_ring(n, 2.5, 1.4, Vec3::new(0.0, 1.0, 0.0), k)
+}
+
+/// Render `count` frames of `band2` from `cameras` on the process-wide pool.
+fn render_clip(cameras: &[RgbdCamera], count: u32) -> Vec<Vec<RgbdFrame>> {
+    let preset = DatasetPreset::load(VideoId::Band2);
+    (0..count)
+        .map(|i| {
+            let snap = preset.scene.at(i as f32 / FPS as f32);
+            render_views_at(livo_runtime::global(), cameras, &snap, i)
+        })
+        .collect()
+}
+
+/// The sharded-route check for N = 10 viewers in `groups` gaze groups of
+/// a paper-scale clip (ten cameras at `camera_scale` 1.0, rendered once
+/// per run): the clip routed forward then backward on a one-thread router
+/// and on one holding the process-wide pool, taking turns to go first.
+fn route_check(cameras: &[RgbdCamera], clip: &[Vec<RgbdFrame>], groups: usize) -> RouteCheck {
+    // One group takes even slots only: all watch the stage, jittered.
+    let stride = if groups == 1 { 2 } else { 1 };
+    let slots = || (0..ROUTE_CHECK_N).map(move |i| i * stride);
+    let cfg = |i: usize| SubscriberConfig::new(format!("sub{i}")).without_standin();
+    let pools = [Some(Arc::new(WorkerPool::new(1))), None];
+    let mut runs = pools.map(|pool| (router_for(cameras, true, pool, slots(), cfg), 0, Vec::new()));
+    let order = (0..clip.len()).chain((0..clip.len() - 1).rev());
+    for (f, at) in (0u64..).zip(order) {
+        for k in [f as usize % 2, 1 - f as usize % 2] {
+            let ((router, subs), now, route_ms) = &mut runs[k];
+            route_ms.push(step(router, subs, &clip[at], f, now).1);
+        }
+    }
+    let [(_, _, serial_ms), ((sharded, _), _, sharded_ms)] = runs;
+    RouteCheck {
+        groups,
+        clusters: sharded.cluster_membership().len(),
+        serial_route_ms_p50: percentile(&serial_ms, 0.5),
+        sharded_route_ms_p50: percentile(&sharded_ms, 0.5),
+    }
+}
+
 /// Run the sweep. The rendered capture is shared across all runs — the
 /// benchmark measures routing, not rendering.
 pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
-    let cameras = rig::camera_ring(
-        profile.n_cameras,
-        2.5,
-        1.4,
-        Vec3::new(0.0, 1.0, 0.0),
-        CameraIntrinsics::kinect_depth(profile.camera_scale),
-    );
-    let preset = DatasetPreset::load(VideoId::Band2);
-    let pool = livo_runtime::global();
-    let frames: Vec<Vec<RgbdFrame>> = (0..FRAMES)
-        .map(|i| {
-            let snap = preset.scene.at(i as f32 / FPS as f32);
-            render_views_at(pool, &cameras, &snap, i as u32)
-        })
-        .collect();
+    let cameras = ring(profile.n_cameras, profile.camera_scale);
+    let frames = render_clip(&cameras, FRAMES as u32);
 
     let counts: &[usize] = if quick {
         &QUICK_COUNTS
@@ -403,17 +454,8 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
     let points = counts
         .iter()
         .map(|&n| {
-            let shared = run_one(&cameras, &frames, n, true, None);
-            let naive = (n <= NAIVE_CAP).then(|| run_one(&cameras, &frames, n, false, None));
-            let serial = (n == SERIAL_BASELINE_N).then(|| {
-                run_one(
-                    &cameras,
-                    &frames,
-                    n,
-                    true,
-                    Some(Arc::new(WorkerPool::new(1))),
-                )
-            });
+            let shared = run_one(&cameras, &frames, n, true);
+            let naive = (n <= NAIVE_CAP).then(|| run_one(&cameras, &frames, n, false));
             ScalingPoint {
                 subscribers: n,
                 clusters: shared.clusters,
@@ -422,7 +464,6 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
                 shared_route_ms_p50: percentile(&shared.route_ms, 0.5),
                 shared_route_ms_p99: percentile(&shared.route_ms, 0.99),
                 naive_route_ms_p50: naive.map(|r| percentile(&r.route_ms, 0.5)),
-                serial_route_ms_p50: serial.map(|r| percentile(&r.route_ms, 0.5)),
                 tick_ms_p50: percentile(&shared.tick_ms, 0.5),
                 session_ticks_per_frame: shared.session_ticks_per_frame,
             }
@@ -432,11 +473,16 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
         .iter()
         .map(|&n| run_churn(&cameras, &frames, n))
         .collect();
+    let full_rig = ring(ROUTE_CHECK_CAMERAS, ROUTE_CHECK_SCALE);
+    let clip = render_clip(&full_rig, ROUTE_CHECK_RENDERED);
     SfuSweep {
         points,
         churn,
         classes: run_classes(&cameras, &frames),
-        threads: pool.threads(),
+        route_checks: [1, 2]
+            .map(|groups| route_check(&full_rig, &clip, groups))
+            .into(),
+        threads: livo_runtime::global().threads(),
     }
 }
 
@@ -446,8 +492,9 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
 ///   point of encode sharing).
 /// - Clustering actually shares: above the naive cap there are far fewer
 ///   clusters than subscribers.
-/// - At [`SERIAL_BASELINE_N`] the sharded route is no slower than the
-///   1-thread baseline (only checked with >= 2 workers).
+/// - The sharded-route check's viewers settle on as many clusters as gaze
+///   groups, and the pooled route is no slower than the one-thread route
+///   (the times only checked with >= 2 threads).
 /// - Churn runs complete (they panic otherwise) with shared intras no
 ///   closer than one RTT apart.
 pub fn gate_ok(sweep: &SfuSweep) -> bool {
@@ -458,10 +505,13 @@ pub fn gate_ok(sweep: &SfuSweep) -> bool {
         if p.subscribers > NAIVE_CAP && p.clusters * 4 > p.subscribers {
             return false;
         }
-        if let (Some(serial), true) = (p.serial_route_ms_p50, sweep.threads >= 2) {
-            if p.shared_route_ms_p50 > serial * SERIAL_TOLERANCE {
-                return false;
-            }
+    }
+    for c in &sweep.route_checks {
+        if c.clusters != c.groups
+            || (sweep.threads >= 2
+                && c.sharded_route_ms_p50 > c.serial_route_ms_p50 * SERIAL_TOLERANCE)
+        {
+            return false;
         }
     }
     sweep
@@ -484,7 +534,6 @@ pub fn text(sweep: &SfuSweep) -> String {
             ("p50 ms", 9),
             ("p99 ms", 9),
             ("naive p50", 9),
-            ("serial p50", 9),
             ("tick ms", 9),
             ("ticks/f", 9),
         ],
@@ -493,7 +542,7 @@ pub fn text(sweep: &SfuSweep) -> String {
     let opt = |v: Option<f64>| v.map_or("-".into(), |v| format!("{v:.2}"));
     for p in &sweep.points {
         s.push_str(&format!(
-            "{:>11} | {:>8} | {:>12.2} | {:>11} | {:>9.2} | {:>9.2} | {:>9} | {:>9} | {:>9.2} | {:>9.1}\n",
+            "{:>11} | {:>8} | {:>12.2} | {:>11} | {:>9.2} | {:>9.2} | {:>9} | {:>9.2} | {:>9.1}\n",
             p.subscribers,
             p.clusters,
             p.shared_passes_per_frame,
@@ -501,7 +550,6 @@ pub fn text(sweep: &SfuSweep) -> String {
             p.shared_route_ms_p50,
             p.shared_route_ms_p99,
             opt(p.naive_route_ms_p50),
-            opt(p.serial_route_ms_p50),
             p.tick_ms_p50,
             p.session_ticks_per_frame,
         ));
@@ -554,6 +602,19 @@ pub fn text(sweep: &SfuSweep) -> String {
             crate::stall_cause_row(&c.stall_causes)
         ));
     }
+    s.push_str(&format!(
+        "\nSharded route, N = {ROUTE_CHECK_N}, {ROUTE_CHECK_CAMERAS} cameras at scale {ROUTE_CHECK_SCALE:.1}, pool of {} vs 1 thread:\n",
+        sweep.threads
+    ));
+    for c in &sweep.route_checks {
+        let (one, pooled) = (c.serial_route_ms_p50, c.sharded_route_ms_p50);
+        s.push_str(&format!(
+            "  {} gaze group(s), {} cluster(s): p50 {one:.2} -> {pooled:.2} ms ({:.2}x)\n",
+            c.groups,
+            c.clusters,
+            pooled / one
+        ));
+    }
     s.push_str(
         "\nShared passes track the gaze groups, not the subscriber count; churn\nintras stay at least one RTT apart per cluster; a slow link drops T1.\n",
     );
@@ -590,9 +651,6 @@ pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
         if let Some(v) = p.naive_route_ms_p50 {
             w.field_f64("naive_route_ms_p50", v);
         }
-        if let Some(v) = p.serial_route_ms_p50 {
-            w.field_f64("serial_route_ms_p50", v);
-        }
         w.field_f64("tick_ms_p50", p.tick_ms_p50);
         w.field_f64("session_ticks_per_frame", p.session_ticks_per_frame);
     });
@@ -613,6 +671,11 @@ pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
         w.field_f64("stall_rate", c.stall_rate);
         w.field_u64("t1_dropped", c.t1_dropped);
         crate::write_stall_causes(w.field_raw("stall_causes"), &c.stall_causes);
+    });
+    // One gaze group, then two: every leaf is a wall-clock time.
+    o.field_objects("sharded_route", &sweep.route_checks, |w, c| {
+        w.field_f64("serial_route_ms_p50", c.serial_route_ms_p50);
+        w.field_f64("sharded_route_ms_p50", c.sharded_route_ms_p50);
     });
     o.finish();
     out

@@ -313,7 +313,7 @@ pub fn render_rgbd(camera: &RgbdCamera, scene: &SceneSnapshot) -> RgbdFrame {
 
 /// Render the snapshot from every camera of a rig, one pool task per camera
 /// (the cameras are independent ray casts over the same immutable snapshot).
-/// A single-thread pool — or a single camera — renders serially; the output
+/// A single-thread pool runs the tasks inline in camera order; the output
 /// is identical either way and ordered like `cameras`.
 pub fn render_views_at(
     pool: &WorkerPool,
@@ -321,12 +321,6 @@ pub fn render_views_at(
     scene: &SceneSnapshot,
     time_key: u32,
 ) -> Vec<RgbdFrame> {
-    if pool.threads() <= 1 || cameras.len() <= 1 {
-        return cameras
-            .iter()
-            .map(|c| render_rgbd_at(c, scene, time_key))
-            .collect();
-    }
     let mut out: Vec<Option<RgbdFrame>> = (0..cameras.len()).map(|_| None).collect();
     pool.scope(|s| {
         for (slot, cam) in out.iter_mut().zip(cameras) {

@@ -14,10 +14,10 @@
 //! is a loop around a stage on each thread. Intra-frame parallelism is one
 //! [`WorkerPool::join`] per stage: the sender encodes its colour and depth
 //! canvases side by side, the receiver decodes its two lanes side by side,
-//! each on the pool the owner hands in with `set_worker_pool`. The codec
-//! holds no pool, and a stage that was given none (one inside an SFU
-//! cluster task, which is already a pool task) runs serially. Output is
-//! identical either way.
+//! each on the pool the owner hands in with `set_worker_pool` — an SFU
+//! cluster's stage too, whose join then runs inside the cluster's pool
+//! task. The codec holds no pool, and a stage that was given none runs
+//! serially. Output is identical either way.
 
 use crate::cull::{CullContext, CullStats};
 use crate::depth::{DepthCodec, DepthEncoding};

@@ -4,19 +4,19 @@
 //! casting, the sender's colour ∥ depth encode, the receiver's colour ∥
 //! depth decode and the SFU's per-cluster and per-subscriber passes — are
 //! data-parallel over disjoint parts of their input. This crate provides
-//! the concurrency primitives they share on a **fixed-size pool of worker
-//! threads**:
+//! the concurrency primitives they share on a **fixed-size pool**: a pool
+//! of `n` threads is the caller and `n − 1` worker threads.
 //!
 //! - **scoped spawning** ([`WorkerPool::scope`]): tasks may borrow from the
 //!   caller's stack; the scope joins every task before it returns, so the
 //!   borrow checker's usual `'static` bound is not needed;
-//! - **striped dispatch**: tasks are assigned to workers round-robin in
-//!   spawn order. There is **no work stealing** — the assignment of stripe
-//!   *i* to worker *i mod n* is deterministic, which keeps scheduling out
-//!   of the set of things that can perturb a run;
-//! - **a two-sided join** ([`WorkerPool::join`]): one side on the caller,
-//!   the other queued, and taken back by the caller if no worker has
-//!   started it by the time the caller's side is done;
+//! - **take-back**: tasks are queued on the workers round-robin in spawn
+//!   order, with no stealing between workers. When the scope's closure is
+//!   done, the caller takes back, newest first, every task no worker has
+//!   started and runs it itself, then waits for the started ones — so a
+//!   scope never waits on a busy worker for work the caller could do;
+//! - **a two-sided join** ([`WorkerPool::join`]): a scope that queues one
+//!   side and runs the other on the caller;
 //! - **panic propagation**: a panicking task fails the whole scope (the
 //!   first payload is re-raised from `scope()`) instead of deadlocking the
 //!   join;
@@ -27,9 +27,9 @@
 //! The pool size comes from `LIVO_THREADS` for the process-wide
 //! [`global`] pool (default: [`std::thread::available_parallelism`]).
 //! `LIVO_THREADS=1` builds a pool with **no worker threads at all**:
-//! `scope` runs every task inline on the caller's thread, which is the
-//! lever the bit-exactness tests use to compare the parallel stages
-//! against serial execution.
+//! `scope` runs every task inline on the caller's thread, in spawn order,
+//! which is the lever the bit-exactness tests use to compare the parallel
+//! stages against serial execution.
 //!
 //! Correctness note for codec users: parallelising *computation* must not
 //! change *output*. The 2D encoder and decoder therefore hold no pool: each
@@ -50,55 +50,44 @@ use std::time::Instant;
 /// lifetime erasure sound (see [`Scope::spawn`]).
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-std::thread_local! {
-    /// Set on pool worker threads. A scope opened *from inside a task*
-    /// runs its tasks inline on the spawning worker: queueing them would
-    /// let a blocked `wait_all` sit in front of its own sub-tasks in the
-    /// worker's FIFO and deadlock the striped (non-stealing) pool. A join
-    /// from inside a task (a subscriber stand-in's colour ∥ depth decode
-    /// inside the SFU's sharded fan-out) could not deadlock, since its
-    /// caller takes the queued side back, but runs inline too: the
-    /// enclosing pass already keeps every worker busy.
-    static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+/// One spawned task, run once by whichever thread takes it out first: the
+/// worker that pops it, or the scope's owner taking back what no worker
+/// has started. Whoever comes second finds `None`.
+type Claim = Arc<Mutex<Option<Task>>>;
+
+fn take(claim: &Claim) -> Option<Task> {
+    claim.lock().unwrap().take()
 }
 
 /// One worker's private FIFO. Striped dispatch means there is exactly one
 /// producer pattern per scope and no stealing between queues.
+#[derive(Default)]
 struct WorkerQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
 }
 
+#[derive(Default)]
 struct QueueState {
-    tasks: VecDeque<Task>,
+    claims: VecDeque<Claim>,
     shutdown: bool,
 }
 
 impl WorkerQueue {
-    fn new() -> Self {
-        WorkerQueue {
-            state: Mutex::new(QueueState {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, task: Task) {
+    fn push(&self, claim: Claim) {
         let mut st = self.state.lock().unwrap();
-        st.tasks.push_back(task);
+        st.claims.push_back(claim);
         drop(st);
         self.ready.notify_one();
     }
 
     /// Blocks until a task arrives or shutdown is flagged with the queue
     /// drained. `None` means the worker should exit.
-    fn pop(&self) -> Option<Task> {
+    fn pop(&self) -> Option<Claim> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(t) = st.tasks.pop_front() {
-                return Some(t);
+            if let Some(c) = st.claims.pop_front() {
+                return Some(c);
             }
             if st.shutdown {
                 return None;
@@ -135,35 +124,8 @@ fn run_task<R>(
     result
 }
 
-/// Count one queued task as started.
-fn dequeued(depth: &AtomicUsize, telemetry: &Option<Arc<PoolTelemetry>>) {
-    let queued = depth.fetch_sub(1, Ordering::Relaxed) - 1;
-    if let Some(t) = telemetry {
-        t.queue_depth.set(queued as f64);
-    }
-}
-
-/// The queued side of a [`WorkerPool::join`]. Its job runs once, on
-/// whichever thread claims it first: the worker that pops its queue entry,
-/// or the joining caller once its own side is done.
-struct Handoff {
-    job: Mutex<Option<Task>>,
-    state: ScopeState,
-}
-
-impl Handoff {
-    /// Run the job unless the other party has claimed it.
-    fn run(&self, depth: &AtomicUsize, telemetry: &Option<Arc<PoolTelemetry>>) {
-        let Some(job) = self.job.lock().unwrap().take() else {
-            return;
-        };
-        dequeued(depth, telemetry);
-        job();
-        self.state.task_finished();
-    }
-}
-
-/// Join/panic bookkeeping shared between a scope and its in-flight tasks.
+/// Join/panic bookkeeping shared between a scope and its queued tasks.
+#[derive(Default)]
 struct ScopeState {
     pending: Mutex<usize>,
     done: Condvar,
@@ -171,18 +133,6 @@ struct ScopeState {
 }
 
 impl ScopeState {
-    fn new() -> Self {
-        ScopeState {
-            pending: Mutex::new(0),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn task_started(&self) {
-        *self.pending.lock().unwrap() += 1;
-    }
-
     fn task_finished(&self) {
         let mut p = self.pending.lock().unwrap();
         *p -= 1;
@@ -212,7 +162,8 @@ impl ScopeState {
 }
 
 /// A fixed-size worker pool. Dropping the pool shuts the workers down
-/// (after draining their queues, which a finished scope leaves empty).
+/// (after draining their queues, which a finished scope leaves holding
+/// only emptied claims).
 pub struct WorkerPool {
     queues: Vec<Arc<WorkerQueue>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -222,12 +173,12 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// A pool that runs scope tasks on `threads` OS threads. `threads <= 1`
-    /// spawns **no** threads: every task runs inline on the caller's
-    /// thread, in spawn order — the serial reference path.
+    /// A pool of `threads` threads: the caller of each scope and
+    /// `threads − 1` workers, since the caller works in every scope.
+    /// `threads <= 1` spawns **no** threads: every task runs inline on the
+    /// caller's thread, in spawn order — the serial reference path.
     pub fn new(threads: usize) -> Self {
-        let n = if threads <= 1 { 0 } else { threads };
-        let queues: Vec<Arc<WorkerQueue>> = (0..n).map(|_| Arc::new(WorkerQueue::new())).collect();
+        let queues: Vec<Arc<WorkerQueue>> = (1..threads.max(1)).map(|_| Arc::default()).collect();
         let workers = queues
             .iter()
             .enumerate()
@@ -236,9 +187,10 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("livo-worker-{i}"))
                     .spawn(move || {
-                        IS_WORKER.with(|w| w.set(true));
-                        while let Some(task) = q.pop() {
-                            task();
+                        while let Some(claim) = q.pop() {
+                            if let Some(task) = take(&claim) {
+                                task();
+                            }
                         }
                     })
                     .expect("spawn worker thread")
@@ -252,9 +204,10 @@ impl WorkerPool {
         }
     }
 
-    /// Degree of parallelism `scope` offers (1 for the inline pool).
+    /// Degree of parallelism `scope` offers: the caller and the workers (1
+    /// for the inline pool).
     pub fn threads(&self) -> usize {
-        self.queues.len().max(1)
+        self.queues.len() + 1
     }
 
     /// Publish this pool's metrics under `{prefix}.*` in `registry`:
@@ -274,19 +227,25 @@ impl WorkerPool {
     }
 
     /// Run `f` with a [`Scope`] on which tasks borrowing from the enclosing
-    /// stack frame can be spawned. Returns only after every spawned task
-    /// has finished. If any task (or `f` itself) panicked, the first panic
-    /// payload is resumed here.
+    /// stack frame can be spawned. When `f` returns (or unwinds), the
+    /// caller runs, newest first, every spawned task no worker has started,
+    /// then waits for the started ones. If any task (or `f` itself)
+    /// panicked, the first task panic, else `f`'s, is resumed here.
+    ///
+    /// Scopes nest without deadlock, in tasks too: a thread only ever waits
+    /// for a task another thread has started, never for an unstarted one
+    /// (it takes those back, from its own worker's queue too), and what
+    /// that thread waits for in turn was started later still, so no chain
+    /// of waits can close into a cycle.
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
-        let state = Arc::new(ScopeState::new());
-        let telemetry = self.telemetry.lock().unwrap().clone();
         let scope = Scope {
             pool: self,
-            state: state.clone(),
-            telemetry,
+            state: OnceLock::new(),
+            telemetry: self.telemetry.lock().unwrap().clone(),
+            queued: Mutex::new(Vec::new()),
             next: AtomicUsize::new(0),
             scope_marker: PhantomData,
             env_marker: PhantomData,
@@ -294,33 +253,33 @@ impl WorkerPool {
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
         // Always join before returning: spawned tasks may borrow locals of
         // the caller, so the scope must outlive them even when unwinding.
-        state.wait_all();
-        // Each task publishes the depth it saw when it started, and tasks
-        // finish in any order: publish it once more after all have.
-        if let Some(t) = &scope.telemetry {
-            t.queue_depth.set(self.depth.load(Ordering::Relaxed) as f64);
+        let queued = std::mem::take(&mut *scope.queued.lock().unwrap());
+        for task in queued.iter().rev().filter_map(take) {
+            task();
         }
-        match state.take_panic() {
-            Some(p) => resume_unwind(p),
-            None => match result {
-                Ok(r) => r,
-                Err(p) => resume_unwind(p),
-            },
+        if let Some(state) = scope.state.get() {
+            state.wait_all();
+            // Each task publishes the depth it saw when it started, and
+            // tasks finish in any order: publish it once more after all
+            // have.
+            if let Some(t) = &scope.telemetry {
+                t.queue_depth.set(self.depth.load(Ordering::Relaxed) as f64);
+            }
+            if let Some(p) = state.take_panic() {
+                resume_unwind(p);
+            }
         }
+        result.unwrap_or_else(|p| resume_unwind(p))
     }
 
     /// Run two closures concurrently and return both results: the binary
     /// fork/join the sender and the receiver use for their colour ∥ depth
-    /// lanes.
-    ///
-    /// `b` runs on the calling thread while `a` waits in the first worker's
-    /// queue. Once `b` is done, the caller takes `a` back and runs it itself
-    /// if no worker has started it yet, and otherwise waits for it, so a
-    /// join never costs more than running both sides serially plus one
-    /// queue push. On a one-thread pool, or when called from inside a pool
-    /// task (see [`IS_WORKER`]), `a` then `b` run inline. Each side counts
-    /// once as a pool task, whichever thread ran it. A panic in either side
-    /// is propagated after both have finished; `a`'s payload wins if both
+    /// lanes. It is a scope that spawns `a` and runs `b` on the caller, so
+    /// the caller takes `a` back if no worker has started it by the time
+    /// `b` is done: a join never costs more than the two sides run serially
+    /// plus one queue push. On a one-thread pool `a` then `b` run inline.
+    /// Each side counts once as a pool task. A panic in either side is
+    /// propagated after both have finished; `a`'s payload wins if both
     /// panicked.
     pub fn join<RA, RB>(
         &self,
@@ -331,55 +290,15 @@ impl WorkerPool {
         RA: Send,
         RB: Send,
     {
-        let telemetry = self.telemetry.lock().unwrap().clone();
         let mut ra = None;
-        let rb = if self.queues.is_empty() || IS_WORKER.with(|w| w.get()) {
-            ra = Some(run_task(&telemetry, a));
-            run_task(&telemetry, b)
-        } else {
-            let (slot, tel) = (&mut ra, &telemetry);
-            let side_a: Box<dyn FnOnce() + Send + '_> =
-                Box::new(move || *slot = Some(run_task(tel, a)));
-            // SAFETY: `side_a` borrows `ra`, `telemetry` and whatever `a`
-            // borrows, and is erased to 'static to sit in a worker's queue.
-            // It is only ever called by whoever takes it out of
-            // `handoff.job` under the lock, a worker or this caller; the
-            // queue entry a worker pops after the caller took it back finds
-            // nothing and touches nothing of this frame. If a worker took
-            // it, `wait_all` below holds the caller until the job has run
-            // and been dropped, before it reads `ra` or returns (`b` cannot
-            // unwind past it: it runs under `catch_unwind`). Identical
-            // layout: only the trait object's lifetime parameter changes.
-            let side_a: Task = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
-                    side_a,
-                )
-            };
-            let handoff = Arc::new(Handoff {
-                job: Mutex::new(Some(side_a)),
-                state: ScopeState::new(),
-            });
-            handoff.state.task_started();
-            let (h, depth, tel) = (handoff.clone(), self.depth.clone(), telemetry.clone());
-            self.push(0, Box::new(move || h.run(&depth, &tel)), &telemetry);
-            let rb = run_task(&telemetry, b);
-            handoff.run(&self.depth, &telemetry);
-            handoff.state.wait_all();
-            rb
-        };
-        match (ra.expect("join side a did not run"), rb) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(p), _) | (_, Err(p)) => resume_unwind(p),
+        let rb = self.scope(|s| {
+            s.spawn(|| ra = Some(a()));
+            run_task(&s.telemetry, b)
+        });
+        match rb {
+            Ok(rb) => (ra.expect("join side a ran"), rb),
+            Err(p) => resume_unwind(p),
         }
-    }
-
-    /// Queue `task` on worker `i`, counting it as queued.
-    fn push(&self, i: usize, task: Task, telemetry: &Option<Arc<PoolTelemetry>>) {
-        let queued = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(t) = telemetry {
-            t.queue_depth.set(queued as f64);
-        }
-        self.queues[i].push(task);
     }
 
     /// Split `items` into up to `2 × threads` contiguous shards and run
@@ -438,59 +357,72 @@ impl Drop for WorkerPool {
 /// may borrow from (outliving the scope). Mirrors [`std::thread::scope`].
 pub struct Scope<'scope, 'env: 'scope> {
     pool: &'scope WorkerPool,
-    state: Arc<ScopeState>,
+    /// Made by the first queued task (or inline panic), so an inline scope
+    /// allocates nothing.
+    state: OnceLock<Arc<ScopeState>>,
     telemetry: Option<Arc<PoolTelemetry>>,
+    /// Every queued task, in spawn order: what the caller takes back.
+    queued: Mutex<Vec<Claim>>,
     next: AtomicUsize,
     scope_marker: PhantomData<&'scope mut &'scope ()>,
     env_marker: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a task on the pool. Tasks are dispatched to workers
-    /// round-robin in spawn order (striped, no stealing); on a one-thread
-    /// pool the task runs immediately on the calling thread. A panic in
-    /// the task is captured and re-raised when the scope closes.
+    fn state(&self) -> &Arc<ScopeState> {
+        self.state.get_or_init(Default::default)
+    }
+
+    /// Spawn a task on the pool. Tasks are queued on the workers
+    /// round-robin in spawn order; the scope's caller runs those no worker
+    /// has started when the scope's closure is done. On a one-thread pool
+    /// the task runs immediately on the calling thread. A panic in the
+    /// task is captured and re-raised when the scope closes.
     pub fn spawn<F>(&'scope self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.state.task_started();
-        let state = self.state.clone();
-        let telemetry = self.telemetry.clone();
-        let depth = self.pool.depth.clone();
-
-        if self.pool.queues.is_empty() || IS_WORKER.with(|w| w.get()) {
-            // Inline: either a serial pool, or a scope opened from inside a
-            // pool task (see [`IS_WORKER`]) — queueing sub-tasks behind a
-            // worker that is about to block on them would deadlock. Same
-            // panic policy as workers so one panicking stripe doesn't skip
-            // its siblings.
-            if let Err(p) = run_task(&telemetry, f) {
-                state.store_panic(p);
+        if self.pool.queues.is_empty() {
+            // Same panic policy as a queued task, so one panicking stripe
+            // doesn't skip its siblings.
+            if let Err(p) = run_task(&self.telemetry, f) {
+                self.state().store_panic(p);
             }
-            state.task_finished();
             return;
         }
-
-        let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            dequeued(&depth, &telemetry);
+        let state = self.state().clone();
+        *state.pending.lock().unwrap() += 1;
+        let (depth, telemetry) = (self.pool.depth.clone(), self.telemetry.clone());
+        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            let queued = depth.fetch_sub(1, Ordering::Relaxed) - 1;
+            if let Some(t) = &telemetry {
+                t.queue_depth.set(queued as f64);
+            }
             if let Err(p) = run_task(&telemetry, f) {
                 state.store_panic(p);
             }
             state.task_finished();
         });
-        // SAFETY: the task is erased to 'static to live in the queue, but
-        // `WorkerPool::scope` joins every task (wait_all) before returning,
-        // including on unwind, so no borrow of 'scope/'env is dangling
-        // while the closure can still run. Identical layout: only the
-        // lifetime parameter of the trait object changes.
+        // SAFETY: the task is erased to 'static to sit in a worker's queue.
+        // It runs only in the hands of whoever takes it out of its claim
+        // under the lock, a worker or the scope's caller. Before
+        // `WorkerPool::scope` returns, including on unwind, the caller takes
+        // every claim no worker has taken and runs it, then waits
+        // (`wait_all`) for those a worker took, so no borrow of
+        // 'scope/'env is dangling while the closure can still run; a claim
+        // popped later is empty and touches nothing. Identical layout: only
+        // the lifetime parameter of the trait object changes.
         let task: Task = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(
-                wrapped,
-            )
+            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(task)
         };
+        let claim: Claim = Arc::new(Mutex::new(Some(task)));
+        self.queued.lock().unwrap().push(claim.clone());
+        let queued = self.pool.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(t) = &self.telemetry {
+            t.queue_depth.set(queued as f64);
+        }
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.queues.len();
-        self.pool.push(i, task, &self.telemetry);
+        self.pool.queues[i].push(claim);
     }
 }
 
@@ -674,12 +606,13 @@ mod tests {
     impl Blockers {
         /// Returns once every worker has started its blocking task.
         fn start(pool: &Arc<WorkerPool>) -> Self {
+            let workers = pool.threads() - 1;
             let released = Arc::new(AtomicBool::new(false));
             let started = Arc::new(AtomicUsize::new(0));
             let (p, r, st) = (pool.clone(), released.clone(), started.clone());
             let thread = std::thread::spawn(move || {
                 p.scope(|s| {
-                    for _ in 0..p.threads() {
+                    for _ in 0..workers {
                         let (r, st) = (&r, &st);
                         s.spawn(move || {
                             st.fetch_add(1, Ordering::SeqCst);
@@ -689,9 +622,13 @@ mod tests {
                             }
                         });
                     }
+                    // Leave nothing for this thread to take back.
+                    while st.load(Ordering::SeqCst) < workers {
+                        std::thread::yield_now();
+                    }
                 })
             });
-            while started.load(Ordering::SeqCst) < pool.threads() {
+            while started.load(Ordering::SeqCst) < workers {
                 std::thread::yield_now();
             }
             Blockers { released, thread }
@@ -738,7 +675,7 @@ mod tests {
         assert_eq!((a, b), (caller, caller), "both sides ran on the caller");
         assert!(took < HOLD / 5, "join waited {took:?} for a busy worker");
         assert_eq!(counted, 2, "each side counts once");
-        // The workers now pop the queue entry the caller emptied; it runs
+        // The worker now pops the claim the caller emptied; it runs
         // nothing, and the pool goes on as before.
         assert_eq!(pool.join(|| 1, || 2), (1, 2));
         assert_eq!(runs.load(Ordering::SeqCst), 2);
@@ -772,7 +709,7 @@ mod tests {
         pool.join(|| (), || ());
         assert_eq!(tasks(&registry), 4, "take-back path");
         blockers.release();
-        // Inline from inside a pool task: the task and its two sides.
+        // From inside a pool task: the task and its two sides.
         let before = tasks(&registry);
         pool.scope(|s| s.spawn(|| assert_eq!(pool.join(|| 1, || 2), (1, 2))));
         assert_eq!(tasks(&registry) - before, 3, "join inside a task");
@@ -843,28 +780,63 @@ mod tests {
     }
 
     #[test]
-    fn nested_scope_from_worker_runs_inline_without_deadlock() {
-        let pool = WorkerPool::new(2);
-        let total = AtomicU64::new(0);
-        // Outer tasks each open an inner scope on the same pool: without the
-        // worker re-entrancy guard this deadlocks (inner tasks queue behind
-        // the blocked outer task on a striped pool).
+    fn scope_takes_back_the_tasks_no_worker_started() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let registry = Arc::new(MetricsRegistry::new());
+        pool.attach_telemetry(&registry, "runtime.pool");
+        let blockers = Blockers::start(&pool);
+        let runs: Vec<AtomicU64> = (0..5).map(|_| AtomicU64::new(0)).collect();
+        let ran_on = Mutex::new(Vec::new());
+        let t0 = Instant::now();
         pool.scope(|s| {
-            for _ in 0..4 {
-                let total = &total;
-                let pool = &pool;
+            for run in &runs {
+                let ran_on = &ran_on;
                 s.spawn(move || {
-                    pool.scope(|inner| {
-                        for _ in 0..8 {
-                            inner.spawn(move || {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
+                    run.fetch_add(1, Ordering::SeqCst);
+                    ran_on.lock().unwrap().push(std::thread::current().id());
                 });
             }
         });
-        assert_eq!(total.load(Ordering::Relaxed), 32);
+        let took = t0.elapsed();
+        let counted = tasks(&registry);
+        blockers.release();
+        assert!(
+            took < HOLD / 5,
+            "the scope waited {took:?} for a busy worker"
+        );
+        let caller = std::thread::current().id();
+        assert!(ran_on.lock().unwrap().iter().all(|&id| id == caller));
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+        assert_eq!(counted, 5, "each task counts once");
+        assert_eq!(pool.join(|| 1, || 2), (1, 2));
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn nested_scope_from_worker_without_deadlock() {
+        for threads in [2, 4] {
+            let pool = WorkerPool::new(threads);
+            let total = AtomicU64::new(0);
+            // Outer tasks each open an inner scope on the same pool; inner
+            // tasks queued behind a blocked outer task on a striped pool
+            // would deadlock it, so the inner scope's owner takes them back.
+            pool.scope(|s| {
+                for _ in 0..4 {
+                    let total = &total;
+                    let pool = &pool;
+                    s.spawn(move || {
+                        pool.scope(|inner| {
+                            for _ in 0..8 {
+                                inner.spawn(move || {
+                                    total.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 32, "threads={threads}");
+        }
     }
 
     #[test]

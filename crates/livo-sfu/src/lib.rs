@@ -23,9 +23,9 @@
 //!   keyframe requests too, sent up its own downlink — fan in to the
 //!   cluster's intra guard (at most one shared intra per RTT); NACK
 //!   recovery stays per-downlink inside each session. The hot path is sharded on a
-//!   [`livo_runtime::WorkerPool`]: cluster passes run in parallel, and the
-//!   per-subscriber packetise/send fan-out runs on contiguous subscriber
-//!   shards.
+//!   [`livo_runtime::WorkerPool`]: cluster passes run in parallel, each
+//!   joining its colour ∥ depth encode, and the per-subscriber
+//!   packetise/send fan-out runs on contiguous subscriber shards.
 //!
 //! A driver routes frame `f` and then calls
 //! [`Router::run_until`]`(now, due(f + 1))`: the two-party call loop's exact

@@ -19,8 +19,8 @@
 //!    per-cluster work orders from member estimates, and resolve intra
 //!    requests against the cluster's cooldown.
 //! 2. **Encode** (parallel): one task per cluster runs union-cull,
-//!    tiling and both encoders. Clusters are independent, so this scales
-//!    with the gaze-group count.
+//!    tiling and both encoders, joined on the same pool. Clusters are
+//!    independent, so this scales with the gaze-group count.
 //! 3. **Fan-out** (parallel): subscribers are partitioned into
 //!    contiguous shards ([`WorkerPool::for_each_chunk_mut`]); each shard
 //!    packetises and sends on its members' own sessions. The cluster
@@ -372,8 +372,8 @@ impl ChainState {
 struct ClusterState {
     key: u64,
     members: Vec<SubscriberId>,
-    /// Union-cull state and the shared encoder pair. It is given no pool:
-    /// the cluster pass is itself a pool task, so its work is serial.
+    /// Union-cull state and the shared encoder pair, joining its colour ∥
+    /// depth encode on the router's pool.
     sender: SenderStage,
     chain: ChainState,
 }
@@ -384,9 +384,11 @@ impl ClusterState {
         members: Vec<SubscriberId>,
         layout: TileLayout,
         registry: &Arc<MetricsRegistry>,
+        pool: &Arc<WorkerPool>,
     ) -> Self {
         let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16, 2);
         sender.attach_cull_telemetry(registry);
+        sender.set_worker_pool(pool.clone());
         ClusterState {
             key,
             members,
@@ -703,6 +705,7 @@ impl Router {
                         members,
                         self.layout,
                         &self.registry,
+                        &self.pool,
                     ));
                 }
             }
@@ -852,46 +855,46 @@ impl Router {
 
         let jobs = self.plan_jobs(now, &ids, &volumes);
 
-        // Phase 2: one union-cull + tile + encode pass per cluster,
-        // clusters in parallel on the pool. Work inside a task is serial
-        // — nesting pool scopes runs inline — and cluster-level
-        // parallelism is the win the SFU is after.
+        // Phase 2: one union-cull + tile + encode pass per cluster, in
+        // parallel, each joining its colour ∥ depth encode on the pool. The
+        // caller runs the last pass itself, so a lone cluster's join finds
+        // the worker free instead of racing it for the pass.
         let mut outputs: Vec<Option<ClusterOutput>> = Vec::new();
         outputs.resize_with(self.clusters.len(), || None);
         {
             let cameras = &self.cameras;
             let frame_idx = self.frame_idx;
-            let pool = self.pool.clone();
-            pool.scope(|s| {
-                for ((state, job), out) in
-                    self.clusters.iter_mut().zip(&jobs).zip(outputs.iter_mut())
-                {
-                    s.spawn(move || {
-                        let mut culled = views.to_vec();
-                        let cull_stats = state.sender.cull(&mut culled, cameras, &job.frusta);
-                        let canvases = state.sender.compose(&culled, seq);
-                        if job.force_key {
-                            state.sender.force_keyframe();
-                        }
-                        let (color, depth) =
-                            state.sender.encode(&canvases, job.rate, frame_idx, now);
-                        // Sender-side reconstruction error for the
-                        // splitters.
-                        let (rmse_color, rmse_depth_mm) =
-                            state.sender.rmse(&canvases, &color, &depth);
-                        *out = Some(ClusterOutput {
-                            key: state.key,
-                            members: state.members.clone(),
-                            color,
-                            depth,
-                            low: None,
-                            keep_fraction: cull_stats.map_or(1.0, |s| s.keep_fraction()),
-                            target_bps: job.target_bps,
-                            rmse_color,
-                            rmse_depth_mm,
-                            shared_intra_gap_us: job.shared_intra_gap_us,
-                        });
-                    });
+            let pass = &|((state, job), out): ((&mut ClusterState, &ClusterJob), &mut _)| {
+                let mut culled = views.to_vec();
+                let cull_stats = state.sender.cull(&mut culled, cameras, &job.frusta);
+                let canvases = state.sender.compose(&culled, seq);
+                if job.force_key {
+                    state.sender.force_keyframe();
+                }
+                let (color, depth) = state.sender.encode(&canvases, job.rate, frame_idx, now);
+                // Sender-side reconstruction error for the splitters.
+                let (rmse_color, rmse_depth_mm) = state.sender.rmse(&canvases, &color, &depth);
+                *out = Some(ClusterOutput {
+                    key: state.key,
+                    members: state.members.clone(),
+                    color,
+                    depth,
+                    low: None,
+                    keep_fraction: cull_stats.map_or(1.0, |s| s.keep_fraction()),
+                    target_bps: job.target_bps,
+                    rmse_color,
+                    rmse_depth_mm,
+                    shared_intra_gap_us: job.shared_intra_gap_us,
+                });
+            };
+            let mut passes = self.clusters.iter_mut().zip(&jobs).zip(outputs.iter_mut());
+            let last = passes.next_back();
+            self.pool.scope(|s| {
+                for p in passes {
+                    s.spawn(move || pass(p));
+                }
+                if let Some(p) = last {
+                    pass(p);
                 }
             });
         }

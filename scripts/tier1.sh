@@ -109,6 +109,14 @@ if grep -rnE "band_rows|for_each_index|decode_sliced" crates src tests examples 
   || grep -rnE "WorkerPool|\.scope\(" crates/livo-codec2d/src | grep -v "pub fn set_worker_pool("; then
   echo "the banded cull, for_each_index, decode_sliced, a pool in the 2D codec or a call of an inert pool stand-in is back"; exit 1
 fi
+# One fork/join path in the pool: a scope takes back the tasks no worker
+# started, and `join` is a two-task scope. The join's own queue entry, the
+# worker flag that ran nested scopes inline and a second lifetime erasure
+# stay gone.
+if grep -rnE "IS_WORKER|Handoff" crates/livo-runtime/src \
+  || [ "$(grep -ro "transmute" crates/livo-runtime/src | wc -l)" -gt 1 ]; then
+  echo "IS_WORKER, Handoff or a second transmute is back in livo-runtime"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite and the renderer's oracle
 # tests ran at the auto-detected tier above; they must also hold with the
 # dispatcher forced to the scalar tier (LIVO_SIMD caps the level per
@@ -124,8 +132,9 @@ repro --gate kernels >/dev/null
 # by the slice overhead gate), the quick qoe sweep, the standard bond sweep
 # (the committed one; gated: bonded delivery beats the best single link and
 # survives the mid-call kill) and the quick sfu sweep (gated: shared passes
-# track the gaze-group count, the sharded route holds against the serial
-# baseline at N=100, churn intras stay one RTT apart).
+# track the gaze-group count, the pooled route holds against the one-thread
+# route at N=10 with ten full-resolution cameras, in one gaze group and in
+# two, churn intras stay one RTT apart).
 echo "== tier1: virtual-time snapshots + gates =="
 snaps=$(mktemp -d)
 snapshot_check pipeline --quick --metrics "$snaps/pipeline.json"

@@ -523,23 +523,25 @@ fn hundred_subscriber_smoke_stays_at_group_count_passes() {
 /// and 4 forward byte-identical streams, decode identically, and leave
 /// identical GCC estimates. Each member's state is owned by exactly one
 /// shard, and the simulation runs in virtual time, so the pool size must
-/// be unobservable.
+/// be unobservable. Two gaze groups run two cluster tasks; one group runs
+/// one, whose stage joins its colour ∥ depth encode on the same pool.
 #[test]
 fn sharded_routing_bit_exact_across_pool_sizes() {
     let cameras = tiny_rig();
     let frames = 8u64;
-    let yaws = [
+    let two_groups = [
         0.0f32,
         std::f32::consts::PI,
         0.03,
         std::f32::consts::PI + 0.03,
     ];
+    let one_group = [0.0f32, 0.01, 0.02, 0.03];
 
     // Per-subscriber digest: forwarded reconstructions, decoded bytes,
     // decode count and final estimate.
     type Planes = BTreeMap<u32, Vec<u16>>;
     type Digest = BTreeMap<SubscriberId, (Planes, Planes, u64, f64)>;
-    let run = |threads: usize| -> Digest {
+    let run = |threads: usize, yaws: &[f32], groups: usize| -> Digest {
         let pool = Arc::new(livo::runtime::WorkerPool::new(threads));
         let mut router = Router::builder(cameras.clone())
             .worker_pool(pool)
@@ -555,7 +557,8 @@ fn sharded_routing_bit_exact_across_pool_sizes() {
                     .expect("add subscriber")
             })
             .collect();
-        let sent = drive(&mut router, &cameras, &zip_yaws(&ids, &yaws), frames);
+        let sent = drive(&mut router, &cameras, &zip_yaws(&ids, yaws), frames);
+        assert_eq!(router.cluster_membership().len(), groups, "{yaws:?}");
         ids.iter()
             .map(|&id| {
                 let sub = router.subscriber(id).expect("still subscribed");
@@ -582,12 +585,14 @@ fn sharded_routing_bit_exact_across_pool_sizes() {
             .collect()
     };
 
-    let serial = run(1);
-    for threads in [2usize, 4] {
-        let sharded = run(threads);
-        assert_eq!(
-            serial, sharded,
-            "pool size {threads} changed an observable output"
-        );
+    for (yaws, groups) in [(&two_groups, 2), (&one_group, 1)] {
+        let serial = run(1, yaws, groups);
+        for threads in [2usize, 4] {
+            let sharded = run(threads, yaws, groups);
+            assert_eq!(
+                serial, sharded,
+                "pool size {threads} changed an observable output for yaws {yaws:?}"
+            );
+        }
     }
 }
