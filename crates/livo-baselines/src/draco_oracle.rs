@@ -15,8 +15,14 @@ use livo_capture::{
 };
 use livo_codec3d::{DracoDecoder, DracoEncoder, DracoParams, QuantBits, RateProfile};
 use livo_core::reconstruct::back_project_views;
-use livo_math::{Frustum, FrustumParams, Vec3};
-use livo_pointcloud::{pssim, PointCloud, PssimConfig};
+use livo_core::stage::{PSSIM_RECIPE, RENDER_VOXEL_M};
+use livo_math::{Frustum, FrustumParams};
+use livo_pointcloud::{pssim, PointCloud};
+
+/// Fraction of the instantaneous capacity budgeted to the payload.
+const BUDGET_FRACTION: f64 = 0.85;
+/// Sample PSSIM every n-th non-stalled frame.
+const QUALITY_EVERY: u64 = 8;
 
 /// Configuration of a Draco-Oracle replay.
 #[derive(Debug, Clone)]
@@ -27,11 +33,6 @@ pub struct DracoOracleConfig {
     pub duration_s: f32,
     /// Baseline frame rate (the paper lowers Draco-Oracle to 15 fps).
     pub fps: u32,
-    /// Fraction of the instantaneous capacity budgeted to the payload.
-    pub budget_fraction: f64,
-    /// Sample PSSIM every n-th non-stalled frame.
-    pub quality_every: u32,
-    pub voxel_m: f32,
     pub user_trace_seed: u64,
     pub user_trace_style: usize,
 }
@@ -44,9 +45,6 @@ impl DracoOracleConfig {
             n_cameras: 10,
             duration_s: 10.0,
             fps: 15,
-            budget_fraction: 0.85,
-            quality_every: 8,
-            voxel_m: 0.03,
             user_trace_seed: 11,
             user_trace_style: 0,
         }
@@ -69,13 +67,7 @@ pub struct DracoOracle {
 impl DracoOracle {
     pub fn new(cfg: DracoOracleConfig) -> Self {
         let preset = DatasetPreset::load(cfg.video);
-        let cameras = rig::camera_ring(
-            cfg.n_cameras,
-            2.5,
-            1.4,
-            Vec3::new(0.0, 1.0, 0.0),
-            livo_math::CameraIntrinsics::kinect_depth(cfg.camera_scale),
-        );
+        let cameras = rig::panoptic_rig(cfg.n_cameras, cfg.camera_scale);
         let styles = livo_capture::usertrace::TraceStyle::ALL;
         let style = styles[cfg.user_trace_style % styles.len()];
         let user_trace = UserTrace::generate(style, cfg.duration_s + 5.0, cfg.user_trace_seed);
@@ -125,7 +117,7 @@ impl DracoOracle {
         for i in 0..total {
             let t = i as f32 / cfg.fps as f32;
             let capacity = trace.capacity_at(t as f64) * 1e6;
-            let budget_bits = capacity * cfg.budget_fraction / cfg.fps as f64;
+            let budget_bits = capacity * BUDGET_FRACTION / cfg.fps as f64;
 
             // Perfect culling: the receiver's true frustum at display time.
             let viewer = self.user_trace.pose_at_time(t);
@@ -163,17 +155,12 @@ impl DracoOracle {
             bits_total += encoded.bits();
             shown += 1;
 
-            if shown.is_multiple_of(cfg.quality_every as u64) {
+            if shown.is_multiple_of(QUALITY_EVERY) {
                 if let Ok(decoded) = DracoDecoder::decode(&encoded.data) {
-                    let voxel = livo_pointcloud::VoxelGrid::new(cfg.voxel_m);
+                    let voxel = livo_pointcloud::VoxelGrid::new(RENDER_VOXEL_M);
                     let reference = voxel.downsample(&culled);
                     let got = voxel.downsample(&decoded);
-                    let pcfg = PssimConfig {
-                        neighbors: 6,
-                        cell_size: cfg.voxel_m * 3.0,
-                        curvature_weight: 0.3,
-                    };
-                    if let Some(s) = pssim(&reference, &got, &pcfg) {
+                    if let Some(s) = pssim(&reference, &got, &PSSIM_RECIPE) {
                         g_scores.push(s.geometry);
                         c_scores.push(s.color);
                     }
@@ -230,7 +217,6 @@ mod tests {
         cfg.camera_scale = 0.08;
         cfg.n_cameras = 4;
         cfg.duration_s = 2.0;
-        cfg.quality_every = 4;
         cfg
     }
 

@@ -18,8 +18,22 @@
 use crate::BaselineSummary;
 use livo_capture::{datasets::DatasetPreset, render::render_rgbd_at, rig, BandwidthTrace, VideoId};
 use livo_codec3d::{DracoDecoder, DracoEncoder, DracoParams};
+use livo_core::stage::{PSSIM_RECIPE, RENDER_VOXEL_M};
 use livo_mesh::{decimate, sample_points, triangulate_depth, Mesh};
-use livo_pointcloud::{pssim, Point, PointCloud, PssimConfig, VoxelGrid};
+use livo_pointcloud::{pssim, Point, PointCloud, VoxelGrid};
+
+/// MeshReduce's native capture rate (15 fps, Table 2 of the paper).
+const CAPTURE_FPS: u32 = 15;
+/// Conservative fraction of the *average* bandwidth targeted by the
+/// offline profile — the indirectness the paper measures in Table 1
+/// (MeshReduce utilises only ~19–31% of capacity).
+const PROFILE_MARGIN: f64 = 0.30;
+/// Depth-discontinuity threshold for meshing at full resolution, mm.
+const MAX_JUMP_MM: u16 = 60;
+/// Mesh vertex stride before decimation.
+const STRIDE: usize = 2;
+/// Score PSSIM on every n-th shown frame.
+const QUALITY_EVERY: u64 = 5;
 
 /// Configuration of a MeshReduce replay.
 #[derive(Debug, Clone)]
@@ -28,18 +42,6 @@ pub struct MeshReduceConfig {
     pub camera_scale: f32,
     pub n_cameras: usize,
     pub duration_s: f32,
-    /// MeshReduce's native capture rate (15 fps, Table 2 of the paper).
-    pub capture_fps: u32,
-    /// Conservative fraction of the *average* bandwidth targeted by the
-    /// offline profile — the indirectness the paper measures in Table 1
-    /// (MeshReduce utilises only ~19–31% of capacity).
-    pub profile_margin: f64,
-    /// Depth-discontinuity threshold for meshing, mm.
-    pub max_jump_mm: u16,
-    /// Mesh vertex stride before decimation.
-    pub stride: usize,
-    pub quality_every: u32,
-    pub voxel_m: f32,
 }
 
 impl MeshReduceConfig {
@@ -49,12 +51,6 @@ impl MeshReduceConfig {
             camera_scale: 0.15,
             n_cameras: 10,
             duration_s: 10.0,
-            capture_fps: 15,
-            profile_margin: 0.30,
-            max_jump_mm: 60,
-            stride: 2,
-            quality_every: 5,
-            voxel_m: 0.03,
         }
     }
 }
@@ -80,15 +76,8 @@ pub struct MeshReduce {
 impl MeshReduce {
     pub fn new(cfg: MeshReduceConfig) -> Self {
         let preset = DatasetPreset::load(cfg.video);
-        let cameras = rig::camera_ring(
-            cfg.n_cameras,
-            2.5,
-            1.4,
-            livo_math::Vec3::new(0.0, 1.0, 0.0),
-            livo_math::CameraIntrinsics::kinect_depth(cfg.camera_scale),
-        );
-        let effective_jump_mm = ((cfg.max_jump_mm as f32 / cfg.camera_scale.min(1.0)).round()
-            as u32)
+        let cameras = rig::panoptic_rig(cfg.n_cameras, cfg.camera_scale);
+        let effective_jump_mm = ((MAX_JUMP_MM as f32 / cfg.camera_scale.min(1.0)).round() as u32)
             .min(u16::MAX as u32) as u16;
         MeshReduce {
             cfg,
@@ -105,13 +94,7 @@ impl MeshReduce {
         let mut mesh = Mesh::new();
         for cam in &self.cameras {
             let v = render_rgbd_at(cam, &snap, time_key);
-            let m = triangulate_depth(
-                cam,
-                &v.depth_mm,
-                &v.rgb,
-                self.effective_jump_mm,
-                self.cfg.stride,
-            );
+            let m = triangulate_depth(cam, &v.depth_mm, &v.rgb, self.effective_jump_mm, STRIDE);
             mesh.merge(&m);
         }
         mesh
@@ -131,8 +114,7 @@ impl MeshReduce {
         let cfg = &self.cfg;
         let profile = self.profile();
         // Indirect adaptation: parameters fixed from the trace *average*.
-        let target_bits_per_frame =
-            trace.stats().mean * 1e6 * cfg.profile_margin / cfg.capture_fps as f64;
+        let target_bits_per_frame = trace.stats().mean * 1e6 * PROFILE_MARGIN / CAPTURE_FPS as f64;
         let triangle_budget =
             (target_bits_per_frame / profile.bits_per_triangle).max(64.0) as usize;
 
@@ -143,7 +125,7 @@ impl MeshReduce {
         let mut c_scores = Vec::new();
         let duration = cfg.duration_s as f64;
         let mut capture_t = 0.0f64;
-        let capture_interval = 1.0 / cfg.capture_fps as f64;
+        let capture_interval = 1.0 / CAPTURE_FPS as f64;
 
         while capture_t < duration {
             let mesh = self.build_mesh(capture_t as f32);
@@ -161,7 +143,7 @@ impl MeshReduce {
             bits_total += bits;
             frames_shown += 1;
 
-            if frames_shown.is_multiple_of(cfg.quality_every as u64) {
+            if frames_shown.is_multiple_of(QUALITY_EVERY) {
                 // Score: lossy-code the mesh geometry, sample to points,
                 // compare against the ground-truth point cloud.
                 let coded = code_mesh_lossy(&reduced);
@@ -172,15 +154,10 @@ impl MeshReduce {
                 );
                 let n = truth.len();
                 let sampled = sample_points(&coded, n, frames_shown);
-                let voxel = VoxelGrid::new(cfg.voxel_m);
+                let voxel = VoxelGrid::new(RENDER_VOXEL_M);
                 let reference = voxel.downsample(&truth);
                 let got = voxel.downsample(&sampled);
-                let pcfg = PssimConfig {
-                    neighbors: 6,
-                    cell_size: cfg.voxel_m * 3.0,
-                    curvature_weight: 0.3,
-                };
-                if let Some(s) = pssim(&reference, &got, &pcfg) {
+                if let Some(s) = pssim(&reference, &got, &PSSIM_RECIPE) {
                     g_scores.push(s.geometry);
                     c_scores.push(s.color);
                 }
@@ -268,7 +245,6 @@ mod tests {
         cfg.camera_scale = 0.08;
         cfg.n_cameras = 4;
         cfg.duration_s = 2.0;
-        cfg.quality_every = 2;
         cfg
     }
 

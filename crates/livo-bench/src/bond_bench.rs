@@ -18,12 +18,10 @@
 
 use bytes::Bytes;
 use livo_bond::{BondConfig, BondScenario};
+use livo_core::stage::{due, DisplayClock, Lanes, Slot};
 use livo_eval::experiments::EvalProfile;
 use livo_telemetry::json::ObjectWriter;
 use livo_transport::StreamId;
-
-/// 30 fps capture/display clock.
-const FRAME_INTERVAL: u64 = 33_333;
 
 /// One replay's receiver-side outcome (bonded or single-link).
 #[derive(Debug, Clone)]
@@ -77,9 +75,11 @@ impl BondPoint {
     }
 }
 
-/// Replay one scenario: 30 fps sender, 1 ms ticks, display-slot stall
-/// model (playout starts after the jitter target + 3 frame intervals),
-/// 1.5 s drain so in-flight tails are counted.
+/// Replay one scenario: frame `f` sent at the first 1 ms tick at or after
+/// [`due`]`(f)`, each tick's newest delivered frame polled by a
+/// [`DisplayClock`] (one slot per frame interval, from the jitter target +
+/// 3 frame intervals after the first send), then a 1.5 s drain so
+/// in-flight tails are counted.
 fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -> RunOutcome {
     let mut cfg = BondConfig::new(scenario);
     if let Some(rate) = fixed_rate_bps {
@@ -93,14 +93,12 @@ fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -
     let end = (duration_s * 1e6) as u64;
     let mut t = 0u64;
     let mut frame_id = 0u64;
-    let mut next_frame = 0u64;
     let mut max_delivered: Option<u64> = None;
-    let mut last_shown: Option<u64> = None;
-    let mut next_slot = jitter_target + 3 * FRAME_INTERVAL;
+    let mut display = DisplayClock::new(jitter_target);
     let mut slots = 0u64;
     let mut stalls = 0u64;
     while t < end {
-        if t >= next_frame {
+        if t >= due(frame_id) {
             let rate = fixed_rate_bps.unwrap_or_else(|| s.estimate_bps() * 0.85);
             let bytes = ((rate / 30.0 / 8.0) as usize).clamp(400, 4_000_000);
             let key = frame_id.is_multiple_of(60);
@@ -111,21 +109,22 @@ fn drive(scenario: BondScenario, duration_s: f64, fixed_rate_bps: Option<f64>) -
                 Bytes::from(vec![0u8; bytes]),
                 key,
             );
+            display.captured(frame_id as u32, t);
             frame_id += 1;
-            next_frame += FRAME_INTERVAL;
         }
         s.tick(t);
         for f in s.recv_frames() {
             max_delivered = Some(max_delivered.map_or(f.frame_id, |m| m.max(f.frame_id)));
         }
-        if t >= next_slot {
+        let newest = max_delivered.map(|m| m as u32);
+        let lanes = || Lanes {
+            pair: newest,
+            newest,
+            awaiting_key: false,
+        };
+        if let Some((_, slot)) = display.poll(t, lanes) {
             slots += 1;
-            if max_delivered > last_shown {
-                last_shown = max_delivered;
-            } else {
-                stalls += 1;
-            }
-            next_slot += FRAME_INTERVAL;
+            stalls += matches!(slot, Slot::Stalled { .. }) as u64;
         }
         t += 1_000;
     }

@@ -24,7 +24,6 @@ use livo_capture::{
 use livo_core::conference::{ConferenceConfig, ConferenceRunner};
 use livo_core::stage::{due, FPS};
 use livo_eval::experiments::EvalProfile;
-use livo_math::{CameraIntrinsics, Vec3};
 use livo_sfu::{subscriber_party, Router, SubscriberConfig, SubscriberId};
 use livo_telemetry::chrome_trace_json;
 use livo_telemetry::trace::{kind, EventTrace, TraceQuery};
@@ -64,13 +63,7 @@ fn party_name(party: u16) -> String {
 /// Run the traced 3-party conference.
 pub fn run(profile: &EvalProfile) -> ConferenceReport {
     let seconds = profile.duration_s.min(3.0);
-    let cameras = rig::camera_ring(
-        profile.n_cameras,
-        2.5,
-        1.4,
-        Vec3::new(0.0, 1.0, 0.0),
-        CameraIntrinsics::kinect_depth(profile.camera_scale),
-    );
+    let cameras = rig::panoptic_rig(profile.n_cameras, profile.camera_scale);
     let preset = DatasetPreset::load(VideoId::Band2);
     let pool = livo_runtime::global();
 

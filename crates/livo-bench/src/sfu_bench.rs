@@ -40,7 +40,7 @@ use livo_capture::{
 use livo_core::stage::{due, StallCause, FPS};
 use livo_eval::experiments::EvalProfile;
 use livo_eval::stats::percentile;
-use livo_math::{CameraIntrinsics, Pose, RgbdCamera, Vec3};
+use livo_math::{Pose, RgbdCamera, Vec3};
 use livo_runtime::WorkerPool;
 use livo_sfu::{RouteSummary, Router, RouterEvent, SubscriberConfig, SubscriberId};
 use livo_telemetry::json::ObjectWriter;
@@ -396,12 +396,6 @@ fn run_classes(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>]) -> Vec<ClassPo
         .collect()
 }
 
-/// `n` cameras on a ring around the stage at `scale` × Kinect resolution.
-fn ring(n: usize, scale: f32) -> Vec<RgbdCamera> {
-    let k = CameraIntrinsics::kinect_depth(scale);
-    rig::camera_ring(n, 2.5, 1.4, Vec3::new(0.0, 1.0, 0.0), k)
-}
-
 /// Render `count` frames of `band2` from `cameras` on the process-wide pool.
 fn render_clip(cameras: &[RgbdCamera], count: u32) -> Vec<Vec<RgbdFrame>> {
     let preset = DatasetPreset::load(VideoId::Band2);
@@ -443,7 +437,7 @@ fn route_check(cameras: &[RgbdCamera], clip: &[Vec<RgbdFrame>], groups: usize) -
 /// Run the sweep. The rendered capture is shared across all runs — the
 /// benchmark measures routing, not rendering.
 pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
-    let cameras = ring(profile.n_cameras, profile.camera_scale);
+    let cameras = rig::panoptic_rig(profile.n_cameras, profile.camera_scale);
     let frames = render_clip(&cameras, FRAMES as u32);
 
     let counts: &[usize] = if quick {
@@ -473,7 +467,7 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
         .iter()
         .map(|&n| run_churn(&cameras, &frames, n))
         .collect();
-    let full_rig = ring(ROUTE_CHECK_CAMERAS, ROUTE_CHECK_SCALE);
+    let full_rig = rig::panoptic_rig(ROUTE_CHECK_CAMERAS, ROUTE_CHECK_SCALE);
     let clip = render_clip(&full_rig, ROUTE_CHECK_RENDERED);
     SfuSweep {
         points,

@@ -19,8 +19,12 @@
 //!   everything downstream — is the same type a single-link call uses;
 //!   a single-link call is its one-leg case.
 //!
+//! Its drivers are the bonded-transport sweep (`repro --gate bond`) and
+//! the whole-call benchmark's bonded workload; the conference runner
+//! itself runs on one link and does not depend on this crate.
+//!
 //! Everything stays in virtual microseconds and seeded RNG — bonded runs
-//! are bit-reproducible, which the failover tests pin.
+//! are bit-reproducible, which this crate's failover tests pin.
 
 pub mod scenario;
 pub mod session;

@@ -365,7 +365,7 @@ mod tests {
                     Vec3::new(0.0, 1.0, 0.0),
                     CameraIntrinsics::kinect_depth(scale),
                 );
-                for cams in [ring, rig::panoptic_rig(scale)] {
+                for cams in [ring, rig::panoptic_rig(10, scale)] {
                     for (key, t) in [(0, 0.0), (41, 1.37), (299, 9.97)] {
                         let snap = preset.scene.at(t);
                         for (i, cam) in cams.iter().enumerate() {

@@ -26,12 +26,12 @@ pub fn camera_ring(
         .collect()
 }
 
-/// The paper's default rig: 10 Kinect-class cameras at 2.5 m radius,
-/// 1.4 m height, aimed at chest height over the scene centre. `scale`
-/// trades per-camera resolution for speed (1.0 = full 640×576).
-pub fn panoptic_rig(scale: f32) -> Vec<RgbdCamera> {
+/// The paper's capture rig: `n` Kinect-class cameras (10 in the paper) at
+/// 2.5 m radius, 1.4 m height, aimed at chest height over the scene centre.
+/// `scale` trades per-camera resolution for speed (1.0 = full 640×576).
+pub fn panoptic_rig(n: usize, scale: f32) -> Vec<RgbdCamera> {
     camera_ring(
-        10,
+        n,
         2.5,
         1.4,
         Vec3::new(0.0, 1.0, 0.0),
@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn target_is_visible_from_every_ring_camera() {
         let target = Vec3::new(0.0, 1.0, 0.0);
-        let cams = panoptic_rig(0.25);
+        let cams = panoptic_rig(10, 0.25);
         assert_eq!(cams.len(), 10);
         for c in &cams {
             assert!(

@@ -8,7 +8,7 @@ use livo_math::rng::cases;
 #[test]
 fn rendering_is_deterministic() {
     let preset = DatasetPreset::load(VideoId::Band2);
-    let cams = rig::panoptic_rig(0.06);
+    let cams = rig::panoptic_rig(10, 0.06);
     let snap = preset.scene.at(1.234);
     let a = render_rgbd(&cams[3], &snap);
     let b = render_rgbd(&cams[3], &snap);
@@ -18,7 +18,7 @@ fn rendering_is_deterministic() {
 #[test]
 fn every_camera_sees_the_scene() {
     for preset in DatasetPreset::all() {
-        let cams = rig::panoptic_rig(0.06);
+        let cams = rig::panoptic_rig(10, 0.06);
         let snap = preset.scene.at(0.5);
         for (i, c) in cams.iter().enumerate() {
             let f = render_rgbd(c, &snap);
@@ -35,7 +35,7 @@ fn every_camera_sees_the_scene() {
 #[test]
 fn depth_values_respect_sensor_range() {
     let preset = DatasetPreset::load(VideoId::Pizza1);
-    let cams = rig::panoptic_rig(0.06);
+    let cams = rig::panoptic_rig(10, 0.06);
     let snap = preset.scene.at(2.0);
     for c in &cams {
         let f = render_rgbd(c, &snap);

@@ -3,11 +3,14 @@
 //! This is the replay harness of §4.1 of the paper: RGB-D frames are
 //! produced at 30 fps (here: rendered from a scene preset), fed through the
 //! LiVo sender ([`SenderStage`]: cull → tile → depth-encode → rate-adaptive
-//! 2D encode), transmitted over the emulated WebRTC session against a
-//! bandwidth trace, decoded and paired ([`ReceiverStage`]), reconstructed
-//! and "displayed" at the receiver, whose pose follows a user trace. Config
+//! 2D encode), transmitted over a one-link emulated WebRTC session
+//! (`session.link`) against the bandwidth trace `run` is given, decoded and
+//! paired ([`ReceiverStage`]), reconstructed and "displayed" at the
+//! receiver, whose pose follows a user trace. Config
 //! flags turn off culling (LiVo-NoCull), adaptation (LiVo-NoAdapt), pin a
 //! static split (Figs. 18–19) or switch the depth encoding (Fig. 17).
+//! Every scheme is scored with one recipe, [`PSSIM_RECIPE`]. Bonded
+//! multi-link transport is `livo_bond`'s, swept by `repro --gate bond`.
 //!
 //! Everything runs in virtual time; wall-clock is only measured to report
 //! per-component processing latency (Table 6).
@@ -18,17 +21,16 @@ use crate::reconstruct::{back_project_views, prepare_for_render, reconstruct_poi
 use crate::splitter::{BandwidthSplitter, SplitterConfig};
 use crate::stage::{
     due, DisplayClock, FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, Slot, StallCause,
-    FPS, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS, RENDER_VOXEL_M,
+    FPS, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS, PSSIM_RECIPE, RENDER_VOXEL_M,
 };
 use crate::tile::TileLayout;
 use bytes::Bytes;
-use livo_bond::{BondConfig, BondScenario};
 use livo_capture::{
     datasets::DatasetPreset, render::render_views_at, rig, BandwidthTrace, UserTrace, VideoId,
 };
 use livo_codec2d::{Frame, FrameType};
 use livo_math::FrustumParams;
-use livo_pointcloud::{pssim, PssimConfig, PssimScore};
+use livo_pointcloud::{pssim, PssimScore};
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace, TraceEvent};
 use livo_telemetry::{
@@ -58,11 +60,6 @@ pub struct ConferenceConfig {
     /// Pin the split to a constant (Figs. 18–19's static splits).
     pub static_split: Option<f64>,
     pub session: SessionConfig,
-    /// Bonded multi-link transport: when set, the call's [`RtcSession`]
-    /// runs over the legs of this topology scenario instead of the single
-    /// link in `session.link` (which is then ignored). Jitter target and
-    /// initial estimate still come from `session`.
-    pub bond: Option<BondScenario>,
     /// Compute PSSIM on every n-th display slot (the expensive part; the
     /// paper logs clouds and scores offline).
     pub quality_every: u32,
@@ -88,7 +85,6 @@ impl ConferenceConfig {
             depth_encoding: DepthEncoding::ScaledY16,
             static_split: None,
             session: SessionConfig::default(),
-            bond: None,
             quality_every: 15,
             user_trace_seed: 11,
             user_trace_style: 0,
@@ -210,13 +206,6 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    /// Run the call over a bonded multi-link topology instead of the
-    /// single emulated link in `session.link`.
-    pub fn bond(mut self, scenario: BondScenario) -> Self {
-        self.cfg.bond = Some(scenario);
-        self
-    }
-
     /// Compute PSSIM on every n-th display slot (≥ 1).
     pub fn quality_every(mut self, n: u32) -> Self {
         self.cfg.quality_every = n;
@@ -265,11 +254,6 @@ impl ConferenceConfigBuilder {
                 "quality_every",
                 "sampling interval must be at least 1".into(),
             );
-        }
-        if let Some(sc) = &cfg.bond {
-            if let Err(msg) = sc.validate() {
-                return err("bond", msg);
-            }
         }
         Ok(cfg)
     }
@@ -353,13 +337,7 @@ pub struct ConferenceRunner {
 impl ConferenceRunner {
     pub fn new(cfg: ConferenceConfig) -> Self {
         let preset = DatasetPreset::load(cfg.video);
-        let cameras = rig::camera_ring(
-            cfg.n_cameras,
-            2.5,
-            1.4,
-            livo_math::Vec3::new(0.0, 1.0, 0.0),
-            livo_math::CameraIntrinsics::kinect_depth(cfg.camera_scale),
-        );
+        let cameras = rig::panoptic_rig(cfg.n_cameras, cfg.camera_scale);
         let k = cameras[0].intrinsics;
         let layout = TileLayout::new(k.width as usize, k.height as usize, cfg.n_cameras);
         let styles = livo_capture::usertrace::TraceStyle::ALL;
@@ -408,10 +386,7 @@ impl ConferenceRunner {
         // Intra-frame parallelism (capture fan-out, the two encode and the
         // two decode lanes) runs on the runner's pool.
         let pool = self.pool();
-        let mut session = match &cfg.bond {
-            Some(sc) => BondConfig::from_session(sc.clone(), &cfg.session).build(),
-            None => RtcSession::new(net_trace.clone(), cfg.session.clone()),
-        };
+        let mut session = RtcSession::new(net_trace.clone(), cfg.session.clone());
         let mut splitter = BandwidthSplitter::new(SplitterConfig::default());
         let mut predictor = FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M);
         let mut sender = SenderStage::new(self.layout, cfg.depth_encoding, 1);
@@ -574,12 +549,7 @@ impl ConferenceRunner {
                 prepare_for_render(&truth, RENDER_VOXEL_M, &frustum),
             )
         });
-        let pcfg = PssimConfig {
-            neighbors: 6,
-            cell_size: RENDER_VOXEL_M * 3.0,
-            curvature_weight: 0.3,
-        };
-        pssim(&reference, &shown, &pcfg)
+        pssim(&reference, &shown, &PSSIM_RECIPE)
     }
 }
 
@@ -775,12 +745,7 @@ fn summarise(
         pssim_geometry_no_stall: geometry / n_scored,
         pssim_color_no_stall: color / n_scored,
         throughput_mbps: transport.throughput_mbps(cfg.duration_s as f64),
-        // Bonded runs ignore `net_trace` for the links; their capacity
-        // ceiling is the scenario's sum of link means.
-        mean_capacity_mbps: match &cfg.bond {
-            Some(sc) => sc.sum_capacity_mbps(),
-            None => net_trace.stats().mean,
-        },
+        mean_capacity_mbps: net_trace.stats().mean,
         transport_latency_ms: transport.mean_latency_ms(),
         mean_split,
         mean_keep_fraction: if keep.count() > 0 { keep.mean() } else { 1.0 },

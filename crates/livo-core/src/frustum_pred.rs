@@ -7,7 +7,6 @@
 //! dimensions (Gül et al.), predicts `Δt` ahead, and expands the predicted
 //! frustum by a guard band ε (20 cm by default) to absorb residual error.
 
-use livo_math::kalman::PosePredictorConfig;
 use livo_math::{Frustum, FrustumParams, Pose, PosePredictor};
 
 /// The sender-side frustum predictor.
@@ -24,7 +23,7 @@ pub struct FrustumPredictor {
 impl FrustumPredictor {
     pub fn new(params: FrustumParams, guard_m: f32) -> Self {
         FrustumPredictor {
-            predictor: PosePredictor::new(PosePredictorConfig::default()),
+            predictor: PosePredictor::new(),
             params,
             guard_m,
             smoothed_owd_s: 0.1,

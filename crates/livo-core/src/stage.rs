@@ -27,6 +27,7 @@ use livo_codec2d::{
     luma_rmse, Decoder, EncodedFrame, Encoder, EncoderConfig, Frame, FrameType, PixelFormat,
 };
 use livo_math::{Frustum, RgbdCamera};
+use livo_pointcloud::PssimConfig;
 use livo_runtime::WorkerPool;
 use livo_telemetry::trace::{kind, EventTrace, NO_FRAME};
 use livo_telemetry::MetricsRegistry;
@@ -39,6 +40,13 @@ use std::time::Instant;
 pub const GUARD_BAND_M: f32 = 0.2;
 /// Receiver render voxel size in metres.
 pub const RENDER_VOXEL_M: f32 = 0.03;
+/// How every scheme of the evaluation is scored (§4.3): PSSIM over clouds
+/// voxelised at [`RENDER_VOXEL_M`], hashed in cells of three voxels.
+pub const PSSIM_RECIPE: PssimConfig = PssimConfig {
+    neighbors: 6,
+    cell_size: RENDER_VOXEL_M * 3.0,
+    curvature_weight: 0.3,
+};
 /// Capture, forward and display rate of every call, frames per second.
 pub const FPS: u32 = 30;
 /// Share of the bandwidth estimate budgeted to media; the rest is headroom

@@ -15,7 +15,7 @@ use livo_core::conference::{ConferenceConfig, ConferenceRunner};
 use livo_core::cull::cull_accuracy;
 use livo_core::depth::DepthEncoding;
 use livo_core::frustum_pred::FrustumPredictor;
-use livo_math::{Frustum, FrustumParams, Vec3};
+use livo_math::{Frustum, FrustumParams};
 
 /// The four schemes of the study plus the NoAdapt ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -342,13 +342,7 @@ pub fn fig4_split_sweep(
     use livo_core::tile::{compose_color, compose_depth, TileLayout};
 
     let preset = livo_capture::datasets::DatasetPreset::load(video);
-    let cameras = rig::camera_ring(
-        profile.n_cameras,
-        2.5,
-        1.4,
-        Vec3::new(0.0, 1.0, 0.0),
-        livo_math::CameraIntrinsics::kinect_depth(profile.camera_scale),
-    );
+    let cameras = rig::panoptic_rig(profile.n_cameras, profile.camera_scale);
     let k = cameras[0].intrinsics;
     let layout = TileLayout::new(k.width as usize, k.height as usize, profile.n_cameras);
     let codec = DepthCodec::default();
@@ -423,13 +417,7 @@ pub fn fig15_guard_sweep(
     use livo_capture::{render_rgbd, rig, UserTrace};
 
     let preset = livo_capture::datasets::DatasetPreset::load(video);
-    let cameras = rig::camera_ring(
-        profile.n_cameras,
-        2.5,
-        1.4,
-        Vec3::new(0.0, 1.0, 0.0),
-        livo_math::CameraIntrinsics::kinect_depth(profile.camera_scale),
-    );
+    let cameras = rig::panoptic_rig(profile.n_cameras, profile.camera_scale);
     let trace = UserTrace::generate(
         livo_capture::usertrace::TraceStyle::Orbit,
         profile.duration_s + 3.0,

@@ -245,7 +245,7 @@ pub fn fig16_experiment(horizon_s: f64, trace_dur_s: f32) -> Vec<Fig16Row> {
     }
 
     // Kalman filter on the test trace.
-    let mut kf = livo_math::PosePredictor::new(livo_math::kalman::PosePredictorConfig::default());
+    let mut kf = livo_math::PosePredictor::new();
     let mut pos_err = 0.0;
     let mut rot_err = 0.0;
     let mut n = 0.0f64;

@@ -55,7 +55,7 @@ pub fn table3(profile: &EvalProfile) -> String {
     for preset in DatasetPreset::all() {
         // Measure valid-pixel fraction at eval scale; extrapolate to the
         // full 640×576×10 rig at 15 B/point.
-        let cams = rig::panoptic_rig(profile.camera_scale);
+        let cams = rig::panoptic_rig(10, profile.camera_scale);
         let snap = preset.scene.at(1.0);
         let mut valid = 0usize;
         let mut total = 0usize;

@@ -18,33 +18,17 @@ use crate::pose::Pose;
 use crate::quat::Quat;
 use crate::vec3::Vec3;
 
-/// Configuration for [`PosePredictor`].
-#[derive(Debug, Clone, Copy)]
-pub struct PosePredictorConfig {
-    /// Nominal sampling interval of pose observations in seconds (30 Hz
-    /// headset tracking → 1/30).
-    pub dt: f64,
-    /// Process (acceleration) noise variance for position dims, m²/s⁴.
-    pub pos_accel_var: f64,
-    /// Process noise variance for angular dims, rad²/s⁴.
-    pub ang_accel_var: f64,
-    /// Measurement noise std-dev for position, metres.
-    pub pos_meas_std: f64,
-    /// Measurement noise std-dev for angles, radians.
-    pub ang_meas_std: f64,
-}
-
-impl Default for PosePredictorConfig {
-    fn default() -> Self {
-        PosePredictorConfig {
-            dt: 1.0 / 30.0,
-            pos_accel_var: 4.0,
-            ang_accel_var: 9.0,
-            pos_meas_std: 0.003,
-            ang_meas_std: 0.005,
-        }
-    }
-}
+/// Nominal sampling interval of pose observations in seconds (30 Hz
+/// headset tracking).
+pub const SAMPLE_DT: f64 = 1.0 / 30.0;
+/// Process (acceleration) noise variance for position dims, m²/s⁴.
+pub const POS_ACCEL_VAR: f64 = 4.0;
+/// Process noise variance for angular dims, rad²/s⁴.
+pub const ANG_ACCEL_VAR: f64 = 9.0;
+/// Measurement noise std-dev for position, metres.
+pub const POS_MEAS_STD: f64 = 0.003;
+/// Measurement noise std-dev for angles, radians.
+pub const ANG_MEAS_STD: f64 = 0.005;
 
 /// One dimension's constant-velocity filter: state `(p, v)`, its covariance
 /// (all four entries — rounding leaves it only nearly symmetric), the
@@ -135,19 +119,23 @@ impl Axis {
 pub struct PosePredictor {
     /// x, y, z, then yaw, pitch, roll (unwrapped).
     axes: [Axis; 6],
-    cfg: PosePredictorConfig,
     /// Last unwrapped Euler angles, for seam-free measurements; `None`
     /// until the first observation.
     last_angles: Option<[f64; 3]>,
 }
 
+impl Default for PosePredictor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PosePredictor {
-    pub fn new(cfg: PosePredictorConfig) -> Self {
-        let pos = Axis::new(cfg.dt, cfg.pos_accel_var, cfg.pos_meas_std);
-        let ang = Axis::new(cfg.dt, cfg.ang_accel_var, cfg.ang_meas_std);
+    pub fn new() -> Self {
+        let pos = Axis::new(SAMPLE_DT, POS_ACCEL_VAR, POS_MEAS_STD);
+        let ang = Axis::new(SAMPLE_DT, ANG_ACCEL_VAR, ANG_MEAS_STD);
         PosePredictor {
             axes: [pos, pos, pos, ang, ang, ang],
-            cfg,
             last_angles: None,
         }
     }
@@ -182,7 +170,7 @@ impl PosePredictor {
                 // Seed the state directly from the first observation.
                 axis.p = z;
             } else {
-                axis.time_update(self.cfg.dt);
+                axis.time_update(SAMPLE_DT);
                 axis.measure(z);
             }
         }
@@ -204,10 +192,6 @@ impl PosePredictor {
     /// Current filtered pose (zero-horizon prediction).
     pub fn filtered(&self) -> Pose {
         self.predict(0.0)
-    }
-
-    pub fn config(&self) -> &PosePredictorConfig {
-        &self.cfg
     }
 }
 
@@ -285,9 +269,8 @@ mod tests {
     /// stays +0.0.
     #[test]
     fn axes_carry_the_dense_filter_state_bit_for_bit() {
-        let cfg = PosePredictorConfig::default();
-        let mut fast = PosePredictor::new(cfg);
-        let mut dense = DensePosePredictor::new(cfg);
+        let mut fast = PosePredictor::new();
+        let mut dense = DensePosePredictor::new();
         let mut rng = crate::rng::SplitMix64::new(7);
         let (mut eye, mut yaw) = (Vec3::new(0.0, 1.6, 0.0), 3.0f32);
         for n in 0..5_000 {
@@ -330,7 +313,6 @@ mod tests {
 
     #[test]
     fn nonfinite_samples_are_dropped_not_absorbed() {
-        let cfg = PosePredictorConfig::default();
         let pose_at = |i: usize| {
             let t = i as f32 / 30.0;
             Pose::new(
@@ -339,8 +321,8 @@ mod tests {
             )
         };
         let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
-        let mut clean = PosePredictor::new(cfg);
-        let mut dirty = PosePredictor::new(cfg);
+        let mut clean = PosePredictor::new();
+        let mut dirty = PosePredictor::new();
         for i in 0..60 {
             if i % 7 == 3 {
                 let c = bad[i % 3];
@@ -366,14 +348,14 @@ mod tests {
             }
         }
         // A non-finite first sample does not initialise the filter either.
-        let mut p = PosePredictor::new(cfg);
+        let mut p = PosePredictor::new();
         p.observe(&Pose::new(Vec3::new(f32::NAN, 0.0, 0.0), Quat::IDENTITY));
         assert!(p.last_angles.is_none());
     }
 
     #[test]
     fn pose_predictor_initializes_from_first_observation() {
-        let mut p = PosePredictor::new(PosePredictorConfig::default());
+        let mut p = PosePredictor::new();
         assert!(p.last_angles.is_none());
         let pose = Pose::new(
             Vec3::new(1.0, 2.0, 3.0),
@@ -388,10 +370,9 @@ mod tests {
 
     #[test]
     fn pose_predictor_extrapolates_linear_motion() {
-        let cfg = PosePredictorConfig::default();
-        let mut p = PosePredictor::new(cfg);
+        let mut p = PosePredictor::new();
         // Walk along +X at 1 m/s while turning at 0.5 rad/s.
-        let dt = cfg.dt as f32;
+        let dt = SAMPLE_DT as f32;
         for step in 0..60 {
             let t = step as f32 * dt;
             let pose = Pose::new(
@@ -414,9 +395,8 @@ mod tests {
     #[test]
     fn pose_predictor_handles_yaw_seam() {
         // Rotate through the ±π seam; prediction must not explode.
-        let cfg = PosePredictorConfig::default();
-        let mut p = PosePredictor::new(cfg);
-        let dt = cfg.dt as f32;
+        let mut p = PosePredictor::new();
+        let dt = SAMPLE_DT as f32;
         let rate = 1.0f32; // rad/s
         let start = 3.0f32; // near +π
         for step in 0..40 {
@@ -435,8 +415,7 @@ mod tests {
 
     #[test]
     fn stationary_pose_prediction_stays_put() {
-        let cfg = PosePredictorConfig::default();
-        let mut p = PosePredictor::new(cfg);
+        let mut p = PosePredictor::new();
         let pose = Pose::new(
             Vec3::new(0.5, 1.7, -2.0),
             Quat::from_yaw_pitch_roll(1.0, 0.2, 0.0),

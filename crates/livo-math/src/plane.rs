@@ -25,16 +25,6 @@ impl Plane {
         }
     }
 
-    /// Plane through three points; normal follows the right-hand rule
-    /// `(b-a) × (c-a)`.
-    pub fn from_points(a: Vec3, b: Vec3, c: Vec3) -> Self {
-        let n = (b - a).cross(c - a).normalized();
-        Plane {
-            normal: n,
-            d: -n.dot(a),
-        }
-    }
-
     /// Signed distance; positive on the normal side.
     #[inline]
     pub fn signed_distance(&self, p: Vec3) -> f32 {
@@ -86,13 +76,6 @@ mod tests {
         assert!(p.signed_distance(Vec3::new(0.0, 1.0, 0.0)) > 0.0);
         assert!(p.signed_distance(Vec3::new(0.0, -1.0, 0.0)) < 0.0);
         assert!(p.signed_distance(Vec3::new(5.0, 0.0, -3.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn from_points_right_hand_rule() {
-        let p = Plane::from_points(Vec3::ZERO, Vec3::X, Vec3::Y);
-        // (X-0) × (Y-0) = Z
-        assert!((p.normal - Vec3::Z).length() < 1e-6);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //!
 //! Included as a module by `src/kalman.rs`'s unit tests and by
 //! `tests/kalman_scenarios.rs`; both parents bring `angles`, `Pose`,
-//! `PosePredictorConfig`, `Quat` and `Vec3` into scope.
+//! `Quat`, `Vec3` and the predictor's five noise-model constants into scope.
 
 #![allow(dead_code)]
 
-use super::{angles, Pose, PosePredictorConfig, Quat, Vec3};
+use super::{
+    angles, Pose, Quat, Vec3, ANG_ACCEL_VAR, ANG_MEAS_STD, POS_ACCEL_VAR, POS_MEAS_STD, SAMPLE_DT,
+};
 
 /// Minimal dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,17 +265,13 @@ pub struct DensePosePredictor {
 }
 
 impl DensePosePredictor {
-    pub fn new(cfg: PosePredictorConfig) -> Self {
+    pub fn new() -> Self {
         let dims = 6;
-        let f = constant_velocity_f(dims, cfg.dt);
+        let f = constant_velocity_f(dims, SAMPLE_DT);
         let h = position_only_h(dims);
-        let mut q = white_noise_q(dims, cfg.dt, 1.0);
+        let mut q = white_noise_q(dims, SAMPLE_DT, 1.0);
         for i in 0..dims {
-            let var = if i < 3 {
-                cfg.pos_accel_var
-            } else {
-                cfg.ang_accel_var
-            };
+            let var = if i < 3 { POS_ACCEL_VAR } else { ANG_ACCEL_VAR };
             q[(i, i)] *= var;
             q[(i, dims + i)] *= var;
             q[(dims + i, i)] *= var;
@@ -281,10 +279,10 @@ impl DensePosePredictor {
         }
         let mut r = DMatrix::zeros(dims, dims);
         for i in 0..3 {
-            r[(i, i)] = cfg.pos_meas_std * cfg.pos_meas_std;
+            r[(i, i)] = POS_MEAS_STD * POS_MEAS_STD;
         }
         for i in 3..6 {
-            r[(i, i)] = cfg.ang_meas_std * cfg.ang_meas_std;
+            r[(i, i)] = ANG_MEAS_STD * ANG_MEAS_STD;
         }
         let x0 = DMatrix::zeros(dims * 2, 1);
         let p0 = DMatrix::identity(dims * 2).scale(1.0);

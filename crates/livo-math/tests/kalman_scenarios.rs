@@ -7,7 +7,7 @@ mod dense_kalman;
 
 use dense_kalman::DensePosePredictor;
 use livo_capture::usertrace::{TraceStyle, UserTrace};
-use livo_math::kalman::PosePredictorConfig;
+use livo_math::kalman::{ANG_ACCEL_VAR, ANG_MEAS_STD, POS_ACCEL_VAR, POS_MEAS_STD, SAMPLE_DT};
 use livo_math::rng::SplitMix64;
 use livo_math::{angles, Pose, PosePredictor, Quat, Vec3};
 use std::f32::consts::FRAC_PI_2;
@@ -25,9 +25,8 @@ fn bits(p: &Pose) -> [u32; 7] {
 /// Feed `poses` to the per-axis predictor and the dense oracle alike and
 /// require every prediction at every horizon to be bit-equal.
 fn assert_replays_dense(poses: &[Pose], what: &str) -> usize {
-    let cfg = PosePredictorConfig::default();
-    let mut fast = PosePredictor::new(cfg);
-    let mut dense = DensePosePredictor::new(cfg);
+    let mut fast = PosePredictor::new();
+    let mut dense = DensePosePredictor::new();
     for (i, pose) in poses.iter().enumerate() {
         fast.observe(pose);
         dense.observe(pose);
@@ -119,7 +118,7 @@ fn noisy(pose: Pose, rng: &mut SplitMix64) -> Pose {
 #[test]
 fn circular_walk_prediction_error_is_bounded() {
     let mut rng = SplitMix64::new(1);
-    let mut p = PosePredictor::new(PosePredictorConfig::default());
+    let mut p = PosePredictor::new();
     let pose_at = |t: f32| {
         let a = 0.3 * t; // rad/s around a 2.5 m circle
         Pose::look_at(
@@ -150,7 +149,7 @@ fn circular_walk_prediction_error_is_bounded() {
 #[test]
 fn stop_and_go_velocity_washes_out() {
     let mut rng = SplitMix64::new(2);
-    let mut p = PosePredictor::new(PosePredictorConfig::default());
+    let mut p = PosePredictor::new();
     // 2 s of walking, then 2 s standing still.
     for i in 0..60 {
         let t = i as f32 * DT;
@@ -175,7 +174,7 @@ fn stop_and_go_velocity_washes_out() {
 #[test]
 fn error_grows_with_horizon() {
     let mut rng = SplitMix64::new(3);
-    let mut p = PosePredictor::new(PosePredictorConfig::default());
+    let mut p = PosePredictor::new();
     let pose_at = |t: f32| {
         Pose::new(
             Vec3::new((0.5 * t).sin() * 1.5, 1.6, (0.4 * t).cos() * 1.5),
@@ -206,7 +205,7 @@ fn error_grows_with_horizon() {
 #[test]
 fn long_run_with_noise_stays_stable() {
     let mut rng = SplitMix64::new(4);
-    let mut p = PosePredictor::new(PosePredictorConfig::default());
+    let mut p = PosePredictor::new();
     let still = Pose::new(
         Vec3::new(0.3, 1.65, -2.0),
         Quat::from_yaw_pitch_roll(0.5, -0.1, 0.0),
@@ -226,7 +225,7 @@ fn long_run_with_noise_stays_stable() {
 /// error through multiple full turns.
 #[test]
 fn multiple_full_turns_cross_the_seam_cleanly() {
-    let mut p = PosePredictor::new(PosePredictorConfig::default());
+    let mut p = PosePredictor::new();
     let rate = 1.2f32; // rad/s, ~3 full turns over 16 s
     for i in 0..500 {
         let yaw = angles::wrap(rate * i as f32 * DT);

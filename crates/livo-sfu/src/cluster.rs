@@ -14,26 +14,12 @@
 
 use livo_math::{Frustum, FrustumParams, Pose};
 
-/// Knobs of the greedy frustum clusterer.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterParams {
-    /// Minimum *mutual* volume coverage for two subscribers to share a
-    /// cluster, in `[0, 1]`. Higher = tighter clusters, more encode
-    /// passes; `> 1` forces one cluster per subscriber.
-    pub overlap_threshold: f32,
-    /// Stratified samples per axis for coverage estimation (`n³` points
-    /// per ordered pair; 4 → 64 points, plenty for a go/no-go call).
-    pub samples_per_axis: usize,
-}
-
-impl Default for ClusterParams {
-    fn default() -> Self {
-        ClusterParams {
-            overlap_threshold: 0.5,
-            samples_per_axis: 4,
-        }
-    }
-}
+/// Minimum *mutual* volume coverage for two subscribers to share a
+/// cluster. Higher = tighter clusters, more encode passes.
+const OVERLAP_THRESHOLD: f32 = 0.5;
+/// Stratified samples per axis for coverage estimation (`n³` points per
+/// ordered pair; 4 → 64 points, plenty for a go/no-go call).
+const SAMPLES_PER_AXIS: usize = 4;
 
 /// One subscriber's predicted viewing volume, in world space.
 #[derive(Debug, Clone)]
@@ -59,15 +45,15 @@ pub fn mutual_coverage(a: &ViewVolume, b: &ViewVolume, samples_per_axis: usize) 
 ///
 /// Walks subscribers in index order; each unassigned subscriber seeds a
 /// cluster and absorbs every later unassigned subscriber whose mutual
-/// coverage *with the seed* meets the threshold. Comparing against the
-/// seed (not the union) keeps the result deterministic and order-stable:
+/// coverage *with the seed* meets `OVERLAP_THRESHOLD`. Comparing against
+/// the seed (not the union) keeps the result deterministic and order-stable:
 /// a subscriber's cluster can only change when its own or its seed's
 /// frustum moves, not because a third member stretched the union.
 ///
 /// Returns the clusters as index lists; every input index appears in
 /// exactly one cluster, and each cluster's first element is its seed (the
 /// lowest member index).
-pub fn cluster_views(views: &[ViewVolume], params: &ClusterParams) -> Vec<Vec<usize>> {
+pub fn cluster_views(views: &[ViewVolume]) -> Vec<Vec<usize>> {
     let mut assigned = vec![false; views.len()];
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     for seed in 0..views.len() {
@@ -80,8 +66,8 @@ pub fn cluster_views(views: &[ViewVolume], params: &ClusterParams) -> Vec<Vec<us
             if assigned[cand] {
                 continue;
             }
-            let cov = mutual_coverage(&views[seed], &views[cand], params.samples_per_axis);
-            if cov >= params.overlap_threshold {
+            let cov = mutual_coverage(&views[seed], &views[cand], SAMPLES_PER_AXIS);
+            if cov >= OVERLAP_THRESHOLD {
                 assigned[cand] = true;
                 members.push(cand);
             }
@@ -114,7 +100,7 @@ mod tests {
     #[test]
     fn identical_views_share_one_cluster() {
         let views: Vec<ViewVolume> = (0..4).map(|_| volume_at(looking(0.0))).collect();
-        let clusters = cluster_views(&views, &ClusterParams::default());
+        let clusters = cluster_views(&views);
         assert_eq!(clusters, vec![vec![0, 1, 2, 3]]);
     }
 
@@ -126,19 +112,8 @@ mod tests {
             volume_at(looking(0.02)),
             volume_at(looking(std::f32::consts::PI + 0.02)),
         ];
-        let clusters = cluster_views(&views, &ClusterParams::default());
+        let clusters = cluster_views(&views);
         assert_eq!(clusters, vec![vec![0, 2], vec![1, 3]]);
-    }
-
-    #[test]
-    fn threshold_above_one_forces_singletons() {
-        let views: Vec<ViewVolume> = (0..3).map(|_| volume_at(looking(0.0))).collect();
-        let p = ClusterParams {
-            overlap_threshold: 1.01,
-            ..Default::default()
-        };
-        let clusters = cluster_views(&views, &p);
-        assert_eq!(clusters, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
@@ -157,6 +132,6 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_clusters() {
-        assert!(cluster_views(&[], &ClusterParams::default()).is_empty());
+        assert!(cluster_views(&[]).is_empty());
     }
 }

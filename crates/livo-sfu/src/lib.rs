@@ -44,7 +44,7 @@ pub mod cluster;
 pub mod router;
 pub mod subscriber;
 
-pub use cluster::{cluster_views, mutual_coverage, ClusterParams, ViewVolume};
+pub use cluster::{cluster_views, mutual_coverage, ViewVolume};
 pub use router::{
     subscriber_party, ClusterOutput, RouteSummary, Router, RouterBuilder, RouterConfig,
     RouterError, RouterEvent, SubscriberId,

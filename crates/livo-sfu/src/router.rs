@@ -61,7 +61,7 @@
 //! reach the router at all — they are handled per-downlink inside each
 //! member's session.
 
-use crate::cluster::{cluster_views, ClusterParams, ViewVolume};
+use crate::cluster::{cluster_views, ViewVolume};
 use crate::subscriber::{Subscriber, SubscriberConfig};
 use bytes::Bytes;
 use livo_capture::{BandwidthTrace, RgbdFrame};
@@ -91,12 +91,6 @@ const TICK_US: Micros = 1_000;
 pub struct SubscriberId(u64);
 
 impl SubscriberId {
-    /// Reconstruct an id from its raw value (trace args, serialised
-    /// reports). Prefer holding the handle from `add_subscriber`.
-    pub const fn from_raw(raw: u64) -> Self {
-        SubscriberId(raw)
-    }
-
     /// The raw value, for trace args and serialised reports.
     pub const fn raw(self) -> u64 {
         self.0
@@ -531,8 +525,6 @@ impl Router {
         let id = SubscriberId(self.next_id);
         self.next_id += 1;
         let mut sub = Subscriber::new(cfg, trace, &self.pool);
-        let prefix = format!("sfu.sub.{safe}.transport");
-        sub.session.attach_telemetry(&self.registry, &prefix);
         sub.t1_dropped = self.registry.counter(&format!("sfu.sub.{safe}.t1_dropped"));
         if let Some(tr) = &self.trace {
             sub.attach_trace(tr.clone(), subscriber_party(id));
@@ -648,7 +640,7 @@ impl Router {
     /// [`RouterEvent::Regrouped`].
     fn recluster(&mut self, ids: &[SubscriberId], volumes: &[ViewVolume]) {
         let groups_idx: Vec<Vec<usize>> = if self.cfg.sharing {
-            cluster_views(volumes, &ClusterParams::default())
+            cluster_views(volumes)
         } else {
             (0..ids.len()).map(|i| vec![i]).collect()
         };

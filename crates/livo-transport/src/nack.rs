@@ -13,32 +13,27 @@ use crate::packet::Packet;
 use crate::Micros;
 use std::collections::{BTreeMap, VecDeque};
 
+/// Minimum spacing between requests for the same seq, tuned for a ~40 ms
+/// RTT path.
+const RETRY_INTERVAL: Micros = 30_000;
+/// Requests per missing seq before the receiver stops asking.
+const MAX_RETRIES: u32 = 3;
+
 /// Receiver-side NACK scheduling.
 #[derive(Debug)]
 pub struct NackGenerator {
     /// seq → (times requested, last request time).
     requested: BTreeMap<u64, (u32, Micros)>,
-    /// Minimum spacing between requests for the same seq.
-    retry_interval: Micros,
-    max_retries: u32,
     /// Earliest retry among the seqs of the last [`Self::nacks`] call.
     next_due: Micros,
 }
 
 impl NackGenerator {
-    pub fn new(retry_interval: Micros, max_retries: u32) -> Self {
+    pub(crate) fn new() -> Self {
         NackGenerator {
             requested: BTreeMap::new(),
-            retry_interval,
-            max_retries,
             next_due: Micros::MAX,
         }
-    }
-
-    /// Defaults tuned for a ~40 ms RTT path: retry every 30 ms, at most 3
-    /// times.
-    pub fn with_defaults() -> Self {
-        Self::new(30_000, 3)
     }
 
     /// Given current gaps, decide which seqs to NACK now.
@@ -47,14 +42,14 @@ impl NackGenerator {
         self.next_due = Micros::MAX;
         for &seq in missing {
             let e = self.requested.entry(seq).or_insert((0, 0));
-            let due = e.0 == 0 || now.saturating_sub(e.1) >= self.retry_interval;
-            if due && e.0 < self.max_retries {
+            let due = e.0 == 0 || now.saturating_sub(e.1) >= RETRY_INTERVAL;
+            if due && e.0 < MAX_RETRIES {
                 e.0 += 1;
                 e.1 = now;
                 out.push(seq);
             }
-            if e.0 < self.max_retries {
-                self.next_due = self.next_due.min(e.1 + self.retry_interval);
+            if e.0 < MAX_RETRIES {
+                self.next_due = self.next_due.min(e.1 + RETRY_INTERVAL);
             }
         }
         // Garbage-collect entries for seqs no longer missing.
@@ -126,7 +121,7 @@ mod tests {
 
     #[test]
     fn nack_fires_once_then_respects_retry_interval() {
-        let mut g = NackGenerator::new(30_000, 3);
+        let mut g = NackGenerator::new();
         assert_eq!(g.nacks(&[5, 6], 0), vec![5, 6]);
         assert!(g.nacks(&[5, 6], 10_000).is_empty(), "too soon to retry");
         assert_eq!(g.nacks(&[5, 6], 31_000), vec![5, 6]);
@@ -135,11 +130,15 @@ mod tests {
 
     #[test]
     fn nack_gives_up_after_max_retries() {
-        let mut g = NackGenerator::new(10_000, 2);
+        let mut g = NackGenerator::new();
         assert_eq!(g.nacks(&[9], 0).len(), 1);
-        assert_eq!(g.next_due(), 10_000);
-        assert_eq!(g.nacks(&[9], 20_000).len(), 1);
-        assert!(g.nacks(&[9], 40_000).is_empty());
+        assert_eq!(g.next_due(), RETRY_INTERVAL);
+        let mut now = 0;
+        for _ in 1..MAX_RETRIES {
+            now += RETRY_INTERVAL;
+            assert_eq!(g.nacks(&[9], now).len(), 1);
+        }
+        assert!(g.nacks(&[9], now + RETRY_INTERVAL).is_empty());
         assert!(g.nacks(&[9], 400_000).is_empty());
         assert_eq!(g.next_due(), Micros::MAX, "retries spent");
     }

@@ -1002,10 +1002,7 @@ impl RtcSession {
             if missing.is_empty() {
                 continue;
             }
-            let ng = self
-                .nack
-                .entry(stream)
-                .or_insert_with(NackGenerator::with_defaults);
+            let ng = self.nack.entry(stream).or_insert_with(NackGenerator::new);
             let to_request = ng.nacks(&missing, now);
             self.nack_due = self.nack_due.min(ng.next_due());
             if to_request.is_empty() {

@@ -117,6 +117,15 @@ if grep -rnE "IS_WORKER|Handoff" crates/livo-runtime/src \
   || [ "$(grep -ro "transmute" crates/livo-runtime/src | wc -l)" -gt 1 ]; then
   echo "IS_WORKER, Handoff or a second transmute is back in livo-runtime"; exit 1
 fi
+# One value, one constant: the pose predictor's noise model, the clusterer's
+# overlap threshold and sample count and the NACK retry schedule are
+# constants, the conference takes no bond, and no caller rebuilds a
+# subscriber id from its raw value. Their settings and livo-core's
+# dependency on livo-bond stay gone.
+if grep -rnE "PosePredictorConfig|ClusterParams|NackGenerator::with_defaults|from_raw" crates src tests examples \
+  || grep -n "livo-bond" crates/livo-core/Cargo.toml; then
+  echo "PosePredictorConfig, ClusterParams, NackGenerator::with_defaults, from_raw or livo-core's livo-bond dependency is back"; exit 1
+fi
 # SIMD dispatch: the kernel differential suite and the renderer's oracle
 # tests ran at the auto-detected tier above; they must also hold with the
 # dispatcher forced to the scalar tier (LIVO_SIMD caps the level per

@@ -77,8 +77,8 @@ pub mod prelude {
     pub use livo_math::{Frustum, FrustumParams, Pose, Quat, Vec3};
     pub use livo_pointcloud::{pssim, Point, PointCloud, PssimConfig};
     pub use livo_sfu::{
-        ClusterParams, Router, RouterBuilder, RouterConfig, RouterError, RouterEvent,
-        SubscriberConfig, SubscriberId,
+        Router, RouterBuilder, RouterConfig, RouterError, RouterEvent, SubscriberConfig,
+        SubscriberId,
     };
     pub use livo_telemetry::{FramePath, Level, MetricsRegistry, RegistrySnapshot, TraceQuery};
     pub use livo_transport::{RtcSession, SessionConfig, StreamId};

@@ -12,7 +12,7 @@
 
 use livo::capture::{render::render_views_at, rig, RgbdFrame};
 use livo::core::reconstruct::{prepare_for_render, reconstruct_point_cloud};
-use livo::core::stage::{Rate, NOADAPT_QPS, RENDER_VOXEL_M};
+use livo::core::stage::{Rate, NOADAPT_QPS, PSSIM_RECIPE, RENDER_VOXEL_M};
 use livo::prelude::*;
 
 /// Bits a frame and, over every `score_every`-th frame, mean PSSIM
@@ -55,11 +55,6 @@ fn measure(camera_scale: f32, frames: u32, score_every: u32) -> [Cost; 2] {
         .collect();
     let pose = Pose::look_at(Vec3::new(0.0, 1.5, 3.0), Vec3::new(0.0, 1.0, 0.0), Vec3::Y);
     let viewer = Frustum::from_params(&pose, &FrustumParams::default());
-    let pssim_cfg = PssimConfig {
-        neighbors: 6,
-        cell_size: RENDER_VOXEL_M * 3.0,
-        curvature_weight: 0.3,
-    };
     let (color, depth) = NOADAPT_QPS;
     [1u8, 2].map(|layers| {
         let mut sender = SenderStage::new(layout, DepthEncoding::ScaledY16, layers);
@@ -82,7 +77,7 @@ fn measure(camera_scale: f32, frames: u32, score_every: u32) -> [Cost; 2] {
                 let shown = prepare_for_render(&cloud, RENDER_VOXEL_M, &viewer);
                 let reference =
                     prepare_for_render(&truth(captured, &cameras), RENDER_VOXEL_M, &viewer);
-                let s = pssim(&reference, &shown, &pssim_cfg).expect("both clouds have points");
+                let s = pssim(&reference, &shown, &PSSIM_RECIPE).expect("both clouds have points");
                 scores.push((s.geometry, s.color));
             }
         }
