@@ -98,10 +98,6 @@ impl DracoOracle {
         }
     }
 
-    pub fn profile(&self) -> &RateProfile {
-        &self.profile
-    }
-
     /// Run the replay. Each 1/fps slot: build the perfectly-culled cloud,
     /// consult the table, either transmit (and optionally score) or stall.
     pub fn run(&self, trace: &BandwidthTrace) -> BaselineSummary {
@@ -194,7 +190,7 @@ impl DracoOracle {
 }
 
 /// Render the camera array at time `t` and fuse into a world point cloud.
-pub fn capture_cloud(
+pub(crate) fn capture_cloud(
     cameras: &[livo_math::RgbdCamera],
     preset: &DatasetPreset,
     t: f32,

@@ -2,13 +2,13 @@
 //!
 //! Four alternatives are compared against LiVo:
 //!
-//! - **Draco-Oracle** ([`draco_oracle`]): a hypothetical bandwidth-adaptive
+//! - **Draco-Oracle** (`draco_oracle`): a hypothetical bandwidth-adaptive
 //!   Draco. Given the target bandwidth and a *perfect* receiver frustum, it
 //!   consults an offline (quantisation, level) → (size, time) profile and
 //!   picks the highest-quality setting that fits both the bit budget and
 //!   the inter-frame deadline; if nothing fits, the frame stalls. Runs at
 //!   15 fps (at 30 fps it stalls >90% of the time — §4.1).
-//! - **MeshReduce** ([`meshreduce`]): per-frame mesh reconstruction,
+//! - **MeshReduce** (`meshreduce`): per-frame mesh reconstruction,
 //!   decimation driven by an offline profile of the *average* trace
 //!   bandwidth (indirect adaptation), Draco-coded geometry + 2D-coded
 //!   texture over reliable transport. No stalls, but a variable (low)
@@ -21,8 +21,8 @@
 //! All baselines report the common [`BaselineSummary`] so the evaluation
 //! harness can tabulate them next to LiVo's `RunSummary`.
 
-pub mod draco_oracle;
-pub mod meshreduce;
+mod draco_oracle;
+mod meshreduce;
 
 pub use draco_oracle::{DracoOracle, DracoOracleConfig};
 pub use meshreduce::{MeshReduce, MeshReduceConfig};

@@ -58,7 +58,7 @@ impl MeshReduceConfig {
 /// Bits per triangle of the Draco-ish mesh coding, measured once per run
 /// from a sample frame (the offline profile).
 #[derive(Debug, Clone, Copy)]
-pub struct MeshProfile {
+pub(crate) struct MeshProfile {
     pub bits_per_triangle: f64,
 }
 
@@ -88,7 +88,7 @@ impl MeshReduce {
     }
 
     /// Build the full-scene mesh for time `t`.
-    pub fn build_mesh(&self, t: f32) -> Mesh {
+    pub(crate) fn build_mesh(&self, t: f32) -> Mesh {
         let snap = self.preset.scene.at(t);
         let time_key = (t * 30.0).round() as u32;
         let mut mesh = Mesh::new();
@@ -101,7 +101,7 @@ impl MeshReduce {
     }
 
     /// Offline profiling: encode one sample mesh to learn bits/triangle.
-    pub fn profile(&self) -> MeshProfile {
+    pub(crate) fn profile(&self) -> MeshProfile {
         let mesh = self.build_mesh(self.cfg.duration_s * 0.5);
         let bits = encode_mesh_bits(&mesh);
         MeshProfile {
@@ -191,7 +191,7 @@ impl MeshReduce {
 /// Measure the Draco-coded size of a mesh's geometry+colour (vertices
 /// through the octree coder; connectivity modelled at ~2 bits/triangle,
 /// Draco's typical Edgebreaker rate) in bits.
-pub fn encode_mesh_bits(mesh: &Mesh) -> u64 {
+pub(crate) fn encode_mesh_bits(mesh: &Mesh) -> u64 {
     if mesh.vertices.is_empty() {
         return 0;
     }
@@ -206,7 +206,7 @@ pub fn encode_mesh_bits(mesh: &Mesh) -> u64 {
 
 /// Lossy-code the mesh the way the wire does: vertices through the octree
 /// coder (quantised positions + colours), connectivity preserved.
-pub fn code_mesh_lossy(mesh: &Mesh) -> Mesh {
+pub(crate) fn code_mesh_lossy(mesh: &Mesh) -> Mesh {
     if mesh.vertices.is_empty() {
         return mesh.clone();
     }

@@ -25,7 +25,7 @@ use livo_transport::StreamId;
 
 /// One replay's receiver-side outcome (bonded or single-link).
 #[derive(Debug, Clone)]
-pub struct RunOutcome {
+pub(crate) struct RunOutcome {
     pub delivered_mbps: f64,
     pub stall_rate: f64,
     pub frames_delivered: u64,
@@ -38,7 +38,7 @@ pub struct RunOutcome {
 
 /// One scenario's sweep point: bonded vs the best single link.
 #[derive(Debug, Clone)]
-pub struct BondPoint {
+pub(crate) struct BondPoint {
     pub scenario: String,
     pub sum_capacity_mbps: f64,
     pub bonded: RunOutcome,
@@ -50,7 +50,7 @@ pub struct BondPoint {
 
 impl BondPoint {
     /// Best single link by delivered goodput.
-    pub fn best_single(&self) -> &(String, RunOutcome) {
+    pub(crate) fn best_single(&self) -> &(String, RunOutcome) {
         self.singles
             .iter()
             .max_by(|a, b| a.1.delivered_mbps.total_cmp(&b.1.delivered_mbps))
@@ -58,7 +58,7 @@ impl BondPoint {
     }
 
     /// Does this point hold the aggregation claims it gates?
-    pub fn gate_ok(&self) -> bool {
+    pub(crate) fn gate_ok(&self) -> bool {
         let best = &self.best_single().1;
         if self.fixed_load_mbps.is_some() {
             // Lossless ceiling: ≥ 90% of summed capacity, and strictly
@@ -175,7 +175,7 @@ fn run_point(scenario: BondScenario, duration_s: f64, fixed_frac: Option<f64>) -
 }
 
 /// Run the canned sweep. `quick` halves the per-scenario call length.
-pub fn run_sweep(quick: bool) -> Vec<BondPoint> {
+pub(crate) fn run_sweep(quick: bool) -> Vec<BondPoint> {
     let d = if quick { 8.0 } else { 16.0 };
     vec![
         // Lossless ceiling at a fixed 96%-of-capacity offered load (the
@@ -189,12 +189,12 @@ pub fn run_sweep(quick: bool) -> Vec<BondPoint> {
 }
 
 /// All gates green?
-pub fn gate_ok(points: &[BondPoint]) -> bool {
+pub(crate) fn gate_ok(points: &[BondPoint]) -> bool {
     points.iter().all(BondPoint::gate_ok)
 }
 
 /// Human-readable table of the sweep.
-pub fn text(points: &[BondPoint]) -> String {
+pub(crate) fn text(points: &[BondPoint]) -> String {
     let mut s =
         String::from("Bonded transport sweep: bonded vs single links, per topology scenario\n\n");
     s.push_str(&crate::table_head(
@@ -237,7 +237,7 @@ pub fn text(points: &[BondPoint]) -> String {
 }
 
 /// The snapshot written to `BENCH_bond.json`, schema `livo-bench-bond-v1`.
-pub fn json(points: &[BondPoint], profile: &EvalProfile, quick: bool) -> String {
+pub(crate) fn json(points: &[BondPoint], profile: &EvalProfile, quick: bool) -> String {
     fn outcome(w: &mut ObjectWriter, o: &RunOutcome) {
         w.field_f64("delivered_mbps", o.delivered_mbps);
         w.field_f64("stall_rate", o.stall_rate);

@@ -38,7 +38,7 @@ const PARTIES: [(&str, TraceId, usize); 3] = [
 ];
 
 /// Outcome of one traced conference run.
-pub struct ConferenceReport {
+pub(crate) struct ConferenceReport {
     /// Human-readable report: one frame path per subscriber.
     pub text: String,
     /// The full run as Chrome trace-event JSON (Perfetto-loadable).
@@ -61,7 +61,7 @@ fn party_name(party: u16) -> String {
 }
 
 /// Run the traced 3-party conference.
-pub fn run(profile: &EvalProfile) -> ConferenceReport {
+pub(crate) fn run(profile: &EvalProfile) -> ConferenceReport {
     let seconds = profile.duration_s.min(3.0);
     let cameras = rig::panoptic_rig(profile.n_cameras, profile.camera_scale);
     let preset = DatasetPreset::load(VideoId::Band2);
@@ -153,7 +153,7 @@ pub fn run(profile: &EvalProfile) -> ConferenceReport {
 }
 
 /// The trace-overhead A/B result.
-pub struct OverheadResult {
+pub(crate) struct OverheadResult {
     /// Per-rep total encode wall-clock, tracing off, milliseconds.
     pub off_ms: Vec<f64>,
     /// Same, tracing on (interleaved off/on, same rep index).
@@ -163,7 +163,7 @@ pub struct OverheadResult {
 }
 
 /// The gate bound: tracing may cost at most 5% encode wall-clock.
-pub const OVERHEAD_LIMIT: f64 = 1.05;
+pub(crate) const OVERHEAD_LIMIT: f64 = 1.05;
 
 fn encode_ms(profile: &EvalProfile, seconds: f32, tracing: bool) -> f64 {
     let cfg = ConferenceConfig::builder(VideoId::Band2)
@@ -185,7 +185,7 @@ fn encode_ms(profile: &EvalProfile, seconds: f32, tracing: bool) -> f64 {
 }
 
 /// Interleaved A/B measurement of the tracing overhead on band2 encode.
-pub fn run_overhead(profile: &EvalProfile) -> OverheadResult {
+pub(crate) fn run_overhead(profile: &EvalProfile) -> OverheadResult {
     const REPS: usize = 5;
     let seconds = profile.duration_s.min(2.0);
     let mut off_ms = Vec::with_capacity(REPS);
@@ -211,7 +211,7 @@ pub fn run_overhead(profile: &EvalProfile) -> OverheadResult {
 }
 
 /// Human-readable overhead report.
-pub fn overhead_text(r: &OverheadResult) -> String {
+pub(crate) fn overhead_text(r: &OverheadResult) -> String {
     let mut s = String::from("trace overhead: band2 encode wall-clock, tracing on vs off\n\n");
     s.push_str(&format!(
         "{:>4} | {:>10} | {:>10}\n",

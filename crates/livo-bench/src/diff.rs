@@ -247,7 +247,7 @@ fn compare(old: &str, new: &str) -> Result<(String, usize), String> {
 
 /// `repro diff old.json new.json`: exit 0 when no virtual leaf changed, 1
 /// when one did, 2 when a file cannot be read or parsed.
-pub fn main(args: &[String]) -> i32 {
+pub(crate) fn main(args: &[String]) -> i32 {
     let [old, new] = args else {
         eprintln!("usage: repro diff <old.json> <new.json>");
         return 2;

@@ -4,16 +4,17 @@
 //! The references are the test oracles, included here from each crate's
 //! `tests/common/oracle.rs` — the per-pixel union cull for `cull` and
 //! `union_cull`, the matrix DCT pair for `dct_forward` / `dct_inverse`, the
-//! clamped-loop SAD for `sad` — so the reported speedups measure the actual
-//! replacement, on the actual machine, against the body the differential
-//! tests hold it to. The two `coeff_coder` points write and read back the
-//! level blocks of one colour and one depth inter frame (planned by the
-//! codec's inter plan oracle) through the product's block coder and through
-//! the one it replaced, kept below as its only copy; they also carry both
-//! coders' payload bits, which repeat exactly and are gated against a
-//! ceiling beside the clock. A point whose win is measured on a `call_*`
-//! workload and whose subject no open change touches is retired into its
-//! differential test (DESIGN.md, the second-path ledger).
+//! libm-rounding quantiser for `quantize`, the clamped-loop SAD for `sad` —
+//! so the reported speedups measure the actual replacement, on the actual
+//! machine, against the body the differential tests hold it to. The two
+//! `coeff_coder` points write and read back the level blocks of one colour
+//! and one depth inter frame (planned by the codec's inter plan oracle)
+//! through the product's block coder and through the one it replaced, kept
+//! below as its only copy; they also carry both coders' payload bits, which
+//! repeat exactly and are gated against a ceiling beside the clock. A point
+//! whose win is measured on a `call_*` workload and whose subject no open
+//! change touches is retired into its differential test (DESIGN.md, the
+//! second-path ledger).
 //! `repro kernels` prints the table; `--json` snapshots it (schema
 //! `livo-bench-kernels-v1`, committed as `BENCH_kernels.json`);
 //! `--gate` exits non-zero if any gated kernel runs slower than what it
@@ -54,17 +55,17 @@ mod codec_oracle;
 #[path = "../../livo-core/tests/common/oracle.rs"]
 mod cull_oracle;
 
-use codec_oracle::{forward_ref, inverse_ref, plan_inter, sad_ref, InterPlan};
+use codec_oracle::{forward_ref, inverse_ref, plan_inter, quantize_ref, sad_ref, InterPlan};
 use cull_oracle::cull_views_union_reference;
 
 /// Repetitions per kernel; the median is reported.
 const REPS: usize = 7;
 
 /// Minimum speedup `--gate` accepts on every gated point.
-pub const GATE_FLOOR: f64 = 1.0;
+pub(crate) const GATE_FLOOR: f64 = 1.0;
 
 /// One benchmarked kernel.
-pub struct KernelPoint {
+pub(crate) struct KernelPoint {
     pub name: &'static str,
     /// What one timed iteration covers.
     pub unit: &'static str,
@@ -82,14 +83,14 @@ pub struct KernelPoint {
 
 /// Payload sizes of a coder point. They repeat exactly, so `--gate` holds
 /// `fast` to `ceiling` times `reference` whatever the clock says.
-pub struct CodedBits {
+pub(crate) struct CodedBits {
     pub fast: u64,
     pub reference: u64,
     pub ceiling: f64,
 }
 
 impl KernelPoint {
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         if self.fast_ns <= 0.0 {
             0.0
         } else {
@@ -316,6 +317,48 @@ fn bench_dct() -> (KernelPoint, KernelPoint) {
             bits: None,
         },
     )
+}
+
+/// One block through `quant::quantize_block` against the same loop over
+/// the libm-rounding oracle, on forward-DCT output of 8- and 16-bit blocks
+/// at the steps of QPs 4, 22 and 40.
+fn bench_quantize() -> KernelPoint {
+    const BLOCKS: usize = 4096;
+    let coeffs: Vec<[f32; 64]> = (0..BLOCKS)
+        .map(|i| {
+            dct::forward(&pseudo_block(
+                i as u64 + 1,
+                if i % 2 == 0 { 255 } else { 65535 },
+            ))
+        })
+        .collect();
+    let steps = [quant::qstep(4), quant::qstep(22), quant::qstep(40)];
+    let quantize_block_ref = |c: &[f32; 64], step: f32| {
+        let mut out: [i32; 64] = std::array::from_fn(|i| quantize_ref(c[i], step));
+        out[0] = quantize_ref(c[0], step * quant::DC_SCALE);
+        out
+    };
+    let (fast, reference) = time_pair(
+        || {
+            for (i, c) in coeffs.iter().enumerate() {
+                let step = steps[i % steps.len()];
+                black_box(quant::quantize_block(black_box(c), step, quant::DC_SCALE));
+            }
+        },
+        || {
+            for (i, c) in coeffs.iter().enumerate() {
+                black_box(quantize_block_ref(black_box(c), steps[i % steps.len()]));
+            }
+        },
+    );
+    KernelPoint {
+        name: "quantize",
+        unit: "per 8x8 block",
+        fast_ns: fast / BLOCKS as f64,
+        ref_ns: reference / BLOCKS as f64,
+        gated: true,
+        bits: None,
+    }
 }
 
 fn bench_sad() -> KernelPoint {
@@ -653,7 +696,7 @@ fn bench_coeff_coders() -> [KernelPoint; 2] {
 }
 
 /// Run the full kernel sweep.
-pub fn run() -> Vec<KernelPoint> {
+pub(crate) fn run() -> Vec<KernelPoint> {
     let (dct_f, dct_i) = bench_dct();
     let (pool_scope_empty, pool_scope_tasks) = bench_pool_scope();
     let mut points = vec![
@@ -661,6 +704,7 @@ pub fn run() -> Vec<KernelPoint> {
         bench_union_cull(),
         dct_f,
         dct_i,
+        bench_quantize(),
         bench_sad(),
         pool_scope_empty,
         pool_scope_tasks,
@@ -670,7 +714,7 @@ pub fn run() -> Vec<KernelPoint> {
 }
 
 /// Human-readable table.
-pub fn text(points: &[KernelPoint]) -> String {
+pub(crate) fn text(points: &[KernelPoint]) -> String {
     let mut s = String::from("Hot-kernel speedups vs the bodies they replaced\n\n");
     s.push_str(&crate::table_head(
         &[
@@ -703,13 +747,13 @@ pub fn text(points: &[KernelPoint]) -> String {
             ));
         }
     }
-    s.push_str("\nThe cull, DCT and SAD references are the test oracles in livo-core's and\nlivo-codec2d's tests/common/oracle.rs; the coeff_coder one is the block\ncoder while every coefficient went through the range coder, kept in\nkernels_bench.rs only.\n");
+    s.push_str("\nThe cull, DCT, quantize and SAD references are the test oracles in\nlivo-core's and livo-codec2d's tests/common/oracle.rs; the coeff_coder\none is the block coder while every coefficient went through the range\ncoder, kept in kernels_bench.rs only.\n");
     s
 }
 
 /// The snapshot written to `BENCH_kernels.json`, schema
 /// `livo-bench-kernels-v1`.
-pub fn json(points: &[KernelPoint]) -> String {
+pub(crate) fn json(points: &[KernelPoint]) -> String {
     let mut out = String::new();
     let mut o = ObjectWriter::new(&mut out);
     o.field_str("schema", "livo-bench-kernels-v1");
@@ -749,7 +793,7 @@ pub fn json(points: &[KernelPoint]) -> String {
 
 /// Perf ratchet: true when every gated kernel clears [`GATE_FLOOR`].
 /// Non-gated points are informational.
-pub fn gate_ok(points: &[KernelPoint]) -> bool {
+pub(crate) fn gate_ok(points: &[KernelPoint]) -> bool {
     points.iter().filter(|p| p.gated).all(|p| {
         let bits_ok = p
             .bits

@@ -21,10 +21,10 @@ use livo_transport::SessionConfig;
 /// The sweep: `(bandwidth_mbps, random_loss)` per point. A clean fat
 /// link, the same link under loss, and a tight link with and without
 /// loss — the four corners the transport work cares about.
-pub const SWEEP: [(f64, f64); 4] = [(40.0, 0.0), (40.0, 0.02), (6.0, 0.0), (6.0, 0.02)];
+pub(crate) const SWEEP: [(f64, f64); 4] = [(40.0, 0.0), (40.0, 0.02), (6.0, 0.0), (6.0, 0.02)];
 
 /// One sweep point's receiver-side outcome.
-pub struct QoePoint {
+pub(crate) struct QoePoint {
     pub bandwidth_mbps: f64,
     pub loss: f64,
     pub stall_rate: f64,
@@ -110,7 +110,7 @@ fn run_point(profile: &EvalProfile, bandwidth_mbps: f64, loss: f64) -> QoePoint 
 }
 
 /// Run the full sweep.
-pub fn run_sweep(profile: &EvalProfile) -> Vec<QoePoint> {
+pub(crate) fn run_sweep(profile: &EvalProfile) -> Vec<QoePoint> {
     SWEEP
         .iter()
         .map(|&(bw, loss)| run_point(profile, bw, loss))
@@ -118,7 +118,7 @@ pub fn run_sweep(profile: &EvalProfile) -> Vec<QoePoint> {
 }
 
 /// Human-readable table of the sweep.
-pub fn text(points: &[QoePoint]) -> String {
+pub(crate) fn text(points: &[QoePoint]) -> String {
     let mut s = String::from("QoE sweep: band2, receiver-side outcomes per link condition\n\n");
     let mut cols = vec![
         ("bw Mbps", 7),
@@ -153,7 +153,7 @@ pub fn text(points: &[QoePoint]) -> String {
 }
 
 /// The snapshot written to `BENCH_qoe.json`, schema `livo-bench-qoe-v1`.
-pub fn json(points: &[QoePoint], profile: &EvalProfile) -> String {
+pub(crate) fn json(points: &[QoePoint], profile: &EvalProfile) -> String {
     let mut out = String::new();
     let mut o = ObjectWriter::new(&mut out);
     o.field_str("schema", "livo-bench-qoe-v1");

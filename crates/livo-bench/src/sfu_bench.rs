@@ -48,12 +48,12 @@ use livo_transport::Micros;
 use std::sync::Arc;
 
 /// Subscriber counts of the full scaling sweep.
-pub const SUBSCRIBER_COUNTS: [usize; 3] = [10, 100, 500];
+pub(crate) const SUBSCRIBER_COUNTS: [usize; 3] = [10, 100, 500];
 /// Counts used by `--quick` (CI): drops the N=500 point.
-pub const QUICK_COUNTS: [usize; 2] = [10, 100];
+pub(crate) const QUICK_COUNTS: [usize; 2] = [10, 100];
 
 /// Naive fan-out is measured only up to this N.
-pub const NAIVE_CAP: usize = 10;
+pub(crate) const NAIVE_CAP: usize = 10;
 /// The sharded-route check: viewers per set, cameras, camera scale, and
 /// frames rendered (routed forward, then backward).
 const ROUTE_CHECK_N: usize = 10;
@@ -76,7 +76,7 @@ const SERIAL_TOLERANCE: f64 = 1.15;
 const MIN_INTRA_GAP_US: u64 = 32_000;
 
 /// One point of the sweep: N subscribers, shared vs naive.
-pub struct ScalingPoint {
+pub(crate) struct ScalingPoint {
     pub subscribers: usize,
     /// Frustum clusters the shared router settled on.
     pub clusters: usize,
@@ -95,7 +95,7 @@ pub struct ScalingPoint {
 }
 
 /// One Poisson churn run: joins and leaves arriving mid-call.
-pub struct ChurnPoint {
+pub(crate) struct ChurnPoint {
     /// Subscribers at the start of the run.
     pub subscribers: usize,
     pub joins: u64,
@@ -112,13 +112,13 @@ pub struct ChurnPoint {
 /// downlinks (Mbit/s), 120 frames; each subscriber's display clock counts
 /// its slots from 200 ms after its first frame (the 100 ms jitter target
 /// and three frames of fill).
-pub const LINK_CLASSES_MBPS: [f64; 3] = [50.0, 6.0, 1.5];
+pub(crate) const LINK_CLASSES_MBPS: [f64; 3] = [50.0, 6.0, 1.5];
 const CLASS_FRAMES: u64 = 120;
 
 /// What the stage group's member on one link class displayed: new frames
 /// a second, the share of slots with none and why, and the T1s not
 /// forwarded.
-pub struct ClassPoint {
+pub(crate) struct ClassPoint {
     pub link_mbps: f64,
     pub shown_fps: f64,
     pub stall_rate: f64,
@@ -129,7 +129,7 @@ pub struct ClassPoint {
 
 /// One viewer set of the sharded-route check: its gaze groups, the
 /// clusters the pooled router settled on, and the two route p50s, ms.
-pub struct RouteCheck {
+pub(crate) struct RouteCheck {
     pub groups: usize,
     pub clusters: usize,
     pub serial_route_ms_p50: f64,
@@ -138,7 +138,7 @@ pub struct RouteCheck {
 
 /// The full v2 sweep, plus the thread count it ran with (the sharded-route
 /// check is only meaningful with >= 2 threads).
-pub struct SfuSweep {
+pub(crate) struct SfuSweep {
     pub points: Vec<ScalingPoint>,
     pub churn: Vec<ChurnPoint>,
     pub classes: Vec<ClassPoint>,
@@ -436,7 +436,7 @@ fn route_check(cameras: &[RgbdCamera], clip: &[Vec<RgbdFrame>], groups: usize) -
 
 /// Run the sweep. The rendered capture is shared across all runs — the
 /// benchmark measures routing, not rendering.
-pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
+pub(crate) fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
     let cameras = rig::panoptic_rig(profile.n_cameras, profile.camera_scale);
     let frames = render_clip(&cameras, FRAMES as u32);
 
@@ -491,7 +491,7 @@ pub fn run_scaling(profile: &EvalProfile, quick: bool) -> SfuSweep {
 ///   (the times only checked with >= 2 threads).
 /// - Churn runs complete (they panic otherwise) with shared intras no
 ///   closer than one RTT apart.
-pub fn gate_ok(sweep: &SfuSweep) -> bool {
+pub(crate) fn gate_ok(sweep: &SfuSweep) -> bool {
     for p in &sweep.points {
         if p.clusters == 0 || p.shared_passes_per_frame > p.clusters as f64 + 0.5 {
             return false;
@@ -515,7 +515,7 @@ pub fn gate_ok(sweep: &SfuSweep) -> bool {
 }
 
 /// Human-readable table of the sweep.
-pub fn text(sweep: &SfuSweep) -> String {
+pub(crate) fn text(sweep: &SfuSweep) -> String {
     let mut s = String::from(
         "SFU scaling: encode passes per frame, shared (frustum clusters) vs naive\n\n",
     );
@@ -616,7 +616,7 @@ pub fn text(sweep: &SfuSweep) -> String {
 }
 
 /// The snapshot written to `BENCH_sfu.json`, schema `livo-bench-sfu-v2`.
-pub fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
+pub(crate) fn json(sweep: &SfuSweep, profile: &EvalProfile) -> String {
     let mut out = String::new();
     let mut o = ObjectWriter::new(&mut out);
     o.field_str("schema", "livo-bench-sfu-v2");

@@ -7,12 +7,12 @@
 //! link saves the call. This crate bonds several emulated paths into one
 //! session:
 //!
-//! - [`scenario`]: a declarative topology/impairment harness. A
+//! - `scenario`: a declarative topology/impairment harness. A
 //!   [`BondScenario`] names each link and gives it a bandwidth trace,
 //!   propagation delay, i.i.d. and/or Gilbert–Elliott burst loss, and a
 //!   timeline of mid-run events (down/up/kill, RTT jumps) — "car leaves
 //!   WiFi onto LTE" is the one-liner [`BondScenario::wifi_to_lte`].
-//! - [`session`]: [`BondConfig`], which maps a scenario onto the legs of
+//! - `session`: [`BondConfig`], which maps a scenario onto the legs of
 //!   a [`livo_transport::RtcSession`]. The session itself — one
 //!   `GccEstimator` per leg, the stateless per-packet scheduler, a
 //!   *shared* reassembly/jitter/NACK receiver, failover invisible to
@@ -26,8 +26,8 @@
 //! Everything stays in virtual microseconds and seeded RNG — bonded runs
 //! are bit-reproducible, which this crate's failover tests pin.
 
-pub mod scenario;
-pub mod session;
+mod scenario;
+mod session;
 
 pub use livo_transport::{LinkAction, LinkEvent};
 pub use scenario::{BondScenario, LinkScenario};

@@ -44,14 +44,15 @@ impl LinkScenario {
     }
 
     /// Replace the bandwidth trace.
-    pub fn trace(mut self, trace: BandwidthTrace) -> Self {
+    #[cfg(test)]
+    pub(crate) fn trace(mut self, trace: BandwidthTrace) -> Self {
         self.trace = trace;
         self
     }
 
     /// Piecewise-linear capacity profile: `(seconds, mbps)` breakpoints,
     /// linearly interpolated at [`TRACE_SAMPLE_HZ`].
-    pub fn profile(mut self, points: &[(f64, f64)]) -> Self {
+    pub(crate) fn profile(mut self, points: &[(f64, f64)]) -> Self {
         self.trace = piecewise_trace(points);
         self
     }
@@ -61,17 +62,12 @@ impl LinkScenario {
         self
     }
 
-    pub fn random_loss(mut self, p: f64) -> Self {
-        self.link.random_loss = p;
-        self
-    }
-
-    pub fn burst(mut self, ge: GilbertElliott) -> Self {
+    pub(crate) fn burst(mut self, ge: GilbertElliott) -> Self {
         self.link.burst = Some(ge);
         self
     }
 
-    pub fn seed(mut self, seed: u64) -> Self {
+    pub(crate) fn seed(mut self, seed: u64) -> Self {
         self.link.seed = seed;
         self
     }
@@ -86,22 +82,24 @@ impl LinkScenario {
     }
 
     /// Take the link down at `at_s` seconds (recoverable).
-    pub fn down_at(self, at_s: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn down_at(self, at_s: f64) -> Self {
         self.event(at_s, LinkAction::Down)
     }
 
     /// Bring the link back up at `at_s` seconds.
-    pub fn up_at(self, at_s: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn up_at(self, at_s: f64) -> Self {
         self.event(at_s, LinkAction::Up)
     }
 
     /// Kill the link permanently at `at_s` seconds.
-    pub fn kill_at(self, at_s: f64) -> Self {
+    pub(crate) fn kill_at(self, at_s: f64) -> Self {
         self.event(at_s, LinkAction::Kill)
     }
 
     /// Mean capacity of the trace in Mbps.
-    pub fn mean_capacity_mbps(&self) -> f64 {
+    pub(crate) fn mean_capacity_mbps(&self) -> f64 {
         self.trace.stats().mean
     }
 }
@@ -164,7 +162,7 @@ impl BondScenario {
     }
 
     /// Validate: at least one link, unique non-empty names.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.links.is_empty() {
             return Err("bond scenario has no links".into());
         }

@@ -34,7 +34,7 @@ impl BondConfig {
     }
 
     /// The session over this topology. Panics on an invalid scenario
-    /// ([`BondScenario::validate`] before constructing).
+    /// (`BondScenario::validate` before constructing).
     pub fn build(self) -> RtcSession {
         self.scenario
             .validate()

@@ -88,11 +88,6 @@ impl DatasetPreset {
     pub fn all() -> Vec<DatasetPreset> {
         VideoId::ALL.iter().map(|&id| Self::load(id)).collect()
     }
-
-    /// Total frames at the native frame rate.
-    pub fn total_frames(&self) -> u64 {
-        self.duration_s as u64 * self.fps as u64
-    }
 }
 
 /// Background common to all presets: floor disc plus two wall slabs, giving
@@ -425,7 +420,6 @@ mod tests {
             let p = DatasetPreset::load(id);
             assert_eq!(p.duration_s, dur, "{id}");
             assert_eq!(p.fps, 30);
-            assert_eq!(p.total_frames(), dur as u64 * 30);
         }
     }
 

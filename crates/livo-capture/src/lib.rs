@@ -7,7 +7,7 @@
 //! this crate synthesises equivalents that exercise the same code paths:
 //!
 //! - [`scene`]: analytic 3D scenes — animated articulated people
-//!   ([`people`]), furniture, floors — with procedural surface colour.
+//!   (`people`), furniture, floors — with procedural surface colour.
 //! - [`render`]: a ray-cast RGB-D renderer with a pinhole model, one ray
 //!   per pixel, cast eight at a time;
 //!   it produces exactly what an RGB-D camera produces (a depth image in
@@ -25,7 +25,7 @@
 
 pub mod datasets;
 pub mod nettrace;
-pub mod people;
+mod people;
 pub mod render;
 pub mod rig;
 pub mod scene;

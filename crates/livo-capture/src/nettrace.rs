@@ -145,11 +145,6 @@ impl BandwidthTrace {
         self.samples_mbps[i]
     }
 
-    /// Duration covered by the samples in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.samples_mbps.len() as f64 / TRACE_SAMPLE_HZ as f64
-    }
-
     /// Table 4 statistics of this trace.
     pub fn stats(&self) -> TraceStats {
         let mut sorted = self.samples_mbps.clone();
@@ -233,7 +228,6 @@ mod tests {
         let t = BandwidthTrace::constant(100.0, 1.0);
         assert_eq!(t.capacity_at(0.0), 100.0);
         assert_eq!(t.capacity_at(500.0), 100.0);
-        assert!((t.duration_s() - 1.0).abs() < 0.11);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use livo_math::Vec3;
 
 /// How much and how a person moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MotionStyle {
+pub(crate) enum MotionStyle {
     /// Large, fast sways — a dancer.
     Dance,
     /// Periodic arm motion with a steady torso — playing an instrument.
@@ -68,7 +68,7 @@ impl MotionStyle {
 /// Build the shapes of one person standing at `base` (feet position on the
 /// floor), facing roughly +Z, wearing `shirt`/`pants` colours. `phase`
 /// de-synchronises multiple people.
-pub fn person(
+pub(crate) fn person(
     base: Vec3,
     style: MotionStyle,
     shirt: [u8; 3],
@@ -178,9 +178,10 @@ fn dim(c: [u8; 3]) -> [u8; 3] {
     [c[0] / 2, c[1] / 2, c[2] / 2]
 }
 
-/// Shape count per person (used by the dataset presets to reach Table 3's
-/// object counts).
-pub const SHAPES_PER_PERSON: usize = 6;
+/// Shape count per person (the dataset tests check Table 3's object counts
+/// with it).
+#[cfg(test)]
+pub(crate) const SHAPES_PER_PERSON: usize = 6;
 
 #[cfg(test)]
 mod tests {

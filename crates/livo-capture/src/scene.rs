@@ -47,7 +47,7 @@ pub enum Texture {
 
 impl Texture {
     /// Colour of the surface at world position `p`.
-    pub fn color_at(&self, p: Vec3) -> [u8; 3] {
+    pub(crate) fn color_at(&self, p: Vec3) -> [u8; 3] {
         // `(v / cell).floor() as i64`; libm only where `i32` cannot hold it.
         let cell_of = |v: f32, cell: f32| {
             let q = v / cell;
@@ -158,7 +158,7 @@ impl AnimatedShape {
     }
 
     /// World-space shape at time `t`.
-    pub fn resolve(&self, t: f32) -> ResolvedShape {
+    pub(crate) fn resolve(&self, t: f32) -> ResolvedShape {
         let off = match self.animation {
             Animation::Orbit { center, .. } => {
                 // Orbit replaces the horizontal position relative to centre.
@@ -221,7 +221,7 @@ pub(crate) struct RayPacket {
 
 impl RayPacket {
     #[inline(always)]
-    pub fn dir(&self, l: usize) -> Vec3 {
+    pub(crate) fn dir(&self, l: usize) -> Vec3 {
         Vec3::new(self.dir[0][l], self.dir[1][l], self.dir[2][l])
     }
 }

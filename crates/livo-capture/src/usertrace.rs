@@ -107,16 +107,8 @@ impl UserTrace {
         UserTrace { style, poses }
     }
 
-    pub fn len(&self) -> usize {
-        self.poses.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.poses.is_empty()
-    }
-
     /// Pose at frame index `i` (clamped to the last pose).
-    pub fn pose_at(&self, i: usize) -> Pose {
+    pub(crate) fn pose_at(&self, i: usize) -> Pose {
         self.poses[i.min(self.poses.len().saturating_sub(1))]
     }
 
@@ -138,7 +130,7 @@ mod tests {
     #[test]
     fn trace_has_expected_length() {
         let t = UserTrace::generate(TraceStyle::Orbit, 10.0, 1);
-        assert_eq!(t.len(), 300);
+        assert_eq!(t.poses.len(), 300);
     }
 
     #[test]

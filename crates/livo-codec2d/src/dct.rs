@@ -480,7 +480,7 @@ mod avx2 {
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn forward(block: &[i32; 64]) -> [f32; 64] {
+    pub(crate) unsafe fn forward(block: &[i32; 64]) -> [f32; 64] {
         let p = block.as_ptr();
         // vcvtdq2ps rounds to nearest even, identical to `i32 as f32`.
         let rows: [__m256; 8] = std::array::from_fn(|y| {
@@ -503,7 +503,7 @@ mod avx2 {
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn inverse(coeffs: &[f32; 64]) -> [i32; 64] {
+    pub(crate) unsafe fn inverse(coeffs: &[f32; 64]) -> [i32; 64] {
         let p = coeffs.as_ptr();
         let sp = INV_SCALE.as_ptr();
         let rows: [__m256; 8] = std::array::from_fn(|v| {

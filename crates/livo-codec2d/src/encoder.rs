@@ -262,10 +262,6 @@ impl Encoder {
         t.slice_header_bits.add(self.last_header_bits);
     }
 
-    pub fn config(&self) -> &EncoderConfig {
-        &self.cfg
-    }
-
     /// Force the next frame to be intra-coded (the reaction to a PLI/FIR
     /// from the transport).
     pub fn force_keyframe(&mut self) {

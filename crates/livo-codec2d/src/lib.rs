@@ -31,7 +31,7 @@
 
 pub mod block;
 pub mod dct;
-pub mod decoder;
+mod decoder;
 #[cfg(test)]
 mod differential;
 pub mod encoder;
@@ -42,13 +42,12 @@ mod oracle;
 pub mod plane;
 pub mod quant;
 pub mod rangecoder;
-pub mod ratecontrol;
+mod ratecontrol;
 pub mod slice;
 
 pub use decoder::{DecodeError, Decoder};
 pub use encoder::{BlockCounts, EncodedFrame, Encoder, EncoderConfig, FrameType};
 pub use plane::{Frame, PixelFormat, Plane};
-pub use ratecontrol::RateController;
 
 /// Mean-squared error between two frames' primary (luma) planes, in the
 /// native sample scale. This is the sender-side quality estimate LiVo's
@@ -69,15 +68,4 @@ pub fn luma_mse(a: &Frame, b: &Frame) -> f64 {
 /// Root-mean-squared error of the luma planes.
 pub fn luma_rmse(a: &Frame, b: &Frame) -> f64 {
     luma_mse(a, b).sqrt()
-}
-
-/// PSNR of the luma planes in dB, using the format's peak value.
-pub fn luma_psnr(a: &Frame, b: &Frame) -> f64 {
-    let peak = a.format.peak_value() as f64;
-    let mse = luma_mse(a, b);
-    if mse <= 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (peak * peak / mse).log10()
-    }
 }

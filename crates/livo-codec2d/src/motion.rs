@@ -6,7 +6,7 @@
 //! mostly static (fixed tile slots — §3.2 of the paper), so most vectors are
 //! zero and most macroblocks are skipped outright.
 //!
-//! [`sad`] and [`predict_block`] take an **interior fast path** over
+//! [`sad`] and `predict_block` take an **interior fast path** over
 //! contiguous row slices whenever both the current block and the displaced
 //! reference block lie fully inside their planes — no per-sample bounds
 //! check, no `get_clamped`, and the early-exit test folded to once per row.
@@ -164,7 +164,7 @@ mod avx2 {
     /// `cur` and `[rx, rx+16)` at `ry+dy` of `reference` are in bounds for
     /// `dy in 0..16` (the `interior()` precondition).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sad_interior(
+    pub(crate) unsafe fn sad_interior(
         cur: &Plane,
         reference: &Plane,
         bx: usize,
@@ -208,7 +208,7 @@ mod avx2 {
     /// Same preconditions as [`sad_interior`], for `reference` rows at
     /// `(rx, ry)`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn predict_interior(
+    pub(crate) unsafe fn predict_interior(
         reference: &Plane,
         rx: usize,
         ry: usize,
@@ -272,7 +272,7 @@ fn sad_clamped(
 /// (pinned by `diamond_skip_matches_reference`). For the same reason the
 /// search returns the moment a candidate scores SAD 0: a later probe
 /// replaces the best only when strictly lower, so the vector cannot change.
-pub fn diamond_search(
+pub(crate) fn diamond_search(
     cur: &Plane,
     reference: &Plane,
     bx: usize,
@@ -361,7 +361,7 @@ pub fn diamond_search(
 
 /// Copy the motion-compensated prediction block for macroblock `(bx, by)`
 /// from `reference` into `out` (row-major `MB_SIZE`²).
-pub fn predict_block(
+pub(crate) fn predict_block(
     reference: &Plane,
     bx: usize,
     by: usize,

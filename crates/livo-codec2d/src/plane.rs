@@ -50,7 +50,7 @@ impl Plane {
     }
 
     /// Copy an 8×8 block starting at `(bx, by)` into `out`, edge-clamped.
-    pub fn read_block8(&self, bx: usize, by: usize, out: &mut [i32; 64]) {
+    pub(crate) fn read_block8(&self, bx: usize, by: usize, out: &mut [i32; 64]) {
         self.read_block8_at(bx as isize, by as isize, out);
     }
 
@@ -76,29 +76,10 @@ impl Plane {
         }
     }
 
-    /// Write an 8×8 block at `(bx, by)`, clamping each sample to
-    /// `[0, peak]` and skipping out-of-bounds pixels (for non-multiple-of-8
-    /// dimensions).
-    pub fn write_block8(&mut self, bx: usize, by: usize, block: &[i32; 64], peak: u16) {
-        for dy in 0..8 {
-            let y = by + dy;
-            if y >= self.height {
-                break;
-            }
-            for dx in 0..8 {
-                let x = bx + dx;
-                if x >= self.width {
-                    break;
-                }
-                self.data[y * self.width + x] = block[dy * 8 + dx].clamp(0, peak as i32) as u16;
-            }
-        }
-    }
-
     /// Mean absolute difference to another plane (same dimensions).
     /// See also [`write_block8_into_stripe`] for writing into a borrowed
     /// horizontal stripe of a plane's rows.
-    pub fn mad(&self, o: &Plane) -> f64 {
+    pub(crate) fn mad(&self, o: &Plane) -> f64 {
         assert_eq!((self.width, self.height), (o.width, o.height));
         // 65 535 differences of at most 65 535 each still fit a `u32`, and
         // a `u32` sum of `u16` differences vectorises where one `i64` per
@@ -120,11 +101,12 @@ impl Plane {
 /// Write an 8×8 block into a horizontal stripe of plane rows, as handed out
 /// by `data.chunks_mut(width * stripe_height)`. `stripe` holds plane rows
 /// `[y0, y0 + stripe.len() / width)`; `(bx, by)` are whole-plane coordinates.
-/// Semantics match [`Plane::write_block8`]: samples clamp to `[0, peak]` and
-/// pixels outside the plane (here: outside the stripe) are skipped, so the
-/// partial last stripe of a non-multiple-of-stripe-height plane behaves like
-/// the plane's bottom edge. A block wholly inside the stripe is written row
-/// slice by row slice; the sample-by-sample loop is the edge fallback.
+/// Samples clamp to `[0, peak]` and pixels outside the plane (here: outside
+/// the stripe) are skipped, so the partial last stripe of a
+/// non-multiple-of-stripe-height plane behaves like the plane's bottom
+/// edge. A whole plane is one stripe with `y0 = 0`. A block wholly inside
+/// the stripe is written row slice by row slice; the sample-by-sample loop
+/// is the edge fallback.
 pub fn write_block8_into_stripe(
     stripe: &mut [u16],
     width: usize,
@@ -187,7 +169,7 @@ impl PixelFormat {
     }
 
     /// Number of planes.
-    pub fn num_planes(self) -> usize {
+    pub(crate) fn num_planes(self) -> usize {
         match self {
             PixelFormat::Yuv420 => 3,
             PixelFormat::Y16 => 1,
@@ -443,7 +425,7 @@ mod tests {
         let mut blk = [0i32; 64];
         p.read_block8(8, 8, &mut blk);
         let mut q = Plane::new(16, 16);
-        q.write_block8(8, 8, &blk, u16::MAX);
+        write_block8_into_stripe(&mut q.data, 16, 0, 8, 8, &blk, u16::MAX);
         for dy in 0..8 {
             for dx in 0..8 {
                 assert_eq!(q.get(8 + dx, 8 + dy), p.get(8 + dx, 8 + dy));
@@ -455,10 +437,10 @@ mod tests {
     fn write_block_clamps_to_peak() {
         let mut p = Plane::new(8, 8);
         let blk = [300i32; 64];
-        p.write_block8(0, 0, &blk, 255);
+        write_block8_into_stripe(&mut p.data, 8, 0, 0, 0, &blk, 255);
         assert_eq!(p.get(0, 0), 255);
         let neg = [-5i32; 64];
-        p.write_block8(0, 0, &neg, 255);
+        write_block8_into_stripe(&mut p.data, 8, 0, 0, 0, &neg, 255);
         assert_eq!(p.get(0, 0), 0);
     }
 
@@ -466,7 +448,7 @@ mod tests {
     fn write_block_partial_at_edges() {
         let mut p = Plane::new(10, 10);
         let blk = [7i32; 64];
-        p.write_block8(8, 8, &blk, 255); // only 2×2 in bounds
+        write_block8_into_stripe(&mut p.data, 10, 0, 8, 8, &blk, 255); // only 2×2 in bounds
         assert_eq!(p.get(9, 9), 7);
         assert_eq!(p.get(7, 7), 0);
     }

@@ -6,11 +6,10 @@
 //! step size erases low-order bits — scaling depth up moves signal above the
 //! erased bits).
 
-/// Inclusive QP range.
-pub const QP_MIN: u8 = 0;
+/// Inclusive QP range: `0..=QP_MAX`.
 pub const QP_MAX: u8 = 51;
 /// Finest QP the encoder codes at, rate-controlled or fixed.
-pub const QP_FLOOR: u8 = 4;
+pub(crate) const QP_FLOOR: u8 = 4;
 
 /// Quantisation step size for a QP, H.26x-style: `0.625 · 2^(qp/6)`.
 pub fn qstep(qp: u8) -> f32 {
@@ -25,14 +24,46 @@ pub fn qstep(qp: u8) -> f32 {
 /// pins catch exactly that). The scalar and SIMD block paths instead
 /// share one rounding contract structurally: both run this same
 /// `#[inline(always)]` body, pinned bitwise by a differential test.
-#[inline]
-pub fn quantize(coeff: f32, step: f32) -> i32 {
-    (coeff / step).round() as i32
+///
+/// The body is `(coeff / step).round() as i32` without the libm call
+/// `round` is on baseline x86-64 or the per-lane fix-ups of a saturating
+/// cast, so a block loop runs in lanes: below 2²³ truncate `|q|` and add
+/// one when the remainder (exact there) is at least ½; from 2²³ up every
+/// `f32` is already integral. The sign goes back on in integers, which
+/// keeps ties away from zero, and the `i32::MAX`, `i32::MIN` and NaN → 0
+/// arms of `as i32` are selects (a NaN fails every ordered compare).
+#[inline(always)]
+pub(crate) fn quantize(coeff: f32, step: f32) -> i32 {
+    const INTEGRAL_FROM: f32 = 8_388_608.0; // 2²³
+    const I32_LIMIT: f32 = 2_147_483_648.0; // 2³¹
+    let q = coeff / step;
+    let a = q.abs();
+    let small = if a < INTEGRAL_FROM { a } else { 0.0 };
+    // SAFETY: `small` is in [0, 2²³), so the truncation is in range.
+    let trunc = unsafe { small.to_int_unchecked::<i32>() } as f32;
+    let t = if a < INTEGRAL_FROM { trunc } else { a };
+    let r = t + if a - t >= 0.5 { 1.0 } else { 0.0 };
+    let fits = r < I32_LIMIT;
+    // SAFETY: the operand is an integral value in [0, 2³¹), or 0.
+    let mag = unsafe { (if fits { r } else { 0.0 }).to_int_unchecked::<i32>() };
+    let signed = if q < 0.0 { -mag } else { mag };
+    let saturated = if q.is_nan() {
+        0
+    } else if q < 0.0 {
+        i32::MIN
+    } else {
+        i32::MAX
+    };
+    if fits {
+        signed
+    } else {
+        saturated
+    }
 }
 
 /// Reconstruct a coefficient from its level.
 #[inline]
-pub fn dequantize(level: i32, step: f32) -> f32 {
+pub(crate) fn dequantize(level: i32, step: f32) -> f32 {
     level as f32 * step
 }
 
@@ -116,7 +147,7 @@ mod tests {
 
     #[test]
     fn qstep_is_monotonic() {
-        for qp in QP_MIN..QP_MAX {
+        for qp in 0..QP_MAX {
             assert!(qstep(qp + 1) > qstep(qp));
         }
     }
@@ -167,6 +198,61 @@ mod tests {
             (1.51, 2),
         ] {
             assert_eq!(quantize(coeff, 1.0), want, "coeff {coeff}");
+        }
+    }
+
+    /// Differential: the lane rounding equals `f32::round` then the
+    /// saturating cast on every edge — ties, the 2²³ boundary where the
+    /// truncate arm hands over to the integral one, the `i32` limits, the
+    /// infinities, NaN and −0.0 — and on a stride through all `f32` bit
+    /// patterns, alone and through the block path.
+    #[test]
+    fn quantize_matches_libm_round_on_every_edge() {
+        use crate::oracle::quantize_ref;
+        let p23 = 8_388_608.0f32;
+        let p31 = 2_147_483_648.0f32;
+        let mut edges = vec![
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_97,
+            p23 - 1.0,
+            p23 - 0.5,
+            p23,
+            p23 + 1.0,
+            p23 + 2.0,
+            p31,
+            p31 * 2.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+            0.0,
+        ];
+        edges.extend(edges.clone().iter().map(|v| -v));
+        edges.extend([f32::NAN, -f32::NAN]);
+        let mut bits = 0u32;
+        loop {
+            edges.push(f32::from_bits(bits));
+            bits = match bits.checked_add(65_537) {
+                Some(b) => b,
+                None => break,
+            };
+        }
+        for step in [1.0f32, 0.625, 3.3, 40.0, 200.0] {
+            for &c in &edges {
+                let want = quantize_ref(c, step);
+                assert_eq!(
+                    quantize(c, step),
+                    want,
+                    "coeff {c:e} ({:#x}) step {step}",
+                    c.to_bits()
+                );
+                let block = quantize_block(&[c; 64], step, 1.0);
+                assert!(
+                    block.iter().all(|&l| l == want),
+                    "block, coeff {c:e} step {step}"
+                );
+            }
         }
     }
 

@@ -167,7 +167,7 @@ impl RangeEncoder {
     /// field: a Rice code's unary quotient, stop bit and remainder (and
     /// whatever rides behind it). `zeros + 1 + nbits ≤ 32`.
     #[inline]
-    pub fn encode_unary_then(&mut self, zeros: u32, value: u32, nbits: u32) {
+    pub(crate) fn encode_unary_then(&mut self, zeros: u32, value: u32, nbits: u32) {
         debug_assert!(value >> nbits == 0);
         self.encode_bits((1 << nbits) | value, zeros + 1 + nbits);
     }
@@ -299,7 +299,7 @@ impl<'a> RangeDecoder<'a> {
     /// zeros is an escape: exactly `cap` bits are consumed and `(cap, 0)`
     /// returned, so a corrupt stream's prefix is bounded by the caller.
     #[inline]
-    pub fn decode_unary_then(&mut self, cap: u32, nbits: u32) -> (u32, u32) {
+    pub(crate) fn decode_unary_then(&mut self, cap: u32, nbits: u32) -> (u32, u32) {
         debug_assert!(cap <= 24 && nbits <= 32);
         let word = self.peek_raw();
         let zeros = word.leading_zeros();

@@ -13,7 +13,7 @@ use crate::quant::{self, QP_FLOOR, QP_MAX};
 
 /// Online rate model + QP chooser.
 #[derive(Debug, Clone)]
-pub struct RateController {
+pub(crate) struct RateController {
     /// Model gain for intra frames: bits per (complexity / qstep).
     gain_intra: f64,
     /// Model gain for inter frames.
@@ -29,7 +29,7 @@ impl Default for RateController {
 }
 
 impl RateController {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         // Initial gains are rough priors; they converge within a few frames.
         RateController {
             gain_intra: 1.2,
@@ -49,7 +49,7 @@ impl RateController {
     /// the bit budget under the current model. `complexity` is the
     /// encoder's activity measure times nothing — the gain absorbs scale, so
     /// only consistency matters.
-    pub fn pick_qp(&self, ft: FrameType, complexity: f64, target_bits: f64) -> u8 {
+    pub(crate) fn pick_qp(&self, ft: FrameType, complexity: f64, target_bits: f64) -> u8 {
         let desired_step = (self.gain(ft) * complexity / target_bits).max(1e-9);
         // Invert qstep(qp) = 0.625 · 2^(qp/6).
         let qp = 6.0 * (desired_step / 0.625).log2();
@@ -57,7 +57,7 @@ impl RateController {
     }
 
     /// Feed back the result of an encode to refine the model.
-    pub fn update(&mut self, ft: FrameType, complexity: f64, actual_bits: f64, qp: u8) {
+    pub(crate) fn update(&mut self, ft: FrameType, complexity: f64, actual_bits: f64, qp: u8) {
         let step = quant::qstep(qp) as f64;
         if complexity > 1e-9 && actual_bits > 0.0 {
             let observed_gain = actual_bits * step / complexity;

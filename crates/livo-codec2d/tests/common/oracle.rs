@@ -1,8 +1,9 @@
 //! The codec's replaced kernels, each written out once as a test oracle:
 //! the matrix DCT pair the AAN butterflies replaced, the clamped-loop SAD,
 //! the diamond search without its came-from skip or SAD-0 return, and the
-//! inter plan as it stood before static macroblocks took the copy path.
-//! Nothing outside tests and `repro kernels` uses them.
+//! inter plan as it stood before static macroblocks took the copy path,
+//! and the quantiser's rounding through libm. Nothing outside tests and
+//! `repro kernels` uses them.
 //!
 //! Included as a module by `src/lib.rs`'s unit tests and by
 //! `livo-bench`'s `kernels_bench.rs`; both parents bring `dct`, `motion`,
@@ -327,4 +328,10 @@ impl InterPlan {
             (&self.luma[a..b], chroma)
         })
     }
+}
+
+/// The quantiser's rounding as one libm `round` per coefficient, before
+/// `quant::quantize` rounded in lanes.
+pub fn quantize_ref(coeff: f32, step: f32) -> i32 {
+    (coeff / step).round() as i32
 }

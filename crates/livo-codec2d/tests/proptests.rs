@@ -3,7 +3,7 @@
 use livo_codec2d::block::{decode_block, encode_block, CoeffContexts};
 use livo_codec2d::rangecoder::{RangeDecoder, RangeEncoder};
 use livo_codec2d::{
-    luma_psnr, luma_rmse, DecodeError, Decoder, Encoder, EncoderConfig, Frame, FrameType,
+    luma_mse, luma_rmse, DecodeError, Decoder, Encoder, EncoderConfig, Frame, FrameType,
     PixelFormat,
 };
 use livo_math::rng::{cases, SplitMix64};
@@ -182,21 +182,21 @@ fn rate_controller_converges_to_target() {
 #[test]
 fn quality_scales_with_rate_on_video_content() {
     let (w, h) = (128, 96);
-    let mut psnrs = Vec::new();
+    let mut mses = Vec::new();
     for target in [4_000u64, 12_000, 48_000] {
         let mut enc = Encoder::new(EncoderConfig::new(w, h, PixelFormat::Yuv420));
         // Warm up the rate model, then measure.
-        let mut last_psnr = 0.0;
+        let mut last_mse = 0.0;
         for i in 0..10 {
             let f = smooth_yuv_frame(w, h, 3, i as f32 * 0.2);
             let out = enc.encode(&f, target);
-            last_psnr = luma_psnr(&f, &out.reconstruction);
+            last_mse = luma_mse(&f, &out.reconstruction);
         }
-        psnrs.push(last_psnr);
+        mses.push(last_mse);
     }
     assert!(
-        psnrs[0] < psnrs[1] && psnrs[1] < psnrs[2],
-        "psnr not monotone: {psnrs:?}"
+        mses[0] > mses[1] && mses[1] > mses[2],
+        "mse not monotone: {mses:?}"
     );
 }
 

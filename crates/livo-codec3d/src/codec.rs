@@ -11,16 +11,8 @@ use std::collections::HashMap;
 pub struct QuantBits(pub u8);
 
 impl QuantBits {
-    pub const MIN: u8 = 1;
-    pub const MAX: u8 = 16;
-
-    pub fn new(bits: u8) -> Self {
-        assert!(
-            (Self::MIN..=Self::MAX).contains(&bits),
-            "quantisation bits out of range"
-        );
-        QuantBits(bits)
-    }
+    pub(crate) const MIN: u8 = 1;
+    pub(crate) const MAX: u8 = 16;
 }
 
 /// Encoder parameters: the two knobs Draco exposes.

@@ -17,15 +17,14 @@
 //!
 //! Geometry is coded as breadth-first octree occupancy over Morton-sorted
 //! quantised cells; colours are delta-coded in Morton order. The encode
-//! *time model* ([`timing`]) is calibrated to the paper's measurements
+//! *time model* (`timing`) is calibrated to the paper's measurements
 //! (~25 ms for a 1 MB cloud, ~300 ms for a 10 MB full-scene frame on their
 //! testbed) so Draco-Oracle's stall accounting reproduces the published
 //! behaviour rather than this machine's.
 
-pub mod codec;
-pub mod profile;
-pub mod timing;
+mod codec;
+mod profile;
+mod timing;
 
 pub use codec::{DracoDecoder, DracoEncoder, DracoParams, EncodedCloud, QuantBits};
 pub use profile::{ProfileEntry, RateProfile};
-pub use timing::encode_time_ms;

@@ -33,7 +33,7 @@ pub struct RateProfile {
 /// and 31 quantisation settings; we profile the practically distinct subset
 /// (quantisation beyond 14 bits exceeds sensor resolution; below 5 is
 /// unusable).
-pub fn parameter_grid() -> Vec<(QuantBits, u8)> {
+pub(crate) fn parameter_grid() -> Vec<(QuantBits, u8)> {
     let mut grid = Vec::new();
     for bits in 5..=14u8 {
         for level in [0u8, 2, 4, 5, 6, 7, 8, 9] {
@@ -109,11 +109,6 @@ impl RateProfile {
             })
             .copied()
     }
-
-    /// Predicted compressed bits for a frame of `n_points` at `entry`.
-    pub fn predicted_bits(entry: &ProfileEntry, n_points: usize) -> f64 {
-        entry.bits_per_point * n_points as f64
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,7 @@ mod tests {
         let loose = p.best_fitting(n, 100_000_000.0, 1000.0);
         if let (Some(t), Some(l)) = (tight, loose) {
             assert!(t.quant_bits <= l.quant_bits);
-            assert!(RateProfile::predicted_bits(&t, n) <= 1_000_000.0);
+            assert!(t.bits_per_point * n as f64 <= 1_000_000.0);
         }
         // An impossible budget yields None → stall.
         assert!(p.best_fitting(n, 10.0, 33.0).is_none());

@@ -19,7 +19,7 @@ const BASE_US_PER_POINT: f64 = 0.45;
 const BASE_OVERHEAD_MS: f64 = 1.5;
 
 /// Modelled encode time in milliseconds on the paper's testbed.
-pub fn encode_time_ms(n_points: usize, level: u8, quant: QuantBits) -> f64 {
+pub(crate) fn encode_time_ms(n_points: usize, level: u8, quant: QuantBits) -> f64 {
     // Level scaling relative to the level-7 reference: Draco's speed
     // presets span roughly 3× end to end (level 0 ≈ 38% of level 7's cost).
     let level_factor = 1.15f64.powi(level as i32 - 7);

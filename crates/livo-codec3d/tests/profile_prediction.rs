@@ -37,7 +37,7 @@ fn profile_predictions_track_real_sizes() {
             color_bits: 8,
         };
         let enc = livo_codec3d::DracoEncoder::encode(&test, params).unwrap();
-        let predicted = RateProfile::predicted_bits(entry, test.len());
+        let predicted = entry.bits_per_point * test.len() as f64;
         let actual = enc.bits() as f64;
         let ratio = predicted / actual;
         assert!(

@@ -190,13 +190,9 @@ impl ConferenceConfigBuilder {
         self
     }
 
-    pub fn depth_encoding(mut self, enc: DepthEncoding) -> Self {
-        self.cfg.depth_encoding = enc;
-        self
-    }
-
     /// Pin the bandwidth split to a constant in `[0, 1]` (Figs. 18–19).
-    pub fn static_split(mut self, split: f64) -> Self {
+    #[cfg(test)]
+    fn static_split(mut self, split: f64) -> Self {
         self.cfg.static_split = Some(split);
         self
     }
@@ -362,10 +358,6 @@ impl ConferenceRunner {
 
     pub fn layout(&self) -> &TileLayout {
         &self.layout
-    }
-
-    pub fn config(&self) -> &ConferenceConfig {
-        &self.cfg
     }
 
     fn pool(&self) -> Arc<WorkerPool> {

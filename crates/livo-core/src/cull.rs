@@ -196,7 +196,7 @@ impl CullContext {
     /// (0 = scalar, 1 = sse2, 2 = avx2) — constant per process, published
     /// here so any telemetry consumer can correlate kernel timings with the
     /// tier that produced them.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
+    pub(crate) fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
         self.lut_rebuilds = Some(registry.counter("cull.lut_rebuilds"));
         self.ns_per_mpx = Some(registry.gauge("kernel.cull_ns_per_mpx"));
         registry

@@ -63,7 +63,7 @@ impl DepthCodec {
 
     /// Pixel format of the depth canvas stream: RGB-packed depth rides an
     /// 8-bit colour frame, the other two encodings a Y16 one.
-    pub fn pixel_format(&self) -> PixelFormat {
+    pub(crate) fn pixel_format(&self) -> PixelFormat {
         match self.encoding {
             DepthEncoding::RgbPacked => PixelFormat::Yuv420,
             DepthEncoding::ScaledY16 | DepthEncoding::RawY16 => PixelFormat::Y16,
@@ -123,7 +123,7 @@ impl DepthCodec {
     /// the Y channel; U and V carry two quadrature triangle waves of the
     /// fine phase (`PERIODS` per range), so chroma refines luma. Zero depth
     /// (no return) maps to the all-zero pixel.
-    pub fn pack_rgb(&self, depth_mm: &[u16], w: usize, h: usize) -> Frame {
+    pub(crate) fn pack_rgb(&self, depth_mm: &[u16], w: usize, h: usize) -> Frame {
         assert_eq!(depth_mm.len(), w * h);
         let mut f = Frame::new(PixelFormat::Yuv420, w, h);
         // Full-resolution phase maps, then box-filtered into 4:2:0 chroma.
@@ -163,7 +163,7 @@ impl DepthCodec {
     }
 
     /// Inverse of [`DepthCodec::pack_rgb`] on a decoded frame.
-    pub fn unpack_rgb(&self, frame: &Frame) -> Vec<u16> {
+    pub(crate) fn unpack_rgb(&self, frame: &Frame) -> Vec<u16> {
         assert_eq!(frame.format, PixelFormat::Yuv420);
         let (w, h) = (frame.width, frame.height);
         let mut out = vec![0u16; w * h];
@@ -194,7 +194,7 @@ impl DepthCodec {
     /// decoder makes of it — the splitter's depth error (§3.3). Y16 canvases
     /// are compared sample by sample over the whole canvas; RGB-packed ones
     /// are unpacked first and compared where the truth has a return.
-    pub fn rmse_mm(&self, canvas: &Frame, decoded: &Frame) -> f64 {
+    pub(crate) fn rmse_mm(&self, canvas: &Frame, decoded: &Frame) -> f64 {
         if self.encoding == DepthEncoding::RgbPacked {
             return depth_mse_mm(&self.unpack_rgb(canvas), &self.unpack_rgb(decoded)).sqrt();
         }

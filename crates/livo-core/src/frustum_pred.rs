@@ -42,13 +42,8 @@ impl FrustumPredictor {
         self.smoothed_owd_s = 0.9 * self.smoothed_owd_s + 0.1 * owd;
     }
 
-    /// Current prediction horizon in seconds.
-    pub fn horizon_s(&self) -> f64 {
-        self.smoothed_owd_s
-    }
-
     /// Predicted pose at the horizon.
-    pub fn predicted_pose(&self) -> Pose {
+    pub(crate) fn predicted_pose(&self) -> Pose {
         self.predictor.predict(self.smoothed_owd_s)
     }
 
@@ -94,7 +89,7 @@ mod tests {
             fp.observe(&walking_pose(i as f32 / 30.0));
         }
         fp.observe_rtt(0.2); // → horizon drifts toward 100 ms
-        let horizon = fp.horizon_s();
+        let horizon = fp.smoothed_owd_s;
         let truth = walking_pose(59.0 / 30.0 + horizon as f32);
         let (pos_err, ang_err) = fp.predicted_pose().error_to(&truth);
         assert!(pos_err < 0.05, "position error {pos_err}");
@@ -107,7 +102,7 @@ mod tests {
         for _ in 0..100 {
             fp.observe_rtt(0.3);
         }
-        assert!((fp.horizon_s() - 0.15).abs() < 0.005);
+        assert!((fp.smoothed_owd_s - 0.15).abs() < 0.005);
     }
 
     #[test]

@@ -98,12 +98,9 @@ impl BandwidthSplitter {
     }
 
     /// Apportion `bandwidth_bps` into (depth_bps, color_bps).
-    pub fn apportion(&self, bandwidth_bps: f64) -> (f64, f64) {
+    #[cfg(test)]
+    fn apportion(&self, bandwidth_bps: f64) -> (f64, f64) {
         (bandwidth_bps * self.s, bandwidth_bps * (1.0 - self.s))
-    }
-
-    pub fn config(&self) -> &SplitterConfig {
-        &self.cfg
     }
 }
 

@@ -53,12 +53,12 @@ pub const FPS: u32 = 30;
 /// for packet headers and retransmissions.
 pub const MEDIA_SHARE: f64 = 0.80;
 /// Floor on a stream's per-frame bit budget.
-pub const MIN_FRAME_BITS: u64 = 2_000;
+pub(crate) const MIN_FRAME_BITS: u64 = 2_000;
 /// LiVo-NoAdapt's constant quantisers, (colour, depth) (Figs. 20–21).
 pub const NOADAPT_QPS: (u8, u8) = (22, 14);
 /// Decoded frames kept per stream for colour/depth pairing: the (larger)
 /// depth frames may complete a beat after their colour frames.
-pub const PAIR_WINDOW: usize = 8;
+pub(crate) const PAIR_WINDOW: usize = 8;
 
 /// The colour and depth canvases of one frame.
 pub struct Canvases {
@@ -70,7 +70,7 @@ pub struct Canvases {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rate {
     /// Direct rate adaptation: a bit budget per stream, floored at
-    /// [`MIN_FRAME_BITS`].
+    /// `MIN_FRAME_BITS`.
     Budget { color_bits: u64, depth_bits: u64 },
     /// Constant quantisers (LiVo-NoAdapt).
     FixedQp { color: u8, depth: u8 },
@@ -132,14 +132,14 @@ impl SenderStage {
 
     /// Publish the encoders' `codec.color.*` / `codec.depth.*` families into
     /// `registry`.
-    pub fn attach_codec_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
+    pub(crate) fn attach_codec_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
         self.color_enc.attach_telemetry(registry, "codec.color");
         self.depth_enc.attach_telemetry(registry, "codec.depth");
     }
 
     /// Record one `encode` event per stream and frame as `party`, on
     /// `codec.color` / `codec.depth` (arg: bits).
-    pub fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
+    pub(crate) fn attach_trace(&mut self, trace: Arc<EventTrace>, party: u16) {
         self.trace = Some((trace, party));
     }
 
@@ -381,7 +381,7 @@ impl ReceiverStage {
 
     /// Publish the decoders' `codec.decode_*` bitstream counters into
     /// `registry`.
-    pub fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
+    pub(crate) fn attach_telemetry(&mut self, registry: &Arc<MetricsRegistry>) {
         self.color.dec.attach_telemetry(registry);
         self.depth.dec.attach_telemetry(registry);
     }

@@ -18,11 +18,11 @@ use livo_codec2d::{Frame, PixelFormat, Plane};
 use crate::depth::{DepthCodec, DepthEncoding};
 
 /// Bits in the embedded sequence number.
-pub const SEQ_BITS: usize = 32;
+pub(crate) const SEQ_BITS: usize = 32;
 
 /// Header rows needed for a canvas of the given width: 8-pixel-tall bit
 /// blocks, wrapped over as many block rows as the width requires.
-pub fn header_rows_for(canvas_w: usize) -> usize {
+pub(crate) fn header_rows_for(canvas_w: usize) -> usize {
     let bits_per_row = (canvas_w / 8).max(1);
     SEQ_BITS.div_ceil(bits_per_row) * 8
 }

@@ -73,8 +73,7 @@ fn seq_survives_any_rate() {
     });
 }
 
-/// The splitter never leaves its clamp range and never produces a
-/// negative share, for any error sequence.
+/// The splitter never leaves its clamp range, for any error sequence.
 #[test]
 fn splitter_stays_in_bounds() {
     cases(3, CASES, |rng| {
@@ -82,9 +81,6 @@ fn splitter_stays_in_bounds() {
         for _ in 0..rng.gen_range(0..300) {
             s.update(rng.gen_range(0.0f64..100.0), rng.gen_range(0.0f64..100.0));
             assert!((0.5..=0.9).contains(&s.split()));
-            let (db, cb) = s.apportion(50e6);
-            assert!(db >= 0.0 && cb >= 0.0);
-            assert!((db + cb - 50e6).abs() < 1e-3);
         }
     });
 }

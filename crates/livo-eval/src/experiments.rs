@@ -1,7 +1,7 @@
 //! The experiment grid and targeted sweeps behind every figure.
 //!
 //! The paper's evaluation crosses 4 schemes × 5 videos × 3 user traces × 2
-//! network traces. [`run_cell`] executes one cell; [`run_grid`] sweeps a
+//! network traces. `run_cell` executes one cell; [`run_grid`] sweeps a
 //! set. The per-figure helpers (split sweep, guard-band table, depth
 //! encodings, static-split comparison, bitrate saturation) run the reduced
 //! workloads those figures need.
@@ -126,7 +126,7 @@ impl GridResult {
     }
 
     /// Simulated participant scores for this cell (Figs. 5–8).
-    pub fn study_scores(&self, n: usize) -> Vec<u8> {
+    pub(crate) fn study_scores(&self, n: usize) -> Vec<u8> {
         qoe::study_scores(&self.qoe_inputs(), n, self.cell_seed())
     }
 
@@ -216,7 +216,7 @@ fn livo_cfg(
 }
 
 /// Run one (scheme, video, trace, user-style) cell.
-pub fn run_cell(
+pub(crate) fn run_cell(
     scheme: Scheme,
     video: VideoId,
     trace_id: TraceId,
@@ -324,13 +324,13 @@ pub fn run_grid(
 /// target bandwidth. Runs short LiVo replays pinned to each static split
 /// and reports the sender-side tiled-frame RMSEs via the run's quality
 /// proxy: we re-measure from the encode loop by a dedicated mini-run.
-pub struct SplitSweepRow {
+pub(crate) struct SplitSweepRow {
     pub split: f64,
     pub rmse_depth_mm: f64,
     pub rmse_color: f64,
 }
 
-pub fn fig4_split_sweep(
+pub(crate) fn fig4_split_sweep(
     video: VideoId,
     bandwidth_mbps: f64,
     splits: &[f64],
@@ -401,14 +401,14 @@ pub fn fig4_split_sweep(
 
 /// Fig. 15: culling accuracy (and fraction of points sent) for guard bands
 /// × prediction windows, using the Kalman predictor on a real user trace.
-pub struct GuardRow {
+pub(crate) struct GuardRow {
     pub guard_cm: u32,
     pub window_frames: u32,
     pub accuracy_pct: f64,
     pub sent_fraction: f64,
 }
 
-pub fn fig15_guard_sweep(
+pub(crate) fn fig15_guard_sweep(
     video: VideoId,
     guards_cm: &[u32],
     windows: &[u32],
@@ -467,13 +467,16 @@ pub fn fig15_guard_sweep(
 }
 
 /// Fig. 17 / Fig. A.1: end-to-end depth-encoding comparison.
-pub struct DepthEncodingRow {
+pub(crate) struct DepthEncodingRow {
     pub encoding: DepthEncoding,
     pub pssim_geometry: f64,
     pub stall_rate: f64,
 }
 
-pub fn fig17_depth_encodings(video: VideoId, profile: &EvalProfile) -> Vec<DepthEncodingRow> {
+pub(crate) fn fig17_depth_encodings(
+    video: VideoId,
+    profile: &EvalProfile,
+) -> Vec<DepthEncodingRow> {
     [
         DepthEncoding::ScaledY16,
         DepthEncoding::RawY16,
@@ -498,7 +501,7 @@ pub fn fig17_depth_encodings(video: VideoId, profile: &EvalProfile) -> Vec<Depth
 }
 
 /// Figs. 18–19: static splits vs the dynamic splitter across bitrates.
-pub struct StaticSplitRow {
+pub(crate) struct StaticSplitRow {
     pub bitrate_mbps: f64,
     /// `None` = dynamic.
     pub split: Option<f64>,
@@ -506,7 +509,7 @@ pub struct StaticSplitRow {
     pub pssim_color: f64,
 }
 
-pub fn fig18_19_static_vs_dynamic(
+pub(crate) fn fig18_19_static_vs_dynamic(
     video: VideoId,
     bitrates_mbps: &[f64],
     static_splits: &[f64],
@@ -542,14 +545,14 @@ pub fn fig18_19_static_vs_dynamic(
 
 /// Fig. A.2: quality saturation as one stream's bitrate grows with the
 /// other held fixed. Reported as (normalised bitrate per point, PSSIM).
-pub struct SaturationRow {
+pub(crate) struct SaturationRow {
     pub depth_bits_per_point: f64,
     pub pssim_geometry: f64,
     pub color_bits_per_point: f64,
     pub pssim_color: f64,
 }
 
-pub fn figa2_saturation(
+pub(crate) fn figa2_saturation(
     video: VideoId,
     profile: &EvalProfile,
     steps: &[f64],

@@ -2,11 +2,11 @@
 //! and figures.
 //!
 //! - [`stats`]: descriptive statistics and ASCII chart helpers.
-//! - [`qoe`]: the user-study substitution — a documented QoE model mapping
+//! - `qoe`: the user-study substitution — a documented QoE model mapping
 //!   objective metrics (PSSIM, stall rate, frame rate) onto 1–5 opinion
 //!   scores, calibrated to the paper's published anchors, plus the comment
 //!   -category model behind Table 5.
-//! - [`mlp`]: a small feed-forward network reproducing the learned
+//! - `mlp`: a small feed-forward network reproducing the learned
 //!   viewport-predictor comparison of Fig. 16 (ViVo-style MLP vs Kalman).
 //! - [`experiments`]: the experiment grid (scheme × video × user trace ×
 //!   network trace) and the targeted sweeps behind individual figures.
@@ -14,10 +14,10 @@
 //!   layout, next to the published numbers.
 
 pub mod experiments;
-pub mod mlp;
-pub mod qoe;
+mod mlp;
+mod qoe;
 pub mod report;
 pub mod stats;
 
 pub use experiments::{EvalProfile, GridResult, Scheme};
-pub use qoe::{mos, CommentShares, QoeInputs};
+pub use qoe::{mos, QoeInputs};

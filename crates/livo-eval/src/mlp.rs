@@ -31,7 +31,7 @@ fn pose_vec(p: &Pose) -> [f64; 6] {
 }
 
 /// One (input window, target) training pair.
-pub struct Sample {
+pub(crate) struct Sample {
     /// `window × 6` values, deltas relative to the last observed pose.
     pub input: Vec<f64>,
     /// 6 values: target pose delta relative to the last observed pose.
@@ -41,7 +41,11 @@ pub struct Sample {
 /// Build supervised samples from traces: inputs are the last `window`
 /// poses (as deltas to the final one, which makes the task translation-
 /// invariant), targets the pose `horizon_frames` ahead.
-pub fn build_samples(traces: &[&UserTrace], window: usize, horizon_frames: usize) -> Vec<Sample> {
+pub(crate) fn build_samples(
+    traces: &[&UserTrace],
+    window: usize,
+    horizon_frames: usize,
+) -> Vec<Sample> {
     let mut out = Vec::new();
     for tr in traces {
         // Unwrap angles over the whole trace first.
@@ -76,7 +80,7 @@ pub fn build_samples(traces: &[&UserTrace], window: usize, horizon_frames: usize
 }
 
 /// A 1-hidden-layer tanh MLP with 6·window inputs and 6 outputs.
-pub struct Mlp {
+pub(crate) struct Mlp {
     w1: Vec<f64>, // hidden × input
     b1: Vec<f64>,
     w2: Vec<f64>, // 6 × hidden
@@ -86,7 +90,7 @@ pub struct Mlp {
 }
 
 impl Mlp {
-    pub fn new(inputs: usize, hidden: usize, seed: u64) -> Self {
+    pub(crate) fn new(inputs: usize, hidden: usize, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let scale1 = (1.0 / inputs as f64).sqrt();
         let scale2 = (1.0 / hidden as f64).sqrt();
@@ -125,12 +129,12 @@ impl Mlp {
         (h, y)
     }
 
-    pub fn predict(&self, x: &[f64]) -> [f64; 6] {
+    pub(crate) fn predict(&self, x: &[f64]) -> [f64; 6] {
         self.forward(x).1
     }
 
     /// One SGD epoch over the samples; returns mean squared error.
-    pub fn train_epoch(&mut self, samples: &[Sample], lr: f64, rng: &mut SplitMix64) -> f64 {
+    pub(crate) fn train_epoch(&mut self, samples: &[Sample], lr: f64, rng: &mut SplitMix64) -> f64 {
         let mut order: Vec<usize> = (0..samples.len()).collect();
         // Fisher-Yates with the provided RNG for reproducibility.
         for i in (1..order.len()).rev() {
@@ -175,7 +179,7 @@ impl Mlp {
 
 /// Errors of a predictor on held-out samples: (mean position error in m,
 /// mean rotation error in degrees).
-pub fn evaluate(mlp: &Mlp, samples: &[Sample]) -> (f64, f64) {
+pub(crate) fn evaluate(mlp: &Mlp, samples: &[Sample]) -> (f64, f64) {
     let mut pos = 0.0;
     let mut rot = 0.0;
     for s in samples {
@@ -198,14 +202,14 @@ pub fn evaluate(mlp: &Mlp, samples: &[Sample]) -> (f64, f64) {
 /// The Fig. 16 experiment: train MLPs of several widths on a few traces,
 /// evaluate on a held-out trace at the given horizon, and compare with the
 /// Kalman predictor on the same data.
-pub struct Fig16Row {
+pub(crate) struct Fig16Row {
     pub method: String,
     pub hidden: Option<usize>,
     pub position_m: f64,
     pub rotation_deg: f64,
 }
 
-pub fn fig16_experiment(horizon_s: f64, trace_dur_s: f32) -> Vec<Fig16Row> {
+pub(crate) fn fig16_experiment(horizon_s: f64, trace_dur_s: f32) -> Vec<Fig16Row> {
     let horizon_frames = ((horizon_s * TRACE_HZ as f64).round() as usize).max(1);
     let window = 10;
     // The conferencing constraint the paper highlights: every call is

@@ -52,14 +52,14 @@ pub fn mos(q: &QoeInputs) -> f64 {
 
 /// A single simulated participant's rating: the model MOS plus seeded
 /// response noise, clamped and rounded to the Likert grid.
-pub fn participant_score(q: &QoeInputs, participant_seed: u64) -> u8 {
+pub(crate) fn participant_score(q: &QoeInputs, participant_seed: u64) -> u8 {
     let mut rng = SplitMix64::new(participant_seed ^ 0xC0FF_EE00);
     let noise: f64 = rng.gen_range(-0.7..0.7);
     (mos(q) + noise).round().clamp(1.0, 5.0) as u8
 }
 
 /// A batch of participant scores (the paper collected 57 per scheme).
-pub fn study_scores(q: &QoeInputs, n: usize, seed: u64) -> Vec<u8> {
+pub(crate) fn study_scores(q: &QoeInputs, n: usize, seed: u64) -> Vec<u8> {
     (0..n as u64)
         .map(|i| participant_score(q, seed.wrapping_mul(1_000_003).wrapping_add(i)))
         .collect()
@@ -68,7 +68,7 @@ pub fn study_scores(q: &QoeInputs, n: usize, seed: u64) -> Vec<u8> {
 /// Table 5's comment-category shares: the percentage of free-form comments
 /// rating frame rate / stalls / quality as Low, Medium or High.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CommentShares {
+pub(crate) struct CommentShares {
     pub frame_rate: [f64; 3],
     pub stalls: [f64; 3],
     pub quality: [f64; 3],
@@ -98,7 +98,7 @@ fn soft_bin(goodness: f64, n: usize, rng: &mut SplitMix64) -> [f64; 3] {
 }
 
 /// Generate the comment-category shares for a scheme.
-pub fn comment_shares(q: &QoeInputs, n_comments: usize, seed: u64) -> CommentShares {
+pub(crate) fn comment_shares(q: &QoeInputs, n_comments: usize, seed: u64) -> CommentShares {
     let mut rng = SplitMix64::new(seed ^ 0x7AB1_E005);
     let fps_goodness = (q.fps / 30.0).clamp(0.0, 1.0);
     // "Low stalls" is good: invert the rate. MeshReduce's 0% stalls rate

@@ -1,7 +1,7 @@
 //! Descriptive statistics and ASCII rendering helpers.
 
 /// Mean of a sample (0 for empty).
-pub fn mean(v: &[f64]) -> f64 {
+pub(crate) fn mean(v: &[f64]) -> f64 {
     if v.is_empty() {
         0.0
     } else {
@@ -29,13 +29,13 @@ pub fn percentile(v: &[f64], p: f64) -> f64 {
 }
 
 /// Median.
-pub fn median(v: &[f64]) -> f64 {
+pub(crate) fn median(v: &[f64]) -> f64 {
     percentile(v, 0.5)
 }
 
 /// A horizontal ASCII bar scaled to `width` characters for `value` out of
 /// `max`.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     if max <= 0.0 {
         return String::new();
     }

@@ -18,7 +18,7 @@ pub fn wrap(a: f32) -> f32 {
 }
 
 /// Shortest signed difference `a - b`, wrapped to `(-π, π]`.
-pub fn diff(a: f32, b: f32) -> f32 {
+pub(crate) fn diff(a: f32, b: f32) -> f32 {
     wrap(a - b)
 }
 
@@ -33,7 +33,7 @@ pub fn to_degrees(rad: f32) -> f32 {
     rad * 180.0 / PI
 }
 
-pub fn to_radians(deg: f32) -> f32 {
+pub(crate) fn to_radians(deg: f32) -> f32 {
     deg * PI / 180.0
 }
 

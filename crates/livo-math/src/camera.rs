@@ -45,12 +45,12 @@ impl CameraIntrinsics {
         Self::from_hfov(w, h, crate::angles::to_radians(75.0))
     }
 
-    pub fn aspect(&self) -> f32 {
+    pub(crate) fn aspect(&self) -> f32 {
         self.width as f32 / self.height as f32
     }
 
     /// Horizontal field of view in radians implied by `fx`.
-    pub fn hfov(&self) -> f32 {
+    pub(crate) fn hfov(&self) -> f32 {
         2.0 * (self.width as f32 / (2.0 * self.fx)).atan()
     }
 

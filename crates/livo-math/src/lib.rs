@@ -21,17 +21,17 @@
 //! the boundary.
 
 pub mod angles;
-pub mod camera;
-pub mod frustum;
+mod camera;
+mod frustum;
 pub mod kalman;
-pub mod mat;
-pub mod plane;
-pub mod pose;
-pub mod quat;
-pub mod raytable;
+mod mat;
+mod plane;
+mod pose;
+mod quat;
+mod raytable;
 pub mod rng;
 pub mod simd;
-pub mod vec3;
+mod vec3;
 
 pub use camera::{CameraIntrinsics, RgbdCamera};
 pub use frustum::{Frustum, FrustumParams};

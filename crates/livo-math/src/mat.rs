@@ -11,33 +11,34 @@ pub struct Mat3 {
 }
 
 impl Mat3 {
-    pub const IDENTITY: Mat3 = Mat3 {
+    #[cfg(test)]
+    const IDENTITY: Mat3 = Mat3 {
         m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     };
 
     #[inline]
-    pub const fn from_rows(r0: [f32; 3], r1: [f32; 3], r2: [f32; 3]) -> Self {
+    pub(crate) const fn from_rows(r0: [f32; 3], r1: [f32; 3], r2: [f32; 3]) -> Self {
         Mat3 { m: [r0, r1, r2] }
     }
 
     /// Build from three column vectors.
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
+    pub(crate) fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
         Mat3 {
             m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
         }
     }
 
     #[inline]
-    pub fn row(&self, r: usize) -> Vec3 {
+    pub(crate) fn row(&self, r: usize) -> Vec3 {
         Vec3::from_array(self.m[r])
     }
 
     #[inline]
-    pub fn col(&self, c: usize) -> Vec3 {
+    pub(crate) fn col(&self, c: usize) -> Vec3 {
         Vec3::new(self.m[0][c], self.m[1][c], self.m[2][c])
     }
 
-    pub fn transpose(&self) -> Mat3 {
+    pub(crate) fn transpose(&self) -> Mat3 {
         let mut t = [[0.0f32; 3]; 3];
         for (r, row) in self.m.iter().enumerate() {
             for (c, v) in row.iter().enumerate() {
@@ -47,7 +48,7 @@ impl Mat3 {
         Mat3 { m: t }
     }
 
-    pub fn determinant(&self) -> f32 {
+    pub(crate) fn determinant(&self) -> f32 {
         let m = &self.m;
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -77,7 +78,7 @@ impl Mat3 {
     }
 
     #[inline]
-    pub fn mul_vec(&self, v: Vec3) -> Vec3 {
+    pub(crate) fn mul_vec(&self, v: Vec3) -> Vec3 {
         Vec3::new(self.row(0).dot(v), self.row(1).dot(v), self.row(2).dot(v))
     }
 }
@@ -106,17 +107,8 @@ pub struct Mat4 {
 }
 
 impl Mat4 {
-    pub const IDENTITY: Mat4 = Mat4 {
-        m: [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-    };
-
     /// Rigid transform from a rotation and a translation.
-    pub fn from_rotation_translation(rot: Mat3, t: Vec3) -> Mat4 {
+    pub(crate) fn from_rotation_translation(rot: Mat3, t: Vec3) -> Mat4 {
         let r = &rot.m;
         Mat4 {
             m: [
@@ -128,12 +120,13 @@ impl Mat4 {
         }
     }
 
-    pub fn from_translation(t: Vec3) -> Mat4 {
+    #[cfg(test)]
+    fn from_translation(t: Vec3) -> Mat4 {
         Mat4::from_rotation_translation(Mat3::IDENTITY, t)
     }
 
     /// Extract the upper-left 3×3 block.
-    pub fn rotation(&self) -> Mat3 {
+    pub(crate) fn rotation(&self) -> Mat3 {
         let m = &self.m;
         Mat3::from_rows(
             [m[0][0], m[0][1], m[0][2]],
@@ -143,7 +136,7 @@ impl Mat4 {
     }
 
     /// Extract the translation column.
-    pub fn translation(&self) -> Vec3 {
+    pub(crate) fn translation(&self) -> Vec3 {
         Vec3::new(self.m[0][3], self.m[1][3], self.m[2][3])
     }
 
@@ -160,7 +153,7 @@ impl Mat4 {
 
     /// Transform a direction (w = 0): rotation only.
     #[inline]
-    pub fn transform_dir(&self, d: Vec3) -> Vec3 {
+    pub(crate) fn transform_dir(&self, d: Vec3) -> Vec3 {
         let m = &self.m;
         Vec3::new(
             m[0][0] * d.x + m[0][1] * d.y + m[0][2] * d.z,

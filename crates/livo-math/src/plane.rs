@@ -31,18 +31,10 @@ impl Plane {
         self.normal.dot(p) + self.d
     }
 
-    /// Flip orientation.
-    pub fn flipped(&self) -> Plane {
-        Plane {
-            normal: -self.normal,
-            d: -self.d,
-        }
-    }
-
     /// Translate the plane along its own normal by `offset` (positive moves
     /// it in the normal direction, which *shrinks* the inside half-space).
     /// Frustum guard bands use negative offsets to grow the frustum.
-    pub fn offset(&self, offset: f32) -> Plane {
+    pub(crate) fn offset(&self, offset: f32) -> Plane {
         Plane {
             normal: self.normal,
             d: self.d - offset,
@@ -76,14 +68,6 @@ mod tests {
         assert!(p.signed_distance(Vec3::new(0.0, 1.0, 0.0)) > 0.0);
         assert!(p.signed_distance(Vec3::new(0.0, -1.0, 0.0)) < 0.0);
         assert!(p.signed_distance(Vec3::new(5.0, 0.0, -3.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn flipped_negates_distance() {
-        let p = Plane::from_point_normal(Vec3::new(0.0, 2.0, 0.0), Vec3::Y);
-        let q = p.flipped();
-        let x = Vec3::new(1.0, 5.0, 1.0);
-        assert!((p.signed_distance(x) + q.signed_distance(x)).abs() < 1e-6);
     }
 
     #[test]

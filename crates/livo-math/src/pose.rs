@@ -63,12 +63,12 @@ impl Pose {
     }
 
     /// Right (+X of the local frame) in world coordinates.
-    pub fn right(&self) -> Vec3 {
+    pub(crate) fn right(&self) -> Vec3 {
         self.orientation.rotate(Vec3::X)
     }
 
     /// Up (+Y of the local frame) in world coordinates.
-    pub fn up(&self) -> Vec3 {
+    pub(crate) fn up(&self) -> Vec3 {
         self.orientation.rotate(Vec3::Y)
     }
 
@@ -78,7 +78,7 @@ impl Pose {
     }
 
     /// World-to-local homogeneous matrix.
-    pub fn world_to_local(&self) -> Mat4 {
+    pub(crate) fn world_to_local(&self) -> Mat4 {
         self.to_mat4().rigid_inverse()
     }
 

@@ -29,7 +29,7 @@ impl Quat {
         z: 0.0,
     };
 
-    pub fn new(w: f32, x: f32, y: f32, z: f32) -> Self {
+    pub(crate) fn new(w: f32, x: f32, y: f32, z: f32) -> Self {
         Quat { w, x, y, z }.normalized()
     }
 
@@ -72,7 +72,7 @@ impl Quat {
         }
     }
 
-    pub fn normalized(self) -> Quat {
+    pub(crate) fn normalized(self) -> Quat {
         let n = (self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z).sqrt();
         if n <= f32::EPSILON {
             Quat::IDENTITY
@@ -105,7 +105,7 @@ impl Quat {
     }
 
     /// Convert to a rotation matrix.
-    pub fn to_mat3(self) -> Mat3 {
+    pub(crate) fn to_mat3(self) -> Mat3 {
         let Quat { w, x, y, z } = self;
         Mat3::from_rows(
             [

@@ -16,7 +16,6 @@
 //! per-pixel `unproject` reference.
 
 use crate::camera::CameraIntrinsics;
-use crate::vec3::Vec3;
 
 /// Per-camera lookup table of unprojection ray components.
 #[derive(Debug, Clone)]
@@ -75,11 +74,6 @@ impl RayTable {
         self.intrinsics == *k
     }
 
-    /// The intrinsics this table was built for.
-    pub fn intrinsics(&self) -> &CameraIntrinsics {
-        &self.intrinsics
-    }
-
     /// Per-column ray x-components, length `width`.
     #[inline]
     pub fn ray_x(&self) -> &[f32] {
@@ -91,18 +85,12 @@ impl RayTable {
     pub fn ray_y(&self) -> &[f32] {
         &self.ray_y
     }
-
-    /// Back-project pixel `(x, y)` at depth `z_m`; bit-identical to
-    /// `intrinsics.unproject(x + 0.5, y + 0.5, z_m)`.
-    #[inline]
-    pub fn unproject(&self, x: usize, y: usize, z_m: f32) -> Vec3 {
-        Vec3::new(self.ray_x[x] * z_m, self.ray_y[y] * z_m, z_m)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vec3::Vec3;
 
     #[test]
     fn rays_are_bit_identical_to_unproject() {
@@ -113,7 +101,7 @@ mod tests {
         for y in 0..k.height as usize {
             for x in 0..k.width as usize {
                 for z in [0.25f32, 1.0, 2.37, 5.999] {
-                    let a = t.unproject(x, y, z);
+                    let a = Vec3::new(t.ray_x()[x] * z, t.ray_y()[y] * z, z);
                     let b = k.unproject(x as f32 + 0.5, y as f32 + 0.5, z);
                     assert_eq!(a.x.to_bits(), b.x.to_bits(), "x at ({x},{y},{z})");
                     assert_eq!(a.y.to_bits(), b.y.to_bits(), "y at ({x},{y},{z})");

@@ -5,9 +5,9 @@
 //! AVX2 path compiled behind `#[target_feature]`. This module picks the
 //! tier once per process:
 //!
-//! - tier [`SCALAR`] (0): no x86 SIMD assumed (non-x86 targets, or forced),
-//! - tier [`SSE2`] (1): the x86-64 baseline the existing kernels already use,
-//! - tier [`AVX2`] (2): 256-bit paths, taken only when the CPU reports AVX2.
+//! - tier `SCALAR` (0): no x86 SIMD assumed (non-x86 targets, or forced),
+//! - tier `SSE2` (1): the x86-64 baseline the existing kernels already use,
+//! - tier `AVX2` (2): 256-bit paths, taken only when the CPU reports AVX2.
 //!
 //! The `LIVO_SIMD` environment variable (`scalar` | `sse2` | `avx2`) caps
 //! the tier below what the hardware offers — it can never raise it above
@@ -24,11 +24,11 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// No x86 SIMD assumed.
-pub const SCALAR: u8 = 0;
+pub(crate) const SCALAR: u8 = 0;
 /// The x86-64 baseline (SSE2 is architecturally guaranteed there).
-pub const SSE2: u8 = 1;
+pub(crate) const SSE2: u8 = 1;
 /// 256-bit integer + float paths.
-pub const AVX2: u8 = 2;
+pub(crate) const AVX2: u8 = 2;
 
 const UNCACHED: u8 = 0xFF;
 
@@ -36,7 +36,7 @@ static LEVEL: AtomicU8 = AtomicU8::new(UNCACHED);
 
 /// The SIMD tier every dispatching kernel uses, cached after first call.
 ///
-/// Returns [`SCALAR`], [`SSE2`] or [`AVX2`]. The first call reads
+/// Returns `SCALAR`, `SSE2` or `AVX2`. The first call reads
 /// `LIVO_SIMD` and probes the CPU; later calls are a relaxed atomic load,
 /// cheap enough to sit inside per-block dispatch.
 pub fn level() -> u8 {

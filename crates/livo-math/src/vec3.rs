@@ -20,11 +20,6 @@ impl Vec3 {
         y: 0.0,
         z: 0.0,
     };
-    pub const ONE: Vec3 = Vec3 {
-        x: 1.0,
-        y: 1.0,
-        z: 1.0,
-    };
     pub const X: Vec3 = Vec3 {
         x: 1.0,
         y: 0.0,
@@ -130,12 +125,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Component-wise absolute value.
-    #[inline]
-    pub fn abs(self) -> Vec3 {
-        Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
-    }
-
     /// Largest component.
     #[inline]
     pub fn max_element(self) -> f32 {
@@ -146,12 +135,6 @@ impl Vec3 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-
-    /// Clamp each component into `[lo, hi]`.
-    #[inline]
-    pub fn clamp(self, lo: Vec3, hi: Vec3) -> Vec3 {
-        self.max(lo).min(hi)
     }
 }
 
@@ -311,7 +294,7 @@ mod tests {
         let v = Vec3::new(-1.0, 5.0, 0.5);
         let lo = Vec3::splat(0.0);
         let hi = Vec3::splat(1.0);
-        assert_eq!(v.clamp(lo, hi), Vec3::new(0.0, 1.0, 0.5));
+        assert_eq!(v.max(lo).min(hi), Vec3::new(0.0, 1.0, 0.5));
         assert_eq!(v.max_element(), 5.0);
     }
 

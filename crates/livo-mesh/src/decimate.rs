@@ -12,7 +12,7 @@ use livo_math::Vec3;
 use std::collections::HashMap;
 
 /// Decimate by clustering vertices on a grid of the given cell size.
-pub fn decimate_with_cell(mesh: &Mesh, cell: f32) -> Mesh {
+pub(crate) fn decimate_with_cell(mesh: &Mesh, cell: f32) -> Mesh {
     assert!(cell > 0.0);
     let inv = 1.0 / cell;
     let mut cluster_of: HashMap<(i32, i32, i32), u32> = HashMap::new();

@@ -5,7 +5,7 @@
 //! machinery its reimplementation needs:
 //!
 //! - [`Mesh`]: indexed triangles with per-vertex colour.
-//! - [`triangulate`]: depth-image → mesh (grid triangulation with a depth-
+//! - `triangulate`: depth-image → mesh (grid triangulation with a depth-
 //!   discontinuity threshold, the standard RGB-D meshing approach).
 //! - [`decimate()`](decimate::decimate): vertex-clustering decimation to a target triangle
 //!   budget — MeshReduce "decimates the mesh more to fit the lower
@@ -14,10 +14,10 @@
 //!   "PSSIM is not defined for meshes, so we sample as many points from the
 //!   rendered mesh as there are in the ground-truth point cloud" (§4.1).
 
-pub mod decimate;
-pub mod mesh;
-pub mod sample;
-pub mod triangulate;
+mod decimate;
+mod mesh;
+mod sample;
+mod triangulate;
 
 pub use decimate::decimate;
 pub use mesh::{Mesh, Vertex};

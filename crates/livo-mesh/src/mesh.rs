@@ -28,16 +28,12 @@ impl Mesh {
         self.triangles.len()
     }
 
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.triangles.is_empty()
     }
 
     /// Area of triangle `i`.
-    pub fn triangle_area(&self, i: usize) -> f32 {
+    pub(crate) fn triangle_area(&self, i: usize) -> f32 {
         let [a, b, c] = self.triangles[i];
         let pa = self.vertices[a as usize].position;
         let pb = self.vertices[b as usize].position;
@@ -138,7 +134,7 @@ mod tests {
         let mut a = quad();
         let b = quad();
         a.merge(&b);
-        assert_eq!(a.vertex_count(), 8);
+        assert_eq!(a.vertices.len(), 8);
         assert_eq!(a.triangle_count(), 4);
         assert_eq!(a.triangles[2], [4, 5, 6]);
         assert!((a.surface_area() - 2.0).abs() < 1e-6);
@@ -155,7 +151,7 @@ mod tests {
         }); // unused
         m.compact();
         assert_eq!(m.triangle_count(), 2);
-        assert_eq!(m.vertex_count(), 4);
+        assert_eq!(m.vertices.len(), 4);
         // Geometry preserved.
         assert!((m.surface_area() - 1.0).abs() < 1e-6);
     }

@@ -116,7 +116,7 @@ mod tests {
         let m = triangulate_depth(&cam, &d, &c, 50, 1);
         let w = cam.intrinsics.width as usize;
         let h = cam.intrinsics.height as usize;
-        assert_eq!(m.vertex_count(), w * h);
+        assert_eq!(m.vertices.len(), w * h);
         assert_eq!(m.triangle_count(), (w - 1) * (h - 1) * 2);
     }
 
@@ -126,7 +126,7 @@ mod tests {
         let (d, c) = flat_wall(&cam, 2000);
         let full = triangulate_depth(&cam, &d, &c, 50, 1);
         let half = triangulate_depth(&cam, &d, &c, 50, 2);
-        assert!(half.vertex_count() < full.vertex_count() / 3);
+        assert!(half.vertices.len() < full.vertices.len() / 3);
         assert!(!half.is_empty());
     }
 
@@ -143,7 +143,7 @@ mod tests {
         }
         let m = triangulate_depth(&cam, &d, &c, 50, 1);
         let h = cam.intrinsics.height as usize;
-        assert!(m.vertex_count() < w * h);
+        assert!(m.vertices.len() < w * h);
         assert!(m.triangle_count() < (w - 1) * (h - 1) * 2);
     }
 
@@ -195,6 +195,6 @@ mod tests {
         let n = (cam.intrinsics.width * cam.intrinsics.height) as usize;
         let m = triangulate_depth(&cam, &vec![0u16; n], &vec![0u8; n * 3], 50, 1);
         assert!(m.is_empty());
-        assert_eq!(m.vertex_count(), 0);
+        assert_eq!(m.vertices.len(), 0);
     }
 }

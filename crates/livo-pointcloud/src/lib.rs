@@ -5,23 +5,23 @@
 //!
 //! - [`PointCloud`] / [`Point`]: the frame representation produced by fusing
 //!   an RGB-D camera array and consumed by rendering and quality metrics.
-//! - [`voxel`]: voxel-grid downsampling (the receiver voxelises before
+//! - `voxel`: voxel-grid downsampling (the receiver voxelises before
 //!   rendering, §A.1 of the paper) and a voxel-hash spatial index for
 //!   nearest-neighbour queries.
-//! - [`normals`]: PCA normal + curvature estimation, inputs to PointSSIM's
+//! - `normals`: PCA normal + curvature estimation, inputs to PointSSIM's
 //!   feature space.
-//! - [`metrics`]: point-to-point geometry error metrics (RMSE, PSNR-D).
+//! - `metrics`: point-to-point geometry error (RMSE).
 //! - [`pssim()`](pssim::pssim): a reimplementation of PointSSIM (Alexiou & Ebrahimi, 2020),
 //!   the paper's objective quality metric: 0–100, separate geometry and
 //!   colour scores, "high 80s or above are generally considered good".
 
-pub mod metrics;
-pub mod normals;
-pub mod point;
-pub mod pssim;
-pub mod voxel;
+mod metrics;
+mod normals;
+mod point;
+mod pssim;
+mod voxel;
 
-pub use metrics::{p2p_psnr, p2p_rmse};
+pub use metrics::p2p_rmse;
 pub use point::{Point, PointCloud};
 pub use pssim::{pssim, PssimConfig, PssimScore};
 pub use voxel::{VoxelGrid, VoxelIndex};

@@ -1,9 +1,9 @@
 //! Point-to-point geometry and colour error metrics.
 //!
-//! These are the cheap distortion measures used in the literature
-//! (Tian et al., ICIP '17): symmetric point-to-point RMSE and the derived
-//! geometry PSNR. LiVo itself adapts on 2D-frame RMSE (far cheaper, §3.3);
-//! these 3D metrics serve the offline evaluation alongside PointSSIM.
+//! This is the cheap distortion measure used in the literature (Tian et
+//! al., ICIP '17): symmetric point-to-point RMSE. LiVo itself adapts on
+//! 2D-frame RMSE (far cheaper, §3.3); this 3D metric serves the offline
+//! evaluation alongside PointSSIM.
 
 use crate::point::PointCloud;
 use crate::voxel::VoxelIndex;
@@ -11,7 +11,7 @@ use crate::voxel::VoxelIndex;
 /// One-sided mean-squared point-to-point distance from `a` to `b`
 /// (each point of `a` to its nearest neighbour in `b`). Returns `None` if
 /// either cloud is empty.
-pub fn one_sided_mse(a: &PointCloud, b_index: &VoxelIndex<'_>) -> Option<f64> {
+pub(crate) fn one_sided_mse(a: &PointCloud, b_index: &VoxelIndex<'_>) -> Option<f64> {
     if a.is_empty() || b_index.cloud().is_empty() {
         return None;
     }
@@ -32,19 +32,6 @@ pub fn p2p_rmse(a: &PointCloud, b: &PointCloud, cell_size: f32) -> Option<f64> {
     let ab = one_sided_mse(a, &ib)?;
     let ba = one_sided_mse(b, &ia)?;
     Some(ab.max(ba).sqrt())
-}
-
-/// Geometry PSNR in dB with a peak equal to the bounding-box diagonal of the
-/// reference cloud (the MPEG convention). Returns `None` for empty clouds,
-/// `f64::INFINITY` for identical clouds.
-pub fn p2p_psnr(reference: &PointCloud, distorted: &PointCloud, cell_size: f32) -> Option<f64> {
-    let (lo, hi) = reference.bounds()?;
-    let peak = (hi - lo).length() as f64;
-    let rmse = p2p_rmse(reference, distorted, cell_size)?;
-    if rmse <= 0.0 {
-        return Some(f64::INFINITY);
-    }
-    Some(20.0 * (peak / rmse).log10())
 }
 
 #[cfg(test)]
@@ -71,10 +58,9 @@ mod tests {
     }
 
     #[test]
-    fn identical_clouds_have_zero_rmse_and_infinite_psnr() {
+    fn identical_clouds_have_zero_rmse() {
         let a = random_cloud(200, 1);
         assert_eq!(p2p_rmse(&a, &a, 0.2), Some(0.0));
-        assert_eq!(p2p_psnr(&a, &a, 0.2), Some(f64::INFINITY));
     }
 
     #[test]
@@ -101,34 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn psnr_decreases_with_more_noise() {
-        let a = random_cloud(300, 5);
-        let mut rng = SplitMix64::new(6);
-        let noisy = |scale: f32, rng: &mut SplitMix64| {
-            let mut b = a.clone();
-            for p in &mut b.points {
-                p.position += Vec3::new(
-                    rng.gen_range(-scale..scale),
-                    rng.gen_range(-scale..scale),
-                    rng.gen_range(-scale..scale),
-                );
-            }
-            b
-        };
-        let small = p2p_psnr(&a, &noisy(0.001, &mut rng), 0.2).unwrap();
-        let large = p2p_psnr(&a, &noisy(0.05, &mut rng), 0.2).unwrap();
-        assert!(
-            small > large,
-            "psnr small-noise {small} vs large-noise {large}"
-        );
-    }
-
-    #[test]
     fn empty_cloud_yields_none() {
         let a = random_cloud(10, 7);
         let empty = PointCloud::new();
         assert!(p2p_rmse(&a, &empty, 0.2).is_none());
         assert!(p2p_rmse(&empty, &a, 0.2).is_none());
-        assert!(p2p_psnr(&empty, &a, 0.2).is_none());
     }
 }

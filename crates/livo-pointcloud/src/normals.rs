@@ -10,7 +10,7 @@ use livo_math::Vec3;
 
 /// Per-point differential-geometry estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SurfaceEstimate {
+pub(crate) struct SurfaceEstimate {
     /// Unit normal (sign is arbitrary).
     pub normal: Vec3,
     /// Surface variation in `[0, 1/3]`: 0 for a perfect plane.
@@ -78,7 +78,7 @@ fn eigen_sym3(mut a: [[f32; 3]; 3]) -> ([f32; 3], [[f32; 3]; 3]) {
 
 /// Estimate normal + curvature for the neighbourhood point set `idxs` of
 /// `cloud`. Returns `None` for degenerate neighbourhoods (< 3 points).
-pub fn estimate_at(cloud: &PointCloud, idxs: &[u32]) -> Option<SurfaceEstimate> {
+pub(crate) fn estimate_at(cloud: &PointCloud, idxs: &[u32]) -> Option<SurfaceEstimate> {
     if idxs.len() < 3 {
         return None;
     }

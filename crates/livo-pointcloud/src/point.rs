@@ -1,6 +1,6 @@
 //! The point cloud frame representation.
 
-use livo_math::{Frustum, Mat4, Vec3};
+use livo_math::{Frustum, Vec3};
 
 /// One point: a 3D position (metres, world frame) and an sRGB colour.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,7 +16,7 @@ impl Point {
     }
 
     /// Rec. 601 luma of the point colour, 0–255.
-    pub fn luma(&self) -> f32 {
+    pub(crate) fn luma(&self) -> f32 {
         0.299 * self.color[0] as f32 + 0.587 * self.color[1] as f32 + 0.114 * self.color[2] as f32
     }
 }
@@ -33,7 +33,7 @@ pub struct PointCloud {
 }
 
 /// Uncompressed bytes per point: 12 position + 3 colour.
-pub const BYTES_PER_POINT: usize = 15;
+pub(crate) const BYTES_PER_POINT: usize = 15;
 
 impl PointCloud {
     pub fn new() -> Self {
@@ -44,10 +44,6 @@ impl PointCloud {
         PointCloud {
             points: Vec::with_capacity(n),
         }
-    }
-
-    pub fn from_points(points: Vec<Point>) -> Self {
-        PointCloud { points }
     }
 
     pub fn len(&self) -> usize {
@@ -78,25 +74,6 @@ impl PointCloud {
             hi = hi.max(p.position);
         }
         Some((lo, hi))
-    }
-
-    /// Centroid of the positions, `None` when empty.
-    pub fn centroid(&self) -> Option<Vec3> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let sum = self
-            .points
-            .iter()
-            .fold(Vec3::ZERO, |acc, p| acc + p.position);
-        Some(sum / self.points.len() as f32)
-    }
-
-    /// Apply a rigid transform to every point in place.
-    pub fn transform(&mut self, xf: &Mat4) {
-        for p in &mut self.points {
-            p.position = xf.transform_point(p.position);
-        }
     }
 
     /// Append all points of `other`.
@@ -160,20 +137,6 @@ mod tests {
         assert!((lo - Vec3::splat(-1.0)).length() < 1e-5);
         assert!((hi - Vec3::splat(1.0)).length() < 1e-5);
         assert!(PointCloud::new().bounds().is_none());
-    }
-
-    #[test]
-    fn centroid_of_symmetric_cloud_is_origin() {
-        let pc = cube_cloud(4, 2.0);
-        assert!(pc.centroid().unwrap().length() < 1e-5);
-    }
-
-    #[test]
-    fn transform_shifts_centroid() {
-        let mut pc = cube_cloud(3, 1.0);
-        let t = Vec3::new(1.0, 2.0, 3.0);
-        pc.transform(&Mat4::from_translation(t));
-        assert!((pc.centroid().unwrap() - t).length() < 1e-5);
     }
 
     #[test]

@@ -184,17 +184,6 @@ impl VoxelGrid {
             out
         })
     }
-
-    /// Number of voxels the cloud occupies at this resolution.
-    pub fn occupied_count(&self, cloud: &PointCloud) -> usize {
-        let inv = 1.0 / self.voxel_size;
-        VoxelTable::with(cloud.len(), |table| {
-            for p in &cloud.points {
-                table.voxel_of(key_of(p.position, inv));
-            }
-            table.voxels.len()
-        })
-    }
 }
 
 /// A voxel-hash nearest-neighbour index over a fixed point set.
@@ -236,7 +225,7 @@ impl<'a> VoxelIndex<'a> {
         }
     }
 
-    pub fn cloud(&self) -> &PointCloud {
+    pub(crate) fn cloud(&self) -> &PointCloud {
         self.cloud
     }
 
@@ -411,13 +400,6 @@ mod tests {
         assert_eq!(down.points[0].color, [100, 50, 25]);
     }
 
-    #[test]
-    fn occupied_count_matches_downsample_len() {
-        let pc = grid_cloud(6, 0.03);
-        let g = VoxelGrid::new(0.05);
-        assert_eq!(g.occupied_count(&pc), g.downsample(&pc).len());
-    }
-
     /// The pre-table algorithm: accumulate per voxel in cloud order through
     /// a standard map, one point per voxel, keyed for comparison.
     fn downsample_oracle(voxel_size: f32, cloud: &PointCloud) -> BTreeMap<Key, Point> {
@@ -453,7 +435,6 @@ mod tests {
         let got = grid.downsample(cloud);
         let want = downsample_oracle(voxel_size, cloud);
         assert_eq!(got.len(), want.len(), "voxel count");
-        assert_eq!(grid.occupied_count(cloud), want.len());
         let inv = 1.0 / voxel_size;
         let mut first_touch: Vec<Key> = Vec::new();
         for p in &cloud.points {
@@ -511,7 +492,7 @@ mod tests {
         let mut table = VoxelTable::UNSIZED;
         table.reset(cloud.len());
         let table_slots = table.slots.len();
-        let voxels = VoxelGrid::new(0.01).occupied_count(&cloud);
+        let voxels = VoxelGrid::new(0.01).downsample(&cloud).len();
         assert_eq!(voxels, cloud.len(), "the scatter must not share voxels");
         assert!(voxels * 2 > table_slots, "{voxels} of {table_slots} slots");
         assert_matches_oracle(0.01, &cloud);

@@ -151,7 +151,6 @@ fn downsample_matches_hashmap_oracle() {
         got_bits.sort_unstable();
         want_bits.sort_unstable();
         assert_eq!(&got_bits, &want_bits);
-        assert_eq!(grid.occupied_count(&cloud), want_bits.len());
         // And the order is a function of the input alone.
         let again = grid.downsample(&cloud);
         assert_eq!(&again.points, &got.points);

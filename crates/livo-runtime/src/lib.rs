@@ -428,7 +428,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 
 /// Thread count for the process-wide pool: `LIVO_THREADS` if set to a
 /// positive integer, else [`std::thread::available_parallelism`].
-pub fn threads_from_env() -> usize {
+pub(crate) fn threads_from_env() -> usize {
     match std::env::var("LIVO_THREADS") {
         Ok(s) => match s.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -446,7 +446,7 @@ fn default_threads() -> usize {
 
 static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
 
-/// The process-wide pool, built on first use with [`threads_from_env`]
+/// The process-wide pool, built on first use with `threads_from_env`
 /// threads. The conference runner and the SFU router use it by default; pass
 /// an explicit pool (via `ConferenceRunner::set_worker_pool` or
 /// `RouterBuilder::worker_pool`) to override it per component.

@@ -23,7 +23,7 @@ const SAMPLES_PER_AXIS: usize = 4;
 
 /// One subscriber's predicted viewing volume, in world space.
 #[derive(Debug, Clone)]
-pub struct ViewVolume {
+pub(crate) struct ViewVolume {
     /// The guard-banded world-space frustum (what the cull would keep).
     pub frustum: Frustum,
     /// The predicted head pose the frustum was built from.
@@ -35,7 +35,7 @@ pub struct ViewVolume {
 /// Fraction of the smaller-covered volume shared between two view
 /// volumes: `min(a covers b, b covers a)`, each estimated with `n³`
 /// stratified samples.
-pub fn mutual_coverage(a: &ViewVolume, b: &ViewVolume, samples_per_axis: usize) -> f32 {
+pub(crate) fn mutual_coverage(a: &ViewVolume, b: &ViewVolume, samples_per_axis: usize) -> f32 {
     let a_covers_b = a.frustum.coverage_of(&b.pose, &b.params, samples_per_axis);
     let b_covers_a = b.frustum.coverage_of(&a.pose, &a.params, samples_per_axis);
     a_covers_b.min(b_covers_a)
@@ -53,7 +53,7 @@ pub fn mutual_coverage(a: &ViewVolume, b: &ViewVolume, samples_per_axis: usize) 
 /// Returns the clusters as index lists; every input index appears in
 /// exactly one cluster, and each cluster's first element is its seed (the
 /// lowest member index).
-pub fn cluster_views(views: &[ViewVolume]) -> Vec<Vec<usize>> {
+pub(crate) fn cluster_views(views: &[ViewVolume]) -> Vec<Vec<usize>> {
     let mut assigned = vec![false; views.len()];
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     for seed in 0..views.len() {

@@ -10,14 +10,14 @@
 //! This crate adds the missing middle box: a selective forwarding unit
 //! (SFU) that sits between one capture pipeline and N subscribers.
 //!
-//! - [`cluster`]: groups subscribers whose *predicted* viewing frusta
+//! - `cluster`: groups subscribers whose *predicted* viewing frusta
 //!   mutually overlap (volume-sampled coverage, [`livo_math::Frustum::coverage_of`]).
-//! - [`subscriber`]: per-subscriber downlink state — an own
+//! - `subscriber`: per-subscriber downlink state — an own
 //!   [`livo_transport::RtcSession`] (trace-driven link + GCC), an own
 //!   Kalman frustum predictor, an own RMSE-balancing bandwidth split, and
 //!   a receiver-side stand-in: decode lanes and the two-party call's
 //!   [`livo_core::stage::DisplayClock`], counting shown and stalled slots.
-//! - [`router`]: the SFU proper. One **union cull + tile + encode pass per
+//! - `router`: the SFU proper. One **union cull + tile + encode pass per
 //!   cluster** (not per subscriber), encoded at the *fastest* member's
 //!   estimated rate. PLIs from any member — its decode stand-in's
 //!   keyframe requests too, sent up its own downlink — fan in to the
@@ -40,11 +40,10 @@
 //! deterministic for a given configuration; with `LIVO_THREADS=1` the
 //! forwarded streams are bit-exact with any other pool size.
 
-pub mod cluster;
-pub mod router;
-pub mod subscriber;
+mod cluster;
+mod router;
+mod subscriber;
 
-pub use cluster::{cluster_views, mutual_coverage, ViewVolume};
 pub use router::{
     subscriber_party, ClusterOutput, RouteSummary, Router, RouterBuilder, RouterConfig,
     RouterError, RouterEvent, SubscriberId,

@@ -92,7 +92,7 @@ pub struct SubscriberId(u64);
 
 impl SubscriberId {
     /// The raw value, for trace args and serialised reports.
-    pub const fn raw(self) -> u64 {
+    pub(crate) const fn raw(self) -> u64 {
         self.0
     }
 }
@@ -205,7 +205,8 @@ impl RouterBuilder {
     }
 
     /// Hard cap on live subscribers.
-    pub fn max_subscribers(mut self, max: usize) -> Self {
+    #[cfg(test)]
+    fn max_subscribers(mut self, max: usize) -> Self {
         self.cfg.max_subscribers = max;
         self
     }
@@ -560,11 +561,6 @@ impl Router {
     /// The subscriber behind `id`, or `None` once it has been removed.
     pub fn subscriber(&self, id: SubscriberId) -> Option<&Subscriber> {
         self.subscribers.get(&id)
-    }
-
-    /// Live subscribers in id order.
-    pub fn subscribers(&self) -> impl Iterator<Item = (SubscriberId, &Subscriber)> {
-        self.subscribers.iter().map(|(&id, s)| (id, s))
     }
 
     /// Feed subscriber `id`'s (feedback-delayed) head pose.
@@ -1533,7 +1529,7 @@ mod tests {
             if f == k {
                 joiner = Some(add(&mut router, "joiner"));
             }
-            let ids: Vec<SubscriberId> = router.subscribers().map(|(id, _)| id).collect();
+            let ids: Vec<SubscriberId> = router.subscribers.keys().copied().collect();
             for id in ids {
                 router.observe_pose(id, &looking(0.0)).unwrap();
             }

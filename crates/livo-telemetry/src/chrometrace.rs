@@ -51,7 +51,7 @@ fn push_event_common(buf: &mut String, name: &str, ph: &str, ts: u64, pid: u16, 
 /// Write the full Chrome trace JSON for `events` (any order; re-sorted).
 /// `party_name` maps a party id to its display name ("sender",
 /// "sub:director-home", …).
-pub fn write_chrome_trace(
+pub(crate) fn write_chrome_trace(
     out: &mut String,
     events: &[TraceEvent],
     party_name: &dyn Fn(u16) -> String,
@@ -149,7 +149,7 @@ pub fn write_chrome_trace(
     out.push_str("]}");
 }
 
-/// [`write_chrome_trace`] into a fresh `String`.
+/// `write_chrome_trace` into a fresh `String`.
 pub fn chrome_trace_json(events: &[TraceEvent], party_name: &dyn Fn(u16) -> String) -> String {
     let mut s = String::new();
     write_chrome_trace(&mut s, events, party_name);

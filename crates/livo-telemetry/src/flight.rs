@@ -11,7 +11,6 @@
 //! in the caller's (virtual) clock, so a sustained stall produces one
 //! bundle, not thousands; the newest 8 bundles are kept.
 
-use crate::json::ObjectWriter;
 use crate::registry::{MetricsRegistry, RegistrySnapshot};
 use crate::trace::{EventTrace, TraceEvent};
 use std::sync::Arc;
@@ -40,39 +39,6 @@ pub struct FlightBundle {
     pub events: Vec<TraceEvent>,
     /// Metrics at trigger time (when a registry is attached).
     pub metrics: Option<RegistrySnapshot>,
-}
-
-impl FlightBundle {
-    /// One JSON object.
-    pub fn write_json(&self, out: &mut String) {
-        let mut o = ObjectWriter::new(out);
-        o.field_u64("ts_us", self.ts_us)
-            .field_str("verdict", self.verdict)
-            .field_u64("party", self.party as u64)
-            .field_str("detail", &self.detail);
-        {
-            let buf = o.field_raw("events");
-            buf.push('[');
-            for (i, e) in self.events.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                e.write_json(buf);
-            }
-            buf.push(']');
-        }
-        if let Some(m) = &self.metrics {
-            let buf = o.field_raw("metrics");
-            m.write_json(buf);
-        }
-        o.finish();
-    }
-
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        self.write_json(&mut s);
-        s
-    }
 }
 
 /// The recorder, fed every stalled display slot of one run.
@@ -179,10 +145,5 @@ mod tests {
                 .counter("conference.frames_shown"),
             Some(7)
         );
-        let json = b.to_json();
-        assert!(json.starts_with("{\"ts_us\":1000,\"verdict\":\"in_transport\""));
-        assert!(json.contains("\"kind\":\"stall\""));
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"frame_seq\":4"));
     }
 }

@@ -44,7 +44,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -106,7 +106,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
@@ -119,7 +119,7 @@ impl Histogram {
         }
     }
 
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count() == 0 {
             0.0
         } else {
@@ -127,7 +127,7 @@ impl Histogram {
         }
     }
 
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.count() == 0 {
             0.0
         } else {
@@ -137,7 +137,7 @@ impl Histogram {
 
     /// Estimate the `q`-quantile (q in [0,1]) from the buckets. Within
     /// ±4.4% of the true value for q strictly inside the distribution.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         let total = self.count();
         if total == 0 {
             return 0.0;
@@ -157,7 +157,7 @@ impl Histogram {
     }
 
     /// Immutable copy of the summary statistics.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count(),
             sum: self.sum(),
@@ -198,7 +198,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Serialise as a JSON object.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = ObjectWriter::new(out);
         o.field_u64("count", self.count)
             .field_f64("sum", self.sum)

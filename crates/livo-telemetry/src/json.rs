@@ -39,7 +39,7 @@ pub fn write_f64(out: &mut String, v: f64) {
 }
 
 /// Append a u64.
-pub fn write_u64(out: &mut String, v: u64) {
+pub(crate) fn write_u64(out: &mut String, v: u64) {
     out.push_str(&format!("{v}"));
 }
 

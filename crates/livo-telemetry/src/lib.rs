@@ -16,9 +16,9 @@
 //!   packetize→send→(nack→retx)→recv→playout→decode→display life, keyed
 //!   by frame sequence and party id, stitched across threads and layers
 //!   into one causal order and queryable per frame ([`TraceQuery`]).
-//! - [`chrometrace`]: Chrome trace-event JSON export of a trace snapshot
+//! - `chrometrace`: Chrome trace-event JSON export of a trace snapshot
 //!   (Perfetto-loadable, flow arrows stitching frames across tracks).
-//! - [`flight`]: [`FlightRecorder`] — freezes the trace and the metrics
+//! - `flight`: [`FlightRecorder`] — freezes the trace and the metrics
 //!   into one bundle when a display stall runs long, with the cause the
 //!   display clock gave it as the verdict.
 //! - [`log`]: structured events with levels and key=value fields, filtered
@@ -32,15 +32,15 @@
 //! sample after warm-up — the overhead budget that keeps instrumented
 //! throughput within 5% of uninstrumented.
 
-pub mod chrometrace;
-pub mod flight;
-pub mod histogram;
+mod chrometrace;
+mod flight;
+mod histogram;
 pub mod json;
 pub mod log;
 pub mod registry;
 pub mod trace;
 
-pub use chrometrace::{chrome_trace_json, write_chrome_trace};
+pub use chrometrace::chrome_trace_json;
 pub use flight::{FlightBundle, FlightRecorder};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::{Level, Logger, Value};

@@ -23,7 +23,7 @@ pub enum Level {
 }
 
 impl Level {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Trace => "trace",
             Level::Debug => "debug",
@@ -34,7 +34,7 @@ impl Level {
     }
 
     /// Parse a `LIVO_LOG` value. `None` for "off".
-    pub fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "trace" => Some(Level::Trace),
             "debug" => Some(Level::Debug),
@@ -126,7 +126,7 @@ impl Logger {
         }
     }
 
-    pub fn enabled(&self, level: Level) -> bool {
+    pub(crate) fn enabled(&self, level: Level) -> bool {
         level as u8 >= self.min_level
     }
 
@@ -135,7 +135,7 @@ impl Logger {
     /// `suppressed=N` field on the next event that passes. Keeps loss
     /// sweeps and PLI storms from flooding stderr while still recording
     /// that the condition kept firing.
-    pub fn warn_limited(
+    pub(crate) fn warn_limited(
         &self,
         key: &'static str,
         interval: std::time::Duration,
@@ -183,7 +183,7 @@ impl Logger {
 
     /// Emit one event. Prefer [`log_event!`], which checks [`enabled`]
     /// before the arguments are evaluated.
-    pub fn log(&self, level: Level, target: &str, msg: &str, fields: &[(&str, Value)]) {
+    pub(crate) fn log(&self, level: Level, target: &str, msg: &str, fields: &[(&str, Value)]) {
         if !self.enabled(level) {
             return;
         }
@@ -212,7 +212,7 @@ impl Logger {
 }
 
 /// The process-wide logger (level read from `LIVO_LOG` on first use).
-pub fn logger() -> &'static Logger {
+pub(crate) fn logger() -> &'static Logger {
     static LOGGER: OnceLock<Logger> = OnceLock::new();
     LOGGER.get_or_init(Logger::from_env)
 }
@@ -228,7 +228,7 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, Value)]) {
 }
 
 /// Rate-limited warning through the global logger (see
-/// [`Logger::warn_limited`]). `interval_ms` is the minimum wall-clock
+/// `Logger::warn_limited`). `interval_ms` is the minimum wall-clock
 /// spacing between emitted events sharing `key`.
 pub fn warn_limited(
     key: &'static str,

@@ -34,7 +34,7 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -50,7 +50,7 @@ impl Default for Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge(AtomicU64::new(0f64.to_bits()))
     }
 

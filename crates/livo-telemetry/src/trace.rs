@@ -12,7 +12,7 @@
 //! packetize → send → (nack → retx) → recv → playout → decode → display.
 //!
 //! Design: the trace is **always on** and must cost nearly nothing.
-//! Events land in one of [`SHARDS`] fixed-capacity ring buffers; each
+//! Events land in one of `SHARDS` fixed-capacity ring buffers; each
 //! thread is pinned to a shard by a thread-local slot id, so a shard's
 //! mutex is in practice uncontended (the per-thread write buffer of the
 //! classic flight-recorder design, drained lazily at snapshot time) and a
@@ -88,26 +88,9 @@ pub struct TraceEvent {
     pub arg: i64,
 }
 
-impl TraceEvent {
-    /// Serialise as one JSON object (the flight-recorder bundle format).
-    pub fn write_json(&self, out: &mut String) {
-        let mut o = crate::json::ObjectWriter::new(out);
-        o.field_u64("ts_us", self.ts_us).field_u64("ord", self.ord);
-        if self.frame_seq != NO_FRAME {
-            o.field_u64("frame_seq", self.frame_seq);
-        }
-        o.field_u64("party", self.party as u64)
-            .field_str("component", self.component)
-            .field_str("kind", self.kind)
-            .field_raw("arg")
-            .push_str(&self.arg.to_string());
-        o.finish();
-    }
-}
-
 /// Shard count. A power of two; threads are spread round-robin, so up to
 /// 16 concurrent writers never share a lock.
-pub const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 
 /// One ring: a fixed-capacity circular buffer of events.
 #[derive(Debug, Default)]
@@ -149,7 +132,7 @@ fn thread_slot() -> usize {
     SLOT.with(|s| *s)
 }
 
-/// The trace: [`SHARDS`] rings plus the global ordinal counter.
+/// The trace: `SHARDS` rings plus the global ordinal counter.
 #[derive(Debug)]
 pub struct EventTrace {
     shards: [Mutex<Shard>; SHARDS],
@@ -161,7 +144,7 @@ pub struct EventTrace {
 
 impl EventTrace {
     /// A trace holding at most ~`capacity` events (rounded up to a
-    /// multiple of [`SHARDS`]).
+    /// multiple of `SHARDS`).
     pub fn new(capacity: usize) -> Self {
         EventTrace {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
@@ -172,18 +155,9 @@ impl EventTrace {
         }
     }
 
-    /// Total event capacity.
-    pub fn capacity(&self) -> usize {
-        self.shard_cap * SHARDS
-    }
-
     /// Disable/re-enable recording (the overhead gate measures both).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Record one event. Cost when enabled: one atomic add plus one
@@ -226,15 +200,11 @@ impl EventTrace {
     }
 
     /// Events currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().unwrap().buf.len())
             .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Merge every shard into one list sorted by `(ts_us, ord)` — the
@@ -246,15 +216,6 @@ impl EventTrace {
         }
         all.sort_by_key(|e| (e.ts_us, e.ord));
         all
-    }
-
-    /// Drop every held event (counters keep running).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.lock().unwrap();
-            s.buf.clear();
-            s.head = 0;
-        }
     }
 }
 
@@ -296,7 +257,7 @@ pub struct FramePath {
 
 impl FramePath {
     /// First-event → last-event span.
-    pub fn total_us(&self) -> u64 {
+    pub(crate) fn total_us(&self) -> u64 {
         match (self.events.first(), self.events.last()) {
             (Some(a), Some(b)) => b.ts_us.saturating_sub(a.ts_us),
             _ => 0,
@@ -367,10 +328,6 @@ impl TraceQuery {
         TraceQuery {
             events: trace.snapshot(),
         }
-    }
-
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
     }
 
     /// Distinct frame sequence numbers present, ascending.
@@ -469,7 +426,7 @@ mod tests {
         let t = EventTrace::new(16);
         t.set_enabled(false);
         t.record(1, 1, 0, "x", kind::CAPTURE, 0);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         t.set_enabled(true);
         t.record(2, 1, 0, "x", kind::CAPTURE, 0);
         assert_eq!(t.len(), 1);

@@ -40,7 +40,7 @@ struct Group {
 /// and loss reports with [`GccEstimator::on_loss_report`]; read the current
 /// target with [`GccEstimator::estimate_bps`].
 #[derive(Debug)]
-pub struct GccEstimator {
+pub(crate) struct GccEstimator {
     // --- arrival grouping ---
     current: Option<Group>,
     prev_group: Option<Group>,
@@ -87,7 +87,7 @@ const OVERUSE_HOLD: Micros = 10_000;
 const BETA: f64 = 0.85;
 
 impl GccEstimator {
-    pub fn new(initial_bps: f64) -> Self {
+    pub(crate) fn new(initial_bps: f64) -> Self {
         GccEstimator {
             current: None,
             prev_group: None,
@@ -110,7 +110,7 @@ impl GccEstimator {
     }
 
     /// Record one packet arrival.
-    pub fn on_packet(&mut self, send_ts: Micros, arrival_ts: Micros, bits: u64) {
+    pub(crate) fn on_packet(&mut self, send_ts: Micros, arrival_ts: Micros, bits: u64) {
         // One-way delay tracking: the running minimum is the propagation
         // baseline; the excess is queuing delay.
         let owd = arrival_ts.saturating_sub(send_ts) as f64;
@@ -198,7 +198,7 @@ impl GccEstimator {
 
     /// Estimated queuing delay in milliseconds (one-way delay in excess of
     /// the propagation baseline).
-    pub fn queuing_delay_ms(&self) -> f64 {
+    pub(crate) fn queuing_delay_ms(&self) -> f64 {
         if self.min_owd_us.is_finite() {
             (self.owd_us - self.min_owd_us).max(0.0) / 1000.0
         } else {
@@ -255,7 +255,7 @@ impl GccEstimator {
     }
 
     /// Incoming rate over the 500 ms window.
-    pub fn incoming_rate_bps(&self) -> f64 {
+    pub(crate) fn incoming_rate_bps(&self) -> f64 {
         if self.window.len() < 2 {
             return 0.0;
         }
@@ -304,7 +304,7 @@ impl GccEstimator {
 
     /// Feed a loss report (fraction of packets lost over the last RTCP
     /// interval).
-    pub fn on_loss_report(&mut self, fraction: f64) {
+    pub(crate) fn on_loss_report(&mut self, fraction: f64) {
         self.loss_fraction = fraction.clamp(0.0, 1.0);
         if self.loss_fraction > 0.10 {
             self.rate_bps *= 1.0 - 0.5 * self.loss_fraction;
@@ -315,13 +315,13 @@ impl GccEstimator {
     }
 
     /// The current send-rate target.
-    pub fn estimate_bps(&self) -> f64 {
+    pub(crate) fn estimate_bps(&self) -> f64 {
         self.rate_bps
     }
 
     /// Named snapshot of the estimator internals, for telemetry gauges,
     /// tests and tracing.
-    pub fn state(&self) -> GccState {
+    pub(crate) fn state(&self) -> GccState {
         GccState {
             estimate_bps: self.rate_bps,
             queuing_delay_ms: self.queuing_delay_ms(),
@@ -337,7 +337,7 @@ impl GccEstimator {
 /// Replaces the old anonymous `debug_state()` tuple: every field is named
 /// so telemetry gauges and assertions read unambiguously.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GccState {
+pub(crate) struct GccState {
     /// Current delay-based send-rate target (bps).
     pub estimate_bps: f64,
     /// Estimated standing queue at the bottleneck (ms).

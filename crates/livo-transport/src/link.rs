@@ -105,7 +105,7 @@ pub struct LinkStats {
 
 impl LinkStats {
     /// Every packet offered but not delivered (any cause).
-    pub fn dropped_total(&self) -> u64 {
+    pub(crate) fn dropped_total(&self) -> u64 {
         self.dropped_random + self.dropped_burst + self.dropped_queue + self.dropped_down
     }
 }
@@ -163,7 +163,7 @@ impl LinkEmulator {
     }
 
     /// Instantaneous capacity in bits/second at virtual time `now`.
-    pub fn capacity_bps(&self, now: Micros) -> f64 {
+    pub(crate) fn capacity_bps(&self, now: Micros) -> f64 {
         self.trace.capacity_at(now as f64 / 1e6) * 1e6
     }
 
@@ -216,7 +216,7 @@ impl LinkEmulator {
     /// Pop every packet that has arrived by `now`, in arrival order.
     ///
     /// Allocates a fresh `Vec` per call; hot paths should prefer
-    /// [`Self::poll_into`] with a reused scratch buffer.
+    /// `Self::poll_into` with a reused scratch buffer.
     pub fn poll(&mut self, now: Micros) -> Vec<Delivery> {
         let mut out = Vec::new();
         self.poll_into(now, &mut out);
@@ -225,7 +225,7 @@ impl LinkEmulator {
 
     /// Drain every packet that has arrived by `now` into `out` (appended in
     /// arrival order, `out` is not cleared). Returns how many were drained.
-    pub fn poll_into(&mut self, now: Micros, out: &mut Vec<Delivery>) -> usize {
+    pub(crate) fn poll_into(&mut self, now: Micros, out: &mut Vec<Delivery>) -> usize {
         let mut n = 0;
         while let Some(front) = self.in_flight.front() {
             if front.arrival <= now {
@@ -243,7 +243,7 @@ impl LinkEmulator {
 
     /// Arrival time of the packet [`Self::poll_into`] hands out next (the
     /// FIFO head, even when a propagation drop lets a later one land first).
-    pub fn next_arrival(&self) -> Option<Micros> {
+    pub(crate) fn next_arrival(&self) -> Option<Micros> {
         self.in_flight.front().map(|d| d.arrival)
     }
 
@@ -251,7 +251,7 @@ impl LinkEmulator {
     /// flushes everything in flight (those packets are lost, counted as
     /// `dropped_down`); the count of stranded packets is returned. Bringing
     /// an up link up (or a down link down again) is a no-op returning 0.
-    pub fn set_down(&mut self, down: bool) -> usize {
+    pub(crate) fn set_down(&mut self, down: bool) -> usize {
         if down == self.down {
             return 0;
         }
@@ -270,17 +270,17 @@ impl LinkEmulator {
     /// Change the one-way propagation delay mid-run (RTT jump). Applies to
     /// packets offered from now on; packets already in flight keep their
     /// original arrival time.
-    pub fn set_propagation(&mut self, propagation: Micros) {
+    pub(crate) fn set_propagation(&mut self, propagation: Micros) {
         self.cfg.propagation = propagation;
     }
 
     /// Current one-way propagation delay.
-    pub fn propagation(&self) -> Micros {
+    pub(crate) fn propagation(&self) -> Micros {
         self.cfg.propagation
     }
 
     /// Copy out the cumulative counters.
-    pub fn stats(&self) -> LinkStats {
+    pub(crate) fn stats(&self) -> LinkStats {
         LinkStats {
             sent_packets: self.sent_packets,
             delivered_packets: self.delivered_packets,
@@ -293,17 +293,8 @@ impl LinkEmulator {
     }
 
     /// Current queuing backlog in time (how long a new packet would wait).
-    pub fn backlog(&self, now: Micros) -> Micros {
+    pub(crate) fn backlog(&self, now: Micros) -> Micros {
         self.busy_until.saturating_sub(now)
-    }
-
-    /// Fraction of offered packets dropped so far.
-    pub fn loss_fraction(&self) -> f64 {
-        if self.sent_packets == 0 {
-            0.0
-        } else {
-            self.stats().dropped_total() as f64 / self.sent_packets as f64
-        }
     }
 }
 
@@ -378,7 +369,6 @@ mod tests {
         // Only ~5 packets fit in 50 ms at 1 Mbps.
         assert!(accepted < 10, "{accepted} accepted");
         assert!(link.dropped_queue > 80);
-        assert!(link.loss_fraction() > 0.8);
     }
 
     #[test]

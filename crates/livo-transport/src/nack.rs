@@ -2,9 +2,9 @@
 //!
 //! The paper enables WebRTC's negative acknowledgements, Picture Loss
 //! Indication and Full Intraframe Request (§A.1). The receiver-side
-//! [`NackGenerator`] requests missing sequence numbers on any tick the
+//! `NackGenerator` requests missing sequence numbers on any tick the
 //! session finds them eligible, with spaced and bounded retries; the
-//! sender-side [`RetransmitBuffer`] answers them from a recent-packet
+//! sender-side `RetransmitBuffer` answers them from a recent-packet
 //! window. A frame still incomplete at its playout deadline is given up;
 //! the decode lane that then misses its reference asks for a keyframe
 //! through `RtcSession::request_keyframe`.
@@ -21,7 +21,7 @@ const MAX_RETRIES: u32 = 3;
 
 /// Receiver-side NACK scheduling.
 #[derive(Debug)]
-pub struct NackGenerator {
+pub(crate) struct NackGenerator {
     /// seq → (times requested, last request time).
     requested: BTreeMap<u64, (u32, Micros)>,
     /// Earliest retry among the seqs of the last [`Self::nacks`] call.
@@ -37,7 +37,7 @@ impl NackGenerator {
     }
 
     /// Given current gaps, decide which seqs to NACK now.
-    pub fn nacks(&mut self, missing: &[u64], now: Micros) -> Vec<u64> {
+    pub(crate) fn nacks(&mut self, missing: &[u64], now: Micros) -> Vec<u64> {
         let mut out = Vec::new();
         self.next_due = Micros::MAX;
         for &seq in missing {
@@ -63,20 +63,20 @@ impl NackGenerator {
     /// The earliest instant one of the seqs last passed to [`Self::nacks`]
     /// can be requested again: its last request + the retry interval while
     /// retries remain; `Micros::MAX` once all are spent.
-    pub fn next_due(&self) -> Micros {
+    pub(crate) fn next_due(&self) -> Micros {
         self.next_due
     }
 }
 
 /// Sender-side retransmission window.
 #[derive(Debug, Default)]
-pub struct RetransmitBuffer {
+pub(crate) struct RetransmitBuffer {
     packets: VecDeque<Packet>,
     max_packets: usize,
 }
 
 impl RetransmitBuffer {
-    pub fn new(max_packets: usize) -> Self {
+    pub(crate) fn new(max_packets: usize) -> Self {
         RetransmitBuffer {
             packets: VecDeque::new(),
             max_packets,
@@ -85,7 +85,7 @@ impl RetransmitBuffer {
 
     /// Remember a sent packet. Packets come in sequence order, so the
     /// window stays sorted by seq.
-    pub fn store(&mut self, pkt: &Packet) {
+    pub(crate) fn store(&mut self, pkt: &Packet) {
         self.packets.push_back(pkt.clone());
         while self.packets.len() > self.max_packets {
             self.packets.pop_front();
@@ -93,7 +93,7 @@ impl RetransmitBuffer {
     }
 
     /// Look up packets for a NACK; marks them as retransmissions.
-    pub fn lookup(&self, seqs: &[u64]) -> Vec<Packet> {
+    pub(crate) fn lookup(&self, seqs: &[u64]) -> Vec<Packet> {
         seqs.iter()
             .filter_map(|&s| {
                 let at = self.packets.binary_search_by_key(&s, |p| p.seq).ok()?;
@@ -102,14 +102,6 @@ impl RetransmitBuffer {
                 Some(p)
             })
             .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
     }
 }
 
@@ -165,7 +157,7 @@ mod tests {
         for p in &pkts {
             rb.store(p);
         }
-        assert_eq!(rb.len(), 4);
+        assert_eq!(rb.packets.len(), 4);
         assert!(rb.lookup(&[0]).is_empty(), "oldest evicted");
         assert_eq!(rb.lookup(&[9]).len(), 1);
         // Seqs 6..=9 are held: one just below the window, its two ends,

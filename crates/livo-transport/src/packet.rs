@@ -52,17 +52,17 @@ pub struct Packet {
 
 impl Packet {
     /// Wire size: payload plus a 28-byte RTP+UDP+IP-ish header.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         self.payload.len() + 28
     }
 
-    pub fn wire_bits(&self) -> u64 {
+    pub(crate) fn wire_bits(&self) -> u64 {
         self.wire_bytes() as u64 * 8
     }
 }
 
 /// Default MTU payload (1200 B is WebRTC's conventional safe payload size).
-pub const DEFAULT_MTU: usize = 1200;
+pub(crate) const DEFAULT_MTU: usize = 1200;
 
 /// Splits encoded frames into packets with per-stream sequence numbers.
 #[derive(Debug)]
@@ -73,7 +73,7 @@ pub struct Packetizer {
 }
 
 impl Packetizer {
-    pub fn new(stream: StreamId) -> Self {
+    pub(crate) fn new(stream: StreamId) -> Self {
         Packetizer {
             stream,
             next_seq: 0,
@@ -88,10 +88,6 @@ impl Packetizer {
             next_seq: 0,
             mtu,
         }
-    }
-
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Packetise one encoded frame.
@@ -251,7 +247,7 @@ impl FrameBuffer {
     }
 
     /// Number of complete frames waiting to play.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.complete.len()
     }
 
@@ -288,13 +284,13 @@ impl FrameBuffer {
 
     /// Whether frame `frame_id` is complete or behind the playout
     /// frontier, so packets for it are dropped on arrival.
-    pub fn passed(&self, frame_id: u64) -> bool {
+    pub(crate) fn passed(&self, frame_id: u64) -> bool {
         frame_id < self.frontier || self.complete.contains_key(&frame_id)
     }
 
     /// Sequence numbers below the highest seen that have never arrived and
     /// belong to no frame playout has passed — the NACK candidates.
-    pub fn missing_seqs(&self, max: usize) -> Vec<u64> {
+    pub(crate) fn missing_seqs(&self, max: usize) -> Vec<u64> {
         let Some(high) = self.highest_seq else {
             return Vec::new();
         };

@@ -13,7 +13,7 @@ use crate::Micros;
 
 /// What the scheduler knows about one link at decision time.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkSnapshot {
+pub(crate) struct LinkSnapshot {
     /// Sender-side (feedback-delayed) GCC estimate for this link.
     pub estimate_bps: f64,
     /// Smoothed one-way delay, µs.
@@ -28,13 +28,13 @@ pub struct LinkSnapshot {
 
 impl LinkSnapshot {
     /// Expected delivery time (µs) for a packet of `wire_bits` offered now.
-    pub fn expected_delivery_us(&self, wire_bits: u64) -> f64 {
+    pub(crate) fn expected_delivery_us(&self, wire_bits: u64) -> f64 {
         let rate = self.estimate_bps.max(10_000.0);
         self.backlog_us as f64 + self.owd_us + wire_bits as f64 / rate * 1e6
     }
 
     /// Degraded: losing packets or building a standing queue.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.recent_loss > DEGRADED_LOSS || self.backlog_us > DEGRADED_BACKLOG
     }
 
@@ -51,7 +51,7 @@ impl LinkSnapshot {
     /// round-trip ([`LOSS_RECOVERY_US`]), so recent-loss fraction times
     /// that is the honest expected price — and unlike a multiplier it
     /// still bites when the lossy link is idle and its base cost is tiny.
-    pub fn cost_us(&self, wire_bits: u64) -> f64 {
+    pub(crate) fn cost_us(&self, wire_bits: u64) -> f64 {
         let rate = self.estimate_bps.max(10_000.0);
         self.backlog_us as f64
             + wire_bits as f64 / rate * 1e6
@@ -76,7 +76,7 @@ const LOSS_RECOVERY_US: f64 = 120_000.0;
 /// Pick the up link with the minimum expected delivery time for a packet
 /// of `wire_bits`. Ties break to the lowest index, so decisions are
 /// deterministic. Returns `None` when every link is down.
-pub fn pick_primary(links: &[LinkSnapshot], wire_bits: u64) -> Option<usize> {
+pub(crate) fn pick_primary(links: &[LinkSnapshot], wire_bits: u64) -> Option<usize> {
     links
         .iter()
         .enumerate()
@@ -87,7 +87,11 @@ pub fn pick_primary(links: &[LinkSnapshot], wire_bits: u64) -> Option<usize> {
 
 /// Second-best up link (for key-packet duplication): the cheapest up link
 /// other than `primary`.
-pub fn pick_duplicate(links: &[LinkSnapshot], wire_bits: u64, primary: usize) -> Option<usize> {
+pub(crate) fn pick_duplicate(
+    links: &[LinkSnapshot],
+    wire_bits: u64,
+    primary: usize,
+) -> Option<usize> {
     links
         .iter()
         .enumerate()
@@ -98,7 +102,7 @@ pub fn pick_duplicate(links: &[LinkSnapshot], wire_bits: u64, primary: usize) ->
 
 /// Up link with the lowest recent loss (for retransmissions, which we do
 /// not want to lose twice). Ties break to the lowest expected delivery.
-pub fn pick_reliable(links: &[LinkSnapshot], wire_bits: u64) -> Option<usize> {
+pub(crate) fn pick_reliable(links: &[LinkSnapshot], wire_bits: u64) -> Option<usize> {
     links
         .iter()
         .enumerate()

@@ -10,10 +10,10 @@
 //! A session carries its packets over one or more *legs* — emulated links
 //! bonded under one sender/receiver pair. [`RtcSession::new`] builds the
 //! common one-leg call; [`RtcSession::with_legs`] bonds several (WiFi +
-//! LTE, …). Each leg runs its *own* [`GccEstimator`] fed by that leg's
+//! LTE, …). Each leg runs its *own* `GccEstimator` fed by that leg's
 //! arrival timestamps and reaches the sender through that leg's delayed
 //! feedback path (like REMB/transport-wide-cc), so the per-packet
-//! [`scheduler`](crate::scheduler) sees honest per-path rates; the
+//! `scheduler` sees honest per-path rates; the
 //! receiver side (receive buffers, NACK/PLI) is *shared*, so
 //! frames arriving interleaved across legs reassemble exactly as
 //! out-of-order packets on one path would.
@@ -370,7 +370,7 @@ impl RtcSession {
 
     /// Publish session metrics under `{prefix}.*` in `registry`.
     ///
-    /// Gauges: aggregate GCC internals ([`GccEstimator::state`]), the
+    /// Gauges: aggregate GCC internals (`GccEstimator::state`), the
     /// sender-side (feedback-delayed) estimate, jitter-buffer occupancy,
     /// smoothed one-way delay and cumulative late drops. Counters: NACKs,
     /// retransmits, PLIs, per-stream sent bits, delivered bits/frames.

@@ -206,11 +206,12 @@ fn every_frame_is_recovered_inside_the_playout_deadline_at_two_percent_loss() {
 /// pacer follows the estimate, and a sender that keeps offering 480 kbps
 /// gets 14 frames through in the last 4 s. Link seed 3.
 #[test]
-#[ignore = "ROADMAP item 2: loss term reads i.i.d. loss as congestion; 14 frames in 4 s (link seed 3)"]
+#[ignore = "ROADMAP item 15: the GCC loss term reads i.i.d. loss as congestion; 14 frames in 4 s (link seed 3)"]
 fn session_survives_pathological_loss_then_recovers() {
     use livo_transport::{RtcSession, SessionConfig};
-    // 40% loss for 2 s, then clean: the session must not deadlock and must
-    // deliver frames again after recovery.
+    // 40% i.i.d. loss on a 20 Mbps link for all 8 s, a fixed 480 kbps
+    // offered: the session must not deadlock and must still deliver more
+    // than 20 frames in the last 4 s.
     let mut samples = vec![20.0; 100];
     samples.extend(vec![20.0; 100]);
     let trace = BandwidthTrace {

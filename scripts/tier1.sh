@@ -126,6 +126,17 @@ if grep -rnE "PosePredictorConfig|ClusterParams|NackGenerator::with_defaults|fro
   || grep -n "livo-bond" crates/livo-core/Cargo.toml; then
   echo "PosePredictorConfig, ClusterParams, NackGenerator::with_defaults, from_raw or livo-core's livo-bond dependency is back"; exit 1
 fi
+# The crate graph says what is used: every `livo-*` dependency a crate
+# declares, normal or dev, is named as `livo_<name>` by some `.rs` file
+# under that crate. An edge nothing names goes, rather than waiting here.
+for toml in crates/*/Cargo.toml; do
+  dir=$(dirname "$toml")
+  for dep in $(grep -oE "^livo-[a-z0-9]+" "$toml"); do
+    if ! grep -rqw --include='*.rs' "${dep//-/_}" "$dir"; then
+      echo "$toml declares $dep, which no .rs file under $dir names"; exit 1
+    fi
+  done
+done
 # SIMD dispatch: the kernel differential suite and the renderer's oracle
 # tests ran at the auto-detected tier above; they must also hold with the
 # dispatcher forced to the scalar tier (LIVO_SIMD caps the level per
