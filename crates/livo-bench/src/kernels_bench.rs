@@ -677,7 +677,7 @@ fn bench_coeff_coders() -> [KernelPoint; 2] {
         // codes different blocks.
         let plan = plan_inter(frames[1], &key, qp, SEARCH_RANGE);
         assert_eq!(plan.recon, inter, "oracle reconstruction");
-        coded_blocks(&plan, slice_count(cfg.slices, frames[1].height))
+        coded_blocks(&plan, slice_count(frames[1].height))
     };
     [
         bench_coeff_coder(

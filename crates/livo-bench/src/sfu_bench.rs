@@ -42,7 +42,7 @@ use livo_eval::experiments::EvalProfile;
 use livo_eval::stats::percentile;
 use livo_math::{Pose, RgbdCamera, Vec3};
 use livo_runtime::WorkerPool;
-use livo_sfu::{RouteSummary, Router, RouterEvent, SubscriberConfig, SubscriberId};
+use livo_sfu::{RouteSummary, Router, SubscriberConfig, SubscriberId};
 use livo_telemetry::json::ObjectWriter;
 use livo_transport::Micros;
 use std::sync::Arc;
@@ -299,7 +299,8 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
 
     let mut now: Micros = 0;
     let mut route_ms = Vec::with_capacity(frames.len());
-    let (mut joins, mut leaves, mut regroups) = (0u64, 0u64, 0u64);
+    // Joins up to frame 0's route are the starting population, not churn.
+    let mut initial_joins = 0;
     let mut min_gap_us = u64::MAX;
     for (frame_idx, views) in frames.iter().enumerate() {
         let frame_idx = frame_idx as u64;
@@ -326,14 +327,8 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
         }
         let (out, route, _) = step(&mut router, &subs, views, frame_idx, &mut now);
         route_ms.push(route);
-        for ev in &out.events {
-            match ev {
-                // Frame 0 drains the N initial adds — not churn.
-                RouterEvent::SubscriberJoined { .. } if frame_idx > 0 => joins += 1,
-                RouterEvent::SubscriberJoined { .. } => {}
-                RouterEvent::SubscriberLeft { .. } => leaves += 1,
-                RouterEvent::Regrouped { .. } => regroups += 1,
-            }
+        if frame_idx == 0 {
+            initial_joins = sfu_counter(&router, "sfu.joins");
         }
         for cluster in &out.clusters {
             if let Some(gap) = cluster.shared_intra_gap_us {
@@ -341,20 +336,20 @@ fn run_churn(cameras: &[RgbdCamera], frames: &[Vec<RgbdFrame>], n: usize) -> Chu
             }
         }
     }
-    let shared_intras = router
-        .registry()
-        .snapshot()
-        .counter("sfu.shared_intras")
-        .unwrap_or(0);
     ChurnPoint {
         subscribers: n,
-        joins,
-        leaves,
-        regroups,
-        shared_intras,
+        joins: sfu_counter(&router, "sfu.joins") - initial_joins,
+        leaves: sfu_counter(&router, "sfu.leaves"),
+        regroups: sfu_counter(&router, "sfu.regroups"),
+        shared_intras: sfu_counter(&router, "sfu.shared_intras"),
         min_intra_gap_us: (min_gap_us != u64::MAX).then_some(min_gap_us),
         route_ms_p99: percentile(&route_ms, 0.99),
     }
+}
+
+/// One of the router's `sfu.*` counters, 0 before its first count.
+fn sfu_counter(router: &Router, name: &str) -> u64 {
+    router.registry().snapshot().counter(name).unwrap_or(0)
 }
 
 /// Two gaze groups with one member per link class; the clip plays forward

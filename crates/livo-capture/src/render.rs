@@ -10,7 +10,7 @@
 //! Every pixel casts one ray, but not at every shape. Per camera, each
 //! shape's hull is moved into the camera frame once: a ball for a sphere
 //! and for the floor disc, the two end balls for a capsule, the centre and
-//! rotated half-axes for a box. The image is cut into [`TILE`]×[`TILE`]
+//! rotated half-axes for a box. The image is cut into `TILE`×`TILE`
 //! pixel tiles; a tile's candidate list keeps, in scene order, the shapes
 //! whose hull meets the tile's wedge (the four planes through the camera
 //! centre and the tile's corner pixel-centre rays) and the
@@ -29,7 +29,7 @@
 //! - A dropped shape is one that no ray of the tile can hit within range.
 //!   Every pixel-centre ray of the tile lies inside its wedge, and every
 //!   hull extent is inflated to `extent·1.001 + 1 mm` (ball and capsule
-//!   radii first widened by [`GRAZE_M2`] under the root), more than the
+//!   radii first widened by `GRAZE_M2` under the root), more than the
 //!   rounding in the ray casts and in the move to the camera frame.
 //! - The list keeps scene order, and the packet keeps the first of equally
 //!   near hits, so ties resolve as they did over the whole scene.

@@ -272,7 +272,7 @@ fn idct8_lanes(s: [[f32; 8]; 8]) -> [[f32; 8]; 8] {
 
 /// Forward 8×8 DCT of a raster-order block of samples. Output is raster
 /// order (DC at index 0). Dispatches to the AVX2 path when the runtime tier
-/// allows (bit-identical — see [`avx2`]); agrees with the matrix transform
+/// allows (bit-identical — see the `avx2` module); agrees with the matrix transform
 /// up to f32 rounding either way.
 pub fn forward(block: &[i32; 64]) -> [f32; 64] {
     #[cfg(target_arch = "x86_64")]

@@ -467,14 +467,14 @@ mod tests {
 
     #[test]
     fn sliced_round_trip_matches_encoder() {
-        let mut cfg = EncoderConfig::new(128, 128, PixelFormat::Yuv420);
-        cfg.slices = 4;
-        let mut enc = Encoder::new(cfg);
+        // 16 MB rows: four slices.
+        let mut enc = Encoder::new(EncoderConfig::new(128, 256, PixelFormat::Yuv420));
         let mut dec = Decoder::new();
         for i in 0..6 {
-            let f = test_frame(128, 128, i);
-            let out = enc.encode(&f, 120_000);
+            let f = test_frame(128, 256, i);
+            let out = enc.encode(&f, 240_000);
             assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i}");
+            assert_eq!(out.data[7], 4, "frame {i}: slice count");
             let decoded = dec.decode(&out.data).unwrap();
             assert_eq!(decoded, out.reconstruction, "frame {i}");
         }
@@ -482,17 +482,17 @@ mod tests {
 
     #[test]
     fn sliced_y16_round_trip_matches_encoder() {
-        let mut cfg = EncoderConfig::new(96, 96, PixelFormat::Y16);
-        cfg.slices = 3;
-        let mut enc = Encoder::new(cfg);
+        // 12 MB rows: three slices.
+        let mut enc = Encoder::new(EncoderConfig::new(96, 192, PixelFormat::Y16));
         let mut dec = Decoder::new();
         for i in 0..4 {
-            let samples: Vec<u16> = (0..96usize * 96)
+            let samples: Vec<u16> = (0..96usize * 192)
                 .map(|p| (((p + i * 31) * 401) % 60000) as u16)
                 .collect();
-            let f = Frame::from_y16(96, 96, samples);
-            let out = enc.encode(&f, 200_000);
+            let f = Frame::from_y16(96, 192, samples);
+            let out = enc.encode(&f, 400_000);
             assert_eq!(out.data[0], slice::SLICED_MAGIC, "frame {i}");
+            assert_eq!(out.data[7], 3, "frame {i}: slice count");
             let decoded = dec.decode(&out.data).unwrap();
             assert_eq!(decoded, out.reconstruction, "frame {i}");
         }
@@ -510,12 +510,12 @@ mod tests {
 
     #[test]
     fn sliced_inter_without_reference_fails() {
-        let mut cfg = EncoderConfig::new(128, 128, PixelFormat::Yuv420);
-        cfg.slices = 2;
-        let mut enc = Encoder::new(cfg);
+        // 8 MB rows: two slices.
+        let mut enc = Encoder::new(EncoderConfig::new(128, 128, PixelFormat::Yuv420));
         enc.encode(&test_frame(128, 128, 0), 120_000);
         let p = enc.encode(&test_frame(128, 128, 1), 120_000);
         assert_eq!(p.frame_type, FrameType::Inter);
+        assert_eq!(p.data[7], 2);
         let mut dec = Decoder::new();
         assert_eq!(dec.decode(&p.data), Err(DecodeError::MissingReference));
     }

@@ -300,12 +300,11 @@ fn encode_inter_oracle(
     prev: &Frame,
     qp: u8,
     search_range: i16,
-    cfg_slices: u8,
 ) -> (Vec<u8>, Frame, BlockCounts) {
     let plan = plan_inter(frame, prev, qp, search_range);
     let mut counts = BlockCounts::default();
     let mut payloads = Vec::new();
-    for (luma, chroma) in plan.slices(slice::slice_count(cfg_slices, frame.height)) {
+    for (luma, chroma) in plan.slices(slice::slice_count(frame.height)) {
         let (bytes, c) = entropy_inter_slice_oracle(luma, chroma);
         counts.skip += c.skip;
         counts.coded += c.coded;
@@ -574,8 +573,7 @@ fn run_gop(format: PixelFormat, w: usize, h: usize, qp_of: impl Fn(usize) -> Opt
         let want_intra = i == 0 || i == GOP / 2;
         assert_eq!(out.frame_type == FrameType::Intra, want_intra, "{tag}");
         if let (FrameType::Inter, Some(prev)) = (out.frame_type, &prev) {
-            let (data, recon, counts) =
-                encode_inter_oracle(&frame, prev, out.qp, SEARCH_RANGE, cfg.slices);
+            let (data, recon, counts) = encode_inter_oracle(&frame, prev, out.qp, SEARCH_RANGE);
             assert_eq!(out.data, data, "{tag}: bitstream vs oracle");
             assert_eq!(out.reconstruction, recon, "{tag}: reconstruction vs oracle");
             assert_eq!(out.blocks, counts, "{tag}: block counts vs oracle");
@@ -665,7 +663,7 @@ fn corrupt_inter_frames_decode_like_the_oracle() {
         let first = enc.encode_fixed_qp(&first_frame(format, w, h), 20);
         let mut reference = first.reconstruction;
         let mut chain = vec![first.data];
-        let header = slice::header_len(slice::slice_count(cfg.slices, h));
+        let header = slice::header_len(slice::slice_count(h));
         for i in 1..6 {
             let frame = next_frame(&reference, i, (2, -2), &mut rng);
             let out = enc.encode_fixed_qp(&frame, 20);

@@ -35,10 +35,6 @@ pub struct EncoderConfig {
     /// Distance between intra frames; 1 = all-intra. LiVo uses long GOPs and
     /// relies on PLI/FIR to request intra refresh after loss (§A.1).
     pub gop_length: u32,
-    /// Entropy slices per frame. `0` (the default) picks automatically
-    /// from the frame height — see [`slice::slice_count`]; small frames get
-    /// one slice.
-    pub slices: u8,
     /// Temporal layers: 2 alternates T0, T1 from each intra on, and a T1
     /// is never a reference, so a forwarder can drop any T1 (see
     /// [`crate::slice`]); any other value is one layer. Two cost bits at
@@ -53,7 +49,6 @@ impl EncoderConfig {
             height,
             format,
             gop_length: 120,
-            slices: 0,
             temporal_layers: 1,
         }
     }
@@ -452,7 +447,7 @@ impl Encoder {
         layer: Layer,
         searched: bool,
     ) -> (Vec<u8>, BlockCounts) {
-        let n_slices = slice::slice_count(self.cfg.slices, frame.height);
+        let n_slices = slice::slice_count(frame.height);
         let slices = slice::partition(frame.format, frame.height, n_slices);
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.ensure_work_recon(frame.format, frame.width, frame.height) {

@@ -81,18 +81,10 @@ pub(crate) fn header_len(n: usize) -> usize {
     FIXED_HEADER_LEN + 4 * n
 }
 
-/// Effective slice count for a frame of this height: the configured count,
-/// or for `cfg_slices == 0` an automatic choice of one slice per four
-/// macroblock rows capped at 8 (frames under 8 macroblock rows are one
-/// slice). Always in `1..=mb_rows`.
-pub fn slice_count(cfg_slices: u8, height: usize) -> usize {
-    let mbs_y = height.div_ceil(MB_SIZE).max(1);
-    let want = if cfg_slices == 0 {
-        (mbs_y / 4).clamp(1, 8)
-    } else {
-        cfg_slices as usize
-    };
-    want.clamp(1, mbs_y).min(255)
+/// Slice count for a frame of this height: one slice per four macroblock
+/// rows, capped at 8 (frames under 8 macroblock rows are one slice).
+pub fn slice_count(height: usize) -> usize {
+    (height.div_ceil(MB_SIZE) / 4).clamp(1, 8)
 }
 
 /// Row extent of one slice: a contiguous run of luma macroblock rows and
@@ -414,12 +406,13 @@ mod tests {
 
     #[test]
     fn auto_slice_count_scales_with_height() {
-        assert_eq!(slice_count(0, 64), 1, "4 MB rows are one slice");
-        assert_eq!(slice_count(0, 128), 2);
-        assert_eq!(slice_count(0, 512), 8);
-        assert_eq!(slice_count(0, 4096), 8, "capped at 8");
-        assert_eq!(slice_count(3, 64), 3, "explicit count wins");
-        assert_eq!(slice_count(200, 64), 4, "clamped to MB rows");
+        assert_eq!(slice_count(1), 1, "a partial MB row is one slice");
+        assert_eq!(slice_count(64), 1, "4 MB rows are one slice");
+        assert_eq!(slice_count(112), 1, "7 MB rows are one slice");
+        assert_eq!(slice_count(128), 2);
+        assert_eq!(slice_count(256), 4);
+        assert_eq!(slice_count(512), 8);
+        assert_eq!(slice_count(4096), 8, "capped at 8");
     }
 
     #[test]

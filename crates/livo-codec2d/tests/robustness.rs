@@ -116,13 +116,14 @@ fn y16_full_range_extremes_round_trip() {
 }
 
 /// The five codec presets the mutation sweep covers: both pixel formats
-/// and slice counts from 1 (frames too small to split) to 8.
+/// and slice counts from 1 (frames too small to split) to 8, the count the
+/// frame height gives (one slice per four macroblock rows).
 const MUTATION_PRESETS: [(usize, usize, PixelFormat, u8); 5] = [
-    (48, 40, PixelFormat::Yuv420, 0),   // one-slice colour
-    (64, 64, PixelFormat::Y16, 0),      // one-slice depth
-    (96, 80, PixelFormat::Yuv420, 3),   // sliced colour
-    (80, 96, PixelFormat::Y16, 4),      // sliced depth
-    (128, 128, PixelFormat::Yuv420, 8), // max slice fan-out
+    (48, 40, PixelFormat::Yuv420, 1),  // one-slice colour
+    (64, 64, PixelFormat::Y16, 1),     // one-slice depth
+    (96, 208, PixelFormat::Yuv420, 3), // sliced colour
+    (80, 256, PixelFormat::Y16, 4),    // sliced depth
+    (32, 512, PixelFormat::Yuv420, 8), // max slice fan-out
 ];
 
 /// Deterministic textured frame (no RNG: byte-mutation coverage must be
@@ -148,13 +149,13 @@ fn pattern_frame(w: usize, h: usize, format: PixelFormat, t: usize) -> Frame {
     }
 }
 
-/// Encode one intra + two inter frames for a preset and return the streams.
+/// Encode one intra + two inter frames for a preset and return the
+/// streams, checking each carries the preset's slice count.
 fn preset_streams(w: usize, h: usize, format: PixelFormat, slices: u8) -> Vec<Vec<u8>> {
-    let mut cfg = EncoderConfig::new(w, h, format);
-    cfg.slices = slices;
-    let mut enc = Encoder::new(cfg);
+    let mut enc = Encoder::new(EncoderConfig::new(w, h, format));
     (0..3)
         .map(|t| enc.encode(&pattern_frame(w, h, format, t), 120_000).data)
+        .inspect(|data| assert_eq!(data[7], slices, "{w}x{h}: slice count"))
         .collect()
 }
 
@@ -198,14 +199,10 @@ fn mutated_streams_never_panic_across_presets() {
 fn corrupt_slice_tables_are_rejected() {
     // Targeted header/slice-table corruptions must map to `Err`, not
     // to a silent garbage frame of the wrong shape.
-    let (w, h) = (96usize, 80usize);
-    let data = {
-        let mut cfg = EncoderConfig::new(w, h, PixelFormat::Yuv420);
-        cfg.slices = 3;
-        let mut enc = Encoder::new(cfg);
-        enc.encode(&pattern_frame(w, h, PixelFormat::Yuv420, 0), 120_000)
-            .data
-    };
+    let (w, h) = (96usize, 208usize);
+    let data = Encoder::new(EncoderConfig::new(w, h, PixelFormat::Yuv420))
+        .encode(&pattern_frame(w, h, PixelFormat::Yuv420, 0), 120_000)
+        .data;
     assert_eq!(data[0], SLICED_MAGIC);
     let n_slices = data[7] as usize;
     assert_eq!(n_slices, 3);
@@ -223,8 +220,8 @@ fn corrupt_slice_tables_are_rejected() {
     long.push(0);
     assert_eq!(decode(&long), Err(DecodeError::BadSliceTable));
 
-    // Zero slices, and more slices than macroblock rows (80px → 5 rows).
-    for bad_count in [0u8, 6, 255] {
+    // Zero slices, and more slices than macroblock rows (208px → 13 rows).
+    for bad_count in [0u8, 14, 255] {
         let mut c = data.clone();
         c[7] = bad_count;
         assert_eq!(
@@ -316,7 +313,7 @@ fn former_v1_buffers_are_rejected() {
 fn sliced_inter_frames_fail_cleanly_without_reference() {
     // P-frames decoded without their reference must report
     // `MissingReference`, never panic.
-    let streams = preset_streams(96, 80, PixelFormat::Yuv420, 3);
+    let streams = preset_streams(96, 208, PixelFormat::Yuv420, 3);
     let mut dec = Decoder::new();
     assert_eq!(
         dec.decode(&streams[1]).map(|_| ()),
@@ -366,14 +363,12 @@ fn still_frame(w: usize, h: usize, format: PixelFormat) -> Frame {
 #[test]
 fn copy_path_survives_bit_flips_in_static_inter_frames() {
     // Sizes with partial macroblocks on the right and bottom, one sliced.
-    for &(w, h, format, slices) in &[
-        (72usize, 56usize, PixelFormat::Yuv420, 0u8),
-        (72, 56, PixelFormat::Y16, 0),
-        (96, 136, PixelFormat::Yuv420, 2),
+    for &(w, h, format) in &[
+        (72usize, 56usize, PixelFormat::Yuv420),
+        (72, 56, PixelFormat::Y16),
+        (96, 136, PixelFormat::Yuv420),
     ] {
-        let mut cfg = EncoderConfig::new(w, h, format);
-        cfg.slices = slices;
-        let mut enc = Encoder::new(cfg);
+        let mut enc = Encoder::new(EncoderConfig::new(w, h, format));
         let frame = still_frame(w, h, format);
         let streams: Vec<_> = (0..4).map(|_| enc.encode_fixed_qp(&frame, 28)).collect();
         let luma_mbs = (w.div_ceil(16) * h.div_ceil(16)) as u64;
@@ -480,8 +475,7 @@ fn corner_vector_frame(format: PixelFormat, qp: u8, coded_corner: bool) -> Vec<u
 #[test]
 fn copy_path_sends_extreme_corner_vectors_through_the_clamp() {
     for format in [PixelFormat::Yuv420, PixelFormat::Y16] {
-        let mut cfg = EncoderConfig::new(48, 48, format);
-        cfg.slices = 1;
+        let cfg = EncoderConfig::new(48, 48, format);
         let key = Encoder::new(cfg).encode_fixed_qp(&pattern_frame(48, 48, format, 0), 16);
         for coded_corner in [false, true] {
             let mut dec = Decoder::new();
@@ -537,15 +531,13 @@ fn copy_path_sends_extreme_corner_vectors_through_the_clamp() {
 /// of the right shape all the same, and a receiver that carries on.
 #[test]
 fn raw_bit_tail_survives_cuts_and_bit_flips() {
-    for &(w, h, format, slices, still) in &[
-        (72usize, 56usize, PixelFormat::Yuv420, 0u8, true),
-        (72, 56, PixelFormat::Y16, 0, false),
-        (96, 136, PixelFormat::Yuv420, 2, false),
-        (80, 96, PixelFormat::Y16, 4, true),
+    for &(w, h, format, still) in &[
+        (72usize, 56usize, PixelFormat::Yuv420, true),
+        (72, 56, PixelFormat::Y16, false),
+        (96, 136, PixelFormat::Yuv420, false),
+        (80, 256, PixelFormat::Y16, true),
     ] {
-        let mut cfg = EncoderConfig::new(w, h, format);
-        cfg.slices = slices;
-        let mut enc = Encoder::new(cfg);
+        let mut enc = Encoder::new(EncoderConfig::new(w, h, format));
         let streams: Vec<Vec<u8>> = (0..4)
             .map(|t| {
                 let frame = if still {

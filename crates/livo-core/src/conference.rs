@@ -18,7 +18,7 @@
 use crate::depth::{DepthCodec, DepthEncoding};
 use crate::frustum_pred::FrustumPredictor;
 use crate::reconstruct::{back_project_views, prepare_for_render, reconstruct_point_cloud};
-use crate::splitter::{BandwidthSplitter, SplitterConfig};
+use crate::splitter::BandwidthSplitter;
 use crate::stage::{
     due, DisplayClock, FrameOutcome, Ingest, Rate, ReceiverStage, SenderStage, Slot, StallCause,
     FPS, GUARD_BAND_M, MEDIA_SHARE, NOADAPT_QPS, PSSIM_RECIPE, RENDER_VOXEL_M,
@@ -379,7 +379,7 @@ impl ConferenceRunner {
         // two decode lanes) runs on the runner's pool.
         let pool = self.pool();
         let mut session = RtcSession::new(net_trace.clone(), cfg.session.clone());
-        let mut splitter = BandwidthSplitter::new(SplitterConfig::default());
+        let mut splitter = BandwidthSplitter::default();
         let mut predictor = FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M);
         let mut sender = SenderStage::new(self.layout, cfg.depth_encoding, 1);
         let mut receiver = ReceiverStage::new();

@@ -14,7 +14,7 @@
 //! Culling runs per pixel per camera per frame, so it is one of the
 //! pipeline's hot kernels. [`CullContext`] holds a cached per-camera
 //! [`RayTable`] (the unprojection rays never change while intrinsics are
-//! fixed) and every pass runs through [`cull_row`]: depth rows are walked in
+//! fixed) and every pass runs through `cull_row`: depth rows are walked in
 //! 16-pixel chunks, chunks whose depths are all zero (the common case after
 //! background removal) are skipped with one scan, and non-empty chunks
 //! evaluate all six plane tests branch-free over small fixed-size arrays

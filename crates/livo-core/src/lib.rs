@@ -47,6 +47,6 @@ pub use cull::{cull_views, CullContext, CullStats};
 pub use depth::{DepthCodec, DepthEncoding};
 pub use frustum_pred::FrustumPredictor;
 pub use reconstruct::reconstruct_point_cloud;
-pub use splitter::{BandwidthSplitter, SplitterConfig};
+pub use splitter::BandwidthSplitter;
 pub use stage::{ReceiverStage, SenderStage};
 pub use tile::TileLayout;

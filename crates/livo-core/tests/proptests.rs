@@ -4,7 +4,7 @@
 use livo_capture::RgbdFrame;
 use livo_codec2d::{Encoder, EncoderConfig, PixelFormat};
 use livo_core::depth::DepthCodec;
-use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
+use livo_core::splitter::BandwidthSplitter;
 use livo_core::tile::{compose_color, compose_depth, read_seq, TileLayout};
 use livo_math::rng::{cases, SplitMix64};
 
@@ -77,7 +77,7 @@ fn seq_survives_any_rate() {
 #[test]
 fn splitter_stays_in_bounds() {
     cases(3, CASES, |rng| {
-        let mut s = BandwidthSplitter::new(SplitterConfig::default());
+        let mut s = BandwidthSplitter::default();
         for _ in 0..rng.gen_range(0..300) {
             s.update(rng.gen_range(0.0f64..100.0), rng.gen_range(0.0f64..100.0));
             assert!((0.5..=0.9).contains(&s.split()));

@@ -9,15 +9,6 @@ pub(crate) fn mean(v: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation.
-pub fn std_dev(v: &[f64]) -> f64 {
-    if v.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(v);
-    (v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64).sqrt()
-}
-
 /// p-th percentile (0–1) by nearest-rank on a sorted copy.
 pub fn percentile(v: &[f64], p: f64) -> f64 {
     if v.is_empty() {
@@ -53,13 +44,11 @@ mod tests {
     fn mean_and_std() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&v) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_are_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
     }
 

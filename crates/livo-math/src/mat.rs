@@ -48,35 +48,6 @@ impl Mat3 {
         Mat3 { m: t }
     }
 
-    pub(crate) fn determinant(&self) -> f32 {
-        let m = &self.m;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    }
-
-    /// Inverse via the adjugate. Returns `None` when the determinant is
-    /// (nearly) zero.
-    pub fn inverse(&self) -> Option<Mat3> {
-        let det = self.determinant();
-        if det.abs() < 1e-12 {
-            return None;
-        }
-        let m = &self.m;
-        let inv_det = 1.0 / det;
-        let mut out = [[0.0f32; 3]; 3];
-        out[0][0] = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_det;
-        out[0][1] = (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * inv_det;
-        out[0][2] = (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * inv_det;
-        out[1][0] = (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * inv_det;
-        out[1][1] = (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * inv_det;
-        out[1][2] = (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * inv_det;
-        out[2][0] = (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_det;
-        out[2][1] = (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_det;
-        out[2][2] = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_det;
-        Some(Mat3 { m: out })
-    }
-
     #[inline]
     pub(crate) fn mul_vec(&self, v: Vec3) -> Vec3 {
         Vec3::new(self.row(0).dot(v), self.row(1).dot(v), self.row(2).dot(v))
@@ -207,30 +178,6 @@ mod tests {
                 assert!((p.m[i][j] - r.m[i][j]).abs() < 1e-6);
             }
         }
-    }
-
-    #[test]
-    fn mat3_inverse_of_rotation_is_transpose() {
-        let r = Quat::from_axis_angle(Vec3::new(1.0, 2.0, 0.5).normalized(), 1.1).to_mat3();
-        let inv = r.inverse().unwrap();
-        let t = r.transpose();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((inv.m[i][j] - t.m[i][j]).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn mat3_singular_has_no_inverse() {
-        let s = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]);
-        assert!(s.inverse().is_none());
-    }
-
-    #[test]
-    fn mat3_determinant_of_rotation_is_one() {
-        let r = Quat::from_axis_angle(Vec3::Z, 0.3).to_mat3();
-        assert!((r.determinant() - 1.0).abs() < 1e-6);
     }
 
     #[test]

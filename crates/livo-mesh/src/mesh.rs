@@ -87,12 +87,6 @@ impl Mesh {
             }
         }
     }
-
-    /// Rough wire size of the mesh in bytes: 12 B position + 3 B colour per
-    /// vertex plus 12 B per triangle (3 × u32 indices). Uncompressed.
-    pub fn byte_size(&self) -> usize {
-        self.vertices.len() * 15 + self.triangles.len() * 12
-    }
 }
 
 #[cfg(test)]
@@ -154,11 +148,5 @@ mod tests {
         assert_eq!(m.vertices.len(), 4);
         // Geometry preserved.
         assert!((m.surface_area() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn byte_size_accounts_vertices_and_indices() {
-        let m = quad();
-        assert_eq!(m.byte_size(), 4 * 15 + 2 * 12);
     }
 }

@@ -24,16 +24,13 @@ impl Point {
 /// A point-cloud frame.
 ///
 /// One of these per inter-frame interval (1/30 s), fused from the `N`
-/// RGB-D cameras of a capture rig. Uncompressed wire size is
-/// [`PointCloud::byte_size`] — positions as 3×f32 plus 3 colour bytes,
-/// matching the ~10 MB/frame full-scene sizes the paper reports (Table 3).
+/// RGB-D cameras of a capture rig. Uncompressed, a point is 15 bytes —
+/// its position as 3×f32 plus 3 colour bytes — which matches the
+/// ~10 MB/frame full-scene sizes the paper reports (Table 3).
 #[derive(Debug, Clone, Default)]
 pub struct PointCloud {
     pub points: Vec<Point>,
 }
-
-/// Uncompressed bytes per point: 12 position + 3 colour.
-pub(crate) const BYTES_PER_POINT: usize = 15;
 
 impl PointCloud {
     pub fn new() -> Self {
@@ -59,11 +56,6 @@ impl PointCloud {
         self.points.push(p);
     }
 
-    /// Uncompressed size in bytes (the "frame size" of Table 3).
-    pub fn byte_size(&self) -> usize {
-        self.points.len() * BYTES_PER_POINT
-    }
-
     /// Axis-aligned bounding box, `None` when empty.
     pub fn bounds(&self) -> Option<(Vec3, Vec3)> {
         let first = self.points.first()?.position;
@@ -74,11 +66,6 @@ impl PointCloud {
             hi = hi.max(p.position);
         }
         Some((lo, hi))
-    }
-
-    /// Append all points of `other`.
-    pub fn merge(&mut self, other: &PointCloud) {
-        self.points.extend_from_slice(&other.points);
     }
 
     /// Keep only points inside the frustum (the receiver-side final cull of
@@ -125,27 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_size_matches_layout() {
-        let pc = cube_cloud(4, 1.0);
-        assert_eq!(pc.byte_size(), 64 * 15);
-    }
-
-    #[test]
     fn bounds_cover_all_points() {
         let pc = cube_cloud(5, 2.0);
         let (lo, hi) = pc.bounds().unwrap();
         assert!((lo - Vec3::splat(-1.0)).length() < 1e-5);
         assert!((hi - Vec3::splat(1.0)).length() < 1e-5);
         assert!(PointCloud::new().bounds().is_none());
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let mut a = cube_cloud(2, 1.0);
-        let b = cube_cloud(3, 1.0);
-        let total = a.len() + b.len();
-        a.merge(&b);
-        assert_eq!(a.len(), total);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //!
 //! Routers are built with the validating [`Router::builder`]; lifecycle
 //! calls return typed [`SubscriberId`] handles and [`RouterError`]s, and
-//! membership churn (join/leave/regroup) surfaces as [`RouterEvent`]s on
-//! every [`RouteSummary`].
+//! membership churn (join/leave/regroup) is counted in `sfu.joins`,
+//! `sfu.leaves` and `sfu.regroups` and traced as `sfu.churn`;
+//! [`Router::cluster_membership`] says who shares which encode.
 //!
 //! Everything runs in virtual time ([`livo_transport::Micros`]) and is
 //! deterministic for a given configuration; with `LIVO_THREADS=1` the
@@ -46,6 +47,6 @@ mod subscriber;
 
 pub use router::{
     subscriber_party, ClusterOutput, RouteSummary, Router, RouterBuilder, RouterConfig,
-    RouterError, RouterEvent, SubscriberId,
+    RouterError, SubscriberId,
 };
 pub use subscriber::{Subscriber, SubscriberConfig, SubscriberStats};

@@ -82,6 +82,14 @@ use std::time::Instant;
 /// The drive loop's tick: every router instant is on a 1 ms grid.
 const TICK_US: Micros = 1_000;
 
+/// Re-run clustering every this many frames (membership changes and PLIs
+/// take effect immediately regardless).
+const RECLUSTER_EVERY: u64 = 15;
+
+/// Hard cap on live subscribers; `add_subscriber` returns
+/// [`RouterError::AtCapacity`] beyond it.
+const MAX_SUBSCRIBERS: usize = 4096;
+
 /// Opaque subscriber handle issued by [`Router::add_subscriber`].
 ///
 /// Ids are monotonic and never reused, so a handle held across a
@@ -117,7 +125,7 @@ pub enum RouterError {
     /// as this one ([`metric_safe`]): names feed the `sfu.sub.<name>.*`
     /// namespace, which must stay unambiguous.
     DuplicateSubscriber(String),
-    /// The router is at [`RouterConfig::max_subscribers`].
+    /// The router already serves its cap of 4096 live subscribers.
     AtCapacity { max: usize },
 }
 
@@ -140,23 +148,6 @@ impl fmt::Display for RouterError {
 
 impl std::error::Error for RouterError {}
 
-/// Membership changes observed by the router, in occurrence order.
-/// Drained into [`RouteSummary::events`] by the next `route_frame`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouterEvent {
-    /// `add_subscriber` accepted a new downlink.
-    SubscriberJoined { id: SubscriberId },
-    /// `remove_subscriber` tore a downlink down.
-    SubscriberLeft { id: SubscriberId },
-    /// A recluster migrated the subscriber between clusters.
-    Regrouped {
-        id: SubscriberId,
-        /// Cluster keys (stable across reclusters, unlike indices).
-        from: u64,
-        to: u64,
-    },
-}
-
 /// Configuration of the SFU router.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -164,21 +155,11 @@ pub struct RouterConfig {
     /// singleton cluster with its own cull+encode pass (the baseline the
     /// scaling benchmark compares against).
     pub sharing: bool,
-    /// Re-run clustering every this many frames (membership changes and
-    /// PLIs take effect immediately regardless).
-    pub recluster_every: u32,
-    /// Hard cap on live subscribers; `add_subscriber` returns
-    /// [`RouterError::AtCapacity`] beyond it.
-    pub max_subscribers: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            sharing: true,
-            recluster_every: 15,
-            max_subscribers: 4096,
-        }
+        RouterConfig { sharing: true }
     }
 }
 
@@ -195,19 +176,6 @@ impl RouterBuilder {
     /// Encode sharing on/off (`false` = naive per-subscriber fan-out).
     pub fn sharing(mut self, sharing: bool) -> Self {
         self.cfg.sharing = sharing;
-        self
-    }
-
-    /// Recluster period in frames.
-    pub fn recluster_every(mut self, frames: u32) -> Self {
-        self.cfg.recluster_every = frames;
-        self
-    }
-
-    /// Hard cap on live subscribers.
-    #[cfg(test)]
-    fn max_subscribers(mut self, max: usize) -> Self {
-        self.cfg.max_subscribers = max;
         self
     }
 
@@ -228,18 +196,11 @@ impl RouterBuilder {
 
     /// Validate and build the router.
     pub fn build(self) -> Result<Router, RouterError> {
-        let err = |field: &'static str, message: String| {
-            Err(RouterError::InvalidConfig { field, message })
-        };
         if self.cameras.is_empty() {
-            return err("cameras", "SFU needs a capture rig".into());
-        }
-        let cfg = &self.cfg;
-        if cfg.recluster_every == 0 {
-            return err("recluster_every", "must be >= 1".into());
-        }
-        if cfg.max_subscribers == 0 {
-            return err("max_subscribers", "must be >= 1".into());
+            return Err(RouterError::InvalidConfig {
+                field: "cameras",
+                message: "SFU needs a capture rig".into(),
+            });
         }
 
         let k = self.cameras[0].intrinsics;
@@ -259,7 +220,7 @@ impl RouterBuilder {
             next_cluster_key: 0,
             frame_idx: 0,
             membership_dirty: false,
-            pending_events: Vec::new(),
+            now: 0,
             trace: self.trace,
         })
     }
@@ -283,10 +244,10 @@ pub struct ClusterOutput {
     pub keep_fraction: f64,
     /// Media rate the shared encode was capped at, bits/second.
     pub target_bps: f64,
-    /// Sender-side reconstruction error of the shared encode, fed to the
-    /// members' RMSE-balancing splitters.
-    pub rmse_color: f64,
-    pub rmse_depth_mm: f64,
+    /// Sender-side reconstruction error of the shared encode, `(colour
+    /// luma, depth mm)`, fed to the members' RMSE-balancing splitters.
+    /// Measured only on frames where some member's splitter is due.
+    pub rmse: Option<(f64, f64)>,
     /// When this frame's shared encode is an intra that had a
     /// predecessor on the same chain: the virtual-time gap since that
     /// predecessor, µs. The storm-guard tests assert it never drops
@@ -305,9 +266,6 @@ pub struct RouteSummary {
     /// item 3's benchmark PR.
     pub low_variant_passes: u64,
     pub clusters: Vec<ClusterOutput>,
-    /// Membership changes since the previous `route_frame`, in
-    /// occurrence order.
-    pub events: Vec<RouterEvent>,
 }
 
 /// Intra scheduling state of a cluster's encoder chain.
@@ -402,6 +360,8 @@ struct ClusterJob {
     target_bps: f64,
     force_key: bool,
     shared_intra_gap_us: Option<u64>,
+    /// Some member's splitter takes a measurement this frame.
+    measure: bool,
 }
 
 /// Metric handles resolved once at construction so the per-frame path
@@ -451,8 +411,7 @@ struct FanPayload {
     depth_key: bool,
     /// A T1 pair: nothing predicts from it, so a downlink may skip it.
     t1: bool,
-    rmse_color: f64,
-    rmse_depth_mm: f64,
+    rmse: Option<(f64, f64)>,
 }
 
 /// The selective forwarding unit.
@@ -469,7 +428,9 @@ pub struct Router {
     next_cluster_key: u64,
     frame_idx: u64,
     membership_dirty: bool,
-    pending_events: Vec<RouterEvent>,
+    /// The latest instant routed or ticked: what a churn trace record
+    /// carries.
+    now: Micros,
     trace: Option<Arc<EventTrace>>,
 }
 
@@ -510,9 +471,9 @@ impl Router {
         cfg: SubscriberConfig,
         trace: BandwidthTrace,
     ) -> Result<SubscriberId, RouterError> {
-        if self.subscribers.len() >= self.cfg.max_subscribers {
+        if self.subscribers.len() >= MAX_SUBSCRIBERS {
             return Err(RouterError::AtCapacity {
-                max: self.cfg.max_subscribers,
+                max: MAX_SUBSCRIBERS,
             });
         }
         // Display names flow into metric names, folded so a name like
@@ -533,8 +494,7 @@ impl Router {
         self.subscribers.insert(id, sub);
         self.membership_dirty = true;
         self.metrics.joins.inc();
-        self.pending_events
-            .push(RouterEvent::SubscriberJoined { id });
+        self.trace_churn(id, kind::JOIN, id.raw());
         Ok(id)
     }
 
@@ -554,7 +514,7 @@ impl Router {
         self.clusters.retain(|c| !c.members.is_empty());
         self.metrics.clusters_gauge.set(self.clusters.len() as f64);
         self.metrics.leaves.inc();
-        self.pending_events.push(RouterEvent::SubscriberLeft { id });
+        self.trace_churn(id, kind::LEAVE, id.raw());
         Ok(())
     }
 
@@ -608,6 +568,7 @@ impl Router {
     /// ticks count in `sfu.session_ticks`. Public for the whole-call
     /// benchmark's own loop.
     pub fn tick(&mut self, now: Micros) {
+        self.now = now;
         let mut need_key: Vec<SubscriberId> = Vec::new();
         let mut ticked = 0;
         for (&id, sub) in self.subscribers.iter_mut() {
@@ -632,8 +593,8 @@ impl Router {
     /// and `volumes` in subscriber order) and reconcile encoder state: each
     /// new group reuses the old cluster with the largest member overlap,
     /// keeping its encoders and P chains. Added members arm (only) the
-    /// destination's chain; members migrating between clusters raise
-    /// [`RouterEvent::Regrouped`].
+    /// destination's chain; members migrating between clusters count in
+    /// `sfu.regroups`.
     fn recluster(&mut self, ids: &[SubscriberId], volumes: &[ViewVolume]) {
         let groups_idx: Vec<Vec<usize>> = if self.cfg.sharing {
             cluster_views(volumes)
@@ -674,11 +635,7 @@ impl Router {
                         if let Some(&from) = prev_key.get(&m) {
                             if from != state.key {
                                 self.metrics.regroups.inc();
-                                self.pending_events.push(RouterEvent::Regrouped {
-                                    id: m,
-                                    from,
-                                    to: state.key,
-                                });
+                                self.trace_churn(m, kind::REGROUP, state.key);
                             }
                         }
                     }
@@ -703,28 +660,20 @@ impl Router {
         self.metrics.clusters_gauge.set(self.clusters.len() as f64);
     }
 
-    /// Hand the accumulated churn events to the caller's summary and
-    /// mirror them onto the event trace (churn shows up in the Chrome
-    /// export on the affected subscriber's track).
-    fn drain_events(&mut self, now: Micros) -> Vec<RouterEvent> {
-        let events = std::mem::take(&mut self.pending_events);
+    /// Record one join, leave or regroup on the event trace, on the
+    /// subscriber's track (churn shows up in the Chrome export there); `arg`
+    /// is the subscriber id, or the destination cluster key of a regroup.
+    fn trace_churn(&self, id: SubscriberId, k: &'static str, arg: u64) {
         if let Some(tr) = &self.trace {
-            for ev in &events {
-                let (party, k, arg) = match *ev {
-                    RouterEvent::SubscriberJoined { id } => {
-                        (subscriber_party(id), kind::JOIN, id.raw() as i64)
-                    }
-                    RouterEvent::SubscriberLeft { id } => {
-                        (subscriber_party(id), kind::LEAVE, id.raw() as i64)
-                    }
-                    RouterEvent::Regrouped { id, to, .. } => {
-                        (subscriber_party(id), kind::REGROUP, to as i64)
-                    }
-                };
-                tr.record(now, NO_FRAME, party, "sfu.churn", k, arg);
-            }
+            tr.record(
+                self.now,
+                NO_FRAME,
+                subscriber_party(id),
+                "sfu.churn",
+                k,
+                arg as i64,
+            );
         }
-        events
     }
 
     /// Build the per-cluster work orders (serial planning phase): rates
@@ -757,6 +706,10 @@ impl Router {
                 .map(|&m| 2.0 * self.subscribers[&m].session.one_way_delay_us())
                 .fold(0.0f64, f64::max) as u64;
 
+            let measure = state
+                .members
+                .iter()
+                .any(|m| self.subscribers[m].splitter.next_measurement_due());
             let fired = state.chain.try_fire(now, cooldown_us);
             if fired.is_none() && state.chain.is_armed() {
                 self.metrics.deferred_intras.inc();
@@ -781,6 +734,7 @@ impl Router {
                 target_bps: leader * MEDIA_SHARE,
                 force_key: fired.is_some(),
                 shared_intra_gap_us: fired.flatten(),
+                measure,
             });
         }
         jobs
@@ -794,16 +748,15 @@ impl Router {
     pub fn route_frame(&mut self, now: Micros, views: &[RgbdFrame]) -> RouteSummary {
         assert_eq!(views.len(), self.cameras.len(), "views must match the rig");
         let seq = self.frame_idx as u32;
+        self.now = now;
         if self.subscribers.is_empty() {
             self.clusters.clear();
             self.frame_idx += 1;
-            let events = self.drain_events(now);
             return RouteSummary {
                 seq,
                 encode_passes: 0,
                 low_variant_passes: 0,
                 clusters: Vec::new(),
-                events,
             };
         }
         let t0 = Instant::now();
@@ -834,9 +787,7 @@ impl Router {
 
         if self.clusters.is_empty()
             || self.membership_dirty
-            || self
-                .frame_idx
-                .is_multiple_of(self.cfg.recluster_every as u64)
+            || self.frame_idx.is_multiple_of(RECLUSTER_EVERY)
         {
             self.recluster(&ids, &volumes);
         }
@@ -860,8 +811,11 @@ impl Router {
                     state.sender.force_keyframe();
                 }
                 let (color, depth) = state.sender.encode(&canvases, job.rate, frame_idx, now);
-                // Sender-side reconstruction error for the splitters.
-                let (rmse_color, rmse_depth_mm) = state.sender.rmse(&canvases, &color, &depth);
+                // Sender-side reconstruction error, for the splitters that
+                // measure this frame.
+                let rmse = job
+                    .measure
+                    .then(|| state.sender.rmse(&canvases, &color, &depth));
                 *out = Some(ClusterOutput {
                     key: state.key,
                     members: state.members.clone(),
@@ -870,8 +824,7 @@ impl Router {
                     low: None,
                     keep_fraction: cull_stats.map_or(1.0, |s| s.keep_fraction()),
                     target_bps: job.target_bps,
-                    rmse_color,
-                    rmse_depth_mm,
+                    rmse,
                     shared_intra_gap_us: job.shared_intra_gap_us,
                 });
             };
@@ -919,8 +872,7 @@ impl Router {
                 depth: Bytes::from(out.depth.data.clone()),
                 depth_key: out.depth.frame_type == FrameType::Intra,
                 t1: out.color.temporal_id == 1,
-                rmse_color: out.rmse_color,
-                rmse_depth_mm: out.rmse_depth_mm,
+                rmse: out.rmse,
             });
             for &m in &out.members {
                 assign.insert(m, ci);
@@ -948,7 +900,9 @@ impl Router {
                     };
                     let p = &payloads[ci];
                     if sub.splitter.measurement_due() {
-                        sub.splitter.update(p.rmse_depth_mm, p.rmse_color);
+                        let (rmse_color, rmse_depth_mm) =
+                            p.rmse.expect("plan_jobs measures for every due member");
+                        sub.splitter.update(rmse_depth_mm, rmse_color);
                     }
                     if p.t1 && !sub.takes_t1(8 * (p.color.len() + p.depth.len()) as u64) {
                         sub.t1_dropped.inc();
@@ -982,13 +936,11 @@ impl Router {
         self.metrics.clusters_gauge.set(clusters.len() as f64);
         self.frame_idx += 1;
         self.metrics.route_ms.record(elapsed_ms());
-        let events = self.drain_events(now);
         RouteSummary {
             seq,
             encode_passes: clusters.len() as u64,
             low_variant_passes: 0,
             clusters,
-            events,
         }
     }
 }
@@ -1042,29 +994,12 @@ mod tests {
                 ..
             })
         ));
-        assert!(matches!(
-            Router::builder(tiny_rig()).recluster_every(0).build(),
-            Err(RouterError::InvalidConfig {
-                field: "recluster_every",
-                ..
-            })
-        ));
-        assert!(matches!(
-            Router::builder(tiny_rig()).max_subscribers(0).build(),
-            Err(RouterError::InvalidConfig {
-                field: "max_subscribers",
-                ..
-            })
-        ));
         assert!(Router::builder(tiny_rig()).build().is_ok());
     }
 
     #[test]
     fn lifecycle_errors_are_typed() {
-        let mut router = Router::builder(tiny_rig())
-            .max_subscribers(2)
-            .build()
-            .unwrap();
+        let mut router = Router::builder(tiny_rig()).build().unwrap();
         let a = add(&mut router, "a");
         assert_eq!(
             router
@@ -1081,11 +1016,16 @@ mod tests {
             RouterError::DuplicateSubscriber("A".into())
         );
         let b = add(&mut router, "b");
+        // Fill the router to its cap with subscribers that run no decoder.
+        for i in 2..MAX_SUBSCRIBERS {
+            let cfg = SubscriberConfig::new(format!("fill{i}")).without_standin();
+            router.add_subscriber(cfg, trace()).unwrap();
+        }
         assert_eq!(
             router
                 .add_subscriber(SubscriberConfig::new("c"), trace())
                 .unwrap_err(),
-            RouterError::AtCapacity { max: 2 }
+            RouterError::AtCapacity { max: 4096 }
         );
         assert!(router.remove_subscriber(a).is_ok());
         assert_eq!(
@@ -1178,13 +1118,6 @@ mod tests {
         // First pass is the cluster's intra, with no predecessor gap.
         assert_eq!(out.clusters[0].color.frame_type, FrameType::Intra);
         assert_eq!(out.clusters[0].shared_intra_gap_us, None);
-        // The joins surfaced as events on this first summary.
-        assert_eq!(
-            out.events,
-            ids.iter()
-                .map(|&id| RouterEvent::SubscriberJoined { id })
-                .collect::<Vec<_>>()
-        );
         let snap = router.registry().snapshot();
         assert_eq!(snap.counter("sfu.encode_passes"), Some(1));
         assert_eq!(snap.counter("sfu.joins"), Some(3));
@@ -1274,14 +1207,14 @@ mod tests {
         let out = router.route_frame(33_333, &views);
         assert_eq!(out.clusters[0].members, vec![ids[0], ids[2]]);
         assert_eq!(out.clusters[0].color.frame_type, FrameType::Inter);
-        assert!(out
-            .events
-            .contains(&RouterEvent::SubscriberLeft { id: ids[1] }));
+        let leaves = |router: &Router| router.registry().snapshot().counter("sfu.leaves");
+        assert_eq!(leaves(&router), Some(1));
         // Now the *seed* leaves; best-overlap reuse still keeps the chain.
         router.remove_subscriber(ids[0]).unwrap();
         let out = router.route_frame(66_666, &views);
         assert_eq!(out.clusters[0].members, vec![ids[2]]);
         assert_eq!(out.clusters[0].color.frame_type, FrameType::Inter);
+        assert_eq!(leaves(&router), Some(2));
     }
 
     #[test]
@@ -1545,5 +1478,85 @@ mod tests {
         let (a, b) = (slots(first), slots(joiner.unwrap()));
         assert!(b > 0, "the joiner decided no slot");
         assert_eq!(a - b, k);
+    }
+
+    /// A cluster measures its encode's RMSE only on frames where some
+    /// member's splitter samples it (every third frame from the member's
+    /// join), and every member's split walks as it did when every frame
+    /// was measured.
+    #[test]
+    fn rmse_is_measured_only_on_frames_a_member_samples() {
+        let cams = tiny_rig();
+        let mut router = Router::builder(cams.clone()).build().unwrap();
+        // Starved downlinks, so the stage cluster's errors leave the
+        // splitters' dead-band.
+        let add = |router: &mut Router, name: &str| {
+            let mut cfg = SubscriberConfig::new(name);
+            cfg.session.initial_estimate_bps = 150e3;
+            let link = BandwidthTrace::constant(0.3, 10.0);
+            router.add_subscriber(cfg, link).unwrap()
+        };
+        // a and b share the stage cluster, b from frame 1; c, alone on the
+        // far side from frame 2, has its own.
+        let a = add(&mut router, "a");
+        let (mut b, mut c) = (None, None);
+        let mut measured: Vec<(u32, u64, bool)> = Vec::new();
+        let mut splits: Vec<Vec<i64>> = Vec::new();
+        let mut now = 0;
+        for f in 0..12u32 {
+            if f == 1 {
+                b = Some(add(&mut router, "b"));
+            }
+            if f == 2 {
+                c = Some(add(&mut router, "c"));
+            }
+            let gazes = [(Some(a), 0.0), (b, 0.03), (c, std::f32::consts::PI)];
+            for (id, yaw) in gazes {
+                if let Some(id) = id {
+                    router.observe_pose(id, &looking(yaw)).unwrap();
+                }
+            }
+            let out = router.route_frame(now, &views_at(&cams, f as f32 / 30.0, f));
+            for cl in &out.clusters {
+                measured.push((f, cl.key, cl.rmse.is_some()));
+            }
+            // Splits in thousandths, in join order.
+            splits.push(
+                router
+                    .subscribers
+                    .values()
+                    .map(|s| (s.splitter.split() * 1e3).round() as i64)
+                    .collect(),
+            );
+            now = router.run_until(now, livo_core::stage::due(f as u64 + 1));
+        }
+        let sampled = |f: u32, key: u64| match key {
+            0 => f % 3 != 2,
+            _ => f % 3 == 2,
+        };
+        assert_eq!(
+            measured,
+            measured
+                .iter()
+                .map(|&(f, key, _)| (f, key, sampled(f, key)))
+                .collect::<Vec<_>>()
+        );
+        // The splits, in thousandths, of a router that measured every
+        // cluster on every frame.
+        let every_frame: [&[i64]; 12] = [
+            &[795],
+            &[795, 805],
+            &[795, 805, 800],
+            &[790, 805, 800],
+            &[790, 800, 800],
+            &[790, 800, 800],
+            &[785, 800, 800],
+            &[785, 795, 800],
+            &[785, 795, 800],
+            &[780, 795, 800],
+            &[780, 790, 800],
+            &[780, 790, 800],
+        ];
+        assert_eq!(splits, every_frame);
     }
 }

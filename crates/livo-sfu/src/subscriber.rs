@@ -12,7 +12,7 @@
 use livo_capture::BandwidthTrace;
 use livo_codec2d::Frame;
 use livo_core::frustum_pred::FrustumPredictor;
-use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
+use livo_core::splitter::BandwidthSplitter;
 use livo_core::stage::{DisplayClock, Ingest, ReceiverStage, Slot, StallCause, FPS, GUARD_BAND_M};
 use livo_math::FrustumParams;
 use livo_runtime::WorkerPool;
@@ -122,7 +122,7 @@ impl Subscriber {
             name: cfg.name,
             session: RtcSession::new(trace, cfg.session),
             predictor: FrustumPredictor::new(FrustumParams::default(), GUARD_BAND_M),
-            splitter: BandwidthSplitter::new(SplitterConfig::default()),
+            splitter: BandwidthSplitter::default(),
             standin,
             stats: SubscriberStats::default(),
             takes_t1: true,

@@ -7,7 +7,7 @@
 //! Filtering is by level via the `LIVO_LOG` environment variable
 //! (`trace|debug|info|warn|error|off`, default `info`), read once. The
 //! cheap path is the disabled path: call sites check [`enabled`] (one
-//! compare) before formatting anything — the [`log_event!`] macro does this
+//! compare) before formatting anything — the [`log_event!`](crate::log_event) macro does this
 //! for you.
 
 use std::sync::{Mutex, OnceLock};

@@ -126,6 +126,14 @@ if grep -rnE "PosePredictorConfig|ClusterParams|NackGenerator::with_defaults|fro
   || grep -n "livo-bond" crates/livo-core/Cargo.toml; then
   echo "PosePredictorConfig, ClusterParams, NackGenerator::with_defaults, from_raw or livo-core's livo-bond dependency is back"; exit 1
 fi
+# What only tests read stays gone: the router's recluster cadence and
+# subscriber cap are constants, the encoder's slice count follows the frame
+# height, the splitter runs at the paper's constants (`SplitterConfig` is a
+# field-less stand-in the benchmark names), and churn is counted and traced,
+# not listed on each route summary.
+if grep -rnE "recluster_every|fn max_subscribers|RouterEvent|pub slices|struct SplitterConfig *[{(]" crates src tests examples; then
+  echo "recluster_every, a max_subscribers setter, RouterEvent, EncoderConfig::slices or a SplitterConfig field is back"; exit 1
+fi
 # The crate graph says what is used: every `livo-*` dependency a crate
 # declares, normal or dev, is named as `livo_<name>` by some `.rs` file
 # under that crate. An edge nothing names goes, rather than waiting here.
@@ -167,9 +175,11 @@ rm -rf "$snaps"
 # wall-clock versus tracing off (median of interleaved A/B pairs).
 echo "== tier1: trace overhead gate =="
 repro --quick --gate traceoverhead >/dev/null
-echo "== tier1: fmt + clippy =="
+echo "== tier1: fmt + clippy + doc =="
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Every intra-doc link resolves and no public doc links a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Whole-call benchmark smoke: one short rep per workload with its
 # correctness checks on (builds benchmark/ against this checkout).
 echo "== tier1: benchmark smoke =="

@@ -71,14 +71,13 @@ pub mod prelude {
         ConferenceConfig, ConferenceConfigBuilder, ConferenceRunner, InvalidConfig, RunSummary,
     };
     pub use livo_core::depth::{DepthCodec, DepthEncoding};
-    pub use livo_core::splitter::{BandwidthSplitter, SplitterConfig};
+    pub use livo_core::splitter::BandwidthSplitter;
     pub use livo_core::stage::{ReceiverStage, SenderStage};
     pub use livo_core::tile::TileLayout;
     pub use livo_math::{Frustum, FrustumParams, Pose, Quat, Vec3};
     pub use livo_pointcloud::{pssim, Point, PointCloud, PssimConfig};
     pub use livo_sfu::{
-        Router, RouterBuilder, RouterConfig, RouterError, RouterEvent, SubscriberConfig,
-        SubscriberId,
+        Router, RouterBuilder, RouterConfig, RouterError, SubscriberConfig, SubscriberId,
     };
     pub use livo_telemetry::{FramePath, Level, MetricsRegistry, RegistrySnapshot, TraceQuery};
     pub use livo_transport::{RtcSession, SessionConfig, StreamId};

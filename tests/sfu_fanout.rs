@@ -310,7 +310,7 @@ fn churn_keeps_unaffected_subscribers_bit_exact() {
         let pi = std::f32::consts::PI;
         let mut subs = vec![(a0, 0.0f32), (a1, 0.03), (b0, pi)];
         let mut joiner = None;
-        let mut events = Vec::new();
+        let mut joiner_cluster = Vec::new();
         let mut sent: BTreeMap<SubscriberId, BTreeMap<u32, Frame>> = BTreeMap::new();
         let mut now: Micros = 0;
         for frame_idx in 0..frames {
@@ -331,15 +331,30 @@ fn churn_keeps_unaffected_subscribers_bit_exact() {
                 router.observe_pose(id, &looking(yaw)).expect("live id");
             }
             let out = router.route_frame(now, &views);
-            events.extend(out.events.iter().copied());
             record_forwarded(&out, &mut sent);
+            if let Some(j) = joiner {
+                // The joiner shares b0's encode, not the a-cluster's.
+                let membership = router.cluster_membership();
+                let (_, members) = membership
+                    .iter()
+                    .find(|(_, m)| m.contains(&j))
+                    .expect("the joiner is in a cluster");
+                joiner_cluster = members.clone();
+            }
             now = router.run_until(now, due(frame_idx + 1));
         }
-        (sent, [a0, a1, b0], events)
+        let snap = router.registry().snapshot();
+        let churn = ["sfu.joins", "sfu.leaves"].map(|c| snap.counter(c).unwrap_or(0));
+        let members: Vec<SubscriberId> = router
+            .cluster_membership()
+            .into_iter()
+            .flat_map(|(_, m)| m)
+            .collect();
+        (sent, [a0, a1, b0], (churn, members, joiner_cluster))
     };
 
-    let (clean, ids, _) = run(false);
-    let (churned, ids2, events) = run(true);
+    let (clean, ids, (clean_churn, clean_members, _)) = run(false);
+    let (churned, ids2, (churn, members, joiner_cluster)) = run(true);
     assert_eq!(ids, ids2, "fixed subscribers get the same ids in both runs");
 
     // The a-cluster never saw the churn: every forwarded frame is
@@ -357,13 +372,13 @@ fn churn_keeps_unaffected_subscribers_bit_exact() {
             }
         }
     }
-    // The churn itself surfaced as typed events.
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, RouterEvent::SubscriberJoined { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, RouterEvent::SubscriberLeft { .. })));
+    // The churn itself was counted, the joiner rode b0's cluster while it
+    // was there, and it left no member behind.
+    assert_eq!(clean_churn, [3, 0]);
+    assert_eq!(churn, [4, 1]);
+    assert_eq!(joiner_cluster.len(), 2);
+    assert!(joiner_cluster.contains(&ids[2]));
+    assert_eq!(members, clean_members);
 }
 
 /// A regroup wave (two subscribers migrating into the same cluster on
@@ -374,50 +389,40 @@ fn regroup_wave_rate_limits_shared_intras() {
     let cameras = tiny_rig();
     let preset = DatasetPreset::load(VideoId::Band2);
     let pool = livo::runtime::global();
-    // Recluster every frame so the gaze flips take effect back-to-back —
-    // the worst case for an intra storm.
-    let mut router = Router::builder(cameras.clone())
-        .recluster_every(1)
-        .build()
-        .expect("valid");
-    let ids: Vec<SubscriberId> = (0..4)
-        .map(|i| {
-            router
-                .add_subscriber(
-                    SubscriberConfig::new(format!("s{i}")),
-                    BandwidthTrace::constant(40.0, 12.0),
-                )
-                .expect("add subscriber")
-        })
-        .collect();
+    let mut router = Router::builder(cameras.clone()).build().expect("valid");
+    let add = |router: &mut Router, name: String| {
+        router
+            .add_subscriber(
+                SubscriberConfig::new(name),
+                BandwidthTrace::constant(40.0, 12.0),
+            )
+            .expect("add subscriber")
+    };
+    let mut ids: Vec<SubscriberId> = (0..4).map(|i| add(&mut router, format!("s{i}"))).collect();
     let pi = std::f32::consts::PI;
+    // The router reclusters every 15 frames, and at once when membership
+    // changes. s2 and s3 start opposed, then join the stage-watchers: s2's
+    // flip takes effect at the cadence's frame 15, and s3's at frame 16,
+    // where a joiner on the far side forces a recluster — consecutive
+    // frames, 33 ms apart, well inside one RTT.
     let yaw_at = |i: usize, frame_idx: u64| -> f32 {
         match i {
             0 => 0.0,
             1 => 0.03,
-            // s2 and s3 start opposed, then join the stage-watchers on
-            // consecutive frames (33 ms apart — well inside one RTT).
-            2 => {
-                if frame_idx >= 8 {
-                    -0.03
-                } else {
-                    pi
-                }
-            }
-            _ => {
-                if frame_idx >= 9 {
-                    0.06
-                } else {
-                    pi + 0.03
-                }
-            }
+            2 if frame_idx >= 8 => -0.03,
+            2 => pi,
+            3 if frame_idx >= 16 => 0.06,
+            3 => pi + 0.03,
+            _ => pi + 0.06,
         }
     };
 
-    let mut events = Vec::new();
     let mut min_gap_us = u64::MAX;
     let mut now: Micros = 0;
-    for frame_idx in 0..20u64 {
+    for frame_idx in 0..24u64 {
+        if frame_idx == 16 {
+            ids.push(add(&mut router, "joiner".to_string()));
+        }
         let t_s = frame_idx as f32 / FPS as f32;
         let snap = preset.scene.at(t_s);
         let views = render_views_at(pool, &cameras, &snap, frame_idx as u32);
@@ -427,7 +432,6 @@ fn regroup_wave_rate_limits_shared_intras() {
                 .expect("live id");
         }
         let out = router.route_frame(now, &views);
-        events.extend(out.events.iter().copied());
         for cluster in &out.clusters {
             if let Some(gap) = cluster.shared_intra_gap_us {
                 min_gap_us = min_gap_us.min(gap);
@@ -436,13 +440,16 @@ fn regroup_wave_rate_limits_shared_intras() {
         now = router.run_until(now, due(frame_idx + 1));
     }
 
-    let regroups: Vec<&RouterEvent> = events
-        .iter()
-        .filter(|e| matches!(e, RouterEvent::Regrouped { .. }))
-        .collect();
+    let snap = router.registry().snapshot();
+    assert_eq!(
+        snap.counter("sfu.regroups"),
+        Some(2),
+        "both gaze flips must count as regroups"
+    );
+    let membership = router.cluster_membership();
     assert!(
-        regroups.len() >= 2,
-        "both gaze flips must surface as Regrouped events: {events:?}"
+        membership.iter().any(|(_, m)| m[..] == ids[..4]),
+        "the four first subscribers share one cluster: {membership:?}"
     );
     // The default link is 20 ms each way, so one RTT is ~40 ms; any two
     // intras on the same chain must be at least that far apart (0.8
